@@ -4,7 +4,7 @@
 #   ./ci.sh            # everything
 #   ./ci.sh fmt        # one stage (fmt | clippy | hardlint | test | faults |
 #                      #            shard | chaos | metrics | wave | fastpath |
-#                      #            kdtree | bench-smoke | bench-compare)
+#                      #            kdtree | threads | bench-smoke | bench-compare)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -17,11 +17,12 @@ run_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # error (or a demoted replica), never an unwrap — and the observability layer
 # must never be the thing that crashes the process it observes. psb-geom is on
 # the wall because the SIMD/scalar distance evaluators sit on every kernel's
-# innermost loop.
+# innermost loop, and the rayon shim because every one of those loops now runs
+# on its workers: a panic there takes a whole batch down.
 # (clippy.toml re-allows unwrap/expect inside #[cfg(test)].)
 run_hardlint() {
     cargo clippy -p psb-geom -p psb-core -p psb-sstree -p psb-kdtree -p psb-serve -p psb-metrics \
-        --all-targets -- \
+        -p rayon --all-targets -- \
         -D warnings -D clippy::unwrap_used -D clippy::expect_used
 }
 run_test()   { cargo test --workspace -q; }
@@ -79,6 +80,23 @@ run_kdtree() {
     cargo test -p psb --test kdtree_parity -q
     cargo test -p psb --test ropes -q
 }
+# Real host threads (DESIGN.md §19): the thread-count parity suite and the
+# concurrent soak, then every bit-identity parity suite, all twice — under
+# RAYON_NUM_THREADS=1 (the calling thread runs every piece) and =4, which
+# oversubscribes a small CI box on purpose to shake out interleavings. The
+# suites assert bit-equality against oracles computed in the same process, so
+# passing under both settings is what "thread count changes nothing" means.
+run_threads() {
+    local t
+    for t in 1 4; do
+        echo "-- RAYON_NUM_THREADS=$t --"
+        RAYON_NUM_THREADS=$t cargo test -q -p rayon
+        for suite in threads layout_parity schedule_parity wave_parity fastpath_parity \
+            kdtree_parity shard_parity resilience_parity metrics_parity chaos; do
+            RAYON_NUM_THREADS=$t cargo test -q -p psb --test "$suite"
+        done
+    done
+}
 # Benchmark harness gate: every criterion bench must compile, and the wall-
 # clock bench binary must complete a tiny workload and emit a BENCH_psb.json
 # whose required keys are present, finite, and nonzero (the binary's --smoke
@@ -118,12 +136,13 @@ case "$stage" in
     wave)          run_wave ;;
     fastpath)      run_fastpath ;;
     kdtree)        run_kdtree ;;
+    threads)       run_threads ;;
     bench-smoke)   run_bench_smoke ;;
     bench-compare) run_bench_compare ;;
     all)
         echo "== cargo fmt --check ==" && run_fmt
         echo "== cargo clippy -D warnings ==" && run_clippy
-        echo "== cargo clippy (no unwrap/expect in core+sstree+serve+metrics) ==" && run_hardlint
+        echo "== cargo clippy (no unwrap/expect in geom+core+sstree+kdtree+serve+metrics+rayon shim) ==" && run_hardlint
         echo "== cargo test ==" && run_test
         echo "== fault-injection suite ==" && run_faults
         echo "== sharded serving suite ==" && run_shard
@@ -132,12 +151,13 @@ case "$stage" in
         echo "== buffer-wave suite ==" && run_wave
         echo "== fast-path suite ==" && run_fastpath
         echo "== kd-tree suite ==" && run_kdtree
+        echo "== host-thread parity + soak, 1 and 4 threads ==" && run_threads
         echo "== bench smoke ==" && run_bench_smoke
         echo "== bench compare gate ==" && run_bench_compare
         echo "CI green."
         ;;
     *)
-        echo "usage: $0 [fmt|clippy|hardlint|test|faults|shard|chaos|metrics|wave|fastpath|kdtree|bench-smoke|bench-compare|all]" >&2
+        echo "usage: $0 [fmt|clippy|hardlint|test|faults|shard|chaos|metrics|wave|fastpath|kdtree|threads|bench-smoke|bench-compare|all]" >&2
         exit 2
         ;;
 esac

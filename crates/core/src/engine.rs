@@ -1,9 +1,11 @@
 //! Batched query execution: one simulated thread block per query, host-parallel.
 //!
 //! The paper's experiments submit 240 queries per batch (§V-B). Each query runs
-//! as an independent simulated block on the rayon pool; the per-block counters
-//! are collected in query order (deterministic under any host thread count) and
-//! aggregated by the device cost model into the figures' metrics.
+//! as an independent simulated block on the host's threads — the rayon shim
+//! hands fixed pieces of the batch to scoped workers — and the per-block
+//! counters are collected by submission index, so every output is bit-identical
+//! at any host thread count (`tests/threads.rs`). The device cost model then
+//! aggregates them into the figures' metrics.
 //!
 //! The `*_batch_recovering` runners add the fault-tolerance ladder: each query
 //! is attempted under its own deterministic fault substream, retried once on a
@@ -625,15 +627,48 @@ mod tests {
         }
     }
 
+    /// Distinct threads that run the pieces of a region entered here: each of
+    /// its 24 pieces holds on (bounded) until `want` threads have shown up.
+    fn threads_at_work(want: usize) -> usize {
+        use rayon::prelude::*;
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        (0..24usize).into_par_iter().for_each(|_| loop {
+            let arrived = {
+                let mut seen = seen.lock().expect("seen");
+                seen.insert(std::thread::current().id());
+                seen.len()
+            };
+            if arrived >= want || std::time::Instant::now() > give_up {
+                break;
+            }
+            std::thread::yield_now();
+        });
+        seen.into_inner().expect("seen").len()
+    }
+
     #[test]
     fn batch_is_deterministic_under_parallelism() {
         let (_, tree, queries) = setup();
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions::default();
-        let a = psb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch");
-        let b = psb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch");
-        assert_eq!(a.per_block, b.per_block);
-        assert_eq!(a.report.merged, b.report.merged);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            pool.install(|| {
+                // Not vacuous: a 24-piece region entered under this pool (the
+                // batch below is one) runs on `threads` distinct threads.
+                assert_eq!(threads_at_work(threads), threads);
+                psb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch")
+            })
+        };
+        // Four real workers racing for the 24 pieces, twice, against the
+        // single-thread run: submission-index collection makes them agree.
+        let one = run(1);
+        for b in [run(4), run(4)] {
+            assert_eq!(one.neighbors, b.neighbors);
+            assert_eq!(one.per_block, b.per_block);
+            assert_eq!(one.report.merged, b.report.merged);
+        }
     }
 
     #[test]

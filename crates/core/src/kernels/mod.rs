@@ -242,6 +242,12 @@ pub(crate) struct Scratch {
     /// the scheduled PSB kernel touches it; the reference path leaves it
     /// untouched, and its capacity persists across the whole batch.
     pub memo: SweepMemo,
+    /// The wave engine's direct path: one query's current and next wave
+    /// front, and the log of nodes it was buffered at. They live here so a
+    /// worker grows them once per region instead of once per query.
+    pub front: Vec<(u32, f32)>,
+    pub next_front: Vec<(u32, f32)>,
+    pub visited: Vec<u32>,
 }
 
 impl Scratch {
@@ -528,4 +534,48 @@ pub(crate) fn kth_maxdist<const M: bool>(
     tmp.extend_from_slice(max_d);
     let (_, kth, _) = tmp.select_nth_unstable_by(k - 1, f32::total_cmp);
     *kth
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernels::psb::{psb_query, psb_query_replay};
+    use psb_data::{sample_queries, ClusteredSpec};
+    use psb_sstree::{build, BuildMethod, Neighbor};
+
+    fn bits(r: &(Vec<Neighbor>, psb_gpu::KernelStats)) -> (Vec<(u32, u32)>, psb_gpu::KernelStats) {
+        (r.0.iter().map(|n| (n.id, n.dist.to_bits())).collect(), r.1)
+    }
+
+    /// A kernel launched while this thread's pooled scratch is already lent
+    /// out (a recovery rung or a cascading wave flush re-entering
+    /// `with_scratch`) runs on a fresh scratch instead. Neighbours and
+    /// counters must not notice — for the memo kernel too, whose replay arena
+    /// lives in the scratch it did not get.
+    #[test]
+    fn a_kernel_launched_inside_with_scratch_takes_the_fallback_bit_identically() {
+        let ps =
+            ClusteredSpec { clusters: 6, points_per_cluster: 350, dims: 8, sigma: 150.0, seed: 11 }
+                .generate();
+        let tree = build(&ps, 16, &BuildMethod::Hilbert);
+        let cfg = DeviceConfig::k40();
+        let opts = KernelOptions::default();
+        for q in sample_queries(&ps, 12, 0.01, 3).iter() {
+            let pooled = psb_query(&tree, q, 8, &cfg, &opts);
+            let pooled_replay = psb_query_replay(&tree, q, 8, &cfg, &opts);
+            let (nested, nested_replay) = with_scratch(tree.dims(), opts.lanes, |held| {
+                // Dirty the lent-out scratch: the nested launch must not see it.
+                held.leaf.push((f32::NAN, u32::MAX));
+                assert!(
+                    SCRATCH_POOL.with(|pool| pool.try_borrow_mut().is_err()),
+                    "the pool must be borrowed here, or this test exercises nothing"
+                );
+                (psb_query(&tree, q, 8, &cfg, &opts), psb_query_replay(&tree, q, 8, &cfg, &opts))
+            });
+            assert_eq!(bits(&nested), bits(&pooled));
+            assert_eq!(bits(&nested_replay), bits(&pooled_replay));
+            assert_eq!(bits(&pooled_replay), bits(&pooled), "replay kernel parity");
+        }
+        assert!(SCRATCH_POOL.with(|pool| pool.try_borrow_mut().is_ok()), "pool returned");
+    }
 }

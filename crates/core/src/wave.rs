@@ -55,11 +55,27 @@
 //!
 //! ## Host execution
 //!
-//! The host runs each wave query-major (rayon over queries, each processing
-//! its own buffer entries in ascending node order) because per-query state —
-//! block, k-best list, bound — is disjoint per query; buffer membership,
-//! entry ranks, and fetch shares are fixed node-major before the wave runs,
-//! so the metered schedule is the node-centric one regardless of host
+//! Per-query state — block, k-best list, bound — is disjoint per query, and a
+//! query's own sweeps (which nodes, in which order, under which bound) depend
+//! on no other query; only the *split* of each node's single fetch needs the
+//! whole batch, because it needs every buffer's final occupancy and order.
+//!
+//! * **Direct path** (batch smaller than the capacity, so no buffer can ever
+//!   fill — a query sits in a node's buffer at most once). One parallel
+//!   region: each query is primed and then runs all of its wave fronts back to
+//!   back, level by level and in ascending node id within a level, logging
+//!   the nodes it was buffered at. A cheap sequential node-major pass then
+//!   counts every buffer from the logs and charges each entry its rank's
+//!   share. The counters are integer sums per phase, so charging the shares
+//!   last leaves every [`KernelStats`](psb_gpu::KernelStats) bit where the
+//!   buffered path puts it (unit-pinned below).
+//! * **Buffered path** (anything larger). Real buffers, flushed when they
+//!   reach capacity; between flushes each level runs query-major on the host
+//!   (rayon over queries, each processing its own buffer entries in ascending
+//!   node order) with buffer membership, entry ranks and fetch shares fixed
+//!   node-major before the level runs, and a sequential scatter after it.
+//!
+//! Either way the metered schedule is the node-centric one regardless of host
 //! interleaving, and results are deterministic under any thread count.
 //!
 //! ## Faults
@@ -177,9 +193,13 @@ struct QueryState<const M: bool> {
     hits: Vec<Neighbor>,
     /// Current pruning bound: k-th distance so far (kNN) or the radius.
     pruning: f32,
-    /// Children this query survives into, staged during a wave's parallel
-    /// phase and scattered into buffers sequentially afterwards.
+    /// Buffered path only: children this query survives into, staged during a
+    /// wave's parallel phase and scattered into buffers sequentially
+    /// afterwards.
     out: Vec<(u32, f32)>,
+    /// Direct path only: every node this query was buffered at, in the order
+    /// it swept them — what the node-major accounting pass reads.
+    visited: Vec<u32>,
 }
 
 /// One buffered entry's worth of work, precomputed node-major so the
@@ -324,7 +344,14 @@ fn prime_knn<T: GpuIndex, const M: bool>(
     budget.tick(&block)?;
     process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, false, level)?;
     let pruning = list.bound();
-    Ok(QueryState { block, list: Some(list), hits: Vec::new(), pruning, out: Vec::new() })
+    Ok(QueryState {
+        block,
+        list: Some(list),
+        hits: Vec::new(),
+        pruning,
+        out: Vec::new(),
+        visited: Vec::new(),
+    })
 }
 
 /// Range-mode per-query setup: no descent (the bound is the radius), just the
@@ -340,31 +367,40 @@ fn prime_range<T: GpuIndex, const M: bool>(
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
         .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    Ok(QueryState { block, list: None, hits: Vec::new(), pruning: radius, out: Vec::new() })
+    Ok(QueryState {
+        block,
+        list: None,
+        hits: Vec::new(),
+        pruning: radius,
+        out: Vec::new(),
+        visited: Vec::new(),
+    })
 }
 
-/// Process one buffered entry: charge the query's share of the node's single
-/// coalesced fetch, re-check admission against the current bound, and — if
-/// the lane stays active — sweep the node for this query (children into
-/// `state.out`, leaf points into the result list).
-#[allow(clippy::too_many_arguments)]
-fn process_entry<T: GpuIndex, const M: bool>(
+/// The traversal phase a node's sweep is attributed to.
+fn sweep_phase(leaf: bool) -> Phase {
+    if leaf {
+        Phase::LeafScan
+    } else {
+        Phase::Descend
+    }
+}
+
+/// Charge one buffered entry its share of the node's single coalesced fetch.
+/// Rank 0 carries the node-visit count (merged `nodes_visited` = coalesced
+/// sweeps) and the remainder-heavy share; leaf-wave shares are streamed (the
+/// wave walks the contiguous leaf arena left-to-right — a prefetchable linear
+/// scan). A pruned entry still pays: it is a masked lane of the shared fetch.
+fn charge_entry<T: GpuIndex, const M: bool>(
     tree: &T,
-    q: &[f32],
     state: &mut QueryState<M>,
     item: WorkItem,
-    mode: WaveMode,
     level: u32,
     opts: &KernelOptions,
-    scratch: &mut Scratch,
-) -> Result<(), KernelError> {
+) {
     let n = item.node;
     let leaf = tree.is_leaf(n);
-    state.block.set_phase(if leaf { Phase::LeafScan } else { Phase::Descend });
-    // The node is fetched once for the whole buffer. Rank 0 carries the
-    // node-visit count (merged `nodes_visited` = coalesced sweeps) and the
-    // remainder-heavy share; leaf-wave shares are streamed (the wave walks
-    // the contiguous leaf arena left-to-right — a prefetchable linear scan).
+    state.block.set_phase(sweep_phase(leaf));
     if item.rank == 0 {
         state.block.visit_node(level, if leaf { NodeKind::Leaf } else { NodeKind::Internal });
     }
@@ -372,10 +408,30 @@ fn process_entry<T: GpuIndex, const M: bool>(
     let m = u64::from(item.fill);
     let j = u64::from(item.rank);
     state.block.load_global_share(share(bytes, m, j), share(tx, m, j), leaf);
+}
+
+/// Sweep node `n` for one query that was buffered there at `mindist`:
+/// re-check admission against the query's current bound, and — if the lane
+/// stays active — sweep the node (surviving children into `out`, leaf points
+/// into the result list). Everything here is the query's own compute; the
+/// shared fetch is charged separately ([`charge_entry`] on the buffered path,
+/// [`Wave::charge_fetch_shares`] on the direct one).
+#[allow(clippy::too_many_arguments)]
+fn sweep_entry<T: GpuIndex, const M: bool>(
+    tree: &T,
+    q: &[f32],
+    state: &mut QueryState<M>,
+    (n, entry_mindist): (u32, f32),
+    out: &mut Vec<(u32, f32)>,
+    mode: WaveMode,
+    opts: &KernelOptions,
+    scratch: &mut Scratch,
+) -> Result<(), KernelError> {
+    let leaf = tree.is_leaf(n);
+    state.block.set_phase(sweep_phase(leaf));
     // Admission re-check: the bound may have tightened since this query
-    // pushed itself here (earlier sweeps of this very wave). A pruned entry
-    // is a masked lane: it paid its fetch share but computes nothing.
-    if !mode.admits(item.mindist, state.pruning) {
+    // pushed itself here (earlier sweeps of this very wave).
+    if !mode.admits(entry_mindist, state.pruning) {
         return Ok(());
     }
     if leaf {
@@ -427,7 +483,7 @@ fn process_entry<T: GpuIndex, const M: bool>(
             let mindist = scratch.sweep.min_d[i];
             if mode.admits(mindist, state.pruning) {
                 state.block.scalar(1);
-                state.out.push((c, mindist));
+                out.push((c, mindist));
             }
         }
     }
@@ -441,7 +497,7 @@ struct WaveCtx<'a, T: GpuIndex> {
     mode: WaveMode,
     opts: &'a KernelOptions,
     capacity: usize,
-    levels: Vec<u32>,
+    levels: &'a [u32],
 }
 
 impl<T: GpuIndex> WaveCtx<'_, T> {
@@ -490,17 +546,18 @@ impl<T: GpuIndex> WaveCtx<'_, T> {
             for (rank, &(q, mindist)) in entries.iter().enumerate() {
                 let item = WorkItem { node: n, rank: rank as u32, fill, mindist };
                 let qi = q as usize;
-                process_entry(
+                charge_entry(self.tree, &mut states[qi], item, level, self.opts);
+                let mut out = std::mem::take(&mut states[qi].out);
+                sweep_entry(
                     self.tree,
                     self.queries.point(qi),
                     &mut states[qi],
-                    item,
+                    (n, mindist),
+                    &mut out,
                     self.mode,
-                    level,
                     self.opts,
                     scratch,
                 )?;
-                let mut out = std::mem::take(&mut states[qi].out);
                 for (c, child_mindist) in out.drain(..) {
                     self.push(buffers, states, wr, c, (q, child_mindist))?;
                 }
@@ -511,7 +568,9 @@ impl<T: GpuIndex> WaveCtx<'_, T> {
     }
 }
 
-/// The wave traversal proper: prime, seed, then sweep level by level.
+/// The wave traversal proper. A batch smaller than the buffer capacity can
+/// never fill a buffer (a query sits in a node's buffer at most once), so it
+/// takes the direct path; anything larger needs real buffers to flush.
 fn wave_execute<T: GpuIndex, const M: bool>(
     tree: &T,
     queries: &PointSet,
@@ -523,106 +582,286 @@ fn wave_execute<T: GpuIndex, const M: bool>(
 ) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
     let root = checked_root(tree)?;
     let (levels, max_level) = node_levels(tree, root)?;
-    let nq = queries.len();
+    let wave = Wave { tree, queries, mode, cfg, opts, order, root, levels: &levels };
+    if queries.len() < capacity {
+        wave.run_direct()
+    } else {
+        wave.run_buffered(capacity, max_level)
+    }
+}
 
-    // Priming runs query-parallel: each query owns its whole state.
-    let mut states: Vec<QueryState<M>> = (0..nq)
-        .into_par_iter()
-        .map(|i| match mode {
-            WaveMode::Knn { k } => with_scratch(tree.dims(), opts.lanes, |scratch| {
-                prime_knn(tree, queries.point(i), k, root, cfg, opts, scratch)
-            }),
-            WaveMode::Range { radius } => prime_range(tree, radius, cfg, opts),
-        })
-        .collect::<Result<_, _>>()?;
+/// One batch's traversal inputs, shared by the two execution paths.
+struct Wave<'a, T: GpuIndex> {
+    tree: &'a T,
+    queries: &'a PointSet,
+    mode: WaveMode,
+    cfg: &'a DeviceConfig,
+    opts: &'a KernelOptions,
+    order: Option<&'a [u32]>,
+    root: u32,
+    levels: &'a [u32],
+}
 
-    let mut buffers: Vec<Vec<(u32, f32)>> = vec![Vec::new(); tree.num_nodes()];
-    let mut wr = WaveReport::default();
-    let ctx = WaveCtx { tree, queries, mode, opts, capacity, levels };
+/// Node-major bookkeeping of one coalesced sweep on the direct path.
+#[derive(Clone, Copy, Default)]
+struct Sweep {
+    /// Queries buffered at the node: what its one fetch is amortized over.
+    fill: u32,
+    /// Entries charged so far: the next entry's rank.
+    charged: u32,
+    leaf: bool,
+    /// The fetch's bytes and transactions as (quotient, remainder) by `fill`:
+    /// rank `j` owes `quotient + (j < remainder)`, exactly [`share`].
+    bytes: (u64, u64),
+    transactions: (u64, u64),
+}
 
-    // Seed the root buffer in scheduled order. MINDIST to the root is taken
-    // as 0 — the per-query kernels also enter the root unconditionally.
-    match order {
-        Some(perm) => {
-            for &i in perm {
-                ctx.push(&mut buffers, &mut states, &mut wr, root, (i, 0.0))?;
+impl<T: GpuIndex> Wave<'_, T> {
+    /// Priming for query `i`: PSB's phase-1 descent (kNN) or just the block
+    /// (range).
+    fn prime<const M: bool>(
+        &self,
+        i: usize,
+        scratch: &mut Scratch,
+    ) -> Result<QueryState<M>, KernelError> {
+        match self.mode {
+            WaveMode::Knn { k } => {
+                let q = self.queries.point(i);
+                prime_knn(self.tree, q, k, self.root, self.cfg, self.opts, scratch)
             }
-        }
-        None => {
-            for i in 0..nq as u32 {
-                ctx.push(&mut buffers, &mut states, &mut wr, root, (i, 0.0))?;
-            }
+            WaveMode::Range { radius } => prime_range(self.tree, radius, self.cfg, self.opts),
         }
     }
 
-    // Level-synchronous waves. Buffers at level L were fully populated by
-    // wave L-1 (survivors only ever descend), so one front per level.
-    let mut work: Vec<Vec<WorkItem>> = vec![Vec::new(); nq];
-    for level in 0..=max_level {
-        // Collect this wave's sweeps node-major (ascending node id): ranks,
-        // fills, and shares are fixed here, before any entry runs.
-        let mut sweeps: Vec<(u32, Vec<(u32, f32)>)> = Vec::new();
-        for n in 0..tree.num_nodes() as u32 {
-            if ctx.levels[n as usize] == level && !buffers[n as usize].is_empty() {
-                sweeps.push((n, std::mem::take(&mut buffers[n as usize])));
-            }
-        }
-        if sweeps.is_empty() {
-            continue;
-        }
-        wr.waves += 1;
-        for item in &mut work {
-            item.clear();
-        }
-        for (n, entries) in &sweeps {
-            let fill = entries.len() as u32;
-            wr.coalesced_sweeps += 1;
-            wr.buffered_entries += u64::from(fill);
-            wr.max_fill = wr.max_fill.max(fill);
-            for (rank, &(q, mindist)) in entries.iter().enumerate() {
-                work[q as usize].push(WorkItem { node: *n, rank: rank as u32, fill, mindist });
-            }
-        }
-        // Phase A (parallel): each query sweeps its entries in node order.
-        // Disjoint per-query state makes this safe; the node-major schedule
-        // above makes it deterministic.
-        states
-            .par_chunks_mut(1)
-            .zip(work.par_chunks(1))
-            .enumerate()
-            .map(|(qi, (state, items))| {
-                let (state, items) = (&mut state[0], &items[0]);
-                if items.is_empty() {
-                    return Ok(());
-                }
+    /// Direct path: no buffer can reach capacity, so which nodes a query is
+    /// buffered at — and in which order it sweeps them — depends on that
+    /// query alone. Each query therefore runs all of its wave fronts back to
+    /// back inside **one** parallel region (level by level, each level in
+    /// ascending node id: exactly its share of the node-major schedule), and
+    /// the only thing that needs the whole batch, the split of every node's
+    /// single fetch over its buffer, is charged afterwards from the logs
+    /// ([`Self::charge_fetch_shares`]). Counters are integer sums per phase, so
+    /// charging late changes no [`KernelStats`](psb_gpu::KernelStats) bit
+    /// (pinned against the buffered path by a unit test below).
+    fn run_direct<const M: bool>(&self) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
+        let (tree, opts) = (self.tree, self.opts);
+        let mut states: Vec<QueryState<M>> = (0..self.queries.len())
+            .into_par_iter()
+            .map(|i| {
                 with_scratch(tree.dims(), opts.lanes, |scratch| {
-                    for item in items {
-                        process_entry(
-                            tree,
-                            queries.point(qi),
-                            state,
-                            *item,
-                            mode,
-                            level,
-                            opts,
-                            scratch,
-                        )?;
+                    let q = self.queries.point(i);
+                    let mut state = self.prime::<M>(i, scratch)?;
+                    // The fronts and the log grow in the worker's scratch, not
+                    // per query: a query keeps one exact-size copy of its log.
+                    let mut front = std::mem::take(&mut scratch.front);
+                    let mut next = std::mem::take(&mut scratch.next_front);
+                    let mut visited = std::mem::take(&mut scratch.visited);
+                    front.clear();
+                    next.clear();
+                    visited.clear();
+                    // MINDIST to the root is taken as 0 — the per-query
+                    // kernels also enter the root unconditionally.
+                    front.push((self.root, 0.0));
+                    while !front.is_empty() {
+                        for &entry in &front {
+                            visited.push(entry.0);
+                            let mode = self.mode;
+                            sweep_entry(
+                                tree, q, &mut state, entry, &mut next, mode, opts, scratch,
+                            )?;
+                        }
+                        front.clear();
+                        std::mem::swap(&mut front, &mut next);
+                        front.sort_unstable_by_key(|entry| entry.0);
                     }
-                    Ok(())
+                    state.visited = visited.clone();
+                    (scratch.front, scratch.next_front, scratch.visited) = (front, next, visited);
+                    Ok(state)
                 })
             })
-            .collect::<Result<(), KernelError>>()?;
-        // Phase B (sequential): scatter survivors into child buffers in
-        // query order, flushing any buffer that hits capacity.
-        for qi in 0..nq {
-            let mut out = std::mem::take(&mut states[qi].out);
-            for (c, mindist) in out.drain(..) {
-                ctx.push(&mut buffers, &mut states, &mut wr, c, (qi as u32, mindist))?;
-            }
-            states[qi].out = out;
-        }
+            .collect::<Result<_, KernelError>>()?;
+        let wr = self.charge_fetch_shares(&mut states);
+        Ok((states, wr))
     }
-    Ok((states, wr))
+
+    /// The node-major half of the direct path: count every node's buffer from
+    /// the per-query logs, then charge each entry its rank's share of the
+    /// node's one fetch. Buffer order is what the buffered path produces —
+    /// scheduled order at the root, ascending query index below it. One cheap
+    /// sequential pass (a counter bump and two adds per entry).
+    fn charge_fetch_shares<const M: bool>(&self, states: &mut [QueryState<M>]) -> WaveReport {
+        let mut sweeps = vec![Sweep::default(); self.tree.num_nodes()];
+        let mut swept: Vec<u32> = Vec::new();
+        for state in states.iter() {
+            for &n in &state.visited {
+                let sweep = &mut sweeps[n as usize];
+                if sweep.fill == 0 {
+                    swept.push(n);
+                }
+                sweep.fill += 1;
+            }
+        }
+        let mut wr = WaveReport { coalesced_sweeps: swept.len() as u64, ..Default::default() };
+        for &n in &swept {
+            let fill = sweeps[n as usize].fill;
+            wr.buffered_entries += u64::from(fill);
+            wr.max_fill = wr.max_fill.max(fill);
+            // A swept node's parent was swept too, so the levels reached are
+            // 0..=deepest: one wave front each.
+            wr.waves = wr.waves.max(self.levels[n as usize] + 1);
+        }
+        let Some(any_block) = states.first().map(|state| &state.block).filter(|_| M) else {
+            return wr;
+        };
+        for &n in &swept {
+            let leaf = self.tree.is_leaf(n);
+            let (bytes, tx) = node_fetch_cost(self.tree, n, leaf, self.opts.layout, any_block);
+            let sweep = &mut sweeps[n as usize];
+            let m = u64::from(sweep.fill);
+            sweep.leaf = leaf;
+            sweep.bytes = (bytes / m, bytes % m);
+            sweep.transactions = (tx / m, tx % m);
+        }
+        let mut root_rank: Vec<u32> = (0..states.len() as u32).collect();
+        for (rank, &i) in self.order.unwrap_or_default().iter().enumerate() {
+            root_rank[i as usize] = rank as u32;
+        }
+        for (state, root_rank) in states.iter_mut().zip(root_rank) {
+            // (bytes, transactions) owed for internal and for leaf sweeps.
+            let mut owed = [(0u64, 0u64); 2];
+            for &n in &state.visited {
+                let sweep = &mut sweeps[n as usize];
+                let rank = if n == self.root { root_rank } else { sweep.charged };
+                sweep.charged += 1;
+                if rank == 0 {
+                    let kind = if sweep.leaf { NodeKind::Leaf } else { NodeKind::Internal };
+                    state.block.set_phase(sweep_phase(sweep.leaf));
+                    state.block.visit_node(self.levels[n as usize], kind);
+                }
+                let j = u64::from(rank);
+                let part = &mut owed[usize::from(sweep.leaf)];
+                part.0 += sweep.bytes.0 + u64::from(j < sweep.bytes.1);
+                part.1 += sweep.transactions.0 + u64::from(j < sweep.transactions.1);
+            }
+            // Leaf-wave shares are streamed, as in [`charge_entry`].
+            for (leaf, (bytes, tx)) in [false, true].into_iter().zip(owed) {
+                state.block.set_phase(sweep_phase(leaf));
+                state.block.load_global_share(bytes, tx, leaf);
+            }
+        }
+        wr
+    }
+
+    /// Buffered path: prime, seed the root buffer, then sweep level by level,
+    /// flushing any buffer that reaches `capacity`.
+    fn run_buffered<const M: bool>(
+        &self,
+        capacity: usize,
+        max_level: u32,
+    ) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
+        let (tree, queries, mode, opts) = (self.tree, self.queries, self.mode, self.opts);
+        let nq = queries.len();
+
+        // Priming runs query-parallel: each query owns its whole state.
+        let mut states: Vec<QueryState<M>> = (0..nq)
+            .into_par_iter()
+            .map(|i| with_scratch(tree.dims(), opts.lanes, |scratch| self.prime::<M>(i, scratch)))
+            .collect::<Result<_, _>>()?;
+
+        let mut buffers: Vec<Vec<(u32, f32)>> = vec![Vec::new(); tree.num_nodes()];
+        let mut wr = WaveReport::default();
+        let ctx = WaveCtx { tree, queries, mode, opts, capacity, levels: self.levels };
+
+        // Seed the root buffer in scheduled order.
+        match self.order {
+            Some(perm) => {
+                for &i in perm {
+                    ctx.push(&mut buffers, &mut states, &mut wr, self.root, (i, 0.0))?;
+                }
+            }
+            None => {
+                for i in 0..nq as u32 {
+                    ctx.push(&mut buffers, &mut states, &mut wr, self.root, (i, 0.0))?;
+                }
+            }
+        }
+
+        // Level-synchronous waves. Buffers at level L were fully populated by
+        // wave L-1 (survivors only ever descend), so one front per level.
+        let mut work: Vec<Vec<WorkItem>> = vec![Vec::new(); nq];
+        let mut staged = vec![0usize; nq];
+        for level in 0..=max_level {
+            // Collect this wave's sweeps node-major (ascending node id): ranks,
+            // fills, and shares are fixed here, before any entry runs.
+            let mut sweeps: Vec<(u32, Vec<(u32, f32)>)> = Vec::new();
+            for n in 0..tree.num_nodes() as u32 {
+                if ctx.levels[n as usize] == level && !buffers[n as usize].is_empty() {
+                    sweeps.push((n, std::mem::take(&mut buffers[n as usize])));
+                }
+            }
+            if sweeps.is_empty() {
+                continue;
+            }
+            wr.waves += 1;
+            for item in &mut work {
+                item.clear();
+            }
+            for (n, entries) in &sweeps {
+                let fill = entries.len() as u32;
+                wr.coalesced_sweeps += 1;
+                wr.buffered_entries += u64::from(fill);
+                wr.max_fill = wr.max_fill.max(fill);
+                let fanout = checked_children(tree, *n).map_or(0, |kids| kids.len());
+                for (rank, &(q, mindist)) in entries.iter().enumerate() {
+                    work[q as usize].push(WorkItem { node: *n, rank: rank as u32, fill, mindist });
+                    staged[q as usize] += fanout;
+                }
+            }
+            // A query stages at most one survivor per child of each node it
+            // sits in. Reserve that here, on the thread that owns `out` (empty
+            // between waves): growing it from a worker reallocates in this
+            // thread's malloc arena, and two threads doing so queue on the
+            // arena lock.
+            for (state, need) in states.iter_mut().zip(&mut staged) {
+                state.out.reserve(std::mem::take(need));
+            }
+            // Phase A (parallel): each query sweeps its entries in node order.
+            // Disjoint per-query state makes this safe; the node-major schedule
+            // above makes it deterministic.
+            states
+                .par_chunks_mut(1)
+                .zip(work.par_chunks(1))
+                .enumerate()
+                .map(|(qi, (state, items))| {
+                    let (state, items) = (&mut state[0], &items[0]);
+                    if items.is_empty() {
+                        return Ok(());
+                    }
+                    with_scratch(tree.dims(), opts.lanes, |scratch| {
+                        let q = queries.point(qi);
+                        let mut out = std::mem::take(&mut state.out);
+                        for item in items {
+                            charge_entry(tree, state, *item, level, opts);
+                            let entry = (item.node, item.mindist);
+                            sweep_entry(tree, q, state, entry, &mut out, mode, opts, scratch)?;
+                        }
+                        state.out = out;
+                        Ok(())
+                    })
+                })
+                .collect::<Result<(), KernelError>>()?;
+            // Phase B (sequential): scatter survivors into child buffers in
+            // query order, flushing any buffer that hits capacity.
+            for qi in 0..nq {
+                let mut out = std::mem::take(&mut states[qi].out);
+                for (c, mindist) in out.drain(..) {
+                    ctx.push(&mut buffers, &mut states, &mut wr, c, (qi as u32, mindist))?;
+                }
+                states[qi].out = out;
+            }
+        }
+        Ok((states, wr))
+    }
 }
 
 /// Shared engine wrapper: run the wave traversal, then assemble the standard
@@ -827,6 +1066,58 @@ mod tests {
             wave.report.merged.global_transactions,
             per_query.report.merged.global_transactions
         );
+    }
+
+    /// Runs one batch down both execution paths (the buffered one with a
+    /// capacity nothing reaches) and returns what each query ended with.
+    #[allow(clippy::type_complexity)]
+    fn both_paths<T: GpuIndex>(
+        tree: &T,
+        queries: &PointSet,
+        mode: WaveMode,
+        opts: &KernelOptions,
+    ) -> [(Vec<(Vec<Neighbor>, psb_gpu::KernelStats)>, WaveReport); 2] {
+        let cfg = DeviceConfig::k40();
+        let order = schedule_order(queries, opts);
+        let root = checked_root(tree).unwrap();
+        let (levels, max_level) = node_levels(tree, root).unwrap();
+        let order = order.as_deref();
+        let wave = Wave { tree, queries, mode, cfg: &cfg, opts, order, root, levels: &levels };
+        [wave.run_direct::<true>(), wave.run_buffered::<true>(queries.len() + 1, max_level)].map(
+            |run| {
+                let (states, wr) = run.unwrap();
+                let per_query = states
+                    .into_iter()
+                    .map(|mut state| {
+                        let found = match state.list.take() {
+                            Some(list) => list.into_sorted(),
+                            None => {
+                                state.hits.sort_by(|a, b| a.dist.total_cmp(&b.dist));
+                                state.hits
+                            }
+                        };
+                        (found, state.block.finish())
+                    })
+                    .collect();
+                (per_query, wr)
+            },
+        )
+    }
+
+    #[test]
+    fn the_direct_path_charges_exactly_what_the_buffered_path_does() {
+        let (_, tree, queries) = setup();
+        for opts in [
+            KernelOptions::default(),
+            KernelOptions { schedule: crate::QuerySchedule::Hilbert, ..Default::default() },
+            KernelOptions { layout: NodeLayout::Aos, fuse: 4, ..Default::default() },
+        ] {
+            for mode in [WaveMode::Knn { k: 8 }, WaveMode::Range { radius: 220.0 }] {
+                let [direct, buffered] = both_paths(&tree, &queries, mode, &opts);
+                assert_eq!(direct.1, buffered.1, "wave report");
+                assert_eq!(direct.0, buffered.0, "neighbors and per-query counters");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub fn align_up_f32(off: usize) -> usize {
 }
 
 /// An immutable packed `f32` buffer whose payload starts on a 64-byte boundary.
-#[derive(Debug)]
 pub struct AlignedF32 {
     buf: Vec<f32>,
     start: usize,
@@ -77,6 +76,14 @@ impl Clone for AlignedF32 {
 impl PartialEq for AlignedF32 {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
+    }
+}
+
+/// The payload only, like `PartialEq`: the padding in front of it depends on
+/// where the allocator happened to put the buffer.
+impl std::fmt::Debug for AlignedF32 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
     }
 }
 

@@ -123,10 +123,19 @@ fn farthest(items: &dyn Items, from: &[f64], mode: RitterMode) -> (usize, f64) {
             .map(|i| (i, far_dist(items, from, i)))
             .fold((usize::MAX, f64::NEG_INFINITY), pick),
         RitterMode::Parallel => {
-            // Wrap in a Sync adapter: `&dyn Items` is Sync because Items: Sync.
-            (0..items.len())
+            // A coarse grid, as k-means keeps: a parallel region costs its
+            // workers' spawn, so it is entered around thousands of items, and
+            // a leaf-sized set stays one piece on the calling thread. The
+            // argmax (index tie-break) is the same under any grouping.
+            const GRID: usize = 1024;
+            let n = items.len();
+            (0..n.div_ceil(GRID))
                 .into_par_iter()
-                .map(|i| (i, far_dist(items, from, i)))
+                .map(|chunk| {
+                    (chunk * GRID..n.min((chunk + 1) * GRID))
+                        .map(|i| (i, far_dist(items, from, i)))
+                        .fold((usize::MAX, f64::NEG_INFINITY), pick)
+                })
                 .reduce(|| (usize::MAX, f64::NEG_INFINITY), pick)
         }
     }

@@ -115,7 +115,10 @@ pub enum TraceEvent {
 
 /// Receiver for [`TraceEvent`]s. Implementations must be passive observers:
 /// nothing flows back into the kernel.
-pub trait TraceSink {
+///
+/// `Send`, because a [`Block`](crate::Block) holds its sink by `&mut` and the
+/// wave engine's per-query blocks are handed to host worker threads.
+pub trait TraceSink: Send {
     fn record(&mut self, event: TraceEvent);
 }
 
@@ -166,7 +169,7 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for JsonlSink<W> {
+impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, event: TraceEvent) {
         // Trace recording is best-effort; an I/O error must not abort the
         // simulation (and must not change its results either way).

@@ -26,8 +26,9 @@ fn bound(i: usize) -> f64 {
 /// clamped into the first bucket (they represent a broken clock, not a
 /// latency, and must not poison the tail). Percentile extraction is
 /// *exact-rank over buckets*: the reported quantile is the upper bound of the
-/// bucket containing the ceil(p·count)-th smallest observation, so a value
-/// recorded exactly on a bucket boundary is reported exactly.
+/// bucket containing the ceil(p·count)-th smallest observation — clamped to
+/// the largest observation, so no quantile ever exceeds the recorded max — and
+/// a value recorded exactly on a bucket boundary is reported exactly.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     counts: [u64; BUCKETS],
@@ -91,10 +92,10 @@ impl Histogram {
     }
 
     /// The `p`-quantile (`p` in `[0, 1]`), as the upper bound of the bucket
-    /// holding the ceil(p·count)-th smallest observation. The saturation
-    /// bucket has no finite bound, so it reports the largest observation seen
-    /// (the histogram saturates rather than inventing a bound). Returns 0 for
-    /// an empty histogram.
+    /// holding the ceil(p·count)-th smallest observation, or the largest
+    /// observation seen when that is smaller (the top occupied bucket's bound
+    /// overshoots the max by up to √2; the saturation bucket has no bound at
+    /// all). Returns 0 for an empty histogram.
     pub fn quantile(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -104,7 +105,7 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return if i == BUCKETS - 1 { self.max } else { bound(i) };
+                return if i == BUCKETS - 1 { self.max } else { bound(i).min(self.max) };
             }
         }
         self.max
@@ -234,8 +235,12 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.bucket_counts()[0], 3);
         assert_eq!(h.sum(), 0.0);
-        // Everything sub-resolution reports the first bucket's bound.
-        assert_eq!(h.p999(), bound(0));
+        // No finite positive value was seen, so the max — and with it every
+        // quantile — is 0, not the first bucket's bound.
+        assert_eq!(h.max(), 0.0);
+        assert_eq!(h.p999(), 0.0);
+        h.observe(0.25);
+        assert_eq!(h.p999(), 0.25, "sub-resolution values report the max, not bound(0)");
     }
 
     #[test]
@@ -260,10 +265,26 @@ mod tests {
             prop_assert!(p50 <= p90, "p50 {p50} > p90 {p90}");
             prop_assert!(p90 <= p99, "p90 {p90} > p99 {p99}");
             prop_assert!(p99 <= p999, "p99 {p99} > p999 {p999}");
-            // Quantiles never exceed one bucket above the true max.
+        }
+
+        #[test]
+        fn no_quantile_above_max_and_quantiles_monotone_in_p(
+            values in prop::collection::vec(0.001f64..1e10, 1..400),
+        ) {
+            let mut h = Histogram::new();
+            for &v in &values {
+                h.observe(v);
+            }
             let true_max = values.iter().cloned().fold(0.0, f64::max);
-            prop_assert!(p999 <= true_max * 2f64.sqrt() + 1e-9,
-                "p999 {p999} above max bucket of {true_max}");
+            prop_assert_eq!(h.max().to_bits(), true_max.to_bits());
+            let mut prev = 0.0f64;
+            for step in 0..=200 {
+                let q = h.quantile(step as f64 / 200.0);
+                prop_assert!(q <= true_max, "quantile({}) = {q} above max {true_max}", step as f64 / 200.0);
+                prop_assert!(q >= prev, "quantile({}) = {q} below quantile of a smaller p ({prev})", step as f64 / 200.0);
+                prev = q;
+            }
+            prop_assert_eq!(h.quantile(1.0).to_bits(), true_max.to_bits(), "p = 1 is the max");
         }
 
         #[test]

@@ -113,3 +113,20 @@ pub mod prelude {
         LoadError, Neighbor, SsTree, StructuralError,
     };
 }
+
+/// Everything a batch runner, a serve loop or a shard rebuild shares with
+/// another host thread must be `Send + Sync`. A field that quietly loses
+/// either (an `Rc`, a `Cell`, a raw pointer) fails the build here, by name,
+/// rather than at some distant `par_iter` call site.
+const _: () = {
+    const fn crosses_threads<T: Send + Sync>() {}
+    crosses_threads::<sstree::SsTree>();
+    crosses_threads::<rtree::RsTree>();
+    crosses_threads::<kdtree::LbKdTree>();
+    crosses_threads::<core::KernelOptions>();
+    crosses_threads::<gpu::FaultPlan>();
+    crosses_threads::<core::QueryBatchResult>();
+    crosses_threads::<serve::ShardRouter<sstree::SsTree>>();
+    crosses_threads::<serve::DynamicShardRouter>();
+    crosses_threads::<serve::ResilientRouter<sstree::SsTree>>();
+};

@@ -1,0 +1,482 @@
+//! Real host threads under the batch engine.
+//!
+//! The rayon shim cuts every parallel region into pieces whose boundaries
+//! depend on the region's length only, and combines per-piece results in piece
+//! order. These tests hold the workspace to what follows from that: every
+//! batch runner, every parallel build phase and the k-means shard split give
+//! the same bits inside pools of 1, 2, 4 and 7 threads (7 divides none of the
+//! piece counts here, so some worker always gets a ragged share); and the
+//! layers written for concurrency — per-shard `RwLock`s, epoch-checked caches,
+//! the metrics `Registry` — survive a soak on real threads.
+
+use std::collections::HashSet;
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex, RwLock};
+use std::time::{Duration, Instant};
+
+use psb::prelude::*;
+use rayon::prelude::*;
+
+const POOLS: [usize; 4] = [1, 2, 4, 7];
+
+/// Distinct threads that run the pieces of a region entered here: each of its
+/// 61 pieces (the fixture's batch size) holds on, bounded, until `want`
+/// threads have shown up.
+fn threads_at_work(want: usize) -> usize {
+    let seen = Mutex::new(HashSet::new());
+    let give_up = Instant::now() + Duration::from_secs(20);
+    (0..61usize).into_par_iter().for_each(|_| loop {
+        let arrived = {
+            let mut seen = seen.lock().expect("seen");
+            seen.insert(std::thread::current().id());
+            seen.len()
+        };
+        if arrived >= want || Instant::now() > give_up {
+            break;
+        }
+        std::thread::yield_now();
+    });
+    seen.into_inner().expect("seen").len()
+}
+
+/// Runs `op` with every region it enters on `threads` threads — checked, not
+/// assumed: the shim spawns a region's workers unconditionally, so what a
+/// probe region sees here is what every region of `op` gets.
+fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(|| {
+        assert_eq!(threads_at_work(threads), threads, "pool of {threads} did not fan out");
+        op()
+    })
+}
+
+/// `{:?}` of f32/f64 is the shortest string that round-trips, so two values
+/// print alike exactly when their bits agree (and `-0.0` prints its sign):
+/// one string compares neighbours, counters, outcomes and every field of the
+/// report, private ones included.
+fn fingerprint(value: &impl Debug) -> String {
+    format!("{value:?}")
+}
+
+/// Runs `op` in every pool and requires the same fingerprint from each.
+fn same_in_every_pool<R: Debug + Send>(what: &str, op: impl Fn() -> R + Sync) -> R {
+    let first = in_pool(POOLS[0], &op);
+    let want = fingerprint(&first);
+    for &threads in &POOLS[1..] {
+        let got = fingerprint(&in_pool(threads, &op));
+        assert!(got == want, "{what}: differs between 1 and {threads} threads");
+    }
+    first
+}
+
+struct Fixture {
+    points: PointSet,
+    queries: PointSet,
+    tree: SsTree,
+    rtree: RsTree,
+    kd: LbKdTree,
+    cfg: DeviceConfig,
+}
+
+/// 61 queries: prime, so pieces are ragged and a Hilbert schedule moves
+/// almost every one of them.
+fn fixture() -> Fixture {
+    let points =
+        ClusteredSpec { clusters: 8, points_per_cluster: 300, dims: 8, sigma: 120.0, seed: 5 }
+            .generate();
+    let queries = sample_queries(&points, 61, 0.02, 17);
+    Fixture {
+        tree: build(&points, 16, &BuildMethod::Hilbert),
+        rtree: build_rtree(&points, 16, &RtreeBuildMethod::Hilbert),
+        kd: LbKdTree::build(&points),
+        cfg: DeviceConfig::k40(),
+        points,
+        queries,
+    }
+}
+
+const K: usize = 6;
+const RADIUS: f32 = 250.0;
+
+#[test]
+fn plain_batch_runners_are_bit_identical_in_every_pool() {
+    let f = fixture();
+    let opts = KernelOptions::default();
+    let (t, q, cfg) = (&f.tree, &f.queries, &f.cfg);
+    same_in_every_pool("psb", || psb_batch(t, q, K, cfg, &opts).expect("psb"));
+    same_in_every_pool("psb/rtree", || psb_batch(&f.rtree, q, K, cfg, &opts).expect("psb"));
+    same_in_every_pool("bnb", || bnb_batch(t, q, K, cfg, &opts).expect("bnb"));
+    same_in_every_pool("restart", || restart_batch(t, q, K, cfg, &opts).expect("restart"));
+    same_in_every_pool("range", || range_batch(t, q, RADIUS, cfg, &opts).expect("range"));
+    same_in_every_pool("stackfree", || stackfree_batch(&f.kd, q, K, cfg, &opts).expect("kd"));
+    let brute =
+        same_in_every_pool("brute", || brute_batch(&f.points, q, K, cfg, &opts).expect("brute"));
+    // And the threaded answers are the right ones, not merely the same ones.
+    for (qi, got) in brute.neighbors.iter().enumerate() {
+        assert_eq!(fingerprint(got), fingerprint(&linear_knn(&f.points, q.point(qi), K)));
+    }
+}
+
+#[test]
+fn recovering_runners_climb_the_same_ladder_in_every_pool() {
+    let f = fixture();
+    let opts = KernelOptions::default();
+    let (t, q, cfg) = (&f.tree, &f.queries, &f.cfg);
+    let mut rungs_off_clean = 0;
+    for plan in [FaultPlan::bit_flips(0xF00D, 2), FaultPlan::truncation(8), FaultPlan::watchdog(32)]
+    {
+        let psb = same_in_every_pool("psb_recovering", || {
+            psb_batch_recovering(t, q, K, cfg, &opts, &plan).expect("psb")
+        });
+        rungs_off_clean += psb.outcomes.iter().filter(|o| **o != QueryOutcome::Clean).count();
+        same_in_every_pool("bnb_recovering", || {
+            bnb_batch_recovering(t, q, K, cfg, &opts, &plan).expect("bnb")
+        });
+        same_in_every_pool("restart_recovering", || {
+            restart_batch_recovering(t, q, K, cfg, &opts, &plan).expect("restart")
+        });
+        same_in_every_pool("range_recovering", || {
+            range_batch_recovering(t, q, RADIUS, cfg, &opts, &plan).expect("range")
+        });
+        same_in_every_pool("stackfree_recovering", || {
+            stackfree_batch_recovering(&f.kd, q, K, cfg, &opts, &plan).expect("kd")
+        });
+    }
+    assert!(rungs_off_clean > 0, "the fault plans must push some query off the clean rung");
+}
+
+#[test]
+fn schedule_fuse_wave_and_stream_are_bit_identical_in_every_pool() {
+    let f = fixture();
+    let (t, q, cfg) = (&f.tree, &f.queries, &f.cfg);
+    let hilbert = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
+    let fast = KernelOptions { metering: Metering::Off, ..hilbert.clone() };
+    let fused = KernelOptions { fuse: 4, ..hilbert.clone() };
+    let wave = KernelOptions { wave: Some(WaveConfig { capacity: 8 }), ..hilbert.clone() };
+    let direct = KernelOptions { wave: Some(WaveConfig::default()), ..hilbert.clone() };
+    same_in_every_pool("psb/hilbert", || psb_batch(t, q, K, cfg, &hilbert).expect("psb"));
+    same_in_every_pool("psb/hilbert/unmetered", || psb_batch(t, q, K, cfg, &fast).expect("psb"));
+    same_in_every_pool("psb/fuse", || psb_batch(t, q, K, cfg, &fused).expect("psb"));
+    same_in_every_pool("psb/hilbert/faults", || {
+        psb_batch_recovering(t, q, K, cfg, &hilbert, &FaultPlan::bit_flips(0xBEEF, 2)).expect("psb")
+    });
+    // Capacity 8 < 61 queries: buffers overflow and flush mid-wave, so the
+    // sequential scatter between the parallel phases is exercised too.
+    same_in_every_pool("wave/knn", || wave_knn_batch(t, q, K, cfg, &wave).expect("wave"));
+    same_in_every_pool("wave/range", || wave_range_batch(t, q, RADIUS, cfg, &wave).expect("wave"));
+    same_in_every_pool("wave/rtree", || wave_knn_batch(&f.rtree, q, K, cfg, &wave).expect("wave"));
+    // Default capacity > 61 queries: nothing can overflow, so every query runs
+    // all of its wave fronts inside one region and the fetch shares are
+    // charged node-major afterwards.
+    same_in_every_pool("wave/direct", || wave_knn_batch(t, q, K, cfg, &direct).expect("wave"));
+    same_in_every_pool("wave/direct/range", || {
+        wave_range_batch(&f.rtree, q, RADIUS, cfg, &direct).expect("wave")
+    });
+    same_in_every_pool("stream", || {
+        let mut stream = QueryStream::with_chunk_size(
+            t,
+            StreamKernel::Psb { k: K },
+            cfg.clone(),
+            hilbert.clone(),
+            16,
+        );
+        let mut chunks = Vec::new();
+        for query in q.iter() {
+            stream.push(query);
+            while let Some(chunk) = stream.poll() {
+                chunks.push(chunk);
+            }
+        }
+        chunks.extend(stream.finish());
+        chunks
+    });
+}
+
+/// The bytes `persist::save` writes: every array of the tree, in order.
+fn persisted(tree: &SsTree, tag: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("psb-threads-{}-{tag}.psbt", std::process::id()));
+    psb::sstree::persist::save(tree, &path).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+#[test]
+fn builds_are_byte_identical_at_one_and_four_threads() {
+    // 5000 points: the k-means chunk grid has several chunks, the Hilbert key
+    // region many pieces, and there are two internal levels above the leaves.
+    let points =
+        ClusteredSpec { clusters: 10, points_per_cluster: 500, dims: 6, sigma: 90.0, seed: 23 }
+            .generate();
+    for (tag, method) in
+        [("hilbert", BuildMethod::Hilbert), ("kmeans", BuildMethod::kmeans_default(7))]
+    {
+        let one = in_pool(1, || build(&points, 16, &method));
+        let four = in_pool(4, || build(&points, 16, &method));
+        one.validate().expect("valid tree");
+        let (a, b) = (persisted(&one, &format!("{tag}-1")), persisted(&four, &format!("{tag}-4")));
+        assert!(a == b, "sstree::build {tag}: persist images differ between 1 and 4 threads");
+    }
+    let rt = |threads| in_pool(threads, || build_rtree(&points, 16, &RtreeBuildMethod::Hilbert));
+    assert!(fingerprint(&rt(1)) == fingerprint(&rt(4)), "build_rtree differs");
+    let kd = |threads| in_pool(threads, || LbKdTree::build(&points));
+    assert!(fingerprint(&kd(1)) == fingerprint(&kd(4)), "LbKdTree::build differs");
+}
+
+#[test]
+fn kmeans_shards_are_identical_at_one_and_four_threads() {
+    let points =
+        ClusteredSpec { clusters: 10, points_per_cluster: 500, dims: 6, sigma: 90.0, seed: 29 }
+            .generate();
+    let policy = ShardPolicy::KMeans { seed: 3 };
+    let plan = |threads| in_pool(threads, || partition(&points, 4, &policy).assignments);
+    assert_eq!(plan(1), plan(4), "k-means shard assignments");
+
+    let queries = sample_queries(&points, 40, 0.02, 31);
+    let serve = |threads: usize| {
+        in_pool(threads, || {
+            let cfg = ServeConfig::new(4).with_policy(policy);
+            let mut router = ShardRouter::build(&points, &cfg, &DeviceConfig::k40(), |local| {
+                build(local, 16, &BuildMethod::Hilbert)
+            });
+            let spheres: Vec<Sphere> =
+                (0..router.num_shards()).map(|s| router.sphere(s).clone()).collect();
+            let out = router.serve_batch(&queries, K, &KernelOptions::default()).expect("serve");
+            (spheres, out.neighbors, out.per_query, out.outcomes)
+        })
+    };
+    assert!(fingerprint(&serve(1)) == fingerprint(&serve(4)), "ShardRouter::build + serve");
+}
+
+/// Linear-scan oracle over the points whose global ids are `live`.
+fn oracle(all: &PointSet, live: &[u32], q: &[f32], k: usize) -> Vec<Neighbor> {
+    let alive = all.gather(live);
+    linear_knn(&alive, q, k)
+        .into_iter()
+        .map(|n| Neighbor { dist: n.dist, id: live[n.id as usize] })
+        .collect()
+}
+
+/// Everything the soak's threads share.
+struct Soak {
+    /// The outer lock a server would hold: `&self` traffic (queries, shard
+    /// rebuilds) under `read`, `&mut self` traffic (inserts, removes) under
+    /// `write`.
+    router: RwLock<DynamicShardRouter>,
+    registry: Arc<Registry>,
+    /// Row `g` is the point with global id `g`: the initial set, then the
+    /// insert stream in the order the single writer feeds it.
+    all: PointSet,
+    queries: PointSet,
+    tree: SsTree,
+    batch_want: String,
+    start: Barrier,
+    writers_done: AtomicBool,
+    knn_calls: AtomicU64,
+}
+
+const INITIAL: usize = 2000;
+const WRITE_PHASES: usize = 12;
+const INSERTS_PER_PHASE: usize = 16;
+const REBUILDS: usize = 24;
+const BATCHES: usize = 12;
+const READERS: usize = 3;
+const MIN_READS: usize = 400;
+
+/// The initial point the writer removes in `phase`.
+fn removed_in(phase: usize) -> u32 {
+    (phase * 131) as u32
+}
+
+impl Soak {
+    fn reader(&self, lane: usize) {
+        self.start.wait();
+        let mut reads = 0;
+        // Bounded by work, not time: run while the finite threads run, and
+        // at least MIN_READS queries.
+        while reads < MIN_READS || !self.writers_done.load(Ordering::Acquire) {
+            let q = self.queries.point((lane + reads * READERS) % self.queries.len());
+            let got = self.router.read().expect("outer lock").knn(q, K);
+            self.knn_calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(got.len(), K);
+            for pair in got.windows(2) {
+                assert!(pair[0].dist <= pair[1].dist && pair[0].id != pair[1].id, "{got:?}");
+            }
+            for n in &got {
+                // Whatever set this query saw, the id it names is a real
+                // point at exactly that distance.
+                let d = dist(q, self.all.point(n.id as usize));
+                assert_eq!(d.to_bits(), n.dist.to_bits(), "id {} at a distance it is not at", n.id);
+            }
+            reads += 1;
+        }
+    }
+
+    /// Inserts the stream in order (so global ids are `INITIAL + j`) and
+    /// removes one initial point per phase.
+    fn writer(&self) {
+        self.start.wait();
+        for phase in 0..WRITE_PHASES {
+            {
+                let mut router = self.router.write().expect("outer lock");
+                for j in 0..INSERTS_PER_PHASE {
+                    let g = INITIAL + phase * INSERTS_PER_PHASE + j;
+                    assert_eq!(router.insert(self.all.point(g)) as usize, g);
+                }
+                assert!(router.remove(removed_in(phase)));
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    fn rebuilder(&self) {
+        self.start.wait();
+        for i in 0..REBUILDS {
+            let router = self.router.read().expect("outer lock");
+            router.rebuild_shard(i % router.num_shards());
+        }
+    }
+
+    fn scraper(&self) {
+        self.start.wait();
+        let mut scrapes = 0;
+        while scrapes < 50 || !self.writers_done.load(Ordering::Acquire) {
+            let snap = self.registry.snapshot();
+            for (name, h) in &snap.histograms {
+                assert!(
+                    h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.p999 && h.p999 <= h.max,
+                    "{name}: {h:?}"
+                );
+            }
+            for line in render_prometheus(&snap).lines().filter(|l| !l.starts_with('#')) {
+                let value = line.rsplit(' ').next().and_then(|v| v.parse::<f64>().ok());
+                assert!(value.is_some_and(f64::is_finite), "unparseable sample: {line}");
+            }
+            scrapes += 1;
+            std::thread::yield_now();
+        }
+    }
+
+    /// Fans `psb_batch_recovering` out on a 4-thread pool beside everything
+    /// else, metrics attached to the shared registry.
+    fn batcher(&self) {
+        self.start.wait();
+        let opts = KernelOptions {
+            metrics: MetricsHandle::attached(&self.registry),
+            ..Default::default()
+        };
+        let plan = FaultPlan::bit_flips(0xC0FFEE, 2);
+        let cfg = DeviceConfig::k40();
+        in_pool(4, || {
+            for _ in 0..BATCHES {
+                let out = psb_batch_recovering(&self.tree, &self.queries, K, &cfg, &opts, &plan)
+                    .expect("typed result");
+                assert_eq!(fingerprint(&(&out.neighbors, &out.outcomes)), self.batch_want);
+            }
+        });
+    }
+}
+
+#[test]
+fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
+    let inserts = WRITE_PHASES * INSERTS_PER_PHASE;
+    let all = ClusteredSpec {
+        clusters: 8,
+        points_per_cluster: (INITIAL + inserts) / 8,
+        dims: 4,
+        sigma: 60.0,
+        seed: 41,
+    }
+    .generate();
+    assert_eq!(all.len(), INITIAL + inserts);
+    let initial: Vec<u32> = (0..INITIAL as u32).collect();
+    let initial_points = all.gather(&initial);
+    let queries = sample_queries(&all, 48, 0.02, 43);
+
+    let registry = Registry::new();
+    let mut router = DynamicShardRouter::build(&initial_points, 4, &ShardPolicy::HilbertRange, 8);
+    router.attach_cache(64);
+    router.attach_metrics(MetricsHandle::attached(&registry));
+
+    // What the batch loop must keep returning: exact neighbours under the
+    // fault plan, and the same rung per query every time.
+    let tree = build(&initial_points, 16, &BuildMethod::Hilbert);
+    let cfg = DeviceConfig::k40();
+    let reference = psb_batch_recovering(
+        &tree,
+        &queries,
+        K,
+        &cfg,
+        &KernelOptions::default(),
+        &FaultPlan::bit_flips(0xC0FFEE, 2),
+    )
+    .expect("reference batch");
+    for (qi, got) in reference.neighbors.iter().enumerate() {
+        assert_eq!(got, &linear_knn(&initial_points, queries.point(qi), K), "query {qi}");
+    }
+
+    let soak = Arc::new(Soak {
+        router: RwLock::new(router),
+        registry,
+        all,
+        queries,
+        tree,
+        batch_want: fingerprint(&(&reference.neighbors, &reference.outcomes)),
+        start: Barrier::new(READERS + 4),
+        writers_done: AtomicBool::new(false),
+        knn_calls: AtomicU64::new(0),
+    });
+
+    // Plain spawned threads reporting over a channel, so a deadlock is a
+    // failed receive rather than a hung test binary.
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let spawn = |body: Box<dyn FnOnce(&Soak) + Send>| {
+        let (soak, done) = (Arc::clone(&soak), done_tx.clone());
+        std::thread::spawn(move || {
+            body(&soak);
+            done.send(()).expect("main is listening")
+        })
+    };
+    let mut handles = vec![
+        spawn(Box::new(Soak::writer)),
+        spawn(Box::new(Soak::rebuilder)),
+        spawn(Box::new(Soak::batcher)),
+        spawn(Box::new(Soak::scraper)),
+    ];
+    handles.extend((0..READERS).map(|lane| spawn(Box::new(move |s| s.reader(lane)))));
+    let wait_for = |threads: usize| {
+        for _ in 0..threads {
+            done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a soak thread panicked or deadlocked");
+        }
+    };
+    // Readers and the scraper run until told to stop, so the first three to
+    // report are the writer, the rebuilder and the batcher.
+    wait_for(3);
+    soak.writers_done.store(true, Ordering::Release);
+    wait_for(1 + READERS);
+    for handle in handles {
+        handle.join().expect("soak thread");
+    }
+
+    // Quiescence: every query equals a linear scan of the final live set.
+    let removed: Vec<u32> = (0..WRITE_PHASES).map(removed_in).collect();
+    let live: Vec<u32> = (0..(INITIAL + inserts) as u32).filter(|g| !removed.contains(g)).collect();
+    let router = soak.router.read().expect("outer lock");
+    assert_eq!(router.len(), live.len());
+    for (qi, q) in soak.queries.iter().enumerate() {
+        assert_eq!(router.knn(q, K), oracle(&soak.all, &live, q, K), "query {qi} after quiescence");
+    }
+    // No update to the shared registry was lost: every knn call is either a
+    // cache hit or a counted query, and every batch and rebuild was recorded.
+    let snap = soak.registry.snapshot();
+    let counter = |name: &str| -> u64 {
+        snap.counters.iter().filter(|(k, _)| k.starts_with(name)).map(|(_, v)| *v).sum()
+    };
+    let calls = soak.knn_calls.load(Ordering::Relaxed) + soak.queries.len() as u64;
+    assert_eq!(counter("serve.dyn_cache_hits") + counter("serve.dyn_queries"), calls);
+    assert_eq!(counter("serve.rebuilds{"), REBUILDS as u64);
+    assert_eq!(counter("engine.batches{"), BATCHES as u64);
+    assert_eq!(counter("engine.queries{"), (BATCHES * soak.queries.len()) as u64);
+}
