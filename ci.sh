@@ -86,13 +86,18 @@ run_kdtree() {
 # oversubscribes a small CI box on purpose to shake out interleavings. The
 # suites assert bit-equality against oracles computed in the same process, so
 # passing under both settings is what "thread count changes nothing" means.
+# psb-serve's own tests ride along: its runner executes cache misses ahead of
+# their turn on the pool, and its unit tests hold that to the one-at-a-time
+# loop (window of one vs whole batch) where a replica dies, a breaker trips or
+# a planned cache hit is not there.
 run_threads() {
     local t
     for t in 1 4; do
         echo "-- RAYON_NUM_THREADS=$t --"
         RAYON_NUM_THREADS=$t cargo test -q -p rayon
+        RAYON_NUM_THREADS=$t cargo test -q -p psb-serve
         for suite in threads layout_parity schedule_parity wave_parity fastpath_parity \
-            kdtree_parity shard_parity resilience_parity metrics_parity chaos; do
+            kdtree_parity shard_parity resilience_parity metrics_parity chaos admission; do
             RAYON_NUM_THREADS=$t cargo test -q -p psb --test "$suite"
         done
     done

@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use psb_sstree::Neighbor;
 
@@ -353,16 +354,30 @@ impl CircuitBreaker {
 /// epoch is not part of the key because an epoch change clears the whole
 /// cache (see [`QueryCache::advance_epoch`]) — logically the key is
 /// `(query_bits, k, epoch)` with only current-epoch entries resident.
+///
+/// Built once per query and then moved: the bits sit behind an `Arc`, so the
+/// copy the FIFO keeps beside the map's is a reference count, not a second
+/// allocation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    q_bits: Vec<u32>,
+pub struct CacheKey {
+    q_bits: Arc<[u32]>,
     k: usize,
 }
 
 impl CacheKey {
-    fn new(q: &[f32], k: usize) -> Self {
+    /// The key of query `q` asked for `k` neighbours.
+    pub fn new(q: &[f32], k: usize) -> Self {
         Self { q_bits: q.iter().map(|x| x.to_bits()).collect(), k }
     }
+}
+
+/// One resident result and its place in the insertion order.
+#[derive(Debug)]
+struct CacheEntry {
+    /// Insertion number. Eviction is FIFO and an epoch change drops
+    /// everything, so the resident numbers are always the newest `len()`.
+    seq: u64,
+    neighbors: Vec<Neighbor>,
 }
 
 /// Exact-result query cache, keyed on `(query_bits, k, epoch)`.
@@ -371,13 +386,16 @@ impl CacheKey {
 /// deadline-degraded result), so a hit is bit-identical to re-running the
 /// query — provided the epoch matches. Any index mutation or rebuild bumps
 /// the epoch, and [`QueryCache::advance_epoch`] invalidates everything from
-/// older epochs. FIFO eviction keeps the cache bounded and deterministic.
+/// older epochs. FIFO eviction keeps the cache bounded and deterministic —
+/// and makes residency a function of the probe sequence alone, never of the
+/// answers, which is what [`QueryCache::predict_misses`] rests on.
 #[derive(Debug, Default)]
 pub struct QueryCache {
     capacity: usize,
     epoch: u64,
-    map: HashMap<CacheKey, Vec<Neighbor>>,
+    map: HashMap<CacheKey, CacheEntry>,
     fifo: VecDeque<CacheKey>,
+    next_seq: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -415,15 +433,15 @@ impl QueryCache {
         }
     }
 
-    /// Looks up `(q, k)` in the current epoch.
-    pub fn get(&mut self, q: &[f32], k: usize) -> Option<Vec<Neighbor>> {
+    /// Looks up `key` in the current epoch.
+    pub fn get(&mut self, key: &CacheKey) -> Option<Vec<Neighbor>> {
         if !self.is_enabled() {
             return None;
         }
-        match self.map.get(&CacheKey::new(q, k)) {
+        match self.map.get(key) {
             Some(hit) => {
                 self.hits += 1;
-                Some(hit.clone())
+                Some(hit.neighbors.clone())
             }
             None => {
                 self.misses += 1;
@@ -432,14 +450,10 @@ impl QueryCache {
         }
     }
 
-    /// Stores an exact result for `(q, k)` in the current epoch, evicting the
+    /// Stores an exact result under `key` in the current epoch, evicting the
     /// oldest entry when full.
-    pub fn insert(&mut self, q: &[f32], k: usize, neighbors: &[Neighbor]) {
-        if !self.is_enabled() {
-            return;
-        }
-        let key = CacheKey::new(q, k);
-        if self.map.contains_key(&key) {
+    pub fn insert(&mut self, key: CacheKey, neighbors: &[Neighbor]) {
+        if !self.is_enabled() || self.map.contains_key(&key) {
             return;
         }
         while self.map.len() >= self.capacity {
@@ -452,7 +466,54 @@ impl QueryCache {
             }
         }
         self.fifo.push_back(key.clone());
-        self.map.insert(key, neighbors.to_vec());
+        self.map.insert(key, CacheEntry { seq: self.next_seq, neighbors: neighbors.to_vec() });
+        self.next_seq += 1;
+    }
+
+    /// Positions in `probes` that would miss if the probes ran now, in
+    /// order, each miss followed by the insert of its result (every answer
+    /// assumed exact). Reads the cache and changes nothing: FIFO residency
+    /// depends on which keys were probed in which order, so it can be played
+    /// forward without a single answer. Planned inserts are numbered like
+    /// resident ones, and as inserts need room the oldest go first: the first
+    /// `dropped` residents, then the first `planned_dropped` planned inserts.
+    pub(crate) fn predict_misses<'k>(
+        &self,
+        probes: impl IntoIterator<Item = &'k CacheKey>,
+    ) -> Vec<usize> {
+        if !self.is_enabled() {
+            return probes.into_iter().enumerate().map(|(at, _)| at).collect();
+        }
+        let residents = self.map.len();
+        let oldest = self.next_seq - residents as u64;
+        let mut dropped = 0;
+        let mut planned: HashMap<&CacheKey, usize> = HashMap::new();
+        let (mut planned_next, mut planned_dropped) = (0, 0);
+        let mut misses = Vec::new();
+        for (at, key) in probes.into_iter().enumerate() {
+            let resident = self.map.get(key).is_some_and(|e| e.seq - oldest >= dropped as u64)
+                || planned.get(key).is_some_and(|&seq| seq >= planned_dropped);
+            if resident {
+                continue;
+            }
+            misses.push(at);
+            while residents - dropped + planned_next - planned_dropped >= self.capacity {
+                if dropped < residents {
+                    dropped += 1;
+                } else {
+                    planned_dropped += 1;
+                }
+            }
+            planned.insert(key, planned_next);
+            planned_next += 1;
+        }
+        misses
+    }
+
+    /// The resident keys, next to be evicted first.
+    #[cfg(test)]
+    pub(crate) fn resident_keys(&self) -> Vec<CacheKey> {
+        self.fifo.iter().cloned().collect()
     }
 
     /// Resident entries.
@@ -474,6 +535,7 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop, prop_assert_eq, proptest};
 
     #[test]
     fn bucket_burst_then_refill() {
@@ -572,17 +634,21 @@ mod tests {
         assert!(b.allows(10_000));
     }
 
+    fn key(q: &[f32], k: usize) -> CacheKey {
+        CacheKey::new(q, k)
+    }
+
     #[test]
     fn cache_round_trips_and_epoch_invalidates() {
         let mut c = QueryCache::new(4);
         let q = [1.0f32, 2.0, 3.0];
         let hit = vec![Neighbor { dist: 0.5, id: 7 }];
-        assert!(c.get(&q, 3).is_none());
-        c.insert(&q, 3, &hit);
-        assert_eq!(c.get(&q, 3).as_deref(), Some(hit.as_slice()));
-        assert!(c.get(&q, 4).is_none(), "k is part of the key");
+        assert!(c.get(&key(&q, 3)).is_none());
+        c.insert(key(&q, 3), &hit);
+        assert_eq!(c.get(&key(&q, 3)).as_deref(), Some(hit.as_slice()));
+        assert!(c.get(&key(&q, 4)).is_none(), "k is part of the key");
         c.advance_epoch(1);
-        assert!(c.get(&q, 3).is_none(), "epoch bump invalidates");
+        assert!(c.get(&key(&q, 3)).is_none(), "epoch bump invalidates");
         assert_eq!(c.stats().3, 1, "one invalidation recorded");
     }
 
@@ -590,18 +656,67 @@ mod tests {
     fn cache_evicts_fifo_at_capacity() {
         let mut c = QueryCache::new(2);
         for i in 0..3 {
-            c.insert(&[i as f32], 1, &[Neighbor { dist: 0.0, id: i }]);
+            c.insert(key(&[i as f32], 1), &[Neighbor { dist: 0.0, id: i }]);
         }
         assert_eq!(c.len(), 2);
-        assert!(c.get(&[0.0f32], 1).is_none(), "oldest entry evicted");
-        assert!(c.get(&[2.0f32], 1).is_some());
+        assert!(c.get(&key(&[0.0], 1)).is_none(), "oldest entry evicted");
+        assert!(c.get(&key(&[2.0], 1)).is_some());
     }
 
     #[test]
     fn zero_capacity_cache_is_inert() {
         let mut c = QueryCache::new(0);
-        c.insert(&[1.0f32], 1, &[Neighbor { dist: 0.0, id: 0 }]);
-        assert!(c.get(&[1.0f32], 1).is_none());
+        c.insert(key(&[1.0], 1), &[Neighbor { dist: 0.0, id: 0 }]);
+        assert!(c.get(&key(&[1.0], 1)).is_none());
         assert!(c.is_empty());
+        assert_eq!(c.predict_misses([&key(&[1.0], 1), &key(&[1.0], 1)]), [0, 1]);
+    }
+
+    /// The plain sequence the serving loops run: probe, and on a miss insert
+    /// the answer. Returns the positions that missed.
+    fn replay(cache: &mut QueryCache, stream: &[CacheKey]) -> Vec<usize> {
+        let mut misses = Vec::new();
+        for (at, key) in stream.iter().enumerate() {
+            if cache.get(key).is_none() {
+                misses.push(at);
+                cache.insert(key.clone(), &[Neighbor { dist: at as f32, id: at as u32 }]);
+            }
+        }
+        misses
+    }
+
+    // The plan against the sequence it predicts, from warm and cold caches,
+    // with repeats inside the stream and more distinct keys than the cache
+    // holds: same misses; and a second cache driven by the plan alone — a
+    // probe everywhere, an insert exactly where a miss was planned — ends with
+    // the same counters and the same residents in the same eviction order.
+    proptest! {
+        #[test]
+        fn predicted_misses_are_the_replayed_misses(
+            warmup in prop::collection::vec(0u32..12, 0..20),
+            stream in prop::collection::vec(0u32..12, 1..60),
+        ) {
+            let keys = |ids: &[u32]| ids.iter().map(|&i| key(&[i as f32], 3)).collect::<Vec<_>>();
+            let (warmup, stream) = (keys(&warmup), keys(&stream));
+            for capacity in 1..=8 {
+                let mut plain = QueryCache::new(capacity);
+                let mut planned = QueryCache::new(capacity);
+                replay(&mut plain, &warmup);
+                replay(&mut planned, &warmup);
+
+                let plan = planned.predict_misses(&stream);
+                prop_assert_eq!(&plan, &replay(&mut plain, &stream), "capacity {}", capacity);
+
+                for (at, key) in stream.iter().enumerate() {
+                    let missed = planned.get(key).is_none();
+                    prop_assert_eq!(missed, plan.contains(&at));
+                    if missed {
+                        planned.insert(key.clone(), &[]);
+                    }
+                }
+                prop_assert_eq!(planned.stats(), plain.stats());
+                prop_assert_eq!(planned.resident_keys(), plain.resident_keys());
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ use psb_geom::{dist, PointSet, RitterMode, Sphere};
 use psb_metrics::MetricsHandle;
 use psb_sstree::{BuildMethod, Neighbor};
 
-use crate::admission::QueryCache;
+use crate::admission::{CacheKey, QueryCache};
 
 /// One shard's mutable state: the tree plus the local→global id mapping.
 struct ShardCell {
@@ -224,11 +224,13 @@ impl DynamicShardRouter {
         let started = m.is_attached().then(std::time::Instant::now);
         // Exact-result cache: only current-epoch entries are servable, so a
         // hit is bit-identical to recomputing against the live set.
+        let mut key = None;
         {
             let mut cache = lock(&self.cache);
             if cache.is_enabled() {
                 cache.advance_epoch(self.epoch());
-                if let Some(hit) = cache.get(q, k) {
+                let probe = CacheKey::new(q, k);
+                if let Some(hit) = cache.get(&probe) {
                     if started.is_some() {
                         m.counter("serve.dyn_cache_hits", 1);
                     }
@@ -237,6 +239,7 @@ impl DynamicShardRouter {
                 if started.is_some() {
                     m.counter("serve.dyn_cache_misses", 1);
                 }
+                key = Some(probe);
             }
         }
         let epoch_at_start = self.epoch();
@@ -287,13 +290,13 @@ impl DynamicShardRouter {
             best.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
             best.truncate(k);
         }
-        {
+        if let Some(key) = key {
             // Cache the answer only if no mutation landed while we computed
             // it — a result from epoch N must never be filed under epoch N+1.
             let mut cache = lock(&self.cache);
-            if cache.is_enabled() && self.epoch() == epoch_at_start {
+            if self.epoch() == epoch_at_start {
                 cache.advance_epoch(epoch_at_start);
-                cache.insert(q, k, &best);
+                cache.insert(key, &best);
             }
         }
         if let Some(t0) = started {

@@ -33,10 +33,11 @@ pub mod deadline;
 mod dynamic;
 mod resilient;
 mod router;
+mod runner;
 
 pub use admission::{
-    AdmissionConfig, AdmissionControl, BreakerConfig, BreakerState, CircuitBreaker, QueryCache,
-    QuotaConfig, RejectReason, TenantId, TokenBucket,
+    AdmissionConfig, AdmissionControl, BreakerConfig, BreakerState, CacheKey, CircuitBreaker,
+    QueryCache, QuotaConfig, RejectReason, TenantId, TokenBucket,
 };
 pub use deadline::{DeadlineBudget, DeadlineClock};
 pub use dynamic::DynamicShardRouter;

@@ -21,18 +21,20 @@
 //! deadline — and under it every batch is **bit-identical** to the bare
 //! [`ShardRouter`], faults or not. Pressure is always opt-in.
 
+use std::collections::BTreeMap;
+
 use psb_core::{EngineError, GpuIndex, KernelOptions, QueryOutcome};
 use psb_geom::PointSet;
-use psb_gpu::{launch_blocks, KernelStats, NoopSink};
+use psb_gpu::KernelStats;
 use psb_metrics::MetricsHandle;
 use psb_sstree::Neighbor;
 
 use crate::admission::{
-    AdmissionConfig, AdmissionControl, BreakerConfig, BreakerState, CircuitBreaker, QueryCache,
-    QuotaConfig, RejectReason, TenantId,
+    AdmissionConfig, BreakerConfig, BreakerState, QuotaConfig, RejectReason, TenantId,
 };
-use crate::deadline::{DeadlineBudget, DeadlineClock};
-use crate::router::{QueryConstraints, ServeReport, ServeScratch, ShardRouter, ShardSignal};
+use crate::deadline::DeadlineBudget;
+use crate::router::{ServeReport, ShardRouter};
+use crate::runner::{run_batch, Batch, FrontEnd};
 
 /// Tuning for the whole resilience layer. The default is transparent: the
 /// front-end admits everything, runs everything to exact completion, and
@@ -94,6 +96,14 @@ impl ServeOutcome {
     /// Whether the query was shed at admission.
     pub fn is_rejected(&self) -> bool {
         matches!(self, ServeOutcome::Rejected(_))
+    }
+
+    /// The recovery rung that answered, unless the query was shed.
+    pub(crate) fn executed(&self) -> Option<QueryOutcome> {
+        match self {
+            ServeOutcome::Executed(outcome) => Some(*outcome),
+            ServeOutcome::Rejected(_) => None,
+        }
     }
 }
 
@@ -188,14 +198,7 @@ impl ResilientBatchResult {
 /// The resilience front-end around a [`ShardRouter`].
 pub struct ResilientRouter<T> {
     router: ShardRouter<T>,
-    admission: AdmissionControl,
-    breakers: Vec<CircuitBreaker>,
-    cache: QueryCache,
-    default_deadline: DeadlineBudget,
-    /// Logical clock: one tick per submitted query, across batches.
-    tick: u64,
-    /// Cache epoch; bumped by [`ResilientRouter::invalidate_cache`].
-    epoch: u64,
+    front: FrontEnd,
     metrics: MetricsHandle,
 }
 
@@ -203,17 +206,8 @@ impl<T: GpuIndex> ResilientRouter<T> {
     /// Wraps `router` under `cfg`. The wrapped router's shards each get one
     /// breaker.
     pub fn new(router: ShardRouter<T>, cfg: ResilienceConfig) -> Self {
-        let shards = router.num_shards();
-        Self {
-            router,
-            admission: AdmissionControl::new(cfg.admission),
-            breakers: (0..shards).map(|_| CircuitBreaker::new(cfg.breaker)).collect(),
-            cache: QueryCache::new(cfg.cache_capacity),
-            default_deadline: cfg.default_deadline,
-            tick: 0,
-            epoch: 0,
-            metrics: MetricsHandle::noop(),
-        }
+        let front = FrontEnd::new(router.num_shards(), &cfg);
+        Self { router, front, metrics: MetricsHandle::noop() }
     }
 
     /// The wrapped router.
@@ -236,22 +230,22 @@ impl<T: GpuIndex> ResilientRouter<T> {
 
     /// Sets (or replaces) one tenant's token-bucket quota.
     pub fn set_quota(&mut self, tenant: TenantId, quota: QuotaConfig) {
-        self.admission.set_quota(tenant, quota);
+        self.front.admission.set_quota(tenant, quota);
     }
 
     /// Current state of shard `s`'s breaker.
     pub fn breaker_state(&self, s: usize) -> BreakerState {
-        self.breakers[s].state()
+        self.front.breakers[s].state()
     }
 
     /// The logical tick clock (one tick per submitted query).
     pub fn tick(&self) -> u64 {
-        self.tick
+        self.front.tick
     }
 
     /// `(hits, misses, evictions, invalidations)` of the exact-result cache.
     pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
-        self.cache.stats()
+        self.front.cache.stats()
     }
 
     /// Drops every cached result by bumping the cache epoch. The static
@@ -261,16 +255,22 @@ impl<T: GpuIndex> ResilientRouter<T> {
     /// symmetry with [`DynamicShardRouter`](crate::DynamicShardRouter), whose
     /// rebuilds invalidate automatically).
     pub fn invalidate_cache(&mut self) {
-        self.epoch += 1;
+        self.front.epoch += 1;
     }
 
     /// Serves one batch through admission → cache → constrained router.
     ///
     /// `requests` carries per-query tenant and deadline; pass `&[]` for
     /// all-default metadata, otherwise it must be one entry per query.
-    /// Queries run sequentially in submission order (one logical tick each),
-    /// so quota refills, breaker transitions, and replica demotions are
-    /// deterministic.
+    ///
+    /// Every decision is taken in submission order, one logical tick per
+    /// query, so quota refills, breaker transitions and replica demotions are
+    /// deterministic — but the cache misses of a batch *execute* together,
+    /// in parallel on the rayon pool, ahead of their turn ([`crate::runner`]):
+    /// each is committed only if what it ran under still holds when its turn
+    /// comes, and runs again if not. Results, both reports and all front-end
+    /// state are those of the one-query-at-a-time loop at any thread count;
+    /// with a breaker away from `Closed` the batch *is* that loop.
     pub fn serve_batch(
         &mut self,
         queries: &PointSet,
@@ -278,133 +278,38 @@ impl<T: GpuIndex> ResilientRouter<T> {
         opts: &KernelOptions,
         requests: &[RequestMeta],
     ) -> Result<ResilientBatchResult, EngineError> {
-        if self.router.num_shards() == 0 {
-            return Err(EngineError::NoShards);
-        }
-        if queries.is_empty() {
-            return Err(EngineError::EmptyBatch);
-        }
-        assert!(
-            requests.is_empty() || requests.len() == queries.len(),
-            "requests must be empty or one per query"
-        );
-        assert_eq!(queries.dims(), self.router.dims(), "query dimensionality mismatch");
-        let m = self.metrics.clone();
+        self.serve_windowed(queries, k, opts, requests, usize::MAX)
+    }
+
+    /// [`ResilientRouter::serve_batch`] looking at most `window` queries
+    /// ahead of the one it is committing (`1` = strictly one at a time).
+    pub(crate) fn serve_windowed(
+        &mut self,
+        queries: &PointSet,
+        k: usize,
+        opts: &KernelOptions,
+        requests: &[RequestMeta],
+        window: usize,
+    ) -> Result<ResilientBatchResult, EngineError> {
+        let m = &self.metrics;
         let _span = m.span("resilient_serve");
-        let n = queries.len();
-        let shards = self.router.num_shards();
-        let mut neighbors = Vec::with_capacity(n);
-        let mut per_query = Vec::with_capacity(n);
-        let mut outcomes = Vec::with_capacity(n);
-        let mut scratch = ServeScratch::new(shards);
-        let mut skip = vec![false; shards];
-        let mut executed_stats: Vec<KernelStats> = Vec::new();
-        let mut res = ResilienceReport { submitted: n as u64, ..Default::default() };
-        let opened_before: u64 = self.breakers.iter().map(CircuitBreaker::opened_total).sum();
-
-        for qi in 0..n {
-            self.tick += 1;
-            let meta = requests.get(qi).copied().unwrap_or_default();
-            let query_started = m.is_attached().then(std::time::Instant::now);
-
-            // 1. Admission: the queue bound, then the tenant's bucket.
-            if let Err(reason) = self.admission.try_admit(meta.tenant, self.tick) {
-                match reason {
-                    RejectReason::QueueFull { .. } => res.rejected_queue += 1,
-                    RejectReason::QuotaExhausted { .. } => res.rejected_quota += 1,
-                }
-                neighbors.push(Vec::new());
-                per_query.push(KernelStats::default());
-                outcomes.push(ServeOutcome::Rejected(reason));
-                continue;
-            }
-            res.admitted += 1;
-
-            // 2. Exact-result cache, scoped to the current epoch.
-            self.cache.advance_epoch(self.epoch);
-            if let Some(hit) = self.cache.get(queries.point(qi), k) {
-                neighbors.push(hit);
-                per_query.push(KernelStats::default());
-                outcomes.push(ServeOutcome::Executed(QueryOutcome::Clean));
-                res.cache_hits += 1;
-                self.admission.complete();
-                if let Some(t0) = query_started {
-                    let us = t0.elapsed().as_secs_f64() * 1e6;
-                    m.observe(&format!("serve.tenant_us{{tenant=\"{}\"}}", meta.tenant), us);
-                }
-                continue;
-            }
-
-            // 3. Constrained execution: breaker skip mask + deadline clock.
-            for (s, slot) in skip.iter_mut().enumerate() {
-                *slot = !self.breakers[s].allows(self.tick);
-            }
-            let budget = meta.deadline.unwrap_or(self.default_deadline);
-            let mut clock = DeadlineClock::start(budget);
-            let (nb, stats, outcome) = self.router.serve_one_constrained(
-                qi,
-                queries.point(qi),
-                k,
-                opts,
-                &mut scratch,
-                QueryConstraints { skip: Some(&skip), deadline: Some(&mut clock) },
-                &mut NoopSink,
-            );
-
-            // 4. Feed the breakers each visited shard's verdict.
-            for &(s, signal) in &scratch.visited_now {
-                match signal {
-                    ShardSignal::Ok => self.breakers[s].on_success(),
-                    ShardSignal::Fail => self.breakers[s].on_failure(self.tick),
-                    ShardSignal::Neutral => {}
-                }
-            }
-            res.breaker_skips += scratch.breaker_skips;
-            res.deadline_skips += scratch.deadline_skips;
-            if !outcome.is_exact() {
-                res.deadline_degraded += 1;
-            } else {
-                // 5. Only exact answers are cacheable.
-                self.cache.insert(queries.point(qi), k, &nb);
-            }
-            executed_stats.push(stats);
-            neighbors.push(nb);
-            per_query.push(stats);
-            outcomes.push(ServeOutcome::Executed(outcome));
-            self.admission.complete();
-            if let Some(t0) = query_started {
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                m.observe(&format!("serve.tenant_us{{tenant=\"{}\"}}", meta.tenant), us);
-            }
-        }
-
-        res.peak_queue_depth = self.admission.peak_depth();
-        let opened_after: u64 = self.breakers.iter().map(CircuitBreaker::opened_total).sum();
-        res.breaker_opened = opened_after - opened_before;
-
-        // Router-level aggregation over the queries that actually launched.
-        // An all-rejected/all-cached batch aggregates one zero block so the
-        // cost model has something to price; its counters are all zero.
-        let warps = opts.threads_per_block.div_ceil(self.router.device().warp_size).max(1);
-        let device = self.router.device().clone();
-        let mut launch = if executed_stats.is_empty() {
-            launch_blocks(&device, warps, &[KernelStats::default()])
-        } else {
-            launch_blocks(&device, warps, &executed_stats)
-        };
-        launch.retried_queries = outcomes
-            .iter()
-            .filter(|o| matches!(o, ServeOutcome::Executed(QueryOutcome::Retried { .. })))
-            .count() as u64;
-        launch.degraded_queries = outcomes
-            .iter()
-            .filter(|o| matches!(o, ServeOutcome::Executed(QueryOutcome::Degraded { .. })))
-            .count() as u64;
-        let ServeScratch { shard_visits, shard_prunes, failovers, .. } = scratch;
-        let report = ServeReport { launch, shard_visits, shard_prunes, failovers };
+        let batch = Batch { queries, k, opts, requests };
+        let run =
+            run_batch(&mut self.router, &mut self.front, &batch, None, m.is_attached(), window)?;
+        let res = run.resilience;
+        let report = run.acc.into_report(self.router.device(), opts);
 
         if m.is_attached() {
-            report.record_into(&m);
+            // One label per tenant per batch, not one per query.
+            let mut labels: BTreeMap<TenantId, String> = BTreeMap::new();
+            for &(qi, us) in &run.latencies_us {
+                let tenant = batch.meta(qi).tenant;
+                let label = labels
+                    .entry(tenant)
+                    .or_insert_with(|| format!("serve.tenant_us{{tenant=\"{tenant}\"}}"));
+                m.observe(label, us);
+            }
+            report.record_into(m);
             m.counter("serve.submitted", res.submitted);
             m.counter("serve.admitted", res.admitted);
             m.counter("serve.shed_queue", res.rejected_queue);
@@ -414,10 +319,17 @@ impl<T: GpuIndex> ResilientRouter<T> {
             m.counter("serve.breaker_skips", res.breaker_skips);
             m.counter("serve.deadline_skips", res.deadline_skips);
             m.counter("serve.breaker_opened", res.breaker_opened);
-            m.gauge("serve.queue_depth", self.admission.depth() as f64);
+            m.counter("serve.discarded_executions", run.discarded as u64);
+            m.gauge("serve.queue_depth", self.front.admission.depth() as f64);
             m.gauge("serve.queue_peak_depth", res.peak_queue_depth as f64);
         }
 
-        Ok(ResilientBatchResult { neighbors, per_query, outcomes, report, resilience: res })
+        Ok(ResilientBatchResult {
+            neighbors: run.neighbors,
+            per_query: run.per_query,
+            outcomes: run.outcomes,
+            report,
+            resilience: res,
+        })
     }
 }

@@ -2,6 +2,8 @@
 //! scatter-gather exact top-k merge, and the replica failover ladder.
 
 use crate::deadline::{DeadlineBudget, DeadlineClock};
+use crate::resilient::{ResilienceConfig, ServeOutcome};
+use crate::runner::{run_batch, Batch, FrontEnd};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::{
@@ -11,7 +13,7 @@ use psb_core::{
 use psb_geom::{PointSet, RitterMode, Sphere};
 use psb_gpu::{
     launch_blocks, Block, DeviceConfig, FaultPlan, KernelStats, LaunchReport, NodeKind, NoopSink,
-    Phase, TraceEvent, TraceSink,
+    Phase, TraceEvent, TraceSink, VecSink,
 };
 use psb_metrics::MetricsHandle;
 use psb_sstree::Neighbor;
@@ -315,15 +317,19 @@ impl<T: GpuIndex> ShardRouter<T> {
         k: usize,
         opts: &KernelOptions,
     ) -> Result<ServeBatchResult, EngineError> {
-        self.serve_batch_traced(queries, k, opts, &mut NoopSink)
+        self.serve_windowed(queries, k, opts, None, usize::MAX)
     }
 
     /// Serves a batch of kNN queries, recording router-level trace events
     /// (shard directory loads, prune decisions, failovers) into `sink`.
     ///
-    /// Queries run sequentially so replica demotion is deterministic: a
-    /// replica demoted while serving query `i` is already out of rotation for
-    /// query `i + 1`.
+    /// The batch goes through the one serve runner ([`crate::runner`]) behind
+    /// a transparent front-end: queries execute in parallel on the rayon pool
+    /// against the replica states the batch started with and commit in
+    /// submission order, so a replica demoted while serving query `i` is
+    /// already out of rotation for query `i + 1` — whatever had been executed
+    /// ahead of the demotion is dropped and run again. Results, reports and
+    /// the event sequence do not depend on the thread count.
     pub fn serve_batch_traced(
         &mut self,
         queries: &PointSet,
@@ -331,115 +337,92 @@ impl<T: GpuIndex> ShardRouter<T> {
         opts: &KernelOptions,
         sink: &mut dyn TraceSink,
     ) -> Result<ServeBatchResult, EngineError> {
-        if self.shards.is_empty() {
-            return Err(EngineError::NoShards);
-        }
-        if queries.is_empty() {
-            return Err(EngineError::EmptyBatch);
-        }
-        assert!(k >= 1, "k must be at least 1");
-        assert_eq!(queries.dims(), self.dims, "query dimensionality mismatch");
-        // serve_one borrows `self` mutably, so work through a clone of the
+        self.serve_windowed(queries, k, opts, Some(sink), usize::MAX)
+    }
+
+    /// [`ShardRouter::serve_batch_traced`] looking at most `window` queries
+    /// ahead of the one it is committing (`1` = strictly one at a time).
+    pub(crate) fn serve_windowed(
+        &mut self,
+        queries: &PointSet,
+        k: usize,
+        opts: &KernelOptions,
+        sink: Option<&mut dyn TraceSink>,
+        window: usize,
+    ) -> Result<ServeBatchResult, EngineError> {
+        // The runner borrows `self` mutably, so work through a clone of the
         // handle (an `Option<Arc>` — the clone is two words).
         let m = self.metrics.clone();
         let batch_started = m.is_attached().then(std::time::Instant::now);
         let _span = m.span("serve");
-        let n = queries.len();
-        let mut neighbors = Vec::with_capacity(n);
-        let mut per_query = Vec::with_capacity(n);
-        let mut outcomes = Vec::with_capacity(n);
-        let mut scratch = ServeScratch::new(self.shards.len());
-        for qi in 0..n {
-            let query_started = m.is_attached().then(std::time::Instant::now);
-            let (nb, stats, outcome) =
-                self.serve_one(qi, queries.point(qi), k, opts, &mut scratch, sink);
-            if let Some(t0) = query_started {
-                m.observe("serve.query_us", t0.elapsed().as_secs_f64() * 1e6);
-            }
-            neighbors.push(nb);
-            per_query.push(stats);
-            outcomes.push(outcome);
+        let mut front = FrontEnd::new(self.shards.len(), &ResilienceConfig::default());
+        let batch = Batch { queries, k, opts, requests: &[] };
+        let run = run_batch(self, &mut front, &batch, sink, m.is_attached(), window)?;
+        for &(_, us) in &run.latencies_us {
+            m.observe("serve.query_us", us);
         }
-        let warps = opts.threads_per_block.div_ceil(self.device.warp_size);
-        let mut launch = m.time("aggregate", || launch_blocks(&self.device, warps, &per_query));
-        launch.retried_queries =
-            outcomes.iter().filter(|o| matches!(o, QueryOutcome::Retried { .. })).count() as u64;
-        launch.degraded_queries =
-            outcomes.iter().filter(|o| matches!(o, QueryOutcome::Degraded { .. })).count() as u64;
-        let ServeScratch { shard_visits, shard_prunes, failovers, .. } = scratch;
-        let report = ServeReport { launch, shard_visits, shard_prunes, failovers };
+        let report = m.time("aggregate", || run.acc.into_report(&self.device, opts));
         if let Some(t0) = batch_started {
             m.observe("serve.batch_us", t0.elapsed().as_secs_f64() * 1e6);
             m.counter("serve.batches", 1);
+            m.counter("serve.discarded_executions", run.discarded as u64);
         }
         report.record_into(&m);
-        Ok(ServeBatchResult { neighbors, per_query, outcomes, report })
+        // A transparent front-end rejects nothing.
+        let outcomes = run.outcomes.iter().filter_map(ServeOutcome::executed).collect();
+        Ok(ServeBatchResult {
+            neighbors: run.neighbors,
+            per_query: run.per_query,
+            outcomes,
+            report,
+        })
     }
 
-    /// One query through the router block: shard directory scan, MINDIST
+    /// One query through the router block — shard directory scan, MINDIST
     /// ordering, MAXDIST-prefix initial bound, best-first shard visits with
-    /// pruning, replica ladder per visited shard, global merge.
-    fn serve_one(
-        &mut self,
-        qi: usize,
-        q: &[f32],
-        k: usize,
-        opts: &KernelOptions,
-        scratch: &mut ServeScratch,
-        sink: &mut dyn TraceSink,
-    ) -> (Vec<Neighbor>, KernelStats, QueryOutcome) {
-        self.serve_one_constrained(
-            qi,
-            q,
-            k,
-            opts,
-            scratch,
-            QueryConstraints { skip: None, deadline: None },
-            sink,
-        )
-    }
-
-    /// [`ShardRouter::serve_one`] with the resilience layer's constraints
-    /// threaded through: an optional per-shard skip mask (open circuit
-    /// breakers) and an optional deadline clock charged per shard visit.
+    /// pruning, replica ladder per visited shard, global merge — under the
+    /// resilience layer's constraints: `skip[s]` routes around shard `s` (its
+    /// circuit breaker is open) and `budget` is charged per shard visit and
+    /// checked between visits.
     ///
-    /// With both constraints absent this is *exactly* `serve_one` — every
-    /// check is behind the `Option`s, which is how the golden-parity
-    /// discipline survives: the unconstrained resilient path runs the same
-    /// instructions as the bare router.
+    /// Reads the router and changes nothing: everything the query did comes
+    /// back in the [`QueryEffect`], and [`ShardRouter::latch`] is the only
+    /// mutator. That is what lets the runner execute queries ahead of the one
+    /// it is committing, on any thread — the answer depends on the arguments
+    /// and the replica states alone (fault substreams are keyed on `qi`).
+    ///
+    /// With `skip` all `false` and [`DeadlineBudget::None`] no constraint ever
+    /// fires: the transparent front-end runs the bare router's instructions.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_one_constrained(
-        &mut self,
+    pub(crate) fn execute(
+        &self,
         qi: usize,
         q: &[f32],
         k: usize,
         opts: &KernelOptions,
-        scratch: &mut ServeScratch,
-        mut constraints: QueryConstraints<'_>,
-        sink: &mut dyn TraceSink,
-    ) -> (Vec<Neighbor>, KernelStats, QueryOutcome) {
-        scratch.begin_query();
+        skip: &[bool],
+        budget: DeadlineBudget,
+        traced: bool,
+    ) -> QueryEffect {
         // A cycle-priced deadline charges against the simulated counters; an
         // unmetered kernel would report zero cycles and the clock would never
         // advance. Force metering back on for this request only — the
         // caller's `Metering::Off` stays in effect for unconstrained traffic.
         let metered_opts;
-        let opts = if opts.metering == Metering::Off
-            && constraints
-                .deadline
-                .as_ref()
-                .is_some_and(|c| matches!(c.budget(), DeadlineBudget::Cycles(_)))
+        let opts = if opts.metering == Metering::Off && matches!(budget, DeadlineBudget::Cycles(_))
         {
             metered_opts = KernelOptions { metering: Metering::Simulated, ..opts.clone() };
             &metered_opts
         } else {
             opts
         };
+        let mut clock = DeadlineClock::start(budget);
         let s = self.shards.len();
         let dims = self.dims;
         let warps = opts.threads_per_block.div_ceil(self.device.warp_size).max(1);
-        let skip_mask = constraints.skip;
-        let is_skipped = |si: usize| skip_mask.is_some_and(|m| m[si]);
+        let mut events = VecSink::new();
+        let mut untraced = NoopSink;
+        let sink: &mut dyn TraceSink = if traced { &mut events } else { &mut untraced };
         let mut block: Block<'_> = Block::with_sink(opts.threads_per_block, &self.device, sink);
         block.set_phase(Phase::Descend);
         // The shard directory is one SoA record per shard: sphere center
@@ -447,12 +430,15 @@ impl<T: GpuIndex> ShardRouter<T> {
         // node's child-sphere block.
         block.load_global((s * (dims * 4 + 4)) as u64);
         block.par_for(s, dist_cost(dims) + 2, |_| {});
-        let order = &mut scratch.order;
-        order.clear();
-        order.extend(self.shards.iter().enumerate().map(|(i, sh)| {
-            let (lo, hi) = sh.sphere.min_max_dist(q);
-            (lo, hi, i)
-        }));
+        let mut order: Vec<(f32, f32, usize)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, sh)| {
+                let (lo, hi) = sh.sphere.min_max_dist(q);
+                (lo, hi, i)
+            })
+            .collect();
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
         // Initial bound: walk the MINDIST order until the visited shards hold
         // at least k points; the max MAXDIST of that prefix is a sound upper
@@ -465,7 +451,7 @@ impl<T: GpuIndex> ShardRouter<T> {
         let mut covered = 0usize;
         let mut running_max = 0.0f32;
         for &(_, maxd, si) in order.iter() {
-            if is_skipped(si) {
+            if skip[si] {
                 continue;
             }
             covered += self.shards[si].ids.len();
@@ -483,25 +469,28 @@ impl<T: GpuIndex> ShardRouter<T> {
         let mut first_err: Option<KernelError> = None;
         let mut retry_err: Option<KernelError> = None;
         let mut degraded = false;
-        let mut visited = 0u32;
+        let mut visited: Vec<(usize, ShardSignal)> = Vec::with_capacity(s);
+        let mut pruned: Vec<usize> = Vec::new();
+        let mut failovers: Vec<FailoverEvent> = Vec::new();
+        let mut breaker_skips = 0u64;
+        let mut deadline_skips = 0u64;
 
         for oi in 0..order.len() {
-            let (mindist, _, si) = scratch.order[oi];
+            let (mindist, _, si) = order[oi];
             // Deadline checkpoint, *between* shard visits: a blown budget
             // settles every remaining directory entry right here — prune what
             // the bound already rules out (exactness unharmed), mark the rest
             // skipped — and, if nothing was visited yet, pays for one exact
             // brute scan over the nearest live shard so the answer is never
             // empty-handed.
-            if constraints.deadline.as_ref().is_some_and(|c| c.blown()) {
-                let brute_pos = if visited == 0 {
-                    (oi..scratch.order.len()).find(|&j| !is_skipped(scratch.order[j].2))
+            if clock.blown() {
+                let brute_pos = if visited.is_empty() {
+                    (oi..order.len()).find(|&j| !skip[order[j].2])
                 } else {
                     None
                 };
                 if let Some(pos) = brute_pos {
-                    let sj = scratch.order[pos].2;
-                    scratch.shard_visits[sj] += 1;
+                    let sj = order[pos].2;
                     block.visit_node(0, NodeKind::Internal);
                     let (nb, st) =
                         brute_index_query(&self.shards[sj].index, q, k, &self.device, opts);
@@ -511,23 +500,21 @@ impl<T: GpuIndex> ShardRouter<T> {
                         list.offer(&mut block, n.dist, self.shards[sj].ids[n.id as usize]);
                     }
                     block.set_phase(prev);
-                    visited += 1;
                     // The shard itself is healthy — a deadline economy says
                     // nothing about its device, so the breaker hears nothing.
-                    scratch.visited_now.push((sj, ShardSignal::Neutral));
+                    visited.push((sj, ShardSignal::Neutral));
                 }
-                for j in oi..scratch.order.len() {
+                for (j, &(md, _, sj)) in order.iter().enumerate().skip(oi) {
                     if Some(j) == brute_pos {
                         continue;
                     }
-                    let (md, _, sj) = scratch.order[j];
                     let bound = list.bound().min(initial_bound);
                     if md > bound {
-                        scratch.shard_prunes[sj] += 1;
-                    } else if is_skipped(sj) {
-                        scratch.breaker_skips += 1;
+                        pruned.push(sj);
+                    } else if skip[sj] {
+                        breaker_skips += 1;
                     } else {
-                        scratch.deadline_skips += 1;
+                        deadline_skips += 1;
                     }
                 }
                 break;
@@ -539,60 +526,43 @@ impl<T: GpuIndex> ShardRouter<T> {
             // way as inside a tree.
             let bound = list.bound().min(initial_bound);
             if mindist > bound {
-                scratch.shard_prunes[si] += 1;
+                pruned.push(si);
                 block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase: Phase::Descend });
                 continue;
             }
             // Open breaker: the bound says this shard matters, but it is being
             // routed around — a marked degrade, counted apart from prunes.
-            if is_skipped(si) {
-                scratch.breaker_skips += 1;
+            if skip[si] {
+                breaker_skips += 1;
                 continue;
             }
-            scratch.shard_visits[si] += 1;
             block.visit_node(0, NodeKind::Internal);
-            let failovers_before = scratch.failovers.len();
+            let shard = &self.shards[si];
+            let failovers_before = failovers.len();
 
             // Replica ladder: first healthy replica answers; a replica that
-            // dies is demoted (latched) and the next one is tried.
+            // dies is reported for demotion and the next one is tried.
             let mut answered: Option<(Vec<Neighbor>, KernelStats)> = None;
-            for ri in 0..self.shards[si].replicas.len() {
-                if matches!(self.shards[si].replicas[ri].state, ReplicaState::Demoted { .. }) {
+            for (ri, replica) in shard.replicas.iter().enumerate() {
+                if matches!(replica.state, ReplicaState::Demoted { .. }) {
                     continue;
                 }
-                let faults = {
-                    let plan = &self.shards[si].replicas[ri].plan;
-                    if plan.is_noop() {
-                        None
-                    } else {
-                        Some(plan.state_for(qi as u64, 0))
-                    }
-                };
-                let result = {
-                    let sh = &self.shards[si];
-                    psb_try_query(
-                        &sh.index,
-                        q,
-                        k,
-                        &sh.replicas[ri].device,
-                        opts,
-                        faults,
-                        &mut NoopSink,
-                    )
-                };
-                match result {
+                let faults =
+                    (!replica.plan.is_noop()).then(|| replica.plan.state_for(qi as u64, 0));
+                let launch =
+                    psb_try_query(&shard.index, q, k, &replica.device, opts, faults, &mut NoopSink);
+                match launch {
                     Ok(res) => {
                         answered = Some(res);
                         break;
                     }
                     Err(e) => {
-                        self.shards[si].replicas[ri].state = ReplicaState::Demoted { error: e };
                         if first_err.is_none() {
                             first_err = Some(e);
                         } else if retry_err.is_none() {
                             retry_err = Some(e);
                         }
-                        scratch.failovers.push(FailoverEvent {
+                        failovers.push(FailoverEvent {
                             query: qi,
                             shard: si,
                             replica: ri,
@@ -608,11 +578,19 @@ impl<T: GpuIndex> ShardRouter<T> {
                 Some(r) => r,
                 None => {
                     // No healthy replica left. Earlier queries may have done
-                    // the demoting, so harvest the latched errors for the
-                    // outcome, then answer with the exact link-free scan.
+                    // the demoting, so harvest the latched errors (and the
+                    // ones this visit is about to latch) for the outcome,
+                    // then answer with the exact link-free scan.
                     degraded = true;
-                    for rep in &self.shards[si].replicas {
-                        if let ReplicaState::Demoted { error } = rep.state {
+                    let died_now = &failovers[failovers_before..];
+                    for (ri, replica) in shard.replicas.iter().enumerate() {
+                        let error = match replica.state {
+                            ReplicaState::Demoted { error } => Some(error),
+                            ReplicaState::Healthy => {
+                                died_now.iter().find(|f| f.replica == ri).map(|f| f.error)
+                            }
+                        };
+                        if let Some(error) = error {
                             if first_err.is_none() {
                                 first_err = Some(error);
                             } else if retry_err.is_none() {
@@ -620,29 +598,26 @@ impl<T: GpuIndex> ShardRouter<T> {
                             }
                         }
                     }
-                    brute_index_query(&self.shards[si].index, q, k, &self.device, opts)
+                    brute_index_query(&shard.index, q, k, &self.device, opts)
                 }
             };
-            visited += 1;
             // The breaker's per-visit verdict on this shard: a clean replica
             // answer is a success; a demotion during the visit or a ladder
             // with no healthy rung is a failure.
-            let signal = if exhausted || scratch.failovers.len() > failovers_before {
+            let signal = if exhausted || failovers.len() > failovers_before {
                 ShardSignal::Fail
             } else {
                 ShardSignal::Ok
             };
-            scratch.visited_now.push((si, signal));
-            if let Some(clock) = constraints.deadline.as_deref_mut() {
-                clock.charge(&shard_stats, &self.device, warps);
-            }
+            visited.push((si, signal));
+            clock.charge(&shard_stats, &self.device, warps);
             extra.merge(&shard_stats);
             let prev = block.set_phase(Phase::ResultMerge);
             for nb in &shard_nb {
                 // Scatter-gather merge: per-shard ids are local positions in
                 // the gathered point set; map back to global ids and offer to
                 // the same k-best list the kernels use.
-                list.offer(&mut block, nb.dist, self.shards[si].ids[nb.id as usize]);
+                list.offer(&mut block, nb.dist, shard.ids[nb.id as usize]);
             }
             block.set_phase(prev);
         }
@@ -654,11 +629,14 @@ impl<T: GpuIndex> ShardRouter<T> {
         // Like the dynamic-tree engine: many physical launches, one logical
         // query block.
         stats.blocks = 1;
-        let skipped = scratch.breaker_skips + scratch.deadline_skips;
+        let skipped = breaker_skips + deadline_skips;
         let outcome = if skipped > 0 {
             // Any shard skipped past the pruning rule makes the answer
             // best-effort — marked, never a silent partial.
-            QueryOutcome::DeadlineDegraded { visited, skipped: skipped as u32 }
+            QueryOutcome::DeadlineDegraded {
+                visited: visited.len() as u32,
+                skipped: skipped as u32,
+            }
         } else {
             match (degraded, first_err) {
                 (true, Some(first)) => {
@@ -668,12 +646,31 @@ impl<T: GpuIndex> ShardRouter<T> {
                 (_, None) => QueryOutcome::Clean,
             }
         };
-        (neighbors, stats, outcome)
+        QueryEffect {
+            neighbors,
+            stats,
+            outcome,
+            visited,
+            pruned,
+            breaker_skips,
+            deadline_skips,
+            failovers,
+            events: events.events,
+        }
+    }
+
+    /// Takes the replicas that died serving a query out of rotation — the one
+    /// change a query makes to the router.
+    pub(crate) fn latch(&mut self, failovers: &[FailoverEvent]) {
+        for f in failovers {
+            self.shards[f.shard].replicas[f.replica].state =
+                ReplicaState::Demoted { error: f.error };
+        }
     }
 }
 
-/// The per-visit verdict [`ShardRouter::serve_one_constrained`] hands the
-/// resilience layer for each shard it consulted, in visit order.
+/// The per-visit verdict [`ShardRouter::execute`] hands the resilience layer
+/// for each shard it consulted, in visit order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ShardSignal {
     /// A replica answered with no demotion during the visit.
@@ -685,51 +682,82 @@ pub(crate) enum ShardSignal {
     Neutral,
 }
 
-/// The resilience layer's per-query inputs to the router:
-/// both default to absent, and absent means "behave exactly like the bare
-/// router".
-pub(crate) struct QueryConstraints<'a> {
-    /// `skip[s]` routes around shard `s` (its circuit breaker is open).
-    pub(crate) skip: Option<&'a [bool]>,
-    /// Deadline clock, charged per visited shard and checked between visits.
-    pub(crate) deadline: Option<&'a mut DeadlineClock>,
+/// Everything one query did, as a value: what [`ShardRouter::execute`]
+/// returns and the runner commits in submission order.
+#[derive(Debug)]
+pub(crate) struct QueryEffect {
+    pub(crate) neighbors: Vec<Neighbor>,
+    pub(crate) stats: KernelStats,
+    pub(crate) outcome: QueryOutcome,
+    /// Shards consulted, in visit order, with the breaker verdict on each.
+    pub(crate) visited: Vec<(usize, ShardSignal)>,
+    /// Shards the bound ruled out.
+    pub(crate) pruned: Vec<usize>,
+    /// Shards routed around because their breaker was open.
+    pub(crate) breaker_skips: u64,
+    /// Shards skipped because the deadline budget blew.
+    pub(crate) deadline_skips: u64,
+    /// Replicas that died serving this query, in ladder order: the demotions
+    /// [`ShardRouter::latch`] makes.
+    pub(crate) failovers: Vec<FailoverEvent>,
+    /// The router block's trace events (empty unless the run is traced).
+    pub(crate) events: Vec<TraceEvent>,
 }
 
-/// Per-batch accumulators plus the reusable MINDIST-order buffer. The
-/// `visited_now` / `breaker_skips` / `deadline_skips` fields are *per-query*
-/// (cleared by [`ServeScratch::begin_query`]); everything else accumulates
-/// over the batch.
-pub(crate) struct ServeScratch {
-    pub(crate) order: Vec<(f32, f32, usize)>,
+/// Per-batch accumulators, added to at commit in submission order.
+pub(crate) struct BatchAcc {
     pub(crate) shard_visits: Vec<u64>,
     pub(crate) shard_prunes: Vec<u64>,
     pub(crate) failovers: Vec<FailoverEvent>,
-    /// Shards the current query consulted, with the breaker verdict each.
-    pub(crate) visited_now: Vec<(usize, ShardSignal)>,
-    /// Current query: shards routed around because their breaker was open.
-    pub(crate) breaker_skips: u64,
-    /// Current query: shards skipped because the deadline budget blew.
-    pub(crate) deadline_skips: u64,
+    /// Counters of the queries that launched, in submission order.
+    pub(crate) executed: Vec<KernelStats>,
+    retried: u64,
+    degraded: u64,
 }
 
-impl ServeScratch {
+impl BatchAcc {
     pub(crate) fn new(shards: usize) -> Self {
         Self {
-            order: Vec::with_capacity(shards),
             shard_visits: vec![0; shards],
             shard_prunes: vec![0; shards],
             failovers: Vec::new(),
-            visited_now: Vec::with_capacity(shards),
-            breaker_skips: 0,
-            deadline_skips: 0,
+            executed: Vec::new(),
+            retried: 0,
+            degraded: 0,
         }
     }
 
-    /// Resets the per-query fields; batch accumulators keep counting.
-    fn begin_query(&mut self) {
-        self.visited_now.clear();
-        self.breaker_skips = 0;
-        self.deadline_skips = 0;
+    pub(crate) fn add(&mut self, effect: &QueryEffect) {
+        for &(s, _) in &effect.visited {
+            self.shard_visits[s] += 1;
+        }
+        for &s in &effect.pruned {
+            self.shard_prunes[s] += 1;
+        }
+        self.failovers.extend_from_slice(&effect.failovers);
+        self.executed.push(effect.stats);
+        self.retried += u64::from(matches!(effect.outcome, QueryOutcome::Retried { .. }));
+        self.degraded += u64::from(matches!(effect.outcome, QueryOutcome::Degraded { .. }));
+    }
+
+    /// Router-level aggregation over the queries that launched. A batch in
+    /// which none did (all rejected or cached) aggregates one zero block so
+    /// the cost model has something to price; its counters are all zero.
+    pub(crate) fn into_report(self, device: &DeviceConfig, opts: &KernelOptions) -> ServeReport {
+        let warps = opts.threads_per_block.div_ceil(device.warp_size).max(1);
+        let mut launch = if self.executed.is_empty() {
+            launch_blocks(device, warps, &[KernelStats::default()])
+        } else {
+            launch_blocks(device, warps, &self.executed)
+        };
+        launch.retried_queries = self.retried;
+        launch.degraded_queries = self.degraded;
+        ServeReport {
+            launch,
+            shard_visits: self.shard_visits,
+            shard_prunes: self.shard_prunes,
+            failovers: self.failovers,
+        }
     }
 }
 

@@ -248,6 +248,163 @@ fn kmeans_shards_are_identical_at_one_and_four_threads() {
     assert!(fingerprint(&serve(1)) == fingerprint(&serve(4)), "ShardRouter::build + serve");
 }
 
+/// A serve workload in which everything that can void an execution done
+/// ahead of its turn happens inside one batch: repeats of keys whose first
+/// answer is still in flight, more distinct keys than the cache holds, a
+/// quota that sheds, cycle deadlines that degrade (so a planned hit is not
+/// there), a replica that dies mid-batch and a breaker that trips mid-batch.
+struct ServeCase {
+    points: PointSet,
+    queries: PointSet,
+    requests: Vec<RequestMeta>,
+}
+
+const SERVE_SHARDS: usize = 4;
+const SERVE_REPLICAS: usize = 2;
+/// k-means shards: tight spheres, so a query rarely leaves its own.
+const SERVE_POLICY: ShardPolicy = ShardPolicy::KMeans { seed: 3 };
+
+fn serve_case() -> ServeCase {
+    let points =
+        ClusteredSpec { clusters: 8, points_per_cluster: 300, dims: 4, sigma: 60.0, seed: 61 }
+            .generate();
+    // Queries are data points, so each sits inside one shard's sphere and
+    // mostly stays there. The batch opens on shards 0 and 3, reaches shard 1
+    // a third of the way in and shard 2 after two thirds: that is when their
+    // devices die, with plenty executed ahead on the old replica states.
+    let owned = partition(&points, SERVE_SHARDS, &SERVE_POLICY).assignments;
+    let mut queries = PointSet::new(points.dims());
+    let mut requests = Vec::new();
+    for i in 0..96usize {
+        let in_play = &[0, 3, 1, 2][..2 + i / 32];
+        let shard = &owned[in_play[i % in_play.len()]];
+        // A hot point per shard and four colder ones: 20 keys in all.
+        let nth = if i % 3 == 0 { 0 } else { i % 5 };
+        let own = points.point(shard[nth * 53 % shard.len()] as usize);
+        let mut meta = RequestMeta::tenant(if i % 8 == 5 { 7 } else { 1 });
+        if i % 5 == 2 {
+            // Halfway to the next shard in play, on a budget below one shard
+            // visit: the second visit is skipped and the answer is marked.
+            let other = points.point(owned[in_play[(i + 1) % in_play.len()]][0] as usize);
+            let between: Vec<f32> = own.iter().zip(other).map(|(a, b)| (a + b) / 2.0).collect();
+            queries.push(&between);
+            meta = meta.with_deadline(DeadlineBudget::Cycles(1_000));
+        } else {
+            queries.push(own);
+        }
+        requests.push(meta);
+    }
+    ServeCase { points, queries, requests }
+}
+
+impl ServeCase {
+    /// Two replicas per shard. Shard 1's primary and both of shard 2's
+    /// devices die on their first launch — mid-batch, at whichever query first
+    /// reaches them.
+    fn router(&self) -> ShardRouter<SsTree> {
+        let cfg =
+            ServeConfig::new(SERVE_SHARDS).with_replicas(SERVE_REPLICAS).with_policy(SERVE_POLICY);
+        let mut router = ShardRouter::build(&self.points, &cfg, &DeviceConfig::k40(), |local| {
+            build(local, 8, &BuildMethod::Hilbert)
+        });
+        router.set_fault_plan(1, 0, FaultPlan::truncation(1));
+        router.set_fault_plan(2, 0, FaultPlan::watchdog(1));
+        router.set_fault_plan(2, 1, FaultPlan::truncation(1));
+        router
+    }
+
+    fn front(&self) -> ResilientRouter<SsTree> {
+        let mut front = ResilientRouter::new(
+            self.router(),
+            ResilienceConfig {
+                breaker: BreakerConfig {
+                    failure_threshold: 2,
+                    backoff_base: 3,
+                    backoff_max: 12,
+                    half_open_probes: 1,
+                },
+                cache_capacity: 6,
+                ..ResilienceConfig::default()
+            },
+        );
+        front.set_quota(7, QuotaConfig { burst: 4, refill_per_tick: 0 });
+        front
+    }
+}
+
+#[test]
+fn resilient_serving_is_bit_identical_in_every_pool() {
+    let case = serve_case();
+    let opts = KernelOptions::default();
+    let (out, cache, .., replicas) = same_in_every_pool("resilient serve", || {
+        let mut front = case.front();
+        // Two batches: the second starts from the breakers, the demotions and
+        // the cache the first one left.
+        let first = front.serve_batch(&case.queries, K, &opts, &case.requests).expect("serve");
+        let second = front.serve_batch(&case.queries, K, &opts, &case.requests).expect("serve");
+        let breakers: Vec<BreakerState> =
+            (0..SERVE_SHARDS).map(|s| front.breaker_state(s)).collect();
+        let replicas: Vec<ReplicaState> = (0..SERVE_SHARDS * SERVE_REPLICAS)
+            .map(|i| front.inner().replica_state(i / SERVE_REPLICAS, i % SERVE_REPLICAS))
+            .collect();
+        ((first, second), front.cache_stats(), front.tick(), breakers, replicas)
+    });
+    // Every one of those things did happen, and not at the batch's edges.
+    let first = &out.0;
+    let n = case.queries.len();
+    let failovers = &first.report.failovers;
+    assert!(failovers.iter().any(|f| f.query > 0 && f.query < n - 1), "{failovers:?}");
+    assert!(replicas.iter().filter(|r| matches!(r, ReplicaState::Demoted { .. })).count() >= 2);
+    assert!(first.resilience.breaker_opened >= 1, "{:?}", first.resilience);
+    assert!(first.resilience.rejected_quota >= 1, "{:?}", first.resilience);
+    assert!(first.resilience.deadline_skips >= 1, "{:?}", first.resilience);
+    assert!(first.resilience.breaker_skips >= 1, "{:?}", first.resilience);
+    assert!(first.resilience.cache_hits >= 1, "{:?}", first.resilience);
+    let (_, _, evictions, _) = cache;
+    assert!(evictions >= 1, "24 keys through a cache of 6 must evict");
+    // Whatever claims to be exact is.
+    for (qi, outcome) in first.outcomes.iter().enumerate() {
+        if outcome.is_exact() {
+            let want = linear_knn(&case.points, case.queries.point(qi), K);
+            assert_eq!(fingerprint(&first.neighbors[qi]), fingerprint(&want), "query {qi}");
+        }
+    }
+}
+
+#[test]
+fn bare_and_traced_serving_are_bit_identical_in_every_pool() {
+    let case = serve_case();
+    let opts = KernelOptions::default();
+    let (out, _) = same_in_every_pool("bare serve", || {
+        let mut router = case.router();
+        let out = router.serve_batch(&case.queries, K, &opts).expect("serve");
+        let replicas: Vec<ReplicaState> = (0..SERVE_SHARDS * SERVE_REPLICAS)
+            .map(|i| router.replica_state(i / SERVE_REPLICAS, i % SERVE_REPLICAS))
+            .collect();
+        (out, replicas)
+    });
+    assert!(out.report.failovers.iter().any(|f| f.query > 0), "{:?}", out.report.failovers);
+    let (traced, events) = same_in_every_pool("traced serve", || {
+        let mut sink = VecSink::new();
+        let out =
+            case.router().serve_batch_traced(&case.queries, K, &opts, &mut sink).expect("serve");
+        (out, sink.events)
+    });
+    // Tracing observes: same answers as the untraced run, and the failovers
+    // sit in the event stream in the order the report lists them.
+    assert_eq!(fingerprint(&traced), fingerprint(&out));
+    let seen: Vec<(u32, u32)> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Failover { shard, replica } => Some((*shard, *replica)),
+            _ => None,
+        })
+        .collect();
+    let listed: Vec<(u32, u32)> =
+        out.report.failovers.iter().map(|f| (f.shard as u32, f.replica as u32)).collect();
+    assert_eq!(seen, listed);
+}
+
 /// Linear-scan oracle over the points whose global ids are `live`.
 fn oracle(all: &PointSet, live: &[u32], q: &[f32], k: usize) -> Vec<Neighbor> {
     let alive = all.gather(live);
