@@ -39,9 +39,8 @@ use std::io::{BufReader, BufWriter};
 
 use psb_bench::{load_trace, render_trace_report};
 use psb_core::{
-    bnb_batch, bnb_batch_traced, brute_batch, psb_batch, psb_batch_recovering, psb_batch_traced,
-    restart_batch, stackfree_batch, tpss_batch, EngineError, GpuIndex, KernelOptions,
-    QueryBatchResult,
+    bnb_batch, brute_batch, launch, psb_batch, resolve, restart_batch, stackfree_batch, tpss_batch,
+    EngineError, GpuIndex, Kernel, KernelOptions, QueryBatchResult,
 };
 use psb_data::{sample_queries, ClusteredSpec};
 use psb_geom::PointSet;
@@ -268,6 +267,8 @@ fn main() {
         mb(data.len() as u64 * kd_lb.point_entry_bytes()),
     );
 
+    let table_kernel = Some(Kernel::Psb { k: a.k });
+    println!("launch: {:?}\n", resolve(&opts, table_kernel, &FaultPlan::none(), false));
     println!(
         "{:<22} {:>9} {:>7} {:>10} {:>8} {:>8} {:>9} {:>8} {:>8}",
         "engine", "resp ms", "nodes", "KB/query", "trans", "stream", "issues", "eff %", "smem B"
@@ -325,13 +326,13 @@ fn main() {
     // CPU oracle.
     if let Some(seed) = a.inject {
         let plan = FaultPlan::bit_flips(seed, 1);
-        let faulty = run(
-            "fault-injected psb",
-            psb_batch_recovering(&tree, &queries, a.k, &cfg, &opts, &plan),
-        );
+        let kernel = Kernel::Psb { k: a.k };
+        println!("\nfault-injected launch: {:?}", resolve(&opts, Some(kernel), &plan, false));
+        let faulty =
+            run("fault-injected psb", launch(&tree, &queries, kernel, &cfg, &opts, &plan, None));
         let clean = faulty.outcomes.iter().filter(|o| o.is_clean()).count();
         println!(
-            "\nfault injection (seed {seed}, {}‰ bit flips): {} clean, {} retried, {} degraded",
+            "fault injection (seed {seed}, {}‰ bit flips): {} clean, {} retried, {} degraded",
             plan.bit_flip_per_mille,
             clean,
             faulty.report.retried_queries,
@@ -358,15 +359,22 @@ fn main() {
             std::process::exit(1);
         });
         let writer = BufWriter::new(file);
+        let (psb_kernel, bnb_kernel) = (Kernel::Psb { k: a.k }, Kernel::Bnb { k: a.k });
+        let plan = FaultPlan::none();
+        println!("\nrecording launch: {:?}", resolve(&opts, Some(psb_kernel), &plan, true));
         let mut sink = JsonlSink::new("psb", writer);
-        let traced =
-            run("psb traced", psb_batch_traced(&tree, &queries, a.k, &cfg, &opts, &mut sink));
+        let traced = run(
+            "psb traced",
+            launch(&tree, &queries, psb_kernel, &cfg, &opts, &plan, Some(&mut sink)),
+        );
         assert_eq!(traced.report.merged, psb.report.merged, "tracing must not change counters");
         let mut sink = JsonlSink::new("bnb", sink.into_inner().expect("flush trace"));
-        let traced =
-            run("bnb traced", bnb_batch_traced(&tree, &queries, a.k, &cfg, &opts, &mut sink));
+        let traced = run(
+            "bnb traced",
+            launch(&tree, &queries, bnb_kernel, &cfg, &opts, &plan, Some(&mut sink)),
+        );
         assert_eq!(traced.report.merged, bnb.report.merged, "tracing must not change counters");
-        println!("\nrecorded psb+bnb trace to {path} (inspect with --trace {path})");
+        println!("recorded psb+bnb trace to {path} (inspect with --trace {path})");
     }
 
     // CPU baseline: real wall time.

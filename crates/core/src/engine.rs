@@ -1,41 +1,38 @@
-//! Batched query execution: one simulated thread block per query, host-parallel.
+//! Batched query execution: one launch path, one simulated thread block per
+//! query, host-parallel.
 //!
-//! The paper's experiments submit 240 queries per batch (§V-B). Each query runs
-//! as an independent simulated block on the host's threads — the rayon shim
-//! hands fixed pieces of the batch to scoped workers — and the per-block
-//! counters are collected by submission index, so every output is bit-identical
-//! at any host thread count (`tests/threads.rs`). The device cost model then
-//! aggregates them into the figures' metrics.
+//! The paper's experiments submit 240 queries per batch (§V-B). Every batch
+//! entry point is [`launch`] (or its stack-free / brute-force form) over one
+//! runner: [`resolve`] decides the effective engine, schedule and metering —
+//! the only place the rules that override an option live; the runner
+//! *executes* the batch (the buffer-wave traversal of `wave.rs`, or the
+//! per-query recovery ladder) on the host's threads, collecting per-block
+//! counters by submission index so every output is bit-identical at any
+//! thread count (`tests/threads.rs`); the device cost model *aggregates* them
+//! into the figures' metrics.
 //!
-//! The `*_batch_recovering` runners add the fault-tolerance ladder: each query
-//! is attempted under its own deterministic fault substream, retried once on a
-//! typed [`KernelError`], and finally degraded to an exact brute-force scan
-//! that follows no structural links. Results are exact under every rung; the
-//! rung taken per query is recorded in [`QueryBatchResult::outcomes`].
+//! The ladder: attempt 0 under the query's own deterministic fault substream,
+//! one retry on a typed [`KernelError`], then an exact brute-force scan that
+//! follows no structural links. Results are exact under every rung; the rung
+//! taken is recorded in [`QueryBatchResult::outcomes`].
 
 use psb_geom::PointSet;
 use psb_gpu::{
     launch_blocks_fused, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, NoopSink,
-    Phase, PhaseBreakdown, TraceSink,
+    Phase, PhaseBreakdown, TraceSink, VecSink,
 };
 use psb_sstree::Neighbor;
+use rayon::prelude::*;
 
 use crate::error::{EngineError, KernelError, QueryOutcome};
 use crate::index::{GpuIndex, ImplicitKdIndex};
-use rayon::prelude::*;
-
+use crate::kernels::brute::{brute_index_query, brute_query, brute_try_query};
+use crate::kernels::stackfree::stackfree_try_query;
 use crate::kernels::tpss::tpss_batch;
-use crate::kernels::{
-    bnb::bnb_query, bnb::bnb_query_traced, range::range_query_gpu, restart::restart_query,
-};
-use crate::kernels::{
-    bnb::bnb_try_query, brute::brute_index_query, brute::brute_index_range, brute::brute_query,
-    psb::psb_query, psb::psb_query_replay, psb::psb_query_traced, psb::psb_try_query,
-    psb::psb_try_query_replay, range::range_try_query, restart::restart_try_query,
-    stackfree::stackfree_query, stackfree::stackfree_try_query,
-};
-use crate::options::KernelOptions;
-use crate::schedule::{hilbert_order, QuerySchedule};
+use crate::kernels::{effective_metering, Found, Kernel};
+use crate::options::{KernelOptions, Metering};
+use crate::schedule::{hilbert_order, hilbert_permutation, QuerySchedule, ScheduleScratch};
+use crate::wave::{wave_rows, WaveConfig, WaveReport};
 
 /// Merge per-block counters into one (sums; peak shared memory is a max).
 pub fn merge_stats(blocks: &[KernelStats]) -> KernelStats {
@@ -51,13 +48,13 @@ pub fn merge_stats(blocks: &[KernelStats]) -> KernelStats {
 pub struct QueryBatchResult {
     /// Per-query neighbor lists, in query order.
     pub neighbors: Vec<Vec<Neighbor>>,
-    /// Per-query (per-block) raw counters, in query order. For a recovering
-    /// run this is the counters of the attempt that produced the result
-    /// (failed attempts' partial counters are discarded — they model work a
-    /// real device would have thrown away with the faulted launch).
+    /// Per-query (per-block) raw counters, in query order: the counters of the
+    /// attempt that produced the result (failed attempts' partial counters
+    /// are discarded — they model work a real device would have thrown away
+    /// with the faulted launch).
     pub per_block: Vec<KernelStats>,
     /// Which recovery rung produced each query's result, in query order.
-    /// All-[`QueryOutcome::Clean`] for the plain (non-recovering) runners.
+    /// All-[`QueryOutcome::Clean`] on a valid tree with no fault plan.
     pub outcomes: Vec<QueryOutcome>,
     /// Aggregated metrics under the cost model.
     pub report: LaunchReport,
@@ -76,25 +73,25 @@ impl QueryBatchResult {
     }
 }
 
-/// Warps per simulated (pre-fusion) block under these options.
-pub(crate) fn warps_of(cfg: &DeviceConfig, opts: &KernelOptions) -> u32 {
-    opts.threads_per_block.div_ceil(cfg.warp_size)
-}
-
-/// The execution order the options ask for: `None` is submission order,
-/// `Some(perm)` executes `perm[j]` as the `j`-th query (Hilbert schedule).
-pub(crate) fn schedule_order(queries: &PointSet, opts: &KernelOptions) -> Option<Vec<u32>> {
-    match opts.schedule {
+/// The execution order a schedule yields — all a schedule ever decides:
+/// `None` is submission order, `Some(perm)` executes `perm[j]` as the `j`-th
+/// query. The permutation is drawn from `scratch`.
+pub(crate) fn schedule_order(
+    queries: &PointSet,
+    schedule: QuerySchedule,
+    scratch: &mut ScheduleScratch,
+) -> Option<Vec<u32>> {
+    match schedule {
         QuerySchedule::Submission => None,
-        QuerySchedule::Hilbert => Some(hilbert_order(queries)),
+        QuerySchedule::Hilbert => Some(hilbert_permutation(queries, scratch)),
     }
 }
 
-/// Per-batch telemetry shared by every runner: wall-clock latency histogram,
+/// Per-batch telemetry: wall-clock latency histogram,
 /// batch/query counters, and the launch report's simulated figures, all keyed
 /// by the kernel `label`. `started` is `Some` only when a registry is attached
 /// (the no-op path reads no clock).
-pub(crate) fn record_batch(
+fn record_batch(
     opts: &KernelOptions,
     label: &str,
     started: Option<std::time::Instant>,
@@ -110,31 +107,118 @@ pub(crate) fn record_batch(
     report.record_into(m, label);
 }
 
+/// A rule of the launch path that overrode what the options asked for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Override {
+    /// A real fault plan climbs the per-query ladder: the wave engine serves
+    /// the fault-free path only.
+    WaveDroppedUnderFaults,
+    /// The wave engine records no event stream.
+    WaveDroppedWhenTraced,
+    /// The kernel is outside the [`Kernel`] table (stack-free kd, brute
+    /// force): no node blocks whose fetch a wave could amortize.
+    WaveDroppedNoNodeBlocks,
+    /// Recording runs execute (and fuse) in submission order, so the event
+    /// stream stays grouped per query.
+    ScheduleDroppedWhenTraced,
+    /// [`Metering::Off`] was asked for, but fault detection lives inside the
+    /// accounting.
+    MeteringForcedByFaults,
+    /// A replayed sweep would skip the per-load RNG draws a faulted PSB
+    /// attempt must make. The memo has no option, so no spelling of the
+    /// options avoids this rule.
+    MemoOffUnderFaults,
+}
+
+/// What a launch actually runs, as decided by [`resolve`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Resolved {
+    /// The engine: the buffer-wave traversal at this capacity, or (`None`)
+    /// the per-query ladder.
+    pub wave: Option<WaveConfig>,
+    /// Where the execution order comes from.
+    pub schedule: QuerySchedule,
+    /// The mode every kernel attempt (and the wave engine) runs under. The
+    /// ladder's brute-force rung carries no fault state and keeps the mode
+    /// the options asked for.
+    pub metering: Metering,
+    /// Whether PSB's per-query sweep memo is in use (the other kernels and
+    /// the wave engine have none).
+    pub memo: bool,
+    /// Every rule that fired, in the order of the fields above.
+    pub overrides: Vec<Override>,
+}
+
+/// Decide what a launch runs: the options as asked, except where a rule of the
+/// launch path overrides them. `kernel` is `None` for the two kernels outside
+/// the table; `traced` says a trace sink is attached.
+pub fn resolve(
+    opts: &KernelOptions,
+    kernel: Option<Kernel>,
+    plan: &FaultPlan,
+    traced: bool,
+) -> Resolved {
+    let faulted = !plan.is_noop();
+    let mut overrides = Vec::new();
+    let mut wave = opts.wave;
+    if wave.is_some() {
+        for (fired, rule) in [
+            (kernel.is_none(), Override::WaveDroppedNoNodeBlocks),
+            (faulted, Override::WaveDroppedUnderFaults),
+            (traced, Override::WaveDroppedWhenTraced),
+        ] {
+            if fired {
+                wave = None;
+                overrides.push(rule);
+            }
+        }
+    }
+    let mut schedule = opts.schedule;
+    if traced && schedule != QuerySchedule::Submission {
+        schedule = QuerySchedule::Submission;
+        overrides.push(Override::ScheduleDroppedWhenTraced);
+    }
+    let metering = effective_metering(opts, faulted);
+    if metering != opts.metering {
+        overrides.push(Override::MeteringForcedByFaults);
+    }
+    let psb = matches!(kernel, Some(Kernel::Psb { .. }));
+    if psb && faulted {
+        overrides.push(Override::MemoOffUnderFaults);
+    }
+    Resolved { wave, schedule, metering, memo: psb && !faulted && wave.is_none(), overrides }
+}
+
+/// One query's result and the ladder rung that produced it.
+type Row = (Vec<Neighbor>, KernelStats, QueryOutcome);
+
+/// The wave engine's execute step, when the launch resolved to it.
+type WaveStep<'a> = &'a dyn Fn() -> Result<(Vec<Found>, WaveReport), KernelError>;
+
+/// The one batch runner. *Execute*: `wave` if given — it fails only on a
+/// structurally corrupt tree, and then the batch falls through — otherwise the
+/// ladder per query: attempt 0 under `plan.state_for(i, 0)`, one retry under
+/// the fresh substream `plan.state_for(i, 1)` (a driver re-launching the
+/// failed block; transient upsets usually miss the second run), then
+/// `fallback`, which carries no fault state and follows no link, so it cannot
+/// fail. Queries run on the rayon pool in `order` and are un-permuted, so only
+/// the aggregation sees the schedule (it groups scheduled neighbors when
+/// fusing blocks); with a `sink` they run sequentially in submission order.
+/// Then *aggregate* and record.
+#[allow(clippy::too_many_arguments)]
 fn run_batch(
     queries: &PointSet,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     label: &str,
-    f: impl Fn(&[f32]) -> (Vec<Neighbor>, KernelStats) + Sync,
-) -> Result<QueryBatchResult, EngineError> {
-    let order = schedule_order(queries, opts);
-    run_batch_ordered(queries, cfg, opts, order.as_deref(), label, f)
-}
-
-/// [`run_batch`] with a precomputed execution order (the streaming pipeline
-/// schedules chunk N+1 while chunk N executes, so it hands the permutation
-/// in). Queries execute in scheduled order; neighbors and per-query counters
-/// are un-permuted back to submission order, so every per-query output is
-/// bit-identical to the submission-order engine. Only the launch aggregation
-/// sees the schedule (it groups scheduled neighbors when fusing blocks).
-pub(crate) fn run_batch_ordered(
-    queries: &PointSet,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
+    plan: &FaultPlan,
     order: Option<&[u32]>,
-    label: &str,
-    f: impl Fn(&[f32]) -> (Vec<Neighbor>, KernelStats) + Sync,
-) -> Result<QueryBatchResult, EngineError> {
+    sink: Option<&mut dyn TraceSink>,
+    wave: Option<WaveStep<'_>>,
+    attempt: impl Fn(&[f32], Option<FaultState>, &mut dyn TraceSink) -> Result<Found, KernelError>
+        + Sync,
+    fallback: impl Fn(&[f32]) -> Found + Sync,
+) -> Result<(QueryBatchResult, WaveReport), EngineError> {
     if queries.is_empty() {
         return Err(EngineError::EmptyBatch);
     }
@@ -143,171 +227,195 @@ pub(crate) fn run_batch_ordered(
     let _batch_span = m.span("engine");
     let _kernel_span = m.span(label);
     let n = queries.len();
-    let (neighbors, per_block) = m.time("execute", || match order {
-        None => {
-            let results: Vec<(Vec<Neighbor>, KernelStats)> =
-                (0..n).into_par_iter().map(|i| f(queries.point(i))).collect();
-            results.into_iter().unzip()
-        }
-        Some(perm) => {
-            debug_assert_eq!(perm.len(), n);
-            let results: Vec<(u32, (Vec<Neighbor>, KernelStats))> =
-                perm.par_iter().map(|&i| (i, f(queries.point(i as usize)))).collect();
-            // Un-permute into submission order. `perm` is a permutation, so
-            // every slot is overwritten exactly once.
-            let mut neighbors = vec![Vec::new(); n];
-            let mut per_block = vec![KernelStats::default(); n];
-            for (i, (nb, st)) in results {
-                neighbors[i as usize] = nb;
-                per_block[i as usize] = st;
+    // Fault substreams are keyed by *submission* index, so the ladder a query
+    // climbs is independent of where the schedule places it.
+    let ladder = |i: usize, mut sink: Option<&mut dyn TraceSink>| -> Row {
+        let q = queries.point(i);
+        let mut launch = |attempt_no: u32| {
+            let faults = (!plan.is_noop()).then(|| plan.state_for(i as u64, attempt_no));
+            match sink.as_deref_mut() {
+                None => attempt(q, faults, &mut NoopSink),
+                // A failed attempt's partial counters are discarded with the
+                // launch, and so are its events: the sink sees exactly the
+                // attempts `per_block` keeps.
+                Some(sink) => {
+                    let mut events = VecSink::new();
+                    let found = attempt(q, faults, &mut events)?;
+                    events.events.into_iter().for_each(|e| sink.record(e));
+                    Ok(found)
+                }
             }
-            (neighbors, per_block)
+        };
+        match launch(0) {
+            Ok((nb, st)) => (nb, st, QueryOutcome::Clean),
+            Err(first) => match launch(1) {
+                Ok((nb, st)) => (nb, st, QueryOutcome::Retried { first }),
+                Err(retry) => {
+                    let (nb, st) = fallback(q);
+                    (nb, st, QueryOutcome::Degraded { first, retry })
+                }
+            },
         }
+    };
+    debug_assert!(sink.is_none() || order.is_none(), "resolve drops the schedule when traced");
+    let (rows, waved): (Vec<Row>, _) = m.time("execute", || {
+        if let Some(Ok((found, report))) = wave.map(|run| run()) {
+            let clean = |(nb, st)| (nb, st, QueryOutcome::Clean);
+            return (found.into_iter().map(clean).collect(), Some(report));
+        }
+        let rows = match (sink, order) {
+            (Some(sink), _) => (0..n).map(|i| ladder(i, Some(&mut *sink))).collect(),
+            (None, None) => (0..n).into_par_iter().map(|i| ladder(i, None)).collect(),
+            (None, Some(perm)) => perm.par_iter().map(|&i| ladder(i as usize, None)).collect(),
+        };
+        (rows, None)
     });
-    let report = m.time("aggregate", || {
-        launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, order)
-    });
+    // The wave engine returns its rows by submission index, the ladder in
+    // execution order: row `j` of a scheduled ladder belongs to `order[j]`.
+    let placed = if waved.is_some() { None } else { order };
+    let mut neighbors = vec![Vec::new(); n];
+    let mut per_block = vec![KernelStats::default(); n];
+    let mut outcomes = vec![QueryOutcome::Clean; n];
+    for (j, (nb, st, outcome)) in rows.into_iter().enumerate() {
+        // `order` is a permutation, so every slot is written exactly once.
+        let i = placed.map_or(j, |perm| perm[j] as usize);
+        (neighbors[i], per_block[i], outcomes[i]) = (nb, st, outcome);
+    }
+    // Warps per simulated (pre-fusion) block.
+    let warps = opts.threads_per_block.div_ceil(cfg.warp_size);
+    let mut report =
+        m.time("aggregate", || launch_blocks_fused(cfg, warps, &per_block, opts.fuse, order));
+    let count =
+        |rung: fn(&QueryOutcome) -> bool| outcomes.iter().filter(|o| rung(o)).count() as u64;
+    report.retried_queries = count(|o| matches!(o, QueryOutcome::Retried { .. }));
+    report.degraded_queries = count(|o| matches!(o, QueryOutcome::Degraded { .. }));
     record_batch(opts, label, started, &report);
-    let outcomes = vec![QueryOutcome::Clean; n];
-    Ok(QueryBatchResult { neighbors, per_block, outcomes, report })
+    if let Some(wave_report) = &waved {
+        wave_report.record_into(m);
+    }
+    Ok((QueryBatchResult { neighbors, per_block, outcomes, report }, waved.unwrap_or_default()))
 }
 
-/// Sequential batch runner for recording runs: queries execute in order so the
-/// event stream is deterministic and grouped per query.
-fn run_batch_traced(
+/// [`launch`] with the resolution and the order handed in (the streaming
+/// chunker schedules out of its own arena), also returning what the wave
+/// engine did (all-zero when it did not run).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn launch_resolved<T: GpuIndex>(
+    tree: &T,
     queries: &PointSet,
+    kernel: Kernel,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
-    label: &str,
-    sink: &mut dyn TraceSink,
-    mut f: impl FnMut(&[f32], &mut dyn TraceSink) -> (Vec<Neighbor>, KernelStats),
-) -> Result<QueryBatchResult, EngineError> {
-    if queries.is_empty() {
-        return Err(EngineError::EmptyBatch);
-    }
-    let m = &opts.metrics;
-    let started = m.is_attached().then(std::time::Instant::now);
-    let _batch_span = m.span("engine");
-    let _kernel_span = m.span(label);
-    let mut neighbors = Vec::with_capacity(queries.len());
-    let mut per_block = Vec::with_capacity(queries.len());
-    {
-        let _exec_span = m.span("execute");
-        for i in 0..queries.len() {
-            let (n, s) = f(queries.point(i), sink);
-            neighbors.push(n);
-            per_block.push(s);
-        }
-    }
-    // Recording runs always execute (and fuse) in submission order so the
-    // event stream stays grouped per query — the schedule knob is ignored
-    // here, by design.
-    let report = m.time("aggregate", || {
-        launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, None)
-    });
-    record_batch(opts, label, started, &report);
-    let outcomes = vec![QueryOutcome::Clean; neighbors.len()];
-    Ok(QueryBatchResult { neighbors, per_block, outcomes, report })
+    plan: &FaultPlan,
+    sink: Option<&mut dyn TraceSink>,
+    resolved: &Resolved,
+    order: Option<&[u32]>,
+) -> Result<(QueryBatchResult, WaveReport), EngineError> {
+    let wave = resolved
+        .wave
+        .map(|w| move || wave_rows(tree, queries, kernel, cfg, opts, w, resolved.metering, order));
+    run_batch(
+        queries,
+        cfg,
+        opts,
+        if wave.is_some() { "wave" } else { kernel.label() },
+        plan,
+        order,
+        sink,
+        wave.as_ref().map(|run| run as WaveStep<'_>),
+        |q, faults, sink| kernel.attempt(tree, q, cfg, opts, faults, sink),
+        |q| kernel.fallback(tree, q, cfg, opts),
+    )
 }
 
-/// The recovery ladder, applied per query on the rayon pool:
+/// [`launch`], also returning what the wave engine did.
+pub(crate) fn launch_reporting<T: GpuIndex>(
+    tree: &T,
+    queries: &PointSet,
+    kernel: Kernel,
+    cfg: &DeviceConfig,
+    opts: &KernelOptions,
+    plan: &FaultPlan,
+    sink: Option<&mut dyn TraceSink>,
+) -> Result<(QueryBatchResult, WaveReport), EngineError> {
+    let resolved = resolve(opts, Some(kernel), plan, sink.is_some());
+    let order = schedule_order(queries, resolved.schedule, &mut ScheduleScratch::default());
+    launch_resolved(tree, queries, kernel, cfg, opts, plan, sink, &resolved, order.as_deref())
+}
+
+/// Run `kernel` over a batch of queries — the full form of every batch entry
+/// point. `plan` injects seeded device faults, which the recovery ladder turns
+/// into exact results with typed [`outcomes`](QueryBatchResult::outcomes);
+/// [`FaultPlan::none`] is the plain batch. `sink` receives every metering
+/// call of the attempts `per_block` keeps, query by query, and changes no
+/// result or counter. [`resolve`] says how the options compose with the two.
 ///
-/// 1. **Attempt 0** under the query's fault substream (`plan.state_for(i, 0)`).
-/// 2. **Retry** once under a fresh substream (`plan.state_for(i, 1)`) — a real
-///    driver re-launching the failed block; transient upsets usually miss the
-///    second run.
-/// 3. **Degrade** to `fallback`, an exact brute-force scan that attaches no
-///    fault state and follows no structural links, so it cannot fail.
-///
-/// A no-op plan attaches no fault state at all, so attempt 0 is bit-identical
-/// to the plain runner and the ladder never advances.
-fn run_batch_recovering(
+/// [`QuerySchedule::Hilbert`] changes the execution order only: every
+/// per-query output is un-permuted (`tests/schedule_parity.rs`). Under
+/// [`KernelOptions::wave`] neighbors and outcomes are bit-identical and the
+/// counters reflect the amortized coalesced-sweep schedule. On a structurally
+/// corrupt tree every query still gets the exact brute-force answer, marked
+/// [`QueryOutcome::Degraded`] — never a panic.
+pub fn launch<T: GpuIndex>(
+    tree: &T,
+    queries: &PointSet,
+    kernel: Kernel,
+    cfg: &DeviceConfig,
+    opts: &KernelOptions,
+    plan: &FaultPlan,
+    sink: Option<&mut dyn TraceSink>,
+) -> Result<QueryBatchResult, EngineError> {
+    launch_reporting(tree, queries, kernel, cfg, opts, plan, sink).map(|(r, _)| r)
+}
+
+/// The runner for the two kernels outside the [`Kernel`] table.
+#[allow(clippy::too_many_arguments)]
+fn launch_outside_table(
     queries: &PointSet,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     label: &str,
     plan: &FaultPlan,
-    attempt: impl Fn(&[f32], Option<FaultState>) -> Result<(Vec<Neighbor>, KernelStats), KernelError>
+    sink: Option<&mut dyn TraceSink>,
+    attempt: impl Fn(&[f32], Option<FaultState>, &mut dyn TraceSink) -> Result<Found, KernelError>
         + Sync,
-    fallback: impl Fn(&[f32]) -> (Vec<Neighbor>, KernelStats) + Sync,
+    fallback: impl Fn(&[f32]) -> Found + Sync,
 ) -> Result<QueryBatchResult, EngineError> {
-    if queries.is_empty() {
-        return Err(EngineError::EmptyBatch);
-    }
-    let m = &opts.metrics;
-    let started = m.is_attached().then(std::time::Instant::now);
-    let _batch_span = m.span("engine");
-    let _kernel_span = m.span(label);
-    let n_queries = queries.len();
-    let order = schedule_order(queries, opts);
-    // Fault substreams are keyed by *submission* index, so the ladder a query
-    // climbs is independent of where the schedule places it.
-    let ladder = |i: usize| {
-        let q = queries.point(i);
-        let faults = |attempt_no: u32| {
-            if plan.is_noop() {
-                None
-            } else {
-                Some(plan.state_for(i as u64, attempt_no))
-            }
-        };
-        match attempt(q, faults(0)) {
-            Ok((n, s)) => (n, s, QueryOutcome::Clean),
-            Err(first) => match attempt(q, faults(1)) {
-                Ok((n, s)) => (n, s, QueryOutcome::Retried { first }),
-                Err(retry) => {
-                    let (n, s) = fallback(q);
-                    (n, s, QueryOutcome::Degraded { first, retry })
-                }
-            },
-        }
-    };
-    type LadderResult = (Vec<Neighbor>, KernelStats, QueryOutcome);
-    let mut neighbors = vec![Vec::new(); n_queries];
-    let mut per_block = vec![KernelStats::default(); n_queries];
-    let mut outcomes = vec![QueryOutcome::Clean; n_queries];
-    {
-        let _exec_span = m.span("execute");
-        match &order {
-            None => {
-                let results: Vec<LadderResult> =
-                    (0..n_queries).into_par_iter().map(ladder).collect();
-                for (i, (n, s, o)) in results.into_iter().enumerate() {
-                    neighbors[i] = n;
-                    per_block[i] = s;
-                    outcomes[i] = o;
-                }
-            }
-            Some(perm) => {
-                let results: Vec<(u32, LadderResult)> =
-                    perm.par_iter().map(|&i| (i, ladder(i as usize))).collect();
-                for (i, (n, s, o)) in results {
-                    neighbors[i as usize] = n;
-                    per_block[i as usize] = s;
-                    outcomes[i as usize] = o;
-                }
-            }
-        }
-    }
-    let mut report = m.time("aggregate", || {
-        launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, order.as_deref())
-    });
-    report.retried_queries =
-        outcomes.iter().filter(|o| matches!(o, QueryOutcome::Retried { .. })).count() as u64;
-    report.degraded_queries =
-        outcomes.iter().filter(|o| matches!(o, QueryOutcome::Degraded { .. })).count() as u64;
-    record_batch(opts, label, started, &report);
-    Ok(QueryBatchResult { neighbors, per_block, outcomes, report })
+    let resolved = resolve(opts, None, plan, sink.is_some());
+    let order = schedule_order(queries, resolved.schedule, &mut ScheduleScratch::default());
+    run_batch(queries, cfg, opts, label, plan, order.as_deref(), sink, None, attempt, fallback)
+        .map(|(r, _)| r)
 }
 
-/// PSB over a batch of queries. Under [`QuerySchedule::Hilbert`] the batch
-/// runs through the throughput kernel (sweep-replay memo) in Hilbert order —
-/// results, per-query counters, and the fuse-1 report are bit-identical to the
-/// submission-order engine (`tests/schedule_parity.rs`), only the wall-clock
-/// host cost drops.
-/// With [`KernelOptions::wave`] set, the batch instead runs through the
-/// buffer-wave node-centric engine (`wave.rs`): neighbors and outcomes are
-/// bit-identical, counters reflect the amortized coalesced-sweep schedule.
+/// [`launch`] for the stack-free kNN kernel over the implicit left-balanced
+/// kd-tree family (`kernels::stackfree`), whose index bound differs.
+/// [`KernelOptions::wave`] is dropped: every node of the implicit tree is one
+/// point entry, so there is no node block to amortize. The degraded rung is
+/// the same brute scan as every other kernel's — the flat point array is all
+/// the implicit tree has.
+pub fn launch_stackfree<T: ImplicitKdIndex>(
+    tree: &T,
+    queries: &PointSet,
+    k: usize,
+    cfg: &DeviceConfig,
+    opts: &KernelOptions,
+    plan: &FaultPlan,
+    sink: Option<&mut dyn TraceSink>,
+) -> Result<QueryBatchResult, EngineError> {
+    launch_outside_table(
+        queries,
+        cfg,
+        opts,
+        "stackfree",
+        plan,
+        sink,
+        |q, faults, sink| stackfree_try_query(tree, q, k, cfg, opts, faults, sink),
+        |q| brute_index_query(tree, q, k, cfg, opts),
+    )
+}
+
+/// PSB (Algorithm 1) over a batch of queries: [`launch`] of [`Kernel::Psb`]
+/// with no fault plan and no trace sink.
 pub fn psb_batch<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
@@ -315,67 +423,7 @@ pub fn psb_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_knn_batch(tree, queries, k, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "psb", |q| match opts.schedule {
-        QuerySchedule::Submission => psb_query(tree, q, k, cfg, opts),
-        QuerySchedule::Hilbert => psb_query_replay(tree, q, k, cfg, opts),
-    })
-}
-
-/// [`psb_batch`] with every metering call mirrored into `sink`; runs
-/// sequentially so the event stream is in query order. Results and counters
-/// are bit-identical to [`psb_batch`].
-pub fn psb_batch_traced<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> Result<QueryBatchResult, EngineError> {
-    run_batch_traced(queries, cfg, opts, "psb", sink, |q, s| {
-        psb_query_traced(tree, q, k, cfg, opts, s)
-    })
-}
-
-/// [`psb_batch`] under a fault plan, with the retry/degrade recovery ladder.
-/// Results are exact under any plan; with [`FaultPlan::none`] this is
-/// bit-identical to [`psb_batch`] (results, counters, and report).
-pub fn psb_batch_recovering<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    // The wave engine serves the fault-free path only (like the sweep-replay
-    // memo): a no-op plan routes to the wave engine whole-batch, a real plan
-    // disables waves and climbs the per-query ladder below.
-    if opts.wave.is_some() && plan.is_noop() {
-        return psb_batch(tree, queries, k, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "psb",
-        plan,
-        |q, faults| match opts.schedule {
-            // The replay kernel self-disables whenever a fault state is
-            // attached, so the ladder's faulted attempts are bit-identical to
-            // the reference kernel's and only clean attempts take the memo.
-            QuerySchedule::Submission => {
-                psb_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink)
-            }
-            QuerySchedule::Hilbert => {
-                psb_try_query_replay(tree, q, k, cfg, opts, faults, &mut NoopSink)
-            }
-        },
-        |q| brute_index_query(tree, q, k, cfg, opts),
-    )
+    launch(tree, queries, Kernel::Psb { k }, cfg, opts, &FaultPlan::none(), None)
 }
 
 /// Branch-and-bound over a batch of queries.
@@ -386,49 +434,7 @@ pub fn bnb_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_knn_batch(tree, queries, k, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "bnb", |q| bnb_query(tree, q, k, cfg, opts))
-}
-
-/// [`bnb_batch`] with every metering call mirrored into `sink`; runs
-/// sequentially so the event stream is in query order. Results and counters
-/// are bit-identical to [`bnb_batch`].
-pub fn bnb_batch_traced<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> Result<QueryBatchResult, EngineError> {
-    run_batch_traced(queries, cfg, opts, "bnb", sink, |q, s| {
-        bnb_query_traced(tree, q, k, cfg, opts, s)
-    })
-}
-
-/// [`bnb_batch`] under a fault plan, with the retry/degrade recovery ladder.
-pub fn bnb_batch_recovering<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() && plan.is_noop() {
-        return bnb_batch(tree, queries, k, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "bnb",
-        plan,
-        |q, faults| bnb_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_query(tree, q, k, cfg, opts),
-    )
+    launch(tree, queries, Kernel::Bnb { k }, cfg, opts, &FaultPlan::none(), None)
 }
 
 /// Fixed-radius range queries over a batch (PSB-style sweep, fixed bound).
@@ -439,35 +445,7 @@ pub fn range_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_range_batch(tree, queries, radius, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "range", |q| range_query_gpu(tree, q, radius, cfg, opts))
-}
-
-/// [`range_batch`] under a fault plan, with the retry/degrade recovery ladder.
-/// The degraded rung is an exact brute-force range scan over the flat point
-/// array.
-pub fn range_batch_recovering<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() && plan.is_noop() {
-        return range_batch(tree, queries, radius, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "range",
-        plan,
-        |q, faults| range_try_query(tree, q, radius, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_range(tree, q, radius, cfg, opts),
-    )
+    launch(tree, queries, Kernel::Range { radius }, cfg, opts, &FaultPlan::none(), None)
 }
 
 /// Scan-and-restart (no parent links) over a batch of queries.
@@ -478,44 +456,11 @@ pub fn restart_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_knn_batch(tree, queries, k, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "restart", |q| restart_query(tree, q, k, cfg, opts))
+    launch(tree, queries, Kernel::Restart { k }, cfg, opts, &FaultPlan::none(), None)
 }
 
-/// [`restart_batch`] under a fault plan, with the retry/degrade recovery
-/// ladder.
-pub fn restart_batch_recovering<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() && plan.is_noop() {
-        return restart_batch(tree, queries, k, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "restart",
-        plan,
-        |q, faults| restart_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_query(tree, q, k, cfg, opts),
-    )
-}
-
-/// Stack-free kNN over a batch of queries (the implicit left-balanced kd-tree
-/// family — see `kernels::stackfree`).
-///
-/// [`KernelOptions::wave`] is ignored here by design: the buffer-wave engine
-/// amortizes *node-block* fetches over query buffers, and the implicit tree
-/// has no node blocks to amortize (every node is one point entry), so there
-/// is no wave schedule to run. Everything else — Hilbert scheduling,
-/// metering modes, metrics — behaves like the other per-query engines.
+/// Stack-free kNN over a batch of queries: [`launch_stackfree`] with no fault
+/// plan and no trace sink.
 pub fn stackfree_batch<T: ImplicitKdIndex>(
     tree: &T,
     queries: &PointSet,
@@ -523,29 +468,28 @@ pub fn stackfree_batch<T: ImplicitKdIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    run_batch(queries, cfg, opts, "stackfree", |q| stackfree_query(tree, q, k, cfg, opts))
+    launch_stackfree(tree, queries, k, cfg, opts, &FaultPlan::none(), None)
 }
 
-/// [`stackfree_batch`] under a fault plan, with the retry/degrade recovery
-/// ladder. The degraded rung is the same exact brute scan as every other
-/// engine's — it touches only the flat point array, which the implicit tree
-/// has by construction.
-pub fn stackfree_batch_recovering<T: ImplicitKdIndex>(
-    tree: &T,
+/// Brute-force scan over a batch of queries. A scan with no index has nothing
+/// to degrade to: its last rung is the trusted [`brute_query`], which panics
+/// on an unlaunchable tile exactly as the scan always did.
+pub fn brute_batch(
+    points: &PointSet,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
-    plan: &FaultPlan,
 ) -> Result<QueryBatchResult, EngineError> {
-    run_batch_recovering(
+    launch_outside_table(
         queries,
         cfg,
         opts,
-        "stackfree",
-        plan,
-        |q, faults| stackfree_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_query(tree, q, k, cfg, opts),
+        "brute",
+        &FaultPlan::none(),
+        None,
+        |q, faults, sink| brute_try_query(points, q, k, cfg, opts, faults, sink),
+        |q| brute_query(points, q, k, cfg, opts),
     )
 }
 
@@ -580,21 +524,11 @@ pub fn tpss_batch_scheduled<T: GpuIndex>(
     (neighbors, stats)
 }
 
-/// Brute-force scan over a batch of queries.
-pub fn brute_batch(
-    points: &PointSet,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> Result<QueryBatchResult, EngineError> {
-    run_batch(queries, cfg, opts, "brute", |q| brute_query(points, q, k, cfg, opts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use psb_data::{sample_queries, ClusteredSpec};
+    use psb_gpu::TraceEvent;
     use psb_sstree::{build, linear_knn, BuildMethod, SsTree};
 
     fn setup() -> (PointSet, SsTree, PointSet) {
@@ -688,8 +622,9 @@ mod tests {
         let opts = KernelOptions::default();
         let empty = PointSet::new(tree.dims());
         assert!(matches!(psb_batch(&tree, &empty, 4, &cfg, &opts), Err(EngineError::EmptyBatch)));
+        let (plan, mut sink) = (FaultPlan::bit_flips(7, 2), VecSink::new());
         assert!(matches!(
-            psb_batch_recovering(&tree, &empty, 4, &cfg, &opts, &FaultPlan::none()),
+            launch(&tree, &empty, Kernel::Psb { k: 4 }, &cfg, &opts, &plan, Some(&mut sink)),
             Err(EngineError::EmptyBatch)
         ));
     }
@@ -711,5 +646,159 @@ mod tests {
             psb.report.avg_accessed_mb,
             brute.report.avg_accessed_mb
         );
+    }
+
+    /// Everything a batch returns, bit for bit (`Debug` prints floats
+    /// shortest-round-trip, so equal text is equal bits).
+    fn fingerprint(r: &QueryBatchResult) -> String {
+        format!("{:?} {:?} {:?} {:?}", r.neighbors, r.per_block, r.outcomes, r.report)
+    }
+
+    /// The override table: every combination of engine x schedule x plan x
+    /// sink x metering resolves to the expected [`Resolved`], resolving the
+    /// effective options again fires nothing (but the memo rule, which no
+    /// option spells), and launching them is bit-equal to launching the
+    /// request.
+    #[test]
+    fn resolve_table_and_launch_of_the_effective_options() {
+        use Override::*;
+        let (_, tree, queries) = setup();
+        let cfg = DeviceConfig::k40();
+        let kernel = Kernel::Psb { k: 6 };
+        let waved = Some(WaveConfig::default());
+        let (none, real) = (FaultPlan::none(), FaultPlan::bit_flips(0xFA17, 2));
+        let mut rungs = [0usize; 3];
+        for (wave, schedule, (plan, faulted), traced, metering) in product(
+            [None, waved],
+            [QuerySchedule::Submission, QuerySchedule::Hilbert],
+            [(&none, false), (&real, true)],
+            [false, true],
+            [Metering::Simulated, Metering::Off],
+        ) {
+            let opts = KernelOptions { wave, schedule, metering, ..Default::default() };
+            let row =
+                format!("{wave:?} {schedule:?} faulted={faulted} traced={traced} {metering:?}");
+            let got = resolve(&opts, Some(kernel), plan, traced);
+            let forced = faulted && metering == Metering::Off;
+            let rules = [
+                (wave.is_some() && faulted, WaveDroppedUnderFaults),
+                (wave.is_some() && traced, WaveDroppedWhenTraced),
+                (schedule == QuerySchedule::Hilbert && traced, ScheduleDroppedWhenTraced),
+                (forced, MeteringForcedByFaults),
+                (faulted, MemoOffUnderFaults),
+            ];
+            let want = Resolved {
+                wave: if faulted || traced { None } else { wave },
+                schedule: if traced { QuerySchedule::Submission } else { schedule },
+                metering: if faulted { Metering::Simulated } else { metering },
+                memo: !faulted && (wave.is_none() || traced),
+                overrides: rules.into_iter().filter(|r| r.0).map(|r| r.1).collect(),
+            };
+            assert_eq!(got, want, "{row}");
+
+            let effective = KernelOptions {
+                wave: got.wave,
+                schedule: got.schedule,
+                metering: got.metering,
+                ..opts.clone()
+            };
+            let again = resolve(&effective, Some(kernel), plan, traced);
+            let unspellable: Vec<_> = faulted.then_some(MemoOffUnderFaults).into_iter().collect();
+            assert_eq!(again, Resolved { overrides: unspellable, ..got.clone() }, "{row}");
+
+            let run = |opts: &KernelOptions| {
+                let mut sink = VecSink::new();
+                let sink = traced.then_some(&mut sink as &mut dyn TraceSink);
+                launch(&tree, &queries, kernel, &cfg, opts, plan, sink).expect("launch")
+            };
+            let (mut asked, mut spelled) = (run(&opts), run(&effective));
+            for o in &asked.outcomes {
+                rungs[match o {
+                    QueryOutcome::Clean => 0,
+                    QueryOutcome::Retried { .. } => 1,
+                    _ => 2,
+                }] += 1;
+            }
+            if forced && asked.report.degraded_queries > 0 {
+                // The one difference forcing the metering on leaves: the brute
+                // rung carries no fault state, so under the request it runs
+                // unmetered and under the spelled-out options it is metered.
+                assert_eq!(asked.outcomes, spelled.outcomes, "{row}");
+                for r in [&mut asked, &mut spelled] {
+                    for (st, o) in r.per_block.iter_mut().zip(&r.outcomes) {
+                        if matches!(o, QueryOutcome::Degraded { .. }) {
+                            *st = KernelStats::default();
+                        }
+                    }
+                    r.report = launch_blocks_fused(&cfg, 1, &r.per_block, 1, None);
+                }
+            }
+            assert_eq!(fingerprint(&asked), fingerprint(&spelled), "{row}");
+        }
+        assert!(rungs.iter().all(|&n| n > 0), "the real plan must exercise every rung: {rungs:?}");
+
+        // Kernels without a memo fire no memo rule; kernels outside the table
+        // have no wave form.
+        let opts = KernelOptions { wave: waved, ..Default::default() };
+        assert_eq!(
+            resolve(&opts, Some(Kernel::Bnb { k: 6 }), &real, false).overrides,
+            [WaveDroppedUnderFaults]
+        );
+        let outside = resolve(&opts, None, &none, false);
+        assert_eq!((outside.wave, &outside.overrides[..]), (None, &[WaveDroppedNoNodeBlocks][..]));
+    }
+
+    /// The cartesian product of the table's five axes.
+    fn product<A: Copy, B: Copy, C: Copy, D: Copy, E: Copy>(
+        a: [A; 2],
+        b: [B; 2],
+        c: [C; 2],
+        d: [D; 2],
+        e: [E; 2],
+    ) -> impl Iterator<Item = (A, B, C, D, E)> {
+        (0..32usize)
+            .map(move |i| (a[i & 1], b[i >> 1 & 1], c[i >> 2 & 1], d[i >> 3 & 1], e[i >> 4]))
+    }
+
+    /// A fault plan and a trace sink together — a combination no entry point
+    /// offered before the one runner: the traced ladder equals the untraced
+    /// one, and the sink receives, query by query, exactly the events of the
+    /// attempts whose counters `per_block` keeps.
+    #[test]
+    fn a_traced_ladder_equals_the_untraced_one_and_records_the_kept_attempts() {
+        let (_, tree, queries) = setup();
+        let cfg = DeviceConfig::k40();
+        let opts = KernelOptions::default();
+        let plan = FaultPlan::bit_flips(0xFA17, 2);
+        for kernel in [Kernel::Psb { k: 6 }, Kernel::Bnb { k: 6 }, Kernel::Range { radius: 300.0 }]
+        {
+            let silent = launch(&tree, &queries, kernel, &cfg, &opts, &plan, None).expect("launch");
+            let mut sink = VecSink::new();
+            let traced = launch(&tree, &queries, kernel, &cfg, &opts, &plan, Some(&mut sink))
+                .expect("launch");
+            assert_eq!(fingerprint(&silent), fingerprint(&traced), "{kernel:?}");
+            assert!(traced.report.retried_queries > 0, "{kernel:?}: the plan must bite");
+
+            // One event group per query: the stream holds the events of the
+            // kept attempts and nothing else. (A failed attempt's events are
+            // dropped with its counters; the brute rung records nothing.)
+            let kept = || {
+                let rows = traced.per_block.iter().zip(&traced.outcomes);
+                rows.filter(|(_, o)| !matches!(o, QueryOutcome::Degraded { .. })).map(|(st, _)| st)
+            };
+            let events = |want: fn(&TraceEvent) -> bool| {
+                sink.events.iter().filter(|e| want(e)).count() as u64
+            };
+            assert_eq!(
+                events(|e| matches!(e, TraceEvent::NodeVisit { .. })),
+                kept().map(|st| st.nodes_visited).sum::<u64>(),
+                "{kernel:?}"
+            );
+            assert_eq!(
+                events(|e| matches!(e, TraceEvent::Backtrack { .. })),
+                kept().map(|st| st.backtracks).sum::<u64>(),
+                "{kernel:?}"
+            );
+        }
     }
 }

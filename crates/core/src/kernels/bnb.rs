@@ -16,11 +16,11 @@ use crate::error::KernelError;
 use crate::index::GpuIndex;
 
 use super::{
-    checked_children, checked_root, child_distances, effective_metering, fetch_internal,
-    kth_maxdist, process_leaf, Budget, Scratch,
+    checked_children, checked_root, child_distances, fetch_internal, kth_maxdist, process_leaf,
+    Budget, Kernel, Scratch,
 };
 use crate::knnlist::GpuKnnList;
-use crate::options::{KernelOptions, Metering};
+use crate::options::KernelOptions;
 
 /// Runs one branch-and-bound query on a simulated block.
 ///
@@ -34,20 +34,7 @@ pub fn bnb_query<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    bnb_query_traced(tree, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`bnb_query`] with every metering call mirrored into `sink`; results and
-/// counters are bit-identical to the untraced run.
-pub fn bnb_query_traced<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    bnb_try_query(tree, q, k, cfg, opts, None, sink)
+    bnb_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("branch-and-bound kernel failed on a trusted tree: {e}"))
 }
 
@@ -64,22 +51,11 @@ pub fn bnb_try_query<T: GpuIndex>(
     faults: Option<FaultState>,
     sink: &mut dyn TraceSink,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    assert!(k >= 1, "k must be at least 1");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                bnb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch)
-            }
-            Metering::Off => {
-                bnb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch)
-            }
-        }
-    })
+    Kernel::Bnb { k }.attempt(tree, q, cfg, opts, faults, sink)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn bnb_try_query_with<T: GpuIndex, const M: bool>(
+pub(super) fn bnb_try_query_with<T: GpuIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,

@@ -28,20 +28,7 @@ pub fn brute_query(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    brute_query_traced(points, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`brute_query`] with every metering call mirrored into `sink`; results and
-/// counters are bit-identical to the untraced run.
-pub fn brute_query_traced(
-    points: &PointSet,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    brute_try_query(points, q, k, cfg, opts, None, sink)
+    brute_try_query(points, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("brute-force kernel failed: {e}"))
 }
 
@@ -61,7 +48,7 @@ pub fn brute_try_query(
     assert!(k >= 1, "k must be at least 1");
     assert!(!points.is_empty(), "brute-force scan over zero points");
     super::with_scratch(points.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
+        match effective_metering(opts, faults.is_some()) {
             Metering::Simulated => {
                 brute_try_query_with::<true>(points, q, k, cfg, opts, faults, sink, scratch)
             }

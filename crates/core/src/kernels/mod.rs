@@ -20,13 +20,121 @@ pub mod tpss;
 use std::cell::RefCell;
 
 use psb_geom::{DistKernel, DistLanes};
-use psb_gpu::{Block, DeviceConfig, FaultState, NodeKind, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
+use psb_sstree::Neighbor;
 
 use crate::dist_cost;
 use crate::error::KernelError;
 use crate::index::{GpuIndex, SweepScratch};
 use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering, NodeLayout};
+
+/// What one query returns: its exact neighbors and the block's counters.
+pub(crate) type Found = (Vec<Neighbor>, KernelStats);
+
+/// The kernels the batch runner ([`launch`](crate::launch)) and
+/// [`QueryStream`](crate::QueryStream) dispatch over a [`GpuIndex`]: one row
+/// per kernel, each naming its telemetry label, its hardened attempt and the
+/// exact scan it degrades to. (The stack-free kd kernel needs an
+/// [`ImplicitKdIndex`](crate::ImplicitKdIndex) and the brute scan no index at
+/// all, so they launch through their own entry points on the same runner.)
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Kernel {
+    /// PSB kNN (Algorithm 1).
+    Psb { k: usize },
+    /// Branch-and-bound kNN.
+    Bnb { k: usize },
+    /// Scan-and-restart kNN (no parent links).
+    Restart { k: usize },
+    /// Fixed-radius range query.
+    Range { radius: f32 },
+}
+
+impl Kernel {
+    /// The kernel's name in span paths and `engine.*{kernel=…}` metric keys.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Kernel::Psb { .. } => "psb",
+            Kernel::Bnb { .. } => "bnb",
+            Kernel::Restart { .. } => "restart",
+            Kernel::Range { .. } => "range",
+        }
+    }
+
+    /// One hardened launch of this kernel for query `q` — what the kernel's
+    /// `*_try_query` is — under `faults` if any, mirrored into `sink`.
+    pub fn attempt<T: GpuIndex>(
+        &self,
+        tree: &T,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        faults: Option<FaultState>,
+        sink: &mut dyn TraceSink,
+    ) -> Result<Found, KernelError> {
+        assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
+        match *self {
+            Kernel::Range { radius } => assert!(radius >= 0.0, "radius must be non-negative"),
+            Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
+                assert!(k >= 1, "k must be at least 1")
+            }
+        }
+        // One launch-time dispatch monomorphizes the whole traversal for the
+        // metering mode — no per-load branch anywhere in the hot loop.
+        with_scratch(tree.dims(), opts.lanes, |scratch| {
+            match effective_metering(opts, faults.is_some()) {
+                Metering::Simulated => {
+                    self.run::<T, true>(tree, q, cfg, opts, faults, sink, scratch)
+                }
+                Metering::Off => self.run::<T, false>(tree, q, cfg, opts, faults, sink, scratch),
+            }
+        })
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run<T: GpuIndex, const M: bool>(
+        &self,
+        tree: &T,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        faults: Option<FaultState>,
+        sink: &mut dyn TraceSink,
+        s: &mut Scratch,
+    ) -> Result<Found, KernelError> {
+        match *self {
+            Kernel::Psb { k } => {
+                psb::psb_try_query_with::<T, M>(tree, q, k, cfg, opts, faults, sink, s, true)
+            }
+            Kernel::Bnb { k } => {
+                bnb::bnb_try_query_with::<T, M>(tree, q, k, cfg, opts, faults, sink, s)
+            }
+            Kernel::Restart { k } => {
+                restart::restart_try_query_with::<T, M>(tree, q, k, cfg, opts, faults, sink, s)
+            }
+            Kernel::Range { radius } => {
+                range::range_try_query_with::<T, M>(tree, q, radius, cfg, opts, faults, sink, s)
+            }
+        }
+    }
+
+    /// The last rung of the recovery ladder: an exact brute-force scan of the
+    /// index's flat point array that follows no link and cannot fail.
+    pub fn fallback<T: GpuIndex>(
+        &self,
+        tree: &T,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Found {
+        match *self {
+            Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
+                brute::brute_index_query(tree, q, k, cfg, opts)
+            }
+            Kernel::Range { radius } => brute::brute_index_range(tree, q, radius, cfg, opts),
+        }
+    }
+}
 
 /// Build the simulated block a kernel launch runs on: `threads_per_block`
 /// threads, mirrored into `sink`, fused [`KernelOptions::fuse`] ways. All
@@ -50,9 +158,10 @@ pub(crate) fn kernel_block<'s, const M: bool>(
 /// except that fault injection forces [`Metering::Simulated`] — detection
 /// (truncation latch, watchdog, ECC flag) lives inside the accounting an
 /// unmetered block compiles out, so an unmetered faulted launch would never
-/// notice its faults. Every kernel entry dispatches on this exactly once.
-pub(crate) fn effective_metering(opts: &KernelOptions, faults: &Option<FaultState>) -> Metering {
-    if faults.is_some() {
+/// notice its faults. Every kernel entry dispatches on this exactly once, and
+/// [`resolve`](crate::engine::resolve) reports it for a whole launch.
+pub(crate) fn effective_metering(opts: &KernelOptions, faulted: bool) -> Metering {
+    if faulted {
         Metering::Simulated
     } else {
         opts.metering
@@ -238,9 +347,8 @@ pub(crate) struct Scratch {
     pub sweep: SweepScratch,
     pub leaf: Vec<(f32, u32)>,
     pub kth: Vec<f32>,
-    /// The throughput engine's sweep-replay arena (see [`SweepMemo`]). Only
-    /// the scheduled PSB kernel touches it; the reference path leaves it
-    /// untouched, and its capacity persists across the whole batch.
+    /// PSB's sweep-replay arena (see [`SweepMemo`]). Only fault-free PSB
+    /// launches touch it, and its capacity persists across the whole batch.
     pub memo: SweepMemo,
     /// The wave engine's direct path: one query's current and next wave
     /// front, and the log of nodes it was buffered at. They live here so a
@@ -272,13 +380,14 @@ impl Scratch {
 pub(crate) struct MemoEntry {
     start: u32,
     len: u32,
-    /// The node's k-th-MAXDIST bound, when the reference path would have
+    /// The node's k-th-MAXDIST bound, when the first-visit sweep would have
     /// computed one (`use_minmax_prune` and at least k children).
     pub bound: Option<f32>,
 }
 
-/// Per-query memo of phase-2 internal-node sweep values, the throughput
-/// engine's biggest host win (DESIGN.md §12).
+/// Per-query memo of PSB's phase-2 internal-node sweep values (DESIGN.md
+/// §12). Nothing in it outlives a query, so it is independent of execution
+/// order and on for every fault-free PSB launch.
 ///
 /// PSB's stackless sweep re-descends through the same internal nodes after
 /// every backtrack — on poorly-pruning workloads (high-dimensional uniform
@@ -287,8 +396,9 @@ pub(crate) struct MemoEntry {
 /// depend only on the node and the query). The memo stores the first visit's
 /// values; revisits replay the same deterministic metering
 /// (`par_for(children, cost)` + `par_kth_select`) and reuse the stored bits,
-/// so counters and results are bit-identical to the reference kernel while
-/// the host skips the distance sweep and the selection.
+/// so counters and results are bit-identical to the memo-less path (the one
+/// faulted attempts take; pinned in `kernels::psb`) while the host skips the
+/// distance sweep and the selection.
 ///
 /// Slots are epoch-stamped: `begin_query` bumps the epoch instead of clearing
 /// the per-node slot array, so a batch of B queries over an N-node tree pays
@@ -336,7 +446,7 @@ impl SweepMemo {
 }
 
 /// PSB's leftmost-qualifying-child selection (Algorithm 1 lines 16–26), shared
-/// by the reference sweep and the memo-replay path so both meter identically:
+/// by the first-visit sweep and the memo-replay path so both meter identically:
 /// one parallel predicate evaluation, a ballot/find-first-set reduction, and
 /// the serial pick.
 pub(crate) fn leftmost_qualifying<T: GpuIndex, const M: bool>(
@@ -539,7 +649,7 @@ pub(crate) fn kth_maxdist<const M: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::psb::{psb_query, psb_query_replay};
+    use crate::kernels::psb::psb_query;
     use psb_data::{sample_queries, ClusteredSpec};
     use psb_sstree::{build, BuildMethod, Neighbor};
 
@@ -550,8 +660,8 @@ mod tests {
     /// A kernel launched while this thread's pooled scratch is already lent
     /// out (a recovery rung or a cascading wave flush re-entering
     /// `with_scratch`) runs on a fresh scratch instead. Neighbours and
-    /// counters must not notice — for the memo kernel too, whose replay arena
-    /// lives in the scratch it did not get.
+    /// counters must not notice — although PSB's replay arena lives in the
+    /// scratch it did not get.
     #[test]
     fn a_kernel_launched_inside_with_scratch_takes_the_fallback_bit_identically() {
         let ps =
@@ -562,19 +672,16 @@ mod tests {
         let opts = KernelOptions::default();
         for q in sample_queries(&ps, 12, 0.01, 3).iter() {
             let pooled = psb_query(&tree, q, 8, &cfg, &opts);
-            let pooled_replay = psb_query_replay(&tree, q, 8, &cfg, &opts);
-            let (nested, nested_replay) = with_scratch(tree.dims(), opts.lanes, |held| {
+            let nested = with_scratch(tree.dims(), opts.lanes, |held| {
                 // Dirty the lent-out scratch: the nested launch must not see it.
                 held.leaf.push((f32::NAN, u32::MAX));
                 assert!(
                     SCRATCH_POOL.with(|pool| pool.try_borrow_mut().is_err()),
                     "the pool must be borrowed here, or this test exercises nothing"
                 );
-                (psb_query(&tree, q, 8, &cfg, &opts), psb_query_replay(&tree, q, 8, &cfg, &opts))
+                psb_query(&tree, q, 8, &cfg, &opts)
             });
             assert_eq!(bits(&nested), bits(&pooled));
-            assert_eq!(bits(&nested_replay), bits(&pooled_replay));
-            assert_eq!(bits(&pooled_replay), bits(&pooled), "replay kernel parity");
         }
         assert!(SCRATCH_POOL.with(|pool| pool.try_borrow_mut().is_ok()), "pool returned");
     }

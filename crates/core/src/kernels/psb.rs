@@ -22,25 +22,25 @@
 //! the pruning distance at skip time — which can only shrink afterwards, so the
 //! skip stays justified and the result is exact.
 
-use psb_gpu::{DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
 use crate::index::GpuIndex;
 
 use super::{
-    checked_children, checked_leaf_id, checked_node, checked_root, child_distances,
-    effective_metering, fetch_internal, kernel_block, kth_maxdist, leftmost_qualifying,
-    process_leaf, Budget, Scratch,
+    checked_children, checked_leaf_id, checked_node, checked_root, child_distances, fetch_internal,
+    kernel_block, kth_maxdist, leftmost_qualifying, process_leaf, Budget, Kernel, Scratch,
 };
 use crate::knnlist::GpuKnnList;
-use crate::options::{KernelOptions, Metering};
+use crate::options::KernelOptions;
 
 /// Runs one PSB query on a simulated block; returns exact kNN plus counters.
 ///
 /// Trusted-tree entry point: panics if the hardened kernel reports an error
 /// (which a validated tree and a fault-free device can never produce). Use
-/// [`psb_try_query`] to handle corruption or injected faults.
+/// [`psb_try_query`] to handle corruption or injected faults, or to mirror
+/// the metering calls into a [`TraceSink`].
 pub fn psb_query<T: GpuIndex>(
     tree: &T,
     q: &[f32],
@@ -48,29 +48,24 @@ pub fn psb_query<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    psb_query_traced(tree, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`psb_query`] with every metering call mirrored into `sink`. Tracing is
-/// observation-only: the neighbors and counters are bit-identical to the
-/// untraced run.
-pub fn psb_query_traced<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    psb_try_query(tree, q, k, cfg, opts, None, sink)
+    psb_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("PSB kernel failed on a trusted tree: {e}"))
 }
 
 /// The hardened PSB kernel: bounds-checks every structural link it follows,
 /// runs under a traversal step budget, polls the device fault flags at each
 /// step, and reports failure as a typed [`KernelError`] instead of panicking
-/// or hanging. With `faults: None` and a valid tree this is bit-identical to
-/// the original kernel (the checks meter nothing).
+/// or hanging. Every metering call is mirrored into `sink` (observation
+/// only: neighbors and counters are bit-identical under any sink).
+///
+/// Phase-2 revisits of an internal node replay the first visit's child
+/// MINDISTs and k-th-MAXDIST bound from the per-query [`SweepMemo`] under
+/// identical metering, so the memo moves no counter and no result bit. It is
+/// bypassed whenever a fault state is attached: injected bit-flips draw from
+/// a per-load RNG stream, so a replayed value would skip draws the faulted
+/// launch must make.
+///
+/// [`SweepMemo`]: super::SweepMemo
 #[allow(clippy::too_many_arguments)]
 pub fn psb_try_query<T: GpuIndex>(
     tree: &T,
@@ -81,87 +76,24 @@ pub fn psb_try_query<T: GpuIndex>(
     faults: Option<FaultState>,
     sink: &mut dyn TraceSink,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    assert!(k >= 1, "k must be at least 1");
-    // One launch-time dispatch monomorphizes the whole traversal for the
-    // metering mode — no per-load branch anywhere in the hot loop.
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                psb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch, false)
-            }
-            Metering::Off => {
-                psb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch, false)
-            }
-        }
-    })
+    Kernel::Psb { k }.attempt(tree, q, cfg, opts, faults, sink)
 }
 
-/// [`psb_query`] through the throughput kernel ([`psb_try_query_replay`]):
-/// trusted-tree entry point for the scheduled engine.
-pub(crate) fn psb_query_replay<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> (Vec<Neighbor>, KernelStats) {
-    psb_try_query_replay(tree, q, k, cfg, opts, None, &mut NoopSink)
-        .unwrap_or_else(|e| panic!("PSB kernel failed on a trusted tree: {e}"))
-}
-
-/// The throughput engine's PSB kernel ([`psb_try_query`] plus the sweep-replay
-/// memo): phase-2 internal-node revisits replay the first visit's stored
-/// MINDISTs and k-th-MAXDIST bound instead of recomputing them, with identical
-/// metering — results and counters are bit-identical to [`psb_try_query`]
-/// (`tests/schedule_parity.rs`). The memo is bypassed whenever a fault state is
-/// attached: injected bit-flips draw from a per-load RNG stream, so a replayed
-/// value would diverge from the reference kernel's.
+/// Phase 1 of Algorithm 1 (`getInitialPruningDistance`), shared with the wave
+/// engine's priming so both start from the same bound at the same metered
+/// cost: reserve the static shared memory, descend greedily to the leaf
+/// nearest the query, and fold it into a fresh k-best list.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn psb_try_query_replay<T: GpuIndex>(
+pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
+    block: &mut Block<'_, M>,
     tree: &T,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    assert!(k >= 1, "k must be at least 1");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                psb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch, true)
-            }
-            Metering::Off => {
-                psb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch, true)
-            }
-        }
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn psb_try_query_with<T: GpuIndex, const M: bool>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
-    replay: bool,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = kernel_block::<M>(opts, cfg, sink);
-    block.set_faults(faults);
-    // The memo only serves the fault-free path: injected faults perturb each
-    // computed value through a per-load RNG stream, which a replay would skip.
-    let replay = replay && !block.has_faults();
-    if replay {
-        scratch.memo.begin_query(tree.num_nodes());
-    }
-    let mut budget = Budget::for_tree(tree);
+    budget: &mut Budget,
+) -> Result<GpuKnnList, KernelError> {
     // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
     // plus a warp-reduction scratch line (fused blocks size the line to their
     // actual thread count).
@@ -169,20 +101,17 @@ fn psb_try_query_with<T: GpuIndex, const M: bool>(
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
         .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
-    let mut pruning = f32::INFINITY;
-
-    // ---- Phase 1: initial greedy descent. ----
+    let mut list = GpuKnnList::new(k, opts.smem_policy, block, cfg.smem_per_sm);
     block.set_phase(Phase::Descend);
     let mut n = checked_root(tree)?;
     let mut level = 0u32;
     while !tree.is_leaf(n) {
-        budget.tick(&block)?;
+        budget.tick(block)?;
         let kids = checked_children(tree, n)?;
-        fetch_internal(&mut block, tree, n, opts.layout, level);
+        fetch_internal(block, tree, n, opts.layout, level);
         // The anchor distances ride along in the same sweep (on a packed
         // arena they reuse the very center distance the bounds came from).
-        child_distances(&mut block, tree, n, q, false, true, scratch);
+        child_distances(block, tree, n, q, false, true, scratch);
         block.par_reduce(scratch.sweep.min_d.len(), 2);
         // Pick the child nearest the query. MINDIST alone ties at 0 whenever
         // several child spheres overlap the query (common for the oversized
@@ -202,15 +131,41 @@ fn psb_try_query_with<T: GpuIndex, const M: bool>(
         n = best_c;
         level += 1;
     }
-    budget.tick(&block)?;
-    process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, false, level)?;
-    pruning = pruning.min(list.bound());
+    budget.tick(block)?;
+    process_leaf(block, tree, n, q, &mut list, scratch, opts, false, level)?;
+    Ok(list)
+}
+
+/// `memo: false` is the path every faulted attempt takes; the unit tests below
+/// hold the memo against it.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn psb_try_query_with<T: GpuIndex, const M: bool>(
+    tree: &T,
+    q: &[f32],
+    k: usize,
+    cfg: &DeviceConfig,
+    opts: &KernelOptions,
+    faults: Option<FaultState>,
+    sink: &mut dyn TraceSink,
+    scratch: &mut Scratch,
+    memo: bool,
+) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
+    let mut block = kernel_block::<M>(opts, cfg, sink);
+    block.set_faults(faults);
+    let replay = memo && !block.has_faults();
+    if replay {
+        scratch.memo.begin_query(tree.num_nodes());
+    }
+    let mut budget = Budget::for_tree(tree);
+    // ---- Phase 1: initial greedy descent. ----
+    let mut list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
+    let mut pruning = list.bound();
 
     // ---- Phase 2: the left-to-right sweep. ----
     let last_leaf = (tree.num_leaves() - 1) as u32;
     let mut visited: i64 = -1;
-    n = tree.root();
-    level = 0;
+    let mut n = tree.root();
+    let mut level = 0u32;
     'sweep: loop {
         // Descend to the leftmost qualifying leaf (or backtrack when none).
         while !tree.is_leaf(n) {
@@ -448,5 +403,48 @@ mod tests {
         let (got, _) = psb_query(&tree, &q, 1, &cfg, &KernelOptions::default());
         assert!(got[0].dist <= 1e-6);
         assert_eq!(got[0].id, 321);
+    }
+
+    /// Test (b) of the one-launch-path change: the memo, on for every
+    /// fault-free launch, held against the memo-less path faulted attempts
+    /// take — neighbours and every counter bit-equal, in both metering modes,
+    /// where PSB backtracks a lot (16-d uniform, degree 16) and where it
+    /// prunes (4-d clustered, degree 64).
+    #[test]
+    fn the_memo_moves_no_result_bit_and_no_counter() {
+        let uniform = psb_data::UniformSpec { len: 3000, dims: 16, seed: 21 }.generate();
+        let clustered =
+            ClusteredSpec { clusters: 8, points_per_cluster: 500, dims: 4, sigma: 90.0, seed: 22 }
+                .generate();
+        let cfg = DeviceConfig::k40();
+        let opts = KernelOptions::default();
+        for (ps, degree) in [(&uniform, 16), (&clustered, 64)] {
+            let tree = build(ps, degree, &BuildMethod::Hilbert);
+            let mut revisits = 0;
+            for q in sample_queries(ps, 12, 0.01, 23).iter() {
+                let run = |metered: bool, memo: bool| {
+                    let sink = &mut NoopSink;
+                    crate::kernels::with_scratch(tree.dims(), opts.lanes, |s| match metered {
+                        true => psb_try_query_with::<_, true>(
+                            &tree, q, 8, &cfg, &opts, None, sink, s, memo,
+                        ),
+                        false => psb_try_query_with::<_, false>(
+                            &tree, q, 8, &cfg, &opts, None, sink, s, memo,
+                        ),
+                    })
+                    .expect("valid tree")
+                };
+                for metered in [true, false] {
+                    let (on, off) = (run(metered, true), run(metered, false));
+                    assert_eq!(on.1, off.1, "counters, metered = {metered}");
+                    let bits = |found: &[Neighbor]| -> Vec<(u32, u32)> {
+                        found.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&on.0), bits(&off.0), "neighbours, metered = {metered}");
+                    revisits += on.1.backtracks;
+                }
+            }
+            assert!(revisits > 0, "no backtrack means no revisit: the memo was never read");
+        }
     }
 }

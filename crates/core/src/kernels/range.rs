@@ -20,11 +20,11 @@ use crate::index::{GpuIndex, NO_ROPE};
 
 use super::{
     checked_children, checked_leaf_id, checked_leaf_points, checked_node, checked_root,
-    checked_rope, child_distances, effective_metering, fetch_internal, fetch_leaf, node_min_dist,
-    Budget, Scratch,
+    checked_rope, child_distances, fetch_internal, fetch_leaf, node_min_dist, Budget, Kernel,
+    Scratch,
 };
 use crate::dist_cost;
-use crate::options::{KernelOptions, Metering};
+use crate::options::KernelOptions;
 
 /// Runs one range query on a simulated block; returns the points within
 /// `radius` of `q`, ascending by distance, plus the block counters.
@@ -38,20 +38,7 @@ pub fn range_query_gpu<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    range_query_gpu_traced(tree, q, radius, cfg, opts, &mut NoopSink)
-}
-
-/// [`range_query_gpu`] with every metering call mirrored into `sink`; results
-/// and counters are bit-identical to the untraced run.
-pub fn range_query_gpu_traced<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    range_try_query(tree, q, radius, cfg, opts, None, sink)
+    range_try_query(tree, q, radius, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("range kernel failed on a trusted tree: {e}"))
 }
 
@@ -68,22 +55,11 @@ pub fn range_try_query<T: GpuIndex>(
     faults: Option<FaultState>,
     sink: &mut dyn TraceSink,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                range_try_query_with::<T, true>(tree, q, radius, cfg, opts, faults, sink, scratch)
-            }
-            Metering::Off => {
-                range_try_query_with::<T, false>(tree, q, radius, cfg, opts, faults, sink, scratch)
-            }
-        }
-    })
+    Kernel::Range { radius }.attempt(tree, q, cfg, opts, faults, sink)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn range_try_query_with<T: GpuIndex, const M: bool>(
+pub(super) fn range_try_query_with<T: GpuIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     radius: f32,

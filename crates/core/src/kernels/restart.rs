@@ -20,10 +20,10 @@ use crate::index::{GpuIndex, NO_ROPE};
 
 use super::{
     checked_children, checked_leaf_id, checked_node, checked_root, checked_rope, child_distances,
-    effective_metering, fetch_internal, kth_maxdist, node_min_dist, process_leaf, Budget, Scratch,
+    fetch_internal, kth_maxdist, node_min_dist, process_leaf, Budget, Kernel, Scratch,
 };
 use crate::knnlist::GpuKnnList;
-use crate::options::{KernelOptions, Metering};
+use crate::options::KernelOptions;
 
 /// Runs one scan-and-restart query on a simulated block.
 ///
@@ -36,20 +36,7 @@ pub fn restart_query<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    restart_query_traced(tree, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`restart_query`] with every metering call mirrored into `sink`; results
-/// and counters are bit-identical to the untraced run.
-pub fn restart_query_traced<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    restart_try_query(tree, q, k, cfg, opts, None, sink)
+    restart_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("restart kernel failed on a trusted tree: {e}"))
 }
 
@@ -66,22 +53,11 @@ pub fn restart_try_query<T: GpuIndex>(
     faults: Option<FaultState>,
     sink: &mut dyn TraceSink,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    assert!(k >= 1, "k must be at least 1");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                restart_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch)
-            }
-            Metering::Off => {
-                restart_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch)
-            }
-        }
-    })
+    Kernel::Restart { k }.attempt(tree, q, cfg, opts, faults, sink)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn restart_try_query_with<T: GpuIndex, const M: bool>(
+pub(super) fn restart_try_query_with<T: GpuIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,

@@ -46,20 +46,7 @@ pub fn stackfree_query<T: ImplicitKdIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    stackfree_query_traced(tree, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`stackfree_query`] with every metering call mirrored into `sink`; results
-/// and counters are bit-identical to the untraced run.
-pub fn stackfree_query_traced<T: ImplicitKdIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    stackfree_try_query(tree, q, k, cfg, opts, None, sink)
+    stackfree_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("stack-free kernel failed on a trusted tree: {e}"))
 }
 
@@ -79,7 +66,7 @@ pub fn stackfree_try_query<T: ImplicitKdIndex>(
     assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
     super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
+        match effective_metering(opts, faults.is_some()) {
             Metering::Simulated => {
                 stackfree_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch)
             }

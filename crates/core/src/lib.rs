@@ -15,8 +15,9 @@
 //! * [`knnlist`] — the shared-memory k-best list, including the paper's §V-E
 //!   "hybrid" extension that spills the rarely-touched small distances to
 //!   global memory.
-//! * [`engine`] — batched execution: one simulated thread block per query,
-//!   host-parallel via rayon, aggregated with the device cost model.
+//! * [`engine`] — batched execution: one launch path ([`launch`]) — resolve
+//!   the options, run one simulated thread block per query host-parallel via
+//!   rayon, aggregate with the device cost model.
 //!
 //! Every kernel returns both exact results (verified against CPU oracles) and
 //! the counters the paper's figures are built from.
@@ -35,10 +36,8 @@ pub mod wave;
 
 pub use dynamic::DynamicSsTree;
 pub use engine::{
-    bnb_batch, bnb_batch_recovering, bnb_batch_traced, brute_batch, merge_stats, psb_batch,
-    psb_batch_recovering, psb_batch_traced, range_batch, range_batch_recovering, restart_batch,
-    restart_batch_recovering, stackfree_batch, stackfree_batch_recovering, tpss_batch_scheduled,
-    QueryBatchResult,
+    bnb_batch, brute_batch, launch, launch_stackfree, merge_stats, psb_batch, range_batch, resolve,
+    restart_batch, stackfree_batch, tpss_batch_scheduled, Override, QueryBatchResult, Resolved,
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
 pub use index::{
@@ -49,15 +48,16 @@ pub use kernels::brute::{brute_index_query, brute_index_range, brute_try_query};
 pub use kernels::psb::psb_try_query;
 pub use kernels::range::range_try_query;
 pub use kernels::restart::restart_try_query;
-pub use kernels::stackfree::{stackfree_query, stackfree_query_traced, stackfree_try_query};
+pub use kernels::stackfree::{stackfree_query, stackfree_try_query};
 pub use kernels::tpss::{tpss_batch, tpss_batch_traced, tpss_try_batch};
+pub use kernels::{Kernel, Kernel as StreamKernel};
 pub use knnlist::SharedMemPolicy;
 pub use options::{KernelOptions, Metering, NodeLayout};
 pub use psb_geom::DistLanes;
 pub use psb_metrics::{MetricsHandle, Registry};
 pub use schedule::{hilbert_order, hilbert_permutation, QuerySchedule, ScheduleScratch};
 pub use shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
-pub use stream::{QueryStream, StreamKernel};
+pub use stream::QueryStream;
 pub use wave::{wave_knn_batch, wave_range_batch, WaveConfig, WaveReport};
 
 /// Instruction cost of one `dims`-dimensional distance evaluation in the cost

@@ -58,10 +58,9 @@ pub struct KernelOptions {
     /// Node memory layout (SoA vs AoS ablation).
     pub layout: NodeLayout,
     /// Batch execution order (DESIGN.md §12). [`QuerySchedule::Hilbert`] runs
-    /// the batch in Hilbert-curve order (and routes PSB through the
-    /// revisit-memoizing throughput kernel) and un-permutes every per-query
+    /// the batch in Hilbert-curve order and un-permutes every per-query
     /// output, so results and counters stay bit-identical to the default
-    /// submission order.
+    /// submission order. Dropped when a trace sink is attached.
     pub schedule: QuerySchedule,
     /// Queries fused per simulated block (1 = one block per query, the
     /// paper's configuration). With `fuse = F > 1`, F queries partition the
@@ -80,9 +79,9 @@ pub struct KernelOptions {
     /// in level-synchronous waves, and each buffered node is swept once with
     /// its fetch amortized over the buffer. `None` (the default) keeps the
     /// per-query engines. Neighbors and outcomes are bit-identical either
-    /// way; `KernelStats` reflect the amortized schedule. The recovery
-    /// runners ignore this under a real fault plan (the wave engine serves
-    /// the fault-free path only, like the sweep-replay memo).
+    /// way; `KernelStats` reflect the amortized schedule. Dropped under a
+    /// real fault plan, under a trace sink, and for the kernels with no node
+    /// blocks — [`resolve`](crate::resolve) names the rule that fired.
     pub wave: Option<WaveConfig>,
     /// Simulated-cost-model switch (DESIGN.md §17). [`Metering::Off`]
     /// compiles the `Block` accounting out of the hot loop; results are

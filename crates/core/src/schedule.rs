@@ -19,17 +19,17 @@
 
 use psb_geom::{hilbert_key, HilbertKey, PointSet, Rect};
 
-/// How the engine orders a batch's queries for execution.
+/// How the engine orders a batch's queries for execution — all a schedule
+/// ever yields is an execution order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QuerySchedule {
-    /// Run queries in the order they were submitted (the reference path).
+    /// Run queries in the order they were submitted.
     #[default]
     Submission,
     /// Run queries in Hilbert-curve order of their coordinates, un-permuting
-    /// all per-query outputs back to submission order afterwards. Also routes
-    /// PSB through the throughput kernel, which memoizes backtrack re-sweeps
-    /// in the per-batch arena (bit-identical values and counters, less host
-    /// work per revisit).
+    /// all per-query outputs back to submission order afterwards. Decides
+    /// which queries fuse into one block and how the wave engine seeds its
+    /// root buffer; no kernel is chosen by it.
     Hilbert,
 }
 

@@ -1,53 +1,46 @@
-//! Streaming batched execution: the throughput pipeline of DESIGN.md §12.
+//! Streaming batched execution: a chunker over the batch runner.
 //!
 //! A [`QueryStream`] accepts queries one at a time and executes them in
 //! fixed-size chunks (default [`QueryStream::DEFAULT_CHUNK`] = 240, the
-//! paper's batch size). Chunks are double-buffered: when chunk N+1 fills, its
-//! schedule (the Hilbert permutation, under
-//! [`QuerySchedule::Hilbert`]) is computed *before* chunk N executes, so on a
-//! real device the host-side sort of the next batch would overlap the
-//! in-flight launch — the sequential simulation interleaves the two stages in
-//! the same order. One per-stream [`ScheduleScratch`] arena backs every
-//! chunk's scheduling, so a long session reuses the same key and permutation
-//! buffers instead of allocating per chunk (the kernels' own scratch is
-//! likewise pooled, per host thread).
+//! paper's batch size). A chunk executes — one [`launch`](crate::launch) — the
+//! moment its last query is pushed, so [`QueryStream::poll`] yields it at
+//! once. One per-stream [`ScheduleScratch`] arena backs every chunk's
+//! scheduling, so a long session reuses the same key and permutation buffers
+//! instead of allocating per chunk (the kernels' own scratch is likewise
+//! pooled, per host thread).
 //!
 //! Results surface per chunk as ordinary [`QueryBatchResult`]s, in submission
-//! order both across chunks and within each chunk — scheduling never leaks
-//! into what the caller observes (`tests/schedule_parity.rs`).
+//! order both across chunks and within each chunk, bit-identical to the batch
+//! engine on the same sub-range — scheduling never leaks into what the caller
+//! observes (`tests/schedule_parity.rs`).
 
 use std::collections::VecDeque;
 
 use psb_geom::PointSet;
-use psb_gpu::DeviceConfig;
+use psb_gpu::{DeviceConfig, FaultPlan};
+use psb_metrics::MetricsHandle;
 
-use crate::engine::{run_batch_ordered, QueryBatchResult};
+use crate::engine::{launch_resolved, resolve, schedule_order, QueryBatchResult};
 use crate::index::GpuIndex;
-use crate::kernels::bnb::bnb_query;
-use crate::kernels::psb::{psb_query, psb_query_replay};
-use crate::kernels::range::range_query_gpu;
-use crate::kernels::restart::restart_query;
+use crate::kernels::Kernel;
 use crate::options::KernelOptions;
-use crate::schedule::{hilbert_permutation, QuerySchedule, ScheduleScratch};
+use crate::schedule::ScheduleScratch;
 
-/// Which kernel a [`QueryStream`] runs on each chunk.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StreamKernel {
-    /// PSB kNN (Algorithm 1); the stream's scheduled chunks run the
-    /// throughput (sweep-replay) variant, exactly like [`crate::psb_batch`].
-    Psb { k: usize },
-    /// Branch-and-bound kNN.
-    Bnb { k: usize },
-    /// Scan-and-restart kNN (no parent links).
-    Restart { k: usize },
-    /// Fixed-radius range query.
-    Range { radius: f32 },
+/// Run `f`, observing its wall time in microseconds into histogram `name`;
+/// a detached handle reads no clock.
+fn timed_us<R>(m: &MetricsHandle, name: &str, f: impl FnOnce() -> R) -> R {
+    let started = m.is_attached().then(std::time::Instant::now);
+    let out = f();
+    if let Some(t0) = started {
+        m.observe(name, t0.elapsed().as_secs_f64() * 1e6);
+    }
+    out
 }
 
-/// A double-buffered streaming pipeline over one index.
+/// A chunked streaming front over one index.
 ///
 /// ```
-/// use psb_core::{QueryStream, StreamKernel, KernelOptions, QuerySchedule};
+/// use psb_core::{QueryStream, Kernel, KernelOptions, QuerySchedule};
 /// # use psb_data::{sample_queries, ClusteredSpec};
 /// # use psb_sstree::{build, BuildMethod};
 /// # let ps = ClusteredSpec { clusters: 3, points_per_cluster: 200, dims: 4, sigma: 80.0, seed: 7 }
@@ -56,7 +49,7 @@ pub enum StreamKernel {
 /// # let queries = sample_queries(&ps, 10, 0.01, 8);
 /// let cfg = psb_gpu::DeviceConfig::k40();
 /// let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
-/// let mut stream = QueryStream::with_chunk_size(&tree, StreamKernel::Psb { k: 4 }, cfg, opts, 4);
+/// let mut stream = QueryStream::with_chunk_size(&tree, Kernel::Psb { k: 4 }, cfg, opts, 4);
 /// for q in queries.iter() {
 ///     stream.push(q);
 ///     while let Some(chunk) = stream.poll() {
@@ -69,27 +62,17 @@ pub enum StreamKernel {
 /// ```
 pub struct QueryStream<'t, T: GpuIndex> {
     tree: &'t T,
-    kernel: StreamKernel,
+    kernel: Kernel,
     cfg: DeviceConfig,
     opts: KernelOptions,
     chunk: usize,
-    /// Chunk currently filling (N+1 in flight of arrival).
+    /// The chunk currently filling.
     pending: PointSet,
-    /// Full chunk staged behind the filling one, with its precomputed
-    /// schedule: it executes when the next chunk fills (or at `finish`).
-    staged: Option<(PointSet, Option<Vec<u32>>)>,
     /// The per-stream scheduling arena, reused by every chunk.
     sched: ScheduleScratch,
     /// Completed chunk results awaiting [`poll`](Self::poll), oldest first.
     done: VecDeque<QueryBatchResult>,
     submitted: u64,
-    /// Cumulative wall time spent computing chunk schedules (the stage that a
-    /// real device overlaps with the in-flight launch). Only accumulated when
-    /// `opts.metrics` is attached; nanoseconds.
-    staging_ns: u64,
-    /// Cumulative wall time spent executing chunks; nanoseconds, gated the
-    /// same way.
-    execute_ns: u64,
 }
 
 impl<'t, T: GpuIndex> QueryStream<'t, T> {
@@ -97,14 +80,14 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
     pub const DEFAULT_CHUNK: usize = 240;
 
     /// A stream executing [`Self::DEFAULT_CHUNK`]-query chunks.
-    pub fn new(tree: &'t T, kernel: StreamKernel, cfg: DeviceConfig, opts: KernelOptions) -> Self {
+    pub fn new(tree: &'t T, kernel: Kernel, cfg: DeviceConfig, opts: KernelOptions) -> Self {
         Self::with_chunk_size(tree, kernel, cfg, opts, Self::DEFAULT_CHUNK)
     }
 
     /// A stream with an explicit chunk size (at least 1).
     pub fn with_chunk_size(
         tree: &'t T,
-        kernel: StreamKernel,
+        kernel: Kernel,
         cfg: DeviceConfig,
         opts: KernelOptions,
         chunk: usize,
@@ -118,12 +101,9 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
             opts,
             chunk,
             pending,
-            staged: None,
             sched: ScheduleScratch::default(),
             done: VecDeque::new(),
             submitted: 0,
-            staging_ns: 0,
-            execute_ns: 0,
         }
     }
 
@@ -137,19 +117,19 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
         self.submitted
     }
 
-    /// Queries accepted but not yet executed (filling + staged chunks).
+    /// Queries accepted but not yet executed (the filling chunk).
     pub fn queued(&self) -> usize {
-        self.pending.len() + self.staged.as_ref().map_or(0, |(ps, _)| ps.len())
+        self.pending.len()
     }
 
-    /// Submit one query. When this fills the current chunk, the chunk is
-    /// scheduled (staged) and the previously staged chunk executes — results
-    /// become available through [`poll`](Self::poll).
+    /// Submit one query. When this fills the current chunk, the chunk
+    /// executes and its result becomes available through
+    /// [`poll`](Self::poll).
     pub fn push(&mut self, q: &[f32]) {
         self.pending.push(q);
         self.submitted += 1;
         if self.pending.len() == self.chunk {
-            self.stage();
+            self.execute();
         }
     }
 
@@ -160,110 +140,44 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
         self.done.pop_front()
     }
 
-    /// Drain the pipeline: execute the staged chunk and any partial chunk
-    /// still filling, and return every not-yet-polled result, oldest first.
+    /// Drain the stream: execute the partial chunk still filling, and return
+    /// every not-yet-polled result, oldest first.
     pub fn finish(&mut self) -> Vec<QueryBatchResult> {
         if !self.pending.is_empty() {
-            self.stage();
-        }
-        if let Some((chunk, order)) = self.staged.take() {
-            self.execute(chunk, order);
+            self.execute();
         }
         self.done.drain(..).collect()
     }
 
-    /// Move the filling chunk into the staged slot, computing its schedule
-    /// now; execute whatever was staged before it.
-    fn stage(&mut self) {
+    /// Schedule and launch the filling chunk.
+    fn execute(&mut self) {
         let chunk = std::mem::replace(
             &mut self.pending,
             PointSet::with_capacity(self.tree.dims(), self.chunk),
         );
-        let m = &self.opts.metrics;
-        let started = m.is_attached().then(std::time::Instant::now);
-        let order = match self.opts.schedule {
-            QuerySchedule::Submission => None,
-            QuerySchedule::Hilbert => Some(hilbert_permutation(&chunk, &mut self.sched)),
-        };
-        if let Some(t0) = started {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.staging_ns = self.staging_ns.saturating_add(ns);
-            self.opts.metrics.observe("stream.stage_us", ns as f64 / 1e3);
-        }
-        if let Some((prev, prev_order)) = self.staged.replace((chunk, order)) {
-            self.execute(prev, prev_order);
-        }
-    }
-
-    /// Publish the pipeline-overlap view after a chunk executes: how much of
-    /// the cumulative staging (scheduling) time fits under the cumulative
-    /// execution time. 1.0 means scheduling hides completely behind in-flight
-    /// chunks on a real device; values below 1.0 mean the host-side sort is
-    /// the bottleneck.
-    fn record_overlap(&self) {
-        let m = &self.opts.metrics;
-        m.gauge("stream.staging_us", self.staging_ns as f64 / 1e3);
-        m.gauge("stream.execute_us", self.execute_ns as f64 / 1e3);
-        let overlap = if self.staging_ns == 0 {
-            1.0
-        } else {
-            (self.execute_ns as f64 / self.staging_ns as f64).min(1.0)
-        };
-        m.gauge("stream.overlap_ratio", overlap);
-    }
-
-    fn execute(&mut self, chunk: PointSet, order: Option<Vec<u32>>) {
-        let (tree, cfg, opts) = (self.tree, &self.cfg, &self.opts);
-        let ord = order.as_deref();
-        let started = opts.metrics.is_attached().then(std::time::Instant::now);
-        let result = if opts.wave.is_some() {
-            // Wave mode: the whole chunk runs through the buffer-wave engine
-            // (one node-centric traversal per chunk instead of one per
-            // query), reusing the precomputed schedule like the per-query
-            // path below. Results are bit-identical (tests below).
-            match self.kernel {
-                StreamKernel::Psb { k } | StreamKernel::Bnb { k } | StreamKernel::Restart { k } => {
-                    crate::wave::wave_knn_batch_ordered(tree, &chunk, k, cfg, opts, ord)
-                }
-                StreamKernel::Range { radius } => {
-                    crate::wave::wave_range_batch_ordered(tree, &chunk, radius, cfg, opts, ord)
-                }
-            }
-            .map(|(r, _)| r)
-        } else {
-            match self.kernel {
-                StreamKernel::Psb { k } => {
-                    run_batch_ordered(&chunk, cfg, opts, ord, "psb", |q| match opts.schedule {
-                        QuerySchedule::Submission => psb_query(tree, q, k, cfg, opts),
-                        QuerySchedule::Hilbert => psb_query_replay(tree, q, k, cfg, opts),
-                    })
-                }
-                StreamKernel::Bnb { k } => run_batch_ordered(&chunk, cfg, opts, ord, "bnb", |q| {
-                    bnb_query(tree, q, k, cfg, opts)
-                }),
-                StreamKernel::Restart { k } => {
-                    run_batch_ordered(&chunk, cfg, opts, ord, "restart", |q| {
-                        restart_query(tree, q, k, cfg, opts)
-                    })
-                }
-                StreamKernel::Range { radius } => {
-                    run_batch_ordered(&chunk, cfg, opts, ord, "range", |q| {
-                        range_query_gpu(tree, q, radius, cfg, opts)
-                    })
-                }
-            }
-        };
-        // Chunks are only ever staged non-empty, so the launch cannot fail.
-        let result = result.unwrap_or_else(|e| panic!("non-empty chunk failed to launch: {e}"));
-        if let Some(t0) = started {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.execute_ns = self.execute_ns.saturating_add(ns);
-            let m = &self.opts.metrics;
-            m.observe("stream.chunk_us", ns as f64 / 1e3);
-            m.counter("stream.chunks", 1);
-            m.counter("stream.queries", result.neighbors.len() as u64);
-            self.record_overlap();
-        }
+        let (m, plan) = (&self.opts.metrics, FaultPlan::none());
+        let resolved = resolve(&self.opts, Some(self.kernel), &plan, false);
+        let order = timed_us(m, "stream.stage_us", || {
+            schedule_order(&chunk, resolved.schedule, &mut self.sched)
+        });
+        let result = timed_us(m, "stream.chunk_us", || {
+            launch_resolved(
+                self.tree,
+                &chunk,
+                self.kernel,
+                &self.cfg,
+                &self.opts,
+                &plan,
+                None,
+                &resolved,
+                order.as_deref(),
+            )
+        });
+        // Chunks are only ever launched non-empty, so the launch cannot fail.
+        let (result, _) =
+            result.unwrap_or_else(|e| panic!("non-empty chunk failed to launch: {e}"));
+        m.counter("stream.chunks", 1);
+        m.counter("stream.queries", result.neighbors.len() as u64);
         self.done.push_back(result);
         if let Some(perm) = order {
             self.sched.recycle(perm);
@@ -275,6 +189,7 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
 mod tests {
     use super::*;
     use crate::engine::psb_batch;
+    use crate::schedule::QuerySchedule;
     use psb_data::{sample_queries, ClusteredSpec};
     use psb_sstree::{build, BuildMethod, SsTree};
 
@@ -307,7 +222,7 @@ mod tests {
             let opts = KernelOptions { schedule, ..Default::default() };
             let mut stream = QueryStream::with_chunk_size(
                 &tree,
-                StreamKernel::Psb { k: 5 },
+                Kernel::Psb { k: 5 },
                 cfg.clone(),
                 opts.clone(),
                 10,
@@ -333,27 +248,31 @@ mod tests {
     }
 
     #[test]
-    fn double_buffer_holds_back_one_chunk_until_the_next_fills() {
+    fn a_chunk_is_ready_the_moment_its_last_query_is_pushed() {
         let (_, tree, queries) = setup();
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
         let mut stream =
-            QueryStream::with_chunk_size(&tree, StreamKernel::Psb { k: 3 }, cfg, opts, 8);
-        for i in 0..8 {
-            stream.push(queries.point(i));
+            QueryStream::with_chunk_size(&tree, Kernel::Psb { k: 3 }, cfg.clone(), opts.clone(), 8);
+        for chunk_no in 0..2u32 {
+            let lo = chunk_no * 8;
+            for i in lo..lo + 7 {
+                stream.push(queries.point(i as usize));
+                assert!(stream.poll().is_none(), "chunk {chunk_no} is still filling");
+            }
+            assert_eq!(stream.queued(), 7);
+            stream.push(queries.point(lo as usize + 7));
+            assert_eq!(stream.queued(), 0);
+            let chunk = stream.poll().expect("the chunk executed when it filled");
+            assert!(stream.poll().is_none());
+            let sub = queries.gather(&(lo..lo + 8).collect::<Vec<_>>());
+            let whole = psb_batch(&tree, &sub, 3, &cfg, &opts).expect("batch");
+            assert_eq!(chunk.neighbors, whole.neighbors);
+            assert_eq!(chunk.per_block, whole.per_block);
+            assert_eq!(chunk.report.merged, whole.report.merged);
         }
-        // First chunk is staged (scheduled), not yet executed.
-        assert_eq!(stream.queued(), 8);
-        assert!(stream.poll().is_none());
-        for i in 8..16 {
-            stream.push(queries.point(i));
-        }
-        // Filling the second chunk executed the first.
-        assert_eq!(stream.queued(), 8);
-        assert!(stream.poll().is_some());
-        assert!(stream.poll().is_none());
         assert_eq!(stream.submitted(), 16);
-        assert_eq!(stream.finish().len(), 1);
+        assert!(stream.finish().is_empty(), "nothing is held back");
     }
 
     #[test]
@@ -361,11 +280,9 @@ mod tests {
         let (_, tree, queries) = setup();
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
-        for kernel in [
-            StreamKernel::Bnb { k: 4 },
-            StreamKernel::Restart { k: 4 },
-            StreamKernel::Range { radius: 250.0 },
-        ] {
+        for kernel in
+            [Kernel::Bnb { k: 4 }, Kernel::Restart { k: 4 }, Kernel::Range { radius: 250.0 }]
+        {
             let mut stream =
                 QueryStream::with_chunk_size(&tree, kernel, cfg.clone(), opts.clone(), 9);
             let chunks = push_all(&mut stream, &queries);
@@ -374,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn attached_stream_records_chunks_and_overlap() {
+    fn attached_stream_records_chunks() {
         let (_, tree, queries) = setup();
         let cfg = DeviceConfig::k40();
         let reg = psb_metrics::Registry::new();
@@ -383,8 +300,7 @@ mod tests {
             metrics: psb_metrics::MetricsHandle::attached(&reg),
             ..Default::default()
         };
-        let mut stream =
-            QueryStream::with_chunk_size(&tree, StreamKernel::Psb { k: 3 }, cfg, opts, 8);
+        let mut stream = QueryStream::with_chunk_size(&tree, Kernel::Psb { k: 3 }, cfg, opts, 8);
         let chunks = push_all(&mut stream, &queries);
         let snap = reg.snapshot();
         let counter = |name: &str| {
@@ -392,13 +308,6 @@ mod tests {
         };
         assert_eq!(counter("stream.chunks"), chunks.len() as u64);
         assert_eq!(counter("stream.queries"), queries.len() as u64);
-        let overlap = snap
-            .gauges
-            .iter()
-            .find(|(k, _)| k == "stream.overlap_ratio")
-            .map(|(_, v)| *v)
-            .expect("overlap gauge");
-        assert!((0.0..=1.0).contains(&overlap), "overlap {overlap}");
         // The chunk latency histogram saw every chunk.
         let hist = snap
             .histograms
@@ -407,6 +316,9 @@ mod tests {
             .map(|(_, h)| *h)
             .expect("chunk histogram");
         assert_eq!(hist.count, chunks.len() as u64);
+        for gone in ["stream.staging_us", "stream.execute_us", "stream.overlap_ratio"] {
+            assert!(snap.gauges.iter().all(|(k, _)| k != gone), "{gone} is no longer published");
+        }
     }
 
     #[test]
@@ -415,7 +327,7 @@ mod tests {
         let (_, tree, _) = setup();
         let _ = QueryStream::with_chunk_size(
             &tree,
-            StreamKernel::Psb { k: 1 },
+            Kernel::Psb { k: 1 },
             DeviceConfig::k40(),
             KernelOptions::default(),
             0,

@@ -78,32 +78,38 @@
 //! Either way the metered schedule is the node-centric one regardless of host
 //! interleaving, and results are deterministic under any thread count.
 //!
-//! ## Faults
+//! ## Faults and the shell
 //!
-//! Like the PSB sweep-replay memo, the wave engine serves the fault-free
-//! path only: the `*_batch_recovering` runners route to the per-query
-//! recovery ladder whenever a real [`FaultPlan`](psb_gpu::FaultPlan) is
-//! attached, so corruption still yields typed errors or exact degraded
-//! results, never panics (`tests/wave_parity.rs`).
+//! This module is a traversal, not a launch path: [`launch`](crate::launch)'s
+//! runner owns the empty-batch check, the spans, the launch aggregation and
+//! the outcomes, and calls [`wave_rows`] as its execute step when
+//! [`resolve`](crate::resolve) picks the wave engine. Like the PSB sweep memo,
+//! the wave engine serves the fault-free path only — `resolve` drops it under
+//! a real [`FaultPlan`](psb_gpu::FaultPlan) — and a structurally corrupt tree
+//! makes [`wave_rows`] return a typed error, on which the runner falls through
+//! to the per-query recovery ladder: exact degraded results, never a panic
+//! (`tests/wave_parity.rs`, `tests/tree_invariants.rs`).
 
 use psb_geom::PointSet;
-use psb_gpu::{launch_blocks_fused, Block, DeviceConfig, NodeKind, Phase};
+use psb_gpu::{Block, DeviceConfig, FaultPlan, NodeKind, Phase};
+use psb_metrics::MetricsHandle;
 use psb_sstree::Neighbor;
 use rayon::prelude::*;
 
-use crate::engine::{record_batch, schedule_order, warps_of, QueryBatchResult};
-use crate::error::{EngineError, KernelError, QueryOutcome};
+use crate::engine::{launch_reporting, QueryBatchResult};
+use crate::error::{EngineError, KernelError};
 use crate::index::GpuIndex;
+use crate::kernels::psb::initial_descent;
 use crate::kernels::{
-    checked_children, checked_leaf_points, checked_root, child_distances, fetch_internal,
-    kth_maxdist, process_leaf, with_scratch, Budget, Scratch,
+    checked_children, checked_leaf_points, checked_root, child_distances, kth_maxdist,
+    with_scratch, Budget, Found, Kernel, Scratch,
 };
 use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
 /// Configuration of the buffer-wave engine, carried in
-/// [`KernelOptions::wave`]: `Some` routes the batch engines (psb / bnb /
-/// restart / range) through [`wave_knn_batch`] / [`wave_range_batch`].
+/// [`KernelOptions::wave`]: `Some` runs the batches of the four table kernels
+/// (psb / bnb / restart / range) through the wave traversal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaveConfig {
     /// Maximum queries a node buffer holds before it is flushed early
@@ -158,6 +164,14 @@ impl WaveReport {
             self.buffered_entries as f64 / self.coalesced_sweeps as f64
         }
     }
+
+    /// The `wave.*` counters and fill gauge of one batch.
+    pub(crate) fn record_into(&self, m: &MetricsHandle) {
+        m.counter("wave.waves", u64::from(self.waves));
+        m.counter("wave.coalesced_sweeps", self.coalesced_sweeps);
+        m.counter("wave.buffered_entries", self.buffered_entries);
+        m.gauge("wave.mean_buffer_fill", self.mean_fill());
+    }
 }
 
 /// The two query families the wave engine runs. The push-down machinery is
@@ -184,7 +198,7 @@ impl WaveMode {
 
 /// Per-query traversal state. Fields are disjoint per query, which is what
 /// lets each wave run query-parallel on the host. Generic over the metering
-/// mode, monomorphized once by [`run_wave`]'s launch dispatch.
+/// mode, monomorphized once by [`wave_rows`]' launch dispatch.
 struct QueryState<const M: bool> {
     block: Block<'static, M>,
     /// The k-best list (kNN mode only).
@@ -298,51 +312,20 @@ fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<(Vec<u32>, u32), Kern
     Ok((levels, max_level))
 }
 
-/// PSB phase 1 for one wave query: the identical greedy descent and primed
-/// leaf fold as [`psb_try_query`](crate::kernels::psb::psb_try_query), so the
-/// wave's starting bound (and its metered cost) match the per-query kernel's.
+/// PSB phase 1 for one wave query — the very code of
+/// [`psb_try_query`](crate::kernels::psb::psb_try_query), so the wave's
+/// starting bound (and its metered cost) match the per-query kernel's.
 fn prime_knn<T: GpuIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,
-    root: u32,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     scratch: &mut Scratch,
 ) -> Result<QueryState<M>, KernelError> {
     let mut block = wave_block::<M>(opts, cfg);
-    let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
-    block
-        .reserve_shared(static_smem, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
     let mut budget = Budget::for_tree(tree);
-    block.set_phase(Phase::Descend);
-    let mut n = root;
-    let mut level = 0u32;
-    while !tree.is_leaf(n) {
-        budget.tick(&block)?;
-        let kids = checked_children(tree, n)?;
-        fetch_internal(&mut block, tree, n, opts.layout, level);
-        child_distances(&mut block, tree, n, q, false, true, scratch);
-        block.par_reduce(scratch.sweep.min_d.len(), 2);
-        // Nearest child by (MINDIST, anchor distance) — the same tie-break
-        // as PSB's descent, for the same reason (overlapping child volumes
-        // tie at MINDIST 0).
-        let mut best = (f32::INFINITY, f32::INFINITY);
-        let mut best_c = kids.start;
-        for (i, c) in kids.enumerate() {
-            let key = (scratch.sweep.min_d[i], scratch.sweep.anchor_d[i]);
-            if key < best {
-                best = key;
-                best_c = c;
-            }
-        }
-        n = best_c;
-        level += 1;
-    }
-    budget.tick(&block)?;
-    process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, false, level)?;
+    let list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
     let pruning = list.bound();
     Ok(QueryState {
         block,
@@ -627,7 +610,7 @@ impl<T: GpuIndex> Wave<'_, T> {
         match self.mode {
             WaveMode::Knn { k } => {
                 let q = self.queries.point(i);
-                prime_knn(self.tree, q, k, self.root, self.cfg, self.opts, scratch)
+                prime_knn(self.tree, q, k, self.cfg, self.opts, scratch)
             }
             WaveMode::Range { radius } => prime_range(self.tree, radius, self.cfg, self.opts),
         }
@@ -864,78 +847,77 @@ impl<T: GpuIndex> Wave<'_, T> {
     }
 }
 
-/// Shared engine wrapper: run the wave traversal, then assemble the standard
-/// [`QueryBatchResult`] (plus the [`WaveReport`]) exactly like the per-query
-/// batch runners — same launch aggregation, same telemetry shape (kernel
-/// label `"wave"`), plus the wave counters.
-fn run_wave<T: GpuIndex>(
+/// The wave engine as the batch runner's execute step: every query's exact
+/// result and counters, in submission order, plus what the waves did. The
+/// three kNN kernels share one wave form (their results are the same exact
+/// set); `metering` is the launch's resolved mode, dispatched once here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn wave_rows<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
-    mode: WaveMode,
+    kernel: Kernel,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
+    wave: WaveConfig,
+    metering: Metering,
     order: Option<&[u32]>,
-) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    // Launch-time metering dispatch: the wave engine never carries injected
-    // faults (the resilience engine only routes fault-free plans here), so
-    // the mode is exactly what the caller asked for.
-    match opts.metering {
-        Metering::Simulated => run_wave_with::<T, true>(tree, queries, mode, cfg, opts, order),
-        Metering::Off => run_wave_with::<T, false>(tree, queries, mode, cfg, opts, order),
-    }
-}
-
-fn run_wave_with<T: GpuIndex, const M: bool>(
-    tree: &T,
-    queries: &PointSet,
-    mode: WaveMode,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    order: Option<&[u32]>,
-) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    if queries.is_empty() {
-        return Err(EngineError::EmptyBatch);
-    }
+) -> Result<(Vec<Found>, WaveReport), KernelError> {
     assert_eq!(queries.dims(), tree.dims(), "query dimensionality mismatch");
-    let capacity = opts.wave.unwrap_or_default().cap();
-    let m = &opts.metrics;
-    let started = m.is_attached().then(std::time::Instant::now);
-    let _batch_span = m.span("engine");
-    let _kernel_span = m.span("wave");
-    let (states, wave) = m
-        .time("execute", || wave_execute::<T, M>(tree, queries, mode, cfg, opts, capacity, order))
-        .unwrap_or_else(|e| panic!("wave engine failed on a trusted tree: {e}"));
-    let mut neighbors = Vec::with_capacity(states.len());
-    let mut per_block = Vec::with_capacity(states.len());
-    for mut state in states {
-        neighbors.push(match state.list.take() {
-            Some(list) => list.into_sorted(),
-            None => {
-                // Range mode: canonical output order, exactly as the
-                // per-query range kernel sorts before returning.
-                state.hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-                state.hits
-            }
-        });
-        per_block.push(state.block.finish());
+    let mode = match kernel {
+        Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
+            assert!(k >= 1, "k must be at least 1");
+            WaveMode::Knn { k }
+        }
+        Kernel::Range { radius } => {
+            assert!(radius >= 0.0, "radius must be non-negative");
+            WaveMode::Range { radius }
+        }
+    };
+    let capacity = wave.cap();
+    match metering {
+        Metering::Simulated => {
+            wave_execute::<T, true>(tree, queries, mode, cfg, opts, capacity, order).map(finish)
+        }
+        Metering::Off => {
+            wave_execute::<T, false>(tree, queries, mode, cfg, opts, capacity, order).map(finish)
+        }
     }
-    let report = m.time("aggregate", || {
-        launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, order)
-    });
-    record_batch(opts, "wave", started, &report);
-    m.counter("wave.waves", u64::from(wave.waves));
-    m.counter("wave.coalesced_sweeps", wave.coalesced_sweeps);
-    m.counter("wave.buffered_entries", wave.buffered_entries);
-    m.gauge("wave.mean_buffer_fill", wave.mean_fill());
-    let outcomes = vec![QueryOutcome::Clean; neighbors.len()];
-    Ok((QueryBatchResult { neighbors, per_block, outcomes, report }, wave))
 }
 
-/// kNN over a batch through the buffer-wave engine. Neighbors and outcomes
-/// are bit-identical to [`psb_batch`](crate::psb_batch) (and the other exact
-/// kNN engines); counters reflect the amortized node-centric schedule.
-/// Honors [`KernelOptions::schedule`] for seeding/fusion order and
-/// [`KernelOptions::wave`] for buffer capacity (default capacity if unset).
+/// Close every query's block and put its result in canonical order.
+fn finish<const M: bool>(
+    (states, report): (Vec<QueryState<M>>, WaveReport),
+) -> (Vec<Found>, WaveReport) {
+    let rows = states
+        .into_iter()
+        .map(|mut state| {
+            let found = match state.list.take() {
+                Some(list) => list.into_sorted(),
+                None => {
+                    // Range mode: canonical output order, exactly as the
+                    // per-query range kernel sorts before returning.
+                    state.hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+                    state.hits
+                }
+            };
+            (found, state.block.finish())
+        })
+        .collect();
+    (rows, report)
+}
+
+/// `opts` with the wave engine on (at its default capacity if unset).
+fn waved(opts: &KernelOptions) -> KernelOptions {
+    KernelOptions { wave: Some(opts.wave.unwrap_or_default()), ..opts.clone() }
+}
+
+/// kNN over a batch through the buffer-wave engine: [`launch`](crate::launch)
+/// with [`KernelOptions::wave`] set, also returning the [`WaveReport`].
+/// Neighbors and outcomes are bit-identical to [`psb_batch`](crate::psb_batch)
+/// (and the other exact kNN engines); counters reflect the amortized
+/// node-centric schedule. Honors [`KernelOptions::schedule`] for
+/// seeding/fusion order and [`KernelOptions::wave`] for buffer capacity
+/// (default capacity if unset).
 pub fn wave_knn_batch<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
@@ -943,23 +925,8 @@ pub fn wave_knn_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(k >= 1, "k must be at least 1");
-    let order = schedule_order(queries, opts);
-    run_wave(tree, queries, WaveMode::Knn { k }, cfg, opts, order.as_deref())
-}
-
-/// [`wave_knn_batch`] with a precomputed execution order (the streaming
-/// pipeline schedules chunk N+1 while chunk N executes).
-pub(crate) fn wave_knn_batch_ordered<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    order: Option<&[u32]>,
-) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(k >= 1, "k must be at least 1");
-    run_wave(tree, queries, WaveMode::Knn { k }, cfg, opts, order)
+    let kernel = Kernel::Psb { k };
+    launch_reporting(tree, queries, kernel, cfg, &waved(opts), &FaultPlan::none(), None)
 }
 
 /// Fixed-radius range queries over a batch through the buffer-wave engine.
@@ -972,22 +939,8 @@ pub fn wave_range_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    let order = schedule_order(queries, opts);
-    run_wave(tree, queries, WaveMode::Range { radius }, cfg, opts, order.as_deref())
-}
-
-/// [`wave_range_batch`] with a precomputed execution order.
-pub(crate) fn wave_range_batch_ordered<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    order: Option<&[u32]>,
-) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    run_wave(tree, queries, WaveMode::Range { radius }, cfg, opts, order)
+    let kernel = Kernel::Range { radius };
+    launch_reporting(tree, queries, kernel, cfg, &waved(opts), &FaultPlan::none(), None)
 }
 
 #[cfg(test)]
@@ -1070,38 +1023,20 @@ mod tests {
 
     /// Runs one batch down both execution paths (the buffered one with a
     /// capacity nothing reaches) and returns what each query ended with.
-    #[allow(clippy::type_complexity)]
     fn both_paths<T: GpuIndex>(
         tree: &T,
         queries: &PointSet,
         mode: WaveMode,
         opts: &KernelOptions,
-    ) -> [(Vec<(Vec<Neighbor>, psb_gpu::KernelStats)>, WaveReport); 2] {
+    ) -> [(Vec<Found>, WaveReport); 2] {
         let cfg = DeviceConfig::k40();
-        let order = schedule_order(queries, opts);
+        let order = crate::engine::schedule_order(queries, opts.schedule, &mut Default::default());
         let root = checked_root(tree).unwrap();
         let (levels, max_level) = node_levels(tree, root).unwrap();
         let order = order.as_deref();
         let wave = Wave { tree, queries, mode, cfg: &cfg, opts, order, root, levels: &levels };
-        [wave.run_direct::<true>(), wave.run_buffered::<true>(queries.len() + 1, max_level)].map(
-            |run| {
-                let (states, wr) = run.unwrap();
-                let per_query = states
-                    .into_iter()
-                    .map(|mut state| {
-                        let found = match state.list.take() {
-                            Some(list) => list.into_sorted(),
-                            None => {
-                                state.hits.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-                                state.hits
-                            }
-                        };
-                        (found, state.block.finish())
-                    })
-                    .collect();
-                (per_query, wr)
-            },
-        )
+        [wave.run_direct::<true>(), wave.run_buffered::<true>(queries.len() + 1, max_level)]
+            .map(|run| finish(run.unwrap()))
     }
 
     #[test]

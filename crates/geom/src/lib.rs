@@ -40,8 +40,7 @@ pub use layout::AlignedF32;
 pub use point::PointSet;
 pub use rect::Rect;
 pub use rectkernel::{
-    rect_eval, rect_eval_d, rect_eval_for_dims, rect_min_sq_rows_wide, RectEval, RectKernel,
-    RectRowsOut,
+    rect_eval, rect_eval_d, rect_eval_for_dims, RectEval, RectKernel, RectRowsOut,
 };
 pub use ritter::{ritter_points, ritter_spheres, RitterMode};
 pub use simd::{dist_simd, sq_dist_simd};

@@ -5,12 +5,8 @@
 //! implementation. The scalar fused chain is the *reference op order*: each of
 //! the three accumulators is a single sequential per-dimension chain, so any
 //! wide-lane evaluation of it necessarily reassociates the sum and changes the
-//! f32 bits. The default dispatch therefore stays scalar (dimension-
-//! specialized for unrolling, exactly like [`crate::sq_dist_d`]), and the
-//! explicit-SIMD variant lives behind the separately documented
-//! [`rect_min_sq_rows_wide`], which is **not bit-identical** and must never be
-//! wired into a parity-pinned path — it exists for throughput experiments and
-//! benches only.
+//! f32 bits. The dispatch therefore stays scalar (dimension-specialized for
+//! unrolling, exactly like [`crate::sq_dist_d`]).
 //!
 //! What the batched [`RectKernel::eval_rows`] form buys instead of wider
 //! lanes: one dispatch per *node block* rather than one indirect call per
@@ -231,81 +227,6 @@ impl Default for RectKernel {
     }
 }
 
-/// **Reassociated** wide-lane squared-MINDIST row sweep — the gated fast
-/// variant the module docs warn about. Four per-dimension partial sums
-/// accumulate in vector lanes and reduce pairwise, so the result is *not*
-/// bit-identical to [`rect_eval`]'s single sequential chain (it is usually
-/// slightly more accurate). Appends the **squared** MINDIST per row. Safe for
-/// throughput experiments, candidate generation with re-verification, and
-/// benches; never for parity-pinned traversals.
-pub fn rect_min_sq_rows_wide(q: &[f32], lo_rows: &[f32], hi_rows: &[f32], out: &mut Vec<f32>) {
-    let d = q.len();
-    if d == 0 {
-        return;
-    }
-    debug_assert_eq!(lo_rows.len(), hi_rows.len());
-    for (lo, hi) in lo_rows.chunks_exact(d).zip(hi_rows.chunks_exact(d)) {
-        out.push(rect_min_sq_wide(lo, hi, q));
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn rect_min_sq_wide(lo: &[f32], hi: &[f32], q: &[f32]) -> f32 {
-    use core::arch::x86_64::*;
-    let n = q.len().min(lo.len()).min(hi.len());
-    let chunks = n / 4;
-    // SAFETY: SSE2 is baseline on x86_64; every load reads lanes [o, o + 4)
-    // with o + 4 <= chunks * 4 <= n, inside all three slices.
-    let mut lanes = [0f32; 4];
-    unsafe {
-        let zero = _mm_setzero_ps();
-        let mut acc = zero;
-        for i in 0..chunks {
-            let o = i * 4;
-            let l = _mm_loadu_ps(lo.as_ptr().add(o));
-            let h = _mm_loadu_ps(hi.as_ptr().add(o));
-            let x = _mm_loadu_ps(q.as_ptr().add(o));
-            // max(lo - x, x - hi, 0): the per-dimension clamp distance.
-            let d = _mm_max_ps(_mm_max_ps(_mm_sub_ps(l, x), _mm_sub_ps(x, h)), zero);
-            acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-        }
-        _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-    }
-    let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for i in chunks * 4..n {
-        let (l, h, x) = (lo[i], hi[i], q[i]);
-        let d = (l - x).max(x - h).max(0.0);
-        sum += d * d;
-    }
-    sum
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn rect_min_sq_wide(lo: &[f32], hi: &[f32], q: &[f32]) -> f32 {
-    // Reassociated scalar mirror of the x86 path: four partial sums, pairwise
-    // reduction — keeps the variant's numerics consistent across targets.
-    let n = q.len().min(lo.len()).min(hi.len());
-    let chunks = n / 4;
-    let mut acc = [0f32; 4];
-    for i in 0..chunks {
-        let o = i * 4;
-        for lane in 0..4 {
-            let (l, h, x) = (lo[o + lane], hi[o + lane], q[o + lane]);
-            let d = (l - x).max(x - h).max(0.0);
-            acc[lane] += d * d;
-        }
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in chunks * 4..n {
-        let (l, h, x) = (lo[i], hi[i], q[i]);
-        let d = (l - x).max(x - h).max(0.0);
-        sum += d * d;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,27 +288,6 @@ mod tests {
         let (mn, mx, _) = rect_eval(&lo, &hi, &[1.0, 1.0], true, false);
         assert_eq!(mn, 0.0);
         assert!(mx > 0.0);
-    }
-
-    /// The wide variant is *documented* as reassociated: close, never trusted
-    /// for bits. Pin the tolerance so a real numerical break still fails.
-    #[test]
-    fn wide_variant_matches_within_tolerance() {
-        for dims in [2usize, 4, 8, 16, 17] {
-            let (q, lo, hi) = random_rect_run(dims, 23, dims as u64 * 313 + 7);
-            let mut wide = Vec::new();
-            rect_min_sq_rows_wide(&q, &lo, &hi, &mut wide);
-            for (i, (l, h)) in lo.chunks_exact(dims).zip(hi.chunks_exact(dims)).enumerate() {
-                let (mn, _, _) = rect_eval(l, h, &q, false, false);
-                let exact = mn * mn;
-                let scale = exact.abs().max(1.0);
-                assert!(
-                    (wide[i] - exact).abs() <= scale * 1e-5,
-                    "dims {dims} row {i}: wide {} vs exact {exact}",
-                    wide[i]
-                );
-            }
-        }
     }
 
     proptest! {

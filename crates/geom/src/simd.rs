@@ -27,10 +27,8 @@
 //! IEEE 754 ops are exactly specified and neither path permits FMA
 //! contraction, so equality holds *bitwise*, not approximately — pinned by the
 //! tests below and consumed fearlessly by [`DistKernel`](crate::DistKernel)'s
-//! default resolution. Any variant that reassociates (and therefore merely
-//! approximates the scalar bits) must live behind a separately documented
-//! entry point — see [`crate::rectkernel::rect_min_sq_rows_wide`] — and never
-//! behind the default dispatch.
+//! default resolution. A variant that reassociates merely approximates the
+//! scalar bits and has no place behind that dispatch.
 
 /// Squared Euclidean distance via the explicit-SIMD same-op-order kernel.
 /// Bit-identical to [`crate::sq_dist`] for equal-length slices (hard-asserted

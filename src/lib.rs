@@ -63,26 +63,23 @@ pub use psb_sstree as sstree;
 
 /// The names most programs need, re-exported flat.
 pub mod prelude {
-    pub use psb_core::kernels::bnb::{bnb_query, bnb_query_traced, bnb_try_query};
+    pub use psb_core::kernels::bnb::{bnb_query, bnb_try_query};
     pub use psb_core::kernels::brute::{
-        brute_index_query, brute_index_range, brute_query, brute_query_traced, brute_try_query,
+        brute_index_query, brute_index_range, brute_query, brute_try_query,
     };
-    pub use psb_core::kernels::psb::{psb_query, psb_query_traced, psb_try_query};
-    pub use psb_core::kernels::range::{range_query_gpu, range_query_gpu_traced, range_try_query};
-    pub use psb_core::kernels::restart::{restart_query, restart_query_traced, restart_try_query};
-    pub use psb_core::kernels::stackfree::{
-        stackfree_query, stackfree_query_traced, stackfree_try_query,
-    };
+    pub use psb_core::kernels::psb::{psb_query, psb_try_query};
+    pub use psb_core::kernels::range::{range_query_gpu, range_try_query};
+    pub use psb_core::kernels::restart::{restart_query, restart_try_query};
+    pub use psb_core::kernels::stackfree::{stackfree_query, stackfree_try_query};
     pub use psb_core::shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
     pub use psb_core::{
-        bnb_batch, bnb_batch_recovering, bnb_batch_traced, brute_batch, dist_cost, hilbert_order,
-        hilbert_permutation, merge_stats, psb_batch, psb_batch_recovering, psb_batch_traced,
-        range_batch, range_batch_recovering, restart_batch, restart_batch_recovering,
-        stackfree_batch, stackfree_batch_recovering, tpss_batch, tpss_batch_scheduled,
-        tpss_batch_traced, tpss_try_batch, wave_knn_batch, wave_range_batch, DynamicSsTree,
-        EngineError, GpuIndex, ImplicitKdIndex, KernelError, KernelOptions, Metering, NodeLayout,
-        QueryBatchResult, QueryOutcome, QuerySchedule, QueryStream, ScheduleScratch,
-        SharedMemPolicy, StreamKernel, WaveConfig, WaveReport, NO_ROPE,
+        bnb_batch, brute_batch, dist_cost, hilbert_order, hilbert_permutation, launch,
+        launch_stackfree, merge_stats, psb_batch, range_batch, resolve, restart_batch,
+        stackfree_batch, tpss_batch, tpss_batch_scheduled, tpss_batch_traced, tpss_try_batch,
+        wave_knn_batch, wave_range_batch, DynamicSsTree, EngineError, GpuIndex, ImplicitKdIndex,
+        Kernel, KernelError, KernelOptions, Metering, NodeLayout, Override, QueryBatchResult,
+        QueryOutcome, QuerySchedule, QueryStream, Resolved, ScheduleScratch, SharedMemPolicy,
+        StreamKernel, WaveConfig, WaveReport, NO_ROPE,
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{

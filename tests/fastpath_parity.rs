@@ -159,8 +159,10 @@ fn metering_off_recovery_still_detects_faults() {
     let cfg = DeviceConfig::k40();
     let sim = KernelOptions::default();
     let plan = FaultPlan::bit_flips(0xF00D, 2);
-    let a = psb_batch_recovering(&tree, &queries, 8, &cfg, &sim, &plan).expect("metered");
-    let b = psb_batch_recovering(&tree, &queries, 8, &cfg, &off(&sim), &plan).expect("unmetered");
+    let a =
+        launch(&tree, &queries, Kernel::Psb { k: 8 }, &cfg, &sim, &plan, None).expect("metered");
+    let b = launch(&tree, &queries, Kernel::Psb { k: 8 }, &cfg, &off(&sim), &plan, None)
+        .expect("unmetered");
     assert_results_identical(&a, &b, "recovering/psb");
     assert_eq!(a.report.retried_queries, b.report.retried_queries);
     assert_eq!(a.report.degraded_queries, b.report.degraded_queries);

@@ -72,8 +72,8 @@ fn zero_fault_plan_is_bit_identical_to_the_plain_engine() {
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
     let plain = psb_batch(&tree, &queries, K, &cfg, &opts).expect("batch");
-    let rec =
-        psb_batch_recovering(&tree, &queries, K, &cfg, &opts, &FaultPlan::none()).expect("batch");
+    let rec = launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &opts, &FaultPlan::none(), None)
+        .expect("batch");
 
     assert_eq!(rec.neighbors, plain.neighbors, "results must be bit-identical");
     assert_eq!(rec.per_block, plain.per_block, "per-query counters must be bit-identical");
@@ -96,7 +96,8 @@ fn bit_flips_walk_the_ladder_and_stay_exact() {
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
     let plan = FaultPlan::bit_flips(0xF00D, 1);
-    let rec = psb_batch_recovering(&tree, &queries, K, &cfg, &opts, &plan).expect("batch");
+    let rec =
+        launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &opts, &plan, None).expect("batch");
 
     assert_accounting_consistent(&rec, queries.len());
     assert_exact_knn(&rec, &data, &queries, "bit-flips");
@@ -107,7 +108,8 @@ fn bit_flips_walk_the_ladder_and_stay_exact() {
     );
 
     // Same plan, same workload: the ladder is deterministic end to end.
-    let again = psb_batch_recovering(&tree, &queries, K, &cfg, &opts, &plan).expect("batch");
+    let again =
+        launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &opts, &plan, None).expect("batch");
     assert_eq!(again.neighbors, rec.neighbors);
     assert_eq!(again.outcomes, rec.outcomes);
     assert_eq!(again.per_block, rec.per_block);
@@ -121,7 +123,8 @@ fn truncation_faults_degrade_every_query_exactly() {
     // Truncating after a handful of transactions kills both tree attempts of
     // every query, forcing the whole batch onto the brute-force rung.
     let plan = FaultPlan::truncation(8);
-    let rec = psb_batch_recovering(&tree, &queries, K, &cfg, &opts, &plan).expect("batch");
+    let rec =
+        launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &opts, &plan, None).expect("batch");
 
     assert_accounting_consistent(&rec, queries.len());
     assert_exact_knn(&rec, &data, &queries, "truncation");
@@ -136,7 +139,8 @@ fn watchdog_faults_degrade_every_query_exactly() {
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
     let plan = FaultPlan::watchdog(32);
-    let rec = psb_batch_recovering(&tree, &queries, K, &cfg, &opts, &plan).expect("batch");
+    let rec =
+        launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &opts, &plan, None).expect("batch");
 
     assert_accounting_consistent(&rec, queries.len());
     assert_exact_knn(&rec, &data, &queries, "watchdog");
@@ -152,10 +156,14 @@ fn other_engines_recover_too() {
     let opts = KernelOptions::default();
     let plan = FaultPlan::bit_flips(0xBEEF, 1);
     for (name, rec) in [
-        ("bnb", bnb_batch_recovering(&tree, &queries, K, &cfg, &opts, &plan).expect("batch")),
+        (
+            "bnb",
+            launch(&tree, &queries, Kernel::Bnb { k: K }, &cfg, &opts, &plan, None).expect("batch"),
+        ),
         (
             "restart",
-            restart_batch_recovering(&tree, &queries, K, &cfg, &opts, &plan).expect("batch"),
+            launch(&tree, &queries, Kernel::Restart { k: K }, &cfg, &opts, &plan, None)
+                .expect("batch"),
         ),
     ] {
         assert_accounting_consistent(&rec, queries.len());
@@ -174,7 +182,8 @@ fn range_recovery_matches_the_linear_oracle() {
     // actually selects points in this dimensionality.
     let radius = linear_knn(&data, queries.point(0), 12).last().expect("oracle").dist * 1.1;
     let plan = FaultPlan::bit_flips(0xCAFE, 1);
-    let rec = range_batch_recovering(&tree, &queries, radius, &cfg, &opts, &plan).expect("batch");
+    let rec =
+        launch(&tree, &queries, Kernel::Range { radius }, &cfg, &opts, &plan, None).expect("batch");
 
     assert_accounting_consistent(&rec, queries.len());
     let mut total_hits = 0usize;
@@ -203,7 +212,7 @@ fn empty_batches_are_a_typed_error_under_recovery() {
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
     let empty = PointSet::new(tree.dims);
-    let err = psb_batch_recovering(&tree, &empty, K, &cfg, &opts, &FaultPlan::none())
+    let err = launch(&tree, &empty, Kernel::Psb { k: K }, &cfg, &opts, &FaultPlan::none(), None)
         .expect_err("empty batch must be rejected");
     assert!(matches!(err, EngineError::EmptyBatch));
 }

@@ -138,7 +138,8 @@ fn faults_still_latch_inside_fused_blocks() {
     // A tight transaction budget must still cut fused queries off: the latch
     // lives on the (shared) block, polled by every fused query's ticks.
     let plan = FaultPlan::truncation(8);
-    let r = psb_batch_recovering(&tree, &queries, 8, &cfg, &opts, &plan).expect("recovering");
+    let r = launch(&tree, &queries, Kernel::Psb { k: 8 }, &cfg, &opts, &plan, None)
+        .expect("recovering");
     let non_clean = r.outcomes.iter().filter(|o| !matches!(o, QueryOutcome::Clean)).count();
     assert!(non_clean > 0, "an 8-transaction budget must trip on every real traversal");
     assert_eq!(r.report.degraded_queries as usize + r.report.retried_queries as usize, non_clean);

@@ -123,7 +123,7 @@ fn zero_fault_recovery_is_bit_identical_to_the_plain_engine() {
     let (ps, queries) = workload(4, 7500);
     let kd = LbKdTree::build(&ps);
     let plain = stackfree_batch(&kd, &queries, K, &cfg, &opts).expect("plain");
-    let rec = stackfree_batch_recovering(&kd, &queries, K, &cfg, &opts, &FaultPlan::none())
+    let rec = launch_stackfree(&kd, &queries, K, &cfg, &opts, &FaultPlan::none(), None)
         .expect("recovering");
     assert_eq!(rec.neighbors, plain.neighbors, "results must be bit-identical");
     assert_eq!(rec.per_block, plain.per_block, "per-query counters must be bit-identical");
@@ -143,8 +143,7 @@ fn seeded_faults_never_cost_exactness() {
         let kd = LbKdTree::build(&ps);
         let clean = stackfree_batch(&kd, &queries, K, &cfg, &opts).expect("clean");
         let plan = FaultPlan::bit_flips(0xF1A7 + dims as u64, 2);
-        let rec =
-            stackfree_batch_recovering(&kd, &queries, K, &cfg, &opts, &plan).expect("recovering");
+        let rec = launch_stackfree(&kd, &queries, K, &cfg, &opts, &plan, None).expect("recovering");
         assert_neighbors_bit_identical(
             &rec.neighbors,
             &clean.neighbors,
@@ -162,8 +161,8 @@ fn seeded_faults_never_cost_exactness() {
         assert_eq!(rec.report.retried_queries, retried, "report vs outcomes: retried");
         assert_eq!(rec.report.degraded_queries, degraded, "report vs outcomes: degraded");
         // Determinism: the same plan replays to the same ladder and answers.
-        let again = stackfree_batch_recovering(&kd, &queries, K, &cfg, &opts, &plan)
-            .expect("recovering again");
+        let again =
+            launch_stackfree(&kd, &queries, K, &cfg, &opts, &plan, None).expect("recovering again");
         assert_eq!(again.neighbors, rec.neighbors);
         assert_eq!(again.outcomes, rec.outcomes);
     }

@@ -155,8 +155,9 @@ fn recovering_path_is_bit_identical_under_the_same_fault_plan() {
     let (_, tree, queries) = workload();
     let cfg = DeviceConfig::k40();
     let plan = FaultPlan::bit_flips(0xFA17, 1);
-    let run =
-        |opts: &KernelOptions| psb_batch_recovering(&tree, &queries, K, &cfg, opts, &plan).unwrap();
+    let run = |opts: &KernelOptions| {
+        launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, opts, &plan, None).unwrap()
+    };
     let (a, b, snap) = parity("recovering", run);
     assert_results_identical(&a, &b, "psb recovering");
     // The recovery tallies flow into the sim counters from the report.

@@ -26,33 +26,38 @@ fn recording_sink_changes_no_simulation_output() {
         // PSB
         let silent = psb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = psb_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let traced =
+            psb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
         assert_eq!(silent, traced, "psb");
         assert!(!sink.events.is_empty(), "psb must emit events");
 
         // Branch-and-bound
         let silent = bnb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = bnb_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let traced =
+            bnb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
         assert_eq!(silent, traced, "bnb");
         assert!(!sink.events.is_empty(), "bnb must emit events");
 
         // Restart
         let silent = restart_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = restart_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let traced =
+            restart_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
         assert_eq!(silent, traced, "restart");
 
         // Brute force
         let silent = brute_query(&ps, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = brute_query_traced(&ps, q, k, &cfg, &opts, &mut sink);
+        let traced =
+            brute_try_query(&ps, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
         assert_eq!(silent, traced, "brute");
 
         // Range
         let silent = range_query_gpu(&tree, q, 300.0, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = range_query_gpu_traced(&tree, q, 300.0, &cfg, &opts, &mut sink);
+        let traced =
+            range_try_query(&tree, q, 300.0, &cfg, &opts, None, &mut sink).expect("trusted tree");
         assert_eq!(silent, traced, "range");
     }
 
@@ -74,7 +79,16 @@ fn traced_batches_reproduce_untraced_reports() {
 
     let silent = psb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch");
     let mut sink = VecSink::new();
-    let traced = psb_batch_traced(&tree, &queries, 8, &cfg, &opts, &mut sink).expect("batch");
+    let traced = launch(
+        &tree,
+        &queries,
+        Kernel::Psb { k: 8 },
+        &cfg,
+        &opts,
+        &FaultPlan::none(),
+        Some(&mut sink),
+    )
+    .expect("batch");
     assert_eq!(silent.neighbors, traced.neighbors);
     assert_eq!(silent.per_block, traced.per_block);
     assert_eq!(silent.report.merged, traced.report.merged);
@@ -83,7 +97,16 @@ fn traced_batches_reproduce_untraced_reports() {
 
     let silent = bnb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch");
     let mut sink = VecSink::new();
-    let traced = bnb_batch_traced(&tree, &queries, 8, &cfg, &opts, &mut sink).expect("batch");
+    let traced = launch(
+        &tree,
+        &queries,
+        Kernel::Bnb { k: 8 },
+        &cfg,
+        &opts,
+        &FaultPlan::none(),
+        Some(&mut sink),
+    )
+    .expect("batch");
     assert_eq!(silent.neighbors, traced.neighbors);
     assert_eq!(silent.report.merged, traced.report.merged);
 }
@@ -133,7 +156,8 @@ proptest! {
         let q = queries.point(0);
 
         let mut sink = VecSink::new();
-        let (_, stats) = psb_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let (_, stats) =
+            psb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
 
         // Always-on counters reconcile.
         prop_assert!(stats.phase_totals_consistent());

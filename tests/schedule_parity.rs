@@ -190,8 +190,10 @@ fn scheduled_recovery_ladder_is_bit_identical() {
     let sub = KernelOptions::default();
     let hil = scheduled(&sub);
     for plan in [FaultPlan::none(), FaultPlan::bit_flips(0xF00D, 2), FaultPlan::truncation(24)] {
-        let a = psb_batch_recovering(&tree, &queries, 8, &cfg, &sub, &plan).expect("submission");
-        let b = psb_batch_recovering(&tree, &queries, 8, &cfg, &hil, &plan).expect("scheduled");
+        let a = launch(&tree, &queries, Kernel::Psb { k: 8 }, &cfg, &sub, &plan, None)
+            .expect("submission");
+        let b = launch(&tree, &queries, Kernel::Psb { k: 8 }, &cfg, &hil, &plan, None)
+            .expect("scheduled");
         assert_batches_bit_identical(&a, &b, "recovering/psb");
         assert_eq!(a.report.retried_queries, b.report.retried_queries);
         assert_eq!(a.report.degraded_queries, b.report.degraded_queries);

@@ -126,20 +126,20 @@ fn recovering_runners_climb_the_same_ladder_in_every_pool() {
     for plan in [FaultPlan::bit_flips(0xF00D, 2), FaultPlan::truncation(8), FaultPlan::watchdog(32)]
     {
         let psb = same_in_every_pool("psb_recovering", || {
-            psb_batch_recovering(t, q, K, cfg, &opts, &plan).expect("psb")
+            launch(t, q, Kernel::Psb { k: K }, cfg, &opts, &plan, None).expect("psb")
         });
         rungs_off_clean += psb.outcomes.iter().filter(|o| **o != QueryOutcome::Clean).count();
         same_in_every_pool("bnb_recovering", || {
-            bnb_batch_recovering(t, q, K, cfg, &opts, &plan).expect("bnb")
+            launch(t, q, Kernel::Bnb { k: K }, cfg, &opts, &plan, None).expect("bnb")
         });
         same_in_every_pool("restart_recovering", || {
-            restart_batch_recovering(t, q, K, cfg, &opts, &plan).expect("restart")
+            launch(t, q, Kernel::Restart { k: K }, cfg, &opts, &plan, None).expect("restart")
         });
         same_in_every_pool("range_recovering", || {
-            range_batch_recovering(t, q, RADIUS, cfg, &opts, &plan).expect("range")
+            launch(t, q, Kernel::Range { radius: RADIUS }, cfg, &opts, &plan, None).expect("range")
         });
         same_in_every_pool("stackfree_recovering", || {
-            stackfree_batch_recovering(&f.kd, q, K, cfg, &opts, &plan).expect("kd")
+            launch_stackfree(&f.kd, q, K, cfg, &opts, &plan, None).expect("kd")
         });
     }
     assert!(rungs_off_clean > 0, "the fault plans must push some query off the clean rung");
@@ -158,7 +158,8 @@ fn schedule_fuse_wave_and_stream_are_bit_identical_in_every_pool() {
     same_in_every_pool("psb/hilbert/unmetered", || psb_batch(t, q, K, cfg, &fast).expect("psb"));
     same_in_every_pool("psb/fuse", || psb_batch(t, q, K, cfg, &fused).expect("psb"));
     same_in_every_pool("psb/hilbert/faults", || {
-        psb_batch_recovering(t, q, K, cfg, &hilbert, &FaultPlan::bit_flips(0xBEEF, 2)).expect("psb")
+        launch(t, q, Kernel::Psb { k: K }, cfg, &hilbert, &FaultPlan::bit_flips(0xBEEF, 2), None)
+            .expect("psb")
     });
     // Capacity 8 < 61 queries: buffers overflow and flush mid-wave, so the
     // sequential scatter between the parallel phases is exercised too.
@@ -514,7 +515,7 @@ impl Soak {
         }
     }
 
-    /// Fans `psb_batch_recovering` out on a 4-thread pool beside everything
+    /// Fans a faulted `launch` out on a 4-thread pool beside everything
     /// else, metrics attached to the shared registry.
     fn batcher(&self) {
         self.start.wait();
@@ -526,8 +527,16 @@ impl Soak {
         let cfg = DeviceConfig::k40();
         in_pool(4, || {
             for _ in 0..BATCHES {
-                let out = psb_batch_recovering(&self.tree, &self.queries, K, &cfg, &opts, &plan)
-                    .expect("typed result");
+                let out = launch(
+                    &self.tree,
+                    &self.queries,
+                    Kernel::Psb { k: K },
+                    &cfg,
+                    &opts,
+                    &plan,
+                    None,
+                )
+                .expect("typed result");
                 assert_eq!(fingerprint(&(&out.neighbors, &out.outcomes)), self.batch_want);
             }
         });
@@ -559,13 +568,14 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     // fault plan, and the same rung per query every time.
     let tree = build(&initial_points, 16, &BuildMethod::Hilbert);
     let cfg = DeviceConfig::k40();
-    let reference = psb_batch_recovering(
+    let reference = launch(
         &tree,
         &queries,
-        K,
+        Kernel::Psb { k: K },
         &cfg,
         &KernelOptions::default(),
         &FaultPlan::bit_flips(0xC0FFEE, 2),
+        None,
     )
     .expect("reference batch");
     for (qi, got) in reference.neighbors.iter().enumerate() {

@@ -189,5 +189,41 @@ proptest! {
                     "tpss returned a non-finite distance from a corrupt tree");
             }
         }
+
+        // The batch path, per-query and on both wave paths (direct, and
+        // buffered at capacity 2): every query comes back with a typed
+        // outcome and a well-formed answer. No fault plan is attached, so a
+        // kernel error is deterministic — the retry fails too and the exact
+        // brute-force rung answers.
+        let batch = ps.gather(&[0, 1, (ps.len() - 1) as u32]);
+        let none = FaultPlan::none();
+        let knn = |q: &[f32]| linear_knn(&ps, q, k).len();
+        for wave in [None, Some(WaveConfig::default()), Some(WaveConfig { capacity: 2 })] {
+            let opts = KernelOptions { wave, ..Default::default() };
+            for kernel in [
+                Kernel::Psb { k },
+                Kernel::Bnb { k },
+                Kernel::Restart { k },
+                Kernel::Range { radius: 50.0 },
+            ] {
+                let r = launch(&tree, &batch, kernel, &cfg, &opts, &none, None)
+                    .expect("a non-empty batch always launches");
+                for (qi, (nb, outcome)) in r.neighbors.iter().zip(&r.outcomes).enumerate() {
+                    prop_assert!(nb.iter().all(|x| x.dist.is_finite()),
+                        "{:?} wave {:?}: non-finite distance from a corrupt tree", kernel, wave);
+                    match outcome {
+                        QueryOutcome::Clean => {}
+                        QueryOutcome::Degraded { first, retry } => {
+                            prop_assert_eq!(first, retry, "no fault plan: the retry is a replay");
+                            prop_assert!(nb.windows(2).all(|w| w[0].dist <= w[1].dist));
+                            if !matches!(kernel, Kernel::Range { .. }) {
+                                prop_assert_eq!(nb.len(), knn(batch.point(qi)));
+                            }
+                        }
+                        other => prop_assert!(false, "{:?}: unexpected outcome {:?}", kernel, other),
+                    }
+                }
+            }
+        }
     }
 }

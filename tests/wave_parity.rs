@@ -183,15 +183,17 @@ fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
     let wave = waved(&base, 1024);
 
     for plan in [FaultPlan::bit_flips(0xF00D, 2), FaultPlan::truncation(24)] {
-        let a = psb_batch_recovering(&tree, &queries, K, &cfg, &base, &plan).expect("ladder");
-        let b = psb_batch_recovering(&tree, &queries, K, &cfg, &wave, &plan).expect("wave ladder");
+        let a = launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &base, &plan, None)
+            .expect("ladder");
+        let b = launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &wave, &plan, None)
+            .expect("wave ladder");
         assert_batches_bit_identical(&a, &b, "faulted/psb");
         assert_eq!(a.report.retried_queries, b.report.retried_queries);
         assert_eq!(a.report.degraded_queries, b.report.degraded_queries);
 
-        let a = range_batch_recovering(&tree, &queries, RADIUS, &cfg, &base, &plan)
+        let a = launch(&tree, &queries, Kernel::Range { radius: RADIUS }, &cfg, &base, &plan, None)
             .expect("range ladder");
-        let b = range_batch_recovering(&tree, &queries, RADIUS, &cfg, &wave, &plan)
+        let b = launch(&tree, &queries, Kernel::Range { radius: RADIUS }, &cfg, &wave, &plan, None)
             .expect("range wave ladder");
         assert_batches_bit_identical(&a, &b, "faulted/range");
     }
@@ -199,7 +201,8 @@ fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
     // The truncation plan must actually have tripped the ladder, or the
     // "typed errors, never panics" claim went untested.
     let plan = FaultPlan::truncation(24);
-    let r = psb_batch_recovering(&tree, &queries, K, &cfg, &wave, &plan).expect("wave ladder");
+    let r = launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &wave, &plan, None)
+        .expect("wave ladder");
     let non_clean = r.outcomes.iter().filter(|o| !matches!(o, QueryOutcome::Clean)).count();
     assert!(non_clean > 0, "truncation plan never fired — fault path untested");
 
@@ -207,7 +210,8 @@ fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
     // batch, bit-identical to the plain wave entry point.
     let plan = FaultPlan::none();
     let a = psb_batch(&tree, &queries, K, &cfg, &wave).expect("wave");
-    let b = psb_batch_recovering(&tree, &queries, K, &cfg, &wave, &plan).expect("noop ladder");
+    let b = launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &wave, &plan, None)
+        .expect("noop ladder");
     assert_batches_bit_identical(&a, &b, "noop/psb");
     assert!(b.outcomes.iter().all(|o| matches!(o, QueryOutcome::Clean)));
 }
