@@ -1,7 +1,8 @@
 //! Microbenchmarks for the dimension-specialized distance layer and the two
 //! sweep paths it feeds: the packed-arena child/leaf sweeps vs the legacy
-//! scattered gather. These are the host inner loops the `bench` binary's
-//! end-to-end numbers (BENCH_psb.json) decompose into.
+//! scattered gather. These are the host inner loops the repo benchmark's
+//! `sstree.child_sweep_ns` / `sstree.leaf_sweep_ns` / `geom.dist_rows_*`
+//! layers time inside a workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psb_core::{gather_child_sweep, gather_leaf_sweep, GpuIndex, SweepScratch};

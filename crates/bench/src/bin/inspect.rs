@@ -205,11 +205,14 @@ fn main() {
     let opts = KernelOptions::default();
 
     if let Some(path) = &a.trace {
-        let file = File::open(path).unwrap_or_else(|e| {
+        let loaded = File::open(path).and_then(|file| load_trace(BufReader::new(file)));
+        let (summaries, skipped) = loaded.unwrap_or_else(|e| {
             eprintln!("--trace {path}: {e}");
             std::process::exit(1);
         });
-        let summaries = load_trace(BufReader::new(file));
+        if skipped > 0 {
+            eprintln!("{skipped} unparseable lines skipped");
+        }
         if summaries.is_empty() {
             eprintln!("no trace events in {path}");
             std::process::exit(1);

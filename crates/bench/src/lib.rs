@@ -1,22 +1,23 @@
-//! Shared harness for regenerating every figure of the paper's evaluation.
+//! Paper-figure regeneration and trace inspection.
 //!
 //! The paper's evaluation (§V) is Figures 3–9. Each `fig*` function here
 //! reproduces one figure's series: it generates the workload, builds the
 //! indexes, runs the query batches, and returns a [`Table`] with the same rows
 //! the paper plots. The `figures` binary prints those tables and writes CSVs;
-//! the Criterion benches sample the same code paths at a smaller scale.
+//! the Criterion benches sample the same code paths at a smaller scale;
+//! `inspect` prints one workload's counters and loads recorded traces through
+//! [`trace_report`]. Host wall-clock and end-to-end numbers are not this
+//! crate's job: the repo benchmark (`benchmark/`, `BENCHMARK.json`) owns them.
 //!
 //! **Scale.** The paper's workload is 1 M points / 240 queries on a Tesla K40.
 //! A scale factor multiplies the point and query counts so the full suite runs
 //! in minutes on a laptop; the *shapes* (series orderings, crossovers) are
 //! scale-stable. `scale = 1.0` reproduces paper-sized workloads.
 
-pub mod compare;
 pub mod figures;
 pub mod table;
 pub mod trace_report;
 
-pub use compare::{compare, parse_bench, render_report, BenchFile, BenchRow, Regression};
 pub use figures::*;
 pub use table::Table;
 pub use trace_report::{load_trace, render_trace_report, TraceSummary};

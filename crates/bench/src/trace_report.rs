@@ -14,9 +14,9 @@
 //! machine can be inspected on another.
 
 use std::collections::BTreeMap;
-use std::io::BufRead;
+use std::io::{self, BufRead};
 
-use psb_gpu::{read_jsonl, NodeKind, Phase, PhaseStats, TraceEvent};
+use psb_gpu::{event_from_jsonl, NodeKind, Phase, PhaseStats, TraceEvent};
 
 /// Aggregated view of one labeled kernel's event stream.
 #[derive(Clone, Debug, Default)]
@@ -211,19 +211,26 @@ impl TraceSummary {
 }
 
 /// Reads a JSONL trace and groups it into one [`TraceSummary`] per label, in
-/// order of first appearance. Lines that don't parse are skipped (the reader
-/// is shared with [`psb_gpu::read_jsonl`]).
-pub fn load_trace<R: BufRead>(reader: R) -> Vec<TraceSummary> {
+/// order of first appearance. A read error (I/O, invalid UTF-8) is returned as
+/// is; non-blank lines that don't parse as an event — a truncated last line,
+/// foreign text — are skipped and counted in the second field.
+pub fn load_trace<R: BufRead>(reader: R) -> io::Result<(Vec<TraceSummary>, usize)> {
     let mut order: Vec<String> = Vec::new();
     let mut by_label: BTreeMap<String, TraceSummary> = BTreeMap::new();
-    for (label, event) in read_jsonl(reader).unwrap_or_default() {
+    let mut skipped = 0;
+    for line in reader.lines() {
+        let line = line?;
+        let Some((label, event)) = event_from_jsonl(&line) else {
+            skipped += usize::from(!line.trim().is_empty());
+            continue;
+        };
         let entry = by_label.entry(label.clone()).or_insert_with(|| {
             order.push(label.clone());
             TraceSummary { label: label.clone(), ..Default::default() }
         });
         entry.record(&event);
     }
-    order.into_iter().filter_map(|l| by_label.remove(&l)).collect()
+    Ok((order.into_iter().filter_map(|l| by_label.remove(&l)).collect(), skipped))
 }
 
 /// Full printable report for a recorded trace.
@@ -331,9 +338,13 @@ mod tests {
         }
         text.push_str(&event_to_jsonl("bnb", &TraceEvent::Backtrack { level: 2 }));
         text.push('\n');
-        text.push_str("not json at all\n");
+        text.push_str("not json at all\n\n");
+        // A recording cut off mid-line (full disk, killed process).
+        let cut = event_to_jsonl("psb", &TraceEvent::Backtrack { level: 3 });
+        text.push_str(&cut[..cut.len() / 2]);
 
-        let summaries = load_trace(Cursor::new(text));
+        let (summaries, skipped) = load_trace(Cursor::new(text)).unwrap();
+        assert_eq!(skipped, 2, "the foreign and the truncated line, not the blank one");
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].label, "psb");
         assert_eq!(summaries[0].events, 9);
@@ -344,6 +355,14 @@ mod tests {
         assert!(report.contains("[psb]"));
         assert!(report.contains("leaf-scan"));
         assert!(report.contains("divergence"));
+    }
+
+    #[test]
+    fn a_read_error_mid_file_is_returned_not_swallowed() {
+        let mut bytes = event_to_jsonl("psb", &TraceEvent::Backtrack { level: 1 }).into_bytes();
+        bytes.extend_from_slice(b"\n\xff\xfe not utf-8\n");
+        let err = load_trace(Cursor::new(bytes)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

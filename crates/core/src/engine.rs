@@ -18,8 +18,8 @@
 
 use psb_geom::PointSet;
 use psb_gpu::{
-    launch_blocks_fused, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, NoopSink,
-    Phase, PhaseBreakdown, TraceSink, VecSink,
+    launch_blocks, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, NoopSink,
+    TraceSink, VecSink,
 };
 use psb_sstree::Neighbor;
 use rayon::prelude::*;
@@ -28,10 +28,9 @@ use crate::error::{EngineError, KernelError, QueryOutcome};
 use crate::index::{GpuIndex, ImplicitKdIndex};
 use crate::kernels::brute::{brute_index_query, brute_query, brute_try_query};
 use crate::kernels::stackfree::stackfree_try_query;
-use crate::kernels::tpss::tpss_batch;
 use crate::kernels::{effective_metering, Found, Kernel};
 use crate::options::{KernelOptions, Metering};
-use crate::schedule::{hilbert_order, hilbert_permutation, QuerySchedule, ScheduleScratch};
+use crate::schedule::{hilbert_permutation, QuerySchedule, ScheduleScratch};
 use crate::wave::{wave_rows, WaveConfig, WaveReport};
 
 /// Merge per-block counters into one (sums; peak shared memory is a max).
@@ -58,19 +57,6 @@ pub struct QueryBatchResult {
     pub outcomes: Vec<QueryOutcome>,
     /// Aggregated metrics under the cost model.
     pub report: LaunchReport,
-}
-
-impl QueryBatchResult {
-    /// Per-phase warp-efficiency / accessed-MB breakdown of the batch, one row
-    /// per [`Phase`] in [`Phase::ALL`] order.
-    pub fn phase_breakdown(&self) -> [PhaseBreakdown; Phase::COUNT] {
-        self.report.phase_breakdown()
-    }
-
-    /// The batch's merged counters for one traversal phase.
-    pub fn phase(&self, phase: Phase) -> &psb_gpu::PhaseStats {
-        self.report.merged.phase(phase)
-    }
 }
 
 /// The execution order a schedule yields — all a schedule ever decides:
@@ -118,8 +104,8 @@ pub enum Override {
     /// The kernel is outside the [`Kernel`] table (stack-free kd, brute
     /// force): no node blocks whose fetch a wave could amortize.
     WaveDroppedNoNodeBlocks,
-    /// Recording runs execute (and fuse) in submission order, so the event
-    /// stream stays grouped per query.
+    /// Recording runs execute in submission order, so the event stream stays
+    /// grouped per query.
     ScheduleDroppedWhenTraced,
     /// [`Metering::Off`] was asked for, but fault detection lives inside the
     /// accounting.
@@ -201,10 +187,9 @@ type WaveStep<'a> = &'a dyn Fn() -> Result<(Vec<Found>, WaveReport), KernelError
 /// the fresh substream `plan.state_for(i, 1)` (a driver re-launching the
 /// failed block; transient upsets usually miss the second run), then
 /// `fallback`, which carries no fault state and follows no link, so it cannot
-/// fail. Queries run on the rayon pool in `order` and are un-permuted, so only
-/// the aggregation sees the schedule (it groups scheduled neighbors when
-/// fusing blocks); with a `sink` they run sequentially in submission order.
-/// Then *aggregate* and record.
+/// fail. Queries run on the rayon pool in `order` and are un-permuted, so the
+/// aggregation never sees the schedule; with a `sink` they run sequentially in
+/// submission order. Then *aggregate* and record.
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     queries: &PointSet,
@@ -281,10 +266,8 @@ fn run_batch(
         let i = placed.map_or(j, |perm| perm[j] as usize);
         (neighbors[i], per_block[i], outcomes[i]) = (nb, st, outcome);
     }
-    // Warps per simulated (pre-fusion) block.
     let warps = opts.threads_per_block.div_ceil(cfg.warp_size);
-    let mut report =
-        m.time("aggregate", || launch_blocks_fused(cfg, warps, &per_block, opts.fuse, order));
+    let mut report = m.time("aggregate", || launch_blocks(cfg, warps, &per_block));
     let count =
         |rung: fn(&QueryOutcome) -> bool| outcomes.iter().filter(|o| rung(o)).count() as u64;
     report.retried_queries = count(|o| matches!(o, QueryOutcome::Retried { .. }));
@@ -493,37 +476,6 @@ pub fn brute_batch(
     )
 }
 
-/// [`tpss_batch`] with the batch rescheduled into Hilbert order before the
-/// task-parallel packer groups queries into blocks, and the neighbor lists
-/// un-permuted back to submission order afterwards.
-///
-/// Unlike the block-per-query engines, TPSS packs queries into warps *by
-/// position*, so rescheduling changes which queries share a block — per-block
-/// counters are therefore reported in scheduled order and are **not**
-/// comparable block-for-block with [`tpss_batch`]'s (the merged totals of a
-/// lockstep simulation legitimately differ when lane groupings change).
-/// Results are exact and identical either way; this wrapper guarantees
-/// neighbors-parity only, by design (DESIGN.md §12).
-pub fn tpss_batch_scheduled<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    threads_per_block: u32,
-) -> (Vec<Vec<Neighbor>>, Vec<KernelStats>) {
-    let perm = hilbert_order(queries);
-    let mut scheduled = PointSet::new(queries.dims());
-    for &i in &perm {
-        scheduled.push(queries.point(i as usize));
-    }
-    let (sched_neighbors, stats) = tpss_batch(tree, &scheduled, k, cfg, threads_per_block);
-    let mut neighbors = vec![Vec::new(); queries.len()];
-    for (j, nb) in sched_neighbors.into_iter().enumerate() {
-        neighbors[perm[j] as usize] = nb;
-    }
-    (neighbors, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,7 +682,7 @@ mod tests {
                             *st = KernelStats::default();
                         }
                     }
-                    r.report = launch_blocks_fused(&cfg, 1, &r.per_block, 1, None);
+                    r.report = launch_blocks(&cfg, 1, &r.per_block);
                 }
             }
             assert_eq!(fingerprint(&asked), fingerprint(&spelled), "{row}");

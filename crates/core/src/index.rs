@@ -144,7 +144,7 @@ pub trait GpuIndex: Sync {
     /// node's fetched representation (internal child-volume blocks plus leaf
     /// point blocks — the arena *and* the reordered points it packs). This is
     /// the paper's index-memory comparison number, reported by `inspect` and
-    /// the bench harness's `memory` section.
+    /// as the repo benchmark's `index_bytes_per_point`.
     fn index_bytes(&self) -> u64;
     /// Bytes fetched for internal node `n` (its child bounding volumes, SoA).
     fn internal_node_bytes(&self, n: u32) -> u64;

@@ -70,7 +70,7 @@ fn brute_try_query_with<const M: bool>(
     sink: &mut dyn TraceSink,
     scratch: &mut super::Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = super::kernel_block::<M>(opts, cfg, sink);
+    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
     let mut budget = Budget::for_scan(points.len());
     let tile = block.threads() as usize;

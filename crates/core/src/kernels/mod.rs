@@ -136,24 +136,6 @@ impl Kernel {
     }
 }
 
-/// Build the simulated block a kernel launch runs on: `threads_per_block`
-/// threads, mirrored into `sink`, fused [`KernelOptions::fuse`] ways. All
-/// block-structured kernels construct their context here so the fusion knob
-/// applies uniformly. The `M` parameter picks the metered simulator
-/// (`M = true`) or the zero-accounting fast path (`M = false`) — resolved
-/// once per launch by [`effective_metering`], never per load.
-pub(crate) fn kernel_block<'s, const M: bool>(
-    opts: &KernelOptions,
-    cfg: &DeviceConfig,
-    sink: &'s mut dyn TraceSink,
-) -> Block<'s, M> {
-    let mut block = Block::with_sink(opts.threads_per_block, cfg, sink);
-    if opts.fuse > 1 {
-        block.fuse(opts.fuse);
-    }
-    block
-}
-
 /// The metering mode a launch actually runs under: the option as requested,
 /// except that fault injection forces [`Metering::Simulated`] — detection
 /// (truncation latch, watchdog, ECC flag) lives inside the accounting an

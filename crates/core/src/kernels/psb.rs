@@ -30,7 +30,7 @@ use crate::index::GpuIndex;
 
 use super::{
     checked_children, checked_leaf_id, checked_node, checked_root, child_distances, fetch_internal,
-    kernel_block, kth_maxdist, leftmost_qualifying, process_leaf, Budget, Kernel, Scratch,
+    kth_maxdist, leftmost_qualifying, process_leaf, Budget, Kernel, Scratch,
 };
 use crate::knnlist::GpuKnnList;
 use crate::options::KernelOptions;
@@ -95,8 +95,7 @@ pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
     budget: &mut Budget,
 ) -> Result<GpuKnnList, KernelError> {
     // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
-    // plus a warp-reduction scratch line (fused blocks size the line to their
-    // actual thread count).
+    // plus a warp-reduction scratch line.
     let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
@@ -150,7 +149,7 @@ pub(super) fn psb_try_query_with<T: GpuIndex, const M: bool>(
     scratch: &mut Scratch,
     memo: bool,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = kernel_block::<M>(opts, cfg, sink);
+    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
     let replay = memo && !block.has_faults();
     if replay {

@@ -69,7 +69,7 @@ pub(super) fn range_try_query_with<T: GpuIndex, const M: bool>(
     sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = super::kernel_block::<M>(opts, cfg, sink);
+    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
     let mut budget = Budget::for_tree(tree);
     let static_smem = tree.degree() as u64 * 4 + block.threads() as u64 * 4;

@@ -12,7 +12,7 @@
 //! Exactness argument is identical to PSB's: the cursor only advances past
 //! leaves that are visited or provably outside the pruning distance.
 
-use psb_gpu::{DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
@@ -67,7 +67,7 @@ pub(super) fn restart_try_query_with<T: GpuIndex, const M: bool>(
     sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = super::kernel_block::<M>(opts, cfg, sink);
+    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
     let mut budget = Budget::for_tree(tree);
     let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;

@@ -13,8 +13,8 @@
 //!
 //! This is the opposite trade from the paper's PSB: PSB spends memory on wide
 //! bounding-sphere nodes so a warp prunes whole subtrees with one coalesced
-//! sweep; the stack-free kd kernel spends nothing on the index (the bench
-//! `memory` section pins it to the points array plus a constant) and pays
+//! sweep; the stack-free kd kernel spends nothing on the index (the kdtree
+//! crate pins `index_bytes` to the points array plus a constant) and pays
 //! with one point fetch per visited node and splitting-plane re-derivation on
 //! every upward return. Running both under the same simulator makes that
 //! trade measurable.
@@ -24,7 +24,7 @@
 //! far, so nothing skippable can improve the list. The golden suite
 //! (`tests/kdtree_parity.rs`) pins results bit-identical to the brute oracle.
 
-use psb_gpu::{DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
 use crate::dist_cost;
@@ -88,7 +88,7 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
     sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = super::kernel_block::<M>(opts, cfg, sink);
+    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
     let mut budget = Budget::for_tree(tree);
     // The whole traversal state: two registers. The only shared memory is the

@@ -37,7 +37,7 @@ pub mod wave;
 pub use dynamic::DynamicSsTree;
 pub use engine::{
     bnb_batch, brute_batch, launch, launch_stackfree, merge_stats, psb_batch, range_batch, resolve,
-    restart_batch, stackfree_batch, tpss_batch_scheduled, Override, QueryBatchResult, Resolved,
+    restart_batch, stackfree_batch, Override, QueryBatchResult, Resolved,
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
 pub use index::{

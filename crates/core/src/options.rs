@@ -33,9 +33,9 @@ pub enum Metering {
     /// (monomorphized at launch, never branched per load). Neighbors and
     /// outcomes are bit-identical to [`Metering::Simulated`]
     /// (`tests/fastpath_parity.rs`); the returned `KernelStats` stay at
-    /// launch values. Serving and wall-clock bench rows run here. Launches
-    /// that inject faults are forced back to [`Metering::Simulated`] —
-    /// fault detection lives inside the accounting.
+    /// launch values. Serving and the repo benchmark's host-time workloads
+    /// run here. Launches that inject faults are forced back to
+    /// [`Metering::Simulated`] — fault detection lives inside the accounting.
     Off,
 }
 
@@ -62,12 +62,6 @@ pub struct KernelOptions {
     /// output, so results and counters stay bit-identical to the default
     /// submission order. Dropped when a trace sink is attached.
     pub schedule: QuerySchedule,
-    /// Queries fused per simulated block (1 = one block per query, the
-    /// paper's configuration). With `fuse = F > 1`, F queries partition the
-    /// block's 32 lanes into F lane groups — an opt-in mode for trees whose
-    /// fanout is below the warp width, where a full warp per query idles most
-    /// of its lanes. Must divide the warp size.
-    pub fuse: u32,
     /// Telemetry sink for the batch runners: host wall-clock spans, per-batch
     /// latency histograms, and the launch report's simulated figures all land
     /// here. The default is the detached no-op handle — no clock is read, no
@@ -112,7 +106,6 @@ impl Default for KernelOptions {
             leaf_scan: true,
             layout: NodeLayout::Soa,
             schedule: QuerySchedule::Submission,
-            fuse: 1,
             metrics: MetricsHandle::noop(),
             wave: None,
             metering: Metering::Simulated,
@@ -134,7 +127,6 @@ mod tests {
         assert!(o.leaf_scan);
         assert_eq!(o.layout, NodeLayout::Soa);
         assert_eq!(o.schedule, QuerySchedule::Submission);
-        assert_eq!(o.fuse, 1);
         assert!(!o.metrics.is_attached(), "telemetry is opt-in");
         assert!(o.wave.is_none(), "the wave engine is opt-in");
         assert_eq!(o.metering, Metering::Simulated, "figures need the cost model");

@@ -4,9 +4,7 @@
 //! consecutive host tasks traverse unrelated subtrees. Scheduling sorts the
 //! batch by the Hilbert key of each query point (the same curve the bottom-up
 //! build packs leaves with), so consecutive tasks descend into overlapping
-//! subtrees — warm arena cache lines on the host, and spatially coherent
-//! physical blocks when the launch fuses queries ([`launch_blocks_fused`]'s
-//! `order` argument groups neighbors into one block).
+//! subtrees — warm arena cache lines on the host.
 //!
 //! The schedule is a *pure permutation*: the engine executes queries in
 //! scheduled order and un-permutes neighbors, per-query counters, and outcomes
@@ -14,7 +12,6 @@
 //! to the unscheduled engine (`tests/schedule_parity.rs` proves this per
 //! kernel and index type).
 //!
-//! [`launch_blocks_fused`]: psb_gpu::launch_blocks_fused
 //! [`KernelStats`]: psb_gpu::KernelStats
 
 use psb_geom::{hilbert_key, HilbertKey, PointSet, Rect};
@@ -27,9 +24,8 @@ pub enum QuerySchedule {
     #[default]
     Submission,
     /// Run queries in Hilbert-curve order of their coordinates, un-permuting
-    /// all per-query outputs back to submission order afterwards. Decides
-    /// which queries fuse into one block and how the wave engine seeds its
-    /// root buffer; no kernel is chosen by it.
+    /// all per-query outputs back to submission order afterwards. Decides how
+    /// the wave engine seeds its root buffer; no kernel is chosen by it.
     Hilbert,
 }
 

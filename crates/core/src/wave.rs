@@ -231,17 +231,6 @@ struct WorkItem {
     mindist: f32,
 }
 
-/// A simulated block for one wave query: same shape as the kernels'
-/// [`kernel_block`](crate::kernels), minus the trace sink (the wave engine
-/// does not record event streams).
-fn wave_block<const M: bool>(opts: &KernelOptions, cfg: &DeviceConfig) -> Block<'static, M> {
-    let mut block = Block::new(opts.threads_per_block, cfg);
-    if opts.fuse > 1 {
-        block.fuse(opts.fuse);
-    }
-    block
-}
-
 /// Entry `j`'s share of `total` split over `m` entries: `total/m`, with the
 /// first `total % m` entries carrying one unit of remainder each, so the
 /// shares sum to exactly `total`.
@@ -323,7 +312,7 @@ fn prime_knn<T: GpuIndex, const M: bool>(
     opts: &KernelOptions,
     scratch: &mut Scratch,
 ) -> Result<QueryState<M>, KernelError> {
-    let mut block = wave_block::<M>(opts, cfg);
+    let mut block = Block::<M>::new(opts.threads_per_block, cfg);
     let mut budget = Budget::for_tree(tree);
     let list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
     let pruning = list.bound();
@@ -345,7 +334,7 @@ fn prime_range<T: GpuIndex, const M: bool>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryState<M>, KernelError> {
-    let mut block = wave_block::<M>(opts, cfg);
+    let mut block = Block::<M>::new(opts.threads_per_block, cfg);
     let static_smem = tree.degree() as u64 * 4 + block.threads() as u64 * 4;
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
@@ -915,9 +904,9 @@ fn waved(opts: &KernelOptions) -> KernelOptions {
 /// with [`KernelOptions::wave`] set, also returning the [`WaveReport`].
 /// Neighbors and outcomes are bit-identical to [`psb_batch`](crate::psb_batch)
 /// (and the other exact kNN engines); counters reflect the amortized
-/// node-centric schedule. Honors [`KernelOptions::schedule`] for
-/// seeding/fusion order and [`KernelOptions::wave`] for buffer capacity
-/// (default capacity if unset).
+/// node-centric schedule. Honors [`KernelOptions::schedule`] for seeding
+/// order and [`KernelOptions::wave`] for buffer capacity (default capacity if
+/// unset).
 pub fn wave_knn_batch<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
@@ -1045,7 +1034,7 @@ mod tests {
         for opts in [
             KernelOptions::default(),
             KernelOptions { schedule: crate::QuerySchedule::Hilbert, ..Default::default() },
-            KernelOptions { layout: NodeLayout::Aos, fuse: 4, ..Default::default() },
+            KernelOptions { layout: NodeLayout::Aos, ..Default::default() },
         ] {
             for mode in [WaveMode::Knn { k: 8 }, WaveMode::Range { radius: 220.0 }] {
                 let [direct, buffered] = both_paths(&tree, &queries, mode, &opts);

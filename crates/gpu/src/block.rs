@@ -26,12 +26,6 @@ use crate::trace::{NodeKind, Phase, TraceEvent, TraceSink};
 
 /// Metering context for one simulated thread block.
 ///
-/// With multi-query block fusion ([`Block::fuse`]) a `Block` meters one
-/// query's *lane group* — an even share of a physical block whose 32 warp
-/// lanes are partitioned across F fused queries. All issue accounting then
-/// charges lane slots at the group width, so a query whose fanout fills its
-/// lane group no longer pays for the sibling queries' lanes.
-///
 /// ## The `METER` parameter
 ///
 /// `METER = true` (the default, so every existing `Block<'_>` annotation
@@ -49,9 +43,6 @@ use crate::trace::{NodeKind, Phase, TraceEvent, TraceSink};
 pub struct Block<'s, const METER: bool = true> {
     threads: u32,
     warp_size: u32,
-    /// Lane slots one issue of this context occupies. Equals `warp_size`
-    /// unfused; `warp_size / F` when the block is fused F ways.
-    lane_width: u32,
     transaction_bytes: u64,
     stats: KernelStats,
     smem_in_use: u64,
@@ -82,7 +73,6 @@ impl<'s, const METER: bool> Block<'s, METER> {
         Self {
             threads,
             warp_size: cfg.warp_size,
-            lane_width: cfg.warp_size,
             transaction_bytes: cfg.transaction_bytes,
             stats: KernelStats { blocks: 1, ..Default::default() },
             smem_in_use: 0,
@@ -98,45 +88,6 @@ impl<'s, const METER: bool> Block<'s, METER> {
         let mut block = Self::new(threads, cfg);
         block.sink = Some(sink);
         block
-    }
-
-    /// Re-shape this context into one query's lane group of a block fused
-    /// `factor` ways: the physical block's `warp_size` lanes are partitioned
-    /// into `factor` groups of `warp_size / factor` lanes, and this context's
-    /// thread count becomes its even share of the physical block (rounded up
-    /// to whole lane groups). `factor` must divide the warp size; `factor == 1`
-    /// is the identity. Call before any metering — fusion re-bases the slot
-    /// accounting, it does not rewrite history.
-    ///
-    /// Shared memory is *not* divided: each fused query still reserves its own
-    /// node staging and k-best list, and the launch aggregator sums the group
-    /// members' footprints into the physical block's occupancy
-    /// (`launch_blocks_fused`).
-    pub fn fuse(&mut self, factor: u32) {
-        assert!(factor >= 1, "fusion factor must be at least 1");
-        assert!(
-            self.warp_size.is_multiple_of(factor),
-            "fusion factor {factor} must divide the warp size {}",
-            self.warp_size
-        );
-        debug_assert_eq!(
-            (self.stats.compute_issues, self.stats.lane_slots),
-            (0, 0),
-            "fuse() must precede all metering"
-        );
-        if factor == 1 {
-            return;
-        }
-        self.lane_width = self.warp_size / factor;
-        let share = (self.threads / factor).max(1);
-        self.threads = share.div_ceil(self.lane_width) * self.lane_width;
-    }
-
-    /// Lane slots one issue occupies (the warp size, or the lane-group width
-    /// of a fused block).
-    #[inline]
-    pub fn lane_width(&self) -> u32 {
-        self.lane_width
     }
 
     /// Attach (or detach, with `None`) a per-launch fault state. Without one,
@@ -201,10 +152,10 @@ impl<'s, const METER: bool> Block<'s, METER> {
         self.threads
     }
 
-    /// Warps in the block (lane groups, when fused).
+    /// Warps in the block.
     #[inline]
     pub fn warps(&self) -> u32 {
-        self.threads / self.lane_width
+        self.threads / self.warp_size
     }
 
     /// Set the traversal phase subsequent metering is attributed to; returns
@@ -232,14 +183,13 @@ impl<'s, const METER: bool> Block<'s, METER> {
         }
     }
 
-    /// Issue `count` warp instructions with `active` lanes enabled out of a
-    /// whole-lane-group `slots` capacity (the full warp unfused, one lane
-    /// group of it fused). The fundamental metering primitive.
+    /// Issue `warps` warp instructions of `cost` each with `active` lanes
+    /// enabled out of whole-warp `slots`. The fundamental metering primitive.
     fn issue(&mut self, warps: u64, active: u64, cost: u64) {
         if !METER {
             return;
         }
-        let slots = warps * self.lane_width as u64 * cost;
+        let slots = warps * self.warp_size as u64 * cost;
         let active = active * cost;
         let issues = warps * cost;
         self.stats.lane_slots += slots;
@@ -264,9 +214,8 @@ impl<'s, const METER: bool> Block<'s, METER> {
             let mut remaining = n;
             while remaining > 0 {
                 let round = remaining.min(t);
-                // Only warps (lane groups) holding at least one of the
-                // `round` items issue.
-                let active_warps = (round as u64).div_ceil(self.lane_width as u64);
+                // Only warps holding at least one of the `round` items issue.
+                let active_warps = (round as u64).div_ceil(self.warp_size as u64);
                 self.issue(active_warps, round as u64, cost_per_item.max(1));
                 remaining -= round;
             }
@@ -289,7 +238,7 @@ impl<'s, const METER: bool> Block<'s, METER> {
         let mut width = n.next_power_of_two() / 2;
         while width >= 1 {
             let active = width.min(n) as u64;
-            let warps = active.div_ceil(self.lane_width as u64);
+            let warps = active.div_ceil(self.warp_size as u64);
             self.issue(warps, active, cost_per_step.max(1));
             if width == 1 {
                 break;
@@ -317,15 +266,13 @@ impl<'s, const METER: bool> Block<'s, METER> {
             let l = (n.next_power_of_two().trailing_zeros()) as u64;
             l * (l + 1) / 2
         };
-        let warps = (n as u64).div_ceil(self.lane_width as u64);
+        let warps = (n as u64).div_ceil(self.warp_size as u64);
         self.issue(warps, n as u64, stages);
     }
 
     /// A single-lane serial section of `instructions` instructions (e.g. the PSB
     /// child-scan loop, lines 16–26 of Algorithm 1): one active lane, whole warp
-    /// (or, fused, whole lane group) occupied. This is where data-parallel
-    /// kernels lose efficiency — and where fusion wins it back, by letting the
-    /// other lane groups of the warp serve other queries' serial sections.
+    /// occupied. This is where data-parallel kernels lose efficiency.
     pub fn scalar(&mut self, instructions: u64) {
         self.issue(1, 1, instructions.max(1));
     }
@@ -775,77 +722,9 @@ mod tests {
     }
 
     #[test]
-    fn fuse_partitions_lanes_and_raises_low_fanout_efficiency() {
-        // Unfused: 8 items on a 32-wide warp waste 24 lane slots per issue.
-        let mut plain = block(32);
-        plain.par_for(8, 1, |_| {});
-        let p = plain.finish();
-        assert_eq!(p.lane_slots, 32);
-        assert_eq!(p.active_lanes, 8);
-
-        // Fused 4 ways: the query's lane group is 8 wide, so the same 8 items
-        // fill it completely.
-        let mut fused = block(32);
-        fused.fuse(4);
-        assert_eq!(fused.lane_width(), 8);
-        assert_eq!(fused.threads(), 8);
-        fused.par_for(8, 1, |_| {});
-        let f = fused.finish();
-        assert_eq!(f.lane_slots, 8);
-        assert_eq!(f.active_lanes, 8);
-        assert_eq!(f.warp_efficiency(), 1.0);
-        assert!(p.warp_efficiency() < f.warp_efficiency());
-    }
-
-    #[test]
-    fn fuse_one_is_identity() {
-        let mut a = block(64);
-        a.fuse(1);
-        let mut b = block(64);
-        for blk in [&mut a, &mut b] {
-            blk.par_for(100, 2, |_| {});
-            blk.par_reduce(64, 1);
-            blk.scalar(5);
-            blk.sync();
-        }
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn fused_scalar_occupies_one_lane_group() {
-        let mut b = block(32);
-        b.fuse(4);
-        b.scalar(10);
-        let s = b.finish();
-        assert_eq!(s.lane_slots, 80); // 10 instructions × 8-lane group
-        assert_eq!(s.active_lanes, 10);
-        assert!((s.warp_efficiency() - 1.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide the warp size")]
-    fn fuse_must_divide_warp_size() {
-        block(32).fuse(3);
-    }
-
-    #[test]
-    fn fused_block_still_latches_faults() {
-        use crate::fault::FaultPlan;
-        let mut b = block(32);
-        b.fuse(4);
-        b.set_faults(Some(FaultPlan::truncation(1).state_for(7, 0)));
-        b.load_global(128);
-        assert_eq!(b.device_fault(), None);
-        b.load_global(256); // 3 transactions total > 1: latches, stays sticky
-        assert_eq!(b.device_fault(), Some(DeviceFault::TruncatedLoad));
-        assert_eq!(b.device_fault(), Some(DeviceFault::TruncatedLoad));
-    }
-
-    #[test]
     fn unmetered_block_runs_work_but_accounts_nothing() {
         let cfg = DeviceConfig::k40();
         let mut b: Block<'static, false> = Block::new(128, &cfg);
-        b.fuse(2);
         let mut seen = 0;
         b.set_phase(Phase::Descend);
         b.par_for(130, 3, |_| seen += 1);

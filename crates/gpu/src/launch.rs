@@ -36,7 +36,7 @@ pub struct PhaseBreakdown {
 #[derive(Clone, Debug)]
 pub struct LaunchReport {
     /// All counters merged across blocks (always in submission order, so the
-    /// report is bit-identical however the launch ordered or fused the work).
+    /// report is bit-identical however the launch ordered the work).
     pub merged: KernelStats,
     /// Mean per-block response time in ms.
     pub avg_response_ms: f64,
@@ -63,10 +63,6 @@ pub struct LaunchReport {
     /// Queries that exhausted retries and were answered by the exact
     /// brute-force fallback. Zero for plain launches.
     pub degraded_queries: u64,
-    /// Queries fused per physical block (1 = unfused).
-    pub fusion: u32,
-    /// Physical blocks launched: `ceil(queries / fusion)`.
-    pub physical_blocks: u64,
     /// Per-phase rows, computed once at aggregation time (the per-block merge
     /// pass already holds the merged counters, so deriving the rows there is
     /// free and every later `phase_breakdown()` call is a copy).
@@ -97,7 +93,6 @@ impl LaunchReport {
         m.gauge(&format!("sim.avg_accessed_mb{tag}"), self.avg_accessed_mb);
         m.gauge(&format!("sim.occupancy{tag}"), self.occupancy as f64);
         m.counter(&format!("sim.queries{tag}"), self.merged.blocks);
-        m.counter(&format!("sim.physical_blocks{tag}"), self.physical_blocks);
         m.counter(&format!("sim.global_bytes{tag}"), self.merged.global_bytes);
         m.counter(&format!("sim.global_transactions{tag}"), self.merged.global_transactions);
         m.counter(&format!("sim.stream_transactions{tag}"), self.merged.stream_transactions);
@@ -138,103 +133,37 @@ pub fn launch_blocks(
     warps_per_block: u32,
     per_block: &[KernelStats],
 ) -> LaunchReport {
-    launch_blocks_fused(cfg, warps_per_block, per_block, 1, None)
-}
-
-/// [`launch_blocks`] with multi-query block fusion: consecutive runs of
-/// `fusion` queries (taken in `order`, or submission order when `None`) share
-/// one physical block. Within a fused group the lane groups run in lockstep,
-/// so the group's compute cost is the *slowest member's* issue count while its
-/// memory traffic and shared-memory footprint are the *sum* over members (all
-/// lane groups share the SM's memory pipeline and smem budget). With
-/// `fusion == 1` this is exactly [`launch_blocks`]: same loop, same float
-/// accumulation order, bit-identical report.
-///
-/// Per-query semantics with fusion: a query's response time is its *group's*
-/// cycle count (it cannot retire before its block does), so `avg_response_ms`
-/// stays a mean over queries while `makespan_ms` spreads the physical blocks
-/// over the SM slots.
-pub fn launch_blocks_fused(
-    cfg: &DeviceConfig,
-    warps_per_block: u32,
-    per_block: &[KernelStats],
-    fusion: u32,
-    order: Option<&[u32]>,
-) -> LaunchReport {
     assert!(!per_block.is_empty(), "launch of zero blocks");
-    let fusion = fusion.max(1);
-    if let Some(ord) = order {
-        assert_eq!(ord.len(), per_block.len(), "launch order must cover every block exactly");
-    }
-
-    // Merged counters accumulate in submission order regardless of fusion or
-    // scheduling — integer sums commute, but keeping one canonical order makes
-    // the invariance obvious and free.
+    // Merged counters accumulate in submission order — integer sums commute,
+    // but keeping one canonical order makes the invariance obvious and free.
     let mut merged = KernelStats::default();
     for b in per_block {
         merged.merge(b);
     }
 
     let n = per_block.len();
-    let mut sum_cycles = 0f64; // Σ over physical blocks (feeds the makespan)
-    let mut response_sum = 0f64; // Σ over queries of their block's cycles
+    let mut sum_cycles = 0f64;
     let mut max_cycles = 0f64;
     let mut occupancy_min = u32::MAX;
     let mut occupancy_max = 0u32;
-    let mut physical_blocks = 0u64;
-
-    if fusion == 1 {
-        for b in per_block {
-            let c = b.block_cycles(cfg, warps_per_block);
-            sum_cycles += c;
-            response_sum += c;
-            max_cycles = max_cycles.max(c);
-            let occ = cfg.occupancy_blocks(b.smem_peak_bytes, warps_per_block);
-            occupancy_min = occupancy_min.min(occ);
-            occupancy_max = occupancy_max.max(occ);
-        }
-        physical_blocks = n as u64;
-    } else {
-        let mut idx = 0usize;
-        while idx < n {
-            let end = (idx + fusion as usize).min(n);
-            let mut group = KernelStats::default();
-            for j in idx..end {
-                let b = match order {
-                    Some(ord) => &per_block[ord[j] as usize],
-                    None => &per_block[j],
-                };
-                group.global_bytes += b.global_bytes;
-                group.global_transactions += b.global_transactions;
-                group.stream_transactions += b.stream_transactions;
-                group.smem_peak_bytes += b.smem_peak_bytes;
-                // Lockstep lane groups: the physical block issues as long as
-                // its busiest member does.
-                group.compute_issues = group.compute_issues.max(b.compute_issues);
-            }
-            let c = group.block_cycles(cfg, warps_per_block);
-            sum_cycles += c;
-            response_sum += c * (end - idx) as f64;
-            max_cycles = max_cycles.max(c);
-            let occ = cfg.occupancy_blocks(group.smem_peak_bytes, warps_per_block);
-            occupancy_min = occupancy_min.min(occ);
-            occupancy_max = occupancy_max.max(occ);
-            physical_blocks += 1;
-            idx = end;
-        }
+    for b in per_block {
+        let c = b.block_cycles(cfg, warps_per_block);
+        sum_cycles += c;
+        max_cycles = max_cycles.max(c);
+        let occ = cfg.occupancy_blocks(b.smem_peak_bytes, warps_per_block);
+        occupancy_min = occupancy_min.min(occ);
+        occupancy_max = occupancy_max.max(occ);
     }
 
-    // The batch schedules at its hungriest physical block's occupancy.
+    // The batch schedules at its hungriest block's occupancy.
     let occupancy = occupancy_min;
     assert!(occupancy > 0, "batch contains an unlaunchable block");
-    if fusion == 1 {
-        debug_assert_eq!(occupancy, cfg.occupancy_blocks(merged.smem_peak_bytes, warps_per_block));
-    }
+    debug_assert_eq!(occupancy, cfg.occupancy_blocks(merged.smem_peak_bytes, warps_per_block));
     let slots = (cfg.sms as f64) * occupancy as f64;
     let makespan_cycles = (sum_cycles / slots).max(max_cycles);
 
     LaunchReport {
-        avg_response_ms: cfg.cycles_to_ms(response_sum / n as f64),
+        avg_response_ms: cfg.cycles_to_ms(sum_cycles / n as f64),
         max_response_ms: cfg.cycles_to_ms(max_cycles),
         makespan_ms: cfg.cycles_to_ms(makespan_cycles),
         warp_efficiency: merged.warp_efficiency(),
@@ -244,8 +173,6 @@ pub fn launch_blocks_fused(
         occupancy_max,
         retried_queries: 0,
         degraded_queries: 0,
-        fusion,
-        physical_blocks,
         breakdown: breakdown_of(&merged),
         merged,
     }
@@ -342,62 +269,6 @@ mod tests {
         let uniform: Vec<KernelStats> = (0..4).map(|_| block_stats(100, 1024)).collect();
         let ru = launch_blocks(&cfg, 4, &uniform);
         assert_eq!(ru.occupancy_min, ru.occupancy_max);
-    }
-
-    #[test]
-    fn fused_launch_groups_blocks_and_matches_unfused_merge() {
-        let cfg = DeviceConfig::k40();
-        let blocks: Vec<KernelStats> = (0..10).map(|i| block_stats(100 + i, 1024)).collect();
-        let plain = launch_blocks(&cfg, 1, &blocks);
-        let fused = launch_blocks_fused(&cfg, 1, &blocks, 4, None);
-        // Merged counters are fusion-invariant.
-        assert_eq!(plain.merged, fused.merged);
-        assert_eq!(plain.fusion, 1);
-        assert_eq!(plain.physical_blocks, 10);
-        assert_eq!(fused.fusion, 4);
-        assert_eq!(fused.physical_blocks, 3); // 4 + 4 + 2
-                                              // Four co-resident lane groups stack their shared memory.
-        assert_eq!(fused.merged.smem_peak_bytes, 1024);
-        let occ_fused = cfg.occupancy_blocks(4 * 1024, 1);
-        assert_eq!(fused.occupancy_min, occ_fused);
-    }
-
-    #[test]
-    fn fused_launch_with_order_groups_scheduled_neighbors() {
-        let cfg = DeviceConfig::k40();
-        // Two compute-heavy and two compute-light blocks. Lockstep groups pay
-        // their busiest member's issues, so interleaved pairs pay the heavy
-        // cost twice while like-with-like pairs pay it once.
-        let mk = |issues: u64| KernelStats {
-            compute_issues: issues,
-            lane_slots: issues * 32,
-            active_lanes: issues * 8,
-            smem_peak_bytes: 1024,
-            blocks: 1,
-            ..Default::default()
-        };
-        let blocks = vec![mk(1000), mk(10), mk(1000), mk(10)];
-        let order = [0u32, 2, 1, 3];
-        let grouped = launch_blocks_fused(&cfg, 1, &blocks, 2, Some(&order));
-        let interleaved = launch_blocks_fused(&cfg, 1, &blocks, 2, None);
-        // Lockstep cost is max-per-group: pairing heavy with heavy lowers the
-        // total block cycles versus heavy-light pairs (where each pair pays
-        // the heavy member's compute twice over the batch).
-        assert!(grouped.makespan_ms <= interleaved.makespan_ms);
-        assert_eq!(grouped.merged, interleaved.merged);
-    }
-
-    #[test]
-    fn unfused_report_is_bit_identical_through_the_fused_path() {
-        let cfg = DeviceConfig::k40();
-        let blocks: Vec<KernelStats> = (0..7).map(|i| block_stats(50 + 13 * i, 2048)).collect();
-        let a = launch_blocks(&cfg, 4, &blocks);
-        let b = launch_blocks_fused(&cfg, 4, &blocks, 1, None);
-        assert_eq!(a.merged, b.merged);
-        assert_eq!(a.avg_response_ms.to_bits(), b.avg_response_ms.to_bits());
-        assert_eq!(a.makespan_ms.to_bits(), b.makespan_ms.to_bits());
-        assert_eq!(a.warp_efficiency.to_bits(), b.warp_efficiency.to_bits());
-        assert_eq!(a.occupancy, b.occupancy);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod trace;
 pub use block::Block;
 pub use config::DeviceConfig;
 pub use fault::{DeviceFault, FaultPlan, FaultState};
-pub use launch::{launch_blocks, launch_blocks_fused, LaunchReport, PhaseBreakdown};
+pub use launch::{launch_blocks, LaunchReport, PhaseBreakdown};
 pub use psb_metrics::{MetricsHandle, Registry};
 pub use stats::{KernelStats, PhaseStats, MAX_TRACKED_LEVELS};
 pub use task::{op_phase, run_task_parallel, run_task_parallel_traced, LaneStep};

@@ -51,8 +51,8 @@ pub struct RsTree {
     /// empty until then.
     pub rope: Vec<u32>,
     /// Packed per-node device arena (see [`crate::arena`]): a derived cache,
-    /// rebuilt after construction and stripped (`None`) to benchmark the
-    /// legacy gather layout.
+    /// rebuilt after construction. `None` puts sweeps on the bounds-checked
+    /// gather fallback (see [`RsTree::strip_arena`]).
     pub arena: Option<RectArena>,
 }
 
@@ -93,8 +93,10 @@ impl RsTree {
         }
     }
 
-    /// Drop the packed arena, forcing sweeps onto the legacy gather path.
-    /// Rope links stay: they are structure, not a geometry cache.
+    /// Drop the packed arena, forcing sweeps onto the bounds-checked gather
+    /// fallback — the hook `tests/layout_parity.rs` uses to hold that fallback
+    /// bit-identical to the arena path. Rope links stay: they are structure,
+    /// not a geometry cache.
     pub fn strip_arena(&mut self) {
         self.arena = None;
     }

@@ -107,7 +107,7 @@ impl ServeOutcome {
     }
 }
 
-/// The five-bucket outcome tally the chaos soak and the bench gates pin:
+/// The five-bucket outcome tally the chaos soak pins:
 /// every submitted query lands in exactly one bucket.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OutcomeTally {

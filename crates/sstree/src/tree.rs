@@ -68,8 +68,8 @@ pub struct SsTree {
     /// [`SsTree::rebuild_arena`]; empty until then.
     pub rope: Vec<u32>,
     /// Packed per-node device arena (see [`crate::arena`]): a derived cache of
-    /// the node geometry above, rebuilt after construction/load and stripped
-    /// (`None`) to benchmark the legacy gather layout.
+    /// the node geometry above, rebuilt after construction/load. `None` puts
+    /// sweeps on the bounds-checked gather fallback (see [`SsTree::strip_arena`]).
     pub arena: Option<SphereArena>,
 }
 
@@ -152,9 +152,10 @@ impl SsTree {
         }
     }
 
-    /// Drop the packed arena, forcing sweeps onto the legacy gather path
-    /// (the benchmark harness's `--legacy-layout` baseline). Rope links stay:
-    /// they are structure, not a geometry cache.
+    /// Drop the packed arena, forcing sweeps onto the bounds-checked gather
+    /// fallback — the hook `tests/layout_parity.rs` uses to hold that fallback
+    /// bit-identical to the arena path. Rope links stay: they are structure,
+    /// not a geometry cache.
     pub fn strip_arena(&mut self) {
         self.arena = None;
     }

@@ -5,8 +5,8 @@
 //!
 //! * [`Metering::Off`] monomorphizes the `Block` accounting out of the hot
 //!   loop. Neighbors and outcomes must be bit-identical to the metered run
-//!   across every kernel, both index families, and the scheduled / fused /
-//!   wave engines; the returned `KernelStats` must stay at launch values
+//!   across every kernel, both index families, and the scheduled / wave
+//!   engines; the returned `KernelStats` must stay at launch values
 //!   (the proof the accounting actually compiled out).
 //! * [`DistLanes::Scalar`] vs [`DistLanes::Simd`] selects the reference
 //!   scalar distance loops or the same-op-order SIMD evaluators. These are
@@ -130,12 +130,6 @@ fn metering_off_is_result_identical_under_schedule_fuse_and_wave() {
     let a = psb_batch(&tree, &queries, 8, &cfg, &sim).expect("scheduled metered");
     let b = psb_batch(&tree, &queries, 8, &cfg, &off(&sim)).expect("scheduled unmetered");
     assert_results_identical(&a, &b, "scheduled/psb");
-
-    // Lane-group fusion (4 queries per simulated block).
-    let sim = KernelOptions { fuse: 4, ..Default::default() };
-    let a = psb_batch(&tree, &queries, 8, &cfg, &sim).expect("fused metered");
-    let b = psb_batch(&tree, &queries, 8, &cfg, &off(&sim)).expect("fused unmetered");
-    assert_results_identical(&a, &b, "fused/psb");
 
     // Buffer-wave engine, kNN and range modes.
     let sim = KernelOptions::default();

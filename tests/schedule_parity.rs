@@ -6,10 +6,8 @@
 //! submission order. These tests prove the whole visible surface is
 //! bit-identical to the submission-order engine — neighbors (ids and distance
 //! bits), per-query `KernelStats`, outcomes, and the derived `LaunchReport` —
-//! across all six kernels and both index types, mirroring
-//! `tests/layout_parity.rs`. TPSS is the documented exception: its packer
-//! groups queries into blocks *by position*, so the scheduled wrapper
-//! guarantees neighbors-parity only.
+//! across the five scheduled kernels and both index types, mirroring
+//! `tests/layout_parity.rs`. TPSS takes no options, so it has no schedule.
 
 use proptest::prelude::*;
 use psb::prelude::*;
@@ -70,7 +68,7 @@ fn scheduled(opts: &KernelOptions) -> KernelOptions {
     KernelOptions { schedule: QuerySchedule::Hilbert, ..opts.clone() }
 }
 
-/// Runs all six kernels over one index under both schedules and asserts
+/// Runs the five kernels over one index under both schedules and asserts
 /// bit-identity on everything a caller can observe.
 fn check_schedules<T: psb_core::GpuIndex>(
     tree: &T,
@@ -104,43 +102,6 @@ fn check_schedules<T: psb_core::GpuIndex>(
     let a = brute_batch(ps, queries, k, &cfg, &sub).expect("brute submission");
     let b = brute_batch(ps, queries, k, &cfg, &hil).expect("brute scheduled");
     assert_batches_bit_identical(&a, &b, &format!("{label}/brute"));
-
-    // TPSS: the documented exception — results-identical only (the packer
-    // fuses queries into blocks by position, so per-block counters shift).
-    // The divergence is *pinned* below so the exception can't silently widen.
-    let (an, asts) = tpss_batch(tree, queries, k, &cfg, 128);
-    let (bn, bsts) = tpss_batch_scheduled(tree, queries, k, &cfg, 128);
-    assert_neighbors_bit_identical(&an, &bn, &format!("{label}/tpss"));
-    assert_tpss_divergence_is_the_known_one(&asts, &bsts, &format!("{label}/tpss"));
-}
-
-/// Regression pin for the TPSS neighbors-parity-only exception.
-///
-/// TPSS packs queries into lane groups *by position*, so reordering the batch
-/// regroups lanes and legitimately changes serialization-dependent counters
-/// (`lane_slots`, `active_lanes`, `compute_issues`: distinct per-lane op tags
-/// serialize within a step) and how work splits across physical blocks. But
-/// per-lane work is permutation-invariant by construction — task-parallel
-/// loads are never coalesced across lanes and every traversal step is counted
-/// per lane — so the merged totals of the work counters must not move, and the
-/// scheduled wrapper must not change the block count. If any assertion here
-/// fires, the documented exception has widened beyond lane regrouping.
-fn assert_tpss_divergence_is_the_known_one(a: &[KernelStats], b: &[KernelStats], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: scheduled TPSS changed the physical block count");
-    let (ma, mb) = (merge_stats(a), merge_stats(b));
-    assert_eq!(ma.blocks, mb.blocks, "{what}: merged block count differs");
-    assert_eq!(ma.nodes_visited, mb.nodes_visited, "{what}: merged nodes_visited differs");
-    assert_eq!(ma.level_visits, mb.level_visits, "{what}: merged level_visits differ");
-    assert_eq!(ma.backtracks, mb.backtracks, "{what}: merged backtracks differ");
-    assert_eq!(ma.global_bytes, mb.global_bytes, "{what}: merged global_bytes differs");
-    assert_eq!(
-        ma.global_transactions, mb.global_transactions,
-        "{what}: merged global_transactions differ"
-    );
-    assert_eq!(
-        ma.stream_transactions, mb.stream_transactions,
-        "{what}: merged stream_transactions differ"
-    );
 }
 
 #[test]

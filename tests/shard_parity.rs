@@ -177,6 +177,14 @@ fn sharding_prunes_but_never_loses_neighbors() {
     let decisions = served.report.shards_visited() + served.report.shards_pruned();
     assert_eq!(decisions, 8 * queries.len() as u64);
     assert!(served.report.shards_pruned() > 0, "no pruning on 8 shards");
+    // Pruned shards must save real work: serving from 8 shards has to cost
+    // fewer node visits than paying the single-device bill once per shard.
+    let (sharded, one_device) =
+        (served.report.launch.merged.nodes_visited, single.report.merged.nodes_visited);
+    assert!(
+        sharded < 8 * one_device,
+        "S=8 served {sharded} node visits, not below 8 x {one_device} single-device"
+    );
 }
 
 proptest! {

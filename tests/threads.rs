@@ -151,12 +151,10 @@ fn schedule_fuse_wave_and_stream_are_bit_identical_in_every_pool() {
     let (t, q, cfg) = (&f.tree, &f.queries, &f.cfg);
     let hilbert = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
     let fast = KernelOptions { metering: Metering::Off, ..hilbert.clone() };
-    let fused = KernelOptions { fuse: 4, ..hilbert.clone() };
     let wave = KernelOptions { wave: Some(WaveConfig { capacity: 8 }), ..hilbert.clone() };
     let direct = KernelOptions { wave: Some(WaveConfig::default()), ..hilbert.clone() };
     same_in_every_pool("psb/hilbert", || psb_batch(t, q, K, cfg, &hilbert).expect("psb"));
     same_in_every_pool("psb/hilbert/unmetered", || psb_batch(t, q, K, cfg, &fast).expect("psb"));
-    same_in_every_pool("psb/fuse", || psb_batch(t, q, K, cfg, &fused).expect("psb"));
     same_in_every_pool("psb/hilbert/faults", || {
         launch(t, q, Kernel::Psb { k: K }, cfg, &hilbert, &FaultPlan::bit_flips(0xBEEF, 2), None)
             .expect("psb")

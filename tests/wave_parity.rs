@@ -147,8 +147,8 @@ fn uniform_high_dims_wave_engine_is_results_identical() {
 
 #[test]
 fn wave_composes_with_hilbert_scheduling() {
-    // Hilbert scheduling only changes buffer *order* (seeding and fusion),
-    // never membership — results stay bit-identical on both axes.
+    // Hilbert scheduling only changes buffer *order* (seeding), never
+    // membership — results stay bit-identical on both axes.
     let ps =
         ClusteredSpec { clusters: 5, points_per_cluster: 300, dims: 4, sigma: 140.0, seed: 2501 }
             .generate();
