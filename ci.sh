@@ -82,7 +82,8 @@ run_kdtree() {
 # psb-serve's own tests ride along: its runner executes cache misses ahead of
 # their turn on the pool, and its unit tests hold that to the one-at-a-time
 # loop (window of one vs whole batch) where a replica dies, a breaker trips or
-# a planned cache hit is not there.
+# a planned cache hit is not there. `dynamic_sstree` is here for the rebuild
+# protocol: every snapshot → build → install runs its build on the pool.
 run_threads() {
     local t
     for t in 1 4; do
@@ -91,7 +92,7 @@ run_threads() {
         RAYON_NUM_THREADS=$t cargo test -q -p psb-serve
         for suite in threads layout_parity schedule_parity wave_parity fastpath_parity \
             kdtree_parity shard_parity resilience_parity metrics_parity chaos admission \
-            tree_invariants; do
+            tree_invariants dynamic_sstree; do
             RAYON_NUM_THREADS=$t cargo test -q -p psb --test "$suite"
         done
     done

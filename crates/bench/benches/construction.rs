@@ -39,6 +39,15 @@ fn bench_construction(c: &mut Criterion) {
             b.iter(|| KdTree::build(ps, 8))
         });
     }
+    // The paper workload's shape (100 clusters x 1000 points, 16-d, degree
+    // 128): the build the repo benchmark's `setup_s` times on
+    // `paper-clustered16`.
+    let ps =
+        ClusteredSpec { clusters: 100, points_per_cluster: 1000, dims: 16, sigma: 160.0, seed: 7 }
+            .generate();
+    g.bench_with_input(BenchmarkId::new("sstree_hilbert", "n100000_d16"), &ps, |b, ps| {
+        b.iter(|| build(ps, 128, &BuildMethod::Hilbert))
+    });
     g.finish();
 }
 

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psb_data::ClusteredSpec;
-use psb_geom::{hilbert_key, ritter_points, sq_dist, welzl, Rect, RitterMode};
+use psb_geom::{hilbert_key, hilbert_keys, ritter_points, sq_dist, welzl, Rect, RitterMode};
 
 fn bench_geom(c: &mut Criterion) {
     let mut g = c.benchmark_group("geom");
@@ -38,6 +38,22 @@ fn bench_geom(c: &mut Criterion) {
         let bounds = Rect::new(vec![0.0; dims], vec![65536.0; dims]);
         g.bench_with_input(BenchmarkId::new("hilbert_key", dims), &dims, |bch, _| {
             bch.iter(|| std::hint::black_box(hilbert_key(&p, &bounds)))
+        });
+    }
+
+    // The same 4 096 keys one point at a time (the kernel at one lane) and as
+    // a batch (points as lanes): the ratio is what the wide instantiation
+    // earns. Run with `RAYON_NUM_THREADS=1` to compare kernels, not threads.
+    for dims in [4usize, 16] {
+        let ps =
+            ClusteredSpec { clusters: 8, points_per_cluster: 512, dims, sigma: 90.0, seed: 29 }
+                .generate();
+        let bounds = Rect::of_point_set(&ps);
+        g.bench_with_input(BenchmarkId::new("hilbert_key_x4096", dims), &dims, |bch, _| {
+            bch.iter(|| ps.iter().map(|p| hilbert_key(p, &bounds)).collect::<Vec<_>>())
+        });
+        g.bench_with_input(BenchmarkId::new("hilbert_keys_x4096", dims), &dims, |bch, _| {
+            bch.iter(|| hilbert_keys(&ps, &bounds))
         });
     }
 

@@ -12,8 +12,15 @@
 //!
 //! Queries remain exact at every moment; the structure trades a bounded
 //! amount of per-query delta scanning for never paying top-down insertion.
+//!
+//! A rebuild is three steps — [`DynamicSsTree::snapshot`] copies the live set,
+//! [`Snapshot::build`] packs a tree from the copy without touching the
+//! structure it came from, [`DynamicSsTree::install`] swaps the tree in — so
+//! a caller that shares the structure behind a lock holds it exclusively for
+//! the swap only. [`DynamicSsTree::rebuild`] is the three in a row.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use psb_geom::{dist, PointSet};
 use psb_gpu::{DeviceConfig, KernelStats};
@@ -22,6 +29,13 @@ use psb_sstree::{build, BuildMethod, Neighbor, SsTree};
 use crate::kernels::psb::psb_query;
 use crate::options::KernelOptions;
 
+/// `row_of` entry of an id that is not alive.
+const DEAD: u32 = u32::MAX;
+
+/// Numbers the [`DynamicSsTree`]s of this process, so [`DynamicSsTree::install`]
+/// can tell its own tree's [`Rebuilt`] from another's at the same stamp.
+static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
+
 /// An SS-tree with batched inserts, tombstoned deletes, and rebuild-on-demand.
 pub struct DynamicSsTree {
     base: SsTree,
@@ -29,7 +43,8 @@ pub struct DynamicSsTree {
     degree: usize,
     /// Points inserted since the last rebuild (scanned exactly by queries).
     delta: PointSet,
-    /// External ids of the delta points.
+    /// External ids of the delta points, ascending: ids are handed out in
+    /// order and a removal keeps the order of the rest.
     delta_ids: Vec<u32>,
     /// External ids removed since the last rebuild.
     tombstones: HashSet<u32>,
@@ -38,8 +53,62 @@ pub struct DynamicSsTree {
     next_id: u32,
     /// Rebuild when `delta + tombstones > fraction × live points`.
     rebuild_fraction: f64,
-    /// All live coordinates keyed by external id order of insertion.
-    live: Vec<(u32, Vec<f32>)>,
+    /// All live coordinates, one row each: an insert appends a row, a remove
+    /// moves the last row into the hole. A rebuild packs the rows as they lie.
+    live: PointSet,
+    /// External id of each row of `live`.
+    live_ids: Vec<u32>,
+    /// External id → row of `live`, [`DEAD`] once removed. One entry per id
+    /// ever issued: ids are never reused, so it grows by 4 bytes an insert
+    /// and no rebuild shrinks it (ROADMAP item 2: rebase ids on rebuild).
+    row_of: Vec<u32>,
+    /// This tree's number in [`NEXT_TREE`]'s sequence.
+    tree: u64,
+    /// Counts inserts and removes: the version of the live set a
+    /// [`Snapshot`] copied.
+    stamp: u64,
+}
+
+/// A copy of a [`DynamicSsTree`]'s live set, and everything else a rebuild
+/// reads — so the build can run while the tree keeps serving.
+pub struct Snapshot {
+    points: PointSet,
+    ids: Vec<u32>,
+    degree: usize,
+    method: BuildMethod,
+    tree: u64,
+    stamp: u64,
+}
+
+/// A packed index built from a [`Snapshot`], ready for
+/// [`DynamicSsTree::install`].
+pub struct Rebuilt {
+    base: SsTree,
+    ids: Vec<u32>,
+    tree: u64,
+    stamp: u64,
+}
+
+/// [`DynamicSsTree::install`] refused a [`Rebuilt`]: a point was inserted or
+/// removed after its snapshot was taken, or the snapshot was another tree's,
+/// so it does not index the live set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stale;
+
+impl Snapshot {
+    /// Packs the copied live set bottom-up.
+    ///
+    /// The arena passes through [`psb_sstree::build`], whose materialization
+    /// runs [`SsTree::validate`] before returning — so every rebuild is
+    /// structurally verified before queries touch it.
+    pub fn build(self) -> Rebuilt {
+        Rebuilt {
+            base: build(&self.points, self.degree, &self.method),
+            ids: self.ids,
+            tree: self.tree,
+            stamp: self.stamp,
+        }
+    }
 }
 
 impl DynamicSsTree {
@@ -47,20 +116,22 @@ impl DynamicSsTree {
     /// `0..points.len()`.
     pub fn new(points: &PointSet, degree: usize, method: BuildMethod) -> Self {
         let base = build(points, degree, &method);
-        let live: Vec<(u32, Vec<f32>)> =
-            (0..points.len()).map(|i| (i as u32, points.point(i).to_vec())).collect();
-        let base_snapshot_ids: Vec<u32> = live.iter().map(|(id, _)| *id).collect();
+        let live_ids: Vec<u32> = (0..points.len() as u32).collect();
         Self {
             base,
             method,
             degree,
-            base_snapshot_ids,
+            base_snapshot_ids: live_ids.clone(),
             delta: PointSet::new(points.dims()),
             delta_ids: Vec::new(),
             tombstones: HashSet::new(),
             next_id: points.len() as u32,
             rebuild_fraction: 0.2,
-            live,
+            live: points.clone(),
+            row_of: live_ids.clone(),
+            live_ids,
+            tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed),
+            stamp: 0,
         }
     }
 
@@ -86,28 +157,31 @@ impl DynamicSsTree {
         self.next_id += 1;
         self.delta.push(p);
         self.delta_ids.push(id);
-        self.live.push((id, p.to_vec()));
+        self.row_of.push(self.live.len() as u32);
+        self.live.push(p);
+        self.live_ids.push(id);
+        self.stamp += 1;
         self.maybe_rebuild();
         id
     }
 
     /// Removes a point by external id; returns whether it was alive.
     pub fn remove(&mut self, id: u32) -> bool {
-        let Some(pos) = self.live.iter().position(|(i, _)| *i == id) else {
-            return false;
+        let row = match self.row_of.get(id as usize) {
+            Some(&row) if row != DEAD => row as usize,
+            _ => return false,
         };
-        self.live.swap_remove(pos);
+        self.live.swap_remove(row);
+        self.live_ids.swap_remove(row);
+        if let Some(&moved) = self.live_ids.get(row) {
+            self.row_of[moved as usize] = row as u32;
+        }
+        self.row_of[id as usize] = DEAD;
+        self.stamp += 1;
         // A delta point can be dropped from the buffer outright.
-        if let Some(dpos) = self.delta_ids.iter().position(|&i| i == id) {
+        if let Ok(dpos) = self.delta_ids.binary_search(&id) {
             self.delta_ids.remove(dpos);
-            let dims = self.base.dims;
-            let mut flat = Vec::with_capacity(self.delta.as_flat().len() - dims);
-            for (i, point) in self.delta.iter().enumerate() {
-                if i != dpos {
-                    flat.extend_from_slice(point);
-                }
-            }
-            self.delta = PointSet::from_flat(dims, flat);
+            self.delta.remove(dpos);
             return true;
         }
         self.tombstones.insert(id);
@@ -122,27 +196,46 @@ impl DynamicSsTree {
         }
     }
 
-    /// Rebuilds the packed index from the live set and clears delta/tombstones.
+    /// Copies the live set for a rebuild; `None` when there is no live point
+    /// to build over.
+    pub fn snapshot(&self) -> Option<Snapshot> {
+        (!self.live.is_empty()).then(|| Snapshot {
+            points: self.live.clone(),
+            ids: self.live_ids.clone(),
+            degree: self.degree,
+            method: self.method.clone(),
+            tree: self.tree,
+            stamp: self.stamp,
+        })
+    }
+
+    /// Makes `rebuilt` the packed index and clears delta and tombstones —
+    /// unless the live set has changed since the snapshot it was built from
+    /// (or the snapshot was not this tree's), in which case nothing changes
+    /// and the caller snapshots again.
     ///
     /// External ids are preserved through the rebuild: the internal tree ids
     /// are remapped back to external ids on every query.
-    ///
-    /// The rebuilt arena passes through [`psb_sstree::build`], whose
-    /// materialization runs [`SsTree::validate`] before returning — so every
-    /// rebuild is structurally verified before queries touch it.
-    pub fn rebuild(&mut self) {
-        if self.live.is_empty() {
-            return; // keep the last base; queries return nothing via filters
+    pub fn install(&mut self, rebuilt: Rebuilt) -> Result<(), Stale> {
+        if (rebuilt.tree, rebuilt.stamp) != (self.tree, self.stamp) {
+            return Err(Stale);
         }
-        let mut ps = PointSet::with_capacity(self.base.dims, self.live.len());
-        for (_, p) in &self.live {
-            ps.push(p);
-        }
-        self.base = build(&ps, self.degree, &self.method);
-        self.base_snapshot_ids = self.live.iter().map(|(id, _)| *id).collect();
+        self.base = rebuilt.base;
+        self.base_snapshot_ids = rebuilt.ids;
         self.delta = PointSet::new(self.base.dims);
         self.delta_ids.clear();
         self.tombstones.clear();
+        Ok(())
+    }
+
+    /// Rebuilds the packed index from the live set and clears
+    /// delta/tombstones. With no live point the last base stays; queries
+    /// return nothing via filters.
+    pub fn rebuild(&mut self) {
+        if let Some(snapshot) = self.snapshot() {
+            let installed = self.install(snapshot.build());
+            debug_assert_eq!(installed, Ok(()), "nothing can mutate between snapshot and install");
+        }
     }
 
     /// Internal result id → external id. Base results carry positions into the
@@ -223,8 +316,12 @@ mod tests {
 
     /// Reference: linear scan over the live set with external ids.
     fn oracle(t: &DynamicSsTree, q: &[f32], k: usize) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> =
-            t.live.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
+        let mut v: Vec<Neighbor> = t
+            .live
+            .iter()
+            .zip(&t.live_ids)
+            .map(|(p, &id)| Neighbor { dist: dist(q, p), id })
+            .collect();
         v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
         v.truncate(k.min(v.len()));
         v
@@ -322,6 +419,82 @@ mod tests {
         assert_eq!(got[0].id, b);
     }
 
+    /// A tree with a base removal, pending inserts and a delta removal behind
+    /// it, short of the automatic rebuild threshold.
+    fn churned() -> DynamicSsTree {
+        let mut t = DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert);
+        let ids: Vec<u32> = (0..40).map(|i| t.insert(&[i as f32 * 9.0, 40.0, -20.0])).collect();
+        assert!(t.remove(17) && t.remove(ids[3]) && !t.remove(ids[3]) && !t.remove(u32::MAX));
+        assert_eq!(t.pending(), 39);
+        t
+    }
+
+    /// The bytes `persist::save` writes for the packed base.
+    fn base_image(t: &DynamicSsTree, tag: &str) -> Vec<u8> {
+        let path =
+            std::env::temp_dir().join(format!("psb-dynamic-{}-{tag}.psbt", std::process::id()));
+        psb_sstree::persist::save(&t.base, &path).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    const PROBE: [f32; 3] = [120.0, 40.0, -20.0];
+
+    #[test]
+    fn snapshot_build_install_is_rebuild() {
+        let (mut whole, mut steps) = (churned(), churned());
+        whole.rebuild();
+        let rebuilt = steps.snapshot().expect("live points").build();
+        // A remove that finds nothing is not a mutation.
+        assert!(!steps.remove(17));
+        assert_eq!(steps.install(rebuilt), Ok(()));
+        assert_eq!(steps.pending(), 0);
+        assert!(steps.tombstones.is_empty());
+        assert!(base_image(&steps, "steps") == base_image(&whole, "whole"), "base images differ");
+        assert_eq!(steps.knn(&PROBE, 9), whole.knn(&PROBE, 9));
+        assert_matches(&steps, &PROBE, 9);
+    }
+
+    #[test]
+    fn a_mutation_after_the_snapshot_makes_install_stale_and_changes_nothing() {
+        type Mutation = fn(&mut DynamicSsTree);
+        let mutations: [(&str, Mutation); 3] = [
+            ("insert", |t| {
+                t.insert(&PROBE);
+            }),
+            ("remove of a base point", |t| assert!(t.remove(5))),
+            ("remove of a delta point", |t| assert!(t.remove(1010))),
+        ];
+        for (what, mutate) in mutations {
+            let mut t = churned();
+            let rebuilt = t.snapshot().expect("live points").build();
+            mutate(&mut t);
+            let before =
+                (base_image(&t, "before"), t.pending(), t.tombstones.clone(), t.knn(&PROBE, 9));
+            assert_eq!(t.install(rebuilt), Err(Stale), "{what}");
+            let after =
+                (base_image(&t, "after"), t.pending(), t.tombstones.clone(), t.knn(&PROBE, 9));
+            assert!(before == after, "{what}: a refused install changed the tree");
+            assert_matches(&t, &PROBE, 9);
+            t.rebuild();
+            assert_eq!(t.pending(), 0, "{what}");
+            assert_matches(&t, &PROBE, 9);
+        }
+    }
+
+    #[test]
+    fn another_trees_build_at_the_same_stamp_is_stale() {
+        let (mut ours, theirs) = (churned(), churned());
+        assert_eq!(ours.stamp, theirs.stamp);
+        let foreign = theirs.snapshot().expect("live points").build();
+        let before = (base_image(&ours, "ours"), ours.pending(), ours.knn(&PROBE, 9));
+        assert_eq!(ours.install(foreign), Err(Stale));
+        assert!(before == (base_image(&ours, "ours"), ours.pending(), ours.knn(&PROBE, 9)));
+        let own = ours.snapshot().expect("live points").build();
+        assert_eq!(ours.install(own), Ok(()));
+    }
+
     #[test]
     fn empty_after_removing_everything() {
         let mut small = PointSet::new(2);
@@ -334,5 +507,12 @@ mod tests {
         }
         assert!(t.is_empty());
         assert!(t.knn(&[0.0, 0.0], 3).is_empty());
+        assert!(t.snapshot().is_none(), "nothing to build over");
+        t.rebuild();
+        let id = t.insert(&[2.0, 2.0]);
+        assert_eq!(
+            t.knn(&[0.0, 0.0], 3),
+            vec![Neighbor { dist: dist(&[0.0, 0.0], &[2.0, 2.0]), id }]
+        );
     }
 }

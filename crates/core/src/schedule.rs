@@ -14,7 +14,7 @@
 //!
 //! [`KernelStats`]: psb_gpu::KernelStats
 
-use psb_geom::{hilbert_key, HilbertKey, PointSet, Rect};
+use psb_geom::{hilbert_sort_into, PointSet};
 
 /// How the engine orders a batch's queries for execution — all a schedule
 /// ever yields is an execution order.
@@ -29,13 +29,11 @@ pub enum QuerySchedule {
     Hilbert,
 }
 
-/// Reusable scratch for computing schedules: the key buffer and a permutation
-/// free-list, so a streaming pipeline ([`crate::QueryStream`]) sorts every
-/// chunk of a long session into the same per-batch arena instead of
-/// allocating per chunk.
+/// Reusable scratch for computing schedules: a permutation free-list, so a
+/// streaming pipeline ([`crate::QueryStream`]) sorts every chunk of a long
+/// session into the same vectors instead of allocating one per chunk.
 #[derive(Default)]
 pub struct ScheduleScratch {
-    keys: Vec<(HilbertKey, u32)>,
     spare: Vec<Vec<u32>>,
 }
 
@@ -49,23 +47,14 @@ impl ScheduleScratch {
 }
 
 /// Compute the deterministic Hilbert-order permutation of `queries` into a
-/// vector drawn from (and keyed against) `scratch`. `perm[j]` is the
-/// submission index of the `j`-th query to execute. Ties (identical Hilbert
-/// keys, e.g. duplicate query points) break by submission index, so the
-/// schedule is a total order and re-runs are identical.
+/// vector drawn from `scratch`. `perm[j]` is the submission index of the
+/// `j`-th query to execute. It is the sort the builds pack leaves with
+/// ([`psb_geom::hilbert_sort`]) over the batch's own bounding box: ties
+/// (identical Hilbert keys, e.g. duplicate query points) break by submission
+/// index, so the schedule is a total order and re-runs are identical.
 pub fn hilbert_permutation(queries: &PointSet, scratch: &mut ScheduleScratch) -> Vec<u32> {
-    let bounds = Rect::of_point_set(queries);
-    scratch.keys.clear();
-    scratch.keys.reserve(queries.len());
-    for i in 0..queries.len() {
-        scratch.keys.push((hilbert_key(queries.point(i), &bounds), i as u32));
-    }
-    // HilbertKey is a total order; (key, submission index) has no equal
-    // elements, so an unstable sort is deterministic.
-    scratch.keys.sort_unstable();
     let mut perm = scratch.spare.pop().unwrap_or_default();
-    perm.clear();
-    perm.extend(scratch.keys.iter().map(|&(_, i)| i));
+    hilbert_sort_into(queries, &mut perm);
     perm
 }
 

@@ -10,9 +10,7 @@
 //! Hilbert-range split is the Hilbert leaf-packing order cut into S contiguous
 //! ranges, and the k-means split is the paper's §IV-B clustering with `k = S`.
 
-use psb_geom::{
-    hilbert_key, kmeans, ritter_points, KMeansParams, PointSet, Rect, RitterMode, Sphere,
-};
+use psb_geom::{hilbert_sort, kmeans, ritter_points, KMeansParams, PointSet, RitterMode, Sphere};
 
 /// How [`partition`] splits the dataset into shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,10 +73,7 @@ pub fn shard_sphere(points: &PointSet, assignment: &[u32], mode: RitterMode) -> 
 /// Hilbert sort, then S contiguous near-equal cuts (first `n % S` shards get
 /// the extra point).
 fn hilbert_ranges(points: &PointSet, shards: usize) -> Vec<Vec<u32>> {
-    let bounds = Rect::of_point_set(points);
-    let mut keyed: Vec<(psb_geom::HilbertKey, u32)> =
-        (0..points.len()).map(|i| (hilbert_key(points.point(i), &bounds), i as u32)).collect();
-    keyed.sort_unstable();
+    let order = hilbert_sort(points);
     let n = points.len();
     let base = n / shards;
     let extra = n % shards;
@@ -86,7 +81,7 @@ fn hilbert_ranges(points: &PointSet, shards: usize) -> Vec<Vec<u32>> {
     let mut cursor = 0usize;
     for s in 0..shards {
         let len = base + usize::from(s < extra);
-        out.push(keyed[cursor..cursor + len].iter().map(|&(_, i)| i).collect());
+        out.push(order[cursor..cursor + len].to_vec());
         cursor += len;
     }
     out

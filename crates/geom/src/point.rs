@@ -70,6 +70,20 @@ impl PointSet {
         self.data.extend_from_slice(p);
     }
 
+    /// Removes point `i`, the points after it moving up one position.
+    pub fn remove(&mut self, i: usize) {
+        let d = self.dims;
+        self.data.drain(i * d..(i + 1) * d);
+    }
+
+    /// Removes point `i` by moving the last point into its position.
+    pub fn swap_remove(&mut self, i: usize) {
+        let d = self.dims;
+        let last = self.data.len() - d;
+        self.data.copy_within(last.., i * d);
+        self.data.truncate(last);
+    }
+
     /// Iterate over points as coordinate slices.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f32]> + Clone {
         self.data.chunks_exact(self.dims)
@@ -150,6 +164,19 @@ mod tests {
         let ps = PointSet::from_flat(1, vec![10.0, 11.0, 12.0, 13.0]);
         let g = ps.gather(&[3, 0, 2]);
         assert_eq!(g.as_flat(), &[13.0, 10.0, 12.0]);
+    }
+
+    #[test]
+    fn remove_keeps_order_and_swap_remove_fills_the_hole_with_the_last() {
+        let mut ps = PointSet::from_flat(2, vec![0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]);
+        ps.remove(1);
+        assert_eq!(ps.as_flat(), &[0.0, 0.5, 2.0, 2.5, 3.0, 3.5]);
+        ps.swap_remove(0);
+        assert_eq!(ps.as_flat(), &[3.0, 3.5, 2.0, 2.5]);
+        ps.swap_remove(1);
+        assert_eq!(ps.as_flat(), &[3.0, 3.5]);
+        ps.swap_remove(0);
+        assert!(ps.is_empty());
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! et al.) slices the space recursively one dimension at a time, which tends
 //! to produce squarer rectangles than the raw curve order in low dimensions.
 
-use psb_geom::hilbert::hilbert_key;
-use psb_geom::{HilbertKey, PointSet, Rect};
-use rayon::prelude::*;
+use psb_geom::{hilbert_sort, PointSet};
 
 use crate::tree::{RsTree, NOT_A_LEAF, NO_PARENT};
 
@@ -28,14 +26,7 @@ pub fn build_rtree(points: &PointSet, degree: usize, method: &RtreeBuildMethod) 
     let n = points.len();
 
     let order: Vec<u32> = match method {
-        RtreeBuildMethod::Hilbert => {
-            let bounds = Rect::of_point_set(points);
-            let keys: Vec<HilbertKey> =
-                (0..n).into_par_iter().map(|i| hilbert_key(points.point(i), &bounds)).collect();
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.par_sort_unstable_by_key(|&i| (keys[i as usize], i));
-            idx
-        }
+        RtreeBuildMethod::Hilbert => hilbert_sort(points),
         RtreeBuildMethod::Str => {
             let mut idx: Vec<u32> = (0..n as u32).collect();
             str_order(points, &mut idx, 0, degree);

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 
+use psb_core::dynamic::{Rebuilt, Snapshot};
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::DynamicSsTree;
 use psb_geom::{dist, PointSet, RitterMode, Sphere};
@@ -196,21 +197,55 @@ impl DynamicShardRouter {
         removed
     }
 
-    /// Rebuilds shard `s`'s packed index, write-locking only that shard: the
-    /// directory and every other shard keep serving. The duration (lock wait
-    /// included — that wait is what an operator watching rebuild latency
-    /// cares about) lands in the `serve.rebuild_us` histogram when a registry
-    /// is attached.
+    /// Rebuilds shard `s`'s packed index aside: the live set is copied under
+    /// the shard's *read* lock, the tree is built with no lock held, and the
+    /// write lock is taken for the swap only — queries reach the shard all
+    /// through the build, and the directory and every other shard never
+    /// notice. Should the shard have changed under the build (it cannot while
+    /// `insert` and `remove` take `&mut self`; [`DynamicSsTree::install`]
+    /// checks rather than assumes), it is rebuilt in place under the write
+    /// lock instead.
+    ///
+    /// With a registry attached, `serve.rebuild_us` is the whole call, lock
+    /// waits included (what an operator watching rebuild latency cares
+    /// about), `serve.rebuild_swap_us` is how long the write lock was held
+    /// (how long readers of this shard were shut out), and
+    /// `serve.rebuilds_in_place` counts the fallback.
     pub fn rebuild_shard(&self, s: usize) {
-        let started = self.metrics.is_attached().then(std::time::Instant::now);
-        self.cells[s].write().unwrap_or_else(PoisonError::into_inner).tree.rebuild();
+        let started = self.clock();
+        let snapshot = self.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.snapshot();
+        let (swap_started, in_place) = self.swap_in(s, snapshot.map(Snapshot::build));
+        let swap_us = swap_started.map(|t0| t0.elapsed().as_secs_f64() * 1e6);
         // A rebuild doesn't change the live set, but it is the canonical
         // invalidation event: anything cached before it must not outlive it.
         self.bump_epoch();
-        if let Some(t0) = started {
+        if let (Some(t0), Some(swap_us)) = (started, swap_us) {
             self.metrics.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
+            self.metrics.observe("serve.rebuild_swap_us", swap_us);
             self.metrics.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
+            if in_place {
+                self.metrics.counter("serve.rebuilds_in_place", 1);
+            }
         }
+    }
+
+    /// `Some(now)` with a registry attached; a detached handle reads no clock.
+    fn clock(&self) -> Option<std::time::Instant> {
+        self.metrics.is_attached().then(std::time::Instant::now)
+    }
+
+    /// The locked step of a rebuild: installs `rebuilt` as shard `s`'s packed
+    /// index, or rebuilds the shard in place when the install is refused as
+    /// stale. Returns when the write lock was acquired (it is released on
+    /// return) and whether the fallback ran.
+    fn swap_in(&self, s: usize, rebuilt: Option<Rebuilt>) -> (Option<std::time::Instant>, bool) {
+        let mut cell = self.cells[s].write().unwrap_or_else(PoisonError::into_inner);
+        let acquired = self.clock();
+        let in_place = rebuilt.is_some_and(|rebuilt| cell.tree.install(rebuilt).is_err());
+        if in_place {
+            cell.tree.rebuild();
+        }
+        (acquired, in_place)
     }
 
     /// Exact kNN over the live set, global ids. Shards are visited best-first
@@ -366,6 +401,42 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_build_is_not_installed_and_the_shard_is_rebuilt_in_place() {
+        let ps = UniformSpec { len: 300, dims: 3, seed: 61 }.generate();
+        let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+        let mut mirror: Vec<(u32, Vec<f32>)> =
+            (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+        let built_aside = |r: &DynamicShardRouter, s: usize| {
+            let cell = r.cells[s].read().unwrap_or_else(PoisonError::into_inner);
+            cell.tree.snapshot().map(Snapshot::build)
+        };
+        let pending = |r: &DynamicShardRouter, s: usize| {
+            r.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.pending()
+        };
+        // What `rebuild_shard` cannot meet while `insert` is `&mut self`: both
+        // shards change between their snapshot and the swap.
+        let stale = [built_aside(&r, 0), built_aside(&r, 1)];
+        let extra = UniformSpec { len: 20, dims: 3, seed: 62 }.generate();
+        for p in extra.iter() {
+            mirror.push((r.insert(p), p.to_vec()));
+        }
+        for (s, rebuilt) in stale.into_iter().enumerate() {
+            assert!(pending(&r, s) > 0, "shard {s} took no insert");
+            assert_eq!(r.swap_in(s, rebuilt), (None, true), "shard {s}");
+            assert_eq!(pending(&r, s), 0, "shard {s} was not rebuilt");
+        }
+        // A build of the shard as it is goes in.
+        mirror.push((r.insert(&[0.5, 0.5, 0.5]), vec![0.5, 0.5, 0.5]));
+        for s in 0..2 {
+            assert_eq!(r.swap_in(s, built_aside(&r, s)), (None, false), "shard {s}");
+            assert_eq!(pending(&r, s), 0);
+        }
+        for q in ps.iter().take(20) {
+            assert_eq!(r.knn(q, 6), oracle(&mirror, q, 6));
+        }
+    }
+
+    #[test]
     fn attached_registry_sees_rebuilds_and_queries() {
         let ps = UniformSpec { len: 300, dims: 3, seed: 51 }.generate();
         let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
@@ -392,6 +463,11 @@ mod tests {
             snap.histograms.iter().find(|(k, _)| k == name).map(|(_, h)| *h).expect(name)
         };
         assert_eq!(hist("serve.rebuild_us").count, 3);
+        // The swap is a part of the rebuild, and no rebuild fell back to
+        // holding the write lock for all of it.
+        assert_eq!(hist("serve.rebuild_swap_us").count, 3);
+        assert!(hist("serve.rebuild_swap_us").max <= hist("serve.rebuild_us").max);
+        assert_eq!(counter("serve.rebuilds_in_place"), 0);
         assert_eq!(hist("serve.dyn_query_us").count, 2);
         // Every shard decision was counted, visit or prune.
         let decisions: u64 = snap

@@ -17,10 +17,9 @@
 //! Everything is deterministic (seeded k-means, tie-broken sorts) and the heavy
 //! phases (key computation, per-leaf Ritter spheres) run on the rayon pool.
 
-use psb_geom::hilbert::hilbert_key;
 use psb_geom::{
-    kmeans, ritter_points, ritter_spheres, HilbertKey, KMeansParams, PointSet, Rect, RitterMode,
-    Sphere,
+    hilbert_keys, hilbert_sort, kmeans, ritter_points, ritter_spheres, KMeansParams, PointSet,
+    Rect, RitterMode, Sphere,
 };
 use rayon::prelude::*;
 
@@ -58,24 +57,19 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
     assert!(degree >= 2, "degree must be at least 2");
     assert!(!points.is_empty(), "cannot build an index over zero points");
     let n = points.len();
-    let bounds = Rect::of_point_set(points);
 
-    // Hilbert keys are needed by both methods (ordering, or cluster ordering).
-    let keys: Vec<HilbertKey> =
-        (0..n).into_par_iter().map(|i| hilbert_key(points.point(i), &bounds)).collect();
-
-    // Step 1: the point ordering.
-    let order: Vec<u32> = match method {
-        BuildMethod::Hilbert => {
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.par_sort_unstable_by_key(|&i| (keys[i as usize], i));
-            idx
-        }
+    // Step 1: the point ordering — and, for the k-means method, what the
+    // internal levels are re-clustered with: the dataset's box (every level's
+    // keys are taken against it), the next level's `k`, and the seed.
+    let (order, mut clustering) = match method {
+        BuildMethod::Hilbert => (hilbert_sort(points), None),
         BuildMethod::KMeans { k_leaf, seed } => {
             let k = if *k_leaf == 0 { psb_geom::kmeans::suggested_k(n) } else { *k_leaf };
             let all: Vec<u32> = (0..n as u32).collect();
             let result = kmeans(points, &all, &KMeansParams { k, max_iters: 16, seed: *seed });
-            order_by_clusters(&result.assignment, &result.centroids, &keys, &bounds)
+            let bounds = Rect::of_point_set(points);
+            let order = order_by_clusters(&result.assignment, &result.centroids, points, &bounds);
+            (order, Some((bounds, k / 100, *seed)))
         }
     };
 
@@ -86,17 +80,6 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
     let mut levels: Vec<Level> = vec![Level { spheres: leaf_spheres, groups: leaf_groups }];
 
     // Step 3: internal levels.
-    let mut k_level = match method {
-        BuildMethod::Hilbert => 0usize,
-        BuildMethod::KMeans { k_leaf, .. } => {
-            let base = if *k_leaf == 0 { psb_geom::kmeans::suggested_k(n) } else { *k_leaf };
-            base / 100
-        }
-    };
-    let kmeans_seed = match method {
-        BuildMethod::KMeans { seed, .. } => *seed,
-        BuildMethod::Hilbert => 0,
-    };
     loop {
         let m = levels.last().map_or(0, |l| l.spheres.len());
         if m <= 1 {
@@ -104,8 +87,8 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
         }
 
         // Reorder the level below (k-means method only, while k is meaningful).
-        if k_level >= 2 && m > degree {
-            if let Some(below) = levels.last_mut() {
+        if let (Some((bounds, k_level, seed)), Some(below)) = (&mut clustering, levels.last_mut()) {
+            if *k_level >= 2 && m > degree {
                 let centers = PointSet::from_flat(
                     points.dims(),
                     below.spheres.iter().flat_map(|s| s.center.iter().copied()).collect(),
@@ -114,14 +97,13 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
                 let result = kmeans(
                     &centers,
                     &all,
-                    &KMeansParams { k: k_level.min(m), max_iters: 16, seed: kmeans_seed ^ 0x5eed },
+                    &KMeansParams { k: (*k_level).min(m), max_iters: 16, seed: *seed ^ 0x5eed },
                 );
-                let ckeys: Vec<HilbertKey> =
-                    (0..m).map(|i| hilbert_key(centers.point(i), &bounds)).collect();
                 let perm =
-                    order_by_clusters(&result.assignment, &result.centroids, &ckeys, &bounds);
+                    order_by_clusters(&result.assignment, &result.centroids, &centers, bounds);
                 apply_permutation(below, &perm);
             }
+            *k_level /= 100;
         }
 
         // Chunk into parents and enclose.
@@ -140,7 +122,6 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
             })
             .collect();
         levels.push(Level { spheres: parent_spheres, groups: parent_groups });
-        k_level /= 100;
     }
 
     materialize(points, degree, levels)
@@ -152,11 +133,11 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
 fn order_by_clusters(
     assignment: &[u32],
     centroids: &PointSet,
-    item_keys: &[HilbertKey],
+    items: &PointSet,
     bounds: &Rect,
 ) -> Vec<u32> {
-    let cluster_keys: Vec<HilbertKey> =
-        (0..centroids.len()).map(|c| hilbert_key(centroids.point(c), bounds)).collect();
+    let cluster_keys = hilbert_keys(centroids, bounds);
+    let item_keys = hilbert_keys(items, bounds);
     let mut idx: Vec<u32> = (0..assignment.len() as u32).collect();
     idx.par_sort_unstable_by_key(|&i| {
         let c = assignment[i as usize] as usize;

@@ -147,8 +147,10 @@ fn drain_to_empty_and_refill() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Randomized interleaving of insert / remove / explicit rebuild, verified
-    // against the mirror after every operation batch.
+    // Randomized interleaving of insert / remove (of base points, of delta
+    // points, of ids that are not alive) / explicit rebuild, whole and in its
+    // three steps with and without a mutation in between, verified against
+    // the mirror after every operation batch.
     #[test]
     fn random_interleavings_stay_exact(
         seed in 1u64..10_000,
@@ -165,22 +167,40 @@ proptest! {
         let fresh = UniformSpec { len: ops, dims, seed: seed ^ 0xD1CE }.generate();
         let queries = sample_queries(&ps, 4, 0.02, seed ^ 0xBEEF);
         let mut state = seed;
+        let mut dead = u32::MAX;
         for i in 0..ops {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            match state % 4 {
-                0 | 1 => {
+            match (state >> 33) % 7 {
+                0..=2 => {
                     let id = t.insert(fresh.point(i));
                     mirror.push((id, fresh.point(i).to_vec()));
                 }
-                2 => {
+                3 => {
                     if !mirror.is_empty() {
+                        // The newest ids sit in the delta, the oldest in the base.
                         let pos = (state / 7) as usize % mirror.len();
                         let id = mirror[pos].0;
                         prop_assert!(t.remove(id));
                         mirror.retain(|(j, _)| *j != id);
+                        dead = id;
                     }
                 }
-                _ => t.rebuild(),
+                4 => prop_assert!(!t.remove(dead), "id {} is not alive", dead),
+                5 => t.rebuild(),
+                _ => {
+                    let Some(snapshot) = t.snapshot() else { continue };
+                    let rebuilt = snapshot.build();
+                    let mutate = state & 1 == 1;
+                    if mutate {
+                        let id = t.insert(fresh.point(i));
+                        mirror.push((id, fresh.point(i).to_vec()));
+                    }
+                    let want = if mutate { Err(psb::core::dynamic::Stale) } else { Ok(()) };
+                    prop_assert_eq!(t.install(rebuilt), want);
+                    if !mutate {
+                        prop_assert_eq!(t.pending(), 0);
+                    }
+                }
             }
         }
         prop_assert_eq!(t.len(), mirror.len());

@@ -117,3 +117,28 @@ fn k_spanning_the_whole_dataset() {
     let queries = sample_queries(&data, 4, 0.02, 110);
     check_all_engines(&data, &queries, 300, 8, "k-equals-n");
 }
+
+#[test]
+fn wider_than_the_hilbert_key() {
+    // 300 dimensions: the curve has a bit for each of the first 256 only.
+    // Every Hilbert consumer — both tree builds, the shard plan, the query
+    // schedule — used to index past the key's fourth word here.
+    let data =
+        ClusteredSpec { clusters: 4, points_per_cluster: 100, dims: 300, sigma: 500.0, seed: 111 }
+            .generate();
+    let queries = sample_queries(&data, 9, 0.01, 112);
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
+    let tree = build(&data, 16, &BuildMethod::Hilbert);
+    tree.validate().expect("valid tree");
+    let rtree = build_rtree(&data, 16, &RtreeBuildMethod::Hilbert);
+    let got = psb_batch(&tree, &queries, 7, &cfg, &opts).expect("psb");
+    let got_r = psb_batch(&rtree, &queries, 7, &cfg, &opts).expect("psb/rtree");
+    for (qi, q) in queries.iter().enumerate() {
+        let want = linear_knn(&data, q, 7);
+        assert_eq!(got.neighbors[qi], want, "sstree, query {qi}");
+        assert_eq!(got_r.neighbors[qi], want, "rtree, query {qi}");
+    }
+    let plan = partition(&data, 3, &ShardPolicy::HilbertRange);
+    assert_eq!(plan.assignments.iter().map(Vec::len).sum::<usize>(), data.len());
+}

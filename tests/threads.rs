@@ -200,26 +200,56 @@ fn persisted(tree: &SsTree, tag: &str) -> Vec<u8> {
     bytes
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
 #[test]
 fn builds_are_byte_identical_at_one_and_four_threads() {
     // 5000 points: the k-means chunk grid has several chunks, the Hilbert key
-    // region many pieces, and there are two internal levels above the leaves.
+    // region several pieces, and there are two internal levels above the
+    // leaves.
     let points =
         ClusteredSpec { clusters: 10, points_per_cluster: 500, dims: 6, sigma: 90.0, seed: 23 }
             .generate();
-    for (tag, method) in
-        [("hilbert", BuildMethod::Hilbert), ("kmeans", BuildMethod::kmeans_default(7))]
-    {
+    // FNV-1a of the image `persist::save` wrote at commit d60626f, before the
+    // Hilbert keys came from the lane kernel and the shared sort: the trees
+    // are not merely the same at every thread count, they are the same trees.
+    for (tag, method, parent_image) in [
+        ("hilbert", BuildMethod::Hilbert, 0x57c0_f101_ab0b_2fc6u64),
+        ("kmeans", BuildMethod::kmeans_default(7), 0x30c0_f161_f7c8_0f96),
+    ] {
         let one = in_pool(1, || build(&points, 16, &method));
         let four = in_pool(4, || build(&points, 16, &method));
         one.validate().expect("valid tree");
         let (a, b) = (persisted(&one, &format!("{tag}-1")), persisted(&four, &format!("{tag}-4")));
         assert!(a == b, "sstree::build {tag}: persist images differ between 1 and 4 threads");
+        assert_eq!(fnv1a(&a), parent_image, "sstree::build {tag}: {:#018x}", fnv1a(&a));
     }
     let rt = |threads| in_pool(threads, || build_rtree(&points, 16, &RtreeBuildMethod::Hilbert));
     assert!(fingerprint(&rt(1)) == fingerprint(&rt(4)), "build_rtree differs");
     let kd = |threads| in_pool(threads, || LbKdTree::build(&points));
     assert!(fingerprint(&kd(1)) == fingerprint(&kd(4)), "LbKdTree::build differs");
+}
+
+#[test]
+fn hilbert_keys_ranges_and_schedules_are_identical_in_every_pool() {
+    // 5000 points are three pieces of the key region, the last one ragged.
+    let points =
+        ClusteredSpec { clusters: 10, points_per_cluster: 500, dims: 6, sigma: 90.0, seed: 37 }
+            .generate();
+    let bounds = Rect::of_point_set(&points);
+    let keys = same_in_every_pool("hilbert_keys", || psb::geom::hilbert_keys(&points, &bounds));
+    for (i, p) in points.iter().enumerate() {
+        assert_eq!(keys[i], hilbert_key(p, &bounds), "point {i}");
+    }
+    same_in_every_pool("partition/hilbert", || {
+        partition(&points, 4, &ShardPolicy::HilbertRange).assignments
+    });
+    let order = same_in_every_pool("hilbert_order", || hilbert_order(&points));
+    assert!(order
+        .windows(2)
+        .all(|w| { (keys[w[0] as usize], w[0]) < (keys[w[1] as usize], w[1]) }));
 }
 
 #[test]
@@ -642,6 +672,11 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     let calls = soak.knn_calls.load(Ordering::Relaxed) + soak.queries.len() as u64;
     assert_eq!(counter("serve.dyn_cache_hits") + counter("serve.dyn_queries"), calls);
     assert_eq!(counter("serve.rebuilds{"), REBUILDS as u64);
+    // Every one of them built aside and took the write lock for the swap
+    // only: none found its shard changed and fell back to rebuilding in place.
+    assert_eq!(counter("serve.rebuilds_in_place"), 0);
+    let swaps = snap.histograms.iter().find(|(k, _)| k == "serve.rebuild_swap_us");
+    assert_eq!(swaps.map(|(_, h)| h.count), Some(REBUILDS as u64));
     assert_eq!(counter("engine.batches{"), BATCHES as u64);
     assert_eq!(counter("engine.queries{"), (BATCHES * soak.queries.len()) as u64);
 }
