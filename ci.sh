@@ -83,7 +83,10 @@ run_kdtree() {
 # their turn on the pool, and its unit tests hold that to the one-at-a-time
 # loop (window of one vs whole batch) where a replica dies, a breaker trips or
 # a planned cache hit is not there. `dynamic_sstree` is here for the rebuild
-# protocol: every snapshot → build → install runs its build on the pool.
+# protocol (every snapshot → build → install runs its build on the pool) and
+# for the dynamic router's maintained result cache: cached = uncached = linear
+# oracle through random inserts, removes and shard rebuilds; `admission` walks
+# the same rule case by case and `threads`' soak counts it from the registry.
 run_threads() {
     local t
     for t in 1 4; do

@@ -1,0 +1,89 @@
+//! The three layer costs of `DynamicShardRouter`'s write path and read path
+//! (DESIGN.md §15): what an insert pays to keep the cached answers right,
+//! what a hit and a miss cost, and what a shard rebuild costs — at the repo
+//! benchmark's `ingest-clustered4` shape (4-d, k = 8, degree 16, a 256-entry
+//! cache, 10 500-point shards).
+//!
+//! The criterion shim times one closure call per sample, so the
+//! microsecond-scale rows run 240 operations a call (`_x240`: one benchmark
+//! cycle's queries, ten cycles' inserts).
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use psb_core::shard::ShardPolicy;
+use psb_data::{sample_queries, ClusteredSpec};
+use psb_geom::PointSet;
+use psb_serve::{CacheKey, DynamicShardRouter, QueryCache};
+
+const K: usize = 8;
+const CACHE: usize = 256;
+const OPS: usize = 240;
+
+fn dataset(n: usize, dims: usize) -> PointSet {
+    ClusteredSpec { clusters: 10, points_per_cluster: n / 10, dims, sigma: 160.0, seed: 7 }
+        .generate()
+}
+
+fn bench_dynamic(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dynamic");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+
+    // `QueryCache::absorb` on a full cache of real answers: the whole of what
+    // `insert` added when the cache stopped being flushed. O(capacity × dims).
+    for dims in [4usize, 16] {
+        let ps = dataset(8_000, dims);
+        let router = DynamicShardRouter::build(&ps, 4, &ShardPolicy::HilbertRange, 16);
+        let mut cache = QueryCache::new(CACHE);
+        for q in sample_queries(&ps, CACHE, 0.01, 11).iter() {
+            cache.insert(CacheKey::new(q, K), &router.knn(q, K));
+        }
+        let fresh = sample_queries(&ps, OPS, 0.002, 13);
+        let mut id = ps.len() as u32;
+        g.bench_function(BenchmarkId::new("absorb_x240", format!("cache{CACHE}_d{dims}")), |b| {
+            b.iter(|| {
+                fresh
+                    .iter()
+                    .map(|p| {
+                        id += 1;
+                        cache.absorb(p, id)
+                    })
+                    .sum::<usize>()
+            })
+        });
+    }
+
+    // `knn` on the cached router: a stream that fits the cache (every ask a
+    // hit) and one that cycles through more queries than it holds (FIFO:
+    // every ask a miss, computed and filed).
+    let ps = dataset(40_000, 4);
+    let mut router = DynamicShardRouter::build(&ps, 4, &ShardPolicy::HilbertRange, 16);
+    router.attach_cache(CACHE);
+    let pool = sample_queries(&ps, 3 * OPS, 0.01, 17);
+    let rows: Vec<&[f32]> = pool.iter().collect();
+    g.bench_function("knn_hit_x240", |b| {
+        b.iter(|| rows[..OPS].iter().map(|q| router.knn(q, K).len()).sum::<usize>())
+    });
+    let mut turn = 0;
+    g.bench_function("knn_miss_x240", |b| {
+        b.iter(|| {
+            turn += 1;
+            let batch = &rows[turn % 3 * OPS..][..OPS];
+            batch.iter().map(|q| router.knn(q, K).len()).sum::<usize>()
+        })
+    });
+
+    // One shard of `ingest-clustered4` after 500 inserts: snapshot, build
+    // aside, swap.
+    let ps = dataset(10_000, 4);
+    let mut router = DynamicShardRouter::build(&ps, 1, &ShardPolicy::HilbertRange, 16);
+    for p in sample_queries(&ps, 500, 0.002, 19).iter() {
+        router.insert(p);
+    }
+    g.bench_function("rebuild_shard/n10500_d4_deg16", |b| b.iter(|| router.rebuild_shard(0)));
+
+    g.finish();
+}
+
+criterion_group!(benches, bench_dynamic);
+criterion_main!(benches);

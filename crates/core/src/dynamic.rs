@@ -95,6 +95,24 @@ pub struct Rebuilt {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stale;
 
+/// [`DynamicSsTree::try_insert`] refused a point: its coordinate `dim` is NaN
+/// or infinite. Such a point would sit in the delta buffer until the next
+/// rebuild and fail there, inside the enclosing-sphere pass, far from the
+/// insert that caused it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NonFinite {
+    /// The first coordinate that is not finite.
+    pub dim: usize,
+}
+
+impl std::fmt::Display for NonFinite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "the inserted point has a non-finite coordinate in dimension {}", self.dim)
+    }
+}
+
+impl std::error::Error for NonFinite {}
+
 impl Snapshot {
     /// Packs the copied live set bottom-up.
     ///
@@ -151,8 +169,22 @@ impl DynamicSsTree {
     }
 
     /// Inserts a point; returns its external id. May trigger a rebuild.
+    /// Panics, before changing anything, on a point [`Self::try_insert`]
+    /// refuses.
     pub fn insert(&mut self, p: &[f32]) -> u32 {
+        match self.try_insert(p) {
+            Ok(id) => id,
+            Err(e) => panic!("DynamicSsTree::insert: {e}"),
+        }
+    }
+
+    /// [`Self::insert`] for points from outside the program: a NaN or
+    /// infinite coordinate is a typed error and the tree is left as it was.
+    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, NonFinite> {
         assert_eq!(p.len(), self.base.dims, "dimensionality mismatch");
+        if let Some(dim) = p.iter().position(|x| !x.is_finite()) {
+            return Err(NonFinite { dim });
+        }
         let id = self.next_id;
         self.next_id += 1;
         self.delta.push(p);
@@ -162,7 +194,7 @@ impl DynamicSsTree {
         self.live_ids.push(id);
         self.stamp += 1;
         self.maybe_rebuild();
-        id
+        Ok(id)
     }
 
     /// Removes a point by external id; returns whether it was alive.
@@ -366,6 +398,35 @@ mod tests {
         assert_eq!(got[0].id, id);
         assert!(got[0].dist <= 1e-5);
         assert_matches(&t, &probe, 5);
+    }
+
+    #[test]
+    fn non_finite_points_are_refused_at_the_door() {
+        let mut t = DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert);
+        let probe = [100.0f32, 100.0, 100.0];
+        let before = (t.len(), t.pending(), t.stamp, t.knn(&probe, 5));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for dim in 0..3 {
+                let mut p = probe;
+                p[dim] = bad;
+                assert_eq!(t.try_insert(&p), Err(NonFinite { dim }), "{bad} in dimension {dim}");
+            }
+        }
+        assert_eq!(t.try_insert(&[f32::NAN, 0.5, f32::INFINITY]), Err(NonFinite { dim: 0 }));
+        assert!(
+            before == (t.len(), t.pending(), t.stamp, t.knn(&probe, 5)),
+            "a refusal left a mark"
+        );
+        // What used to fail here, inside Ritter, long after the insert.
+        t.rebuild();
+        assert_eq!(t.try_insert(&probe), Ok(1000));
+        assert_matches(&t, &probe, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate in dimension 1")]
+    fn insert_panics_at_the_door_on_a_non_finite_point() {
+        DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert).insert(&[0.5, f32::NAN, 0.5]);
     }
 
     #[test]

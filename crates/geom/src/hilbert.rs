@@ -133,10 +133,15 @@ const MAX_CURVE_DIMS: usize = 256;
 /// Points per lane group in [`hilbert_keys`].
 const LANES: usize = 8;
 
-/// Points per parallel piece of [`hilbert_keys`]: a set below this (a query
-/// batch) is keyed on the calling thread, where spawning workers would cost
-/// more than the keys.
+/// Points per parallel piece of [`hilbert_keys`].
 const KEY_BLOCK: usize = 2048;
+
+/// Points from which [`hilbert_keys`] enters a parallel region. A region
+/// costs its workers' spawn and, on a shared host, the wake-up of a core that
+/// had gone idle — a few hundred microseconds that a set below this (a query
+/// batch, one shard of an ingest router: around a millisecond of keys) does
+/// not earn back. Such a set is keyed on the calling thread.
+const PAR_MIN_POINTS: usize = 8 * KEY_BLOCK;
 
 /// All-ones where bit `plane` of `v` is set, zero where it is not.
 #[inline(always)]
@@ -265,14 +270,19 @@ pub fn hilbert_key(p: &[f32], bounds: &Rect) -> HilbertKey {
 pub fn hilbert_keys(points: &PointSet, bounds: &Rect) -> Vec<HilbertKey> {
     assert_eq!(bounds.dims(), points.dims(), "bounds dimensionality mismatch");
     let mut keys = vec![HilbertKey::default(); points.len()];
-    keys.par_chunks_mut(KEY_BLOCK).enumerate().for_each(|(block, out)| {
+    let key_block = |(block, out): (usize, &mut [HilbertKey])| {
         let mut x = [[0u32; LANES]; MAX_CURVE_DIMS];
         for (group, out) in out.chunks_mut(LANES).enumerate() {
             let first = block * KEY_BLOCK + group * LANES;
             let rows = std::array::from_fn(|l| points.point(first + l.min(out.len() - 1)));
             out.copy_from_slice(&curve_keys(rows, bounds, &mut x)[..out.len()]);
         }
-    });
+    };
+    if points.len() < PAR_MIN_POINTS {
+        keys.chunks_mut(KEY_BLOCK).enumerate().for_each(key_block);
+    } else {
+        keys.par_chunks_mut(KEY_BLOCK).enumerate().for_each(key_block);
+    }
     keys
 }
 
@@ -506,7 +516,8 @@ mod tests {
 
     #[test]
     fn batch_keys_equal_per_point_keys_around_the_lane_width() {
-        for n in [0, 1, LANES - 1, LANES, LANES + 1, 61, KEY_BLOCK + 3] {
+        // The last size is keyed in a parallel region, the others inline.
+        for n in [0, 1, LANES - 1, LANES, LANES + 1, 61, KEY_BLOCK + 3, PAR_MIN_POINTS + 3] {
             for dims in [2usize, 5, 16] {
                 let (ps, bounds) = hostile_set(dims, n, n as u64);
                 let want: Vec<HilbertKey> = ps.iter().map(|p| hilbert_key(p, &bounds)).collect();

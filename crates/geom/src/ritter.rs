@@ -20,6 +20,8 @@
 //! to the sequential path under any thread count — construction must be
 //! deterministic for the experiments to be reproducible.
 
+use std::cell::Cell;
+
 use rayon::prelude::*;
 
 use crate::point::PointSet;
@@ -99,7 +101,7 @@ pub fn ritter_spheres(spheres: &[Sphere], mode: RitterMode) -> Sphere {
 
 /// `dist(center of a, far side of item i)` in f64: the quantity both the farthest-
 /// item search and the growth test need.
-fn far_dist(items: &dyn Items, from: &[f64], i: usize) -> f64 {
+fn far_dist<I: Items>(items: &I, from: &[f64], i: usize) -> f64 {
     let c = items.center(i);
     let mut acc = 0f64;
     for (a, &b) in from.iter().zip(c) {
@@ -110,7 +112,7 @@ fn far_dist(items: &dyn Items, from: &[f64], i: usize) -> f64 {
 }
 
 /// Argmax of `far_dist` with smallest-index tie-break (deterministic under rayon).
-fn farthest(items: &dyn Items, from: &[f64], mode: RitterMode) -> (usize, f64) {
+fn farthest<I: Items>(items: &I, from: &[f64], mode: RitterMode) -> (usize, f64) {
     let pick = |best: (usize, f64), cand: (usize, f64)| {
         if cand.1 > best.1 || (cand.1 == best.1 && cand.0 < best.0) {
             cand
@@ -141,7 +143,19 @@ fn farthest(items: &dyn Items, from: &[f64], mode: RitterMode) -> (usize, f64) {
     }
 }
 
-fn run(items: &dyn Items, mode: RitterMode) -> Sphere {
+thread_local! {
+    /// The f64 working rows of [`run`], kept from one sphere to the next: a
+    /// build encloses hundreds of leaves per thread, all of one width.
+    static ROWS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+fn widen(to: &mut [f64], from: &[f32]) {
+    for (t, &f) in to.iter_mut().zip(from) {
+        *t = f as f64;
+    }
+}
+
+fn run<I: Items>(items: &I, mode: RitterMode) -> Sphere {
     let dims = items.dims();
     if items.len() == 1 {
         let c = items.center(0).to_vec();
@@ -149,38 +163,44 @@ fn run(items: &dyn Items, mode: RitterMode) -> Sphere {
         return Sphere::new(c, r * (1.0 + RADIUS_PAD as f32));
     }
 
-    let to64 = |s: &[f32]| s.iter().map(|&x| x as f64).collect::<Vec<f64>>();
+    // Taken out of the cell for the call and put back at the end, so the
+    // parallel sweeps below never run with it borrowed.
+    let mut rows = ROWS.take();
+    rows.clear();
+    rows.resize(3 * dims, 0.0);
+    let (from, rest) = rows.split_at_mut(dims);
+    let (cq, center) = rest.split_at_mut(dims);
 
-    // Steps 1-2: the two farthest-point sweeps.
-    let c0 = to64(items.center(0));
-    let (p, _) = farthest(items, &c0, mode);
-    let cp = to64(items.center(p));
-    let (q, dq) = farthest(items, &cp, mode);
-    let cq = to64(items.center(q));
+    // Steps 1-2: the two farthest-point sweeps, from item 0 and then from p.
+    widen(from, items.center(0));
+    let (p, _) = farthest(items, from, mode);
+    let cp = from;
+    widen(cp, items.center(p));
+    let (q, _) = farthest(items, cp, mode);
+    widen(cq, items.center(q));
     let rp = items.radius(p);
     let rq = items.radius(q);
 
     // Initial sphere spanning items p and q (diameter = far side of p to far side
     // of q). With radii it is: radius = (|pq| + rp + rq) / 2, center on the p->q
     // segment offset so each sphere's far side touches the boundary.
-    let center_gap: f64 = cp.iter().zip(&cq).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+    let center_gap: f64 =
+        cp.iter().zip(cq.iter()).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
     let mut radius = 0.5 * (center_gap + rp + rq);
-    let mut center = vec![0f64; dims];
     if center_gap > 0.0 {
         let t = (radius - rp) / center_gap;
-        for ((c, a), b) in center.iter_mut().zip(&cp).zip(&cq) {
+        for ((c, a), b) in center.iter_mut().zip(cp.iter()).zip(cq.iter()) {
             *c = a + (b - a) * t;
         }
     } else {
-        center.copy_from_slice(&cp);
+        center.copy_from_slice(cp);
         radius = rp.max(rq).max(radius - center_gap); // concentric: just max radius
-        let _ = dq;
     }
 
     // Step 3: grow until everything fits. Each growth step's new sphere contains
     // the previous one, so at most `len` iterations run.
     loop {
-        let (far, fd) = farthest(items, &center, mode);
+        let (far, fd) = farthest(items, center, mode);
         if fd <= radius * (1.0 + 1e-12) {
             break;
         }
@@ -209,9 +229,11 @@ fn run(items: &dyn Items, mode: RitterMode) -> Sphere {
     // radius. Recompute the exact radius needed from the *rounded* center, then
     // pad only for the final f32 rounding.
     let center32: Vec<f32> = center.iter().map(|&x| x as f32).collect();
-    let center_rounded: Vec<f64> = center32.iter().map(|&x| x as f64).collect();
-    let (_, needed) = farthest(items, &center_rounded, mode);
+    let center_rounded = cp;
+    widen(center_rounded, &center32);
+    let (_, needed) = farthest(items, center_rounded, mode);
     let radius32 = (needed.max(radius) * (1.0 + RADIUS_PAD)) as f32;
+    ROWS.set(rows);
     Sphere::new(center32, radius32)
 }
 

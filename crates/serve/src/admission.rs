@@ -18,8 +18,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use psb_geom::dist;
 use psb_sstree::Neighbor;
 
 /// Tenant identity for quota accounting. Tenant `0` is the default tenant.
@@ -350,45 +352,72 @@ impl CircuitBreaker {
     }
 }
 
-/// Key of one cached result: the query's exact f32 bit pattern plus `k`. The
-/// epoch is not part of the key because an epoch change clears the whole
-/// cache (see [`QueryCache::advance_epoch`]) — logically the key is
-/// `(query_bits, k, epoch)` with only current-epoch entries resident.
+/// Key of one cached result: the query, compared and hashed by its exact f32
+/// bit pattern, plus `k`. Which flush generation an entry belongs to is not
+/// part of the key: a flush ([`QueryCache::advance_epoch`]) clears the whole
+/// cache, so only entries of the current one are ever resident.
 ///
-/// Built once per query and then moved: the bits sit behind an `Arc`, so the
+/// Built once per query and then moved: the row sits behind an `Arc`, so the
 /// copy the FIFO keeps beside the map's is a reference count, not a second
-/// allocation.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// allocation. The row is kept as `f32` because [`QueryCache::absorb`]
+/// measures distances from it.
+#[derive(Clone, Debug)]
 pub struct CacheKey {
-    q_bits: Arc<[u32]>,
+    q: Arc<[f32]>,
     k: usize,
 }
 
 impl CacheKey {
     /// The key of query `q` asked for `k` neighbours.
     pub fn new(q: &[f32], k: usize) -> Self {
-        Self { q_bits: q.iter().map(|x| x.to_bits()).collect(), k }
+        Self { q: q.into(), k }
+    }
+
+    fn bits(&self) -> impl Iterator<Item = u32> + '_ {
+        self.q.iter().map(|x| x.to_bits())
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k && self.bits().eq(other.bits())
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.k.hash(state);
+        for bits in self.bits() {
+            bits.hash(state);
+        }
     }
 }
 
 /// One resident result and its place in the insertion order.
 #[derive(Debug)]
 struct CacheEntry {
-    /// Insertion number. Eviction is FIFO and an epoch change drops
-    /// everything, so the resident numbers are always the newest `len()`.
+    /// Insertion number. Eviction is FIFO and a flush drops everything, so
+    /// the resident numbers are always the newest `len()`.
     seq: u64,
     neighbors: Vec<Neighbor>,
 }
 
-/// Exact-result query cache, keyed on `(query_bits, k, epoch)`.
+/// Exact-result query cache, keyed on `(query_bits, k)`.
 ///
 /// Only exact outcomes are cacheable (the resilience layer never inserts a
-/// deadline-degraded result), so a hit is bit-identical to re-running the
-/// query — provided the epoch matches. Any index mutation or rebuild bumps
-/// the epoch, and [`QueryCache::advance_epoch`] invalidates everything from
-/// older epochs. FIFO eviction keeps the cache bounded and deterministic —
-/// and makes residency a function of the probe sequence alone, never of the
-/// answers, which is what [`QueryCache::predict_misses`] rests on.
+/// deadline-degraded result), so a hit is an exact answer for the set the
+/// owner indexes — as long as the owner keeps the entries in step with that
+/// set. There are two ways to: fold a point that joined the set into every
+/// resident answer ([`QueryCache::absorb`]), or drop them all
+/// ([`QueryCache::advance_epoch`]) — what a removal needs, since the point
+/// that would move up into the k-th place is not in the entry. A rebuild of
+/// the index over the same set needs neither. FIFO eviction keeps the cache
+/// bounded and deterministic — and makes residency a function of the probe
+/// sequence alone, never of the answers, which is what
+/// [`QueryCache::predict_misses`] rests on (`absorb` changes answers, never
+/// residency).
 #[derive(Debug, Default)]
 pub struct QueryCache {
     capacity: usize,
@@ -419,9 +448,9 @@ impl QueryCache {
     }
 
     /// Moves the cache to `epoch`, dropping every resident entry if it
-    /// changed — the invalidation rule: a rebuild (or any mutation) bumps the
-    /// owning router's epoch, and results computed under an older epoch are
-    /// never served again.
+    /// changed — the flush: whatever the owner cannot fold into the resident
+    /// answers (a removal, an operator's invalidation) moves its epoch on,
+    /// and results filed under an older epoch are never served again.
     pub fn advance_epoch(&mut self, epoch: u64) {
         if epoch != self.epoch {
             if !self.map.is_empty() {
@@ -468,6 +497,34 @@ impl QueryCache {
         self.fifo.push_back(key.clone());
         self.map.insert(key, CacheEntry { seq: self.next_seq, neighbors: neighbors.to_vec() });
         self.next_seq += 1;
+    }
+
+    /// Folds point `p`, which joined the indexed set under `id`, into every
+    /// resident answer, and returns how many changed. kNN(S ∪ {p}) is the
+    /// first k of kNN(S) ∪ {p} in `(dist, id)` order: a point of S that is
+    /// not among the k nearest of S has k points of S ∪ {p} before it too.
+    /// An answer short of `k` holds all of S and takes `p` whatever its
+    /// distance. The distance is [`psb_geom::dist`] from the key's own row —
+    /// the function the tree search and the delta scan call, so the bits are
+    /// the ones a recompute would produce.
+    pub fn absorb(&mut self, p: &[f32], id: u32) -> usize {
+        let mut changed = 0;
+        for (key, entry) in &mut self.map {
+            let d = dist(&key.q, p);
+            let list = &mut entry.neighbors;
+            let after = |n: &Neighbor| n.dist.total_cmp(&d).then(n.id.cmp(&id)).is_gt();
+            let full = list.len() >= key.k;
+            if full && !list.last().is_some_and(after) {
+                continue;
+            }
+            if full {
+                list.pop();
+            }
+            let rank = list.partition_point(|n| !after(n));
+            list.insert(rank, Neighbor { dist: d, id });
+            changed += 1;
+        }
+        changed
     }
 
     /// Positions in `probes` that would miss if the probes ran now, in
@@ -526,7 +583,8 @@ impl QueryCache {
         self.map.is_empty()
     }
 
-    /// `(hits, misses, evictions, invalidations)` since construction.
+    /// `(hits, misses, evictions, invalidations)` since construction; an
+    /// invalidation is an [`QueryCache::advance_epoch`] that dropped entries.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
         (self.hits, self.misses, self.evictions, self.invalidations)
     }
@@ -650,6 +708,30 @@ mod tests {
         c.advance_epoch(1);
         assert!(c.get(&key(&q, 3)).is_none(), "epoch bump invalidates");
         assert_eq!(c.stats().3, 1, "one invalidation recorded");
+    }
+
+    #[test]
+    fn absorb_puts_a_new_point_at_its_rank_or_leaves_the_answer_alone() {
+        let n = |dist: f32, id: u32| Neighbor { dist, id };
+        let mut c = QueryCache::new(4);
+        let q = [0.0f32];
+        c.insert(key(&q, 2), &[n(1.0, 3), n(2.0, 5)]);
+        c.insert(key(&q, 4), &[n(1.0, 3), n(2.0, 5)]); // k beyond the set: holds all of it
+        let answers = |c: &mut QueryCache| (c.get(&key(&q, 2)), c.get(&key(&q, 4)));
+        // Beyond the k-th place: only the short answer takes it.
+        assert_eq!(c.absorb(&[5.0], 10), 1);
+        let short = vec![n(1.0, 3), n(2.0, 5), n(5.0, 10)];
+        assert_eq!(answers(&mut c), (Some(vec![n(1.0, 3), n(2.0, 5)]), Some(short)));
+        // Inside: it goes in at its rank and the old k-th drops out.
+        assert_eq!(c.absorb(&[-1.5], 9), 2);
+        let full = vec![n(1.0, 3), n(1.5, 9), n(2.0, 5), n(5.0, 10)];
+        assert_eq!(answers(&mut c), (Some(vec![n(1.0, 3), n(1.5, 9)]), Some(full.clone())));
+        // At the k-th distance exactly, the smaller id is first.
+        assert_eq!(c.absorb(&[1.5], 11), 1, "(1.5, 11) is behind (1.5, 9), before (5.0, 10)");
+        assert_eq!(c.absorb(&[1.5], 7), 2);
+        let full = vec![n(1.0, 3), n(1.5, 7), n(1.5, 9), n(1.5, 11)];
+        assert_eq!(answers(&mut c), (Some(vec![n(1.0, 3), n(1.5, 7)]), Some(full)));
+        assert_eq!(c.stats().3, 0, "nothing was dropped");
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! query that the other shards can answer (either because the rebuilding shard
 //! is pruned, or because the query simply doesn't reach it before the rebuild
 //! finishes).
+//!
+//! The attached result cache is *maintained* under writes, not flushed
+//! (DESIGN.md §15): an insert folds its point into every resident answer, a
+//! shard rebuild leaves them alone (it indexes the same set), and only a
+//! remove drops them.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 
-use psb_core::dynamic::{Rebuilt, Snapshot};
+use psb_core::dynamic::{NonFinite, Rebuilt, Snapshot};
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::DynamicSsTree;
 use psb_geom::{dist, PointSet, RitterMode, Sphere};
@@ -23,11 +26,16 @@ use psb_sstree::{BuildMethod, Neighbor};
 
 use crate::admission::{CacheKey, QueryCache};
 
+/// Entry of an id table whose id is not alive.
+const DEAD: u32 = u32::MAX;
+
 /// One shard's mutable state: the tree plus the local→global id mapping.
 struct ShardCell {
     tree: DynamicSsTree,
-    /// Tree-external id → router-global id.
-    to_global: HashMap<u32, u32>,
+    /// Tree-external id → router-global id, [`DEAD`] once removed. The tree
+    /// numbers its points upward from 0 and never reuses an id, so the table
+    /// is dense and an insert appends to it.
+    to_global: Vec<u32>,
 }
 
 /// The shard directory entry: everything the router needs to order and prune
@@ -35,6 +43,17 @@ struct ShardCell {
 struct ShardMeta {
     sphere: Sphere,
     len: usize,
+}
+
+/// The attached result cache and the version of the live set its entries
+/// answer for, under one lock.
+struct ResultCache {
+    /// Disabled (capacity 0) until [`DynamicShardRouter::attach_cache`].
+    results: QueryCache,
+    /// Counts inserts and removes. A miss notes it before it runs and files
+    /// its answer only if it has not moved: an answer computed while a point
+    /// came or went may or may not have seen it, so it is never filed.
+    version: u64,
 }
 
 /// A sharded, mutable kNN index with per-shard locking.
@@ -45,17 +64,11 @@ struct ShardMeta {
 pub struct DynamicShardRouter {
     cells: Vec<RwLock<ShardCell>>,
     metas: Vec<Mutex<ShardMeta>>,
-    /// Global id → (shard, tree-external id).
-    owners: Mutex<HashMap<u32, (usize, u32)>>,
-    next_global: Mutex<u32>,
+    /// Global id → (shard, tree-external id), `(DEAD, DEAD)` once removed.
+    /// One entry per id ever issued, so the next global id is its length.
+    owners: Mutex<Vec<(u32, u32)>>,
     dims: usize,
-    /// Index epoch: bumped by every mutation (insert/remove/rebuild). The
-    /// attached query cache only serves results computed under the current
-    /// epoch, so a rebuild can never leak a stale answer.
-    epoch: AtomicU64,
-    /// Optional exact-result cache keyed on `(query_bits, k, epoch)`;
-    /// disabled (capacity 0) until [`DynamicShardRouter::attach_cache`].
-    cache: Mutex<QueryCache>,
+    cache: Mutex<ResultCache>,
     /// Telemetry sink (detached by default): rebuild durations, per-query
     /// latency, and shard visit/prune counters.
     metrics: MetricsHandle,
@@ -72,52 +85,50 @@ impl DynamicShardRouter {
         let plan = partition(points, shards, policy);
         let mut cells = Vec::with_capacity(shards);
         let mut metas = Vec::with_capacity(shards);
-        let mut owners = HashMap::with_capacity(points.len());
-        for (s, ids) in plan.assignments.iter().enumerate() {
-            let local = points.gather(ids);
+        let mut owners = vec![(DEAD, DEAD); points.len()];
+        for (s, ids) in plan.assignments.into_iter().enumerate() {
+            let local = points.gather(&ids);
             let tree = DynamicSsTree::new(&local, degree, BuildMethod::Hilbert);
             // DynamicSsTree numbers its initial points 0..len in input order,
             // which is exactly the gather order.
-            let to_global: HashMap<u32, u32> =
-                ids.iter().enumerate().map(|(li, &g)| (li as u32, g)).collect();
             for (li, &g) in ids.iter().enumerate() {
-                owners.insert(g, (s, li as u32));
+                owners[g as usize] = (s as u32, li as u32);
             }
-            let sphere = shard_sphere(points, ids, RitterMode::Parallel);
+            let sphere = shard_sphere(points, &ids, RitterMode::Parallel);
             metas.push(Mutex::new(ShardMeta { sphere, len: ids.len() }));
-            cells.push(RwLock::new(ShardCell { tree, to_global }));
+            cells.push(RwLock::new(ShardCell { tree, to_global: ids }));
         }
         Self {
             cells,
             metas,
             owners: Mutex::new(owners),
-            next_global: Mutex::new(points.len() as u32),
             dims: points.dims(),
-            epoch: AtomicU64::new(0),
-            cache: Mutex::new(QueryCache::new(0)),
+            cache: Mutex::new(ResultCache { results: QueryCache::new(0), version: 0 }),
             metrics: MetricsHandle::noop(),
         }
     }
 
     /// Attaches an exact-result query cache of `capacity` entries (0 turns it
-    /// back off). Entries are keyed on `(query_bits, k, epoch)` — any insert,
-    /// remove, or shard rebuild bumps the epoch and invalidates everything.
+    /// back off), keyed on `(query_bits, k)`. A hit is an exact answer for
+    /// the live set: [`Self::insert`] folds the new point into every resident
+    /// entry, [`Self::rebuild_shard`] changes no answer, and [`Self::remove`]
+    /// drops them all. Where several points tie at the k-th distance a hit
+    /// may name another of them than a recompute would — as a recompute after
+    /// a rebuild may.
     pub fn attach_cache(&mut self, capacity: usize) {
-        *lock(&self.cache) = QueryCache::new(capacity);
+        lock(&self.cache).results = QueryCache::new(capacity);
     }
 
-    /// The current index epoch (mutation counter).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    /// How many inserts and removes the live set has seen.
+    pub fn version(&self) -> u64 {
+        lock(&self.cache).version
     }
 
-    /// `(hits, misses, evictions, invalidations)` of the attached cache.
+    /// `(hits, misses, evictions, flushes)` of the attached cache. A flush
+    /// is a [`Self::remove`] that found entries to drop; nothing else drops
+    /// them.
     pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
-        lock(&self.cache).stats()
-    }
-
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        lock(&self.cache).results.stats()
     }
 
     /// Attaches a metrics registry: rebuilds record their wall-clock duration
@@ -149,8 +160,21 @@ impl DynamicShardRouter {
 
     /// Inserts a point, routing it to the shard whose sphere center is nearest
     /// (lowest shard index on ties) and growing that shard's sphere to keep it
-    /// an enclosing bound. Returns the new global id.
+    /// an enclosing bound. Returns the new global id. Panics, before changing
+    /// anything, on a point [`Self::try_insert`] refuses.
     pub fn insert(&mut self, p: &[f32]) -> u32 {
+        match self.try_insert(p) {
+            Ok(g) => g,
+            Err(e) => panic!("DynamicShardRouter::insert: {e}"),
+        }
+    }
+
+    /// [`Self::insert`] for points from outside the program: a NaN or
+    /// infinite coordinate is a typed error, and the router — trees,
+    /// directory, version and cache — is left as it was (the shard tree's
+    /// own `try_insert` is the first thing here that would change anything,
+    /// and it is what refuses).
+    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, NonFinite> {
         assert_eq!(p.len(), self.dims, "dimensionality mismatch");
         let target = (0..self.metas.len())
             .map(|s| (dist(p, &lock(&self.metas[s]).sphere.center), s))
@@ -158,41 +182,62 @@ impl DynamicShardRouter {
             .map(|(_, s)| s)
             .unwrap_or(0);
         let g = {
-            let mut next = lock(&self.next_global);
-            let g = *next;
-            *next += 1;
+            let mut cell = self.cells[target].write().unwrap_or_else(PoisonError::into_inner);
+            let local = cell.tree.try_insert(p)?;
+            debug_assert_eq!(local as usize, cell.to_global.len(), "tree ids are dense");
+            let mut owners = lock(&self.owners);
+            let g = owners.len() as u32;
+            owners.push((target as u32, local));
+            cell.to_global.push(g);
             g
         };
-        {
-            let mut cell = self.cells[target].write().unwrap_or_else(PoisonError::into_inner);
-            let local = cell.tree.insert(p);
-            cell.to_global.insert(local, g);
-            lock(&self.owners).insert(g, (target, local));
-        }
         {
             let mut meta = lock(&self.metas[target]);
             meta.len += 1;
             let c = dist(p, &meta.sphere.center);
             meta.sphere.radius = meta.sphere.radius.max(c);
         }
-        self.bump_epoch();
-        g
+        // The point is in its tree: bring the resident answers up to the new
+        // live set and move the version on, in one hold of the cache lock, so
+        // no answer from before the insert is filed behind the absorb.
+        let absorbed = {
+            let mut cache = lock(&self.cache);
+            cache.version += 1;
+            cache.results.absorb(p, g)
+        };
+        if absorbed > 0 {
+            self.metrics.counter("serve.dyn_cache_absorbed", absorbed as u64);
+        }
+        Ok(g)
     }
 
     /// Removes a point by global id; returns whether it was alive. The shard
-    /// sphere is left as-is (still enclosing, just conservative).
+    /// sphere is left as-is (still enclosing, just conservative). Drops every
+    /// cached answer: the point that moves up into an answer's k-th place is
+    /// not in the entry.
     pub fn remove(&mut self, id: u32) -> bool {
-        let Some((s, local)) = lock(&self.owners).remove(&id) else {
-            return false;
+        let (s, local) = match lock(&self.owners).get_mut(id as usize) {
+            Some(owner) if *owner != (DEAD, DEAD) => std::mem::replace(owner, (DEAD, DEAD)),
+            _ => return false,
         };
         let removed = {
-            let mut cell = self.cells[s].write().unwrap_or_else(PoisonError::into_inner);
-            cell.to_global.remove(&local);
+            let mut cell = self.cells[s as usize].write().unwrap_or_else(PoisonError::into_inner);
+            cell.to_global[local as usize] = DEAD;
             cell.tree.remove(local)
         };
         if removed {
-            lock(&self.metas[s]).len -= 1;
-            self.bump_epoch();
+            lock(&self.metas[s as usize]).len -= 1;
+            let flushed = {
+                let mut cache = lock(&self.cache);
+                cache.version += 1;
+                let flushed = !cache.results.is_empty();
+                let next = cache.results.epoch() + 1;
+                cache.results.advance_epoch(next);
+                flushed
+            };
+            if flushed {
+                self.metrics.counter("serve.dyn_cache_flushes", 1);
+            }
         }
         removed
     }
@@ -204,7 +249,8 @@ impl DynamicShardRouter {
     /// notice. Should the shard have changed under the build (it cannot while
     /// `insert` and `remove` take `&mut self`; [`DynamicSsTree::install`]
     /// checks rather than assumes), it is rebuilt in place under the write
-    /// lock instead.
+    /// lock instead. The live set is the same before and after, so cached
+    /// answers stay.
     ///
     /// With a registry attached, `serve.rebuild_us` is the whole call, lock
     /// waits included (what an operator watching rebuild latency cares
@@ -216,9 +262,6 @@ impl DynamicShardRouter {
         let snapshot = self.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.snapshot();
         let (swap_started, in_place) = self.swap_in(s, snapshot.map(Snapshot::build));
         let swap_us = swap_started.map(|t0| t0.elapsed().as_secs_f64() * 1e6);
-        // A rebuild doesn't change the live set, but it is the canonical
-        // invalidation event: anything cached before it must not outlive it.
-        self.bump_epoch();
         if let (Some(t0), Some(swap_us)) = (started, swap_us) {
             self.metrics.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
             self.metrics.observe("serve.rebuild_swap_us", swap_us);
@@ -257,15 +300,15 @@ impl DynamicShardRouter {
         assert_eq!(q.len(), self.dims, "dimensionality mismatch");
         let m = &self.metrics;
         let started = m.is_attached().then(std::time::Instant::now);
-        // Exact-result cache: only current-epoch entries are servable, so a
-        // hit is bit-identical to recomputing against the live set.
-        let mut key = None;
+        // Exact-result cache: every resident entry answers for the live set
+        // as it is now. On a miss, note the version the answer will be
+        // computed under.
+        let mut miss = None;
         {
             let mut cache = lock(&self.cache);
-            if cache.is_enabled() {
-                cache.advance_epoch(self.epoch());
+            if cache.results.is_enabled() {
                 let probe = CacheKey::new(q, k);
-                if let Some(hit) = cache.get(&probe) {
+                if let Some(hit) = cache.results.get(&probe) {
                     if started.is_some() {
                         m.counter("serve.dyn_cache_hits", 1);
                     }
@@ -274,10 +317,9 @@ impl DynamicShardRouter {
                 if started.is_some() {
                     m.counter("serve.dyn_cache_misses", 1);
                 }
-                key = Some(probe);
+                miss = Some((probe, cache.version));
             }
         }
-        let epoch_at_start = self.epoch();
         // Snapshot the directory under the brief meta locks.
         let mut order: Vec<(f32, f32, usize, usize)> = (0..self.metas.len())
             .map(|s| {
@@ -316,22 +358,17 @@ impl DynamicShardRouter {
             }
             let cell = self.cells[s].read().unwrap_or_else(PoisonError::into_inner);
             for n in cell.tree.knn(q, k) {
-                let g = cell.to_global.get(&n.id).copied();
-                debug_assert!(g.is_some(), "shard result id without a global mapping");
-                if let Some(g) = g {
-                    best.push(Neighbor { dist: n.dist, id: g });
-                }
+                let g = cell.to_global[n.id as usize];
+                debug_assert_ne!(g, DEAD, "shard result id without a global mapping");
+                best.push(Neighbor { dist: n.dist, id: g });
             }
             best.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
             best.truncate(k);
         }
-        if let Some(key) = key {
-            // Cache the answer only if no mutation landed while we computed
-            // it — a result from epoch N must never be filed under epoch N+1.
+        if let Some((key, version)) = miss {
             let mut cache = lock(&self.cache);
-            if self.epoch() == epoch_at_start {
-                cache.advance_epoch(epoch_at_start);
-                cache.insert(key, &best);
+            if cache.version == version {
+                cache.results.insert(key, &best);
             }
         }
         if let Some(t0) = started {
@@ -442,33 +479,52 @@ mod tests {
         let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
         let reg = psb_metrics::Registry::new();
         r.attach_metrics(MetricsHandle::attached(&reg));
-        let before = r.knn(ps.point(0), 5);
+        let q = ps.point(0).to_vec();
+        let before = r.knn(&q, 5);
         for s in 0..r.num_shards() {
             r.rebuild_shard(s);
         }
-        assert_eq!(r.knn(ps.point(0), 5), before);
+        assert_eq!(r.knn(&q, 5), before);
+        // With a cache: the answer filed before the rebuilds is served after
+        // them, an insert is folded into it, and only a remove drops it.
+        r.attach_cache(8);
+        assert_eq!(r.knn(&q, 5), before);
+        r.rebuild_shard(0);
+        assert_eq!(r.knn(&q, 5), before, "a hit");
+        let twin = r.insert(&q);
+        let mut grown = before.clone();
+        grown.insert(1, Neighbor { dist: 0.0, id: twin });
+        grown.truncate(5);
+        assert_eq!(r.knn(&q, 5), grown, "a hit on the maintained answer");
+        assert!(r.remove(twin));
+        assert_eq!(r.knn(&q, 5), before, "recomputed");
+        assert_eq!(r.cache_stats(), (2, 2, 0, 1));
         let snap = reg.snapshot();
         let counter = |name: &str| {
             snap.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap_or(0)
         };
-        assert_eq!(counter("serve.dyn_queries"), 2);
+        assert_eq!(counter("serve.dyn_queries"), 4);
+        assert_eq!(counter("serve.dyn_cache_hits"), 2);
+        assert_eq!(counter("serve.dyn_cache_misses"), 2);
+        assert_eq!(counter("serve.dyn_cache_absorbed"), 1);
+        assert_eq!(counter("serve.dyn_cache_flushes"), 1);
         let rebuilds: u64 = snap
             .counters
             .iter()
             .filter(|(k, _)| k.starts_with("serve.rebuilds{"))
             .map(|(_, v)| *v)
             .sum();
-        assert_eq!(rebuilds, 3);
+        assert_eq!(rebuilds, 4);
         let hist = |name: &str| {
             snap.histograms.iter().find(|(k, _)| k == name).map(|(_, h)| *h).expect(name)
         };
-        assert_eq!(hist("serve.rebuild_us").count, 3);
+        assert_eq!(hist("serve.rebuild_us").count, 4);
         // The swap is a part of the rebuild, and no rebuild fell back to
         // holding the write lock for all of it.
-        assert_eq!(hist("serve.rebuild_swap_us").count, 3);
+        assert_eq!(hist("serve.rebuild_swap_us").count, 4);
         assert!(hist("serve.rebuild_swap_us").max <= hist("serve.rebuild_us").max);
         assert_eq!(counter("serve.rebuilds_in_place"), 0);
-        assert_eq!(hist("serve.dyn_query_us").count, 2);
+        assert_eq!(hist("serve.dyn_query_us").count, 4);
         // Every shard decision was counted, visit or prune.
         let decisions: u64 = snap
             .counters
@@ -478,7 +534,47 @@ mod tests {
             })
             .map(|(_, v)| *v)
             .sum();
-        assert_eq!(decisions, 2 * r.num_shards() as u64);
+        assert_eq!(decisions, 4 * r.num_shards() as u64);
+    }
+
+    #[test]
+    fn a_non_finite_point_is_a_typed_error_and_changes_nothing() {
+        let ps = UniformSpec { len: 300, dims: 3, seed: 71 }.generate();
+        let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+        r.attach_cache(8);
+        let q = ps.point(7).to_vec();
+        let answer = r.knn(&q, 5);
+        let state = |r: &DynamicShardRouter| {
+            let spheres: Vec<Sphere> = r.metas.iter().map(|m| lock(m).sphere.clone()).collect();
+            let pending: Vec<usize> = (0..r.num_shards())
+                .map(|s| r.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.pending())
+                .collect();
+            (r.len(), r.version(), r.cache_stats(), spheres, pending, lock(&r.owners).len())
+        };
+        let before = state(&r);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for dim in 0..3 {
+                let mut p = q.clone();
+                p[dim] = bad;
+                assert_eq!(r.try_insert(&p), Err(NonFinite { dim }), "{bad} in dimension {dim}");
+            }
+        }
+        assert!(before == state(&r), "a refused insert left a mark");
+        // The rebuild a NaN used to reach, 240 inserts later, inside Ritter.
+        for s in 0..r.num_shards() {
+            r.rebuild_shard(s);
+        }
+        assert_eq!(r.knn(&q, 5), answer);
+        assert_eq!(r.cache_stats().0, 1, "and the cached answer is still there");
+        assert_eq!(r.try_insert(&q), Ok(300));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate in dimension 2")]
+    fn insert_panics_at_the_door_on_a_non_finite_point() {
+        let ps = UniformSpec { len: 100, dims: 3, seed: 72 }.generate();
+        let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+        r.insert(&[0.5, 0.5, f32::INFINITY]);
     }
 
     /// The satellite's non-blocking guarantee: with shard 0's tree

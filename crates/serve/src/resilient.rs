@@ -253,7 +253,7 @@ impl<T: GpuIndex> ResilientRouter<T> {
     /// interventions (e.g. replacing the wrapped router's fault plans is
     /// harmless — results are exact either way — but the hook is here for
     /// symmetry with [`DynamicShardRouter`](crate::DynamicShardRouter), whose
-    /// rebuilds invalidate automatically).
+    /// removes flush the same way).
     pub fn invalidate_cache(&mut self) {
         self.front.epoch += 1;
     }

@@ -43,13 +43,40 @@ impl BuildMethod {
     }
 }
 
-/// One under-construction level: per node, its sphere and its children
-/// (indices into the *final order* of the level below; for leaves, point ids).
-/// Shared with the top-down builder, which flattens its pointer tree into the
-/// same representation before materializing.
+/// One under-construction level: per node, its sphere and how many children
+/// it has — the next that many nodes in the *final order* of the level below
+/// (for leaves, the next that many points of the leaf order). Shared with the
+/// top-down builder, which flattens its pointer tree into the same
+/// representation before materializing.
 pub(crate) struct Level {
     pub(crate) spheres: Vec<Sphere>,
-    pub(crate) groups: Vec<Vec<u32>>,
+    pub(crate) counts: Vec<u32>,
+}
+
+/// Coordinates under a level's nodes from which their spheres are enclosed in
+/// a parallel region (`psb_geom::hilbert_keys` has the same gate, for the
+/// same reason): below it — every level of a shard-sized tree, the upper
+/// levels of any tree — the passes are well under a millisecond and run on
+/// the calling thread.
+const PAR_MIN_COORDS: usize = 1 << 16;
+
+/// One sphere per group, in group order; `coords` is what the groups hold
+/// between them.
+fn enclose<G: Sync>(
+    groups: &[G],
+    coords: usize,
+    sphere: impl Fn(&G) -> Sphere + Sync + Send,
+) -> Vec<Sphere> {
+    if coords < PAR_MIN_COORDS {
+        groups.iter().map(sphere).collect()
+    } else {
+        groups.par_iter().map(sphere).collect()
+    }
+}
+
+/// `len` children dealt out `degree` at a time, the last node taking the rest.
+fn chunk_counts(len: usize, degree: usize) -> Vec<u32> {
+    (0..len).step_by(degree).map(|at| degree.min(len - at) as u32).collect()
 }
 
 /// Builds an SS-tree over `points` with the given node degree (= leaf capacity).
@@ -73,11 +100,12 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
         }
     };
 
-    // Step 2: full leaves from the ordered stream.
-    let leaf_groups: Vec<Vec<u32>> = order.chunks(degree).map(|c| c.to_vec()).collect();
-    let leaf_spheres: Vec<Sphere> =
-        leaf_groups.par_iter().map(|g| ritter_points(points, g, RitterMode::Sequential)).collect();
-    let mut levels: Vec<Level> = vec![Level { spheres: leaf_spheres, groups: leaf_groups }];
+    // Step 2: full leaves from the ordered stream — slices of it, not copies.
+    let mut leaves: Vec<&[u32]> = order.chunks(degree).collect();
+    let leaf_spheres =
+        enclose(&leaves, n * points.dims(), |g| ritter_points(points, g, RitterMode::Sequential));
+    let mut levels: Vec<Level> =
+        vec![Level { spheres: leaf_spheres, counts: chunk_counts(n, degree) }];
 
     // Step 3: internal levels.
     loop {
@@ -87,6 +115,7 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
         }
 
         // Reorder the level below (k-means method only, while k is meaningful).
+        let below_is_leaves = levels.len() == 1;
         if let (Some((bounds, k_level, seed)), Some(below)) = (&mut clustering, levels.last_mut()) {
             if *k_level >= 2 && m > degree {
                 let centers = PointSet::from_flat(
@@ -102,6 +131,9 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
                 let perm =
                     order_by_clusters(&result.assignment, &result.centroids, &centers, bounds);
                 apply_permutation(below, &perm);
+                if below_is_leaves {
+                    leaves = perm.iter().map(|&p| leaves[p as usize]).collect();
+                }
             }
             *k_level /= 100;
         }
@@ -111,20 +143,14 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
             Some(l) => &l.spheres,
             None => break, // unreachable: the loop guard saw a last level
         };
-        let parent_groups: Vec<Vec<u32>> =
-            (0..m as u32).collect::<Vec<u32>>().chunks(degree).map(|c| c.to_vec()).collect();
-        let parent_spheres: Vec<Sphere> = parent_groups
-            .par_iter()
-            .map(|g| {
-                let kids: Vec<Sphere> =
-                    g.iter().map(|&c| below_spheres[c as usize].clone()).collect();
-                ritter_spheres(&kids, RitterMode::Sequential)
-            })
-            .collect();
-        levels.push(Level { spheres: parent_spheres, groups: parent_groups });
+        let families: Vec<&[Sphere]> = below_spheres.chunks(degree).collect();
+        let parent_spheres = enclose(&families, m * points.dims(), |kids| {
+            ritter_spheres(kids, RitterMode::Sequential)
+        });
+        levels.push(Level { spheres: parent_spheres, counts: chunk_counts(m, degree) });
     }
 
-    materialize(points, degree, levels)
+    materialize(points, degree, levels, leaves.concat())
 }
 
 /// Orders items by (Hilbert key of their cluster centroid, then Hilbert key of
@@ -149,11 +175,17 @@ fn order_by_clusters(
 /// Permutes a level in place: node `i` of the new order is old node `perm[i]`.
 fn apply_permutation(level: &mut Level, perm: &[u32]) {
     level.spheres = perm.iter().map(|&p| level.spheres[p as usize].clone()).collect();
-    level.groups = perm.iter().map(|&p| std::mem::take(&mut level.groups[p as usize])).collect();
+    level.counts = perm.iter().map(|&p| level.counts[p as usize]).collect();
 }
 
-/// Flattens the per-level plan into the arena representation.
-pub(crate) fn materialize(points: &PointSet, degree: usize, levels: Vec<Level>) -> SsTree {
+/// Flattens the per-level plan into the arena representation. `point_order`
+/// is the leaf order: the leaves' points, leaf after leaf.
+pub(crate) fn materialize(
+    points: &PointSet,
+    degree: usize,
+    levels: Vec<Level>,
+    point_order: Vec<u32>,
+) -> SsTree {
     let dims = points.dims();
     let num_levels = levels.len();
     let total_nodes: usize = levels.iter().map(|l| l.spheres.len()).sum();
@@ -195,39 +227,38 @@ pub(crate) fn materialize(points: &PointSet, degree: usize, levels: Vec<Level>) 
         if li > 0 {
             let child_base = arena_base(li - 1);
             let mut cursor = 0u32;
-            for (j, group) in level.groups.iter().enumerate() {
+            for (j, &count) in level.counts.iter().enumerate() {
                 let node = b + j as u32;
                 first_child[node as usize] = child_base + cursor;
-                child_count[node as usize] = group.len() as u32;
-                for offset in 0..group.len() as u32 {
+                child_count[node as usize] = count;
+                for offset in 0..count {
                     parent[(child_base + cursor + offset) as usize] = node;
                 }
-                cursor += group.len() as u32;
+                cursor += count;
             }
         }
     }
 
-    // Leaves: reorder points into final leaf order, assign ids and point runs.
-    let leaf_level = &levels[0];
-    let num_leaves = leaf_level.groups.len();
+    // Leaves: assign ids and point runs along the leaf order.
+    let leaf_counts = &levels[0].counts;
     let leaf_base = arena_base(0);
-    let mut point_order: Vec<u32> = Vec::with_capacity(points.len());
-    let mut leaf_node_of = vec![0u32; num_leaves];
-    for (l, group) in leaf_level.groups.iter().enumerate() {
+    let mut next_point = 0u32;
+    let mut leaf_node_of = vec![0u32; leaf_counts.len()];
+    for (l, &count) in leaf_counts.iter().enumerate() {
         let node = leaf_base + l as u32;
         leaf_node_of[l] = node;
         leaf_id[node as usize] = l as u32;
-        first_child[node as usize] = point_order.len() as u32;
-        child_count[node as usize] = group.len() as u32;
+        first_child[node as usize] = next_point;
+        child_count[node as usize] = count;
         subtree_min[node as usize] = l as u32;
         subtree_max[node as usize] = l as u32;
-        point_order.extend_from_slice(group);
+        next_point += count;
     }
 
     // Subtree leaf ranges bottom-up.
     for (li, level) in levels.iter().enumerate().take(num_levels).skip(1) {
         let b = arena_base(li);
-        for (j, _) in level.groups.iter().enumerate() {
+        for j in 0..level.counts.len() {
             let node = (b + j as u32) as usize;
             let fc = first_child[node];
             let cc = child_count[node];

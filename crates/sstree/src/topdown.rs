@@ -83,9 +83,10 @@ pub fn build_topdown(points: &PointSet, degree: usize) -> SsTree {
     // materializer.
     let height = root.level as usize + 1;
     let mut levels: Vec<Level> =
-        (0..height).map(|_| Level { spheres: Vec::new(), groups: Vec::new() }).collect();
-    flatten(&root, points, &mut levels);
-    materialize(points, degree, levels)
+        (0..height).map(|_| Level { spheres: Vec::new(), counts: Vec::new() }).collect();
+    let mut point_order = Vec::with_capacity(points.len());
+    flatten(&root, points, &mut levels, &mut point_order);
+    materialize(points, degree, levels, point_order)
 }
 
 fn insert_from_root(root: &mut TdNode, points: &PointSet, id: u32, degree: usize, dims: usize) {
@@ -276,36 +277,37 @@ fn split_internal(node: &mut TdNode, _degree: usize) -> InsertOutcome {
     InsertOutcome::Split(right)
 }
 
-/// Post-order flatten: children are appended to their level before the parent
-/// records its group, so every parent's children end up contiguous.
-/// Returns (level, index within level) and the node's sphere.
-fn flatten(node: &TdNode, points: &PointSet, levels: &mut [Level]) -> (usize, u32, Sphere) {
+/// Post-order flatten: children are appended to their level (a leaf's points
+/// to `point_order`) before the parent records how many it has, so every
+/// parent's children end up contiguous. Returns the node's level and sphere.
+fn flatten(
+    node: &TdNode,
+    points: &PointSet,
+    levels: &mut [Level],
+    point_order: &mut Vec<u32>,
+) -> (usize, Sphere) {
     let center = node.centroid();
     if node.level == 0 {
         let radius =
             node.pts.iter().map(|&p| dist(points.point(p as usize), &center)).fold(0f32, f32::max);
         let sphere = Sphere::new(center, radius * (1.0 + 1e-6));
-        let lvl = &mut levels[0];
-        let idx = lvl.spheres.len() as u32;
-        lvl.spheres.push(sphere.clone());
-        lvl.groups.push(node.pts.clone());
-        return (0, idx, sphere);
+        levels[0].spheres.push(sphere.clone());
+        levels[0].counts.push(node.pts.len() as u32);
+        point_order.extend_from_slice(&node.pts);
+        return (0, sphere);
     }
 
-    let mut group = Vec::with_capacity(node.children.len());
     let mut radius = 0f32;
     for child in &node.children {
-        let (clevel, cidx, csphere) = flatten(child, points, levels);
+        let (clevel, csphere) = flatten(child, points, levels, point_order);
         debug_assert_eq!(clevel, node.level as usize - 1);
-        group.push(cidx);
         radius = radius.max(dist(&csphere.center, &center) + csphere.radius);
     }
     let sphere = Sphere::new(center, radius * (1.0 + 1e-6));
     let lvl = &mut levels[node.level as usize];
-    let idx = lvl.spheres.len() as u32;
     lvl.spheres.push(sphere.clone());
-    lvl.groups.push(group);
-    (node.level as usize, idx, sphere)
+    lvl.counts.push(node.children.len() as u32);
+    (node.level as usize, sphere)
 }
 
 #[cfg(test)]

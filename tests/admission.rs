@@ -318,29 +318,67 @@ fn exact_result_cache_hits_bit_identically_and_epoch_invalidates() {
     assert_eq!(invalidations, 1);
 }
 
+/// The dynamic router keeps its cached answers right under writes instead of
+/// dropping them: a rebuild changes no answer, an insert is folded into every
+/// resident one, and only a remove — whose successor in the k-th place no
+/// entry holds — flushes. Every repeat is held to the linear oracle over the
+/// set as it stands.
 #[test]
-fn dynamic_router_rebuilds_invalidate_the_cache() {
+fn dynamic_router_cache_stays_exact_under_writes() {
+    const K: usize = 5;
     let ps = UniformSpec { len: 300, dims: 3, seed: 21 }.generate();
     let mut r = DynamicShardRouter::build(&ps, 3, &psb::core::shard::ShardPolicy::HilbertRange, 8);
     r.attach_cache(32);
+    let mut mirror: Vec<(u32, Vec<f32>)> =
+        (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
     let q = ps.point(0).to_vec();
-    let first = r.knn(&q, 5);
-    let cached = r.knn(&q, 5);
-    assert_eq!(first, cached);
-    assert_eq!(r.cache_stats().0, 1, "second ask hits");
-    let epoch_before = r.epoch();
-    r.rebuild_shard(0);
-    assert!(r.epoch() > epoch_before, "rebuild must bump the epoch");
-    let after = r.knn(&q, 5);
-    assert_eq!(after, first, "rebuild preserves answers");
-    let (hits, _, _, invalidations) = r.cache_stats();
-    assert_eq!(hits, 1, "post-rebuild ask must recompute, not hit stale");
-    assert_eq!(invalidations, 1);
-    // Mutations invalidate too.
-    r.knn(&q, 5);
-    assert_eq!(r.cache_stats().0, 2);
-    r.insert(&q);
-    let with_insert = r.knn(&q, 5);
-    assert_eq!(with_insert[0].dist, 0.0, "inserted duplicate is its own 1-NN");
-    assert_eq!(r.cache_stats().3, 2, "insert invalidated the cache");
+    let oracle = |mirror: &[(u32, Vec<f32>)]| {
+        let mut all: Vec<Neighbor> =
+            mirror.iter().map(|(id, p)| Neighbor { dist: dist(&q, p), id: *id }).collect();
+        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        all.truncate(K);
+        all
+    };
+    let first = r.knn(&q, K);
+    assert_eq!(first, oracle(&mirror));
+    assert_eq!(r.knn(&q, K), first);
+    assert_eq!(r.cache_stats(), (1, 1, 0, 0), "second ask hits");
+
+    // A rebuild indexes the same set: the entry stays and is served.
+    let version = r.version();
+    for s in 0..r.num_shards() {
+        r.rebuild_shard(s);
+    }
+    assert_eq!(r.version(), version, "a rebuild is not a mutation");
+    assert_eq!(r.knn(&q, K), first);
+    assert_eq!(r.cache_stats(), (2, 1, 0, 0), "a repeat after the rebuilds hits");
+
+    // An insert beyond the k-th neighbour: a hit, and the same answer.
+    let along_x = |dx: f32| vec![q[0] + dx, q[1], q[2]];
+    let far = along_x(first[K - 1].dist * 2.0);
+    mirror.push((r.insert(&far), far));
+    assert_eq!(r.version(), version + 1);
+    assert_eq!(r.knn(&q, K), first);
+    assert_eq!(r.knn(&q, K), oracle(&mirror));
+    assert_eq!(r.cache_stats(), (4, 1, 0, 0));
+
+    // An insert between the (k-1)-th and the k-th: the hit shows it in the
+    // k-th place, as the oracle over the grown set does.
+    let near = along_x((first[K - 2].dist + first[K - 1].dist) / 2.0);
+    let id = r.insert(&near);
+    mirror.push((id, near));
+    let grown = r.knn(&q, K);
+    assert_eq!(grown[..K - 1], first[..K - 1]);
+    assert_eq!(grown[K - 1].id, id, "the inserted point took the k-th place");
+    assert_eq!(grown, oracle(&mirror));
+    assert_eq!(r.cache_stats(), (5, 1, 0, 0), "and that was a hit");
+
+    // A remove drops every entry: the repeat recomputes.
+    assert!(r.remove(grown[1].id));
+    mirror.retain(|(g, _)| *g != grown[1].id);
+    assert_eq!(r.knn(&q, K), oracle(&mirror));
+    assert_eq!(r.cache_stats(), (5, 2, 0, 1), "a miss after the one flush");
+    assert!(!r.remove(grown[1].id), "a remove that finds nothing");
+    assert_eq!(r.knn(&q, K), oracle(&mirror));
+    assert_eq!(r.cache_stats(), (6, 2, 0, 1), "flushes nothing");
 }

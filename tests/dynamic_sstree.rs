@@ -6,6 +6,11 @@
 //! delta-buffered inserts, tombstoned deletes, threshold rebuilds, and
 //! explicit rebuilds has happened, `knn`/`knn_gpu` answer identically to a
 //! linear scan of the live set with stable external ids.
+//!
+//! [`DynamicShardRouter`]'s result cache makes the same promise one layer up
+//! — a hit is an exact answer for the live set, through inserts, removes and
+//! shard rebuilds — and is held to it here, differentially, on data full of
+//! duplicates and tied distances.
 
 use proptest::prelude::*;
 use psb::prelude::*;
@@ -18,6 +23,30 @@ fn oracle(mirror: &[(u32, Vec<f32>)], q: &[f32], k: usize) -> Vec<Neighbor> {
     v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
     v.truncate(k.min(v.len()));
     v
+}
+
+/// Whether `got` is an exact kNN answer, given the oracle's `want` — the rule
+/// of the repo benchmark's `answers_match`: the distance at every rank
+/// bit-equal to the oracle's, and, since the k nearest are not unique where
+/// distances tie, any id that is reported once and is a live point at exactly
+/// that distance. Lists are in `(dist, id)` order.
+fn exact_up_to_ties(
+    got: &[Neighbor],
+    want: &[Neighbor],
+    q: &[f32],
+    mirror: &[(u32, Vec<f32>)],
+) -> bool {
+    let ordered = |pair: &[Neighbor]| {
+        pair[0].dist.total_cmp(&pair[1].dist).then(pair[0].id.cmp(&pair[1].id)).is_lt()
+    };
+    got.len() == want.len()
+        && got.windows(2).all(ordered)
+        && got.iter().zip(want).all(|(g, w)| {
+            g.dist.to_bits() == w.dist.to_bits()
+                && mirror
+                    .iter()
+                    .any(|(id, p)| *id == g.id && dist(q, p).to_bits() == g.dist.to_bits())
+        })
 }
 
 fn check_queries(t: &DynamicSsTree, mirror: &[(u32, Vec<f32>)], queries: &PointSet, k: usize) {
@@ -205,5 +234,78 @@ proptest! {
         }
         prop_assert_eq!(t.len(), mirror.len());
         check_queries(&t, &mirror, &queries, k);
+    }
+
+    // The router's maintained cache against the same router without one and
+    // against the oracle, after every write: inserts (folded into the resident
+    // answers), removes (the flush), shard rebuilds (nothing), over a lattice
+    // so small that points repeat and distances tie at every rank, with k
+    // below, around and beyond the live count. The pool is a little larger
+    // than the cache, so entries are also evicted and filed again.
+    #[test]
+    fn cached_router_stays_exact_through_inserts_removes_and_rebuilds(
+        seed in 1u64..10_000,
+        dims in 2usize..4,
+        ops in 30usize..90,
+    ) {
+        const SHARDS: usize = 3;
+        const KS: [usize; 3] = [1, 8, 1000];
+        let mut state = seed;
+        let mut draw = move |below: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        let lattice_point = |draw: &mut dyn FnMut(usize) -> usize, offset: f32| -> Vec<f32> {
+            (0..dims).map(|_| draw(5) as f32 + offset).collect()
+        };
+        let mut ps = PointSet::new(dims);
+        for _ in 0..90 {
+            ps.push(&lattice_point(&mut draw, 0.0));
+        }
+        // Queries on lattice points (distance 0 to every copy) and on cell
+        // centres (equidistant from all corners).
+        let pool: Vec<Vec<f32>> =
+            [0.0, 0.5, 0.0, 0.5, 0.0].iter().map(|&offset| lattice_point(&mut draw, offset)).collect();
+        let mut cached = DynamicShardRouter::build(&ps, SHARDS, &ShardPolicy::HilbertRange, 4);
+        cached.attach_cache(12);
+        let mut plain = DynamicShardRouter::build(&ps, SHARDS, &ShardPolicy::HilbertRange, 4);
+        let mut mirror: Vec<(u32, Vec<f32>)> =
+            (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+        let mut dead = u32::MAX;
+        for step in 0..ops {
+            match draw(8) {
+                0..=3 => {
+                    let p = lattice_point(&mut draw, 0.0);
+                    let id = cached.insert(&p);
+                    prop_assert_eq!(plain.insert(&p), id);
+                    mirror.push((id, p));
+                }
+                4 if !mirror.is_empty() => {
+                    dead = mirror.swap_remove(draw(mirror.len())).0;
+                    prop_assert!(cached.remove(dead) && plain.remove(dead));
+                }
+                4 | 5 => prop_assert!(!cached.remove(dead) && !plain.remove(dead)),
+                _ => {
+                    let s = draw(SHARDS);
+                    cached.rebuild_shard(s);
+                    plain.rebuild_shard(s);
+                }
+            }
+            prop_assert_eq!(cached.len(), mirror.len());
+            for _ in 0..4 {
+                let (q, k) = (&pool[draw(pool.len())], KS[draw(KS.len())]);
+                let want = oracle(&mirror, q, k);
+                for (which, got) in [("cached", cached.knn(q, k)), ("plain", plain.knn(q, k))] {
+                    prop_assert!(
+                        exact_up_to_ties(&got, &want, q, &mirror),
+                        "step {}: {} router, k {}, query {:?}, {} of {} neighbours, the first:\n  got  {:?}\n  want {:?}",
+                        step, which, k, q, got.len(), want.len(),
+                        &got[..got.len().min(12)], &want[..want.len().min(12)]
+                    );
+                }
+            }
+        }
+        let (hits, misses, evictions, _) = cached.cache_stats();
+        prop_assert!(hits > 0 && misses > 0 && evictions > 0, "{:?}", cached.cache_stats());
     }
 }

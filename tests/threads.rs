@@ -6,8 +6,9 @@
 //! batch runner, every parallel build phase and the k-means shard split give
 //! the same bits inside pools of 1, 2, 4 and 7 threads (7 divides none of the
 //! piece counts here, so some worker always gets a ragged share); and the
-//! layers written for concurrency — per-shard `RwLock`s, epoch-checked caches,
-//! the metrics `Registry` — survive a soak on real threads.
+//! layers written for concurrency — per-shard `RwLock`s, the result caches
+//! (epoch-checked on the static path, maintained under writes on the dynamic
+//! one), the metrics `Registry` — survive a soak on real threads.
 
 use std::collections::HashSet;
 use std::fmt::Debug;
@@ -226,6 +227,20 @@ fn builds_are_byte_identical_at_one_and_four_threads() {
         assert!(a == b, "sstree::build {tag}: persist images differ between 1 and 4 threads");
         assert_eq!(fnv1a(&a), parent_image, "sstree::build {tag}: {:#018x}", fnv1a(&a));
     }
+    // A set of that size is keyed and enclosed on the calling thread (a
+    // region would cost more than it saves); one four times as large enters
+    // a region for both, ragged last pieces included.
+    let large =
+        ClusteredSpec { clusters: 10, points_per_cluster: 2003, dims: 6, sigma: 90.0, seed: 23 }
+            .generate();
+    let image = |threads: usize| {
+        let tree = in_pool(threads, || build(&large, 16, &BuildMethod::Hilbert));
+        persisted(&tree, &format!("large-{threads}"))
+    };
+    assert!(
+        image(1) == image(4),
+        "sstree::build over 20 030 points differs between 1 and 4 threads"
+    );
     let rt = |threads| in_pool(threads, || build_rtree(&points, 16, &RtreeBuildMethod::Hilbert));
     assert!(fingerprint(&rt(1)) == fingerprint(&rt(4)), "build_rtree differs");
     let kd = |threads| in_pool(threads, || LbKdTree::build(&points));
@@ -234,9 +249,10 @@ fn builds_are_byte_identical_at_one_and_four_threads() {
 
 #[test]
 fn hilbert_keys_ranges_and_schedules_are_identical_in_every_pool() {
-    // 5000 points are three pieces of the key region, the last one ragged.
+    // 18 000 points: past the size below which keys are computed inline, and
+    // nine pieces of the key region, the last one ragged.
     let points =
-        ClusteredSpec { clusters: 10, points_per_cluster: 500, dims: 6, sigma: 90.0, seed: 37 }
+        ClusteredSpec { clusters: 10, points_per_cluster: 1800, dims: 6, sigma: 90.0, seed: 37 }
             .generate();
     let bounds = Rect::of_point_set(&points);
     let keys = same_in_every_pool("hilbert_keys", || psb::geom::hilbert_keys(&points, &bounds));
@@ -459,6 +475,8 @@ struct Soak {
     start: Barrier,
     writers_done: AtomicBool,
     knn_calls: AtomicU64,
+    /// Queries each reader lane has finished.
+    lane_reads: [AtomicU64; READERS],
 }
 
 const INITIAL: usize = 2000;
@@ -474,6 +492,13 @@ fn removed_in(phase: usize) -> u32 {
     (phase * 131) as u32
 }
 
+/// The global ids alive once the writer has made `inserts` inserts and
+/// `removes` removes.
+fn live_after(inserts: usize, removes: usize) -> Vec<u32> {
+    let removed: Vec<u32> = (0..removes).map(removed_in).collect();
+    (0..(INITIAL + inserts) as u32).filter(|g| !removed.contains(g)).collect()
+}
+
 impl Soak {
     fn reader(&self, lane: usize) {
         self.start.wait();
@@ -484,6 +509,7 @@ impl Soak {
             let q = self.queries.point((lane + reads * READERS) % self.queries.len());
             let got = self.router.read().expect("outer lock").knn(q, K);
             self.knn_calls.fetch_add(1, Ordering::Relaxed);
+            self.lane_reads[lane].fetch_add(1, Ordering::Release);
             assert_eq!(got.len(), K);
             for pair in got.windows(2) {
                 assert!(pair[0].dist <= pair[1].dist && pair[0].id != pair[1].id, "{got:?}");
@@ -498,20 +524,54 @@ impl Soak {
         }
     }
 
+    /// Holds the writer back until every reader lane has been round its
+    /// queries since now: a lane asks for its `queries.len() / READERS`
+    /// queries in turn, so after two rounds (one query may have been answered
+    /// before the call and counted after it) each was asked for, and filed if
+    /// it missed. The cache holds them all, so from here to the next remove
+    /// every answer is resident.
+    fn readers_go_round(&self) {
+        let round = (self.queries.len() / READERS) as u64;
+        for lane in &self.lane_reads {
+            let target = lane.load(Ordering::Acquire) + 2 * round;
+            while lane.load(Ordering::Acquire) < target {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// Inserts the stream in order (so global ids are `INITIAL + j`) and
-    /// removes one initial point per phase.
+    /// removes one initial point per phase, the two under separate holds of
+    /// the outer lock with the readers let round in between: the inserts meet
+    /// a full cache, the readers then hit what the inserts left of it, and
+    /// the remove flushes it. Under the inserts' hold the writer asks every
+    /// query itself: all hits, on answers filed before the inserts, equal to
+    /// a scan of the set as it now stands.
     fn writer(&self) {
         self.start.wait();
         for phase in 0..WRITE_PHASES {
+            self.readers_go_round();
             {
                 let mut router = self.router.write().expect("outer lock");
                 for j in 0..INSERTS_PER_PHASE {
                     let g = INITIAL + phase * INSERTS_PER_PHASE + j;
                     assert_eq!(router.insert(self.all.point(g)) as usize, g);
                 }
-                assert!(router.remove(removed_in(phase)));
+                let live = live_after((phase + 1) * INSERTS_PER_PHASE, phase);
+                let (hits, misses, ..) = router.cache_stats();
+                for (qi, q) in self.queries.iter().enumerate() {
+                    assert_eq!(router.knn(q, K), oracle(&self.all, &live, q, K), "query {qi}");
+                }
+                self.knn_calls.fetch_add(self.queries.len() as u64, Ordering::Relaxed);
+                let (hits_now, misses_now, ..) = router.cache_stats();
+                assert_eq!(
+                    (hits_now - hits, misses_now - misses),
+                    (self.queries.len() as u64, 0),
+                    "phase {phase}: answers filed before the inserts were not served after them"
+                );
             }
-            std::thread::yield_now();
+            self.readers_go_round();
+            assert!(self.router.write().expect("outer lock").remove(removed_in(phase)));
         }
     }
 
@@ -620,6 +680,7 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
         start: Barrier::new(READERS + 4),
         writers_done: AtomicBool::new(false),
         knn_calls: AtomicU64::new(0),
+        lane_reads: Default::default(),
     });
 
     // Plain spawned threads reporting over a channel, so a deadlock is a
@@ -656,8 +717,7 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     }
 
     // Quiescence: every query equals a linear scan of the final live set.
-    let removed: Vec<u32> = (0..WRITE_PHASES).map(removed_in).collect();
-    let live: Vec<u32> = (0..(INITIAL + inserts) as u32).filter(|g| !removed.contains(g)).collect();
+    let live = live_after(inserts, WRITE_PHASES);
     let router = soak.router.read().expect("outer lock");
     assert_eq!(router.len(), live.len());
     for (qi, q) in soak.queries.iter().enumerate() {
@@ -671,6 +731,34 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     };
     let calls = soak.knn_calls.load(Ordering::Relaxed) + soak.queries.len() as u64;
     assert_eq!(counter("serve.dyn_cache_hits") + counter("serve.dyn_queries"), calls);
+    // The cache was kept, not refilled, across 192 inserts and 24 rebuilds:
+    // a query missed when it was first asked and once after each remove's
+    // flush, and was a hit every other time — between writes and after them.
+    assert_eq!(counter("serve.dyn_cache_flushes"), WRITE_PHASES as u64);
+    let asked_afresh = ((WRITE_PHASES + 1) * soak.queries.len()) as u64;
+    assert_eq!(counter("serve.dyn_cache_misses"), asked_afresh);
+    assert_eq!(counter("serve.dyn_cache_hits"), calls - asked_afresh);
+    // Every insert met every answer resident, so the entries the inserts
+    // changed are the ones a scan says they had to: those whose k-th place
+    // the new point is nearer than.
+    let mut absorbed = 0;
+    let by_rank = |a: &Neighbor, b: &Neighbor| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id));
+    for q in soak.queries.iter() {
+        let at = |g: usize| Neighbor { dist: dist(q, soak.all.point(g)), id: g as u32 };
+        let mut ranked: Vec<Neighbor> = (0..INITIAL).map(at).collect();
+        ranked.sort_by(by_rank);
+        for j in 0..inserts {
+            let new = at(INITIAL + j);
+            let rank = ranked.partition_point(|n| by_rank(n, &new).is_lt());
+            absorbed += u64::from(rank < K);
+            ranked.insert(rank, new);
+            if (j + 1) % INSERTS_PER_PHASE == 0 {
+                ranked.retain(|n| n.id != removed_in(j / INSERTS_PER_PHASE));
+            }
+        }
+    }
+    assert!(absorbed > 0, "no insert was near any query");
+    assert_eq!(counter("serve.dyn_cache_absorbed"), absorbed);
     assert_eq!(counter("serve.rebuilds{"), REBUILDS as u64);
     // Every one of them built aside and took the write lock for the swap
     // only: none found its shard changed and fell back to rebuilding in place.
