@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, full test suite.
 #
-#   ./ci.sh            # everything (13 stages)
+#   ./ci.sh            # everything (14 stages)
 #   ./ci.sh fmt        # one stage (fmt | clippy | hardlint | test | faults |
 #                      #            shard | chaos | metrics | wave | fastpath |
-#                      #            kdtree | threads | bench-smoke)
+#                      #            kdtree | threads | bench-smoke | doc)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -116,6 +116,10 @@ run_bench_smoke() {
     return "$rc"
 }
 
+# Intra-doc links are code: a renamed type, a link to a private item or a
+# bracketed citation that parses as a link fails the build here.
+run_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline; }
+
 case "$stage" in
     fmt)           run_fmt ;;
     clippy)        run_clippy ;;
@@ -130,6 +134,7 @@ case "$stage" in
     kdtree)        run_kdtree ;;
     threads)       run_threads ;;
     bench-smoke)   run_bench_smoke ;;
+    doc)           run_doc ;;
     all)
         echo "== cargo fmt --check ==" && run_fmt
         echo "== cargo clippy -D warnings ==" && run_clippy
@@ -144,10 +149,11 @@ case "$stage" in
         echo "== kd-tree suite ==" && run_kdtree
         echo "== host-thread parity + soak, 1 and 4 threads ==" && run_threads
         echo "== bench smoke ==" && run_bench_smoke
+        echo "== cargo doc -D warnings ==" && run_doc
         echo "CI green."
         ;;
     *)
-        echo "usage: $0 [fmt|clippy|hardlint|test|faults|shard|chaos|metrics|wave|fastpath|kdtree|threads|bench-smoke|all]" >&2
+        echo "usage: $0 [fmt|clippy|hardlint|test|faults|shard|chaos|metrics|wave|fastpath|kdtree|threads|bench-smoke|doc|all]" >&2
         exit 2
         ;;
 esac

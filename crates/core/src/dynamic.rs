@@ -116,7 +116,7 @@ impl std::error::Error for NonFinite {}
 impl Snapshot {
     /// Packs the copied live set bottom-up.
     ///
-    /// The arena passes through [`psb_sstree::build`], whose materialization
+    /// The arena passes through [`psb_sstree::build()`], whose materialization
     /// runs [`SsTree::validate`] before returning — so every rebuild is
     /// structurally verified before queries touch it.
     pub fn build(self) -> Rebuilt {

@@ -7,48 +7,25 @@
 //! left-to-right leaf ids, parent links, subtree leaf ranges) plus a bounding-
 //! volume evaluation with its instruction cost.
 //!
-//! Two implementations exist: the SS-tree (bounding spheres — one distance
-//! plus a radius add/subtract yields MINDIST *and* MAXDIST) and the packed
-//! R-tree in `psb-rtree` (bounding rectangles — per-facet work, and a separate
-//! farthest-corner pass for MAXDIST). Running the identical kernel over both
-//! turns the paper's §II-C computational-cost argument into a measurement.
+//! Both bounding-volume families reach the kernels through **one**
+//! implementation, on [`FlatTree<V>`](FlatTree) for any `V: Volumes`: the
+//! SS-tree is `FlatTree<Spheres>` (one distance plus a radius add/subtract
+//! yields MINDIST *and* MAXDIST), the packed R-tree in `psb-rtree` is
+//! `FlatTree<Rects>` (per-facet work, and a separate farthest-corner pass for
+//! MAXDIST), and node shape lives in their [`Volumes`] alone. Running the
+//! identical kernel over both turns the paper's §II-C computational-cost
+//! argument into a measurement. The only other implementation is the implicit
+//! kd-tree (`psb-kdtree`'s `LbKdTree`), which has no bounding volumes at all.
 
 use psb_geom::DistKernel;
-use psb_sstree::SsTree;
+use psb_sstree::{FlatTree, Volumes};
+
+pub use psb_sstree::SweepScratch;
 
 /// Sentinel rope link: "no next subtree" — returned by [`GpuIndex::rope`] for
 /// the root and every node on the rightmost root-to-leaf spine. Matches the
 /// tree crates' own `NO_ROPE` constants bit-for-bit.
 pub const NO_ROPE: u32 = u32::MAX;
-
-/// Reusable output buffers for a per-node child sweep. Pooled in the engine's
-/// per-thread [`Scratch`](crate::kernels::Scratch) so the batch loop performs
-/// no per-node allocation.
-#[derive(Clone, Debug, Default)]
-pub struct SweepScratch {
-    /// MINDIST per child, in child order.
-    pub min_d: Vec<f32>,
-    /// MAXDIST per child (filled only when the sweep ran `with_max`).
-    pub max_d: Vec<f32>,
-    /// Anchor (representative-point) distance per child (filled only when the
-    /// sweep ran `with_anchor`).
-    pub anchor_d: Vec<f32>,
-    /// Staging row for the batched one-query-vs-many-rows distance kernels:
-    /// sweeps write raw row distances here before deriving their outputs, so
-    /// no sweep allocates. Transient — valid only within one sweep call.
-    pub tmp: Vec<f32>,
-}
-
-impl SweepScratch {
-    /// Empty all buffers, keeping their capacity.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.min_d.clear();
-        self.max_d.clear();
-        self.anchor_d.clear();
-        self.tmp.clear();
-    }
-}
 
 /// The legacy gather path for [`GpuIndex::child_sweep`]: per-child scattered
 /// loads through the node-major accessors. Default implementation and the
@@ -229,7 +206,7 @@ pub trait ImplicitKdIndex: GpuIndex {
     fn split_dim(&self, n: u32) -> usize;
 }
 
-impl GpuIndex for SsTree {
+impl<V: Volumes> GpuIndex for FlatTree<V> {
     fn dims(&self) -> usize {
         self.dims
     }
@@ -240,16 +217,16 @@ impl GpuIndex for SsTree {
         self.root
     }
     fn is_leaf(&self, n: u32) -> bool {
-        SsTree::is_leaf(self, n)
+        FlatTree::is_leaf(self, n)
     }
     fn children(&self, n: u32) -> std::ops::Range<u32> {
-        SsTree::children(self, n)
+        FlatTree::children(self, n)
     }
     fn parent(&self, n: u32) -> u32 {
         self.parent[n as usize]
     }
     fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
-        SsTree::leaf_points(self, n)
+        FlatTree::leaf_points(self, n)
     }
     fn point(&self, pos: usize) -> &[f32] {
         self.points.point(pos)
@@ -264,10 +241,10 @@ impl GpuIndex for SsTree {
         self.leaf_node_of[l as usize]
     }
     fn num_leaves(&self) -> usize {
-        SsTree::num_leaves(self)
+        FlatTree::num_leaves(self)
     }
     fn num_nodes(&self) -> usize {
-        SsTree::num_nodes(self)
+        FlatTree::num_nodes(self)
     }
     fn num_points(&self) -> usize {
         self.points.len()
@@ -287,36 +264,32 @@ impl GpuIndex for SsTree {
     }
     fn index_bytes(&self) -> u64 {
         // Node bytes already include the leaf point blocks: internal nodes
-        // carry the child-sphere SoA, leaves carry their packed points + ids.
+        // carry the child-volume SoA, leaves carry their packed points + ids.
         self.total_bytes()
     }
     fn internal_node_bytes(&self, n: u32) -> u64 {
-        SsTree::internal_node_bytes(self, n)
+        FlatTree::internal_node_bytes(self, n)
     }
     fn leaf_node_bytes(&self, n: u32) -> u64 {
-        SsTree::leaf_node_bytes(self, n)
+        FlatTree::leaf_node_bytes(self, n)
     }
     fn child_entry_bytes(&self) -> u64 {
-        self.dims as u64 * 4 + 4 + 12
+        FlatTree::child_entry_bytes(self)
     }
     fn point_entry_bytes(&self) -> u64 {
-        self.dims as u64 * 4 + 4
+        FlatTree::point_entry_bytes(self)
     }
 
-    fn child_min_max(&self, c: u32, q: &[f32], _with_max: bool) -> (f32, f32) {
-        // One center distance yields both bounds — the sphere advantage.
-        let center_d = psb_geom::dist(q, self.center(c));
-        let r = self.radius(c);
-        ((center_d - r).max(0.0), center_d + r)
+    fn child_min_max(&self, c: u32, q: &[f32], with_max: bool) -> (f32, f32) {
+        self.volumes.min_max(self.dims, c as usize, q, with_max)
     }
 
-    fn child_eval_cost(&self, _with_max: bool) -> u64 {
-        // Distance + radius add/subtract; MAXDIST is free (same distance).
-        crate::dist_cost(self.dims) + 2
+    fn child_eval_cost(&self, with_max: bool) -> u64 {
+        V::eval_cost(self.dims, with_max)
     }
 
     fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
-        psb_geom::dist(q, self.center(c))
+        self.volumes.anchor(self.dims, c as usize, q)
     }
 
     fn child_sweep(
@@ -328,28 +301,14 @@ impl GpuIndex for SsTree {
         with_anchor: bool,
         out: &mut SweepScratch,
     ) {
-        let kids = SsTree::children(self, n);
-        let blk = self.arena.as_ref().and_then(|a| a.internal(n, kids.start, kids.len()));
-        let Some(blk) = blk else {
+        let kids = FlatTree::children(self, n);
+        match self.arena.as_ref().and_then(|a| a.internal(n, kids.start, kids.len())) {
+            // One pass over the node's packed SoA block — bit-identical to
+            // the gather path (`tests/layout_parity.rs`).
+            Some(block) => V::sweep(block, kids.len(), q, dk, with_max, with_anchor, out),
             // Stale/absent arena (stripped for benchmarking, or the tree was
             // mutated underneath it): the bounds-checked gather path.
-            gather_child_sweep(self, n, q, with_max, with_anchor, out);
-            return;
-        };
-        // One batched row sweep over the packed center block (center distance
-        // once per child), then both bounds and the anchor derived from it —
-        // bit-identical to the gather path (same kernel, same data, same op
-        // order per value; the row form only changes where the loop lives).
-        out.tmp.clear();
-        dk.dist_rows(q, blk.centers, &mut out.tmp);
-        for (&cd, &r) in out.tmp.iter().zip(blk.radii) {
-            out.min_d.push((cd - r).max(0.0));
-            if with_max {
-                out.max_d.push(cd + r);
-            }
-            if with_anchor {
-                out.anchor_d.push(cd);
-            }
+            None => gather_child_sweep(self, n, q, with_max, with_anchor, out),
         }
     }
 
@@ -361,7 +320,7 @@ impl GpuIndex for SsTree {
         tmp: &mut Vec<f32>,
         out: &mut Vec<(f32, u32)>,
     ) {
-        let run = SsTree::leaf_points(self, n);
+        let run = FlatTree::leaf_points(self, n);
         let blk = self.arena.as_ref().and_then(|a| a.leaf(n, run.start as u32, run.len()));
         let Some(blk) = blk else {
             gather_leaf_sweep(self, n, q, out);
@@ -379,7 +338,7 @@ impl GpuIndex for SsTree {
 mod tests {
     use super::*;
     use psb_data::ClusteredSpec;
-    use psb_sstree::{build, BuildMethod};
+    use psb_sstree::{build, BuildMethod, SsTree};
 
     #[test]
     fn sstree_implements_the_contract() {
@@ -419,14 +378,5 @@ mod tests {
         assert!(lo <= hi);
         assert_eq!(lo, tree.sphere(c).min_dist(&q));
         assert_eq!(hi, tree.sphere(c).max_dist(&q));
-    }
-
-    #[test]
-    fn maxdist_costs_nothing_extra_for_spheres() {
-        let ps =
-            ClusteredSpec { clusters: 2, points_per_cluster: 50, dims: 8, sigma: 20.0, seed: 73 }
-                .generate();
-        let tree = build(&ps, 8, &BuildMethod::Hilbert);
-        assert_eq!(GpuIndex::child_eval_cost(&tree, false), GpuIndex::child_eval_cost(&tree, true));
     }
 }

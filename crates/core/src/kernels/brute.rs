@@ -3,7 +3,7 @@
 //! One block per query streams the entire point array through shared memory in
 //! thread-sized tiles: a coalesced tile load, a data-parallel distance sweep,
 //! then serialized k-best updates for the improving candidates. This is the
-//! structure of the brute-force GPU kNN literature the paper cites ([4]–[9]):
+//! structure of the brute-force GPU kNN literature the paper cites (references 4–9):
 //! perfect memory behaviour, zero pruning.
 
 use psb_geom::{DistKernel, PointSet};

@@ -59,13 +59,11 @@ pub fn psb_query<T: GpuIndex>(
 /// only: neighbors and counters are bit-identical under any sink).
 ///
 /// Phase-2 revisits of an internal node replay the first visit's child
-/// MINDISTs and k-th-MAXDIST bound from the per-query [`SweepMemo`] under
+/// MINDISTs and k-th-MAXDIST bound from the per-query `SweepMemo` under
 /// identical metering, so the memo moves no counter and no result bit. It is
 /// bypassed whenever a fault state is attached: injected bit-flips draw from
 /// a per-load RNG stream, so a replayed value would skip draws the faulted
 /// launch must make.
-///
-/// [`SweepMemo`]: super::SweepMemo
 #[allow(clippy::too_many_arguments)]
 pub fn psb_try_query<T: GpuIndex>(
     tree: &T,

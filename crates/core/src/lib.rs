@@ -55,14 +55,8 @@ pub use knnlist::SharedMemPolicy;
 pub use options::{KernelOptions, Metering, NodeLayout};
 pub use psb_geom::DistLanes;
 pub use psb_metrics::{MetricsHandle, Registry};
+pub use psb_sstree::dist_cost;
 pub use schedule::{hilbert_order, hilbert_permutation, QuerySchedule, ScheduleScratch};
 pub use shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
 pub use stream::QueryStream;
 pub use wave::{wave_knn_batch, wave_range_batch, WaveConfig, WaveReport};
-
-/// Instruction cost of one `dims`-dimensional distance evaluation in the cost
-/// model: a 4-wide FMA loop plus the sqrt/compare tail.
-#[inline]
-pub fn dist_cost(dims: usize) -> u64 {
-    (dims as u64).div_ceil(4) + 2
-}

@@ -18,7 +18,7 @@ pub enum ShardPolicy {
     /// Sort positions by Hilbert key and cut the sequence into S contiguous,
     /// near-equal ranges. Spatially coherent and perfectly balanced.
     HilbertRange,
-    /// Lloyd's k-means with `k = S` (reusing [`psb_geom::kmeans`]). Tighter
+    /// Lloyd's k-means with `k = S` (reusing [`psb_geom::kmeans()`]). Tighter
     /// shard spheres on clustered data, at the cost of balance.
     KMeans {
         /// Seed for the centroid sample.

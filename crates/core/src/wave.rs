@@ -12,9 +12,10 @@
 //!    code path and metering) so its pruning bound is finite before the wave
 //!    sweep starts. Range queries skip this: their bound is the fixed radius.
 //! 2. **Seeding** — every query is pushed into the root node's buffer, in
-//!    scheduled order ([`QuerySchedule::Hilbert`] seeds Hilbert-adjacent
-//!    queries adjacently, so capacity-bounded flushes group spatially
-//!    coherent queries).
+//!    scheduled order
+//!    ([`QuerySchedule::Hilbert`](crate::QuerySchedule::Hilbert) seeds
+//!    Hilbert-adjacent queries adjacently, so capacity-bounded flushes group
+//!    spatially coherent queries).
 //! 3. **Waves** — for each tree level, every node with a non-empty buffer is
 //!    swept **once**: its arena block is fetched one time and the fetch is
 //!    amortized over the buffered queries ([`Block::load_global_share`]);
@@ -82,11 +83,11 @@
 //!
 //! This module is a traversal, not a launch path: [`launch`](crate::launch)'s
 //! runner owns the empty-batch check, the spans, the launch aggregation and
-//! the outcomes, and calls [`wave_rows`] as its execute step when
+//! the outcomes, and calls `wave_rows` as its execute step when
 //! [`resolve`](crate::resolve) picks the wave engine. Like the PSB sweep memo,
 //! the wave engine serves the fault-free path only — `resolve` drops it under
-//! a real [`FaultPlan`](psb_gpu::FaultPlan) — and a structurally corrupt tree
-//! makes [`wave_rows`] return a typed error, on which the runner falls through
+//! a real [`FaultPlan`] — and a structurally corrupt tree
+//! makes `wave_rows` return a typed error, on which the runner falls through
 //! to the per-query recovery ladder: exact degraded results, never a panic
 //! (`tests/wave_parity.rs`, `tests/tree_invariants.rs`).
 

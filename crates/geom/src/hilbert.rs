@@ -16,11 +16,11 @@
 //!
 //! A build *is* its key computation (100 000 sixteen-d keys against one sort and
 //! one packing pass), so the keys come from one branch-free kernel,
-//! [`curve_keys`], written over `L` lanes that each carry one point: quantise,
+//! `curve_keys`, written over `L` lanes that each carry one point: quantise,
 //! Skilling's transform with its data-dependent branches turned into mask
 //! selects, and the key packed plane by plane in the same pass — all on
 //! fixed-size stack arrays, no allocation. [`hilbert_key`] is the kernel at one
-//! lane, [`hilbert_keys`] runs it [`LANES`] points at a time on the pool, and
+//! lane, [`hilbert_keys`] runs it `LANES` points at a time on the pool, and
 //! [`hilbert_sort`] is the one "bounds → keys → sort by `(key, index)`" every
 //! tree build, shard plan and query schedule calls.
 //! [`axes_to_transpose`] + [`transpose_to_key`] stay as the textbook pair the
@@ -265,7 +265,7 @@ pub fn hilbert_key(p: &[f32], bounds: &Rect) -> HilbertKey {
 }
 
 /// [`hilbert_key`] of every point of `points`, in point order, on the rayon
-/// pool: [`LANES`] consecutive points share one pass of the kernel (a short
+/// pool: `LANES` consecutive points share one pass of the kernel (a short
 /// last group repeats its last point in the spare lanes).
 pub fn hilbert_keys(points: &PointSet, bounds: &Rect) -> Vec<HilbertKey> {
     assert_eq!(bounds.dims(), points.dims(), "bounds dimensionality mismatch");

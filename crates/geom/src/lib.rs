@@ -6,15 +6,15 @@
 //! * [`Sphere`] / [`Rect`] — bounding volumes with the `MINDIST` / `MAXDIST` metrics
 //!   used by branch-and-bound and PSB traversals (SS-tree spheres, SR-tree
 //!   sphere-and-rectangle regions).
-//! * [`ritter`](crate::ritter) — Ritter's approximate minimum enclosing sphere, in the
+//! * [`ritter`] — Ritter's approximate minimum enclosing sphere, in the
 //!   sequential form and the paper's parallel form (Algorithm 2), generalized to
 //!   enclose child *spheres* as well as raw points (needed for bottom-up
 //!   internal-node construction).
-//! * [`welzl`](crate::welzl) — an exact minimum enclosing ball (move-to-front Welzl)
+//! * [`mod@welzl`] — an exact minimum enclosing ball (move-to-front Welzl)
 //!   used as a test oracle for Ritter's 5–20 % slack claim.
 //! * [`hilbert`] — a d-dimensional Hilbert space-filling curve (Skilling's transpose
 //!   algorithm) producing totally ordered 256-bit keys for bottom-up leaf packing.
-//! * [`kmeans`] — a deterministic parallel Lloyd's k-means used by the alternative
+//! * [`mod@kmeans`] — a deterministic parallel Lloyd's k-means used by the alternative
 //!   bottom-up construction.
 //!
 //! All floating-point work that affects *structure* (construction) is done carefully

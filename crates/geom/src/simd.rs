@@ -41,7 +41,7 @@ pub fn sq_dist_simd(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Euclidean distance via the explicit-SIMD kernel; `sqrt` of
-/// [`sq_dist_simd`], bit-identical to [`crate::dist`].
+/// [`sq_dist_simd`], bit-identical to [`crate::dist()`].
 #[inline]
 pub fn dist_simd(a: &[f32], b: &[f32]) -> f32 {
     sq_dist_simd(a, b).sqrt()

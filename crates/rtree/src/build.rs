@@ -1,14 +1,16 @@
 //! Bulk loading: Hilbert packing and Sort-Tile-Recursive (STR).
 //!
-//! Both are "packed" builds in the Kamel–Faloutsos sense the paper cites as
-//! [20]: leaves are filled to capacity from an ordered point stream, upper
-//! levels chunk the level below, MBRs are computed bottom-up. STR (Leutenegger
-//! et al.) slices the space recursively one dimension at a time, which tends
-//! to produce squarer rectangles than the raw curve order in low dimensions.
+//! Both are "packed" builds in the Kamel–Faloutsos sense (the paper's
+//! reference 20): leaves are filled to capacity from an ordered point stream,
+//! upper levels chunk the level below, MBRs are computed bottom-up. STR
+//! (Leutenegger et al.) slices the space recursively one dimension at a time,
+//! which tends to produce squarer rectangles than the raw curve order in low
+//! dimensions.
 
 use psb_geom::{hilbert_sort, PointSet};
+use psb_sstree::tree::chunk_counts;
 
-use crate::tree::{RsTree, NOT_A_LEAF, NO_PARENT};
+use crate::{Rects, RsTree};
 
 /// Bulk-load strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +26,7 @@ pub fn build_rtree(points: &PointSet, degree: usize, method: &RtreeBuildMethod) 
     assert!(degree >= 2, "degree must be at least 2");
     assert!(!points.is_empty(), "cannot build an index over zero points");
     let n = points.len();
+    let dims = points.dims();
 
     let order: Vec<u32> = match method {
         RtreeBuildMethod::Hilbert => hilbert_sort(points),
@@ -34,7 +37,54 @@ pub fn build_rtree(points: &PointSet, degree: usize, method: &RtreeBuildMethod) 
         }
     };
 
-    materialize(points, degree, &order)
+    // Leaf level: full chunks of the ordered stream, each under the min/max
+    // fold of its points. Upper levels: chunk the level below, union its
+    // MBRs, until one node is left.
+    let mut levels = vec![Rects::default()];
+    let point = |&p: &u32| points.point(p as usize);
+    for group in order.chunks(degree) {
+        fold_mbr(&mut levels[0], dims, group.iter().map(|p| (point(p), point(p))));
+    }
+    let mut counts = vec![chunk_counts(n, degree)];
+    while let Some(below) = levels.last().filter(|l| l.mins.len() > dims) {
+        let mut level = Rects::default();
+        for (lo, hi) in below.mins.chunks(degree * dims).zip(below.maxs.chunks(degree * dims)) {
+            fold_mbr(&mut level, dims, lo.chunks(dims).zip(hi.chunks(dims)));
+        }
+        counts.push(chunk_counts(below.mins.len() / dims, degree));
+        levels.push(level);
+    }
+
+    // Arena order: root level first, leaves last.
+    let mut volumes = Rects::default();
+    for level in levels.iter().rev() {
+        volumes.mins.extend_from_slice(&level.mins);
+        volumes.maxs.extend_from_slice(&level.maxs);
+    }
+    RsTree::materialize(points, degree, &counts, order, volumes)
+}
+
+/// Appends to `level` the MBR of a group of boxes, each given as its low and
+/// high corner (a point is both of its own).
+fn fold_mbr<'a>(
+    level: &mut Rects,
+    dims: usize,
+    boxes: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+) {
+    let at = level.mins.len();
+    level.mins.resize(at + dims, f32::INFINITY);
+    level.maxs.resize(at + dims, f32::NEG_INFINITY);
+    let (mins, maxs) = (&mut level.mins[at..], &mut level.maxs[at..]);
+    for (lo, hi) in boxes {
+        for ((min, max), (&l, &h)) in mins.iter_mut().zip(maxs.iter_mut()).zip(lo.iter().zip(hi)) {
+            if l < *min {
+                *min = l;
+            }
+            if h > *max {
+                *max = h;
+            }
+        }
+    }
 }
 
 /// STR recursion: sort this span by dimension `dim`, slice into
@@ -63,142 +113,15 @@ fn str_order(points: &PointSet, idx: &mut [u32], dim: usize, leaf_cap: usize) {
     }
 }
 
-fn materialize(points: &PointSet, degree: usize, order: &[u32]) -> RsTree {
-    let dims = points.dims();
-
-    // Leaf level: full chunks of the ordered stream.
-    let leaf_groups: Vec<&[u32]> = order.chunks(degree).collect();
-    let num_leaves = leaf_groups.len();
-
-    // Count nodes per level going up.
-    let mut level_sizes = vec![num_leaves];
-    let mut top = num_leaves;
-    while top > 1 {
-        top = top.div_ceil(degree);
-        level_sizes.push(top);
-    }
-    let num_levels = level_sizes.len();
-    let total_nodes: usize = level_sizes.iter().sum();
-
-    // Arena bases: root level first, leaves last.
-    let mut base = vec![0u32; num_levels]; // indexed by level (0 = leaves)
-    {
-        let mut acc = 0u32;
-        for li in (0..num_levels).rev() {
-            base[li] = acc;
-            acc += level_sizes[li] as u32;
-        }
-    }
-
-    let mut mins = vec![f32::INFINITY; total_nodes * dims];
-    let mut maxs = vec![f32::NEG_INFINITY; total_nodes * dims];
-    let mut parent = vec![NO_PARENT; total_nodes];
-    let mut level = vec![0u8; total_nodes];
-    let mut first_child = vec![0u32; total_nodes];
-    let mut child_count = vec![0u32; total_nodes];
-    let mut leaf_id = vec![NOT_A_LEAF; total_nodes];
-    let mut sub_min = vec![0u32; total_nodes];
-    let mut sub_max = vec![0u32; total_nodes];
-    let mut leaf_node_of = vec![0u32; num_leaves];
-
-    // Leaves.
-    let mut point_cursor = 0u32;
-    for (l, group) in leaf_groups.iter().enumerate() {
-        let node = (base[0] + l as u32) as usize;
-        leaf_node_of[l] = node as u32;
-        leaf_id[node] = l as u32;
-        first_child[node] = point_cursor;
-        child_count[node] = group.len() as u32;
-        sub_min[node] = l as u32;
-        sub_max[node] = l as u32;
-        point_cursor += group.len() as u32;
-        for &p in group.iter() {
-            let pt = points.point(p as usize);
-            for (d, &x) in pt.iter().enumerate() {
-                let lo = &mut mins[node * dims + d];
-                if x < *lo {
-                    *lo = x;
-                }
-                let hi = &mut maxs[node * dims + d];
-                if x > *hi {
-                    *hi = x;
-                }
-            }
-        }
-    }
-
-    // Upper levels: chunk the level below, union MBRs.
-    for li in 1..num_levels {
-        let below = level_sizes[li - 1];
-        for j in 0..level_sizes[li] {
-            let node = (base[li] + j as u32) as usize;
-            level[node] = li as u8;
-            let c_start = base[li - 1] + (j * degree) as u32;
-            let c_count = degree.min(below - j * degree) as u32;
-            first_child[node] = c_start;
-            child_count[node] = c_count;
-            let mut mn = u32::MAX;
-            let mut mx = 0u32;
-            for c in c_start..c_start + c_count {
-                parent[c as usize] = node as u32;
-                mn = mn.min(sub_min[c as usize]);
-                mx = mx.max(sub_max[c as usize]);
-                for d in 0..dims {
-                    let cl = mins[c as usize * dims + d];
-                    let ch = maxs[c as usize * dims + d];
-                    if cl < mins[node * dims + d] {
-                        mins[node * dims + d] = cl;
-                    }
-                    if ch > maxs[node * dims + d] {
-                        maxs[node * dims + d] = ch;
-                    }
-                }
-            }
-            sub_min[node] = mn;
-            sub_max[node] = mx;
-        }
-    }
-
-    let mut tree = RsTree {
-        dims,
-        degree,
-        points: points.gather(order),
-        point_ids: order.to_vec(),
-        mins,
-        maxs,
-        parent,
-        level,
-        first_child,
-        child_count,
-        leaf_id,
-        subtree_min_leaf: sub_min,
-        subtree_max_leaf: sub_max,
-        leaf_node_of,
-        root: 0,
-        rope: Vec::new(),
-        arena: None,
-    };
-    tree.rebuild_arena();
-    tree
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use psb_data::{sample_queries, ClusteredSpec};
-    use psb_geom::dist;
+    use psb_sstree::{knn_best_first, linear_knn};
 
     fn dataset(dims: usize) -> PointSet {
         ClusteredSpec { clusters: 6, points_per_cluster: 300, dims, sigma: 90.0, seed: 83 }
             .generate()
-    }
-
-    fn linear(ps: &PointSet, q: &[f32], k: usize) -> Vec<(f32, u32)> {
-        let mut v: Vec<(f32, u32)> =
-            ps.iter().enumerate().map(|(i, p)| (dist(q, p), i as u32)).collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        v.truncate(k);
-        v
     }
 
     #[test]
@@ -222,11 +145,11 @@ mod tests {
         for m in [RtreeBuildMethod::Hilbert, RtreeBuildMethod::Str] {
             let t = build_rtree(&ps, 16, &m);
             for q in sample_queries(&ps, 12, 0.01, 84).iter() {
-                let got = t.knn_cpu(q, 10);
-                let want = linear(&ps, q, 10);
+                let got = knn_best_first(&t, q, 10);
+                let want = linear_knn(&ps, q, 10);
                 assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
-                    assert!((g.0 - w.0).abs() <= w.0.max(1.0) * 1e-4, "{m:?}");
+                    assert!((g.dist - w.dist).abs() <= w.dist.max(1.0) * 1e-4, "{m:?}");
                 }
             }
         }
@@ -249,8 +172,8 @@ mod tests {
         let t = build_rtree(&ps, 16, &RtreeBuildMethod::Str);
         assert_eq!(t.num_nodes(), 1);
         t.validate().unwrap();
-        let got = t.knn_cpu(&[2.2, 0.0], 1);
-        assert_eq!(got[0].1, 2);
+        let got = knn_best_first(&t, &[2.2, 0.0], 1);
+        assert_eq!(got[0].id, 2);
     }
 
     #[test]
@@ -263,7 +186,7 @@ mod tests {
             t.leaf_node_of
                 .iter()
                 .map(|&n| {
-                    let (lo, hi) = t.mbr(n);
+                    let (lo, hi) = t.volumes.mbr(t.dims, n as usize);
                     lo.iter().zip(hi).map(|(&l, &h)| (h - l) as f64).sum::<f64>()
                 })
                 .sum()
@@ -279,6 +202,6 @@ mod tests {
         let a = build_rtree(&ps, 16, &RtreeBuildMethod::Str);
         let b = build_rtree(&ps, 16, &RtreeBuildMethod::Str);
         assert_eq!(a.point_ids, b.point_ids);
-        assert_eq!(a.mins, b.mins);
+        assert_eq!(a.volumes.mins, b.volumes.mins);
     }
 }

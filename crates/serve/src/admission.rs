@@ -416,7 +416,7 @@ struct CacheEntry {
 /// the index over the same set needs neither. FIFO eviction keeps the cache
 /// bounded and deterministic — and makes residency a function of the probe
 /// sequence alone, never of the answers, which is what
-/// [`QueryCache::predict_misses`] rests on (`absorb` changes answers, never
+/// `QueryCache::predict_misses` rests on (`absorb` changes answers, never
 /// residency).
 #[derive(Debug, Default)]
 pub struct QueryCache {
@@ -504,7 +504,7 @@ impl QueryCache {
     /// first k of kNN(S) ∪ {p} in `(dist, id)` order: a point of S that is
     /// not among the k nearest of S has k points of S ∪ {p} before it too.
     /// An answer short of `k` holds all of S and takes `p` whatever its
-    /// distance. The distance is [`psb_geom::dist`] from the key's own row —
+    /// distance. The distance is [`psb_geom::dist()`] from the key's own row —
     /// the function the tree search and the delta scan call, so the bits are
     /// the ones a recompute would produce.
     pub fn absorb(&mut self, p: &[f32], id: u32) -> usize {

@@ -266,7 +266,7 @@ impl<T: GpuIndex> ResilientRouter<T> {
     /// Every decision is taken in submission order, one logical tick per
     /// query, so quota refills, breaker transitions and replica demotions are
     /// deterministic — but the cache misses of a batch *execute* together,
-    /// in parallel on the rayon pool, ahead of their turn ([`crate::runner`]):
+    /// in parallel on the rayon pool, ahead of their turn (`crate::runner`):
     /// each is committed only if what it ran under still holds when its turn
     /// comes, and runs again if not. Results, both reports and all front-end
     /// state are those of the one-query-at-a-time loop at any thread count;

@@ -323,7 +323,7 @@ impl<T: GpuIndex> ShardRouter<T> {
     /// Serves a batch of kNN queries, recording router-level trace events
     /// (shard directory loads, prune decisions, failovers) into `sink`.
     ///
-    /// The batch goes through the one serve runner ([`crate::runner`]) behind
+    /// The batch goes through the one serve runner (`crate::runner`) behind
     /// a transparent front-end: queries execute in parallel on the rayon pool
     /// against the replica states the batch started with and commit in
     /// submission order, so a replica demoted while serving query `i` is

@@ -23,7 +23,8 @@ use psb_geom::{
 };
 use rayon::prelude::*;
 
-use crate::tree::{SsTree, NOT_A_LEAF, NO_PARENT};
+use crate::tree::{chunk_counts, SsTree};
+use crate::volumes::Spheres;
 
 /// Bottom-up construction method.
 #[derive(Clone, Debug)]
@@ -72,11 +73,6 @@ fn enclose<G: Sync>(
     } else {
         groups.par_iter().map(sphere).collect()
     }
-}
-
-/// `len` children dealt out `degree` at a time, the last node taking the rest.
-fn chunk_counts(len: usize, degree: usize) -> Vec<u32> {
-    (0..len).step_by(degree).map(|at| degree.min(len - at) as u32).collect()
 }
 
 /// Builds an SS-tree over `points` with the given node degree (= leaf capacity).
@@ -150,7 +146,7 @@ pub fn build(points: &PointSet, degree: usize, method: &BuildMethod) -> SsTree {
         levels.push(Level { spheres: parent_spheres, counts: chunk_counts(m, degree) });
     }
 
-    materialize(points, degree, levels, leaves.concat())
+    from_levels(points, degree, levels, leaves.concat())
 }
 
 /// Orders items by (Hilbert key of their cluster centroid, then Hilbert key of
@@ -178,126 +174,22 @@ fn apply_permutation(level: &mut Level, perm: &[u32]) {
     level.counts = perm.iter().map(|&p| level.counts[p as usize]).collect();
 }
 
-/// Flattens the per-level plan into the arena representation. `point_order`
-/// is the leaf order: the leaves' points, leaf after leaf.
-pub(crate) fn materialize(
+/// Lays the per-level spheres out node-major in arena order — root level
+/// first, leaves last — and hands the plan to the shared materializer.
+/// `point_order` is the leaf order: the leaves' points, leaf after leaf.
+pub(crate) fn from_levels(
     points: &PointSet,
     degree: usize,
     levels: Vec<Level>,
     point_order: Vec<u32>,
 ) -> SsTree {
-    let dims = points.dims();
-    let num_levels = levels.len();
-    let total_nodes: usize = levels.iter().map(|l| l.spheres.len()).sum();
-
-    // Arena order: root level first, leaves last; nodes of a level keep their
-    // final within-level order, which makes every parent's children contiguous.
-    let mut base = vec![0u32; num_levels]; // arena offset of each level (top = 0)
-    {
-        let mut acc = 0u32;
-        for (slot, level) in base.iter_mut().zip(levels.iter().rev()) {
-            *slot = acc;
-            acc += level.spheres.len() as u32;
-        }
-        // `base[i]` currently indexes reversed levels; base[0] = root level.
-        debug_assert_eq!(acc as usize, total_nodes);
+    let mut volumes = Spheres::default();
+    for sphere in levels.iter().rev().flat_map(|l| &l.spheres) {
+        volumes.centers.extend_from_slice(&sphere.center);
+        volumes.radii.push(sphere.radius);
     }
-    // Map: levels index (0 = leaves) -> arena base.
-    let arena_base = |level_idx: usize| base[num_levels - 1 - level_idx];
-
-    let mut centers = vec![0f32; total_nodes * dims];
-    let mut radii = vec![0f32; total_nodes];
-    let mut parent = vec![NO_PARENT; total_nodes];
-    let mut level_arr = vec![0u8; total_nodes];
-    let mut first_child = vec![0u32; total_nodes];
-    let mut child_count = vec![0u32; total_nodes];
-    let mut leaf_id = vec![NOT_A_LEAF; total_nodes];
-    let mut subtree_min = vec![0u32; total_nodes];
-    let mut subtree_max = vec![0u32; total_nodes];
-
-    // Fill per level, top to bottom. Children ranges come from cumulative counts.
-    for (li, level) in levels.iter().enumerate() {
-        let b = arena_base(li);
-        for (j, sphere) in level.spheres.iter().enumerate() {
-            let node = (b + j as u32) as usize;
-            centers[node * dims..(node + 1) * dims].copy_from_slice(&sphere.center);
-            radii[node] = sphere.radius;
-            level_arr[node] = li as u8;
-        }
-        if li > 0 {
-            let child_base = arena_base(li - 1);
-            let mut cursor = 0u32;
-            for (j, &count) in level.counts.iter().enumerate() {
-                let node = b + j as u32;
-                first_child[node as usize] = child_base + cursor;
-                child_count[node as usize] = count;
-                for offset in 0..count {
-                    parent[(child_base + cursor + offset) as usize] = node;
-                }
-                cursor += count;
-            }
-        }
-    }
-
-    // Leaves: assign ids and point runs along the leaf order.
-    let leaf_counts = &levels[0].counts;
-    let leaf_base = arena_base(0);
-    let mut next_point = 0u32;
-    let mut leaf_node_of = vec![0u32; leaf_counts.len()];
-    for (l, &count) in leaf_counts.iter().enumerate() {
-        let node = leaf_base + l as u32;
-        leaf_node_of[l] = node;
-        leaf_id[node as usize] = l as u32;
-        first_child[node as usize] = next_point;
-        child_count[node as usize] = count;
-        subtree_min[node as usize] = l as u32;
-        subtree_max[node as usize] = l as u32;
-        next_point += count;
-    }
-
-    // Subtree leaf ranges bottom-up.
-    for (li, level) in levels.iter().enumerate().take(num_levels).skip(1) {
-        let b = arena_base(li);
-        for j in 0..level.counts.len() {
-            let node = (b + j as u32) as usize;
-            let fc = first_child[node];
-            let cc = child_count[node];
-            // Defensive defaults for an (impossible) empty group: min > max,
-            // which the post-build validation below rejects as an empty range.
-            subtree_min[node] =
-                (fc..fc + cc).map(|c| subtree_min[c as usize]).min().unwrap_or(u32::MAX);
-            subtree_max[node] = (fc..fc + cc).map(|c| subtree_max[c as usize]).max().unwrap_or(0);
-        }
-    }
-
-    let mut tree = SsTree {
-        dims,
-        degree,
-        points: points.gather(&point_order),
-        point_ids: point_order,
-        centers,
-        radii,
-        parent,
-        level: level_arr,
-        first_child,
-        child_count,
-        leaf_id,
-        subtree_min_leaf: subtree_min,
-        subtree_max_leaf: subtree_max,
-        leaf_node_of,
-        root: 0,
-        rope: Vec::new(),
-        arena: None,
-    };
-    // Every construction path (bottom-up, top-down, dynamic rebuild) funnels
-    // through here: run the structural verifier so a construction bug can
-    // never hand an invalid arena to the query engines.
-    if let Err(e) = tree.validate() {
-        panic!("construction produced a structurally invalid tree: {e}");
-    }
-    // Only a verified tree gets the packed device arena.
-    tree.rebuild_arena();
-    tree
+    let counts: Vec<Vec<u32>> = levels.into_iter().map(|l| l.counts).collect();
+    SsTree::materialize(points, degree, &counts, point_order, volumes)
 }
 
 #[cfg(test)]
@@ -369,8 +261,8 @@ mod tests {
         let a = build(&ps, 16, &m);
         let b = build(&ps, 16, &m);
         assert_eq!(a.point_ids, b.point_ids);
-        assert_eq!(a.radii, b.radii);
-        assert_eq!(a.centers, b.centers);
+        assert_eq!(a.volumes.radii, b.volumes.radii);
+        assert_eq!(a.volumes.centers, b.volumes.centers);
     }
 
     #[test]
@@ -385,7 +277,8 @@ mod tests {
         let ps = dataset(10, 200, 2, 20.0);
         let t = build(&ps, 16, &BuildMethod::Hilbert);
         let avg_leaf_radius: f32 =
-            t.leaf_node_of.iter().map(|&n| t.radius(n)).sum::<f32>() / t.num_leaves() as f32;
+            t.leaf_node_of.iter().map(|&n| t.volumes.radii[n as usize]).sum::<f32>()
+                / t.num_leaves() as f32;
         assert!(
             avg_leaf_radius < 1500.0,
             "avg leaf radius {avg_leaf_radius} suggests broken locality"
@@ -401,7 +294,8 @@ mod tests {
         let th = build(&ps, 16, &BuildMethod::Hilbert);
         let tk = build(&ps, 16, &BuildMethod::KMeans { k_leaf: 8, seed: 3 });
         let mean_r = |t: &SsTree| {
-            t.leaf_node_of.iter().map(|&n| t.radius(n)).sum::<f32>() / t.num_leaves() as f32
+            t.leaf_node_of.iter().map(|&n| t.volumes.radii[n as usize]).sum::<f32>()
+                / t.num_leaves() as f32
         };
         assert!(
             mean_r(&tk) <= mean_r(&th) * 1.05,

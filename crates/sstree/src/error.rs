@@ -1,6 +1,6 @@
-//! Typed structural errors for the SS-tree verifier.
+//! Typed structural errors for the tree verifier.
 //!
-//! [`SsTree::validate`](crate::SsTree::validate) walks every link the GPU
+//! [`FlatTree::validate`](crate::FlatTree::validate) walks every link the GPU
 //! kernels will later follow and reports the *first* violated invariant as a
 //! [`StructuralError`]. Each variant names the node (or point) at fault so a
 //! corrupted persisted index or a buggy construction can be diagnosed without
@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-/// The first structural invariant an [`SsTree`](crate::SsTree) violates.
+/// The first structural invariant a [`FlatTree`](crate::FlatTree) violates.
 ///
 /// The verifier is defensive: it bounds-checks every link *before* following
 /// it and caps its own traversal, so it terminates with a typed error on any
@@ -51,12 +51,12 @@ pub enum StructuralError {
     DuplicatePoint { point: usize },
     /// A point position belongs to no leaf.
     OrphanPoint { point: usize },
-    /// A point lies outside its leaf's bounding sphere.
-    PointOutsideSphere { node: u32, point: usize },
-    /// A child sphere is not contained in its parent's sphere.
-    SphereNotContained { node: u32, child: u32 },
-    /// A sphere has a NaN/infinite center coordinate or a negative or
-    /// non-finite radius.
+    /// A point lies outside its leaf's bounding volume.
+    PointOutsideVolume { node: u32, point: usize },
+    /// A child's volume is not contained in its parent's.
+    VolumeNotContained { node: u32, child: u32 },
+    /// A volume has a NaN/infinite coordinate or is inside out (a negative
+    /// radius, a low corner above the high one).
     NonFiniteGeometry { node: u32 },
     /// A rope (escape) link does not land on the correct next-subtree node.
     RopeBroken { node: u32 },
@@ -116,14 +116,14 @@ impl fmt::Display for StructuralError {
             }
             DuplicatePoint { point } => write!(f, "point {point} appears in two leaves"),
             OrphanPoint { point } => write!(f, "point {point} is in no leaf"),
-            PointOutsideSphere { node, point } => {
-                write!(f, "leaf {node}: point {point} lies outside the bounding sphere")
+            PointOutsideVolume { node, point } => {
+                write!(f, "leaf {node}: point {point} lies outside the bounding volume")
             }
-            SphereNotContained { node, child } => {
-                write!(f, "node {node}: child {child}'s sphere pokes out of the parent sphere")
+            VolumeNotContained { node, child } => {
+                write!(f, "node {node}: child {child}'s volume pokes out of the parent's")
             }
             NonFiniteGeometry { node } => {
-                write!(f, "node {node} has a non-finite center or radius")
+                write!(f, "node {node} has a non-finite or inside-out bounding volume")
             }
             RopeBroken { node } => {
                 write!(f, "node {node}: rope link does not land on the next-subtree node")

@@ -8,7 +8,7 @@
 //!   numbering with `subtreeMinLeafId` / `subtreeMaxLeafId` ranges, and a
 //!   leaf-level sibling chain. These are exactly the auxiliary structures
 //!   Algorithm 1 (PSB) requires for stackless traversal.
-//! * [`build`] — parallel bottom-up construction (paper §IV): leaf packing by
+//! * [`mod@build`] — parallel bottom-up construction (paper §IV): leaf packing by
 //!   Hilbert-curve order or by k-means clustering, 100 % leaf utilization, and
 //!   hierarchical bounding spheres via the parallel Ritter algorithm.
 //! * [`topdown`] — the classic top-down insert/split construction, kept as the
@@ -23,11 +23,13 @@ pub mod persist;
 pub mod search;
 pub mod topdown;
 pub mod tree;
+pub mod volumes;
 
-pub use arena::SphereArena;
+pub use arena::NodeArena;
 pub use build::{build, BuildMethod};
 pub use error::StructuralError;
 pub use persist::{load as load_index, save as save_index, LoadError};
 pub use search::{knn_best_first, knn_branch_and_bound, linear_knn, Neighbor};
 pub use topdown::build_topdown;
-pub use tree::SsTree;
+pub use tree::{FlatTree, SsTree};
+pub use volumes::{dist_cost, Spheres, SweepScratch, Volumes};

@@ -15,9 +15,12 @@ use psb_geom::PointSet;
 
 use crate::error::StructuralError;
 use crate::tree::SsTree;
+use crate::volumes::Spheres;
 
 const MAGIC: [u8; 4] = *b"PSBT";
 const VERSION: u32 = 1;
+/// Magic, version, dims, degree, three u64 counts, root.
+const HEADER_BYTES: u64 = 4 + 4 + 4 + 4 + 3 * 8 + 4;
 
 /// Why a persisted index failed to load.
 ///
@@ -27,9 +30,10 @@ const VERSION: u32 = 1;
 /// must never reach the query engines.
 #[derive(Debug)]
 pub enum LoadError {
-    /// The file could not be read (missing, truncated, permission, ...).
+    /// The file could not be read (missing, permission, ...).
     Io(io::Error),
-    /// The file is readable but not a PSBT index this version understands.
+    /// The file is readable but not a PSBT index this version understands —
+    /// or its header claims sizes the file does not hold (truncated, crafted).
     Format(&'static str),
     /// The file framed correctly but the decoded arena fails
     /// [`SsTree::validate`].
@@ -128,8 +132,8 @@ pub fn save(tree: &SsTree, path: &Path) -> io::Result<()> {
 
     write_f32s(&mut w, tree.points.as_flat())?;
     write_u32s(&mut w, &tree.point_ids)?;
-    write_f32s(&mut w, &tree.centers)?;
-    write_f32s(&mut w, &tree.radii)?;
+    write_f32s(&mut w, &tree.volumes.centers)?;
+    write_f32s(&mut w, &tree.volumes.radii)?;
     write_u32s(&mut w, &tree.parent)?;
     for &l in &tree.level {
         w.write_all(&[l])?;
@@ -149,7 +153,9 @@ pub fn save(tree: &SsTree, path: &Path) -> io::Result<()> {
 /// the tree is handed to the caller, so a byte-flipped but well-framed file
 /// comes back as [`LoadError::Structural`], never as a loaded index.
 pub fn load(path: &Path) -> Result<SsTree, LoadError> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
+    let file = std::fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if magic != MAGIC {
@@ -159,19 +165,37 @@ pub fn load(path: &Path) -> Result<SsTree, LoadError> {
     if version != VERSION {
         return Err(LoadError::Format("unsupported format version"));
     }
-    let dims = read_u32(&mut r)? as usize;
+    let dims = read_u32(&mut r)? as u64;
     let degree = read_u32(&mut r)? as usize;
-    let n_points = read_u64(&mut r)? as usize;
-    let n_nodes = read_u64(&mut r)? as usize;
-    let n_leaves = read_u64(&mut r)? as usize;
+    let n_points = read_u64(&mut r)?;
+    let n_nodes = read_u64(&mut r)?;
+    let n_leaves = read_u64(&mut r)?;
     let root = read_u32(&mut r)?;
     if dims == 0 || degree < 2 || n_points == 0 || n_nodes == 0 {
         return Err(LoadError::Format("degenerate header"));
     }
-    // A coarse size sanity check before allocating.
-    if n_nodes > 2 * n_points + 64 || n_leaves > n_nodes {
-        return Err(LoadError::Format("implausible header"));
+    // The header is untrusted: size every array in checked arithmetic and
+    // hold the byte total it implies against the file's real length before
+    // the first allocation, so no header can overflow, over-allocate or
+    // abort the process — it can only disagree with the file.
+    let implied_len = || {
+        let point_lanes = n_points.checked_mul(dims)?;
+        let center_lanes = n_nodes.checked_mul(dims)?;
+        // 4-byte words: points, ids, centers, radii + six u32 node arrays,
+        // the leaf chain; then one `level` byte per node.
+        let words = point_lanes
+            .checked_add(n_points)?
+            .checked_add(center_lanes)?
+            .checked_add(n_nodes.checked_mul(7)?)?
+            .checked_add(n_leaves)?;
+        words.checked_mul(4)?.checked_add(n_nodes)?.checked_add(HEADER_BYTES)
+    };
+    if implied_len() != Some(file_len) {
+        return Err(LoadError::Format("header sizes disagree with the file length"));
     }
+    // Everything below fits in the file, hence in `usize`.
+    let (dims, n_points) = (dims as usize, n_points as usize);
+    let (n_nodes, n_leaves) = (n_nodes as usize, n_leaves as usize);
 
     let points = PointSet::from_flat(dims, read_f32s(&mut r, n_points * dims)?);
     let point_ids = read_u32s(&mut r, n_points)?;
@@ -192,8 +216,7 @@ pub fn load(path: &Path) -> Result<SsTree, LoadError> {
         degree,
         points,
         point_ids,
-        centers,
-        radii,
+        volumes: Spheres { centers, radii },
         parent,
         level,
         first_child,
@@ -240,8 +263,8 @@ mod tests {
         let back = load(&p).unwrap();
         assert_eq!(back.dims, tree.dims);
         assert_eq!(back.degree, tree.degree);
-        assert_eq!(back.centers, tree.centers);
-        assert_eq!(back.radii, tree.radii);
+        assert_eq!(back.volumes.centers, tree.volumes.centers);
+        assert_eq!(back.volumes.radii, tree.volumes.radii);
         assert_eq!(back.point_ids, tree.point_ids);
         assert_eq!(back.leaf_node_of, tree.leaf_node_of);
         std::fs::remove_file(&p).ok();
@@ -332,6 +355,37 @@ mod tests {
             }
         }
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn crafted_headers_are_format_errors_not_panics_or_aborts() {
+        // 44 bytes of header and nothing else: sizes that overflow `usize`
+        // arithmetic, overflow `Vec` capacity, or ask for terabytes.
+        for (i, (dims, n_points, n_nodes)) in [
+            (3u32, 1u64 << 62, 1u64 << 20),
+            (3, 1 << 63, 1 << 20),
+            (16, 1 << 36, 1 << 33),
+            (u32::MAX, 1000, 100),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            bytes.extend_from_slice(&dims.to_le_bytes());
+            bytes.extend_from_slice(&16u32.to_le_bytes());
+            for n in [n_points, n_nodes, n_nodes / 2] {
+                bytes.extend_from_slice(&n.to_le_bytes());
+            }
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            assert_eq!(bytes.len() as u64, HEADER_BYTES);
+            let p = tmp(&format!("crafted{i}.psbt"));
+            std::fs::write(&p, &bytes).unwrap();
+            let err = load(&p).expect_err("a header without its arrays must not load");
+            assert!(matches!(err, LoadError::Format(_)), "header {i}: {err}");
+            std::fs::remove_file(&p).ok();
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Exact CPU kNN searches over the SS-tree — the correctness oracles.
+//! Exact CPU kNN searches over a [`FlatTree`] of either node shape — the
+//! correctness oracles.
 //!
 //! Two classic algorithms:
 //!
@@ -15,7 +16,8 @@ use std::collections::BinaryHeap;
 
 use psb_geom::{dist, PointSet};
 
-use crate::tree::SsTree;
+use crate::tree::FlatTree;
+use crate::volumes::Volumes;
 
 /// One kNN result: distance and the *original* dataset id of the point.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,7 +83,7 @@ impl KBest {
 
 /// Recursive branch-and-bound kNN (Roussopoulos et al. 1995): visit children in
 /// MINDIST order, prune once MINDIST exceeds the current k-th best distance.
-pub fn knn_branch_and_bound(tree: &SsTree, q: &[f32], k: usize) -> Vec<Neighbor> {
+pub fn knn_branch_and_bound<V: Volumes>(tree: &FlatTree<V>, q: &[f32], k: usize) -> Vec<Neighbor> {
     assert!(k >= 1, "k must be at least 1");
     assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
     let mut best = KBest::new(k.min(tree.points.len()));
@@ -89,7 +91,7 @@ pub fn knn_branch_and_bound(tree: &SsTree, q: &[f32], k: usize) -> Vec<Neighbor>
     best.into_sorted()
 }
 
-fn bnb_visit(tree: &SsTree, n: u32, q: &[f32], best: &mut KBest) {
+fn bnb_visit<V: Volumes>(tree: &FlatTree<V>, n: u32, q: &[f32], best: &mut KBest) {
     if tree.is_leaf(n) {
         for p in tree.leaf_points(n) {
             let d = dist(q, tree.points.point(p));
@@ -100,10 +102,7 @@ fn bnb_visit(tree: &SsTree, n: u32, q: &[f32], best: &mut KBest) {
     // MINDIST-ordered children.
     let mut order: Vec<(f32, u32)> = tree
         .children(n)
-        .map(|c| {
-            let d = (dist(q, tree.center(c)) - tree.radius(c)).max(0.0);
-            (d, c)
-        })
+        .map(|c| (tree.volumes.min_max(tree.dims, c as usize, q, false).0, c))
         .collect();
     order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     for (min_d, c) in order {
@@ -134,7 +133,7 @@ impl Ord for QueueItem {
 
 /// Best-first (incremental) kNN: a global priority queue over nodes keyed by
 /// MINDIST, popping until the next node cannot improve the k-th best distance.
-pub fn knn_best_first(tree: &SsTree, q: &[f32], k: usize) -> Vec<Neighbor> {
+pub fn knn_best_first<V: Volumes>(tree: &FlatTree<V>, q: &[f32], k: usize) -> Vec<Neighbor> {
     assert!(k >= 1, "k must be at least 1");
     assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
     let mut best = KBest::new(k.min(tree.points.len()));
@@ -151,7 +150,7 @@ pub fn knn_best_first(tree: &SsTree, q: &[f32], k: usize) -> Vec<Neighbor> {
             }
         } else {
             for c in tree.children(n) {
-                let d = (dist(q, tree.center(c)) - tree.radius(c)).max(0.0);
+                let d = tree.volumes.min_max(tree.dims, c as usize, q, false).0;
                 if d < best.bound() {
                     queue.push(Reverse(QueueItem(d, c)));
                 }
@@ -163,7 +162,7 @@ pub fn knn_best_first(tree: &SsTree, q: &[f32], k: usize) -> Vec<Neighbor> {
 
 /// Exact fixed-radius range query: every point within `radius` of `q`,
 /// ascending by distance. Recursive MINDIST pruning.
-pub fn range_query(tree: &SsTree, q: &[f32], radius: f32) -> Vec<Neighbor> {
+pub fn range_query<V: Volumes>(tree: &FlatTree<V>, q: &[f32], radius: f32) -> Vec<Neighbor> {
     assert!(radius >= 0.0, "radius must be non-negative");
     assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
     let mut out = Vec::new();
@@ -172,7 +171,13 @@ pub fn range_query(tree: &SsTree, q: &[f32], radius: f32) -> Vec<Neighbor> {
     out
 }
 
-fn range_visit(tree: &SsTree, n: u32, q: &[f32], radius: f32, out: &mut Vec<Neighbor>) {
+fn range_visit<V: Volumes>(
+    tree: &FlatTree<V>,
+    n: u32,
+    q: &[f32],
+    radius: f32,
+    out: &mut Vec<Neighbor>,
+) {
     if tree.is_leaf(n) {
         for p in tree.leaf_points(n) {
             let d = dist(q, tree.points.point(p));
@@ -183,7 +188,7 @@ fn range_visit(tree: &SsTree, n: u32, q: &[f32], radius: f32, out: &mut Vec<Neig
         return;
     }
     for c in tree.children(n) {
-        let min_d = (dist(q, tree.center(c)) - tree.radius(c)).max(0.0);
+        let min_d = tree.volumes.min_max(tree.dims, c as usize, q, false).0;
         if min_d <= radius {
             range_visit(tree, c, q, radius, out);
         }
@@ -218,6 +223,7 @@ pub fn linear_knn(ps: &PointSet, q: &[f32], k: usize) -> Vec<Neighbor> {
 mod tests {
     use super::*;
     use crate::build::{build, BuildMethod};
+    use crate::tree::SsTree;
     use psb_data::{sample_queries, ClusteredSpec};
 
     fn setup(dims: usize, sigma: f32) -> (PointSet, SsTree) {

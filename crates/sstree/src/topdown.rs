@@ -17,7 +17,7 @@
 
 use psb_geom::{dist, PointSet, Sphere};
 
-use crate::build::{materialize, Level};
+use crate::build::{from_levels, Level};
 use crate::tree::SsTree;
 
 /// Fraction of a leaf's points removed on first overflow for reinsertion.
@@ -86,7 +86,7 @@ pub fn build_topdown(points: &PointSet, degree: usize) -> SsTree {
         (0..height).map(|_| Level { spheres: Vec::new(), counts: Vec::new() }).collect();
     let mut point_order = Vec::with_capacity(points.len());
     flatten(&root, points, &mut levels, &mut point_order);
-    materialize(points, degree, levels, point_order)
+    from_levels(points, degree, levels, point_order)
 }
 
 fn insert_from_root(root: &mut TdNode, points: &PointSet, id: u32, degree: usize, dims: usize) {
@@ -373,6 +373,6 @@ mod tests {
         let a = build_topdown(&ps, 8);
         let b = build_topdown(&ps, 8);
         assert_eq!(a.point_ids, b.point_ids);
-        assert_eq!(a.radii, b.radii);
+        assert_eq!(a.volumes.radii, b.volumes.radii);
     }
 }

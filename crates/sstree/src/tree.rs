@@ -1,22 +1,27 @@
-//! The flattened SS-tree arena.
+//! The flattened n-ary tree under both bounding-volume families.
 //!
 //! Layout decisions mirror the paper's GPU implementation (§V-A: "we store the
 //! bounding spheres of child nodes as the structure of array (SOA) ... so that
 //! memory coalescing can be naturally employed"):
 //!
-//! * node metadata and spheres live in parallel arrays indexed by node id;
+//! * node metadata and volumes live in parallel arrays indexed by node id;
 //! * the children of every internal node are **contiguous**, so fetching a node's
-//!   child spheres is one coalesced streak of global memory;
+//!   child volumes is one coalesced streak of global memory;
 //! * leaves own **contiguous runs of the (reordered) point array** and are
 //!   numbered densely left-to-right — `leaf id + 1` *is* the right sibling,
 //!   giving PSB its linear leaf scan;
 //! * every node records the min/max leaf id of its subtree, which PSB uses to
 //!   skip already-visited subtrees without a stack.
+//!
+//! None of that depends on what a node's region *is*: the shape lives in the
+//! [`Volumes`] parameter and nowhere else, so the accessors, the rope links,
+//! the packed arena, the verifier and the materializer below exist once.
 
 use psb_geom::{PointSet, SphereRef};
 
-use crate::arena::SphereArena;
+use crate::arena::NodeArena;
 use crate::error::StructuralError;
+use crate::volumes::{Spheres, Volumes};
 
 /// Sentinel for "no parent" (the root).
 pub const NO_PARENT: u32 = u32::MAX;
@@ -26,9 +31,11 @@ pub const NOT_A_LEAF: u32 = u32::MAX;
 /// rightmost root-to-leaf spine).
 pub const NO_ROPE: u32 = u32::MAX;
 
-/// A flattened SS-tree. Construct via [`crate::build`] or [`crate::topdown`].
+/// A flattened n-ary tree over bounding volumes `V`. Builders hand their
+/// level plan to [`FlatTree::materialize`]; the only other producer is
+/// [`crate::persist::load`], which validates the same way before it returns.
 #[derive(Clone, Debug)]
-pub struct SsTree {
+pub struct FlatTree<V> {
     /// Dimensionality of the indexed space.
     pub dims: usize,
     /// Maximum children per internal node and points per leaf.
@@ -37,10 +44,8 @@ pub struct SsTree {
     pub points: PointSet,
     /// Original dataset index of each (reordered) point position.
     pub point_ids: Vec<u32>,
-    /// Node bounding-sphere centers, node-major (`node * dims ..`).
-    pub centers: Vec<f32>,
-    /// Node bounding-sphere radii.
-    pub radii: Vec<f32>,
+    /// Node bounding volumes, node-major.
+    pub volumes: V,
     /// Parent node id ([`NO_PARENT`] for the root).
     pub parent: Vec<u32>,
     /// Node level: 0 = leaf, increasing toward the root.
@@ -65,19 +70,39 @@ pub struct SsTree {
     /// one exists, else the nearest ancestor's right sibling, else
     /// [`NO_ROPE`]. Stack-free traversals follow it instead of backtracking
     /// through parent links. Derived alongside the arena by
-    /// [`SsTree::rebuild_arena`]; empty until then.
+    /// [`FlatTree::rebuild_arena`]; empty until then.
     pub rope: Vec<u32>,
     /// Packed per-node device arena (see [`crate::arena`]): a derived cache of
     /// the node geometry above, rebuilt after construction/load. `None` puts
-    /// sweeps on the bounds-checked gather fallback (see [`SsTree::strip_arena`]).
-    pub arena: Option<SphereArena>,
+    /// sweeps on the bounds-checked gather fallback (see [`FlatTree::strip_arena`]).
+    pub arena: Option<NodeArena>,
 }
 
+/// The SS-tree: a [`FlatTree`] over bounding [`Spheres`]. Construct via
+/// [`crate::build()`] or [`crate::build_topdown`].
+pub type SsTree = FlatTree<Spheres>;
+
 impl SsTree {
-    /// Number of nodes in the arena.
+    /// The bounding sphere of node `n`, borrowed straight from node-major
+    /// storage — no allocation (use [`SphereRef::to_sphere`] if you need an
+    /// owned copy).
+    #[inline]
+    pub fn sphere(&self, n: u32) -> SphereRef<'_> {
+        SphereRef::new(self.volumes.center(self.dims, n as usize), self.volumes.radii[n as usize])
+    }
+}
+
+/// `len` children dealt out `degree` at a time, the last node taking the rest
+/// — one packed level's child counts.
+pub fn chunk_counts(len: usize, degree: usize) -> Vec<u32> {
+    (0..len).step_by(degree).map(|at| degree.min(len - at) as u32).collect()
+}
+
+impl<V: Volumes> FlatTree<V> {
+    /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.radii.len()
+        self.parent.len()
     }
 
     /// Number of leaves.
@@ -97,25 +122,20 @@ impl SsTree {
         self.level[n as usize] == 0
     }
 
-    /// The bounding-sphere center of node `n`.
+    /// Children of internal node `n` as a node-id range.
     #[inline]
-    pub fn center(&self, n: u32) -> &[f32] {
-        let d = self.dims;
-        &self.centers[n as usize * d..(n as usize + 1) * d]
+    pub fn children(&self, n: u32) -> std::ops::Range<u32> {
+        debug_assert!(!self.is_leaf(n));
+        let fc = self.first_child[n as usize];
+        fc..fc + self.child_count[n as usize]
     }
 
-    /// The bounding-sphere radius of node `n`.
+    /// Point positions (into `self.points`) of leaf node `n`.
     #[inline]
-    pub fn radius(&self, n: u32) -> f32 {
-        self.radii[n as usize]
-    }
-
-    /// The bounding sphere of node `n`, borrowed straight from node-major
-    /// storage — no allocation (use [`SphereRef::to_sphere`] if you need an
-    /// owned copy).
-    #[inline]
-    pub fn sphere(&self, n: u32) -> SphereRef<'_> {
-        SphereRef::new(self.center(n), self.radius(n))
+    pub fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
+        debug_assert!(self.is_leaf(n));
+        let fp = self.first_child[n as usize] as usize;
+        fp..fp + self.child_count[n as usize] as usize
     }
 
     /// Rebuild the packed device arena from the current node arrays. Call
@@ -126,10 +146,10 @@ impl SsTree {
     pub fn rebuild_arena(&mut self) {
         self.arena = None;
         self.rebuild_ropes();
-        self.arena = Some(SphereArena::build(self));
+        self.arena = Some(NodeArena::build(self));
     }
 
-    /// Recompute the [`SsTree::rope`] escape links from the parent/child
+    /// Recompute the [`FlatTree::rope`] escape links from the parent/child
     /// structure: `rope(c)` is `c + 1` for every non-last child (children are
     /// contiguous), the parent's rope for each last child, and [`NO_ROPE`] at
     /// the root. Top-down from the root so each parent's rope exists before
@@ -160,37 +180,27 @@ impl SsTree {
         self.arena = None;
     }
 
-    /// Children of internal node `n` as a node-id range.
-    #[inline]
-    pub fn children(&self, n: u32) -> std::ops::Range<u32> {
-        debug_assert!(!self.is_leaf(n));
-        let fc = self.first_child[n as usize];
-        fc..fc + self.child_count[n as usize]
+    /// Bytes per child entry of the modelled device block: the volume's
+    /// lanes, the child pointer and the subtree leaf range.
+    pub fn child_entry_bytes(&self) -> u64 {
+        V::lanes(self.dims) as u64 * 4 + 12
     }
 
-    /// Point positions (into `self.points`) of leaf node `n`.
-    #[inline]
-    pub fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
-        debug_assert!(self.is_leaf(n));
-        let fp = self.first_child[n as usize] as usize;
-        fp..fp + self.child_count[n as usize] as usize
+    /// Bytes per point entry: coordinates plus the point id.
+    pub fn point_entry_bytes(&self) -> u64 {
+        self.dims as u64 * 4 + 4
     }
 
     /// Bytes a GPU kernel reads when it fetches internal node `n`: the SoA
-    /// child-sphere block (centers + radii) plus per-child ids (child pointer,
-    /// subtree leaf range) and a fixed header.
+    /// child-volume block plus per-child ids and a fixed header.
     pub fn internal_node_bytes(&self, n: u32) -> u64 {
-        let c = self.child_count[n as usize] as u64;
-        let d = self.dims as u64;
-        c * (d * 4 + 4 + 12) + 32
+        self.child_count[n as usize] as u64 * self.child_entry_bytes() + 32
     }
 
     /// Bytes read when fetching leaf node `n`: coordinates plus point ids plus a
     /// fixed header.
     pub fn leaf_node_bytes(&self, n: u32) -> u64 {
-        let c = self.child_count[n as usize] as u64;
-        let d = self.dims as u64;
-        c * (d * 4 + 4) + 32
+        self.child_count[n as usize] as u64 * self.point_entry_bytes() + 32
     }
 
     /// Bytes for whichever kind node `n` is.
@@ -215,6 +225,99 @@ impl SsTree {
         filled as f64 / (self.num_leaves() as u64 * self.degree as u64) as f64
     }
 
+    /// Flattens a per-level plan into the arena representation — the one
+    /// funnel every builder (bottom-up, top-down, dynamic rebuild, packed
+    /// R-tree) ends in. `counts[0]` holds each leaf's point count along
+    /// `point_order` (the leaves' points, leaf after leaf); `counts[l]` each
+    /// level-`l` node's child count, its children being the next that many
+    /// nodes of level `l - 1`; the last level is the root alone. `volumes`
+    /// holds one volume per node in arena order: root level first, leaves
+    /// last, each level in its own order — which is what makes every parent's
+    /// children contiguous.
+    ///
+    /// Runs the structural verifier before deriving ropes and packing the
+    /// arena, so a construction bug can never hand an invalid tree to the
+    /// query engines: it panics instead.
+    pub fn materialize(
+        points: &PointSet,
+        degree: usize,
+        counts: &[Vec<u32>],
+        point_order: Vec<u32>,
+        volumes: V,
+    ) -> Self {
+        let total_nodes: usize = counts.iter().map(Vec::len).sum();
+        // Arena offset of each level, indexed like `counts` (0 = leaves).
+        let mut base = vec![0u32; counts.len()];
+        let mut acc = 0u32;
+        for (slot, level) in base.iter_mut().zip(counts).rev() {
+            *slot = acc;
+            acc += level.len() as u32;
+        }
+
+        let mut parent = vec![NO_PARENT; total_nodes];
+        let mut level = vec![0u8; total_nodes];
+        let mut first_child = vec![0u32; total_nodes];
+        let mut child_count = vec![0u32; total_nodes];
+        let mut leaf_id = vec![NOT_A_LEAF; total_nodes];
+        let mut subtree_min_leaf = vec![0u32; total_nodes];
+        let mut subtree_max_leaf = vec![0u32; total_nodes];
+        let mut leaf_node_of = vec![0u32; counts[0].len()];
+
+        // Bottom-up, so a parent finds its children's leaf ranges in place.
+        // A node's children (a leaf's points) are the next `count` entries of
+        // the level below (of the point order).
+        for (li, level_counts) in counts.iter().enumerate() {
+            let mut cursor = if li == 0 { 0 } else { base[li - 1] };
+            for (j, &count) in level_counts.iter().enumerate() {
+                let node = base[li] as usize + j;
+                level[node] = li as u8;
+                first_child[node] = cursor;
+                child_count[node] = count;
+                if li == 0 {
+                    leaf_node_of[j] = node as u32;
+                    leaf_id[node] = j as u32;
+                    subtree_min_leaf[node] = j as u32;
+                    subtree_max_leaf[node] = j as u32;
+                } else {
+                    let kids = cursor as usize..(cursor + count) as usize;
+                    parent[kids.clone()].fill(node as u32);
+                    // An (impossible) empty group gets min > max, which the
+                    // verifier below rejects as an empty range.
+                    subtree_min_leaf[node] =
+                        subtree_min_leaf[kids.clone()].iter().copied().min().unwrap_or(u32::MAX);
+                    subtree_max_leaf[node] =
+                        subtree_max_leaf[kids].iter().copied().max().unwrap_or(0);
+                }
+                cursor += count;
+            }
+        }
+
+        let mut tree = FlatTree {
+            dims: points.dims(),
+            degree,
+            points: points.gather(&point_order),
+            point_ids: point_order,
+            volumes,
+            parent,
+            level,
+            first_child,
+            child_count,
+            leaf_id,
+            subtree_min_leaf,
+            subtree_max_leaf,
+            leaf_node_of,
+            root: 0,
+            rope: Vec::new(),
+            arena: None,
+        };
+        if let Err(e) = tree.validate() {
+            panic!("construction produced a structurally invalid tree: {e}");
+        }
+        // Only a verified tree gets the packed device arena.
+        tree.rebuild_arena();
+        tree
+    }
+
     /// Exhaustive structural check; returns the first violated invariant as a
     /// typed [`StructuralError`].
     ///
@@ -225,32 +328,25 @@ impl SsTree {
     /// persisted file, a fuzzer-mutated arena) rather than panicking or
     /// looping. Run after construction, after [`crate::persist::load`], and
     /// after every dynamic rebuild.
-    // Containment checks are written as negated `<=` on purpose: a NaN
-    // distance (corrupt point payload) must count as a violation. The point
-    // loop indexes `seen_points` and the point arena by the same untrusted
-    // index, which the range-loop lint cannot see.
-    #[allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
+    // The point loop indexes `seen_points` and the point arena by the same
+    // untrusted index, which the range-loop lint cannot see.
+    #[allow(clippy::needless_range_loop)]
     pub fn validate(&self) -> Result<(), StructuralError> {
         let nn = self.num_nodes();
-        for (array, len) in [
-            ("parent", self.parent.len()),
-            ("level", self.level.len()),
-            ("first_child", self.first_child.len()),
-            ("child_count", self.child_count.len()),
-            ("leaf_id", self.leaf_id.len()),
-            ("subtree_min_leaf", self.subtree_min_leaf.len()),
-            ("subtree_max_leaf", self.subtree_max_leaf.len()),
-        ] {
-            if len != nn {
+        // Lengths first: everything below (and every accessor the kernels
+        // use) indexes each per-node array with any id under `nn`.
+        let per_node = [
+            ("level", self.level.len(), 1),
+            ("first_child", self.first_child.len(), 1),
+            ("child_count", self.child_count.len(), 1),
+            ("leaf_id", self.leaf_id.len(), 1),
+            ("subtree_min_leaf", self.subtree_min_leaf.len(), 1),
+            ("subtree_max_leaf", self.subtree_max_leaf.len(), 1),
+        ];
+        for (array, len, lanes) in per_node.into_iter().chain(self.volumes.arrays(self.dims)) {
+            if len != nn * lanes {
                 return Err(StructuralError::ArrayLength { array, len, nodes: nn });
             }
-        }
-        if self.centers.len() != nn * self.dims {
-            return Err(StructuralError::ArrayLength {
-                array: "centers",
-                len: self.centers.len(),
-                nodes: nn,
-            });
         }
         if self.root as usize >= nn {
             return Err(StructuralError::RootOutOfRange { root: self.root, nodes: nn });
@@ -272,15 +368,25 @@ impl SsTree {
                 return Err(StructuralError::TraversalOverrun { nodes: nn });
             }
             let ni = n as usize;
-            if !self.radii[ni].is_finite()
-                || self.radii[ni] < 0.0
-                || self.center(n).iter().any(|c| !c.is_finite())
-            {
+            if !self.volumes.finite(self.dims, ni) {
                 return Err(StructuralError::NonFiniteGeometry { node: n });
             }
             if self.subtree_min_leaf[ni] > self.subtree_max_leaf[ni] {
                 return Err(StructuralError::EmptySubtreeRange { node: n });
             }
+            let count = self.child_count[ni];
+            if count == 0 {
+                return Err(StructuralError::NoChildren { node: n });
+            }
+            if count as usize > self.degree {
+                return Err(StructuralError::DegreeOverflow {
+                    node: n,
+                    count,
+                    degree: self.degree,
+                });
+            }
+            let start = self.first_child[ni] as u64;
+            let end = start + count as u64;
             if self.is_leaf(n) {
                 let lid = self.leaf_id[ni];
                 if lid == NOT_A_LEAF || lid as usize >= self.num_leaves() {
@@ -292,19 +398,6 @@ impl SsTree {
                 if self.leaf_node_of[lid as usize] != n {
                     return Err(StructuralError::LeafChainBroken { node: n, leaf_id: lid });
                 }
-                let count = self.child_count[ni];
-                if count == 0 {
-                    return Err(StructuralError::NoChildren { node: n });
-                }
-                if count as usize > self.degree {
-                    return Err(StructuralError::DegreeOverflow {
-                        node: n,
-                        count,
-                        degree: self.degree,
-                    });
-                }
-                let start = self.first_child[ni] as u64;
-                let end = start + count as u64;
                 if end > self.points.len() as u64 {
                     return Err(StructuralError::PointRangeOutOfRange {
                         node: n,
@@ -313,13 +406,11 @@ impl SsTree {
                     });
                 }
                 for p in start as usize..end as usize {
-                    if seen_points[p] {
+                    if std::mem::replace(&mut seen_points[p], true) {
                         return Err(StructuralError::DuplicatePoint { point: p });
                     }
-                    seen_points[p] = true;
-                    let pd = psb_geom::dist(self.points.point(p), self.center(n));
-                    if !(pd <= self.radius(n) * (1.0 + 1e-4) + 1e-4) {
-                        return Err(StructuralError::PointOutsideSphere { node: n, point: p });
+                    if !self.volumes.contains_point(self.dims, ni, self.points.point(p)) {
+                        return Err(StructuralError::PointOutsideVolume { node: n, point: p });
                     }
                 }
                 if lid != leaf_cursor {
@@ -331,19 +422,6 @@ impl SsTree {
                 }
                 leaf_cursor += 1;
             } else {
-                let count = self.child_count[ni];
-                if count == 0 {
-                    return Err(StructuralError::NoChildren { node: n });
-                }
-                if count as usize > self.degree {
-                    return Err(StructuralError::DegreeOverflow {
-                        node: n,
-                        count,
-                        degree: self.degree,
-                    });
-                }
-                let start = self.first_child[ni] as u64;
-                let end = start + count as u64;
                 if end > nn as u64 {
                     return Err(StructuralError::ChildOutOfRange {
                         node: n,
@@ -367,20 +445,15 @@ impl SsTree {
                     }
                     min_l = min_l.min(self.subtree_min_leaf[ci]);
                     max_l = max_l.max(self.subtree_max_leaf[ci]);
-                    // Parent sphere must contain child sphere. Written as a
-                    // negated `<=` so a NaN gap (corrupt geometry) fails too.
-                    let gap = psb_geom::dist(self.center(c), self.center(n)) + self.radius(c);
-                    if !(gap <= self.radius(n) * (1.0 + 1e-4) + 1e-4) {
-                        return Err(StructuralError::SphereNotContained { node: n, child: c });
+                    if !self.volumes.contains_child(self.dims, ni, ci) {
+                        return Err(StructuralError::VolumeNotContained { node: n, child: c });
                     }
                 }
                 if min_l != self.subtree_min_leaf[ni] || max_l != self.subtree_max_leaf[ni] {
                     return Err(StructuralError::SubtreeRangeWrong { node: n });
                 }
                 // Push children right-to-left so leaves pop left-to-right.
-                for c in (start as u32..end as u32).rev() {
-                    stack.push(c);
-                }
+                stack.extend((start as u32..end as u32).rev());
             }
         }
         if visited_nodes != nn {

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use psb::prelude::*;
+use psb::sstree::{FlatTree, Volumes};
 
 /// Strategy: a small random point set with controlled dims.
 fn point_set(dims: usize, max_n: usize) -> impl Strategy<Value = PointSet> {
@@ -130,100 +131,158 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    // Seeded corruption of every structural field of a freshly built tree:
-    // the verifier must detect the damage, and the hardened kernels must
-    // either fail with a typed `KernelError` or finish with a well-formed
-    // answer — never panic. Every traversal is step-budgeted, so the test
-    // body returning at all is the no-infinite-loop proof.
+    // Seeded corruption of every structural field of a freshly built tree of
+    // each family: the verifier must detect the damage, and the hardened
+    // kernels must either fail with a typed `KernelError` or finish with a
+    // well-formed answer — never panic. Every traversal is step-budgeted, so
+    // the test body returning at all is the no-infinite-loop proof.
     #[test]
     fn corrupted_trees_are_caught_and_never_panic(
         ps in point_set(3, 80),
         degree in 2usize..10,
-        kind in 0usize..7,
+        kind in 0usize..9,
         node_sel in 0usize..1_000_000,
     ) {
-        let mut tree = build(&ps, degree, &BuildMethod::Hilbert);
-        let nn = tree.num_nodes();
-        let ni = node_sel % nn;
-        match kind {
-            // Non-finite geometry.
-            0 => tree.radii[ni] = f32::NAN,
-            1 => tree.centers[ni * tree.dims] = f32::INFINITY,
-            // Out-of-bounds child / point range.
-            2 => tree.first_child[ni] += (nn + ps.len()) as u32 + 1,
-            // Fan-out beyond the declared degree.
-            3 => tree.child_count[ni] += tree.degree as u32 + 1 + (node_sel % 1000) as u32,
-            // Broken parent back-link (on the root: a parent where none may be).
-            4 => tree.parent[ni] ^= 1,
-            // Level no longer one above the children's.
-            5 => tree.level[tree.root as usize] += 1,
-            // subtreeMaxLeafId no longer the max over the subtree.
-            6 => tree.subtree_max_leaf[ni] = tree.num_leaves() as u32 + 1 + ni as u32,
-            _ => unreachable!(),
-        }
-        prop_assert!(
-            tree.validate().is_err(),
-            "kind {} corruption at node {} of {} went undetected", kind, ni, nn
-        );
+        let ss = build(&ps, degree, &BuildMethod::Hilbert);
+        corrupt_and_probe(ss, &ps, kind, node_sel, |v, ni, second| match second {
+            false => v.radii[ni] = f32::NAN,
+            true => v.centers[ni * 3] = f32::INFINITY,
+        })?;
+        let rt = build_rtree(&ps, degree, &RtreeBuildMethod::Hilbert);
+        corrupt_and_probe(rt, &ps, kind, node_sel, |v, ni, second| match second {
+            false => v.mins[ni * 3] = f32::NAN,
+            true => v.maxs[ni * 3] = f32::INFINITY,
+        })?;
+    }
+}
 
-        let cfg = DeviceConfig::k40();
-        let opts = KernelOptions::default();
-        let q = ps.point(0);
-        let k = 4usize;
-        for (name, r) in [
-            ("psb", psb_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
-            ("bnb", bnb_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
-            ("restart", restart_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
-            ("range", range_try_query(&tree, q, 50.0, &cfg, &opts, None, &mut NoopSink)),
+/// Damages `tree` (freshly built over `ps`, either family) in the `kind`-th
+/// way at a node picked by `node_sel`, then hands it to everything a corrupt
+/// tree can reach. `poison` makes node `ni`'s volume non-finite through its
+/// first or second array.
+fn corrupt_and_probe<V: Volumes>(
+    mut tree: FlatTree<V>,
+    ps: &PointSet,
+    kind: usize,
+    node_sel: usize,
+    poison: impl Fn(&mut V, usize, bool),
+) -> Result<(), TestCaseError> {
+    let nn = tree.num_nodes();
+    let ni = node_sel % nn;
+    match kind {
+        // Non-finite geometry.
+        0 | 1 => poison(&mut tree.volumes, ni, kind == 1),
+        // Out-of-bounds child / point range.
+        2 => tree.first_child[ni] += (nn + ps.len()) as u32 + 1,
+        // Fan-out beyond the declared degree.
+        3 => tree.child_count[ni] += tree.degree as u32 + 1 + (node_sel % 1000) as u32,
+        // Broken parent back-link (on the root: a parent where none may be).
+        4 => tree.parent[ni] ^= 1,
+        // Level no longer one above the children's.
+        5 => tree.level[tree.root as usize] += 1,
+        // subtreeMaxLeafId no longer the max over the subtree.
+        6 => tree.subtree_max_leaf[ni] = tree.num_leaves() as u32 + 1 + ni as u32,
+        // A per-node array one entry short.
+        7 => match node_sel % 7 {
+            0 => drop(tree.parent.pop()),
+            1 => drop(tree.subtree_min_leaf.pop()),
+            2 => drop(tree.level.pop()),
+            3 => drop(tree.first_child.pop()),
+            4 => drop(tree.child_count.pop()),
+            5 => drop(tree.leaf_id.pop()),
+            _ => drop(tree.subtree_max_leaf.pop()),
+        },
+        // A leaf-chain entry naming some other node.
+        8 => {
+            let l = node_sel % tree.num_leaves();
+            tree.leaf_node_of[l] ^= 1;
+        }
+        _ => unreachable!(),
+    }
+    prop_assert!(
+        tree.validate().is_err(),
+        "kind {} corruption at node {} of {} went undetected",
+        kind,
+        ni,
+        nn
+    );
+    // Array *lengths* are the one thing the kernels trust — no file and no
+    // device fault can change them, and bounds-proofing every accessor costs
+    // the sweep-bound workload 6 % — so for a short array the verifier's typed
+    // error is the whole contract. Two arrays can be probed further all the
+    // same: `parent` is the node count itself (the last id just goes out of
+    // range) and `subtree_min_leaf` is read by the verifier alone.
+    if kind == 7 && node_sel % 7 > 1 {
+        return Ok(());
+    }
+
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let q = ps.point(0);
+    let k = 4usize;
+    for (name, r) in [
+        ("psb", psb_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
+        ("bnb", bnb_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
+        ("restart", restart_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
+        ("range", range_try_query(&tree, q, 50.0, &cfg, &opts, None, &mut NoopSink)),
+    ] {
+        if let Ok((nb, _)) = r {
+            prop_assert!(
+                nb.iter().all(|x| x.dist.is_finite()),
+                "{} returned a non-finite distance from a corrupt tree",
+                name
+            );
+        }
+    }
+    let mut one = PointSet::new(tree.dims);
+    one.push(q);
+    if let Ok((per_query, _)) = tpss_try_batch(&tree, &one, k, &cfg, 32, &mut NoopSink) {
+        for nb in per_query.iter().flatten() {
+            prop_assert!(
+                nb.iter().all(|x| x.dist.is_finite()),
+                "tpss returned a non-finite distance from a corrupt tree"
+            );
+        }
+    }
+
+    // The batch path, per-query and on both wave paths (direct, and
+    // buffered at capacity 2): every query comes back with a typed
+    // outcome and a well-formed answer. No fault plan is attached, so a
+    // kernel error is deterministic — the retry fails too and the exact
+    // brute-force rung answers.
+    let batch = ps.gather(&[0, 1, (ps.len() - 1) as u32]);
+    let none = FaultPlan::none();
+    let knn = |q: &[f32]| linear_knn(ps, q, k).len();
+    for wave in [None, Some(WaveConfig::default()), Some(WaveConfig { capacity: 2 })] {
+        let opts = KernelOptions { wave, ..Default::default() };
+        for kernel in [
+            Kernel::Psb { k },
+            Kernel::Bnb { k },
+            Kernel::Restart { k },
+            Kernel::Range { radius: 50.0 },
         ] {
-            if let Ok((nb, _)) = r {
-                prop_assert!(nb.iter().all(|x| x.dist.is_finite()),
-                    "{} returned a non-finite distance from a corrupt tree", name);
-            }
-        }
-        let mut one = PointSet::new(tree.dims);
-        one.push(q);
-        if let Ok((per_query, _)) = tpss_try_batch(&tree, &one, k, &cfg, 32, &mut NoopSink) {
-            for nb in per_query.iter().flatten() {
-                prop_assert!(nb.iter().all(|x| x.dist.is_finite()),
-                    "tpss returned a non-finite distance from a corrupt tree");
-            }
-        }
-
-        // The batch path, per-query and on both wave paths (direct, and
-        // buffered at capacity 2): every query comes back with a typed
-        // outcome and a well-formed answer. No fault plan is attached, so a
-        // kernel error is deterministic — the retry fails too and the exact
-        // brute-force rung answers.
-        let batch = ps.gather(&[0, 1, (ps.len() - 1) as u32]);
-        let none = FaultPlan::none();
-        let knn = |q: &[f32]| linear_knn(&ps, q, k).len();
-        for wave in [None, Some(WaveConfig::default()), Some(WaveConfig { capacity: 2 })] {
-            let opts = KernelOptions { wave, ..Default::default() };
-            for kernel in [
-                Kernel::Psb { k },
-                Kernel::Bnb { k },
-                Kernel::Restart { k },
-                Kernel::Range { radius: 50.0 },
-            ] {
-                let r = launch(&tree, &batch, kernel, &cfg, &opts, &none, None)
-                    .expect("a non-empty batch always launches");
-                for (qi, (nb, outcome)) in r.neighbors.iter().zip(&r.outcomes).enumerate() {
-                    prop_assert!(nb.iter().all(|x| x.dist.is_finite()),
-                        "{:?} wave {:?}: non-finite distance from a corrupt tree", kernel, wave);
-                    match outcome {
-                        QueryOutcome::Clean => {}
-                        QueryOutcome::Degraded { first, retry } => {
-                            prop_assert_eq!(first, retry, "no fault plan: the retry is a replay");
-                            prop_assert!(nb.windows(2).all(|w| w[0].dist <= w[1].dist));
-                            if !matches!(kernel, Kernel::Range { .. }) {
-                                prop_assert_eq!(nb.len(), knn(batch.point(qi)));
-                            }
+            let r = launch(&tree, &batch, kernel, &cfg, &opts, &none, None)
+                .expect("a non-empty batch always launches");
+            for (qi, (nb, outcome)) in r.neighbors.iter().zip(&r.outcomes).enumerate() {
+                prop_assert!(
+                    nb.iter().all(|x| x.dist.is_finite()),
+                    "{:?} wave {:?}: non-finite distance from a corrupt tree",
+                    kernel,
+                    wave
+                );
+                match outcome {
+                    QueryOutcome::Clean => {}
+                    QueryOutcome::Degraded { first, retry } => {
+                        prop_assert_eq!(first, retry, "no fault plan: the retry is a replay");
+                        prop_assert!(nb.windows(2).all(|w| w[0].dist <= w[1].dist));
+                        if !matches!(kernel, Kernel::Range { .. }) {
+                            prop_assert_eq!(nb.len(), knn(batch.point(qi)));
                         }
-                        other => prop_assert!(false, "{:?}: unexpected outcome {:?}", kernel, other),
                     }
+                    other => prop_assert!(false, "{:?}: unexpected outcome {:?}", kernel, other),
                 }
             }
         }
     }
+    Ok(())
 }
