@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, full test suite.
 #
-#   ./ci.sh            # everything (14 stages)
+#   ./ci.sh            # everything (15 stages)
 #   ./ci.sh fmt        # one stage (fmt | clippy | hardlint | test | faults |
 #                      #            shard | chaos | metrics | wave | fastpath |
-#                      #            kdtree | threads | bench-smoke | doc)
+#                      #            kdtree | threads | bench-smoke | doc | api)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,25 +45,27 @@ run_chaos() {
 }
 # Telemetry layer: the registry/histogram/span unit+property tests, plus the
 # no-op-parity golden suite pinning that an attached registry never changes
-# neighbors, counters, or reports (DESIGN.md §14).
+# neighbors, counters, or reports (DESIGN.md "Telemetry (psb-metrics)").
 run_metrics() {
     cargo test -p psb-metrics -q
     cargo test -p psb --test metrics_parity -q
 }
-# Buffer-wave engine (DESIGN.md §16): the exactness/parity suite, which also
+# Buffer-wave engine (DESIGN.md "Buffer-wave traversal"): the parity suite, which also
 # pins that the buffers actually amortize fetches (mean fill > 1). Wave vs
 # per-query wall-clock is the repo benchmark's `wave.us_per_query` layer.
 run_wave() { cargo test -p psb --test wave_parity -q; }
-# Fast path (DESIGN.md §17): the bit-identity/parity suite pinning that the
-# SIMD lanes and Metering::Off change nothing observable, and the geom crate's
-# own evaluator identity tests. Metered vs unmetered wall-clock is the repo
-# benchmark's `kernels.psb_us_per_query` / `kernels.psb_metered_us_per_query`.
+# Fast path (DESIGN.md "Distance evaluators", "Metering::Off"): the parity suite
+# pinning that the SIMD lanes and Metering::Off change nothing observable, and
+# the geom crate's own evaluator identity tests. Metered vs unmetered wall-clock
+# is the repo benchmark's `kernels.psb_us_per_query` /
+# `kernels.psb_metered_us_per_query`.
 run_fastpath() {
     cargo test -p psb --test fastpath_parity -q
     cargo test -p psb-geom -q
 }
-# Implicit kd-tree family + rope traversal (DESIGN.md §18): the kdtree
-# crate's construction/search tests, the stack-free golden parity suite
+# Implicit kd-tree family + rope traversal
+# (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's
+# construction/search tests, the stack-free golden parity suite
 # (bit-identity against the brute oracle and SS-tree PSB, ± faults,
 # ± Metering::Off), and the rope-link suite (escape links = preorder
 # successors on both bounding-volume arenas; rope-mode range/restart kernels
@@ -73,8 +75,9 @@ run_kdtree() {
     cargo test -p psb --test kdtree_parity -q
     cargo test -p psb --test ropes -q
 }
-# Real host threads (DESIGN.md §19): the thread-count parity suite and the
-# concurrent soak, then every bit-identity parity suite, all twice — under
+# Real host threads (DESIGN.md "The executor under every par_iter"): the
+# thread-count parity suite and the concurrent soak, then every
+# bit-identity parity suite, all twice — under
 # RAYON_NUM_THREADS=1 (the calling thread runs every piece) and =4, which
 # oversubscribes a small CI box on purpose to shake out interleavings. The
 # suites assert bit-equality against oracles computed in the same process, so
@@ -120,6 +123,49 @@ run_bench_smoke() {
 # bracketed citation that parses as a link fails the build here.
 run_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline; }
 
+# The public surface is a diff: api/psb-<crate>.txt lists every `pub` item of
+# the ten library crates, so a PR that widens (or narrows) the surface shows it
+# in review. The stage regenerates the lists and fails on any difference.
+# It also resolves every section reference in *.rs, ci.sh and README.md: the
+# name of DESIGN.md, EXPERIMENTS.md or a run log under experiments/, followed
+# by one or more double-quoted titles (separated by `, ` or ` and `), must name
+# the start of a heading of that file. The numbered form is refused: section
+# numbers move with every reorganisation.
+run_api() {
+    local fresh rc=0
+    fresh="$(mktemp -d)"
+    api/surface.sh list "$fresh"
+    if ! diff -u --exclude=surface.sh api "$fresh"; then
+        echo "public surface changed; review the diff above, then: api/surface.sh list api" >&2
+        rc=1
+    fi
+    rm -rf "$fresh"
+    check_section_refs || rc=1
+    return "$rc"
+}
+check_section_refs() {
+    local rc=0 files ref doc title doc_re='(DESIGN\.md|EXPERIMENTS\.md|experiments/PR-[0-9]+\.md)'
+    files="$(git ls-files '*.rs' ci.sh README.md)"
+    # shellcheck disable=SC2086
+    if grep -nE "(DESIGN|EXPERIMENTS)\.md\`? *§" $files; then
+        echo "numbered section references above: name the section's title instead" >&2
+        rc=1
+    fi
+    # One line per reference: `<file>|"Title"[, "Title"...]`.
+    # shellcheck disable=SC2086
+    while IFS= read -r ref; do
+        doc="${ref%%|*}"
+        while IFS= read -r title; do
+            if ! sed -nE 's/^#+ //p' "$doc" | awk -v t="$title" 'index($0, t) == 1 { ok = 1 } END { exit !ok }'; then
+                echo "no heading of $doc starts with \"$title\"" >&2
+                rc=1
+            fi
+        done < <(grep -oE '"[^"]+"' <<<"${ref#*|}" | tr -d '"')
+    done < <(grep -ohE "$doc_re\`?,? (\"[^\"]+\"(, | and )?)+" $files |
+        sed -E "s#^$doc_re\`?,? #\\1|#" | sort -u)
+    return "$rc"
+}
+
 case "$stage" in
     fmt)           run_fmt ;;
     clippy)        run_clippy ;;
@@ -135,6 +181,7 @@ case "$stage" in
     threads)       run_threads ;;
     bench-smoke)   run_bench_smoke ;;
     doc)           run_doc ;;
+    api)           run_api ;;
     all)
         echo "== cargo fmt --check ==" && run_fmt
         echo "== cargo clippy -D warnings ==" && run_clippy
@@ -150,10 +197,11 @@ case "$stage" in
         echo "== host-thread parity + soak, 1 and 4 threads ==" && run_threads
         echo "== bench smoke ==" && run_bench_smoke
         echo "== cargo doc -D warnings ==" && run_doc
+        echo "== public surface lists + section references ==" && run_api
         echo "CI green."
         ;;
     *)
-        echo "usage: $0 [fmt|clippy|hardlint|test|faults|shard|chaos|metrics|wave|fastpath|kdtree|threads|bench-smoke|doc|all]" >&2
+        echo "usage: $0 [fmt|clippy|hardlint|test|faults|shard|chaos|metrics|wave|fastpath|kdtree|threads|bench-smoke|doc|api|all]" >&2
         exit 2
         ;;
 esac

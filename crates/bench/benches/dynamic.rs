@@ -1,5 +1,5 @@
 //! The three layer costs of `DynamicShardRouter`'s write path and read path
-//! (DESIGN.md §15): what an insert pays to keep the cached answers right,
+//! (DESIGN.md "Mutable shards"): what an insert pays to keep the cached answers right,
 //! what a hit and a miss cost, and what a shard rebuild costs — at the repo
 //! benchmark's `ingest-clustered4` shape (4-d, k = 8, degree 16, a 256-entry
 //! cache, 10 500-point shards).

@@ -332,9 +332,10 @@ pub fn fig9(scale: &Scale) -> Table {
     t
 }
 
-/// Ablation (DESIGN.md §7) — each PSB design choice toggled in isolation on the
-/// Fig. 5 mid-sigma workload, plus the §V-E hybrid shared-memory policy at the
-/// largest k, plus the top-down-constructed SS-tree as a construction ablation.
+/// Ablation (DESIGN.md "The kernel table and its options") — each PSB design
+/// choice toggled in isolation on the Fig. 5 mid-sigma workload, plus the §V-E
+/// hybrid shared-memory policy at the largest k, plus the top-down-constructed
+/// SS-tree as a construction ablation.
 pub fn ablation(scale: &Scale) -> Table {
     let cfg = DeviceConfig::k40();
     let mut t = Table::new(

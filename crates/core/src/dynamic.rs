@@ -32,6 +32,9 @@ use crate::options::KernelOptions;
 /// `row_of` entry of an id that is not alive.
 const DEAD: u32 = u32::MAX;
 
+/// Rebuild when `delta + tombstones > REBUILD_FRACTION × live points`.
+const REBUILD_FRACTION: f64 = 0.2;
+
 /// Numbers the [`DynamicSsTree`]s of this process, so [`DynamicSsTree::install`]
 /// can tell its own tree's [`Rebuilt`] from another's at the same stamp.
 static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
@@ -51,8 +54,6 @@ pub struct DynamicSsTree {
     /// Position in the base's build input → external id (fixed at rebuild).
     base_snapshot_ids: Vec<u32>,
     next_id: u32,
-    /// Rebuild when `delta + tombstones > fraction × live points`.
-    rebuild_fraction: f64,
     /// All live coordinates, one row each: an insert appends a row, a remove
     /// moves the last row into the hole. A rebuild packs the rows as they lie.
     live: PointSet,
@@ -60,7 +61,8 @@ pub struct DynamicSsTree {
     live_ids: Vec<u32>,
     /// External id → row of `live`, [`DEAD`] once removed. One entry per id
     /// ever issued: ids are never reused, so it grows by 4 bytes an insert
-    /// and no rebuild shrinks it (ROADMAP item 2: rebase ids on rebuild).
+    /// and no rebuild shrinks it (compacting it means rebasing the external
+    /// ids on rebuild, with every owner map that stores them following).
     row_of: Vec<u32>,
     /// This tree's number in [`NEXT_TREE`]'s sequence.
     tree: u64,
@@ -144,7 +146,6 @@ impl DynamicSsTree {
             delta_ids: Vec::new(),
             tombstones: HashSet::new(),
             next_id: points.len() as u32,
-            rebuild_fraction: 0.2,
             live: points.clone(),
             row_of: live_ids.clone(),
             live_ids,
@@ -223,7 +224,7 @@ impl DynamicSsTree {
 
     fn maybe_rebuild(&mut self) {
         let churn = self.delta.len() + self.tombstones.len();
-        if churn as f64 > self.rebuild_fraction * self.live.len().max(1) as f64 {
+        if churn as f64 > REBUILD_FRACTION * self.live.len().max(1) as f64 {
             self.rebuild();
         }
     }

@@ -200,7 +200,7 @@ fn brute_index_query_with<T: GpuIndex, const M: bool>(
 /// Exact brute-force range scan over an index's point array — the recovery
 /// fallback for [`range_try_query`](super::range::range_try_query). Same
 /// no-links, no-faults, clamped-tile guarantees as [`brute_index_query`].
-pub fn brute_index_range<T: GpuIndex>(
+pub(crate) fn brute_index_range<T: GpuIndex>(
     tree: &T,
     q: &[f32],
     radius: f32,

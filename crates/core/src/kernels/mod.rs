@@ -166,17 +166,17 @@ pub(crate) struct Budget {
 
 impl Budget {
     /// Budget for a tree traversal.
-    pub fn for_tree<T: GpuIndex>(tree: &T) -> Self {
+    pub(crate) fn for_tree<T: GpuIndex>(tree: &T) -> Self {
         Self { steps: 0, limit: step_budget(tree) }
     }
 
     /// Budget for a linear scan over `n` items in tiles.
-    pub fn for_scan(n: usize) -> Self {
+    pub(crate) fn for_scan(n: usize) -> Self {
         Self { steps: 0, limit: n as u64 + 1024 }
     }
 
     /// One traversal step: count it, enforce the budget, poll device faults.
-    pub fn tick<const M: bool>(&mut self, block: &Block<'_, M>) -> Result<(), KernelError> {
+    pub(crate) fn tick<const M: bool>(&mut self, block: &Block<'_, M>) -> Result<(), KernelError> {
         self.steps += 1;
         if self.steps > self.limit {
             return Err(KernelError::StepBudgetExceeded { budget: self.limit });
@@ -367,9 +367,9 @@ pub(crate) struct MemoEntry {
     pub bound: Option<f32>,
 }
 
-/// Per-query memo of PSB's phase-2 internal-node sweep values (DESIGN.md
-/// §12). Nothing in it outlives a query, so it is independent of execution
-/// order and on for every fault-free PSB launch.
+/// Per-query memo of PSB's phase-2 internal-node sweep values
+/// (DESIGN.md "Sweep memo"). Nothing in it outlives a query, so it is
+/// independent of execution order and on for every fault-free PSB launch.
 ///
 /// PSB's stackless sweep re-descends through the same internal nodes after
 /// every backtrack — on poorly-pruning workloads (high-dimensional uniform
@@ -395,7 +395,7 @@ pub(crate) struct SweepMemo {
 impl SweepMemo {
     /// Start a new query: invalidate every slot (epoch bump) and reset the
     /// value blob, keeping all capacity.
-    pub fn begin_query(&mut self, num_nodes: usize) {
+    pub(crate) fn begin_query(&mut self, num_nodes: usize) {
         self.epoch += 1;
         self.blob.clear();
         if self.slots.len() < num_nodes {
@@ -405,7 +405,7 @@ impl SweepMemo {
 
     /// This query's memo for node `n`, if stored. Copy-out, so no borrow
     /// outlives the call.
-    pub fn entry(&self, n: u32) -> Option<MemoEntry> {
+    pub(crate) fn entry(&self, n: u32) -> Option<MemoEntry> {
         match self.slots.get(n as usize) {
             Some(&(epoch, entry)) if epoch == self.epoch => Some(entry),
             _ => None,
@@ -413,12 +413,12 @@ impl SweepMemo {
     }
 
     /// The stored child MINDISTs behind an [`entry`](Self::entry).
-    pub fn values(&self, entry: MemoEntry) -> &[f32] {
+    pub(crate) fn values(&self, entry: MemoEntry) -> &[f32] {
         &self.blob[entry.start as usize..(entry.start + entry.len) as usize]
     }
 
     /// Store node `n`'s sweep values for the current query.
-    pub fn store(&mut self, n: u32, min_d: &[f32], bound: Option<f32>) {
+    pub(crate) fn store(&mut self, n: u32, min_d: &[f32], bound: Option<f32>) {
         let start = self.blob.len() as u32;
         self.blob.extend_from_slice(min_d);
         if let Some(slot) = self.slots.get_mut(n as usize) {

@@ -191,15 +191,15 @@ pub(super) fn range_try_query_with<T: GpuIndex, const M: bool>(
     Ok((out, block.finish()))
 }
 
-/// Rope-mode range sweep (DESIGN.md §18): a single preorder pass with **no**
-/// per-level state — no level counter, no parent backtracking, no
-/// `visitedLeafId` cursor. Every arriving node evaluates its own volume;
-/// qualifying internal nodes fall through to their first child, everything
-/// else follows the escape link until it runs off the rightmost spine.
-/// Exactness: the node set *entered* is exactly the stacked sweep's (a node
-/// is entered iff its volume intersects the range and its ancestors do —
-/// `tests/ropes.rs` pins the equivalence), so the same leaves produce the
-/// same rows.
+/// Rope-mode range sweep (DESIGN.md "Stack-free kd kernel and rope modes"): a
+/// single preorder pass with **no** per-level state — no level counter, no
+/// parent backtracking, no `visitedLeafId` cursor. Every arriving node
+/// evaluates its own volume; qualifying internal nodes fall through to their
+/// first child, everything else follows the escape link until it runs off the
+/// rightmost spine. Exactness: the node set *entered* is exactly the stacked
+/// sweep's (a node is entered iff its volume intersects the range and its
+/// ancestors do — `tests/ropes.rs` pins the equivalence), so the same leaves
+/// produce the same rows.
 #[allow(clippy::too_many_arguments)]
 fn range_rope_with<T: GpuIndex, const M: bool>(
     mut block: Block<'_, M>,

@@ -109,14 +109,15 @@ pub(super) fn restart_try_query_with<T: GpuIndex, const M: bool>(
     process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, false, level)?;
     pruning = pruning.min(list.bound());
 
-    // Rope mode (DESIGN.md §18): instead of restarting from the root, follow
-    // the escape links — one preorder pass with no re-descents and no
-    // `visitedLeafId` cursor. Each arriving node evaluates its own volume;
-    // qualifying internal nodes fall through to their first child, everything
-    // else ropes to the next subtree. The primed leaf is revisited once, which
-    // is harmless: the k-best list rejects exact duplicates. Exact for the
-    // same reason the restart sweep is — a subtree is skipped only when its
-    // MINDIST is at least the (monotone) pruning distance.
+    // Rope mode (DESIGN.md "Stack-free kd kernel and rope modes"): instead of
+    // restarting from the root, follow the escape links — one preorder pass
+    // with no re-descents and no `visitedLeafId` cursor. Each arriving node
+    // evaluates its own volume; qualifying internal nodes fall through to their
+    // first child, everything else ropes to the next subtree. The primed leaf
+    // is revisited once, which is harmless: the k-best list rejects exact
+    // duplicates. Exact for the same reason the restart sweep is — a subtree is
+    // skipped only when its MINDIST is at least the (monotone) pruning
+    // distance.
     if opts.rope {
         let mut m = tree.root();
         loop {

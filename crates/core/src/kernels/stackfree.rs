@@ -37,8 +37,9 @@ use crate::options::{KernelOptions, Metering};
 
 /// Runs one stack-free kNN query on a simulated block.
 ///
-/// Trusted-tree entry point: panics on a [`KernelError`]. Use
-/// [`stackfree_try_query`] to handle corruption or injected faults.
+/// Trusted-tree entry point: panics on a [`KernelError`].
+/// [`launch_stackfree`](crate::launch_stackfree) is the path with typed
+/// outcomes under corruption or injected faults.
 pub fn stackfree_query<T: ImplicitKdIndex>(
     tree: &T,
     q: &[f32],
@@ -54,7 +55,7 @@ pub fn stackfree_query<T: ImplicitKdIndex>(
 /// under corruption or injected device faults. Bit-identical to
 /// [`stackfree_query`] with `faults: None` on a valid tree.
 #[allow(clippy::too_many_arguments)]
-pub fn stackfree_try_query<T: ImplicitKdIndex>(
+pub(crate) fn stackfree_try_query<T: ImplicitKdIndex>(
     tree: &T,
     q: &[f32],
     k: usize,

@@ -1,5 +1,5 @@
-//! Kernel launch options, including the ablation switches called out in
-//! DESIGN.md §7 and the throughput knobs of §12.
+//! Kernel launch options: the ablation switches and the host and engine
+//! switches of DESIGN.md "The kernel table and its options".
 
 use psb_geom::DistLanes;
 use psb_metrics::MetricsHandle;
@@ -20,7 +20,7 @@ pub enum NodeLayout {
     Aos,
 }
 
-/// Whether a launch runs the simulated GPU cost model (DESIGN.md §17).
+/// Whether a launch runs the simulated GPU cost model (DESIGN.md "Metering::Off").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Metering {
     /// Full `Block` accounting: warp issues, transactions, cycles, phases,
@@ -57,9 +57,9 @@ pub struct KernelOptions {
     pub leaf_scan: bool,
     /// Node memory layout (SoA vs AoS ablation).
     pub layout: NodeLayout,
-    /// Batch execution order (DESIGN.md §12). [`QuerySchedule::Hilbert`] runs
-    /// the batch in Hilbert-curve order and un-permutes every per-query
-    /// output, so results and counters stay bit-identical to the default
+    /// Batch execution order (DESIGN.md "Query schedule and streaming").
+    /// [`QuerySchedule::Hilbert`] runs the batch in Hilbert-curve order and
+    /// un-permutes every per-query output, so results and counters stay bit-identical to the default
     /// submission order. Dropped when a trace sink is attached.
     pub schedule: QuerySchedule,
     /// Telemetry sink for the batch runners: host wall-clock spans, per-batch
@@ -69,7 +69,7 @@ pub struct KernelOptions {
     /// run (`tests/metrics_parity.rs`).
     pub metrics: MetricsHandle,
     /// Route batch execution through the buffer-wave node-centric engine
-    /// (DESIGN.md §16): nodes own bounded query buffers, the batch descends
+    /// (DESIGN.md "Buffer-wave traversal"): nodes own bounded query buffers, the batch descends
     /// in level-synchronous waves, and each buffered node is swept once with
     /// its fetch amortized over the buffer. `None` (the default) keeps the
     /// per-query engines. Neighbors and outcomes are bit-identical either
@@ -77,13 +77,14 @@ pub struct KernelOptions {
     /// real fault plan, under a trace sink, and for the kernels with no node
     /// blocks — [`resolve`](crate::resolve) names the rule that fired.
     pub wave: Option<WaveConfig>,
-    /// Simulated-cost-model switch (DESIGN.md §17). [`Metering::Off`]
+    /// Simulated-cost-model switch (DESIGN.md "Metering::Off"). [`Metering::Off`]
     /// compiles the `Block` accounting out of the hot loop; results are
     /// bit-identical, `KernelStats` stay at launch values.
     pub metering: Metering,
     /// Follow rope (escape) links instead of per-level traversal state in the
     /// kernels that keep any — the *restart* kNN kernel's re-descents and the
-    /// *range* kernel's parent backtracking (DESIGN.md §18). Every arriving
+    /// *range* kernel's parent backtracking
+    /// (DESIGN.md "Stack-free kd kernel and rope modes"). Every arriving
     /// node is evaluated once against the query; qualifying internal nodes
     /// fall through to their first child, everything else follows
     /// `GpuIndex::rope`. Results are bit-identical to the stacked traversal

@@ -1,13 +1,12 @@
 //! Streaming batched execution: a chunker over the batch runner.
 //!
 //! A [`QueryStream`] accepts queries one at a time and executes them in
-//! fixed-size chunks (default [`QueryStream::DEFAULT_CHUNK`] = 240, the
-//! paper's batch size). A chunk executes — one [`launch`](crate::launch) — the
-//! moment its last query is pushed, so [`QueryStream::poll`] yields it at
-//! once. One per-stream [`ScheduleScratch`] arena backs every chunk's
-//! scheduling, so a long session reuses the same key and permutation buffers
-//! instead of allocating per chunk (the kernels' own scratch is likewise
-//! pooled, per host thread).
+//! fixed-size chunks (240 by default, the paper's batch size). A chunk executes
+//! — one [`launch`](crate::launch) — the moment its last query is pushed, so
+//! [`QueryStream::poll`] yields it at once. One per-stream [`ScheduleScratch`]
+//! arena backs every chunk's scheduling, so a long session reuses the same key
+//! and permutation buffers instead of allocating per chunk (the kernels' own
+//! scratch is likewise pooled, per host thread).
 //!
 //! Results surface per chunk as ordinary [`QueryBatchResult`]s, in submission
 //! order both across chunks and within each chunk, bit-identical to the batch
@@ -77,9 +76,9 @@ pub struct QueryStream<'t, T: GpuIndex> {
 
 impl<'t, T: GpuIndex> QueryStream<'t, T> {
     /// The default chunk size: the paper's 240-query batch (§V-B).
-    pub const DEFAULT_CHUNK: usize = 240;
+    pub(crate) const DEFAULT_CHUNK: usize = 240;
 
-    /// A stream executing [`Self::DEFAULT_CHUNK`]-query chunks.
+    /// A stream executing 240-query chunks.
     pub fn new(tree: &'t T, kernel: Kernel, cfg: DeviceConfig, opts: KernelOptions) -> Self {
         Self::with_chunk_size(tree, kernel, cfg, opts, Self::DEFAULT_CHUNK)
     }
@@ -105,11 +104,6 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
             done: VecDeque::new(),
             submitted: 0,
         }
-    }
-
-    /// The stream's chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
     }
 
     /// Total queries pushed so far.

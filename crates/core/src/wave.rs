@@ -1,4 +1,5 @@
-//! Buffer-wave node-centric batch traversal (ROADMAP item 1).
+//! Buffer-wave node-centric batch traversal: queries grouped by node, one
+//! fetch per buffered node.
 //!
 //! Every per-query kernel in this crate walks the tree once per query: a hot
 //! node's arena block is re-fetched (and its metering re-paid) once for every

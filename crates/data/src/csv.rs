@@ -4,10 +4,6 @@
 //! dataset as CSV for plotting; benches emit their series the same way.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
-
-use psb_geom::PointSet;
 
 /// Serializes rows of `f64` values under a header line.
 pub fn to_csv(header: &[&str], rows: &[Vec<f64>]) -> String {
@@ -29,20 +25,6 @@ pub fn to_csv(header: &[&str], rows: &[Vec<f64>]) -> String {
     out
 }
 
-/// Writes the first-two-dimension projection of (a sample of) a point set,
-/// suitable for reproducing the Fig. 4 scatter plots.
-pub fn write_projection(ps: &PointSet, sample_every: usize, path: &Path) -> io::Result<()> {
-    let step = sample_every.max(1);
-    let rows: Vec<Vec<f64>> = (0..ps.len())
-        .step_by(step)
-        .map(|i| {
-            let p = ps.point(i);
-            vec![p[0] as f64, *p.get(1).unwrap_or(&0.0) as f64]
-        })
-        .collect();
-    std::fs::write(path, to_csv(&["x", "y"], &rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,20 +38,5 @@ mod tests {
     #[test]
     fn empty_rows_only_header() {
         assert_eq!(to_csv(&["x"], &[]), "x\n");
-    }
-
-    #[test]
-    fn projection_samples_and_writes() {
-        let ps = PointSet::from_flat(3, (0..30).map(|i| i as f32).collect());
-        let dir = std::env::temp_dir().join("psb_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("proj.csv");
-        write_projection(&ps, 2, &path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines[0], "x,y");
-        assert_eq!(lines.len(), 1 + 5); // 10 points sampled every 2
-        assert_eq!(lines[1], "0,1");
-        std::fs::remove_file(&path).ok();
     }
 }

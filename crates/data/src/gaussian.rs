@@ -29,11 +29,6 @@ pub struct ClusteredSpec {
 }
 
 impl ClusteredSpec {
-    /// The paper's default configuration at a given dimensionality and sigma.
-    pub fn paper_default(dims: usize, sigma: f32, seed: u64) -> Self {
-        Self { clusters: 100, points_per_cluster: 10_000, dims, sigma, seed }
-    }
-
     /// Total points generated.
     pub fn len(&self) -> usize {
         self.clusters * self.points_per_cluster

@@ -6,15 +6,16 @@
 //! values tagged with latitude/longitude (§V-F). The real ISD files are not
 //! available offline, so [`noaa`] generates a synthetic equivalent that preserves
 //! what matters to an index: heavy geographic clustering of a large report stream
-//! around a fixed set of station locations (see DESIGN.md §2).
+//! around a fixed set of station locations (see
+//! DESIGN.md "The paper and what stands in for its hardware").
 //!
 //! Everything is seeded and deterministic.
 
 pub mod csv;
-pub mod gaussian;
+mod gaussian;
 pub mod io;
 pub mod noaa;
-pub mod normal;
+mod normal;
 pub mod queries;
 pub mod skewed;
 pub mod uniform;
@@ -29,4 +30,4 @@ pub use uniform::UniformSpec;
 /// standard deviations from 10 to 10 240 and observes near-uniform behaviour at
 /// the top of that range, which implies a coordinate space a handful of sigmas
 /// wide — 65 536 fits that reading.
-pub const SPACE: f32 = 65_536.0;
+pub(crate) const SPACE: f32 = 65_536.0;

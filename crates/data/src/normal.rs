@@ -6,7 +6,7 @@
 use rand::Rng;
 
 /// Draws one standard-normal sample.
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f64 {
     // Box–Muller; guard the log against u1 == 0.
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
@@ -14,7 +14,7 @@ pub fn standard_normal(rng: &mut impl Rng) -> f64 {
 }
 
 /// Fills `out` with independent `N(mean, sigma²)` samples.
-pub fn fill_normal(rng: &mut impl Rng, mean: f32, sigma: f32, out: &mut [f32]) {
+pub(crate) fn fill_normal(rng: &mut impl Rng, mean: f32, sigma: f32, out: &mut [f32]) {
     for slot in out {
         *slot = mean + sigma * standard_normal(rng) as f32;
     }

@@ -249,15 +249,9 @@ impl DistKernel {
         plane_gap(q, plane)
     }
 
-    /// Batched rows form: appends the squared distance from `q` to each
-    /// `dims`-strided row of `rows`. Bit-identical to calling [`Self::sq`]
-    /// per row.
-    #[inline]
-    pub fn sq_rows(&self, q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
-        (self.sq_rows)(q, rows, out);
-    }
-
-    /// Batched rows form of [`Self::dist`]: appends one distance per row.
+    /// Batched rows form of [`Self::dist`]: appends the distance from `q` to
+    /// each `dims`-strided row of `rows`. Bit-identical to calling
+    /// [`Self::dist`] per row.
     #[inline]
     pub fn dist_rows(&self, q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
         let start = out.len();
@@ -410,7 +404,7 @@ mod tests {
         }
     }
 
-    /// The batched rows forms are bit-identical to per-row dispatch under
+    /// The batched rows form is bit-identical to per-row dispatch under
     /// both lane selections, including odd-tail dims.
     #[test]
     fn batched_rows_match_per_row_bitwise() {
@@ -420,14 +414,10 @@ mod tests {
                 let mut s = dims as u64 * 2221 + 9;
                 let q: Vec<f32> = (0..dims).map(|_| lcg_f32(&mut s)).collect();
                 let rows: Vec<f32> = (0..dims * 23).map(|_| lcg_f32(&mut s)).collect();
-                let mut sq_out = Vec::new();
-                dk.sq_rows(&q, &rows, &mut sq_out);
                 let mut d_out = Vec::new();
                 dk.dist_rows(&q, &rows, &mut d_out);
-                assert_eq!(sq_out.len(), 23);
                 assert_eq!(d_out.len(), 23);
                 for (i, row) in rows.chunks_exact(dims).enumerate() {
-                    assert_eq!(sq_out[i].to_bits(), sq_dist(&q, row).to_bits(), "dims {dims}");
                     assert_eq!(d_out[i].to_bits(), dist(&q, row).to_bits(), "dims {dims}");
                 }
             }
@@ -459,15 +449,14 @@ mod tests {
         let dk = DistKernel::for_dims(3);
         let mut out = Vec::new();
         // Empty run: nothing appended.
-        dk.sq_rows(&[1.0, 2.0, 3.0], &[], &mut out);
+        dk.dist_rows(&[1.0, 2.0, 3.0], &[], &mut out);
         assert!(out.is_empty());
         // Zero-dims kernel (the Default placeholder): nothing appended.
-        DistKernel::default().sq_rows(&[], &[1.0, 2.0], &mut out);
+        DistKernel::default().dist_rows(&[], &[1.0, 2.0], &mut out);
         assert!(out.is_empty());
         // A ragged tail (rows not a multiple of dims) is ignored, mirroring
         // `chunks_exact`.
-        dk.sq_rows(&[0.0, 0.0, 0.0], &[3.0, 4.0, 0.0, 7.0], &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], 25.0);
+        dk.dist_rows(&[0.0, 0.0, 0.0], &[3.0, 4.0, 0.0, 7.0], &mut out);
+        assert_eq!(out, [5.0]);
     }
 }

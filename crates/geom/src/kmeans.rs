@@ -29,13 +29,6 @@ pub struct KMeansParams {
     pub seed: u64,
 }
 
-impl KMeansParams {
-    /// Parameters with the paper's default `k = sqrt(n/2)`.
-    pub fn with_default_k(n: usize, seed: u64) -> Self {
-        Self { k: suggested_k(n), max_iters: 16, seed }
-    }
-}
-
 /// The paper's rule-of-thumb cluster count: `sqrt(n / 2)`, at least 1.
 pub fn suggested_k(n: usize) -> usize {
     (((n as f64) / 2.0).sqrt().round() as usize).max(1)

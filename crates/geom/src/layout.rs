@@ -17,7 +17,7 @@
 pub const ALIGN_BYTES: usize = 64;
 
 /// The same alignment measured in `f32` lanes.
-pub const ALIGN_F32: usize = ALIGN_BYTES / 4;
+pub(crate) const ALIGN_F32: usize = ALIGN_BYTES / 4;
 
 /// Round an `f32` offset up to the next 64-byte boundary.
 #[inline]

@@ -24,7 +24,7 @@ pub mod dist;
 pub mod hilbert;
 pub mod kmeans;
 pub mod layout;
-pub mod matrix;
+mod matrix;
 pub mod point;
 pub mod rect;
 pub mod rectkernel;
@@ -39,10 +39,8 @@ pub use kmeans::{kmeans, KMeansParams, KMeansResult};
 pub use layout::AlignedF32;
 pub use point::PointSet;
 pub use rect::Rect;
-pub use rectkernel::{
-    rect_eval, rect_eval_d, rect_eval_for_dims, RectEval, RectKernel, RectRowsOut,
-};
+pub use rectkernel::{rect_eval, RectKernel, RectRowsOut};
 pub use ritter::{ritter_points, ritter_spheres, RitterMode};
-pub use simd::{dist_simd, sq_dist_simd};
+pub use simd::sq_dist_simd;
 pub use sphere::{Sphere, SphereRef};
 pub use welzl::welzl;

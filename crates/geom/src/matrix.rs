@@ -6,7 +6,7 @@
 
 /// Solves `A x = b` for square `A` (row-major, `n*n`) by Gaussian elimination with
 /// partial pivoting. Returns `None` when `A` is (numerically) singular.
-pub fn solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
+pub(crate) fn solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
     assert_eq!(a.len(), n * n, "A must be n*n");
     assert_eq!(b.len(), n, "b must be length n");
     let mut m = a.to_vec();

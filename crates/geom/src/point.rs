@@ -59,7 +59,7 @@ impl PointSet {
 
     /// Mutably borrow point `i`.
     #[inline]
-    pub fn point_mut(&mut self, i: usize) -> &mut [f32] {
+    pub(crate) fn point_mut(&mut self, i: usize) -> &mut [f32] {
         let d = self.dims;
         &mut self.data[i * d..(i + 1) * d]
     }

@@ -60,7 +60,7 @@ impl Rect {
     }
 
     /// Squared `MINDIST(q, R)`: per-dimension clamp of `q` onto the rect.
-    pub fn sq_min_dist(&self, q: &[f32]) -> f32 {
+    pub(crate) fn sq_min_dist(&self, q: &[f32]) -> f32 {
         let mut acc = 0f32;
         for ((&lo, &hi), &x) in self.min.iter().zip(&self.max).zip(q) {
             let d = if x < lo {

@@ -67,7 +67,7 @@ pub fn rect_eval(
 /// `D` the loop inlines with constant trip counts and unrolls; otherwise it
 /// degrades to the generic loop. Bit-identical either way (same op sequence).
 #[inline]
-pub fn rect_eval_d<const D: usize>(
+pub(crate) fn rect_eval_d<const D: usize>(
     lo: &[f32],
     hi: &[f32],
     q: &[f32],
@@ -81,12 +81,12 @@ pub fn rect_eval_d<const D: usize>(
 }
 
 /// A single rectangle evaluation, dispatched as a plain `fn` pointer.
-pub type RectEval = fn(&[f32], &[f32], &[f32], bool, bool) -> (f32, f32, f32);
+pub(crate) type RectEval = fn(&[f32], &[f32], &[f32], bool, bool) -> (f32, f32, f32);
 
 /// One query against a run of SoA rectangle rows: evaluates `lo_rows`/`hi_rows`
 /// (flat, `dims`-strided, equal length) against `q` and appends MINDIST to
 /// `min_d` per row, plus MAXDIST / anchor rows when requested.
-pub type RectRows = fn(&[f32], &[f32], &[f32], bool, bool, &mut RectRowsOut<'_>);
+pub(crate) type RectRows = fn(&[f32], &[f32], &[f32], bool, bool, &mut RectRowsOut<'_>);
 
 /// Output buffers for a batched rectangle sweep (a struct so the row-sweep
 /// `fn` pointer keeps a sane arity).
@@ -150,7 +150,7 @@ fn rect_rows_d<const D: usize>(
 
 /// Resolve the single-rectangle evaluator for `dims` (the paper's
 /// dimensionalities get the unrolled forms).
-pub fn rect_eval_for_dims(dims: usize) -> RectEval {
+pub(crate) fn rect_eval_for_dims(dims: usize) -> RectEval {
     match dims {
         2 => rect_eval_d::<2>,
         3 => rect_eval_d::<3>,

@@ -40,13 +40,6 @@ pub fn sq_dist_simd(a: &[f32], b: &[f32]) -> f32 {
     sq_dist_wide(a, b)
 }
 
-/// Euclidean distance via the explicit-SIMD kernel; `sqrt` of
-/// [`sq_dist_simd`], bit-identical to [`crate::dist()`].
-#[inline]
-pub fn dist_simd(a: &[f32], b: &[f32]) -> f32 {
-    sq_dist_simd(a, b).sqrt()
-}
-
 /// The wide core. Callers guarantee `a.len() == b.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
@@ -88,7 +81,7 @@ pub(crate) fn sq_dist_wide(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{dist, sq_dist};
+    use crate::dist::sq_dist;
     use proptest::prelude::*;
 
     fn lcg_f32(state: &mut u64) -> f32 {
@@ -116,7 +109,6 @@ mod tests {
                     sq_dist(&a, &b).to_bits(),
                     "dims {dims} trial {trial}"
                 );
-                assert_eq!(dist_simd(&a, &b).to_bits(), dist(&a, &b).to_bits());
             }
         }
     }

@@ -96,14 +96,14 @@ impl DeviceConfig {
     }
 
     /// Per-SM bandwidth expressed in bytes per core cycle.
-    pub fn bw_bytes_per_sm_cycle(&self) -> f64 {
+    pub(crate) fn bw_bytes_per_sm_cycle(&self) -> f64 {
         self.mem_bandwidth_gbs * 1e9 / (self.clock_ghz * 1e9) / self.sms as f64
     }
 
     /// Resident blocks per SM for a block needing `smem_block` bytes of shared
     /// memory and `warps_per_block` warps. Returns at least 1 if the block fits at
     /// all (a block larger than the SM's shared memory cannot launch: returns 0).
-    pub fn occupancy_blocks(&self, smem_block: u64, warps_per_block: u32) -> u32 {
+    pub(crate) fn occupancy_blocks(&self, smem_block: u64, warps_per_block: u32) -> u32 {
         if smem_block > self.smem_per_sm {
             return 0;
         }
@@ -118,7 +118,7 @@ impl DeviceConfig {
     }
 
     /// Convert cycles to milliseconds at the core clock.
-    pub fn cycles_to_ms(&self, cycles: f64) -> f64 {
+    pub(crate) fn cycles_to_ms(&self, cycles: f64) -> f64 {
         cycles / (self.clock_ghz * 1e9) * 1e3
     }
 }

@@ -149,7 +149,7 @@ impl FaultState {
     /// `bit_flip_per_mille / 1000` one random bit of its representation is
     /// flipped and the sticky ECC flag latches. Returns `v` unchanged (and
     /// advances nothing observable) otherwise.
-    pub fn maybe_flip_f32(&mut self, v: f32) -> f32 {
+    pub(crate) fn maybe_flip_f32(&mut self, v: f32) -> f32 {
         if self.bit_flip_per_mille == 0 {
             return v;
         }
@@ -164,7 +164,7 @@ impl FaultState {
     }
 
     /// Whether the sticky ECC flag has latched.
-    pub fn ecc_flagged(&self) -> bool {
+    pub(crate) fn ecc_flagged(&self) -> bool {
         self.ecc
     }
 

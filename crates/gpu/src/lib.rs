@@ -54,6 +54,6 @@ pub use psb_metrics::{MetricsHandle, Registry};
 pub use stats::{KernelStats, PhaseStats, MAX_TRACKED_LEVELS};
 pub use task::{op_phase, run_task_parallel, run_task_parallel_traced, LaneStep};
 pub use trace::{
-    event_from_jsonl, event_to_jsonl, read_jsonl, JsonlSink, NodeKind, NoopSink, Phase, TraceEvent,
-    TraceSink, VecSink,
+    event_from_jsonl, event_to_jsonl, JsonlSink, NodeKind, NoopSink, Phase, TraceEvent, TraceSink,
+    VecSink,
 };

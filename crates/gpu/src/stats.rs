@@ -129,7 +129,7 @@ impl KernelStats {
 
     /// Sum of the per-phase counters — equals the aggregates whenever every
     /// producer attributes its metering (which [`crate::Block`] guarantees).
-    pub fn phase_total(&self) -> PhaseStats {
+    pub(crate) fn phase_total(&self) -> PhaseStats {
         let mut total = PhaseStats::default();
         for p in &self.phases {
             total.merge(p);

@@ -17,7 +17,7 @@
 //! data to the kernel, so a recording run is bit-identical to a silent one
 //! (enforced by the workspace `observability` tests).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Traversal stage of a kNN kernel, per the paper's Algorithm 1 structure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -245,18 +245,6 @@ pub fn event_from_jsonl(line: &str) -> Option<(String, TraceEvent)> {
     Some((label, event))
 }
 
-/// Reads a whole JSONL trace, preserving event order. Unparsable lines are
-/// skipped (the format is line-oriented precisely so partial traces load).
-pub fn read_jsonl<R: BufRead>(reader: R) -> io::Result<Vec<(String, TraceEvent)>> {
-    let mut out = Vec::new();
-    for line in reader.lines() {
-        if let Some(parsed) = event_from_jsonl(&line?) {
-            out.push(parsed);
-        }
-    }
-    Ok(out)
-}
-
 // Minimal flat-object JSON field extraction. The emitter above never nests
 // objects or escapes quotes, so scanning for `"key":` is sound.
 fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -379,8 +367,8 @@ mod tests {
             active_lanes: 32,
             phase: Phase::Other,
         });
-        let bytes = sink.into_inner().unwrap();
-        let parsed = read_jsonl(io::Cursor::new(bytes)).unwrap();
+        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+        let parsed: Vec<_> = text.lines().filter_map(event_from_jsonl).collect();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "bnb");
         assert_eq!(
@@ -390,9 +378,8 @@ mod tests {
     }
 
     #[test]
-    fn reader_skips_foreign_lines() {
+    fn foreign_lines_do_not_parse() {
         let text = "\n# comment\n{\"label\":\"x\",\"ev\":\"backtrack\",\"level\":0}\n";
-        let parsed = read_jsonl(io::Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(parsed.len(), 1);
+        assert_eq!(text.lines().filter_map(event_from_jsonl).count(), 1);
     }
 }

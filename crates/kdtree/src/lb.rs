@@ -25,7 +25,7 @@ use crate::{check_finite, KdBuildError, Neighbor};
 
 /// Fixed header the device fetches once per tree: dims, node count, and the
 /// two array base addresses.
-pub const LB_HEADER_BYTES: u64 = 16;
+pub(crate) const LB_HEADER_BYTES: u64 = 16;
 
 /// A left-balanced complete implicit kd-tree. Construct via
 /// [`LbKdTree::build`] / [`LbKdTree::try_build`].
@@ -118,19 +118,19 @@ impl LbKdTree {
 
     /// Depth of heap position `n` (root = 0) — pure arithmetic, no tree walk.
     #[inline]
-    pub fn node_depth_of(n: u32) -> u32 {
+    pub(crate) fn node_depth_of(n: u32) -> u32 {
         31 - (n + 1).leading_zeros()
     }
 
     /// Splitting dimension of node `n`: round-robin by depth.
     #[inline]
-    pub fn split_dim_of(&self, n: u32) -> usize {
+    pub(crate) fn split_dim_of(&self, n: u32) -> usize {
         Self::node_depth_of(n) as usize % self.dims
     }
 
     /// Nodes in the subtree rooted at `n`, by sweeping the heap-index band
     /// `[2^d·(n+1) - 1, 2^d·(n+2) - 2]` per level until it leaves the arena.
-    pub fn subtree_size(&self, n: u32) -> usize {
+    pub(crate) fn subtree_size(&self, n: u32) -> usize {
         let len = self.len();
         let mut size = 0usize;
         let (mut lo, mut hi) = (n as usize, n as usize);

@@ -14,14 +14,14 @@
 //!   parallelism.
 
 pub mod gpu;
-pub mod lb;
+mod lb;
 
 pub use lb::LbKdTree;
 
 use psb_geom::{dist, PointSet};
 
 /// Sentinel: no child.
-pub const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Typed construction errors shared by both kd-tree families (the median-split
 /// task-parallel tree and the left-balanced implicit tree).
@@ -68,7 +68,7 @@ fn check_finite(points: &PointSet) -> Result<(), KdBuildError> {
 /// One kd-tree node. Internal nodes split on `dim` at `split`; leaves own a
 /// contiguous range of the reordered point array.
 #[derive(Clone, Copy, Debug)]
-pub struct KdNode {
+pub(crate) struct KdNode {
     /// Split dimension (internal) — unused for leaves.
     pub dim: u16,
     /// Split coordinate (internal).
@@ -84,7 +84,7 @@ pub struct KdNode {
 }
 
 /// Bytes a traversal reads to fetch one internal node (dim + split + children).
-pub const NODE_BYTES: u64 = 16;
+pub(crate) const NODE_BYTES: u64 = 16;
 
 /// A flattened kd-tree.
 #[derive(Clone, Debug)]
@@ -96,7 +96,7 @@ pub struct KdTree {
     /// Original dataset index per reordered position.
     pub point_ids: Vec<u32>,
     /// Node arena; index 0 is the root.
-    pub nodes: Vec<KdNode>,
+    pub(crate) nodes: Vec<KdNode>,
     /// Maximum points per leaf.
     pub leaf_cap: usize,
 }

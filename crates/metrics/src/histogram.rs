@@ -86,17 +86,12 @@ impl Histogram {
         &self.counts
     }
 
-    /// Upper bound of finite bucket `i` (the saturation bucket has none).
-    pub fn bucket_bound(i: usize) -> f64 {
-        bound(i)
-    }
-
     /// The `p`-quantile (`p` in `[0, 1]`), as the upper bound of the bucket
     /// holding the ceil(p·count)-th smallest observation, or the largest
     /// observation seen when that is smaller (the top occupied bucket's bound
     /// overshoots the max by up to √2; the saturation bucket has no bound at
     /// all). Returns 0 for an empty histogram.
-    pub fn quantile(&self, p: f64) -> f64 {
+    pub(crate) fn quantile(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -111,7 +106,7 @@ impl Histogram {
         self.max
     }
 
-    /// Median (see [`Histogram::quantile`]).
+    /// Median, exact-rank over buckets (see the type docs).
     pub fn p50(&self) -> f64 {
         self.quantile(0.50)
     }

@@ -19,12 +19,12 @@ pub struct SpanStat {
 
 impl SpanStat {
     /// Total milliseconds.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
     }
 
     /// Self (exclusive) milliseconds.
-    pub fn self_ms(&self) -> f64 {
+    pub(crate) fn self_ms(&self) -> f64 {
         self.self_ns as f64 / 1e6
     }
 }
@@ -95,18 +95,6 @@ impl Registry {
         stat.count += 1;
         stat.total_ns = stat.total_ns.saturating_add(total_ns);
         stat.self_ns = stat.self_ns.saturating_add(total_ns.saturating_sub(child_ns));
-    }
-
-    /// Merges a whole histogram (used when a producer aggregates locally
-    /// before publishing, e.g. per-thread batches).
-    pub fn merge_histogram(&self, name: &str, h: &Histogram) {
-        let mut inner = lock(&self.inner);
-        match inner.histograms.get_mut(name) {
-            Some(mine) => mine.merge(h),
-            None => {
-                inner.histograms.insert(name.to_string(), h.clone());
-            }
-        }
     }
 
     /// An immutable point-in-time copy of everything recorded so far.

@@ -41,7 +41,7 @@ pub struct Rects {
 impl Rects {
     /// The MBR corners of node `n`.
     #[inline]
-    pub fn mbr(&self, dims: usize, n: usize) -> (&[f32], &[f32]) {
+    pub(crate) fn mbr(&self, dims: usize, n: usize) -> (&[f32], &[f32]) {
         (&self.mins[n * dims..(n + 1) * dims], &self.maxs[n * dims..(n + 1) * dims])
     }
 }

@@ -72,7 +72,7 @@ pub struct QuotaConfig {
 
 /// One tenant's live token bucket.
 #[derive(Clone, Debug)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     cfg: QuotaConfig,
     tokens: u64,
     last_tick: u64,
@@ -80,7 +80,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A bucket that starts full at tick `now`.
-    pub fn new(cfg: QuotaConfig, now: u64) -> Self {
+    pub(crate) fn new(cfg: QuotaConfig, now: u64) -> Self {
         Self { cfg, tokens: cfg.burst, last_tick: now }
     }
 
@@ -93,7 +93,7 @@ impl TokenBucket {
     }
 
     /// Takes one token at tick `now` if available.
-    pub fn try_take(&mut self, now: u64) -> bool {
+    pub(crate) fn try_take(&mut self, now: u64) -> bool {
         self.refill(now);
         if self.tokens > 0 {
             self.tokens -= 1;
@@ -101,12 +101,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available (after refilling to `now`).
-    pub fn available(&mut self, now: u64) -> u64 {
-        self.refill(now);
-        self.tokens
     }
 }
 
@@ -139,8 +133,6 @@ pub struct AdmissionControl {
     depth: usize,
     peak_depth: usize,
     admitted: u64,
-    shed_queue: u64,
-    shed_quota: u64,
 }
 
 impl AdmissionControl {
@@ -165,7 +157,6 @@ impl AdmissionControl {
     /// [`AdmissionControl::complete`].
     pub fn try_admit(&mut self, tenant: TenantId, now: u64) -> Result<(), RejectReason> {
         if self.depth >= self.cfg.queue_capacity {
-            self.shed_queue += 1;
             return Err(RejectReason::QueueFull {
                 depth: self.depth,
                 capacity: self.cfg.queue_capacity,
@@ -174,7 +165,6 @@ impl AdmissionControl {
         if let Some(quota) = self.quota_for(tenant) {
             let bucket = self.buckets.entry(tenant).or_insert_with(|| TokenBucket::new(quota, now));
             if !bucket.try_take(now) {
-                self.shed_quota += 1;
                 return Err(RejectReason::QuotaExhausted { tenant });
             }
         }
@@ -195,23 +185,13 @@ impl AdmissionControl {
     }
 
     /// Deepest the queue has been.
-    pub fn peak_depth(&self) -> usize {
+    pub(crate) fn peak_depth(&self) -> usize {
         self.peak_depth
     }
 
     /// Total queries admitted.
     pub fn admitted(&self) -> u64 {
         self.admitted
-    }
-
-    /// Queries shed by the queue bound.
-    pub fn shed_queue(&self) -> u64 {
-        self.shed_queue
-    }
-
-    /// Queries rejected by a tenant quota.
-    pub fn shed_quota(&self) -> u64 {
-        self.shed_quota
     }
 }
 
@@ -259,7 +239,7 @@ pub enum BreakerState {
 /// tick clock plus explicit success/failure reports from the replica ladder —
 /// fully deterministic under a seeded fault plan.
 #[derive(Clone, Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     cfg: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
@@ -271,7 +251,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with its backoff at the base.
-    pub fn new(cfg: BreakerConfig) -> Self {
+    pub(crate) fn new(cfg: BreakerConfig) -> Self {
         Self {
             cfg,
             state: BreakerState::Closed,
@@ -284,19 +264,19 @@ impl CircuitBreaker {
     }
 
     /// Current state (without advancing the open→half-open transition).
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Times this breaker has opened.
-    pub fn opened_total(&self) -> u64 {
+    pub(crate) fn opened_total(&self) -> u64 {
         self.opened_total
     }
 
     /// Whether traffic may reach the shard at tick `now`. An open breaker
     /// whose backoff has elapsed transitions to half-open here and admits the
     /// probe.
-    pub fn allows(&mut self, now: u64) -> bool {
+    pub(crate) fn allows(&mut self, now: u64) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
@@ -312,7 +292,7 @@ impl CircuitBreaker {
     }
 
     /// The shard answered through a healthy replica.
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         match self.state {
             BreakerState::Closed => self.consecutive_failures = 0,
             BreakerState::HalfOpen => {
@@ -329,7 +309,7 @@ impl CircuitBreaker {
 
     /// The shard failed: a replica launch died (one failover event), or the
     /// whole ladder was exhausted and the query paid the brute fallback.
-    pub fn on_failure(&mut self, now: u64) {
+    pub(crate) fn on_failure(&mut self, now: u64) {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures = self.consecutive_failures.saturating_add(1);
@@ -353,9 +333,7 @@ impl CircuitBreaker {
 }
 
 /// Key of one cached result: the query, compared and hashed by its exact f32
-/// bit pattern, plus `k`. Which flush generation an entry belongs to is not
-/// part of the key: a flush ([`QueryCache::advance_epoch`]) clears the whole
-/// cache, so only entries of the current one are ever resident.
+/// bit pattern, plus `k`.
 ///
 /// Built once per query and then moved: the row sits behind an `Arc`, so the
 /// copy the FIFO keeps beside the map's is a reference count, not a second
@@ -411,7 +389,7 @@ struct CacheEntry {
 /// owner indexes — as long as the owner keeps the entries in step with that
 /// set. There are two ways to: fold a point that joined the set into every
 /// resident answer ([`QueryCache::absorb`]), or drop them all
-/// ([`QueryCache::advance_epoch`]) — what a removal needs, since the point
+/// ([`QueryCache::flush`]) — what a removal needs, since the point
 /// that would move up into the k-th place is not in the entry. A rebuild of
 /// the index over the same set needs neither. FIFO eviction keeps the cache
 /// bounded and deterministic — and makes residency a function of the probe
@@ -421,7 +399,6 @@ struct CacheEntry {
 #[derive(Debug, Default)]
 pub struct QueryCache {
     capacity: usize,
-    epoch: u64,
     map: HashMap<CacheKey, CacheEntry>,
     fifo: VecDeque<CacheKey>,
     next_seq: u64,
@@ -438,31 +415,22 @@ impl QueryCache {
     }
 
     /// Whether the cache can ever hold anything.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
 
-    /// The epoch the resident entries belong to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// Drops every resident entry and returns whether there was one to drop
+    /// — what the owner does about a change it cannot fold into the resident
+    /// answers (a removal, an operator's invalidation).
+    pub fn flush(&mut self) -> bool {
+        let flushed = !self.map.is_empty();
+        self.invalidations += u64::from(flushed);
+        self.map.clear();
+        self.fifo.clear();
+        flushed
     }
 
-    /// Moves the cache to `epoch`, dropping every resident entry if it
-    /// changed — the flush: whatever the owner cannot fold into the resident
-    /// answers (a removal, an operator's invalidation) moves its epoch on,
-    /// and results filed under an older epoch are never served again.
-    pub fn advance_epoch(&mut self, epoch: u64) {
-        if epoch != self.epoch {
-            if !self.map.is_empty() {
-                self.invalidations += 1;
-            }
-            self.map.clear();
-            self.fifo.clear();
-            self.epoch = epoch;
-        }
-    }
-
-    /// Looks up `key` in the current epoch.
+    /// Looks up `key`.
     pub fn get(&mut self, key: &CacheKey) -> Option<Vec<Neighbor>> {
         if !self.is_enabled() {
             return None;
@@ -479,8 +447,8 @@ impl QueryCache {
         }
     }
 
-    /// Stores an exact result under `key` in the current epoch, evicting the
-    /// oldest entry when full.
+    /// Stores an exact result under `key`, evicting the oldest entry when
+    /// full.
     pub fn insert(&mut self, key: CacheKey, neighbors: &[Neighbor]) {
         if !self.is_enabled() || self.map.contains_key(&key) {
             return;
@@ -584,7 +552,7 @@ impl QueryCache {
     }
 
     /// `(hits, misses, evictions, invalidations)` since construction; an
-    /// invalidation is an [`QueryCache::advance_epoch`] that dropped entries.
+    /// invalidation is a [`QueryCache::flush`] that dropped entries.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
         (self.hits, self.misses, self.evictions, self.invalidations)
     }
@@ -608,7 +576,8 @@ mod tests {
     #[test]
     fn bucket_never_exceeds_burst() {
         let mut b = TokenBucket::new(QuotaConfig { burst: 2, refill_per_tick: 10 }, 0);
-        assert_eq!(b.available(1000), 2, "refill caps at burst");
+        assert!(b.try_take(1000) && b.try_take(1000));
+        assert!(!b.try_take(1000), "refill caps at burst");
     }
 
     #[test]
@@ -621,7 +590,6 @@ mod tests {
         ac.complete();
         assert!(ac.try_admit(0, 1).is_ok(), "a completed query frees its slot");
         assert_eq!(ac.peak_depth(), 2);
-        assert_eq!(ac.shed_queue(), 1);
     }
 
     #[test]
@@ -634,7 +602,6 @@ mod tests {
         for _ in 0..10 {
             assert!(ac.try_admit(2, 0).is_ok());
         }
-        assert_eq!(ac.shed_quota(), 1);
     }
 
     #[test]
@@ -697,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trips_and_epoch_invalidates() {
+    fn cache_round_trips_and_flush_invalidates() {
         let mut c = QueryCache::new(4);
         let q = [1.0f32, 2.0, 3.0];
         let hit = vec![Neighbor { dist: 0.5, id: 7 }];
@@ -705,8 +672,9 @@ mod tests {
         c.insert(key(&q, 3), &hit);
         assert_eq!(c.get(&key(&q, 3)).as_deref(), Some(hit.as_slice()));
         assert!(c.get(&key(&q, 4)).is_none(), "k is part of the key");
-        c.advance_epoch(1);
-        assert!(c.get(&key(&q, 3)).is_none(), "epoch bump invalidates");
+        assert!(c.flush());
+        assert!(c.get(&key(&q, 3)).is_none(), "a flush invalidates");
+        assert!(!c.flush(), "nothing left to drop");
         assert_eq!(c.stats().3, 1, "one invalidation recorded");
     }
 

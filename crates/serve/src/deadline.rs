@@ -37,18 +37,11 @@ pub enum DeadlineBudget {
     Micros(u64),
 }
 
-impl DeadlineBudget {
-    /// Whether this budget can never blow.
-    pub fn is_unlimited(&self) -> bool {
-        matches!(self, DeadlineBudget::None)
-    }
-}
-
 /// The running clock for one query's deadline: starts full, is charged after
 /// every shard visit, and reports [`blown`](DeadlineClock::blown) between
 /// visits.
 #[derive(Debug)]
-pub struct DeadlineClock {
+pub(crate) struct DeadlineClock {
     budget: DeadlineBudget,
     /// Simulated cycles spent so far (cycles mode).
     spent_cycles: f64,
@@ -59,36 +52,26 @@ pub struct DeadlineClock {
 impl DeadlineClock {
     /// Starts the clock. A wall-clock budget reads `Instant::now()` once here;
     /// a cycle budget reads no clock at all.
-    pub fn start(budget: DeadlineBudget) -> Self {
+    pub(crate) fn start(budget: DeadlineBudget) -> Self {
         let started = matches!(budget, DeadlineBudget::Micros(_)).then(Instant::now);
         Self { budget, spent_cycles: 0.0, started }
-    }
-
-    /// The budget this clock runs under.
-    pub fn budget(&self) -> DeadlineBudget {
-        self.budget
     }
 
     /// Charges one visited shard's launch against a cycle budget, priced by
     /// the same cost model as the launch reports (`warps_per_block` from the
     /// kernel options, the shard device's config). No-op for wall-clock and
     /// unlimited budgets — wall time accrues on its own.
-    pub fn charge(&mut self, stats: &KernelStats, cfg: &DeviceConfig, warps_per_block: u32) {
+    pub(crate) fn charge(&mut self, stats: &KernelStats, cfg: &DeviceConfig, warps_per_block: u32) {
         if matches!(self.budget, DeadlineBudget::Cycles(_)) {
             self.spent_cycles += stats.block_cycles(cfg, warps_per_block);
         }
-    }
-
-    /// Simulated cycles charged so far.
-    pub fn spent_cycles(&self) -> f64 {
-        self.spent_cycles
     }
 
     /// Whether the budget is exhausted. Checked between shard visits; a blown
     /// clock makes the router skip the remaining shards and mark the outcome.
     /// A `Cycles(0)` budget is blown from the start — the deterministic way to
     /// force the nearest-shard-brute degrade rung.
-    pub fn blown(&self) -> bool {
+    pub(crate) fn blown(&self) -> bool {
         match self.budget {
             DeadlineBudget::Cycles(0) => true,
             DeadlineBudget::None => false,
@@ -111,7 +94,7 @@ mod tests {
         let stats = KernelStats { compute_issues: 1_000_000, blocks: 1, ..Default::default() };
         clock.charge(&stats, &DeviceConfig::k40(), 1);
         assert!(!clock.blown());
-        assert_eq!(clock.spent_cycles(), 0.0, "unlimited budgets are never priced");
+        assert_eq!(clock.spent_cycles, 0.0, "unlimited budgets are never priced");
     }
 
     #[test]

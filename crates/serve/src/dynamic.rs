@@ -11,9 +11,9 @@
 //! finishes).
 //!
 //! The attached result cache is *maintained* under writes, not flushed
-//! (DESIGN.md §15): an insert folds its point into every resident answer, a
-//! shard rebuild leaves them alone (it indexes the same set), and only a
-//! remove drops them.
+//! (DESIGN.md "Mutable shards"): an insert folds its point into every
+//! resident answer, a shard rebuild leaves them alone (it indexes the same
+//! set), and only a remove drops them.
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -25,6 +25,7 @@ use psb_metrics::MetricsHandle;
 use psb_sstree::{BuildMethod, Neighbor};
 
 use crate::admission::{CacheKey, QueryCache};
+use crate::plan::{Visit, VisitPlan};
 
 /// Entry of an id table whose id is not alive.
 const DEAD: u32 = u32::MAX;
@@ -56,6 +57,15 @@ struct ResultCache {
     version: u64,
 }
 
+/// Per-shard counter names, formatted once in
+/// [`DynamicShardRouter::attach_metrics`] rather than per shard per query.
+#[derive(Default)]
+struct ShardLabels {
+    visits: Vec<String>,
+    prunes: Vec<String>,
+    rebuilds: Vec<String>,
+}
+
 /// A sharded, mutable kNN index with per-shard locking.
 ///
 /// All answers are exact over the live point set. Ids are router-global:
@@ -72,6 +82,8 @@ pub struct DynamicShardRouter {
     /// Telemetry sink (detached by default): rebuild durations, per-query
     /// latency, and shard visit/prune counters.
     metrics: MetricsHandle,
+    /// Empty until a registry is attached.
+    labels: ShardLabels,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -105,6 +117,7 @@ impl DynamicShardRouter {
             dims: points.dims(),
             cache: Mutex::new(ResultCache { results: QueryCache::new(0), version: 0 }),
             metrics: MetricsHandle::noop(),
+            labels: ShardLabels::default(),
         }
     }
 
@@ -135,6 +148,14 @@ impl DynamicShardRouter {
     /// (`serve.rebuild_us`), queries their latency (`serve.dyn_query_us`) and
     /// per-shard visit/prune counters.
     pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
+        let label = |name: &str| {
+            (0..self.cells.len()).map(|s| format!("serve.{name}{{shard=\"{s}\"}}")).collect()
+        };
+        self.labels = ShardLabels {
+            visits: label("dyn_shard_visits"),
+            prunes: label("dyn_shard_prunes"),
+            rebuilds: label("rebuilds"),
+        };
         self.metrics = metrics;
     }
 
@@ -144,7 +165,7 @@ impl DynamicShardRouter {
     }
 
     /// Live points in shard `s` (directory view; no tree lock taken).
-    pub fn shard_len(&self, s: usize) -> usize {
+    pub(crate) fn shard_len(&self, s: usize) -> usize {
         lock(&self.metas[s]).len
     }
 
@@ -230,10 +251,7 @@ impl DynamicShardRouter {
             let flushed = {
                 let mut cache = lock(&self.cache);
                 cache.version += 1;
-                let flushed = !cache.results.is_empty();
-                let next = cache.results.epoch() + 1;
-                cache.results.advance_epoch(next);
-                flushed
+                cache.results.flush()
             };
             if flushed {
                 self.metrics.counter("serve.dyn_cache_flushes", 1);
@@ -265,7 +283,7 @@ impl DynamicShardRouter {
         if let (Some(t0), Some(swap_us)) = (started, swap_us) {
             self.metrics.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
             self.metrics.observe("serve.rebuild_swap_us", swap_us);
-            self.metrics.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
+            self.metrics.counter(&self.labels.rebuilds[s], 1);
             if in_place {
                 self.metrics.counter("serve.rebuilds_in_place", 1);
             }
@@ -321,40 +339,23 @@ impl DynamicShardRouter {
             }
         }
         // Snapshot the directory under the brief meta locks.
-        let mut order: Vec<(f32, f32, usize, usize)> = (0..self.metas.len())
-            .map(|s| {
-                let meta = lock(&self.metas[s]);
-                let (lo, hi) = meta.sphere.min_max_dist(q);
-                (lo, hi, s, meta.len)
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        let mut initial_bound = f32::INFINITY;
-        let mut covered = 0usize;
-        let mut running_max = 0.0f32;
-        for &(_, maxd, _, len) in &order {
-            covered += len;
-            running_max = running_max.max(maxd);
-            if covered >= k {
-                initial_bound = running_max;
-                break;
-            }
-        }
+        let plan = VisitPlan::new(q, k, self.metas.iter().map(lock), |meta| {
+            (&meta.sphere, meta.len, false)
+        });
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        for &(mindist, _, s, len) in &order {
+        for &Visit { shard: s, mindist, len, .. } in &plan.order {
             if len == 0 {
                 continue;
             }
-            let bound =
-                if best.len() >= k { best[k - 1].dist.min(initial_bound) } else { initial_bound };
-            if mindist > bound {
+            let kth = if best.len() >= k { best[k - 1].dist } else { f32::INFINITY };
+            if plan.prunes(mindist, kth) {
                 if started.is_some() {
-                    m.counter(&format!("serve.dyn_shard_prunes{{shard=\"{s}\"}}"), 1);
+                    m.counter(&self.labels.prunes[s], 1);
                 }
                 continue;
             }
             if started.is_some() {
-                m.counter(&format!("serve.dyn_shard_visits{{shard=\"{s}\"}}"), 1);
+                m.counter(&self.labels.visits[s], 1);
             }
             let cell = self.cells[s].read().unwrap_or_else(PoisonError::into_inner);
             for n in cell.tree.knn(q, k) {

@@ -8,7 +8,7 @@
 //! apply inside a tree. Per-shard top-k lists are merged through the same
 //! [`GpuKnnList`](psb_core::knnlist::GpuKnnList) the kernels use, so the
 //! global result is **bit-identical** to a single-device run over the
-//! unsharded tree (see DESIGN.md §13 for the argument).
+//! unsharded tree (the argument is DESIGN.md "The router is a virtual root node").
 //!
 //! Each shard may carry R replicas. A replica whose launch dies with a typed
 //! [`KernelError`](psb_core::KernelError) (the PR-2 fault layer) is demoted
@@ -24,22 +24,24 @@
 //! admission control with per-tenant token-bucket quotas and typed load
 //! shedding, deadline budgets checked between shard visits, per-shard circuit
 //! breakers that route around sick shards, and an exact-result query cache
-//! (see DESIGN.md §15). With [`ResilienceConfig::default`] it is bit-identical
-//! to the bare router — resilience features only change results when
+//! (see DESIGN.md "The resilience front-end"). With
+//! [`ResilienceConfig::default`] it is bit-identical to the bare router —
+//! resilience features only change results when
 //! explicitly turned on, and even then every degrade is a *marked* outcome.
 
 pub mod admission;
 pub mod deadline;
 mod dynamic;
+mod plan;
 mod resilient;
 mod router;
 mod runner;
 
 pub use admission::{
-    AdmissionConfig, AdmissionControl, BreakerConfig, BreakerState, CacheKey, CircuitBreaker,
-    QueryCache, QuotaConfig, RejectReason, TenantId, TokenBucket,
+    AdmissionConfig, AdmissionControl, BreakerConfig, BreakerState, CacheKey, QueryCache,
+    QuotaConfig, RejectReason, TenantId,
 };
-pub use deadline::{DeadlineBudget, DeadlineClock};
+pub use deadline::DeadlineBudget;
 pub use dynamic::DynamicShardRouter;
 pub use psb_metrics::{MetricsHandle, Registry};
 pub use resilient::{

@@ -80,7 +80,7 @@ impl RequestMeta {
 pub enum ServeOutcome {
     /// The query ran; the inner [`QueryOutcome`] says which recovery rung
     /// answered it. Cache hits surface as `Executed(Clean)` (the cached
-    /// answer was exact when computed and the epoch still matches).
+    /// answer was exact when computed and has not been flushed since).
     Executed(QueryOutcome),
     /// Shed at admission with a typed reason; the query never executed and
     /// its neighbor list is empty.
@@ -91,11 +91,6 @@ impl ServeOutcome {
     /// Whether the answer is exact over the full dataset.
     pub fn is_exact(&self) -> bool {
         matches!(self, ServeOutcome::Executed(o) if o.is_exact())
-    }
-
-    /// Whether the query was shed at admission.
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, ServeOutcome::Rejected(_))
     }
 
     /// The recovery rung that answered, unless the query was shed.
@@ -125,7 +120,7 @@ pub struct OutcomeTally {
 
 impl OutcomeTally {
     /// Buckets a batch's outcomes.
-    pub fn from_outcomes(outcomes: &[ServeOutcome]) -> Self {
+    pub(crate) fn from_outcomes(outcomes: &[ServeOutcome]) -> Self {
         let mut t = Self::default();
         for o in outcomes {
             match o {
@@ -248,14 +243,13 @@ impl<T: GpuIndex> ResilientRouter<T> {
         self.front.cache.stats()
     }
 
-    /// Drops every cached result by bumping the cache epoch. The static
-    /// router's dataset never mutates, so this only matters after operator
-    /// interventions (e.g. replacing the wrapped router's fault plans is
-    /// harmless — results are exact either way — but the hook is here for
-    /// symmetry with [`DynamicShardRouter`](crate::DynamicShardRouter), whose
-    /// removes flush the same way).
+    /// Drops every cached result. The static router's dataset never mutates,
+    /// so this only matters after operator interventions (replacing the
+    /// wrapped router's fault plans is harmless — results are exact either
+    /// way); [`DynamicShardRouter`](crate::DynamicShardRouter)'s removes
+    /// flush the same way.
     pub fn invalidate_cache(&mut self) {
-        self.front.epoch += 1;
+        self.front.cache.flush();
     }
 
     /// Serves one batch through admission → cache → constrained router.

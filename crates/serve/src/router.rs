@@ -2,6 +2,7 @@
 //! scatter-gather exact top-k merge, and the replica failover ladder.
 
 use crate::deadline::{DeadlineBudget, DeadlineClock};
+use crate::plan::{Visit, VisitPlan};
 use crate::resilient::{ResilienceConfig, ServeOutcome};
 use crate::runner::{run_batch, Batch, FrontEnd};
 use psb_core::knnlist::GpuKnnList;
@@ -29,20 +30,12 @@ pub struct ServeConfig {
     pub replicas: usize,
     /// How the dataset is split into shards.
     pub policy: ShardPolicy,
-    /// Ritter mode for the shard bounding spheres. `Parallel` matches the
-    /// SS-tree builder bit-for-bit.
-    pub ritter: RitterMode,
 }
 
 impl ServeConfig {
-    /// `shards` shards, one replica each, Hilbert-range split, parallel Ritter.
+    /// `shards` shards, one replica each, Hilbert-range split.
     pub fn new(shards: usize) -> Self {
-        Self {
-            shards,
-            replicas: 1,
-            policy: ShardPolicy::HilbertRange,
-            ritter: RitterMode::Parallel,
-        }
+        Self { shards, replicas: 1, policy: ShardPolicy::HilbertRange }
     }
 
     /// Sets the replication factor.
@@ -192,8 +185,8 @@ impl<T: GpuIndex> ShardRouter<T> {
     /// Partitions `points` per `cfg`, builds one index per shard with
     /// `build_index` (over the gathered per-shard [`PointSet`], whose local
     /// position `i` is global position `assignments[s][i]`), computes each
-    /// shard's Ritter bounding sphere, and provisions `cfg.replicas` simulated
-    /// devices per shard.
+    /// shard's (parallel-mode) Ritter bounding sphere, and provisions
+    /// `cfg.replicas` simulated devices per shard.
     ///
     /// Panics on an invalid layout; [`ShardRouter::try_build`] is the typed
     /// variant.
@@ -231,7 +224,8 @@ impl<T: GpuIndex> ShardRouter<T> {
             .iter()
             .map(|ids| {
                 let local = points.gather(ids);
-                let sphere = shard_sphere(points, ids, cfg.ritter);
+                // Parallel Ritter: the SS-tree builder's spheres, bit for bit.
+                let sphere = shard_sphere(points, ids, RitterMode::Parallel);
                 let index = build_index(&local);
                 assert_eq!(index.num_points(), ids.len(), "index must cover its shard");
                 let replicas = (0..cfg.replicas)
@@ -278,11 +272,6 @@ impl<T: GpuIndex> ShardRouter<T> {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Points owned by shard `s`.
-    pub fn shard_len(&self, s: usize) -> usize {
-        self.shards[s].ids.len()
     }
 
     /// Shard `s`'s bounding sphere.
@@ -430,37 +419,14 @@ impl<T: GpuIndex> ShardRouter<T> {
         // node's child-sphere block.
         block.load_global((s * (dims * 4 + 4)) as u64);
         block.par_for(s, dist_cost(dims) + 2, |_| {});
-        let mut order: Vec<(f32, f32, usize)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, sh)| {
-                let (lo, hi) = sh.sphere.min_max_dist(q);
-                (lo, hi, i)
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        // Initial bound: walk the MINDIST order until the visited shards hold
-        // at least k points; the max MAXDIST of that prefix is a sound upper
-        // bound on the true k-th distance (those shards alone contain k points
-        // no farther than it). The scan is one scalar pass over the directory.
         // Shards behind an open breaker won't be consulted, so they must not
-        // contribute to the bound either.
+        // contribute to the initial bound either. Deriving it is one scalar
+        // pass over the directory.
+        let plan = VisitPlan::new(q, k, self.shards.iter().zip(skip), |&(shard, &skipped)| {
+            (&shard.sphere, shard.ids.len(), skipped)
+        });
+        let order = &plan.order;
         block.scalar(s as u64);
-        let mut initial_bound = f32::INFINITY;
-        let mut covered = 0usize;
-        let mut running_max = 0.0f32;
-        for &(_, maxd, si) in order.iter() {
-            if skip[si] {
-                continue;
-            }
-            covered += self.shards[si].ids.len();
-            running_max = running_max.max(maxd);
-            if covered >= k {
-                initial_bound = running_max;
-                break;
-            }
-        }
         let prev = block.set_phase(Phase::ResultMerge);
         let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, self.device.smem_per_sm);
         block.set_phase(prev);
@@ -476,7 +442,7 @@ impl<T: GpuIndex> ShardRouter<T> {
         let mut deadline_skips = 0u64;
 
         for oi in 0..order.len() {
-            let (mindist, _, si) = order[oi];
+            let Visit { shard: si, mindist, .. } = order[oi];
             // Deadline checkpoint, *between* shard visits: a blown budget
             // settles every remaining directory entry right here — prune what
             // the bound already rules out (exactness unharmed), mark the rest
@@ -485,12 +451,12 @@ impl<T: GpuIndex> ShardRouter<T> {
             // empty-handed.
             if clock.blown() {
                 let brute_pos = if visited.is_empty() {
-                    (oi..order.len()).find(|&j| !skip[order[j].2])
+                    (oi..order.len()).find(|&j| !skip[order[j].shard])
                 } else {
                     None
                 };
                 if let Some(pos) = brute_pos {
-                    let sj = order[pos].2;
+                    let sj = order[pos].shard;
                     block.visit_node(0, NodeKind::Internal);
                     let (nb, st) =
                         brute_index_query(&self.shards[sj].index, q, k, &self.device, opts);
@@ -504,12 +470,12 @@ impl<T: GpuIndex> ShardRouter<T> {
                     // nothing about its device, so the breaker hears nothing.
                     visited.push((sj, ShardSignal::Neutral));
                 }
-                for (j, &(md, _, sj)) in order.iter().enumerate().skip(oi) {
+                for (j, later) in order.iter().enumerate().skip(oi) {
                     if Some(j) == brute_pos {
                         continue;
                     }
-                    let bound = list.bound().min(initial_bound);
-                    if md > bound {
+                    let sj = later.shard;
+                    if plan.prunes(later.mindist, list.bound()) {
                         pruned.push(sj);
                     } else if skip[sj] {
                         breaker_skips += 1;
@@ -521,11 +487,7 @@ impl<T: GpuIndex> ShardRouter<T> {
             }
             block.set_phase(Phase::Descend);
             block.scalar(1);
-            // The kernels' pruning rule, one level up: strict >, so a shard
-            // exactly on the bound is still visited and ties resolve the same
-            // way as inside a tree.
-            let bound = list.bound().min(initial_bound);
-            if mindist > bound {
+            if plan.prunes(mindist, list.bound()) {
                 pruned.push(si);
                 block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase: Phase::Descend });
                 continue;
@@ -781,7 +743,7 @@ mod tests {
     fn build_provisions_shards_and_replicas() {
         let (ps, r) = router(600, 4, &ServeConfig::new(4).with_replicas(2));
         assert_eq!(r.num_shards(), 4);
-        assert_eq!((0..4).map(|s| r.shard_len(s)).sum::<usize>(), ps.len());
+        assert_eq!(r.shards.iter().map(|s| s.ids.len()).sum::<usize>(), ps.len());
         for s in 0..4 {
             for rep in 0..2 {
                 assert_eq!(r.replica_state(s, rep), ReplicaState::Healthy);

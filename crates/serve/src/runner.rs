@@ -58,8 +58,6 @@ pub(crate) struct FrontEnd {
     default_deadline: DeadlineBudget,
     /// Logical clock: one tick per submitted query, across batches.
     pub(crate) tick: u64,
-    /// Cache epoch; the cache drops what it holds when this moves.
-    pub(crate) epoch: u64,
 }
 
 impl FrontEnd {
@@ -71,7 +69,6 @@ impl FrontEnd {
             cache: QueryCache::new(cfg.cache_capacity),
             default_deadline: cfg.default_deadline,
             tick: 0,
-            epoch: 0,
         }
     }
 
@@ -192,8 +189,7 @@ pub(crate) fn run_batch<T: GpuIndex>(
         res.admitted += 1;
         let probe_started = timed.then(Instant::now);
 
-        // Exact-result cache, scoped to the current epoch.
-        front.cache.advance_epoch(front.epoch);
+        // Exact-result cache.
         if let Some(hit) = keys[qi].as_ref().and_then(|key| front.cache.get(key)) {
             neighbors.push(hit);
             per_query.push(KernelStats::default());
@@ -425,14 +421,13 @@ mod tests {
             let replicas: Vec<ReplicaState> =
                 (0..SHARDS * 2).map(|i| router.replica_state(i / 2, i % 2)).collect();
             seen += &format!(
-                "{:?} {:?} {:?} {:?} {:?} tick {} epoch {}",
+                "{:?} {:?} {:?} {:?} {:?} tick {}",
                 replicas,
                 front.admission,
                 front.breakers,
                 front.cache.stats(),
                 front.cache.resident_keys(),
-                front.tick,
-                front.epoch
+                front.tick
             );
             (seen, discarded)
         }

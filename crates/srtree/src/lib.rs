@@ -83,12 +83,12 @@ pub struct SrTree {
 impl SrTree {
     /// Internal fan-out for a page: each entry holds a sphere (`4d + 4`), a
     /// rectangle (`8d`) and a child pointer (4 bytes).
-    pub fn internal_capacity(dims: usize, page_bytes: usize) -> usize {
+    pub(crate) fn internal_capacity(dims: usize, page_bytes: usize) -> usize {
         (page_bytes / (12 * dims + 8)).max(2)
     }
 
     /// Leaf fan-out for a page: coordinates plus a record id per point.
-    pub fn leaf_capacity(dims: usize, page_bytes: usize) -> usize {
+    pub(crate) fn leaf_capacity(dims: usize, page_bytes: usize) -> usize {
         (page_bytes / (4 * dims + 4)).max(2)
     }
 

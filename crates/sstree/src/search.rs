@@ -160,41 +160,6 @@ pub fn knn_best_first<V: Volumes>(tree: &FlatTree<V>, q: &[f32], k: usize) -> Ve
     best.into_sorted()
 }
 
-/// Exact fixed-radius range query: every point within `radius` of `q`,
-/// ascending by distance. Recursive MINDIST pruning.
-pub fn range_query<V: Volumes>(tree: &FlatTree<V>, q: &[f32], radius: f32) -> Vec<Neighbor> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
-    let mut out = Vec::new();
-    range_visit(tree, tree.root, q, radius, &mut out);
-    out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-    out
-}
-
-fn range_visit<V: Volumes>(
-    tree: &FlatTree<V>,
-    n: u32,
-    q: &[f32],
-    radius: f32,
-    out: &mut Vec<Neighbor>,
-) {
-    if tree.is_leaf(n) {
-        for p in tree.leaf_points(n) {
-            let d = dist(q, tree.points.point(p));
-            if d <= radius {
-                out.push(Neighbor { dist: d, id: tree.point_ids[p] });
-            }
-        }
-        return;
-    }
-    for c in tree.children(n) {
-        let min_d = tree.volumes.min_max(tree.dims, c as usize, q, false).0;
-        if min_d <= radius {
-            range_visit(tree, c, q, radius, out);
-        }
-    }
-}
-
 /// Range-query oracle over the raw point set.
 pub fn linear_range(ps: &PointSet, q: &[f32], radius: f32) -> Vec<Neighbor> {
     let mut out: Vec<Neighbor> = ps
@@ -316,30 +281,6 @@ mod tests {
         let got = knn_best_first(&tree, &q, 3);
         // The nearest neighbor of a data point is itself (id 777).
         assert_eq!(got[0].id, 777);
-    }
-
-    #[test]
-    fn range_query_matches_linear_filter() {
-        let (ps, tree) = setup(3, 100.0);
-        let queries = sample_queries(&ps, 10, 0.01, 7);
-        for q in queries.iter() {
-            for radius in [0.0f32, 50.0, 400.0, 5000.0] {
-                let got = range_query(&tree, q, radius);
-                let want = linear_range(&ps, q, radius);
-                assert_eq!(got.len(), want.len(), "radius {radius}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert!((g.dist - w.dist).abs() <= w.dist.max(1.0) * 1e-4);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn range_query_zero_radius_on_data_point() {
-        let (ps, tree) = setup(2, 60.0);
-        let q = ps.point(42).to_vec();
-        let got = range_query(&tree, &q, 1e-3);
-        assert!(got.iter().any(|n| n.id == 42));
     }
 
     #[test]

@@ -24,9 +24,9 @@ use crate::error::StructuralError;
 use crate::volumes::{Spheres, Volumes};
 
 /// Sentinel for "no parent" (the root).
-pub const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// Sentinel leaf id for internal nodes.
-pub const NOT_A_LEAF: u32 = u32::MAX;
+pub(crate) const NOT_A_LEAF: u32 = u32::MAX;
 /// Sentinel rope link: "no next subtree" (the root and every node on the
 /// rightmost root-to-leaf spine).
 pub const NO_ROPE: u32 = u32::MAX;
@@ -46,7 +46,7 @@ pub struct FlatTree<V> {
     pub point_ids: Vec<u32>,
     /// Node bounding volumes, node-major.
     pub volumes: V,
-    /// Parent node id ([`NO_PARENT`] for the root).
+    /// Parent node id (`u32::MAX` for the root).
     pub parent: Vec<u32>,
     /// Node level: 0 = leaf, increasing toward the root.
     pub level: Vec<u8>,
@@ -54,7 +54,7 @@ pub struct FlatTree<V> {
     pub first_child: Vec<u32>,
     /// Internal: number of children. Leaf: number of points.
     pub child_count: Vec<u32>,
-    /// Dense left-to-right leaf number; [`NOT_A_LEAF`] for internal nodes.
+    /// Dense left-to-right leaf number; `u32::MAX` for internal nodes.
     pub leaf_id: Vec<u32>,
     /// Smallest leaf id under this subtree.
     pub subtree_min_leaf: Vec<u32>,
@@ -154,7 +154,7 @@ impl<V: Volumes> FlatTree<V> {
     /// contiguous), the parent's rope for each last child, and [`NO_ROPE`] at
     /// the root. Top-down from the root so each parent's rope exists before
     /// its children consult it.
-    pub fn rebuild_ropes(&mut self) {
+    pub(crate) fn rebuild_ropes(&mut self) {
         let nn = self.num_nodes();
         self.rope.clear();
         self.rope.resize(nn, NO_ROPE);
@@ -204,7 +204,7 @@ impl<V: Volumes> FlatTree<V> {
     }
 
     /// Bytes for whichever kind node `n` is.
-    pub fn node_bytes(&self, n: u32) -> u64 {
+    pub(crate) fn node_bytes(&self, n: u32) -> u64 {
         if self.is_leaf(n) {
             self.leaf_node_bytes(n)
         } else {

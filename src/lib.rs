@@ -64,13 +64,11 @@ pub use psb_sstree as sstree;
 /// The names most programs need, re-exported flat.
 pub mod prelude {
     pub use psb_core::kernels::bnb::{bnb_query, bnb_try_query};
-    pub use psb_core::kernels::brute::{
-        brute_index_query, brute_index_range, brute_query, brute_try_query,
-    };
+    pub use psb_core::kernels::brute::{brute_index_query, brute_query, brute_try_query};
     pub use psb_core::kernels::psb::{psb_query, psb_try_query};
     pub use psb_core::kernels::range::{range_query_gpu, range_try_query};
     pub use psb_core::kernels::restart::{restart_query, restart_try_query};
-    pub use psb_core::kernels::stackfree::{stackfree_query, stackfree_try_query};
+    pub use psb_core::kernels::stackfree::stackfree_query;
     pub use psb_core::shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
     pub use psb_core::{
         bnb_batch, brute_batch, dist_cost, hilbert_order, hilbert_permutation, launch,
@@ -83,8 +81,8 @@ pub mod prelude {
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{
-        dist, dist_simd, hilbert_key, kmeans, ritter_points, ritter_spheres, sq_dist, sq_dist_simd,
-        welzl, DistKernel, DistLanes, KMeansParams, PointSet, Rect, RectKernel, RitterMode, Sphere,
+        dist, hilbert_key, kmeans, ritter_points, ritter_spheres, sq_dist, sq_dist_simd, welzl,
+        DistKernel, DistLanes, KMeansParams, PointSet, Rect, RectKernel, RitterMode, Sphere,
     };
     pub use psb_gpu::{
         launch_blocks, Block, DeviceConfig, DeviceFault, FaultPlan, FaultState, JsonlSink,
@@ -104,7 +102,7 @@ pub mod prelude {
         ServeBatchResult, ServeConfig, ServeOutcome, ServeReport, ShardRouter, TenantId,
     };
     pub use psb_srtree::SrTree;
-    pub use psb_sstree::search::{linear_range, range_query};
+    pub use psb_sstree::search::linear_range;
     pub use psb_sstree::{
         build, build_topdown, knn_best_first, knn_branch_and_bound, linear_knn, BuildMethod,
         LoadError, Neighbor, SsTree, StructuralError,

@@ -1,7 +1,7 @@
 //! Fast-path parity: `Metering::Off` and the explicit SIMD distance lanes
 //! change *nothing a caller can observe except the counters they disable*.
 //!
-//! Two switches make up the fast path (DESIGN.md §17):
+//! Two switches make up the fast path (DESIGN.md "Distance evaluators", "Metering::Off"):
 //!
 //! * [`Metering::Off`] monomorphizes the `Block` accounting out of the hot
 //!   loop. Neighbors and outcomes must be bit-identical to the metered run

@@ -1,6 +1,6 @@
 //! No-op-parity golden tests for the telemetry layer.
 //!
-//! The metrics registry's core guarantee (DESIGN.md §14): attaching a
+//! The metrics registry's core guarantee (DESIGN.md "Telemetry (psb-metrics)"): attaching a
 //! [`Registry`] observes a run, it never *changes* it. Every engine batch
 //! path and the serving path must produce **bit-identical** neighbors,
 //! per-block [`KernelStats`], and [`LaunchReport`]s whether the

@@ -1,5 +1,5 @@
 //! Rope-link suite: the escape links retrofitted onto both bounding-volume
-//! arenas (DESIGN.md §18) are exactly the preorder-successor pointers, and
+//! arenas (DESIGN.md "Rope links") are exactly the preorder-successor pointers, and
 //! traversing with them is *observationally identical* to the stacked code.
 //!
 //! Three layers of evidence, each over both index families:

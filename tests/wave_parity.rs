@@ -2,7 +2,7 @@
 //!
 //! Setting [`KernelOptions::wave`] routes the tree-kernel batch entry points
 //! (`psb_batch`, `bnb_batch`, `restart_batch`, `range_batch`) through the
-//! node-centric buffer-wave engine (`wave.rs`, DESIGN.md §16). The engine
+//! node-centric buffer-wave engine (`wave.rs`, DESIGN.md "Buffer-wave traversal"). The engine
 //! changes *when* node work happens — one coalesced sweep per buffered node
 //! instead of one traversal per query — but never *what* the caller sees:
 //! neighbors (ids and distance bits) and outcomes must be bit-identical to
@@ -218,7 +218,7 @@ fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
 
 #[test]
 fn wave_metrics_are_no_op_parity_and_populated() {
-    // DESIGN.md §14 contract extended to the wave engine: attaching a
+    // DESIGN.md "Telemetry (psb-metrics)" contract extended to the wave engine: attaching a
     // registry observes the run, never changes it — and the attached run
     // must actually emit the wave counters.
     let ps =
