@@ -4,9 +4,12 @@
 #   api/surface.sh list DIR     write DIR/psb-<crate>.txt: one line per `pub`
 #                               fn / struct / enum / trait / const / static /
 #                               type / mod / re-export in crates/<crate>/src,
-#                               up to each file's `#[cfg(test)]` module, sorted
-#   api/surface.sh unnamed      `pub` items that nothing outside their own crate
-#                               names (grep -w over every other crate,
+#                               and one `field Struct::name` per `pub` field of
+#                               a `pub` struct (an option added to a config is
+#                               a line in the diff), up to each file's
+#                               `#[cfg(test)]` module, sorted
+#   api/surface.sh unnamed      `pub` items (fields aside) that nothing outside
+#                               their own crate names (grep -w over every other crate,
 #                               crates/*/tests, crates/*/benches, benchmark/,
 #                               examples/, tests/ and src/; a name that only
 #                               the facade prelude's `pub use` lists does not
@@ -36,7 +39,17 @@ items() {
             sub(/[^A-Za-z0-9_].*$/, "", line)
             owner = line
         }
-        /^}/ { owner = "" }
+        /^}/ { owner = ""; record = "" }
+        /^pub struct / && !/;/ {
+            record = $3
+            sub(/[^A-Za-z0-9_].*$/, "", record)
+        }
+        record != "" && /^    pub [a-z_][A-Za-z0-9_]*:/ {
+            name = $2
+            sub(/:.*$/, "", name)
+            print "field " record "::" name
+            next
+        }
         /^ *pub use / {
             use = $0
             if ($0 ~ /;/) emit_use(); else using = 1
@@ -79,7 +92,7 @@ unnamed() {
     local c kind name outside
     for c in $CRATES; do
         find "crates/$c/src" -name '*.rs' | sort | while read -r f; do items "$f"; done |
-            sed -n 's/^\([a-z]*\) \(.*::\)\{0,1\}\([A-Za-z0-9_]*\)$/\1 \3/p' | grep -v '^use ' | sort -u |
+            sed -n 's/^\([a-z]*\) \(.*::\)\{0,1\}\([A-Za-z0-9_]*\)$/\1 \3/p' | grep -v '^use \|^field ' | sort -u |
             while read -r kind name; do
                 # Everything outside the crate, minus the prelude block of src/lib.rs.
                 outside=$(

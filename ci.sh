@@ -50,9 +50,12 @@ run_metrics() {
     cargo test -p psb-metrics -q
     cargo test -p psb --test metrics_parity -q
 }
-# Buffer-wave engine (DESIGN.md "Buffer-wave traversal"): the parity suite, which also
-# pins that the buffers actually amortize fetches (mean fill > 1). Wave vs
-# per-query wall-clock is the repo benchmark's `wave.us_per_query` layer.
+# Buffer-wave engine (DESIGN.md "Buffer-wave traversal"): the parity suite — neighbours
+# and outcomes bit-identical to the per-query engine on both tree families, at
+# every batch size 1..48, under Hilbert scheduling, `QueryStream` and an
+# attached registry — which also pins that queries actually share sweeps
+# (mean fill > 1). Wave vs per-query wall-clock is the repo benchmark's
+# `wave.us_per_query` layer.
 run_wave() { cargo test -p psb --test wave_parity -q; }
 # Fast path (DESIGN.md "Distance evaluators", "Metering::Off"): the parity suite
 # pinning that the SIMD lanes and Metering::Off change nothing observable, and
@@ -124,8 +127,10 @@ run_bench_smoke() {
 run_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline; }
 
 # The public surface is a diff: api/psb-<crate>.txt lists every `pub` item of
-# the ten library crates, so a PR that widens (or narrows) the surface shows it
-# in review. The stage regenerates the lists and fails on any difference.
+# the ten library crates and every `pub` field of their `pub` structs, so a PR
+# that widens (or narrows) the surface — or adds an option to `KernelOptions`,
+# `ServeConfig` or `ResilienceConfig` — shows it in review. The stage
+# regenerates the lists and fails on any difference.
 # It also resolves every section reference in *.rs, ci.sh and README.md: the
 # name of DESIGN.md, EXPERIMENTS.md or a run log under experiments/, followed
 # by one or more double-quoted titles (separated by `, ` or ` and `), must name

@@ -119,8 +119,9 @@ pub enum Override {
 /// What a launch actually runs, as decided by [`resolve`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Resolved {
-    /// The engine: the buffer-wave traversal at this capacity, or (`None`)
-    /// the per-query ladder.
+    /// The engine planned: the buffer-wave traversal, or (`None`) the
+    /// per-query ladder. A plan, not a record — on a structurally corrupt tree
+    /// the wave step fails and the ladder answers (`wave.fell_through`).
     pub wave: Option<WaveConfig>,
     /// Where the execution order comes from.
     pub schedule: QuerySchedule,
@@ -128,8 +129,9 @@ pub struct Resolved {
     /// ladder's brute-force rung carries no fault state and keeps the mode
     /// the options asked for.
     pub metering: Metering,
-    /// Whether PSB's per-query sweep memo is in use (the other kernels and
-    /// the wave engine have none).
+    /// Whether PSB's per-query sweep memo is planned (the other kernels and
+    /// the wave engine have none). The ladder a failed wave step falls
+    /// through to is a fault-free PSB launch like any other: it uses the memo.
     pub memo: bool,
     /// Every rule that fired, in the order of the fields above.
     pub overrides: Vec<Override>,
@@ -182,14 +184,17 @@ type Row = (Vec<Neighbor>, KernelStats, QueryOutcome);
 type WaveStep<'a> = &'a dyn Fn() -> Result<(Vec<Found>, WaveReport), KernelError>;
 
 /// The one batch runner. *Execute*: `wave` if given — it fails only on a
-/// structurally corrupt tree, and then the batch falls through — otherwise the
-/// ladder per query: attempt 0 under `plan.state_for(i, 0)`, one retry under
-/// the fresh substream `plan.state_for(i, 1)` (a driver re-launching the
-/// failed block; transient upsets usually miss the second run), then
-/// `fallback`, which carries no fault state and follows no link, so it cannot
-/// fail. Queries run on the rayon pool in `order` and are un-permuted, so the
-/// aggregation never sees the schedule; with a `sink` they run sequentially in
-/// submission order. Then *aggregate* and record.
+/// structurally corrupt tree, and then the batch falls through, counted in
+/// `wave.fell_through` — otherwise the ladder per query: attempt 0 under
+/// `plan.state_for(i, 0)`, one retry under the fresh substream
+/// `plan.state_for(i, 1)` (a driver re-launching the failed block; transient
+/// upsets usually miss the second run), then `fallback`, which carries no
+/// fault state and follows no link, so it cannot fail. Queries run on the
+/// rayon pool in `order` and are un-permuted, so the aggregation never sees
+/// the schedule; with a `sink` they run sequentially in submission order.
+/// Then *aggregate* and record, under `"wave"` if the wave engine produced the
+/// rows and under `label` (the kernel's) if the ladder did; the spans are
+/// entered before either runs and carry the plan's name.
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     queries: &PointSet,
@@ -210,7 +215,7 @@ fn run_batch(
     let m = &opts.metrics;
     let started = m.is_attached().then(std::time::Instant::now);
     let _batch_span = m.span("engine");
-    let _kernel_span = m.span(label);
+    let _kernel_span = m.span(if wave.is_some() { "wave" } else { label });
     let n = queries.len();
     // Fault substreams are keyed by *submission* index, so the ladder a query
     // climbs is independent of where the schedule places it.
@@ -244,9 +249,13 @@ fn run_batch(
     };
     debug_assert!(sink.is_none() || order.is_none(), "resolve drops the schedule when traced");
     let (rows, waved): (Vec<Row>, _) = m.time("execute", || {
-        if let Some(Ok((found, report))) = wave.map(|run| run()) {
-            let clean = |(nb, st)| (nb, st, QueryOutcome::Clean);
-            return (found.into_iter().map(clean).collect(), Some(report));
+        match wave.map(|run| run()) {
+            Some(Ok((found, report))) => {
+                let clean = |(nb, st)| (nb, st, QueryOutcome::Clean);
+                return (found.into_iter().map(clean).collect(), Some(report));
+            }
+            Some(Err(_)) => m.counter("wave.fell_through", 1),
+            None => {}
         }
         let rows = match (sink, order) {
             (Some(sink), _) => (0..n).map(|i| ladder(i, Some(&mut *sink))).collect(),
@@ -272,7 +281,7 @@ fn run_batch(
         |rung: fn(&QueryOutcome) -> bool| outcomes.iter().filter(|o| rung(o)).count() as u64;
     report.retried_queries = count(|o| matches!(o, QueryOutcome::Retried { .. }));
     report.degraded_queries = count(|o| matches!(o, QueryOutcome::Degraded { .. }));
-    record_batch(opts, label, started, &report);
+    record_batch(opts, if waved.is_some() { "wave" } else { label }, started, &report);
     if let Some(wave_report) = &waved {
         wave_report.record_into(m);
     }
@@ -296,12 +305,12 @@ pub(crate) fn launch_resolved<T: GpuIndex>(
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
     let wave = resolved
         .wave
-        .map(|w| move || wave_rows(tree, queries, kernel, cfg, opts, w, resolved.metering, order));
+        .map(|_| move || wave_rows(tree, queries, kernel, cfg, opts, resolved.metering, order));
     run_batch(
         queries,
         cfg,
         opts,
-        if wave.is_some() { "wave" } else { kernel.label() },
+        kernel.label(),
         plan,
         order,
         sink,
@@ -617,7 +626,7 @@ mod tests {
         let (_, tree, queries) = setup();
         let cfg = DeviceConfig::k40();
         let kernel = Kernel::Psb { k: 6 };
-        let waved = Some(WaveConfig::default());
+        let waved = Some(WaveConfig);
         let (none, real) = (FaultPlan::none(), FaultPlan::bit_flips(0xFA17, 2));
         let mut rungs = [0usize; 3];
         for (wave, schedule, (plan, faulted), traced, metering) in product(

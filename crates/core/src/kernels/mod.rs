@@ -332,9 +332,9 @@ pub(crate) struct Scratch {
     /// PSB's sweep-replay arena (see [`SweepMemo`]). Only fault-free PSB
     /// launches touch it, and its capacity persists across the whole batch.
     pub memo: SweepMemo,
-    /// The wave engine's direct path: one query's current and next wave
-    /// front, and the log of nodes it was buffered at. They live here so a
-    /// worker grows them once per region instead of once per query.
+    /// The wave engine: one query's current and next wave front, and the log
+    /// of nodes it was buffered at. They live here so a worker grows them once
+    /// per region instead of once per query.
     pub front: Vec<(u32, f32)>,
     pub next_front: Vec<(u32, f32)>,
     pub visited: Vec<u32>,
@@ -344,8 +344,7 @@ impl Scratch {
     /// Prepare for a query in `dims` dimensions: re-resolve the distance
     /// kernel only when the dimensionality or lane selection changes, empty
     /// every buffer. Resolution therefore happens once per (worker thread ×
-    /// batch), not per query — the fn-pointer dispatch cost vanishes from
-    /// 100k-query wave batches.
+    /// batch), not per query.
     fn reset_for(&mut self, dims: usize, lanes: DistLanes) {
         if self.dk.dims() != dims || self.dk.lanes() != lanes {
             self.dk = DistKernel::for_dims_lanes(dims, lanes);

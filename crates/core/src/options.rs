@@ -69,7 +69,7 @@ pub struct KernelOptions {
     /// run (`tests/metrics_parity.rs`).
     pub metrics: MetricsHandle,
     /// Route batch execution through the buffer-wave node-centric engine
-    /// (DESIGN.md "Buffer-wave traversal"): nodes own bounded query buffers, the batch descends
+    /// (DESIGN.md "Buffer-wave traversal"): nodes own query buffers, the batch descends
     /// in level-synchronous waves, and each buffered node is swept once with
     /// its fetch amortized over the buffer. `None` (the default) keeps the
     /// per-query engines. Neighbors and outcomes are bit-identical either

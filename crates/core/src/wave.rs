@@ -12,11 +12,9 @@
 //! 1. **Priming** — every query runs PSB's phase-1 greedy descent (identical
 //!    code path and metering) so its pruning bound is finite before the wave
 //!    sweep starts. Range queries skip this: their bound is the fixed radius.
-//! 2. **Seeding** — every query is pushed into the root node's buffer, in
-//!    scheduled order
-//!    ([`QuerySchedule::Hilbert`](crate::QuerySchedule::Hilbert) seeds
-//!    Hilbert-adjacent queries adjacently, so capacity-bounded flushes group
-//!    spatially coherent queries).
+//! 2. **Seeding** — every query enters the root node's buffer, in scheduled
+//!    order ([`QuerySchedule::Hilbert`](crate::QuerySchedule::Hilbert) decides
+//!    which query holds which rank of the root's one fetch, nothing else).
 //! 3. **Waves** — for each tree level, every node with a non-empty buffer is
 //!    swept **once**: its arena block is fetched one time and the fetch is
 //!    amortized over the buffered queries ([`Block::load_global_share`]);
@@ -26,11 +24,10 @@
 //!    per-query kernels, tightens its bound with the k-th-MAXDIST rule, and
 //!    appends itself to the buffers of surviving children. Leaf sweeps fold
 //!    candidates into the query's [`GpuKnnList`] (or the range hit list).
-//! 4. **Bounded buffers** — a buffer that reaches [`WaveConfig::capacity`]
-//!    during insertion is flushed immediately (processed early, cascading
-//!    into its children); capacity therefore changes only *when* work
-//!    happens, never *what* the results are (`tests/wave_parity.rs` proves
-//!    capacity-invariance by property test).
+//!
+//! A node's buffer is every query of the batch that reaches it: nothing bounds
+//! it, so a batch is one front per level at any size and the root's fill is
+//! the batch size.
 //!
 //! ## Exactness
 //!
@@ -40,8 +37,9 @@
 //! never be pruned, every leaf that can matter is swept, and the k-best list
 //! converges to exactly the per-query kernel's result. Neighbors and
 //! outcomes are bit-identical to the per-query engines (golden tests across
-//! all kernels, both index families); `KernelStats` are *not* comparable —
-//! the whole point is that the wave engine does strictly less memory work.
+//! all kernels, both index families, and batch sizes by property test in
+//! `tests/wave_parity.rs`); `KernelStats` are *not* comparable — the whole
+//! point is that the wave engine does strictly less memory work.
 //!
 //! ## Metering model
 //!
@@ -49,7 +47,8 @@
 //! `B` bytes / `T` transactions is fetched **once**: entry `j` is charged
 //! `B/m + (j < B%m)` bytes and `T/m + (j < T%m)` transactions, so the
 //! merged counters see exactly one fetch per sweep (`nodes_visited` counts
-//! sweeps, charged to the rank-0 entry). Leaf-wave fetch shares are marked
+//! sweeps, charged to the rank-0 entry). A pruned entry still pays: it is a
+//! masked lane of the shared fetch. Leaf-wave fetch shares are marked
 //! streamed: the leaf wave walks the contiguous leaf arena left-to-right,
 //! which is precisely the prefetchable linear scan the paper's leaf chain
 //! exploits. Compute (child sweeps, distance evaluation, list merges) is
@@ -60,25 +59,22 @@
 //! Per-query state — block, k-best list, bound — is disjoint per query, and a
 //! query's own sweeps (which nodes, in which order, under which bound) depend
 //! on no other query; only the *split* of each node's single fetch needs the
-//! whole batch, because it needs every buffer's final occupancy and order.
+//! whole batch, because it needs every buffer's occupancy and order. So the
+//! batch is **one** parallel region — each query is primed and then runs all
+//! of its wave fronts back to back, level by level and in ascending node id
+//! within a level, logging the nodes it was buffered at — followed by a cheap
+//! sequential node-major pass that counts every buffer from the logs and
+//! charges each entry its rank's share. The counters are integer sums per
+//! phase, so charging the shares last leaves every
+//! [`KernelStats`](psb_gpu::KernelStats) bit where charging them sweep by
+//! sweep would (the test module's oracle does exactly that). The metered
+//! schedule is the node-centric one regardless of host interleaving, and
+//! results are deterministic under any thread count.
 //!
-//! * **Direct path** (batch smaller than the capacity, so no buffer can ever
-//!   fill — a query sits in a node's buffer at most once). One parallel
-//!   region: each query is primed and then runs all of its wave fronts back to
-//!   back, level by level and in ascending node id within a level, logging
-//!   the nodes it was buffered at. A cheap sequential node-major pass then
-//!   counts every buffer from the logs and charges each entry its rank's
-//!   share. The counters are integer sums per phase, so charging the shares
-//!   last leaves every [`KernelStats`](psb_gpu::KernelStats) bit where the
-//!   buffered path puts it (unit-pinned below).
-//! * **Buffered path** (anything larger). Real buffers, flushed when they
-//!   reach capacity; between flushes each level runs query-major on the host
-//!   (rayon over queries, each processing its own buffer entries in ascending
-//!   node order) with buffer membership, entry ranks and fetch shares fixed
-//!   node-major before the level runs, and a sequential scatter after it.
-//!
-//! Either way the metered schedule is the node-centric one regardless of host
-//! interleaving, and results are deterministic under any thread count.
+//! The working set is the logs: 4 bytes per (query, swept node), growing with
+//! the batch. An unbounded producer belongs behind
+//! [`QueryStream`](crate::QueryStream), which launches the paper's 240-query
+//! chunks (§V-B); there is no internal chunking here.
 //!
 //! ## Faults and the shell
 //!
@@ -88,9 +84,10 @@
 //! [`resolve`](crate::resolve) picks the wave engine. Like the PSB sweep memo,
 //! the wave engine serves the fault-free path only — `resolve` drops it under
 //! a real [`FaultPlan`] — and a structurally corrupt tree
-//! makes `wave_rows` return a typed error, on which the runner falls through
-//! to the per-query recovery ladder: exact degraded results, never a panic
-//! (`tests/wave_parity.rs`, `tests/tree_invariants.rs`).
+//! makes `wave_rows` return a typed error, on which the runner counts
+//! `wave.fell_through` and falls through to the per-query recovery ladder:
+//! exact degraded results, never a panic (`tests/wave_parity.rs`,
+//! `tests/tree_invariants.rs`).
 
 use psb_geom::PointSet;
 use psb_gpu::{Block, DeviceConfig, FaultPlan, NodeKind, Phase};
@@ -109,35 +106,13 @@ use crate::kernels::{
 use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
-/// Configuration of the buffer-wave engine, carried in
-/// [`KernelOptions::wave`]: `Some` runs the batches of the four table kernels
-/// (psb / bnb / restart / range) through the wave traversal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaveConfig {
-    /// Maximum queries a node buffer holds before it is flushed early
-    /// (swept immediately, possibly cascading into child buffers). Sizes the
-    /// engine's working set: a buffer entry is 8 bytes, so the worst-case
-    /// buffer memory is `capacity × 8` bytes per node on one tree level.
-    /// Clamped to at least 1. Capacity never changes results — only how the
-    /// work is grouped (and therefore how well fetches amortize: mean buffer
-    /// fill is the amortization factor).
-    pub capacity: usize,
-}
-
-impl Default for WaveConfig {
-    /// 1024 queries per buffer: deep enough that the paper's 240-query
-    /// batches (§V-B) and [`QueryStream`](crate::QueryStream) chunks never
-    /// flush early, small enough that even a root buffer stays a few KiB.
-    fn default() -> Self {
-        Self { capacity: 1024 }
-    }
-}
-
-impl WaveConfig {
-    fn cap(&self) -> usize {
-        self.capacity.max(1)
-    }
-}
+/// The buffer-wave engine's switch, carried in [`KernelOptions::wave`]: `Some`
+/// runs the batches of the four table kernels (psb / bnb / restart / range)
+/// through the wave traversal. A marker with nothing to configure; it stays a
+/// type (not a `bool`) because the frozen repo benchmark spells
+/// `Some(WaveConfig::default())`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WaveConfig;
 
 /// What the wave engine did, alongside the ordinary [`QueryBatchResult`]:
 /// how many synchronous wave fronts ran, how many coalesced sweeps they
@@ -145,7 +120,6 @@ impl WaveConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WaveReport {
     /// Level-synchronous wave fronts that swept at least one buffer.
-    /// Capacity-triggered early flushes count as sweeps, not waves.
     pub waves: u32,
     /// Node buffers swept (each is one amortized arena-block fetch).
     pub coalesced_sweeps: u64,
@@ -199,8 +173,8 @@ impl WaveMode {
 }
 
 /// Per-query traversal state. Fields are disjoint per query, which is what
-/// lets each wave run query-parallel on the host. Generic over the metering
-/// mode, monomorphized once by [`wave_rows`]' launch dispatch.
+/// lets the whole traversal run query-parallel on the host. Generic over the
+/// metering mode, monomorphized once by [`wave_rows`]' launch dispatch.
 struct QueryState<const M: bool> {
     block: Block<'static, M>,
     /// The k-best list (kNN mode only).
@@ -209,35 +183,9 @@ struct QueryState<const M: bool> {
     hits: Vec<Neighbor>,
     /// Current pruning bound: k-th distance so far (kNN) or the radius.
     pruning: f32,
-    /// Buffered path only: children this query survives into, staged during a
-    /// wave's parallel phase and scattered into buffers sequentially
-    /// afterwards.
-    out: Vec<(u32, f32)>,
-    /// Direct path only: every node this query was buffered at, in the order
-    /// it swept them — what the node-major accounting pass reads.
+    /// Every node this query was buffered at, in the order it swept them —
+    /// what the node-major accounting pass reads.
     visited: Vec<u32>,
-}
-
-/// One buffered entry's worth of work, precomputed node-major so the
-/// query-major host loop charges exactly the node-centric schedule.
-#[derive(Clone, Copy)]
-struct WorkItem {
-    node: u32,
-    /// Rank of this query in the node's buffer (rank 0 carries the
-    /// node-visit count and the remainder-heavy fetch share).
-    rank: u32,
-    /// Buffer occupancy `m` the fetch is amortized over.
-    fill: u32,
-    /// MINDIST from tree volume to query, computed at push time; re-checked
-    /// against the current bound at sweep time.
-    mindist: f32,
-}
-
-/// Entry `j`'s share of `total` split over `m` entries: `total/m`, with the
-/// first `total % m` entries carrying one unit of remainder each, so the
-/// shares sum to exactly `total`.
-fn share(total: u64, m: u64, j: u64) -> u64 {
-    total / m + u64::from(j < total % m)
 }
 
 /// Bytes and transactions one coalesced fetch of node `n`'s arena block
@@ -266,15 +214,14 @@ fn node_fetch_cost<T: GpuIndex, const M: bool>(
     }
 }
 
-/// Depth of every node reachable from `root` (root = 0), plus the maximum.
-/// Rejects cycles and diamond links with a typed error instead of hanging —
-/// the wave loop's level schedule is only meaningful on a proper tree.
-fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<(Vec<u32>, u32), KernelError> {
+/// Depth of every node reachable from `root` (root = 0). Rejects cycles and
+/// diamond links with a typed error instead of hanging — the level schedule
+/// is only meaningful on a proper tree.
+fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<Vec<u32>, KernelError> {
     let nn = tree.num_nodes();
     let mut levels = vec![u32::MAX; nn];
     levels[root as usize] = 0;
     let mut stack = vec![root];
-    let mut max_level = 0u32;
     let mut popped = 0usize;
     while let Some(n) = stack.pop() {
         popped += 1;
@@ -288,7 +235,6 @@ fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<(Vec<u32>, u32), Kern
             continue;
         }
         let child_level = levels[n as usize] + 1;
-        max_level = max_level.max(child_level);
         for c in checked_children(tree, n)? {
             if levels[c as usize] != u32::MAX {
                 return Err(KernelError::CorruptNode {
@@ -300,55 +246,7 @@ fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<(Vec<u32>, u32), Kern
             stack.push(c);
         }
     }
-    Ok((levels, max_level))
-}
-
-/// PSB phase 1 for one wave query — the very code of
-/// [`psb_try_query`](crate::kernels::psb::psb_try_query), so the wave's
-/// starting bound (and its metered cost) match the per-query kernel's.
-fn prime_knn<T: GpuIndex, const M: bool>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    scratch: &mut Scratch,
-) -> Result<QueryState<M>, KernelError> {
-    let mut block = Block::<M>::new(opts.threads_per_block, cfg);
-    let mut budget = Budget::for_tree(tree);
-    let list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
-    let pruning = list.bound();
-    Ok(QueryState {
-        block,
-        list: Some(list),
-        hits: Vec::new(),
-        pruning,
-        out: Vec::new(),
-        visited: Vec::new(),
-    })
-}
-
-/// Range-mode per-query setup: no descent (the bound is the radius), just the
-/// block and the range kernel's static shared-memory reservation.
-fn prime_range<T: GpuIndex, const M: bool>(
-    tree: &T,
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> Result<QueryState<M>, KernelError> {
-    let mut block = Block::<M>::new(opts.threads_per_block, cfg);
-    let static_smem = tree.degree() as u64 * 4 + block.threads() as u64 * 4;
-    block
-        .reserve_shared(static_smem, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    Ok(QueryState {
-        block,
-        list: None,
-        hits: Vec::new(),
-        pruning: radius,
-        out: Vec::new(),
-        visited: Vec::new(),
-    })
+    Ok(levels)
 }
 
 /// The traversal phase a node's sweep is attributed to.
@@ -360,36 +258,11 @@ fn sweep_phase(leaf: bool) -> Phase {
     }
 }
 
-/// Charge one buffered entry its share of the node's single coalesced fetch.
-/// Rank 0 carries the node-visit count (merged `nodes_visited` = coalesced
-/// sweeps) and the remainder-heavy share; leaf-wave shares are streamed (the
-/// wave walks the contiguous leaf arena left-to-right — a prefetchable linear
-/// scan). A pruned entry still pays: it is a masked lane of the shared fetch.
-fn charge_entry<T: GpuIndex, const M: bool>(
-    tree: &T,
-    state: &mut QueryState<M>,
-    item: WorkItem,
-    level: u32,
-    opts: &KernelOptions,
-) {
-    let n = item.node;
-    let leaf = tree.is_leaf(n);
-    state.block.set_phase(sweep_phase(leaf));
-    if item.rank == 0 {
-        state.block.visit_node(level, if leaf { NodeKind::Leaf } else { NodeKind::Internal });
-    }
-    let (bytes, tx) = node_fetch_cost(tree, n, leaf, opts.layout, &state.block);
-    let m = u64::from(item.fill);
-    let j = u64::from(item.rank);
-    state.block.load_global_share(share(bytes, m, j), share(tx, m, j), leaf);
-}
-
 /// Sweep node `n` for one query that was buffered there at `mindist`:
 /// re-check admission against the query's current bound, and — if the lane
 /// stays active — sweep the node (surviving children into `out`, leaf points
 /// into the result list). Everything here is the query's own compute; the
-/// shared fetch is charged separately ([`charge_entry`] on the buffered path,
-/// [`Wave::charge_fetch_shares`] on the direct one).
+/// shared fetch is charged separately ([`Wave::charge_fetch_shares`]).
 #[allow(clippy::too_many_arguments)]
 fn sweep_entry<T: GpuIndex, const M: bool>(
     tree: &T,
@@ -464,107 +337,7 @@ fn sweep_entry<T: GpuIndex, const M: bool>(
     Ok(())
 }
 
-/// Everything the sequential push/flush path needs in one place.
-struct WaveCtx<'a, T: GpuIndex> {
-    tree: &'a T,
-    queries: &'a PointSet,
-    mode: WaveMode,
-    opts: &'a KernelOptions,
-    capacity: usize,
-    levels: &'a [u32],
-}
-
-impl<T: GpuIndex> WaveCtx<'_, T> {
-    /// Append `(query, mindist)` to node `n`'s buffer; a buffer that reaches
-    /// capacity is flushed (swept) immediately.
-    fn push<const M: bool>(
-        &self,
-        buffers: &mut [Vec<(u32, f32)>],
-        states: &mut [QueryState<M>],
-        wr: &mut WaveReport,
-        n: u32,
-        entry: (u32, f32),
-    ) -> Result<(), KernelError> {
-        buffers[n as usize].push(entry);
-        if buffers[n as usize].len() >= self.capacity {
-            self.flush(buffers, states, wr, n)?;
-        }
-        Ok(())
-    }
-
-    /// Sweep node `n`'s buffer now (capacity overflow or end-of-wave),
-    /// cascading each query's surviving children back through [`Self::push`].
-    /// Entries run sequentially in buffer order; results are order-invariant
-    /// because all cross-entry state (shares, ranks) is fixed before the
-    /// first entry runs.
-    ///
-    /// Scratch is borrowed once around the whole sweep, so the distance
-    /// kernel resolves per flush, not per entry. A cascading flush (capacity
-    /// hit while scattering survivors) re-enters [`with_scratch`] and falls
-    /// back to a fresh scratch — rare, and correctness never depends on
-    /// reuse.
-    fn flush<const M: bool>(
-        &self,
-        buffers: &mut [Vec<(u32, f32)>],
-        states: &mut [QueryState<M>],
-        wr: &mut WaveReport,
-        n: u32,
-    ) -> Result<(), KernelError> {
-        let entries = std::mem::take(&mut buffers[n as usize]);
-        let fill = entries.len() as u32;
-        wr.coalesced_sweeps += 1;
-        wr.buffered_entries += u64::from(fill);
-        wr.max_fill = wr.max_fill.max(fill);
-        let level = self.levels[n as usize];
-        with_scratch(self.tree.dims(), self.opts.lanes, |scratch| {
-            for (rank, &(q, mindist)) in entries.iter().enumerate() {
-                let item = WorkItem { node: n, rank: rank as u32, fill, mindist };
-                let qi = q as usize;
-                charge_entry(self.tree, &mut states[qi], item, level, self.opts);
-                let mut out = std::mem::take(&mut states[qi].out);
-                sweep_entry(
-                    self.tree,
-                    self.queries.point(qi),
-                    &mut states[qi],
-                    (n, mindist),
-                    &mut out,
-                    self.mode,
-                    self.opts,
-                    scratch,
-                )?;
-                for (c, child_mindist) in out.drain(..) {
-                    self.push(buffers, states, wr, c, (q, child_mindist))?;
-                }
-                states[qi].out = out;
-            }
-            Ok(())
-        })
-    }
-}
-
-/// The wave traversal proper. A batch smaller than the buffer capacity can
-/// never fill a buffer (a query sits in a node's buffer at most once), so it
-/// takes the direct path; anything larger needs real buffers to flush.
-fn wave_execute<T: GpuIndex, const M: bool>(
-    tree: &T,
-    queries: &PointSet,
-    mode: WaveMode,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    capacity: usize,
-    order: Option<&[u32]>,
-) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
-    let root = checked_root(tree)?;
-    let (levels, max_level) = node_levels(tree, root)?;
-    let wave = Wave { tree, queries, mode, cfg, opts, order, root, levels: &levels };
-    if queries.len() < capacity {
-        wave.run_direct()
-    } else {
-        wave.run_buffered(capacity, max_level)
-    }
-}
-
-/// One batch's traversal inputs, shared by the two execution paths.
+/// One batch's traversal inputs.
 struct Wave<'a, T: GpuIndex> {
     tree: &'a T,
     queries: &'a PointSet,
@@ -576,7 +349,7 @@ struct Wave<'a, T: GpuIndex> {
     levels: &'a [u32],
 }
 
-/// Node-major bookkeeping of one coalesced sweep on the direct path.
+/// Node-major bookkeeping of one coalesced sweep.
 #[derive(Clone, Copy, Default)]
 struct Sweep {
     /// Queries buffered at the node: what its one fetch is amortized over.
@@ -585,41 +358,62 @@ struct Sweep {
     charged: u32,
     leaf: bool,
     /// The fetch's bytes and transactions as (quotient, remainder) by `fill`:
-    /// rank `j` owes `quotient + (j < remainder)`, exactly [`share`].
+    /// rank `j` owes `quotient + (j < remainder)`, so the shares sum to
+    /// exactly one fetch.
     bytes: (u64, u64),
     transactions: (u64, u64),
 }
 
 impl<T: GpuIndex> Wave<'_, T> {
-    /// Priming for query `i`: PSB's phase-1 descent (kNN) or just the block
-    /// (range).
+    /// Priming for query `i`: PSB's phase-1 descent (kNN) — the very code of
+    /// [`psb_try_query`](crate::kernels::psb::psb_try_query), so the wave's
+    /// starting bound and its metered cost match the per-query kernel's — or,
+    /// for a range query, just the block and the range kernel's static
+    /// shared-memory reservation (no descent: the bound is the radius).
     fn prime<const M: bool>(
         &self,
         i: usize,
         scratch: &mut Scratch,
     ) -> Result<QueryState<M>, KernelError> {
-        match self.mode {
+        let (tree, cfg, opts) = (self.tree, self.cfg, self.opts);
+        let mut block = Block::<M>::new(opts.threads_per_block, cfg);
+        let (list, pruning) = match self.mode {
             WaveMode::Knn { k } => {
                 let q = self.queries.point(i);
-                prime_knn(self.tree, q, k, self.cfg, self.opts, scratch)
+                let mut budget = Budget::for_tree(tree);
+                let list =
+                    initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
+                let bound = list.bound();
+                (Some(list), bound)
             }
-            WaveMode::Range { radius } => prime_range(self.tree, radius, self.cfg, self.opts),
-        }
+            WaveMode::Range { radius } => {
+                let static_smem = tree.degree() as u64 * 4 + block.threads() as u64 * 4;
+                block.reserve_shared(static_smem, cfg.smem_per_sm).map_err(|needed| {
+                    KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm }
+                })?;
+                (None, radius)
+            }
+        };
+        Ok(QueryState { block, list, hits: Vec::new(), pruning, visited: Vec::new() })
     }
 
-    /// Direct path: no buffer can reach capacity, so which nodes a query is
-    /// buffered at — and in which order it sweeps them — depends on that
-    /// query alone. Each query therefore runs all of its wave fronts back to
-    /// back inside **one** parallel region (level by level, each level in
-    /// ascending node id: exactly its share of the node-major schedule), and
-    /// the only thing that needs the whole batch, the split of every node's
-    /// single fetch over its buffer, is charged afterwards from the logs
-    /// ([`Self::charge_fetch_shares`]). Counters are integer sums per phase, so
-    /// charging late changes no [`KernelStats`](psb_gpu::KernelStats) bit
-    /// (pinned against the buffered path by a unit test below).
-    fn run_direct<const M: bool>(&self) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
+    /// The whole batch: the query-parallel traversal, then the node-major
+    /// split of every node's single fetch over its buffer.
+    fn run<const M: bool>(&self) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
+        let mut states = self.traverse()?;
+        let wr = self.charge_fetch_shares(&mut states);
+        Ok((states, wr))
+    }
+
+    /// Which nodes a query is buffered at — and in which order it sweeps them
+    /// — depends on that query alone. Each query therefore runs all of its
+    /// wave fronts back to back inside **one** parallel region (level by
+    /// level, each level in ascending node id: exactly its share of the
+    /// node-major schedule) and logs the nodes it swept; the shared fetches
+    /// are not charged here.
+    fn traverse<const M: bool>(&self) -> Result<Vec<QueryState<M>>, KernelError> {
         let (tree, opts) = (self.tree, self.opts);
-        let mut states: Vec<QueryState<M>> = (0..self.queries.len())
+        (0..self.queries.len())
             .into_par_iter()
             .map(|i| {
                 with_scratch(tree.dims(), opts.lanes, |scratch| {
@@ -653,16 +447,15 @@ impl<T: GpuIndex> Wave<'_, T> {
                     Ok(state)
                 })
             })
-            .collect::<Result<_, KernelError>>()?;
-        let wr = self.charge_fetch_shares(&mut states);
-        Ok((states, wr))
+            .collect()
     }
 
-    /// The node-major half of the direct path: count every node's buffer from
-    /// the per-query logs, then charge each entry its rank's share of the
-    /// node's one fetch. Buffer order is what the buffered path produces —
-    /// scheduled order at the root, ascending query index below it. One cheap
-    /// sequential pass (a counter bump and two adds per entry).
+    /// The node-major half: count every node's buffer from the per-query
+    /// logs, then charge each entry its rank's share of the node's one fetch.
+    /// Buffer order is scheduled order at the root and ascending query index
+    /// below it. Rank 0 carries the node-visit count (merged `nodes_visited` =
+    /// coalesced sweeps) and the remainder-heavy share. One cheap sequential
+    /// pass (a counter bump and two adds per entry).
     fn charge_fetch_shares<const M: bool>(&self, states: &mut [QueryState<M>]) -> WaveReport {
         let mut sweeps = vec![Sweep::default(); self.tree.num_nodes()];
         let mut swept: Vec<u32> = Vec::new();
@@ -717,7 +510,8 @@ impl<T: GpuIndex> Wave<'_, T> {
                 part.0 += sweep.bytes.0 + u64::from(j < sweep.bytes.1);
                 part.1 += sweep.transactions.0 + u64::from(j < sweep.transactions.1);
             }
-            // Leaf-wave shares are streamed, as in [`charge_entry`].
+            // Leaf-wave shares are streamed: the wave walks the contiguous
+            // leaf arena left-to-right, a prefetchable linear scan.
             for (leaf, (bytes, tx)) in [false, true].into_iter().zip(owed) {
                 state.block.set_phase(sweep_phase(leaf));
                 state.block.load_global_share(bytes, tx, leaf);
@@ -725,131 +519,18 @@ impl<T: GpuIndex> Wave<'_, T> {
         }
         wr
     }
-
-    /// Buffered path: prime, seed the root buffer, then sweep level by level,
-    /// flushing any buffer that reaches `capacity`.
-    fn run_buffered<const M: bool>(
-        &self,
-        capacity: usize,
-        max_level: u32,
-    ) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
-        let (tree, queries, mode, opts) = (self.tree, self.queries, self.mode, self.opts);
-        let nq = queries.len();
-
-        // Priming runs query-parallel: each query owns its whole state.
-        let mut states: Vec<QueryState<M>> = (0..nq)
-            .into_par_iter()
-            .map(|i| with_scratch(tree.dims(), opts.lanes, |scratch| self.prime::<M>(i, scratch)))
-            .collect::<Result<_, _>>()?;
-
-        let mut buffers: Vec<Vec<(u32, f32)>> = vec![Vec::new(); tree.num_nodes()];
-        let mut wr = WaveReport::default();
-        let ctx = WaveCtx { tree, queries, mode, opts, capacity, levels: self.levels };
-
-        // Seed the root buffer in scheduled order.
-        match self.order {
-            Some(perm) => {
-                for &i in perm {
-                    ctx.push(&mut buffers, &mut states, &mut wr, self.root, (i, 0.0))?;
-                }
-            }
-            None => {
-                for i in 0..nq as u32 {
-                    ctx.push(&mut buffers, &mut states, &mut wr, self.root, (i, 0.0))?;
-                }
-            }
-        }
-
-        // Level-synchronous waves. Buffers at level L were fully populated by
-        // wave L-1 (survivors only ever descend), so one front per level.
-        let mut work: Vec<Vec<WorkItem>> = vec![Vec::new(); nq];
-        let mut staged = vec![0usize; nq];
-        for level in 0..=max_level {
-            // Collect this wave's sweeps node-major (ascending node id): ranks,
-            // fills, and shares are fixed here, before any entry runs.
-            let mut sweeps: Vec<(u32, Vec<(u32, f32)>)> = Vec::new();
-            for n in 0..tree.num_nodes() as u32 {
-                if ctx.levels[n as usize] == level && !buffers[n as usize].is_empty() {
-                    sweeps.push((n, std::mem::take(&mut buffers[n as usize])));
-                }
-            }
-            if sweeps.is_empty() {
-                continue;
-            }
-            wr.waves += 1;
-            for item in &mut work {
-                item.clear();
-            }
-            for (n, entries) in &sweeps {
-                let fill = entries.len() as u32;
-                wr.coalesced_sweeps += 1;
-                wr.buffered_entries += u64::from(fill);
-                wr.max_fill = wr.max_fill.max(fill);
-                let fanout = checked_children(tree, *n).map_or(0, |kids| kids.len());
-                for (rank, &(q, mindist)) in entries.iter().enumerate() {
-                    work[q as usize].push(WorkItem { node: *n, rank: rank as u32, fill, mindist });
-                    staged[q as usize] += fanout;
-                }
-            }
-            // A query stages at most one survivor per child of each node it
-            // sits in. Reserve that here, on the thread that owns `out` (empty
-            // between waves): growing it from a worker reallocates in this
-            // thread's malloc arena, and two threads doing so queue on the
-            // arena lock.
-            for (state, need) in states.iter_mut().zip(&mut staged) {
-                state.out.reserve(std::mem::take(need));
-            }
-            // Phase A (parallel): each query sweeps its entries in node order.
-            // Disjoint per-query state makes this safe; the node-major schedule
-            // above makes it deterministic.
-            states
-                .par_chunks_mut(1)
-                .zip(work.par_chunks(1))
-                .enumerate()
-                .map(|(qi, (state, items))| {
-                    let (state, items) = (&mut state[0], &items[0]);
-                    if items.is_empty() {
-                        return Ok(());
-                    }
-                    with_scratch(tree.dims(), opts.lanes, |scratch| {
-                        let q = queries.point(qi);
-                        let mut out = std::mem::take(&mut state.out);
-                        for item in items {
-                            charge_entry(tree, state, *item, level, opts);
-                            let entry = (item.node, item.mindist);
-                            sweep_entry(tree, q, state, entry, &mut out, mode, opts, scratch)?;
-                        }
-                        state.out = out;
-                        Ok(())
-                    })
-                })
-                .collect::<Result<(), KernelError>>()?;
-            // Phase B (sequential): scatter survivors into child buffers in
-            // query order, flushing any buffer that hits capacity.
-            for qi in 0..nq {
-                let mut out = std::mem::take(&mut states[qi].out);
-                for (c, mindist) in out.drain(..) {
-                    ctx.push(&mut buffers, &mut states, &mut wr, c, (qi as u32, mindist))?;
-                }
-                states[qi].out = out;
-            }
-        }
-        Ok((states, wr))
-    }
 }
 
 /// The wave engine as the batch runner's execute step: every query's exact
 /// result and counters, in submission order, plus what the waves did. The
 /// three kNN kernels share one wave form (their results are the same exact
 /// set); `metering` is the launch's resolved mode, dispatched once here.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn wave_rows<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
     kernel: Kernel,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
-    wave: WaveConfig,
     metering: Metering,
     order: Option<&[u32]>,
 ) -> Result<(Vec<Found>, WaveReport), KernelError> {
@@ -864,14 +545,12 @@ pub(crate) fn wave_rows<T: GpuIndex>(
             WaveMode::Range { radius }
         }
     };
-    let capacity = wave.cap();
+    let root = checked_root(tree)?;
+    let levels = node_levels(tree, root)?;
+    let wave = Wave { tree, queries, mode, cfg, opts, order, root, levels: &levels };
     match metering {
-        Metering::Simulated => {
-            wave_execute::<T, true>(tree, queries, mode, cfg, opts, capacity, order).map(finish)
-        }
-        Metering::Off => {
-            wave_execute::<T, false>(tree, queries, mode, cfg, opts, capacity, order).map(finish)
-        }
+        Metering::Simulated => wave.run::<true>().map(finish),
+        Metering::Off => wave.run::<false>().map(finish),
     }
 }
 
@@ -897,9 +576,9 @@ fn finish<const M: bool>(
     (rows, report)
 }
 
-/// `opts` with the wave engine on (at its default capacity if unset).
+/// `opts` with the wave engine on.
 fn waved(opts: &KernelOptions) -> KernelOptions {
-    KernelOptions { wave: Some(opts.wave.unwrap_or_default()), ..opts.clone() }
+    KernelOptions { wave: Some(WaveConfig), ..opts.clone() }
 }
 
 /// kNN over a batch through the buffer-wave engine: [`launch`](crate::launch)
@@ -907,8 +586,7 @@ fn waved(opts: &KernelOptions) -> KernelOptions {
 /// Neighbors and outcomes are bit-identical to [`psb_batch`](crate::psb_batch)
 /// (and the other exact kNN engines); counters reflect the amortized
 /// node-centric schedule. Honors [`KernelOptions::schedule`] for seeding
-/// order and [`KernelOptions::wave`] for buffer capacity (default capacity if
-/// unset).
+/// order.
 pub fn wave_knn_batch<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
@@ -1012,50 +690,113 @@ mod tests {
         );
     }
 
-    /// Runs one batch down both execution paths (the buffered one with a
-    /// capacity nothing reaches) and returns what each query ended with.
-    fn both_paths<T: GpuIndex>(
-        tree: &T,
-        queries: &PointSet,
-        mode: WaveMode,
-        opts: &KernelOptions,
-    ) -> [(Vec<Found>, WaveReport); 2] {
-        let cfg = DeviceConfig::k40();
-        let order = crate::engine::schedule_order(queries, opts.schedule, &mut Default::default());
-        let root = checked_root(tree).unwrap();
-        let (levels, max_level) = node_levels(tree, root).unwrap();
-        let order = order.as_deref();
-        let wave = Wave { tree, queries, mode, cfg: &cfg, opts, order, root, levels: &levels };
-        [wave.run_direct::<true>(), wave.run_buffered::<true>(queries.len() + 1, max_level)]
-            .map(|run| finish(run.unwrap()))
+    /// Entry `j`'s share of `total` split over `m` entries: `total/m`, with
+    /// the first `total % m` entries carrying one unit of remainder each.
+    fn share(total: u64, m: u64, j: u64) -> u64 {
+        total / m + u64::from(j < total % m)
+    }
+
+    /// The metering contract, stated rather than derived: rebuild every
+    /// node's buffer from the per-query logs (scheduled order at the root,
+    /// ascending query index below it) and charge it sweep by sweep — rank
+    /// `j` of `m` owes exactly [`share`]`(total, m, j)`, rank 0 carries the
+    /// visit, leaf shares are streamed. Returns the bytes and transactions of
+    /// one fetch per swept node.
+    fn charge_sweep_by_sweep<T: GpuIndex>(
+        wave: &Wave<'_, T>,
+        states: &mut [QueryState<true>],
+    ) -> (u64, u64) {
+        let mut buffers: Vec<Vec<u32>> = vec![Vec::new(); wave.tree.num_nodes()];
+        for (i, state) in states.iter().enumerate() {
+            for &n in &state.visited {
+                buffers[n as usize].push(i as u32);
+            }
+        }
+        if let Some(order) = wave.order {
+            buffers[wave.root as usize] = order.to_vec();
+        }
+        let mut fetched = (0, 0);
+        for (n, buffer) in buffers.iter().enumerate().filter(|(_, buffer)| !buffer.is_empty()) {
+            let (n, m) = (n as u32, buffer.len() as u64);
+            let leaf = wave.tree.is_leaf(n);
+            let layout = wave.opts.layout;
+            let (bytes, tx) = node_fetch_cost(wave.tree, n, leaf, layout, &states[0].block);
+            fetched = (fetched.0 + bytes, fetched.1 + tx);
+            for (j, &i) in buffer.iter().enumerate() {
+                let block = &mut states[i as usize].block;
+                block.set_phase(sweep_phase(leaf));
+                if j == 0 {
+                    let kind = if leaf { NodeKind::Leaf } else { NodeKind::Internal };
+                    block.visit_node(wave.levels[n as usize], kind);
+                }
+                block.load_global_share(share(bytes, m, j as u64), share(tx, m, j as u64), leaf);
+            }
+        }
+        fetched
     }
 
     #[test]
-    fn the_direct_path_charges_exactly_what_the_buffered_path_does() {
+    fn fetch_shares_are_the_node_major_split_and_conserve_every_fetch() {
         let (_, tree, queries) = setup();
+        let cfg = DeviceConfig::k40();
+        let root = checked_root(&tree).unwrap();
+        let levels = node_levels(&tree, root).unwrap();
         for opts in [
             KernelOptions::default(),
             KernelOptions { schedule: crate::QuerySchedule::Hilbert, ..Default::default() },
             KernelOptions { layout: NodeLayout::Aos, ..Default::default() },
         ] {
+            let order =
+                crate::engine::schedule_order(&queries, opts.schedule, &mut Default::default());
             for mode in [WaveMode::Knn { k: 8 }, WaveMode::Range { radius: 220.0 }] {
-                let [direct, buffered] = both_paths(&tree, &queries, mode, &opts);
-                assert_eq!(direct.1, buffered.1, "wave report");
-                assert_eq!(direct.0, buffered.0, "neighbors and per-query counters");
+                let (queries, opts, order) = (&queries, &opts, order.as_deref());
+                let wave = Wave {
+                    tree: &tree,
+                    queries,
+                    mode,
+                    cfg: &cfg,
+                    opts,
+                    order,
+                    root,
+                    levels: &levels,
+                };
+                // The traversal is deterministic: three runs, three equal sets
+                // of logs and uncharged ledgers.
+                let [mut engine, mut oracle, bare] =
+                    [(); 3].map(|()| wave.traverse::<true>().unwrap());
+                let wr = wave.charge_fetch_shares(&mut engine);
+                let fetched = charge_sweep_by_sweep(&wave, &mut oracle);
+                let [engine, oracle, bare] = [engine, oracle, bare].map(|s| finish((s, wr)).0);
+                assert_eq!(engine, oracle, "neighbors and per-query counters");
+
+                // Conservation: what the shares add to the batch's ledger is
+                // one fetch, and one visit, per swept node.
+                let ledger = |rows: &[Found]| {
+                    let blocks: Vec<_> = rows.iter().map(|(_, stats)| *stats).collect();
+                    let stats = crate::engine::merge_stats(&blocks);
+                    (stats.global_bytes, stats.global_transactions, stats.nodes_visited)
+                };
+                let (with, without) = (ledger(&engine), ledger(&bare));
+                assert_eq!((with.0 - without.0, with.1 - without.1), fetched);
+                assert_eq!(with.2 - without.2, wr.coalesced_sweeps);
             }
         }
     }
 
     #[test]
-    fn tiny_capacity_cascades_but_stays_exact() {
-        let (_, tree, queries) = setup();
+    fn a_batch_past_a_thousand_queries_is_still_one_front_per_level() {
+        let (ps, tree, _) = setup();
+        let queries = sample_queries(&ps, 1100, 0.01, 79);
         let cfg = DeviceConfig::k40();
-        let opts = KernelOptions { wave: Some(WaveConfig { capacity: 2 }), ..Default::default() };
-        let baseline =
-            crate::engine::psb_batch(&tree, &queries, 8, &cfg, &KernelOptions::default()).unwrap();
+        let opts = KernelOptions::default();
+        let per_query = crate::engine::psb_batch(&tree, &queries, 8, &cfg, &opts).unwrap();
         let (wave, wr) = wave_knn_batch(&tree, &queries, 8, &cfg, &opts).unwrap();
-        assert_eq!(baseline.neighbors, wave.neighbors);
-        assert!(wr.max_fill <= 2);
+        assert_eq!(per_query.neighbors, wave.neighbors);
+        assert_eq!(per_query.outcomes, wave.outcomes);
+        // Nothing bounds a buffer: the root's holds the whole batch, and no
+        // level is swept twice.
+        assert_eq!(wr.max_fill as usize, queries.len());
+        assert!(u64::from(wr.waves) <= depth_visits(&tree));
     }
 
     #[test]

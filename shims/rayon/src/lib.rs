@@ -2,10 +2,11 @@
 //!
 //! The build environment has no access to crates.io, so the workspace vendors
 //! the slice of `rayon` it uses: `into_par_iter` (ranges), `par_iter`/
-//! `par_chunks`/`par_chunks_mut` (slices), the `map`/`zip`/`enumerate`/
-//! `filter` adapters, the `collect`/`sum`/`reduce`/`count`/`for_each`
-//! consumers, `par_sort_unstable(_by_key)`, and `ThreadPoolBuilder` /
-//! `ThreadPool::install` / `current_num_threads`.
+//! `par_chunks`/`par_chunks_mut` (slices), the `map`/`zip`/`enumerate`
+//! adapters, the `collect`/`sum`/`reduce`/`for_each` consumers,
+//! `par_sort_unstable_by_key`, and `ThreadPoolBuilder` /
+//! `ThreadPool::install` / `current_num_threads` — what has a caller in this
+//! workspace, nothing kept for completeness.
 //!
 //! # Execution model
 //!
@@ -31,7 +32,7 @@
 //! The thread count is `std::thread::available_parallelism()`, overridden by
 //! upstream rayon's own `RAYON_NUM_THREADS` (read once), and scoped by
 //! `ThreadPoolBuilder::new().num_threads(n).build()?.install(|| ...)`.
-//! `par_sort_unstable*` is a std sort on the calling thread.
+//! `par_sort_unstable_by_key` is a std sort on the calling thread.
 //!
 //! Swapping the real `rayon` back in when a registry is reachable requires no
 //! source changes.
@@ -51,8 +52,7 @@ const MAX_PIECES: usize = 64;
 
 /// A splittable source of items: the unit the executor cuts into pieces.
 ///
-/// `len` counts index slots. It is the item count for everything except
-/// [`Filter`], which keeps its base's slots and yields a subset of them.
+/// `len` counts index slots, one item each.
 #[allow(clippy::len_without_is_empty)]
 pub trait Producer: Send + Sized {
     type Item;
@@ -66,7 +66,7 @@ pub trait Producer: Send + Sized {
 
 /// Producers that yield exactly one item per index slot, so positions are
 /// meaningful: what `enumerate` and `zip` need (upstream's
-/// `IndexedParallelIterator`). [`Filter`] is the one producer without it.
+/// `IndexedParallelIterator`).
 pub trait Indexed: Producer {}
 
 impl Producer for Range<usize> {
@@ -167,27 +167,6 @@ impl<P: Producer, B, F: Fn(P::Item) -> B + Sync + Send> Producer for Map<P, F> {
     }
 }
 impl<P: Indexed, B, F: Fn(P::Item) -> B + Sync + Send> Indexed for Map<P, F> {}
-
-/// `.filter(p)`. Splits by its base's slots; not [`Indexed`].
-pub struct Filter<P, F> {
-    base: P,
-    keep: Arc<F>,
-}
-
-impl<P: Producer, F: Fn(&P::Item) -> bool + Sync + Send> Producer for Filter<P, F> {
-    type Item = P::Item;
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(mid);
-        (Filter { base: l, keep: Arc::clone(&self.keep) }, Filter { base: r, keep: self.keep })
-    }
-    fn into_iter(self) -> impl Iterator<Item = P::Item> {
-        let keep = self.keep;
-        self.base.into_iter().filter(move |x| keep(x))
-    }
-}
 
 /// `.enumerate()`. Carries the offset of its first slot so a piece numbers its
 /// items by their position in the whole region.
@@ -376,13 +355,6 @@ impl<P: Producer> ParIter<P> {
         ParIter(Map { base: self.0, f: Arc::new(f) })
     }
 
-    pub fn filter<F>(self, keep: F) -> ParIter<Filter<P, F>>
-    where
-        F: Fn(&P::Item) -> bool + Sync + Send,
-    {
-        ParIter(Filter { base: self.0, keep: Arc::new(keep) })
-    }
-
     pub fn enumerate(self) -> ParIter<Enumerate<P>>
     where
         P: Indexed,
@@ -423,10 +395,6 @@ impl<P: Producer> ParIter<P> {
         S: Send + std::iter::Sum<P::Item> + std::iter::Sum<S>,
     {
         run_pieces(self.0, |piece| piece.into_iter().sum::<S>()).into_iter().sum()
-    }
-
-    pub fn count(self) -> usize {
-        run_pieces(self.0, |piece| piece.into_iter().count()).into_iter().sum()
     }
 
     /// Collects in index order. A `Result` target yields the first error in
@@ -485,9 +453,6 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 pub trait ParallelSliceMut<T: Send> {
     fn par_chunks_mut(&mut self, chunk: usize) -> ParIter<ChunksMut<'_, T>>;
     fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F);
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
@@ -498,13 +463,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 
     fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F) {
         self.sort_unstable_by_key(key)
-    }
-
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord,
-    {
-        self.sort_unstable()
     }
 }
 
@@ -743,8 +701,9 @@ mod tests {
                             for (slot, &v) in d.iter_mut().zip(s) {
                                 *slot += v + 1;
                             }
+                            1usize
                         })
-                        .count()
+                        .sum::<usize>()
                 });
                 crew.check();
                 assert_eq!(chunks, len.div_ceil(chunk));
@@ -782,28 +741,6 @@ mod tests {
         assert_eq!(one.0, one.1, "sum and reduce associate alike");
         assert_eq!(run(3), one);
         assert_eq!(run(8), one);
-    }
-
-    #[test]
-    fn filter_and_count() {
-        for threads in [1, 4] {
-            let crew = Crew::of(threads, 999);
-            let evens: Vec<usize> = in_pool(threads, || {
-                (0..999usize)
-                    .into_par_iter()
-                    .filter(|i| {
-                        crew.arrive();
-                        burn(2);
-                        i % 2 == 0
-                    })
-                    .collect()
-            });
-            crew.check();
-            assert_eq!(evens, (0..999).step_by(2).collect::<Vec<_>>());
-            let n =
-                in_pool(threads, || (0..999usize).into_par_iter().filter(|i| i % 3 == 0).count());
-            assert_eq!(n, 333);
-        }
     }
 
     #[test]
@@ -884,7 +821,6 @@ mod tests {
     #[test]
     fn empty_regions_yield_identities() {
         let empty: Vec<u32> = Vec::new();
-        assert_eq!(empty.par_iter().count(), 0);
         assert_eq!(empty.par_iter().map(|&x| x).sum::<u32>(), 0);
         assert_eq!((5..5usize).into_par_iter().collect::<Vec<_>>(), Vec::<usize>::new());
         assert_eq!((0..0usize).into_par_iter().reduce(|| 0, |a, b| a + b), 0);

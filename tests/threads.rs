@@ -152,25 +152,20 @@ fn schedule_fuse_wave_and_stream_are_bit_identical_in_every_pool() {
     let (t, q, cfg) = (&f.tree, &f.queries, &f.cfg);
     let hilbert = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
     let fast = KernelOptions { metering: Metering::Off, ..hilbert.clone() };
-    let wave = KernelOptions { wave: Some(WaveConfig { capacity: 8 }), ..hilbert.clone() };
-    let direct = KernelOptions { wave: Some(WaveConfig::default()), ..hilbert.clone() };
+    let wave = KernelOptions { wave: Some(WaveConfig), ..hilbert.clone() };
     same_in_every_pool("psb/hilbert", || psb_batch(t, q, K, cfg, &hilbert).expect("psb"));
     same_in_every_pool("psb/hilbert/unmetered", || psb_batch(t, q, K, cfg, &fast).expect("psb"));
     same_in_every_pool("psb/hilbert/faults", || {
         launch(t, q, Kernel::Psb { k: K }, cfg, &hilbert, &FaultPlan::bit_flips(0xBEEF, 2), None)
             .expect("psb")
     });
-    // Capacity 8 < 61 queries: buffers overflow and flush mid-wave, so the
-    // sequential scatter between the parallel phases is exercised too.
+    // Every query runs all of its wave fronts inside one region; the fetch
+    // shares are charged node-major afterwards, on the calling thread.
     same_in_every_pool("wave/knn", || wave_knn_batch(t, q, K, cfg, &wave).expect("wave"));
     same_in_every_pool("wave/range", || wave_range_batch(t, q, RADIUS, cfg, &wave).expect("wave"));
     same_in_every_pool("wave/rtree", || wave_knn_batch(&f.rtree, q, K, cfg, &wave).expect("wave"));
-    // Default capacity > 61 queries: nothing can overflow, so every query runs
-    // all of its wave fronts inside one region and the fetch shares are
-    // charged node-major afterwards.
-    same_in_every_pool("wave/direct", || wave_knn_batch(t, q, K, cfg, &direct).expect("wave"));
-    same_in_every_pool("wave/direct/range", || {
-        wave_range_batch(&f.rtree, q, RADIUS, cfg, &direct).expect("wave")
+    same_in_every_pool("wave/rtree/range", || {
+        wave_range_batch(&f.rtree, q, RADIUS, cfg, &wave).expect("wave")
     });
     same_in_every_pool("stream", || {
         let mut stream = QueryStream::with_chunk_size(

@@ -156,6 +156,11 @@ proptest! {
     }
 }
 
+/// A counter of `registry`, 0 if nothing ever bumped it.
+fn counter(registry: &Registry, key: &str) -> u64 {
+    registry.snapshot().counters.iter().find(|(k, _)| k == key).map_or(0, |c| c.1)
+}
+
 /// Damages `tree` (freshly built over `ps`, either family) in the `kind`-th
 /// way at a node picked by `node_sel`, then hands it to everything a corrupt
 /// tree can reach. `poison` makes node `ni`'s volume non-finite through its
@@ -245,30 +250,35 @@ fn corrupt_and_probe<V: Volumes>(
         }
     }
 
-    // The batch path, per-query and on both wave paths (direct, and
-    // buffered at capacity 2): every query comes back with a typed
-    // outcome and a well-formed answer. No fault plan is attached, so a
-    // kernel error is deterministic — the retry fails too and the exact
-    // brute-force rung answers.
+    // The batch path, per-query and under the wave engine: every query comes
+    // back with a typed outcome and a well-formed answer. No fault plan is
+    // attached, so a kernel error is deterministic — the retry fails too and
+    // the exact brute-force rung answers. A tree the wave engine's leveling
+    // rejects falls through to the ladder, and says so: `wave.fell_through`
+    // counts it, the batch is filed under the kernel that answered, and the
+    // result is the ladder's, bit for bit.
     let batch = ps.gather(&[0, 1, (ps.len() - 1) as u32]);
     let none = FaultPlan::none();
     let knn = |q: &[f32]| linear_knn(ps, q, k).len();
-    for wave in [None, Some(WaveConfig::default()), Some(WaveConfig { capacity: 2 })] {
-        let opts = KernelOptions { wave, ..Default::default() };
-        for kernel in [
-            Kernel::Psb { k },
-            Kernel::Bnb { k },
-            Kernel::Restart { k },
-            Kernel::Range { radius: 50.0 },
-        ] {
-            let r = launch(&tree, &batch, kernel, &cfg, &opts, &none, None)
+    for kernel in [
+        Kernel::Psb { k },
+        Kernel::Bnb { k },
+        Kernel::Restart { k },
+        Kernel::Range { radius: 50.0 },
+    ] {
+        let registry = Registry::new();
+        let metrics = MetricsHandle::attached(&registry);
+        let waved = KernelOptions { wave: Some(WaveConfig), metrics, ..Default::default() };
+        let mut results = Vec::new();
+        for opts in [&opts, &waved] {
+            let r = launch(&tree, &batch, kernel, &cfg, opts, &none, None)
                 .expect("a non-empty batch always launches");
             for (qi, (nb, outcome)) in r.neighbors.iter().zip(&r.outcomes).enumerate() {
                 prop_assert!(
                     nb.iter().all(|x| x.dist.is_finite()),
                     "{:?} wave {:?}: non-finite distance from a corrupt tree",
                     kernel,
-                    wave
+                    opts.wave
                 );
                 match outcome {
                     QueryOutcome::Clean => {}
@@ -282,7 +292,64 @@ fn corrupt_and_probe<V: Volumes>(
                     other => prop_assert!(false, "{:?}: unexpected outcome {:?}", kernel, other),
                 }
             }
+            results.push(format!(
+                "{:?} {:?} {:?} {:?}",
+                r.neighbors, r.per_block, r.outcomes, r.report
+            ));
+        }
+        let filed =
+            |label: &str| counter(&registry, &format!("engine.batches{{kernel=\"{label}\"}}"));
+        let fell = counter(&registry, "wave.fell_through");
+        prop_assert_eq!(fell + filed("wave"), 1, "{:?}: one wave launch, filed once", kernel);
+        prop_assert_eq!(
+            filed(kernel.label()),
+            fell,
+            "{:?}: the ladder files its own batch",
+            kernel
+        );
+        if fell == 1 {
+            prop_assert_eq!(&results[0], &results[1], "{:?}: a fall-through is the ladder", kernel);
+        }
+        // A child range past the node array is a link the leveling follows.
+        if kind == 2 && !tree.is_leaf(ni as u32) {
+            prop_assert_eq!(fell, 1, "{:?}: the leveling must reject node {}", kernel, ni);
         }
     }
     Ok(())
+}
+
+/// A defect only the wave engine's leveling notices: two parents claiming the
+/// same children. Every link is in bounds, so the per-query kernels walk the
+/// tree without a typed error — nothing but the counter and the label says the
+/// wave engine did not run.
+#[test]
+fn a_tree_only_the_leveling_rejects_falls_through_and_says_so() {
+    let ps = ClusteredSpec { clusters: 4, points_per_cluster: 100, dims: 3, sigma: 60.0, seed: 5 }
+        .generate();
+    let mut tree = build(&ps, 4, &BuildMethod::Hilbert);
+    let siblings = tree.children(tree.root());
+    let (a, b) = (siblings.start as usize, siblings.start as usize + 1);
+    assert!(!tree.is_leaf(a as u32) && !tree.is_leaf(b as u32), "the fixture needs three levels");
+    tree.first_child[b] = tree.first_child[a];
+    tree.child_count[b] = tree.child_count[a];
+    assert!(tree.validate().is_err());
+
+    let (cfg, none) = (DeviceConfig::k40(), FaultPlan::none());
+    let queries = ps.gather(&[0, 7, 399]);
+    let registry = Registry::new();
+    let metrics = MetricsHandle::attached(&registry);
+    let waved = KernelOptions { wave: Some(WaveConfig), metrics, ..Default::default() };
+    let kernel = Kernel::Psb { k: 4 };
+    let ladder = launch(&tree, &queries, kernel, &cfg, &KernelOptions::default(), &none, None)
+        .expect("ladder");
+    let fell = launch(&tree, &queries, kernel, &cfg, &waved, &none, None).expect("wave");
+    assert!(ladder.outcomes.iter().all(|o| *o == QueryOutcome::Clean), "no kernel notices");
+    assert_eq!(
+        format!("{:?} {:?} {:?}", fell.neighbors, fell.per_block, fell.report),
+        format!("{:?} {:?} {:?}", ladder.neighbors, ladder.per_block, ladder.report)
+    );
+    assert_eq!(counter(&registry, "wave.fell_through"), 1);
+    assert_eq!(counter(&registry, "engine.batches{kernel=\"psb\"}"), 1);
+    assert_eq!(counter(&registry, "engine.batches{kernel=\"wave\"}"), 0);
+    assert_eq!(counter(&registry, "wave.waves"), 0, "a batch that ran no wave records no report");
 }

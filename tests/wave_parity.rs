@@ -6,8 +6,8 @@
 //! changes *when* node work happens — one coalesced sweep per buffered node
 //! instead of one traversal per query — but never *what* the caller sees:
 //! neighbors (ids and distance bits) and outcomes must be bit-identical to
-//! the per-query engine, across both index types, any buffer capacity ≥ 1,
-//! and with or without a metrics registry attached. Kernels the wave engine
+//! the per-query engine, across both index types, any batch size ≥ 1, and
+//! with or without a metrics registry attached. Kernels the wave engine
 //! does not serve (brute force, TPSS) must ignore the option entirely, and
 //! the recovering runners must disable waves the moment a real fault plan is
 //! attached — the same fault-safe discipline as the sweep-replay memo.
@@ -62,8 +62,8 @@ fn assert_batches_bit_identical(a: &QueryBatchResult, b: &QueryBatchResult, what
     assert_eq!(a.report.occupancy, b.report.occupancy, "{what}: occupancy differs");
 }
 
-fn waved(opts: &KernelOptions, capacity: usize) -> KernelOptions {
-    KernelOptions { wave: Some(WaveConfig { capacity }), ..opts.clone() }
+fn waved(opts: &KernelOptions) -> KernelOptions {
+    KernelOptions { wave: Some(WaveConfig), ..opts.clone() }
 }
 
 /// Runs the four wave-served kernels over one index, per-query vs wave, and
@@ -78,7 +78,7 @@ fn check_wave<T: psb_core::GpuIndex>(
 ) {
     let cfg = DeviceConfig::k40();
     let base = KernelOptions::default();
-    let wave = waved(&base, 1024);
+    let wave = waved(&base);
 
     let a = psb_batch(tree, queries, k, &cfg, &base).expect("psb per-query");
     let b = psb_batch(tree, queries, k, &cfg, &wave).expect("psb wave");
@@ -158,10 +158,10 @@ fn wave_composes_with_hilbert_scheduling() {
     let base = KernelOptions::default();
     let hil = KernelOptions { schedule: QuerySchedule::Hilbert, ..base.clone() };
     let a = psb_batch(&tree, &queries, K, &cfg, &base).expect("per-query submission");
-    let b = psb_batch(&tree, &queries, K, &cfg, &waved(&hil, 1024)).expect("wave hilbert");
+    let b = psb_batch(&tree, &queries, K, &cfg, &waved(&hil)).expect("wave hilbert");
     assert_results_bit_identical(&a, &b, "hilbert/psb");
     let a = range_batch(&tree, &queries, RADIUS, &cfg, &base).expect("per-query submission");
-    let b = range_batch(&tree, &queries, RADIUS, &cfg, &waved(&hil, 1024)).expect("wave hilbert");
+    let b = range_batch(&tree, &queries, RADIUS, &cfg, &waved(&hil)).expect("wave hilbert");
     assert_results_bit_identical(&a, &b, "hilbert/range");
 }
 
@@ -180,7 +180,7 @@ fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
     let tree = build(&ps, 16, &BuildMethod::Hilbert);
     let cfg = DeviceConfig::k40();
     let base = KernelOptions::default();
-    let wave = waved(&base, 1024);
+    let wave = waved(&base);
 
     for plan in [FaultPlan::bit_flips(0xF00D, 2), FaultPlan::truncation(24)] {
         let a = launch(&tree, &queries, Kernel::Psb { k: K }, &cfg, &base, &plan, None)
@@ -227,7 +227,7 @@ fn wave_metrics_are_no_op_parity_and_populated() {
     let queries = sample_queries(&ps, 24, 0.01, 2602);
     let tree = build(&ps, 16, &BuildMethod::Hilbert);
     let cfg = DeviceConfig::k40();
-    let detached = waved(&KernelOptions::default(), 1024);
+    let detached = waved(&KernelOptions::default());
     let registry = Registry::new();
     let attached =
         KernelOptions { metrics: MetricsHandle::attached(&registry), ..detached.clone() };
@@ -262,7 +262,7 @@ fn streamed_wave_chunks_agree_with_the_wave_batch_engine() {
     let queries = sample_queries(&ps, 24, 0.01, 2702);
     let tree = build(&ps, 16, &BuildMethod::Hilbert);
     let cfg = DeviceConfig::k40();
-    let opts = waved(&KernelOptions::default(), 1024);
+    let opts = waved(&KernelOptions::default());
 
     // One chunk the size of the batch: the stream must route through the
     // wave engine and reproduce the whole-batch call on every surface.
@@ -320,15 +320,16 @@ fn streamed_wave_chunks_agree_with_the_wave_batch_engine() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // Wave determinism: processing order inside the engine is a function of
-    // buffer capacity (capacity 1 degenerates to depth-first cascades, large
-    // capacities to pure level-synchronous waves), yet any capacity ≥ 1 must
-    // yield bit-identical neighbors and outcomes to the per-query engine —
-    // across both index types and dims {4, 16}.
+    // How many queries share a sweep is a function of the batch (one query
+    // degenerates to per-query fetching, 47 fill the upper levels' buffers),
+    // yet any batch size ≥ 1 must yield bit-identical neighbors and outcomes
+    // to the per-query engine — across both index types and dims {4, 16}.
+    // (The name is from when a `capacity` option bounded the buffers; the
+    // axis it swept is the batch's now.)
     #[test]
     fn wave_capacity_is_invisible_to_results(
         seed in 1u64..10_000,
-        capacity in 1usize..48,
+        batch in 1usize..48,
         wide in 0u8..2,     // dims ∈ {4, 16}
         rtree in 0u8..2,    // index family
         k in 1usize..12,
@@ -337,10 +338,10 @@ proptest! {
         let ps = ClusteredSpec {
             clusters: 4, points_per_cluster: 150, dims, sigma: 120.0, seed,
         }.generate();
-        let queries = sample_queries(&ps, 12, 0.02, seed ^ 0x5EED);
+        let queries = sample_queries(&ps, batch, 0.02, seed ^ 0x5EED);
         let cfg = DeviceConfig::k40();
         let base = KernelOptions::default();
-        let wave = waved(&base, capacity);
+        let wave = waved(&base);
         if rtree == 1 {
             let tree = build_rtree(&ps, 16, &RtreeBuildMethod::Hilbert);
             let a = psb_batch(&tree, &queries, k, &cfg, &base).expect("per-query");
