@@ -54,8 +54,9 @@ run_metrics() {
 # and outcomes bit-identical to the per-query engine on both tree families, at
 # every batch size 1..48, under Hilbert scheduling, `QueryStream` and an
 # attached registry — which also pins that queries actually share sweeps
-# (mean fill > 1). Wave vs per-query wall-clock is the repo benchmark's
-# `wave.us_per_query` layer.
+# (mean fill > 1). kNN and range are one per-node step over two collectors;
+# `kernel_fingerprint` pins each one's counters. Wave vs per-query wall-clock
+# is the repo benchmark's `wave.us_per_query` layer.
 run_wave() { cargo test -p psb --test wave_parity -q; }
 # Fast path (DESIGN.md "Distance evaluators", "Metering::Off"): the parity suite
 # pinning that the SIMD lanes and Metering::Off change nothing observable, and
@@ -68,13 +69,17 @@ run_fastpath() {
 }
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's
-# construction/search tests, the stack-free golden parity suite
+# construction/search tests, psb-core's doctests (the kd family launches the
+# stack-free kernel and does *not* type-check as a `GpuIndex`: a `compile_fail`
+# doctest on `ImplicitKdIndex`), the stack-free golden parity suite
 # (bit-identity against the brute oracle and SS-tree PSB, ± faults,
 # ± Metering::Off), and the rope-link suite (escape links = preorder
-# successors on both bounding-volume arenas; rope-mode range/restart kernels
-# bit-identical to the stacked code).
+# successors on both bounding-volume arenas; the one rope walk, under the
+# restart kernel's k-best list and the range kernel's radius, bit-identical to
+# the stacked traversals).
 run_kdtree() {
     cargo test -p psb-kdtree -q
+    cargo test -p psb-core --doc -q
     cargo test -p psb --test kdtree_parity -q
     cargo test -p psb --test ropes -q
 }
@@ -88,7 +93,9 @@ run_kdtree() {
 # psb-serve's own tests ride along: its runner executes cache misses ahead of
 # their turn on the pool, and its unit tests hold that to the one-at-a-time
 # loop (window of one vs whole batch) where a replica dies, a breaker trips or
-# a planned cache hit is not there. `dynamic_sstree` is here for the rebuild
+# a planned cache hit is not there. `kernel_fingerprint` rides along for its
+# pool-run rows: every kernel's wave form and the degraded rung must hash to
+# the golden table at either count. `dynamic_sstree` is here for the rebuild
 # protocol (every snapshot → build → install runs its build on the pool) and
 # for the dynamic router's maintained result cache: cached = uncached = linear
 # oracle through random inserts, removes and shard rebuilds; `admission` walks
@@ -101,7 +108,7 @@ run_threads() {
         RAYON_NUM_THREADS=$t cargo test -q -p psb-serve
         for suite in threads layout_parity schedule_parity wave_parity fastpath_parity \
             kdtree_parity shard_parity resilience_parity metrics_parity chaos admission \
-            tree_invariants dynamic_sstree; do
+            tree_invariants dynamic_sstree kernel_fingerprint; do
             RAYON_NUM_THREADS=$t cargo test -q -p psb --test "$suite"
         done
     done

@@ -294,7 +294,7 @@ impl DynamicSsTree {
         for (pos, p) in self.delta.iter().enumerate() {
             merged.push(Neighbor { dist: dist(q, p), id: self.delta_ids[pos] });
         }
-        merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        merged.sort_by(Neighbor::by_rank);
         merged.truncate(k.min(self.live.len()));
         merged
     }
@@ -330,7 +330,7 @@ impl DynamicSsTree {
                     .map(|n| Neighbor { dist: n.dist, id: self.delta_ids[n.id as usize] }),
             );
         }
-        merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        merged.sort_by(Neighbor::by_rank);
         merged.truncate(k.min(self.live.len()));
         (merged, stats)
     }
@@ -355,7 +355,7 @@ mod tests {
             .zip(&t.live_ids)
             .map(|(p, &id)| Neighbor { dist: dist(q, p), id })
             .collect();
-        v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        v.sort_by(Neighbor::by_rank);
         v.truncate(k.min(v.len()));
         v
     }

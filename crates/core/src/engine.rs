@@ -581,7 +581,7 @@ mod tests {
         let (_, tree, _) = setup();
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions::default();
-        let empty = PointSet::new(tree.dims());
+        let empty = PointSet::new(tree.dims);
         assert!(matches!(psb_batch(&tree, &empty, 4, &cfg, &opts), Err(EngineError::EmptyBatch)));
         let (plan, mut sink) = (FaultPlan::bit_flips(7, 2), VecSink::new());
         assert!(matches!(

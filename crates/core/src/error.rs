@@ -4,10 +4,10 @@
 //! `subtreeMaxLeafId` cursor; a corrupted link would otherwise turn the leaf
 //! sweep into an out-of-bounds read or an infinite loop, and an injected
 //! device fault would silently poison distances. The hardened kernel entry
-//! points (`*_try_query`) bounds-check every link they follow, run under a
-//! traversal step budget, and poll the device fault flags — converting every
-//! failure mode into a [`KernelError`] the engine's recovery ladder can act
-//! on.
+//! points (`Kernel::attempt` and its kind) bounds-check every link they
+//! follow, run under a traversal step budget, and poll the device fault flags
+//! — converting every failure mode into a [`KernelError`] the engine's
+//! recovery ladder can act on.
 
 use std::fmt;
 

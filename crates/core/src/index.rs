@@ -14,8 +14,15 @@
 //! `FlatTree<Rects>` (per-facet work, and a separate farthest-corner pass for
 //! MAXDIST), and node shape lives in their [`Volumes`] alone. Running the
 //! identical kernel over both turns the paper's §II-C computational-cost
-//! argument into a measurement. The only other implementation is the implicit
+//! argument into a measurement.
+//!
+//! Three traits, split on what a kernel may assume. [`PointIndex`] is the flat
+//! point array every index has — all the exact fallback scan reads.
+//! [`GpuIndex`] adds the n-ary bounding-volume structure the table kernels
+//! traverse; [`ImplicitKdIndex`] adds the heap arithmetic of the implicit
 //! kd-tree (`psb-kdtree`'s `LbKdTree`), which has no bounding volumes at all.
+//! Neither of the two extends the other, so handing a kd-tree to a
+//! bounding-volume kernel does not type-check.
 
 use psb_geom::DistKernel;
 use psb_sstree::{FlatTree, Volumes};
@@ -65,6 +72,27 @@ pub fn gather_leaf_sweep<T: GpuIndex + ?Sized>(
     }
 }
 
+/// The flat (reordered) point array under every index family: what the exact
+/// brute-force fallback scan reads, and all it reads — it follows no
+/// structural link, which is what makes it safe on a tree whose links are
+/// suspect.
+pub trait PointIndex: Sync {
+    /// Dimensionality of the indexed space.
+    fn dims(&self) -> usize;
+    /// Total number of indexed point positions (exclusive bound on valid
+    /// positions).
+    fn num_points(&self) -> usize;
+    /// Coordinates of the point positions `range`: one contiguous run of
+    /// row-major rows, the shape the batched distance kernels stream.
+    fn rows(&self, range: std::ops::Range<usize>) -> &[f32];
+    /// Coordinates at point position `pos`.
+    fn point(&self, pos: usize) -> &[f32] {
+        self.rows(pos..pos + 1)
+    }
+    /// Original dataset id at point position `pos`.
+    fn point_id(&self, pos: usize) -> u32;
+}
+
 /// A flattened n-ary spatial index traversable by the data-parallel kernels.
 ///
 /// Structural contract (checked by each implementation's `validate`):
@@ -72,9 +100,7 @@ pub fn gather_leaf_sweep<T: GpuIndex + ?Sized>(
 /// left-to-right and own contiguous runs of the reordered point array; every
 /// node knows the max leaf id under it; `leaf_node_of(l + 1)` is the right
 /// sibling of leaf `l`.
-pub trait GpuIndex: Sync {
-    /// Dimensionality of the indexed space.
-    fn dims(&self) -> usize;
+pub trait GpuIndex: PointIndex {
     /// Maximum children per node (= leaf capacity).
     fn degree(&self) -> usize;
     /// Root node id.
@@ -87,10 +113,6 @@ pub trait GpuIndex: Sync {
     fn parent(&self, n: u32) -> u32;
     /// Point positions of leaf `n`.
     fn leaf_points(&self, n: u32) -> std::ops::Range<usize>;
-    /// Coordinates at point position `pos`.
-    fn point(&self, pos: usize) -> &[f32];
-    /// Original dataset id at point position `pos`.
-    fn point_id(&self, pos: usize) -> u32;
     /// Dense left-to-right leaf number of leaf `n`.
     fn leaf_id(&self, n: u32) -> u32;
     /// Node id of leaf number `l`.
@@ -101,9 +123,6 @@ pub trait GpuIndex: Sync {
     /// hardened kernels bounds-check every followed link against this and
     /// derive their traversal step budget from it.
     fn num_nodes(&self) -> usize;
-    /// Total number of indexed point positions (exclusive bound on valid
-    /// positions). Also the domain of the exact brute-force fallback scan.
-    fn num_points(&self) -> usize;
     /// Largest leaf id under `n`'s subtree.
     fn subtree_max_leaf(&self, n: u32) -> u32;
     /// Rope (escape) link of node `n`: the next node in depth-first preorder
@@ -188,14 +207,47 @@ pub trait GpuIndex: Sync {
 /// (Wald's arithmetic parent-link traversal — see `kernels::stackfree`).
 ///
 /// The index *is* the reordered points array: every node holds exactly one
-/// point, children live at `2n + 1` / `2n + 2`, and the splitting plane is the
-/// node's own coordinate in the round-robin dimension — no bounding volumes,
-/// no child pointers, no per-node metadata. The [`GpuIndex`] supertrait keeps
-/// the family on the engine plumbing (recovery fallback, scheduling,
-/// `index_bytes`, inspection); the bounding-volume kernels themselves are
-/// **not** routed to it (`child_min_max` has nothing to evaluate — a
-/// documented opt-out).
-pub trait ImplicitKdIndex: GpuIndex {
+/// point, children live at `2n + 1` / `2n + 2`, the root at 0, and the
+/// splitting plane is the node's own coordinate in the round-robin dimension —
+/// no bounding volumes, no child pointers, no per-node metadata. The trait
+/// carries what the stack-free kernel reads and nothing else; the
+/// [`PointIndex`] supertrait puts the family on the engine plumbing (the
+/// recovery ladder's brute rung, scheduling).
+///
+/// It is **not** a [`GpuIndex`]: there is no bounding volume for PSB,
+/// branch-and-bound, restart, range or the wave engine to evaluate, so routing
+/// one of them here is a type error rather than a panic on a worker thread.
+/// The stack-free launch type-checks —
+///
+/// ```
+/// use psb_core::{stackfree_batch, KernelOptions};
+/// let points = psb_data::UniformSpec { len: 64, dims: 3, seed: 1 }.generate();
+/// let tree = psb_kdtree::LbKdTree::build(&points);
+/// let cfg = psb_gpu::DeviceConfig::k40();
+/// let found = stackfree_batch(&tree, &points, 4, &cfg, &KernelOptions::default());
+/// assert_eq!(found.expect("a non-empty batch").neighbors.len(), 64);
+/// ```
+///
+/// — and the same call through a bounding-volume kernel does not:
+///
+/// ```compile_fail,E0277
+/// use psb_core::{psb_batch, KernelOptions};
+/// let points = psb_data::UniformSpec { len: 64, dims: 3, seed: 1 }.generate();
+/// let tree = psb_kdtree::LbKdTree::build(&points);
+/// let cfg = psb_gpu::DeviceConfig::k40();
+/// let found = psb_batch(&tree, &points, 4, &cfg, &KernelOptions::default());
+/// assert_eq!(found.expect("a non-empty batch").neighbors.len(), 64);
+/// ```
+pub trait ImplicitKdIndex: PointIndex {
+    /// Number of nodes (exclusive bound on valid node ids; the root is 0).
+    fn num_nodes(&self) -> usize;
+    /// Whether `n` is a leaf.
+    fn is_leaf(&self, n: u32) -> bool;
+    /// Parent of `n` (`u32::MAX` for the root: the walk's exit).
+    fn parent(&self, n: u32) -> u32;
+    /// Depth of node `n` below the root (root = 0), for the per-level visit
+    /// histogram.
+    fn node_depth(&self, n: u32) -> u32;
     /// Point position held by node `n`. The left-balanced layout stores one
     /// point per node in heap order, so the default is the identity.
     fn node_point(&self, n: u32) -> usize {
@@ -204,12 +256,29 @@ pub trait ImplicitKdIndex: GpuIndex {
     /// Splitting dimension of node `n` (round-robin by depth in Wald's
     /// construction).
     fn split_dim(&self, n: u32) -> usize;
+    /// Bytes fetched per visited node — a node *is* one point entry.
+    fn point_entry_bytes(&self) -> u64;
+    /// Total modeled device-resident footprint of the index in bytes (see
+    /// [`GpuIndex::index_bytes`]).
+    fn index_bytes(&self) -> u64;
 }
 
-impl<V: Volumes> GpuIndex for FlatTree<V> {
+impl<V: Volumes> PointIndex for FlatTree<V> {
     fn dims(&self) -> usize {
         self.dims
     }
+    fn num_points(&self) -> usize {
+        self.points.len()
+    }
+    fn rows(&self, range: std::ops::Range<usize>) -> &[f32] {
+        &self.points.as_flat()[range.start * self.dims..range.end * self.dims]
+    }
+    fn point_id(&self, pos: usize) -> u32 {
+        self.point_ids[pos]
+    }
+}
+
+impl<V: Volumes> GpuIndex for FlatTree<V> {
     fn degree(&self) -> usize {
         self.degree
     }
@@ -228,12 +297,6 @@ impl<V: Volumes> GpuIndex for FlatTree<V> {
     fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
         FlatTree::leaf_points(self, n)
     }
-    fn point(&self, pos: usize) -> &[f32] {
-        self.points.point(pos)
-    }
-    fn point_id(&self, pos: usize) -> u32 {
-        self.point_ids[pos]
-    }
     fn leaf_id(&self, n: u32) -> u32 {
         self.leaf_id[n as usize]
     }
@@ -245,9 +308,6 @@ impl<V: Volumes> GpuIndex for FlatTree<V> {
     }
     fn num_nodes(&self) -> usize {
         FlatTree::num_nodes(self)
-    }
-    fn num_points(&self) -> usize {
-        self.points.len()
     }
     fn subtree_max_leaf(&self, n: u32) -> u32 {
         self.subtree_max_leaf[n as usize]
@@ -347,7 +407,7 @@ mod tests {
                 .generate();
         let tree = build(&ps, 16, &BuildMethod::Hilbert);
         let t: &dyn Fn(&SsTree) = &|tree| {
-            assert_eq!(GpuIndex::dims(tree), 3);
+            assert_eq!(PointIndex::dims(tree), 3);
             assert_eq!(GpuIndex::degree(tree), 16);
             let root = GpuIndex::root(tree);
             assert!(!GpuIndex::is_leaf(tree, root));

@@ -9,23 +9,23 @@
 //! child. That repeated work is metered here: an internal node whose `m`
 //! children get visited is fetched `m + 1` times.
 
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
 use crate::index::GpuIndex;
 
+use super::collector::{Collector, KnnCollector};
 use super::{
-    checked_children, checked_root, child_distances, fetch_internal, kth_maxdist, process_leaf,
-    Budget, Kernel, Scratch,
+    checked_children, checked_root, evaluate_children, fetch_internal, process_leaf,
+    reserve_static, Budget, Kernel, Scratch,
 };
-use crate::knnlist::GpuKnnList;
 use crate::options::KernelOptions;
 
 /// Runs one branch-and-bound query on a simulated block.
 ///
 /// Trusted-tree entry point: panics on a [`KernelError`], which a validated
-/// tree and a fault-free device can never produce. Use [`bnb_try_query`] to
+/// tree and a fault-free device can never produce. Use [`Kernel::attempt`] to
 /// handle corruption or injected faults.
 pub fn bnb_query<T: GpuIndex>(
     tree: &T,
@@ -34,55 +34,25 @@ pub fn bnb_query<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    bnb_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
-        .unwrap_or_else(|e| panic!("branch-and-bound kernel failed on a trusted tree: {e}"))
+    Kernel::Bnb { k }.trusted(tree, q, cfg, opts)
 }
 
-/// The hardened branch-and-bound kernel: typed errors instead of panics or
-/// hangs under corruption or injected device faults. Bit-identical to the
-/// original with `faults: None` on a valid tree.
 #[allow(clippy::too_many_arguments)]
-pub fn bnb_try_query<T: GpuIndex>(
+pub(super) fn traverse<T: GpuIndex, const M: bool>(
+    block: &mut Block<'_, M>,
+    budget: &mut Budget,
     tree: &T,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    Kernel::Bnb { k }.attempt(tree, q, cfg, opts, faults, sink)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(super) fn bnb_try_query_with<T: GpuIndex, const M: bool>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
-    block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
-    let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
-    block
-        .reserve_shared(static_smem, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
-    let mut pruning = f32::INFINITY;
-
+) -> Result<Vec<Neighbor>, KernelError> {
+    reserve_static(block, 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4, cfg)?;
+    let mut list = KnnCollector::new(block, k, cfg, opts);
     let root = checked_root(tree)?;
-    visit(tree, root, 0, q, k, opts, &mut block, &mut list, scratch, &mut pruning, &mut budget)?;
-    // Final poll: a fault in the last leaf processed would otherwise slip
-    // past the loop-head checks and reach the caller as a silent result.
-    if let Some(fault) = block.device_fault() {
-        return Err(fault.into());
-    }
-    Ok((list.into_sorted(), block.finish()))
+    visit(tree, root, 0, q, opts, block, &mut list, scratch, budget)?;
+    Ok(list.finish())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -91,12 +61,10 @@ fn visit<T: GpuIndex, const M: bool>(
     n: u32,
     level: u32,
     q: &[f32],
-    k: usize,
     opts: &KernelOptions,
     block: &mut Block<'_, M>,
-    list: &mut GpuKnnList,
+    list: &mut KnnCollector,
     scratch: &mut Scratch,
-    pruning: &mut f32,
     budget: &mut Budget,
 ) -> Result<(), KernelError> {
     budget.tick(block)?;
@@ -111,7 +79,6 @@ fn visit<T: GpuIndex, const M: bool>(
     }
     if tree.is_leaf(n) {
         process_leaf(block, tree, n, q, list, scratch, opts, false, level)?;
-        *pruning = pruning.min(list.bound());
         return Ok(());
     }
 
@@ -133,16 +100,12 @@ fn visit<T: GpuIndex, const M: bool>(
             block.backtrack(level + 1);
         }
         fetch_internal(block, tree, n, opts.layout, level);
-        child_distances(block, tree, n, q, opts.use_minmax_prune, false, scratch);
-        if opts.use_minmax_prune && scratch.sweep.max_d.len() >= k {
-            let bound = kth_maxdist(block, &scratch.sweep.max_d, k, &mut scratch.kth);
-            *pruning = pruning.min(bound);
-        }
+        evaluate_children(block, tree, n, q, list, scratch);
         // Select the unvisited child with the smallest in-bound MINDIST.
         block.par_reduce(cnt, 2);
         let mut best: Option<(usize, f32)> = None;
         for (i, &d) in scratch.sweep.min_d.iter().enumerate() {
-            if visited[i] || d >= *pruning {
+            if visited[i] || !list.admits(d) {
                 continue;
             }
             if best.is_none_or(|(_, bd)| d < bd) {
@@ -153,19 +116,8 @@ fn visit<T: GpuIndex, const M: bool>(
             None => return Ok(()),
             Some((i, _)) => {
                 visited[i] = true;
-                visit(
-                    tree,
-                    kids.start + i as u32,
-                    level + 1,
-                    q,
-                    k,
-                    opts,
-                    block,
-                    list,
-                    scratch,
-                    pruning,
-                    budget,
-                )?;
+                let child = kids.start + i as u32;
+                visit(tree, child, level + 1, q, opts, block, list, scratch, budget)?;
             }
         }
     }

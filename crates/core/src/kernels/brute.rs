@@ -10,11 +10,11 @@ use psb_geom::{DistKernel, PointSet};
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
+use super::collector::{Collector, KnnCollector};
+use super::{effective_metering, reserve_static, Budget, Kernel};
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::GpuIndex;
-use crate::kernels::{effective_metering, Budget};
-use crate::knnlist::GpuKnnList;
+use crate::index::PointIndex;
 use crate::options::{KernelOptions, Metering};
 
 /// Runs one brute-force query over the raw point set.
@@ -75,11 +75,8 @@ fn brute_try_query_with<const M: bool>(
     let mut budget = Budget::for_scan(points.len());
     let tile = block.threads() as usize;
     // Shared memory: the staged tile plus the k-best list.
-    let tile_bytes = (tile * points.dims() * 4) as u64;
-    block
-        .reserve_shared(tile_bytes, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
+    reserve_static(&mut block, (tile * points.dims() * 4) as u64, cfg)?;
+    let mut list = KnnCollector::new(&mut block, k, cfg, opts);
 
     let dims = points.dims();
     let dc = dist_cost(dims);
@@ -108,9 +105,7 @@ fn brute_try_query_with<const M: bool>(
             }
         }
         block.set_phase(Phase::ResultMerge);
-        for &(d, id) in &scratch.leaf {
-            list.offer(&mut block, d, id);
-        }
+        list.collect(&mut block, &scratch.leaf);
         block.sync();
         start += len;
     }
@@ -120,7 +115,7 @@ fn brute_try_query_with<const M: bool>(
     if let Some(fault) = block.device_fault() {
         return Err(fault.into());
     }
-    Ok((list.into_sorted(), block.finish()))
+    Ok((list.finish(), block.finish()))
 }
 
 /// Pick a tile size (in points) whose staging buffer fits in shared memory.
@@ -135,126 +130,64 @@ fn fallback_tile(threads: usize, dims: usize, smem_per_sm: u64) -> usize {
 }
 
 /// Exact brute-force kNN over an index's reordered point array — the last
-/// rung of the engine's recovery ladder. Runs with no fault state attached
-/// and clamps its tile to fit shared memory, so it cannot fail: it only
-/// reads the flat point array and never follows a structural link, which is
-/// what makes it safe to run on a tree whose links are suspect.
-pub fn brute_index_query<T: GpuIndex>(
+/// rung of the engine's recovery ladder ([`Kernel::fallback`] of the kNN
+/// kernels). Runs with no fault state attached and clamps its tile to fit
+/// shared memory, so it cannot fail: it only reads the flat point array and
+/// never follows a structural link, which is what makes it safe to run on a
+/// tree whose links are suspect.
+pub fn brute_index_query<T: PointIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    assert!(k >= 1, "k must be at least 1");
     assert!(tree.num_points() > 0, "brute-force fallback over zero points");
-    // No fault state here (the fallback never carries one), so the metering
-    // option applies directly.
-    match opts.metering {
-        Metering::Simulated => brute_index_query_with::<T, true>(tree, q, k, cfg, opts),
-        Metering::Off => brute_index_query_with::<T, false>(tree, q, k, cfg, opts),
-    }
+    Kernel::Psb { k }.fallback(tree, q, cfg, opts)
 }
 
-fn brute_index_query_with<T: GpuIndex, const M: bool>(
+/// The one fallback scan: stream the index's point array through shared
+/// memory tile by tile — exactly the brute-force kernel's loop, minus
+/// everything that can fail — and hand every tile's rows to the collector
+/// `collect` opens on the block (after the tile is reserved, so the k-best
+/// list's footprint stacks on top of it).
+pub(super) fn brute_index_scan<T: PointIndex, C: Collector, const M: bool>(
     tree: &T,
     q: &[f32],
-    k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
+    collect: impl FnOnce(&mut Block<'static, M>) -> C,
 ) -> (Vec<Neighbor>, KernelStats) {
-    let n = tree.num_points();
+    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
+    let (n, dims) = (tree.num_points(), tree.dims());
     let mut block: Block<'static, M> = Block::new(opts.threads_per_block, cfg);
-    let tile = fallback_tile(block.threads() as usize, tree.dims(), cfg.smem_per_sm);
-    let tile_bytes = (tile * tree.dims() * 4) as u64;
+    let tile = fallback_tile(block.threads() as usize, dims, cfg.smem_per_sm);
     // fallback_tile guarantees this fits (down to a single point per tile).
-    let _ = block.reserve_shared(tile_bytes, cfg.smem_per_sm);
-    let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
+    let _ = block.reserve_shared((tile * dims * 4) as u64, cfg.smem_per_sm);
+    let mut collector = collect(&mut block);
 
-    let dc = dist_cost(tree.dims());
+    let dc = dist_cost(dims);
     // Resolved once per launch, not per point: the fallback scans the whole
     // dataset, so per-call dispatch would dominate small dims.
-    let dk = DistKernel::for_dims_lanes(tree.dims(), opts.lanes);
-    let mut dists: Vec<(f32, u32)> = Vec::with_capacity(tile);
+    let dk = DistKernel::for_dims_lanes(dims, opts.lanes);
+    let mut dists: Vec<f32> = Vec::with_capacity(tile);
+    let mut rows: Vec<(f32, u32)> = Vec::with_capacity(tile);
     let mut start = 0usize;
     while start < n {
         block.set_phase(Phase::LeafScan);
         let len = tile.min(n - start);
-        block.load_global_stream((len * tree.dims() * 4) as u64);
+        block.load_global_stream((len * dims * 4) as u64);
+        block.par_for(len, dc, |_| {});
         dists.clear();
-        block.par_for(len, dc, |i| {
-            let p = start + i;
-            dists.push((dk.dist(q, tree.point(p)), tree.point_id(p)));
-        });
+        dk.dist_rows(q, tree.rows(start..start + len), &mut dists);
+        rows.clear();
+        rows.extend(dists.iter().enumerate().map(|(i, &d)| (d, tree.point_id(start + i))));
         block.set_phase(Phase::ResultMerge);
-        for &(d, id) in &dists {
-            list.offer(&mut block, d, id);
-        }
+        collector.collect(&mut block, &rows);
         block.sync();
         start += len;
     }
-    (list.into_sorted(), block.finish())
-}
-
-/// Exact brute-force range scan over an index's point array — the recovery
-/// fallback for [`range_try_query`](super::range::range_try_query). Same
-/// no-links, no-faults, clamped-tile guarantees as [`brute_index_query`].
-pub(crate) fn brute_index_range<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> (Vec<Neighbor>, KernelStats) {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    match opts.metering {
-        Metering::Simulated => brute_index_range_with::<T, true>(tree, q, radius, cfg, opts),
-        Metering::Off => brute_index_range_with::<T, false>(tree, q, radius, cfg, opts),
-    }
-}
-
-fn brute_index_range_with<T: GpuIndex, const M: bool>(
-    tree: &T,
-    q: &[f32],
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> (Vec<Neighbor>, KernelStats) {
-    let n = tree.num_points();
-    let mut block: Block<'static, M> = Block::new(opts.threads_per_block, cfg);
-    let tile = fallback_tile(block.threads() as usize, tree.dims(), cfg.smem_per_sm);
-    let tile_bytes = (tile * tree.dims() * 4) as u64;
-    let _ = block.reserve_shared(tile_bytes, cfg.smem_per_sm);
-
-    let dc = dist_cost(tree.dims());
-    let dk = DistKernel::for_dims_lanes(tree.dims(), opts.lanes);
-    let mut out: Vec<Neighbor> = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        block.set_phase(Phase::LeafScan);
-        let len = tile.min(n - start);
-        block.load_global_stream((len * tree.dims() * 4) as u64);
-        let mut hits = 0u64;
-        block.par_for(len, dc, |i| {
-            let p = start + i;
-            let d = dk.dist(q, tree.point(p));
-            if d <= radius {
-                out.push(Neighbor { dist: d, id: tree.point_id(p) });
-                hits += 1;
-            }
-        });
-        block.set_phase(Phase::ResultMerge);
-        if hits > 0 {
-            block.scalar(2);
-            block.load_global_stream(hits * 8);
-        }
-        block.sync();
-        start += len;
-    }
-    out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-    (out, block.finish())
+    (collector.finish(), block.finish())
 }
 
 #[cfg(test)]

@@ -1,0 +1,266 @@
+//! What a query *collects* — the one place the kNN-or-range decision lives.
+//!
+//! The paper's traversal is one algorithm (Algorithm 1's left-to-right sweep),
+//! and its own §VI notes that the machinery carries over to range queries when
+//! the bound stops moving. Every traversal in this crate — the stacked sweep,
+//! the rope walk, the restart and branch-and-bound kernels, the wave engine's
+//! per-node step and the fallback scan — is therefore written once over a
+//! [`Collector`], with two static-dispatch implementations:
+//!
+//! * [`KnnCollector`]: a [`GpuKnnList`] plus the pruning distance. A subtree
+//!   is admitted while its MINDIST is **strictly** inside the bound (PSB
+//!   line 17), the bound tightens with every improving row and with the
+//!   k-th-MAXDIST rule, and rows are offered one by one.
+//! * [`RangeCollector`]: the fixed radius. Admission is **inclusive** (a
+//!   point at exactly `radius` is in range), nothing tightens, and hits are
+//!   appended to a global output buffer — metered as streaming writes, the
+//!   way a real kernel would append via an atomic cursor.
+
+use psb_gpu::{Block, DeviceConfig};
+use psb_sstree::Neighbor;
+
+use crate::knnlist::GpuKnnList;
+use crate::options::KernelOptions;
+
+/// The result side of a traversal: which subtrees can still contribute, how
+/// the bound moves, and what happens to a leaf's rows.
+pub(crate) trait Collector {
+    /// Whether a subtree (or row) at distance `mindist` can still contribute.
+    fn admits(&self, mindist: f32) -> bool;
+
+    /// Whether child sweeps should compute MAXDISTs: only a collector that
+    /// [`tighten`](Self::tighten)s on them has a use for the extra pass.
+    fn wants_maxdist(&self) -> bool;
+
+    /// Tighten the bound from an internal node's child MAXDISTs. Returns the
+    /// bound this node contributed, if it contributed one (what PSB's sweep
+    /// memo stores for [`replay`](Self::replay)).
+    fn tighten<const M: bool>(
+        &mut self,
+        block: &mut Block<'_, M>,
+        max_d: &[f32],
+        tmp: &mut Vec<f32>,
+    ) -> Option<f32>;
+
+    /// A revisit's [`tighten`](Self::tighten): the same metering over
+    /// `children` lanes, with the stored `bound` instead of the selection.
+    fn replay<const M: bool>(&mut self, block: &mut Block<'_, M>, children: usize, bound: f32);
+
+    /// Take a leaf's (or tile's) `(distance, id)` rows. Returns true when the
+    /// collector took something: the sweep's continue-scanning test.
+    fn collect<const M: bool>(&mut self, block: &mut Block<'_, M>, rows: &[(f32, u32)]) -> bool;
+
+    /// The result, in canonical [`Neighbor::by_rank`] order.
+    fn finish(self) -> Vec<Neighbor>;
+}
+
+/// kNN: the k-best list and its pruning distance.
+pub(crate) struct KnnCollector {
+    list: GpuKnnList,
+    /// min(k-th best distance so far, every k-th-MAXDIST bound seen).
+    pruning: f32,
+    k: usize,
+    minmax: bool,
+}
+
+impl KnnCollector {
+    /// An empty k-best list, its shared-memory footprint reserved on `block`,
+    /// under an infinite bound.
+    pub(crate) fn new<const M: bool>(
+        block: &mut Block<'_, M>,
+        k: usize,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Self {
+        let list = GpuKnnList::new(k, opts.smem_policy, block, cfg.smem_per_sm);
+        Self { list, pruning: f32::INFINITY, k, minmax: opts.use_minmax_prune }
+    }
+}
+
+impl Collector for KnnCollector {
+    fn admits(&self, mindist: f32) -> bool {
+        mindist < self.pruning
+    }
+
+    fn wants_maxdist(&self) -> bool {
+        self.minmax
+    }
+
+    fn tighten<const M: bool>(
+        &mut self,
+        block: &mut Block<'_, M>,
+        max_d: &[f32],
+        tmp: &mut Vec<f32>,
+    ) -> Option<f32> {
+        // Fewer than k children bound nothing: the k-th nearest neighbor need
+        // not lie under this node at all.
+        if !self.minmax || max_d.len() < self.k {
+            return None;
+        }
+        let bound = kth_maxdist(block, max_d, self.k, tmp);
+        self.pruning = self.pruning.min(bound);
+        Some(bound)
+    }
+
+    fn replay<const M: bool>(&mut self, block: &mut Block<'_, M>, children: usize, bound: f32) {
+        block.par_kth_select(children, self.k);
+        self.pruning = self.pruning.min(bound);
+    }
+
+    fn collect<const M: bool>(&mut self, block: &mut Block<'_, M>, rows: &[(f32, u32)]) -> bool {
+        let mut changed = false;
+        for &(d, id) in rows {
+            changed |= self.list.offer(block, d, id);
+        }
+        self.pruning = self.pruning.min(self.list.bound());
+        changed
+    }
+
+    fn finish(self) -> Vec<Neighbor> {
+        self.list.into_sorted()
+    }
+}
+
+/// The k-th smallest MAXDIST bound (Algorithm 1 line 14): an upper bound on the
+/// k-th nearest neighbor distance, valid because each of the k nearest child
+/// subtrees contains at least one point no farther than its MAXDIST.
+/// Only callable when the node has at least k children. `tmp` is pooled
+/// scratch; the selected element is the same one a full `total_cmp` sort would
+/// put at position `k - 1` (equal keys are bit-identical under a total order).
+fn kth_maxdist<const M: bool>(
+    block: &mut Block<'_, M>,
+    max_d: &[f32],
+    k: usize,
+    tmp: &mut Vec<f32>,
+) -> f32 {
+    debug_assert!(max_d.len() >= k && k >= 1);
+    block.par_kth_select(max_d.len(), k);
+    tmp.clear();
+    tmp.extend_from_slice(max_d);
+    let (_, kth, _) = tmp.select_nth_unstable_by(k - 1, f32::total_cmp);
+    *kth
+}
+
+/// Fixed-radius range: every point within `radius`, bound never moving.
+pub(crate) struct RangeCollector {
+    radius: f32,
+    hits: Vec<Neighbor>,
+}
+
+impl RangeCollector {
+    pub(crate) fn new(radius: f32) -> Self {
+        Self { radius, hits: Vec::new() }
+    }
+}
+
+impl Collector for RangeCollector {
+    fn admits(&self, mindist: f32) -> bool {
+        mindist <= self.radius
+    }
+
+    fn wants_maxdist(&self) -> bool {
+        false
+    }
+
+    fn tighten<const M: bool>(
+        &mut self,
+        _block: &mut Block<'_, M>,
+        _max_d: &[f32],
+        _tmp: &mut Vec<f32>,
+    ) -> Option<f32> {
+        None
+    }
+
+    fn replay<const M: bool>(&mut self, _block: &mut Block<'_, M>, _children: usize, _bound: f32) {}
+
+    fn collect<const M: bool>(&mut self, block: &mut Block<'_, M>, rows: &[(f32, u32)]) -> bool {
+        let mut hits = 0u64;
+        for &(dist, id) in rows {
+            if self.admits(dist) {
+                self.hits.push(Neighbor { dist, id });
+                hits += 1;
+            }
+        }
+        if hits > 0 {
+            // Append to the global output buffer (atomic cursor + rows).
+            block.scalar(2);
+            block.load_global_stream(hits * 8);
+        }
+        hits > 0
+    }
+
+    fn finish(mut self) -> Vec<Neighbor> {
+        self.hits.sort_by(Neighbor::by_rank);
+        self.hits
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psb_gpu::KernelStats;
+
+    fn block() -> (Block<'static>, DeviceConfig) {
+        let cfg = DeviceConfig::k40();
+        (Block::new(32, &cfg), cfg)
+    }
+
+    #[test]
+    fn range_admits_the_radius_itself_and_knn_does_not_admit_its_bound() {
+        let range = RangeCollector::new(5.0);
+        assert!(range.admits(5.0), "a point at exactly the radius is in range");
+        assert!(!range.admits(5.0f32.next_up()));
+
+        let (mut b, cfg) = block();
+        let mut knn = KnnCollector::new(&mut b, 2, &cfg, &KernelOptions::default());
+        assert!(knn.admits(f32::MAX), "nothing is pruned before k candidates exist");
+        assert!(knn.collect(&mut b, &[(3.0, 0), (5.0, 1)]));
+        assert!(!knn.admits(5.0), "a subtree at exactly the k-th distance cannot improve the list");
+        assert!(knn.admits(5.0f32.next_down()));
+        // A row at the bound is not an improvement either.
+        assert!(!knn.collect(&mut b, &[(5.0, 2)]));
+        assert_eq!(knn.finish().iter().map(|n| n.id).collect::<Vec<_>>(), [0, 1]);
+    }
+
+    #[test]
+    fn a_leaf_with_no_row_in_range_meters_nothing() {
+        let (mut b, _) = block();
+        let mut range = RangeCollector::new(1.0);
+        let before: KernelStats = *b.stats();
+        assert!(!range.collect(&mut b, &[(1.5, 0), (2.0, 1), (f32::NAN, 2)]));
+        assert_eq!(*b.stats(), before, "no hit, no output row, no metering");
+        assert!(range.collect(&mut b, &[(1.0, 3), (0.5, 4), (1.5, 5)]));
+        assert_eq!(b.stats().global_bytes - before.global_bytes, 2 * 8, "two 8-byte rows");
+        let ids: Vec<u32> = range.finish().iter().map(|n| n.id).collect();
+        assert_eq!(ids, [4, 3], "canonical order: ascending distance");
+    }
+
+    #[test]
+    fn knn_tightens_only_with_k_children_and_replays_the_same_metering() {
+        let (mut b, cfg) = block();
+        let opts = KernelOptions::default();
+        let mut tmp = Vec::new();
+        let mut knn = KnnCollector::new(&mut b, 3, &cfg, &opts);
+        assert_eq!(knn.tighten(&mut b, &[4.0, 2.0], &mut tmp), None, "two children, k = 3");
+        assert!(knn.admits(1e30));
+        let fresh = *b.stats();
+        assert_eq!(knn.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), Some(7.0));
+        assert!(knn.admits(6.9) && !knn.admits(7.0));
+        let first = *b.stats();
+
+        let mut again = KnnCollector::new(&mut b, 3, &cfg, &opts);
+        let start = *b.stats();
+        again.replay(&mut b, 4, 7.0);
+        assert!(again.admits(6.9) && !again.admits(7.0));
+        assert_eq!(
+            b.stats().compute_issues - start.compute_issues,
+            first.compute_issues - fresh.compute_issues,
+            "a replayed bound costs what computing it cost"
+        );
+
+        let off = KernelOptions { use_minmax_prune: false, ..Default::default() };
+        let mut plain = KnnCollector::new(&mut b, 3, &cfg, &off);
+        assert!(!plain.wants_maxdist());
+        assert_eq!(plain.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), None);
+    }
+}

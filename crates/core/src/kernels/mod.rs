@@ -11,6 +11,7 @@
 
 pub mod bnb;
 pub mod brute;
+pub(crate) mod collector;
 pub mod psb;
 pub mod range;
 pub mod restart;
@@ -20,13 +21,13 @@ pub mod tpss;
 use std::cell::RefCell;
 
 use psb_geom::{DistKernel, DistLanes};
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
+use self::collector::{Collector, KnnCollector, RangeCollector};
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::{GpuIndex, SweepScratch};
-use crate::knnlist::GpuKnnList;
+use crate::index::{GpuIndex, PointIndex, SweepScratch, NO_ROPE};
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
 /// What one query returns: its exact neighbors and the block's counters.
@@ -61,8 +62,12 @@ impl Kernel {
         }
     }
 
-    /// One hardened launch of this kernel for query `q` — what the kernel's
-    /// `*_try_query` is — under `faults` if any, mirrored into `sink`.
+    /// One hardened launch of this kernel for query `q`, under `faults` if any:
+    /// it bounds-checks every structural link it follows, runs under a
+    /// traversal step budget, polls the device fault flags at each step, and
+    /// reports failure as a typed [`KernelError`] instead of panicking or
+    /// hanging. Every metering call is mirrored into `sink` (observation
+    /// only: neighbors and counters are bit-identical under any sink).
     pub fn attempt<T: GpuIndex>(
         &self,
         tree: &T,
@@ -73,12 +78,7 @@ impl Kernel {
         sink: &mut dyn TraceSink,
     ) -> Result<Found, KernelError> {
         assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-        match *self {
-            Kernel::Range { radius } => assert!(radius >= 0.0, "radius must be non-negative"),
-            Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
-                assert!(k >= 1, "k must be at least 1")
-            }
-        }
+        self.check_parameter();
         // One launch-time dispatch monomorphizes the whole traversal for the
         // metering mode — no per-load branch anywhere in the hot loop.
         with_scratch(tree.dims(), opts.lanes, |scratch| {
@@ -91,6 +91,33 @@ impl Kernel {
         })
     }
 
+    /// [`attempt`](Self::attempt) on a trusted tree — what the kernels'
+    /// `*_query` entry points are: panics on a [`KernelError`], which a
+    /// validated tree and a fault-free device can never produce.
+    pub(crate) fn trusted<T: GpuIndex>(
+        &self,
+        tree: &T,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Found {
+        self.attempt(tree, q, cfg, opts, None, &mut NoopSink)
+            .unwrap_or_else(|e| panic!("{} kernel failed on a trusted tree: {e}", self.label()))
+    }
+
+    /// The launch-time precondition on the kernel's own parameter.
+    pub(crate) fn check_parameter(&self) {
+        match *self {
+            Kernel::Range { radius } => assert!(radius >= 0.0, "radius must be non-negative"),
+            Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
+                assert!(k >= 1, "k must be at least 1")
+            }
+        }
+    }
+
+    /// What every table kernel does around its traversal: open the block on
+    /// `sink`, attach the fault state, start the step budget — and, after the
+    /// traversal, poll the device once more before closing the block.
     #[allow(clippy::too_many_arguments)]
     fn run<T: GpuIndex, const M: bool>(
         &self,
@@ -102,25 +129,43 @@ impl Kernel {
         sink: &mut dyn TraceSink,
         s: &mut Scratch,
     ) -> Result<Found, KernelError> {
-        match *self {
-            Kernel::Psb { k } => {
-                psb::psb_try_query_with::<T, M>(tree, q, k, cfg, opts, faults, sink, s, true)
-            }
-            Kernel::Bnb { k } => {
-                bnb::bnb_try_query_with::<T, M>(tree, q, k, cfg, opts, faults, sink, s)
-            }
-            Kernel::Restart { k } => {
-                restart::restart_try_query_with::<T, M>(tree, q, k, cfg, opts, faults, sink, s)
-            }
-            Kernel::Range { radius } => {
-                range::range_try_query_with::<T, M>(tree, q, radius, cfg, opts, faults, sink, s)
-            }
+        let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
+        block.set_faults(faults);
+        let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree());
+        let (b, t) = (&mut block, &mut budget);
+        let found = match *self {
+            Kernel::Psb { k } => psb::traverse(b, t, tree, q, k, cfg, opts, s, true),
+            Kernel::Bnb { k } => bnb::traverse(b, t, tree, q, k, cfg, opts, s),
+            Kernel::Restart { k } => restart::traverse(b, t, tree, q, k, cfg, opts, s),
+            Kernel::Range { radius } => range::traverse(b, t, tree, q, radius, cfg, opts, s),
+        }?;
+        // Final poll: a fault in the last leaf processed would otherwise slip
+        // past the loop-head checks and reach the caller as a silent result.
+        if let Some(fault) = block.device_fault() {
+            return Err(fault.into());
         }
+        Ok((found, block.finish()))
     }
 
     /// The last rung of the recovery ladder: an exact brute-force scan of the
     /// index's flat point array that follows no link and cannot fail.
-    pub fn fallback<T: GpuIndex>(
+    pub fn fallback<T: PointIndex>(
+        &self,
+        tree: &T,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Found {
+        self.check_parameter();
+        // No fault state here (the fallback never carries one), so the
+        // metering option applies directly.
+        match opts.metering {
+            Metering::Simulated => self.scan::<T, true>(tree, q, cfg, opts),
+            Metering::Off => self.scan::<T, false>(tree, q, cfg, opts),
+        }
+    }
+
+    fn scan<T: PointIndex, const M: bool>(
         &self,
         tree: &T,
         q: &[f32],
@@ -129,9 +174,15 @@ impl Kernel {
     ) -> Found {
         match *self {
             Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
-                brute::brute_index_query(tree, q, k, cfg, opts)
+                brute::brute_index_scan::<T, _, M>(tree, q, cfg, opts, |block| {
+                    KnnCollector::new(block, k, cfg, opts)
+                })
             }
-            Kernel::Range { radius } => brute::brute_index_range(tree, q, radius, cfg, opts),
+            Kernel::Range { radius } => {
+                brute::brute_index_scan::<T, _, M>(tree, q, cfg, opts, |_| {
+                    RangeCollector::new(radius)
+                })
+            }
         }
     }
 }
@@ -153,8 +204,8 @@ pub(crate) fn effective_metering(opts: &KernelOptions, faulted: bool) -> Meterin
 /// Traversal step budget: generous enough that no valid tree can come close
 /// (branch-and-bound revisits each internal node at most `degree + 1` times),
 /// tight enough that a corruption-induced cycle is cut off promptly.
-pub(crate) fn step_budget<T: GpuIndex>(tree: &T) -> u64 {
-    16 * (tree.num_nodes() as u64 + 2) * (tree.degree() as u64 + 2) + 1024
+pub(crate) fn step_budget(num_nodes: usize, degree: usize) -> u64 {
+    16 * (num_nodes as u64 + 2) * (degree as u64 + 2) + 1024
 }
 
 /// The per-launch hardening ledger: a step counter against a budget, polled
@@ -165,9 +216,9 @@ pub(crate) struct Budget {
 }
 
 impl Budget {
-    /// Budget for a tree traversal.
-    pub(crate) fn for_tree<T: GpuIndex>(tree: &T) -> Self {
-        Self { steps: 0, limit: step_budget(tree) }
+    /// Budget for a traversal of `num_nodes` nodes of fan-out `degree`.
+    pub(crate) fn for_nodes(num_nodes: usize, degree: usize) -> Self {
+        Self { steps: 0, limit: step_budget(num_nodes, degree) }
     }
 
     /// Budget for a linear scan over `n` items in tiles.
@@ -207,8 +258,9 @@ pub(crate) fn checked_node<T: GpuIndex>(
     }
 }
 
-/// Bounds-check an internal node's child range. The range must be non-empty
-/// and lie inside the node array.
+/// Bounds-check an internal node's child range. The range must lie inside the
+/// node array (checked first: a link past the array is a bad link whatever
+/// count comes with it) and be non-empty.
 pub(crate) fn checked_children<T: GpuIndex>(
     tree: &T,
     n: u32,
@@ -217,9 +269,6 @@ pub(crate) fn checked_children<T: GpuIndex>(
         return Err(KernelError::CorruptNode { node: n, detail: "expected an internal node" });
     }
     let kids = tree.children(n);
-    if kids.is_empty() {
-        return Err(KernelError::CorruptNode { node: n, detail: "internal node with no children" });
-    }
     let limit = tree.num_nodes() as u64;
     if kids.start as u64 >= limit || kids.end as u64 > limit {
         return Err(KernelError::LinkOutOfBounds {
@@ -228,6 +277,9 @@ pub(crate) fn checked_children<T: GpuIndex>(
             target: kids.end as u64,
             limit,
         });
+    }
+    if kids.is_empty() {
+        return Err(KernelError::CorruptNode { node: n, detail: "internal node with no children" });
     }
     Ok(kids)
 }
@@ -426,27 +478,60 @@ impl SweepMemo {
     }
 }
 
-/// PSB's leftmost-qualifying-child selection (Algorithm 1 lines 16–26), shared
-/// by the first-visit sweep and the memo-replay path so both meter identically:
-/// one parallel predicate evaluation, a ballot/find-first-set reduction, and
-/// the serial pick.
-pub(crate) fn leftmost_qualifying<T: GpuIndex, const M: bool>(
+/// The sweep's leftmost-qualifying-child selection (Algorithm 1 lines 16–26),
+/// shared by the first-visit sweep, the memo-replay path and the restart
+/// kernel's re-descents so all meter identically: one parallel predicate
+/// evaluation, a ballot/find-first-set reduction, and the serial pick of the
+/// first child the collector still admits whose subtree holds unvisited leaves.
+pub(crate) fn leftmost_qualifying<T: GpuIndex, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     kids: std::ops::Range<u32>,
     min_d: &[f32],
-    pruning: f32,
+    collector: &C,
     visited: i64,
 ) -> Option<u32> {
     block.par_for(kids.len(), 1, |_| {});
     block.par_reduce(kids.len(), 1);
     block.scalar(2);
     for (i, c) in kids.enumerate() {
-        if min_d[i] < pruning && tree.subtree_max_leaf(c) as i64 > visited {
+        if collector.admits(min_d[i]) && tree.subtree_max_leaf(c) as i64 > visited {
             return Some(c);
         }
     }
     None
+}
+
+/// One step up a parent link from `n` at `level`: the backtrack PSB and the
+/// stacked range sweep take when a subtree is exhausted. Returns the parent
+/// and its level.
+pub(crate) fn ascend<T: GpuIndex, const M: bool>(
+    block: &mut Block<'_, M>,
+    tree: &T,
+    n: u32,
+    level: u32,
+) -> Result<(u32, u32), KernelError> {
+    block.set_phase(Phase::Backtrack);
+    block.backtrack(level);
+    block.scalar(1); // follow the parent link
+    let parent = checked_node(tree, "parent", n, tree.parent(n))?;
+    let level = level.checked_sub(1).ok_or(KernelError::CorruptNode {
+        node: parent,
+        detail: "parent chain deeper than the descent that reached it",
+    })?;
+    Ok((parent, level))
+}
+
+/// Reserve a kernel's static shared memory (its per-child distance arrays,
+/// its staged tile), or fail the launch with a typed error.
+pub(crate) fn reserve_static<const M: bool>(
+    block: &mut Block<'_, M>,
+    bytes: u64,
+    cfg: &DeviceConfig,
+) -> Result<(), KernelError> {
+    block
+        .reserve_shared(bytes, cfg.smem_per_sm)
+        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })
 }
 
 thread_local! {
@@ -478,25 +563,26 @@ pub(crate) fn with_scratch<R>(
     })
 }
 
-/// Fetch a leaf, compute all point distances in parallel, and push improvements
-/// into the k-best list. Returns true when the list changed (PSB's
-/// continue-scanning test). `sequential` marks sibling-scan arrivals.
+/// Fetch a leaf, compute all point distances in parallel, and hand the rows
+/// to the collector. Returns true when the collector took something (PSB's
+/// continue-scanning test: the k-best list changed, or the range produced
+/// hits). `sequential` marks sibling-scan arrivals.
 ///
 /// Hardening: the leaf's point range is bounds-checked before it is scanned,
 /// and every computed distance passes through the block's fault injector (a
 /// no-op without an attached fault state).
 ///
 /// Phase choreography: the fetch and the distance sweep run under
-/// [`Phase::LeafScan`]; offering into the k-best list runs under
-/// [`Phase::ResultMerge`], which is left set on return — callers re-set their
-/// phase at the next branch they take.
+/// [`Phase::LeafScan`]; collecting runs under [`Phase::ResultMerge`], which is
+/// left set on return — callers re-set their phase at the next branch they
+/// take.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn process_leaf<T: GpuIndex, const M: bool>(
+pub(crate) fn process_leaf<T: GpuIndex, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
     q: &[f32],
-    list: &mut GpuKnnList,
+    collector: &mut C,
     scratch: &mut Scratch,
     opts: &KernelOptions,
     sequential: bool,
@@ -523,11 +609,7 @@ pub(crate) fn process_leaf<T: GpuIndex, const M: bool>(
         }
     }
     block.set_phase(Phase::ResultMerge);
-    let mut changed = false;
-    for &(d, id) in &scratch.leaf {
-        changed |= list.offer(block, d, id);
-    }
-    Ok(changed)
+    Ok(collector.collect(block, &scratch.leaf))
 }
 
 /// Compute MINDIST (and optionally MAXDIST and the anchor distance) for every
@@ -568,11 +650,26 @@ pub(crate) fn child_distances<T: GpuIndex, const M: bool>(
     }
 }
 
+/// An internal node's first-visit evaluation: sweep the children (MAXDISTs too
+/// when the collector tightens on them) into the scratch buffers, then let the
+/// collector tighten its bound. Returns the bound it tightened to, if any.
+pub(crate) fn evaluate_children<T: GpuIndex, C: Collector, const M: bool>(
+    block: &mut Block<'_, M>,
+    tree: &T,
+    n: u32,
+    q: &[f32],
+    collector: &mut C,
+    scratch: &mut Scratch,
+) -> Option<f32> {
+    child_distances(block, tree, n, q, collector.wants_maxdist(), false, scratch);
+    collector.tighten(block, &scratch.sweep.max_d, &mut scratch.kth)
+}
+
 /// Follow node `n`'s rope (escape) link, metered as one pointer-sized load
-/// plus the branch. Returns [`NO_ROPE`](crate::index::NO_ROPE) at the end of
+/// plus the branch. Returns [`NO_ROPE`] at the end of
 /// the preorder sweep; any other target is bounds-checked like every
 /// structural link.
-pub(crate) fn checked_rope<T: GpuIndex, const M: bool>(
+fn checked_rope<T: GpuIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
@@ -580,8 +677,8 @@ pub(crate) fn checked_rope<T: GpuIndex, const M: bool>(
     block.scalar(1);
     block.load_global(4);
     let r = tree.rope(n);
-    if r == crate::index::NO_ROPE {
-        Ok(crate::index::NO_ROPE)
+    if r == NO_ROPE {
+        Ok(NO_ROPE)
     } else {
         checked_node(tree, "rope", n, r)
     }
@@ -592,7 +689,7 @@ pub(crate) fn checked_rope<T: GpuIndex, const M: bool>(
 /// its own entry instead of the parent sweeping all children at once. Metered
 /// as a one-item sweep at the index's node-shape cost; the bound passes
 /// through the fault injector exactly like the batched sweep's.
-pub(crate) fn node_min_dist<T: GpuIndex, const M: bool>(
+fn node_min_dist<T: GpuIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
@@ -607,24 +704,50 @@ pub(crate) fn node_min_dist<T: GpuIndex, const M: bool>(
     d
 }
 
-/// The k-th smallest MAXDIST bound (Algorithm 1 line 14): an upper bound on the
-/// k-th nearest neighbor distance, valid because each of the k nearest child
-/// subtrees contains at least one point no farther than its MAXDIST.
-/// Only callable when the node has at least k children. `tmp` is pooled
-/// scratch; the selected element is the same one a full `total_cmp` sort would
-/// put at position `k - 1` (equal keys are bit-identical under a total order).
-pub(crate) fn kth_maxdist<const M: bool>(
+/// The rope traversal (DESIGN.md "Stack-free kd kernel and rope modes"): one
+/// preorder pass with **no** per-level state — no level counter, no parent
+/// backtracking, no re-descent from the root, no `visitedLeafId` cursor. Every
+/// arriving node evaluates its own volume; qualifying internal nodes fall
+/// through to their first child, everything else follows the escape link
+/// until it runs off the rightmost spine. Exactness: a subtree is skipped only
+/// when the collector no longer admits its MINDIST — a bound that never grows
+/// — so the node set *entered* is exactly the stacked sweep's (a node is
+/// entered iff its volume qualifies and its ancestors' do; `tests/ropes.rs`
+/// pins the equivalence) and the same leaves produce the same rows. A leaf a
+/// priming descent already scanned is revisited once, which is harmless: the
+/// k-best list rejects exact duplicates.
+pub(crate) fn rope_walk<T: GpuIndex, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
-    max_d: &[f32],
-    k: usize,
-    tmp: &mut Vec<f32>,
-) -> f32 {
-    debug_assert!(max_d.len() >= k && k >= 1);
-    block.par_kth_select(max_d.len(), k);
-    tmp.clear();
-    tmp.extend_from_slice(max_d);
-    let (_, kth, _) = tmp.select_nth_unstable_by(k - 1, f32::total_cmp);
-    *kth
+    budget: &mut Budget,
+    tree: &T,
+    q: &[f32],
+    collector: &mut C,
+    opts: &KernelOptions,
+    scratch: &mut Scratch,
+) -> Result<(), KernelError> {
+    let mut n = checked_root(tree)?;
+    loop {
+        budget.tick(block)?;
+        block.set_phase(Phase::Descend);
+        // The root carries no volume worth testing (it always qualifies);
+        // every other arrival fetches and evaluates its own entry.
+        let qualifies = n == tree.root() || collector.admits(node_min_dist(block, tree, n, q));
+        let next = if !qualifies {
+            block.set_phase(Phase::Backtrack);
+            checked_rope(block, tree, n)?
+        } else if tree.is_leaf(n) {
+            process_leaf(block, tree, n, q, collector, scratch, opts, false, tree.node_depth(n))?;
+            block.set_phase(Phase::Backtrack);
+            checked_rope(block, tree, n)?
+        } else {
+            block.visit_node(tree.node_depth(n), NodeKind::Internal);
+            checked_children(tree, n)?.start
+        };
+        if next == NO_ROPE {
+            return Ok(());
+        }
+        n = next;
+    }
 }
 
 #[cfg(test)]

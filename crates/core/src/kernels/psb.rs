@@ -22,25 +22,26 @@
 //! the pruning distance at skip time — which can only shrink afterwards, so the
 //! skip stays justified and the result is exact.
 
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
 use crate::index::GpuIndex;
 
+use super::collector::{Collector, KnnCollector};
 use super::{
-    checked_children, checked_leaf_id, checked_node, checked_root, child_distances, fetch_internal,
-    kth_maxdist, leftmost_qualifying, process_leaf, Budget, Kernel, Scratch,
+    ascend, checked_children, checked_leaf_id, checked_node, checked_root, child_distances,
+    evaluate_children, fetch_internal, leftmost_qualifying, process_leaf, reserve_static, Budget,
+    Kernel, Scratch,
 };
-use crate::knnlist::GpuKnnList;
 use crate::options::KernelOptions;
 
 /// Runs one PSB query on a simulated block; returns exact kNN plus counters.
 ///
 /// Trusted-tree entry point: panics if the hardened kernel reports an error
 /// (which a validated tree and a fault-free device can never produce). Use
-/// [`psb_try_query`] to handle corruption or injected faults, or to mirror
-/// the metering calls into a [`TraceSink`].
+/// [`Kernel::attempt`] to handle corruption or injected faults, or to mirror
+/// the metering calls into a [`TraceSink`](psb_gpu::TraceSink).
 pub fn psb_query<T: GpuIndex>(
     tree: &T,
     q: &[f32],
@@ -48,39 +49,14 @@ pub fn psb_query<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    psb_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
-        .unwrap_or_else(|e| panic!("PSB kernel failed on a trusted tree: {e}"))
+    Kernel::Psb { k }.trusted(tree, q, cfg, opts)
 }
 
-/// The hardened PSB kernel: bounds-checks every structural link it follows,
-/// runs under a traversal step budget, polls the device fault flags at each
-/// step, and reports failure as a typed [`KernelError`] instead of panicking
-/// or hanging. Every metering call is mirrored into `sink` (observation
-/// only: neighbors and counters are bit-identical under any sink).
-///
-/// Phase-2 revisits of an internal node replay the first visit's child
-/// MINDISTs and k-th-MAXDIST bound from the per-query `SweepMemo` under
-/// identical metering, so the memo moves no counter and no result bit. It is
-/// bypassed whenever a fault state is attached: injected bit-flips draw from
-/// a per-load RNG stream, so a replayed value would skip draws the faulted
-/// launch must make.
-#[allow(clippy::too_many_arguments)]
-pub fn psb_try_query<T: GpuIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    Kernel::Psb { k }.attempt(tree, q, cfg, opts, faults, sink)
-}
-
-/// Phase 1 of Algorithm 1 (`getInitialPruningDistance`), shared with the wave
-/// engine's priming so both start from the same bound at the same metered
-/// cost: reserve the static shared memory, descend greedily to the leaf
-/// nearest the query, and fold it into a fresh k-best list.
+/// Phase 1 of Algorithm 1 (`getInitialPruningDistance`), shared with the
+/// restart kernel and the wave engine's priming so all start from the same
+/// bound at the same metered cost: reserve the static shared memory, descend
+/// greedily to the leaf nearest the query, and fold it into a fresh k-best
+/// list.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
     block: &mut Block<'_, M>,
@@ -91,14 +67,11 @@ pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
     opts: &KernelOptions,
     scratch: &mut Scratch,
     budget: &mut Budget,
-) -> Result<GpuKnnList, KernelError> {
+) -> Result<KnnCollector, KernelError> {
     // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
     // plus a warp-reduction scratch line.
-    let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
-    block
-        .reserve_shared(static_smem, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    let mut list = GpuKnnList::new(k, opts.smem_policy, block, cfg.smem_per_sm);
+    reserve_static(block, 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4, cfg)?;
+    let mut list = KnnCollector::new(block, k, cfg, opts);
     block.set_phase(Phase::Descend);
     let mut n = checked_root(tree)?;
     let mut level = 0u32;
@@ -133,78 +106,60 @@ pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
     Ok(list)
 }
 
-/// `memo: false` is the path every faulted attempt takes; the unit tests below
-/// hold the memo against it.
+/// Phase 2 of Algorithm 1, the left-to-right sweep, over whatever the query
+/// collects: with a k-best list it is PSB; with a fixed radius the bound never
+/// moves and the same loop is the stacked range query (paper §VI).
+///
+/// With `replay`, revisits of an internal node replay the first visit's child
+/// MINDISTs and k-th-MAXDIST bound from the per-query `SweepMemo` under
+/// identical metering, so the memo moves no counter and no result bit. Only
+/// fault-free PSB launches ask for it: injected bit-flips draw from a per-load
+/// RNG stream, so a replayed value would skip draws a faulted launch must
+/// make.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn psb_try_query_with<T: GpuIndex, const M: bool>(
+pub(crate) fn sweep<T: GpuIndex, C: Collector, const M: bool>(
+    block: &mut Block<'_, M>,
+    budget: &mut Budget,
     tree: &T,
     q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
+    collector: &mut C,
     opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
-    memo: bool,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
-    block.set_faults(faults);
-    let replay = memo && !block.has_faults();
-    if replay {
-        scratch.memo.begin_query(tree.num_nodes());
-    }
-    let mut budget = Budget::for_tree(tree);
-    // ---- Phase 1: initial greedy descent. ----
-    let mut list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
-    let mut pruning = list.bound();
-
-    // ---- Phase 2: the left-to-right sweep. ----
+    replay: bool,
+) -> Result<(), KernelError> {
+    let mut n = checked_root(tree)?;
     let last_leaf = (tree.num_leaves() - 1) as u32;
     let mut visited: i64 = -1;
-    let mut n = tree.root();
     let mut level = 0u32;
-    'sweep: loop {
+    loop {
         // Descend to the leftmost qualifying leaf (or backtrack when none).
         while !tree.is_leaf(n) {
-            budget.tick(&block)?;
+            budget.tick(block)?;
             block.set_phase(Phase::Descend);
             let kids = checked_children(tree, n)?;
-            fetch_internal(&mut block, tree, n, opts.layout, level);
+            fetch_internal(block, tree, n, opts.layout, level);
             // The sweep values (child MINDISTs, k-th MAXDIST bound) depend
             // only on (node, query), so a revisit after a backtrack replays
             // the first visit's stored values under identical metering
             // instead of recomputing them.
             let chosen = match if replay { scratch.memo.entry(n) } else { None } {
                 Some(hit) => {
-                    block.par_for(kids.len(), tree.child_eval_cost(opts.use_minmax_prune), |_| {});
+                    let cost = tree.child_eval_cost(collector.wants_maxdist());
+                    block.par_for(kids.len(), cost, |_| {});
                     if let Some(bound) = hit.bound {
-                        block.par_kth_select(kids.len(), k);
-                        pruning = pruning.min(bound);
+                        collector.replay(block, kids.len(), bound);
                     }
                     let min_d = scratch.memo.values(hit);
-                    leftmost_qualifying(&mut block, tree, kids, min_d, pruning, visited)
+                    leftmost_qualifying(block, tree, kids, min_d, collector, visited)
                 }
                 None => {
-                    child_distances(&mut block, tree, n, q, opts.use_minmax_prune, false, scratch);
-                    let bound = if opts.use_minmax_prune && scratch.sweep.max_d.len() >= k {
-                        let b = kth_maxdist(&mut block, &scratch.sweep.max_d, k, &mut scratch.kth);
-                        pruning = pruning.min(b);
-                        Some(b)
-                    } else {
-                        None
-                    };
+                    let bound = evaluate_children(block, tree, n, q, collector, scratch);
                     if replay {
                         let Scratch { memo, sweep, .. } = &mut *scratch;
                         memo.store(n, &sweep.min_d, bound);
                     }
-                    leftmost_qualifying(
-                        &mut block,
-                        tree,
-                        kids,
-                        &scratch.sweep.min_d,
-                        pruning,
-                        visited,
-                    )
+                    let min_d = &scratch.sweep.min_d;
+                    leftmost_qualifying(block, tree, kids, min_d, collector, visited)
                 }
             };
             match chosen {
@@ -215,65 +170,68 @@ pub(super) fn psb_try_query_with<T: GpuIndex, const M: bool>(
                 None => {
                     // No child qualifies: every leaf under `n` is now either
                     // visited or pruned with justification (each child was
-                    // rejected for `subtreeMaxLeafId <= visited` or
-                    // `MINDIST >= pruning`, and pruning only shrinks). Advance
-                    // the cursor past the whole subtree — without this the
-                    // parent would re-select `n` forever, since `n`'s own
-                    // MINDIST can be inside the pruning distance even when no
-                    // child's is.
+                    // rejected for `subtreeMaxLeafId <= visited` or for a
+                    // MINDIST the collector no longer admits, and its bound
+                    // only shrinks). Advance the cursor past the whole
+                    // subtree — without this the parent would re-select `n`
+                    // forever, since `n`'s own MINDIST can be inside the
+                    // bound even when no child's is.
                     visited = visited.max(tree.subtree_max_leaf(n) as i64);
                     if n == tree.root() {
-                        break 'sweep;
+                        return Ok(());
                     }
-                    block.set_phase(Phase::Backtrack);
-                    block.backtrack(level);
-                    block.scalar(1); // follow the parent link
-                    n = checked_node(tree, "parent", n, tree.parent(n))?;
-                    level = level.checked_sub(1).ok_or(KernelError::CorruptNode {
-                        node: n,
-                        detail: "parent chain deeper than the descent that reached it",
-                    })?;
+                    (n, level) = ascend(block, tree, n, level)?;
                 }
             }
         }
 
-        // Leaf phase: linear scan of sibling leaves while they improve.
+        // Leaf phase: linear scan of sibling leaves while they keep producing
+        // (an improved k-best list; hits — in-range leaves cluster together
+        // on the curve).
         let mut via_sibling = false;
         loop {
-            budget.tick(&block)?;
-            let changed =
-                process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, via_sibling, level)?;
-            pruning = pruning.min(list.bound());
+            budget.tick(block)?;
+            let took =
+                process_leaf(block, tree, n, q, collector, scratch, opts, via_sibling, level)?;
             let lid = checked_leaf_id(tree, n)?;
             visited = lid as i64;
-            if opts.leaf_scan && changed && lid < last_leaf {
+            if opts.leaf_scan && took && lid < last_leaf {
                 block.set_phase(Phase::LeafScan);
                 block.scalar(1); // follow the right-sibling link
                 n = checked_node(tree, "leaf_node_of", n, tree.leaf_node_of(lid + 1))?;
                 via_sibling = true; // contiguous leaves: a prefetchable stream
             } else if n == tree.root() {
                 // Single-leaf tree: nothing to backtrack to.
-                break 'sweep;
+                return Ok(());
             } else {
-                block.set_phase(Phase::Backtrack);
-                block.backtrack(level);
-                block.scalar(1); // follow the parent link
-                n = checked_node(tree, "parent", n, tree.parent(n))?;
-                level = level.checked_sub(1).ok_or(KernelError::CorruptNode {
-                    node: n,
-                    detail: "parent chain deeper than the descent that reached it",
-                })?;
+                (n, level) = ascend(block, tree, n, level)?;
                 break;
             }
         }
     }
+}
 
-    // Final poll: a fault in the last leaf processed would otherwise slip
-    // past the loop-head checks and reach the caller as a silent result.
-    if let Some(fault) = block.device_fault() {
-        return Err(fault.into());
+/// Algorithm 1: prime the bound, then sweep. `memo: false` is the path every
+/// faulted attempt takes; the unit tests below hold the memo against it.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn traverse<T: GpuIndex, const M: bool>(
+    block: &mut Block<'_, M>,
+    budget: &mut Budget,
+    tree: &T,
+    q: &[f32],
+    k: usize,
+    cfg: &DeviceConfig,
+    opts: &KernelOptions,
+    scratch: &mut Scratch,
+    memo: bool,
+) -> Result<Vec<Neighbor>, KernelError> {
+    let replay = memo && !block.has_faults();
+    if replay {
+        scratch.memo.begin_query(tree.num_nodes());
     }
-    Ok((list.into_sorted(), block.finish()))
+    let mut list = initial_descent(block, tree, q, k, cfg, opts, scratch, budget)?;
+    sweep(block, budget, tree, q, &mut list, opts, scratch, replay)?;
+    Ok(list.finish())
 }
 
 #[cfg(test)]
@@ -402,6 +360,22 @@ mod tests {
         assert_eq!(got[0].id, 321);
     }
 
+    /// [`traverse`] on a fault-free block of its own, memo as asked.
+    fn bare_launch<const M: bool>(
+        tree: &SsTree,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        scratch: &mut Scratch,
+        memo: bool,
+    ) -> (Vec<Neighbor>, KernelStats) {
+        let mut block = Block::<M>::new(opts.threads_per_block, cfg);
+        let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree());
+        let found = traverse(&mut block, &mut budget, tree, q, 8, cfg, opts, scratch, memo)
+            .expect("valid tree");
+        (found, block.finish())
+    }
+
     /// Test (b) of the one-launch-path change: the memo, on for every
     /// fault-free launch, held against the memo-less path faulted attempts
     /// take — neighbours and every counter bit-equal, in both metering modes,
@@ -420,16 +394,10 @@ mod tests {
             let mut revisits = 0;
             for q in sample_queries(ps, 12, 0.01, 23).iter() {
                 let run = |metered: bool, memo: bool| {
-                    let sink = &mut NoopSink;
-                    crate::kernels::with_scratch(tree.dims(), opts.lanes, |s| match metered {
-                        true => psb_try_query_with::<_, true>(
-                            &tree, q, 8, &cfg, &opts, None, sink, s, memo,
-                        ),
-                        false => psb_try_query_with::<_, false>(
-                            &tree, q, 8, &cfg, &opts, None, sink, s, memo,
-                        ),
+                    crate::kernels::with_scratch(tree.dims, opts.lanes, |s| match metered {
+                        true => bare_launch::<true>(&tree, q, &cfg, &opts, s, memo),
+                        false => bare_launch::<false>(&tree, q, &cfg, &opts, s, memo),
                     })
-                    .expect("valid tree")
                 };
                 for metered in [true, false] {
                     let (on, off) = (run(metered, true), run(metered, false));

@@ -12,23 +12,24 @@
 //! Exactness argument is identical to PSB's: the cursor only advances past
 //! leaves that are visited or provably outside the pruning distance.
 
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
-use crate::index::{GpuIndex, NO_ROPE};
+use crate::index::GpuIndex;
 
+use super::collector::Collector;
+use super::psb::initial_descent;
 use super::{
-    checked_children, checked_leaf_id, checked_node, checked_root, checked_rope, child_distances,
-    fetch_internal, kth_maxdist, node_min_dist, process_leaf, Budget, Kernel, Scratch,
+    checked_children, checked_leaf_id, checked_node, evaluate_children, fetch_internal,
+    leftmost_qualifying, process_leaf, rope_walk, Budget, Kernel, Scratch,
 };
-use crate::knnlist::GpuKnnList;
 use crate::options::KernelOptions;
 
 /// Runs one scan-and-restart query on a simulated block.
 ///
 /// Trusted-tree entry point: panics on a [`KernelError`]. Use
-/// [`restart_try_query`] to handle corruption or injected faults.
+/// [`Kernel::attempt`] to handle corruption or injected faults.
 pub fn restart_query<T: GpuIndex>(
     tree: &T,
     q: &[f32],
@@ -36,155 +37,44 @@ pub fn restart_query<T: GpuIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    restart_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
-        .unwrap_or_else(|e| panic!("restart kernel failed on a trusted tree: {e}"))
+    Kernel::Restart { k }.trusted(tree, q, cfg, opts)
 }
 
-/// The hardened scan-and-restart kernel: typed errors instead of panics or
-/// hangs under corruption or injected device faults. Bit-identical to the
-/// original with `faults: None` on a valid tree.
 #[allow(clippy::too_many_arguments)]
-pub fn restart_try_query<T: GpuIndex>(
+pub(super) fn traverse<T: GpuIndex, const M: bool>(
+    block: &mut Block<'_, M>,
+    budget: &mut Budget,
     tree: &T,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    Kernel::Restart { k }.attempt(tree, q, cfg, opts, faults, sink)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(super) fn restart_try_query_with<T: GpuIndex, const M: bool>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
     scratch: &mut Scratch,
-) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
-    block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
-    let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
-    block
-        .reserve_shared(static_smem, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
-    let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
-    let mut pruning = f32::INFINITY;
-
+) -> Result<Vec<Neighbor>, KernelError> {
     // Initial greedy descent primes the pruning distance (same as PSB).
-    block.set_phase(Phase::Descend);
-    let mut n = checked_root(tree)?;
-    let mut level = 0u32;
-    while !tree.is_leaf(n) {
-        budget.tick(&block)?;
-        let kids = checked_children(tree, n)?;
-        fetch_internal(&mut block, tree, n, opts.layout, level);
-        child_distances(&mut block, tree, n, q, false, true, scratch);
-        block.par_reduce(scratch.sweep.min_d.len(), 2);
-        // Pick the child nearest the query. MINDIST alone ties at 0 whenever
-        // several child spheres overlap the query (common for the oversized
-        // boundary spheres Hilbert packing creates), and a bad tie-break lands
-        // the initial descent in a garbage leaf whose k-th distance is huge —
-        // so break ties by centroid distance, matching the paper's "leaf node
-        // which is closest to the query point".
-        let mut best = (f32::INFINITY, f32::INFINITY);
-        let mut best_c = kids.start;
-        for (i, c) in kids.enumerate() {
-            let key = (scratch.sweep.min_d[i], scratch.sweep.anchor_d[i]);
-            if key < best {
-                best = key;
-                best_c = c;
-            }
-        }
-        n = best_c;
-        level += 1;
-    }
-    budget.tick(&block)?;
-    process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, false, level)?;
-    pruning = pruning.min(list.bound());
+    let mut list = initial_descent(block, tree, q, k, cfg, opts, scratch, budget)?;
 
-    // Rope mode (DESIGN.md "Stack-free kd kernel and rope modes"): instead of
-    // restarting from the root, follow the escape links — one preorder pass
-    // with no re-descents and no `visitedLeafId` cursor. Each arriving node
-    // evaluates its own volume; qualifying internal nodes fall through to their
-    // first child, everything else ropes to the next subtree. The primed leaf
-    // is revisited once, which is harmless: the k-best list rejects exact
-    // duplicates. Exact for the same reason the restart sweep is — a subtree is
-    // skipped only when its MINDIST is at least the (monotone) pruning
-    // distance.
+    // Rope mode: instead of restarting from the root, follow the escape links
+    // — one preorder pass with no re-descents and no `visitedLeafId` cursor.
     if opts.rope {
-        let mut m = tree.root();
-        loop {
-            budget.tick(&block)?;
-            block.set_phase(Phase::Descend);
-            let qualifies = m == tree.root() || node_min_dist(&mut block, tree, m, q) < pruning;
-            let next = if !qualifies {
-                block.set_phase(Phase::Backtrack);
-                checked_rope(&mut block, tree, m)?
-            } else if tree.is_leaf(m) {
-                process_leaf(
-                    &mut block,
-                    tree,
-                    m,
-                    q,
-                    &mut list,
-                    scratch,
-                    opts,
-                    false,
-                    tree.node_depth(m),
-                )?;
-                pruning = pruning.min(list.bound());
-                block.set_phase(Phase::Backtrack);
-                checked_rope(&mut block, tree, m)?
-            } else {
-                block.visit_node(tree.node_depth(m), NodeKind::Internal);
-                checked_children(tree, m)?.start
-            };
-            if next == NO_ROPE {
-                break;
-            }
-            m = next;
-        }
-        if let Some(fault) = block.device_fault() {
-            return Err(fault.into());
-        }
-        return Ok((list.into_sorted(), block.finish()));
+        rope_walk(block, budget, tree, q, &mut list, opts, scratch)?;
+        return Ok(list.finish());
     }
 
     let last_leaf = (tree.num_leaves() - 1) as u32;
     let mut visited: i64 = -1;
     'restart: loop {
         // Full descent from the root toward the leftmost qualifying leaf.
-        n = tree.root();
-        level = 0;
+        let mut n = tree.root();
+        let mut level = 0u32;
         while !tree.is_leaf(n) {
-            budget.tick(&block)?;
+            budget.tick(block)?;
             block.set_phase(Phase::Descend);
             let kids = checked_children(tree, n)?;
-            fetch_internal(&mut block, tree, n, opts.layout, level);
-            child_distances(&mut block, tree, n, q, opts.use_minmax_prune, false, scratch);
-            if opts.use_minmax_prune && scratch.sweep.max_d.len() >= k {
-                let bound = kth_maxdist(&mut block, &scratch.sweep.max_d, k, &mut scratch.kth);
-                pruning = pruning.min(bound);
-            }
-            // Parallel predicate + ballot/ffs selection (see psb.rs).
-            block.par_for(kids.len(), 1, |_| {});
-            block.par_reduce(kids.len(), 1);
-            block.scalar(2);
-            let mut chosen = None;
-            for (i, c) in kids.clone().enumerate() {
-                if scratch.sweep.min_d[i] < pruning && tree.subtree_max_leaf(c) as i64 > visited {
-                    chosen = Some(c);
-                    break;
-                }
-            }
-            match chosen {
+            fetch_internal(block, tree, n, opts.layout, level);
+            evaluate_children(block, tree, n, q, &mut list, scratch);
+            let min_d = &scratch.sweep.min_d;
+            match leftmost_qualifying(block, tree, kids, min_d, &list, visited) {
                 Some(c) => {
                     n = c;
                     level += 1;
@@ -203,10 +93,9 @@ pub(super) fn restart_try_query_with<T: GpuIndex, const M: bool>(
         // Linear scan of sibling leaves while they improve (same as PSB).
         let mut via_sibling = false;
         loop {
-            budget.tick(&block)?;
+            budget.tick(block)?;
             let changed =
-                process_leaf(&mut block, tree, n, q, &mut list, scratch, opts, via_sibling, level)?;
-            pruning = pruning.min(list.bound());
+                process_leaf(block, tree, n, q, &mut list, scratch, opts, via_sibling, level)?;
             let lid = checked_leaf_id(tree, n)?;
             visited = lid as i64;
             if opts.leaf_scan && changed && lid < last_leaf {
@@ -222,13 +111,7 @@ pub(super) fn restart_try_query_with<T: GpuIndex, const M: bool>(
             }
         }
     }
-
-    // Final poll: a fault in the last leaf processed would otherwise slip
-    // past the loop-head checks and reach the caller as a silent result.
-    if let Some(fault) = block.device_fault() {
-        return Err(fault.into());
-    }
-    Ok((list.into_sorted(), block.finish()))
+    Ok(list.finish())
 }
 
 #[cfg(test)]

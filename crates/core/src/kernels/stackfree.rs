@@ -31,7 +31,7 @@ use crate::dist_cost;
 use crate::error::KernelError;
 use crate::index::ImplicitKdIndex;
 
-use super::{checked_root, effective_metering, Budget, Scratch};
+use super::{effective_metering, reserve_static, Budget, Scratch};
 use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering};
 
@@ -91,19 +91,19 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
-    // The whole traversal state: two registers. The only shared memory is the
-    // k-best list (policy-dependent) plus one word per thread.
+    let mut budget = Budget::for_nodes(tree.num_nodes(), 2); // a binary heap
+                                                             // The whole traversal state: two registers. The only shared memory is the
+                                                             // k-best list (policy-dependent) plus one word per thread.
     let static_smem = block.threads() as u64 * 4;
-    block
-        .reserve_shared(static_smem, cfg.smem_per_sm)
-        .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
+    reserve_static(&mut block, static_smem, cfg)?;
     let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
 
-    let root = checked_root(tree)?;
     let len = tree.num_nodes() as u64;
+    if len == 0 {
+        return Err(KernelError::CorruptNode { node: 0, detail: "index has no nodes or leaves" });
+    }
     let dc = dist_cost(tree.dims());
-    let mut curr = root;
+    let mut curr = 0u32; // the heap's root
     let mut prev = u32::MAX; // the root's "parent": first arrival is from above
     block.set_phase(Phase::Descend);
     while curr != u32::MAX {
@@ -240,22 +240,28 @@ mod tests {
         }
     }
 
-    impl crate::index::GpuIndex for MiniLb {
+    impl crate::index::PointIndex for MiniLb {
         fn dims(&self) -> usize {
             self.points.dims()
         }
-        fn degree(&self) -> usize {
-            2
+        fn num_points(&self) -> usize {
+            self.points.len()
         }
-        fn root(&self) -> u32 {
-            0
+        fn rows(&self, range: std::ops::Range<usize>) -> &[f32] {
+            let dims = self.points.dims();
+            &self.points.as_flat()[range.start * dims..range.end * dims]
+        }
+        fn point_id(&self, pos: usize) -> u32 {
+            self.ids[pos]
+        }
+    }
+
+    impl ImplicitKdIndex for MiniLb {
+        fn num_nodes(&self) -> usize {
+            self.points.len()
         }
         fn is_leaf(&self, n: u32) -> bool {
             2 * n as usize + 1 >= self.points.len()
-        }
-        fn children(&self, n: u32) -> std::ops::Range<u32> {
-            let len = self.points.len() as u32;
-            (2 * n + 1).min(len)..(2 * n + 3).min(len)
         }
         fn parent(&self, n: u32) -> u32 {
             if n == 0 {
@@ -264,68 +270,17 @@ mod tests {
                 (n - 1) >> 1
             }
         }
-        fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
-            n as usize..n as usize + 1
-        }
-        fn point(&self, pos: usize) -> &[f32] {
-            self.points.point(pos)
-        }
-        fn point_id(&self, pos: usize) -> u32 {
-            self.ids[pos]
-        }
-        fn leaf_id(&self, n: u32) -> u32 {
-            n - self.points.len() as u32 / 2
-        }
-        fn leaf_node_of(&self, l: u32) -> u32 {
-            l + self.points.len() as u32 / 2
-        }
-        fn num_leaves(&self) -> usize {
-            self.points.len().div_ceil(2)
-        }
-        fn num_nodes(&self) -> usize {
-            self.points.len()
-        }
-        fn num_points(&self) -> usize {
-            self.points.len()
-        }
-        fn subtree_max_leaf(&self, _n: u32) -> u32 {
-            0
-        }
-        fn rope(&self, _n: u32) -> u32 {
-            crate::index::NO_ROPE
-        }
         fn node_depth(&self, n: u32) -> u32 {
             31 - (n + 1).leading_zeros()
         }
-        fn index_bytes(&self) -> u64 {
-            self.points.len() as u64 * self.point_entry_bytes()
-        }
-        fn internal_node_bytes(&self, _n: u32) -> u64 {
-            self.point_entry_bytes()
-        }
-        fn leaf_node_bytes(&self, _n: u32) -> u64 {
-            self.point_entry_bytes()
-        }
-        fn child_entry_bytes(&self) -> u64 {
-            self.point_entry_bytes()
+        fn split_dim(&self, n: u32) -> usize {
+            self.node_depth(n) as usize % self.points.dims()
         }
         fn point_entry_bytes(&self) -> u64 {
             self.points.dims() as u64 * 4 + 4
         }
-        fn child_min_max(&self, _c: u32, _q: &[f32], _with_max: bool) -> (f32, f32) {
-            panic!("implicit kd-tree has no bounding volumes")
-        }
-        fn child_eval_cost(&self, _with_max: bool) -> u64 {
-            1
-        }
-        fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
-            psb_geom::dist(q, self.points.point(c as usize))
-        }
-    }
-
-    impl ImplicitKdIndex for MiniLb {
-        fn split_dim(&self, n: u32) -> usize {
-            (31 - (n + 1).leading_zeros()) as usize % self.points.dims()
+        fn index_bytes(&self) -> u64 {
+            self.points.len() as u64 * self.point_entry_bytes()
         }
     }
 

@@ -19,7 +19,7 @@ use psb_gpu::{run_task_parallel_traced, DeviceConfig, KernelStats, LaneStep, Noo
 use psb_sstree::Neighbor;
 
 use crate::dist_cost;
-use crate::kernels::step_budget;
+use crate::kernels::{checked_children, checked_leaf_points, checked_node, step_budget};
 
 /// Operation tags (distinct tags in one warp serialize). The values follow
 /// the [`psb_gpu::op_phase`] convention, so the scheduler attributes each
@@ -105,24 +105,14 @@ impl<T: GpuIndex> Lane<'_, T> {
         let n = self.cursor;
         self.has_cursor = false;
         let tree = self.tree;
-        if n as usize >= tree.num_nodes() {
-            return self.fail(KernelError::LinkOutOfBounds {
-                link: "node",
-                node: n,
-                target: n as u64,
-                limit: tree.num_nodes() as u64,
-            });
+        if let Err(e) = checked_node(tree, "node", n, n) {
+            return self.fail(e);
         }
         if tree.is_leaf(n) {
-            let range = tree.leaf_points(n);
-            if range.start > range.end || range.end > tree.num_points() {
-                return self.fail(KernelError::LinkOutOfBounds {
-                    link: "leaf_points",
-                    node: n,
-                    target: range.end as u64,
-                    limit: tree.num_points() as u64,
-                });
-            }
+            let range = match checked_leaf_points(tree, n) {
+                Ok(range) => range,
+                Err(e) => return self.fail(e),
+            };
             let count = range.len() as u64;
             for p in range {
                 let d = dist(self.q, tree.point(p));
@@ -137,22 +127,10 @@ impl<T: GpuIndex> Lane<'_, T> {
         // Internal: compute every child MINDIST *serially in this lane* and
         // push the qualifying children (descending MINDIST so the closest pops
         // first).
-        let kids = tree.children(n);
-        if kids.is_empty() {
-            return self.fail(KernelError::CorruptNode {
-                node: n,
-                detail: "internal node with no children",
-            });
-        }
-        let limit = tree.num_nodes() as u64;
-        if kids.start as u64 >= limit || kids.end as u64 > limit {
-            return self.fail(KernelError::LinkOutOfBounds {
-                link: "children",
-                node: n,
-                target: kids.end as u64,
-                limit,
-            });
-        }
+        let kids = match checked_children(tree, n) {
+            Ok(kids) => kids,
+            Err(e) => return self.fail(e),
+        };
         let count = kids.len() as u64;
         let mut qualifying: Vec<(u32, f32)> = Vec::with_capacity(kids.len());
         for c in kids {
@@ -231,7 +209,7 @@ pub fn tpss_try_batch<T: GpuIndex>(
     }
     assert_eq!(queries.dims(), tree.dims());
     let tpb = threads_per_block.max(1) as usize;
-    let limit = step_budget(tree);
+    let limit = step_budget(tree.num_nodes(), tree.degree());
 
     let mut results = Vec::with_capacity(queries.len());
     let mut per_block = Vec::new();

@@ -101,6 +101,12 @@ impl GpuKnnList {
     /// Metering: an accepted candidate costs a serialized sift
     /// (`log2 k` instructions on one lane); one landing in the global region of
     /// a hybrid list additionally pays a global write.
+    ///
+    /// `#[inline]`: callers offer a whole leaf or tile in a loop, and nearly
+    /// every row takes the two-compare reject at the top; as an out-of-line
+    /// call that loop cost the brute-force kernel 20–35 % (`experiments/PR-23.md`
+    /// "Each traversal written once").
+    #[inline]
     pub fn offer<const M: bool>(&mut self, block: &mut Block<'_, M>, dist: f32, id: u32) -> bool {
         // A NaN distance can only come from corrupted geometry (e.g. an
         // injected bit flip in the exponent): it would land at an arbitrary

@@ -41,13 +41,10 @@ pub use engine::{
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
 pub use index::{
-    gather_child_sweep, gather_leaf_sweep, GpuIndex, ImplicitKdIndex, SweepScratch, NO_ROPE,
+    gather_child_sweep, gather_leaf_sweep, GpuIndex, ImplicitKdIndex, PointIndex, SweepScratch,
+    NO_ROPE,
 };
-pub use kernels::bnb::bnb_try_query;
 pub use kernels::brute::{brute_index_query, brute_try_query};
-pub use kernels::psb::psb_try_query;
-pub use kernels::range::range_try_query;
-pub use kernels::restart::restart_try_query;
 pub use kernels::stackfree::stackfree_query;
 pub use kernels::tpss::{tpss_batch, tpss_batch_traced, tpss_try_batch};
 pub use kernels::{Kernel, Kernel as StreamKernel};

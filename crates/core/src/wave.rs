@@ -22,8 +22,10 @@
 //!    tightened since it enqueued itself), sweeps the children via the same
 //!    [`GpuIndex::child_sweep`]/[`GpuIndex::leaf_sweep`] hooks as the
 //!    per-query kernels, tightens its bound with the k-th-MAXDIST rule, and
-//!    appends itself to the buffers of surviving children. Leaf sweeps fold
-//!    candidates into the query's [`GpuKnnList`] (or the range hit list).
+//!    appends itself to the buffers of surviving children. Leaf sweeps hand
+//!    their rows to the query's collector — the same k-best list or range hit
+//!    list, behind the same trait, the per-query kernels collect into
+//!    (`kernels::collector`), so the wave's per-node step is written once.
 //!
 //! A node's buffer is every query of the batch that reaches it: nothing bounds
 //! it, so a batch is one front per level at any size and the root's fill is
@@ -92,18 +94,17 @@
 use psb_geom::PointSet;
 use psb_gpu::{Block, DeviceConfig, FaultPlan, NodeKind, Phase};
 use psb_metrics::MetricsHandle;
-use psb_sstree::Neighbor;
 use rayon::prelude::*;
 
 use crate::engine::{launch_reporting, QueryBatchResult};
 use crate::error::{EngineError, KernelError};
 use crate::index::GpuIndex;
+use crate::kernels::collector::{Collector, KnnCollector, RangeCollector};
 use crate::kernels::psb::initial_descent;
 use crate::kernels::{
-    checked_children, checked_leaf_points, checked_root, child_distances, kth_maxdist,
-    with_scratch, Budget, Found, Kernel, Scratch,
+    checked_children, checked_leaf_points, checked_root, evaluate_children, range, with_scratch,
+    Budget, Found, Kernel, Scratch,
 };
-use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
 /// The buffer-wave engine's switch, carried in [`KernelOptions::wave`]: `Some`
@@ -150,39 +151,16 @@ impl WaveReport {
     }
 }
 
-/// The two query families the wave engine runs. The push-down machinery is
-/// shared; only the bound semantics differ: kNN bounds shrink as lists fill,
-/// range bounds are the fixed radius (and admit `MINDIST == radius`, matching
-/// the per-query range kernel's `<=` test).
-#[derive(Clone, Copy)]
-enum WaveMode {
-    Knn { k: usize },
-    Range { radius: f32 },
-}
-
-impl WaveMode {
-    /// Does a node at `mindist` survive against `bound`? Mirrors the
-    /// per-query kernels exactly: strict `<` for kNN (PSB line 17), `<=` for
-    /// the fixed-radius sweep.
-    fn admits(self, mindist: f32, bound: f32) -> bool {
-        match self {
-            WaveMode::Knn { .. } => mindist < bound,
-            WaveMode::Range { .. } => mindist <= bound,
-        }
-    }
-}
-
 /// Per-query traversal state. Fields are disjoint per query, which is what
-/// lets the whole traversal run query-parallel on the host. Generic over the
-/// metering mode, monomorphized once by [`wave_rows`]' launch dispatch.
-struct QueryState<const M: bool> {
+/// lets the whole traversal run query-parallel on the host. Generic over what
+/// the query collects — the push-down machinery is shared, only the bound
+/// semantics differ: a kNN bound shrinks as the list fills, a range bound is
+/// the fixed radius — and over the metering mode, both monomorphized once by
+/// [`wave_rows`]' launch dispatch.
+struct QueryState<C, const M: bool> {
     block: Block<'static, M>,
-    /// The k-best list (kNN mode only).
-    list: Option<GpuKnnList>,
-    /// Accumulated in-range hits (range mode only).
-    hits: Vec<Neighbor>,
-    /// Current pruning bound: k-th distance so far (kNN) or the radius.
-    pruning: f32,
+    /// The result so far and the current pruning bound.
+    collector: C,
     /// Every node this query was buffered at, in the order it swept them —
     /// what the node-major accounting pass reads.
     visited: Vec<u32>,
@@ -261,75 +239,42 @@ fn sweep_phase(leaf: bool) -> Phase {
 /// Sweep node `n` for one query that was buffered there at `mindist`:
 /// re-check admission against the query's current bound, and — if the lane
 /// stays active — sweep the node (surviving children into `out`, leaf points
-/// into the result list). Everything here is the query's own compute; the
+/// into the collector). Everything here is the query's own compute; the
 /// shared fetch is charged separately ([`Wave::charge_fetch_shares`]).
-#[allow(clippy::too_many_arguments)]
-fn sweep_entry<T: GpuIndex, const M: bool>(
+fn sweep_entry<T: GpuIndex, C: Collector, const M: bool>(
     tree: &T,
     q: &[f32],
-    state: &mut QueryState<M>,
+    state: &mut QueryState<C, M>,
     (n, entry_mindist): (u32, f32),
     out: &mut Vec<(u32, f32)>,
-    mode: WaveMode,
-    opts: &KernelOptions,
     scratch: &mut Scratch,
 ) -> Result<(), KernelError> {
+    let QueryState { block, collector, .. } = state;
     let leaf = tree.is_leaf(n);
-    state.block.set_phase(sweep_phase(leaf));
+    block.set_phase(sweep_phase(leaf));
     // Admission re-check: the bound may have tightened since this query
     // pushed itself here (earlier sweeps of this very wave).
-    if !mode.admits(entry_mindist, state.pruning) {
+    if !collector.admits(entry_mindist) {
         return Ok(());
     }
     if leaf {
         let range = checked_leaf_points(tree, n)?;
         scratch.leaf.clear();
         let dc = crate::dist_cost(tree.dims());
-        state.block.par_for(range.len(), dc, |_| {});
+        block.par_for(range.len(), dc, |_| {});
         tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
-        state.block.set_phase(Phase::ResultMerge);
-        match mode {
-            WaveMode::Knn { .. } => {
-                if let Some(list) = &mut state.list {
-                    for &(d, id) in &scratch.leaf {
-                        list.offer(&mut state.block, d, id);
-                    }
-                    state.pruning = state.pruning.min(list.bound());
-                }
-            }
-            WaveMode::Range { radius } => {
-                let mut hit_count = 0u64;
-                for &(d, id) in &scratch.leaf {
-                    if d <= radius {
-                        state.hits.push(Neighbor { dist: d, id });
-                        hit_count += 1;
-                    }
-                }
-                if hit_count > 0 {
-                    // Append rows to the global output buffer (atomic cursor
-                    // + rows), exactly as the per-query range kernel meters.
-                    state.block.scalar(2);
-                    state.block.load_global_stream(hit_count * 8);
-                }
-            }
-        }
+        block.set_phase(Phase::ResultMerge);
+        collector.collect(block, &scratch.leaf);
     } else {
         let kids = checked_children(tree, n)?;
-        let with_max = matches!(mode, WaveMode::Knn { .. }) && opts.use_minmax_prune;
-        child_distances(&mut state.block, tree, n, q, with_max, false, scratch);
-        if let WaveMode::Knn { k } = mode {
-            if with_max && scratch.sweep.max_d.len() >= k {
-                let b = kth_maxdist(&mut state.block, &scratch.sweep.max_d, k, &mut scratch.kth);
-                state.pruning = state.pruning.min(b);
-            }
-        }
+        evaluate_children(block, tree, n, q, collector, scratch);
         // One parallel admission test over the children, then a serial
         // enqueue per survivor (the buffer append).
-        state.block.par_for(kids.len(), 1, |_| {});
+        block.par_for(kids.len(), 1, |_| {});
         for (i, c) in kids.enumerate() {
             let mindist = scratch.sweep.min_d[i];
-            if mode.admits(mindist, state.pruning) {
-                state.block.scalar(1);
+            if collector.admits(mindist) {
+                block.scalar(1);
                 out.push((c, mindist));
             }
         }
@@ -337,11 +282,13 @@ fn sweep_entry<T: GpuIndex, const M: bool>(
     Ok(())
 }
 
+/// A query ready to enter the root's buffer: its block and its collector.
+type Primed<C, const M: bool> = Result<(Block<'static, M>, C), KernelError>;
+
 /// One batch's traversal inputs.
 struct Wave<'a, T: GpuIndex> {
     tree: &'a T,
     queries: &'a PointSet,
-    mode: WaveMode,
     cfg: &'a DeviceConfig,
     opts: &'a KernelOptions,
     order: Option<&'a [u32]>,
@@ -365,44 +312,54 @@ struct Sweep {
 }
 
 impl<T: GpuIndex> Wave<'_, T> {
-    /// Priming for query `i`: PSB's phase-1 descent (kNN) — the very code of
-    /// [`psb_try_query`](crate::kernels::psb::psb_try_query), so the wave's
-    /// starting bound and its metered cost match the per-query kernel's — or,
-    /// for a range query, just the block and the range kernel's static
-    /// shared-memory reservation (no descent: the bound is the radius).
-    fn prime<const M: bool>(
-        &self,
-        i: usize,
-        scratch: &mut Scratch,
-    ) -> Result<QueryState<M>, KernelError> {
-        let (tree, cfg, opts) = (self.tree, self.cfg, self.opts);
-        let mut block = Block::<M>::new(opts.threads_per_block, cfg);
-        let (list, pruning) = match self.mode {
-            WaveMode::Knn { k } => {
-                let q = self.queries.point(i);
-                let mut budget = Budget::for_tree(tree);
-                let list =
-                    initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
-                let bound = list.bound();
-                (Some(list), bound)
+    /// The whole batch for `kernel`: prime every query — the three kNN
+    /// kernels share one wave form, their results being the same exact set —
+    /// traverse, split every node's single fetch over its buffer, and close
+    /// the blocks.
+    fn rows<const M: bool>(&self, kernel: Kernel) -> Result<(Vec<Found>, WaveReport), KernelError> {
+        match kernel {
+            Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
+                self.run(self.prime_knn::<M>(k))
             }
-            WaveMode::Range { radius } => {
-                let static_smem = tree.degree() as u64 * 4 + block.threads() as u64 * 4;
-                block.reserve_shared(static_smem, cfg.smem_per_sm).map_err(|needed| {
-                    KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm }
-                })?;
-                (None, radius)
-            }
-        };
-        Ok(QueryState { block, list, hits: Vec::new(), pruning, visited: Vec::new() })
+            Kernel::Range { radius } => self.run(self.prime_range::<M>(radius)),
+        }
     }
 
-    /// The whole batch: the query-parallel traversal, then the node-major
-    /// split of every node's single fetch over its buffer.
-    fn run<const M: bool>(&self) -> Result<(Vec<QueryState<M>>, WaveReport), KernelError> {
-        let mut states = self.traverse()?;
-        let wr = self.charge_fetch_shares(&mut states);
-        Ok((states, wr))
+    /// kNN priming: PSB's phase-1 descent, the very code of the per-query
+    /// kernel, so the wave's starting bound and its metered cost match it.
+    fn prime_knn<const M: bool>(
+        &self,
+        k: usize,
+    ) -> impl Fn(&[f32], &mut Scratch) -> Primed<KnnCollector, M> + Sync + '_ {
+        let (tree, cfg, opts) = (self.tree, self.cfg, self.opts);
+        move |q, scratch| {
+            let mut block = Block::new(opts.threads_per_block, cfg);
+            let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree());
+            let list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
+            Ok((block, list))
+        }
+    }
+
+    /// Range priming: the range kernel's static shared memory and no descent
+    /// — the bound is the radius from the root on.
+    fn prime_range<const M: bool>(
+        &self,
+        radius: f32,
+    ) -> impl Fn(&[f32], &mut Scratch) -> Primed<RangeCollector, M> + Sync + '_ {
+        move |_, _| {
+            let mut block = Block::new(self.opts.threads_per_block, self.cfg);
+            let hits = range::prime(&mut block, self.tree, radius, self.cfg)?;
+            Ok((block, hits))
+        }
+    }
+
+    fn run<C: Collector + Send, const M: bool>(
+        &self,
+        prime: impl Fn(&[f32], &mut Scratch) -> Primed<C, M> + Sync,
+    ) -> Result<(Vec<Found>, WaveReport), KernelError> {
+        let mut states = self.traverse(prime)?;
+        let report = self.charge_fetch_shares(&mut states);
+        Ok((close(states), report))
     }
 
     /// Which nodes a query is buffered at — and in which order it sweeps them
@@ -411,14 +368,18 @@ impl<T: GpuIndex> Wave<'_, T> {
     /// level, each level in ascending node id: exactly its share of the
     /// node-major schedule) and logs the nodes it swept; the shared fetches
     /// are not charged here.
-    fn traverse<const M: bool>(&self) -> Result<Vec<QueryState<M>>, KernelError> {
+    fn traverse<C: Collector + Send, const M: bool>(
+        &self,
+        prime: impl Fn(&[f32], &mut Scratch) -> Primed<C, M> + Sync,
+    ) -> Result<Vec<QueryState<C, M>>, KernelError> {
         let (tree, opts) = (self.tree, self.opts);
         (0..self.queries.len())
             .into_par_iter()
             .map(|i| {
                 with_scratch(tree.dims(), opts.lanes, |scratch| {
                     let q = self.queries.point(i);
-                    let mut state = self.prime::<M>(i, scratch)?;
+                    let (block, collector) = prime(q, scratch)?;
+                    let mut state = QueryState { block, collector, visited: Vec::new() };
                     // The fronts and the log grow in the worker's scratch, not
                     // per query: a query keeps one exact-size copy of its log.
                     let mut front = std::mem::take(&mut scratch.front);
@@ -433,10 +394,7 @@ impl<T: GpuIndex> Wave<'_, T> {
                     while !front.is_empty() {
                         for &entry in &front {
                             visited.push(entry.0);
-                            let mode = self.mode;
-                            sweep_entry(
-                                tree, q, &mut state, entry, &mut next, mode, opts, scratch,
-                            )?;
+                            sweep_entry(tree, q, &mut state, entry, &mut next, scratch)?;
                         }
                         front.clear();
                         std::mem::swap(&mut front, &mut next);
@@ -456,7 +414,7 @@ impl<T: GpuIndex> Wave<'_, T> {
     /// below it. Rank 0 carries the node-visit count (merged `nodes_visited` =
     /// coalesced sweeps) and the remainder-heavy share. One cheap sequential
     /// pass (a counter bump and two adds per entry).
-    fn charge_fetch_shares<const M: bool>(&self, states: &mut [QueryState<M>]) -> WaveReport {
+    fn charge_fetch_shares<C, const M: bool>(&self, states: &mut [QueryState<C, M>]) -> WaveReport {
         let mut sweeps = vec![Sweep::default(); self.tree.num_nodes()];
         let mut swept: Vec<u32> = Vec::new();
         for state in states.iter() {
@@ -522,9 +480,8 @@ impl<T: GpuIndex> Wave<'_, T> {
 }
 
 /// The wave engine as the batch runner's execute step: every query's exact
-/// result and counters, in submission order, plus what the waves did. The
-/// three kNN kernels share one wave form (their results are the same exact
-/// set); `metering` is the launch's resolved mode, dispatched once here.
+/// result and counters, in submission order, plus what the waves did.
+/// `metering` is the launch's resolved mode, dispatched once here.
 pub(crate) fn wave_rows<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
@@ -535,45 +492,19 @@ pub(crate) fn wave_rows<T: GpuIndex>(
     order: Option<&[u32]>,
 ) -> Result<(Vec<Found>, WaveReport), KernelError> {
     assert_eq!(queries.dims(), tree.dims(), "query dimensionality mismatch");
-    let mode = match kernel {
-        Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
-            assert!(k >= 1, "k must be at least 1");
-            WaveMode::Knn { k }
-        }
-        Kernel::Range { radius } => {
-            assert!(radius >= 0.0, "radius must be non-negative");
-            WaveMode::Range { radius }
-        }
-    };
+    kernel.check_parameter();
     let root = checked_root(tree)?;
     let levels = node_levels(tree, root)?;
-    let wave = Wave { tree, queries, mode, cfg, opts, order, root, levels: &levels };
+    let wave = Wave { tree, queries, cfg, opts, order, root, levels: &levels };
     match metering {
-        Metering::Simulated => wave.run::<true>().map(finish),
-        Metering::Off => wave.run::<false>().map(finish),
+        Metering::Simulated => wave.rows::<true>(kernel),
+        Metering::Off => wave.rows::<false>(kernel),
     }
 }
 
 /// Close every query's block and put its result in canonical order.
-fn finish<const M: bool>(
-    (states, report): (Vec<QueryState<M>>, WaveReport),
-) -> (Vec<Found>, WaveReport) {
-    let rows = states
-        .into_iter()
-        .map(|mut state| {
-            let found = match state.list.take() {
-                Some(list) => list.into_sorted(),
-                None => {
-                    // Range mode: canonical output order, exactly as the
-                    // per-query range kernel sorts before returning.
-                    state.hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-                    state.hits
-                }
-            };
-            (found, state.block.finish())
-        })
-        .collect();
-    (rows, report)
+fn close<C: Collector, const M: bool>(states: Vec<QueryState<C, M>>) -> Vec<Found> {
+    states.into_iter().map(|state| (state.collector.finish(), state.block.finish())).collect()
 }
 
 /// `opts` with the wave engine on.
@@ -702,9 +633,9 @@ mod tests {
     /// `j` of `m` owes exactly [`share`]`(total, m, j)`, rank 0 carries the
     /// visit, leaf shares are streamed. Returns the bytes and transactions of
     /// one fetch per swept node.
-    fn charge_sweep_by_sweep<T: GpuIndex>(
+    fn charge_sweep_by_sweep<T: GpuIndex, C>(
         wave: &Wave<'_, T>,
-        states: &mut [QueryState<true>],
+        states: &mut [QueryState<C, true>],
     ) -> (u64, u64) {
         let mut buffers: Vec<Vec<u32>> = vec![Vec::new(); wave.tree.num_nodes()];
         for (i, state) in states.iter().enumerate() {
@@ -748,39 +679,35 @@ mod tests {
         ] {
             let order =
                 crate::engine::schedule_order(&queries, opts.schedule, &mut Default::default());
-            for mode in [WaveMode::Knn { k: 8 }, WaveMode::Range { radius: 220.0 }] {
-                let (queries, opts, order) = (&queries, &opts, order.as_deref());
-                let wave = Wave {
-                    tree: &tree,
-                    queries,
-                    mode,
-                    cfg: &cfg,
-                    opts,
-                    order,
-                    root,
-                    levels: &levels,
-                };
-                // The traversal is deterministic: three runs, three equal sets
-                // of logs and uncharged ledgers.
-                let [mut engine, mut oracle, bare] =
-                    [(); 3].map(|()| wave.traverse::<true>().unwrap());
-                let wr = wave.charge_fetch_shares(&mut engine);
-                let fetched = charge_sweep_by_sweep(&wave, &mut oracle);
-                let [engine, oracle, bare] = [engine, oracle, bare].map(|s| finish((s, wr)).0);
-                assert_eq!(engine, oracle, "neighbors and per-query counters");
-
-                // Conservation: what the shares add to the batch's ledger is
-                // one fetch, and one visit, per swept node.
-                let ledger = |rows: &[Found]| {
-                    let blocks: Vec<_> = rows.iter().map(|(_, stats)| *stats).collect();
-                    let stats = crate::engine::merge_stats(&blocks);
-                    (stats.global_bytes, stats.global_transactions, stats.nodes_visited)
-                };
-                let (with, without) = (ledger(&engine), ledger(&bare));
-                assert_eq!((with.0 - without.0, with.1 - without.1), fetched);
-                assert_eq!(with.2 - without.2, wr.coalesced_sweeps);
-            }
+            let (queries, opts, order) = (&queries, &opts, order.as_deref());
+            let wave = Wave { tree: &tree, queries, cfg: &cfg, opts, order, root, levels: &levels };
+            check_split(&wave, wave.prime_knn::<true>(8));
+            check_split(&wave, wave.prime_range::<true>(220.0));
         }
+    }
+
+    fn check_split<C: Collector + Send>(
+        wave: &Wave<'_, SsTree>,
+        prime: impl Fn(&[f32], &mut Scratch) -> Primed<C, true> + Sync,
+    ) {
+        // The traversal is deterministic: three runs, three equal sets of
+        // logs and uncharged ledgers.
+        let [mut engine, mut oracle, bare] = [(); 3].map(|()| wave.traverse(&prime).unwrap());
+        let wr = wave.charge_fetch_shares(&mut engine);
+        let fetched = charge_sweep_by_sweep(wave, &mut oracle);
+        let [engine, oracle, bare] = [engine, oracle, bare].map(close);
+        assert_eq!(engine, oracle, "neighbors and per-query counters");
+
+        // Conservation: what the shares add to the batch's ledger is one
+        // fetch, and one visit, per swept node.
+        let ledger = |rows: &[Found]| {
+            let blocks: Vec<_> = rows.iter().map(|(_, stats)| *stats).collect();
+            let stats = crate::engine::merge_stats(&blocks);
+            (stats.global_bytes, stats.global_transactions, stats.nodes_visited)
+        };
+        let (with, without) = (ledger(&engine), ledger(&bare));
+        assert_eq!((with.0 - without.0, with.1 - without.1), fetched);
+        assert_eq!(with.2 - without.2, wr.coalesced_sweeps);
     }
 
     #[test]
@@ -803,7 +730,7 @@ mod tests {
     fn empty_batch_is_a_typed_error() {
         let (_, tree, _) = setup();
         let cfg = DeviceConfig::k40();
-        let empty = PointSet::new(tree.dims());
+        let empty = PointSet::new(tree.dims);
         assert!(matches!(
             wave_knn_batch(&tree, &empty, 4, &cfg, &KernelOptions::default()),
             Err(EngineError::EmptyBatch)

@@ -11,14 +11,15 @@
 //! ([`LbKdTree::index_bytes`] pins it), and traversal carries no stack at all
 //! (`psb_core::kernels::stackfree`).
 //!
-//! The [`GpuIndex`] impl puts the family on the engine plumbing — recovery
-//! fallback, scheduling, inspection, the memory bench — but the
-//! bounding-volume kernels (PSB, BnB, restart, range) are **not** routed to
-//! it: `child_min_max` has nothing to evaluate and says so loudly. That
-//! opt-out is deliberate; the family exists to measure what the pointer-free
-//! layout buys and costs, not to impersonate a volume hierarchy.
+//! The [`PointIndex`] impl puts the family on the engine plumbing — recovery
+//! fallback, scheduling, inspection, the memory bench — and
+//! [`ImplicitKdIndex`] carries what the stack-free kernel reads. The
+//! bounding-volume kernels (PSB, BnB, restart, range) **cannot** be routed to
+//! it: the tree is not a `GpuIndex`, so the call does not type-check. The
+//! family exists to measure what the pointer-free layout buys and costs, not
+//! to impersonate a volume hierarchy.
 
-use psb_core::{GpuIndex, ImplicitKdIndex, NO_ROPE};
+use psb_core::{ImplicitKdIndex, PointIndex};
 use psb_geom::{dist, plane_gap, plane_in_range, PointSet};
 
 use crate::{check_finite, KdBuildError, Neighbor};
@@ -48,11 +49,6 @@ fn left_subtree_size(n: usize) -> usize {
     let last = n - ((1usize << h) - 1); // nodes on the (partial) last level
     let half = 1usize << (h - 1); // last-level capacity of the left subtree
     (half - 1) + last.min(half)
-}
-
-/// Leaves in a left-balanced complete subtree of `m` nodes.
-fn leaves_in(m: usize) -> usize {
-    m.div_ceil(2)
 }
 
 fn build_rec(points: &PointSet, idx: &mut [u32], node: usize, depth: usize, order: &mut [u32]) {
@@ -128,45 +124,6 @@ impl LbKdTree {
         Self::node_depth_of(n) as usize % self.dims
     }
 
-    /// Nodes in the subtree rooted at `n`, by sweeping the heap-index band
-    /// `[2^d·(n+1) - 1, 2^d·(n+2) - 2]` per level until it leaves the arena.
-    pub(crate) fn subtree_size(&self, n: u32) -> usize {
-        let len = self.len();
-        let mut size = 0usize;
-        let (mut lo, mut hi) = (n as usize, n as usize);
-        while lo < len {
-            size += hi.min(len - 1) - lo + 1;
-            lo = 2 * lo + 1;
-            hi = 2 * hi + 2;
-        }
-        size
-    }
-
-    /// Dense left-to-right leaf number of leaf node `n`: leaves of every left
-    /// sibling subtree passed on the way up.
-    fn leaf_id_of(&self, n: u32) -> u32 {
-        debug_assert!(GpuIndex::is_leaf(self, n));
-        let mut id = 0usize;
-        let mut c = n;
-        while c != 0 {
-            let p = (c - 1) >> 1;
-            if c == 2 * p + 2 {
-                id += leaves_in(self.subtree_size(2 * p + 1));
-            }
-            c = p;
-        }
-        id as u32
-    }
-
-    /// Smallest leaf id under `n`: the leftmost descendant leaf's.
-    fn subtree_min_leaf(&self, n: u32) -> u32 {
-        let mut c = n;
-        while !GpuIndex::is_leaf(self, c) {
-            c = 2 * c + 1;
-        }
-        self.leaf_id_of(c)
-    }
-
     /// Exact recursive kNN on the CPU (oracle): offers every visited node's
     /// point (internal nodes hold points too), descends the near side, and
     /// crosses the splitting plane only while the far side is strictly in
@@ -209,7 +166,7 @@ impl LbKdTree {
             return Err("point ids are not a permutation".into());
         }
         for n in 0..self.len() as u32 {
-            if GpuIndex::is_leaf(self, n) {
+            if ImplicitKdIndex::is_leaf(self, n) {
                 continue;
             }
             let d = self.split_dim_of(n);
@@ -239,23 +196,27 @@ impl LbKdTree {
     }
 }
 
-impl GpuIndex for LbKdTree {
+impl PointIndex for LbKdTree {
     fn dims(&self) -> usize {
         self.dims
     }
-    fn degree(&self) -> usize {
-        2
+    fn num_points(&self) -> usize {
+        self.len()
     }
-    fn root(&self) -> u32 {
-        0
+    fn rows(&self, range: std::ops::Range<usize>) -> &[f32] {
+        &self.points.as_flat()[range.start * self.dims..range.end * self.dims]
+    }
+    fn point_id(&self, pos: usize) -> u32 {
+        self.point_ids[pos]
+    }
+}
+
+impl ImplicitKdIndex for LbKdTree {
+    fn num_nodes(&self) -> usize {
+        self.len()
     }
     fn is_leaf(&self, n: u32) -> bool {
         2 * n as usize + 1 >= self.len()
-    }
-    fn children(&self, n: u32) -> std::ops::Range<u32> {
-        debug_assert!(!GpuIndex::is_leaf(self, n));
-        let len = self.len() as u32;
-        (2 * n + 1).min(len)..(2 * n + 3).min(len)
     }
     fn parent(&self, n: u32) -> u32 {
         if n == 0 {
@@ -264,101 +225,20 @@ impl GpuIndex for LbKdTree {
             (n - 1) >> 1
         }
     }
-    fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
-        debug_assert!(GpuIndex::is_leaf(self, n));
-        n as usize..n as usize + 1
-    }
-    fn point(&self, pos: usize) -> &[f32] {
-        self.points.point(pos)
-    }
-    fn point_id(&self, pos: usize) -> u32 {
-        self.point_ids[pos]
-    }
-    fn leaf_id(&self, n: u32) -> u32 {
-        self.leaf_id_of(n)
-    }
-    fn leaf_node_of(&self, l: u32) -> u32 {
-        let mut n = 0u32;
-        let mut l = l as usize;
-        while !GpuIndex::is_leaf(self, n) {
-            let left = 2 * n + 1;
-            let ll = leaves_in(self.subtree_size(left));
-            if l < ll {
-                n = left;
-            } else {
-                l -= ll;
-                n = 2 * n + 2;
-            }
-        }
-        n
-    }
-    fn num_leaves(&self) -> usize {
-        leaves_in(self.len())
-    }
-    fn num_nodes(&self) -> usize {
-        self.len()
-    }
-    fn num_points(&self) -> usize {
-        self.len()
-    }
-    fn subtree_max_leaf(&self, n: u32) -> u32 {
-        self.subtree_min_leaf(n) + leaves_in(self.subtree_size(n)) as u32 - 1
-    }
-    fn rope(&self, n: u32) -> u32 {
-        // Pure arithmetic: climb until standing on a left child whose right
-        // sibling exists — that sibling is the next subtree in preorder.
-        let len = self.len() as u32;
-        let mut c = n;
-        loop {
-            if c == 0 {
-                return NO_ROPE;
-            }
-            if c & 1 == 1 && c + 1 < len {
-                return c + 1;
-            }
-            c = (c - 1) >> 1;
-        }
-    }
     fn node_depth(&self, n: u32) -> u32 {
         Self::node_depth_of(n)
+    }
+    fn split_dim(&self, n: u32) -> usize {
+        self.split_dim_of(n)
+    }
+    fn point_entry_bytes(&self) -> u64 {
+        self.dims as u64 * 4 + 4
     }
     fn index_bytes(&self) -> u64 {
         // The whole index: the reordered coordinates, one u32 id per point,
         // and a fixed header. Exactly the points-array footprint plus O(1) —
         // the property the bench memory gate pins.
         self.len() as u64 * self.point_entry_bytes() + LB_HEADER_BYTES
-    }
-    fn internal_node_bytes(&self, _n: u32) -> u64 {
-        // A node *is* one point entry; internal and leaf fetches are the same.
-        self.point_entry_bytes()
-    }
-    fn leaf_node_bytes(&self, _n: u32) -> u64 {
-        self.point_entry_bytes()
-    }
-    fn child_entry_bytes(&self) -> u64 {
-        self.point_entry_bytes()
-    }
-    fn point_entry_bytes(&self) -> u64 {
-        self.dims as u64 * 4 + 4
-    }
-    fn child_min_max(&self, _c: u32, _q: &[f32], _with_max: bool) -> (f32, f32) {
-        // The documented opt-out: there are no bounding volumes to evaluate.
-        // The bounding-volume kernels (PSB, BnB, restart, range) must not be
-        // routed to this family; kNN goes through `kernels::stackfree`.
-        panic!("implicit kd-tree has no bounding volumes; use the stack-free kernel")
-    }
-    fn child_eval_cost(&self, _with_max: bool) -> u64 {
-        // One plane subtraction + compare.
-        1
-    }
-    fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
-        dist(q, self.points.point(c as usize))
-    }
-}
-
-impl ImplicitKdIndex for LbKdTree {
-    fn split_dim(&self, n: u32) -> usize {
-        self.split_dim_of(n)
     }
 }
 
@@ -429,65 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_numbering_roundtrips_left_to_right() {
-        let ps = dataset(3, 777);
-        let t = LbKdTree::build(&ps);
-        let leaves = GpuIndex::num_leaves(&t);
-        assert_eq!(leaves, t.len().div_ceil(2));
-        let mut prev_node = None;
-        for l in 0..leaves as u32 {
-            let n = GpuIndex::leaf_node_of(&t, l);
-            assert!(GpuIndex::is_leaf(&t, n));
-            assert_eq!(GpuIndex::leaf_id(&t, n), l);
-            // Left-to-right means in-order: each next leaf node sits strictly
-            // to the right in the preorder-skip (rope) sense, which the
-            // subtree_max_leaf consistency below checks structurally.
-            prev_node = Some(n);
-        }
-        assert!(prev_node.is_some());
-    }
-
-    #[test]
-    fn ropes_match_preorder_skip_oracle() {
-        // Oracle: explicit preorder with an actual stack; the rope of n is the
-        // stack top right after n's subtree is skipped.
-        let ps = dataset(2, 300);
-        let t = LbKdTree::build(&ps);
-        let len = t.len() as u32;
-        for n in 0..len {
-            let mut want = NO_ROPE;
-            let mut c = n;
-            loop {
-                if c == 0 {
-                    break;
-                }
-                let p = (c - 1) >> 1;
-                if c == 2 * p + 1 && 2 * p + 2 < len {
-                    want = 2 * p + 2;
-                    break;
-                }
-                c = p;
-            }
-            assert_eq!(GpuIndex::rope(&t, n), want, "node {n}");
-        }
-    }
-
-    #[test]
-    fn subtree_leaf_ranges_are_consistent() {
-        let ps = dataset(4, 500);
-        let t = LbKdTree::build(&ps);
-        for n in 0..t.len() as u32 {
-            let hi = GpuIndex::subtree_max_leaf(&t, n);
-            let lo = t.subtree_min_leaf(n);
-            assert!(lo <= hi);
-            assert_eq!((hi - lo + 1) as usize, leaves_in(t.subtree_size(n)), "node {n}");
-            assert!((hi as usize) < GpuIndex::num_leaves(&t));
-        }
-        // The root spans every leaf.
-        assert_eq!(GpuIndex::subtree_max_leaf(&t, 0) as usize, GpuIndex::num_leaves(&t) - 1);
-    }
-
-    #[test]
     fn node_depth_is_floor_log2() {
         assert_eq!(LbKdTree::node_depth_of(0), 0);
         assert_eq!(LbKdTree::node_depth_of(1), 1);
@@ -501,8 +322,8 @@ mod tests {
     fn index_bytes_is_points_array_plus_constant() {
         let ps = dataset(8, 900);
         let t = LbKdTree::build(&ps);
-        let points_bytes = t.len() as u64 * GpuIndex::point_entry_bytes(&t);
-        assert_eq!(GpuIndex::index_bytes(&t), points_bytes + LB_HEADER_BYTES);
+        let points_bytes = t.len() as u64 * ImplicitKdIndex::point_entry_bytes(&t);
+        assert_eq!(ImplicitKdIndex::index_bytes(&t), points_bytes + LB_HEADER_BYTES);
     }
 
     #[test]

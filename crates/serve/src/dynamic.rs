@@ -363,7 +363,7 @@ impl DynamicShardRouter {
                 debug_assert_ne!(g, DEAD, "shard result id without a global mapping");
                 best.push(Neighbor { dist: n.dist, id: g });
             }
-            best.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            best.sort_by(Neighbor::by_rank);
             best.truncate(k);
         }
         if let Some((key, version)) = miss {
@@ -393,7 +393,7 @@ mod tests {
     fn oracle(mirror: &[(u32, Vec<f32>)], q: &[f32], k: usize) -> Vec<Neighbor> {
         let mut v: Vec<Neighbor> =
             mirror.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
-        v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        v.sort_by(Neighbor::by_rank);
         v.truncate(k.min(v.len()));
         v
     }

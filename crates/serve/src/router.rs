@@ -8,7 +8,7 @@ use crate::runner::{run_batch, Batch, FrontEnd};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::{
-    brute_index_query, dist_cost, psb_try_query, EngineError, GpuIndex, KernelError, KernelOptions,
+    brute_index_query, dist_cost, EngineError, GpuIndex, Kernel, KernelError, KernelOptions,
     Metering, QueryOutcome,
 };
 use psb_geom::{PointSet, RitterMode, Sphere};
@@ -511,8 +511,14 @@ impl<T: GpuIndex> ShardRouter<T> {
                 }
                 let faults =
                     (!replica.plan.is_noop()).then(|| replica.plan.state_for(qi as u64, 0));
-                let launch =
-                    psb_try_query(&shard.index, q, k, &replica.device, opts, faults, &mut NoopSink);
+                let launch = Kernel::Psb { k }.attempt(
+                    &shard.index,
+                    q,
+                    &replica.device,
+                    opts,
+                    faults,
+                    &mut NoopSink,
+                );
                 match launch {
                     Ok(res) => {
                         answered = Some(res);

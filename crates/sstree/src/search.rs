@@ -26,6 +26,16 @@ pub struct Neighbor {
     pub id: u32,
 }
 
+impl Neighbor {
+    /// The canonical result order: ascending distance (`total_cmp`, so the
+    /// order is total even over corrupt, non-finite distances), ties broken by
+    /// ascending id. Every result list in the workspace — kNN, range, merged
+    /// shards, oracles — is sorted by this.
+    pub fn by_rank(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+        a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+    }
+}
+
 /// Max-heap entry keyed by distance (the running k-best list).
 #[derive(PartialEq)]
 struct HeapItem(f32, u32);
@@ -76,7 +86,7 @@ impl KBest {
     fn into_sorted(self) -> Vec<Neighbor> {
         let mut v: Vec<Neighbor> =
             self.heap.into_iter().map(|HeapItem(dist, id)| Neighbor { dist, id }).collect();
-        v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        v.sort_by(Neighbor::by_rank);
         v
     }
 }
@@ -170,7 +180,7 @@ pub fn linear_range(ps: &PointSet, q: &[f32], radius: f32) -> Vec<Neighbor> {
             (d <= radius).then_some(Neighbor { dist: d, id: i as u32 })
         })
         .collect();
-    out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+    out.sort_by(Neighbor::by_rank);
     out
 }
 

@@ -127,7 +127,10 @@ impl<V: Volumes> FlatTree<V> {
     pub fn children(&self, n: u32) -> std::ops::Range<u32> {
         debug_assert!(!self.is_leaf(n));
         let fc = self.first_child[n as usize];
-        fc..fc + self.child_count[n as usize]
+        // Saturating: a corrupt link near `u32::MAX` must come out as a range
+        // the kernels' bounds check rejects — not a debug-build overflow
+        // panic, and not a release-build wrap to an empty range.
+        fc..fc.saturating_add(self.child_count[n as usize])
     }
 
     /// Point positions (into `self.points`) of leaf node `n`.

@@ -63,11 +63,11 @@ pub use psb_sstree as sstree;
 
 /// The names most programs need, re-exported flat.
 pub mod prelude {
-    pub use psb_core::kernels::bnb::{bnb_query, bnb_try_query};
+    pub use psb_core::kernels::bnb::bnb_query;
     pub use psb_core::kernels::brute::{brute_index_query, brute_query, brute_try_query};
-    pub use psb_core::kernels::psb::{psb_query, psb_try_query};
-    pub use psb_core::kernels::range::{range_query_gpu, range_try_query};
-    pub use psb_core::kernels::restart::{restart_query, restart_try_query};
+    pub use psb_core::kernels::psb::psb_query;
+    pub use psb_core::kernels::range::range_query_gpu;
+    pub use psb_core::kernels::restart::restart_query;
     pub use psb_core::kernels::stackfree::stackfree_query;
     pub use psb_core::shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
     pub use psb_core::{
@@ -75,9 +75,9 @@ pub mod prelude {
         launch_stackfree, merge_stats, psb_batch, range_batch, resolve, restart_batch,
         stackfree_batch, tpss_batch, tpss_batch_traced, tpss_try_batch, wave_knn_batch,
         wave_range_batch, DynamicSsTree, EngineError, GpuIndex, ImplicitKdIndex, Kernel,
-        KernelError, KernelOptions, Metering, NodeLayout, Override, QueryBatchResult, QueryOutcome,
-        QuerySchedule, QueryStream, Resolved, ScheduleScratch, SharedMemPolicy, StreamKernel,
-        WaveConfig, WaveReport, NO_ROPE,
+        KernelError, KernelOptions, Metering, NodeLayout, Override, PointIndex, QueryBatchResult,
+        QueryOutcome, QuerySchedule, QueryStream, Resolved, ScheduleScratch, SharedMemPolicy,
+        StreamKernel, WaveConfig, WaveReport, NO_ROPE,
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{

@@ -335,7 +335,7 @@ fn dynamic_router_cache_stays_exact_under_writes() {
     let oracle = |mirror: &[(u32, Vec<f32>)]| {
         let mut all: Vec<Neighbor> =
             mirror.iter().map(|(id, p)| Neighbor { dist: dist(&q, p), id: *id }).collect();
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        all.sort_by(Neighbor::by_rank);
         all.truncate(K);
         all
     };

@@ -20,7 +20,7 @@ use psb::prelude::*;
 fn oracle(mirror: &[(u32, Vec<f32>)], q: &[f32], k: usize) -> Vec<Neighbor> {
     let mut v: Vec<Neighbor> =
         mirror.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
-    v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+    v.sort_by(Neighbor::by_rank);
     v.truncate(k.min(v.len()));
     v
 }

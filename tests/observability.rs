@@ -26,24 +26,27 @@ fn recording_sink_changes_no_simulation_output() {
         // PSB
         let silent = psb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced =
-            psb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
+        let traced = Kernel::Psb { k }
+            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .expect("trusted tree");
         assert_eq!(silent, traced, "psb");
         assert!(!sink.events.is_empty(), "psb must emit events");
 
         // Branch-and-bound
         let silent = bnb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced =
-            bnb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
+        let traced = Kernel::Bnb { k }
+            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .expect("trusted tree");
         assert_eq!(silent, traced, "bnb");
         assert!(!sink.events.is_empty(), "bnb must emit events");
 
         // Restart
         let silent = restart_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced =
-            restart_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
+        let traced = Kernel::Restart { k }
+            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .expect("trusted tree");
         assert_eq!(silent, traced, "restart");
 
         // Brute force
@@ -56,8 +59,9 @@ fn recording_sink_changes_no_simulation_output() {
         // Range
         let silent = range_query_gpu(&tree, q, 300.0, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced =
-            range_try_query(&tree, q, 300.0, &cfg, &opts, None, &mut sink).expect("trusted tree");
+        let traced = Kernel::Range { radius: 300.0 }
+            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .expect("trusted tree");
         assert_eq!(silent, traced, "range");
     }
 
@@ -156,8 +160,9 @@ proptest! {
         let q = queries.point(0);
 
         let mut sink = VecSink::new();
-        let (_, stats) =
-            psb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
+        let (_, stats) = Kernel::Psb { k }
+            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .expect("trusted tree");
 
         // Always-on counters reconcile.
         prop_assert!(stats.phase_totals_consistent());

@@ -737,14 +737,13 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     // changed are the ones a scan says they had to: those whose k-th place
     // the new point is nearer than.
     let mut absorbed = 0;
-    let by_rank = |a: &Neighbor, b: &Neighbor| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id));
     for q in soak.queries.iter() {
         let at = |g: usize| Neighbor { dist: dist(q, soak.all.point(g)), id: g as u32 };
         let mut ranked: Vec<Neighbor> = (0..INITIAL).map(at).collect();
-        ranked.sort_by(by_rank);
+        ranked.sort_by(Neighbor::by_rank);
         for j in 0..inserts {
             let new = at(INITIAL + j);
-            let rank = ranked.partition_point(|n| by_rank(n, &new).is_lt());
+            let rank = ranked.partition_point(|n| Neighbor::by_rank(n, &new).is_lt());
             absorbed += u64::from(rank < K);
             ranked.insert(rank, new);
             if (j + 1) % INSERTS_PER_PHASE == 0 {

@@ -156,6 +156,10 @@ proptest! {
     }
 }
 
+fn table_kernels(k: usize) -> [Kernel; 4] {
+    [Kernel::Psb { k }, Kernel::Bnb { k }, Kernel::Restart { k }, Kernel::Range { radius: 50.0 }]
+}
+
 /// A counter of `registry`, 0 if nothing ever bumped it.
 fn counter(registry: &Registry, key: &str) -> u64 {
     registry.snapshot().counters.iter().find(|(k, _)| k == key).map_or(0, |c| c.1)
@@ -177,8 +181,10 @@ fn corrupt_and_probe<V: Volumes>(
     match kind {
         // Non-finite geometry.
         0 | 1 => poison(&mut tree.volumes, ni, kind == 1),
-        // Out-of-bounds child / point range.
-        2 => tree.first_child[ni] += (nn + ps.len()) as u32 + 1,
+        // Out-of-bounds child / point range: just past both arrays, or so near
+        // `u32::MAX` that adding the count overflows.
+        2 if node_sel.is_multiple_of(2) => tree.first_child[ni] += (nn + ps.len()) as u32 + 1,
+        2 => tree.first_child[ni] = u32::MAX - (node_sel % (tree.degree + 1)) as u32,
         // Fan-out beyond the declared degree.
         3 => tree.child_count[ni] += tree.degree as u32 + 1 + (node_sel % 1000) as u32,
         // Broken parent back-link (on the root: a parent where none may be).
@@ -225,17 +231,12 @@ fn corrupt_and_probe<V: Volumes>(
     let opts = KernelOptions::default();
     let q = ps.point(0);
     let k = 4usize;
-    for (name, r) in [
-        ("psb", psb_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
-        ("bnb", bnb_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
-        ("restart", restart_try_query(&tree, q, k, &cfg, &opts, None, &mut NoopSink)),
-        ("range", range_try_query(&tree, q, 50.0, &cfg, &opts, None, &mut NoopSink)),
-    ] {
-        if let Ok((nb, _)) = r {
+    for kernel in table_kernels(k) {
+        if let Ok((nb, _)) = kernel.attempt(&tree, q, &cfg, &opts, None, &mut NoopSink) {
             prop_assert!(
                 nb.iter().all(|x| x.dist.is_finite()),
                 "{} returned a non-finite distance from a corrupt tree",
-                name
+                kernel.label()
             );
         }
     }
@@ -260,12 +261,7 @@ fn corrupt_and_probe<V: Volumes>(
     let batch = ps.gather(&[0, 1, (ps.len() - 1) as u32]);
     let none = FaultPlan::none();
     let knn = |q: &[f32]| linear_knn(ps, q, k).len();
-    for kernel in [
-        Kernel::Psb { k },
-        Kernel::Bnb { k },
-        Kernel::Restart { k },
-        Kernel::Range { radius: 50.0 },
-    ] {
+    for kernel in table_kernels(k) {
         let registry = Registry::new();
         let metrics = MetricsHandle::attached(&registry);
         let waved = KernelOptions { wave: Some(WaveConfig), metrics, ..Default::default() };
@@ -352,4 +348,55 @@ fn a_tree_only_the_leveling_rejects_falls_through_and_says_so() {
     assert_eq!(counter(&registry, "engine.batches{kernel=\"psb\"}"), 1);
     assert_eq!(counter(&registry, "engine.batches{kernel=\"wave\"}"), 0);
     assert_eq!(counter(&registry, "wave.waves"), 0, "a batch that ran no wave records no report");
+}
+
+/// The root's child link within `degree` of `u32::MAX`: `first_child + count`
+/// overflows a `u32`, which used to panic every launch in debug builds and, in
+/// release builds, wrap to an empty range reported as a childless node. Every
+/// table kernel, tpss and the wave leveling must name the link instead — the
+/// same typed error in both profiles (`./ci.sh test` runs debug, the benchmark
+/// smoke release).
+#[test]
+fn a_child_link_near_u32_max_is_a_typed_link_error_everywhere() {
+    let ps = ClusteredSpec { clusters: 4, points_per_cluster: 100, dims: 3, sigma: 60.0, seed: 6 }
+        .generate();
+    near_max_root_link(build(&ps, 4, &BuildMethod::Hilbert), &ps);
+    near_max_root_link(build_rtree(&ps, 4, &RtreeBuildMethod::Hilbert), &ps);
+}
+
+fn near_max_root_link<V: Volumes>(mut tree: FlatTree<V>, ps: &PointSet) {
+    let (cfg, opts, none) = (DeviceConfig::k40(), KernelOptions::default(), FaultPlan::none());
+    let (root, k) = (tree.root, 4);
+    let queries = ps.gather(&[0, 7, 399]);
+    for below in 0..=tree.degree as u32 {
+        tree.first_child[root as usize] = u32::MAX - below;
+        assert!(tree.validate().is_err());
+        let names_the_link = |e: &KernelError| matches!(e, KernelError::LinkOutOfBounds { link: "children", node, .. } if *node == root);
+        for kernel in table_kernels(k) {
+            let e = kernel
+                .attempt(&tree, queries.point(0), &cfg, &opts, None, &mut NoopSink)
+                .expect_err("no traversal gets past the root");
+            assert!(names_the_link(&e), "{} at MAX - {below}: {e:?}", kernel.label());
+
+            // Under the wave engine the leveling meets the link first and the
+            // batch falls through to the ladder, which meets it again.
+            let registry = Registry::new();
+            let metrics = MetricsHandle::attached(&registry);
+            let waved = KernelOptions { wave: Some(WaveConfig), metrics, ..Default::default() };
+            let r = launch(&tree, &queries, kernel, &cfg, &waved, &none, None).expect("launch");
+            assert_eq!(counter(&registry, "wave.fell_through"), 1, "{}", kernel.label());
+            for outcome in &r.outcomes {
+                let QueryOutcome::Degraded { first, retry } = outcome else {
+                    panic!("{}: {outcome:?}", kernel.label());
+                };
+                assert!(names_the_link(first) && names_the_link(retry), "{first:?} {retry:?}");
+            }
+        }
+        let (per_query, _) =
+            tpss_try_batch(&tree, &queries, k, &cfg, 32, &mut NoopSink).expect("non-empty batch");
+        for found in per_query {
+            let e = found.expect_err("no lane gets past the root");
+            assert!(names_the_link(&e), "tpss at MAX - {below}: {e:?}");
+        }
+    }
 }
