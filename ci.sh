@@ -60,9 +60,10 @@ run_metrics() {
 run_wave() { cargo test -p psb --test wave_parity -q; }
 # Fast path (DESIGN.md "Distance evaluators", "Metering::Off"): the parity suite
 # pinning that the SIMD lanes and Metering::Off change nothing observable, and
-# the geom crate's own evaluator identity tests. Metered vs unmetered wall-clock
-# is the repo benchmark's `kernels.psb_us_per_query` /
-# `kernels.psb_metered_us_per_query`.
+# the geom crate's own evaluator identity tests. The probe for what metering
+# costs the host is the repo benchmark's traced `gpu.metering_overhead_frac`
+# (1 - `kernels.psb_us_per_query` / `kernels.psb_metered_us_per_query`): an
+# untraced metered launch should pay for its counters, not for a trace sink.
 run_fastpath() {
     cargo test -p psb --test fastpath_parity -q
     cargo test -p psb-geom -q
@@ -100,6 +101,8 @@ run_kdtree() {
 # for the dynamic router's maintained result cache: cached = uncached = linear
 # oracle through random inserts, removes and shard rebuilds; `admission` walks
 # the same rule case by case and `threads`' soak counts it from the registry.
+# `observability` is here because its silent-versus-traced assertions are where
+# an untraced batch (`sink: None`) runs its ladder on the pool.
 run_threads() {
     local t
     for t in 1 4; do
@@ -108,7 +111,7 @@ run_threads() {
         RAYON_NUM_THREADS=$t cargo test -q -p psb-serve
         for suite in threads layout_parity schedule_parity wave_parity fastpath_parity \
             kdtree_parity shard_parity resilience_parity metrics_parity chaos admission \
-            tree_invariants dynamic_sstree kernel_fingerprint; do
+            tree_invariants dynamic_sstree kernel_fingerprint observability; do
             RAYON_NUM_THREADS=$t cargo test -q -p psb --test "$suite"
         done
     done

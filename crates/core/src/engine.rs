@@ -18,8 +18,8 @@
 
 use psb_geom::PointSet;
 use psb_gpu::{
-    launch_blocks, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, NoopSink,
-    TraceSink, VecSink,
+    launch_blocks, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, TraceSink,
+    VecSink,
 };
 use psb_sstree::Neighbor;
 use rayon::prelude::*;
@@ -205,7 +205,7 @@ fn run_batch(
     order: Option<&[u32]>,
     sink: Option<&mut dyn TraceSink>,
     wave: Option<WaveStep<'_>>,
-    attempt: impl Fn(&[f32], Option<FaultState>, &mut dyn TraceSink) -> Result<Found, KernelError>
+    attempt: impl Fn(&[f32], Option<FaultState>, Option<&mut dyn TraceSink>) -> Result<Found, KernelError>
         + Sync,
     fallback: impl Fn(&[f32]) -> Found + Sync,
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
@@ -224,13 +224,13 @@ fn run_batch(
         let mut launch = |attempt_no: u32| {
             let faults = (!plan.is_noop()).then(|| plan.state_for(i as u64, attempt_no));
             match sink.as_deref_mut() {
-                None => attempt(q, faults, &mut NoopSink),
+                None => attempt(q, faults, None),
                 // A failed attempt's partial counters are discarded with the
                 // launch, and so are its events: the sink sees exactly the
                 // attempts `per_block` keeps.
                 Some(sink) => {
                     let mut events = VecSink::new();
-                    let found = attempt(q, faults, &mut events)?;
+                    let found = attempt(q, faults, Some(&mut events))?;
                     events.events.into_iter().for_each(|e| sink.record(e));
                     Ok(found)
                 }
@@ -369,7 +369,7 @@ fn launch_outside_table(
     label: &str,
     plan: &FaultPlan,
     sink: Option<&mut dyn TraceSink>,
-    attempt: impl Fn(&[f32], Option<FaultState>, &mut dyn TraceSink) -> Result<Found, KernelError>
+    attempt: impl Fn(&[f32], Option<FaultState>, Option<&mut dyn TraceSink>) -> Result<Found, KernelError>
         + Sync,
     fallback: impl Fn(&[f32]) -> Found + Sync,
 ) -> Result<QueryBatchResult, EngineError> {

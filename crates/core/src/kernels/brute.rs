@@ -7,7 +7,7 @@
 //! perfect memory behaviour, zero pruning.
 
 use psb_geom::{DistKernel, PointSet};
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
 use super::collector::{Collector, KnnCollector};
@@ -28,13 +28,13 @@ pub fn brute_query(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    brute_try_query(points, q, k, cfg, opts, None, &mut NoopSink)
+    brute_try_query(points, q, k, cfg, opts, None, None)
         .unwrap_or_else(|e| panic!("brute-force kernel failed: {e}"))
 }
 
 /// The hardened brute-force kernel: typed errors instead of panics under
 /// injected device faults or an oversized tile. Bit-identical to the original
-/// with `faults: None`.
+/// with `faults: None`; `sink: None` is untraced.
 pub fn brute_try_query(
     points: &PointSet,
     q: &[f32],
@@ -42,7 +42,7 @@ pub fn brute_try_query(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
+    sink: Option<&mut dyn TraceSink>,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     assert_eq!(q.len(), points.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
@@ -67,7 +67,7 @@ fn brute_try_query_with<const M: bool>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
+    sink: Option<&mut dyn TraceSink>,
     scratch: &mut super::Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);

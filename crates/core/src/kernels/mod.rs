@@ -21,7 +21,7 @@ pub mod tpss;
 use std::cell::RefCell;
 
 use psb_geom::{DistKernel, DistLanes};
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
 use self::collector::{Collector, KnnCollector, RangeCollector};
@@ -66,8 +66,9 @@ impl Kernel {
     /// it bounds-checks every structural link it follows, runs under a
     /// traversal step budget, polls the device fault flags at each step, and
     /// reports failure as a typed [`KernelError`] instead of panicking or
-    /// hanging. Every metering call is mirrored into `sink` (observation
-    /// only: neighbors and counters are bit-identical under any sink).
+    /// hanging. With `Some(sink)`, every metering call is mirrored into it
+    /// (observation only: neighbors and counters are bit-identical with or
+    /// without a sink); `None` is untraced.
     pub fn attempt<T: GpuIndex>(
         &self,
         tree: &T,
@@ -75,7 +76,7 @@ impl Kernel {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
         faults: Option<FaultState>,
-        sink: &mut dyn TraceSink,
+        sink: Option<&mut dyn TraceSink>,
     ) -> Result<Found, KernelError> {
         assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
         self.check_parameter();
@@ -101,7 +102,7 @@ impl Kernel {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> Found {
-        self.attempt(tree, q, cfg, opts, None, &mut NoopSink)
+        self.attempt(tree, q, cfg, opts, None, None)
             .unwrap_or_else(|e| panic!("{} kernel failed on a trusted tree: {e}", self.label()))
     }
 
@@ -126,7 +127,7 @@ impl Kernel {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
         faults: Option<FaultState>,
-        sink: &mut dyn TraceSink,
+        sink: Option<&mut dyn TraceSink>,
         s: &mut Scratch,
     ) -> Result<Found, KernelError> {
         let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);

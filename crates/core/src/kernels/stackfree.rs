@@ -24,7 +24,7 @@
 //! far, so nothing skippable can improve the list. The golden suite
 //! (`tests/kdtree_parity.rs`) pins results bit-identical to the brute oracle.
 
-use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, TraceSink};
+use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
 use psb_sstree::Neighbor;
 
 use crate::dist_cost;
@@ -47,7 +47,7 @@ pub fn stackfree_query<T: ImplicitKdIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    stackfree_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
+    stackfree_try_query(tree, q, k, cfg, opts, None, None)
         .unwrap_or_else(|e| panic!("stack-free kernel failed on a trusted tree: {e}"))
 }
 
@@ -62,7 +62,7 @@ pub(crate) fn stackfree_try_query<T: ImplicitKdIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
+    sink: Option<&mut dyn TraceSink>,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
@@ -86,7 +86,7 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     faults: Option<FaultState>,
-    sink: &mut dyn TraceSink,
+    sink: Option<&mut dyn TraceSink>,
     scratch: &mut Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);

@@ -15,7 +15,7 @@ use psb_geom::{dist, PointSet};
 
 use crate::error::{EngineError, KernelError};
 use crate::index::GpuIndex;
-use psb_gpu::{run_task_parallel_traced, DeviceConfig, KernelStats, LaneStep, NoopSink, TraceSink};
+use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep, TraceSink};
 use psb_sstree::Neighbor;
 
 use crate::dist_cost;
@@ -151,6 +151,10 @@ impl<T: GpuIndex> Lane<'_, T> {
 
 /// Runs a batch task-parallel: queries are packed into blocks of
 /// `threads_per_block` lanes. Returns per-query results and per-block stats.
+///
+/// Trusted-tree entry point: panics if any lane reports a [`KernelError`],
+/// which a validated tree can never produce. Use [`tpss_try_batch`] to handle
+/// corruption per query, or to trace the batch.
 pub fn tpss_batch<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
@@ -158,26 +162,8 @@ pub fn tpss_batch<T: GpuIndex>(
     cfg: &DeviceConfig,
     threads_per_block: u32,
 ) -> (Vec<Vec<Neighbor>>, Vec<KernelStats>) {
-    tpss_batch_traced(tree, queries, k, cfg, threads_per_block, &mut NoopSink)
-}
-
-/// [`tpss_batch`] with every block's issue groups and loads mirrored into
-/// `sink` (blocks run sequentially, so events arrive in block order). Results
-/// and counters are bit-identical to the untraced run.
-///
-/// Trusted-tree entry point: panics if any lane reports a [`KernelError`],
-/// which a validated tree can never produce. Use [`tpss_try_batch`] to handle
-/// corruption per query.
-pub fn tpss_batch_traced<T: GpuIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    threads_per_block: u32,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Vec<Neighbor>>, Vec<KernelStats>) {
     assert!(!queries.is_empty(), "empty query batch");
-    let (results, per_block) = tpss_try_batch(tree, queries, k, cfg, threads_per_block, sink)
+    let (results, per_block) = tpss_try_batch(tree, queries, k, cfg, threads_per_block, None)
         .unwrap_or_else(|e| panic!("task-parallel kernel rejected the batch: {e}"));
     let results = results
         .into_iter()
@@ -194,14 +180,16 @@ pub type TpssBatchOutput = (Vec<Result<Vec<Neighbor>, KernelError>>, Vec<KernelS
 /// bounds-checks every link it follows, so corruption yields a per-query
 /// [`KernelError`] instead of a panic or an endless round loop. Lanes that
 /// fail simply go idle; surviving lanes in the same block finish normally.
-/// Bit-identical results and stats to [`tpss_batch`] on a valid tree.
+/// Bit-identical results and stats to [`tpss_batch`] on a valid tree. With
+/// `Some(sink)`, every block's issue groups and loads are mirrored into it
+/// (blocks run sequentially, so events arrive in block order).
 pub fn tpss_try_batch<T: GpuIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
     threads_per_block: u32,
-    sink: &mut dyn TraceSink,
+    mut sink: Option<&mut dyn TraceSink>,
 ) -> Result<TpssBatchOutput, EngineError> {
     assert!(k >= 1);
     if queries.is_empty() {
@@ -231,7 +219,10 @@ pub fn tpss_try_batch<T: GpuIndex>(
                 error: None,
             })
             .collect();
-        let stats = run_task_parallel_traced(cfg, &mut lanes, 0, Lane::step, sink);
+        // Reborrowed per block (`as_deref_mut` would pin the trait object's
+        // lifetime to the whole batch).
+        let block_sink = sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink);
+        let stats = run_task_parallel(cfg, &mut lanes, 0, Lane::step, block_sink);
         per_block.push(stats);
         results.extend(lanes.into_iter().map(|l| match l.error {
             Some(e) => Err(e),

@@ -102,10 +102,15 @@ impl GpuKnnList {
     /// (`log2 k` instructions on one lane); one landing in the global region of
     /// a hybrid list additionally pays a global write.
     ///
-    /// `#[inline]`: callers offer a whole leaf or tile in a loop, and nearly
-    /// every row takes the two-compare reject at the top; as an out-of-line
-    /// call that loop cost the brute-force kernel 20–35 % (`experiments/PR-23.md`
-    /// "Each traversal written once").
+    /// Split like the paper's §V-E update — `dist < pruningDist`, then a rare
+    /// serialized sift. The NaN test and the bound reject are `#[inline]`:
+    /// callers offer a whole leaf or tile in a loop and nearly every row stops
+    /// there (as an out-of-line call, that loop cost the brute-force kernel
+    /// 20–35 %). The accepting half, `admit`, is inlined as well on an
+    /// unmetered block, where it is a binary search and an insert (calling it
+    /// cost the unmetered uniform-data batch 7 %). On a metered block it also
+    /// issues the sift, the hybrid region's global write and the event, and is
+    /// called out of line so that bulk stays out of every row's loop.
     #[inline]
     pub fn offer<const M: bool>(&mut self, block: &mut Block<'_, M>, dist: f32, id: u32) -> bool {
         // A NaN distance can only come from corrupted geometry (e.g. an
@@ -116,11 +121,34 @@ impl GpuKnnList {
         if dist.is_nan() {
             return false;
         }
-        let phase = block.phase();
         if self.entries.len() >= self.k && dist >= self.bound() {
+            let phase = block.phase();
             block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase });
             return false;
         }
+        if M {
+            self.admit_out_of_line(block, dist, id)
+        } else {
+            self.admit(block, dist, id)
+        }
+    }
+
+    /// [`admit`](Self::admit), kept out of the caller's row loop.
+    #[cold]
+    fn admit_out_of_line<const M: bool>(
+        &mut self,
+        block: &mut Block<'_, M>,
+        dist: f32,
+        id: u32,
+    ) -> bool {
+        self.admit(block, dist, id)
+    }
+
+    /// [`offer`](Self::offer)'s accepting half: a candidate inside the bound
+    /// enters the list unless it is already there.
+    #[inline(always)]
+    fn admit<const M: bool>(&mut self, block: &mut Block<'_, M>, dist: f32, id: u32) -> bool {
+        let phase = block.phase();
         let pos = self.entries.partition_point(|n| (n.dist, n.id) < (dist, id));
         // PSB's sweep can re-scan the leaf already processed during the initial
         // greedy descent; the same (point, distance) pair must not enter twice.
@@ -298,6 +326,94 @@ mod tests {
         for w in out.windows(2) {
             assert!(w[0].dist <= w[1].dist, "results must stay ascending");
         }
+    }
+
+    /// `offer`'s observable contract, offer by offer, each on a fresh
+    /// recording block: one `KnnUpdate` per non-NaN candidate (`pruned` for
+    /// bound rejects and duplicates), nothing at all for NaN, metering only on
+    /// accepts — one `scalar(update_cost)` sift, plus an 8-byte global write
+    /// when the row lands in the hybrid list's global region — and the same
+    /// offers on a block with no sink ending on the same counters.
+    #[test]
+    fn offer_emits_one_update_per_candidate_and_meters_only_accepts() {
+        use psb_gpu::{Phase, VecSink};
+        let cfg = DeviceConfig::k40();
+        // k = 3 with one shared slot: ranks 0 and 1 are the global region.
+        let policy = SharedMemPolicy::Hybrid { shared_slots: 1 };
+        // (dist, id, what offer must do: None = NaN, Some(pruned)).
+        let script: [(f32, u32, Option<bool>); 9] = [
+            (5.0, 0, Some(false)), // rank 0 of an empty list: global region
+            (f32::NAN, 1, None),   // corrupt geometry: silent
+            (1.0, 2, Some(false)), // rank 0 again
+            (3.0, 3, Some(false)), // rank 1; the list is now full, bound 5
+            (9.0, 4, Some(true)),  // beyond the bound
+            (5.0, 5, Some(true)),  // at the bound: `dist < pruningDist` fails
+            (3.0, 3, Some(true)),  // inside the bound, but already held
+            (4.0, 6, Some(false)), // rank 2: the shared slot, no global write
+            (f32::NAN, 7, None),   // silent on a full list too
+        ];
+        let phase = Phase::ResultMerge;
+        let fresh = || {
+            let mut b: Block<'static> = Block::new(32, &cfg);
+            b.set_phase(phase);
+            b
+        };
+
+        let mut list = GpuKnnList::new(3, policy, &mut fresh(), cfg.smem_per_sm);
+        assert_eq!(list.global_region, 2);
+        for &(dist, id, want) in &script {
+            let rank = list.entries.partition_point(|n| (n.dist, n.id) < (dist, id));
+            let mut sink = VecSink::new();
+            let mut b: Block<'_> = Block::with_sink(32, &cfg, Some(&mut sink));
+            b.set_phase(phase);
+            let accepted = list.offer(&mut b, dist, id);
+            let got = b.finish();
+            // What the offer should have metered and emitted, spelled out.
+            let (mut expected, mut events) = (fresh(), Vec::new());
+            let cost = list.update_cost;
+            if want == Some(false) {
+                expected.scalar(cost);
+                events.push(TraceEvent::WarpIssue {
+                    lane_slots: 32 * cost,
+                    active_lanes: cost,
+                    phase,
+                });
+                if rank < list.global_region {
+                    expected.load_global(ENTRY_BYTES);
+                    events.push(TraceEvent::GlobalLoad {
+                        bytes: ENTRY_BYTES,
+                        transactions: 1,
+                        streamed: false,
+                        phase,
+                    });
+                }
+            }
+            if let Some(pruned) = want {
+                events.push(TraceEvent::KnnUpdate { pruned, phase });
+            }
+            let row = format!("offer({dist}, {id})");
+            assert_eq!(accepted, want == Some(false), "{row}");
+            assert_eq!(got, expected.finish(), "{row}: only an accept meters");
+            assert_eq!(sink.events, events, "{row}");
+        }
+        let kept: Vec<u32> = list.into_sorted().iter().map(|n| n.id).collect();
+        assert_eq!(kept, [2, 3, 6]);
+
+        // The whole script on one block, traced and silent: same list, same
+        // counters, one update event per non-NaN candidate.
+        let run = |mut b: Block<'_>| {
+            let mut list = GpuKnnList::new(3, policy, &mut b, cfg.smem_per_sm);
+            b.set_phase(phase);
+            for &(dist, id, _) in &script {
+                list.offer(&mut b, dist, id);
+            }
+            (list.into_sorted(), b.finish())
+        };
+        let mut sink = VecSink::new();
+        let traced = run(Block::with_sink(32, &cfg, Some(&mut sink)));
+        assert_eq!(traced, run(Block::new(32, &cfg)));
+        let updates = sink.events.iter().filter(|e| matches!(e, TraceEvent::KnnUpdate { .. }));
+        assert_eq!(updates.count(), script.iter().filter(|s| s.2.is_some()).count());
     }
 
     #[test]

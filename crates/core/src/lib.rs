@@ -46,7 +46,7 @@ pub use index::{
 };
 pub use kernels::brute::{brute_index_query, brute_try_query};
 pub use kernels::stackfree::stackfree_query;
-pub use kernels::tpss::{tpss_batch, tpss_batch_traced, tpss_try_batch};
+pub use kernels::tpss::{tpss_batch, tpss_try_batch};
 pub use kernels::{Kernel, Kernel as StreamKernel};
 pub use knnlist::SharedMemPolicy;
 pub use options::{KernelOptions, Metering, NodeLayout};

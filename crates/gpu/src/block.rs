@@ -15,9 +15,11 @@
 //! Every metering call is attributed to the block's current [`Phase`] (set by
 //! the kernel via [`Block::set_phase`]) so [`KernelStats`] carries a per-phase
 //! breakdown, and optionally mirrored as a [`TraceEvent`] into a
-//! [`TraceSink`] when the block was built with [`Block::with_sink`]. Sinks are
-//! write-only observers: the metered counters are identical with or without
-//! one.
+//! [`TraceSink`] when the block was built with `Some` sink in
+//! [`Block::with_sink`]. Sinks are write-only observers: the metered counters
+//! are identical with or without one. An untraced block holds `None`, and
+//! each event then costs one predictable branch on it — there is no empty
+//! sink whose indirect call the optimizer would have to see through.
 
 use crate::config::DeviceConfig;
 use crate::fault::{DeviceFault, FaultState};
@@ -83,11 +85,14 @@ impl<'s, const METER: bool> Block<'s, METER> {
     }
 
     /// Like [`Block::new`], but mirroring every metering call into `sink` as
-    /// [`TraceEvent`]s. The metered counters are unaffected by the sink.
-    pub fn with_sink(threads: u32, cfg: &DeviceConfig, sink: &'s mut dyn TraceSink) -> Self {
-        let mut block = Self::new(threads, cfg);
-        block.sink = Some(sink);
-        block
+    /// [`TraceEvent`]s when there is one. The metered counters are unaffected
+    /// by the sink; `None` is [`Block::new`].
+    pub fn with_sink(
+        threads: u32,
+        cfg: &DeviceConfig,
+        sink: Option<&'s mut dyn TraceSink>,
+    ) -> Self {
+        Self { sink, ..Self::new(threads, cfg) }
     }
 
     /// Attach (or detach, with `None`) a per-launch fault state. Without one,
@@ -172,7 +177,8 @@ impl<'s, const METER: bool> Block<'s, METER> {
     }
 
     /// Emit an event to the sink, if one is attached. The closure only runs
-    /// when a sink is present, so untraced runs pay nothing.
+    /// when a sink is present: an untraced metered block pays one branch on
+    /// `None`, an unmetered one nothing.
     #[inline]
     pub fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
         if !METER {
@@ -646,10 +652,8 @@ mod tests {
     fn sink_mirrors_metering_without_changing_it() {
         let run = |sink: Option<&mut VecSink>| {
             let cfg = DeviceConfig::k40();
-            let mut b: Block<'_> = match sink {
-                Some(s) => Block::with_sink(64, &cfg, s),
-                None => Block::new(64, &cfg),
-            };
+            let mut b: Block<'_> =
+                Block::with_sink(64, &cfg, sink.map(|s| s as &mut dyn TraceSink));
             b.set_phase(Phase::Descend);
             b.par_for(100, 2, |_| {});
             b.load_global(300);

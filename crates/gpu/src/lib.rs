@@ -52,8 +52,7 @@ pub use fault::{DeviceFault, FaultPlan, FaultState};
 pub use launch::{launch_blocks, LaunchReport, PhaseBreakdown};
 pub use psb_metrics::{MetricsHandle, Registry};
 pub use stats::{KernelStats, PhaseStats, MAX_TRACKED_LEVELS};
-pub use task::{op_phase, run_task_parallel, run_task_parallel_traced, LaneStep};
+pub use task::{op_phase, run_task_parallel, LaneStep};
 pub use trace::{
-    event_from_jsonl, event_to_jsonl, JsonlSink, NodeKind, NoopSink, Phase, TraceEvent, TraceSink,
-    VecSink,
+    event_from_jsonl, event_to_jsonl, JsonlSink, NodeKind, Phase, TraceEvent, TraceSink, VecSink,
 };

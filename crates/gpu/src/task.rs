@@ -10,7 +10,7 @@
 
 use crate::config::DeviceConfig;
 use crate::stats::KernelStats;
-use crate::trace::{NoopSink, Phase, TraceEvent, TraceSink};
+use crate::trace::{Phase, TraceEvent, TraceSink};
 
 /// What a lane does in one lockstep step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,29 +48,21 @@ pub fn op_phase(op: u32) -> Phase {
 /// memory footprint (per-lane result lists live in registers/local memory for
 /// task-parallel kernels, so this is usually small).
 ///
+/// Counters are attributed to phases via [`op_phase`]; lane steps with the
+/// backtrack tag also bump [`KernelStats::backtracks`] (one per lane step —
+/// task-parallel lanes carry no tree-level information, so no
+/// [`TraceEvent::Backtrack`] is emitted and the level histogram stays empty).
+/// With `Some(sink)`, every issue group and per-lane load is mirrored into it;
+/// the counters are the same either way.
+///
 /// Returns the block's counters; feed them to [`crate::launch_blocks`] together
 /// with the other blocks of the batch.
 pub fn run_task_parallel<L>(
     cfg: &DeviceConfig,
     lanes: &mut [L],
     smem_block_bytes: u64,
-    step: impl FnMut(&mut L) -> Option<LaneStep>,
-) -> KernelStats {
-    run_task_parallel_traced(cfg, lanes, smem_block_bytes, step, &mut NoopSink)
-}
-
-/// [`run_task_parallel`] with every issue group and per-lane load mirrored
-/// into `sink`. Counters are attributed to phases via [`op_phase`]; lane
-/// steps with the backtrack tag also bump [`KernelStats::backtracks`] (one
-/// per lane step — task-parallel lanes carry no tree-level information, so
-/// no [`TraceEvent::Backtrack`] is emitted and the level histogram stays
-/// empty).
-pub fn run_task_parallel_traced<L>(
-    cfg: &DeviceConfig,
-    lanes: &mut [L],
-    smem_block_bytes: u64,
     mut step: impl FnMut(&mut L) -> Option<LaneStep>,
-    sink: &mut dyn TraceSink,
+    mut sink: Option<&mut dyn TraceSink>,
 ) -> KernelStats {
     let warp = cfg.warp_size as usize;
     let mut stats =
@@ -108,12 +100,14 @@ pub fn run_task_parallel_traced<L>(
                             let p = &mut stats.phases[phase.index()];
                             p.global_bytes += s.global_bytes;
                             p.global_transactions += transactions;
-                            sink.record(TraceEvent::GlobalLoad {
-                                bytes: s.global_bytes,
-                                transactions,
-                                streamed: false,
-                                phase,
-                            });
+                            if let Some(sink) = sink.as_deref_mut() {
+                                sink.record(TraceEvent::GlobalLoad {
+                                    bytes: s.global_bytes,
+                                    transactions,
+                                    streamed: false,
+                                    phase,
+                                });
+                            }
                         }
                     }
                 }
@@ -144,11 +138,13 @@ pub fn run_task_parallel_traced<L>(
                 p.compute_issues += max_cost;
                 p.lane_slots += slots;
                 p.active_lanes += active_instr;
-                sink.record(TraceEvent::WarpIssue {
-                    lane_slots: slots,
-                    active_lanes: active_instr,
-                    phase,
-                });
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.record(TraceEvent::WarpIssue {
+                        lane_slots: slots,
+                        active_lanes: active_instr,
+                        phase,
+                    });
+                }
                 // Advance to the next yet-unprocessed tag.
                 g += 1;
                 while g < steps.len() && steps[..g].iter().any(|&(op, _)| op == steps[g].0) {
@@ -168,6 +164,10 @@ mod tests {
         DeviceConfig::k40()
     }
 
+    fn untraced<L>(lanes: &mut [L], step: impl FnMut(&mut L) -> Option<LaneStep>) -> KernelStats {
+        run_task_parallel(&cfg(), lanes, 0, step, None)
+    }
+
     /// A lane that performs `n` identical steps.
     struct Uniform {
         left: u32,
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn uniform_lanes_are_fully_efficient() {
         let mut lanes: Vec<Uniform> = (0..32).map(|_| Uniform { left: 10 }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, drive_uniform);
+        let s = untraced(&mut lanes, drive_uniform);
         assert_eq!(s.compute_issues, 10);
         assert_eq!(s.warp_efficiency(), 1.0);
     }
@@ -195,7 +195,7 @@ mod tests {
         // resident for 10 steps with mostly idle lanes.
         let mut lanes: Vec<Uniform> =
             (0..32).map(|i| Uniform { left: if i == 0 { 10 } else { 1 } }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, drive_uniform);
+        let s = untraced(&mut lanes, drive_uniform);
         assert_eq!(s.compute_issues, 10);
         assert_eq!(s.active_lanes, 32 + 9);
         assert!(s.warp_efficiency() < 0.15);
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn divergent_ops_serialize() {
         let mut lanes: Vec<Diverging> = (0..32).map(|id| Diverging { id, left: 5 }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, |lane| {
+        let s = untraced(&mut lanes, |lane| {
             if lane.left == 0 {
                 return None;
             }
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn per_lane_loads_are_uncoalesced() {
         let mut lanes: Vec<Uniform> = (0..32).map(|_| Uniform { left: 1 }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, |lane| {
+        let s = untraced(&mut lanes, |lane| {
             if lane.left == 0 {
                 return None;
             }
@@ -242,7 +242,7 @@ mod tests {
         // 64 lanes where warp 0 uses op 0 and warp 1 uses op 1: both warps stay
         // fully efficient because divergence only exists within a warp.
         let mut lanes: Vec<Diverging> = (0..64).map(|id| Diverging { id, left: 3 }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, |lane| {
+        let s = untraced(&mut lanes, |lane| {
             if lane.left == 0 {
                 return None;
             }
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn variable_cost_groups_use_max_cost() {
         let mut lanes: Vec<Diverging> = (0..2).map(|id| Diverging { id, left: 1 }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, |lane| {
+        let s = untraced(&mut lanes, |lane| {
             if lane.left == 0 {
                 return None;
             }
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn op_tags_attribute_to_phases_and_sum_to_aggregates() {
         let mut lanes: Vec<Diverging> = (0..32).map(|id| Diverging { id, left: 3 }).collect();
-        let s = run_task_parallel(&cfg(), &mut lanes, 0, |lane| {
+        let s = untraced(&mut lanes, |lane| {
             if lane.left == 0 {
                 return None;
             }
@@ -289,30 +289,19 @@ mod tests {
     #[test]
     fn traced_run_mirrors_counters_into_events() {
         use crate::trace::VecSink;
-        let mut silent: Vec<Uniform> = (0..32).map(|_| Uniform { left: 2 }).collect();
-        let baseline = run_task_parallel(&cfg(), &mut silent, 0, |lane| {
+        let drive = |lane: &mut Uniform| {
             if lane.left == 0 {
                 return None;
             }
             lane.left -= 1;
             Some(LaneStep { op: 0, cost: 1, global_bytes: 16 })
-        });
+        };
+        let mut silent: Vec<Uniform> = (0..32).map(|_| Uniform { left: 2 }).collect();
+        let baseline = run_task_parallel(&cfg(), &mut silent, 0, drive, None);
 
         let mut sink = VecSink::default();
         let mut lanes: Vec<Uniform> = (0..32).map(|_| Uniform { left: 2 }).collect();
-        let traced = run_task_parallel_traced(
-            &cfg(),
-            &mut lanes,
-            0,
-            |lane| {
-                if lane.left == 0 {
-                    return None;
-                }
-                lane.left -= 1;
-                Some(LaneStep { op: 0, cost: 1, global_bytes: 16 })
-            },
-            &mut sink,
-        );
+        let traced = run_task_parallel(&cfg(), &mut lanes, 0, drive, Some(&mut sink));
         assert_eq!(baseline, traced);
         let issued: u64 = sink
             .events
@@ -337,7 +326,7 @@ mod tests {
     #[test]
     fn empty_lane_set_returns_clean_stats() {
         let mut lanes: Vec<Uniform> = Vec::new();
-        let s = run_task_parallel(&cfg(), &mut lanes, 64, drive_uniform);
+        let s = run_task_parallel(&cfg(), &mut lanes, 64, drive_uniform, None);
         assert_eq!(s.compute_issues, 0);
         assert_eq!(s.smem_peak_bytes, 64);
         assert_eq!(s.blocks, 1);

@@ -9,8 +9,10 @@
 //!   plain counter arithmetic inside [`Block`](crate::Block), costs nothing
 //!   observable, and by construction sums exactly to the aggregates.
 //! * **Events** ([`TraceEvent`]) are an opt-in stream of individual metering
-//!   calls delivered to a [`TraceSink`]. The default [`NoopSink`] compiles to
-//!   nothing; [`VecSink`] records in memory; [`JsonlSink`] writes one JSON
+//!   calls delivered to a [`TraceSink`]. Untraced is `None` where a sink is
+//!   taken (`Option<&mut dyn TraceSink>`): a metered block then pays one
+//!   predictable branch per event and builds none, an unmetered block
+//!   nothing. [`VecSink`] records in memory; [`JsonlSink`] writes one JSON
 //!   object per line for offline analysis (`inspect --trace`).
 //!
 //! Sinks observe the simulation, never steer it: no `TraceSink` method returns
@@ -120,16 +122,6 @@ pub enum TraceEvent {
 /// wave engine's per-query blocks are handed to host worker threads.
 pub trait TraceSink: Send {
     fn record(&mut self, event: TraceEvent);
-}
-
-/// The zero-overhead default sink: every `record` call is an empty inlined
-/// function the optimizer deletes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    #[inline(always)]
-    fn record(&mut self, _event: TraceEvent) {}
 }
 
 /// In-memory recording sink.

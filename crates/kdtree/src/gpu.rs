@@ -146,7 +146,7 @@ pub fn knn_task_parallel(
             .collect();
         // Task-parallel kernels keep the k-best list in registers / local
         // memory, not shared memory.
-        let stats = run_task_parallel(cfg, &mut lanes, 0, Lane::step);
+        let stats = run_task_parallel(cfg, &mut lanes, 0, Lane::step, None);
         per_block.push(stats);
         all_results.extend(lanes.into_iter().map(|l| l.best));
         qi += block_n;

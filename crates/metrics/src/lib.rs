@@ -19,7 +19,7 @@
 //!
 //! Everything hangs off a [`MetricsHandle`], which is either *attached* to a
 //! shared registry or a *no-op* (the default). The no-op handle is the same
-//! pattern as the simulator's `NoopSink`: every recording method is an empty
+//! pattern as the simulator's untraced block: every recording method is an
 //! inlined branch on `None`, no clock is read, no lock is taken — so a run
 //! with no registry attached is bit-identical to one before this crate
 //! existed (pinned by the workspace `metrics_parity` tests).

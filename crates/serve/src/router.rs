@@ -13,8 +13,8 @@ use psb_core::{
 };
 use psb_geom::{PointSet, RitterMode, Sphere};
 use psb_gpu::{
-    launch_blocks, Block, DeviceConfig, FaultPlan, KernelStats, LaunchReport, NodeKind, NoopSink,
-    Phase, TraceEvent, TraceSink, VecSink,
+    launch_blocks, Block, DeviceConfig, FaultPlan, KernelStats, LaunchReport, NodeKind, Phase,
+    TraceEvent, TraceSink, VecSink,
 };
 use psb_metrics::MetricsHandle;
 use psb_sstree::Neighbor;
@@ -410,8 +410,7 @@ impl<T: GpuIndex> ShardRouter<T> {
         let dims = self.dims;
         let warps = opts.threads_per_block.div_ceil(self.device.warp_size).max(1);
         let mut events = VecSink::new();
-        let mut untraced = NoopSink;
-        let sink: &mut dyn TraceSink = if traced { &mut events } else { &mut untraced };
+        let sink = traced.then_some(&mut events as &mut dyn TraceSink);
         let mut block: Block<'_> = Block::with_sink(opts.threads_per_block, &self.device, sink);
         block.set_phase(Phase::Descend);
         // The shard directory is one SoA record per shard: sphere center
@@ -511,14 +510,8 @@ impl<T: GpuIndex> ShardRouter<T> {
                 }
                 let faults =
                     (!replica.plan.is_noop()).then(|| replica.plan.state_for(qi as u64, 0));
-                let launch = Kernel::Psb { k }.attempt(
-                    &shard.index,
-                    q,
-                    &replica.device,
-                    opts,
-                    faults,
-                    &mut NoopSink,
-                );
+                let launch =
+                    Kernel::Psb { k }.attempt(&shard.index, q, &replica.device, opts, faults, None);
                 match launch {
                     Ok(res) => {
                         answered = Some(res);

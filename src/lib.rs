@@ -73,11 +73,11 @@ pub mod prelude {
     pub use psb_core::{
         bnb_batch, brute_batch, dist_cost, hilbert_order, hilbert_permutation, launch,
         launch_stackfree, merge_stats, psb_batch, range_batch, resolve, restart_batch,
-        stackfree_batch, tpss_batch, tpss_batch_traced, tpss_try_batch, wave_knn_batch,
-        wave_range_batch, DynamicSsTree, EngineError, GpuIndex, ImplicitKdIndex, Kernel,
-        KernelError, KernelOptions, Metering, NodeLayout, Override, PointIndex, QueryBatchResult,
-        QueryOutcome, QuerySchedule, QueryStream, Resolved, ScheduleScratch, SharedMemPolicy,
-        StreamKernel, WaveConfig, WaveReport, NO_ROPE,
+        stackfree_batch, tpss_batch, tpss_try_batch, wave_knn_batch, wave_range_batch,
+        DynamicSsTree, EngineError, GpuIndex, ImplicitKdIndex, Kernel, KernelError, KernelOptions,
+        Metering, NodeLayout, Override, PointIndex, QueryBatchResult, QueryOutcome, QuerySchedule,
+        QueryStream, Resolved, ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig,
+        WaveReport, NO_ROPE,
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{
@@ -86,8 +86,8 @@ pub mod prelude {
     };
     pub use psb_gpu::{
         launch_blocks, Block, DeviceConfig, DeviceFault, FaultPlan, FaultState, JsonlSink,
-        KernelStats, LaunchReport, NodeKind, NoopSink, Phase, PhaseBreakdown, PhaseStats,
-        TraceEvent, TraceSink, VecSink,
+        KernelStats, LaunchReport, NodeKind, Phase, PhaseBreakdown, PhaseStats, TraceEvent,
+        TraceSink, VecSink,
     };
     pub use psb_kdtree::{gpu::knn_task_parallel, knn_cpu, KdBuildError, KdTree, LbKdTree};
     pub use psb_metrics::{

@@ -13,9 +13,9 @@
 //! that *means* to move the metering regenerates the table and says so: on a
 //! mismatch the fresh table is written to the path the failure names.
 //!
-//! Traced launches run query by query on the calling thread; the wave and
-//! degraded rows run on the rayon pool, so `./ci.sh threads` holds them to the
-//! same hashes at 1 and 4 threads.
+//! Traced launches run query by query on the calling thread; each per-query
+//! row's untraced twin, the wave rows and the degraded rows run on the rayon
+//! pool, so `./ci.sh threads` holds them to the same hashes at 1 and 4 threads.
 
 use std::fmt::{Debug, Write};
 
@@ -109,7 +109,9 @@ fn on(flag: bool) -> char {
 }
 
 /// The per-query rows of one family: every option combination under every
-/// plan, traced.
+/// plan, traced. Each launch has an untraced twin (`sink: None`, which runs
+/// the ladder on the rayon pool): its neighbours, `per_block`, outcomes and
+/// `LaunchReport` must hash as the traced launch's do.
 fn per_query_rows<V: Volumes>(
     family: &str,
     trees: [&FlatTree<V>; 2],
@@ -134,21 +136,27 @@ fn per_query_rows<V: Volumes>(
                         metering,
                         ..Default::default()
                     };
-                    let mut h = Fnv::new();
-                    for (tree, f) in trees.iter().zip(fx) {
-                        let (kernel, mut sink) = (kernel(name, f), VecSink::new());
-                        let r =
-                            launch(*tree, &f.queries, kernel, &cfg, &opts, plan, Some(&mut sink))
-                                .expect("launch");
-                        h.feed_batch(&r);
-                        h.feed(&sink.events);
-                    }
                     let row = format!(
                         "{name} {family} rope={} scan={} minmax={} {mname} {pname}",
                         on(rope),
                         on(leaf_scan),
                         on(minmax)
                     );
+                    let mut h = Fnv::new();
+                    for (tree, f) in trees.iter().zip(fx) {
+                        let (kernel, mut sink) = (kernel(name, f), VecSink::new());
+                        let r =
+                            launch(*tree, &f.queries, kernel, &cfg, &opts, plan, Some(&mut sink))
+                                .expect("launch");
+                        let silent = launch(*tree, &f.queries, kernel, &cfg, &opts, plan, None)
+                            .expect("launch");
+                        let (mut traced_h, mut silent_h) = (Fnv::new(), Fnv::new());
+                        traced_h.feed_batch(&r);
+                        silent_h.feed_batch(&silent);
+                        assert_eq!(silent_h.0, traced_h.0, "{row}: the untraced twin differs");
+                        h.feed_batch(&r);
+                        h.feed(&sink.events);
+                    }
                     rows.push((row, h.0));
                 }
             }

@@ -27,7 +27,7 @@ fn recording_sink_changes_no_simulation_output() {
         let silent = psb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
         let traced = Kernel::Psb { k }
-            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .attempt(&tree, q, &cfg, &opts, None, Some(&mut sink))
             .expect("trusted tree");
         assert_eq!(silent, traced, "psb");
         assert!(!sink.events.is_empty(), "psb must emit events");
@@ -36,7 +36,7 @@ fn recording_sink_changes_no_simulation_output() {
         let silent = bnb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
         let traced = Kernel::Bnb { k }
-            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .attempt(&tree, q, &cfg, &opts, None, Some(&mut sink))
             .expect("trusted tree");
         assert_eq!(silent, traced, "bnb");
         assert!(!sink.events.is_empty(), "bnb must emit events");
@@ -45,7 +45,7 @@ fn recording_sink_changes_no_simulation_output() {
         let silent = restart_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
         let traced = Kernel::Restart { k }
-            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .attempt(&tree, q, &cfg, &opts, None, Some(&mut sink))
             .expect("trusted tree");
         assert_eq!(silent, traced, "restart");
 
@@ -53,14 +53,14 @@ fn recording_sink_changes_no_simulation_output() {
         let silent = brute_query(&ps, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
         let traced =
-            brute_try_query(&ps, q, k, &cfg, &opts, None, &mut sink).expect("trusted tree");
+            brute_try_query(&ps, q, k, &cfg, &opts, None, Some(&mut sink)).expect("trusted tree");
         assert_eq!(silent, traced, "brute");
 
         // Range
         let silent = range_query_gpu(&tree, q, 300.0, &cfg, &opts);
         let mut sink = VecSink::new();
         let traced = Kernel::Range { radius: 300.0 }
-            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .attempt(&tree, q, &cfg, &opts, None, Some(&mut sink))
             .expect("trusted tree");
         assert_eq!(silent, traced, "range");
     }
@@ -68,7 +68,9 @@ fn recording_sink_changes_no_simulation_output() {
     // Task-parallel batch
     let (silent_n, silent_s) = tpss_batch(&tree, &queries, k, &cfg, 32);
     let mut sink = VecSink::new();
-    let (traced_n, traced_s) = tpss_batch_traced(&tree, &queries, k, &cfg, 32, &mut sink);
+    let (traced_n, traced_s) =
+        tpss_try_batch(&tree, &queries, k, &cfg, 32, Some(&mut sink)).expect("non-empty batch");
+    let traced_n: Vec<_> = traced_n.into_iter().map(|r| r.expect("trusted tree")).collect();
     assert_eq!(silent_n, traced_n, "tpss neighbors");
     assert_eq!(silent_s, traced_s, "tpss stats");
     assert!(!sink.events.is_empty(), "tpss must emit events");
@@ -161,7 +163,7 @@ proptest! {
 
         let mut sink = VecSink::new();
         let (_, stats) = Kernel::Psb { k }
-            .attempt(&tree, q, &cfg, &opts, None, &mut sink)
+            .attempt(&tree, q, &cfg, &opts, None, Some(&mut sink))
             .expect("trusted tree");
 
         // Always-on counters reconcile.

@@ -117,13 +117,19 @@ fn divergence_serializes_exactly_by_distinct_ops() {
     }
     // 4 distinct ops among 32 lanes -> 4 issue groups per step, 25% efficiency.
     let mut lanes: Vec<L> = (0..32).map(|id| L { id, left: 6 }).collect();
-    let stats = psb::gpu::run_task_parallel(&cfg, &mut lanes, 0, |l| {
-        if l.left == 0 {
-            return None;
-        }
-        l.left -= 1;
-        Some(psb::gpu::LaneStep { op: l.id % 4, cost: 1, global_bytes: 0 })
-    });
+    let stats = psb::gpu::run_task_parallel(
+        &cfg,
+        &mut lanes,
+        0,
+        |l| {
+            if l.left == 0 {
+                return None;
+            }
+            l.left -= 1;
+            Some(psb::gpu::LaneStep { op: l.id % 4, cost: 1, global_bytes: 0 })
+        },
+        None,
+    );
     assert_eq!(stats.compute_issues, 6 * 4);
     assert!((stats.warp_efficiency() - 0.25).abs() < 1e-12);
 }

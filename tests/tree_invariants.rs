@@ -232,7 +232,7 @@ fn corrupt_and_probe<V: Volumes>(
     let q = ps.point(0);
     let k = 4usize;
     for kernel in table_kernels(k) {
-        if let Ok((nb, _)) = kernel.attempt(&tree, q, &cfg, &opts, None, &mut NoopSink) {
+        if let Ok((nb, _)) = kernel.attempt(&tree, q, &cfg, &opts, None, None) {
             prop_assert!(
                 nb.iter().all(|x| x.dist.is_finite()),
                 "{} returned a non-finite distance from a corrupt tree",
@@ -242,7 +242,7 @@ fn corrupt_and_probe<V: Volumes>(
     }
     let mut one = PointSet::new(tree.dims);
     one.push(q);
-    if let Ok((per_query, _)) = tpss_try_batch(&tree, &one, k, &cfg, 32, &mut NoopSink) {
+    if let Ok((per_query, _)) = tpss_try_batch(&tree, &one, k, &cfg, 32, None) {
         for nb in per_query.iter().flatten() {
             prop_assert!(
                 nb.iter().all(|x| x.dist.is_finite()),
@@ -374,7 +374,7 @@ fn near_max_root_link<V: Volumes>(mut tree: FlatTree<V>, ps: &PointSet) {
         let names_the_link = |e: &KernelError| matches!(e, KernelError::LinkOutOfBounds { link: "children", node, .. } if *node == root);
         for kernel in table_kernels(k) {
             let e = kernel
-                .attempt(&tree, queries.point(0), &cfg, &opts, None, &mut NoopSink)
+                .attempt(&tree, queries.point(0), &cfg, &opts, None, None)
                 .expect_err("no traversal gets past the root");
             assert!(names_the_link(&e), "{} at MAX - {below}: {e:?}", kernel.label());
 
@@ -393,7 +393,7 @@ fn near_max_root_link<V: Volumes>(mut tree: FlatTree<V>, ps: &PointSet) {
             }
         }
         let (per_query, _) =
-            tpss_try_batch(&tree, &queries, k, &cfg, 32, &mut NoopSink).expect("non-empty batch");
+            tpss_try_batch(&tree, &queries, k, &cfg, 32, None).expect("non-empty batch");
         for found in per_query {
             let e = found.expect_err("no lane gets past the root");
             assert!(names_the_link(&e), "tpss at MAX - {below}: {e:?}");
