@@ -388,9 +388,7 @@ impl<V: Volumes> GpuIndex for FlatTree<V> {
         };
         tmp.clear();
         dk.dist_rows(q, blk.coords, tmp);
-        for (i, &d) in tmp.iter().enumerate() {
-            out.push((d, blk.id(i)));
-        }
+        out.extend(tmp.iter().enumerate().map(|(i, &d)| (d, blk.id(i))));
     }
 }
 

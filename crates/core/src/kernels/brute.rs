@@ -96,9 +96,8 @@ fn brute_try_query_with<const M: bool>(
         let rows = &points.as_flat()[start * dims..(start + len) * dims];
         scratch.sweep.tmp.clear();
         dk.dist_rows(q, rows, &mut scratch.sweep.tmp);
-        for (i, &d) in scratch.sweep.tmp.iter().enumerate() {
-            scratch.leaf.push((d, (start + i) as u32));
-        }
+        let dists = scratch.sweep.tmp.iter().enumerate();
+        scratch.leaf.extend(dists.map(|(i, &d)| (d, (start + i) as u32)));
         if block.has_faults() {
             for entry in &mut scratch.leaf {
                 entry.0 = block.fault_f32(entry.0);

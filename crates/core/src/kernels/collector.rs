@@ -39,7 +39,7 @@ pub(crate) trait Collector {
         &mut self,
         block: &mut Block<'_, M>,
         max_d: &[f32],
-        tmp: &mut Vec<f32>,
+        tmp: &mut Vec<u32>,
     ) -> Option<f32>;
 
     /// A revisit's [`tighten`](Self::tighten): the same metering over
@@ -90,7 +90,7 @@ impl Collector for KnnCollector {
         &mut self,
         block: &mut Block<'_, M>,
         max_d: &[f32],
-        tmp: &mut Vec<f32>,
+        tmp: &mut Vec<u32>,
     ) -> Option<f32> {
         // Fewer than k children bound nothing: the k-th nearest neighbor need
         // not lie under this node at all.
@@ -127,18 +127,35 @@ impl Collector for KnnCollector {
 /// Only callable when the node has at least k children. `tmp` is pooled
 /// scratch; the selected element is the same one a full `total_cmp` sort would
 /// put at position `k - 1` (equal keys are bit-identical under a total order).
+/// The selection runs on [`total_key`]s, integers in `total_cmp`'s order, so it
+/// compares machine words instead of calling a comparator.
 fn kth_maxdist<const M: bool>(
     block: &mut Block<'_, M>,
     max_d: &[f32],
     k: usize,
-    tmp: &mut Vec<f32>,
+    tmp: &mut Vec<u32>,
 ) -> f32 {
     debug_assert!(max_d.len() >= k && k >= 1);
     block.par_kth_select(max_d.len(), k);
     tmp.clear();
-    tmp.extend_from_slice(max_d);
-    let (_, kth, _) = tmp.select_nth_unstable_by(k - 1, f32::total_cmp);
-    *kth
+    tmp.extend(max_d.iter().map(|&x| total_key(x.to_bits())));
+    let (_, kth, _) = tmp.select_nth_unstable(k - 1);
+    f32::from_bits(total_key_inverse(*kth))
+}
+
+/// `f32::total_cmp`'s order on unsigned integers: a negative's magnitude bits
+/// are flipped (a larger magnitude sorts lower), then the sign bit, which puts
+/// every negative below every positive. A bijection on bit patterns.
+#[inline]
+fn total_key(bits: u32) -> u32 {
+    bits ^ (((bits as i32 >> 31) as u32) >> 1) ^ 0x8000_0000
+}
+
+/// The bit pattern [`total_key`] maps to `key`.
+#[inline]
+fn total_key_inverse(key: u32) -> u32 {
+    let bits = key ^ 0x8000_0000;
+    bits ^ (((bits as i32 >> 31) as u32) >> 1)
 }
 
 /// Fixed-radius range: every point within `radius`, bound never moving.
@@ -166,7 +183,7 @@ impl Collector for RangeCollector {
         &mut self,
         _block: &mut Block<'_, M>,
         _max_d: &[f32],
-        _tmp: &mut Vec<f32>,
+        _tmp: &mut Vec<u32>,
     ) -> Option<f32> {
         None
     }
@@ -262,5 +279,47 @@ mod tests {
         let mut plain = KnnCollector::new(&mut b, 3, &cfg, &off);
         assert!(!plain.wants_maxdist());
         assert_eq!(plain.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), None);
+    }
+
+    /// The k-th MAXDIST is the element `select_nth_unstable_by(k - 1,
+    /// f32::total_cmp)` picks, bit for bit, at every k: over sets with
+    /// duplicates, ±0, ±inf and NaNs of either sign (a faulted bound).
+    #[test]
+    fn kth_maxdist_picks_the_total_cmp_element_at_every_k() {
+        let (mut b, _) = block();
+        let pool = [
+            0.0,
+            -0.0,
+            1.5,
+            1.5f32.next_up(),
+            2.0,
+            7.25,
+            1e30,
+            f32::MIN_POSITIVE / 2.0,
+            -3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut tmp = Vec::new();
+        for n in 1..=130usize {
+            let set: Vec<f32> = (0..n)
+                .map(|_| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    match (s >> 33) % 16 {
+                        i @ 0..=12 => pool[i as usize],
+                        _ => ((s >> 8) as u32 % 1000) as f32 * 0.25,
+                    }
+                })
+                .collect();
+            for k in 1..=n {
+                let mut want = set.clone();
+                let (_, kth, _) = want.select_nth_unstable_by(k - 1, f32::total_cmp);
+                let got = kth_maxdist(&mut b, &set, k, &mut tmp);
+                assert_eq!(got.to_bits(), kth.to_bits(), "n {n} k {k}");
+            }
+        }
     }
 }

@@ -381,7 +381,7 @@ pub(crate) struct Scratch {
     pub dk: DistKernel,
     pub sweep: SweepScratch,
     pub leaf: Vec<(f32, u32)>,
-    pub kth: Vec<f32>,
+    pub kth: Vec<u32>,
     /// PSB's sweep-replay arena (see [`SweepMemo`]). Only fault-free PSB
     /// launches touch it, and its capacity persists across the whole batch.
     pub memo: SweepMemo,

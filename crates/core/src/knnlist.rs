@@ -149,7 +149,7 @@ impl GpuKnnList {
     #[inline(always)]
     fn admit<const M: bool>(&mut self, block: &mut Block<'_, M>, dist: f32, id: u32) -> bool {
         let phase = block.phase();
-        let pos = self.entries.partition_point(|n| (n.dist, n.id) < (dist, id));
+        let pos = self.rank(dist, id);
         // PSB's sweep can re-scan the leaf already processed during the initial
         // greedy descent; the same (point, distance) pair must not enter twice.
         if self.entries.get(pos).is_some_and(|n| n.id == id && n.dist == dist) {
@@ -166,6 +166,15 @@ impl GpuKnnList {
         }
         block.emit(|| TraceEvent::KnnUpdate { pruned: false, phase });
         true
+    }
+
+    /// Where `(dist, id)` goes in the (distance, id)-ascending list: the
+    /// tuple comparison `(n.dist, n.id) < (dist, id)`, spelled out, for a
+    /// `dist` that is never NaN ([`offer`](Self::offer) turns NaN away).
+    /// `|` and `&` instead of `||` and `&&`: no branch inside the search.
+    #[inline(always)]
+    fn rank(&self, dist: f32, id: u32) -> usize {
+        self.entries.partition_point(|n| (n.dist < dist) | ((n.dist == dist) & (n.id < id)))
     }
 
     /// Final results, ascending by distance.
@@ -414,6 +423,32 @@ mod tests {
         assert_eq!(traced, run(Block::new(32, &cfg)));
         let updates = sink.events.iter().filter(|e| matches!(e, TraceEvent::KnnUpdate { .. }));
         assert_eq!(updates.count(), script.iter().filter(|s| s.2.is_some()).count());
+    }
+
+    /// The insertion rank is the tuple comparison's `partition_point` on
+    /// lists full of equal distances, where `-0.0 == 0.0` hands the order to
+    /// the ids. NaN is never ranked: `offer` turns it away first.
+    #[test]
+    fn rank_is_the_tuple_comparisons_partition_point() {
+        let (mut b, smem) = block();
+        let dists = [-0.0f32, 0.0, 0.5, 0.5, 0.5, 2.0, f32::INFINITY];
+        let mut s = 7u64;
+        let mut next = |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) % m) as usize
+        };
+        for len in 0..=12 {
+            let mut list = GpuKnnList::new(16, SharedMemPolicy::AllShared, &mut b, smem);
+            list.entries =
+                (0..len).map(|_| Neighbor { dist: dists[next(7)], id: next(6) as u32 }).collect();
+            list.entries.sort_by(|a, b| (a.dist, a.id).partial_cmp(&(b.dist, b.id)).unwrap());
+            for dist in dists {
+                for id in 0..7 {
+                    let want = list.entries.partition_point(|n| (n.dist, n.id) < (dist, id));
+                    assert_eq!(list.rank(dist, id), want, "({dist}, {id}) in {:?}", list.entries);
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,48 +126,61 @@ fn sq_simd_d<const D: usize>(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// One query against a flat SoA run of coordinate rows: appends one squared
-/// distance per `dims`-strided row. A single `fn`-pointer dispatch covers the
-/// whole run (the arena child rows / leaf point runs), instead of one
-/// indirect call per row.
-type SqRows = fn(&[f32], &[f32], &mut Vec<f32>);
+/// One query against a flat SoA run of coordinate rows: appends one distance
+/// (or squared distance) per `dims`-strided row. A single `fn`-pointer
+/// dispatch covers the whole run (the arena child rows / leaf point runs),
+/// instead of one indirect call per row.
+type Rows = fn(&[f32], &[f32], &mut Vec<f32>);
+type SqFn = fn(&[f32], &[f32]) -> f32;
 
-fn sq_rows_scalar(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+/// A resolution: one row's squared distance, distance rows, squared rows.
+type Resolved = (SqFn, Rows, Rows);
+
+/// A rows form's output from one squared distance.
+#[inline(always)]
+pub(crate) fn root<const SQRT: bool>(sq: f32) -> f32 {
+    if SQRT {
+        sq.sqrt()
+    } else {
+        sq
+    }
+}
+
+/// The scalar reference: one row at a time.
+fn rows_scalar<const SQRT: bool>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
     let d = q.len();
     if d == 0 {
         return;
     }
     for row in rows.chunks_exact(d) {
-        out.push(sq_dist_impl(q, row));
+        out.push(root::<SQRT>(sq_dist_impl(q, row)));
     }
 }
 
-fn sq_rows_scalar_d<const D: usize>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+fn rows_scalar_d<const D: usize, const SQRT: bool>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
     let Ok(q) = <&[f32; D]>::try_from(q) else {
-        return sq_rows_scalar(q, rows, out);
+        return rows_scalar::<SQRT>(q, rows, out);
     };
     for row in rows.chunks_exact(D) {
-        out.push(sq_dist_d::<D>(q, row));
+        out.push(root::<SQRT>(sq_dist_d::<D>(q, row)));
     }
 }
 
-fn sq_rows_simd(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
-    let d = q.len();
-    if d == 0 {
-        return;
-    }
-    for row in rows.chunks_exact(d) {
-        out.push(crate::simd::sq_dist_wide(q, row));
+/// The four-row blocked kernel with constant trip counts when `q` really has
+/// length `D`.
+fn rows_simd_d<const D: usize, const SQRT: bool>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+    match <&[f32; D]>::try_from(q) {
+        Ok(q) => crate::simd::rows_wide::<SQRT>(q, rows, out),
+        Err(_) => crate::simd::rows_wide::<SQRT>(q, rows, out),
     }
 }
 
-fn sq_rows_simd_d<const D: usize>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
-    let Ok(q) = <&[f32; D]>::try_from(q) else {
-        return sq_rows_simd(q, rows, out);
-    };
-    for row in rows.chunks_exact(D) {
-        out.push(crate::simd::sq_dist_wide(q, row));
-    }
+fn simd_d<const D: usize>() -> Resolved {
+    (sq_simd_d::<D>, rows_simd_d::<D, true>, rows_simd_d::<D, false>)
+}
+
+fn scalar_d<const D: usize>() -> Resolved {
+    (sq_dist_d::<D>, rows_scalar_d::<D, true>, rows_scalar_d::<D, false>)
 }
 
 /// A distance kernel dispatched once per batch: dimension-specialized for the
@@ -178,8 +191,9 @@ fn sq_rows_simd_d<const D: usize>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
 /// for the batched forms) and nothing else.
 #[derive(Clone, Copy, Debug)]
 pub struct DistKernel {
-    sq: fn(&[f32], &[f32]) -> f32,
-    sq_rows: SqRows,
+    sq: SqFn,
+    rows: Rows,
+    sq_rows: Rows,
     dims: usize,
     lanes: DistLanes,
 }
@@ -197,22 +211,22 @@ impl DistKernel {
 
     /// Resolve the kernel for `dims` under an explicit lane selection.
     pub fn for_dims_lanes(dims: usize, lanes: DistLanes) -> Self {
-        type SqFn = fn(&[f32], &[f32]) -> f32;
-        let (sq, sq_rows): (SqFn, SqRows) = match (lanes, dims) {
-            (DistLanes::Simd, 2) => (sq_simd_d::<2>, sq_rows_simd_d::<2>),
-            (DistLanes::Simd, 3) => (sq_simd_d::<3>, sq_rows_simd_d::<3>),
-            (DistLanes::Simd, 4) => (sq_simd_d::<4>, sq_rows_simd_d::<4>),
-            (DistLanes::Simd, 8) => (sq_simd_d::<8>, sq_rows_simd_d::<8>),
-            (DistLanes::Simd, 16) => (sq_simd_d::<16>, sq_rows_simd_d::<16>),
-            (DistLanes::Simd, _) => (sq_simd, sq_rows_simd),
-            (DistLanes::Scalar, 2) => (sq_dist_d::<2>, sq_rows_scalar_d::<2>),
-            (DistLanes::Scalar, 3) => (sq_dist_d::<3>, sq_rows_scalar_d::<3>),
-            (DistLanes::Scalar, 4) => (sq_dist_d::<4>, sq_rows_scalar_d::<4>),
-            (DistLanes::Scalar, 8) => (sq_dist_d::<8>, sq_rows_scalar_d::<8>),
-            (DistLanes::Scalar, 16) => (sq_dist_d::<16>, sq_rows_scalar_d::<16>),
-            (DistLanes::Scalar, _) => (sq_dist, sq_rows_scalar),
+        use crate::simd::rows_wide;
+        let (sq, rows, sq_rows): Resolved = match (lanes, dims) {
+            (DistLanes::Simd, 2) => simd_d::<2>(),
+            (DistLanes::Simd, 3) => simd_d::<3>(),
+            (DistLanes::Simd, 4) => simd_d::<4>(),
+            (DistLanes::Simd, 8) => simd_d::<8>(),
+            (DistLanes::Simd, 16) => simd_d::<16>(),
+            (DistLanes::Simd, _) => (sq_simd, rows_wide::<true>, rows_wide::<false>),
+            (DistLanes::Scalar, 2) => scalar_d::<2>(),
+            (DistLanes::Scalar, 3) => scalar_d::<3>(),
+            (DistLanes::Scalar, 4) => scalar_d::<4>(),
+            (DistLanes::Scalar, 8) => scalar_d::<8>(),
+            (DistLanes::Scalar, 16) => scalar_d::<16>(),
+            (DistLanes::Scalar, _) => (sq_dist, rows_scalar::<true>, rows_scalar::<false>),
         };
-        Self { sq, sq_rows, dims, lanes }
+        Self { sq, rows, sq_rows, dims, lanes }
     }
 
     /// The dimensionality this kernel was resolved for.
@@ -254,18 +268,28 @@ impl DistKernel {
     /// [`Self::dist`] per row.
     #[inline]
     pub fn dist_rows(&self, q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
-        let start = out.len();
+        (self.rows)(q, rows, out);
+    }
+
+    /// Batched rows form of [`Self::sq`]: appends the squared distance from
+    /// `q` to each `dims`-strided row of `rows`. Bit-identical to calling
+    /// [`Self::sq`] per row.
+    #[inline]
+    pub(crate) fn sq_rows(&self, q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
         (self.sq_rows)(q, rows, out);
-        for v in &mut out[start..] {
-            *v = v.sqrt();
-        }
     }
 }
 
 impl Default for DistKernel {
     /// The generic (runtime-`dims`) scalar kernel.
     fn default() -> Self {
-        Self { sq: sq_dist, sq_rows: sq_rows_scalar, dims: 0, lanes: DistLanes::Scalar }
+        Self {
+            sq: sq_dist,
+            rows: rows_scalar::<true>,
+            sq_rows: rows_scalar::<false>,
+            dims: 0,
+            lanes: DistLanes::Scalar,
+        }
     }
 }
 
@@ -404,21 +428,67 @@ mod tests {
         }
     }
 
-    /// The batched rows form is bit-identical to per-row dispatch under
-    /// both lane selections, including odd-tail dims.
+    /// A coordinate a distance kernel must not round differently from the
+    /// scalar loop, harder by `level`: finite values over ±2^20 with ±0 and
+    /// subnormals (0); over ±2^70, so squares and sums overflow (1); plus
+    /// ±inf (2); plus NaN (3).
+    fn hostile_f32(state: &mut u64, level: u8) -> f32 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let u = *state;
+        let sign = ((u >> 32) as u32) & 0x8000_0000;
+        let mantissa = (u >> 8) as u32 & 0x007f_ffff;
+        match u >> 58 {
+            0 if level >= 2 => f32::INFINITY,
+            1 if level >= 2 => f32::NEG_INFINITY,
+            2 if level >= 3 => f32::NAN,
+            3..=6 => f32::from_bits(sign),
+            7..=10 => f32::from_bits(sign | mantissa | 1),
+            _ => {
+                let span = if level == 0 { 20 } else { 70 };
+                let exp = 127 - span + ((u >> 40) % (2 * span as u64 + 1)) as u32;
+                f32::from_bits(sign | exp << 23 | mantissa)
+            }
+        }
+    }
+
+    /// The batched rows form is bit-identical to per-row [`dist`] under both
+    /// lane selections: every row count across a four-row block boundary,
+    /// every dims up to 24, hostile inputs. A NaN anywhere in a row gives a
+    /// NaN for that row (payload not pinned) and leaves its neighbours alone;
+    /// a ragged trailing row is ignored; what `out` held stays in front.
     #[test]
     fn batched_rows_match_per_row_bitwise() {
-        for dims in [2usize, 3, 4, 5, 8, 16, 17, 19] {
+        for dims in 1usize..=24 {
             for lanes in [DistLanes::Simd, DistLanes::Scalar] {
                 let dk = DistKernel::for_dims_lanes(dims, lanes);
-                let mut s = dims as u64 * 2221 + 9;
-                let q: Vec<f32> = (0..dims).map(|_| lcg_f32(&mut s)).collect();
-                let rows: Vec<f32> = (0..dims * 23).map(|_| lcg_f32(&mut s)).collect();
-                let mut d_out = Vec::new();
-                dk.dist_rows(&q, &rows, &mut d_out);
-                assert_eq!(d_out.len(), 23);
-                for (i, row) in rows.chunks_exact(dims).enumerate() {
-                    assert_eq!(d_out[i].to_bits(), dist(&q, row).to_bits(), "dims {dims}");
+                for n in 0..=9usize {
+                    for trial in 0..8u64 {
+                        let mut s = (dims as u64 * 2221 + n as u64) * 31 + trial;
+                        let level = (trial / 2) as u8;
+                        let q: Vec<f32> = (0..dims).map(|_| hostile_f32(&mut s, level)).collect();
+                        let ragged = (trial as usize) % dims;
+                        let rows: Vec<f32> =
+                            (0..dims * n + ragged).map(|_| hostile_f32(&mut s, level)).collect();
+                        let (mut d_out, mut sq_out) = (vec![-1.5f32], vec![-1.5f32]);
+                        dk.dist_rows(&q, &rows, &mut d_out);
+                        dk.sq_rows(&q, &rows, &mut sq_out);
+                        for out in [&d_out, &sq_out] {
+                            assert_eq!(out.len(), 1 + n, "dims {dims} n {n} {lanes:?}");
+                            assert_eq!(out[0], -1.5, "appends after what `out` held");
+                        }
+                        for (i, row) in rows.chunks_exact(dims).enumerate() {
+                            let at = format!("dims {dims} n {n} row {i} trial {trial} {lanes:?}");
+                            for (got, want) in
+                                [(d_out[1 + i], dist(&q, row)), (sq_out[1 + i], sq_dist(&q, row))]
+                            {
+                                if want.is_nan() {
+                                    assert!(got.is_nan(), "{at}: NaN in, {got} out");
+                                } else {
+                                    assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -4,18 +4,19 @@
 //! and packs each cluster into leaves. The paper's rule of thumb for the default
 //! cluster count is `k = sqrt(n/2)` (Mardia et al.).
 //!
-//! Determinism under parallelism: the assignment step is embarrassingly parallel
-//! and pure; the update step accumulates per-chunk partial sums in `f64` over a
-//! *fixed* chunk grid and merges them in chunk order, so results are bit-identical
-//! regardless of how many rayon workers run. Empty clusters are reseeded to the
-//! point currently farthest from its assigned centroid (smallest-index tie-break).
+//! Determinism under parallelism: one parallel pass per Lloyd iteration assigns
+//! each point (pure) and accumulates per-chunk partial sums in `f64` over a
+//! *fixed* chunk grid; the update merges them in chunk order, so results are
+//! bit-identical regardless of how many rayon workers run. Empty clusters are
+//! reseeded to the point currently farthest from its assigned centroid
+//! (smallest-index tie-break).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-use crate::dist::sq_dist;
+use crate::dist::{sq_dist, DistKernel};
 use crate::point::PointSet;
 
 /// Parameters for [`kmeans`].
@@ -70,22 +71,32 @@ pub fn kmeans(ps: &PointSet, idx: &[u32], params: &KMeansParams) -> KMeansResult
 
     // Fixed chunk grid: at most 32 partials, merged in order => deterministic sums.
     let chunk = n.div_ceil(32).max(1024);
+    let dk = DistKernel::for_dims(d);
 
     for iter in 0..params.max_iters.max(1) {
         iterations = iter + 1;
 
-        // Assignment step (pure, parallel).
-        let changed: usize = idx
+        // Assignment step, and the update step's per-chunk f64 partial sums of
+        // the new assignment, in one parallel pass. Each point's distances to
+        // every centroid come from one blocked rows call; the argmin stays on
+        // squared distances, where a square root could merge two values and
+        // move the first-index tie.
+        let cents = centroids.as_flat();
+        let partials: Vec<(usize, Vec<f64>, Vec<u32>)> = idx
             .par_chunks(chunk)
             .zip(assignment.par_chunks_mut(chunk))
             .map(|(ids, asg)| {
                 let mut changed = 0usize;
+                let mut sums = vec![0f64; k * d];
+                let mut cnts = vec![0u32; k];
+                let mut dists = Vec::with_capacity(k);
                 for (&pid, slot) in ids.iter().zip(asg.iter_mut()) {
                     let p = ps.point(pid as usize);
+                    dists.clear();
+                    dk.sq_rows(p, cents, &mut dists);
                     let mut best = 0u32;
                     let mut best_d = f32::INFINITY;
-                    for (c, cent) in centroids.iter().enumerate() {
-                        let dd = sq_dist(p, cent);
+                    for (c, &dd) in dists.iter().enumerate() {
                         if dd < best_d {
                             best_d = dd;
                             best = c as u32;
@@ -95,37 +106,25 @@ pub fn kmeans(ps: &PointSet, idx: &[u32], params: &KMeansParams) -> KMeansResult
                         changed += 1;
                     }
                     *slot = best;
+                    let base = best as usize * d;
+                    for (s, &x) in sums[base..base + d].iter_mut().zip(p) {
+                        *s += x as f64;
+                    }
+                    cnts[best as usize] += 1;
                 }
-                changed
+                (changed, sums, cnts)
             })
-            .sum();
+            .collect();
 
+        let changed: usize = partials.iter().map(|p| p.0).sum();
         if changed == 0 && iter > 0 {
             break;
         }
 
-        // Update step: per-chunk f64 partials merged in chunk order.
-        let partials: Vec<(Vec<f64>, Vec<u32>)> = idx
-            .par_chunks(chunk)
-            .zip(assignment.par_chunks(chunk))
-            .map(|(ids, asg)| {
-                let mut sums = vec![0f64; k * d];
-                let mut cnts = vec![0u32; k];
-                for (&pid, &c) in ids.iter().zip(asg) {
-                    let p = ps.point(pid as usize);
-                    let base = c as usize * d;
-                    for (s, &x) in sums[base..base + d].iter_mut().zip(p) {
-                        *s += x as f64;
-                    }
-                    cnts[c as usize] += 1;
-                }
-                (sums, cnts)
-            })
-            .collect();
-
+        // Update step: the per-chunk partials merged in chunk order.
         let mut sums = vec![0f64; k * d];
         counts.iter_mut().for_each(|c| *c = 0);
-        for (ps_sums, ps_cnts) in &partials {
+        for (_, ps_sums, ps_cnts) in &partials {
             for (a, b) in sums.iter_mut().zip(ps_sums) {
                 *a += b;
             }

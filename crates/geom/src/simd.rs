@@ -11,24 +11,40 @@
 //!
 //! The whole workspace's parity discipline (layout/schedule/wave golden tests)
 //! rests on every perf path producing **bit-identical** f32 results. The wide
-//! kernel here therefore mirrors the scalar loop's exact operation order
+//! kernels here therefore mirror the scalar loop's exact operation order
 //! rather than the textbook horizontal-add reduction:
 //!
 //! * the scalar loop keeps four independent accumulators, `acc[lane] += d*d`
 //!   over 4-element chunks — one `_mm_add_ps(acc, _mm_mul_ps(d, d))` performs
 //!   the identical four independent IEEE ops per chunk (lane `L` of the vector
 //!   accumulator sees exactly the operand sequence scalar `acc[L]` sees);
-//! * the reduction extracts the four lanes and sums them `(l0 + l1) + (l2 +
-//!   l3)`, the scalar loop's association (no `_mm_hadd_ps`, which is SSE3 and
-//!   associates differently);
+//! * the reduction sums the four lanes `(l0 + l1) + (l2 + l3)`, the scalar
+//!   loop's association (no `_mm_hadd_ps`, which is SSE3 and associates
+//!   differently);
 //! * the odd tail folds sequentially into the sum, exactly like the scalar
 //!   tail.
 //!
+//! ## Four rows at a time
+//!
+//! The rows form, behind [`DistKernel::dist_rows`](crate::DistKernel::dist_rows),
+//! evaluates one query against four rows per step, each row with its own
+//! four-lane accumulator. The four accumulators are then transposed
+//! (`unpacklo/hi` + `movelh/hl`) so that vector `L` holds lane `L` of all four
+//! rows, and one `(l0 + l1) + (l2 + l3)` reduces the four rows at once — per
+//! row the very additions above. The odd tail folds in one dimension at a
+//! time, all four rows side by side, and `_mm_sqrt_ps` finishes four
+//! distances: like `f32::sqrt` it is IEEE 754's correctly rounded square
+//! root, so it returns the same bits. Fewer than four leftover rows take the
+//! single-row form.
+//!
 //! IEEE 754 ops are exactly specified and neither path permits FMA
 //! contraction, so equality holds *bitwise*, not approximately — pinned by the
-//! tests below and consumed fearlessly by [`DistKernel`](crate::DistKernel)'s
-//! default resolution. A variant that reassociates merely approximates the
-//! scalar bits and has no place behind that dispatch.
+//! tests below and by `dist`'s rows tests, and consumed fearlessly by
+//! [`DistKernel`](crate::DistKernel)'s default resolution. A variant that
+//! reassociates merely approximates the scalar bits and has no place behind
+//! that dispatch.
+
+use crate::dist::root;
 
 /// Squared Euclidean distance via the explicit-SIMD same-op-order kernel.
 /// Bit-identical to [`crate::sq_dist`] for equal-length slices (hard-asserted
@@ -76,6 +92,91 @@ pub(crate) fn sq_dist_wide(a: &[f32], b: &[f32]) -> f32 {
 #[inline(always)]
 pub(crate) fn sq_dist_wide(a: &[f32], b: &[f32]) -> f32 {
     crate::dist::sq_dist(a, b)
+}
+
+/// Appends the distance from `q` to every `q.len()`-strided row of `rows` to
+/// `out` — squared when `SQRT` is false — four rows at a time; a ragged
+/// trailing row is ignored. Bit-identical to [`crate::sq_dist`] (then
+/// `f32::sqrt`) per row. Inlined into each caller, so a `q` of constant
+/// length unrolls the whole block.
+#[inline(always)]
+pub(crate) fn rows_wide<const SQRT: bool>(q: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+    let d = q.len();
+    if d == 0 {
+        return;
+    }
+    // Reserved once; a block's four results are then one 16-byte append (a
+    // `resize` up front costs a `memset` call that, on a 16-row leaf of
+    // 16-d points, eats the blocking's whole gain).
+    out.reserve(rows.len() / d);
+    let mut blocks = rows.chunks_exact(4 * d);
+    for r4 in &mut blocks {
+        out.extend_from_slice(&sq_dist_x4::<SQRT>(q, r4));
+    }
+    for row in blocks.remainder().chunks_exact(d) {
+        out.push(root::<SQRT>(sq_dist_wide(q, row)));
+    }
+}
+
+/// The four rows of `r4` (`4 * q.len()` floats, row-major) against `q`:
+/// squared distances, or distances when `SQRT`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn sq_dist_x4<const SQRT: bool>(q: &[f32], r4: &[f32]) -> [f32; 4] {
+    use core::arch::x86_64::*;
+    let n = q.len();
+    assert_eq!(r4.len(), 4 * n, "four rows of the query's length");
+    let chunks = n / 4;
+    let mut out = [0f32; 4];
+    // SAFETY: SSE2 is unconditionally available on x86_64. Row `j` starts at
+    // `j * n` of `r4`, which holds `4 * n` floats (asserted above); each
+    // unaligned load reads lanes [o, o + 4) of `q` and of one row with
+    // o + 4 <= chunks * 4 <= n, inside both. The store writes the four lanes
+    // of `out`.
+    unsafe {
+        let (q_p, r_p) = (q.as_ptr(), r4.as_ptr());
+        let [mut a0, mut a1, mut a2, mut a3] = [_mm_setzero_ps(); 4];
+        for i in 0..chunks {
+            let o = i * 4;
+            let qv = _mm_loadu_ps(q_p.add(o));
+            let d0 = _mm_sub_ps(qv, _mm_loadu_ps(r_p.add(o)));
+            let d1 = _mm_sub_ps(qv, _mm_loadu_ps(r_p.add(n + o)));
+            let d2 = _mm_sub_ps(qv, _mm_loadu_ps(r_p.add(2 * n + o)));
+            let d3 = _mm_sub_ps(qv, _mm_loadu_ps(r_p.add(3 * n + o)));
+            a0 = _mm_add_ps(a0, _mm_mul_ps(d0, d0));
+            a1 = _mm_add_ps(a1, _mm_mul_ps(d1, d1));
+            a2 = _mm_add_ps(a2, _mm_mul_ps(d2, d2));
+            a3 = _mm_add_ps(a3, _mm_mul_ps(d3, d3));
+        }
+        // Transpose: `lL` holds accumulator lane L of rows 0..3.
+        let t0 = _mm_unpacklo_ps(a0, a1); // a0[0] a1[0] a0[1] a1[1]
+        let t1 = _mm_unpackhi_ps(a0, a1); // a0[2] a1[2] a0[3] a1[3]
+        let t2 = _mm_unpacklo_ps(a2, a3); // a2[0] a3[0] a2[1] a3[1]
+        let t3 = _mm_unpackhi_ps(a2, a3); // a2[2] a3[2] a2[3] a3[3]
+        let l0 = _mm_movelh_ps(t0, t2);
+        let l1 = _mm_movehl_ps(t2, t0);
+        let l2 = _mm_movelh_ps(t1, t3);
+        let l3 = _mm_movehl_ps(t3, t1);
+        let mut sum = _mm_add_ps(_mm_add_ps(l0, l1), _mm_add_ps(l2, l3));
+        for i in chunks * 4..n {
+            let r = _mm_setr_ps(r4[i], r4[n + i], r4[2 * n + i], r4[3 * n + i]);
+            let d = _mm_sub_ps(_mm_set1_ps(q[i]), r);
+            sum = _mm_add_ps(sum, _mm_mul_ps(d, d));
+        }
+        if SQRT {
+            sum = _mm_sqrt_ps(sum);
+        }
+        _mm_storeu_ps(out.as_mut_ptr(), sum);
+    }
+    out
+}
+
+/// Scalar fallback: four single-row evaluations.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn sq_dist_x4<const SQRT: bool>(q: &[f32], r4: &[f32]) -> [f32; 4] {
+    let n = q.len();
+    core::array::from_fn(|j| root::<SQRT>(crate::dist::sq_dist(q, &r4[j * n..(j + 1) * n])))
 }
 
 #[cfg(test)]

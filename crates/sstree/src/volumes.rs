@@ -193,14 +193,13 @@ impl Volumes for Spheres {
         let (centers, radii) = block.split_at(count * q.len());
         out.tmp.clear();
         dk.dist_rows(q, centers, &mut out.tmp);
-        for (&cd, &r) in out.tmp.iter().zip(radii) {
-            out.min_d.push((cd - r).max(0.0));
-            if with_max {
-                out.max_d.push(cd + r);
-            }
-            if with_anchor {
-                out.anchor_d.push(cd);
-            }
+        let rows = || out.tmp.iter().zip(radii);
+        out.min_d.extend(rows().map(|(&cd, &r)| (cd - r).max(0.0)));
+        if with_max {
+            out.max_d.extend(rows().map(|(&cd, &r)| cd + r));
+        }
+        if with_anchor {
+            out.anchor_d.extend_from_slice(&out.tmp);
         }
     }
 }
