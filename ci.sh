@@ -77,8 +77,8 @@ run_fastpath() {
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's
 # construction/search tests, psb-core's doctests (the kd family launches the
-# stack-free kernel and does *not* type-check as a `GpuIndex`: a `compile_fail`
-# doctest on `ImplicitKdIndex`), the stack-free golden parity suite
+# stack-free kernel, and a bounding-volume kernel, which takes a `FlatTree`,
+# does *not* type-check over it: a `compile_fail` doctest on `ImplicitKdIndex`), the stack-free golden parity suite
 # (bit-identity against the brute oracle and SS-tree PSB, ± faults,
 # ± Metering::Off), and the rope-link suite (escape links = preorder
 # successors on both bounding-volume arenas; the one rope walk, under the
@@ -145,8 +145,10 @@ run_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # The public surface is a diff: api/psb-<crate>.txt lists every `pub` item of
 # the ten library crates and every `pub` field of their `pub` structs, so a PR
 # that widens (or narrows) the surface — or adds an option to `KernelOptions`,
-# `ServeConfig` or `ResilienceConfig` — shows it in review. The stage
-# regenerates the lists and fails on any difference.
+# `ServeConfig` or `ResilienceConfig` — shows it in review. api/unnamed.txt
+# is the reviewed list of `pub` items nothing outside their crate names (the
+# reference oracles and the types of public returns and fields), so a new one
+# shows up too. The stage regenerates all of them and fails on any difference.
 # It also resolves every section reference in *.rs, ci.sh and README.md: the
 # name of DESIGN.md, EXPERIMENTS.md or a run log under experiments/, followed
 # by one or more double-quoted titles (separated by `, ` or ` and `), must name
@@ -156,8 +158,10 @@ run_api() {
     local fresh rc=0
     fresh="$(mktemp -d)"
     api/surface.sh list "$fresh"
+    api/surface.sh unnamed >"$fresh/unnamed.txt"
     if ! diff -u --exclude=surface.sh api "$fresh"; then
-        echo "public surface changed; review the diff above, then: api/surface.sh list api" >&2
+        echo "public surface changed; review the diff above, then:" \
+            "api/surface.sh list api && api/surface.sh unnamed >api/unnamed.txt" >&2
         rc=1
     fi
     rm -rf "$fresh"

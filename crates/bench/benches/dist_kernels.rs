@@ -5,7 +5,7 @@
 //! layers time inside a workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psb_core::{gather_child_sweep, gather_leaf_sweep, GpuIndex, SweepScratch};
+use psb_core::SweepScratch;
 use psb_data::UniformSpec;
 use psb_geom::{sq_dist, sq_dist_d, sq_dist_simd, DistKernel, DistLanes};
 use psb_sstree::{build, BuildMethod, SsTree};
@@ -97,10 +97,15 @@ fn bench_batched_rows(c: &mut Criterion) {
     g.finish();
 }
 
-fn tree_and_query(dims: usize) -> (SsTree, Vec<f32>) {
+/// A tree, the same tree with its arena stripped (every sweep on the gather
+/// fallback), and a query.
+fn tree_and_query(dims: usize) -> (SsTree, SsTree, Vec<f32>) {
     let ps = UniformSpec { len: 4096, dims, seed: 7 }.generate();
     let q = ps.point(17).to_vec();
-    (build(&ps, 16, &BuildMethod::Hilbert), q)
+    let tree = build(&ps, 16, &BuildMethod::Hilbert);
+    let mut gather = tree.clone();
+    gather.strip_arena();
+    (tree, gather, q)
 }
 
 /// The per-internal-node child sweep (the host side of `child_distances`):
@@ -111,8 +116,8 @@ fn bench_child_sweep(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(1));
     g.warm_up_time(std::time::Duration::from_millis(300));
     for dims in [4usize, 16] {
-        let (tree, q) = tree_and_query(dims);
-        let root = GpuIndex::root(&tree);
+        let (tree, gather, q) = tree_and_query(dims);
+        let root = tree.root;
         let dk = DistKernel::for_dims(dims);
         let mut out = SweepScratch::default();
         g.bench_with_input(BenchmarkId::new("arena", dims), &dims, |bch, _| {
@@ -124,7 +129,7 @@ fn bench_child_sweep(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("gather", dims), &dims, |bch, _| {
             bch.iter(|| {
                 out.clear();
-                gather_child_sweep(&tree, root, &q, true, true, &mut out);
+                gather.child_sweep(root, &q, &dk, true, true, &mut out);
             })
         });
     }
@@ -139,11 +144,11 @@ fn bench_leaf_sweep(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(1));
     g.warm_up_time(std::time::Duration::from_millis(300));
     for dims in [4usize, 16] {
-        let (tree, q) = tree_and_query(dims);
+        let (tree, gather, q) = tree_and_query(dims);
         // Walk to the leftmost leaf.
-        let mut n = GpuIndex::root(&tree);
-        while !GpuIndex::is_leaf(&tree, n) {
-            n = GpuIndex::children(&tree, n).start;
+        let mut n = tree.root;
+        while !tree.is_leaf(n) {
+            n = tree.children(n).start;
         }
         let dk = DistKernel::for_dims(dims);
         let mut out: Vec<(f32, u32)> = Vec::new();
@@ -157,7 +162,7 @@ fn bench_leaf_sweep(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("gather", dims), &dims, |bch, _| {
             bch.iter(|| {
                 out.clear();
-                gather_leaf_sweep(&tree, n, &q, &mut out);
+                gather.leaf_sweep(n, &q, &dk, &mut tmp, &mut out);
             })
         });
     }

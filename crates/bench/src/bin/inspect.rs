@@ -40,7 +40,7 @@ use std::io::{BufReader, BufWriter};
 use psb_bench::{load_trace, render_trace_report};
 use psb_core::{
     bnb_batch, brute_batch, launch, psb_batch, resolve, restart_batch, stackfree_batch, tpss_batch,
-    EngineError, GpuIndex, ImplicitKdIndex, Kernel, KernelOptions, QueryBatchResult,
+    EngineError, ImplicitKdIndex, Kernel, KernelOptions, QueryBatchResult,
 };
 use psb_data::{sample_queries, ClusteredSpec};
 use psb_geom::PointSet;
@@ -253,7 +253,7 @@ fn main() {
         tree.num_leaves(),
         tree.height(),
         tree.leaf_utilization() * 100.0,
-        tree.total_bytes() as f64 / (1024.0 * 1024.0)
+        tree.index_bytes() as f64 / (1024.0 * 1024.0)
     );
 
     // Index footprint for all three families on the same data (the implicit

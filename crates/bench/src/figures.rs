@@ -6,14 +6,14 @@
 //! wall-clock time and page-based bytes, exactly like the paper's mixed
 //! CPU/GPU comparison.
 
-use psb_core::{EngineError, GpuIndex, KernelOptions, QueryBatchResult};
+use psb_core::{EngineError, KernelOptions, QueryBatchResult};
 use psb_data::{sample_queries, ClusteredSpec, NoaaSpec};
 use psb_geom::PointSet;
 use psb_gpu::{launch_blocks, DeviceConfig, KernelStats};
 use psb_kdtree::{gpu::knn_task_parallel, KdTree};
 use psb_rtree::{build_rtree, RtreeBuildMethod};
 use psb_srtree::SrTree;
-use psb_sstree::{build, build_topdown, BuildMethod, SsTree};
+use psb_sstree::{build, build_topdown, BuildMethod, FlatTree, SsTree, Volumes};
 
 use crate::{mean_wall_ms, Scale, Table};
 
@@ -31,8 +31,8 @@ fn expect_batch(r: Result<QueryBatchResult, EngineError>) -> QueryBatchResult {
     r.expect("figure workloads always submit a non-empty query batch")
 }
 
-fn psb_batch<T: GpuIndex>(
-    tree: &T,
+fn psb_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -41,8 +41,8 @@ fn psb_batch<T: GpuIndex>(
     expect_batch(psb_core::psb_batch(tree, queries, k, cfg, opts))
 }
 
-fn bnb_batch<T: GpuIndex>(
-    tree: &T,
+fn bnb_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -51,8 +51,8 @@ fn bnb_batch<T: GpuIndex>(
     expect_batch(psb_core::bnb_batch(tree, queries, k, cfg, opts))
 }
 
-fn restart_batch<T: GpuIndex>(
-    tree: &T,
+fn restart_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,

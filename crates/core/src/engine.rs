@@ -21,11 +21,11 @@ use psb_gpu::{
     launch_blocks, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, TraceSink,
     VecSink,
 };
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 use rayon::prelude::*;
 
 use crate::error::{EngineError, KernelError, QueryOutcome};
-use crate::index::{GpuIndex, ImplicitKdIndex};
+use crate::index::ImplicitKdIndex;
 use crate::kernels::brute::{brute_index_query, brute_query, brute_try_query};
 use crate::kernels::stackfree::stackfree_try_query;
 use crate::kernels::{effective_metering, Found, Kernel};
@@ -292,8 +292,8 @@ fn run_batch(
 /// chunker schedules out of its own arena), also returning what the wave
 /// engine did (all-zero when it did not run).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn launch_resolved<T: GpuIndex>(
-    tree: &T,
+pub(crate) fn launch_resolved<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     kernel: Kernel,
     cfg: &DeviceConfig,
@@ -321,8 +321,8 @@ pub(crate) fn launch_resolved<T: GpuIndex>(
 }
 
 /// [`launch`], also returning what the wave engine did.
-pub(crate) fn launch_reporting<T: GpuIndex>(
-    tree: &T,
+pub(crate) fn launch_reporting<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     kernel: Kernel,
     cfg: &DeviceConfig,
@@ -348,8 +348,8 @@ pub(crate) fn launch_reporting<T: GpuIndex>(
 /// counters reflect the amortized coalesced-sweep schedule. On a structurally
 /// corrupt tree every query still gets the exact brute-force answer, marked
 /// [`QueryOutcome::Degraded`] — never a panic.
-pub fn launch<T: GpuIndex>(
-    tree: &T,
+pub fn launch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     kernel: Kernel,
     cfg: &DeviceConfig,
@@ -408,8 +408,8 @@ pub fn launch_stackfree<T: ImplicitKdIndex>(
 
 /// PSB (Algorithm 1) over a batch of queries: [`launch`] of [`Kernel::Psb`]
 /// with no fault plan and no trace sink.
-pub fn psb_batch<T: GpuIndex>(
-    tree: &T,
+pub fn psb_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -419,8 +419,8 @@ pub fn psb_batch<T: GpuIndex>(
 }
 
 /// Branch-and-bound over a batch of queries.
-pub fn bnb_batch<T: GpuIndex>(
-    tree: &T,
+pub fn bnb_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -430,8 +430,8 @@ pub fn bnb_batch<T: GpuIndex>(
 }
 
 /// Fixed-radius range queries over a batch (PSB-style sweep, fixed bound).
-pub fn range_batch<T: GpuIndex>(
-    tree: &T,
+pub fn range_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     radius: f32,
     cfg: &DeviceConfig,
@@ -441,8 +441,8 @@ pub fn range_batch<T: GpuIndex>(
 }
 
 /// Scan-and-restart (no parent links) over a batch of queries.
-pub fn restart_batch<T: GpuIndex>(
-    tree: &T,
+pub fn restart_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,

@@ -10,10 +10,9 @@
 //! children get visited is fetched `m + 1` times.
 
 use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
-use crate::index::GpuIndex;
 
 use super::collector::{Collector, KnnCollector};
 use super::{
@@ -27,8 +26,8 @@ use crate::options::KernelOptions;
 /// Trusted-tree entry point: panics on a [`KernelError`], which a validated
 /// tree and a fault-free device can never produce. Use [`Kernel::attempt`] to
 /// handle corruption or injected faults.
-pub fn bnb_query<T: GpuIndex>(
-    tree: &T,
+pub fn bnb_query<V: Volumes>(
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -38,17 +37,17 @@ pub fn bnb_query<T: GpuIndex>(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(super) fn traverse<T: GpuIndex, const M: bool>(
+pub(super) fn traverse<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
     budget: &mut Budget,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     scratch: &mut Scratch,
 ) -> Result<Vec<Neighbor>, KernelError> {
-    reserve_static(block, 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4, cfg)?;
+    reserve_static(block, 2 * tree.degree as u64 * 4 + block.threads() as u64 * 4, cfg)?;
     let mut list = KnnCollector::new(block, k, cfg, opts);
     let root = checked_root(tree)?;
     visit(tree, root, 0, q, opts, block, &mut list, scratch, budget)?;
@@ -56,8 +55,8 @@ pub(super) fn traverse<T: GpuIndex, const M: bool>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn visit<T: GpuIndex, const M: bool>(
-    tree: &T,
+fn visit<V: Volumes, const M: bool>(
+    tree: &FlatTree<V>,
     n: u32,
     level: u32,
     q: &[f32],

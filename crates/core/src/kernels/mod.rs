@@ -1,11 +1,11 @@
 //! The GPU kNN kernels: PSB, branch-and-bound, brute force, restart, range,
 //! and the task-parallel strawman.
 //!
-//! All tree kernels are generic over [`GpuIndex`], so the identical traversal
-//! runs over bounding-sphere trees (SS-tree) and bounding-rectangle trees
-//! (packed R-tree) — the node shape only changes the per-child evaluation and
-//! its instruction cost, which is precisely the comparison the paper's §II-C
-//! makes. Every kernel returns exact results plus the simulated block's
+//! All tree kernels take a [`FlatTree<V>`](FlatTree) for any `V: Volumes`, so
+//! the identical traversal runs over bounding-sphere trees (SS-tree) and
+//! bounding-rectangle trees (packed R-tree) — the node shape only changes the
+//! per-child evaluation and its instruction cost, which is precisely the
+//! comparison the paper's §II-C makes. Every kernel returns exact results plus the simulated block's
 //! counters; shared helpers live here so all kernels are metered identically
 //! wherever they do identical work.
 
@@ -22,19 +22,19 @@ use std::cell::RefCell;
 
 use psb_geom::{DistKernel, DistLanes};
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use self::collector::{Collector, KnnCollector, RangeCollector};
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::{GpuIndex, PointIndex, SweepScratch, NO_ROPE};
+use crate::index::{PointIndex, SweepScratch, NO_ROPE};
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
 /// What one query returns: its exact neighbors and the block's counters.
 pub(crate) type Found = (Vec<Neighbor>, KernelStats);
 
 /// The kernels the batch runner ([`launch`](crate::launch)) and
-/// [`QueryStream`](crate::QueryStream) dispatch over a [`GpuIndex`]: one row
+/// [`QueryStream`](crate::QueryStream) dispatch over a [`FlatTree`]: one row
 /// per kernel, each naming its telemetry label, its hardened attempt and the
 /// exact scan it degrades to. (The stack-free kd kernel needs an
 /// [`ImplicitKdIndex`](crate::ImplicitKdIndex) and the brute scan no index at
@@ -69,25 +69,25 @@ impl Kernel {
     /// hanging. With `Some(sink)`, every metering call is mirrored into it
     /// (observation only: neighbors and counters are bit-identical with or
     /// without a sink); `None` is untraced.
-    pub fn attempt<T: GpuIndex>(
+    pub fn attempt<V: Volumes>(
         &self,
-        tree: &T,
+        tree: &FlatTree<V>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
         faults: Option<FaultState>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<Found, KernelError> {
-        assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
+        assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
         self.check_parameter();
         // One launch-time dispatch monomorphizes the whole traversal for the
         // metering mode — no per-load branch anywhere in the hot loop.
-        with_scratch(tree.dims(), opts.lanes, |scratch| {
+        with_scratch(tree.dims, opts.lanes, |scratch| {
             match effective_metering(opts, faults.is_some()) {
                 Metering::Simulated => {
-                    self.run::<T, true>(tree, q, cfg, opts, faults, sink, scratch)
+                    self.run::<V, true>(tree, q, cfg, opts, faults, sink, scratch)
                 }
-                Metering::Off => self.run::<T, false>(tree, q, cfg, opts, faults, sink, scratch),
+                Metering::Off => self.run::<V, false>(tree, q, cfg, opts, faults, sink, scratch),
             }
         })
     }
@@ -95,9 +95,9 @@ impl Kernel {
     /// [`attempt`](Self::attempt) on a trusted tree — what the kernels'
     /// `*_query` entry points are: panics on a [`KernelError`], which a
     /// validated tree and a fault-free device can never produce.
-    pub(crate) fn trusted<T: GpuIndex>(
+    pub(crate) fn trusted<V: Volumes>(
         &self,
-        tree: &T,
+        tree: &FlatTree<V>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
@@ -120,9 +120,9 @@ impl Kernel {
     /// `sink`, attach the fault state, start the step budget — and, after the
     /// traversal, poll the device once more before closing the block.
     #[allow(clippy::too_many_arguments)]
-    fn run<T: GpuIndex, const M: bool>(
+    fn run<V: Volumes, const M: bool>(
         &self,
-        tree: &T,
+        tree: &FlatTree<V>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
@@ -132,7 +132,7 @@ impl Kernel {
     ) -> Result<Found, KernelError> {
         let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
         block.set_faults(faults);
-        let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree());
+        let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
         let (b, t) = (&mut block, &mut budget);
         let found = match *self {
             Kernel::Psb { k } => psb::traverse(b, t, tree, q, k, cfg, opts, s, true),
@@ -241,8 +241,8 @@ impl Budget {
 }
 
 /// Bounds-check a node id read from a structural link.
-pub(crate) fn checked_node<T: GpuIndex>(
-    tree: &T,
+pub(crate) fn checked_node<V: Volumes>(
+    tree: &FlatTree<V>,
     link: &'static str,
     from: u32,
     target: u32,
@@ -262,8 +262,8 @@ pub(crate) fn checked_node<T: GpuIndex>(
 /// Bounds-check an internal node's child range. The range must lie inside the
 /// node array (checked first: a link past the array is a bad link whatever
 /// count comes with it) and be non-empty.
-pub(crate) fn checked_children<T: GpuIndex>(
-    tree: &T,
+pub(crate) fn checked_children<V: Volumes>(
+    tree: &FlatTree<V>,
     n: u32,
 ) -> Result<std::ops::Range<u32>, KernelError> {
     if tree.is_leaf(n) {
@@ -286,8 +286,8 @@ pub(crate) fn checked_children<T: GpuIndex>(
 }
 
 /// Bounds-check a leaf node's point range against the point array.
-pub(crate) fn checked_leaf_points<T: GpuIndex>(
-    tree: &T,
+pub(crate) fn checked_leaf_points<V: Volumes>(
+    tree: &FlatTree<V>,
     n: u32,
 ) -> Result<std::ops::Range<usize>, KernelError> {
     if !tree.is_leaf(n) {
@@ -307,7 +307,7 @@ pub(crate) fn checked_leaf_points<T: GpuIndex>(
 }
 
 /// Bounds-check a leaf's dense id against the leaf count.
-pub(crate) fn checked_leaf_id<T: GpuIndex>(tree: &T, n: u32) -> Result<u32, KernelError> {
+pub(crate) fn checked_leaf_id<V: Volumes>(tree: &FlatTree<V>, n: u32) -> Result<u32, KernelError> {
     let lid = tree.leaf_id(n);
     if (lid as usize) < tree.num_leaves() {
         Ok(lid)
@@ -323,19 +323,19 @@ pub(crate) fn checked_leaf_id<T: GpuIndex>(tree: &T, n: u32) -> Result<u32, Kern
 
 /// Sanity-check the tree frame every traversal relies on before following any
 /// link: a root inside the node array and a non-empty leaf chain.
-pub(crate) fn checked_root<T: GpuIndex>(tree: &T) -> Result<u32, KernelError> {
+pub(crate) fn checked_root<V: Volumes>(tree: &FlatTree<V>) -> Result<u32, KernelError> {
     if tree.num_nodes() == 0 || tree.num_leaves() == 0 {
         return Err(KernelError::CorruptNode { node: 0, detail: "index has no nodes or leaves" });
     }
-    checked_node(tree, "root", tree.root(), tree.root())
+    checked_node(tree, "root", tree.root, tree.root)
 }
 
 /// Meter fetching an internal node's child-volume block. `level` is the node's
 /// tree depth (root = 0), feeding the per-level visit histogram; the load is
 /// attributed to whatever [`Phase`] the block is currently in.
-pub(crate) fn fetch_internal<T: GpuIndex, const M: bool>(
+pub(crate) fn fetch_internal<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     layout: NodeLayout,
     level: u32,
@@ -353,9 +353,9 @@ pub(crate) fn fetch_internal<T: GpuIndex, const M: bool>(
 /// the right-sibling link: leaves are laid out contiguously, so the scan is a
 /// prefetchable stream (the paper's "fast linear scanning"). `level` is the
 /// leaf's tree depth for the visit histogram.
-pub(crate) fn fetch_leaf<T: GpuIndex, const M: bool>(
+pub(crate) fn fetch_leaf<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     layout: NodeLayout,
     sequential: bool,
@@ -484,9 +484,9 @@ impl SweepMemo {
 /// kernel's re-descents so all meter identically: one parallel predicate
 /// evaluation, a ballot/find-first-set reduction, and the serial pick of the
 /// first child the collector still admits whose subtree holds unvisited leaves.
-pub(crate) fn leftmost_qualifying<T: GpuIndex, C: Collector, const M: bool>(
+pub(crate) fn leftmost_qualifying<V: Volumes, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     kids: std::ops::Range<u32>,
     min_d: &[f32],
     collector: &C,
@@ -506,9 +506,9 @@ pub(crate) fn leftmost_qualifying<T: GpuIndex, C: Collector, const M: bool>(
 /// One step up a parent link from `n` at `level`: the backtrack PSB and the
 /// stacked range sweep take when a subtree is exhausted. Returns the parent
 /// and its level.
-pub(crate) fn ascend<T: GpuIndex, const M: bool>(
+pub(crate) fn ascend<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     level: u32,
 ) -> Result<(u32, u32), KernelError> {
@@ -578,9 +578,9 @@ pub(crate) fn with_scratch<R>(
 /// left set on return — callers re-set their phase at the next branch they
 /// take.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn process_leaf<T: GpuIndex, C: Collector, const M: bool>(
+pub(crate) fn process_leaf<V: Volumes, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     q: &[f32],
     collector: &mut C,
@@ -598,7 +598,7 @@ pub(crate) fn process_leaf<T: GpuIndex, C: Collector, const M: bool>(
     // come from the index's leaf sweep, which streams the packed arena block
     // when one is attached and gathers (exactly as this loop used to)
     // otherwise. Counters and values are identical either way.
-    let dc = dist_cost(tree.dims());
+    let dc = dist_cost(tree.dims);
     block.par_for(len, dc, |_| {});
     tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
     // Computed distances pass through the fault injector. Without an attached
@@ -621,9 +621,9 @@ pub(crate) fn process_leaf<T: GpuIndex, C: Collector, const M: bool>(
 /// descent uses as its tie-break — packed-arena sweeps derive them from the
 /// same center distance as the bounds, so requesting them up front is free
 /// where computing them per-child later would gather again.
-pub(crate) fn child_distances<T: GpuIndex, const M: bool>(
+pub(crate) fn child_distances<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     q: &[f32],
     with_max: bool,
@@ -654,9 +654,9 @@ pub(crate) fn child_distances<T: GpuIndex, const M: bool>(
 /// An internal node's first-visit evaluation: sweep the children (MAXDISTs too
 /// when the collector tightens on them) into the scratch buffers, then let the
 /// collector tighten its bound. Returns the bound it tightened to, if any.
-pub(crate) fn evaluate_children<T: GpuIndex, C: Collector, const M: bool>(
+pub(crate) fn evaluate_children<V: Volumes, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     q: &[f32],
     collector: &mut C,
@@ -670,9 +670,9 @@ pub(crate) fn evaluate_children<T: GpuIndex, C: Collector, const M: bool>(
 /// plus the branch. Returns [`NO_ROPE`] at the end of
 /// the preorder sweep; any other target is bounds-checked like every
 /// structural link.
-fn checked_rope<T: GpuIndex, const M: bool>(
+fn checked_rope<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
 ) -> Result<u32, KernelError> {
     block.scalar(1);
@@ -690,9 +690,9 @@ fn checked_rope<T: GpuIndex, const M: bool>(
 /// its own entry instead of the parent sweeping all children at once. Metered
 /// as a one-item sweep at the index's node-shape cost; the bound passes
 /// through the fault injector exactly like the batched sweep's.
-fn node_min_dist<T: GpuIndex, const M: bool>(
+fn node_min_dist<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     n: u32,
     q: &[f32],
 ) -> f32 {
@@ -717,10 +717,10 @@ fn node_min_dist<T: GpuIndex, const M: bool>(
 /// pins the equivalence) and the same leaves produce the same rows. A leaf a
 /// priming descent already scanned is revisited once, which is harmless: the
 /// k-best list rejects exact duplicates.
-pub(crate) fn rope_walk<T: GpuIndex, C: Collector, const M: bool>(
+pub(crate) fn rope_walk<V: Volumes, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
     budget: &mut Budget,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     collector: &mut C,
     opts: &KernelOptions,
@@ -732,7 +732,7 @@ pub(crate) fn rope_walk<T: GpuIndex, C: Collector, const M: bool>(
         block.set_phase(Phase::Descend);
         // The root carries no volume worth testing (it always qualifies);
         // every other arrival fetches and evaluates its own entry.
-        let qualifies = n == tree.root() || collector.admits(node_min_dist(block, tree, n, q));
+        let qualifies = n == tree.root || collector.admits(node_min_dist(block, tree, n, q));
         let next = if !qualifies {
             block.set_phase(Phase::Backtrack);
             checked_rope(block, tree, n)?
@@ -777,7 +777,7 @@ mod tests {
         let opts = KernelOptions::default();
         for q in sample_queries(&ps, 12, 0.01, 3).iter() {
             let pooled = psb_query(&tree, q, 8, &cfg, &opts);
-            let nested = with_scratch(tree.dims(), opts.lanes, |held| {
+            let nested = with_scratch(tree.dims, opts.lanes, |held| {
                 // Dirty the lent-out scratch: the nested launch must not see it.
                 held.leaf.push((f32::NAN, u32::MAX));
                 assert!(

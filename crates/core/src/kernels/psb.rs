@@ -23,10 +23,9 @@
 //! skip stays justified and the result is exact.
 
 use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
-use crate::index::GpuIndex;
 
 use super::collector::{Collector, KnnCollector};
 use super::{
@@ -42,8 +41,8 @@ use crate::options::KernelOptions;
 /// (which a validated tree and a fault-free device can never produce). Use
 /// [`Kernel::attempt`] to handle corruption or injected faults, or to mirror
 /// the metering calls into a [`TraceSink`](psb_gpu::TraceSink).
-pub fn psb_query<T: GpuIndex>(
-    tree: &T,
+pub fn psb_query<V: Volumes>(
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -58,9 +57,9 @@ pub fn psb_query<T: GpuIndex>(
 /// greedily to the leaf nearest the query, and fold it into a fresh k-best
 /// list.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
+pub(crate) fn initial_descent<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -70,7 +69,7 @@ pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
 ) -> Result<KnnCollector, KernelError> {
     // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
     // plus a warp-reduction scratch line.
-    reserve_static(block, 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4, cfg)?;
+    reserve_static(block, 2 * tree.degree as u64 * 4 + block.threads() as u64 * 4, cfg)?;
     let mut list = KnnCollector::new(block, k, cfg, opts);
     block.set_phase(Phase::Descend);
     let mut n = checked_root(tree)?;
@@ -117,10 +116,10 @@ pub(crate) fn initial_descent<T: GpuIndex, const M: bool>(
 /// RNG stream, so a replayed value would skip draws a faulted launch must
 /// make.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep<T: GpuIndex, C: Collector, const M: bool>(
+pub(crate) fn sweep<V: Volumes, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
     budget: &mut Budget,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     collector: &mut C,
     opts: &KernelOptions,
@@ -177,7 +176,7 @@ pub(crate) fn sweep<T: GpuIndex, C: Collector, const M: bool>(
                     // forever, since `n`'s own MINDIST can be inside the
                     // bound even when no child's is.
                     visited = visited.max(tree.subtree_max_leaf(n) as i64);
-                    if n == tree.root() {
+                    if n == tree.root {
                         return Ok(());
                     }
                     (n, level) = ascend(block, tree, n, level)?;
@@ -200,7 +199,7 @@ pub(crate) fn sweep<T: GpuIndex, C: Collector, const M: bool>(
                 block.scalar(1); // follow the right-sibling link
                 n = checked_node(tree, "leaf_node_of", n, tree.leaf_node_of(lid + 1))?;
                 via_sibling = true; // contiguous leaves: a prefetchable stream
-            } else if n == tree.root() {
+            } else if n == tree.root {
                 // Single-leaf tree: nothing to backtrack to.
                 return Ok(());
             } else {
@@ -214,10 +213,10 @@ pub(crate) fn sweep<T: GpuIndex, C: Collector, const M: bool>(
 /// Algorithm 1: prime the bound, then sweep. `memo: false` is the path every
 /// faulted attempt takes; the unit tests below hold the memo against it.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn traverse<T: GpuIndex, const M: bool>(
+pub(super) fn traverse<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
     budget: &mut Budget,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -370,7 +369,7 @@ mod tests {
         memo: bool,
     ) -> (Vec<Neighbor>, KernelStats) {
         let mut block = Block::<M>::new(opts.threads_per_block, cfg);
-        let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree());
+        let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
         let found = traverse(&mut block, &mut budget, tree, q, 8, cfg, opts, scratch, memo)
             .expect("valid tree");
         (found, block.finish())

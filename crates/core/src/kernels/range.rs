@@ -15,10 +15,9 @@
 //! global memory, metered as streaming writes) live there.
 
 use psb_gpu::{Block, DeviceConfig, KernelStats};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
-use crate::index::GpuIndex;
 
 use super::collector::{Collector, RangeCollector};
 use super::{psb, reserve_static, rope_walk, Budget, Kernel, Scratch};
@@ -29,8 +28,8 @@ use crate::options::KernelOptions;
 ///
 /// Trusted-tree entry point: panics on a [`KernelError`]. Use
 /// [`Kernel::attempt`] to handle corruption or injected faults.
-pub fn range_query_gpu<T: GpuIndex>(
-    tree: &T,
+pub fn range_query_gpu<V: Volumes>(
+    tree: &FlatTree<V>,
     q: &[f32],
     radius: f32,
     cfg: &DeviceConfig,
@@ -43,21 +42,21 @@ pub fn range_query_gpu<T: GpuIndex>(
 /// shared memory (one MINDIST array — nothing tightens, so no MAXDISTs — plus
 /// a warp-reduction scratch line) and an empty result. No descent: the bound
 /// is the radius from the first node on.
-pub(crate) fn prime<T: GpuIndex, const M: bool>(
+pub(crate) fn prime<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
-    tree: &T,
+    tree: &FlatTree<V>,
     radius: f32,
     cfg: &DeviceConfig,
 ) -> Result<RangeCollector, KernelError> {
-    reserve_static(block, tree.degree() as u64 * 4 + block.threads() as u64 * 4, cfg)?;
+    reserve_static(block, tree.degree as u64 * 4 + block.threads() as u64 * 4, cfg)?;
     Ok(RangeCollector::new(radius))
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(super) fn traverse<T: GpuIndex, const M: bool>(
+pub(super) fn traverse<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
     budget: &mut Budget,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     radius: f32,
     cfg: &DeviceConfig,
@@ -118,7 +117,7 @@ mod tests {
         let (got, stats) = range_query_gpu(&tree, &q, 1.0, &cfg, &KernelOptions::default());
         assert!(got.is_empty());
         // One root fetch plus the pruned descent: far fewer bytes than the tree.
-        assert!(stats.global_bytes < tree.total_bytes() / 4);
+        assert!(stats.global_bytes < tree.index_bytes() / 4);
     }
 
     #[test]

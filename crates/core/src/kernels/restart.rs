@@ -13,10 +13,9 @@
 //! leaves that are visited or provably outside the pruning distance.
 
 use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
-use crate::index::GpuIndex;
 
 use super::collector::Collector;
 use super::psb::initial_descent;
@@ -30,8 +29,8 @@ use crate::options::KernelOptions;
 ///
 /// Trusted-tree entry point: panics on a [`KernelError`]. Use
 /// [`Kernel::attempt`] to handle corruption or injected faults.
-pub fn restart_query<T: GpuIndex>(
-    tree: &T,
+pub fn restart_query<V: Volumes>(
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -41,10 +40,10 @@ pub fn restart_query<T: GpuIndex>(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(super) fn traverse<T: GpuIndex, const M: bool>(
+pub(super) fn traverse<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
     budget: &mut Budget,
-    tree: &T,
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -65,7 +64,7 @@ pub(super) fn traverse<T: GpuIndex, const M: bool>(
     let mut visited: i64 = -1;
     'restart: loop {
         // Full descent from the root toward the leftmost qualifying leaf.
-        let mut n = tree.root();
+        let mut n = tree.root;
         let mut level = 0u32;
         while !tree.is_leaf(n) {
             budget.tick(block)?;
@@ -82,7 +81,7 @@ pub(super) fn traverse<T: GpuIndex, const M: bool>(
                 None => {
                     // Everything under `n` is visited or justifiably pruned.
                     visited = visited.max(tree.subtree_max_leaf(n) as i64);
-                    if n == tree.root() {
+                    if n == tree.root {
                         break 'restart;
                     }
                     block.backtrack(level); // restart = backtrack all the way up
@@ -103,7 +102,7 @@ pub(super) fn traverse<T: GpuIndex, const M: bool>(
                 block.scalar(1);
                 n = checked_node(tree, "leaf_node_of", n, tree.leaf_node_of(lid + 1))?;
                 via_sibling = true;
-            } else if n == tree.root() {
+            } else if n == tree.root {
                 break 'restart; // single-leaf tree
             } else {
                 block.backtrack(level);

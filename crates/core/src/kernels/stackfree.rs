@@ -187,188 +187,3 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
     }
     Ok((list.into_sorted(), block.finish()))
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kernels::brute::brute_index_query;
-    use psb_data::{sample_queries, ClusteredSpec, UniformSpec};
-    use psb_geom::PointSet;
-
-    /// A minimal implicit kd-tree over a PointSet already in heap order, for
-    /// in-crate tests (the real family lives in `psb-kdtree`; the golden
-    /// parity suite exercises it end to end).
-    struct MiniLb {
-        points: PointSet,
-        ids: Vec<u32>,
-    }
-
-    impl MiniLb {
-        /// Left-balanced build, mirroring `psb_kdtree::LbKdTree` (kept tiny
-        /// and local so psb-core's own tests need no reverse dependency).
-        fn build(points: &PointSet) -> Self {
-            fn left_size(n: usize) -> usize {
-                let h = n.ilog2();
-                let last = n - ((1usize << h) - 1);
-                let half = 1usize << (h - 1);
-                (half - 1) + last.min(half)
-            }
-            fn rec(ps: &PointSet, idx: &mut [u32], node: usize, depth: usize, order: &mut [u32]) {
-                match idx.len() {
-                    0 => return,
-                    1 => {
-                        order[node] = idx[0];
-                        return;
-                    }
-                    _ => {}
-                }
-                let d = depth % ps.dims();
-                let l = left_size(idx.len());
-                idx.select_nth_unstable_by(l, |&a, &b| {
-                    ps.point(a as usize)[d].total_cmp(&ps.point(b as usize)[d]).then(a.cmp(&b))
-                });
-                order[node] = idx[l];
-                let (lo, rest) = idx.split_at_mut(l);
-                rec(ps, lo, 2 * node + 1, depth + 1, order);
-                rec(ps, &mut rest[1..], 2 * node + 2, depth + 1, order);
-            }
-            let n = points.len();
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            let mut order = vec![0u32; n];
-            rec(points, &mut idx, 0, 0, &mut order);
-            MiniLb { points: points.gather(&order), ids: order }
-        }
-    }
-
-    impl crate::index::PointIndex for MiniLb {
-        fn dims(&self) -> usize {
-            self.points.dims()
-        }
-        fn num_points(&self) -> usize {
-            self.points.len()
-        }
-        fn rows(&self, range: std::ops::Range<usize>) -> &[f32] {
-            let dims = self.points.dims();
-            &self.points.as_flat()[range.start * dims..range.end * dims]
-        }
-        fn point_id(&self, pos: usize) -> u32 {
-            self.ids[pos]
-        }
-    }
-
-    impl ImplicitKdIndex for MiniLb {
-        fn num_nodes(&self) -> usize {
-            self.points.len()
-        }
-        fn is_leaf(&self, n: u32) -> bool {
-            2 * n as usize + 1 >= self.points.len()
-        }
-        fn parent(&self, n: u32) -> u32 {
-            if n == 0 {
-                u32::MAX
-            } else {
-                (n - 1) >> 1
-            }
-        }
-        fn node_depth(&self, n: u32) -> u32 {
-            31 - (n + 1).leading_zeros()
-        }
-        fn split_dim(&self, n: u32) -> usize {
-            self.node_depth(n) as usize % self.points.dims()
-        }
-        fn point_entry_bytes(&self) -> u64 {
-            self.points.dims() as u64 * 4 + 4
-        }
-        fn index_bytes(&self) -> u64 {
-            self.points.len() as u64 * self.point_entry_bytes()
-        }
-    }
-
-    #[test]
-    fn exact_against_brute_oracle_bitwise() {
-        for dims in [2usize, 3, 8] {
-            let ps = ClusteredSpec {
-                clusters: 5,
-                points_per_cluster: 300,
-                dims,
-                sigma: 120.0,
-                seed: 101,
-            }
-            .generate();
-            let t = MiniLb::build(&ps);
-            let cfg = DeviceConfig::k40();
-            let opts = KernelOptions::default();
-            for q in sample_queries(&ps, 12, 0.01, 102).iter() {
-                let (got, _) = stackfree_query(&t, q, 10, &cfg, &opts);
-                let (want, _) = brute_index_query(&t, q, 10, &cfg, &opts);
-                assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "dims {dims}");
-                    assert_eq!(g.id, w.id, "dims {dims}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiny_trees_are_exact() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8] {
-            let ps = UniformSpec { len: n, dims: 2, seed: 41 + n as u64 }.generate();
-            let t = MiniLb::build(&ps);
-            let cfg = DeviceConfig::k40();
-            let opts = KernelOptions::default();
-            let q = vec![250.0f32; 2];
-            let k = n.min(3);
-            let (got, _) = stackfree_query(&t, &q, k, &cfg, &opts);
-            let (want, _) = brute_index_query(&t, &q, k, &cfg, &opts);
-            assert_eq!(got.len(), want.len(), "n={n}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "n={n}");
-                assert_eq!(g.id, w.id, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn metering_off_is_bit_identical_and_unmetered() {
-        let ps =
-            ClusteredSpec { clusters: 4, points_per_cluster: 250, dims: 4, sigma: 90.0, seed: 103 }
-                .generate();
-        let t = MiniLb::build(&ps);
-        let cfg = DeviceConfig::k40();
-        let metered = KernelOptions::default();
-        let off = KernelOptions { metering: Metering::Off, ..KernelOptions::default() };
-        for q in sample_queries(&ps, 8, 0.01, 104).iter() {
-            let (a, sa) = stackfree_query(&t, q, 6, &cfg, &metered);
-            let (b, sb) = stackfree_query(&t, q, 6, &cfg, &off);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                assert_eq!(x.id, y.id);
-            }
-            assert!(sa.nodes_visited > 0);
-            assert_eq!(sb.nodes_visited, 0, "fast path must not account");
-        }
-    }
-
-    #[test]
-    fn visits_far_fewer_nodes_than_the_whole_tree() {
-        // On clustered data the plane test prunes most of the tree; the
-        // counter proves the kernel is a traversal, not a disguised scan.
-        let ps =
-            ClusteredSpec { clusters: 8, points_per_cluster: 500, dims: 3, sigma: 40.0, seed: 105 }
-                .generate();
-        let t = MiniLb::build(&ps);
-        let cfg = DeviceConfig::k40();
-        let opts = KernelOptions::default();
-        let q = sample_queries(&ps, 1, 0.005, 106);
-        let (_, stats) = stackfree_query(&t, q.point(0), 4, &cfg, &opts);
-        assert!(
-            stats.nodes_visited < ps.len() as u64 / 2,
-            "visited {} of {}",
-            stats.nodes_visited,
-            ps.len()
-        );
-        assert!(stats.backtracks > 0, "must climb through parents");
-    }
-}

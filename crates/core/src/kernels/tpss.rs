@@ -14,9 +14,8 @@
 use psb_geom::{dist, PointSet};
 
 use crate::error::{EngineError, KernelError};
-use crate::index::GpuIndex;
 use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep, TraceSink};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::dist_cost;
 use crate::kernels::{checked_children, checked_leaf_points, checked_node, step_budget};
@@ -28,8 +27,8 @@ const OP_INTERNAL: u32 = 0;
 const OP_LEAF: u32 = 1;
 const OP_POP: u32 = 2;
 
-struct Lane<'a, T: GpuIndex> {
-    tree: &'a T,
+struct Lane<'a, V: Volumes> {
+    tree: &'a FlatTree<V>,
     q: &'a [f32],
     k: usize,
     /// Deferred subtrees: (node, MINDIST at push time), unsorted stack.
@@ -47,7 +46,7 @@ struct Lane<'a, T: GpuIndex> {
     error: Option<KernelError>,
 }
 
-impl<T: GpuIndex> Lane<'_, T> {
+impl<V: Volumes> Lane<'_, V> {
     fn bound(&self) -> f32 {
         if self.best.len() >= self.k {
             self.best.last().map_or(f32::INFINITY, |n| n.dist)
@@ -115,12 +114,12 @@ impl<T: GpuIndex> Lane<'_, T> {
             };
             let count = range.len() as u64;
             for p in range {
-                let d = dist(self.q, tree.point(p));
-                self.offer(d, tree.point_id(p));
+                let d = dist(self.q, tree.points.point(p));
+                self.offer(d, tree.point_ids[p]);
             }
             return Some(LaneStep {
                 op: OP_LEAF,
-                cost: count * dist_cost(tree.dims()) + count,
+                cost: count * dist_cost(tree.dims) + count,
                 global_bytes: tree.leaf_node_bytes(n),
             });
         }
@@ -155,8 +154,8 @@ impl<T: GpuIndex> Lane<'_, T> {
 /// Trusted-tree entry point: panics if any lane reports a [`KernelError`],
 /// which a validated tree can never produce. Use [`tpss_try_batch`] to handle
 /// corruption per query, or to trace the batch.
-pub fn tpss_batch<T: GpuIndex>(
-    tree: &T,
+pub fn tpss_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -183,8 +182,8 @@ pub type TpssBatchOutput = (Vec<Result<Vec<Neighbor>, KernelError>>, Vec<KernelS
 /// Bit-identical results and stats to [`tpss_batch`] on a valid tree. With
 /// `Some(sink)`, every block's issue groups and loads are mirrored into it
 /// (blocks run sequentially, so events arrive in block order).
-pub fn tpss_try_batch<T: GpuIndex>(
-    tree: &T,
+pub fn tpss_try_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -195,21 +194,21 @@ pub fn tpss_try_batch<T: GpuIndex>(
     if queries.is_empty() {
         return Err(EngineError::EmptyBatch);
     }
-    assert_eq!(queries.dims(), tree.dims());
+    assert_eq!(queries.dims(), tree.dims);
     let tpb = threads_per_block.max(1) as usize;
-    let limit = step_budget(tree.num_nodes(), tree.degree());
+    let limit = step_budget(tree.num_nodes(), tree.degree);
 
     let mut results = Vec::with_capacity(queries.len());
     let mut per_block = Vec::new();
     let mut qi = 0usize;
     while qi < queries.len() {
         let block_n = tpb.min(queries.len() - qi);
-        let mut lanes: Vec<Lane<T>> = (0..block_n)
+        let mut lanes: Vec<Lane<V>> = (0..block_n)
             .map(|j| Lane {
                 tree,
                 q: queries.point(qi + j),
                 k,
-                stack: vec![(tree.root(), 0.0)],
+                stack: vec![(tree.root, 0.0)],
                 cursor: 0,
                 has_cursor: false,
                 best: Vec::with_capacity(k + 1),

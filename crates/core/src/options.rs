@@ -87,7 +87,7 @@ pub struct KernelOptions {
     /// (DESIGN.md "Stack-free kd kernel and rope modes"). Every arriving
     /// node is evaluated once against the query; qualifying internal nodes
     /// fall through to their first child, everything else follows
-    /// `GpuIndex::rope`. Results are bit-identical to the stacked traversal
+    /// `FlatTree::rope`. Results are bit-identical to the stacked traversal
     /// (`tests/ropes.rs`); counters reflect the rope fetches. Off by default:
     /// the paper's PSB figures use the leaf-sequential traversal.
     pub rope: bool,

@@ -18,9 +18,9 @@ use std::collections::VecDeque;
 use psb_geom::PointSet;
 use psb_gpu::{DeviceConfig, FaultPlan};
 use psb_metrics::MetricsHandle;
+use psb_sstree::{FlatTree, Volumes};
 
 use crate::engine::{launch_resolved, resolve, schedule_order, QueryBatchResult};
-use crate::index::GpuIndex;
 use crate::kernels::Kernel;
 use crate::options::KernelOptions;
 use crate::schedule::ScheduleScratch;
@@ -59,8 +59,8 @@ fn timed_us<R>(m: &MetricsHandle, name: &str, f: impl FnOnce() -> R) -> R {
 ///     assert!(!tail.neighbors.is_empty());
 /// }
 /// ```
-pub struct QueryStream<'t, T: GpuIndex> {
-    tree: &'t T,
+pub struct QueryStream<'t, V: Volumes> {
+    tree: &'t FlatTree<V>,
     kernel: Kernel,
     cfg: DeviceConfig,
     opts: KernelOptions,
@@ -74,25 +74,30 @@ pub struct QueryStream<'t, T: GpuIndex> {
     submitted: u64,
 }
 
-impl<'t, T: GpuIndex> QueryStream<'t, T> {
+impl<'t, V: Volumes> QueryStream<'t, V> {
     /// The default chunk size: the paper's 240-query batch (§V-B).
     pub(crate) const DEFAULT_CHUNK: usize = 240;
 
     /// A stream executing 240-query chunks.
-    pub fn new(tree: &'t T, kernel: Kernel, cfg: DeviceConfig, opts: KernelOptions) -> Self {
+    pub fn new(
+        tree: &'t FlatTree<V>,
+        kernel: Kernel,
+        cfg: DeviceConfig,
+        opts: KernelOptions,
+    ) -> Self {
         Self::with_chunk_size(tree, kernel, cfg, opts, Self::DEFAULT_CHUNK)
     }
 
     /// A stream with an explicit chunk size (at least 1).
     pub fn with_chunk_size(
-        tree: &'t T,
+        tree: &'t FlatTree<V>,
         kernel: Kernel,
         cfg: DeviceConfig,
         opts: KernelOptions,
         chunk: usize,
     ) -> Self {
         assert!(chunk >= 1, "chunk size must be at least 1");
-        let pending = PointSet::with_capacity(tree.dims(), chunk);
+        let pending = PointSet::with_capacity(tree.dims, chunk);
         Self {
             tree,
             kernel,
@@ -147,7 +152,7 @@ impl<'t, T: GpuIndex> QueryStream<'t, T> {
     fn execute(&mut self) {
         let chunk = std::mem::replace(
             &mut self.pending,
-            PointSet::with_capacity(self.tree.dims(), self.chunk),
+            PointSet::with_capacity(self.tree.dims, self.chunk),
         );
         let (m, plan) = (&self.opts.metrics, FaultPlan::none());
         let resolved = resolve(&self.opts, Some(self.kernel), &plan, false);
@@ -185,7 +190,7 @@ mod tests {
     use crate::engine::psb_batch;
     use crate::schedule::QuerySchedule;
     use psb_data::{sample_queries, ClusteredSpec};
-    use psb_sstree::{build, BuildMethod, SsTree};
+    use psb_sstree::{build, BuildMethod, Spheres, SsTree};
 
     fn setup() -> (PointSet, SsTree, PointSet) {
         let ps =
@@ -196,7 +201,7 @@ mod tests {
         (ps, tree, queries)
     }
 
-    fn push_all(stream: &mut QueryStream<SsTree>, queries: &PointSet) -> Vec<QueryBatchResult> {
+    fn push_all(stream: &mut QueryStream<Spheres>, queries: &PointSet) -> Vec<QueryBatchResult> {
         let mut out = Vec::new();
         for q in queries.iter() {
             stream.push(q);

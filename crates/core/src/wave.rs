@@ -20,7 +20,7 @@
 //!    amortized over the buffered queries ([`Block::load_global_share`]);
 //!    each buffered query prunes against its *current* bound (which may have
 //!    tightened since it enqueued itself), sweeps the children via the same
-//!    [`GpuIndex::child_sweep`]/[`GpuIndex::leaf_sweep`] hooks as the
+//!    [`FlatTree::child_sweep`]/[`FlatTree::leaf_sweep`] calls as the
 //!    per-query kernels, tightens its bound with the k-th-MAXDIST rule, and
 //!    appends itself to the buffers of surviving children. Leaf sweeps hand
 //!    their rows to the query's collector — the same k-best list or range hit
@@ -94,11 +94,11 @@
 use psb_geom::PointSet;
 use psb_gpu::{Block, DeviceConfig, FaultPlan, NodeKind, Phase};
 use psb_metrics::MetricsHandle;
+use psb_sstree::{FlatTree, Volumes};
 use rayon::prelude::*;
 
 use crate::engine::{launch_reporting, QueryBatchResult};
 use crate::error::{EngineError, KernelError};
-use crate::index::GpuIndex;
 use crate::kernels::collector::{Collector, KnnCollector, RangeCollector};
 use crate::kernels::psb::initial_descent;
 use crate::kernels::{
@@ -169,8 +169,8 @@ struct QueryState<C, const M: bool> {
 /// Bytes and transactions one coalesced fetch of node `n`'s arena block
 /// moves, mirroring [`fetch_internal`] / [`fetch_leaf`](crate::kernels) for
 /// the same layout.
-fn node_fetch_cost<T: GpuIndex, const M: bool>(
-    tree: &T,
+fn node_fetch_cost<V: Volumes, const M: bool>(
+    tree: &FlatTree<V>,
     n: u32,
     leaf: bool,
     layout: NodeLayout,
@@ -195,7 +195,7 @@ fn node_fetch_cost<T: GpuIndex, const M: bool>(
 /// Depth of every node reachable from `root` (root = 0). Rejects cycles and
 /// diamond links with a typed error instead of hanging — the level schedule
 /// is only meaningful on a proper tree.
-fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<Vec<u32>, KernelError> {
+fn node_levels<V: Volumes>(tree: &FlatTree<V>, root: u32) -> Result<Vec<u32>, KernelError> {
     let nn = tree.num_nodes();
     let mut levels = vec![u32::MAX; nn];
     levels[root as usize] = 0;
@@ -241,8 +241,8 @@ fn sweep_phase(leaf: bool) -> Phase {
 /// stays active — sweep the node (surviving children into `out`, leaf points
 /// into the collector). Everything here is the query's own compute; the
 /// shared fetch is charged separately ([`Wave::charge_fetch_shares`]).
-fn sweep_entry<T: GpuIndex, C: Collector, const M: bool>(
-    tree: &T,
+fn sweep_entry<V: Volumes, C: Collector, const M: bool>(
+    tree: &FlatTree<V>,
     q: &[f32],
     state: &mut QueryState<C, M>,
     (n, entry_mindist): (u32, f32),
@@ -260,7 +260,7 @@ fn sweep_entry<T: GpuIndex, C: Collector, const M: bool>(
     if leaf {
         let range = checked_leaf_points(tree, n)?;
         scratch.leaf.clear();
-        let dc = crate::dist_cost(tree.dims());
+        let dc = crate::dist_cost(tree.dims);
         block.par_for(range.len(), dc, |_| {});
         tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
         block.set_phase(Phase::ResultMerge);
@@ -286,8 +286,8 @@ fn sweep_entry<T: GpuIndex, C: Collector, const M: bool>(
 type Primed<C, const M: bool> = Result<(Block<'static, M>, C), KernelError>;
 
 /// One batch's traversal inputs.
-struct Wave<'a, T: GpuIndex> {
-    tree: &'a T,
+struct Wave<'a, V: Volumes> {
+    tree: &'a FlatTree<V>,
     queries: &'a PointSet,
     cfg: &'a DeviceConfig,
     opts: &'a KernelOptions,
@@ -311,7 +311,7 @@ struct Sweep {
     transactions: (u64, u64),
 }
 
-impl<T: GpuIndex> Wave<'_, T> {
+impl<V: Volumes> Wave<'_, V> {
     /// The whole batch for `kernel`: prime every query — the three kNN
     /// kernels share one wave form, their results being the same exact set —
     /// traverse, split every node's single fetch over its buffer, and close
@@ -334,7 +334,7 @@ impl<T: GpuIndex> Wave<'_, T> {
         let (tree, cfg, opts) = (self.tree, self.cfg, self.opts);
         move |q, scratch| {
             let mut block = Block::new(opts.threads_per_block, cfg);
-            let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree());
+            let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
             let list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
             Ok((block, list))
         }
@@ -376,7 +376,7 @@ impl<T: GpuIndex> Wave<'_, T> {
         (0..self.queries.len())
             .into_par_iter()
             .map(|i| {
-                with_scratch(tree.dims(), opts.lanes, |scratch| {
+                with_scratch(tree.dims, opts.lanes, |scratch| {
                     let q = self.queries.point(i);
                     let (block, collector) = prime(q, scratch)?;
                     let mut state = QueryState { block, collector, visited: Vec::new() };
@@ -482,8 +482,8 @@ impl<T: GpuIndex> Wave<'_, T> {
 /// The wave engine as the batch runner's execute step: every query's exact
 /// result and counters, in submission order, plus what the waves did.
 /// `metering` is the launch's resolved mode, dispatched once here.
-pub(crate) fn wave_rows<T: GpuIndex>(
-    tree: &T,
+pub(crate) fn wave_rows<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     kernel: Kernel,
     cfg: &DeviceConfig,
@@ -491,7 +491,7 @@ pub(crate) fn wave_rows<T: GpuIndex>(
     metering: Metering,
     order: Option<&[u32]>,
 ) -> Result<(Vec<Found>, WaveReport), KernelError> {
-    assert_eq!(queries.dims(), tree.dims(), "query dimensionality mismatch");
+    assert_eq!(queries.dims(), tree.dims, "query dimensionality mismatch");
     kernel.check_parameter();
     let root = checked_root(tree)?;
     let levels = node_levels(tree, root)?;
@@ -518,8 +518,8 @@ fn waved(opts: &KernelOptions) -> KernelOptions {
 /// (and the other exact kNN engines); counters reflect the amortized
 /// node-centric schedule. Honors [`KernelOptions::schedule`] for seeding
 /// order.
-pub fn wave_knn_batch<T: GpuIndex>(
-    tree: &T,
+pub fn wave_knn_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -532,8 +532,8 @@ pub fn wave_knn_batch<T: GpuIndex>(
 /// Fixed-radius range queries over a batch through the buffer-wave engine.
 /// Results are bit-identical to [`range_batch`](crate::range_batch): both
 /// produce the exact in-range set in canonical `(dist, id)` order.
-pub fn wave_range_batch<T: GpuIndex>(
-    tree: &T,
+pub fn wave_range_batch<V: Volumes>(
+    tree: &FlatTree<V>,
     queries: &PointSet,
     radius: f32,
     cfg: &DeviceConfig,
@@ -547,7 +547,7 @@ pub fn wave_range_batch<T: GpuIndex>(
 mod tests {
     use super::*;
     use psb_data::{sample_queries, ClusteredSpec};
-    use psb_sstree::{build, BuildMethod, SsTree};
+    use psb_sstree::{build, BuildMethod, Spheres, SsTree};
 
     fn setup() -> (PointSet, SsTree, PointSet) {
         let ps =
@@ -597,7 +597,7 @@ mod tests {
 
     /// Nodes one priming descent visits: one per level plus the primed leaf.
     fn depth_visits(tree: &SsTree) -> u64 {
-        let mut n = tree.root();
+        let mut n = tree.root;
         let mut visits = 1u64;
         while !tree.is_leaf(n) {
             n = tree.children(n).start;
@@ -633,8 +633,8 @@ mod tests {
     /// `j` of `m` owes exactly [`share`]`(total, m, j)`, rank 0 carries the
     /// visit, leaf shares are streamed. Returns the bytes and transactions of
     /// one fetch per swept node.
-    fn charge_sweep_by_sweep<T: GpuIndex, C>(
-        wave: &Wave<'_, T>,
+    fn charge_sweep_by_sweep<V: Volumes, C>(
+        wave: &Wave<'_, V>,
         states: &mut [QueryState<C, true>],
     ) -> (u64, u64) {
         let mut buffers: Vec<Vec<u32>> = vec![Vec::new(); wave.tree.num_nodes()];
@@ -687,7 +687,7 @@ mod tests {
     }
 
     fn check_split<C: Collector + Send>(
-        wave: &Wave<'_, SsTree>,
+        wave: &Wave<'_, Spheres>,
         prime: impl Fn(&[f32], &mut Scratch) -> Primed<C, true> + Sync,
     ) {
         // The traversal is deterministic: three runs, three equal sets of

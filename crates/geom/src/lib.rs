@@ -37,7 +37,7 @@ pub use dist::{dist, plane_gap, plane_in_range, sq_dist, sq_dist_d, DistKernel, 
 pub use hilbert::{hilbert_key, hilbert_keys, hilbert_sort, hilbert_sort_into, HilbertKey};
 pub use kmeans::{kmeans, KMeansParams, KMeansResult};
 pub use layout::AlignedF32;
-pub use point::PointSet;
+pub use point::{Neighbor, PointSet};
 pub use rect::Rect;
 pub use rectkernel::{rect_eval, RectKernel, RectRowsOut};
 pub use ritter::{ritter_points, ritter_spheres, RitterMode};

@@ -129,6 +129,24 @@ impl PointSet {
     }
 }
 
+/// One kNN result: distance and the *original* dataset id of the point. The
+/// one result type of every index family and search in the workspace.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Neighbor {
+    pub dist: f32,
+    pub id: u32,
+}
+
+impl Neighbor {
+    /// The canonical result order: ascending distance (`total_cmp`, so the
+    /// order is total even over corrupt, non-finite distances), ties broken by
+    /// ascending id. Every result list in the workspace — kNN, range, merged
+    /// shards, oracles — is sorted by this.
+    pub fn by_rank(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+        a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,20 +9,16 @@
 //! Fig. 6a reports (<10 % warp efficiency vs >50 % for the data-parallel
 //! SS-tree).
 
-use psb_geom::{dist, PointSet};
+use psb_core::dist_cost;
+use psb_geom::{dist, Neighbor, PointSet};
 use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep};
 
-use crate::{KdTree, Neighbor, NIL, NODE_BYTES};
+use crate::{KdTree, NIL, NODE_BYTES};
 
 /// Operation tags for divergence accounting.
 const OP_DESCEND: u32 = 0;
 const OP_LEAF: u32 = 1;
 const OP_BACKTRACK: u32 = 2;
-
-/// Instruction cost of one distance evaluation (mirrors `psb_core::dist_cost`).
-fn dist_cost(dims: usize) -> u64 {
-    (dims as u64).div_ceil(4) + 2
-}
 
 struct Lane<'a> {
     tree: &'a KdTree,

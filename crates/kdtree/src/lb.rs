@@ -15,14 +15,14 @@
 //! fallback, scheduling, inspection, the memory bench — and
 //! [`ImplicitKdIndex`] carries what the stack-free kernel reads. The
 //! bounding-volume kernels (PSB, BnB, restart, range) **cannot** be routed to
-//! it: the tree is not a `GpuIndex`, so the call does not type-check. The
+//! they take a `psb_sstree::FlatTree`, so the call does not type-check. The
 //! family exists to measure what the pointer-free layout buys and costs, not
 //! to impersonate a volume hierarchy.
 
 use psb_core::{ImplicitKdIndex, PointIndex};
-use psb_geom::{dist, plane_gap, plane_in_range, PointSet};
+use psb_geom::{dist, plane_gap, plane_in_range, Neighbor, PointSet};
 
-use crate::{check_finite, KdBuildError, Neighbor};
+use crate::{check_finite, KdBuildError};
 
 /// Fixed header the device fetches once per tree: dims, node count, and the
 /// two array base addresses.

@@ -18,7 +18,7 @@ mod lb;
 
 pub use lb::LbKdTree;
 
-use psb_geom::{dist, PointSet};
+use psb_geom::{dist, Neighbor, PointSet};
 
 /// Sentinel: no child.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -261,19 +261,6 @@ fn build_rec(
     nodes[my_id as usize].left = left;
     nodes[my_id as usize].right = right;
     my_id
-}
-
-/// One kNN result (distance, original point id).
-pub use psb_sstree_shim::Neighbor;
-
-/// A tiny shim so this crate does not depend on `psb-sstree` for one struct.
-mod psb_sstree_shim {
-    /// One kNN result: distance and original dataset id.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct Neighbor {
-        pub dist: f32,
-        pub id: u32,
-    }
 }
 
 /// Exact recursive kNN on the CPU (oracle).

@@ -5,10 +5,10 @@
 //! and adds or subtracts the radius", whereas "rectangular bounding boxes ...
 //! require the calculation of distances to each facet". An [`RsTree`] is the
 //! *same* flattened tree as the SS-tree — `psb_sstree::FlatTree`, with its
-//! accessors, rope links, packed arena, verifier and `GpuIndex`
-//! implementation — over a different node shape, so every GPU kernel in
-//! `psb-core` runs over it unchanged and comparing the two under identical
-//! traversals isolates the node-shape effect the paper asserts. This crate
+//! accessors, rope links, packed arena, sweeps and verifier — over a
+//! different node shape, so every GPU kernel in `psb-core` runs over it
+//! unchanged and comparing the two under identical traversals isolates the
+//! node-shape effect the paper asserts. This crate
 //! holds only what rectangles *are*: [`Rects`] and its [`Volumes`]
 //! implementation on `psb_geom`'s rectangle kernel, and the bulk loaders.
 //!
@@ -153,6 +153,50 @@ mod tests {
 
     fn rt() -> RsTree {
         build_rtree(&dataset(3, 93), 16, &RtreeBuildMethod::Hilbert)
+    }
+
+    /// The accessors the kernels traverse by, on a tree of either family.
+    fn implements_the_contract<V: Volumes>(tree: &FlatTree<V>, dims: usize) {
+        assert_eq!(tree.dims, dims);
+        assert_eq!(tree.degree, 16);
+        let root = tree.root;
+        assert!(!tree.is_leaf(root));
+        assert_eq!(tree.node_depth(root), 0);
+        assert_eq!(tree.rope(root), psb_sstree::tree::NO_ROPE);
+        let kids = tree.children(root);
+        assert!(!kids.is_empty());
+        for c in kids {
+            assert_eq!(tree.parent(c), root);
+            assert_eq!(tree.node_depth(c), 1);
+        }
+        // Leaf chain is dense and consistent.
+        for l in 0..tree.num_leaves() as u32 {
+            let n = tree.leaf_node_of(l);
+            assert_eq!(tree.leaf_id(n), l);
+            assert_eq!(tree.subtree_max_leaf(n), l);
+        }
+        // The footprint packs every point entry, plus the internal blocks.
+        assert!(tree.index_bytes() > tree.points.len() as u64 * tree.point_entry_bytes());
+    }
+
+    #[test]
+    fn sstree_implements_the_contract() {
+        implements_the_contract(&ss(), 4);
+        implements_the_contract(&rt(), 3);
+    }
+
+    #[test]
+    fn sphere_min_max_from_one_distance() {
+        let ps =
+            ClusteredSpec { clusters: 2, points_per_cluster: 100, dims: 2, sigma: 20.0, seed: 72 }
+                .generate();
+        let tree = build(&ps, 8, &BuildMethod::Hilbert);
+        let c = tree.children(tree.root).start;
+        let q = vec![0.0f32, 0.0];
+        let (lo, hi) = tree.child_min_max(c, &q, true);
+        assert!(lo <= hi);
+        assert_eq!(lo, tree.sphere(c).min_dist(&q));
+        assert_eq!(hi, tree.sphere(c).max_dist(&q));
     }
 
     #[test]

@@ -23,11 +23,11 @@
 
 use std::collections::BTreeMap;
 
-use psb_core::{EngineError, GpuIndex, KernelOptions, QueryOutcome};
+use psb_core::{EngineError, KernelOptions, QueryOutcome};
 use psb_geom::PointSet;
 use psb_gpu::KernelStats;
 use psb_metrics::MetricsHandle;
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::admission::{
     AdmissionConfig, BreakerConfig, BreakerState, QuotaConfig, RejectReason, TenantId,
@@ -197,22 +197,22 @@ pub struct ResilientRouter<T> {
     metrics: MetricsHandle,
 }
 
-impl<T: GpuIndex> ResilientRouter<T> {
+impl<V: Volumes> ResilientRouter<FlatTree<V>> {
     /// Wraps `router` under `cfg`. The wrapped router's shards each get one
     /// breaker.
-    pub fn new(router: ShardRouter<T>, cfg: ResilienceConfig) -> Self {
+    pub fn new(router: ShardRouter<FlatTree<V>>, cfg: ResilienceConfig) -> Self {
         let front = FrontEnd::new(router.num_shards(), &cfg);
         Self { router, front, metrics: MetricsHandle::noop() }
     }
 
     /// The wrapped router.
-    pub fn inner(&self) -> &ShardRouter<T> {
+    pub fn inner(&self) -> &ShardRouter<FlatTree<V>> {
         &self.router
     }
 
     /// The wrapped router, mutably — fault plans and replica restores go
     /// through here.
-    pub fn inner_mut(&mut self) -> &mut ShardRouter<T> {
+    pub fn inner_mut(&mut self) -> &mut ShardRouter<FlatTree<V>> {
         &mut self.router
     }
 

@@ -8,8 +8,8 @@ use crate::runner::{run_batch, Batch, FrontEnd};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::{
-    brute_index_query, dist_cost, EngineError, GpuIndex, Kernel, KernelError, KernelOptions,
-    Metering, QueryOutcome,
+    brute_index_query, dist_cost, EngineError, Kernel, KernelError, KernelOptions, Metering,
+    QueryOutcome,
 };
 use psb_geom::{PointSet, RitterMode, Sphere};
 use psb_gpu::{
@@ -17,7 +17,7 @@ use psb_gpu::{
     TraceEvent, TraceSink, VecSink,
 };
 use psb_metrics::MetricsHandle;
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 /// How a [`ShardRouter`] is laid out: shard count, replication factor, and
 /// the split policy.
@@ -181,7 +181,7 @@ pub struct ShardRouter<T> {
     metrics: MetricsHandle,
 }
 
-impl<T: GpuIndex> ShardRouter<T> {
+impl<V: Volumes> ShardRouter<FlatTree<V>> {
     /// Partitions `points` per `cfg`, builds one index per shard with
     /// `build_index` (over the gathered per-shard [`PointSet`], whose local
     /// position `i` is global position `assignments[s][i]`), computes each
@@ -194,7 +194,7 @@ impl<T: GpuIndex> ShardRouter<T> {
         points: &PointSet,
         cfg: &ServeConfig,
         device: &DeviceConfig,
-        build_index: impl Fn(&PointSet) -> T,
+        build_index: impl Fn(&PointSet) -> FlatTree<V>,
     ) -> Self {
         match Self::try_build(points, cfg, device, build_index) {
             Ok(r) => r,
@@ -209,7 +209,7 @@ impl<T: GpuIndex> ShardRouter<T> {
         points: &PointSet,
         cfg: &ServeConfig,
         device: &DeviceConfig,
-        build_index: impl Fn(&PointSet) -> T,
+        build_index: impl Fn(&PointSet) -> FlatTree<V>,
     ) -> Result<Self, EngineError> {
         if cfg.shards == 0 {
             return Err(EngineError::NoShards);
@@ -227,7 +227,7 @@ impl<T: GpuIndex> ShardRouter<T> {
                 // Parallel Ritter: the SS-tree builder's spheres, bit for bit.
                 let sphere = shard_sphere(points, ids, RitterMode::Parallel);
                 let index = build_index(&local);
-                assert_eq!(index.num_points(), ids.len(), "index must cover its shard");
+                assert_eq!(index.points.len(), ids.len(), "index must cover its shard");
                 let replicas = (0..cfg.replicas)
                     .map(|_| Replica {
                         device: device.clone(),

@@ -36,10 +36,10 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use psb_core::{EngineError, GpuIndex, KernelOptions, QueryOutcome};
+use psb_core::{EngineError, KernelOptions, QueryOutcome};
 use psb_geom::PointSet;
 use psb_gpu::{KernelStats, TraceSink};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 use rayon::prelude::*;
 
 use crate::admission::{
@@ -114,8 +114,8 @@ type Ahead = (usize, QueryEffect, f64);
 /// Runs one batch through `front` and `router`, looking at most `window`
 /// queries ahead of the one being committed (`1` is the strictly sequential
 /// loop). See the module docs for why the window never shows in a result.
-pub(crate) fn run_batch<T: GpuIndex>(
-    router: &mut ShardRouter<T>,
+pub(crate) fn run_batch<V: Volumes>(
+    router: &mut ShardRouter<FlatTree<V>>,
     front: &mut FrontEnd,
     batch: &Batch<'_>,
     mut sink: Option<&mut dyn TraceSink>,
@@ -298,8 +298,8 @@ fn plan(
 
 /// Executes `todo` in one parallel region against the shared router, results
 /// in `todo` order. Execution is timed on the thread that does it.
-fn execute<T: GpuIndex>(
-    router: &ShardRouter<T>,
+fn execute<V: Volumes>(
+    router: &ShardRouter<FlatTree<V>>,
     batch: &Batch<'_>,
     default_deadline: DeadlineBudget,
     skip: &[bool],

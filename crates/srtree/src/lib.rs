@@ -13,14 +13,7 @@
 //! per visited node (the disk-page accounting the paper uses for its CPU
 //! comparison).
 
-use psb_geom::{dist, PointSet, Rect};
-
-/// One kNN result (distance, original point id).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Neighbor {
-    pub dist: f32,
-    pub id: u32,
-}
+use psb_geom::{dist, Neighbor, PointSet, Rect};
 
 /// Per-query access statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

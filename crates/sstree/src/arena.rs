@@ -29,13 +29,19 @@
 //! fall back to the bounds-checked gather path when the tree has been mutated
 //! under the arena — the corruption suite drives exactly that.
 //!
+//! The two sweeps the kernels run per visited node, [`FlatTree::child_sweep`]
+//! and [`FlatTree::leaf_sweep`], read the arena and degrade to that gather
+//! path themselves; it is bit-identical to the arena path
+//! (`tests/layout_parity.rs`, over [`FlatTree::strip_arena`]).
+//!
 //! The arena's unit tests live in `psb-rtree` (`crates/rtree/src/lib.rs`), the
 //! lowest crate that sees both families, and run over a tree of each.
 
 use psb_geom::layout::{align_up_f32, AlignedF32};
+use psb_geom::DistKernel;
 
 use crate::tree::FlatTree;
-use crate::volumes::Volumes;
+use crate::volumes::{SweepScratch, Volumes};
 
 /// Sentinel offset for "no block recorded for this node".
 const NO_BLOCK: u32 = u32::MAX;
@@ -159,5 +165,104 @@ impl NodeArena {
         let blk = self.block(n, true, live_first, live_cnt, self.dims + 1)?;
         let (coords, ids) = blk.split_at(live_cnt * self.dims);
         Some(LeafBlock { coords, ids })
+    }
+}
+
+/// A node's evaluation against a query: what the kernels compute per visited
+/// node, from the packed arena when it matches the live tree.
+impl<V: Volumes> FlatTree<V> {
+    /// MINDIST (and MAXDIST when `with_max`) from `q` to child `c`'s bounding
+    /// volume. When `with_max` is false the second component is unspecified.
+    pub fn child_min_max(&self, c: u32, q: &[f32], with_max: bool) -> (f32, f32) {
+        self.volumes.min_max(self.dims, c as usize, q, with_max)
+    }
+
+    /// Instruction cost of one `child_min_max` evaluation under the cost
+    /// model. This is where sphere and rectangle indexes differ (§II-C).
+    pub fn child_eval_cost(&self, with_max: bool) -> u64 {
+        V::eval_cost(self.dims, with_max)
+    }
+
+    /// Distance from `q` to child `c`'s representative point (sphere center /
+    /// rectangle center). Used as the tie-break when several overlapping
+    /// volumes report `MINDIST = 0` during the initial greedy descent.
+    pub fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
+        self.volumes.anchor(self.dims, c as usize, q)
+    }
+
+    /// Evaluate every child of internal node `n` against `q` in one pass:
+    /// MINDIST always, MAXDIST when `with_max`, anchor distance when
+    /// `with_anchor`, appended to `out` in child order. Streams the node's
+    /// packed block; a stale or absent arena takes the bounds-checked gather
+    /// path, bit-identically.
+    pub fn child_sweep(
+        &self,
+        n: u32,
+        q: &[f32],
+        dk: &DistKernel,
+        with_max: bool,
+        with_anchor: bool,
+        out: &mut SweepScratch,
+    ) {
+        let kids = self.children(n);
+        match self.arena.as_ref().and_then(|a| a.internal(n, kids.start, kids.len())) {
+            Some(block) => V::sweep(block, kids.len(), q, dk, with_max, with_anchor, out),
+            None => self.gather_child_sweep(n, q, with_max, with_anchor, out),
+        }
+    }
+
+    /// Evaluate every point of leaf node `n` against `q`, appending
+    /// `(distance, original id)` pairs to `out` in point order. Same arena and
+    /// fallback as [`FlatTree::child_sweep`]; `tmp` is pooled staging for
+    /// [`DistKernel::dist_rows`].
+    pub fn leaf_sweep(
+        &self,
+        n: u32,
+        q: &[f32],
+        dk: &DistKernel,
+        tmp: &mut Vec<f32>,
+        out: &mut Vec<(f32, u32)>,
+    ) {
+        let run = self.leaf_points(n);
+        let blk = self.arena.as_ref().and_then(|a| a.leaf(n, run.start as u32, run.len()));
+        let Some(blk) = blk else {
+            self.gather_leaf_sweep(n, q, out);
+            return;
+        };
+        tmp.clear();
+        dk.dist_rows(q, blk.coords, tmp);
+        out.extend(tmp.iter().enumerate().map(|(i, &d)| (d, blk.id(i))));
+    }
+
+    /// The gather path of [`FlatTree::child_sweep`]: per-child scattered loads
+    /// through the node-major volumes.
+    fn gather_child_sweep(
+        &self,
+        n: u32,
+        q: &[f32],
+        with_max: bool,
+        with_anchor: bool,
+        out: &mut SweepScratch,
+    ) {
+        for c in self.children(n) {
+            let (lo, hi) = self.child_min_max(c, q, with_max);
+            out.min_d.push(lo);
+            if with_max {
+                out.max_d.push(hi);
+            }
+        }
+        if with_anchor {
+            for c in self.children(n) {
+                out.anchor_d.push(self.child_anchor_dist(c, q));
+            }
+        }
+    }
+
+    /// The gather path of [`FlatTree::leaf_sweep`]: per-point scattered loads
+    /// through the reordered point array.
+    fn gather_leaf_sweep(&self, n: u32, q: &[f32], out: &mut Vec<(f32, u32)>) {
+        for p in self.leaf_points(n) {
+            out.push((psb_geom::dist(q, self.points.point(p)), self.point_ids[p]));
+        }
     }
 }

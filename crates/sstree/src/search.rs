@@ -19,22 +19,7 @@ use psb_geom::{dist, PointSet};
 use crate::tree::FlatTree;
 use crate::volumes::Volumes;
 
-/// One kNN result: distance and the *original* dataset id of the point.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Neighbor {
-    pub dist: f32,
-    pub id: u32,
-}
-
-impl Neighbor {
-    /// The canonical result order: ascending distance (`total_cmp`, so the
-    /// order is total even over corrupt, non-finite distances), ties broken by
-    /// ascending id. Every result list in the workspace — kNN, range, merged
-    /// shards, oracles — is sorted by this.
-    pub fn by_rank(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
-        a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
-    }
-}
+pub use psb_geom::Neighbor;
 
 /// Max-heap entry keyed by distance (the running k-best list).
 #[derive(PartialEq)]

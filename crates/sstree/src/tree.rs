@@ -141,6 +141,44 @@ impl<V: Volumes> FlatTree<V> {
         fp..fp + self.child_count[n as usize] as usize
     }
 
+    /// Parent of `n` (`u32::MAX` for the root).
+    pub fn parent(&self, n: u32) -> u32 {
+        self.parent[n as usize]
+    }
+
+    /// Dense left-to-right leaf number of leaf `n`.
+    pub fn leaf_id(&self, n: u32) -> u32 {
+        self.leaf_id[n as usize]
+    }
+
+    /// Node id of leaf number `l`: `leaf_node_of(l + 1)` is leaf `l`'s right
+    /// sibling.
+    pub fn leaf_node_of(&self, l: u32) -> u32 {
+        self.leaf_node_of[l as usize]
+    }
+
+    /// Largest leaf id under `n`'s subtree.
+    pub fn subtree_max_leaf(&self, n: u32) -> u32 {
+        self.subtree_max_leaf[n as usize]
+    }
+
+    /// Rope (escape) link of node `n`, as the `rope` field defines it:
+    /// [`NO_ROPE`] for the root and the rightmost spine.
+    pub fn rope(&self, n: u32) -> u32 {
+        // Every construction/load path derives ropes in `rebuild_arena`; an
+        // empty array means a hand-assembled tree that skipped it — an API
+        // misuse, not device corruption, so it asserts rather than erroring.
+        assert!(!self.rope.is_empty(), "rope links missing: call rebuild_arena() first");
+        self.rope[n as usize]
+    }
+
+    /// Depth of node `n` below the root (root = 0): the per-level visit
+    /// histogram's key when a stack-free traversal arrives at a node without
+    /// having tracked a descent counter.
+    pub fn node_depth(&self, n: u32) -> u32 {
+        (self.level[self.root as usize] - self.level[n as usize]) as u32
+    }
+
     /// Rebuild the packed device arena from the current node arrays. Call
     /// after any structural mutation (construction and load do it for you).
     /// Also rederives the rope links: every path that yields a queryable tree
@@ -152,7 +190,7 @@ impl<V: Volumes> FlatTree<V> {
         self.arena = Some(NodeArena::build(self));
     }
 
-    /// Recompute the [`FlatTree::rope`] escape links from the parent/child
+    /// Recompute the `rope` escape links from the parent/child
     /// structure: `rope(c)` is `c + 1` for every non-last child (children are
     /// contiguous), the parent's rope for each last child, and [`NO_ROPE`] at
     /// the root. Top-down from the root so each parent's rope exists before
@@ -215,8 +253,12 @@ impl<V: Volumes> FlatTree<V> {
         }
     }
 
-    /// Total index size in bytes (sum over nodes; the paper's index-memory figure).
-    pub fn total_bytes(&self) -> u64 {
+    /// Total modeled device-resident footprint of the index in bytes: every
+    /// node's fetched representation (internal child-volume blocks plus leaf
+    /// point blocks — the arena *and* the reordered points it packs). The
+    /// paper's index-memory comparison number, reported by `inspect` and as
+    /// the repo benchmark's `index_bytes_per_point`.
+    pub fn index_bytes(&self) -> u64 {
         (0..self.num_nodes() as u32).map(|n| self.node_bytes(n)).sum()
     }
 

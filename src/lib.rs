@@ -74,8 +74,8 @@ pub mod prelude {
         bnb_batch, brute_batch, dist_cost, hilbert_order, hilbert_permutation, launch,
         launch_stackfree, merge_stats, psb_batch, range_batch, resolve, restart_batch,
         stackfree_batch, tpss_batch, tpss_try_batch, wave_knn_batch, wave_range_batch,
-        DynamicSsTree, EngineError, GpuIndex, ImplicitKdIndex, Kernel, KernelError, KernelOptions,
-        Metering, NodeLayout, Override, PointIndex, QueryBatchResult, QueryOutcome, QuerySchedule,
+        DynamicSsTree, EngineError, ImplicitKdIndex, Kernel, KernelError, KernelOptions, Metering,
+        NodeLayout, Override, PointIndex, QueryBatchResult, QueryOutcome, QuerySchedule,
         QueryStream, Resolved, ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig,
         WaveReport, NO_ROPE,
     };
@@ -105,7 +105,7 @@ pub mod prelude {
     pub use psb_sstree::search::linear_range;
     pub use psb_sstree::{
         build, build_topdown, knn_best_first, knn_branch_and_bound, linear_knn, BuildMethod,
-        LoadError, Neighbor, SsTree, StructuralError,
+        FlatTree, LoadError, Neighbor, SsTree, StructuralError, Volumes,
     };
 }
 

@@ -46,11 +46,8 @@ fn check_all_engines(data: &PointSet, queries: &PointSet, k: usize, degree: usiz
         }
         let (e, _) = brute_query(data, q, k, &cfg, &opts);
         assert_distances_match(&e, &want, &format!("{ctx}/brute"));
-        let kd_n: Vec<Neighbor> =
-            kd_results[qi].iter().map(|n| Neighbor { dist: n.dist, id: n.id }).collect();
-        assert_distances_match(&kd_n, &want, &format!("{ctx}/kdtree_gpu"));
+        assert_distances_match(&kd_results[qi], &want, &format!("{ctx}/kdtree_gpu"));
         let (f, _) = sr.knn_with_points(data, q, k);
-        let f: Vec<Neighbor> = f.iter().map(|n| Neighbor { dist: n.dist, id: n.id }).collect();
         assert_distances_match(&f, &want, &format!("{ctx}/srtree"));
     }
 }

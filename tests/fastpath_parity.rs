@@ -65,8 +65,8 @@ fn off(opts: &KernelOptions) -> KernelOptions {
 
 /// Runs the five option-driven kernels over one index with metering on and
 /// off, demanding identical results/outcomes and empty fast-path counters.
-fn check_metering_off<T: psb::core::GpuIndex>(
-    tree: &T,
+fn check_metering_off<V: Volumes>(
+    tree: &FlatTree<V>,
     ps: &PointSet,
     queries: &PointSet,
     k: usize,

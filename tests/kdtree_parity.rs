@@ -98,6 +98,27 @@ fn stackfree_is_exact_on_tiny_trees() {
 }
 
 #[test]
+fn visits_far_fewer_nodes_than_the_whole_tree() {
+    // On clustered data the plane test prunes most of the tree; the counter
+    // proves the kernel is a traversal, not a disguised scan.
+    let ps =
+        ClusteredSpec { clusters: 8, points_per_cluster: 500, dims: 3, sigma: 40.0, seed: 105 }
+            .generate();
+    let kd = LbKdTree::build(&ps);
+    let q = sample_queries(&ps, 1, 0.005, 106);
+    let found =
+        stackfree_batch(&kd, &q, 4, &DeviceConfig::k40(), &KernelOptions::default()).expect("one");
+    let stats = found.per_block[0];
+    assert!(
+        stats.nodes_visited < ps.len() as u64 / 2,
+        "visited {} of {}",
+        stats.nodes_visited,
+        ps.len()
+    );
+    assert!(stats.backtracks > 0, "must climb through parents");
+}
+
+#[test]
 fn metering_off_is_result_identical_and_counter_silent() {
     let cfg = DeviceConfig::k40();
     let sim = KernelOptions::default();

@@ -68,9 +68,9 @@ fn dataset(dims: usize, seed: u64) -> PointSet {
 
 /// Runs all six kernels on one (packed, legacy) index pair and asserts
 /// bit-identity on every batch result.
-fn check_index_pair<T: psb_core::GpuIndex>(
-    packed: &T,
-    legacy: &T,
+fn check_index_pair<V: Volumes>(
+    packed: &FlatTree<V>,
+    legacy: &FlatTree<V>,
     ps: &PointSet,
     queries: &PointSet,
     label: &str,

@@ -62,8 +62,7 @@ fn rectangles_cost_more_compute_per_child_in_high_dims() {
     let st = build(&ps, 64, &BuildMethod::Hilbert);
     let rt = build_rtree(&ps, 64, &RtreeBuildMethod::Hilbert);
 
-    use psb::core::GpuIndex;
-    assert!(GpuIndex::child_eval_cost(&rt, true) > GpuIndex::child_eval_cost(&st, true));
+    assert!(rt.child_eval_cost(true) > st.child_eval_cost(true));
 
     let s = psb_batch(&st, &queries, 32, &cfg, &opts).expect("batch");
     let r = psb_batch(&rt, &queries, 32, &cfg, &opts).expect("batch");

@@ -43,11 +43,11 @@ fn build_rs(ps: &PointSet) -> RsTree {
 /// Runs the same workload through the bare router and a transparent resilient
 /// front-end (both freshly built, same fault plans) and demands bit-identity
 /// on results, counters, and outcome classification.
-fn assert_transparent_parity<T: psb::core::GpuIndex>(
+fn assert_transparent_parity<V: Volumes>(
     ps: &PointSet,
     queries: &PointSet,
     sc: &ServeConfig,
-    build_index: impl Fn(&PointSet) -> T + Copy,
+    build_index: impl Fn(&PointSet) -> FlatTree<V> + Copy,
     faults: &[(usize, usize, FaultPlan)],
     what: &str,
 ) {

@@ -20,9 +20,9 @@ use psb::prelude::*;
 use std::collections::BTreeSet;
 
 /// Preorder-successor oracle, recomputed from parent/children links only.
-fn rope_oracle<T: GpuIndex>(t: &T, n: u32) -> u32 {
+fn rope_oracle<V: Volumes>(t: &FlatTree<V>, n: u32) -> u32 {
     let mut c = n;
-    while c != t.root() {
+    while c != t.root {
         let p = t.parent(c);
         if c + 1 < t.children(p).end {
             return c + 1;
@@ -32,7 +32,7 @@ fn rope_oracle<T: GpuIndex>(t: &T, n: u32) -> u32 {
     NO_ROPE
 }
 
-fn assert_ropes_match_oracle<T: GpuIndex>(t: &T, label: &str) {
+fn assert_ropes_match_oracle<V: Volumes>(t: &FlatTree<V>, label: &str) {
     for n in 0..t.num_nodes() as u32 {
         assert_eq!(t.rope(n), rope_oracle(t, n), "{label}: node {n} rope != preorder successor");
     }
@@ -40,10 +40,10 @@ fn assert_ropes_match_oracle<T: GpuIndex>(t: &T, label: &str) {
 
 /// Node set the stacked range recursion expands: the root plus every child
 /// of an expanded node whose volume intersects the query ball.
-fn stacked_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
+fn stacked_visited<V: Volumes>(t: &FlatTree<V>, q: &[f32], r: f32) -> BTreeSet<u32> {
     let mut set = BTreeSet::new();
-    let mut stack = vec![t.root()];
-    set.insert(t.root());
+    let mut stack = vec![t.root];
+    set.insert(t.root);
     while let Some(n) = stack.pop() {
         if t.is_leaf(n) {
             continue;
@@ -60,11 +60,11 @@ fn stacked_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
 
 /// Node set a rope walk visits: follow first-child on a qualifying internal
 /// node, the rope everywhere else; only qualifying nodes count as visited.
-fn rope_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
+fn rope_visited<V: Volumes>(t: &FlatTree<V>, q: &[f32], r: f32) -> BTreeSet<u32> {
     let mut set = BTreeSet::new();
-    let mut n = t.root();
+    let mut n = t.root;
     loop {
-        let qualifies = n == t.root() || t.child_min_max(n, q, false).0 <= r;
+        let qualifies = n == t.root || t.child_min_max(n, q, false).0 <= r;
         if qualifies {
             set.insert(n);
             n = if t.is_leaf(n) { t.rope(n) } else { t.children(n).start };

@@ -70,8 +70,8 @@ fn scheduled(opts: &KernelOptions) -> KernelOptions {
 
 /// Runs the five kernels over one index under both schedules and asserts
 /// bit-identity on everything a caller can observe.
-fn check_schedules<T: psb_core::GpuIndex>(
-    tree: &T,
+fn check_schedules<V: Volumes>(
+    tree: &FlatTree<V>,
     ps: &PointSet,
     queries: &PointSet,
     k: usize,

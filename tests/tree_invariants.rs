@@ -323,7 +323,7 @@ fn a_tree_only_the_leveling_rejects_falls_through_and_says_so() {
     let ps = ClusteredSpec { clusters: 4, points_per_cluster: 100, dims: 3, sigma: 60.0, seed: 5 }
         .generate();
     let mut tree = build(&ps, 4, &BuildMethod::Hilbert);
-    let siblings = tree.children(tree.root());
+    let siblings = tree.children(tree.root);
     let (a, b) = (siblings.start as usize, siblings.start as usize + 1);
     assert!(!tree.is_leaf(a as u32) && !tree.is_leaf(b as u32), "the fixture needs three levels");
     tree.first_child[b] = tree.first_child[a];

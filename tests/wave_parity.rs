@@ -69,8 +69,8 @@ fn waved(opts: &KernelOptions) -> KernelOptions {
 /// Runs the four wave-served kernels over one index, per-query vs wave, and
 /// asserts the exactness contract; then pins that brute force and TPSS
 /// ignore the option outright.
-fn check_wave<T: psb_core::GpuIndex>(
-    tree: &T,
+fn check_wave<V: Volumes>(
+    tree: &FlatTree<V>,
     ps: &PointSet,
     queries: &PointSet,
     k: usize,
