@@ -76,9 +76,10 @@ run_fastpath() {
 }
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's
-# construction/search tests, psb-core's doctests (the kd family launches the
-# stack-free kernel, and a bounding-volume kernel, which takes a `FlatTree`,
-# does *not* type-check over it: a `compile_fail` doctest on `ImplicitKdIndex`), the stack-free golden parity suite
+# construction/search/validation tests, psb-core's doctests (an `LbKdTree`
+# launches the stack-free kernel, which reads it directly, and a
+# bounding-volume kernel, which takes a `FlatTree`, does *not* type-check over
+# it: a `compile_fail` doctest on `stackfree_batch`), the stack-free golden parity suite
 # (bit-identity against the brute oracle and SS-tree PSB, ± faults,
 # ± Metering::Off), and the rope-link suite (escape links = preorder
 # successors on both bounding-volume arenas; the one rope walk, under the
@@ -149,7 +150,9 @@ run_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # is the reviewed list of `pub` items nothing outside their crate names (the
 # reference oracles and the types of public returns and fields), so a new one
 # shows up too. The stage regenerates all of them and fails on any difference.
-# It also resolves every section reference in *.rs, ci.sh and README.md: the
+# It also keeps the index crates below the kernels: psb-sstree, psb-rtree,
+# psb-kdtree and psb-srtree may not list psb-core under [dependencies]. And it
+# resolves every section reference in *.rs, ci.sh and README.md: the
 # name of DESIGN.md, EXPERIMENTS.md or a run log under experiments/, followed
 # by one or more double-quoted titles (separated by `, ` or ` and `), must name
 # the start of a heading of that file. The numbered form is refused: section
@@ -165,7 +168,18 @@ run_api() {
         rc=1
     fi
     rm -rf "$fresh"
+    check_index_crates || rc=1
     check_section_refs || rc=1
+    return "$rc"
+}
+check_index_crates() {
+    local rc=0 c
+    for c in sstree rtree kdtree srtree; do
+        if sed -n '/^\[dependencies\]/,/^\[/p' "crates/$c/Cargo.toml" | grep -q '^psb-core'; then
+            echo "crates/$c/Cargo.toml lists psb-core: the index crates sit below the kernels" >&2
+            rc=1
+        fi
+    done
     return "$rc"
 }
 check_section_refs() {

@@ -40,7 +40,7 @@ use std::io::{BufReader, BufWriter};
 use psb_bench::{load_trace, render_trace_report};
 use psb_core::{
     bnb_batch, brute_batch, launch, psb_batch, resolve, restart_batch, stackfree_batch, tpss_batch,
-    EngineError, ImplicitKdIndex, Kernel, KernelOptions, QueryBatchResult,
+    EngineError, Kernel, KernelOptions, QueryBatchResult,
 };
 use psb_data::{sample_queries, ClusteredSpec};
 use psb_geom::PointSet;

@@ -27,6 +27,7 @@ use psb_gpu::{DeviceConfig, KernelStats};
 use psb_sstree::{build, BuildMethod, Neighbor, SsTree};
 
 use crate::kernels::psb::psb_query;
+use crate::kernels::Kernel;
 use crate::options::KernelOptions;
 
 /// `row_of` entry of an id that is not alive.
@@ -320,8 +321,9 @@ impl DynamicSsTree {
             .filter(|n| !self.tombstones.contains(&n.id))
             .collect();
         if !self.delta.is_empty() {
-            let (delta_hits, delta_stats) =
-                crate::kernels::brute::brute_query(&self.delta, q, k, cfg, opts);
+            // The clamped scan every kNN kernel degrades to: at any dims the
+            // delta's tile fits, and a row's id is its delta position.
+            let (delta_hits, delta_stats) = Kernel::Psb { k }.scan(&self.delta, None, q, cfg, opts);
             stats.merge(&delta_stats);
             stats.blocks = 1; // one logical query
             merged.extend(

@@ -13,20 +13,23 @@
 //!
 //! The ladder: attempt 0 under the query's own deterministic fault substream,
 //! one retry on a typed [`KernelError`], then an exact brute-force scan that
-//! follows no structural links. Results are exact under every rung; the rung
-//! taken is recorded in [`QueryBatchResult::outcomes`].
+//! follows no structural links. That last rung is one scan for every kernel —
+//! the table's, the stack-free kd kernel's over an `LbKdTree` and the brute
+//! kernel's own — reading a point array and each row's id in tiles clamped to
+//! fit shared memory, so it cannot fail. Results are exact under every rung;
+//! the rung taken is recorded in [`QueryBatchResult::outcomes`].
 
 use psb_geom::PointSet;
 use psb_gpu::{
     launch_blocks, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, TraceSink,
     VecSink,
 };
+use psb_kdtree::LbKdTree;
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 use rayon::prelude::*;
 
 use crate::error::{EngineError, KernelError, QueryOutcome};
-use crate::index::ImplicitKdIndex;
-use crate::kernels::brute::{brute_index_query, brute_query, brute_try_query};
+use crate::kernels::brute::brute_try_query;
 use crate::kernels::stackfree::stackfree_try_query;
 use crate::kernels::{effective_metering, Found, Kernel};
 use crate::options::{KernelOptions, Metering};
@@ -380,13 +383,13 @@ fn launch_outside_table(
 }
 
 /// [`launch`] for the stack-free kNN kernel over the implicit left-balanced
-/// kd-tree family (`kernels::stackfree`), whose index bound differs.
+/// kd-tree (`kernels::stackfree`), whose index is not a [`FlatTree`].
 /// [`KernelOptions::wave`] is dropped: every node of the implicit tree is one
 /// point entry, so there is no node block to amortize. The degraded rung is
-/// the same brute scan as every other kernel's — the flat point array is all
-/// the implicit tree has.
-pub fn launch_stackfree<T: ImplicitKdIndex>(
-    tree: &T,
+/// the same exact scan as every other kNN kernel's, over the tree's point
+/// array and ids — the flat point array is all the implicit tree has.
+pub fn launch_stackfree(
+    tree: &LbKdTree,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -402,7 +405,7 @@ pub fn launch_stackfree<T: ImplicitKdIndex>(
         plan,
         sink,
         |q, faults, sink| stackfree_try_query(tree, q, k, cfg, opts, faults, sink),
-        |q| brute_index_query(tree, q, k, cfg, opts),
+        |q| Kernel::Psb { k }.scan(&tree.points, Some(&tree.point_ids), q, cfg, opts),
     )
 }
 
@@ -453,8 +456,34 @@ pub fn restart_batch<V: Volumes>(
 
 /// Stack-free kNN over a batch of queries: [`launch_stackfree`] with no fault
 /// plan and no trace sink.
-pub fn stackfree_batch<T: ImplicitKdIndex>(
-    tree: &T,
+///
+/// The kd family is not a [`FlatTree`]: there is no bounding volume for PSB,
+/// branch-and-bound, restart, range or the wave engine to evaluate, and they
+/// take a `&FlatTree<V>`, so routing one of them to an `LbKdTree` is a type
+/// error rather than a panic on a worker thread. The stack-free launch
+/// type-checks —
+///
+/// ```
+/// use psb_core::{stackfree_batch, KernelOptions};
+/// let points = psb_data::UniformSpec { len: 64, dims: 3, seed: 1 }.generate();
+/// let tree = psb_kdtree::LbKdTree::build(&points);
+/// let cfg = psb_gpu::DeviceConfig::k40();
+/// let found = stackfree_batch(&tree, &points, 4, &cfg, &KernelOptions::default());
+/// assert_eq!(found.expect("a non-empty batch").neighbors.len(), 64);
+/// ```
+///
+/// — and the same call through a bounding-volume kernel does not:
+///
+/// ```compile_fail,E0308
+/// use psb_core::{psb_batch, KernelOptions};
+/// let points = psb_data::UniformSpec { len: 64, dims: 3, seed: 1 }.generate();
+/// let tree = psb_kdtree::LbKdTree::build(&points);
+/// let cfg = psb_gpu::DeviceConfig::k40();
+/// let found = psb_batch(&tree, &points, 4, &cfg, &KernelOptions::default());
+/// assert_eq!(found.expect("a non-empty batch").neighbors.len(), 64);
+/// ```
+pub fn stackfree_batch(
+    tree: &LbKdTree,
     queries: &PointSet,
     k: usize,
     cfg: &DeviceConfig,
@@ -463,9 +492,11 @@ pub fn stackfree_batch<T: ImplicitKdIndex>(
     launch_stackfree(tree, queries, k, cfg, opts, &FaultPlan::none(), None)
 }
 
-/// Brute-force scan over a batch of queries. A scan with no index has nothing
-/// to degrade to: its last rung is the trusted [`brute_query`], which panics
-/// on an unlaunchable tile exactly as the scan always did.
+/// Brute-force scan over a batch of queries. Its degraded rung is the
+/// clamped scan every other kernel degrades to, a row's id being the row
+/// itself: past the dimensionality where a block-wide tile fits shared memory
+/// the attempt and the retry return [`KernelError::SmemOverflow`] and the
+/// rung still answers exactly.
 pub fn brute_batch(
     points: &PointSet,
     queries: &PointSet,
@@ -481,7 +512,7 @@ pub fn brute_batch(
         &FaultPlan::none(),
         None,
         |q, faults, sink| brute_try_query(points, q, k, cfg, opts, faults, sink),
-        |q| brute_query(points, q, k, cfg, opts),
+        |q| Kernel::Psb { k }.scan(points, None, q, cfg, opts),
     )
 }
 
@@ -518,6 +549,34 @@ mod tests {
                     let scale = w.dist.max(1.0);
                     assert!((g.dist - w.dist).abs() <= scale * 1e-4);
                 }
+            }
+        }
+    }
+
+    /// Past 384 dims a block-wide tile of 32 rows outgrows the K40's 48 KB of
+    /// shared memory. The attempt and the retry overflow, and the last rung —
+    /// the clamped scan every kernel degrades to — answers exactly instead of
+    /// panicking on a worker.
+    #[test]
+    fn brute_batch_past_a_block_wide_tile_degrades_to_the_exact_clamped_scan() {
+        let (cfg, opts) = (DeviceConfig::k40(), KernelOptions::default());
+        for dims in [384usize, 385, 512] {
+            let ps = psb_data::UniformSpec { len: 150, dims, seed: dims as u64 }.generate();
+            let queries = sample_queries(&ps, 6, 0.01, 7);
+            let r = brute_batch(&ps, &queries, 5, &cfg, &opts).expect("batch");
+            for (qi, q) in queries.iter().enumerate() {
+                let overflowed = matches!(
+                    r.outcomes[qi],
+                    QueryOutcome::Degraded {
+                        first: KernelError::SmemOverflow { .. },
+                        retry: KernelError::SmemOverflow { .. },
+                    }
+                );
+                let clean = r.outcomes[qi] == QueryOutcome::Clean;
+                assert!(if dims > 384 { overflowed } else { clean }, "{dims}-d: {:?}", r.outcomes);
+                let bits = |v: &[Neighbor]| v.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+                let want: Vec<_> = bits(&linear_knn(&ps, q, 5));
+                assert_eq!(bits(&r.neighbors[qi]), want, "{dims}-d query {qi}");
             }
         }
     }

@@ -1,20 +1,21 @@
-//! GPU brute-force kNN scan — the index-free baseline (Fig. 7/8/9).
+//! GPU brute-force kNN scan — the index-free baseline (Fig. 7/8/9), and the
+//! exact scan every kernel's recovery ladder degrades to.
 //!
 //! One block per query streams the entire point array through shared memory in
 //! thread-sized tiles: a coalesced tile load, a data-parallel distance sweep,
 //! then serialized k-best updates for the improving candidates. This is the
 //! structure of the brute-force GPU kNN literature the paper cites (references 4–9):
-//! perfect memory behaviour, zero pruning.
+//! perfect memory behaviour, zero pruning. The tile loop is written once
+//! (`scan_tiles`); its two callers differ only in the tile they stage.
 
-use psb_geom::{DistKernel, PointSet};
+use psb_geom::PointSet;
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, Phase, TraceSink};
-use psb_sstree::Neighbor;
+use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use super::collector::{Collector, KnnCollector};
-use super::{effective_metering, reserve_static, Budget, Kernel};
+use super::{effective_metering, reserve_static, with_scratch, Kernel, Scratch};
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::PointIndex;
 use crate::options::{KernelOptions, Metering};
 
 /// Runs one brute-force query over the raw point set.
@@ -33,8 +34,9 @@ pub fn brute_query(
 }
 
 /// The hardened brute-force kernel: typed errors instead of panics under
-/// injected device faults or an oversized tile. Bit-identical to the original
-/// with `faults: None`; `sink: None` is untraced.
+/// injected device faults or an oversized tile. It stages a tile as wide as
+/// the block, or fails with [`KernelError::SmemOverflow`]. Bit-identical to
+/// the original with `faults: None`; `sink: None` is untraced.
 pub fn brute_try_query(
     points: &PointSet,
     q: &[f32],
@@ -47,7 +49,7 @@ pub fn brute_try_query(
     assert_eq!(q.len(), points.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
     assert!(!points.is_empty(), "brute-force scan over zero points");
-    super::with_scratch(points.dims(), opts.lanes, |scratch| {
+    with_scratch(points.dims(), opts.lanes, |scratch| {
         match effective_metering(opts, faults.is_some()) {
             Metering::Simulated => {
                 brute_try_query_with::<true>(points, q, k, cfg, opts, faults, sink, scratch)
@@ -68,49 +70,17 @@ fn brute_try_query_with<const M: bool>(
     opts: &KernelOptions,
     faults: Option<FaultState>,
     sink: Option<&mut dyn TraceSink>,
-    scratch: &mut super::Scratch,
+    scratch: &mut Scratch,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_scan(points.len());
     let tile = block.threads() as usize;
     // Shared memory: the staged tile plus the k-best list.
     reserve_static(&mut block, (tile * points.dims() * 4) as u64, cfg)?;
     let mut list = KnnCollector::new(&mut block, k, cfg, opts);
-
-    let dims = points.dims();
-    let dc = dist_cost(dims);
-    let dk = scratch.dk;
-    let mut start = 0usize;
-    while start < points.len() {
-        budget.tick(&block)?;
-        // Tile load + distance sweep are the scan; the k-best updates merge.
-        block.set_phase(Phase::LeafScan);
-        let len = tile.min(points.len() - start);
-        block.load_global_stream((len * dims * 4) as u64);
-        scratch.leaf.clear();
-        block.par_for(len, dc, |_| {});
-        // The tile rows are one contiguous run of the flat point array:
-        // stream them through the batched one-query-vs-many-rows form of the
-        // dimension-specialized kernel (bit-identical to per-row calls).
-        let rows = &points.as_flat()[start * dims..(start + len) * dims];
-        scratch.sweep.tmp.clear();
-        dk.dist_rows(q, rows, &mut scratch.sweep.tmp);
-        let dists = scratch.sweep.tmp.iter().enumerate();
-        scratch.leaf.extend(dists.map(|(i, &d)| (d, (start + i) as u32)));
-        if block.has_faults() {
-            for entry in &mut scratch.leaf {
-                entry.0 = block.fault_f32(entry.0);
-            }
-        }
-        block.set_phase(Phase::ResultMerge);
-        list.collect(&mut block, &scratch.leaf);
-        block.sync();
-        start += len;
-    }
-
-    // Final poll: a fault in the last tile would otherwise slip past the
-    // loop-head checks and reach the caller as a silent result.
+    scan_tiles(&mut block, points, None, q, tile, &mut list, scratch);
+    // Final poll: it reports the fault the tile loop stopped at, and a fault
+    // in the last tile would otherwise reach the caller as a silent result.
     if let Some(fault) = block.device_fault() {
         return Err(fault.into());
     }
@@ -128,65 +98,96 @@ fn fallback_tile(threads: usize, dims: usize, smem_per_sm: u64) -> usize {
     tile
 }
 
-/// Exact brute-force kNN over an index's reordered point array — the last
-/// rung of the engine's recovery ladder ([`Kernel::fallback`] of the kNN
-/// kernels). Runs with no fault state attached and clamps its tile to fit
-/// shared memory, so it cannot fail: it only reads the flat point array and
-/// never follows a structural link, which is what makes it safe to run on a
-/// tree whose links are suspect.
-pub fn brute_index_query<T: PointIndex>(
-    tree: &T,
+/// Exact brute-force kNN over a tree's reordered point array — the last rung
+/// of the engine's recovery ladder ([`Kernel::fallback`] of the kNN kernels).
+/// It cannot fail: its tile is halved until it fits shared memory, and it
+/// follows no structural link.
+pub fn brute_index_query<V: Volumes>(
+    tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    assert!(tree.num_points() > 0, "brute-force fallback over zero points");
+    assert!(!tree.points.is_empty(), "brute-force fallback over zero points");
     Kernel::Psb { k }.fallback(tree, q, cfg, opts)
 }
 
-/// The one fallback scan: stream the index's point array through shared
-/// memory tile by tile — exactly the brute-force kernel's loop, minus
-/// everything that can fail — and hand every tile's rows to the collector
-/// `collect` opens on the block (after the tile is reserved, so the k-best
-/// list's footprint stacks on top of it).
-pub(super) fn brute_index_scan<T: PointIndex, C: Collector, const M: bool>(
-    tree: &T,
+/// The one fallback scan, the clamped form every kernel degrades to: the tile
+/// loop with no fault state attached and a tile halved until it fits shared
+/// memory, so it cannot fail. It reads only the point array and each row's id
+/// (`ids[i]`, or the row `i` itself when `ids` is `None`) and never follows a
+/// structural link, which is what makes it safe on a tree whose links are
+/// suspect. The collector `collect` opens on the block after the tile is
+/// reserved, so the k-best list's footprint stacks on top of it.
+pub(super) fn clamped_scan<C: Collector, const M: bool>(
+    points: &PointSet,
+    ids: Option<&[u32]>,
     q: &[f32],
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     collect: impl FnOnce(&mut Block<'static, M>) -> C,
 ) -> (Vec<Neighbor>, KernelStats) {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    let (n, dims) = (tree.num_points(), tree.dims());
+    assert_eq!(q.len(), points.dims(), "query dimensionality mismatch");
+    let dims = points.dims();
     let mut block: Block<'static, M> = Block::new(opts.threads_per_block, cfg);
     let tile = fallback_tile(block.threads() as usize, dims, cfg.smem_per_sm);
     // fallback_tile guarantees this fits (down to a single point per tile).
     let _ = block.reserve_shared((tile * dims * 4) as u64, cfg.smem_per_sm);
     let mut collector = collect(&mut block);
+    with_scratch(dims, opts.lanes, |scratch| {
+        scan_tiles(&mut block, points, ids, q, tile, &mut collector, scratch)
+    });
+    (collector.finish(), block.finish())
+}
 
+/// The tile loop: stream `points` through shared memory `tile` rows at a
+/// time, sweep each tile's distances, and hand the rows to `collector`. It
+/// stops at the first tile whose head finds a device fault; the caller's
+/// final poll reports it.
+fn scan_tiles<C: Collector, const M: bool>(
+    block: &mut Block<'_, M>,
+    points: &PointSet,
+    ids: Option<&[u32]>,
+    q: &[f32],
+    tile: usize,
+    collector: &mut C,
+    scratch: &mut Scratch,
+) {
+    let dims = points.dims();
     let dc = dist_cost(dims);
-    // Resolved once per launch, not per point: the fallback scans the whole
-    // dataset, so per-call dispatch would dominate small dims.
-    let dk = DistKernel::for_dims_lanes(dims, opts.lanes);
-    let mut dists: Vec<f32> = Vec::with_capacity(tile);
-    let mut rows: Vec<(f32, u32)> = Vec::with_capacity(tile);
-    let mut start = 0usize;
-    while start < n {
+    for start in (0..points.len()).step_by(tile) {
+        if block.device_fault().is_some() {
+            return;
+        }
+        // Tile load + distance sweep are the scan; the k-best updates merge.
         block.set_phase(Phase::LeafScan);
-        let len = tile.min(n - start);
+        let len = tile.min(points.len() - start);
         block.load_global_stream((len * dims * 4) as u64);
         block.par_for(len, dc, |_| {});
-        dists.clear();
-        dk.dist_rows(q, tree.rows(start..start + len), &mut dists);
-        rows.clear();
-        rows.extend(dists.iter().enumerate().map(|(i, &d)| (d, tree.point_id(start + i))));
+        // The tile rows are one contiguous run of the flat point array:
+        // stream them through the batched one-query-vs-many-rows form of the
+        // dimension-specialized kernel (bit-identical to per-row calls).
+        let rows = &points.as_flat()[start * dims..(start + len) * dims];
+        scratch.sweep.tmp.clear();
+        scratch.dk.dist_rows(q, rows, &mut scratch.sweep.tmp);
+        let dists = scratch.sweep.tmp.iter();
+        scratch.leaf.clear();
+        match ids {
+            None => scratch.leaf.extend(dists.zip(start as u32..).map(|(&d, id)| (d, id))),
+            Some(ids) => {
+                scratch.leaf.extend(dists.zip(&ids[start..start + len]).map(|(&d, &id)| (d, id)))
+            }
+        }
+        if block.has_faults() {
+            for entry in &mut scratch.leaf {
+                entry.0 = block.fault_f32(entry.0);
+            }
+        }
         block.set_phase(Phase::ResultMerge);
-        collector.collect(&mut block, &rows);
+        collector.collect(block, &scratch.leaf);
         block.sync();
-        start += len;
     }
-    (collector.finish(), block.finish())
 }
 
 #[cfg(test)]

@@ -20,14 +20,14 @@ pub mod tpss;
 
 use std::cell::RefCell;
 
-use psb_geom::{DistKernel, DistLanes};
+use psb_geom::{DistKernel, DistLanes, PointSet};
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use self::collector::{Collector, KnnCollector, RangeCollector};
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::{PointIndex, SweepScratch, NO_ROPE};
+use crate::index::{SweepScratch, NO_ROPE};
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
 /// What one query returns: its exact neighbors and the block's counters.
@@ -36,9 +36,10 @@ pub(crate) type Found = (Vec<Neighbor>, KernelStats);
 /// The kernels the batch runner ([`launch`](crate::launch)) and
 /// [`QueryStream`](crate::QueryStream) dispatch over a [`FlatTree`]: one row
 /// per kernel, each naming its telemetry label, its hardened attempt and the
-/// exact scan it degrades to. (The stack-free kd kernel needs an
-/// [`ImplicitKdIndex`](crate::ImplicitKdIndex) and the brute scan no index at
-/// all, so they launch through their own entry points on the same runner.)
+/// exact scan it degrades to. (The stack-free kd kernel reads an `LbKdTree`
+/// and the brute scan no index at all, so they launch through their own entry
+/// points on the same runner. Both degrade to the kNN rows' exact scan, run
+/// over their own point array.)
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Kernel {
     /// PSB kNN (Algorithm 1).
@@ -149,10 +150,24 @@ impl Kernel {
     }
 
     /// The last rung of the recovery ladder: an exact brute-force scan of the
-    /// index's flat point array that follows no link and cannot fail.
-    pub fn fallback<T: PointIndex>(
+    /// tree's flat point array that follows no link and cannot fail.
+    pub fn fallback<V: Volumes>(
         &self,
-        tree: &T,
+        tree: &FlatTree<V>,
+        q: &[f32],
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Found {
+        self.scan(&tree.points, Some(&tree.point_ids), q, cfg, opts)
+    }
+
+    /// [`fallback`](Self::fallback) over any point array: row `i`'s id is
+    /// `ids[i]`, or `i` itself when `ids` is `None` (the raw brute kernel's
+    /// rows).
+    pub(crate) fn scan(
+        &self,
+        points: &PointSet,
+        ids: Option<&[u32]>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
@@ -161,26 +176,27 @@ impl Kernel {
         // No fault state here (the fallback never carries one), so the
         // metering option applies directly.
         match opts.metering {
-            Metering::Simulated => self.scan::<T, true>(tree, q, cfg, opts),
-            Metering::Off => self.scan::<T, false>(tree, q, cfg, opts),
+            Metering::Simulated => self.scan_with::<true>(points, ids, q, cfg, opts),
+            Metering::Off => self.scan_with::<false>(points, ids, q, cfg, opts),
         }
     }
 
-    fn scan<T: PointIndex, const M: bool>(
+    fn scan_with<const M: bool>(
         &self,
-        tree: &T,
+        points: &PointSet,
+        ids: Option<&[u32]>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> Found {
         match *self {
             Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
-                brute::brute_index_scan::<T, _, M>(tree, q, cfg, opts, |block| {
+                brute::clamped_scan::<_, M>(points, ids, q, cfg, opts, |block| {
                     KnnCollector::new(block, k, cfg, opts)
                 })
             }
             Kernel::Range { radius } => {
-                brute::brute_index_scan::<T, _, M>(tree, q, cfg, opts, |_| {
+                brute::clamped_scan::<_, M>(points, ids, q, cfg, opts, |_| {
                     RangeCollector::new(radius)
                 })
             }
@@ -220,11 +236,6 @@ impl Budget {
     /// Budget for a traversal of `num_nodes` nodes of fan-out `degree`.
     pub(crate) fn for_nodes(num_nodes: usize, degree: usize) -> Self {
         Self { steps: 0, limit: step_budget(num_nodes, degree) }
-    }
-
-    /// Budget for a linear scan over `n` items in tiles.
-    pub(crate) fn for_scan(n: usize) -> Self {
-        Self { steps: 0, limit: n as u64 + 1024 }
     }
 
     /// One traversal step: count it, enforce the budget, poll device faults.
@@ -294,7 +305,7 @@ pub(crate) fn checked_leaf_points<V: Volumes>(
         return Err(KernelError::CorruptNode { node: n, detail: "expected a leaf node" });
     }
     let range = tree.leaf_points(n);
-    let limit = tree.num_points() as u64;
+    let limit = tree.points.len() as u64;
     if range.start as u64 > range.end as u64 || range.end as u64 > limit {
         return Err(KernelError::LinkOutOfBounds {
             link: "leaf_points",

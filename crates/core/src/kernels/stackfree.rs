@@ -7,9 +7,9 @@
 //! side of the splitting plane; returning from the close child crosses to the
 //! far child only while the plane is strictly inside the current k-th-best
 //! radius; returning from the far child climbs. Parent, children, depth, and
-//! the splitting dimension are all **arithmetic** on the heap index — no
-//! per-thread stack, no per-level state, no node metadata beyond the point
-//! itself.
+//! the splitting dimension are all **arithmetic** on the heap index —
+//! [`LbKdTree`]'s inherent methods — with no per-thread stack, no per-level
+//! state, no node metadata beyond the point itself.
 //!
 //! This is the opposite trade from the paper's PSB: PSB spends memory on wide
 //! bounding-sphere nodes so a warp prunes whole subtrees with one coalesced
@@ -23,13 +23,17 @@
 //! least the current k-th distance — every point in it is then at least that
 //! far, so nothing skippable can improve the list. The golden suite
 //! (`tests/kdtree_parity.rs`) pins results bit-identical to the brute oracle.
+//!
+//! The kernel trusts the tree's array lengths, as every kernel does, and
+//! [`LbKdTree::validate`] checks them: node `n`'s row is `n` itself, and the
+//! successor rule only ever moves to a node below `len` or to a parent.
 
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
+use psb_kdtree::LbKdTree;
 use psb_sstree::Neighbor;
 
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::ImplicitKdIndex;
 
 use super::{effective_metering, reserve_static, Budget, Scratch};
 use crate::knnlist::GpuKnnList;
@@ -40,8 +44,8 @@ use crate::options::{KernelOptions, Metering};
 /// Trusted-tree entry point: panics on a [`KernelError`].
 /// [`launch_stackfree`](crate::launch_stackfree) is the path with typed
 /// outcomes under corruption or injected faults.
-pub fn stackfree_query<T: ImplicitKdIndex>(
-    tree: &T,
+pub fn stackfree_query(
+    tree: &LbKdTree,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -54,9 +58,8 @@ pub fn stackfree_query<T: ImplicitKdIndex>(
 /// The hardened stack-free kernel: typed errors instead of panics or hangs
 /// under corruption or injected device faults. Bit-identical to
 /// [`stackfree_query`] with `faults: None` on a valid tree.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stackfree_try_query<T: ImplicitKdIndex>(
-    tree: &T,
+pub(crate) fn stackfree_try_query(
+    tree: &LbKdTree,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -64,23 +67,23 @@ pub(crate) fn stackfree_try_query<T: ImplicitKdIndex>(
     faults: Option<FaultState>,
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
-    assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
+    assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
+    super::with_scratch(tree.dims, opts.lanes, |scratch| {
         match effective_metering(opts, faults.is_some()) {
             Metering::Simulated => {
-                stackfree_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch)
+                stackfree_try_query_with::<true>(tree, q, k, cfg, opts, faults, sink, scratch)
             }
             Metering::Off => {
-                stackfree_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch)
+                stackfree_try_query_with::<false>(tree, q, k, cfg, opts, faults, sink, scratch)
             }
         }
     })
 }
 
 #[allow(clippy::too_many_arguments)]
-fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
-    tree: &T,
+fn stackfree_try_query_with<const M: bool>(
+    tree: &LbKdTree,
     q: &[f32],
     k: usize,
     cfg: &DeviceConfig,
@@ -91,44 +94,36 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_nodes(tree.num_nodes(), 2); // a binary heap
-                                                             // The whole traversal state: two registers. The only shared memory is the
-                                                             // k-best list (policy-dependent) plus one word per thread.
+    let mut budget = Budget::for_nodes(tree.len(), 2); // a binary heap
+
+    // The whole traversal state: two registers. The only shared memory is the
+    // k-best list (policy-dependent) plus one word per thread.
     let static_smem = block.threads() as u64 * 4;
     reserve_static(&mut block, static_smem, cfg)?;
     let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
 
-    let len = tree.num_nodes() as u64;
+    let len = tree.len() as u64;
     if len == 0 {
         return Err(KernelError::CorruptNode { node: 0, detail: "index has no nodes or leaves" });
     }
-    let dc = dist_cost(tree.dims());
+    let dc = dist_cost(tree.dims);
     let mut curr = 0u32; // the heap's root
     let mut prev = u32::MAX; // the root's "parent": first arrival is from above
     block.set_phase(Phase::Descend);
     while curr != u32::MAX {
         budget.tick(&block)?;
-        let parent = tree.parent(curr);
-        let pos = tree.node_point(curr);
-        if pos >= tree.num_points() {
-            return Err(KernelError::LinkOutOfBounds {
-                link: "node_point",
-                node: curr,
-                target: pos as u64,
-                limit: tree.num_points() as u64,
-            });
-        }
+        let parent = LbKdTree::parent(curr);
         let kind = if tree.is_leaf(curr) { NodeKind::Leaf } else { NodeKind::Internal };
         // Fetch the node — which *is* its point entry (coords + id).
-        block.visit_node(tree.node_depth(curr), kind);
+        block.visit_node(LbKdTree::node_depth_of(curr), kind);
         block.load_global(tree.point_entry_bytes());
-        let p = tree.point(pos);
+        let p = tree.points.point(curr as usize);
 
         // Splitting-plane gap, re-derived on every arrival: no per-level state
         // survives an upward return, so returning visits recompute the branch
         // they took. The computed gap passes through the fault injector like
         // every loaded bound (identity and unmetered without a fault state).
-        let d = tree.split_dim(curr);
+        let d = tree.split_dim_of(curr);
         debug_assert!(d < q.len());
         block.scalar(2);
         let mut gap = scratch.dk.plane_gap(q[d], p[d]);
@@ -148,7 +143,7 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
                 pd = block.fault_f32(pd);
             }
             block.set_phase(Phase::ResultMerge);
-            list.offer(&mut block, pd, tree.point_id(pos));
+            list.offer(&mut block, pd, tree.point_ids[curr as usize]);
         }
 
         // The three-way successor rule. `plane_in_range` is strict: a far

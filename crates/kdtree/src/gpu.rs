@@ -9,9 +9,9 @@
 //! Fig. 6a reports (<10 % warp efficiency vs >50 % for the data-parallel
 //! SS-tree).
 
-use psb_core::dist_cost;
 use psb_geom::{dist, Neighbor, PointSet};
 use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep};
+use psb_sstree::dist_cost;
 
 use crate::{KdTree, NIL, NODE_BYTES};
 

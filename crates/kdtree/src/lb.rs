@@ -11,15 +11,15 @@
 //! ([`LbKdTree::index_bytes`] pins it), and traversal carries no stack at all
 //! (`psb_core::kernels::stackfree`).
 //!
-//! The [`PointIndex`] impl puts the family on the engine plumbing — recovery
-//! fallback, scheduling, inspection, the memory bench — and
-//! [`ImplicitKdIndex`] carries what the stack-free kernel reads. The
-//! bounding-volume kernels (PSB, BnB, restart, range) **cannot** be routed to
-//! they take a `psb_sstree::FlatTree`, so the call does not type-check. The
-//! family exists to measure what the pointer-free layout buys and costs, not
-//! to impersonate a volume hierarchy.
+//! The heap arithmetic is inherent on the struct ([`LbKdTree::parent`],
+//! [`LbKdTree::is_leaf`], [`LbKdTree::node_depth_of`],
+//! [`LbKdTree::split_dim_of`]), and psb-core's stack-free kernel and its
+//! brute-force rung read the struct directly; this crate sits below psb-core.
+//! The bounding-volume kernels (PSB, BnB, restart, range) **cannot** be routed
+//! to it: they take a `psb_sstree::FlatTree`, so the call does not type-check.
+//! The family exists to measure what the pointer-free layout buys and costs,
+//! not to impersonate a volume hierarchy.
 
-use psb_core::{ImplicitKdIndex, PointIndex};
 use psb_geom::{dist, plane_gap, plane_in_range, Neighbor, PointSet};
 
 use crate::{check_finite, KdBuildError};
@@ -112,16 +112,48 @@ impl LbKdTree {
         self.points.is_empty()
     }
 
+    /// Whether node `n` is a leaf: its left child would lie past the heap.
+    #[inline]
+    pub fn is_leaf(&self, n: u32) -> bool {
+        2 * n as usize + 1 >= self.len()
+    }
+
+    /// Parent of node `n`, and `u32::MAX` for the root: the stack-free
+    /// walk's exit.
+    #[inline]
+    pub fn parent(n: u32) -> u32 {
+        if n == 0 {
+            u32::MAX
+        } else {
+            (n - 1) >> 1
+        }
+    }
+
     /// Depth of heap position `n` (root = 0) — pure arithmetic, no tree walk.
     #[inline]
-    pub(crate) fn node_depth_of(n: u32) -> u32 {
+    pub fn node_depth_of(n: u32) -> u32 {
         31 - (n + 1).leading_zeros()
     }
 
     /// Splitting dimension of node `n`: round-robin by depth.
     #[inline]
-    pub(crate) fn split_dim_of(&self, n: u32) -> usize {
+    pub fn split_dim_of(&self, n: u32) -> usize {
         Self::node_depth_of(n) as usize % self.dims
+    }
+
+    /// Bytes fetched per visited node: a node *is* one point entry, its
+    /// coordinates plus its id.
+    #[inline]
+    pub fn point_entry_bytes(&self) -> u64 {
+        self.dims as u64 * 4 + 4
+    }
+
+    /// The modeled device-resident footprint of the whole index: the
+    /// reordered coordinates, one u32 id per point, and a fixed header.
+    /// Exactly the points-array footprint plus O(1) — the property the bench
+    /// memory gate pins.
+    pub fn index_bytes(&self) -> u64 {
+        self.len() as u64 * self.point_entry_bytes() + LB_HEADER_BYTES
     }
 
     /// Exact recursive kNN on the CPU (oracle): offers every visited node's
@@ -156,17 +188,28 @@ impl LbKdTree {
         }
     }
 
-    /// Structural validation for tests: ids are a permutation, and every
-    /// node's splitting plane brackets its subtrees under the build's
-    /// (coordinate, id) total order.
+    /// Structural validation: one id per point row and `dims` the rows'
+    /// width (checked first — the checks below and the stack-free kernel
+    /// index by them), ids a permutation, and every node's splitting plane
+    /// bracketing its subtrees under the build's (coordinate, id) total order.
     pub fn validate(&self) -> Result<(), String> {
+        if self.point_ids.len() != self.points.len() {
+            return Err(format!(
+                "{} point ids for {} points",
+                self.point_ids.len(),
+                self.points.len()
+            ));
+        }
+        if self.dims == 0 || self.dims != self.points.dims() {
+            return Err(format!("dims {} over {}-d points", self.dims, self.points.dims()));
+        }
         let mut ids = self.point_ids.clone();
         ids.sort_unstable();
         if ids.iter().enumerate().any(|(i, &id)| id != i as u32) {
             return Err("point ids are not a permutation".into());
         }
         for n in 0..self.len() as u32 {
-            if ImplicitKdIndex::is_leaf(self, n) {
+            if self.is_leaf(n) {
                 continue;
             }
             let d = self.split_dim_of(n);
@@ -193,52 +236,6 @@ impl LbKdTree {
             check(2 * n + 2, false)?;
         }
         Ok(())
-    }
-}
-
-impl PointIndex for LbKdTree {
-    fn dims(&self) -> usize {
-        self.dims
-    }
-    fn num_points(&self) -> usize {
-        self.len()
-    }
-    fn rows(&self, range: std::ops::Range<usize>) -> &[f32] {
-        &self.points.as_flat()[range.start * self.dims..range.end * self.dims]
-    }
-    fn point_id(&self, pos: usize) -> u32 {
-        self.point_ids[pos]
-    }
-}
-
-impl ImplicitKdIndex for LbKdTree {
-    fn num_nodes(&self) -> usize {
-        self.len()
-    }
-    fn is_leaf(&self, n: u32) -> bool {
-        2 * n as usize + 1 >= self.len()
-    }
-    fn parent(&self, n: u32) -> u32 {
-        if n == 0 {
-            u32::MAX
-        } else {
-            (n - 1) >> 1
-        }
-    }
-    fn node_depth(&self, n: u32) -> u32 {
-        Self::node_depth_of(n)
-    }
-    fn split_dim(&self, n: u32) -> usize {
-        self.split_dim_of(n)
-    }
-    fn point_entry_bytes(&self) -> u64 {
-        self.dims as u64 * 4 + 4
-    }
-    fn index_bytes(&self) -> u64 {
-        // The whole index: the reordered coordinates, one u32 id per point,
-        // and a fixed header. Exactly the points-array footprint plus O(1) —
-        // the property the bench memory gate pins.
-        self.len() as u64 * self.point_entry_bytes() + LB_HEADER_BYTES
     }
 }
 
@@ -322,8 +319,27 @@ mod tests {
     fn index_bytes_is_points_array_plus_constant() {
         let ps = dataset(8, 900);
         let t = LbKdTree::build(&ps);
-        let points_bytes = t.len() as u64 * ImplicitKdIndex::point_entry_bytes(&t);
-        assert_eq!(ImplicitKdIndex::index_bytes(&t), points_bytes + LB_HEADER_BYTES);
+        let points_bytes = t.len() as u64 * t.point_entry_bytes();
+        assert_eq!(t.index_bytes(), points_bytes + LB_HEADER_BYTES);
+    }
+
+    #[test]
+    fn validate_rejects_ids_and_dims_that_do_not_match_the_rows() {
+        let t = LbKdTree::build(&dataset(3, 40));
+        let n = t.len();
+        // Both wrong-length arrays still sort to 0..len, so only the length
+        // check stands between them and an index past the end.
+        let mut short = t.clone();
+        let top = short.point_ids.iter().position(|&id| id as usize == n - 1).unwrap();
+        short.point_ids.remove(top);
+        let mut long = t.clone();
+        long.point_ids.push(n as u32);
+        let mut wide = t.clone();
+        wide.dims = 4;
+        for (what, bad) in [("truncated", short), ("extended", long), ("dims", wide)] {
+            assert!(bad.validate().is_err(), "{what}");
+        }
+        t.validate().unwrap();
     }
 
     #[test]

@@ -74,10 +74,9 @@ pub mod prelude {
         bnb_batch, brute_batch, dist_cost, hilbert_order, hilbert_permutation, launch,
         launch_stackfree, merge_stats, psb_batch, range_batch, resolve, restart_batch,
         stackfree_batch, tpss_batch, tpss_try_batch, wave_knn_batch, wave_range_batch,
-        DynamicSsTree, EngineError, ImplicitKdIndex, Kernel, KernelError, KernelOptions, Metering,
-        NodeLayout, Override, PointIndex, QueryBatchResult, QueryOutcome, QuerySchedule,
-        QueryStream, Resolved, ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig,
-        WaveReport, NO_ROPE,
+        DynamicSsTree, EngineError, Kernel, KernelError, KernelOptions, Metering, NodeLayout,
+        Override, QueryBatchResult, QueryOutcome, QuerySchedule, QueryStream, Resolved,
+        ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig, WaveReport, NO_ROPE,
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{
