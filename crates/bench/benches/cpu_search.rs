@@ -40,7 +40,7 @@ fn bench_cpu_search(c: &mut Criterion) {
     g.bench_function("srtree_best_first", |b| {
         b.iter(|| {
             for q in queries.iter() {
-                std::hint::black_box(srtree.knn_with_points(&ps, q, k));
+                std::hint::black_box(srtree.knn(q, k));
             }
         })
     });

@@ -385,7 +385,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut pages = 0u64;
     for q in queries.iter() {
-        pages += sr.knn_with_points(&data, q, a.k).1.nodes_visited;
+        pages += sr.knn(q, a.k).1.nodes_visited;
     }
     println!(
         "{:<22} {:>9.4} {:>7} {:>10.1}   (real CPU wall time; bytes = 8K pages)",

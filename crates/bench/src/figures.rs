@@ -101,7 +101,7 @@ pub fn fig3(scale: &Scale) -> Table {
         let sr = SrTree::build(&ps, PAPER_PAGE_BYTES);
         let mut sr_bytes = 0u64;
         let ms = mean_wall_ms(&queries, |q| {
-            let (_, st) = sr.knn_with_points(&ps, q, PAPER_K);
+            let (_, st) = sr.knn(q, PAPER_K);
             sr_bytes += st.bytes;
         });
         t.push(
@@ -321,7 +321,7 @@ pub fn fig9(scale: &Scale) -> Table {
     let sr = SrTree::build(&ps, PAPER_PAGE_BYTES);
     let mut sr_bytes = 0u64;
     let ms = mean_wall_ms(&queries, |q| {
-        let (_, st) = sr.knn_with_points(&ps, q, PAPER_K);
+        let (_, st) = sr.knn(q, PAPER_K);
         sr_bytes += st.bytes;
     });
     t.push(

@@ -4,9 +4,14 @@
 //! **intersection of a bounding sphere and a bounding rectangle**; its MINDIST
 //! is the max of the two volumes' MINDISTs, which prunes strictly better than
 //! either alone. Following the paper's setup (§IV-D), nodes are sized to an
-//! **8 KB disk page**, fan-out is derived from the entry size (sphere + rect +
-//! pointer per child), and construction is classic top-down insertion with
-//! highest-variance-dimension splits.
+//! **8 KB disk page** and fan-out is derived from the entry size (sphere + rect
+//! + pointer per child).
+//!
+//! Construction is psb-sstree's top-down inserter
+//! ([`psb_sstree::topdown::insert_all`]: closest-centroid descent,
+//! highest-variance splits) with the page capacities and no forced
+//! reinsertion. Its flat [`SsTree`] holds the spheres, the structure and the
+//! reordered points; one bottom-up pass then adds each node's rectangle.
 //!
 //! This is a *real* CPU index, not a simulation: response times in the benches
 //! are wall-clock measurements, and the accessed-bytes metric counts one page
@@ -14,6 +19,8 @@
 //! comparison).
 
 use psb_geom::{dist, Neighbor, PointSet, Rect};
+use psb_sstree::topdown::{insert_all, Capacities};
+use psb_sstree::SsTree;
 
 /// Per-query access statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,53 +31,13 @@ pub struct SearchStats {
     pub bytes: u64,
 }
 
-struct SrNode {
-    level: u8,
-    /// Centroid running sum (f64) and subtree point count.
-    centroid_sum: Vec<f64>,
-    count: u64,
-    /// Bounding sphere radius around the centroid.
-    radius: f32,
-    /// Bounding rectangle.
-    rect: Rect,
-    children: Vec<SrNode>,
-    pts: Vec<u32>,
-}
-
-impl SrNode {
-    fn new_leaf(dims: usize) -> Self {
-        Self {
-            level: 0,
-            centroid_sum: vec![0.0; dims],
-            count: 0,
-            radius: 0.0,
-            rect: Rect::empty(dims),
-            children: Vec::new(),
-            pts: Vec::new(),
-        }
-    }
-
-    fn centroid(&self) -> Vec<f32> {
-        let inv = 1.0 / self.count.max(1) as f64;
-        self.centroid_sum.iter().map(|&s| (s * inv) as f32).collect()
-    }
-
-    /// MINDIST of the sphere∩rect region.
-    fn min_dist(&self, q: &[f32]) -> f32 {
-        let c = self.centroid();
-        let sphere_min = (dist(q, &c) - self.radius).max(0.0);
-        sphere_min.max(self.rect.min_dist(q))
-    }
-}
-
 /// The SR-tree index.
 pub struct SrTree {
-    dims: usize,
     page_bytes: usize,
-    internal_cap: usize,
-    leaf_cap: usize,
-    root: SrNode,
-    len: usize,
+    /// Spheres, structure and the reordered points.
+    tree: SsTree,
+    /// Bounding rectangle per node, indexed like the tree's nodes.
+    rects: Vec<Rect>,
 }
 
 impl SrTree {
@@ -86,98 +53,84 @@ impl SrTree {
     }
 
     /// Builds an SR-tree by inserting every point, with `page_bytes`-sized
-    /// nodes (the paper uses 8 KB).
+    /// nodes (the paper uses 8 KB). Panics on an empty set or a non-finite
+    /// coordinate (the tree verifier rejects the bounds).
     pub fn build(points: &PointSet, page_bytes: usize) -> Self {
-        assert!(!points.is_empty(), "cannot build an index over zero points");
         let dims = points.dims();
-        let mut tree = SrTree {
-            dims,
-            page_bytes,
-            internal_cap: Self::internal_capacity(dims, page_bytes),
-            leaf_cap: Self::leaf_capacity(dims, page_bytes),
-            root: SrNode::new_leaf(dims),
-            len: 0,
+        let caps = Capacities {
+            leaf: Self::leaf_capacity(dims, page_bytes),
+            internal: Self::internal_capacity(dims, page_bytes),
         };
-        for id in 0..points.len() as u32 {
-            tree.insert(points, id);
+        let tree = insert_all(points, caps, false);
+        // Children sit after their parent in arena order: walking the nodes
+        // backwards meets every child's rectangle before its parent's.
+        let mut rects = vec![Rect::empty(dims); tree.num_nodes()];
+        for n in (0..tree.num_nodes() as u32).rev() {
+            let mut rect = Rect::empty(dims);
+            if tree.is_leaf(n) {
+                for p in tree.leaf_points(n) {
+                    rect.expand_point(tree.points.point(p));
+                }
+            } else {
+                for c in tree.children(n) {
+                    rect.expand_rect(&rects[c as usize]);
+                }
+            }
+            rects[n as usize] = rect;
         }
-        tree
+        SrTree { page_bytes, tree, rects }
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.len
+        self.tree.points.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Tree height.
     pub fn height(&self) -> usize {
-        self.root.level as usize + 1
+        self.tree.height()
     }
 
     /// Total nodes (pages) in the tree.
     pub fn num_nodes(&self) -> usize {
-        fn count(n: &SrNode) -> usize {
-            1 + n.children.iter().map(count).sum::<usize>()
-        }
-        count(&self.root)
+        self.tree.num_nodes()
     }
 
-    fn insert(&mut self, points: &PointSet, id: u32) {
-        self.len += 1;
-        if let Some(sibling) =
-            insert_rec(&mut self.root, points, id, self.internal_cap, self.leaf_cap)
-        {
-            let dims = self.dims;
-            let old_root = std::mem::replace(&mut self.root, SrNode::new_leaf(dims));
-            self.root.level = old_root.level + 1;
-            self.root.count = old_root.count + sibling.count;
-            for (s, (a, b)) in self
-                .root
-                .centroid_sum
-                .iter_mut()
-                .zip(old_root.centroid_sum.iter().zip(&sibling.centroid_sum))
-            {
-                *s = a + b;
-            }
-            self.root.children = vec![old_root, sibling];
-            refresh_bounds(&mut self.root, points);
-        }
+    /// MINDIST of node `n`'s sphere∩rect region.
+    fn min_dist(&self, n: u32, q: &[f32]) -> f32 {
+        self.tree.sphere(n).min_dist(q).max(self.rects[n as usize].min_dist(q))
     }
 
     /// Exact kNN by best-first search over sphere∩rect MINDISTs, counting one
-    /// page per visited node. Leaf pages hold point ids only, so the base
-    /// table is passed explicitly.
-    pub fn knn_with_points(
-        &self,
-        points: &PointSet,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<Neighbor>, SearchStats) {
+    /// page per visited node.
+    pub fn knn(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, SearchStats) {
         assert!(k >= 1, "k must be at least 1");
-        assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
+        assert_eq!(q.len(), self.tree.dims, "query dimensionality mismatch");
         let mut stats = SearchStats::default();
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
 
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        struct Item<'a>(f32, &'a SrNode);
-        impl PartialEq for Item<'_> {
+        /// A node keyed by MINDIST alone: equal MINDISTs pop in the order the
+        /// heap's pushes leave them, never by node id.
+        struct Item(f32, u32);
+        impl PartialEq for Item {
             fn eq(&self, other: &Self) -> bool {
                 self.0 == other.0
             }
         }
-        impl Eq for Item<'_> {}
-        impl PartialOrd for Item<'_> {
+        impl Eq for Item {}
+        impl PartialOrd for Item {
             fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
                 Some(self.cmp(other))
             }
         }
-        impl Ord for Item<'_> {
+        impl Ord for Item {
             fn cmp(&self, other: &Self) -> std::cmp::Ordering {
                 self.0.total_cmp(&other.0)
             }
@@ -191,17 +144,18 @@ impl SrTree {
             }
         }
 
+        let t = &self.tree;
         let mut heap: BinaryHeap<Reverse<Item>> = BinaryHeap::new();
-        heap.push(Reverse(Item(0.0, &self.root)));
-        while let Some(Reverse(Item(d, node))) = heap.pop() {
+        heap.push(Reverse(Item(0.0, t.root)));
+        while let Some(Reverse(Item(d, n))) = heap.pop() {
             if d >= bound(&best, k) {
                 break;
             }
             stats.nodes_visited += 1;
             stats.bytes += self.page_bytes as u64;
-            if node.level == 0 {
-                for &pid in &node.pts {
-                    let pd = dist(q, points.point(pid as usize));
+            if t.is_leaf(n) {
+                for p in t.leaf_points(n) {
+                    let (pd, pid) = (dist(q, t.points.point(p)), t.point_ids[p]);
                     if best.len() >= k && pd >= bound(&best, k) {
                         continue;
                     }
@@ -212,169 +166,16 @@ impl SrTree {
                     }
                 }
             } else {
-                for child in &node.children {
-                    let cd = child.min_dist(q);
+                for c in t.children(n) {
+                    let cd = self.min_dist(c, q);
                     if cd < bound(&best, k) {
-                        heap.push(Reverse(Item(cd, child)));
+                        heap.push(Reverse(Item(cd, c)));
                     }
                 }
             }
         }
         (best, stats)
     }
-}
-
-fn refresh_bounds(node: &mut SrNode, points: &PointSet) {
-    let c = node.centroid();
-    if node.level == 0 {
-        let mut rect = Rect::empty(c.len());
-        let mut radius = 0f32;
-        for &p in &node.pts {
-            let pt = points.point(p as usize);
-            rect.expand_point(pt);
-            radius = radius.max(dist(pt, &c));
-        }
-        node.rect = rect;
-        node.radius = radius * (1.0 + 1e-6);
-    } else {
-        let mut rect = Rect::empty(c.len());
-        let mut radius = 0f32;
-        for ch in &node.children {
-            rect.expand_rect(&ch.rect);
-            radius = radius.max(dist(&ch.centroid(), &c) + ch.radius);
-        }
-        node.rect = rect;
-        node.radius = radius * (1.0 + 1e-6);
-    }
-}
-
-fn insert_rec(
-    node: &mut SrNode,
-    points: &PointSet,
-    id: u32,
-    internal_cap: usize,
-    leaf_cap: usize,
-) -> Option<SrNode> {
-    let p = points.point(id as usize);
-    node.count += 1;
-    for (s, &x) in node.centroid_sum.iter_mut().zip(p) {
-        *s += x as f64;
-    }
-
-    if node.level == 0 {
-        node.pts.push(id);
-        if node.pts.len() <= leaf_cap {
-            refresh_bounds(node, points);
-            return None;
-        }
-        return Some(split_leaf(node, points));
-    }
-
-    // Closest-centroid child.
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for (i, c) in node.children.iter().enumerate() {
-        let d = dist(p, &c.centroid());
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    let split = insert_rec(&mut node.children[best], points, id, internal_cap, leaf_cap);
-    if let Some(sibling) = split {
-        node.children.push(sibling);
-        if node.children.len() > internal_cap {
-            let sib = split_internal(node, points);
-            refresh_bounds(node, points);
-            return Some(sib);
-        }
-    }
-    refresh_bounds(node, points);
-    None
-}
-
-fn variance_dim(coords: &[Vec<f32>]) -> usize {
-    let dims = coords[0].len();
-    let n = coords.len() as f64;
-    let mut best = (0usize, f64::NEG_INFINITY);
-    for d in 0..dims {
-        let mean: f64 = coords.iter().map(|c| c[d] as f64).sum::<f64>() / n;
-        let var: f64 = coords.iter().map(|c| (c[d] as f64 - mean).powi(2)).sum::<f64>() / n;
-        if var > best.1 {
-            best = (d, var);
-        }
-    }
-    best.0
-}
-
-fn split_leaf(node: &mut SrNode, points: &PointSet) -> SrNode {
-    let coords: Vec<Vec<f32>> =
-        node.pts.iter().map(|&p| points.point(p as usize).to_vec()).collect();
-    let dim = variance_dim(&coords);
-    node.pts.sort_by(|&a, &b| {
-        points.point(a as usize)[dim].total_cmp(&points.point(b as usize)[dim]).then(a.cmp(&b))
-    });
-    let half = node.pts.len() / 2;
-    let right_pts = node.pts.split_off(half);
-
-    let dims = node.centroid_sum.len();
-    let mut right = SrNode::new_leaf(dims);
-    for &p in &right_pts {
-        right.count += 1;
-        for (s, &x) in right.centroid_sum.iter_mut().zip(points.point(p as usize)) {
-            *s += x as f64;
-        }
-    }
-    right.pts = right_pts;
-
-    node.count = 0;
-    node.centroid_sum.iter_mut().for_each(|s| *s = 0.0);
-    let keep = std::mem::take(&mut node.pts);
-    for &p in &keep {
-        node.count += 1;
-        for (s, &x) in node.centroid_sum.iter_mut().zip(points.point(p as usize)) {
-            *s += x as f64;
-        }
-    }
-    node.pts = keep;
-
-    refresh_bounds(node, points);
-    refresh_bounds(&mut right, points);
-    right
-}
-
-fn split_internal(node: &mut SrNode, points: &PointSet) -> SrNode {
-    let centroids: Vec<Vec<f32>> = node.children.iter().map(|c| c.centroid()).collect();
-    let dim = variance_dim(&centroids);
-    let mut order: Vec<usize> = (0..node.children.len()).collect();
-    order.sort_by(|&a, &b| centroids[a][dim].total_cmp(&centroids[b][dim]).then(a.cmp(&b)));
-    let half = order.len() / 2;
-    let mut right_idx: Vec<usize> = order[half..].to_vec();
-    right_idx.sort_unstable_by(|a, b| b.cmp(a));
-
-    let dims = node.centroid_sum.len();
-    let mut right = SrNode::new_leaf(dims);
-    right.level = node.level;
-    for i in right_idx {
-        let c = node.children.remove(i);
-        right.count += c.count;
-        for (s, &x) in right.centroid_sum.iter_mut().zip(&c.centroid_sum) {
-            *s += x;
-        }
-        right.children.push(c);
-    }
-
-    node.count = 0;
-    node.centroid_sum.iter_mut().for_each(|s| *s = 0.0);
-    for c in &node.children {
-        node.count += c.count;
-        for (s, &x) in node.centroid_sum.iter_mut().zip(&c.centroid_sum) {
-            *s += x;
-        }
-    }
-
-    refresh_bounds(&mut right, points);
-    right
 }
 
 #[cfg(test)]
@@ -406,9 +207,10 @@ mod tests {
     #[test]
     fn knn_is_exact() {
         let ps = dataset(4);
-        let t = SrTree::build(&ps, 2048);
+        // The tree owns its points: the table it was built from is gone.
+        let t = SrTree::build(&ps.clone(), 2048);
         for q in sample_queries(&ps, 20, 0.01, 82).iter() {
-            let (got, _) = t.knn_with_points(&ps, q, 10);
+            let (got, _) = t.knn(q, 10);
             let want = linear(&ps, q, 10);
             assert_eq!(got.len(), want.len());
             for (g, (wd, _)) in got.iter().zip(&want) {
@@ -422,7 +224,7 @@ mod tests {
         let ps = dataset(4);
         let t = SrTree::build(&ps, 2048);
         let q = sample_queries(&ps, 1, 0.01, 83);
-        let (_, stats) = t.knn_with_points(&ps, q.point(0), 5);
+        let (_, stats) = t.knn(q.point(0), 5);
         assert!(stats.nodes_visited >= 2);
         assert_eq!(stats.bytes, stats.nodes_visited * 2048);
     }
@@ -434,7 +236,7 @@ mod tests {
                 .generate();
         let t = SrTree::build(&ps, 2048);
         let q = sample_queries(&ps, 1, 0.002, 85);
-        let (_, stats) = t.knn_with_points(&ps, q.point(0), 5);
+        let (_, stats) = t.knn(q.point(0), 5);
         assert!(
             (stats.nodes_visited as usize) < t.num_nodes() / 4,
             "visited {}/{} nodes",
@@ -458,22 +260,103 @@ mod tests {
             ps.push(&[i as f32, 0.0]);
         }
         let t = SrTree::build(&ps, 1024);
-        let (got, _) = t.knn_with_points(&ps, &[0.0, 0.0], 99);
+        let (got, _) = t.knn(&[0.0, 0.0], 99);
         assert_eq!(got.len(), 6);
+    }
+
+    /// A one-leaf tree over `pts`.
+    fn one_leaf(pts: impl Iterator<Item = [f32; 2]>) -> SrTree {
+        let mut ps = PointSet::new(2);
+        pts.for_each(|p| ps.push(&p));
+        let t = SrTree::build(&ps, 8192);
+        assert_eq!(t.num_nodes(), 1);
+        t
     }
 
     #[test]
     fn intersection_mindist_tighter_than_sphere_alone() {
-        // A thin diagonal set: the rect clips the sphere, raising MINDIST.
-        let mut ps = PointSet::new(2);
-        for i in 0..100 {
-            ps.push(&[i as f32, i as f32]);
+        // A thin diagonal: the rectangle clips the sphere's far side.
+        let t = one_leaf((0..100).map(|i| [i as f32, i as f32]));
+        let (root, q) = (t.tree.root, [150.0, 0.0]);
+        let (sphere, rect) = (t.tree.sphere(root).min_dist(&q), t.rects[0].min_dist(&q));
+        assert!(rect > sphere, "rect {rect} vs sphere {sphere}");
+        assert_eq!(t.min_dist(root, &q), rect);
+        // A ring: the sphere clips the rectangle's corners.
+        let t = one_leaf((0..64).map(|i| {
+            let a = i as f32 * std::f32::consts::TAU / 64.0;
+            [50.0 * a.cos(), 50.0 * a.sin()]
+        }));
+        let q = [60.0, 60.0];
+        let (sphere, rect) = (t.tree.sphere(root).min_dist(&q), t.rects[0].min_dist(&q));
+        assert!(sphere > rect, "sphere {sphere} vs rect {rect}");
+        assert_eq!(t.min_dist(root, &q), sphere);
+    }
+
+    /// The point positions under node `n`: its subtree's leaves, in order.
+    fn points_under(t: &SsTree, n: u32) -> impl Iterator<Item = usize> + '_ {
+        let leaves = t.subtree_min_leaf[n as usize]..=t.subtree_max_leaf[n as usize];
+        leaves.flat_map(|l| t.leaf_points(t.leaf_node_of(l)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn intersection_bound_is_sound(
+            seed in 0u64..10_000,
+            dims in 2usize..7,
+            page_bytes in 256usize..4096,
+        ) {
+            // No node's sphere∩rect MINDIST exceeds the distance to any point
+            // under it, from queries among the clusters and far outside them.
+            let ps = ClusteredSpec { clusters: 4, points_per_cluster: 120, dims, sigma: 60.0, seed }
+                .generate();
+            let t = SrTree::build(&ps, page_bytes);
+            let mut queries = sample_queries(&ps, 6, 0.05, seed ^ 0x5a);
+            let far: Vec<f32> = Rect::of_point_set(&ps).max.iter().map(|x| 3.0 * x + 10.0).collect();
+            queries.push(&far);
+            for q in queries.iter() {
+                for n in 0..t.num_nodes() as u32 {
+                    let bound = t.min_dist(n, q);
+                    for p in points_under(&t.tree, n) {
+                        let d = dist(q, t.tree.points.point(p));
+                        proptest::prop_assert!(bound <= d, "node {}: bound {} > point {}", n, bound, d);
+                    }
+                }
+            }
         }
-        let t = SrTree::build(&ps, 8192); // single leaf
-        let root = &t.root;
-        let q = [99.0, 0.0];
-        let sphere_only = (dist(&q, &root.centroid()) - root.radius).max(0.0);
-        assert!(root.min_dist(&q) >= sphere_only);
-        assert!(root.rect.min_dist(&q) == 0.0); // inside the rect actually
+    }
+
+    #[test]
+    fn a_non_finite_coordinate_fails_the_build() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut ps = dataset(3);
+            ps.push(&[1.0, bad, 2.0]);
+            let built = std::panic::catch_unwind(|| SrTree::build(&ps, 1024));
+            let err = built.err().and_then(|e| e.downcast::<String>().ok());
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("structurally invalid")),
+                "coordinate {bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_lattice_meets_equal_sibling_mindists() {
+        // Every site of an 8 x 8 lattice, 24 times: siblings share faces, so
+        // a query on a site sees ties the heap must break the same way every
+        // time (the lattice golden in tests/topdown_goldens.rs pins that).
+        let mut ps = PointSet::new(2);
+        for s in (0..24 * 64).map(|i| i % 64) {
+            ps.push(&[(s % 8) as f32, (s / 8) as f32]);
+        }
+        let t = SrTree::build(&ps, 1024);
+        let ties = (0..64).filter(|s| {
+            let q = [(s % 8) as f32, (s / 8) as f32];
+            (0..t.num_nodes() as u32).filter(|&n| !t.tree.is_leaf(n)).any(|n| {
+                let d: Vec<f32> = t.tree.children(n).map(|c| t.min_dist(c, &q)).collect();
+                d.iter().enumerate().any(|(i, x)| d[i + 1..].contains(x))
+            })
+        });
+        assert!(ties.count() > 0, "no sibling MINDIST ties on the lattice");
     }
 }

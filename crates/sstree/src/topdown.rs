@@ -1,19 +1,24 @@
-//! Classic top-down SS-tree construction (White & Jain), kept as the comparison
-//! point the paper's §IV argues against.
+//! Top-down insertion (White & Jain), kept as the comparison point the
+//! paper's §IV argues against — the one top-down inserter in the workspace.
+//! [`build_topdown`] runs it as the classic SS-tree: one capacity for every
+//! node and forced reinsertion on. The SR-tree baseline (`psb_srtree`) runs
+//! it with its page-derived leaf and internal capacities and reinsertion off,
+//! then adds a bounding rectangle per node.
 //!
 //! Insertion descends into the child whose **centroid** is closest to the new
 //! point; an overflowing node is split along its **highest-variance dimension**
 //! (the original SS-tree split rule). The R*-style *forced reinsertion*
-//! heuristic is applied once per insertion at the leaf level: the first time a
-//! leaf overflows, the fraction of its points farthest from the centroid is
-//! removed and reinserted from the root, which tightens spheres the same way the
-//! SS-tree paper describes.
+//! heuristic, when on, is applied once per insertion at the leaf level: the
+//! first time a leaf overflows, the fraction of its points farthest from the
+//! centroid is removed and reinserted from the root, which tightens spheres the
+//! same way the SS-tree paper describes.
 //!
 //! Node centers follow the SS-tree convention: the **centroid of the subtree's
 //! points** (maintained incrementally as an exact running sum), with the radius
-//! computed at flatten time as a proper bound over children. Utilization of
-//! top-down leaves lands well under 100 %, which is exactly the contrast with
-//! bottom-up packing the paper draws.
+//! computed at flatten time as a proper bound over children. Insertion reads
+//! centroids only, so every bound is a function of the final tree. Utilization
+//! of top-down leaves lands well under 100 %, which is exactly the contrast
+//! with bottom-up packing the paper draws.
 
 use psb_geom::{dist, PointSet, Sphere};
 
@@ -22,6 +27,16 @@ use crate::tree::SsTree;
 
 /// Fraction of a leaf's points removed on first overflow for reinsertion.
 const REINSERT_FRACTION: f64 = 0.3;
+
+/// Node capacities of a top-down build: the most points a leaf and the most
+/// children an internal node hold before they split.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Capacities {
+    /// Points per leaf.
+    pub leaf: usize,
+    /// Children per internal node.
+    pub internal: usize,
+}
 
 struct TdNode {
     level: u8,
@@ -36,9 +51,9 @@ struct TdNode {
 }
 
 impl TdNode {
-    fn new_leaf(dims: usize) -> Self {
+    fn new(dims: usize, level: u8) -> Self {
         Self {
-            level: 0,
+            level,
             centroid_sum: vec![0.0; dims],
             count: 0,
             children: Vec::new(),
@@ -51,11 +66,41 @@ impl TdNode {
         self.centroid_sum.iter().map(|&s| (s * inv) as f32).collect()
     }
 
-    fn add_to_centroid(&mut self, p: &[f32]) {
+    fn add_point(&mut self, p: &[f32]) {
         self.count += 1;
         for (s, &x) in self.centroid_sum.iter_mut().zip(p) {
             *s += x as f64;
         }
+    }
+
+    fn remove_point(&mut self, p: &[f32]) {
+        self.count -= 1;
+        for (s, &x) in self.centroid_sum.iter_mut().zip(p) {
+            *s -= x as f64;
+        }
+    }
+
+    /// A leaf over `pts`, its running sum theirs in order.
+    fn leaf(points: &PointSet, pts: Vec<u32>) -> Self {
+        let mut node = TdNode::new(points.dims(), 0);
+        for &p in &pts {
+            node.add_point(points.point(p as usize));
+        }
+        node.pts = pts;
+        node
+    }
+
+    /// A node at `level` over `children`, its running sum theirs in order.
+    fn internal(dims: usize, level: u8, children: Vec<TdNode>) -> Self {
+        let mut node = TdNode::new(dims, level);
+        for c in &children {
+            node.count += c.count;
+            for (s, &x) in node.centroid_sum.iter_mut().zip(&c.centroid_sum) {
+                *s += x;
+            }
+        }
+        node.children = children;
+        node
     }
 }
 
@@ -68,15 +113,25 @@ enum InsertOutcome {
 }
 
 /// Builds an SS-tree by inserting every point in order through the classic
-/// top-down algorithm, then flattening into the shared arena layout.
+/// top-down algorithm — `degree` points per leaf and children per internal
+/// node, forced reinsertion on — then flattening into the shared arena layout.
 pub fn build_topdown(points: &PointSet, degree: usize) -> SsTree {
     assert!(degree >= 2, "degree must be at least 2");
+    insert_all(points, Capacities { leaf: degree, internal: degree }, true)
+}
+
+/// Inserts every point in id order under `caps`, with forced reinsertion when
+/// `reinsert` is set, and materializes the result as an [`SsTree`] whose
+/// `degree` is the larger capacity. Leaf points and children keep their
+/// insertion-tree order in the arena.
+pub fn insert_all(points: &PointSet, caps: Capacities, reinsert: bool) -> SsTree {
+    assert!(caps.leaf >= 2 && caps.internal >= 2, "node capacities must be at least 2");
     assert!(!points.is_empty(), "cannot build an index over zero points");
     let dims = points.dims();
-    let mut root = TdNode::new_leaf(dims);
+    let mut root = TdNode::new(dims, 0);
 
     for id in 0..points.len() as u32 {
-        insert_from_root(&mut root, points, id, degree, dims);
+        insert_from_root(&mut root, points, id, caps, reinsert);
     }
 
     // Flatten post-order into per-level plans and reuse the bottom-up
@@ -86,14 +141,20 @@ pub fn build_topdown(points: &PointSet, degree: usize) -> SsTree {
         (0..height).map(|_| Level { spheres: Vec::new(), counts: Vec::new() }).collect();
     let mut point_order = Vec::with_capacity(points.len());
     flatten(&root, points, &mut levels, &mut point_order);
-    from_levels(points, degree, levels, point_order)
+    from_levels(points, caps.leaf.max(caps.internal), levels, point_order)
 }
 
-fn insert_from_root(root: &mut TdNode, points: &PointSet, id: u32, degree: usize, dims: usize) {
-    let mut allow_reinsert = true;
+fn insert_from_root(
+    root: &mut TdNode,
+    points: &PointSet,
+    id: u32,
+    caps: Capacities,
+    reinsert: bool,
+) {
+    let mut allow_reinsert = reinsert;
     let mut pending = vec![id];
     while let Some(pid) = pending.pop() {
-        match insert(root, points, pid, degree, allow_reinsert) {
+        match insert(root, points, pid, caps, allow_reinsert) {
             InsertOutcome::Fit => {}
             InsertOutcome::Reinsert(evicted) => {
                 allow_reinsert = false; // once per insertion, like R*
@@ -101,18 +162,9 @@ fn insert_from_root(root: &mut TdNode, points: &PointSet, id: u32, degree: usize
             }
             InsertOutcome::Split(sibling) => {
                 // Root split: grow the tree by one level.
-                let old_root = std::mem::replace(root, TdNode::new_leaf(dims));
-                root.level = old_root.level + 1;
-                root.count = old_root.count + sibling.count;
-                for (s, (a, b)) in root
-                    .centroid_sum
-                    .iter_mut()
-                    .zip(old_root.centroid_sum.iter().zip(&sibling.centroid_sum))
-                {
-                    *s = a + b;
-                }
-                root.pts.clear();
-                root.children = vec![old_root, sibling];
+                let dims = points.dims();
+                let old_root = std::mem::replace(root, TdNode::new(dims, 0));
+                *root = TdNode::internal(dims, old_root.level + 1, vec![old_root, sibling]);
             }
         }
     }
@@ -122,23 +174,23 @@ fn insert(
     node: &mut TdNode,
     points: &PointSet,
     id: u32,
-    degree: usize,
+    caps: Capacities,
     allow_reinsert: bool,
 ) -> InsertOutcome {
-    node.add_to_centroid(points.point(id as usize));
+    let p = points.point(id as usize);
+    node.add_point(p);
     if node.level == 0 {
         node.pts.push(id);
-        if node.pts.len() <= degree {
+        if node.pts.len() <= caps.leaf {
             return InsertOutcome::Fit;
         }
         if allow_reinsert {
             return evict_farthest(node, points);
         }
-        return split_leaf(node, points, degree);
+        return split_leaf(node, points);
     }
 
     // Choose the child whose centroid is closest to the point.
-    let p = points.point(id as usize);
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
     for (i, c) in node.children.iter().enumerate() {
@@ -148,25 +200,21 @@ fn insert(
             best = i;
         }
     }
-    match insert(&mut node.children[best], points, id, degree, allow_reinsert) {
+    match insert(&mut node.children[best], points, id, caps, allow_reinsert) {
         InsertOutcome::Fit => InsertOutcome::Fit,
         InsertOutcome::Reinsert(evicted) => {
             // The evicted points left the subtree: fix the running centroid.
             for &e in &evicted {
-                let ep = points.point(e as usize);
-                node.count -= 1;
-                for (s, &x) in node.centroid_sum.iter_mut().zip(ep) {
-                    *s -= x as f64;
-                }
+                node.remove_point(points.point(e as usize));
             }
             InsertOutcome::Reinsert(evicted)
         }
         InsertOutcome::Split(sibling) => {
             node.children.push(sibling);
-            if node.children.len() <= degree {
+            if node.children.len() <= caps.internal {
                 return InsertOutcome::Fit;
             }
-            split_internal(node, degree)
+            split_internal(node)
         }
     }
 }
@@ -185,11 +233,7 @@ fn evict_farthest(leaf: &mut TdNode, points: &PointSet) -> InsertOutcome {
     let evicted: Vec<u32> = by_dist[by_dist.len() - evict_count..].to_vec();
     leaf.pts.retain(|p| !evicted.contains(p));
     for &e in &evicted {
-        let ep = points.point(e as usize);
-        leaf.count -= 1;
-        for (s, &x) in leaf.centroid_sum.iter_mut().zip(ep) {
-            *s -= x as f64;
-        }
+        leaf.remove_point(points.point(e as usize));
     }
     InsertOutcome::Reinsert(evicted)
 }
@@ -210,34 +254,19 @@ fn max_variance_dim<'a>(coords: impl Iterator<Item = &'a [f32]> + Clone, dims: u
     best_dim
 }
 
-fn split_leaf(leaf: &mut TdNode, points: &PointSet, _degree: usize) -> InsertOutcome {
+fn split_leaf(leaf: &mut TdNode, points: &PointSet) -> InsertOutcome {
     let dims = points.dims();
     let dim = max_variance_dim(leaf.pts.iter().map(|&p| points.point(p as usize)), dims);
     leaf.pts.sort_by(|&a, &b| {
         points.point(a as usize)[dim].total_cmp(&points.point(b as usize)[dim]).then(a.cmp(&b))
     });
     let half = leaf.pts.len() / 2;
-    let right_pts = leaf.pts.split_off(half);
-
-    let mut right = TdNode::new_leaf(dims);
-    for &p in &right_pts {
-        right.add_to_centroid(points.point(p as usize));
-    }
-    right.pts = right_pts;
-
-    // Recompute this (left) node's running sum from scratch.
-    leaf.count = 0;
-    leaf.centroid_sum.iter_mut().for_each(|s| *s = 0.0);
-    let left_pts = std::mem::take(&mut leaf.pts);
-    for &p in &left_pts {
-        leaf.add_to_centroid(points.point(p as usize));
-    }
-    leaf.pts = left_pts;
-
+    let right = TdNode::leaf(points, leaf.pts.split_off(half));
+    *leaf = TdNode::leaf(points, std::mem::take(&mut leaf.pts));
     InsertOutcome::Split(right)
 }
 
-fn split_internal(node: &mut TdNode, _degree: usize) -> InsertOutcome {
+fn split_internal(node: &mut TdNode) -> InsertOutcome {
     let dims = node.centroid_sum.len();
     let centroids: Vec<Vec<f32>> = node.children.iter().map(|c| c.centroid()).collect();
     let dim = max_variance_dim(centroids.iter().map(|c| c.as_slice()), dims);
@@ -245,36 +274,16 @@ fn split_internal(node: &mut TdNode, _degree: usize) -> InsertOutcome {
     let mut order: Vec<usize> = (0..node.children.len()).collect();
     order.sort_by(|&a, &b| centroids[a][dim].total_cmp(&centroids[b][dim]).then(a.cmp(&b)));
     let half = order.len() / 2;
-    let right_set: Vec<usize> = order[half..].to_vec();
+    // Drain the right half in descending index order to keep indices stable;
+    // the sibling takes its children in that order.
+    let mut right_idx = order[half..].to_vec();
+    right_idx.sort_unstable_by(|a, b| b.cmp(a));
+    let right_children: Vec<TdNode> =
+        right_idx.into_iter().map(|idx| node.children.remove(idx)).collect();
 
-    let mut right_children = Vec::with_capacity(order.len() - half);
-    // Drain right children in descending index order to keep indices stable.
-    let mut right_sorted = right_set.clone();
-    right_sorted.sort_unstable_by(|a, b| b.cmp(a));
-    for idx in right_sorted {
-        right_children.push(node.children.remove(idx));
-    }
-
-    let mut right = TdNode::new_leaf(dims);
-    right.level = node.level;
-    for c in &right_children {
-        right.count += c.count;
-        for (s, &x) in right.centroid_sum.iter_mut().zip(&c.centroid_sum) {
-            *s += x;
-        }
-    }
-    right.children = right_children;
-
-    node.count = 0;
-    node.centroid_sum.iter_mut().for_each(|s| *s = 0.0);
-    for c in &node.children {
-        node.count += c.count;
-        for (s, &x) in node.centroid_sum.iter_mut().zip(&c.centroid_sum) {
-            *s += x;
-        }
-    }
-
-    InsertOutcome::Split(right)
+    let left_children = std::mem::take(&mut node.children);
+    *node = TdNode::internal(dims, node.level, left_children);
+    InsertOutcome::Split(TdNode::internal(dims, node.level, right_children))
 }
 
 /// Post-order flatten: children are appended to their level (a leaf's points

@@ -33,7 +33,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut sr_pages = 0u64;
     for q in queries.iter() {
-        let (_, st) = srtree.knn_with_points(&data, q, k);
+        let (_, st) = srtree.knn(q, k);
         sr_pages += st.nodes_visited;
     }
     let sr_ms = t0.elapsed().as_secs_f64() * 1e3 / queries.len() as f64;

@@ -46,7 +46,7 @@
 //! | [`sstree`] | the SS-tree: bottom-up & top-down construction, CPU oracle searches |
 //! | [`core`] | PSB / branch-and-bound / brute-force GPU kernels + batch engine |
 //! | [`kdtree`] | task-parallel GPU kd-tree baseline |
-//! | [`srtree`] | top-down SR-tree CPU baseline |
+//! | [`srtree`] | top-down SR-tree CPU baseline: `sstree`'s top-down insert plus one rectangle per node |
 //! | [`serve`] | multi-device sharded serving: MINDIST shard router, exact merge, replica failover, admission/deadline/breaker resilience front-end |
 //! | [`metrics`] | serving-grade telemetry: counters/gauges/histograms, wall-clock span tree, Prometheus + JSON exposition |
 

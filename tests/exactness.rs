@@ -47,7 +47,7 @@ fn check_all_engines(data: &PointSet, queries: &PointSet, k: usize, degree: usiz
         let (e, _) = brute_query(data, q, k, &cfg, &opts);
         assert_distances_match(&e, &want, &format!("{ctx}/brute"));
         assert_distances_match(&kd_results[qi], &want, &format!("{ctx}/kdtree_gpu"));
-        let (f, _) = sr.knn_with_points(data, q, k);
+        let (f, _) = sr.knn(q, k);
         assert_distances_match(&f, &want, &format!("{ctx}/srtree"));
     }
 }
