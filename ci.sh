@@ -63,7 +63,9 @@ run_wave() { cargo test -p psb --test wave_parity -q; }
 # the geom crate's own evaluator identity tests. Every other stage builds the
 # test profile; the benchmark and users run `--release`, where LLVM unrolls
 # and schedules the four-row kernel differently, so the geom identity tests
-# and the 580-row kernel fingerprint run here a second time, optimised. The
+# and the 580-row kernel fingerprint run here a second time, optimised, and so
+# do psb-core's collector tests: the k-best list's four-row gate compiles to
+# different compares and branches when optimised. The
 # probe for what metering costs the host is the repo benchmark's traced
 # `gpu.metering_overhead_frac` (1 - `kernels.psb_us_per_query` /
 # `kernels.psb_metered_us_per_query`): an untraced metered launch should pay
@@ -73,6 +75,7 @@ run_fastpath() {
     cargo test -p psb-geom -q
     cargo test --release -p psb-geom -q
     cargo test --release -p psb --test kernel_fingerprint -q
+    cargo test --release -p psb-core -q collector
 }
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's

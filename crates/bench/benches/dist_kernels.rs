@@ -136,8 +136,8 @@ fn bench_child_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// The per-leaf point sweep (the host side of `process_leaf`): packed run vs
-/// per-point gather on the same leaf.
+/// The per-leaf point sweep (the host side of `process_leaf`, `leaf_rows`):
+/// packed run vs per-point gather on the same leaf.
 fn bench_leaf_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("leaf_sweep");
     g.sample_size(20);
@@ -151,18 +151,17 @@ fn bench_leaf_sweep(c: &mut Criterion) {
             n = tree.children(n).start;
         }
         let dk = DistKernel::for_dims(dims);
-        let mut out: Vec<(f32, u32)> = Vec::new();
-        let mut tmp: Vec<f32> = Vec::new();
+        let mut dists: Vec<f32> = Vec::new();
         g.bench_with_input(BenchmarkId::new("arena", dims), &dims, |bch, _| {
             bch.iter(|| {
-                out.clear();
-                tree.leaf_sweep(n, &q, &dk, &mut tmp, &mut out);
+                dists.clear();
+                tree.leaf_rows(n, &q, &dk, &mut dists).get(0)
             })
         });
         g.bench_with_input(BenchmarkId::new("gather", dims), &dims, |bch, _| {
             bch.iter(|| {
-                out.clear();
-                gather.leaf_sweep(n, &q, &dk, &mut tmp, &mut out);
+                dists.clear();
+                gather.leaf_rows(n, &q, &dk, &mut dists).get(0)
             })
         });
     }

@@ -10,7 +10,7 @@
 
 use psb_geom::PointSet;
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, Phase, TraceSink};
-use psb_sstree::{FlatTree, Neighbor, Volumes};
+use psb_sstree::{FlatTree, Neighbor, RowIds, Volumes};
 
 use super::collector::{Collector, KnnCollector};
 use super::{effective_metering, reserve_static, with_scratch, Kernel, Scratch};
@@ -171,21 +171,17 @@ fn scan_tiles<C: Collector, const M: bool>(
         let rows = &points.as_flat()[start * dims..(start + len) * dims];
         scratch.sweep.tmp.clear();
         scratch.dk.dist_rows(q, rows, &mut scratch.sweep.tmp);
-        let dists = scratch.sweep.tmp.iter();
-        scratch.leaf.clear();
-        match ids {
-            None => scratch.leaf.extend(dists.zip(start as u32..).map(|(&d, id)| (d, id))),
-            Some(ids) => {
-                scratch.leaf.extend(dists.zip(&ids[start..start + len]).map(|(&d, &id)| (d, id)))
-            }
-        }
         if block.has_faults() {
-            for entry in &mut scratch.leaf {
-                entry.0 = block.fault_f32(entry.0);
+            for d in &mut scratch.sweep.tmp {
+                *d = block.fault_f32(*d);
             }
         }
+        let row_ids = match ids {
+            None => RowIds::From(start as u32),
+            Some(ids) => RowIds::Ids(&ids[start..start + len]),
+        };
         block.set_phase(Phase::ResultMerge);
-        collector.collect(block, &scratch.leaf);
+        collector.collect(block, &scratch.sweep.tmp, row_ids);
         block.sync();
     }
 }

@@ -384,14 +384,14 @@ pub(crate) fn fetch_leaf<V: Volumes, const M: bool>(
 
 /// Scratch buffers reused across node visits so the simulation does not
 /// allocate in its hot loop: the per-query resolved distance kernel, the
-/// child-sweep buffers, the leaf distance buffer, and the k-th-select
-/// temporary. Pooled per host thread (see [`with_scratch`]) so the rayon
-/// batch loop reuses capacity across queries too.
+/// child-sweep buffers (whose `tmp` is also the leaf's and the scan tile's
+/// distance buffer), and the k-th-select temporary. Pooled per host thread
+/// (see [`with_scratch`]) so the rayon batch loop reuses capacity across
+/// queries too.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub dk: DistKernel,
     pub sweep: SweepScratch,
-    pub leaf: Vec<(f32, u32)>,
     pub kth: Vec<u32>,
     /// PSB's sweep-replay arena (see [`SweepMemo`]). Only fault-free PSB
     /// launches touch it, and its capacity persists across the whole batch.
@@ -414,7 +414,6 @@ impl Scratch {
             self.dk = DistKernel::for_dims_lanes(dims, lanes);
         }
         self.sweep.clear();
-        self.leaf.clear();
         self.kth.clear();
     }
 }
@@ -603,25 +602,24 @@ pub(crate) fn process_leaf<V: Volumes, C: Collector, const M: bool>(
     let range = checked_leaf_points(tree, n)?;
     block.set_phase(Phase::LeafScan);
     fetch_leaf(block, tree, n, opts.layout, sequential, level);
-    let len = range.len();
-    scratch.leaf.clear();
     // Metering is a function of (len, cost) only; the distances themselves
-    // come from the index's leaf sweep, which streams the packed arena block
-    // when one is attached and gathers (exactly as this loop used to)
-    // otherwise. Counters and values are identical either way.
-    let dc = dist_cost(tree.dims);
-    block.par_for(len, dc, |_| {});
-    tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
-    // Computed distances pass through the fault injector. Without an attached
-    // fault state `fault_f32` is the identity and meters nothing, so the
-    // sweep is skipped wholesale on the fault-free path.
+    // come from the index's leaf rows, which stream the packed arena block
+    // when one is attached and gather otherwise. Counters and values are
+    // identical either way.
+    block.par_for(range.len(), dist_cost(tree.dims), |_| {});
+    let dists = &mut scratch.sweep.tmp;
+    dists.clear();
+    let ids = tree.leaf_rows(n, q, &scratch.dk, dists);
+    // Computed distances pass through the fault injector, in row order.
+    // Without an attached fault state `fault_f32` is the identity and meters
+    // nothing, so the pass is skipped wholesale on the fault-free path.
     if block.has_faults() {
-        for entry in &mut scratch.leaf {
-            entry.0 = block.fault_f32(entry.0);
+        for d in dists.iter_mut() {
+            *d = block.fault_f32(*d);
         }
     }
     block.set_phase(Phase::ResultMerge);
-    Ok(collector.collect(block, &scratch.leaf))
+    Ok(collector.collect(block, dists, ids))
 }
 
 /// Compute MINDIST (and optionally MAXDIST and the anchor distance) for every
@@ -790,7 +788,7 @@ mod tests {
             let pooled = psb_query(&tree, q, 8, &cfg, &opts);
             let nested = with_scratch(tree.dims, opts.lanes, |held| {
                 // Dirty the lent-out scratch: the nested launch must not see it.
-                held.leaf.push((f32::NAN, u32::MAX));
+                held.sweep.tmp.push(f32::NAN);
                 assert!(
                     SCRATCH_POOL.with(|pool| pool.try_borrow_mut().is_err()),
                     "the pool must be borrowed here, or this test exercises nothing"

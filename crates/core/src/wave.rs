@@ -20,7 +20,7 @@
 //!    amortized over the buffered queries ([`Block::load_global_share`]);
 //!    each buffered query prunes against its *current* bound (which may have
 //!    tightened since it enqueued itself), sweeps the children via the same
-//!    [`FlatTree::child_sweep`]/[`FlatTree::leaf_sweep`] calls as the
+//!    [`FlatTree::child_sweep`]/[`FlatTree::leaf_rows`] calls as the
 //!    per-query kernels, tightens its bound with the k-th-MAXDIST rule, and
 //!    appends itself to the buffers of surviving children. Leaf sweeps hand
 //!    their rows to the query's collector — the same k-best list or range hit
@@ -259,12 +259,13 @@ fn sweep_entry<V: Volumes, C: Collector, const M: bool>(
     }
     if leaf {
         let range = checked_leaf_points(tree, n)?;
-        scratch.leaf.clear();
         let dc = crate::dist_cost(tree.dims);
         block.par_for(range.len(), dc, |_| {});
-        tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
+        let dists = &mut scratch.sweep.tmp;
+        dists.clear();
+        let ids = tree.leaf_rows(n, q, &scratch.dk, dists);
         block.set_phase(Phase::ResultMerge);
-        collector.collect(block, &scratch.leaf);
+        collector.collect(block, dists, ids);
     } else {
         let kids = checked_children(tree, n)?;
         evaluate_children(block, tree, n, q, collector, scratch);

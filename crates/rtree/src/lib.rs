@@ -267,7 +267,7 @@ mod tests {
                 assert_eq!(blk.coords.len(), run.len() * t.dims);
                 for (i, p) in run.enumerate() {
                     assert_eq!(&blk.coords[i * t.dims..(i + 1) * t.dims], t.points.point(p));
-                    assert_eq!(blk.id(i), t.point_ids[p]);
+                    assert_eq!(blk.ids().get(i), t.point_ids[p]);
                 }
             } else {
                 let kids = t.children(n);
@@ -292,6 +292,40 @@ mod tests {
             assert_eq!(&blk[i * t.dims..(i + 1) * t.dims], t.sphere(c).center);
             assert_eq!(blk[kids.len() * t.dims + i], t.sphere(c).radius);
         }
+    }
+
+    /// A leaf's rows from the packed block and from the gather fallback:
+    /// the same distance bits and ids, row for row, and `leaf_sweep` stages
+    /// exactly those pairs.
+    fn leaf_rows_match_the_gather<V: Volumes + Clone>(t: &FlatTree<V>) {
+        let mut gather = t.clone();
+        gather.strip_arena();
+        let dk = psb_geom::DistKernel::for_dims(t.dims);
+        let q: Vec<f32> = (0..t.dims).map(|i| i as f32 * 0.7 - 3.0).collect();
+        let (mut a, mut b, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+        for n in (0..t.num_nodes() as u32).filter(|&n| t.is_leaf(n)) {
+            a.clear();
+            b.clear();
+            let ids_a = t.leaf_rows(n, &q, &dk, &mut a);
+            let ids_b = gather.leaf_rows(n, &q, &dk, &mut b);
+            assert!(matches!(ids_a, psb_sstree::RowIds::Bits(_)), "leaf {n}: arena ids");
+            assert!(matches!(ids_b, psb_sstree::RowIds::Ids(_)), "leaf {n}: gathered ids");
+            assert_eq!(a.len(), t.leaf_points(n).len());
+            let rows = |d: &[f32], ids: psb_sstree::RowIds<'_>| {
+                d.iter().enumerate().map(|(i, x)| (x.to_bits(), ids.get(i))).collect::<Vec<_>>()
+            };
+            assert_eq!(rows(&a, ids_a), rows(&b, ids_b), "leaf {n}");
+            pairs.clear();
+            t.leaf_sweep(n, &q, &dk, &mut b, &mut pairs);
+            let staged: Vec<_> = pairs.iter().map(|&(d, id)| (d.to_bits(), id)).collect();
+            assert_eq!(staged, rows(&a, ids_a), "leaf {n}: staged pairs");
+        }
+    }
+
+    #[test]
+    fn leaf_rows_are_bit_identical_on_the_arena_and_the_gather() {
+        leaf_rows_match_the_gather(&ss());
+        leaf_rows_match_the_gather(&rt());
     }
 
     fn every_block_is_aligned<V: Volumes>(t: &FlatTree<V>) {
@@ -347,7 +381,7 @@ mod tests {
         let run = t.leaf_points(leaf);
         let x = a.leaf(leaf, run.start as u32, run.len()).expect("block");
         let y = b.leaf(leaf, run.start as u32, run.len()).expect("block");
-        assert!(x.coords == y.coords && x.id(0) == y.id(0));
+        assert!(x.coords == y.coords && x.ids().get(0) == y.ids().get(0));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! under the arena — the corruption suite drives exactly that.
 //!
 //! The two sweeps the kernels run per visited node, [`FlatTree::child_sweep`]
-//! and [`FlatTree::leaf_sweep`], read the arena and degrade to that gather
+//! and [`FlatTree::leaf_rows`], read the arena and degrade to that gather
 //! path themselves; it is bit-identical to the arena path
 //! (`tests/layout_parity.rs`, over [`FlatTree::strip_arena`]).
 //!
@@ -72,11 +72,35 @@ pub struct LeafBlock<'a> {
     ids: &'a [f32],
 }
 
-impl LeafBlock<'_> {
-    /// Original dataset id of the point at block position `i`.
+impl<'a> LeafBlock<'a> {
+    /// Every point's original id, row for row.
     #[inline]
-    pub fn id(&self, i: usize) -> u32 {
-        self.ids[i].to_bits()
+    pub fn ids(&self) -> RowIds<'a> {
+        RowIds::Bits(self.ids)
+    }
+}
+
+/// The ids of a run of distance rows, row for row: what a leaf or a scan tile
+/// hands a collector beside its distances, without pairing the two up.
+#[derive(Clone, Copy, Debug)]
+pub enum RowIds<'a> {
+    /// Raw `u32` bit patterns, as a leaf's arena block stores them.
+    Bits(&'a [f32]),
+    /// Plain ids: a gathered leaf, a permuted point set.
+    Ids(&'a [u32]),
+    /// Row `i` is point `first + i` itself: a scan over unpermuted points.
+    From(u32),
+}
+
+impl RowIds<'_> {
+    /// The id of row `i`.
+    #[inline]
+    pub fn get(self, i: usize) -> u32 {
+        match self {
+            RowIds::Bits(bits) => bits[i].to_bits(),
+            RowIds::Ids(ids) => ids[i],
+            RowIds::From(first) => first + i as u32,
+        }
     }
 }
 
@@ -211,10 +235,28 @@ impl<V: Volumes> FlatTree<V> {
         }
     }
 
-    /// Evaluate every point of leaf node `n` against `q`, appending
-    /// `(distance, original id)` pairs to `out` in point order. Same arena and
-    /// fallback as [`FlatTree::child_sweep`]; `tmp` is pooled staging for
-    /// [`DistKernel::dist_rows`].
+    /// Evaluate every point of leaf node `n` against `q`: append the
+    /// distances to `dists` in point order and return the points' original
+    /// ids, row for row. Same arena and fallback as [`FlatTree::child_sweep`].
+    pub fn leaf_rows(
+        &self,
+        n: u32,
+        q: &[f32],
+        dk: &DistKernel,
+        dists: &mut Vec<f32>,
+    ) -> RowIds<'_> {
+        let run = self.leaf_points(n);
+        match self.arena.as_ref().and_then(|a| a.leaf(n, run.start as u32, run.len())) {
+            Some(blk) => {
+                dk.dist_rows(q, blk.coords, dists);
+                blk.ids()
+            }
+            None => self.gather_leaf_rows(n, q, dists),
+        }
+    }
+
+    /// [`FlatTree::leaf_rows`] staged as `(distance, original id)` pairs,
+    /// appended to `out`; `tmp` is pooled staging for the distances.
     pub fn leaf_sweep(
         &self,
         n: u32,
@@ -223,15 +265,12 @@ impl<V: Volumes> FlatTree<V> {
         tmp: &mut Vec<f32>,
         out: &mut Vec<(f32, u32)>,
     ) {
-        let run = self.leaf_points(n);
-        let blk = self.arena.as_ref().and_then(|a| a.leaf(n, run.start as u32, run.len()));
-        let Some(blk) = blk else {
-            self.gather_leaf_sweep(n, q, out);
-            return;
-        };
         tmp.clear();
-        dk.dist_rows(q, blk.coords, tmp);
-        out.extend(tmp.iter().enumerate().map(|(i, &d)| (d, blk.id(i))));
+        match self.leaf_rows(n, q, dk, tmp) {
+            RowIds::Bits(ids) => out.extend(tmp.iter().zip(ids).map(|(&d, id)| (d, id.to_bits()))),
+            RowIds::Ids(ids) => out.extend(tmp.iter().copied().zip(ids.iter().copied())),
+            RowIds::From(first) => out.extend(tmp.iter().copied().zip(first..)),
+        }
     }
 
     /// The gather path of [`FlatTree::child_sweep`]: per-child scattered loads
@@ -258,11 +297,11 @@ impl<V: Volumes> FlatTree<V> {
         }
     }
 
-    /// The gather path of [`FlatTree::leaf_sweep`]: per-point scattered loads
+    /// The gather path of [`FlatTree::leaf_rows`]: per-point scattered loads
     /// through the reordered point array.
-    fn gather_leaf_sweep(&self, n: u32, q: &[f32], out: &mut Vec<(f32, u32)>) {
-        for p in self.leaf_points(n) {
-            out.push((psb_geom::dist(q, self.points.point(p)), self.point_ids[p]));
-        }
+    fn gather_leaf_rows(&self, n: u32, q: &[f32], dists: &mut Vec<f32>) -> RowIds<'_> {
+        let run = self.leaf_points(n);
+        dists.extend(run.clone().map(|p| psb_geom::dist(q, self.points.point(p))));
+        RowIds::Ids(&self.point_ids[run])
     }
 }

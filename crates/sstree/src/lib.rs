@@ -25,7 +25,7 @@ pub mod topdown;
 pub mod tree;
 pub mod volumes;
 
-pub use arena::NodeArena;
+pub use arena::{NodeArena, RowIds};
 pub use build::{build, BuildMethod};
 pub use error::StructuralError;
 pub use persist::{load as load_index, save as save_index, LoadError};
