@@ -13,7 +13,7 @@
 //! *cost* of maintaining it is modeled.
 
 use psb_gpu::{Block, TraceEvent};
-use psb_sstree::Neighbor;
+use psb_sstree::{Neighbor, RowIds};
 
 /// Placement policy for the k-best list (paper §V-E).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,6 +131,56 @@ impl GpuKnnList {
         } else {
             self.admit(block, dist, id)
         }
+    }
+
+    /// Offers a leaf's (or tile's) rows in order: `dists[i]` is row `i`'s
+    /// distance, `ids.get(i)` its id. Returns true when the list changed.
+    ///
+    /// Until the list holds k every row is [`offer`](Self::offer)ed. From then
+    /// on the rows pass a gate four at a time: a group with no row under the
+    /// k-th distance is turned away whole, with the pruned `KnnUpdate` each of
+    /// its non-NaN rows would have emitted; otherwise the rows before the
+    /// first one under it are turned away and that row is offered. The bound
+    /// only falls, so a row the gate's bound rejects the live bound rejects
+    /// too, and offers stay in row order: list, return value, counters and
+    /// events are a per-row `offer` loop's.
+    #[inline]
+    pub(crate) fn offer_rows<const M: bool>(
+        &mut self,
+        block: &mut Block<'_, M>,
+        dists: &[f32],
+        ids: RowIds<'_>,
+    ) -> bool {
+        let mut changed = false;
+        let mut i = 0;
+        while i < dists.len() {
+            if self.entries.len() >= self.k {
+                let bound = self.bound();
+                let from = i;
+                while let Some(g) = dists[i..].first_chunk::<4>() {
+                    if (g[0] < bound) | (g[1] < bound) | (g[2] < bound) | (g[3] < bound) {
+                        i += g.iter().position(|&d| d < bound).unwrap_or(4);
+                        break;
+                    }
+                    i += 4;
+                }
+                if M {
+                    // `offer`'s reject, once per non-NaN row turned away.
+                    let phase = block.phase();
+                    for d in &dists[from..i] {
+                        if !d.is_nan() {
+                            block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase });
+                        }
+                    }
+                }
+                if i == dists.len() {
+                    break;
+                }
+            }
+            changed |= self.offer(block, dists[i], ids.get(i));
+            i += 1;
+        }
+        changed
     }
 
     /// [`admit`](Self::admit), kept out of the caller's row loop.
