@@ -93,6 +93,15 @@ pub fn plane_in_range(gap: f32, bound: f32) -> bool {
     gap.abs() < bound
 }
 
+/// Whether a kNN search must still visit a subtree at `mindist` under
+/// `bound`: strictly inside it, or — while the k-best list is `short` of k
+/// and the bound still +inf — at a MINDIST that overflowed f32 to +inf too,
+/// since the k nearest may all lie out there. NaN is never admitted.
+#[inline]
+pub fn mindist_in_range(mindist: f32, bound: f32, short: bool) -> bool {
+    mindist < bound || (short && mindist == f32::INFINITY && bound == f32::INFINITY)
+}
+
 /// Lane selection for [`DistKernel`] resolution. Both selections are
 /// **bit-identical** (the `simd` module's same-op-order contract); the switch
 /// exists so benches and identity tests can hold the scalar reference next to

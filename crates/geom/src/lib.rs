@@ -33,7 +33,9 @@ pub mod simd;
 pub mod sphere;
 pub mod welzl;
 
-pub use dist::{dist, plane_gap, plane_in_range, sq_dist, sq_dist_d, DistKernel, DistLanes};
+pub use dist::{
+    dist, mindist_in_range, plane_gap, plane_in_range, sq_dist, sq_dist_d, DistKernel, DistLanes,
+};
 pub use hilbert::{hilbert_key, hilbert_keys, hilbert_sort, hilbert_sort_into, HilbertKey};
 pub use kmeans::{kmeans, KMeansParams, KMeansResult};
 pub use layout::AlignedF32;
