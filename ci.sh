@@ -65,7 +65,10 @@ run_wave() { cargo test -p psb --test wave_parity -q; }
 # and schedules the four-row kernel differently, so the geom identity tests
 # and the 580-row kernel fingerprint run here a second time, optimised, and so
 # do psb-core's collector tests: the k-best list's four-row gate compiles to
-# different compares and branches when optimised. The
+# different compares and branches when optimised. So do the PSB sweep memo's
+# parity tests: the memo's resume point and the collector's k-th-MAXDIST
+# select skip are host-only work removed from the node step, and release,
+# where the benchmark runs them, is where they must prove they move nothing. The
 # probe for what metering costs the host is the repo benchmark's traced
 # `gpu.metering_overhead_frac` (1 - `kernels.psb_us_per_query` /
 # `kernels.psb_metered_us_per_query`): an untraced metered launch should pay
@@ -76,6 +79,7 @@ run_fastpath() {
     cargo test --release -p psb-geom -q
     cargo test --release -p psb --test kernel_fingerprint -q
     cargo test --release -p psb-core -q collector
+    cargo test --release -p psb-core -q kernels::psb
 }
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's

@@ -34,9 +34,11 @@ pub(crate) trait Collector {
     /// [`tighten`](Self::tighten)s on them has a use for the extra pass.
     fn wants_maxdist(&self) -> bool;
 
-    /// Tighten the bound from an internal node's child MAXDISTs. Returns the
-    /// bound this node contributed, if it contributed one (what PSB's sweep
-    /// memo stores for [`replay`](Self::replay)).
+    /// Tighten the bound from an internal node's child MAXDISTs. Returns what
+    /// PSB's sweep memo stores for [`replay`](Self::replay): `None` when this
+    /// node has no bound to offer, else a value whose `min` with the bound is
+    /// what tightening did — the bound this node contributed, or +inf when it
+    /// could not have tightened the bound.
     fn tighten<const M: bool>(
         &mut self,
         block: &mut Block<'_, M>,
@@ -104,6 +106,16 @@ impl Collector for KnnCollector {
         // not lie under this node at all.
         if !self.minmax || max_d.len() < self.k {
             return None;
+        }
+        // With fewer than k MAXDISTs at or under the bound (a NaN counts: a
+        // negative one sorts below every number), the k-th in `total_cmp`
+        // order is a NaN or strictly above the bound, and `min` with it keeps
+        // the bound's bits: charge the select, but do not run it.
+        let pruning = self.pruning;
+        let under = max_d.iter().map(|&d| usize::from((d <= pruning) | d.is_nan())).sum::<usize>();
+        if under < self.k {
+            block.par_kth_select(max_d.len(), self.k);
+            return Some(f32::INFINITY);
         }
         let bound = kth_maxdist(block, max_d, self.k, tmp);
         self.pruning = self.pruning.min(bound);
@@ -335,7 +347,9 @@ mod tests {
     /// `collect`'s gate ([`GpuKnnList::offer_rows`]) is a plain per-row
     /// `offer` loop, observably: the same list (ids and distance bits) and
     /// return value on both kinds of block, and on a traced metered block the
-    /// same counters and event stream. Leaves of 0–37 rows (so every tail of
+    /// same counters and event stream; a metered block without a sink, which
+    /// walks no turned-away row, ends on the traced run's list, bound and
+    /// counters. Leaves of 0–37 rows (so every tail of
     /// 1–3 rows after the groups of four), k in {1, 3, 8, 32, 40}, lists
     /// empty, partly filled and full, and distances from finite values, ties
     /// at the list's bound, ±0, +inf and NaN.
@@ -414,7 +428,11 @@ mod tests {
                         let out = run(b, k, &cfg, &opts, &prefix, &dists, gated);
                         (out, sink.events)
                     };
-                    assert_eq!(traced(true), traced(false), "metered, {row}");
+                    let traced_gate = traced(true);
+                    assert_eq!(traced_gate, traced(false), "metered, {row}");
+                    let untraced =
+                        run(Block::<true>::new(32, &cfg), k, &cfg, &opts, &prefix, &dists, true);
+                    assert_eq!(untraced, traced_gate.0, "metered, untraced, {row}");
                     let plain = |gated| {
                         let out = run(
                             Block::<false>::new(32, &cfg),
@@ -428,6 +446,83 @@ mod tests {
                         (out.0, out.1, out.2.to_bits())
                     };
                     assert_eq!(plain(true), plain(false), "unmetered, {row}");
+                }
+            }
+        }
+    }
+
+    /// `tighten` runs the k-th MAXDIST select only when it can tighten the
+    /// bound; held against the unconditional select at every k over sets of
+    /// 1–40 MAXDISTs from finite values, the bound and one ulp either side,
+    /// ±0, ±inf and NaNs of either sign, under bounds of +inf, a finite value
+    /// and ±0. Same bound bits after `tighten`, same bits after a replay of
+    /// what it returned, same counters and events; and where it skipped, the
+    /// select's pick is a NaN or strictly above the bound.
+    #[test]
+    fn the_select_runs_only_when_it_can_tighten() {
+        use psb_gpu::{Phase, VecSink};
+        let cfg = DeviceConfig::k40();
+        let opts = KernelOptions::default();
+        let mut s = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        // A collector at `bound` on a traced metered block: `tighten` (or the
+        // select it skips, run unconditionally), then a replay of its value on
+        // a second collector at the same bound.
+        let run = |bound: f32, k: usize, max_d: &[f32], skip: bool| {
+            let mut sink = VecSink::new();
+            let mut b: Block<'_> = Block::with_sink(32, &cfg, Some(&mut sink));
+            b.set_phase(Phase::Descend);
+            let mut tmp = Vec::new();
+            let mut knn = KnnCollector::new(&mut b, k, &cfg, &opts);
+            knn.pruning = bound;
+            let got = if skip {
+                knn.tighten(&mut b, max_d, &mut tmp).expect("k <= n")
+            } else {
+                let kth = kth_maxdist(&mut b, max_d, k, &mut tmp);
+                knn.pruning = knn.pruning.min(kth);
+                kth
+            };
+            let mut again = KnnCollector::new(&mut b, k, &cfg, &opts);
+            again.pruning = bound;
+            again.replay(&mut b, max_d.len(), got);
+            let bits = (knn.pruning.to_bits(), again.pruning.to_bits());
+            (got, (bits, b.finish()), sink.events)
+        };
+        let finite = [0.5f32, 1.0, 2.0, 3.0, 7.25, 1e30, f32::MIN_POSITIVE];
+        for bound in [f32::INFINITY, 3.0, 0.0, -0.0] {
+            let pool = [
+                bound,
+                bound.next_down(),
+                bound.next_up(),
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                -f32::NAN,
+            ];
+            for n in 1..=40usize {
+                for _ in 0..3 {
+                    let set: Vec<f32> = (0..n)
+                        .map(|_| match next(3) {
+                            0 => finite[next(finite.len() as u64) as usize],
+                            _ => pool[next(pool.len() as u64) as usize],
+                        })
+                        .collect();
+                    for k in 1..=n {
+                        let (got, state, events) = run(bound, k, &set, true);
+                        let (kth, want, want_events) = run(bound, k, &set, false);
+                        let row = format!("bound {bound} k {k} set {set:?}");
+                        assert_eq!(state, want, "{row}");
+                        assert_eq!(events, want_events, "{row}");
+                        if got.to_bits() != kth.to_bits() {
+                            assert_eq!(got, f32::INFINITY, "{row}");
+                            assert!(kth.is_nan() || kth > bound, "skipped a pick of {kth}, {row}");
+                        }
+                    }
                 }
             }
         }

@@ -420,13 +420,18 @@ impl Scratch {
 
 /// A [`SweepMemo`] slot's payload, returned by value so the caller holds no
 /// borrow while it meters the replayed work.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct MemoEntry {
     start: u32,
     len: u32,
-    /// The node's k-th-MAXDIST bound, when the first-visit sweep would have
-    /// computed one (`use_minmax_prune` and at least k children).
+    /// What the first visit's [`Collector::tighten`] returned: `None` when it
+    /// had no bound to offer (`use_minmax_prune` off or fewer than k
+    /// children), else the value to [`replay`](Collector::replay) — the k-th
+    /// MAXDIST, or +inf where that select could not have tightened the bound.
     pub bound: Option<f32>,
+    /// The child index the last scan of this node chose: the next scan starts
+    /// there, since every child before it was turned away for good.
+    pub resume: u32,
 }
 
 /// Per-query memo of PSB's phase-2 internal-node sweep values
@@ -442,7 +447,9 @@ pub(crate) struct MemoEntry {
 /// (`par_for(children, cost)` + `par_kth_select`) and reuse the stored bits,
 /// so counters and results are bit-identical to the memo-less path (the one
 /// faulted attempts take; pinned in `kernels::psb`) while the host skips the
-/// distance sweep and the selection.
+/// distance sweep and the selection. Each slot also keeps the node's resume
+/// point, so a revisit's [`leftmost_qualifying`] scan starts at the child the
+/// last scan chose instead of at child 0.
 ///
 /// Slots are epoch-stamped: `begin_query` bumps the epoch instead of clearing
 /// the per-node slot array, so a batch of B queries over an N-node tree pays
@@ -461,7 +468,7 @@ impl SweepMemo {
         self.epoch += 1;
         self.blob.clear();
         if self.slots.len() < num_nodes {
-            self.slots.resize(num_nodes, (0, MemoEntry { start: 0, len: 0, bound: None }));
+            self.slots.resize(num_nodes, (0, MemoEntry::default()));
         }
     }
 
@@ -484,7 +491,14 @@ impl SweepMemo {
         let start = self.blob.len() as u32;
         self.blob.extend_from_slice(min_d);
         if let Some(slot) = self.slots.get_mut(n as usize) {
-            *slot = (self.epoch, MemoEntry { start, len: min_d.len() as u32, bound });
+            *slot = (self.epoch, MemoEntry { start, len: min_d.len() as u32, bound, resume: 0 });
+        }
+    }
+
+    /// Record that the scan of stored node `n` chose child index `resume`.
+    pub(crate) fn resume_at(&mut self, n: u32, resume: u32) {
+        if let Some(slot) = self.slots.get_mut(n as usize) {
+            slot.1.resume = resume;
         }
     }
 }
@@ -494,10 +508,15 @@ impl SweepMemo {
 /// kernel's re-descents so all meter identically: one parallel predicate
 /// evaluation, a ballot/find-first-set reduction, and the serial pick of the
 /// first child the collector still admits whose subtree holds unvisited leaves.
+///
+/// The host looks at children `from..` only. A caller passes a `from` above 0
+/// when it knows every child before it is turned away for good (PSB's resume
+/// point); the metering is over all of `kids` whatever `from` is.
 pub(crate) fn leftmost_qualifying<V: Volumes, C: Collector, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &FlatTree<V>,
     kids: std::ops::Range<u32>,
+    from: u32,
     min_d: &[f32],
     collector: &C,
     visited: i64,
@@ -505,7 +524,7 @@ pub(crate) fn leftmost_qualifying<V: Volumes, C: Collector, const M: bool>(
     block.par_for(kids.len(), 1, |_| {});
     block.par_reduce(kids.len(), 1);
     block.scalar(2);
-    for (i, c) in kids.enumerate() {
+    for (i, c) in kids.enumerate().skip(from as usize) {
         if collector.admits(min_d[i]) && tree.subtree_max_leaf(c) as i64 > visited {
             return Some(c);
         }

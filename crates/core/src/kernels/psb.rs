@@ -111,7 +111,8 @@ pub(crate) fn initial_descent<V: Volumes, const M: bool>(
 ///
 /// With `replay`, revisits of an internal node replay the first visit's child
 /// MINDISTs and k-th-MAXDIST bound from the per-query `SweepMemo` under
-/// identical metering, so the memo moves no counter and no result bit. Only
+/// identical metering, and each scan of a memoised node starts at the child
+/// the last one chose, so the memo moves no counter and no result bit. Only
 /// fault-free PSB launches ask for it: injected bit-flips draw from a per-load
 /// RNG stream, so a replayed value would skip draws a faulted launch must
 /// make.
@@ -141,15 +142,18 @@ pub(crate) fn sweep<V: Volumes, C: Collector, const M: bool>(
             // only on (node, query), so a revisit after a backtrack replays
             // the first visit's stored values under identical metering
             // instead of recomputing them.
-            let chosen = match if replay { scratch.memo.entry(n) } else { None } {
+            let (from, min_d) = match if replay { scratch.memo.entry(n) } else { None } {
                 Some(hit) => {
                     let cost = tree.child_eval_cost(collector.wants_maxdist());
                     block.par_for(kids.len(), cost, |_| {});
                     if let Some(bound) = hit.bound {
                         collector.replay(block, kids.len(), bound);
                     }
-                    let min_d = scratch.memo.values(hit);
-                    leftmost_qualifying(block, tree, kids, min_d, collector, visited)
+                    // Every child before the last scan's pick was turned away
+                    // for a MINDIST the collector no longer admits (its bound
+                    // only falls) or for `subtreeMaxLeafId <= visited` (the
+                    // cursor only grows): start the scan at that pick.
+                    (hit.resume, scratch.memo.values(hit))
                 }
                 None => {
                     let bound = evaluate_children(block, tree, n, q, collector, scratch);
@@ -157,12 +161,16 @@ pub(crate) fn sweep<V: Volumes, C: Collector, const M: bool>(
                         let Scratch { memo, sweep, .. } = &mut *scratch;
                         memo.store(n, &sweep.min_d, bound);
                     }
-                    let min_d = &scratch.sweep.min_d;
-                    leftmost_qualifying(block, tree, kids, min_d, collector, visited)
+                    (0, &scratch.sweep.min_d[..])
                 }
             };
+            let chosen =
+                leftmost_qualifying(block, tree, kids.clone(), from, min_d, collector, visited);
             match chosen {
                 Some(c) => {
+                    if replay {
+                        scratch.memo.resume_at(n, c - kids.start);
+                    }
                     n = c;
                     level += 1;
                 }
@@ -359,7 +367,7 @@ mod tests {
         assert_eq!(got[0].id, 321);
     }
 
-    /// [`traverse`] on a fault-free block of its own, memo as asked.
+    /// [`traverse`] at k = 8 on a fault-free block of its own, memo as asked.
     fn bare_launch<const M: bool>(
         tree: &SsTree,
         q: &[f32],
@@ -368,9 +376,24 @@ mod tests {
         scratch: &mut Scratch,
         memo: bool,
     ) -> (Vec<Neighbor>, KernelStats) {
-        let mut block = Block::<M>::new(opts.threads_per_block, cfg);
+        launch_k::<M>(tree, q, 8, cfg, opts, scratch, memo, None)
+    }
+
+    /// [`traverse`] on a fault-free block of its own, mirrored into `sink`.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_k<const M: bool>(
+        tree: &SsTree,
+        q: &[f32],
+        k: usize,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        scratch: &mut Scratch,
+        memo: bool,
+        sink: Option<&mut dyn psb_gpu::TraceSink>,
+    ) -> (Vec<Neighbor>, KernelStats) {
+        let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
         let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
-        let found = traverse(&mut block, &mut budget, tree, q, 8, cfg, opts, scratch, memo)
+        let found = traverse(&mut block, &mut budget, tree, q, k, cfg, opts, scratch, memo)
             .expect("valid tree");
         (found, block.finish())
     }
@@ -409,6 +432,62 @@ mod tests {
                 }
             }
             assert!(revisits > 0, "no backtrack means no revisit: the memo was never read");
+        }
+    }
+
+    /// The memo's resume point held against the memo-less path on the paper's
+    /// shape (16-d clustered, degree 128, k = 32) and a NOAA-like one (4-d,
+    /// degree 64, k = 8): neighbours and counters bit-equal in both meterings,
+    /// and the same event stream when traced. Some scan must have resumed
+    /// past child 0, or the cursor was never exercised.
+    #[test]
+    fn a_revisit_resumes_at_the_last_pick_bit_identically() {
+        use psb_gpu::VecSink;
+        let paper = ClusteredSpec {
+            clusters: 12,
+            points_per_cluster: 800,
+            dims: 16,
+            sigma: 160.0,
+            seed: 31,
+        }
+        .generate();
+        let noaa = psb_data::NoaaSpec { stations: 300, reports: 12_000, extra_dims: 2, seed: 32 }
+            .generate();
+        let cfg = DeviceConfig::k40();
+        let opts = KernelOptions::default();
+        let bits = |found: &[Neighbor]| -> Vec<(u32, u32)> {
+            found.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+        };
+        for (ps, degree, k) in [(&paper, 128, 32), (&noaa, 64, 8)] {
+            let tree = build(ps, degree, &BuildMethod::Hilbert);
+            let mut resumed = 0;
+            for q in sample_queries(ps, 10, 0.01, 33).iter() {
+                let traced = |memo: bool| {
+                    let mut sink = VecSink::new();
+                    let out = crate::kernels::with_scratch(tree.dims, opts.lanes, |s| {
+                        launch_k::<true>(&tree, q, k, &cfg, &opts, s, memo, Some(&mut sink))
+                    });
+                    ((bits(&out.0), out.1), sink.events)
+                };
+                let off = traced(false);
+                assert_eq!(traced(true), off, "traced, degree {degree}");
+                let plain = |memo: bool| {
+                    crate::kernels::with_scratch(tree.dims, opts.lanes, |s| {
+                        let out = launch_k::<false>(&tree, q, k, &cfg, &opts, s, memo, None);
+                        let memo = &s.memo;
+                        let live = memo.slots.iter().filter(|(epoch, _)| *epoch == memo.epoch);
+                        ((bits(&out.0), out.1), live.filter(|(_, e)| e.resume > 0).count())
+                    })
+                };
+                let (on, picks) = plain(true);
+                assert_eq!(on, plain(false).0, "unmetered, degree {degree}");
+                let untraced = crate::kernels::with_scratch(tree.dims, opts.lanes, |s| {
+                    launch_k::<true>(&tree, q, k, &cfg, &opts, s, true, None)
+                });
+                assert_eq!((bits(&untraced.0), untraced.1), off.0, "metered, degree {degree}");
+                resumed += picks;
+            }
+            assert!(resumed > 0, "degree {degree}: no scan resumed past child 0");
         }
     }
 }

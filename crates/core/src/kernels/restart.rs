@@ -73,7 +73,7 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
             fetch_internal(block, tree, n, opts.layout, level);
             evaluate_children(block, tree, n, q, &mut list, scratch);
             let min_d = &scratch.sweep.min_d;
-            match leftmost_qualifying(block, tree, kids, min_d, &list, visited) {
+            match leftmost_qualifying(block, tree, kids, 0, min_d, &list, visited) {
                 Some(c) => {
                     n = c;
                     level += 1;

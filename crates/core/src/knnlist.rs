@@ -164,15 +164,11 @@ impl GpuKnnList {
                     }
                     i += 4;
                 }
-                if M {
-                    // `offer`'s reject, once per non-NaN row turned away.
-                    let phase = block.phase();
-                    for d in &dists[from..i] {
-                        if !d.is_nan() {
-                            block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase });
-                        }
-                    }
-                }
+                // `offer`'s reject, once per non-NaN row turned away.
+                let phase = block.phase();
+                block.emit_each(&dists[from..i], |d| {
+                    (!d.is_nan()).then_some(TraceEvent::KnnUpdate { pruned: true, phase })
+                });
                 if i == dists.len() {
                     break;
                 }

@@ -189,6 +189,21 @@ impl<'s, const METER: bool> Block<'s, METER> {
         }
     }
 
+    /// [`emit`](Self::emit) per item of `items`: the event `event` returns for
+    /// it, if any. The sink is looked up once, before the walk, so an
+    /// unmetered block or one without a sink walks nothing.
+    #[inline]
+    pub fn emit_each<T>(&mut self, items: &[T], mut event: impl FnMut(&T) -> Option<TraceEvent>) {
+        if !METER {
+            return;
+        }
+        if let Some(sink) = self.sink.as_deref_mut() {
+            for e in items.iter().filter_map(&mut event) {
+                sink.record(e);
+            }
+        }
+    }
+
     /// Issue `warps` warp instructions of `cost` each with `active` lanes
     /// enabled out of whole-warp `slots`. The fundamental metering primitive.
     fn issue(&mut self, warps: u64, active: u64, cost: u64) {
@@ -678,6 +693,47 @@ mod tests {
             TraceEvent::NodeVisit { level: 1, kind: NodeKind::Leaf, phase: Phase::LeafScan }
         ));
         assert_eq!(sink.events[5], TraceEvent::Backtrack { level: 1 });
+    }
+
+    /// `emit_each` records what one `emit` per item would, looks at no item
+    /// without a sink, and does nothing on an unmetered block.
+    #[test]
+    fn emit_each_is_a_per_item_emit_that_walks_only_for_a_sink() {
+        let cfg = DeviceConfig::k40();
+        let items = [1.0f32, f32::NAN, -0.0, 4.0, f32::NAN, 2.5];
+        let event = |x: &f32| {
+            (!x.is_nan()).then_some(TraceEvent::KnnUpdate { pruned: *x > 1.0, phase: Phase::Other })
+        };
+        let mut each = VecSink::new();
+        let mut b: Block<'_> = Block::with_sink(32, &cfg, Some(&mut each));
+        b.emit_each(&items, event);
+        b.emit_each(&items[..0], event);
+        let after = b.finish();
+        let mut per_item = VecSink::new();
+        let mut b: Block<'_> = Block::with_sink(32, &cfg, Some(&mut per_item));
+        for x in &items {
+            if let Some(e) = event(x) {
+                b.emit(|| e);
+            }
+        }
+        assert_eq!(after, b.finish(), "events meter nothing");
+        assert_eq!(each.events, per_item.events);
+        assert_eq!(each.events.len(), 4);
+
+        let mut walked = 0;
+        let mut untraced: Block<'_> = Block::new(32, &cfg);
+        untraced.emit_each(&items, |_| {
+            walked += 1;
+            None
+        });
+        let mut sink = VecSink::new();
+        let mut unmetered: Block<'_, false> = Block::with_sink(32, &cfg, Some(&mut sink));
+        unmetered.emit_each(&items, |x| {
+            walked += 1;
+            event(x)
+        });
+        assert_eq!(walked, 0, "no sink or no metering: no item is looked at");
+        assert!(sink.events.is_empty());
     }
 
     #[test]
