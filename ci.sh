@@ -116,7 +116,9 @@ run_kdtree() {
 # oracle through random inserts, removes and shard rebuilds; `admission` walks
 # the same rule case by case and `threads`' soak counts it from the registry.
 # `observability` is here because its silent-versus-traced assertions are where
-# an untraced batch (`sink: None`) runs its ladder on the pool.
+# an untraced batch (`sink: None`) runs its ladder on the pool. `exactness` and
+# `topdown_goldens` pin the answers of the host k-best list (`psb_geom::KBest`)
+# and the SR-tree's tie order, which must not depend on the thread count either.
 run_threads() {
     local t
     for t in 1 4; do
@@ -125,7 +127,8 @@ run_threads() {
         RAYON_NUM_THREADS=$t cargo test -q -p psb-serve
         for suite in threads layout_parity schedule_parity wave_parity fastpath_parity \
             kdtree_parity shard_parity resilience_parity metrics_parity chaos admission \
-            tree_invariants dynamic_sstree kernel_fingerprint observability; do
+            tree_invariants dynamic_sstree kernel_fingerprint observability exactness \
+            topdown_goldens; do
             RAYON_NUM_THREADS=$t cargo test -q -p psb --test "$suite"
         done
     done

@@ -10,10 +10,10 @@
 
 use psb_geom::PointSet;
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, Phase, TraceSink};
-use psb_sstree::{FlatTree, Neighbor, RowIds, Volumes};
+use psb_sstree::{Neighbor, RowIds};
 
 use super::collector::{Collector, KnnCollector};
-use super::{effective_metering, reserve_static, with_scratch, Kernel, Scratch};
+use super::{effective_metering, reserve_static, with_scratch, Scratch};
 use crate::dist_cost;
 use crate::error::KernelError;
 use crate::options::{KernelOptions, Metering};
@@ -96,21 +96,6 @@ fn fallback_tile(threads: usize, dims: usize, smem_per_sm: u64) -> usize {
         tile /= 2;
     }
     tile
-}
-
-/// Exact brute-force kNN over a tree's reordered point array — the last rung
-/// of the engine's recovery ladder ([`Kernel::fallback`] of the kNN kernels).
-/// It cannot fail: its tile is halved until it fits shared memory, and it
-/// follows no structural link.
-pub fn brute_index_query<V: Volumes>(
-    tree: &FlatTree<V>,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> (Vec<Neighbor>, KernelStats) {
-    assert!(!tree.points.is_empty(), "brute-force fallback over zero points");
-    Kernel::Psb { k }.fallback(tree, q, cfg, opts)
 }
 
 /// The one fallback scan, the clamped form every kernel degrades to: the tile

@@ -11,7 +11,7 @@
 //! in local memory, stepping one operation per lockstep round
 //! (see [`psb_gpu::task`]).
 
-use psb_geom::{dist, PointSet};
+use psb_geom::{dist, KBest, PointSet};
 
 use crate::error::{EngineError, KernelError};
 use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep, TraceSink};
@@ -30,12 +30,12 @@ const OP_POP: u32 = 2;
 struct Lane<'a, V: Volumes> {
     tree: &'a FlatTree<V>,
     q: &'a [f32],
-    k: usize,
     /// Deferred subtrees: (node, MINDIST at push time), unsorted stack.
     stack: Vec<(u32, f32)>,
     cursor: u32,
     has_cursor: bool,
-    best: Vec<Neighbor>,
+    /// The lane's private k-best list (not the metered collector).
+    best: KBest,
     done: bool,
     /// Per-lane step counter against `step_limit` — the corruption-induced-
     /// loop backstop for the task-parallel traversal.
@@ -47,34 +47,6 @@ struct Lane<'a, V: Volumes> {
 }
 
 impl<V: Volumes> Lane<'_, V> {
-    fn bound(&self) -> f32 {
-        if self.best.len() >= self.k {
-            self.best.last().map_or(f32::INFINITY, |n| n.dist)
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    fn admits(&self, min_d: f32) -> bool {
-        psb_geom::mindist_in_range(min_d, self.bound(), self.best.len() < self.k)
-    }
-
-    fn offer(&mut self, d: f32, id: u32) {
-        // NaN would land at an arbitrary partition point and corrupt the
-        // sorted order; a NaN distance can only come from corrupt geometry.
-        if d.is_nan() {
-            return;
-        }
-        if self.best.len() >= self.k && d >= self.bound() {
-            return;
-        }
-        let pos = self.best.partition_point(|n| (n.dist, n.id) < (d, id));
-        self.best.insert(pos, Neighbor { dist: d, id });
-        if self.best.len() > self.k {
-            self.best.pop();
-        }
-    }
-
     /// Halt the lane with a typed error.
     fn fail(&mut self, e: KernelError) -> Option<LaneStep> {
         self.error = Some(e);
@@ -97,7 +69,7 @@ impl<V: Volumes> Lane<'_, V> {
                     return None;
                 }
                 Some((node, min_d)) => {
-                    if self.admits(min_d) {
+                    if self.best.admits(min_d) {
                         self.cursor = node;
                         self.has_cursor = true;
                     }
@@ -119,7 +91,7 @@ impl<V: Volumes> Lane<'_, V> {
             let count = range.len() as u64;
             for p in range {
                 let d = dist(self.q, tree.points.point(p));
-                self.offer(d, tree.point_ids[p]);
+                self.best.offer(d, tree.point_ids[p]);
             }
             return Some(LaneStep {
                 op: OP_LEAF,
@@ -138,7 +110,7 @@ impl<V: Volumes> Lane<'_, V> {
         let mut qualifying: Vec<(u32, f32)> = Vec::with_capacity(kids.len());
         for c in kids {
             let (d, _) = tree.child_min_max(c, self.q, false);
-            if self.admits(d) {
+            if self.best.admits(d) {
                 qualifying.push((c, d));
             }
         }
@@ -211,11 +183,10 @@ pub fn tpss_try_batch<V: Volumes>(
             .map(|j| Lane {
                 tree,
                 q: queries.point(qi + j),
-                k,
                 stack: vec![(tree.root, 0.0)],
                 cursor: 0,
                 has_cursor: false,
-                best: Vec::with_capacity(k + 1),
+                best: KBest::new(k),
                 done: false,
                 steps: 0,
                 step_limit: limit,
@@ -229,7 +200,7 @@ pub fn tpss_try_batch<V: Volumes>(
         per_block.push(stats);
         results.extend(lanes.into_iter().map(|l| match l.error {
             Some(e) => Err(e),
-            None => Ok(l.best),
+            None => Ok(l.best.into_vec()),
         }));
         qi += block_n;
     }

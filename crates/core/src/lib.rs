@@ -41,7 +41,7 @@ pub use engine::{
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
 pub use index::{GpuIndex, SweepScratch, NO_ROPE};
-pub use kernels::brute::{brute_index_query, brute_try_query};
+pub use kernels::brute::brute_try_query;
 pub use kernels::stackfree::stackfree_query;
 pub use kernels::tpss::{tpss_batch, tpss_try_batch};
 pub use kernels::{Kernel, Kernel as StreamKernel};

@@ -39,7 +39,7 @@ pub use dist::{
 pub use hilbert::{hilbert_key, hilbert_keys, hilbert_sort, hilbert_sort_into, HilbertKey};
 pub use kmeans::{kmeans, KMeansParams, KMeansResult};
 pub use layout::AlignedF32;
-pub use point::{Neighbor, PointSet};
+pub use point::{KBest, Neighbor, PointSet};
 pub use rect::Rect;
 pub use rectkernel::{rect_eval, RectKernel, RectRowsOut};
 pub use ritter::{ritter_points, ritter_spheres, RitterMode};

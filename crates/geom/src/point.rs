@@ -147,9 +147,67 @@ impl Neighbor {
     }
 }
 
+/// The host's running k-best list — the CPU oracles, the SR-tree and the
+/// task-parallel lanes keep their k nearest in it. A row is taken while the
+/// list is short of k, unless its distance is NaN; once full, only a row
+/// strictly under the k-th distance is, and the `(dist, id)`-largest row
+/// leaves. So the list holds the k smallest non-NaN distances offered; which
+/// of several rows tied at the k-th distance stay depends on the offer order.
+/// (The device's metered list is `GpuKnnList` in `psb-core`.)
+#[derive(Debug)]
+pub struct KBest {
+    k: usize,
+    best: Vec<Neighbor>,
+}
+
+impl KBest {
+    /// An empty list that keeps up to `k` rows.
+    pub fn new(k: usize) -> Self {
+        Self { k, best: Vec::with_capacity(k + 1) }
+    }
+
+    /// The pruning distance: the k-th distance once the list holds k rows,
+    /// +inf before.
+    #[inline]
+    pub fn bound(&self) -> f32 {
+        if self.best.len() < self.k {
+            f32::INFINITY
+        } else {
+            self.best.last().map_or(f32::INFINITY, |n| n.dist)
+        }
+    }
+
+    /// Whether a subtree at `mindist` may still hold one of the k nearest
+    /// ([`crate::mindist_in_range`] under this list's bound).
+    #[inline]
+    pub fn admits(&self, mindist: f32) -> bool {
+        crate::mindist_in_range(mindist, self.bound(), self.best.len() < self.k)
+    }
+
+    /// Offers one row. A full list takes it on one compare, which also turns
+    /// NaN away; a short list drops only NaN.
+    #[inline]
+    pub fn offer(&mut self, dist: f32, id: u32) {
+        let take = if self.best.len() < self.k { !dist.is_nan() } else { dist < self.bound() };
+        if take {
+            let at = self.best.partition_point(|n| (n.dist, n.id) < (dist, id));
+            self.best.insert(at, Neighbor { dist, id });
+            self.best.truncate(self.k);
+        }
+    }
+
+    /// The list, ascending by [`Neighbor::by_rank`]: no row is NaN, and a
+    /// Euclidean distance is never −0.0, so the `(dist, id)` order it keeps
+    /// is that order.
+    pub fn into_vec(self) -> Vec<Neighbor> {
+        self.best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_and_read_back() {
@@ -207,5 +265,79 @@ mod tests {
     fn centroid_subset() {
         let ps = PointSet::from_flat(1, vec![1.0, 100.0, 3.0]);
         assert_eq!(ps.centroid(&[0, 2]), vec![2.0]);
+    }
+
+    fn kbest(k: usize, rows: &[(f32, u32)]) -> KBest {
+        let mut best = KBest::new(k);
+        for &(dist, id) in rows {
+            best.offer(dist, id);
+        }
+        best
+    }
+
+    fn ids(best: KBest) -> Vec<u32> {
+        best.into_vec().iter().map(|n| n.id).collect()
+    }
+
+    #[test]
+    fn kbest_turns_away_a_tie_at_the_bound_and_evicts_the_largest_rank() {
+        let best = kbest(2, &[(1.0, 7), (2.0, 3)]);
+        assert_eq!(best.bound(), 2.0);
+        // A tie at the k-th distance is turned away, even with a smaller id.
+        assert_eq!(ids(kbest(2, &[(1.0, 7), (2.0, 3), (2.0, 1)])), [7, 3]);
+        // Ties taken while short rank by id; a closer row evicts the largest.
+        assert_eq!(ids(kbest(2, &[(2.0, 9), (2.0, 4), (0.5, 6)])), [6, 4]);
+        assert_eq!(ids(kbest(3, &[(1.0, 5), (1.0, 2), (1.0, 8)])), [2, 5, 8]);
+    }
+
+    #[test]
+    fn kbest_short_of_k_keeps_every_row_and_its_bound_stays_infinite() {
+        let best = kbest(5, &[(3.0, 0), (1.0, 1), (f32::INFINITY, 2)]);
+        assert_eq!(best.bound(), f32::INFINITY);
+        assert!(best.admits(f32::INFINITY), "a short list admits an overflowed MINDIST");
+        assert_eq!(ids(best), [1, 0, 2]);
+        let full = kbest(1, &[(f32::INFINITY, 3)]);
+        assert!(!full.admits(f32::INFINITY) && !full.admits(f32::NAN));
+        assert!(kbest(0, &[(1.0, 0)]).into_vec().is_empty());
+    }
+
+    #[test]
+    fn kbest_drops_nan_short_and_full() {
+        let short = kbest(3, &[(f32::NAN, 0), (1.0, 1), (f32::NAN, 2)]);
+        assert_eq!(short.bound(), f32::INFINITY);
+        assert_eq!(ids(short), [1]);
+        let full = kbest(2, &[(1.0, 0), (2.0, 1), (f32::NAN, 2), (-f32::NAN, 3)]);
+        assert_eq!(full.bound(), 2.0);
+        assert_eq!(ids(full), [0, 1]);
+        assert!(kbest(4, &[(f32::NAN, 0); 6]).into_vec().is_empty());
+    }
+
+    proptest! {
+        // Offered in id order (as a scan offers rows), the list is the first k
+        // non-NaN rows by `Neighbor::by_rank`; in any order, the same distances.
+        #[test]
+        fn kbest_is_the_first_k_by_rank(
+            dists in prop::collection::vec(0u8..12, 0..40),
+            k in 0usize..10,
+            rotate in 0usize..40,
+        ) {
+            let rows: Vec<(f32, u32)> = dists
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| (if d == 11 { f32::NAN } else { f32::from(d) }, i as u32))
+                .collect();
+            let mut want: Vec<Neighbor> = rows
+                .iter()
+                .filter(|r| !r.0.is_nan())
+                .map(|&(dist, id)| Neighbor { dist, id })
+                .collect();
+            want.sort_by(Neighbor::by_rank);
+            want.truncate(k);
+            prop_assert_eq!(&kbest(k, &rows).into_vec(), &want);
+            let mut turned = rows.clone();
+            turned.rotate_left(rotate.min(rows.len()));
+            let got: Vec<f32> = kbest(k, &turned).into_vec().iter().map(|n| n.dist).collect();
+            prop_assert_eq!(got, want.iter().map(|n| n.dist).collect::<Vec<_>>());
+        }
     }
 }

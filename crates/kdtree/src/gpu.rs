@@ -9,7 +9,7 @@
 //! Fig. 6a reports (<10 % warp efficiency vs >50 % for the data-parallel
 //! SS-tree).
 
-use psb_geom::{dist, Neighbor, PointSet};
+use psb_geom::{dist, KBest, Neighbor, PointSet};
 use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep};
 use psb_sstree::dist_cost;
 
@@ -23,7 +23,6 @@ const OP_BACKTRACK: u32 = 2;
 struct Lane<'a> {
     tree: &'a KdTree,
     q: &'a [f32],
-    k: usize,
     /// Pending far-subtrees: (node, distance to the split plane when deferred).
     stack: Vec<(u32, f32)>,
     /// Current node, or NIL when popping from the stack.
@@ -32,30 +31,11 @@ struct Lane<'a> {
     /// scan loop one iteration per lockstep step, so each point is a step —
     /// lanes in different loop trip counts diverge exactly as real warps do).
     leaf_remaining: std::ops::Range<u32>,
-    best: Vec<Neighbor>,
+    best: KBest,
     done: bool,
 }
 
 impl Lane<'_> {
-    fn bound(&self) -> f32 {
-        if self.best.len() >= self.k {
-            self.best.last().map_or(f32::INFINITY, |n| n.dist)
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    fn offer(&mut self, d: f32, id: u32) {
-        if self.best.len() >= self.k && d >= self.bound() {
-            return;
-        }
-        let pos = self.best.partition_point(|n| (n.dist, n.id) < (d, id));
-        self.best.insert(pos, Neighbor { dist: d, id });
-        if self.best.len() > self.k {
-            self.best.pop();
-        }
-    }
-
     /// One traversal step; returns what the lane did, or None when finished.
     fn step(&mut self) -> Option<LaneStep> {
         if self.done {
@@ -66,7 +46,7 @@ impl Lane<'_> {
             let p = self.leaf_remaining.start;
             self.leaf_remaining.start += 1;
             let d = dist(self.q, self.tree.points.point(p as usize));
-            self.offer(d, self.tree.point_ids[p as usize]);
+            self.best.offer(d, self.tree.point_ids[p as usize]);
             let bytes = self.tree.dims as u64 * 4 + 4;
             return Some(LaneStep {
                 op: OP_LEAF,
@@ -82,7 +62,7 @@ impl Lane<'_> {
                     return None;
                 }
                 Some((node, plane_d)) => {
-                    if plane_d < self.bound() {
+                    if plane_d < self.best.bound() {
                         self.cursor = node;
                     }
                     return Some(LaneStep { op: OP_BACKTRACK, cost: 3, global_bytes: 0 });
@@ -132,11 +112,10 @@ pub fn knn_task_parallel(
             .map(|j| Lane {
                 tree,
                 q: queries.point(qi + j),
-                k,
                 stack: Vec::with_capacity(64),
                 cursor: 0,
                 leaf_remaining: 0..0,
-                best: Vec::with_capacity(k + 1),
+                best: KBest::new(k),
                 done: false,
             })
             .collect();
@@ -144,7 +123,7 @@ pub fn knn_task_parallel(
         // memory, not shared memory.
         let stats = run_task_parallel(cfg, &mut lanes, 0, Lane::step, None);
         per_block.push(stats);
-        all_results.extend(lanes.into_iter().map(|l| l.best));
+        all_results.extend(lanes.into_iter().map(|l| l.best.into_vec()));
         qi += block_n;
     }
     (all_results, per_block)

@@ -20,7 +20,7 @@
 //! The family exists to measure what the pointer-free layout buys and costs,
 //! not to impersonate a volume hierarchy.
 
-use psb_geom::{dist, plane_gap, plane_in_range, Neighbor, PointSet};
+use psb_geom::{dist, plane_gap, plane_in_range, KBest, Neighbor, PointSet};
 
 use crate::{check_finite, KdBuildError};
 
@@ -163,28 +163,23 @@ impl LbKdTree {
     pub fn knn_cpu(&self, q: &[f32], k: usize) -> Vec<Neighbor> {
         assert!(k >= 1);
         assert_eq!(q.len(), self.dims);
-        let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        self.knn_rec(0, q, k, &mut best);
-        best
+        let mut best = KBest::new(k);
+        self.knn_rec(0, q, &mut best);
+        best.into_vec()
     }
 
-    fn knn_rec(&self, n: usize, q: &[f32], k: usize, best: &mut Vec<Neighbor>) {
+    fn knn_rec(&self, n: usize, q: &[f32], best: &mut KBest) {
         if n >= self.len() {
             return;
         }
         let p = self.points.point(n);
-        crate::offer(best, k, dist(q, p), self.point_ids[n]);
+        best.offer(dist(q, p), self.point_ids[n]);
         let d = self.split_dim_of(n as u32);
         let gap = plane_gap(q[d], p[d]);
         let (near, far) = if gap <= 0.0 { (2 * n + 1, 2 * n + 2) } else { (2 * n + 2, 2 * n + 1) };
-        self.knn_rec(near, q, k, best);
-        let bound = if best.len() >= k {
-            best.last().map_or(f32::INFINITY, |b| b.dist)
-        } else {
-            f32::INFINITY
-        };
-        if plane_in_range(gap, bound) {
-            self.knn_rec(far, q, k, best);
+        self.knn_rec(near, q, best);
+        if plane_in_range(gap, best.bound()) {
+            self.knn_rec(far, q, best);
         }
     }
 

@@ -18,7 +18,7 @@ mod lb;
 
 pub use lb::LbKdTree;
 
-use psb_geom::{dist, Neighbor, PointSet};
+use psb_geom::{dist, KBest, Neighbor, PointSet};
 
 /// Sentinel: no child.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -267,38 +267,25 @@ fn build_rec(
 pub fn knn_cpu(tree: &KdTree, q: &[f32], k: usize) -> Vec<Neighbor> {
     assert!(k >= 1);
     assert_eq!(q.len(), tree.dims);
-    let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-    knn_rec(tree, 0, q, k, &mut best);
-    best
+    let mut best = KBest::new(k);
+    knn_rec(tree, 0, q, &mut best);
+    best.into_vec()
 }
 
-fn offer(best: &mut Vec<Neighbor>, k: usize, d: f32, id: u32) {
-    if best.len() >= k && d >= best.last().map_or(f32::INFINITY, |n| n.dist) {
-        return;
-    }
-    let pos = best.partition_point(|n| (n.dist, n.id) < (d, id));
-    best.insert(pos, Neighbor { dist: d, id });
-    if best.len() > k {
-        best.pop();
-    }
-}
-
-fn knn_rec(tree: &KdTree, n: u32, q: &[f32], k: usize, best: &mut Vec<Neighbor>) {
+fn knn_rec(tree: &KdTree, n: u32, q: &[f32], best: &mut KBest) {
     let node = tree.nodes[n as usize];
     if node.left == NIL {
         for p in node.point_start..node.point_start + node.point_count {
             let d = dist(q, tree.points.point(p as usize));
-            offer(best, k, d, tree.point_ids[p as usize]);
+            best.offer(d, tree.point_ids[p as usize]);
         }
         return;
     }
     let diff = q[node.dim as usize] - node.split;
     let (near, far) = if diff <= 0.0 { (node.left, node.right) } else { (node.right, node.left) };
-    knn_rec(tree, near, q, k, best);
-    let bound =
-        if best.len() >= k { best.last().map_or(f32::INFINITY, |n| n.dist) } else { f32::INFINITY };
-    if diff.abs() < bound {
-        knn_rec(tree, far, q, k, best);
+    knn_rec(tree, near, q, best);
+    if diff.abs() < best.bound() {
+        knn_rec(tree, far, q, best);
     }
 }
 

@@ -8,8 +8,7 @@ use crate::runner::{run_batch, Batch, FrontEnd};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::{
-    brute_index_query, dist_cost, EngineError, Kernel, KernelError, KernelOptions, Metering,
-    QueryOutcome,
+    dist_cost, EngineError, Kernel, KernelError, KernelOptions, Metering, QueryOutcome,
 };
 use psb_geom::{PointSet, RitterMode, Sphere};
 use psb_gpu::{
@@ -458,7 +457,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                     let sj = order[pos].shard;
                     block.visit_node(0, NodeKind::Internal);
                     let (nb, st) =
-                        brute_index_query(&self.shards[sj].index, q, k, &self.device, opts);
+                        Kernel::Psb { k }.fallback(&self.shards[sj].index, q, &self.device, opts);
                     extra.merge(&st);
                     let prev = block.set_phase(Phase::ResultMerge);
                     for n in &nb {
@@ -559,7 +558,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                             }
                         }
                     }
-                    brute_index_query(&shard.index, q, k, &self.device, opts)
+                    Kernel::Psb { k }.fallback(&shard.index, q, &self.device, opts)
                 }
             };
             // The breaker's per-visit verdict on this shard: a clean replica
@@ -756,10 +755,9 @@ mod tests {
         let queries = UniformSpec { len: 12, dims: 4, seed: 7 }.generate();
         let opts = KernelOptions::default();
         let out = r.serve_batch(&queries, 5, &opts).expect("serve");
-        let full = build(&ps);
+        let (full, cfg) = (build(&ps), DeviceConfig::k40());
         for (qi, nb) in out.neighbors.iter().enumerate() {
-            let (oracle, _) =
-                brute_index_query(&full, queries.point(qi), 5, &DeviceConfig::k40(), &opts);
+            let (oracle, _) = Kernel::Psb { k: 5 }.fallback(&full, queries.point(qi), &cfg, &opts);
             assert_eq!(nb, &oracle, "query {qi}");
         }
         assert!(out.outcomes.iter().all(QueryOutcome::is_clean));

@@ -18,7 +18,7 @@
 //! per visited node (the disk-page accounting the paper uses for its CPU
 //! comparison).
 
-use psb_geom::{dist, Neighbor, PointSet, Rect};
+use psb_geom::{dist, KBest, Neighbor, PointSet, Rect};
 use psb_sstree::topdown::{insert_all, Capacities};
 use psb_sstree::SsTree;
 
@@ -112,7 +112,7 @@ impl SrTree {
         assert!(k >= 1, "k must be at least 1");
         assert_eq!(q.len(), self.tree.dims, "query dimensionality mismatch");
         let mut stats = SearchStats::default();
-        let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
+        let mut best = KBest::new(k);
 
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -136,45 +136,29 @@ impl SrTree {
             }
         }
 
-        fn bound(best: &[Neighbor], k: usize) -> f32 {
-            if best.len() >= k {
-                best.last().map_or(f32::INFINITY, |n| n.dist)
-            } else {
-                f32::INFINITY
-            }
-        }
-
         let t = &self.tree;
         let mut heap: BinaryHeap<Reverse<Item>> = BinaryHeap::new();
         heap.push(Reverse(Item(0.0, t.root)));
         while let Some(Reverse(Item(d, n))) = heap.pop() {
-            if !psb_geom::mindist_in_range(d, bound(&best, k), best.len() < k) {
+            if !best.admits(d) {
                 break;
             }
             stats.nodes_visited += 1;
             stats.bytes += self.page_bytes as u64;
             if t.is_leaf(n) {
                 for p in t.leaf_points(n) {
-                    let (pd, pid) = (dist(q, t.points.point(p)), t.point_ids[p]);
-                    if best.len() >= k && pd >= bound(&best, k) {
-                        continue;
-                    }
-                    let pos = best.partition_point(|n| (n.dist, n.id) < (pd, pid));
-                    best.insert(pos, Neighbor { dist: pd, id: pid });
-                    if best.len() > k {
-                        best.pop();
-                    }
+                    best.offer(dist(q, t.points.point(p)), t.point_ids[p]);
                 }
             } else {
                 for c in t.children(n) {
                     let cd = self.min_dist(c, q);
-                    if psb_geom::mindist_in_range(cd, bound(&best, k), best.len() < k) {
+                    if best.admits(cd) {
                         heap.push(Reverse(Item(cd, c)));
                     }
                 }
             }
         }
-        (best, stats)
+        (best.into_vec(), stats)
     }
 }
 

@@ -10,75 +10,17 @@
 //!
 //! Both return exactly the k nearest points; the GPU kernels in `psb-core` are
 //! tested against these, and these are in turn tested against a linear scan.
+//! All three keep their k nearest in [`psb_geom::KBest`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use psb_geom::{dist, PointSet};
+use psb_geom::{dist, KBest, PointSet};
 
 use crate::tree::FlatTree;
 use crate::volumes::Volumes;
 
 pub use psb_geom::Neighbor;
-
-/// Max-heap entry keyed by distance (the running k-best list).
-#[derive(PartialEq)]
-struct HeapItem(f32, u32);
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-/// The running k-best candidate list shared by every search algorithm.
-struct KBest {
-    k: usize,
-    heap: BinaryHeap<HeapItem>,
-}
-
-impl KBest {
-    fn new(k: usize) -> Self {
-        Self { k, heap: BinaryHeap::with_capacity(k + 1) }
-    }
-
-    /// Current pruning distance: the k-th best distance so far (∞ until full).
-    fn bound(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.heap.peek().map_or(f32::INFINITY, |h| h.0)
-        }
-    }
-
-    fn admits(&self, min_d: f32) -> bool {
-        psb_geom::mindist_in_range(min_d, self.bound(), self.heap.len() < self.k)
-    }
-
-    fn offer(&mut self, dist: f32, id: u32) {
-        if self.heap.len() < self.k {
-            self.heap.push(HeapItem(dist, id));
-        } else if dist < self.bound() {
-            self.heap.push(HeapItem(dist, id));
-            self.heap.pop();
-        }
-    }
-
-    fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> =
-            self.heap.into_iter().map(|HeapItem(dist, id)| Neighbor { dist, id }).collect();
-        v.sort_by(Neighbor::by_rank);
-        v
-    }
-}
 
 /// Recursive branch-and-bound kNN (Roussopoulos et al. 1995): visit children in
 /// MINDIST order, prune once MINDIST exceeds the current k-th best distance.
@@ -87,7 +29,7 @@ pub fn knn_branch_and_bound<V: Volumes>(tree: &FlatTree<V>, q: &[f32], k: usize)
     assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
     let mut best = KBest::new(k.min(tree.points.len()));
     bnb_visit(tree, tree.root, q, &mut best);
-    best.into_sorted()
+    best.into_vec()
 }
 
 fn bnb_visit<V: Volumes>(tree: &FlatTree<V>, n: u32, q: &[f32], best: &mut KBest) {
@@ -156,7 +98,7 @@ pub fn knn_best_first<V: Volumes>(tree: &FlatTree<V>, q: &[f32], k: usize) -> Ve
             }
         }
     }
-    best.into_sorted()
+    best.into_vec()
 }
 
 /// Range-query oracle over the raw point set.
@@ -180,7 +122,7 @@ pub fn linear_knn(ps: &PointSet, q: &[f32], k: usize) -> Vec<Neighbor> {
     for (i, p) in ps.iter().enumerate() {
         best.offer(dist(q, p), i as u32);
     }
-    best.into_sorted()
+    best.into_vec()
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ pub use psb_sstree as sstree;
 /// The names most programs need, re-exported flat.
 pub mod prelude {
     pub use psb_core::kernels::bnb::bnb_query;
-    pub use psb_core::kernels::brute::{brute_index_query, brute_query, brute_try_query};
+    pub use psb_core::kernels::brute::{brute_query, brute_try_query};
     pub use psb_core::kernels::psb::psb_query;
     pub use psb_core::kernels::range::range_query_gpu;
     pub use psb_core::kernels::restart::restart_query;

@@ -195,3 +195,44 @@ fn distances_that_overflow_to_infinity_are_still_neighbours() {
         }
     }
 }
+
+#[test]
+fn a_nan_query_has_no_neighbours() {
+    // Every distance to a NaN query is NaN, and NaN ranks nowhere: no search
+    // may return a row for it. 64 2-d points fit one SR-tree page of 1 KiB and
+    // one SS-tree leaf at degree 64, so the root's MINDIST of 0 lets every row
+    // reach the k-best list; the kd-trees offer the rows on their near path.
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let mut data = PointSet::new(2);
+    for i in 0..64 {
+        data.push(&[(i % 8) as f32, (i / 8) as f32]);
+    }
+    let mut queries = PointSet::new(2);
+    queries.push(&[f32::NAN, 3.0]);
+    let q = queries.point(0);
+    let tree = build(&data, 64, &BuildMethod::Hilbert);
+    let sr = SrTree::build(&data, 1024);
+    assert_eq!((tree.num_nodes(), sr.num_nodes()), (1, 1), "one leaf each");
+    let kd = KdTree::build(&data, 8);
+    let k = 4;
+    let (psb, _) = psb_query(&tree, q, k, &cfg, &opts);
+    let (brute, _) = brute_query(&data, q, k, &cfg, &opts);
+    let (tpss, _) = tpss_batch(&tree, &queries, k, &cfg, 32);
+    let (kd_gpu, _) = knn_task_parallel(&kd, &queries, k, &cfg, 32);
+    let runs = [
+        ("psb", psb),
+        ("brute", brute),
+        ("linear", linear_knn(&data, q, k)),
+        ("best_first", knn_best_first(&tree, q, k)),
+        ("cpu_bnb", knn_branch_and_bound(&tree, q, k)),
+        ("srtree", sr.knn(q, k).0),
+        ("kdtree", knn_cpu(&kd, q, k)),
+        ("lb_kdtree", LbKdTree::build(&data).knn_cpu(q, k)),
+        ("tpss", tpss.into_iter().next().expect("one query")),
+        ("kdtree_gpu", kd_gpu.into_iter().next().expect("one query")),
+    ];
+    for (name, got) in runs {
+        assert!(got.is_empty(), "{name}: {got:?}");
+    }
+}
