@@ -2,7 +2,8 @@
 //! (DESIGN.md "Mutable shards"): what an insert pays to keep the cached answers right,
 //! what a hit and a miss cost, and what a shard rebuild costs — at the repo
 //! benchmark's `ingest-clustered4` shape (4-d, k = 8, degree 16, a 256-entry
-//! cache, 10 500-point shards).
+//! cache, 10 500-point shards). The `cache` group times `QueryCache` alone,
+//! at the `serve-noaa4` stream's shape.
 //!
 //! The criterion shim times one closure call per sample, so the
 //! microsecond-scale rows run 240 operations a call (`_x240`: one benchmark
@@ -10,9 +11,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psb_core::shard::ShardPolicy;
-use psb_data::{sample_queries, ClusteredSpec};
+use psb_data::{sample_queries, ClusteredSpec, SkewedQuerySpec};
 use psb_geom::PointSet;
 use psb_serve::{CacheKey, DynamicShardRouter, QueryCache};
+use psb_sstree::Neighbor;
 
 const K: usize = 8;
 const CACHE: usize = 256;
@@ -54,8 +56,9 @@ fn bench_dynamic(c: &mut Criterion) {
     }
 
     // `knn` on the cached router: a stream that fits the cache (every ask a
-    // hit) and one that cycles through more queries than it holds (FIFO:
-    // every ask a miss, computed and filed).
+    // hit) and one that cycles through more queries than it holds (the
+    // dynamic router's cache evicts in insertion order: every ask a miss,
+    // computed and filed).
     let ps = dataset(40_000, 4);
     let mut router = DynamicShardRouter::build(&ps, 4, &ShardPolicy::HilbertRange, 16);
     router.attach_cache(CACHE);
@@ -85,5 +88,55 @@ fn bench_dynamic(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dynamic);
+/// `QueryCache`'s own costs at `serve-noaa4`'s shape (a 256-entry SIEVE
+/// cache, a Zipf(0.9) stream of 2 400 queries over 1 200 distinct ones):
+/// probe-then-insert as the serve loop runs it, with hits between the
+/// evicting inserts; the plan's `predict_misses` over one batch; and a hit.
+fn bench_cache(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cache");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+
+    let ps = dataset(8_000, 4);
+    let spec = SkewedQuerySpec { distinct: 1_200, ..SkewedQuerySpec::bursty(2_400, 23) };
+    let stream: Vec<CacheKey> = spec.generate(&ps).iter().map(|q| CacheKey::new(q, K)).collect();
+    let answer: Vec<Neighbor> = (0..K as u32).map(|id| Neighbor { dist: id as f32, id }).collect();
+    let serve = |cache: &mut QueryCache, batch: &[CacheKey]| {
+        let mut misses = 0;
+        for key in batch {
+            if cache.get(key).is_none() {
+                cache.insert(key.clone(), &answer);
+                misses += 1;
+            }
+        }
+        misses
+    };
+    let mut cache = QueryCache::new(CACHE);
+    serve(&mut cache, &stream);
+    let batches: Vec<&[CacheKey]> = stream.chunks(OPS).collect();
+
+    let mut turn = 0;
+    g.bench_function("serve_x240", |b| {
+        b.iter(|| {
+            turn += 1;
+            serve(&mut cache, batches[turn % batches.len()])
+        })
+    });
+    g.bench_function("predict_misses_x240", |b| {
+        b.iter(|| {
+            turn += 1;
+            cache.predict_misses(batches[turn % batches.len()]).len()
+        })
+    });
+    let resident: Vec<&CacheKey> = stream.iter().filter(|key| cache.get(key).is_some()).collect();
+    let hits: Vec<&CacheKey> = resident.into_iter().cycle().take(OPS).collect();
+    g.bench_function("get_hit_x240", |b| {
+        b.iter(|| hits.iter().filter_map(|key| cache.get(key)).count())
+    });
+
+    g.finish();
+}
+
+criterion_group!(benches, bench_dynamic, bench_cache);
 criterion_main!(benches);

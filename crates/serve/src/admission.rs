@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::mem;
 use std::sync::Arc;
 
 use psb_geom::dist;
@@ -336,8 +337,8 @@ impl CircuitBreaker {
 /// bit pattern, plus `k`.
 ///
 /// Built once per query and then moved: the row sits behind an `Arc`, so the
-/// copy the FIFO keeps beside the map's is a reference count, not a second
-/// allocation. The row is kept as `f32` because [`QueryCache::absorb`]
+/// copy the eviction order keeps beside the map's is a reference count, not a
+/// second allocation. The row is kept as `f32` because [`QueryCache::absorb`]
 /// measures distances from it.
 #[derive(Clone, Debug)]
 pub struct CacheKey {
@@ -373,13 +374,43 @@ impl Hash for CacheKey {
     }
 }
 
-/// One resident result and its place in the insertion order.
+/// One resident result and its SIEVE mark.
 #[derive(Debug)]
 struct CacheEntry {
-    /// Insertion number. Eviction is FIFO and a flush drops everything, so
-    /// the resident numbers are always the newest `len()`.
-    seq: u64,
+    /// Set by a hit (in a cache that marks hits), cleared when the eviction
+    /// hand passes over the entry: a marked entry outlives one pass.
+    visited: bool,
     neighbors: Vec<Neighbor>,
+}
+
+/// SIEVE's eviction step (Zhang et al., NSDI 2024) over the resident keys
+/// `order`, oldest first. From the hand toward newer entries, wrapping round
+/// to the oldest, it clears each marked entry's mark (`take_mark` returns
+/// the mark and clears it) and removes the first unmarked one. The hand
+/// rests on the evicted slot, which the next newer entry slides into — or on
+/// the oldest, if the newest went. `None` only when nothing is resident.
+///
+/// [`QueryCache::insert`] evicts through it, and
+/// [`QueryCache::predict_misses`] plays it forward over a shadow.
+fn evict<K>(
+    order: &mut VecDeque<K>,
+    hand: &mut usize,
+    mut take_mark: impl FnMut(&K) -> bool,
+) -> Option<K> {
+    loop {
+        if *hand >= order.len() {
+            *hand = 0;
+        }
+        if !take_mark(order.get(*hand)?) {
+            break;
+        }
+        *hand += 1;
+    }
+    let victim = order.remove(*hand);
+    if *hand == order.len() {
+        *hand = 0;
+    }
+    victim
 }
 
 /// Exact-result query cache, keyed on `(query_bits, k)`.
@@ -391,17 +422,27 @@ struct CacheEntry {
 /// resident answer ([`QueryCache::absorb`]), or drop them all
 /// ([`QueryCache::flush`]) — what a removal needs, since the point
 /// that would move up into the k-th place is not in the entry. A rebuild of
-/// the index over the same set needs neither. FIFO eviction keeps the cache
-/// bounded and deterministic — and makes residency a function of the probe
-/// sequence alone, never of the answers, which is what
-/// `QueryCache::predict_misses` rests on (`absorb` changes answers, never
-/// residency).
+/// the index over the same set needs neither.
+///
+/// Eviction is SIEVE: the resident keys sit in insertion order with one mark
+/// each, a hit marks its entry, and an insert into a full cache walks the
+/// hand from where it rests toward newer entries, clearing marks, and evicts
+/// the first unmarked one — so a query asked again and again stays resident
+/// while one-off queries pass through. A cache built with hits that do not
+/// mark evicts in insertion order. Either way residency is a function of the
+/// probe sequence alone, never of the answers — hits mark, misses insert —
+/// which is what [`QueryCache::predict_misses`] rests on (`absorb` changes
+/// answers, never residency).
 #[derive(Debug, Default)]
 pub struct QueryCache {
     capacity: usize,
+    /// Whether a hit marks its entry: SIEVE if set, insertion order if not.
+    marks_hits: bool,
     map: HashMap<CacheKey, CacheEntry>,
-    fifo: VecDeque<CacheKey>,
-    next_seq: u64,
+    /// The resident keys, oldest first.
+    order: VecDeque<CacheKey>,
+    /// Where the eviction hand rests: an index into `order`.
+    hand: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -409,8 +450,16 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// A cache holding at most `capacity` results. Capacity 0 disables it.
+    /// A SIEVE-evicted cache holding at most `capacity` results. Capacity 0
+    /// disables it.
     pub fn new(capacity: usize) -> Self {
+        Self { capacity, marks_hits: true, ..Default::default() }
+    }
+
+    /// A cache of `capacity` results whose hits do not mark, so it evicts in
+    /// insertion order: the dynamic router's, for the reason given in
+    /// DESIGN.md "The resilience front-end".
+    pub(crate) fn insertion_order(capacity: usize) -> Self {
         Self { capacity, ..Default::default() }
     }
 
@@ -426,18 +475,20 @@ impl QueryCache {
         let flushed = !self.map.is_empty();
         self.invalidations += u64::from(flushed);
         self.map.clear();
-        self.fifo.clear();
+        self.order.clear();
+        self.hand = 0;
         flushed
     }
 
-    /// Looks up `key`.
+    /// Looks up `key`; a hit marks its entry.
     pub fn get(&mut self, key: &CacheKey) -> Option<Vec<Neighbor>> {
         if !self.is_enabled() {
             return None;
         }
-        match self.map.get(key) {
+        match self.map.get_mut(key) {
             Some(hit) => {
                 self.hits += 1;
+                hit.visited |= self.marks_hits;
                 Some(hit.neighbors.clone())
             }
             None => {
@@ -447,24 +498,23 @@ impl QueryCache {
         }
     }
 
-    /// Stores an exact result under `key`, evicting the oldest entry when
-    /// full.
+    /// Stores an exact result under `key`, unmarked, evicting one entry by
+    /// SIEVE when full.
     pub fn insert(&mut self, key: CacheKey, neighbors: &[Neighbor]) {
         if !self.is_enabled() || self.map.contains_key(&key) {
             return;
         }
-        while self.map.len() >= self.capacity {
-            match self.fifo.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                    self.evictions += 1;
-                }
-                None => break,
+        if self.map.len() >= self.capacity {
+            let map = &mut self.map;
+            let take_mark =
+                |k: &CacheKey| map.get_mut(k).is_some_and(|e| mem::take(&mut e.visited));
+            if let Some(victim) = evict(&mut self.order, &mut self.hand, take_mark) {
+                self.map.remove(&victim);
+                self.evictions += 1;
             }
         }
-        self.fifo.push_back(key.clone());
-        self.map.insert(key, CacheEntry { seq: self.next_seq, neighbors: neighbors.to_vec() });
-        self.next_seq += 1;
+        self.order.push_back(key.clone());
+        self.map.insert(key, CacheEntry { visited: false, neighbors: neighbors.to_vec() });
     }
 
     /// Folds point `p`, which joined the indexed set under `id`, into every
@@ -497,48 +547,47 @@ impl QueryCache {
 
     /// Positions in `probes` that would miss if the probes ran now, in
     /// order, each miss followed by the insert of its result (every answer
-    /// assumed exact). Reads the cache and changes nothing: FIFO residency
-    /// depends on which keys were probed in which order, so it can be played
-    /// forward without a single answer. Planned inserts are numbered like
-    /// resident ones, and as inserts need room the oldest go first: the first
-    /// `dropped` residents, then the first `planned_dropped` planned inserts.
-    pub(crate) fn predict_misses<'k>(
-        &self,
-        probes: impl IntoIterator<Item = &'k CacheKey>,
+    /// assumed exact). Reads the cache and changes nothing: residency depends
+    /// on which keys were probed in which order, so it can be played forward
+    /// without a single answer — over a shadow of the resident order, the
+    /// marks and the hand, where a hit marks (if this cache's hits do) and a
+    /// miss evicts through the same `evict` as [`QueryCache::insert`] and
+    /// goes in unmarked.
+    pub fn predict_misses<'a>(
+        &'a self,
+        probes: impl IntoIterator<Item = &'a CacheKey>,
     ) -> Vec<usize> {
         if !self.is_enabled() {
             return probes.into_iter().enumerate().map(|(at, _)| at).collect();
         }
-        let residents = self.map.len();
-        let oldest = self.next_seq - residents as u64;
-        let mut dropped = 0;
-        let mut planned: HashMap<&CacheKey, usize> = HashMap::new();
-        let (mut planned_next, mut planned_dropped) = (0, 0);
+        let mut order: VecDeque<&CacheKey> = self.order.iter().collect();
+        let mut marks: HashMap<&CacheKey, bool> =
+            self.map.iter().map(|(key, entry)| (key, entry.visited)).collect();
+        let mut hand = self.hand;
         let mut misses = Vec::new();
         for (at, key) in probes.into_iter().enumerate() {
-            let resident = self.map.get(key).is_some_and(|e| e.seq - oldest >= dropped as u64)
-                || planned.get(key).is_some_and(|&seq| seq >= planned_dropped);
-            if resident {
+            if let Some(mark) = marks.get_mut(key) {
+                *mark |= self.marks_hits;
                 continue;
             }
             misses.push(at);
-            while residents - dropped + planned_next - planned_dropped >= self.capacity {
-                if dropped < residents {
-                    dropped += 1;
-                } else {
-                    planned_dropped += 1;
+            if marks.len() >= self.capacity {
+                let take_mark = |k: &&CacheKey| marks.get_mut(*k).is_some_and(mem::take);
+                if let Some(victim) = evict(&mut order, &mut hand, take_mark) {
+                    marks.remove(victim);
                 }
             }
-            planned.insert(key, planned_next);
-            planned_next += 1;
+            order.push_back(key);
+            marks.insert(key, false);
         }
         misses
     }
 
-    /// The resident keys, next to be evicted first.
+    /// The resident keys oldest first, each with its mark, and the hand.
     #[cfg(test)]
-    pub(crate) fn resident_keys(&self) -> Vec<CacheKey> {
-        self.fifo.iter().cloned().collect()
+    pub(crate) fn residency(&self) -> (Vec<(CacheKey, bool)>, usize) {
+        let marked = |key: &CacheKey| (key.clone(), self.map[key].visited);
+        (self.order.iter().map(marked).collect(), self.hand)
     }
 
     /// Resident entries.
@@ -713,6 +762,55 @@ mod tests {
         assert!(c.get(&key(&[2.0], 1)).is_some());
     }
 
+    /// The residency of a cache of one-coordinate keys: each key's
+    /// coordinate and mark, oldest first, and the hand.
+    fn shown(c: &QueryCache) -> (Vec<(f32, bool)>, usize) {
+        let (order, hand) = c.residency();
+        (order.into_iter().map(|(key, marked)| (key.q[0], marked)).collect(), hand)
+    }
+
+    #[test]
+    fn sieve_spares_a_marked_entry_once_and_the_hand_wraps() {
+        let mut c = QueryCache::new(3);
+        let put = |c: &mut QueryCache, x: f32| c.insert(key(&[x], 1), &[]);
+        let ask = |c: &mut QueryCache, x: f32| c.get(&key(&[x], 1)).is_some();
+        for x in [1.0, 2.0, 3.0] {
+            put(&mut c, x);
+        }
+        assert!(ask(&mut c, 1.0));
+        assert_eq!(shown(&c), (vec![(1.0, true), (2.0, false), (3.0, false)], 0));
+        // 1 is marked: the hand clears it and evicts 2, the first unmarked;
+        // 3 slides into the slot the hand rests on.
+        put(&mut c, 4.0);
+        assert_eq!(shown(&c), (vec![(1.0, false), (3.0, false), (4.0, false)], 1));
+        // From 3, both marked: cleared; the hand wraps to 1, now unmarked.
+        assert!(ask(&mut c, 3.0) && ask(&mut c, 4.0));
+        put(&mut c, 5.0);
+        assert_eq!(shown(&c), (vec![(3.0, false), (4.0, false), (5.0, false)], 0));
+        // The newest goes: the hand wraps to the oldest, not onto the insert.
+        assert!(ask(&mut c, 3.0) && ask(&mut c, 4.0));
+        put(&mut c, 6.0);
+        assert_eq!(shown(&c), (vec![(3.0, false), (4.0, false), (6.0, false)], 0));
+        assert!(!ask(&mut c, 5.0), "the newest unmarked entry went before older marked ones");
+        assert!(ask(&mut c, 3.0));
+        put(&mut c, 7.0);
+        assert_eq!(shown(&c), (vec![(3.0, false), (6.0, false), (7.0, false)], 1));
+        assert_eq!(c.stats(), (6, 1, 4, 0));
+        // A flush drops the order and the hand.
+        assert!(c.flush());
+        assert_eq!(shown(&c), (vec![], 0));
+        put(&mut c, 8.0);
+        assert_eq!(shown(&c), (vec![(8.0, false)], 0));
+
+        // Hits that do not mark leave insertion order.
+        let mut c = QueryCache::insertion_order(2);
+        put(&mut c, 1.0);
+        put(&mut c, 2.0);
+        assert!(ask(&mut c, 1.0));
+        put(&mut c, 3.0);
+        assert_eq!(shown(&c), (vec![(2.0, false), (3.0, false)], 0), "the oldest went");
+    }
+
     #[test]
     fn zero_capacity_cache_is_inert() {
         let mut c = QueryCache::new(0);
@@ -737,35 +835,45 @@ mod tests {
 
     // The plan against the sequence it predicts, from warm and cold caches,
     // with repeats inside the stream and more distinct keys than the cache
-    // holds: same misses; and a second cache driven by the plan alone — a
-    // probe everywhere, an insert exactly where a miss was planned — ends with
-    // the same counters and the same residents in the same eviction order.
+    // holds, for a cache whose hits mark and one whose hits do not: same
+    // misses; and a second cache driven by the plan alone — a probe
+    // everywhere, an insert exactly where a miss was planned — ends with the
+    // same counters and the same residents, marks and hand. A hot stream asks
+    // three keys two times in three, so marks pile up and the hand wraps.
     proptest! {
         #[test]
         fn predicted_misses_are_the_replayed_misses(
             warmup in prop::collection::vec(0u32..12, 0..20),
-            stream in prop::collection::vec(0u32..12, 1..60),
+            stream in prop::collection::vec(0u32..24, 1..80),
+            hot in 0u8..2,
         ) {
-            let keys = |ids: &[u32]| ids.iter().map(|&i| key(&[i as f32], 3)).collect::<Vec<_>>();
+            let hot = hot == 1;
+            let keys = |ids: &[u32]| {
+                let id = |i: u32| if hot && i < 16 { i % 3 } else { i % 12 + 3 * u32::from(hot) };
+                ids.iter().map(|&i| key(&[id(i) as f32], 3)).collect::<Vec<_>>()
+            };
             let (warmup, stream) = (keys(&warmup), keys(&stream));
+            let caches: [fn(usize) -> QueryCache; 2] = [QueryCache::new, QueryCache::insertion_order];
             for capacity in 1..=8 {
-                let mut plain = QueryCache::new(capacity);
-                let mut planned = QueryCache::new(capacity);
-                replay(&mut plain, &warmup);
-                replay(&mut planned, &warmup);
+                for cache in caches {
+                    let mut plain = cache(capacity);
+                    let mut planned = cache(capacity);
+                    replay(&mut plain, &warmup);
+                    replay(&mut planned, &warmup);
 
-                let plan = planned.predict_misses(&stream);
-                prop_assert_eq!(&plan, &replay(&mut plain, &stream), "capacity {}", capacity);
+                    let plan = planned.predict_misses(&stream);
+                    prop_assert_eq!(&plan, &replay(&mut plain, &stream), "capacity {}", capacity);
 
-                for (at, key) in stream.iter().enumerate() {
-                    let missed = planned.get(key).is_none();
-                    prop_assert_eq!(missed, plan.contains(&at));
-                    if missed {
-                        planned.insert(key.clone(), &[]);
+                    for (at, key) in stream.iter().enumerate() {
+                        let missed = planned.get(key).is_none();
+                        prop_assert_eq!(missed, plan.contains(&at));
+                        if missed {
+                            planned.insert(key.clone(), &[]);
+                        }
                     }
+                    prop_assert_eq!(planned.stats(), plain.stats());
+                    prop_assert_eq!(planned.residency(), plain.residency());
                 }
-                prop_assert_eq!(planned.stats(), plain.stats());
-                prop_assert_eq!(planned.resident_keys(), plain.resident_keys());
             }
         }
     }

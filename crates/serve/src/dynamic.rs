@@ -115,7 +115,7 @@ impl DynamicShardRouter {
             metas,
             owners: Mutex::new(owners),
             dims: points.dims(),
-            cache: Mutex::new(ResultCache { results: QueryCache::new(0), version: 0 }),
+            cache: Mutex::new(ResultCache { results: QueryCache::insertion_order(0), version: 0 }),
             metrics: MetricsHandle::noop(),
             labels: ShardLabels::default(),
         }
@@ -127,9 +127,10 @@ impl DynamicShardRouter {
     /// entry, [`Self::rebuild_shard`] changes no answer, and [`Self::remove`]
     /// drops them all. Where several points tie at the k-th distance a hit
     /// may name another of them than a recompute would — as a recompute after
-    /// a rebuild may.
+    /// a rebuild may. The cache evicts in insertion order: a hit does not
+    /// mark its entry as [`ResilientRouter`](crate::ResilientRouter)'s does.
     pub fn attach_cache(&mut self, capacity: usize) {
-        lock(&self.cache).results = QueryCache::new(capacity);
+        lock(&self.cache).results = QueryCache::insertion_order(capacity);
     }
 
     /// How many inserts and removes the live set has seen.

@@ -10,8 +10,9 @@
 //! * **Plan.** Ticks, admission and quotas depend on the submission order
 //!   alone, never on an answer, so they are settled for the whole batch up
 //!   front. At the first query that really misses the cache the runner plays
-//!   the FIFO forward over the admitted queries ahead
-//!   ([`QueryCache::predict_misses`]) and picks the ones that will have to run.
+//!   the cache's eviction hand forward over the admitted queries ahead — hits
+//!   mark, misses evict and insert ([`QueryCache::predict_misses`]) — and
+//!   picks the ones that will have to run.
 //! * **Execute.** Those run in one `par_iter` region against the shared
 //!   `&ShardRouter` ([`ShardRouter::execute`] reads the router and returns
 //!   the query's whole effect as a value), with an all-clear breaker mask.
@@ -426,7 +427,7 @@ mod tests {
                 front.admission,
                 front.breakers,
                 front.cache.stats(),
-                front.cache.resident_keys(),
+                front.cache.residency(),
                 front.tick
             );
             (seen, discarded)
@@ -466,6 +467,29 @@ mod tests {
         let (seen, _) = case.assert_window_never_shows();
         assert!(seen.contains("DeadlineDegraded"), "the tight budget must mark an answer");
         assert!(seen.contains("cache_hits: 2,"), "b and the third a hit, the second a does not");
+    }
+
+    #[test]
+    fn a_hot_key_keeps_its_place_and_the_plan_stays_exact_under_marks() {
+        let mut case = Case::new(cached(4));
+        // Asked twice, then once after every five one-off queries: its mark
+        // keeps it resident, which the plan must foresee, or a planned miss
+        // hits and its execution is thrown away.
+        let hot = case.home(0, 0);
+        case.push(&hot, RequestMeta::default());
+        case.push(&hot, RequestMeta::default());
+        for i in 0..20usize {
+            let cold = case.home(i % SHARDS, 1 + i / SHARDS);
+            case.push(&cold, RequestMeta::default());
+            if i % 5 == 4 {
+                case.push(&hot, RequestMeta::default());
+            }
+        }
+        let (seen, wasted) = case.assert_window_never_shows();
+        // Every ask after the first hits: 1 + 4 in the first batch, and all
+        // six in the second.
+        assert!(seen.contains("cache_hits: 5,") && seen.contains("cache_hits: 6,"), "{seen}");
+        assert_eq!(wasted, 0, "a fault-free batch: every planned miss missed");
     }
 
     #[test]

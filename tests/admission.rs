@@ -382,3 +382,52 @@ fn dynamic_router_cache_stays_exact_under_writes() {
     assert_eq!(r.knn(&q, K), oracle(&mirror));
     assert_eq!(r.cache_stats(), (6, 2, 0, 1), "flushes nothing");
 }
+
+/// A query asked twice, then once more after every `capacity + 1` one-off
+/// queries. The resilient front end's cache marks hits, so the hand spares
+/// it each time it passes and every return hits; the dynamic router's cache
+/// evicts in insertion order, so by every return it is gone. Either way each
+/// answer is the uncached router's and the linear oracle's, bit for bit.
+#[test]
+fn a_hot_query_outlives_one_off_queries_only_where_hits_mark() {
+    const K: usize = 4;
+    const CAPACITY: usize = 4;
+    const RETURNS: usize = 5;
+    let ps = UniformSpec { len: 400, dims: 3, seed: 23 }.generate();
+    let hot = ps.point(0).to_vec();
+    let mut queries = PointSet::new(3);
+    queries.push(&hot);
+    queries.push(&hot);
+    for r in 0..RETURNS {
+        for c in 0..=CAPACITY {
+            queries.push(ps.point(1 + r * (CAPACITY + 1) + c));
+        }
+        queries.push(&hot);
+    }
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let router = || ShardRouter::build(&ps, &ServeConfig::new(2), &cfg, build_ss);
+    let uncached = router().serve_batch(&queries, K, &opts).expect("serve");
+
+    let mut front = ResilientRouter::new(
+        router(),
+        ResilienceConfig { cache_capacity: CAPACITY, ..ResilienceConfig::default() },
+    );
+    let out = front.serve_batch(&queries, K, &opts, &[]).expect("serve");
+    assert_eq!(out.resilience.cache_hits, 1 + RETURNS as u64, "the second ask and every return");
+
+    let mut dynamic =
+        DynamicShardRouter::build(&ps, 2, &psb::core::shard::ShardPolicy::HilbertRange, 8);
+    dynamic.attach_cache(CAPACITY);
+    let answers: Vec<Vec<Neighbor>> = queries.iter().map(|q| dynamic.knn(q, K)).collect();
+    let (hits, misses, _, _) = dynamic.cache_stats();
+    assert_eq!((hits, misses), (1, (queries.len() - 1) as u64), "only the second ask hits");
+
+    let bits = |nb: &[Neighbor]| nb.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>();
+    for (qi, dynamic) in answers.iter().enumerate() {
+        let oracle = bits(&linear_knn(&ps, queries.point(qi), K));
+        assert_eq!(bits(&out.neighbors[qi]), oracle, "resilient, query {qi}");
+        assert_eq!(bits(&uncached.neighbors[qi]), oracle, "uncached, query {qi}");
+        assert_eq!(bits(dynamic), oracle, "dynamic, query {qi}");
+    }
+}
