@@ -29,8 +29,17 @@ run_hardlint() {
 run_test()   { cargo test --workspace -q; }
 run_faults() { cargo test -p psb --test fault_injection -q; }
 # Sharded serving layer: the router's own unit tests plus the bit-identity /
-# failover acceptance suite.
-run_shard()  { cargo test -p psb-serve -q && cargo test -p psb --test shard_parity -q; }
+# failover acceptance suite, then the mutable shards underneath the dynamic
+# router: `dynamic_sstree` (insert/remove/rebuild sequences and the cached
+# router against a linear oracle) and psb-core's `dynamic` unit tests (the
+# ascending id lists and base-position tombstones, the rebuild protocol,
+# typed refusals at the door).
+run_shard() {
+    cargo test -p psb-serve -q
+    cargo test -p psb --test shard_parity -q
+    cargo test -p psb --test dynamic_sstree -q
+    cargo test -p psb-core -q dynamic
+}
 # Resilience layer: the chaos soak (fault injection + deadline pressure +
 # quota shedding + breaker trips at once; zero panics, every query resolving
 # to exactly one typed outcome, bit-deterministic replay), the admission

@@ -1,6 +1,7 @@
-//! The three layer costs of `DynamicShardRouter`'s write path and read path
-//! (DESIGN.md "Mutable shards"): what an insert pays to keep the cached answers right,
-//! what a hit and a miss cost, and what a shard rebuild costs — at the repo
+//! The layer costs of `DynamicShardRouter`'s write path and read path
+//! (DESIGN.md "Mutable shards"): what an insert pays to keep the cached
+//! answers right, what a hit and a miss cost, what an insert and a remove
+//! cost with the cache attached, and what a shard rebuild costs — at the repo
 //! benchmark's `ingest-clustered4` shape (4-d, k = 8, degree 16, a 256-entry
 //! cache, 10 500-point shards). The `cache` group times `QueryCache` alone,
 //! at the `serve-noaa4` stream's shape.
@@ -74,6 +75,23 @@ fn bench_dynamic(c: &mut Criterion) {
             let batch = &rows[turn % 3 * OPS..][..OPS];
             batch.iter().map(|q| router.knn(q, K).len()).sum::<usize>()
         })
+    });
+
+    // The write path on the same router: an insert routes to the nearest
+    // shard centre, appends to its delta and folds the point into the
+    // cache; a remove asks each shard whether it holds the id (a binary
+    // search of each id list), marks it where it is and flushes the cache.
+    // Each call inserts the next 240 points or removes the next 240 initial
+    // ids, so every remove finds its point; the group runs each closure 21
+    // times (a warm-up and 20 samples).
+    let fresh = sample_queries(&ps, 21 * OPS, 0.002, 18);
+    let mut inserted = fresh.iter();
+    g.bench_function("insert_x240", |b| {
+        b.iter(|| inserted.by_ref().take(OPS).map(|p| router.insert(p)).max())
+    });
+    let mut doomed = (0..ps.len() as u32).step_by(7);
+    g.bench_function("remove_x240", |b| {
+        b.iter(|| doomed.by_ref().take(OPS).filter(|&id| router.remove(id)).count())
     });
 
     // One shard of `ingest-clustered4` after 500 inserts: snapshot, build

@@ -19,7 +19,6 @@
 //! a caller that shares the structure behind a lock holds it exclusively for
 //! the swap only. [`DynamicSsTree::rebuild`] is the three in a row.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use psb_geom::{dist, PointSet};
@@ -30,9 +29,6 @@ use crate::kernels::psb::psb_query;
 use crate::kernels::Kernel;
 use crate::options::KernelOptions;
 
-/// `row_of` entry of an id that is not alive.
-const DEAD: u32 = u32::MAX;
-
 /// Rebuild when `delta + tombstones > REBUILD_FRACTION × live points`.
 const REBUILD_FRACTION: f64 = 0.2;
 
@@ -41,30 +37,25 @@ const REBUILD_FRACTION: f64 = 0.2;
 static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
 
 /// An SS-tree with batched inserts, tombstoned deletes, and rebuild-on-demand.
+///
+/// Callers give ids in strictly ascending order (asserted), so two ascending
+/// id lists and a mark per base position are all the id state there is.
 pub struct DynamicSsTree {
     base: SsTree,
     method: BuildMethod,
     degree: usize,
+    /// Id of each base build-input position (the base's result ids), ascending.
+    base_ids: Vec<u32>,
+    /// Tombstones: the base positions removed since the last rebuild.
+    removed: Vec<bool>,
+    /// How many of `removed` are set.
+    tombstones: usize,
     /// Points inserted since the last rebuild (scanned exactly by queries).
     delta: PointSet,
-    /// External ids of the delta points, ascending: ids are handed out in
-    /// order and a removal keeps the order of the rest.
+    /// Ids of the delta points, ascending, all above the base's.
     delta_ids: Vec<u32>,
-    /// External ids removed since the last rebuild.
-    tombstones: HashSet<u32>,
-    /// Position in the base's build input → external id (fixed at rebuild).
-    base_snapshot_ids: Vec<u32>,
-    next_id: u32,
-    /// All live coordinates, one row each: an insert appends a row, a remove
-    /// moves the last row into the hole. A rebuild packs the rows as they lie.
-    live: PointSet,
-    /// External id of each row of `live`.
-    live_ids: Vec<u32>,
-    /// External id → row of `live`, [`DEAD`] once removed. One entry per id
-    /// ever issued: ids are never reused, so it grows by 4 bytes an insert
-    /// and no rebuild shrinks it (compacting it means rebasing the external
-    /// ids on rebuild, with every owner map that stores them following).
-    row_of: Vec<u32>,
+    /// The highest id ever given: the next must be above it, so no id repeats.
+    last_id: Option<u32>,
     /// This tree's number in [`NEXT_TREE`]'s sequence.
     tree: u64,
     /// Counts inserts and removes: the version of the live set a
@@ -98,23 +89,45 @@ pub struct Rebuilt {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stale;
 
-/// [`DynamicSsTree::try_insert`] refused a point: its coordinate `dim` is NaN
-/// or infinite. Such a point would sit in the delta buffer until the next
-/// rebuild and fail there, inside the enclosing-sphere pass, far from the
-/// insert that caused it.
+/// Why [`DynamicSsTree::try_insert`] refused a point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NonFinite {
-    /// The first coordinate that is not finite.
-    pub dim: usize,
+pub enum InsertError {
+    /// Coordinate `dim` is NaN or infinite. Such a point would sit in the
+    /// delta buffer until the next rebuild and fail there, inside the
+    /// enclosing-sphere pass, far from the insert that caused it.
+    NonFinite { dim: usize },
+    /// The point has `got` coordinates where the index has `expected`.
+    Dims { expected: usize, got: usize },
 }
 
-impl std::fmt::Display for NonFinite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "the inserted point has a non-finite coordinate in dimension {}", self.dim)
+impl InsertError {
+    /// The check every insert of a point from outside the program runs
+    /// before it changes anything: `p` has `dims` coordinates, all finite.
+    pub fn check(p: &[f32], dims: usize) -> Result<(), Self> {
+        if p.len() != dims {
+            return Err(Self::Dims { expected: dims, got: p.len() });
+        }
+        match p.iter().position(|x| !x.is_finite()) {
+            Some(dim) => Err(Self::NonFinite { dim }),
+            None => Ok(()),
+        }
     }
 }
 
-impl std::error::Error for NonFinite {}
+impl std::fmt::Display for InsertError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NonFinite { dim } => {
+                write!(f, "the inserted point has a non-finite coordinate in dimension {dim}")
+            }
+            Self::Dims { expected, got } => {
+                write!(f, "the inserted point has {got} coordinates, the index {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InsertError {}
 
 impl Snapshot {
     /// Packs the copied live set bottom-up.
@@ -133,23 +146,27 @@ impl Snapshot {
 }
 
 impl DynamicSsTree {
-    /// Builds the initial index. Initial points receive external ids
+    /// Builds the initial index. Initial points receive ids
     /// `0..points.len()`.
     pub fn new(points: &PointSet, degree: usize, method: BuildMethod) -> Self {
-        let base = build(points, degree, &method);
-        let live_ids: Vec<u32> = (0..points.len() as u32).collect();
+        Self::with_ids(points, (0..points.len() as u32).collect(), degree, method)
+    }
+
+    /// Builds the initial index with point `i` answering as `ids[i]`. Panics
+    /// unless `ids` is strictly ascending, one per point.
+    pub fn with_ids(points: &PointSet, ids: Vec<u32>, degree: usize, method: BuildMethod) -> Self {
+        assert_eq!(ids.len(), points.len(), "one id per point");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly ascending");
         Self {
-            base,
+            base: build(points, degree, &method),
             method,
             degree,
-            base_snapshot_ids: live_ids.clone(),
+            removed: vec![false; ids.len()],
+            tombstones: 0,
             delta: PointSet::new(points.dims()),
             delta_ids: Vec::new(),
-            tombstones: HashSet::new(),
-            next_id: points.len() as u32,
-            live: points.clone(),
-            row_of: live_ids.clone(),
-            live_ids,
+            last_id: ids.last().copied(),
+            base_ids: ids,
             tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed),
             stamp: 0,
         }
@@ -157,12 +174,12 @@ impl DynamicSsTree {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.base_ids.len() - self.tombstones + self.delta.len()
     }
 
     /// Whether the structure holds no live points.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
     /// Points waiting in the delta buffer.
@@ -170,9 +187,9 @@ impl DynamicSsTree {
         self.delta.len()
     }
 
-    /// Inserts a point; returns its external id. May trigger a rebuild.
-    /// Panics, before changing anything, on a point [`Self::try_insert`]
-    /// refuses.
+    /// Inserts a point; returns its id, one above the last id given. May
+    /// trigger a rebuild. Panics, before changing anything, on a point
+    /// [`Self::try_insert`] refuses.
     pub fn insert(&mut self, p: &[f32]) -> u32 {
         match self.try_insert(p) {
             Ok(id) => id,
@@ -180,62 +197,84 @@ impl DynamicSsTree {
         }
     }
 
-    /// [`Self::insert`] for points from outside the program: a NaN or
-    /// infinite coordinate is a typed error and the tree is left as it was.
-    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, NonFinite> {
-        assert_eq!(p.len(), self.base.dims, "dimensionality mismatch");
-        if let Some(dim) = p.iter().position(|x| !x.is_finite()) {
-            return Err(NonFinite { dim });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.delta.push(p);
-        self.delta_ids.push(id);
-        self.row_of.push(self.live.len() as u32);
-        self.live.push(p);
-        self.live_ids.push(id);
-        self.stamp += 1;
-        self.maybe_rebuild();
-        Ok(id)
+    /// [`Self::insert`] for points from outside the program: a point of the
+    /// wrong length or with a NaN or infinite coordinate is a typed error and
+    /// the tree is left as it was.
+    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, InsertError> {
+        let id = self.last_id.map_or(0, |last| last + 1);
+        self.try_insert_as(p, id).map(|()| id)
     }
 
-    /// Removes a point by external id; returns whether it was alive.
-    pub fn remove(&mut self, id: u32) -> bool {
-        let row = match self.row_of.get(id as usize) {
-            Some(&row) if row != DEAD => row as usize,
-            _ => return false,
-        };
-        self.live.swap_remove(row);
-        self.live_ids.swap_remove(row);
-        if let Some(&moved) = self.live_ids.get(row) {
-            self.row_of[moved as usize] = row as u32;
-        }
-        self.row_of[id as usize] = DEAD;
+    /// [`Self::try_insert`] with the caller's id, which must be above every id
+    /// this tree was ever given (asserted once the point is accepted).
+    pub fn try_insert_as(&mut self, p: &[f32], id: u32) -> Result<(), InsertError> {
+        InsertError::check(p, self.base.dims)?;
+        assert!(self.last_id < Some(id), "ids must be strictly ascending");
+        self.last_id = Some(id);
+        self.delta.push(p);
+        self.delta_ids.push(id);
         self.stamp += 1;
-        // A delta point can be dropped from the buffer outright.
-        if let Ok(dpos) = self.delta_ids.binary_search(&id) {
-            self.delta_ids.remove(dpos);
-            self.delta.remove(dpos);
-            return true;
+        self.maybe_rebuild();
+        Ok(())
+    }
+
+    /// The base position of `id`, if it is there and not removed.
+    fn base_pos(&self, id: u32) -> Option<usize> {
+        self.base_ids.binary_search(&id).ok().filter(|&pos| !self.removed[pos])
+    }
+
+    /// Whether `id` is alive here.
+    pub fn contains(&self, id: u32) -> bool {
+        self.delta_ids.binary_search(&id).is_ok() || self.base_pos(id).is_some()
+    }
+
+    /// Removes a point by id; returns whether it was alive.
+    pub fn remove(&mut self, id: u32) -> bool {
+        if let Ok(pos) = self.delta_ids.binary_search(&id) {
+            // A delta point can be dropped from the buffer outright.
+            self.delta_ids.remove(pos);
+            self.delta.remove(pos);
+        } else if let Some(pos) = self.base_pos(id) {
+            self.removed[pos] = true;
+            self.tombstones += 1;
+        } else {
+            return false;
         }
-        self.tombstones.insert(id);
+        self.stamp += 1;
         self.maybe_rebuild();
         true
     }
 
     fn maybe_rebuild(&mut self) {
-        let churn = self.delta.len() + self.tombstones.len();
-        if churn as f64 > REBUILD_FRACTION * self.live.len().max(1) as f64 {
+        let churn = self.delta.len() + self.tombstones;
+        if churn as f64 > REBUILD_FRACTION * self.len().max(1) as f64 {
             self.rebuild();
         }
     }
 
-    /// Copies the live set for a rebuild; `None` when there is no live point
-    /// to build over.
+    /// The base's live rows in its packed order, each with its id.
+    pub fn base_rows(&self) -> impl Iterator<Item = (u32, &[f32])> {
+        let base = &self.base;
+        let rows = base.point_ids.iter().map(|&pos| pos as usize).zip(base.points.iter());
+        rows.filter(|&(pos, _)| !self.removed[pos]).map(|(pos, p)| (self.base_ids[pos], p))
+    }
+
+    /// Copies the live set for a rebuild — the base's live rows in id order,
+    /// then the delta — or `None` when there is no live point to build over.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        (!self.live.is_empty()).then(|| Snapshot {
-            points: self.live.clone(),
-            ids: self.live_ids.clone(),
+        // Base position → packed row: the inverse of the base's `point_ids`.
+        let mut row_at = vec![0; self.base_ids.len()];
+        for (row, &pos) in self.base.point_ids.iter().enumerate() {
+            row_at[pos as usize] = row as u32;
+        }
+        let live = |pos: &usize| !self.removed[*pos];
+        let rows: Vec<u32> = (0..row_at.len()).filter(live).map(|pos| row_at[pos]).collect();
+        let mut points = self.base.points.gather(&rows);
+        self.delta.iter().for_each(|p| points.push(p));
+        let ids = (0..row_at.len()).filter(live).map(|pos| self.base_ids[pos]);
+        (!points.is_empty()).then(|| Snapshot {
+            points,
+            ids: ids.chain(self.delta_ids.iter().copied()).collect(),
             degree: self.degree,
             method: self.method.clone(),
             tree: self.tree,
@@ -247,18 +286,16 @@ impl DynamicSsTree {
     /// unless the live set has changed since the snapshot it was built from
     /// (or the snapshot was not this tree's), in which case nothing changes
     /// and the caller snapshots again.
-    ///
-    /// External ids are preserved through the rebuild: the internal tree ids
-    /// are remapped back to external ids on every query.
     pub fn install(&mut self, rebuilt: Rebuilt) -> Result<(), Stale> {
         if (rebuilt.tree, rebuilt.stamp) != (self.tree, self.stamp) {
             return Err(Stale);
         }
         self.base = rebuilt.base;
-        self.base_snapshot_ids = rebuilt.ids;
+        self.removed = vec![false; rebuilt.ids.len()];
+        self.tombstones = 0;
+        self.base_ids = rebuilt.ids;
         self.delta = PointSet::new(self.base.dims);
         self.delta_ids.clear();
-        self.tombstones.clear();
         Ok(())
     }
 
@@ -272,32 +309,36 @@ impl DynamicSsTree {
         }
     }
 
-    /// Internal result id → external id. Base results carry positions into the
-    /// dataset the base was last built from; the snapshot mapping taken at
-    /// rebuild time translates them to stable external ids.
-    fn external_id(&self, base_result_id: u32) -> u32 {
-        self.base_snapshot_ids[base_result_id as usize]
+    /// The tail both searches share, over hits that carry base and delta
+    /// positions: drops removed base positions, maps the rest to ids and
+    /// keeps the first `k` in `(dist, id)` order.
+    fn merge(
+        &self,
+        base: Vec<Neighbor>,
+        delta: impl IntoIterator<Item = Neighbor>,
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let base = base.into_iter().filter(|n| !self.removed[n.id as usize]);
+        let mut merged: Vec<Neighbor> = base
+            .map(|n| Neighbor { id: self.base_ids[n.id as usize], ..n })
+            .chain(delta.into_iter().map(|n| Neighbor { id: self.delta_ids[n.id as usize], ..n }))
+            .collect();
+        merged.sort_by(Neighbor::by_rank);
+        merged.truncate(k);
+        merged
     }
 
     /// Exact kNN on the CPU: query the base over-fetched by the tombstone
     /// count, filter, merge with an exact scan of the delta buffer.
     pub fn knn(&self, q: &[f32], k: usize) -> Vec<Neighbor> {
         assert!(k >= 1);
-        if self.live.is_empty() {
+        if self.is_empty() {
             return Vec::new();
         }
-        let over = k + self.tombstones.len();
-        let mut merged: Vec<Neighbor> = psb_sstree::knn_best_first(&self.base, q, over)
-            .into_iter()
-            .map(|n| Neighbor { dist: n.dist, id: self.external_id(n.id) })
-            .filter(|n| !self.tombstones.contains(&n.id))
-            .collect();
-        for (pos, p) in self.delta.iter().enumerate() {
-            merged.push(Neighbor { dist: dist(q, p), id: self.delta_ids[pos] });
-        }
-        merged.sort_by(Neighbor::by_rank);
-        merged.truncate(k.min(self.live.len()));
-        merged
+        let base_hits = psb_sstree::knn_best_first(&self.base, q, k + self.tombstones);
+        let delta = self.delta.iter().enumerate();
+        let delta = delta.map(|(pos, p)| Neighbor { dist: dist(q, p), id: pos as u32 });
+        self.merge(base_hits, delta, k)
     }
 
     /// Exact kNN on the simulated GPU: PSB over the base plus a streamed scan
@@ -310,31 +351,20 @@ impl DynamicSsTree {
         opts: &KernelOptions,
     ) -> (Vec<Neighbor>, KernelStats) {
         assert!(k >= 1);
-        if self.live.is_empty() {
+        if self.is_empty() {
             return (Vec::new(), KernelStats::default());
         }
-        let over = k + self.tombstones.len();
-        let (base_hits, mut stats) = psb_query(&self.base, q, over, cfg, opts);
-        let mut merged: Vec<Neighbor> = base_hits
-            .into_iter()
-            .map(|n| Neighbor { dist: n.dist, id: self.external_id(n.id) })
-            .filter(|n| !self.tombstones.contains(&n.id))
-            .collect();
+        let (base_hits, mut stats) = psb_query(&self.base, q, k + self.tombstones, cfg, opts);
+        let mut delta_hits = Vec::new();
         if !self.delta.is_empty() {
             // The clamped scan every kNN kernel degrades to: at any dims the
             // delta's tile fits, and a row's id is its delta position.
-            let (delta_hits, delta_stats) = Kernel::Psb { k }.scan(&self.delta, None, q, cfg, opts);
+            let delta_stats;
+            (delta_hits, delta_stats) = Kernel::Psb { k }.scan(&self.delta, None, q, cfg, opts);
             stats.merge(&delta_stats);
             stats.blocks = 1; // one logical query
-            merged.extend(
-                delta_hits
-                    .into_iter()
-                    .map(|n| Neighbor { dist: n.dist, id: self.delta_ids[n.id as usize] }),
-            );
         }
-        merged.sort_by(Neighbor::by_rank);
-        merged.truncate(k.min(self.live.len()));
-        (merged, stats)
+        (self.merge(base_hits, delta_hits, k), stats)
     }
 }
 
@@ -349,12 +379,13 @@ mod tests {
             .generate()
     }
 
-    /// Reference: linear scan over the live set with external ids.
+    /// Reference: linear scan over the live set the tree would rebuild from.
     fn oracle(t: &DynamicSsTree, q: &[f32], k: usize) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = t
-            .live
+        let Some(live) = t.snapshot() else { return Vec::new() };
+        let mut v: Vec<Neighbor> = live
+            .points
             .iter()
-            .zip(&t.live_ids)
+            .zip(&live.ids)
             .map(|(p, &id)| Neighbor { dist: dist(q, p), id })
             .collect();
         v.sort_by(Neighbor::by_rank);
@@ -412,10 +443,17 @@ mod tests {
             for dim in 0..3 {
                 let mut p = probe;
                 p[dim] = bad;
-                assert_eq!(t.try_insert(&p), Err(NonFinite { dim }), "{bad} in dimension {dim}");
+                assert_eq!(
+                    t.try_insert(&p),
+                    Err(InsertError::NonFinite { dim }),
+                    "{bad} in dimension {dim}"
+                );
             }
         }
-        assert_eq!(t.try_insert(&[f32::NAN, 0.5, f32::INFINITY]), Err(NonFinite { dim: 0 }));
+        assert_eq!(
+            t.try_insert(&[f32::NAN, 0.5, f32::INFINITY]),
+            Err(InsertError::NonFinite { dim: 0 })
+        );
         assert!(
             before == (t.len(), t.pending(), t.stamp, t.knn(&probe, 5)),
             "a refusal left a mark"
@@ -514,7 +552,7 @@ mod tests {
         assert!(!steps.remove(17));
         assert_eq!(steps.install(rebuilt), Ok(()));
         assert_eq!(steps.pending(), 0);
-        assert!(steps.tombstones.is_empty());
+        assert_eq!(steps.tombstones, 0);
         assert!(base_image(&steps, "steps") == base_image(&whole, "whole"), "base images differ");
         assert_eq!(steps.knn(&PROBE, 9), whole.knn(&PROBE, 9));
         assert_matches(&steps, &PROBE, 9);
@@ -534,11 +572,9 @@ mod tests {
             let mut t = churned();
             let rebuilt = t.snapshot().expect("live points").build();
             mutate(&mut t);
-            let before =
-                (base_image(&t, "before"), t.pending(), t.tombstones.clone(), t.knn(&PROBE, 9));
+            let before = (base_image(&t, "before"), t.pending(), t.tombstones, t.knn(&PROBE, 9));
             assert_eq!(t.install(rebuilt), Err(Stale), "{what}");
-            let after =
-                (base_image(&t, "after"), t.pending(), t.tombstones.clone(), t.knn(&PROBE, 9));
+            let after = (base_image(&t, "after"), t.pending(), t.tombstones, t.knn(&PROBE, 9));
             assert!(before == after, "{what}: a refused install changed the tree");
             assert_matches(&t, &PROBE, 9);
             t.rebuild();
@@ -578,5 +614,121 @@ mod tests {
             t.knn(&[0.0, 0.0], 3),
             vec![Neighbor { dist: dist(&[0.0, 0.0], &[2.0, 2.0]), id }]
         );
+    }
+
+    #[test]
+    fn a_wrong_length_point_is_a_typed_error_and_changes_nothing() {
+        let mut t = churned();
+        let state = |t: &DynamicSsTree| (t.len(), t.pending(), t.stamp, t.knn(&PROBE, 9));
+        let before = state(&t);
+        for p in [&[][..], &[1.0], &[1.0, 2.0], &[1.0, 2.0, 3.0, 4.0], &[f32::NAN; 2]] {
+            let want = InsertError::Dims { expected: 3, got: p.len() };
+            assert_eq!(t.try_insert(p), Err(want));
+            assert_eq!(t.try_insert_as(p, u32::MAX), Err(want));
+        }
+        assert!(before == state(&t), "a refusal left a mark");
+        assert_eq!(t.try_insert(&PROBE), Ok(1040), "and used up no id");
+    }
+
+    #[test]
+    #[should_panic(expected = "2 coordinates, the index 3")]
+    fn insert_panics_at_the_door_on_a_wrong_length_point() {
+        DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert).insert(&[0.5, 0.5]);
+    }
+
+    /// Churns a tree through ten times its live count in inserts and removes,
+    /// across many rebuilds, checking the id lists and the snapshot against a
+    /// mirror after every step.
+    #[test]
+    fn the_state_is_sized_by_live_points() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let initial =
+            ClusteredSpec { clusters: 3, points_per_cluster: 100, dims: 3, sigma: 50.0, seed: 153 }
+                .generate();
+        let mut t = DynamicSsTree::new(&initial, 8, BuildMethod::Hilbert);
+        let mut mirror: BTreeMap<u32, Vec<f32>> =
+            initial.iter().enumerate().map(|(i, p)| (i as u32, p.to_vec())).collect();
+        let mut rng = StdRng::seed_from_u64(154);
+        let mut rebuilds = 0;
+        for step in 0..10 * initial.len() {
+            let churn_before = t.pending() + t.tombstones;
+            if rng.gen_bool(0.5) {
+                let p: Vec<f32> = (0..3).map(|_| rng.gen_range(-500.0f32..500.0)).collect();
+                mirror.insert(t.insert(&p), p);
+            } else if rng.gen_bool(0.9) && !mirror.is_empty() {
+                let id = *mirror.keys().nth(rng.gen_range(0..mirror.len())).expect("live id");
+                assert!(t.remove(id), "step {step}: live id {id}");
+                mirror.remove(&id);
+            } else {
+                let id = rng.gen_range(0..t.last_id.map_or(0, |last| last + 10));
+                assert_eq!(t.remove(id), mirror.remove(&id).is_some(), "step {step}: id {id}");
+            }
+            if churn_before > 0 && t.pending() + t.tombstones == 0 {
+                rebuilds += 1;
+            }
+            let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+            assert!(ascending(&t.base_ids) && ascending(&t.delta_ids), "step {step}");
+            assert!(t.delta_ids.first() > t.base_ids.last() || t.delta_ids.is_empty());
+            assert_eq!(t.removed.len(), t.base_ids.len());
+            assert_eq!(t.removed.iter().filter(|&&r| r).count(), t.tombstones);
+            let listed: Vec<u32> = t
+                .base_ids
+                .iter()
+                .zip(&t.removed)
+                .filter(|(_, &removed)| !removed)
+                .map(|(&id, _)| id)
+                .chain(t.delta_ids.iter().copied())
+                .collect();
+            assert!(listed.iter().eq(mirror.keys()), "step {step}: the lists are not the live ids");
+            assert_eq!(t.len(), mirror.len());
+            // Nothing beyond the live set and the churn a rebuild is due at.
+            assert!(t.pending() + t.tombstones <= t.len() / 5 + 1, "step {step}");
+            let live = t.snapshot().expect("live points");
+            assert!(live.ids.iter().eq(mirror.keys()), "step {step}: snapshot out of id order");
+            assert!(live.points.iter().zip(mirror.values()).all(|(a, b)| a == &b[..]));
+            if step % 100 == 0 {
+                assert_matches(&t, &PROBE, 7);
+            }
+        }
+        assert!(rebuilds >= 5, "only {rebuilds} rebuilds");
+    }
+
+    #[test]
+    fn with_ids_answers_like_new_relabelled() {
+        let ps = dataset();
+        let ids: Vec<u32> = (0..ps.len() as u32).map(|i| 3 * i + 5).collect();
+        let plain = DynamicSsTree::new(&ps, 16, BuildMethod::Hilbert);
+        let labelled = DynamicSsTree::with_ids(&ps, ids.clone(), 16, BuildMethod::Hilbert);
+        let relabel = |v: Vec<Neighbor>| -> Vec<Neighbor> {
+            v.into_iter().map(|n| Neighbor { id: ids[n.id as usize], ..n }).collect()
+        };
+        let (cfg, opts) = (DeviceConfig::k40(), KernelOptions::default());
+        for q in sample_queries(&ps, 8, 0.01, 155).iter() {
+            assert_eq!(labelled.knn(q, 9), relabel(plain.knn(q, 9)));
+            let (want, want_stats) = plain.knn_gpu(q, 9, &cfg, &opts);
+            let (got, got_stats) = labelled.knn_gpu(q, 9, &cfg, &opts);
+            assert_eq!(got, relabel(want));
+            assert_eq!(format!("{got_stats:?}"), format!("{want_stats:?}"));
+        }
+        let mut labelled = labelled;
+        assert_eq!(labelled.insert(&PROBE), 3 * 999 + 6, "one above the last id");
+    }
+
+    #[test]
+    #[should_panic(expected = "ids must be strictly ascending")]
+    fn a_non_ascending_id_list_panics() {
+        let ps = dataset();
+        let mut ids: Vec<u32> = (0..ps.len() as u32).collect();
+        ids.swap(10, 11);
+        DynamicSsTree::with_ids(&ps, ids, 16, BuildMethod::Hilbert);
+    }
+
+    #[test]
+    #[should_panic(expected = "ids must be strictly ascending")]
+    fn an_insert_id_at_or_below_the_last_panics() {
+        let mut t = churned();
+        let last = t.delta_ids.last().copied().expect("a pending insert");
+        t.try_insert_as(&PROBE, last).ok();
     }
 }

@@ -15,9 +15,9 @@
 //! resident answer, a shard rebuild leaves them alone (it indexes the same
 //! set), and only a remove drops them.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use psb_core::dynamic::{NonFinite, Rebuilt, Snapshot};
+use psb_core::dynamic::{InsertError, Rebuilt, Snapshot};
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::DynamicSsTree;
 use psb_geom::{dist, PointSet, RitterMode, Sphere};
@@ -26,18 +26,6 @@ use psb_sstree::{BuildMethod, Neighbor};
 
 use crate::admission::{CacheKey, QueryCache};
 use crate::plan::{Visit, VisitPlan};
-
-/// Entry of an id table whose id is not alive.
-const DEAD: u32 = u32::MAX;
-
-/// One shard's mutable state: the tree plus the local→global id mapping.
-struct ShardCell {
-    tree: DynamicSsTree,
-    /// Tree-external id → router-global id, [`DEAD`] once removed. The tree
-    /// numbers its points upward from 0 and never reuses an id, so the table
-    /// is dense and an insert appends to it.
-    to_global: Vec<u32>,
-}
 
 /// The shard directory entry: everything the router needs to order and prune
 /// shards without touching the shard's tree lock.
@@ -70,13 +58,13 @@ struct ShardLabels {
 ///
 /// All answers are exact over the live point set. Ids are router-global:
 /// initial points keep their dataset positions `0..n`, inserts allocate fresh
-/// ids upward.
+/// ids upward. Each shard's tree holds its points under these ids, so no id
+/// is translated anywhere.
 pub struct DynamicShardRouter {
-    cells: Vec<RwLock<ShardCell>>,
+    trees: Vec<RwLock<DynamicSsTree>>,
     metas: Vec<Mutex<ShardMeta>>,
-    /// Global id → (shard, tree-external id), `(DEAD, DEAD)` once removed.
-    /// One entry per id ever issued, so the next global id is its length.
-    owners: Mutex<Vec<(u32, u32)>>,
+    /// The id the next insert gets.
+    next_id: u32,
     dims: usize,
     cache: Mutex<ResultCache>,
     /// Telemetry sink (detached by default): rebuild durations, per-query
@@ -90,30 +78,35 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl DynamicShardRouter {
     /// Partitions `points` into `shards` shards and builds one
     /// [`DynamicSsTree`] (degree `degree`, Hilbert-packed) per shard.
     pub fn build(points: &PointSet, shards: usize, policy: &ShardPolicy, degree: usize) -> Self {
         let plan = partition(points, shards, policy);
-        let mut cells = Vec::with_capacity(shards);
+        let mut trees = Vec::with_capacity(shards);
         let mut metas = Vec::with_capacity(shards);
-        let mut owners = vec![(DEAD, DEAD); points.len()];
-        for (s, ids) in plan.assignments.into_iter().enumerate() {
-            let local = points.gather(&ids);
-            let tree = DynamicSsTree::new(&local, degree, BuildMethod::Hilbert);
-            // DynamicSsTree numbers its initial points 0..len in input order,
-            // which is exactly the gather order.
-            for (li, &g) in ids.iter().enumerate() {
-                owners[g as usize] = (s as u32, li as u32);
-            }
+        for mut ids in plan.assignments {
+            // Ritter's sphere depends on the order it sees the points in: the
+            // partition's. The tree takes its ids ascending.
             let sphere = shard_sphere(points, &ids, RitterMode::Parallel);
             metas.push(Mutex::new(ShardMeta { sphere, len: ids.len() }));
-            cells.push(RwLock::new(ShardCell { tree, to_global: ids }));
+            ids.sort_unstable();
+            let local = points.gather(&ids);
+            let tree = DynamicSsTree::with_ids(&local, ids, degree, BuildMethod::Hilbert);
+            trees.push(RwLock::new(tree));
         }
         Self {
-            cells,
+            trees,
             metas,
-            owners: Mutex::new(owners),
+            next_id: points.len() as u32,
             dims: points.dims(),
             cache: Mutex::new(ResultCache { results: QueryCache::insertion_order(0), version: 0 }),
             metrics: MetricsHandle::noop(),
@@ -150,7 +143,7 @@ impl DynamicShardRouter {
     /// per-shard visit/prune counters.
     pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
         let label = |name: &str| {
-            (0..self.cells.len()).map(|s| format!("serve.{name}{{shard=\"{s}\"}}")).collect()
+            (0..self.trees.len()).map(|s| format!("serve.{name}{{shard=\"{s}\"}}")).collect()
         };
         self.labels = ShardLabels {
             visits: label("dyn_shard_visits"),
@@ -162,7 +155,7 @@ impl DynamicShardRouter {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.cells.len()
+        self.trees.len()
     }
 
     /// Live points in shard `s` (directory view; no tree lock taken).
@@ -191,28 +184,20 @@ impl DynamicShardRouter {
         }
     }
 
-    /// [`Self::insert`] for points from outside the program: a NaN or
-    /// infinite coordinate is a typed error, and the router — trees,
-    /// directory, version and cache — is left as it was (the shard tree's
-    /// own `try_insert` is the first thing here that would change anything,
-    /// and it is what refuses).
-    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, NonFinite> {
-        assert_eq!(p.len(), self.dims, "dimensionality mismatch");
+    /// [`Self::insert`] for points from outside the program: a point of the
+    /// wrong length or with a NaN or infinite coordinate is a typed error,
+    /// and the router — trees, directory, version and cache — is left as it
+    /// was.
+    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, InsertError> {
+        InsertError::check(p, self.dims)?;
         let target = (0..self.metas.len())
             .map(|s| (dist(p, &lock(&self.metas[s]).sphere.center), s))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .map(|(_, s)| s)
             .unwrap_or(0);
-        let g = {
-            let mut cell = self.cells[target].write().unwrap_or_else(PoisonError::into_inner);
-            let local = cell.tree.try_insert(p)?;
-            debug_assert_eq!(local as usize, cell.to_global.len(), "tree ids are dense");
-            let mut owners = lock(&self.owners);
-            let g = owners.len() as u32;
-            owners.push((target as u32, local));
-            cell.to_global.push(g);
-            g
-        };
+        let g = self.next_id;
+        write(&self.trees[target]).try_insert_as(p, g)?;
+        self.next_id += 1;
         {
             let mut meta = lock(&self.metas[target]);
             meta.len += 1;
@@ -233,22 +218,18 @@ impl DynamicShardRouter {
         Ok(g)
     }
 
-    /// Removes a point by global id; returns whether it was alive. The shard
-    /// sphere is left as-is (still enclosing, just conservative). Drops every
-    /// cached answer: the point that moves up into an answer's k-th place is
-    /// not in the entry.
+    /// Removes a point by global id; returns whether it was alive. The
+    /// owning shard is found by asking each shard's tree under its read lock;
+    /// only that shard is write-locked. The shard sphere is left as-is (still
+    /// enclosing, just conservative). Drops every cached answer: the point
+    /// that moves up into an answer's k-th place is not in the entry.
     pub fn remove(&mut self, id: u32) -> bool {
-        let (s, local) = match lock(&self.owners).get_mut(id as usize) {
-            Some(owner) if *owner != (DEAD, DEAD) => std::mem::replace(owner, (DEAD, DEAD)),
-            _ => return false,
+        let Some(s) = self.trees.iter().position(|tree| read(tree).contains(id)) else {
+            return false;
         };
-        let removed = {
-            let mut cell = self.cells[s as usize].write().unwrap_or_else(PoisonError::into_inner);
-            cell.to_global[local as usize] = DEAD;
-            cell.tree.remove(local)
-        };
+        let removed = write(&self.trees[s]).remove(id);
         if removed {
-            lock(&self.metas[s as usize]).len -= 1;
+            lock(&self.metas[s]).len -= 1;
             let flushed = {
                 let mut cache = lock(&self.cache);
                 cache.version += 1;
@@ -278,7 +259,7 @@ impl DynamicShardRouter {
     /// `serve.rebuilds_in_place` counts the fallback.
     pub fn rebuild_shard(&self, s: usize) {
         let started = self.clock();
-        let snapshot = self.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.snapshot();
+        let snapshot = read(&self.trees[s]).snapshot();
         let (swap_started, in_place) = self.swap_in(s, snapshot.map(Snapshot::build));
         let swap_us = swap_started.map(|t0| t0.elapsed().as_secs_f64() * 1e6);
         if let (Some(t0), Some(swap_us)) = (started, swap_us) {
@@ -301,11 +282,11 @@ impl DynamicShardRouter {
     /// stale. Returns when the write lock was acquired (it is released on
     /// return) and whether the fallback ran.
     fn swap_in(&self, s: usize, rebuilt: Option<Rebuilt>) -> (Option<std::time::Instant>, bool) {
-        let mut cell = self.cells[s].write().unwrap_or_else(PoisonError::into_inner);
+        let mut tree = write(&self.trees[s]);
         let acquired = self.clock();
-        let in_place = rebuilt.is_some_and(|rebuilt| cell.tree.install(rebuilt).is_err());
+        let in_place = rebuilt.is_some_and(|rebuilt| tree.install(rebuilt).is_err());
         if in_place {
-            cell.tree.rebuild();
+            tree.rebuild();
         }
         (acquired, in_place)
     }
@@ -358,12 +339,7 @@ impl DynamicShardRouter {
             if started.is_some() {
                 m.counter(&self.labels.visits[s], 1);
             }
-            let cell = self.cells[s].read().unwrap_or_else(PoisonError::into_inner);
-            for n in cell.tree.knn(q, k) {
-                let g = cell.to_global[n.id as usize];
-                debug_assert_ne!(g, DEAD, "shard result id without a global mapping");
-                best.push(Neighbor { dist: n.dist, id: g });
-            }
+            best.extend(read(&self.trees[s]).knn(q, k));
             best.sort_by(Neighbor::by_rank);
             best.truncate(k);
         }
@@ -445,13 +421,9 @@ mod tests {
         let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
         let mut mirror: Vec<(u32, Vec<f32>)> =
             (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
-        let built_aside = |r: &DynamicShardRouter, s: usize| {
-            let cell = r.cells[s].read().unwrap_or_else(PoisonError::into_inner);
-            cell.tree.snapshot().map(Snapshot::build)
-        };
-        let pending = |r: &DynamicShardRouter, s: usize| {
-            r.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.pending()
-        };
+        let built_aside =
+            |r: &DynamicShardRouter, s: usize| read(&r.trees[s]).snapshot().map(Snapshot::build);
+        let pending = |r: &DynamicShardRouter, s: usize| read(&r.trees[s]).pending();
         // What `rebuild_shard` cannot meet while `insert` is `&mut self`: both
         // shards change between their snapshot and the swap.
         let stale = [built_aside(&r, 0), built_aside(&r, 1)];
@@ -548,17 +520,19 @@ mod tests {
         let answer = r.knn(&q, 5);
         let state = |r: &DynamicShardRouter| {
             let spheres: Vec<Sphere> = r.metas.iter().map(|m| lock(m).sphere.clone()).collect();
-            let pending: Vec<usize> = (0..r.num_shards())
-                .map(|s| r.cells[s].read().unwrap_or_else(PoisonError::into_inner).tree.pending())
-                .collect();
-            (r.len(), r.version(), r.cache_stats(), spheres, pending, lock(&r.owners).len())
+            let pending: Vec<usize> = r.trees.iter().map(|t| read(t).pending()).collect();
+            (r.len(), r.version(), r.cache_stats(), spheres, pending)
         };
         let before = state(&r);
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             for dim in 0..3 {
                 let mut p = q.clone();
                 p[dim] = bad;
-                assert_eq!(r.try_insert(&p), Err(NonFinite { dim }), "{bad} in dimension {dim}");
+                assert_eq!(
+                    r.try_insert(&p),
+                    Err(InsertError::NonFinite { dim }),
+                    "{bad} in dimension {dim}"
+                );
             }
         }
         assert!(before == state(&r), "a refused insert left a mark");
@@ -569,6 +543,160 @@ mod tests {
         assert_eq!(r.knn(&q, 5), answer);
         assert_eq!(r.cache_stats().0, 1, "and the cached answer is still there");
         assert_eq!(r.try_insert(&q), Ok(300));
+    }
+
+    #[test]
+    fn a_wrong_length_point_is_a_typed_error_and_changes_nothing() {
+        let ps = UniformSpec { len: 300, dims: 3, seed: 73 }.generate();
+        let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+        r.attach_cache(8);
+        let q = ps.point(7).to_vec();
+        let answer = r.knn(&q, 5);
+        let state = |r: &DynamicShardRouter| {
+            let spheres: Vec<Sphere> = r.metas.iter().map(|m| lock(m).sphere.clone()).collect();
+            let pending: Vec<usize> = r.trees.iter().map(|t| read(t).pending()).collect();
+            (r.len(), r.version(), r.cache_stats(), spheres, pending)
+        };
+        let before = state(&r);
+        for p in [&[][..], &[0.5], &[0.5, 0.5], &[0.5; 4], &[f32::NAN; 7]] {
+            let want = InsertError::Dims { expected: 3, got: p.len() };
+            assert_eq!(r.try_insert(p), Err(want), "{} coordinates", p.len());
+        }
+        assert!(before == state(&r), "a refused insert left a mark");
+        assert_eq!(r.knn(&q, 5), answer);
+        assert_eq!(r.try_insert(&q), Ok(300), "and used up no id");
+    }
+
+    #[test]
+    #[should_panic(expected = "the inserted point has 2 coordinates, the index 3")]
+    fn insert_panics_at_the_door_on_a_wrong_length_point() {
+        let ps = UniformSpec { len: 100, dims: 3, seed: 74 }.generate();
+        let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+        r.insert(&[0.5, 0.5]);
+    }
+
+    /// The ids alive in shard `s`, ascending.
+    fn shard_ids(r: &DynamicShardRouter, s: usize) -> Vec<u32> {
+        (0..r.next_id).filter(|&id| read(&r.trees[s]).contains(id)).collect()
+    }
+
+    /// What a shard's tree holds: pending count and base rows, bit for bit.
+    fn shard_state(r: &DynamicShardRouter, s: usize) -> (usize, Vec<(u32, Vec<u32>)>) {
+        let tree = read(&r.trees[s]);
+        let rows = tree.base_rows().map(|(id, p)| (id, p.iter().map(|x| x.to_bits()).collect()));
+        (tree.pending(), rows.collect())
+    }
+
+    #[test]
+    fn removes_find_their_shard_without_an_owner_table() {
+        let ps = UniformSpec { len: 300, dims: 3, seed: 81 }.generate();
+        let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+        r.attach_cache(16);
+        let mut mirror: Vec<(u32, Vec<f32>)> =
+            (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+        let extra = UniformSpec { len: 30, dims: 3, seed: 82 }.generate();
+        for p in extra.iter() {
+            mirror.push((r.insert(p), p.to_vec()));
+        }
+        let queries = UniformSpec { len: 12, dims: 3, seed: 83 }.generate();
+        let remove = |r: &mut DynamicShardRouter, mirror: &mut Vec<(u32, Vec<f32>)>, id| {
+            let before = (r.version(), r.cache_stats(), r.len());
+            let alive = mirror.iter().any(|(i, _)| *i == id);
+            assert_eq!(r.remove(id), alive, "id {id}");
+            if alive {
+                mirror.retain(|(i, _)| *i != id);
+            } else {
+                assert_eq!((r.version(), r.cache_stats(), r.len()), before, "id {id} left a mark");
+            }
+            for q in queries.iter() {
+                assert_eq!(r.knn(q, 6), oracle(mirror, q, 6), "after removing {id}");
+            }
+        };
+        // Never issued, then a base point removed, then removed again.
+        for id in [330, 331, u32::MAX, 5, 5, 5] {
+            remove(&mut r, &mut mirror, id);
+        }
+        // The newest delta point of a shard: that shard loses it, no other
+        // shard is touched.
+        let newest = (0..r.num_shards())
+            .filter_map(|s| shard_ids(&r, s).last().map(|&id| (id, s)))
+            .max()
+            .expect("a shard with points");
+        assert!(newest.0 >= 300, "the newest id is an insert");
+        let others = |r: &DynamicShardRouter| {
+            (0..r.num_shards())
+                .filter(|&s| s != newest.1)
+                .map(|s| shard_state(r, s))
+                .collect::<Vec<_>>()
+        };
+        let untouched = others(&r);
+        remove(&mut r, &mut mirror, newest.0);
+        assert!(others(&r) == untouched, "a remove touched another shard");
+        remove(&mut r, &mut mirror, newest.0);
+        // The last id of every shard, base or delta, and then again.
+        for s in 0..r.num_shards() {
+            let last = *shard_ids(&r, s).last().expect("live points");
+            remove(&mut r, &mut mirror, last);
+            assert!(!shard_ids(&r, s).contains(&last));
+            remove(&mut r, &mut mirror, last);
+        }
+        assert_eq!(r.len(), mirror.len());
+    }
+
+    /// Each shard tree is the tree a build over the shard in the partition's
+    /// order makes, row for row, with the same global id answering each row;
+    /// and the directory's spheres are Ritter's over that order.
+    #[test]
+    fn shard_trees_and_spheres_match_a_build_in_partition_order() {
+        use psb_sstree::build;
+        let ps = psb_data::ClusteredSpec {
+            clusters: 6,
+            points_per_cluster: 400,
+            dims: 4,
+            sigma: 60.0,
+            seed: 91,
+        }
+        .generate();
+        let extra = UniformSpec { len: 90, dims: 4, seed: 92 }.generate();
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for policy in [ShardPolicy::HilbertRange, ShardPolicy::KMeans { seed: 93 }] {
+            let plan = partition(&ps, 4, &policy);
+            let mut r = DynamicShardRouter::build(&ps, 4, &policy, 8);
+            // The shard's points as a build saw them before ids were sorted:
+            // the partition's order, then the inserts in arrival order.
+            let mut members: Vec<(PointSet, Vec<u32>)> =
+                plan.assignments.iter().map(|ids| (ps.gather(ids), ids.clone())).collect();
+            let check = |r: &DynamicShardRouter, members: &[(PointSet, Vec<u32>)], when: &str| {
+                for (s, (points, ids)) in members.iter().enumerate() {
+                    let want = build(points, 8, &BuildMethod::Hilbert);
+                    let want: Vec<(u32, Vec<u32>)> = want
+                        .point_ids
+                        .iter()
+                        .zip(want.points.iter())
+                        .map(|(&pos, p)| (ids[pos as usize], bits(p)))
+                        .collect();
+                    assert!(shard_state(r, s) == (0, want), "{policy:?} shard {s} {when}");
+                }
+            };
+            check(&r, &members, "after construction");
+            for (s, ids) in plan.assignments.iter().enumerate() {
+                let sphere = shard_sphere(&ps, ids, RitterMode::Parallel);
+                let got = lock(&r.metas[s]).sphere.clone();
+                assert_eq!(bits(&got.center), bits(&sphere.center), "{policy:?} shard {s}");
+                assert_eq!(got.radius.to_bits(), sphere.radius.to_bits(), "{policy:?} shard {s}");
+            }
+            for p in extra.iter() {
+                let id = r.insert(p);
+                let s =
+                    (0..r.num_shards()).find(|&s| read(&r.trees[s]).contains(id)).expect("owner");
+                members[s].0.push(p);
+                members[s].1.push(id);
+            }
+            for s in 0..r.num_shards() {
+                r.rebuild_shard(s);
+            }
+            check(&r, &members, "after rebuild_shard");
+        }
     }
 
     #[test]
@@ -613,7 +741,7 @@ mod tests {
         let holder = {
             let r = Arc::clone(&r);
             std::thread::spawn(move || {
-                let _guard = r.cells[locked].write().unwrap_or_else(PoisonError::into_inner);
+                let _guard = write(&r.trees[locked]);
                 held_tx.send(()).ok();
                 // Hold until released (or a generous timeout backstop).
                 release_rx.recv_timeout(Duration::from_secs(30)).ok();
