@@ -77,7 +77,9 @@ run_wave() { cargo test -p psb --test wave_parity -q; }
 # different compares and branches when optimised. So do the PSB sweep memo's
 # parity tests: the memo's resume point and the collector's k-th-MAXDIST
 # select skip are host-only work removed from the node step, and release,
-# where the benchmark runs them, is where they must prove they move nothing. The
+# where the benchmark runs them, is where they must prove they move nothing. So
+# do the mutable index's tests: its timed query is the unmetered PSB launch,
+# and the tombstone rule sits in the same gate. The
 # probe for what metering costs the host is the repo benchmark's traced
 # `gpu.metering_overhead_frac` (1 - `kernels.psb_us_per_query` /
 # `kernels.psb_metered_us_per_query`): an untraced metered launch should pay
@@ -89,6 +91,7 @@ run_fastpath() {
     cargo test --release -p psb --test kernel_fingerprint -q
     cargo test --release -p psb-core -q collector
     cargo test --release -p psb-core -q kernels::psb
+    cargo test --release -p psb-core -q dynamic
 }
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's

@@ -1,7 +1,8 @@
 //! The layer costs of `DynamicShardRouter`'s write path and read path
 //! (DESIGN.md "Mutable shards"): what an insert pays to keep the cached
 //! answers right, what a hit and a miss cost, what an insert and a remove
-//! cost with the cache attached, and what a shard rebuild costs — at the repo
+//! cost with the cache attached, what one shard's tree answers a query in
+//! with a delta or tombstones behind it, and what a shard rebuild costs — at the repo
 //! benchmark's `ingest-clustered4` shape (4-d, k = 8, degree 16, a 256-entry
 //! cache, 10 500-point shards). The `cache` group times `QueryCache` alone,
 //! at the `serve-noaa4` stream's shape.
@@ -12,10 +13,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psb_core::shard::ShardPolicy;
+use psb_core::DynamicSsTree;
 use psb_data::{sample_queries, ClusteredSpec, SkewedQuerySpec};
 use psb_geom::PointSet;
 use psb_serve::{CacheKey, DynamicShardRouter, QueryCache};
-use psb_sstree::Neighbor;
+use psb_sstree::{BuildMethod, Neighbor};
 
 const K: usize = 8;
 const CACHE: usize = 256;
@@ -93,6 +95,29 @@ fn bench_dynamic(c: &mut Criterion) {
     g.bench_function("remove_x240", |b| {
         b.iter(|| doomed.by_ref().take(OPS).filter(|&id| router.remove(id)).count())
     });
+
+    // One shard's tree alone: the query each visited shard of
+    // `ingest-clustered4` runs, 240 `knn` at k = 8 on 10 000 4-d points at
+    // degree 16 — with an empty delta, with 240 and 960 pending inserts
+    // (under the 2 000 a rebuild fires at), and with 24 tombstones, which
+    // the k-best list turns away instead of growing k by them.
+    let ps = dataset(10_000, 4);
+    let queries = sample_queries(&ps, OPS, 0.01, 20);
+    let pending = sample_queries(&ps, 960, 0.002, 21);
+    let cases = [("pending0", 0, 0), ("pending240", 240, 0), ("pending960", 960, 0)];
+    for (case, inserts, removes) in cases.into_iter().chain([("tombstones24", 0, 24)]) {
+        let mut tree = DynamicSsTree::new(&ps, 16, BuildMethod::Hilbert);
+        pending.iter().take(inserts).for_each(|p| {
+            tree.insert(p);
+        });
+        for id in (0..ps.len() as u32).step_by(ps.len() / 24).take(removes) {
+            assert!(tree.remove(id));
+        }
+        assert_eq!((tree.pending(), tree.len()), (inserts, ps.len() + inserts - removes));
+        g.bench_function(BenchmarkId::new("tree_knn_x240", case), |b| {
+            b.iter(|| queries.iter().map(|q| tree.knn(q, K).len()).sum::<usize>())
+        });
+    }
 
     // One shard of `ingest-clustered4` after 500 inserts: snapshot, build
     // aside, swap.

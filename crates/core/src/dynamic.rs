@@ -5,10 +5,12 @@
 //! indexes in practice are rebuilt rather than mutated. [`DynamicSsTree`]
 //! packages that pattern: inserts land in a host-side **delta buffer** that
 //! queries scan exactly (brute force over the delta is cheap while it is
-//! small), deletions are **tombstones** filtered out of results, and when the
-//! delta or tombstone volume crosses a threshold the whole index is rebuilt
-//! bottom-up — which is fast precisely because of the paper's parallel
-//! construction.
+//! small), deletions are **tombstones** that PSB's k-best list turns away
+//! before admitting a row, and when the delta or tombstone volume crosses a
+//! threshold the whole index is rebuilt bottom-up — which is fast precisely
+//! because of the paper's parallel construction. Every query, timed or
+//! metered, is the same PSB launch over the base plus the same scan of the
+//! delta; only [`KernelOptions::metering`] tells them apart.
 //!
 //! Queries remain exact at every moment; the structure trades a bounded
 //! amount of per-query delta scanning for never paying top-down insertion.
@@ -21,13 +23,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use psb_geom::{dist, PointSet};
+use psb_geom::PointSet;
 use psb_gpu::{DeviceConfig, KernelStats};
 use psb_sstree::{build, BuildMethod, Neighbor, SsTree};
 
-use crate::kernels::psb::psb_query;
-use crate::kernels::Kernel;
-use crate::options::KernelOptions;
+use crate::kernels::{Kernel, Removed};
+use crate::options::{KernelOptions, Metering};
 
 /// Rebuild when `delta + tombstones > REBUILD_FRACTION × live points`.
 const REBUILD_FRACTION: f64 = 0.2;
@@ -309,40 +310,17 @@ impl DynamicSsTree {
         }
     }
 
-    /// The tail both searches share, over hits that carry base and delta
-    /// positions: drops removed base positions, maps the rest to ids and
-    /// keeps the first `k` in `(dist, id)` order.
-    fn merge(
-        &self,
-        base: Vec<Neighbor>,
-        delta: impl IntoIterator<Item = Neighbor>,
-        k: usize,
-    ) -> Vec<Neighbor> {
-        let base = base.into_iter().filter(|n| !self.removed[n.id as usize]);
-        let mut merged: Vec<Neighbor> = base
-            .map(|n| Neighbor { id: self.base_ids[n.id as usize], ..n })
-            .chain(delta.into_iter().map(|n| Neighbor { id: self.delta_ids[n.id as usize], ..n }))
-            .collect();
-        merged.sort_by(Neighbor::by_rank);
-        merged.truncate(k);
-        merged
-    }
-
-    /// Exact kNN on the CPU: query the base over-fetched by the tombstone
-    /// count, filter, merge with an exact scan of the delta buffer.
+    /// Exact kNN, unmetered: [`Self::knn_gpu`] under [`Metering::Off`], so
+    /// its answer is that one's bit for bit.
     pub fn knn(&self, q: &[f32], k: usize) -> Vec<Neighbor> {
-        assert!(k >= 1);
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let base_hits = psb_sstree::knn_best_first(&self.base, q, k + self.tombstones);
-        let delta = self.delta.iter().enumerate();
-        let delta = delta.map(|(pos, p)| Neighbor { dist: dist(q, p), id: pos as u32 });
-        self.merge(base_hits, delta, k)
+        let opts = KernelOptions { metering: Metering::Off, ..KernelOptions::default() };
+        self.knn_gpu(q, k, &DeviceConfig::k40(), &opts).0
     }
 
-    /// Exact kNN on the simulated GPU: PSB over the base plus a streamed scan
-    /// of the delta buffer in the same block, counters merged.
+    /// Exact kNN on the simulated GPU: PSB over the base, whose k-best list
+    /// turns tombstoned rows away before admitting them, plus a streamed scan
+    /// of the delta buffer in the same block, counters merged; the two lists
+    /// are merged in `(dist, id)` order.
     pub fn knn_gpu(
         &self,
         q: &[f32],
@@ -354,17 +332,26 @@ impl DynamicSsTree {
         if self.is_empty() {
             return (Vec::new(), KernelStats::default());
         }
-        let (base_hits, mut stats) = psb_query(&self.base, q, k + self.tombstones, cfg, opts);
+        let removed = Removed::new(&self.removed, self.tombstones);
+        let psb = Kernel::Psb { k };
+        let (base_hits, mut stats) = psb.trusted_excluding(&self.base, q, removed, cfg, opts);
         let mut delta_hits = Vec::new();
         if !self.delta.is_empty() {
             // The clamped scan every kNN kernel degrades to: at any dims the
             // delta's tile fits, and a row's id is its delta position.
             let delta_stats;
-            (delta_hits, delta_stats) = Kernel::Psb { k }.scan(&self.delta, None, q, cfg, opts);
+            (delta_hits, delta_stats) = psb.scan(&self.delta, None, q, cfg, opts);
             stats.merge(&delta_stats);
             stats.blocks = 1; // one logical query
         }
-        (self.merge(base_hits, delta_hits, k), stats)
+        let base =
+            base_hits.into_iter().map(|n| Neighbor { id: self.base_ids[n.id as usize], ..n });
+        let delta =
+            delta_hits.into_iter().map(|n| Neighbor { id: self.delta_ids[n.id as usize], ..n });
+        let mut merged: Vec<Neighbor> = base.chain(delta).collect();
+        merged.sort_by(Neighbor::by_rank);
+        merged.truncate(k);
+        (merged, stats)
     }
 }
 
@@ -372,6 +359,7 @@ impl DynamicSsTree {
 mod tests {
     use super::*;
     use psb_data::{sample_queries, ClusteredSpec};
+    use psb_geom::dist;
     use psb_sstree::linear_knn;
 
     fn dataset() -> PointSet {
@@ -393,19 +381,35 @@ mod tests {
         v
     }
 
+    /// Whether `got` is an exact answer given the oracle's `want`: in
+    /// `(dist, id)` order, the distance at every rank bit-equal to the
+    /// oracle's, and every id a live point at exactly that distance — where
+    /// points tie at the k-th distance, a search may keep another of them
+    /// than the oracle's lowest ids.
+    fn exact_up_to_ties(t: &DynamicSsTree, got: &[Neighbor], want: &[Neighbor], q: &[f32]) -> bool {
+        let Some(live) = t.snapshot() else { return got.is_empty() && want.is_empty() };
+        let at_its_distance = |n: &Neighbor| {
+            let row = live.ids.binary_search(&n.id);
+            row.is_ok_and(|row| dist(q, live.points.point(row)).to_bits() == n.dist.to_bits())
+        };
+        got.len() == want.len()
+            && got.windows(2).all(|w| Neighbor::by_rank(&w[0], &w[1]).is_lt())
+            && got.iter().zip(want).all(|(g, w)| g.dist.to_bits() == w.dist.to_bits())
+            && got.iter().all(at_its_distance)
+    }
+
+    /// `(id, distance bits)` of each row: equality is bit-for-bit.
+    fn bits(found: &[Neighbor]) -> Vec<(u32, u32)> {
+        found.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    }
+
+    /// `knn` is exact, and the metered `knn_gpu` returns its very rows.
     fn assert_matches(t: &DynamicSsTree, q: &[f32], k: usize) {
         let want = oracle(t, q, k);
         let got = t.knn(q, k);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.dist - w.dist).abs() <= w.dist.max(1.0) * 1e-4);
-        }
-        let cfg = DeviceConfig::k40();
-        let (gpu, _) = t.knn_gpu(q, k, &cfg, &KernelOptions::default());
-        assert_eq!(gpu.len(), want.len());
-        for (g, w) in gpu.iter().zip(&want) {
-            assert!((g.dist - w.dist).abs() <= w.dist.max(1.0) * 1e-4);
-        }
+        assert!(exact_up_to_ties(t, &got, &want, q), "got {got:?}\nwant {want:?}");
+        let (gpu, _) = t.knn_gpu(q, k, &DeviceConfig::k40(), &KernelOptions::default());
+        assert_eq!(bits(&gpu), bits(&got), "metering moved a neighbour");
     }
 
     #[test]
@@ -416,9 +420,9 @@ mod tests {
         for qp in q.iter() {
             let want = linear_knn(&ps, qp, 8);
             let got = t.knn(qp, 8);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.dist - w.dist).abs() <= w.dist.max(1.0) * 1e-4);
-            }
+            let dists = |v: &[Neighbor]| v.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>();
+            assert_eq!(dists(&got), dists(&want));
+            assert_matches(&t, qp, 8);
         }
     }
 
@@ -730,5 +734,128 @@ mod tests {
         let mut t = churned();
         let last = t.delta_ids.last().copied().expect("a pending insert");
         t.try_insert_as(&PROBE, last).ok();
+    }
+
+    /// A query whose nearest points are all removed still gets exactly k
+    /// live rows: tombstones are turned away inside the k-best list, and the
+    /// k-th MAXDIST bound is taken at rank k + tombstones, since a subtree
+    /// whose every point is removed holds nothing within its MAXDIST. Held
+    /// on small degrees, where whole leaves go, for the tree's own query and
+    /// for each kNN kernel over the base with the same marks, both meterings.
+    #[test]
+    fn a_query_whose_nearest_points_are_all_removed_gets_k_live_rows() {
+        let ps = dataset();
+        let cfg = DeviceConfig::k40();
+        for degree in [4, 8, 64] {
+            for k in [1usize, 4, 9] {
+                for q in sample_queries(&ps, 4, 0.01, 156).iter() {
+                    let mut t = DynamicSsTree::new(&ps, degree, BuildMethod::Hilbert);
+                    for n in oracle(&t, q, 5 * k) {
+                        assert!(t.remove(n.id));
+                    }
+                    assert_eq!(t.tombstones, 5 * k, "no rebuild in between");
+                    let got = t.knn(q, k);
+                    assert_eq!(got.len(), k);
+                    assert_matches(&t, q, k);
+                    let want = oracle(&t, q, k);
+                    // With `new`, a base position is its id.
+                    let removed = Removed::new(&t.removed, t.tombstones);
+                    for kernel in [Kernel::Psb { k }, Kernel::Bnb { k }, Kernel::Restart { k }] {
+                        for metering in [Metering::Simulated, Metering::Off] {
+                            let opts = KernelOptions { metering, ..KernelOptions::default() };
+                            let (found, _) =
+                                kernel.trusted_excluding(&t.base, q, removed, &cfg, &opts);
+                            assert!(
+                                exact_up_to_ties(&t, &found, &want, q),
+                                "{kernel:?} {metering:?} degree {degree}: {found:?} {want:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `knn` is `knn_gpu` under `Metering::Off`, bit for bit, through
+    /// pending inserts, tombstones and rebuilds; and on a tree with nothing
+    /// marked and nothing pending, the metered query is PSB over the base,
+    /// counters and all.
+    #[test]
+    fn knn_is_knn_gpu_unmetered_bit_for_bit() {
+        let cfg = DeviceConfig::k40();
+        let off = KernelOptions { metering: Metering::Off, ..KernelOptions::default() };
+        let queries = sample_queries(&dataset(), 12, 0.01, 157);
+        let mut t = churned();
+        for round in 0..3 {
+            for q in queries.iter().chain([&PROBE[..]]) {
+                for k in [1, 7, 40] {
+                    let (unmetered, _) = t.knn_gpu(q, k, &cfg, &off);
+                    assert_eq!(bits(&t.knn(q, k)), bits(&unmetered), "round {round} k {k}");
+                    assert_matches(&t, q, k);
+                }
+            }
+            t.rebuild();
+            for id in (round * 50..round * 50 + 30).step_by(3) {
+                t.remove(id);
+            }
+        }
+        let fresh = DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert);
+        let opts = KernelOptions::default();
+        for q in queries.iter() {
+            let (got, stats) = fresh.knn_gpu(q, 8, &cfg, &opts);
+            let (want, want_stats) = crate::kernels::psb::psb_query(&fresh.base, q, 8, &cfg, &opts);
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(stats, want_stats);
+        }
+    }
+
+    /// The k-th MAXDIST bound counts the tombstones: with every point of one
+    /// leaf marked and the query at that leaf's centroid, the emptied leaf
+    /// has the smallest MAXDIST of its siblings, and a bound at rank k would
+    /// prune the live neighbours outside it. The points are a grid of tight
+    /// groups of four, far apart, so a leaf of a degree-4 tree is one group
+    /// and its MAXDIST is far below every other group's MINDIST. Every leaf
+    /// of a degree-4 and a degree-8 tree, k = 1 and 2, each kNN kernel with
+    /// the same marks.
+    #[test]
+    fn an_emptied_leaf_does_not_bound_the_search() {
+        let mut ps = PointSet::new(2);
+        for cell in 0..256 {
+            let (x, y) = ((cell % 16) as f32 * 10.0, (cell / 16) as f32 * 10.0);
+            for (dx, dy) in [(0.0, 0.0), (0.002, 0.0), (0.0, 0.002), (0.002, 0.002)] {
+                ps.push(&[x + dx, y + dy]);
+            }
+        }
+        let cfg = DeviceConfig::k40();
+        let opts = KernelOptions::default();
+        for degree in [4, 8] {
+            let tree = build(&ps, degree, &BuildMethod::Hilbert);
+            for lid in 0..tree.num_leaves() as u32 {
+                let rows = tree.leaf_points(tree.leaf_node_of(lid));
+                let mut marks = vec![false; ps.len()];
+                let mut q = vec![0.0f32; ps.dims()];
+                for row in rows.clone() {
+                    marks[tree.point_ids[row] as usize] = true;
+                    for (c, &x) in q.iter_mut().zip(tree.points.point(row)) {
+                        *c += x / rows.len() as f32;
+                    }
+                }
+                let removed = Removed::new(&marks, rows.len());
+                let mut live: Vec<Neighbor> = (0..ps.len())
+                    .filter(|&i| !marks[i])
+                    .map(|i| Neighbor { dist: dist(&q, ps.point(i)), id: i as u32 })
+                    .collect();
+                live.sort_by(Neighbor::by_rank);
+                for k in [1usize, 2] {
+                    let want: Vec<u32> = live[..k].iter().map(|n| n.dist.to_bits()).collect();
+                    for kernel in [Kernel::Psb { k }, Kernel::Bnb { k }, Kernel::Restart { k }] {
+                        let (found, _) = kernel.trusted_excluding(&tree, &q, removed, &cfg, &opts);
+                        let got: Vec<u32> = found.iter().map(|n| n.dist.to_bits()).collect();
+                        assert_eq!(got, want, "{kernel:?} degree {degree} leaf {lid}");
+                        assert!(found.iter().all(|n| !marks[n.id as usize]));
+                    }
+                }
+            }
+        }
     }
 }

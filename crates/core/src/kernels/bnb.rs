@@ -14,7 +14,7 @@ use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
 
-use super::collector::{Collector, KnnCollector};
+use super::collector::{Collector, KnnCollector, Removed};
 use super::{
     checked_children, checked_root, evaluate_children, fetch_internal, process_leaf,
     reserve_static, Budget, Kernel, Scratch,
@@ -43,12 +43,13 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
+    removed: Removed<'_>,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     scratch: &mut Scratch,
 ) -> Result<Vec<Neighbor>, KernelError> {
     reserve_static(block, 2 * tree.degree as u64 * 4 + block.threads() as u64 * 4, cfg)?;
-    let mut list = KnnCollector::new(block, k, cfg, opts);
+    let mut list = KnnCollector::excluding(block, k, removed, cfg, opts);
     let root = checked_root(tree)?;
     visit(tree, root, 0, q, opts, block, &mut list, scratch, budget)?;
     Ok(list.finish())
@@ -62,7 +63,7 @@ fn visit<V: Volumes, const M: bool>(
     q: &[f32],
     opts: &KernelOptions,
     block: &mut Block<'_, M>,
-    list: &mut KnnCollector,
+    list: &mut KnnCollector<'_>,
     scratch: &mut Scratch,
     budget: &mut Budget,
 ) -> Result<(), KernelError> {

@@ -64,16 +64,48 @@ pub(crate) trait Collector {
     fn finish(self) -> Vec<Neighbor>;
 }
 
+/// The rows a kNN search turns away: a mark per row id (the tombstones of a
+/// [`DynamicSsTree`](crate::DynamicSsTree), by base position) and how many
+/// are set. With none set the marks are not read at all.
+#[derive(Clone, Copy)]
+pub(crate) struct Removed<'r> {
+    marks: &'r [bool],
+    count: usize,
+}
+
+impl<'r> Removed<'r> {
+    /// Nothing removed: every search outside the mutable index.
+    pub(crate) const NONE: Removed<'static> = Removed { marks: &[], count: 0 };
+
+    /// Row `id` is removed where `marks[id]` is set; `count` of them are.
+    pub(crate) fn new(marks: &'r [bool], count: usize) -> Self {
+        if count == 0 {
+            Removed::NONE
+        } else {
+            Self { marks, count }
+        }
+    }
+
+    /// Whether row `id` may enter the k-best list.
+    #[inline(always)]
+    fn is_live(self, id: u32) -> bool {
+        !self.marks.get(id as usize).is_some_and(|&m| m)
+    }
+}
+
 /// kNN: the k-best list and its pruning distance.
-pub(crate) struct KnnCollector {
+pub(crate) struct KnnCollector<'r> {
     list: GpuKnnList,
     /// min(k-th best distance so far, every k-th-MAXDIST bound seen).
     pruning: f32,
     k: usize,
     minmax: bool,
+    /// Rows turned away before the list sees them, so k never grows with
+    /// removals.
+    removed: Removed<'r>,
 }
 
-impl KnnCollector {
+impl KnnCollector<'static> {
     /// An empty k-best list, its shared-memory footprint reserved on `block`,
     /// under an infinite bound.
     pub(crate) fn new<const M: bool>(
@@ -82,12 +114,34 @@ impl KnnCollector {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> Self {
-        let list = GpuKnnList::new(k, opts.smem_policy, block, cfg.smem_per_sm);
-        Self { list, pruning: f32::INFINITY, k, minmax: opts.use_minmax_prune }
+        KnnCollector::excluding(block, k, Removed::NONE, cfg, opts)
     }
 }
 
-impl Collector for KnnCollector {
+impl<'r> KnnCollector<'r> {
+    /// [`new`](KnnCollector::new) for a search that turns `removed`'s rows
+    /// away.
+    pub(crate) fn excluding<const M: bool>(
+        block: &mut Block<'_, M>,
+        k: usize,
+        removed: Removed<'r>,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Self {
+        let list = GpuKnnList::new(k, opts.smem_policy, block, cfg.smem_per_sm);
+        Self { list, pruning: f32::INFINITY, k, minmax: opts.use_minmax_prune, removed }
+    }
+
+    /// The rank of the k-th MAXDIST bound: the `k + r`-th with `r` rows
+    /// removed. Each of the `k + r` nearest child subtrees holds all its
+    /// points within its MAXDIST, and at most `r` of them hold no live point,
+    /// so k live points lie within that bound.
+    fn maxdist_rank(&self) -> usize {
+        self.k + self.removed.count
+    }
+}
+
+impl Collector for KnnCollector<'_> {
     fn admits(&self, mindist: f32) -> bool {
         psb_geom::mindist_in_range(mindist, self.pruning, self.list.len() < self.k)
     }
@@ -102,40 +156,48 @@ impl Collector for KnnCollector {
         max_d: &[f32],
         tmp: &mut Vec<u32>,
     ) -> Option<f32> {
-        // Fewer than k children bound nothing: the k-th nearest neighbor need
-        // not lie under this node at all.
-        if !self.minmax || max_d.len() < self.k {
+        // Fewer than `rank` children bound nothing: the k-th nearest live
+        // neighbor need not lie under this node at all.
+        let rank = self.maxdist_rank();
+        if !self.minmax || max_d.len() < rank {
             return None;
         }
-        // With fewer than k MAXDISTs at or under the bound (a NaN counts: a
-        // negative one sorts below every number), the k-th in `total_cmp`
+        // With fewer than `rank` MAXDISTs at or under the bound (a NaN counts:
+        // a negative one sorts below every number), the pick in `total_cmp`
         // order is a NaN or strictly above the bound, and `min` with it keeps
         // the bound's bits: charge the select, but do not run it.
         let pruning = self.pruning;
         let under = max_d.iter().map(|&d| usize::from((d <= pruning) | d.is_nan())).sum::<usize>();
-        if under < self.k {
-            block.par_kth_select(max_d.len(), self.k);
+        if under < rank {
+            block.par_kth_select(max_d.len(), rank);
             return Some(f32::INFINITY);
         }
-        let bound = kth_maxdist(block, max_d, self.k, tmp);
+        // The bound is inclusive — k live points lie at or within it — and
+        // one of them may sit in a subtree whose MINDIST is the bound itself
+        // (a zero-radius leaf, or a radius under half an ulp of its distance),
+        // which the strict MINDIST test would turn away with the point that
+        // made the bound. One ulp up admits that subtree and nothing else.
+        let bound = kth_maxdist(block, max_d, rank, tmp).next_up();
         self.pruning = self.pruning.min(bound);
         Some(bound)
     }
 
     fn replay<const M: bool>(&mut self, block: &mut Block<'_, M>, children: usize, bound: f32) {
-        block.par_kth_select(children, self.k);
+        block.par_kth_select(children, self.maxdist_rank());
         self.pruning = self.pruning.min(bound);
     }
 
-    /// The rows go through [`GpuKnnList::offer_rows`]' gate, then the bound
-    /// follows the list's.
+    /// The rows go through [`GpuKnnList::offer_rows`]' gate, a removed row
+    /// turned away there like a row at the bound; then the bound follows the
+    /// list's.
     fn collect<const M: bool>(
         &mut self,
         block: &mut Block<'_, M>,
         dists: &[f32],
         ids: RowIds<'_>,
     ) -> bool {
-        let changed = self.list.offer_rows(block, dists, ids);
+        let removed = self.removed;
+        let changed = self.list.offer_rows(block, dists, ids, |id| removed.is_live(id));
         self.pruning = self.pruning.min(self.list.bound());
         changed
     }
@@ -324,14 +386,17 @@ mod tests {
         assert_eq!(knn.tighten(&mut b, &[4.0, 2.0], &mut tmp), None, "two children, k = 3");
         assert!(knn.admits(1e30));
         let fresh = *b.stats();
-        assert_eq!(knn.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), Some(7.0));
-        assert!(knn.admits(6.9) && !knn.admits(7.0));
+        // The k-th MAXDIST is inclusive: a subtree at exactly 7 may hold the
+        // point that makes the bound, so the bound sits one ulp above it.
+        let above = 7.0f32.next_up();
+        assert_eq!(knn.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), Some(above));
+        assert!(knn.admits(7.0) && !knn.admits(above));
         let first = *b.stats();
 
         let mut again = KnnCollector::new(&mut b, 3, &cfg, &opts);
         let start = *b.stats();
-        again.replay(&mut b, 4, 7.0);
-        assert!(again.admits(6.9) && !again.admits(7.0));
+        again.replay(&mut b, 4, above);
+        assert!(again.admits(7.0) && !again.admits(above));
         assert_eq!(
             b.stats().compute_issues - start.compute_issues,
             first.compute_issues - fresh.compute_issues,
@@ -481,7 +546,7 @@ mod tests {
             let got = if skip {
                 knn.tighten(&mut b, max_d, &mut tmp).expect("k <= n")
             } else {
-                let kth = kth_maxdist(&mut b, max_d, k, &mut tmp);
+                let kth = kth_maxdist(&mut b, max_d, k, &mut tmp).next_up();
                 knn.pruning = knn.pruning.min(kth);
                 kth
             };

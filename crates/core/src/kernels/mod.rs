@@ -24,6 +24,7 @@ use psb_geom::{DistKernel, DistLanes, PointSet};
 use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, Phase, TraceSink};
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 
+pub(crate) use self::collector::Removed;
 use self::collector::{Collector, KnnCollector, RangeCollector};
 use crate::dist_cost;
 use crate::error::KernelError;
@@ -79,17 +80,31 @@ impl Kernel {
         faults: Option<FaultState>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<Found, KernelError> {
+        self.attempt_excluding(tree, q, Removed::NONE, cfg, opts, faults, sink)
+    }
+
+    /// [`attempt`](Self::attempt) with the rows of `removed` turned away
+    /// before the k-best list admits them (a range query reads no marks).
+    #[allow(clippy::too_many_arguments)]
+    fn attempt_excluding<V: Volumes>(
+        &self,
+        tree: &FlatTree<V>,
+        q: &[f32],
+        removed: Removed<'_>,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        faults: Option<FaultState>,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<Found, KernelError> {
         assert_eq!(q.len(), tree.dims, "query dimensionality mismatch");
         self.check_parameter();
+        let metering = effective_metering(opts, faults.is_some());
+        let (f, s) = (faults, sink);
         // One launch-time dispatch monomorphizes the whole traversal for the
         // metering mode — no per-load branch anywhere in the hot loop.
-        with_scratch(tree.dims, opts.lanes, |scratch| {
-            match effective_metering(opts, faults.is_some()) {
-                Metering::Simulated => {
-                    self.run::<V, true>(tree, q, cfg, opts, faults, sink, scratch)
-                }
-                Metering::Off => self.run::<V, false>(tree, q, cfg, opts, faults, sink, scratch),
-            }
+        with_scratch(tree.dims, opts.lanes, |scratch| match metering {
+            Metering::Simulated => self.run::<V, true>(tree, q, removed, cfg, opts, f, s, scratch),
+            Metering::Off => self.run::<V, false>(tree, q, removed, cfg, opts, f, s, scratch),
         })
     }
 
@@ -103,7 +118,20 @@ impl Kernel {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> Found {
-        self.attempt(tree, q, cfg, opts, None, None)
+        self.trusted_excluding(tree, q, Removed::NONE, cfg, opts)
+    }
+
+    /// [`trusted`](Self::trusted) with the rows of `removed` turned away:
+    /// the mutable index's query over its base tree.
+    pub(crate) fn trusted_excluding<V: Volumes>(
+        &self,
+        tree: &FlatTree<V>,
+        q: &[f32],
+        removed: Removed<'_>,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> Found {
+        self.attempt_excluding(tree, q, removed, cfg, opts, None, None)
             .unwrap_or_else(|e| panic!("{} kernel failed on a trusted tree: {e}", self.label()))
     }
 
@@ -125,6 +153,7 @@ impl Kernel {
         &self,
         tree: &FlatTree<V>,
         q: &[f32],
+        removed: Removed<'_>,
         cfg: &DeviceConfig,
         opts: &KernelOptions,
         faults: Option<FaultState>,
@@ -136,9 +165,9 @@ impl Kernel {
         let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
         let (b, t) = (&mut block, &mut budget);
         let found = match *self {
-            Kernel::Psb { k } => psb::traverse(b, t, tree, q, k, cfg, opts, s, true),
-            Kernel::Bnb { k } => bnb::traverse(b, t, tree, q, k, cfg, opts, s),
-            Kernel::Restart { k } => restart::traverse(b, t, tree, q, k, cfg, opts, s),
+            Kernel::Psb { k } => psb::traverse(b, t, tree, q, k, removed, cfg, opts, s, true),
+            Kernel::Bnb { k } => bnb::traverse(b, t, tree, q, k, removed, cfg, opts, s),
+            Kernel::Restart { k } => restart::traverse(b, t, tree, q, k, removed, cfg, opts, s),
             Kernel::Range { radius } => range::traverse(b, t, tree, q, radius, cfg, opts, s),
         }?;
         // Final poll: a fault in the last leaf processed would otherwise slip

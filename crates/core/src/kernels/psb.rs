@@ -27,7 +27,7 @@ use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
 
-use super::collector::{Collector, KnnCollector};
+use super::collector::{Collector, KnnCollector, Removed};
 use super::{
     ascend, checked_children, checked_leaf_id, checked_node, checked_root, child_distances,
     evaluate_children, fetch_internal, leftmost_qualifying, process_leaf, reserve_static, Budget,
@@ -55,22 +55,23 @@ pub fn psb_query<V: Volumes>(
 /// restart kernel and the wave engine's priming so all start from the same
 /// bound at the same metered cost: reserve the static shared memory, descend
 /// greedily to the leaf nearest the query, and fold it into a fresh k-best
-/// list.
+/// list that turns `removed`'s rows away.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn initial_descent<V: Volumes, const M: bool>(
+pub(crate) fn initial_descent<'r, V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
+    removed: Removed<'r>,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     scratch: &mut Scratch,
     budget: &mut Budget,
-) -> Result<KnnCollector, KernelError> {
+) -> Result<KnnCollector<'r>, KernelError> {
     // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
     // plus a warp-reduction scratch line.
     reserve_static(block, 2 * tree.degree as u64 * 4 + block.threads() as u64 * 4, cfg)?;
-    let mut list = KnnCollector::new(block, k, cfg, opts);
+    let mut list = KnnCollector::excluding(block, k, removed, cfg, opts);
     block.set_phase(Phase::Descend);
     let mut n = checked_root(tree)?;
     let mut level = 0u32;
@@ -218,8 +219,9 @@ pub(crate) fn sweep<V: Volumes, C: Collector, const M: bool>(
     }
 }
 
-/// Algorithm 1: prime the bound, then sweep. `memo: false` is the path every
-/// faulted attempt takes; the unit tests below hold the memo against it.
+/// Algorithm 1: prime the bound, then sweep, turning `removed`'s rows away.
+/// `memo: false` is the path every faulted attempt takes; the unit tests
+/// below hold the memo against it.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn traverse<V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
@@ -227,6 +229,7 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
+    removed: Removed<'_>,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     scratch: &mut Scratch,
@@ -236,7 +239,7 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     if replay {
         scratch.memo.begin_query(tree.num_nodes());
     }
-    let mut list = initial_descent(block, tree, q, k, cfg, opts, scratch, budget)?;
+    let mut list = initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget)?;
     sweep(block, budget, tree, q, &mut list, opts, scratch, replay)?;
     Ok(list.finish())
 }
@@ -367,6 +370,26 @@ mod tests {
         assert_eq!(got[0].id, 321);
     }
 
+    /// The k-th MAXDIST bound is inclusive. Here the single-point last leaf
+    /// has radius 0, so its MINDIST and MAXDIST from the query are the same
+    /// number; at k = 1 that MAXDIST is the bound, and a strict MINDIST test
+    /// against it turned the leaf away with the nearest point in it, returning
+    /// the point at 1.58 instead of the one at 0.71.
+    #[test]
+    fn a_zero_radius_leaf_that_makes_the_bound_is_still_visited() {
+        let mut ps = PointSet::new(2);
+        for p in [[4.0, 1.0], [4.0, 2.0], [0.0, 2.0], [2.0, 1.0], [3.0, 4.0]] {
+            ps.push(&p);
+        }
+        let tree = build(&ps, 4, &BuildMethod::Hilbert);
+        let q = [3.5, 0.5];
+        for metering in [crate::Metering::Simulated, crate::Metering::Off] {
+            let opts = KernelOptions { metering, ..KernelOptions::default() };
+            let (got, _) = psb_query(&tree, &q, 1, &DeviceConfig::k40(), &opts);
+            assert_eq!(got, linear_knn(&ps, &q, 1), "{metering:?}");
+        }
+    }
+
     /// [`traverse`] at k = 8 on a fault-free block of its own, memo as asked.
     fn bare_launch<const M: bool>(
         tree: &SsTree,
@@ -393,8 +416,9 @@ mod tests {
     ) -> (Vec<Neighbor>, KernelStats) {
         let mut block = Block::<M>::with_sink(opts.threads_per_block, cfg, sink);
         let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
-        let found = traverse(&mut block, &mut budget, tree, q, k, cfg, opts, scratch, memo)
-            .expect("valid tree");
+        let found =
+            traverse(&mut block, &mut budget, tree, q, k, Removed::NONE, cfg, opts, scratch, memo)
+                .expect("valid tree");
         (found, block.finish())
     }
 

@@ -17,7 +17,7 @@ use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
 
-use super::collector::Collector;
+use super::collector::{Collector, Removed};
 use super::psb::initial_descent;
 use super::{
     checked_children, checked_leaf_id, checked_node, evaluate_children, fetch_internal,
@@ -46,12 +46,13 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     tree: &FlatTree<V>,
     q: &[f32],
     k: usize,
+    removed: Removed<'_>,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     scratch: &mut Scratch,
 ) -> Result<Vec<Neighbor>, KernelError> {
     // Initial greedy descent primes the pruning distance (same as PSB).
-    let mut list = initial_descent(block, tree, q, k, cfg, opts, scratch, budget)?;
+    let mut list = initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget)?;
 
     // Rope mode: instead of restarting from the root, follow the escape links
     // — one preorder pass with no re-descents and no `visitedLeafId` cursor.

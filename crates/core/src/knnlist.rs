@@ -144,12 +144,18 @@ impl GpuKnnList {
     /// only falls, so a row the gate's bound rejects the live bound rejects
     /// too, and offers stay in row order: list, return value, counters and
     /// events are a per-row `offer` loop's.
+    ///
+    /// A row that reaches its offer with `live(id)` false is turned away
+    /// there as a row at the bound is: a pruned `KnnUpdate` unless it is NaN,
+    /// and nothing metered. Where `live` holds for every row the loop is the
+    /// per-row `offer` loop above.
     #[inline]
     pub(crate) fn offer_rows<const M: bool>(
         &mut self,
         block: &mut Block<'_, M>,
         dists: &[f32],
         ids: RowIds<'_>,
+        live: impl Fn(u32) -> bool,
     ) -> bool {
         let mut changed = false;
         let mut i = 0;
@@ -173,7 +179,13 @@ impl GpuKnnList {
                     break;
                 }
             }
-            changed |= self.offer(block, dists[i], ids.get(i));
+            let (dist, id) = (dists[i], ids.get(i));
+            if live(id) {
+                changed |= self.offer(block, dist, id);
+            } else if !dist.is_nan() {
+                let phase = block.phase();
+                block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase });
+            }
             i += 1;
         }
         changed

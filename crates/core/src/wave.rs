@@ -99,7 +99,7 @@ use rayon::prelude::*;
 
 use crate::engine::{launch_reporting, QueryBatchResult};
 use crate::error::{EngineError, KernelError};
-use crate::kernels::collector::{Collector, KnnCollector, RangeCollector};
+use crate::kernels::collector::{Collector, KnnCollector, RangeCollector, Removed};
 use crate::kernels::psb::initial_descent;
 use crate::kernels::{
     checked_children, checked_leaf_points, checked_root, evaluate_children, range, with_scratch,
@@ -331,12 +331,14 @@ impl<V: Volumes> Wave<'_, V> {
     fn prime_knn<const M: bool>(
         &self,
         k: usize,
-    ) -> impl Fn(&[f32], &mut Scratch) -> Primed<KnnCollector, M> + Sync + '_ {
+    ) -> impl Fn(&[f32], &mut Scratch) -> Primed<KnnCollector<'static>, M> + Sync + '_ {
         let (tree, cfg, opts) = (self.tree, self.cfg, self.opts);
         move |q, scratch| {
             let mut block = Block::new(opts.threads_per_block, cfg);
             let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
-            let list = initial_descent(&mut block, tree, q, k, cfg, opts, scratch, &mut budget)?;
+            let none = Removed::NONE;
+            let list =
+                initial_descent(&mut block, tree, q, k, none, cfg, opts, scratch, &mut budget)?;
             Ok((block, list))
         }
     }

@@ -171,13 +171,19 @@ fn bit_mask(v: u32, plane: u32) -> u32 {
 /// 3. pack — bit planes high to low, dimension 0 first within a plane,
 ///    shifted into a 32-bit accumulator per lane that is stored whenever it
 ///    fills.
+///
+/// `D` is the dimension count where the caller fixes it at compile time (the
+/// dims [`DistKernel`](crate::DistKernel) specialises), so every loop bound
+/// and the bit budget are constants; `D = 0` reads it from `bounds`. One body
+/// either way, so the keys are the same bits.
 #[inline(always)]
-fn curve_keys<const L: usize>(
+fn curve_keys<const L: usize, const D: usize>(
     points: [&[f32]; L],
     bounds: &Rect,
     x: &mut [[u32; L]; MAX_CURVE_DIMS],
 ) -> [HilbertKey; L] {
-    let dims = bounds.dims();
+    debug_assert!(D == 0 || D == bounds.dims());
+    let dims = if D == 0 { bounds.dims() } else { D };
     let bits = bits_for_dims(dims);
     let n = dims.min(MAX_CURVE_DIMS);
     let points = points.map(|p| &p[..n]);
@@ -260,22 +266,35 @@ fn curve_keys<const L: usize>(
 /// Hilbert key. Coordinates outside the bounds are clamped to the boundary cell.
 pub fn hilbert_key(p: &[f32], bounds: &Rect) -> HilbertKey {
     assert_eq!(bounds.dims(), p.len(), "bounds dimensionality mismatch");
-    let [key] = curve_keys([p], bounds, &mut [[0; 1]; MAX_CURVE_DIMS]);
+    let [key] = curve_keys::<1, 0>([p], bounds, &mut [[0; 1]; MAX_CURVE_DIMS]);
     key
 }
 
 /// [`hilbert_key`] of every point of `points`, in point order, on the rayon
 /// pool: `LANES` consecutive points share one pass of the kernel (a short
-/// last group repeats its last point in the spare lanes).
+/// last group repeats its last point in the spare lanes), specialised for
+/// the dims [`DistKernel`](crate::DistKernel) specialises.
 pub fn hilbert_keys(points: &PointSet, bounds: &Rect) -> Vec<HilbertKey> {
     assert_eq!(bounds.dims(), points.dims(), "bounds dimensionality mismatch");
+    match points.dims() {
+        2 => keys_in_dims::<2>(points, bounds),
+        3 => keys_in_dims::<3>(points, bounds),
+        4 => keys_in_dims::<4>(points, bounds),
+        8 => keys_in_dims::<8>(points, bounds),
+        16 => keys_in_dims::<16>(points, bounds),
+        _ => keys_in_dims::<0>(points, bounds),
+    }
+}
+
+/// [`hilbert_keys`] with the kernel's `D` (0: any dims).
+fn keys_in_dims<const D: usize>(points: &PointSet, bounds: &Rect) -> Vec<HilbertKey> {
     let mut keys = vec![HilbertKey::default(); points.len()];
     let key_block = |(block, out): (usize, &mut [HilbertKey])| {
         let mut x = [[0u32; LANES]; MAX_CURVE_DIMS];
         for (group, out) in out.chunks_mut(LANES).enumerate() {
             let first = block * KEY_BLOCK + group * LANES;
             let rows = std::array::from_fn(|l| points.point(first + l.min(out.len() - 1)));
-            out.copy_from_slice(&curve_keys(rows, bounds, &mut x)[..out.len()]);
+            out.copy_from_slice(&curve_keys::<LANES, D>(rows, bounds, &mut x)[..out.len()]);
         }
     };
     if points.len() < PAR_MIN_POINTS {

@@ -23,6 +23,7 @@ use psb_core::DynamicSsTree;
 use psb_geom::{dist, PointSet, RitterMode, Sphere};
 use psb_metrics::MetricsHandle;
 use psb_sstree::{BuildMethod, Neighbor};
+use rayon::prelude::*;
 
 use crate::admission::{CacheKey, QueryCache};
 use crate::plan::{Visit, VisitPlan};
@@ -88,21 +89,27 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 impl DynamicShardRouter {
     /// Partitions `points` into `shards` shards and builds one
-    /// [`DynamicSsTree`] (degree `degree`, Hilbert-packed) per shard.
+    /// [`DynamicSsTree`] (degree `degree`, Hilbert-packed) per shard, the
+    /// shards concurrently: one parallel region whose pieces are the shards.
+    /// A region entered inside a piece runs inline, so each shard's own
+    /// build is the serial one a lone shard of its size gets.
     pub fn build(points: &PointSet, shards: usize, policy: &ShardPolicy, degree: usize) -> Self {
         let plan = partition(points, shards, policy);
-        let mut trees = Vec::with_capacity(shards);
-        let mut metas = Vec::with_capacity(shards);
-        for mut ids in plan.assignments {
-            // Ritter's sphere depends on the order it sees the points in: the
-            // partition's. The tree takes its ids ascending.
-            let sphere = shard_sphere(points, &ids, RitterMode::Parallel);
-            metas.push(Mutex::new(ShardMeta { sphere, len: ids.len() }));
-            ids.sort_unstable();
-            let local = points.gather(&ids);
-            let tree = DynamicSsTree::with_ids(&local, ids, degree, BuildMethod::Hilbert);
-            trees.push(RwLock::new(tree));
-        }
+        let built: Vec<(Mutex<ShardMeta>, RwLock<DynamicSsTree>)> = plan
+            .assignments
+            .par_iter()
+            .map(|ids| {
+                // Ritter's sphere depends on the order it sees the points in:
+                // the partition's. The tree takes its ids ascending.
+                let sphere = shard_sphere(points, ids, RitterMode::Parallel);
+                let mut sorted = ids.clone();
+                sorted.sort_unstable();
+                let local = points.gather(&sorted);
+                let tree = DynamicSsTree::with_ids(&local, sorted, degree, BuildMethod::Hilbert);
+                (Mutex::new(ShardMeta { sphere, len: ids.len() }), RwLock::new(tree))
+            })
+            .collect();
+        let (metas, trees) = built.into_iter().unzip();
         Self {
             trees,
             metas,

@@ -216,6 +216,15 @@ fn a_nan_query_has_no_neighbours() {
     assert_eq!((tree.num_nodes(), sr.num_nodes()), (1, 1), "one leaf each");
     let kd = KdTree::build(&data, 8);
     let k = 4;
+    // The mutable index and its router, each with three pending inserts in
+    // a delta buffer the query scans after the base.
+    let mut dynamic = DynamicSsTree::new(&data, 64, BuildMethod::Hilbert);
+    let mut router = DynamicShardRouter::build(&data, 2, &ShardPolicy::HilbertRange, 64);
+    for p in [[0.5, 0.5], [3.5, 2.5], [7.5, 6.5]] {
+        dynamic.insert(&p);
+        router.insert(&p);
+    }
+    assert_eq!(dynamic.pending(), 3);
     let (psb, _) = psb_query(&tree, q, k, &cfg, &opts);
     let (brute, _) = brute_query(&data, q, k, &cfg, &opts);
     let (tpss, _) = tpss_batch(&tree, &queries, k, &cfg, 32);
@@ -231,6 +240,9 @@ fn a_nan_query_has_no_neighbours() {
         ("lb_kdtree", LbKdTree::build(&data).knn_cpu(q, k)),
         ("tpss", tpss.into_iter().next().expect("one query")),
         ("kdtree_gpu", kd_gpu.into_iter().next().expect("one query")),
+        ("dynamic", dynamic.knn(q, k)),
+        ("dynamic_gpu", dynamic.knn_gpu(q, k, &cfg, &opts).0),
+        ("dynamic_router", router.knn(q, k)),
     ];
     for (name, got) in runs {
         assert!(got.is_empty(), "{name}: {got:?}");
