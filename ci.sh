@@ -29,9 +29,10 @@ run_hardlint() {
 run_test()   { cargo test --workspace -q; }
 run_faults() { cargo test -p psb --test fault_injection -q; }
 # Sharded serving layer: the router's own unit tests plus the bit-identity /
-# failover acceptance suite, then the mutable shards underneath the dynamic
-# router: `dynamic_sstree` (insert/remove/rebuild sequences and the cached
-# router against a linear oracle) and psb-core's `dynamic` unit tests (the
+# failover acceptance suite (static shards, and mutable ones under faults),
+# then the mutable shards underneath the router: `dynamic_sstree`
+# (insert/remove/rebuild sequences and the cached router against a linear
+# oracle) and psb-core's `dynamic` unit tests (the
 # ascending id lists and base-position tombstones, the rebuild protocol,
 # typed refusals at the door).
 run_shard() {
@@ -124,7 +125,7 @@ run_kdtree() {
 # pool-run rows: every kernel's wave form and the degraded rung must hash to
 # the golden table at either count. `dynamic_sstree` is here for the rebuild
 # protocol (every snapshot → build → install runs its build on the pool) and
-# for the dynamic router's maintained result cache: cached = uncached = linear
+# for the router's maintained `knn` cache: cached = uncached = linear
 # oracle through random inserts, removes and shard rebuilds; `admission` walks
 # the same rule case by case and `threads`' soak counts it from the registry.
 # `observability` is here because its silent-versus-traced assertions are where
@@ -184,7 +185,7 @@ run_api() {
     fresh="$(mktemp -d)"
     api/surface.sh list "$fresh"
     api/surface.sh unnamed >"$fresh/unnamed.txt"
-    if ! diff -u --exclude=surface.sh api "$fresh"; then
+    if ! diff -u --exclude=surface.sh --exclude=lines.sh api "$fresh"; then
         echo "public surface changed; review the diff above, then:" \
             "api/surface.sh list api && api/surface.sh unnamed >api/unnamed.txt" >&2
         rc=1
@@ -192,6 +193,8 @@ run_api() {
     rm -rf "$fresh"
     check_index_crates || rc=1
     check_section_refs || rc=1
+    # Non-test lines per crate: printed for the record, not gated.
+    api/lines.sh
     return "$rc"
 }
 check_index_crates() {

@@ -1,50 +1,46 @@
-//! Incremental updates over the bottom-up-packed SS-tree.
+//! Incremental updates over a bottom-up-packed tree.
 //!
 //! The paper's §IV builds the index in batches because "top-down insertion ...
 //! requires serialization of insert operations and excessive locking", and GPU
-//! indexes in practice are rebuilt rather than mutated. [`DynamicSsTree`]
-//! packages that pattern: inserts land in a host-side **delta buffer** that
-//! queries scan exactly (brute force over the delta is cheap while it is
-//! small), deletions are **tombstones** that PSB's k-best list turns away
-//! before admitting a row, and when the delta or tombstone volume crosses a
-//! threshold the whole index is rebuilt bottom-up — which is fast precisely
-//! because of the paper's parallel construction. Every query, timed or
-//! metered, is the same PSB launch over the base plus the same scan of the
-//! delta; only [`KernelOptions::metering`] tells them apart.
+//! indexes in practice are rebuilt rather than mutated. [`DynamicTree`]
+//! packages that pattern over either bounding-volume family: inserts land in
+//! a host-side **delta buffer** that queries scan exactly, deletions are
+//! **tombstones** that PSB's k-best list turns away before admitting a row,
+//! and when the two cross a threshold the whole index is rebuilt bottom-up by
+//! Hilbert key. Every query, timed, metered or faulted, is one PSB launch over
+//! the base plus one scan of the delta ([`DynamicTree::attempt`]), and exact.
 //!
-//! Queries remain exact at every moment; the structure trades a bounded
-//! amount of per-query delta scanning for never paying top-down insertion.
-//!
-//! A rebuild is three steps — [`DynamicSsTree::snapshot`] copies the live set,
+//! A rebuild is three steps — [`DynamicTree::snapshot`] copies the live set,
 //! [`Snapshot::build`] packs a tree from the copy without touching the
-//! structure it came from, [`DynamicSsTree::install`] swaps the tree in — so
+//! structure it came from, [`DynamicTree::install`] swaps the tree in — so
 //! a caller that shares the structure behind a lock holds it exclusively for
-//! the swap only. [`DynamicSsTree::rebuild`] is the three in a row.
+//! the swap only. [`DynamicTree::rebuild`] is the three in a row.
 
+use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use psb_geom::PointSet;
-use psb_gpu::{DeviceConfig, KernelStats};
-use psb_sstree::{build, BuildMethod, Neighbor, SsTree};
+use psb_gpu::{DeviceConfig, FaultState, KernelStats, TraceSink};
+use psb_sstree::{BuildMethod, FlatTree, Neighbor, Spheres, Volumes};
 
-use crate::kernels::{Kernel, Removed};
+use crate::error::KernelError;
+use crate::kernels::{Found, Kernel, Removed};
 use crate::options::{KernelOptions, Metering};
 
 /// Rebuild when `delta + tombstones > REBUILD_FRACTION × live points`.
 const REBUILD_FRACTION: f64 = 0.2;
 
-/// Numbers the [`DynamicSsTree`]s of this process, so [`DynamicSsTree::install`]
+/// Numbers the [`DynamicTree`]s of this process, so [`DynamicTree::install`]
 /// can tell its own tree's [`Rebuilt`] from another's at the same stamp.
 static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
 
-/// An SS-tree with batched inserts, tombstoned deletes, and rebuild-on-demand.
-///
-/// Callers give ids in strictly ascending order (asserted), so two ascending
-/// id lists and a mark per base position are all the id state there is.
-pub struct DynamicSsTree {
-    base: SsTree,
-    method: BuildMethod,
-    degree: usize,
+/// A packed tree of family `V` with batched inserts, tombstoned deletes, and
+/// rebuild-on-demand. Callers give ids in strictly ascending order (asserted),
+/// so two ascending id lists and a mark per base position are all the id
+/// state there is.
+pub struct DynamicTree<V: Volumes> {
+    base: FlatTree<V>,
     /// Id of each base build-input position (the base's result ids), ascending.
     base_ids: Vec<u32>,
     /// Tombstones: the base positions removed since the last rebuild.
@@ -64,54 +60,74 @@ pub struct DynamicSsTree {
     stamp: u64,
 }
 
-/// A copy of a [`DynamicSsTree`]'s live set, and everything else a rebuild
+/// The mutable SS-tree.
+pub type DynamicSsTree = DynamicTree<Spheres>;
+
+/// A copy of a [`DynamicTree`]'s live set, and everything else a rebuild
 /// reads — so the build can run while the tree keeps serving.
-pub struct Snapshot {
+pub struct Snapshot<V> {
     points: PointSet,
     ids: Vec<u32>,
     degree: usize,
-    method: BuildMethod,
     tree: u64,
     stamp: u64,
+    family: PhantomData<fn() -> V>,
 }
 
 /// A packed index built from a [`Snapshot`], ready for
-/// [`DynamicSsTree::install`].
-pub struct Rebuilt {
-    base: SsTree,
+/// [`DynamicTree::install`].
+pub struct Rebuilt<V: Volumes> {
+    base: FlatTree<V>,
     ids: Vec<u32>,
     tree: u64,
     stamp: u64,
 }
 
-/// [`DynamicSsTree::install`] refused a [`Rebuilt`]: a point was inserted or
+/// [`DynamicTree::install`] refused a [`Rebuilt`]: a point was inserted or
 /// removed after its snapshot was taken, or the snapshot was another tree's,
 /// so it does not index the live set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stale;
 
-/// Why [`DynamicSsTree::try_insert`] refused a point.
+/// Why [`DynamicTree::try_insert`] refused a point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertError {
     /// Coordinate `dim` is NaN or infinite. Such a point would sit in the
     /// delta buffer until the next rebuild and fail there, inside the
     /// enclosing-sphere pass, far from the insert that caused it.
     NonFinite { dim: usize },
+    /// Coordinate `dim` lies beyond [`InsertError::coordinate_limit`]: the
+    /// next rebuild's verifier would measure distances that overflow f32.
+    OutOfRange { dim: usize },
     /// The point has `got` coordinates where the index has `expected`.
     Dims { expected: usize, got: usize },
 }
 
 impl InsertError {
     /// The check every insert of a point from outside the program runs
-    /// before it changes anything: `p` has `dims` coordinates, all finite.
+    /// before it changes anything: `p` has `dims` coordinates, all finite
+    /// and within [`InsertError::coordinate_limit`].
     pub fn check(p: &[f32], dims: usize) -> Result<(), Self> {
         if p.len() != dims {
             return Err(Self::Dims { expected: dims, got: p.len() });
         }
-        match p.iter().position(|x| !x.is_finite()) {
-            Some(dim) => Err(Self::NonFinite { dim }),
+        if let Some(dim) = p.iter().position(|x| !x.is_finite()) {
+            return Err(Self::NonFinite { dim });
+        }
+        let limit = Self::coordinate_limit(dims);
+        match p.iter().position(|x| x.abs() > limit) {
+            Some(dim) => Err(Self::OutOfRange { dim }),
             None => Ok(()),
         }
+    }
+
+    /// The largest coordinate magnitude an insert may carry in `dims`
+    /// dimensions: the largest power of two `L` with `dims · (2L)² ≤
+    /// f32::MAX`, so the squared f32 distance between any two points inside
+    /// `[-L, L]^dims` stays finite (2⁶² up to 3 dims, 2⁶¹ at 4 to 15).
+    pub fn coordinate_limit(dims: usize) -> f32 {
+        let log2 = (f64::from(f32::MAX).log2() - 2.0 - (dims as f64).log2()) / 2.0;
+        2f32.powi(log2.floor() as i32)
     }
 }
 
@@ -120,6 +136,9 @@ impl std::fmt::Display for InsertError {
         match self {
             Self::NonFinite { dim } => {
                 write!(f, "the inserted point has a non-finite coordinate in dimension {dim}")
+            }
+            Self::OutOfRange { dim } => {
+                write!(f, "the inserted point's coordinate in dimension {dim} is out of range")
             }
             Self::Dims { expected, got } => {
                 write!(f, "the inserted point has {got} coordinates, the index {expected}")
@@ -130,15 +149,12 @@ impl std::fmt::Display for InsertError {
 
 impl std::error::Error for InsertError {}
 
-impl Snapshot {
-    /// Packs the copied live set bottom-up.
-    ///
-    /// The arena passes through [`psb_sstree::build()`], whose materialization
-    /// runs [`SsTree::validate`] before returning — so every rebuild is
-    /// structurally verified before queries touch it.
-    pub fn build(self) -> Rebuilt {
+impl<V: Volumes> Snapshot<V> {
+    /// Packs the copied live set bottom-up by Hilbert key at the base's
+    /// degree; the build validates the tree before queries touch it.
+    pub fn build(self) -> Rebuilt<V> {
         Rebuilt {
-            base: build(&self.points, self.degree, &self.method),
+            base: V::build_hilbert(&self.points, self.degree),
             ids: self.ids,
             tree: self.tree,
             stamp: self.stamp,
@@ -148,26 +164,28 @@ impl Snapshot {
 
 impl DynamicSsTree {
     /// Builds the initial index. Initial points receive ids
-    /// `0..points.len()`.
-    pub fn new(points: &PointSet, degree: usize, method: BuildMethod) -> Self {
-        Self::with_ids(points, (0..points.len() as u32).collect(), degree, method)
+    /// `0..points.len()`. Every build of the mutable index packs by Hilbert
+    /// key, so `_method` is not read.
+    pub fn new(points: &PointSet, degree: usize, _method: BuildMethod) -> Self {
+        Self::from_tree(Spheres::build_hilbert(points, degree), (0..points.len() as u32).collect())
     }
+}
 
-    /// Builds the initial index with point `i` answering as `ids[i]`. Panics
+impl<V: Volumes> DynamicTree<V> {
+    /// Takes `base` as the initial index, its build-input position `i`
+    /// answering as `ids[i]`; rebuilds pack at `base`'s degree. Panics
     /// unless `ids` is strictly ascending, one per point.
-    pub fn with_ids(points: &PointSet, ids: Vec<u32>, degree: usize, method: BuildMethod) -> Self {
-        assert_eq!(ids.len(), points.len(), "one id per point");
+    pub fn from_tree(base: FlatTree<V>, ids: Vec<u32>) -> Self {
+        assert_eq!(ids.len(), base.points.len(), "one id per point");
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly ascending");
         Self {
-            base: build(points, degree, &method),
-            method,
-            degree,
             removed: vec![false; ids.len()],
             tombstones: 0,
-            delta: PointSet::new(points.dims()),
+            delta: PointSet::new(base.dims),
             delta_ids: Vec::new(),
             last_id: ids.last().copied(),
             base_ids: ids,
+            base,
             tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed),
             stamp: 0,
         }
@@ -194,13 +212,13 @@ impl DynamicSsTree {
     pub fn insert(&mut self, p: &[f32]) -> u32 {
         match self.try_insert(p) {
             Ok(id) => id,
-            Err(e) => panic!("DynamicSsTree::insert: {e}"),
+            Err(e) => panic!("DynamicTree::insert: {e}"),
         }
     }
 
-    /// [`Self::insert`] for points from outside the program: a point of the
-    /// wrong length or with a NaN or infinite coordinate is a typed error and
-    /// the tree is left as it was.
+    /// [`Self::insert`] for points from outside the program: a point
+    /// [`InsertError::check`] refuses is a typed error and the tree is left
+    /// as it was.
     pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, InsertError> {
         let id = self.last_id.map_or(0, |last| last + 1);
         self.try_insert_as(p, id).map(|()| id)
@@ -262,7 +280,7 @@ impl DynamicSsTree {
 
     /// Copies the live set for a rebuild — the base's live rows in id order,
     /// then the delta — or `None` when there is no live point to build over.
-    pub fn snapshot(&self) -> Option<Snapshot> {
+    pub fn snapshot(&self) -> Option<Snapshot<V>> {
         // Base position → packed row: the inverse of the base's `point_ids`.
         let mut row_at = vec![0; self.base_ids.len()];
         for (row, &pos) in self.base.point_ids.iter().enumerate() {
@@ -276,10 +294,10 @@ impl DynamicSsTree {
         (!points.is_empty()).then(|| Snapshot {
             points,
             ids: ids.chain(self.delta_ids.iter().copied()).collect(),
-            degree: self.degree,
-            method: self.method.clone(),
+            degree: self.base.degree,
             tree: self.tree,
             stamp: self.stamp,
+            family: PhantomData,
         })
     }
 
@@ -287,7 +305,7 @@ impl DynamicSsTree {
     /// unless the live set has changed since the snapshot it was built from
     /// (or the snapshot was not this tree's), in which case nothing changes
     /// and the caller snapshots again.
-    pub fn install(&mut self, rebuilt: Rebuilt) -> Result<(), Stale> {
+    pub fn install(&mut self, rebuilt: Rebuilt<V>) -> Result<(), Stale> {
         if (rebuilt.tree, rebuilt.stamp) != (self.tree, self.stamp) {
             return Err(Stale);
         }
@@ -317,10 +335,8 @@ impl DynamicSsTree {
         self.knn_gpu(q, k, &DeviceConfig::k40(), &opts).0
     }
 
-    /// Exact kNN on the simulated GPU: PSB over the base, whose k-best list
-    /// turns tombstoned rows away before admitting them, plus a streamed scan
-    /// of the delta buffer in the same block, counters merged; the two lists
-    /// are merged in `(dist, id)` order.
+    /// Exact kNN on the simulated GPU: [`Self::attempt`] on a fault-free
+    /// device, untraced.
     pub fn knn_gpu(
         &self,
         q: &[f32],
@@ -328,30 +344,83 @@ impl DynamicSsTree {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> (Vec<Neighbor>, KernelStats) {
-        assert!(k >= 1);
-        if self.is_empty() {
-            return (Vec::new(), KernelStats::default());
-        }
-        let removed = Removed::new(&self.removed, self.tombstones);
+        self.attempt(q, k, cfg, opts, None, None)
+            .unwrap_or_else(|e| panic!("psb kernel failed on a trusted tree: {e}"))
+    }
+
+    /// One hardened launch for `q` under `faults`, `sink` tracing the base:
+    /// PSB over the base, turning tombstoned rows away, plus a streamed scan
+    /// of the delta, counters merged and rows merged in `(dist, id)` order,
+    /// in this tree's ids. With nothing pending or removed it is
+    /// [`Kernel::attempt`] over the base, counters and all.
+    pub fn attempt(
+        &self,
+        q: &[f32],
+        k: usize,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        faults: Option<FaultState>,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
         let psb = Kernel::Psb { k };
-        let (base_hits, mut stats) = psb.trusted_excluding(&self.base, q, removed, cfg, opts);
-        let mut delta_hits = Vec::new();
+        self.answer(q, k, cfg, opts, |removed| {
+            psb.attempt_excluding(&self.base, q, removed, cfg, opts, faults, sink)
+        })
+    }
+
+    /// The recovery ladder's last rung: [`Self::attempt`] with the base
+    /// searched by the exact scan of its live rows, which follows no link
+    /// and cannot fail.
+    pub fn fallback(
+        &self,
+        q: &[f32],
+        k: usize,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+    ) -> (Vec<Neighbor>, KernelStats) {
+        let (points, ids) = (&self.base.points, Some(&self.base.point_ids[..]));
+        let scan =
+            |removed: Removed<'_>| Ok(Kernel::Psb { k }.scan(points, ids, removed, q, cfg, opts));
+        match self.answer::<Infallible>(q, k, cfg, opts, scan) {
+            Ok(found) => found,
+            Err(never) => match never {},
+        }
+    }
+
+    /// `search`'s answer over the base (its ids are base positions, the
+    /// tombstones handed to it) with the delta's scan merged in, both in this
+    /// tree's ids.
+    fn answer<E>(
+        &self,
+        q: &[f32],
+        k: usize,
+        cfg: &DeviceConfig,
+        opts: &KernelOptions,
+        search: impl FnOnce(Removed<'_>) -> Result<Found, E>,
+    ) -> Result<Found, E> {
+        assert!(k >= 1, "k must be at least 1");
+        if self.is_empty() {
+            return Ok((Vec::new(), KernelStats::default()));
+        }
+        let (mut hits, mut stats) = search(Removed::new(&self.removed, self.tombstones))?;
+        // Base positions rank as their ids do, so the rows stay in order.
+        for n in &mut hits {
+            n.id = self.base_ids[n.id as usize];
+        }
         if !self.delta.is_empty() {
             // The clamped scan every kNN kernel degrades to: at any dims the
             // delta's tile fits, and a row's id is its delta position.
-            let delta_stats;
-            (delta_hits, delta_stats) = psb.scan(&self.delta, None, q, cfg, opts);
+            let psb = Kernel::Psb { k };
+            let (delta_hits, delta_stats) =
+                psb.scan(&self.delta, None, Removed::NONE, q, cfg, opts);
             stats.merge(&delta_stats);
             stats.blocks = 1; // one logical query
+            let delta = delta_hits.into_iter();
+            hits.extend(delta.map(|n| Neighbor { id: self.delta_ids[n.id as usize], ..n }));
+            hits.sort_by(Neighbor::by_rank);
+            hits.truncate(k);
         }
-        let base =
-            base_hits.into_iter().map(|n| Neighbor { id: self.base_ids[n.id as usize], ..n });
-        let delta =
-            delta_hits.into_iter().map(|n| Neighbor { id: self.delta_ids[n.id as usize], ..n });
-        let mut merged: Vec<Neighbor> = base.chain(delta).collect();
-        merged.sort_by(Neighbor::by_rank);
-        merged.truncate(k);
-        (merged, stats)
+        Ok((hits, stats))
     }
 }
 
@@ -360,7 +429,7 @@ mod tests {
     use super::*;
     use psb_data::{sample_queries, ClusteredSpec};
     use psb_geom::dist;
-    use psb_sstree::linear_knn;
+    use psb_sstree::{build, linear_knn};
 
     fn dataset() -> PointSet {
         ClusteredSpec { clusters: 4, points_per_cluster: 250, dims: 3, sigma: 80.0, seed: 151 }
@@ -699,11 +768,11 @@ mod tests {
     }
 
     #[test]
-    fn with_ids_answers_like_new_relabelled() {
+    fn from_tree_answers_like_new_relabelled() {
         let ps = dataset();
         let ids: Vec<u32> = (0..ps.len() as u32).map(|i| 3 * i + 5).collect();
         let plain = DynamicSsTree::new(&ps, 16, BuildMethod::Hilbert);
-        let labelled = DynamicSsTree::with_ids(&ps, ids.clone(), 16, BuildMethod::Hilbert);
+        let labelled = DynamicSsTree::from_tree(build(&ps, 16, &BuildMethod::Hilbert), ids.clone());
         let relabel = |v: Vec<Neighbor>| -> Vec<Neighbor> {
             v.into_iter().map(|n| Neighbor { id: ids[n.id as usize], ..n }).collect()
         };
@@ -725,7 +794,7 @@ mod tests {
         let ps = dataset();
         let mut ids: Vec<u32> = (0..ps.len() as u32).collect();
         ids.swap(10, 11);
-        DynamicSsTree::with_ids(&ps, ids, 16, BuildMethod::Hilbert);
+        DynamicSsTree::from_tree(build(&ps, 16, &BuildMethod::Hilbert), ids);
     }
 
     #[test]
@@ -763,8 +832,9 @@ mod tests {
                     for kernel in [Kernel::Psb { k }, Kernel::Bnb { k }, Kernel::Restart { k }] {
                         for metering in [Metering::Simulated, Metering::Off] {
                             let opts = KernelOptions { metering, ..KernelOptions::default() };
-                            let (found, _) =
-                                kernel.trusted_excluding(&t.base, q, removed, &cfg, &opts);
+                            let (found, _) = kernel
+                                .attempt_excluding(&t.base, q, removed, &cfg, &opts, None, None)
+                                .expect("no faults");
                             assert!(
                                 exact_up_to_ties(&t, &found, &want, q),
                                 "{kernel:?} {metering:?} degree {degree}: {found:?} {want:?}"
@@ -849,12 +919,69 @@ mod tests {
                 for k in [1usize, 2] {
                     let want: Vec<u32> = live[..k].iter().map(|n| n.dist.to_bits()).collect();
                     for kernel in [Kernel::Psb { k }, Kernel::Bnb { k }, Kernel::Restart { k }] {
-                        let (found, _) = kernel.trusted_excluding(&tree, &q, removed, &cfg, &opts);
+                        let no_faults =
+                            kernel.attempt_excluding(&tree, &q, removed, &cfg, &opts, None, None);
+                        let (found, _) = no_faults.expect("no faults");
                         let got: Vec<u32> = found.iter().map(|n| n.dist.to_bits()).collect();
                         assert_eq!(got, want, "{kernel:?} degree {degree} leaf {lid}");
                         assert!(found.iter().all(|n| !marks[n.id as usize]));
                     }
                 }
+            }
+        }
+    }
+
+    /// The insert side of a finite point the next rebuild cannot verify: 64
+    /// points along (1 + t, 2 − t) at degree 4, then inserts near (1e20,
+    /// 1e20). Each is refused at the door and leaves no mark; points at the
+    /// limit, in every corner, are taken, and the rebuild they force packs a
+    /// tree that answers exactly.
+    #[test]
+    fn an_out_of_range_insert_is_refused_and_a_point_at_the_limit_rebuilds() {
+        let mut line = PointSet::new(2);
+        for i in 0..64 {
+            let t = i as f32 / 64.0;
+            line.push(&[1.0 + t, 2.0 - t]);
+        }
+        let mut t = DynamicSsTree::new(&line, 4, BuildMethod::Hilbert);
+        let probe = [1.5f32, 1.5];
+        let state = |t: &DynamicSsTree| (t.len(), t.pending(), t.stamp, bits(&t.knn(&probe, 5)));
+        let before = state(&t);
+        for i in 0..20 {
+            let far = [1e20 + i as f32 * 1e14, 1e20];
+            assert_eq!(t.try_insert(&far), Err(InsertError::OutOfRange { dim: 0 }), "insert {i}");
+            assert_eq!(t.try_insert(&[1.0, -far[0]]), Err(InsertError::OutOfRange { dim: 1 }));
+        }
+        assert!(before == state(&t), "a refusal left a mark");
+        let limit = InsertError::coordinate_limit(2);
+        assert_eq!(limit, 2f32.powi(62));
+        assert_eq!(t.try_insert(&[limit.next_up(), 0.0]), Err(InsertError::OutOfRange { dim: 0 }));
+        for corner in [[limit, limit], [-limit, -limit], [limit, -limit], [-limit, limit]] {
+            t.insert(&corner);
+        }
+        t.rebuild();
+        assert_eq!(t.pending(), 0);
+        for q in [probe, [limit, limit], [0.0, -limit], [-limit, 1.0]] {
+            assert_matches(&t, &q, 6);
+        }
+        assert_eq!(InsertError::coordinate_limit(4), 2f32.powi(61));
+        assert_eq!(InsertError::coordinate_limit(16), 2f32.powi(60));
+    }
+
+    /// The brute rung turns tombstones away as PSB does, and scans the delta:
+    /// it answers with [`DynamicTree::attempt`]'s rows, through pending
+    /// inserts, base and delta removals, and a query on a removed point.
+    #[test]
+    fn the_fallback_answers_with_the_attempts_rows() {
+        let (cfg, opts) = (DeviceConfig::k40(), KernelOptions::default());
+        let t = churned();
+        let on_removed = dataset().point(17).to_vec();
+        for q in sample_queries(&dataset(), 8, 0.01, 158).iter().chain([&PROBE[..], &on_removed]) {
+            for k in [1, 9, 60] {
+                let (scanned, _) = t.fallback(q, k, &cfg, &opts);
+                let (searched, _) = t.attempt(q, k, &cfg, &opts, None, None).expect("no faults");
+                assert_eq!(bits(&scanned), bits(&searched), "k {k}");
+                assert!(scanned.iter().all(|n| t.contains(n.id)), "a removed row came back");
             }
         }
     }

@@ -31,7 +31,7 @@ use rayon::prelude::*;
 use crate::error::{EngineError, KernelError, QueryOutcome};
 use crate::kernels::brute::brute_try_query;
 use crate::kernels::stackfree::stackfree_try_query;
-use crate::kernels::{effective_metering, Found, Kernel};
+use crate::kernels::{effective_metering, Found, Kernel, Removed};
 use crate::options::{KernelOptions, Metering};
 use crate::schedule::{hilbert_permutation, QuerySchedule, ScheduleScratch};
 use crate::wave::{wave_rows, WaveConfig, WaveReport};
@@ -405,7 +405,9 @@ pub fn launch_stackfree(
         plan,
         sink,
         |q, faults, sink| stackfree_try_query(tree, q, k, cfg, opts, faults, sink),
-        |q| Kernel::Psb { k }.scan(&tree.points, Some(&tree.point_ids), q, cfg, opts),
+        |q| {
+            Kernel::Psb { k }.scan(&tree.points, Some(&tree.point_ids), Removed::NONE, q, cfg, opts)
+        },
     )
 }
 
@@ -512,7 +514,7 @@ pub fn brute_batch(
         &FaultPlan::none(),
         None,
         |q, faults, sink| brute_try_query(points, q, k, cfg, opts, faults, sink),
-        |q| Kernel::Psb { k }.scan(points, None, q, cfg, opts),
+        |q| Kernel::Psb { k }.scan(points, None, Removed::NONE, q, cfg, opts),
     )
 }
 

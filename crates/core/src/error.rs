@@ -95,6 +95,9 @@ pub enum EngineError {
         /// Points available.
         points: usize,
     },
+    /// A shard layout asked for zero replicas: a shard with no device has
+    /// nothing to answer on.
+    NoReplicas,
 }
 
 impl fmt::Display for EngineError {
@@ -105,6 +108,7 @@ impl fmt::Display for EngineError {
             EngineError::TooManyShards { shards, points } => {
                 write!(f, "cannot split {points} points into {shards} non-empty shards")
             }
+            EngineError::NoReplicas => write!(f, "a shard layout needs at least one replica"),
         }
     }
 }

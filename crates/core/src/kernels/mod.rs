@@ -86,7 +86,7 @@ impl Kernel {
     /// [`attempt`](Self::attempt) with the rows of `removed` turned away
     /// before the k-best list admits them (a range query reads no marks).
     #[allow(clippy::too_many_arguments)]
-    fn attempt_excluding<V: Volumes>(
+    pub(crate) fn attempt_excluding<V: Volumes>(
         &self,
         tree: &FlatTree<V>,
         q: &[f32],
@@ -118,20 +118,7 @@ impl Kernel {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> Found {
-        self.trusted_excluding(tree, q, Removed::NONE, cfg, opts)
-    }
-
-    /// [`trusted`](Self::trusted) with the rows of `removed` turned away:
-    /// the mutable index's query over its base tree.
-    pub(crate) fn trusted_excluding<V: Volumes>(
-        &self,
-        tree: &FlatTree<V>,
-        q: &[f32],
-        removed: Removed<'_>,
-        cfg: &DeviceConfig,
-        opts: &KernelOptions,
-    ) -> Found {
-        self.attempt_excluding(tree, q, removed, cfg, opts, None, None)
+        self.attempt(tree, q, cfg, opts, None, None)
             .unwrap_or_else(|e| panic!("{} kernel failed on a trusted tree: {e}", self.label()))
     }
 
@@ -187,16 +174,17 @@ impl Kernel {
         cfg: &DeviceConfig,
         opts: &KernelOptions,
     ) -> Found {
-        self.scan(&tree.points, Some(&tree.point_ids), q, cfg, opts)
+        self.scan(&tree.points, Some(&tree.point_ids), Removed::NONE, q, cfg, opts)
     }
 
     /// [`fallback`](Self::fallback) over any point array: row `i`'s id is
     /// `ids[i]`, or `i` itself when `ids` is `None` (the raw brute kernel's
-    /// rows).
+    /// rows). A kNN scan turns the ids `removed` marks away.
     pub(crate) fn scan(
         &self,
         points: &PointSet,
         ids: Option<&[u32]>,
+        removed: Removed<'_>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
@@ -205,8 +193,8 @@ impl Kernel {
         // No fault state here (the fallback never carries one), so the
         // metering option applies directly.
         match opts.metering {
-            Metering::Simulated => self.scan_with::<true>(points, ids, q, cfg, opts),
-            Metering::Off => self.scan_with::<false>(points, ids, q, cfg, opts),
+            Metering::Simulated => self.scan_with::<true>(points, ids, removed, q, cfg, opts),
+            Metering::Off => self.scan_with::<false>(points, ids, removed, q, cfg, opts),
         }
     }
 
@@ -214,6 +202,7 @@ impl Kernel {
         &self,
         points: &PointSet,
         ids: Option<&[u32]>,
+        removed: Removed<'_>,
         q: &[f32],
         cfg: &DeviceConfig,
         opts: &KernelOptions,
@@ -221,7 +210,7 @@ impl Kernel {
         match *self {
             Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
                 brute::clamped_scan::<_, M>(points, ids, q, cfg, opts, |block| {
-                    KnnCollector::new(block, k, cfg, opts)
+                    KnnCollector::excluding(block, k, removed, cfg, opts)
                 })
             }
             Kernel::Range { radius } => {

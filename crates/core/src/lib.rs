@@ -34,7 +34,7 @@ pub mod shard;
 pub mod stream;
 pub mod wave;
 
-pub use dynamic::DynamicSsTree;
+pub use dynamic::{DynamicSsTree, DynamicTree};
 pub use engine::{
     bnb_batch, brute_batch, launch, launch_stackfree, merge_stats, psb_batch, range_batch, resolve,
     restart_batch, stackfree_batch, Override, QueryBatchResult, Resolved,

@@ -22,7 +22,7 @@ pub use build::{build_rtree, RtreeBuildMethod};
 
 use std::ops::Range;
 
-use psb_geom::{rect_eval, DistKernel, RectKernel, RectRowsOut};
+use psb_geom::{rect_eval, DistKernel, PointSet, RectKernel, RectRowsOut};
 use psb_sstree::{FlatTree, SweepScratch, Volumes};
 
 /// The packed R-tree: a [`FlatTree`] over bounding [`Rects`]. Construct via
@@ -133,6 +133,10 @@ impl Volumes for Rects {
                 anchor_d: &mut out.anchor_d,
             },
         );
+    }
+
+    fn build_hilbert(points: &PointSet, degree: usize) -> RsTree {
+        build_rtree(points, degree, &RtreeBuildMethod::Hilbert)
     }
 }
 

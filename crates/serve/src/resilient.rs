@@ -33,7 +33,7 @@ use crate::admission::{
     AdmissionConfig, BreakerConfig, BreakerState, QuotaConfig, RejectReason, TenantId,
 };
 use crate::deadline::DeadlineBudget;
-use crate::router::{ServeReport, ShardRouter};
+use crate::router::{ServeReport, ShardIndex, ShardRouter};
 use crate::runner::{run_batch, Batch, FrontEnd};
 
 /// Tuning for the whole resilience layer. The default is transparent: the
@@ -191,7 +191,7 @@ impl ResilientBatchResult {
 }
 
 /// The resilience front-end around a [`ShardRouter`].
-pub struct ResilientRouter<T> {
+pub struct ResilientRouter<T: ShardIndex> {
     router: ShardRouter<T>,
     front: FrontEnd,
     metrics: MetricsHandle,
@@ -210,8 +210,8 @@ impl<V: Volumes> ResilientRouter<FlatTree<V>> {
         &self.router
     }
 
-    /// The wrapped router, mutably — fault plans and replica restores go
-    /// through here.
+    /// The wrapped router, mutably — fault plans, replica restores and
+    /// writes go through here.
     pub fn inner_mut(&mut self) -> &mut ShardRouter<FlatTree<V>> {
         &mut self.router
     }
@@ -243,11 +243,9 @@ impl<V: Volumes> ResilientRouter<FlatTree<V>> {
         self.front.cache.stats()
     }
 
-    /// Drops every cached result. The static router's dataset never mutates,
-    /// so this only matters after operator interventions (replacing the
-    /// wrapped router's fault plans is harmless — results are exact either
-    /// way); [`DynamicShardRouter`](crate::DynamicShardRouter)'s removes
-    /// flush the same way.
+    /// Drops every cached result. A write through
+    /// [`ResilientRouter::inner_mut`] needs no call: the next batch sees the
+    /// router's version move and drops them itself.
     pub fn invalidate_cache(&mut self) {
         self.front.cache.flush();
     }

@@ -1,22 +1,28 @@
 //! The shard router: MINDIST-ordered shard visits, shard-level pruning,
 //! scatter-gather exact top-k merge, and the replica failover ladder.
 
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::time::Instant;
+
+use crate::admission::{CacheKey, QueryCache};
 use crate::deadline::{DeadlineBudget, DeadlineClock};
 use crate::plan::{Visit, VisitPlan};
 use crate::resilient::{ResilienceConfig, ServeOutcome};
 use crate::runner::{run_batch, Batch, FrontEnd};
+use psb_core::dynamic::{InsertError, Rebuilt, Snapshot};
 use psb_core::knnlist::GpuKnnList;
-use psb_core::shard::{partition, shard_sphere, ShardPolicy};
+use psb_core::shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
 use psb_core::{
-    dist_cost, EngineError, Kernel, KernelError, KernelOptions, Metering, QueryOutcome,
+    dist_cost, DynamicTree, EngineError, KernelError, KernelOptions, Metering, QueryOutcome,
 };
-use psb_geom::{PointSet, RitterMode, Sphere};
+use psb_geom::{dist, PointSet, RitterMode, Sphere};
 use psb_gpu::{
     launch_blocks, Block, DeviceConfig, FaultPlan, KernelStats, LaunchReport, NodeKind, Phase,
     TraceEvent, TraceSink, VecSink,
 };
 use psb_metrics::MetricsHandle;
 use psb_sstree::{FlatTree, Neighbor, Volumes};
+use rayon::prelude::*;
 
 /// How a [`ShardRouter`] is laid out: shard count, replication factor, and
 /// the split policy.
@@ -63,21 +69,76 @@ pub enum ReplicaState {
     },
 }
 
+/// A device over its shard's tree, on the router's [`DeviceConfig`].
 #[derive(Clone, Debug)]
 struct Replica {
-    device: DeviceConfig,
     plan: FaultPlan,
     state: ReplicaState,
 }
 
-struct ShardEntry<T> {
-    index: T,
+/// One shard: its tree under global ids (read-locked by the queries that
+/// visit it, write-locked by a rebuild's swap), its directory entry — an
+/// enclosing sphere and the live count, read without the tree lock — and its
+/// replicas, each a device over the one tree.
+struct Shard<V: Volumes> {
+    tree: RwLock<DynamicTree<V>>,
     sphere: Sphere,
-    /// Global dataset position of each local point position, i.e. the shard's
-    /// slice of the [`partition`] assignment. Maps per-shard neighbor ids back
-    /// to global ids during the merge.
-    ids: Vec<u32>,
+    len: usize,
     replicas: Vec<Replica>,
+}
+
+impl<V: Volumes> Shard<V> {
+    /// The one shard build: Ritter's sphere over the points in the
+    /// partition's order (it depends on the order it sees them in), then the
+    /// tree `build_index` makes over them gathered in ascending id order.
+    fn build(
+        points: &PointSet,
+        ids: &[u32],
+        replicas: usize,
+        build_index: impl FnOnce(&PointSet) -> FlatTree<V>,
+    ) -> Self {
+        // Parallel Ritter: the SS-tree builder's spheres, bit for bit.
+        let sphere = shard_sphere(points, ids, RitterMode::Parallel);
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable();
+        let base = build_index(&points.gather(&sorted));
+        let replica = Replica { plan: FaultPlan::none(), state: ReplicaState::Healthy };
+        Self {
+            tree: RwLock::new(DynamicTree::from_tree(base, sorted)),
+            sphere,
+            len: ids.len(),
+            replicas: vec![replica; replicas],
+        }
+    }
+}
+
+/// Maps the tree type a [`ShardRouter`] is named by to its shards' family.
+pub trait ShardIndex {
+    /// The shards' bounding-volume family.
+    type Family: Volumes;
+}
+
+impl<V: Volumes> ShardIndex for FlatTree<V> {
+    type Family = V;
+}
+
+/// [`ShardRouter::knn`]'s cache (disabled until
+/// [`ShardRouter::attach_cache`]) and the count of inserts and removes, under
+/// one lock. A miss files its answer only if the count has not moved since
+/// it started: an answer computed while a point came or went may or may not
+/// have seen it.
+#[derive(Default)]
+struct ResultCache {
+    results: QueryCache,
+    version: u64,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One failover decision: while serving `query`, `replica` of `shard` died
@@ -170,11 +231,22 @@ pub struct ServeBatchResult {
     pub report: ServeReport,
 }
 
-/// Routes batched kNN queries across sharded single-device indexes.
-pub struct ShardRouter<T> {
-    shards: Vec<ShardEntry<T>>,
+/// Routes kNN queries across sharded single-device indexes, and takes
+/// inserts, removes and shard rebuilds between them.
+///
+/// All answers are exact over the live point set. Ids are router-global:
+/// initial points keep their dataset positions `0..n`, inserts allocate
+/// fresh ids upward. Each shard's tree holds its points under these ids, so
+/// no id is translated anywhere.
+pub struct ShardRouter<T: ShardIndex> {
+    shards: Vec<Shard<T::Family>>,
     device: DeviceConfig,
     dims: usize,
+    /// The id the next insert gets.
+    next_id: u32,
+    /// The result cache [`ShardRouter::knn`] keeps (batches go through their
+    /// front end's instead).
+    cache: Mutex<ResultCache>,
     /// Telemetry sink; the detached default records nothing and costs one
     /// branch per batch.
     metrics: MetricsHandle,
@@ -182,10 +254,10 @@ pub struct ShardRouter<T> {
 
 impl<V: Volumes> ShardRouter<FlatTree<V>> {
     /// Partitions `points` per `cfg`, builds one index per shard with
-    /// `build_index` (over the gathered per-shard [`PointSet`], whose local
-    /// position `i` is global position `assignments[s][i]`), computes each
-    /// shard's (parallel-mode) Ritter bounding sphere, and provisions
-    /// `cfg.replicas` simulated devices per shard.
+    /// `build_index` (over the shard's points gathered in ascending global
+    /// id order, so local position `i` answers as the shard's `i`-th
+    /// smallest id), computes each shard's (parallel-mode) Ritter bounding
+    /// sphere, and provisions `cfg.replicas` simulated devices per shard.
     ///
     /// Panics on an invalid layout; [`ShardRouter::try_build`] is the typed
     /// variant.
@@ -201,48 +273,51 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         }
     }
 
-    /// Like [`ShardRouter::build`], but an impossible layout — zero shards, or
-    /// more shards than points to spread over them — is a typed
-    /// [`EngineError`] instead of a panic.
+    /// Like [`ShardRouter::build`], but an impossible layout — zero shards,
+    /// more shards than points to spread over them, or zero replicas — is a
+    /// typed [`EngineError`] instead of a panic.
     pub fn try_build(
         points: &PointSet,
         cfg: &ServeConfig,
         device: &DeviceConfig,
         build_index: impl Fn(&PointSet) -> FlatTree<V>,
     ) -> Result<Self, EngineError> {
-        if cfg.shards == 0 {
-            return Err(EngineError::NoShards);
-        }
-        if cfg.shards > points.len() {
-            return Err(EngineError::TooManyShards { shards: cfg.shards, points: points.len() });
-        }
-        assert!(cfg.replicas >= 1, "each shard needs at least one replica");
-        let plan = partition(points, cfg.shards, &cfg.policy);
+        let plan = layout(points, cfg)?;
         let shards = plan
             .assignments
             .iter()
-            .map(|ids| {
-                let local = points.gather(ids);
-                // Parallel Ritter: the SS-tree builder's spheres, bit for bit.
-                let sphere = shard_sphere(points, ids, RitterMode::Parallel);
-                let index = build_index(&local);
-                assert_eq!(index.points.len(), ids.len(), "index must cover its shard");
-                let replicas = (0..cfg.replicas)
-                    .map(|_| Replica {
-                        device: device.clone(),
-                        plan: FaultPlan::none(),
-                        state: ReplicaState::Healthy,
-                    })
-                    .collect();
-                ShardEntry { index, sphere, ids: ids.clone(), replicas }
-            })
+            .map(|ids| Shard::build(points, ids, cfg.replicas, &build_index))
             .collect();
-        Ok(Self {
+        Ok(Self::with_shards(shards, device, points))
+    }
+
+    /// [`ShardRouter::try_build`] with every shard packed by Hilbert key at
+    /// `degree`, the shards built side by side: one parallel region whose
+    /// pieces are whole shards, each shard's own build serial inside it.
+    pub(crate) fn try_build_packed(
+        points: &PointSet,
+        cfg: &ServeConfig,
+        device: &DeviceConfig,
+        degree: usize,
+    ) -> Result<Self, EngineError> {
+        let plan = layout(points, cfg)?;
+        let shards = plan
+            .assignments
+            .par_iter()
+            .map(|ids| Shard::build(points, ids, cfg.replicas, |ps| V::build_hilbert(ps, degree)))
+            .collect();
+        Ok(Self::with_shards(shards, device, points))
+    }
+
+    fn with_shards(shards: Vec<Shard<V>>, device: &DeviceConfig, points: &PointSet) -> Self {
+        Self {
             shards,
             device: device.clone(),
             dims: points.dims(),
+            next_id: points.len() as u32,
+            cache: Mutex::default(),
             metrics: MetricsHandle::noop(),
-        })
+        }
     }
 
     /// The simulated device the router prices its blocks on.
@@ -255,17 +330,12 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         self.dims
     }
 
-    /// Attaches a metrics registry: subsequent batches record per-shard
-    /// visit/prune counters, failover/degrade tallies, per-query and per-batch
-    /// latency histograms, and the launch report's simulated figures.
+    /// Attaches a metrics registry: batches record their reports and
+    /// latencies, [`ShardRouter::knn`] its latency and cache traffic
+    /// (`serve.dyn_*`), writes what they do to cached answers, and rebuilds
+    /// their durations.
     pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
         self.metrics = metrics;
-    }
-
-    /// The router's current metrics handle (detached unless
-    /// [`ShardRouter::attach_metrics`] was called).
-    pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
     }
 
     /// Number of shards.
@@ -296,6 +366,182 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         let rep = &mut self.shards[s].replicas[r];
         rep.plan = FaultPlan::none();
         rep.state = ReplicaState::Healthy;
+    }
+
+    /// Live points across shards (directory view; no tree lock taken).
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.len).sum()
+    }
+
+    /// Whether no live points remain.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Attaches an exact-result cache of `capacity` entries (0 turns it back
+    /// off) to [`ShardRouter::knn`]. Inserts fold their point into every
+    /// resident answer, rebuilds change none, removes drop them all
+    /// (DESIGN.md "Mutable shards"). It evicts in insertion order: a hit does
+    /// not mark its entry as [`ResilientRouter`](crate::ResilientRouter)'s
+    /// does.
+    pub fn attach_cache(&mut self, capacity: usize) {
+        lock(&self.cache).results = QueryCache::insertion_order(capacity);
+    }
+
+    /// How many inserts and removes the live set has seen.
+    pub fn version(&self) -> u64 {
+        lock(&self.cache).version
+    }
+
+    /// `(hits, misses, evictions, flushes)` of the attached cache. A flush
+    /// is a [`ShardRouter::remove`] that found entries to drop; nothing else
+    /// drops them.
+    pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
+        lock(&self.cache).results.stats()
+    }
+
+    /// Inserts a point, routing it to the shard whose sphere center is nearest
+    /// (lowest shard index on ties) and growing that shard's sphere to keep it
+    /// an enclosing bound. Returns the new global id. Panics, before changing
+    /// anything, on a point [`ShardRouter::try_insert`] refuses.
+    pub fn insert(&mut self, p: &[f32]) -> u32 {
+        match self.try_insert(p) {
+            Ok(g) => g,
+            Err(e) => panic!("ShardRouter::insert: {e}"),
+        }
+    }
+
+    /// [`ShardRouter::insert`] for points from outside the program: a point
+    /// [`InsertError::check`] refuses is a typed error, and the router —
+    /// trees, directory, version and cache — is left as it was.
+    pub fn try_insert(&mut self, p: &[f32]) -> Result<u32, InsertError> {
+        InsertError::check(p, self.dims)?;
+        let nearest =
+            self.shards.iter().enumerate().map(|(s, shard)| (dist(p, &shard.sphere.center), s));
+        let target = nearest.min_by(|a, b| a.0.total_cmp(&b.0)).map_or(0, |(_, s)| s);
+        let g = self.next_id;
+        let shard = &mut self.shards[target];
+        shard.tree.get_mut().unwrap_or_else(PoisonError::into_inner).try_insert_as(p, g)?;
+        self.next_id += 1;
+        shard.len += 1;
+        shard.sphere.radius = shard.sphere.radius.max(dist(p, &shard.sphere.center));
+        let absorbed = self.wrote(|cache| cache.absorb(p, g));
+        if absorbed > 0 {
+            self.metrics.counter("serve.dyn_cache_absorbed", absorbed as u64);
+        }
+        Ok(g)
+    }
+
+    /// Removes a point by global id; returns whether it was alive. The
+    /// owning shard is the one whose tree holds the id. Its sphere is left
+    /// as-is (still enclosing, just conservative). Drops every cached answer:
+    /// the point that moves up into an answer's k-th place is not in the
+    /// entry.
+    pub fn remove(&mut self, id: u32) -> bool {
+        let owner = self.shards.iter_mut().find_map(|shard| {
+            let tree = shard.tree.get_mut().unwrap_or_else(PoisonError::into_inner);
+            tree.remove(id).then_some(shard)
+        });
+        let Some(shard) = owner else {
+            return false;
+        };
+        shard.len -= 1;
+        if self.wrote(QueryCache::flush) {
+            self.metrics.counter("serve.dyn_cache_flushes", 1);
+        }
+        true
+    }
+
+    /// After a write to a tree: moves the version on and brings the resident
+    /// answers up to the new live set with `keep`, in one hold of the cache
+    /// lock, so no answer from before the write is filed behind it.
+    fn wrote<R>(&self, keep: impl FnOnce(&mut QueryCache) -> R) -> R {
+        let mut cache = lock(&self.cache);
+        cache.version += 1;
+        keep(&mut cache.results)
+    }
+
+    /// Rebuilds shard `s`'s packed index aside: the live set is copied under
+    /// the shard's *read* lock, the tree is built with no lock held, and the
+    /// write lock is taken for the swap only. Should the shard have changed
+    /// under the build (it cannot while writes take `&mut self`;
+    /// [`DynamicTree::install`] checks rather than assumes), it is rebuilt in
+    /// place under the write lock instead. The live set is the same before
+    /// and after, so cached answers stay. With a registry attached it records
+    /// `serve.rebuild_us` (the whole call), `serve.rebuild_swap_us` (the write
+    /// lock's hold) and `serve.rebuilds_in_place`.
+    pub fn rebuild_shard(&self, s: usize) {
+        let started = self.clock();
+        let snapshot = read(&self.shards[s].tree).snapshot();
+        let (swap_started, in_place) = self.swap_in(s, snapshot.map(Snapshot::build));
+        let swap_us = swap_started.map(|t0| t0.elapsed().as_secs_f64() * 1e6);
+        if let (Some(t0), Some(swap_us)) = (started, swap_us) {
+            let m = &self.metrics;
+            m.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
+            m.observe("serve.rebuild_swap_us", swap_us);
+            m.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
+            if in_place {
+                m.counter("serve.rebuilds_in_place", 1);
+            }
+        }
+    }
+
+    /// `Some(now)` with a registry attached; a detached handle reads no clock.
+    fn clock(&self) -> Option<Instant> {
+        self.metrics.is_attached().then(Instant::now)
+    }
+
+    /// A rebuild's write-locked step: installs `rebuilt`, or rebuilds in place
+    /// if that is stale. Returns when the lock was taken and whether it was.
+    fn swap_in(&self, s: usize, rebuilt: Option<Rebuilt<V>>) -> (Option<Instant>, bool) {
+        let mut tree = self.shards[s].tree.write().unwrap_or_else(PoisonError::into_inner);
+        let acquired = self.clock();
+        let in_place = rebuilt.is_some_and(|rebuilt| tree.install(rebuilt).is_err());
+        if in_place {
+            tree.rebuild();
+        }
+        (acquired, in_place)
+    }
+
+    /// Exact kNN over the live set: the version-checked result cache around
+    /// the batch path's one query step, unmetered, no shard routed around, no
+    /// deadline. Only visited shards are read-locked. A replica that dies
+    /// under it is passed over, not demoted: only a batch latches.
+    pub fn knn(&self, q: &[f32], k: usize) -> Vec<Neighbor> {
+        assert!(k >= 1, "k must be at least 1");
+        assert_eq!(q.len(), self.dims, "dimensionality mismatch");
+        let m = &self.metrics;
+        let started = self.clock();
+        // Exact-result cache: every resident entry answers for the live set
+        // as it is now. On a miss, note the version the answer will be
+        // computed under.
+        let mut miss = None;
+        {
+            let mut cache = lock(&self.cache);
+            if cache.results.is_enabled() {
+                let probe = CacheKey::new(q, k);
+                if let Some(hit) = cache.results.get(&probe) {
+                    m.counter("serve.dyn_cache_hits", 1);
+                    return hit;
+                }
+                m.counter("serve.dyn_cache_misses", 1);
+                miss = Some((probe, cache.version));
+            }
+        }
+        let opts = KernelOptions { metering: Metering::Off, ..KernelOptions::default() };
+        let skip = vec![false; self.shards.len()];
+        let found = self.execute(0, q, k, &opts, &skip, DeadlineBudget::None, false).neighbors;
+        if let Some((key, version)) = miss {
+            let mut cache = lock(&self.cache);
+            if cache.version == version {
+                cache.results.insert(key, &found);
+            }
+        }
+        if let Some(t0) = started {
+            m.observe("serve.dyn_query_us", t0.elapsed().as_secs_f64() * 1e6);
+            m.counter("serve.dyn_queries", 1);
+        }
+        found
     }
 
     /// Serves a batch; see [`ShardRouter::serve_batch_traced`].
@@ -421,7 +667,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         // contribute to the initial bound either. Deriving it is one scalar
         // pass over the directory.
         let plan = VisitPlan::new(q, k, self.shards.iter().zip(skip), |&(shard, &skipped)| {
-            (&shard.sphere, shard.ids.len(), skipped)
+            (&shard.sphere, shard.len, skipped)
         });
         let order = &plan.order;
         block.scalar(s as u64);
@@ -430,8 +676,8 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         block.set_phase(prev);
 
         let mut extra = KernelStats::default();
-        let mut first_err: Option<KernelError> = None;
-        let mut retry_err: Option<KernelError> = None;
+        // Every error the query met, in the order the outcome reports them.
+        let mut errors: Vec<KernelError> = Vec::new();
         let mut degraded = false;
         let mut visited: Vec<(usize, ShardSignal)> = Vec::with_capacity(s);
         let mut pruned: Vec<usize> = Vec::new();
@@ -456,12 +702,11 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                 if let Some(pos) = brute_pos {
                     let sj = order[pos].shard;
                     block.visit_node(0, NodeKind::Internal);
-                    let (nb, st) =
-                        Kernel::Psb { k }.fallback(&self.shards[sj].index, q, &self.device, opts);
+                    let (nb, st) = read(&self.shards[sj].tree).fallback(q, k, &self.device, opts);
                     extra.merge(&st);
                     let prev = block.set_phase(Phase::ResultMerge);
                     for n in &nb {
-                        list.offer(&mut block, n.dist, self.shards[sj].ids[n.id as usize]);
+                        list.offer(&mut block, n.dist, n.id);
                     }
                     block.set_phase(prev);
                     // The shard itself is healthy — a deadline economy says
@@ -498,6 +743,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
             }
             block.visit_node(0, NodeKind::Internal);
             let shard = &self.shards[si];
+            let tree = read(&shard.tree);
             let failovers_before = failovers.len();
 
             // Replica ladder: first healthy replica answers; a replica that
@@ -509,19 +755,13 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                 }
                 let faults =
                     (!replica.plan.is_noop()).then(|| replica.plan.state_for(qi as u64, 0));
-                let launch =
-                    Kernel::Psb { k }.attempt(&shard.index, q, &replica.device, opts, faults, None);
-                match launch {
+                match tree.attempt(q, k, &self.device, opts, faults, None) {
                     Ok(res) => {
                         answered = Some(res);
                         break;
                     }
                     Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        } else if retry_err.is_none() {
-                            retry_err = Some(e);
-                        }
+                        errors.push(e);
                         failovers.push(FailoverEvent {
                             query: qi,
                             shard: si,
@@ -543,22 +783,17 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                     // then answer with the exact link-free scan.
                     degraded = true;
                     let died_now = &failovers[failovers_before..];
-                    for (ri, replica) in shard.replicas.iter().enumerate() {
-                        let error = match replica.state {
+                    let latched =
+                        shard.replicas.iter().enumerate().filter_map(|(ri, replica)| match replica
+                            .state
+                        {
                             ReplicaState::Demoted { error } => Some(error),
                             ReplicaState::Healthy => {
                                 died_now.iter().find(|f| f.replica == ri).map(|f| f.error)
                             }
-                        };
-                        if let Some(error) = error {
-                            if first_err.is_none() {
-                                first_err = Some(error);
-                            } else if retry_err.is_none() {
-                                retry_err = Some(error);
-                            }
-                        }
-                    }
-                    Kernel::Psb { k }.fallback(&shard.index, q, &self.device, opts)
+                        });
+                    errors.extend(latched);
+                    tree.fallback(q, k, &self.device, opts)
                 }
             };
             // The breaker's per-visit verdict on this shard: a clean replica
@@ -574,10 +809,9 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
             extra.merge(&shard_stats);
             let prev = block.set_phase(Phase::ResultMerge);
             for nb in &shard_nb {
-                // Scatter-gather merge: per-shard ids are local positions in
-                // the gathered point set; map back to global ids and offer to
+                // Scatter-gather merge: the shard answers in global ids, into
                 // the same k-best list the kernels use.
-                list.offer(&mut block, nb.dist, shard.ids[nb.id as usize]);
+                list.offer(&mut block, nb.dist, nb.id);
             }
             block.set_phase(prev);
         }
@@ -598,9 +832,9 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                 skipped: skipped as u32,
             }
         } else {
-            match (degraded, first_err) {
+            match (degraded, errors.first().copied()) {
                 (true, Some(first)) => {
-                    QueryOutcome::Degraded { first, retry: retry_err.unwrap_or(first) }
+                    QueryOutcome::Degraded { first, retry: errors.get(1).copied().unwrap_or(first) }
                 }
                 (false, Some(first)) => QueryOutcome::Retried { first },
                 (_, None) => QueryOutcome::Clean,
@@ -627,6 +861,20 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
                 ReplicaState::Demoted { error: f.error };
         }
     }
+}
+
+/// The shard plan `cfg` makes of `points`, or why it cannot make one.
+fn layout(points: &PointSet, cfg: &ServeConfig) -> Result<ShardPlan, EngineError> {
+    if cfg.shards == 0 {
+        return Err(EngineError::NoShards);
+    }
+    if cfg.shards > points.len() {
+        return Err(EngineError::TooManyShards { shards: cfg.shards, points: points.len() });
+    }
+    if cfg.replicas == 0 {
+        return Err(EngineError::NoReplicas);
+    }
+    Ok(partition(points, cfg.shards, &cfg.policy))
 }
 
 /// The per-visit verdict [`ShardRouter::execute`] hands the resilience layer
@@ -724,6 +972,7 @@ impl BatchAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_core::Kernel;
     use psb_data::UniformSpec;
     use psb_sstree::{BuildMethod, SsTree};
 
@@ -741,7 +990,8 @@ mod tests {
     fn build_provisions_shards_and_replicas() {
         let (ps, r) = router(600, 4, &ServeConfig::new(4).with_replicas(2));
         assert_eq!(r.num_shards(), 4);
-        assert_eq!(r.shards.iter().map(|s| s.ids.len()).sum::<usize>(), ps.len());
+        assert_eq!(r.shards.iter().map(|s| s.len).sum::<usize>(), ps.len());
+        assert_eq!(r.len(), ps.len());
         for s in 0..4 {
             for rep in 0..2 {
                 assert_eq!(r.replica_state(s, rep), ReplicaState::Healthy);
@@ -865,5 +1115,501 @@ mod tests {
         assert_eq!(r.replica_state(0, 0), ReplicaState::Healthy);
         let again = r.serve_batch(&queries, 3, &KernelOptions::default()).expect("serve");
         assert!(again.report.failovers.is_empty(), "restored replica is healthy again");
+    }
+
+    #[test]
+    fn zero_replicas_is_a_typed_error() {
+        let ps = UniformSpec { len: 100, dims: 3, seed: 5 }.generate();
+        let cfg = ServeConfig::new(2).with_replicas(0);
+        let built = ShardRouter::try_build(&ps, &cfg, &DeviceConfig::k40(), build);
+        assert!(matches!(built, Err(EngineError::NoReplicas)));
+        let packed = ShardRouter::<SsTree>::try_build_packed(&ps, &cfg, &DeviceConfig::k40(), 8);
+        assert!(matches!(packed, Err(EngineError::NoReplicas)));
+    }
+
+    /// `knn` takes `&self`, so a replica that dies under it is passed over
+    /// and stays in rotation; the next batch demotes it.
+    #[test]
+    fn knn_fails_over_without_latching_and_a_batch_latches() {
+        let (ps, mut r) = router(400, 3, &ServeConfig::new(2).with_replicas(2));
+        r.set_fault_plan(0, 0, FaultPlan::truncation(1));
+        r.set_fault_plan(1, 0, FaultPlan::truncation(1));
+        let queries = UniformSpec { len: 6, dims: 3, seed: 11 }.generate();
+        let full = build(&ps);
+        let (cfg, opts) = (DeviceConfig::k40(), KernelOptions::default());
+        for q in queries.iter() {
+            let (want, _) = Kernel::Psb { k: 4 }.fallback(&full, q, &cfg, &opts);
+            assert_eq!(r.knn(q, 4), want);
+        }
+        assert_eq!(r.replica_state(0, 0), ReplicaState::Healthy);
+        assert_eq!(r.replica_state(1, 0), ReplicaState::Healthy);
+        let out = r.serve_batch(&queries, 4, &opts).expect("serve");
+        assert!(!out.report.failovers.is_empty());
+        let demoted = |s| matches!(r.replica_state(s, 0), ReplicaState::Demoted { .. });
+        assert!(demoted(0) || demoted(1));
+    }
+
+    /// The router's writes, result cache and rebuilds, through the
+    /// constructor the mutable router is built with.
+    mod mutable {
+        use super::*;
+        use crate::DynamicShardRouter;
+        use psb_data::UniformSpec;
+        use std::sync::mpsc;
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        /// Linear-scan oracle over an externally maintained (global id, point)
+        /// mirror.
+        fn oracle(mirror: &[(u32, Vec<f32>)], q: &[f32], k: usize) -> Vec<Neighbor> {
+            let mut v: Vec<Neighbor> =
+                mirror.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
+            v.sort_by(Neighbor::by_rank);
+            v.truncate(k.min(v.len()));
+            v
+        }
+
+        #[test]
+        fn insert_remove_knn_match_oracle() {
+            let ps = UniformSpec { len: 400, dims: 3, seed: 21 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 4, &ShardPolicy::HilbertRange, 8);
+            let mut mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            let extra = UniformSpec { len: 60, dims: 3, seed: 22 }.generate();
+            for i in 0..extra.len() {
+                let g = r.insert(extra.point(i));
+                mirror.push((g, extra.point(i).to_vec()));
+            }
+            for id in [3u32, 77, 150, 401, 420] {
+                assert!(r.remove(id));
+                mirror.retain(|(i, _)| *i != id);
+            }
+            assert!(!r.remove(9999));
+            assert_eq!(r.len(), mirror.len());
+            let queries = UniformSpec { len: 20, dims: 3, seed: 23 }.generate();
+            for qi in 0..queries.len() {
+                let q = queries.point(qi);
+                assert_eq!(r.knn(q, 7), oracle(&mirror, q, 7), "query {qi}");
+            }
+        }
+
+        #[test]
+        fn rebuild_of_one_shard_preserves_answers() {
+            let ps = UniformSpec { len: 300, dims: 4, seed: 31 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            let extra = UniformSpec { len: 40, dims: 4, seed: 32 }.generate();
+            for i in 0..extra.len() {
+                r.insert(extra.point(i));
+            }
+            let q = ps.point(0).to_vec();
+            let before = r.knn(&q, 9);
+            for s in 0..r.num_shards() {
+                r.rebuild_shard(s);
+            }
+            assert_eq!(r.knn(&q, 9), before, "rebuild changed answers");
+        }
+
+        #[test]
+        fn a_stale_build_is_not_installed_and_the_shard_is_rebuilt_in_place() {
+            let ps = UniformSpec { len: 300, dims: 3, seed: 61 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+            let mut mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            let built_aside = |r: &DynamicShardRouter, s: usize| {
+                read(&r.shards[s].tree).snapshot().map(Snapshot::build)
+            };
+            let pending = |r: &DynamicShardRouter, s: usize| read(&r.shards[s].tree).pending();
+            // What `rebuild_shard` cannot meet while `insert` is `&mut self`: both
+            // shards change between their snapshot and the swap.
+            let stale = [built_aside(&r, 0), built_aside(&r, 1)];
+            let extra = UniformSpec { len: 20, dims: 3, seed: 62 }.generate();
+            for p in extra.iter() {
+                mirror.push((r.insert(p), p.to_vec()));
+            }
+            for (s, rebuilt) in stale.into_iter().enumerate() {
+                assert!(pending(&r, s) > 0, "shard {s} took no insert");
+                assert_eq!(r.swap_in(s, rebuilt), (None, true), "shard {s}");
+                assert_eq!(pending(&r, s), 0, "shard {s} was not rebuilt");
+            }
+            // A build of the shard as it is goes in.
+            mirror.push((r.insert(&[0.5, 0.5, 0.5]), vec![0.5, 0.5, 0.5]));
+            for s in 0..2 {
+                assert_eq!(r.swap_in(s, built_aside(&r, s)), (None, false), "shard {s}");
+                assert_eq!(pending(&r, s), 0);
+            }
+            for q in ps.iter().take(20) {
+                assert_eq!(r.knn(q, 6), oracle(&mirror, q, 6));
+            }
+        }
+
+        #[test]
+        fn attached_registry_sees_rebuilds_and_queries() {
+            let ps = UniformSpec { len: 300, dims: 3, seed: 51 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            let reg = psb_metrics::Registry::new();
+            r.attach_metrics(MetricsHandle::attached(&reg));
+            let q = ps.point(0).to_vec();
+            let before = r.knn(&q, 5);
+            for s in 0..r.num_shards() {
+                r.rebuild_shard(s);
+            }
+            assert_eq!(r.knn(&q, 5), before);
+            // With a cache: the answer filed before the rebuilds is served after
+            // them, an insert is folded into it, and only a remove drops it.
+            r.attach_cache(8);
+            assert_eq!(r.knn(&q, 5), before);
+            r.rebuild_shard(0);
+            assert_eq!(r.knn(&q, 5), before, "a hit");
+            let twin = r.insert(&q);
+            let mut grown = before.clone();
+            grown.insert(1, Neighbor { dist: 0.0, id: twin });
+            grown.truncate(5);
+            assert_eq!(r.knn(&q, 5), grown, "a hit on the maintained answer");
+            assert!(r.remove(twin));
+            assert_eq!(r.knn(&q, 5), before, "recomputed");
+            assert_eq!(r.cache_stats(), (2, 2, 0, 1));
+            let snap = reg.snapshot();
+            let counter = |name: &str| {
+                snap.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap_or(0)
+            };
+            assert_eq!(counter("serve.dyn_queries"), 4);
+            assert_eq!(counter("serve.dyn_cache_hits"), 2);
+            assert_eq!(counter("serve.dyn_cache_misses"), 2);
+            assert_eq!(counter("serve.dyn_cache_absorbed"), 1);
+            assert_eq!(counter("serve.dyn_cache_flushes"), 1);
+            let rebuilds: u64 = snap
+                .counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("serve.rebuilds{"))
+                .map(|(_, v)| *v)
+                .sum();
+            assert_eq!(rebuilds, 4);
+            let hist = |name: &str| {
+                snap.histograms.iter().find(|(k, _)| k == name).map(|(_, h)| *h).expect(name)
+            };
+            assert_eq!(hist("serve.rebuild_us").count, 4);
+            // The swap is a part of the rebuild, and no rebuild fell back to
+            // holding the write lock for all of it.
+            assert_eq!(hist("serve.rebuild_swap_us").count, 4);
+            assert!(hist("serve.rebuild_swap_us").max <= hist("serve.rebuild_us").max);
+            assert_eq!(counter("serve.rebuilds_in_place"), 0);
+            assert_eq!(hist("serve.dyn_query_us").count, 4);
+        }
+
+        #[test]
+        fn a_non_finite_point_is_a_typed_error_and_changes_nothing() {
+            let ps = UniformSpec { len: 300, dims: 3, seed: 71 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            r.attach_cache(8);
+            let q = ps.point(7).to_vec();
+            let answer = r.knn(&q, 5);
+            let state = |r: &DynamicShardRouter| {
+                let spheres: Vec<Sphere> = r.shards.iter().map(|s| s.sphere.clone()).collect();
+                let pending: Vec<usize> =
+                    r.shards.iter().map(|s| read(&s.tree).pending()).collect();
+                (r.len(), r.version(), r.cache_stats(), spheres, pending)
+            };
+            let before = state(&r);
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for dim in 0..3 {
+                    let mut p = q.clone();
+                    p[dim] = bad;
+                    assert_eq!(
+                        r.try_insert(&p),
+                        Err(InsertError::NonFinite { dim }),
+                        "{bad} in dimension {dim}"
+                    );
+                }
+            }
+            assert!(before == state(&r), "a refused insert left a mark");
+            // The rebuild a NaN used to reach, 240 inserts later, inside Ritter.
+            for s in 0..r.num_shards() {
+                r.rebuild_shard(s);
+            }
+            assert_eq!(r.knn(&q, 5), answer);
+            assert_eq!(r.cache_stats().0, 1, "and the cached answer is still there");
+            assert_eq!(r.try_insert(&q), Ok(300));
+        }
+
+        #[test]
+        fn a_wrong_length_point_is_a_typed_error_and_changes_nothing() {
+            let ps = UniformSpec { len: 300, dims: 3, seed: 73 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            r.attach_cache(8);
+            let q = ps.point(7).to_vec();
+            let answer = r.knn(&q, 5);
+            let state = |r: &DynamicShardRouter| {
+                let spheres: Vec<Sphere> = r.shards.iter().map(|s| s.sphere.clone()).collect();
+                let pending: Vec<usize> =
+                    r.shards.iter().map(|s| read(&s.tree).pending()).collect();
+                (r.len(), r.version(), r.cache_stats(), spheres, pending)
+            };
+            let before = state(&r);
+            for p in [&[][..], &[0.5], &[0.5, 0.5], &[0.5; 4], &[f32::NAN; 7]] {
+                let want = InsertError::Dims { expected: 3, got: p.len() };
+                assert_eq!(r.try_insert(p), Err(want), "{} coordinates", p.len());
+            }
+            assert!(before == state(&r), "a refused insert left a mark");
+            assert_eq!(r.knn(&q, 5), answer);
+            assert_eq!(r.try_insert(&q), Ok(300), "and used up no id");
+        }
+
+        #[test]
+        #[should_panic(expected = "the inserted point has 2 coordinates, the index 3")]
+        fn insert_panics_at_the_door_on_a_wrong_length_point() {
+            let ps = UniformSpec { len: 100, dims: 3, seed: 74 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+            r.insert(&[0.5, 0.5]);
+        }
+
+        /// The ids alive in shard `s`, ascending.
+        fn shard_ids(r: &DynamicShardRouter, s: usize) -> Vec<u32> {
+            (0..r.next_id).filter(|&id| read(&r.shards[s].tree).contains(id)).collect()
+        }
+
+        /// What a shard's tree holds: pending count and base rows, bit for bit.
+        fn shard_state(r: &DynamicShardRouter, s: usize) -> (usize, Vec<(u32, Vec<u32>)>) {
+            let tree = read(&r.shards[s].tree);
+            let rows =
+                tree.base_rows().map(|(id, p)| (id, p.iter().map(|x| x.to_bits()).collect()));
+            (tree.pending(), rows.collect())
+        }
+
+        #[test]
+        fn removes_find_their_shard_without_an_owner_table() {
+            let ps = UniformSpec { len: 300, dims: 3, seed: 81 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            r.attach_cache(16);
+            let mut mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            let extra = UniformSpec { len: 30, dims: 3, seed: 82 }.generate();
+            for p in extra.iter() {
+                mirror.push((r.insert(p), p.to_vec()));
+            }
+            let queries = UniformSpec { len: 12, dims: 3, seed: 83 }.generate();
+            let remove = |r: &mut DynamicShardRouter, mirror: &mut Vec<(u32, Vec<f32>)>, id| {
+                let before = (r.version(), r.cache_stats(), r.len());
+                let alive = mirror.iter().any(|(i, _)| *i == id);
+                assert_eq!(r.remove(id), alive, "id {id}");
+                if alive {
+                    mirror.retain(|(i, _)| *i != id);
+                } else {
+                    assert_eq!(
+                        (r.version(), r.cache_stats(), r.len()),
+                        before,
+                        "id {id} left a mark"
+                    );
+                }
+                for q in queries.iter() {
+                    assert_eq!(r.knn(q, 6), oracle(mirror, q, 6), "after removing {id}");
+                }
+            };
+            // Never issued, then a base point removed, then removed again.
+            for id in [330, 331, u32::MAX, 5, 5, 5] {
+                remove(&mut r, &mut mirror, id);
+            }
+            // The newest delta point of a shard: that shard loses it, no other
+            // shard is touched.
+            let newest = (0..r.num_shards())
+                .filter_map(|s| shard_ids(&r, s).last().map(|&id| (id, s)))
+                .max()
+                .expect("a shard with points");
+            assert!(newest.0 >= 300, "the newest id is an insert");
+            let others = |r: &DynamicShardRouter| {
+                (0..r.num_shards())
+                    .filter(|&s| s != newest.1)
+                    .map(|s| shard_state(r, s))
+                    .collect::<Vec<_>>()
+            };
+            let untouched = others(&r);
+            remove(&mut r, &mut mirror, newest.0);
+            assert!(others(&r) == untouched, "a remove touched another shard");
+            remove(&mut r, &mut mirror, newest.0);
+            // The last id of every shard, base or delta, and then again.
+            for s in 0..r.num_shards() {
+                let last = *shard_ids(&r, s).last().expect("live points");
+                remove(&mut r, &mut mirror, last);
+                assert!(!shard_ids(&r, s).contains(&last));
+                remove(&mut r, &mut mirror, last);
+            }
+            assert_eq!(r.len(), mirror.len());
+        }
+
+        /// Each shard tree is the tree a build over the shard in the partition's
+        /// order makes, row for row, with the same global id answering each row;
+        /// and the directory's spheres are Ritter's over that order.
+        #[test]
+        fn shard_trees_and_spheres_match_a_build_in_partition_order() {
+            use psb_sstree::build;
+            let ps = psb_data::ClusteredSpec {
+                clusters: 6,
+                points_per_cluster: 400,
+                dims: 4,
+                sigma: 60.0,
+                seed: 91,
+            }
+            .generate();
+            let extra = UniformSpec { len: 90, dims: 4, seed: 92 }.generate();
+            let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            for policy in [ShardPolicy::HilbertRange, ShardPolicy::KMeans { seed: 93 }] {
+                let plan = partition(&ps, 4, &policy);
+                let mut r = DynamicShardRouter::build(&ps, 4, &policy, 8);
+                // The shard's points as a build saw them before ids were sorted:
+                // the partition's order, then the inserts in arrival order.
+                let mut members: Vec<(PointSet, Vec<u32>)> =
+                    plan.assignments.iter().map(|ids| (ps.gather(ids), ids.clone())).collect();
+                let check =
+                    |r: &DynamicShardRouter, members: &[(PointSet, Vec<u32>)], when: &str| {
+                        for (s, (points, ids)) in members.iter().enumerate() {
+                            let want = build(points, 8, &BuildMethod::Hilbert);
+                            let want: Vec<(u32, Vec<u32>)> = want
+                                .point_ids
+                                .iter()
+                                .zip(want.points.iter())
+                                .map(|(&pos, p)| (ids[pos as usize], bits(p)))
+                                .collect();
+                            assert!(shard_state(r, s) == (0, want), "{policy:?} shard {s} {when}");
+                        }
+                    };
+                check(&r, &members, "after construction");
+                for (s, ids) in plan.assignments.iter().enumerate() {
+                    let sphere = shard_sphere(&ps, ids, RitterMode::Parallel);
+                    let got = r.shards[s].sphere.clone();
+                    assert_eq!(bits(&got.center), bits(&sphere.center), "{policy:?} shard {s}");
+                    assert_eq!(
+                        got.radius.to_bits(),
+                        sphere.radius.to_bits(),
+                        "{policy:?} shard {s}"
+                    );
+                }
+                for p in extra.iter() {
+                    let id = r.insert(p);
+                    let s = (0..r.num_shards())
+                        .find(|&s| read(&r.shards[s].tree).contains(id))
+                        .expect("owner");
+                    members[s].0.push(p);
+                    members[s].1.push(id);
+                }
+                for s in 0..r.num_shards() {
+                    r.rebuild_shard(s);
+                }
+                check(&r, &members, "after rebuild_shard");
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "non-finite coordinate in dimension 2")]
+        fn insert_panics_at_the_door_on_a_non_finite_point() {
+            let ps = UniformSpec { len: 100, dims: 3, seed: 72 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+            r.insert(&[0.5, 0.5, f32::INFINITY]);
+        }
+
+        /// A finite point the next rebuild could not verify is refused at the
+        /// door: 64 points along (1 + t, 2 − t) at degree 4, then inserts near
+        /// (1e20, 1e20). Each refusal leaves trees, directory, version and
+        /// cache as they were; a point at the limit goes in and its shard
+        /// rebuilds.
+        #[test]
+        fn an_out_of_range_point_is_a_typed_error_and_changes_nothing() {
+            let mut ps = PointSet::new(2);
+            for i in 0..64 {
+                let t = i as f32 / 64.0;
+                ps.push(&[1.0 + t, 2.0 - t]);
+            }
+            let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 4);
+            r.attach_cache(8);
+            let q = [1.5f32, 1.5];
+            let answer = r.knn(&q, 5);
+            let state = |r: &DynamicShardRouter| {
+                let spheres: Vec<Sphere> = r.shards.iter().map(|s| s.sphere.clone()).collect();
+                let pending: Vec<usize> =
+                    r.shards.iter().map(|s| read(&s.tree).pending()).collect();
+                (r.len(), r.version(), r.cache_stats(), spheres, pending)
+            };
+            let before = state(&r);
+            for i in 0..20 {
+                let far = [1e20, 1e20 + i as f32 * 1e14];
+                assert_eq!(r.try_insert(&far), Err(InsertError::OutOfRange { dim: 0 }));
+            }
+            assert!(before == state(&r), "a refused insert left a mark");
+            assert_eq!(r.knn(&q, 5), answer);
+            let limit = InsertError::coordinate_limit(2);
+            let mut mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            for corner in [[limit, limit], [-limit, -limit]] {
+                mirror.push((r.insert(&corner), corner.to_vec()));
+            }
+            for s in 0..r.num_shards() {
+                r.rebuild_shard(s);
+                assert_eq!(read(&r.shards[s].tree).pending(), 0);
+            }
+            assert_eq!(r.knn(&q, 5), oracle(&mirror, &q, 5));
+            // Seen from a corner the line's points all round to one distance,
+            // and any of them is a right answer.
+            let dists = |v: Vec<Neighbor>| v.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>();
+            for q in [[limit, limit], [-limit, 0.0]] {
+                assert_eq!(dists(r.knn(&q, 5)), dists(oracle(&mirror, &q, 5)));
+            }
+        }
+
+        /// The non-blocking guarantee: with shard 0's tree
+        /// write-locked (as a rebuild would), a query that prunes shard 0 answers
+        /// correctly without ever waiting on that lock.
+        #[test]
+        fn locked_shard_does_not_block_prunable_queries() {
+            // Two tight, far-apart clusters → two Hilbert shards, one per cluster.
+            let dims = 3;
+            let mut ps = PointSet::new(dims);
+            let a = UniformSpec { len: 100, dims, seed: 41 }.generate();
+            for i in 0..a.len() {
+                ps.push(a.point(i)); // cluster A: the unit-ish cube around origin
+            }
+            for i in 0..a.len() {
+                let far: Vec<f32> = a.point(i).iter().map(|x| x + 1.0e6).collect();
+                ps.push(&far); // cluster B: same shape, a million units away
+            }
+            let r = Arc::new(DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8));
+            // Identify the shard holding cluster B (query target): it's whichever
+            // sphere center is far from the origin.
+            let b_center = vec![1.0e6_f32; dims];
+            let (locked, target) = {
+                let d0 = dist(&r.shards[0].sphere.center, &b_center);
+                let d1 = dist(&r.shards[1].sphere.center, &b_center);
+                if d0 < d1 {
+                    (1, 0)
+                } else {
+                    (0, 1)
+                }
+            };
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let (held_tx, held_rx) = mpsc::channel::<()>();
+            let holder = {
+                let r = Arc::clone(&r);
+                std::thread::spawn(move || {
+                    let _guard = r.shards[locked].tree.write();
+                    held_tx.send(()).ok();
+                    // Hold until released (or a generous timeout backstop).
+                    release_rx.recv_timeout(Duration::from_secs(30)).ok();
+                })
+            };
+            held_rx.recv().expect("holder thread started");
+            let q = ps.point(ps.len() - 1).to_vec(); // deep inside cluster B
+            let started = Instant::now();
+            let hits = r.knn(&q, 5);
+            let elapsed = started.elapsed();
+            release_tx.send(()).ok();
+            holder.join().expect("holder join");
+            assert_eq!(hits.len(), 5);
+            // Every hit comes from cluster B's shard half of the id space.
+            let mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            assert_eq!(hits, oracle(&mirror, &q, 5));
+            assert_eq!(r.shards[target].len, 100);
+            assert!(
+                elapsed < Duration::from_secs(10),
+                "query waited on a locked shard it should have pruned ({elapsed:?})"
+            );
+        }
     }
 }

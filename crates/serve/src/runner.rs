@@ -56,6 +56,8 @@ pub(crate) struct FrontEnd {
     pub(crate) admission: AdmissionControl,
     pub(crate) breakers: Vec<CircuitBreaker>,
     pub(crate) cache: QueryCache,
+    /// The router's [`ShardRouter::version`] the cache's entries answer for.
+    version: u64,
     default_deadline: DeadlineBudget,
     /// Logical clock: one tick per submitted query, across batches.
     pub(crate) tick: u64,
@@ -68,6 +70,7 @@ impl FrontEnd {
             admission: AdmissionControl::new(cfg.admission.clone()),
             breakers: (0..shards).map(|_| CircuitBreaker::new(cfg.breaker)).collect(),
             cache: QueryCache::new(cfg.cache_capacity),
+            version: 0,
             default_deadline: cfg.default_deadline,
             tick: 0,
         }
@@ -137,6 +140,13 @@ pub(crate) fn run_batch<V: Volumes>(
         "requests must be empty or one per query"
     );
     assert_eq!(queries.dims(), router.dims(), "query dimensionality mismatch");
+    // A write to the router since the last batch (through
+    // `ResilientRouter::inner_mut`) may have changed any answer: drop them.
+    let version = router.version();
+    if front.version != version {
+        front.cache.flush();
+        front.version = version;
+    }
     let n = queries.len();
     let traced = sink.is_some();
     let mut res = ResilienceReport { submitted: n as u64, ..Default::default() };

@@ -9,7 +9,7 @@
 
 use std::ops::Range;
 
-use psb_geom::{dist, DistKernel};
+use psb_geom::{dist, DistKernel, PointSet};
 
 /// Instruction cost of one `dims`-dimensional distance evaluation in the cost
 /// model: a 4-wide FMA loop plus the sqrt/compare tail.
@@ -50,7 +50,7 @@ impl SweepScratch {
 /// node-major. Every method that names a node trusts the id: callers index
 /// only after [`FlatTree::validate`](crate::FlatTree::validate)'s length
 /// check, or behind the kernels' bounds-checked links.
-pub trait Volumes: Sync {
+pub trait Volumes: Send + Sync {
     /// f32 lanes one child's volume takes in a packed internal block (and in
     /// the modelled device block: a child entry is `4 * lanes + 12` bytes).
     fn lanes(dims: usize) -> usize;
@@ -102,6 +102,13 @@ pub trait Volumes: Sync {
         with_anchor: bool,
         out: &mut SweepScratch,
     );
+
+    /// Packs `points` bottom-up in Hilbert-key order, `degree` children a
+    /// node: the build a mutable index's rebuild runs, whatever built its
+    /// first tree.
+    fn build_hilbert(points: &PointSet, degree: usize) -> crate::FlatTree<Self>
+    where
+        Self: Sized;
 }
 
 /// Bounding spheres, node-major: the SS-tree's node shape. One center
@@ -201,6 +208,10 @@ impl Volumes for Spheres {
         if with_anchor {
             out.anchor_d.extend_from_slice(&out.tmp);
         }
+    }
+
+    fn build_hilbert(points: &PointSet, degree: usize) -> crate::SsTree {
+        crate::build(points, degree, &crate::BuildMethod::Hilbert)
     }
 }
 

@@ -431,3 +431,56 @@ fn a_hot_query_outlives_one_off_queries_only_where_hits_mark() {
         assert_eq!(bits(dynamic), oracle, "dynamic, query {qi}");
     }
 }
+
+/// Writes reach a fronted router through `inner_mut`, past the front end's
+/// cache: the next batch sees the router's version move and drops the cached
+/// answers, so an insert nearer than a cached answer's k-th neighbour shows
+/// in the repeat, and a remove of it does too.
+#[test]
+fn writes_through_inner_mut_leave_no_stale_front_end_answer() {
+    const K: usize = 5;
+    let ps = UniformSpec { len: 300, dims: 3, seed: 25 }.generate();
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let router = ShardRouter::build(&ps, &ServeConfig::new(3), &cfg, build_ss);
+    let mut front = ResilientRouter::new(
+        router,
+        ResilienceConfig { cache_capacity: 8, ..ResilienceConfig::default() },
+    );
+    let mut queries = PointSet::new(3);
+    queries.push(ps.point(0));
+    queries.push(ps.point(1));
+    let mut mirror: Vec<(u32, Vec<f32>)> =
+        (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+    let oracle = |mirror: &[(u32, Vec<f32>)], q: &[f32]| {
+        let mut all: Vec<Neighbor> =
+            mirror.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
+        all.sort_by(Neighbor::by_rank);
+        all.truncate(K);
+        all
+    };
+    let serve = |front: &mut ResilientRouter<SsTree>| {
+        front.serve_batch(&queries, K, &opts, &[]).expect("serve").neighbors
+    };
+    let first = serve(&mut front);
+    assert_eq!(serve(&mut front), first);
+    assert_eq!(front.cache_stats().0, 2, "the repeat hits");
+
+    // Halfway to the nearest neighbour other than the query point itself.
+    let q = ps.point(0);
+    let near: Vec<f32> =
+        q.iter().zip(ps.point(first[0][1].id as usize)).map(|(a, b)| (a + b) / 2.0).collect();
+    let id = front.inner_mut().insert(&near);
+    mirror.push((id, near));
+    let grown = serve(&mut front);
+    assert_eq!(grown[0][1].id, id, "the insert took second place");
+    for (qi, got) in grown.iter().enumerate() {
+        assert_eq!(got, &oracle(&mirror, queries.point(qi)), "after the insert, query {qi}");
+    }
+
+    assert!(front.inner_mut().remove(id));
+    mirror.pop();
+    let back = serve(&mut front);
+    assert_eq!(back, first, "after the remove");
+    assert_eq!(front.cache_stats().3, 2, "one flush per write");
+}

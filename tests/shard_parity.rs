@@ -220,3 +220,84 @@ proptest! {
         assert_neighbors_bit_identical(&single.neighbors, &served.neighbors, "proptest");
     }
 }
+
+/// Mutable shards under faults: every shard holds pending inserts and
+/// tombstones, and the served answers are the linear scan of the live set,
+/// bit for bit — first with one shard's primary dying (a peer answers), then
+/// with every replica of another shard demoted, so that its brute rung
+/// answers and must turn the tombstones away; half the queries sit on a
+/// removed point, at distance 0 from it. Then every shard rebuilds and the
+/// answers hold.
+fn mutable_shards_answer_the_live_set_under_faults<V: Volumes>(
+    build_index: fn(&PointSet) -> FlatTree<V>,
+    dims: usize,
+    seed: u64,
+) {
+    const K: usize = 6;
+    let (ps, sampled) = workload(dims, seed);
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let sc = ServeConfig::new(4).with_replicas(2);
+    let mut router = ShardRouter::build(&ps, &sc, &cfg, build_index);
+    let mut live: Vec<(u32, Vec<f32>)> =
+        (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+    // Tombstones: four points of every shard, each also a query.
+    let mut queries = PointSet::new(dims);
+    for members in &partition(&ps, 4, &sc.policy).assignments {
+        for j in 0..4 {
+            let id = members[j * 37 % members.len()];
+            assert!(router.remove(id));
+            live.retain(|(g, _)| *g != id);
+            queries.push(ps.point(id as usize));
+        }
+    }
+    sampled.iter().take(16).for_each(|q| queries.push(q));
+    // Pending inserts: three at every shard's center, which routes them there.
+    for s in 0..router.num_shards() {
+        for j in 0..3 {
+            let mut p = router.sphere(s).center.clone();
+            p[0] += j as f32 * 0.25;
+            live.push((router.insert(&p), p));
+        }
+    }
+    let oracle: Vec<Vec<Neighbor>> = queries
+        .iter()
+        .map(|q| {
+            let mut all: Vec<Neighbor> =
+                live.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
+            all.sort_by(Neighbor::by_rank);
+            all.truncate(K);
+            all
+        })
+        .collect();
+    let has =
+        |out: &ServeBatchResult, rung: fn(&QueryOutcome) -> bool| out.outcomes.iter().any(rung);
+
+    router.set_fault_plan(0, 0, FaultPlan::truncation(1));
+    let served = router.serve_batch(&queries, K, &opts).expect("serve");
+    assert_neighbors_bit_identical(&oracle, &served.neighbors, "a primary dies");
+    assert!(has(&served, |o| matches!(o, QueryOutcome::Retried { .. })));
+
+    router.set_fault_plan(1, 0, FaultPlan::truncation(1));
+    router.set_fault_plan(1, 1, FaultPlan::watchdog(1));
+    let served = router.serve_batch(&queries, K, &opts).expect("serve");
+    assert_neighbors_bit_identical(&oracle, &served.neighbors, "a shard on its brute rung");
+    assert!(has(&served, |o| matches!(o, QueryOutcome::Degraded { .. })));
+    assert!(matches!(router.replica_state(1, 1), ReplicaState::Demoted { .. }));
+
+    for s in 0..router.num_shards() {
+        router.rebuild_shard(s);
+    }
+    let served = router.serve_batch(&queries, K, &opts).expect("serve");
+    assert_neighbors_bit_identical(&oracle, &served.neighbors, "after the rebuilds");
+}
+
+#[test]
+fn mutable_sstree_shards_answer_the_live_set_under_faults() {
+    mutable_shards_answer_the_live_set_under_faults(build_ss, 4, 3601);
+}
+
+#[test]
+fn mutable_rtree_shards_answer_the_live_set_under_faults() {
+    mutable_shards_answer_the_live_set_under_faults(build_rs, 6, 3701);
+}
