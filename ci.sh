@@ -80,7 +80,10 @@ run_wave() { cargo test -p psb --test wave_parity -q; }
 # select skip are host-only work removed from the node step, and release,
 # where the benchmark runs them, is where they must prove they move nothing. So
 # do the mutable index's tests: its timed query is the unmetered PSB launch,
-# and the tombstone rule sits in the same gate. The
+# and the tombstone rule sits in the same gate. So do the k-best list's own
+# tests and the exactness gate, whose lattice probe holds every search to the
+# first k by (distance, id): the gate's tie-at-the-bound test is one of the
+# compares LLVM rewrites. The
 # probe for what metering costs the host is the repo benchmark's traced
 # `gpu.metering_overhead_frac` (1 - `kernels.psb_us_per_query` /
 # `kernels.psb_metered_us_per_query`): an untraced metered launch should pay
@@ -93,6 +96,8 @@ run_fastpath() {
     cargo test --release -p psb-core -q collector
     cargo test --release -p psb-core -q kernels::psb
     cargo test --release -p psb-core -q dynamic
+    cargo test --release -p psb-core -q knnlist
+    cargo test --release -p psb --test exactness -q
 }
 # Implicit kd-tree family + rope traversal
 # (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's

@@ -450,23 +450,6 @@ mod tests {
         v
     }
 
-    /// Whether `got` is an exact answer given the oracle's `want`: in
-    /// `(dist, id)` order, the distance at every rank bit-equal to the
-    /// oracle's, and every id a live point at exactly that distance — where
-    /// points tie at the k-th distance, a search may keep another of them
-    /// than the oracle's lowest ids.
-    fn exact_up_to_ties(t: &DynamicSsTree, got: &[Neighbor], want: &[Neighbor], q: &[f32]) -> bool {
-        let Some(live) = t.snapshot() else { return got.is_empty() && want.is_empty() };
-        let at_its_distance = |n: &Neighbor| {
-            let row = live.ids.binary_search(&n.id);
-            row.is_ok_and(|row| dist(q, live.points.point(row)).to_bits() == n.dist.to_bits())
-        };
-        got.len() == want.len()
-            && got.windows(2).all(|w| Neighbor::by_rank(&w[0], &w[1]).is_lt())
-            && got.iter().zip(want).all(|(g, w)| g.dist.to_bits() == w.dist.to_bits())
-            && got.iter().all(at_its_distance)
-    }
-
     /// `(id, distance bits)` of each row: equality is bit-for-bit.
     fn bits(found: &[Neighbor]) -> Vec<(u32, u32)> {
         found.iter().map(|n| (n.id, n.dist.to_bits())).collect()
@@ -476,7 +459,7 @@ mod tests {
     fn assert_matches(t: &DynamicSsTree, q: &[f32], k: usize) {
         let want = oracle(t, q, k);
         let got = t.knn(q, k);
-        assert!(exact_up_to_ties(t, &got, &want, q), "got {got:?}\nwant {want:?}");
+        assert_eq!(bits(&got), bits(&want), "got {got:?}\nwant {want:?}");
         let (gpu, _) = t.knn_gpu(q, k, &DeviceConfig::k40(), &KernelOptions::default());
         assert_eq!(bits(&gpu), bits(&got), "metering moved a neighbour");
     }
@@ -488,9 +471,7 @@ mod tests {
         let q = sample_queries(&ps, 5, 0.01, 152);
         for qp in q.iter() {
             let want = linear_knn(&ps, qp, 8);
-            let got = t.knn(qp, 8);
-            let dists = |v: &[Neighbor]| v.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>();
-            assert_eq!(dists(&got), dists(&want));
+            assert_eq!(bits(&t.knn(qp, 8)), bits(&want));
             assert_matches(&t, qp, 8);
         }
     }
@@ -835,9 +816,10 @@ mod tests {
                             let (found, _) = kernel
                                 .attempt_excluding(&t.base, q, removed, &cfg, &opts, None, None)
                                 .expect("no faults");
-                            assert!(
-                                exact_up_to_ties(&t, &found, &want, q),
-                                "{kernel:?} {metering:?} degree {degree}: {found:?} {want:?}"
+                            assert_eq!(
+                                bits(&found),
+                                bits(&want),
+                                "{kernel:?} {metering:?} degree {degree}"
                             );
                         }
                     }
@@ -917,13 +899,12 @@ mod tests {
                     .collect();
                 live.sort_by(Neighbor::by_rank);
                 for k in [1usize, 2] {
-                    let want: Vec<u32> = live[..k].iter().map(|n| n.dist.to_bits()).collect();
+                    let want = bits(&live[..k]);
                     for kernel in [Kernel::Psb { k }, Kernel::Bnb { k }, Kernel::Restart { k }] {
                         let no_faults =
                             kernel.attempt_excluding(&tree, &q, removed, &cfg, &opts, None, None);
                         let (found, _) = no_faults.expect("no faults");
-                        let got: Vec<u32> = found.iter().map(|n| n.dist.to_bits()).collect();
-                        assert_eq!(got, want, "{kernel:?} degree {degree} leaf {lid}");
+                        assert_eq!(bits(&found), want, "{kernel:?} degree {degree} leaf {lid}");
                         assert!(found.iter().all(|n| !marks[n.id as usize]));
                     }
                 }

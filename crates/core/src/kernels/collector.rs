@@ -8,11 +8,12 @@
 //! [`Collector`], with two static-dispatch implementations:
 //!
 //! * [`KnnCollector`]: a [`GpuKnnList`] plus the pruning distance. A subtree
-//!   is admitted while its MINDIST is **strictly** inside the bound (PSB
-//!   line 17), the bound tightens with every improving row and with the
+//!   is admitted while its MINDIST is at or inside the bound (PSB line 17,
+//!   inclusive so that a row tied at the k-th distance can displace it by
+//!   id), the bound tightens with every improving row and with the
 //!   k-th-MAXDIST rule, and the list gates a leaf's rows four at a time
 //!   against its k-th distance before the rare row that beats it is offered
-//!   (the paper's `dist < pruningDist` test, §V-E).
+//!   (the paper's `dist < pruningDist` test, §V-E, ties broken by id).
 //! * [`RangeCollector`]: the fixed radius. Admission is **inclusive** (a
 //!   point at exactly `radius` is in range), nothing tightens, and hits are
 //!   appended to a global output buffer — metered as streaming writes, the
@@ -51,8 +52,9 @@ pub(crate) trait Collector {
     fn replay<const M: bool>(&mut self, block: &mut Block<'_, M>, children: usize, bound: f32);
 
     /// Take a leaf's (or tile's) rows: `dists[i]` is row `i`'s distance,
-    /// `ids.get(i)` its id. Returns true when the collector took something:
-    /// the sweep's continue-scanning test.
+    /// `ids.get(i)` its id. Returns true when the collector took something
+    /// (kNN: a row that improved a distance): the sweep's continue-scanning
+    /// test.
     fn collect<const M: bool>(
         &mut self,
         block: &mut Block<'_, M>,
@@ -143,7 +145,7 @@ impl<'r> KnnCollector<'r> {
 
 impl Collector for KnnCollector<'_> {
     fn admits(&self, mindist: f32) -> bool {
-        psb_geom::mindist_in_range(mindist, self.pruning, self.list.len() < self.k)
+        psb_geom::mindist_in_range(mindist, self.pruning)
     }
 
     fn wants_maxdist(&self) -> bool {
@@ -172,12 +174,7 @@ impl Collector for KnnCollector<'_> {
             block.par_kth_select(max_d.len(), rank);
             return Some(f32::INFINITY);
         }
-        // The bound is inclusive — k live points lie at or within it — and
-        // one of them may sit in a subtree whose MINDIST is the bound itself
-        // (a zero-radius leaf, or a radius under half an ulp of its distance),
-        // which the strict MINDIST test would turn away with the point that
-        // made the bound. One ulp up admits that subtree and nothing else.
-        let bound = kth_maxdist(block, max_d, rank, tmp).next_up();
+        let bound = kth_maxdist(block, max_d, rank, tmp);
         self.pruning = self.pruning.min(bound);
         Some(bound)
     }
@@ -356,12 +353,16 @@ mod tests {
         let (mut b, cfg) = block();
         let mut knn = KnnCollector::new(&mut b, 2, &cfg, &KernelOptions::default());
         assert!(knn.admits(f32::MAX), "nothing is pruned before k candidates exist");
-        assert!(knn.collect(&mut b, &[3.0, 5.0], RowIds::Ids(&[0, 1])));
-        assert!(!knn.admits(5.0), "a subtree at exactly the k-th distance cannot improve the list");
-        assert!(knn.admits(5.0f32.next_down()));
-        // A row at the bound is not an improvement either.
+        assert!(knn.collect(&mut b, &[3.0, 5.0], RowIds::Ids(&[0, 4])));
+        // A subtree at exactly the k-th distance may hold a lower id than the
+        // k-th row's, so it is admitted; one ulp past it is not.
+        assert!(knn.admits(5.0), "the k-th distance itself is admitted");
+        assert!(!knn.admits(5.0f32.next_up()));
+        // A row at the bound enters only with a lower id, and improves no
+        // distance either way: neither take is a reason to keep scanning.
+        assert!(!knn.collect(&mut b, &[5.0], RowIds::From(5)));
         assert!(!knn.collect(&mut b, &[5.0], RowIds::From(2)));
-        assert_eq!(knn.finish().iter().map(|n| n.id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(knn.finish().iter().map(|n| n.id).collect::<Vec<_>>(), [0, 2]);
     }
 
     #[test]
@@ -386,16 +387,16 @@ mod tests {
         assert_eq!(knn.tighten(&mut b, &[4.0, 2.0], &mut tmp), None, "two children, k = 3");
         assert!(knn.admits(1e30));
         let fresh = *b.stats();
-        // The k-th MAXDIST is inclusive: a subtree at exactly 7 may hold the
-        // point that makes the bound, so the bound sits one ulp above it.
+        // The k-th MAXDIST is inclusive, and so is admission: a subtree at
+        // exactly 7 may hold the point that makes the bound.
         let above = 7.0f32.next_up();
-        assert_eq!(knn.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), Some(above));
+        assert_eq!(knn.tighten(&mut b, &[4.0, 2.0, 9.0, 7.0], &mut tmp), Some(7.0));
         assert!(knn.admits(7.0) && !knn.admits(above));
         let first = *b.stats();
 
         let mut again = KnnCollector::new(&mut b, 3, &cfg, &opts);
         let start = *b.stats();
-        again.replay(&mut b, 4, above);
+        again.replay(&mut b, 4, 7.0);
         assert!(again.admits(7.0) && !again.admits(above));
         assert_eq!(
             b.stats().compute_issues - start.compute_issues,
@@ -546,7 +547,7 @@ mod tests {
             let got = if skip {
                 knn.tighten(&mut b, max_d, &mut tmp).expect("k <= n")
             } else {
-                let kth = kth_maxdist(&mut b, max_d, k, &mut tmp).next_up();
+                let kth = kth_maxdist(&mut b, max_d, k, &mut tmp);
                 knn.pruning = knn.pruning.min(kth);
                 kth
             };

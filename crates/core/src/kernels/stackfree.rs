@@ -5,7 +5,7 @@
 //! traversal state is two node ids, `(curr, prev)`. Arriving at a node from
 //! its parent offers the node's own point and descends toward the query's
 //! side of the splitting plane; returning from the close child crosses to the
-//! far child only while the plane is strictly inside the current k-th-best
+//! far child only while the plane is at or inside the current k-th-best
 //! radius; returning from the far child climbs. Parent, children, depth, and
 //! the splitting dimension are all **arithmetic** on the heap index —
 //! [`LbKdTree`]'s inherent methods — with no per-thread stack, no per-level
@@ -146,9 +146,9 @@ fn stackfree_try_query_with<const M: bool>(
             list.offer(&mut block, pd, tree.point_ids[curr as usize]);
         }
 
-        // The three-way successor rule. `plane_in_range` is strict: a far
-        // subtree whose plane sits exactly at the k-th distance cannot
-        // improve the list, matching the oracle's tie behavior.
+        // The three-way successor rule. `plane_in_range` is inclusive: a far
+        // subtree whose plane sits exactly at the k-th distance may hold a
+        // tied point with a lower id, as the oracle's list would keep.
         block.scalar(1);
         let next = if from_parent {
             if close < len {

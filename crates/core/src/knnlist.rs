@@ -96,11 +96,12 @@ impl GpuKnnList {
         self.entries.is_empty()
     }
 
-    /// Offers a candidate. Returns true when the list (and hence the pruning
-    /// distance or result set) changed — PSB's leaf-scan continuation test.
-    /// Metering: an accepted candidate costs a serialized sift
-    /// (`log2 k` instructions on one lane); one landing in the global region of
-    /// a hybrid list additionally pays a global write.
+    /// Offers a candidate; a full list takes it only if its `(dist, id)` sorts
+    /// before the k-th row's. Returns true when it improved the list's
+    /// distances — PSB's leaf-scan continuation test: a row tied with the k-th
+    /// displaces it by id and returns false. Metering: an accepted candidate
+    /// costs a serialized sift (`log2 k` instructions on one lane); one landing
+    /// in the global region of a hybrid list additionally pays a global write.
     ///
     /// Split like the paper's §V-E update — `dist < pruningDist`, then a rare
     /// serialized sift. The NaN test and the bound reject are `#[inline]`:
@@ -121,34 +122,34 @@ impl GpuKnnList {
         if dist.is_nan() {
             return false;
         }
-        if self.entries.len() >= self.k && dist >= self.bound() {
+        let kth = self.entries.get(self.k - 1).copied();
+        if kth.is_some_and(|n| !((dist < n.dist) | ((dist == n.dist) & (id < n.id)))) {
             let phase = block.phase();
             block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase });
             return false;
         }
-        if M {
-            self.admit_out_of_line(block, dist, id)
-        } else {
-            self.admit(block, dist, id)
-        }
+        let taken =
+            if M { self.admit_out_of_line(block, dist, id) } else { self.admit(block, dist, id) };
+        taken & kth.is_none_or(|n| dist < n.dist)
     }
 
     /// Offers a leaf's (or tile's) rows in order: `dists[i]` is row `i`'s
-    /// distance, `ids.get(i)` its id. Returns true when the list changed.
+    /// distance, `ids.get(i)` its id. Returns true when an offer did.
     ///
     /// Until the list holds k every row is [`offer`](Self::offer)ed. From then
-    /// on the rows pass a gate four at a time: a group with no row under the
-    /// k-th distance is turned away whole, with the pruned `KnnUpdate` each of
-    /// its non-NaN rows would have emitted; otherwise the rows before the
-    /// first one under it are turned away and that row is offered. The bound
-    /// only falls, so a row the gate's bound rejects the live bound rejects
-    /// too, and offers stay in row order: list, return value, counters and
-    /// events are a per-row `offer` loop's.
+    /// on the rows pass a gate four at a time: a group with every row strictly
+    /// above the k-th distance is turned away whole, with the pruned
+    /// `KnnUpdate` each of its non-NaN rows would have emitted; otherwise the
+    /// rows before the first one at or under it are turned away and that row
+    /// is offered (at the bound, its id decides). The bound only falls, so a
+    /// row the gate's bound rejects the live bound rejects too, and offers
+    /// stay in row order: list, return value, counters and events are a
+    /// per-row `offer` loop's.
     ///
     /// A row that reaches its offer with `live(id)` false is turned away
-    /// there as a row at the bound is: a pruned `KnnUpdate` unless it is NaN,
-    /// and nothing metered. Where `live` holds for every row the loop is the
-    /// per-row `offer` loop above.
+    /// there as a row past the bound is: a pruned `KnnUpdate` unless it is
+    /// NaN, and nothing metered. Where `live` holds for every row the loop is
+    /// the per-row `offer` loop above.
     #[inline]
     pub(crate) fn offer_rows<const M: bool>(
         &mut self,
@@ -164,8 +165,8 @@ impl GpuKnnList {
                 let bound = self.bound();
                 let from = i;
                 while let Some(g) = dists[i..].first_chunk::<4>() {
-                    if (g[0] < bound) | (g[1] < bound) | (g[2] < bound) | (g[3] < bound) {
-                        i += g.iter().position(|&d| d < bound).unwrap_or(4);
+                    if (g[0] <= bound) | (g[1] <= bound) | (g[2] <= bound) | (g[3] <= bound) {
+                        i += g.iter().position(|&d| d <= bound).unwrap_or(4);
                         break;
                     }
                     i += 4;
@@ -328,16 +329,18 @@ mod tests {
 
     #[test]
     fn equal_distance_candidates_do_not_displace() {
-        // Once the list is full, a candidate at exactly the k-th distance is
-        // rejected (dist >= bound): the distance multiset is already optimal,
-        // and this mirrors the GPU update test `dist < pruningDist`.
+        // Once the list is full, a candidate at exactly the k-th distance
+        // displaces the k-th row only if its id is lower: the list keeps the
+        // first k by (dist, id), whatever the offer order.
         let (mut b, smem) = block();
         let mut list = GpuKnnList::new(2, SharedMemPolicy::AllShared, &mut b, smem);
         assert!(list.offer(&mut b, 1.0, 7));
         assert!(list.offer(&mut b, 1.0, 3));
+        assert!(!list.offer(&mut b, 1.0, 9), "a larger id does not displace");
+        // A smaller id does, but improves no distance: not a continuation.
         assert!(!list.offer(&mut b, 1.0, 5));
         let out = list.into_sorted();
-        assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![3, 7]);
+        assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![3, 5]);
     }
 
     #[test]
@@ -368,7 +371,7 @@ mod tests {
         assert_eq!(list.bound(), f32::INFINITY);
         assert!(list.offer(&mut b, 7.0, 0));
         assert_eq!(list.bound(), 7.0);
-        assert!(!list.offer(&mut b, 7.0, 1), "tie at the bound must not displace");
+        assert!(!list.offer(&mut b, 7.0, 1), "a tie with a larger id must not displace");
         assert!(list.offer(&mut b, 3.0, 2));
         assert!(!list.offer(&mut b, 5.0, 3));
         let out = list.into_sorted();
@@ -414,7 +417,7 @@ mod tests {
             (1.0, 2, Some(false)), // rank 0 again
             (3.0, 3, Some(false)), // rank 1; the list is now full, bound 5
             (9.0, 4, Some(true)),  // beyond the bound
-            (5.0, 5, Some(true)),  // at the bound: `dist < pruningDist` fails
+            (5.0, 5, Some(true)),  // at the bound, with a larger id than the k-th
             (3.0, 3, Some(true)),  // inside the bound, but already held
             (4.0, 6, Some(false)), // rank 2: the shared slot, no global write
             (f32::NAN, 7, None),   // silent on a full list too
@@ -519,11 +522,10 @@ mod tests {
             list.offer(&mut b, 2.5, id);
         }
         let out = list.into_sorted();
-        assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![7, 19, 42]);
-        // First-come tie policy at the bound: once full at dist 2.5, later
-        // equal-distance ids are rejected — deterministic in offer order,
-        // which the layout-parity suite relies on (arena and legacy sweeps
-        // offer in identical order, hence identical ids).
+        assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![3, 7, 19]);
+        // Full at dist 2.5, a later equal-distance row displaces the k-th
+        // only with a lower id, so the survivors do not depend on the offer
+        // order either.
         let (mut b2, smem2) = block();
         let mut list2 = GpuKnnList::new(3, SharedMemPolicy::AllShared, &mut b2, smem2);
         for id in [3u32, 28, 7, 42, 19] {
@@ -531,8 +533,8 @@ mod tests {
         }
         assert_eq!(
             list2.into_sorted().iter().map(|n| n.id).collect::<Vec<_>>(),
-            vec![3, 7, 28],
-            "tie survivors are the first k offered, in (dist, id) order"
+            vec![3, 7, 19],
+            "tie survivors are the first k by (dist, id), not the first k offered"
         );
     }
 }

@@ -87,19 +87,19 @@ pub fn plane_gap(q: f32, plane: f32) -> f32 {
 }
 
 /// Whether the far side of a splitting plane at signed offset `gap` (from
-/// [`plane_gap`]) can still hold a point strictly closer than `bound`.
+/// [`plane_gap`]) can still hold a point at or within `bound`.
 #[inline]
 pub fn plane_in_range(gap: f32, bound: f32) -> bool {
-    gap.abs() < bound
+    gap.abs() <= bound
 }
 
 /// Whether a kNN search must still visit a subtree at `mindist` under
-/// `bound`: strictly inside it, or — while the k-best list is `short` of k
-/// and the bound still +inf — at a MINDIST that overflowed f32 to +inf too,
-/// since the k nearest may all lie out there. NaN is never admitted.
+/// `bound`: at or within it, since a point at the k-th distance displaces the
+/// k-th row if its id is lower. So a MINDIST overflowed to +inf is admitted
+/// under a +inf bound; NaN never is.
 #[inline]
-pub fn mindist_in_range(mindist: f32, bound: f32, short: bool) -> bool {
-    mindist < bound || (short && mindist == f32::INFINITY && bound == f32::INFINITY)
+pub fn mindist_in_range(mindist: f32, bound: f32) -> bool {
+    mindist <= bound
 }
 
 /// Lane selection for [`DistKernel`] resolution. Both selections are
@@ -505,7 +505,8 @@ mod tests {
 
     /// The plane-gap helper is one subtraction in a fixed order; the kernel
     /// method must be bit-identical to the free function, and the in-range
-    /// predicate strict (a point exactly on the bound cannot improve it).
+    /// predicate inclusive (a point exactly on the bound can still displace
+    /// the k-th row by id), false for NaN.
     #[test]
     fn plane_gap_is_exact_and_strict() {
         let mut s = 11u64;
@@ -519,7 +520,9 @@ mod tests {
             assert_eq!(g.abs().to_bits(), dist(&[q], &[p]).to_bits());
         }
         assert!(plane_in_range(plane_gap(3.0, 1.0), 2.5));
-        assert!(!plane_in_range(plane_gap(3.0, 1.0), 2.0), "bound is strict");
+        assert!(plane_in_range(plane_gap(1.0, 3.0), 2.0), "bound is inclusive");
+        assert!(!plane_in_range(plane_gap(3.0, 1.0), 2.0f32.next_down()));
+        assert!(!plane_in_range(f32::NAN, f32::INFINITY));
         assert!(plane_gap(1.0, 3.0) <= 0.0, "low side is negative");
     }
 

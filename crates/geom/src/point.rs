@@ -149,10 +149,9 @@ impl Neighbor {
 
 /// The host's running k-best list — the CPU oracles, the SR-tree and the
 /// task-parallel lanes keep their k nearest in it. A row is taken while the
-/// list is short of k, unless its distance is NaN; once full, only a row
-/// strictly under the k-th distance is, and the `(dist, id)`-largest row
-/// leaves. So the list holds the k smallest non-NaN distances offered; which
-/// of several rows tied at the k-th distance stay depends on the offer order.
+/// list is short of k, unless its distance is NaN; once full, only a row that
+/// sorts before the k-th by `(dist, id)` is, and the k-th leaves. So the list
+/// holds the first k non-NaN rows offered by `(dist, id)`, in any offer order.
 /// (The device's metered list is `GpuKnnList` in `psb-core`.)
 #[derive(Debug)]
 pub struct KBest {
@@ -181,14 +180,15 @@ impl KBest {
     /// ([`crate::mindist_in_range`] under this list's bound).
     #[inline]
     pub fn admits(&self, mindist: f32) -> bool {
-        crate::mindist_in_range(mindist, self.bound(), self.best.len() < self.k)
+        crate::mindist_in_range(mindist, self.bound())
     }
 
-    /// Offers one row. A full list takes it on one compare, which also turns
-    /// NaN away; a short list drops only NaN.
+    /// Offers one row. A full list takes it if `(dist, id)` sorts before its
+    /// k-th row, which also turns NaN away; a short list drops only NaN.
     #[inline]
     pub fn offer(&mut self, dist: f32, id: u32) {
-        let take = if self.best.len() < self.k { !dist.is_nan() } else { dist < self.bound() };
+        let kth = self.k.checked_sub(1).and_then(|i| self.best.get(i));
+        let take = kth.map_or(!dist.is_nan(), |kth| (dist, id) < (kth.dist, kth.id));
         if take {
             let at = self.best.partition_point(|n| (n.dist, n.id) < (dist, id));
             self.best.insert(at, Neighbor { dist, id });
@@ -283,8 +283,9 @@ mod tests {
     fn kbest_turns_away_a_tie_at_the_bound_and_evicts_the_largest_rank() {
         let best = kbest(2, &[(1.0, 7), (2.0, 3)]);
         assert_eq!(best.bound(), 2.0);
-        // A tie at the k-th distance is turned away, even with a smaller id.
-        assert_eq!(ids(kbest(2, &[(1.0, 7), (2.0, 3), (2.0, 1)])), [7, 3]);
+        // A tie at the k-th distance displaces it with a smaller id only.
+        assert_eq!(ids(kbest(2, &[(1.0, 7), (2.0, 3), (2.0, 1)])), [7, 1]);
+        assert_eq!(ids(kbest(2, &[(1.0, 7), (2.0, 3), (2.0, 4), (2.0, 3)])), [7, 3]);
         // Ties taken while short rank by id; a closer row evicts the largest.
         assert_eq!(ids(kbest(2, &[(2.0, 9), (2.0, 4), (0.5, 6)])), [6, 4]);
         assert_eq!(ids(kbest(3, &[(1.0, 5), (1.0, 2), (1.0, 8)])), [2, 5, 8]);
@@ -296,8 +297,10 @@ mod tests {
         assert_eq!(best.bound(), f32::INFINITY);
         assert!(best.admits(f32::INFINITY), "a short list admits an overflowed MINDIST");
         assert_eq!(ids(best), [1, 0, 2]);
+        // Full at +inf, it still admits +inf: a lower id may lie out there.
         let full = kbest(1, &[(f32::INFINITY, 3)]);
-        assert!(!full.admits(f32::INFINITY) && !full.admits(f32::NAN));
+        assert!(full.admits(f32::INFINITY) && !full.admits(f32::NAN));
+        assert_eq!(ids(kbest(1, &[(f32::INFINITY, 3), (f32::INFINITY, 2)])), [2]);
         assert!(kbest(0, &[(1.0, 0)]).into_vec().is_empty());
     }
 
@@ -313,8 +316,8 @@ mod tests {
     }
 
     proptest! {
-        // Offered in id order (as a scan offers rows), the list is the first k
-        // non-NaN rows by `Neighbor::by_rank`; in any order, the same distances.
+        // In any offer order, the list is the first k non-NaN rows by
+        // `Neighbor::by_rank`.
         #[test]
         fn kbest_is_the_first_k_by_rank(
             dists in prop::collection::vec(0u8..12, 0..40),
@@ -336,8 +339,9 @@ mod tests {
             prop_assert_eq!(&kbest(k, &rows).into_vec(), &want);
             let mut turned = rows.clone();
             turned.rotate_left(rotate.min(rows.len()));
-            let got: Vec<f32> = kbest(k, &turned).into_vec().iter().map(|n| n.dist).collect();
-            prop_assert_eq!(got, want.iter().map(|n| n.dist).collect::<Vec<_>>());
+            prop_assert_eq!(&kbest(k, &turned).into_vec(), &want);
+            turned.reverse();
+            prop_assert_eq!(&kbest(k, &turned).into_vec(), &want);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! Fig. 6a reports (<10 % warp efficiency vs >50 % for the data-parallel
 //! SS-tree).
 
-use psb_geom::{dist, KBest, Neighbor, PointSet};
+use psb_geom::{dist, plane_gap, plane_in_range, KBest, Neighbor, PointSet};
 use psb_gpu::{run_task_parallel, DeviceConfig, KernelStats, LaneStep};
 use psb_sstree::dist_cost;
 
@@ -23,7 +23,7 @@ const OP_BACKTRACK: u32 = 2;
 struct Lane<'a> {
     tree: &'a KdTree,
     q: &'a [f32],
-    /// Pending far-subtrees: (node, distance to the split plane when deferred).
+    /// Pending far-subtrees: (node, signed gap to the split plane when deferred).
     stack: Vec<(u32, f32)>,
     /// Current node, or NIL when popping from the stack.
     cursor: u32,
@@ -61,8 +61,8 @@ impl Lane<'_> {
                     self.done = true;
                     return None;
                 }
-                Some((node, plane_d)) => {
-                    if plane_d < self.best.bound() {
+                Some((node, gap)) => {
+                    if plane_in_range(gap, self.best.bound()) {
                         self.cursor = node;
                     }
                     return Some(LaneStep { op: OP_BACKTRACK, cost: 3, global_bytes: 0 });
@@ -78,10 +78,10 @@ impl Lane<'_> {
             return Some(LaneStep { op: OP_LEAF, cost: 2, global_bytes: 0 });
         }
         // Descend toward the query, defer the far side.
-        let diff = self.q[node.dim as usize] - node.split;
+        let diff = plane_gap(self.q[node.dim as usize], node.split);
         let (near, far) =
             if diff <= 0.0 { (node.left, node.right) } else { (node.right, node.left) };
-        self.stack.push((far, diff.abs()));
+        self.stack.push((far, diff));
         self.cursor = near;
         Some(LaneStep { op: OP_DESCEND, cost: 4, global_bytes: NODE_BYTES })
     }

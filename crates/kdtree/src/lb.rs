@@ -158,8 +158,8 @@ impl LbKdTree {
 
     /// Exact recursive kNN on the CPU (oracle): offers every visited node's
     /// point (internal nodes hold points too), descends the near side, and
-    /// crosses the splitting plane only while the far side is strictly in
-    /// range of the current k-th best.
+    /// crosses the splitting plane only while the far side is at or in range
+    /// of the current k-th best.
     pub fn knn_cpu(&self, q: &[f32], k: usize) -> Vec<Neighbor> {
         assert!(k >= 1);
         assert_eq!(q.len(), self.dims);

@@ -18,7 +18,7 @@ mod lb;
 
 pub use lb::LbKdTree;
 
-use psb_geom::{dist, KBest, Neighbor, PointSet};
+use psb_geom::{dist, plane_gap, plane_in_range, KBest, Neighbor, PointSet};
 
 /// Sentinel: no child.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -281,10 +281,10 @@ fn knn_rec(tree: &KdTree, n: u32, q: &[f32], best: &mut KBest) {
         }
         return;
     }
-    let diff = q[node.dim as usize] - node.split;
+    let diff = plane_gap(q[node.dim as usize], node.split);
     let (near, far) = if diff <= 0.0 { (node.left, node.right) } else { (node.right, node.left) };
     knn_rec(tree, near, q, best);
-    if diff.abs() < best.bound() {
+    if plane_in_range(diff, best.bound()) {
         knn_rec(tree, far, q, best);
     }
 }

@@ -650,13 +650,32 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         } else {
             opts
         };
+        match opts.metering {
+            Metering::Simulated => self.visit::<true>(qi, q, k, opts, skip, budget, traced),
+            Metering::Off => self.visit::<false>(qi, q, k, opts, skip, budget, traced),
+        }
+    }
+
+    /// [`ShardRouter::execute`] on a router block metered as `opts` says: an
+    /// unmetered one counts and emits nothing, as an unmetered kernel's.
+    #[allow(clippy::too_many_arguments)]
+    fn visit<const M: bool>(
+        &self,
+        qi: usize,
+        q: &[f32],
+        k: usize,
+        opts: &KernelOptions,
+        skip: &[bool],
+        budget: DeadlineBudget,
+        traced: bool,
+    ) -> QueryEffect {
         let mut clock = DeadlineClock::start(budget);
         let s = self.shards.len();
         let dims = self.dims;
         let warps = opts.threads_per_block.div_ceil(self.device.warp_size).max(1);
         let mut events = VecSink::new();
         let sink = traced.then_some(&mut events as &mut dyn TraceSink);
-        let mut block: Block<'_> = Block::with_sink(opts.threads_per_block, &self.device, sink);
+        let mut block: Block<'_, M> = Block::with_sink(opts.threads_per_block, &self.device, sink);
         block.set_phase(Phase::Descend);
         // The shard directory is one SoA record per shard: sphere center
         // (dims × f32) plus radius — the router's analogue of an internal

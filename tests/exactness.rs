@@ -1,22 +1,18 @@
 //! Cross-engine exactness: every traversal algorithm, on every tree
-//! construction, over every workload generator, must return the same neighbor
-//! distances as a linear scan. This is the repository's master correctness
-//! gate — PSB is an *exact* algorithm (the paper contrasts it with RBC-style
-//! approximations, §VI).
+//! construction, over every workload generator, must return a linear scan's
+//! answer — the first k by `(distance, id)`, ids and distance bits. This is
+//! the repository's master correctness gate — PSB is an *exact* algorithm
+//! (the paper contrasts it with RBC-style approximations, §VI).
 
 use psb::prelude::*;
 
 fn assert_distances_match(got: &[Neighbor], want: &[Neighbor], ctx: &str) {
-    assert_eq!(got.len(), want.len(), "{ctx}: result count");
-    for (g, w) in got.iter().zip(want) {
-        let scale = w.dist.max(1.0);
-        assert!(
-            (g.dist - w.dist).abs() <= scale * 1e-4,
-            "{ctx}: distance {} != oracle {}",
-            g.dist,
-            w.dist
-        );
-    }
+    assert_eq!(bits(got), bits(want), "{ctx}: (id, distance bits) differ from the oracle's");
+}
+
+/// `(id, distance bits)` of each row: equality is bit for bit.
+fn bits(ns: &[Neighbor]) -> Vec<(u32, u32)> {
+    ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
 }
 
 fn check_all_engines(data: &PointSet, queries: &PointSet, k: usize, degree: usize, ctx: &str) {
@@ -186,11 +182,8 @@ fn distances_that_overflow_to_infinity_are_still_neighbours() {
                 ("stackfree", lb.neighbors[0].clone()),
                 ("srtree", sr),
             ];
-            // These keep whichever tied +inf rows they met first: the
-            // distances must match, the ids among equal distances need not.
-            let bits = |ns: &[Neighbor]| ns.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>();
             for (name, got) in cpu {
-                assert_eq!(bits(&got), bits(&want), "{name} s {s} k {k}");
+                assert_distances_match(&got, &want, &format!("{name} s {s} k {k}"));
             }
         }
     }
@@ -247,4 +240,116 @@ fn a_nan_query_has_no_neighbours() {
     for (name, got) in runs {
         assert!(got.is_empty(), "{name}: {got:?}");
     }
+}
+
+#[test]
+fn ties_on_a_lattice_resolve_to_the_first_k_by_distance_and_id() {
+    // A 16 x 16 integer lattice, queried on sites, at cell centres and at
+    // edge midpoints: distances tie at every rank, and every node boundary
+    // sits on lattice lines, so MINDISTs and plane gaps land exactly on the
+    // k-th distance. Every search must name `linear_knn`'s ids.
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let mut data = PointSet::new(2);
+    for i in 0..256 {
+        data.push(&[(i % 16) as f32, (i / 16) as f32]);
+    }
+    let mut queries = PointSet::new(2);
+    for i in 0..40u32 {
+        let (x, y) = ((i * 7 % 16) as f32, (i * 5 % 16) as f32);
+        let (dx, dy) = [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)][i as usize % 4];
+        queries.push(&[(x + dx).min(15.0), (y + dy).min(15.0)]);
+    }
+    let trees =
+        [("hilbert", build(&data, 8, &BuildMethod::Hilbert)), ("topdown", build_topdown(&data, 8))];
+    let kd = KdTree::build(&data, 8);
+    let lb = LbKdTree::build(&data);
+    let sr = SrTree::build(&data, 1024);
+    // Every id mismatch, by search: one report, not the first failure.
+    let mut wrong: Vec<String> = Vec::new();
+    let mut check = |name: &str, k: usize, got: &[Vec<Neighbor>], want: &[Vec<Neighbor>]| {
+        let bad = got.iter().zip(want).filter(|(g, w)| bits(g) != bits(w)).count();
+        if bad > 0 || got.len() != want.len() {
+            wrong.push(format!("{name} k {k}: {bad} of {} answers", want.len()));
+        }
+    };
+    for k in [1usize, 4, 5, 8, 13] {
+        let want: Vec<Vec<Neighbor>> = queries.iter().map(|q| linear_knn(&data, q, k)).collect();
+        let each = |f: &dyn Fn(&[f32]) -> Vec<Neighbor>| queries.iter().map(f).collect::<Vec<_>>();
+        for (t, tree) in &trees {
+            check(&format!("psb/{t}"), k, &each(&|q| psb_query(tree, q, k, &cfg, &opts).0), &want);
+            check(&format!("bnb/{t}"), k, &each(&|q| bnb_query(tree, q, k, &cfg, &opts).0), &want);
+            let restart = each(&|q| restart_query(tree, q, k, &cfg, &opts).0);
+            check(&format!("restart/{t}"), k, &restart, &want);
+            check(&format!("best_first/{t}"), k, &each(&|q| knn_best_first(tree, q, k)), &want);
+            check(&format!("cpu_bnb/{t}"), k, &each(&|q| knn_branch_and_bound(tree, q, k)), &want);
+            check(&format!("tpss/{t}"), k, &tpss_batch(tree, &queries, k, &cfg, 32).0, &want);
+            let (wave, _) = wave_knn_batch(tree, &queries, k, &cfg, &opts).expect("wave");
+            check(&format!("wave/{t}"), k, &wave.neighbors, &want);
+            let mut stream =
+                QueryStream::with_chunk_size(tree, Kernel::Psb { k }, cfg.clone(), opts.clone(), 7);
+            for q in queries.iter() {
+                stream.push(q);
+            }
+            let streamed: Vec<Vec<Neighbor>> =
+                stream.finish().into_iter().flat_map(|chunk| chunk.neighbors).collect();
+            check(&format!("stream/{t}"), k, &streamed, &want);
+        }
+        check("stackfree", k, &each(&|q| stackfree_query(&lb, q, k, &cfg, &opts).0), &want);
+        check("lb_kdtree_cpu", k, &each(&|q| lb.knn_cpu(q, k)), &want);
+        check("kdtree_cpu", k, &each(&|q| knn_cpu(&kd, q, k)), &want);
+        check("kdtree_gpu", k, &knn_task_parallel(&kd, &queries, k, &cfg, 32).0, &want);
+        check("srtree", k, &each(&|q| sr.knn(q, k).0), &want);
+        check("brute", k, &each(&|q| brute_query(&data, q, k, &cfg, &opts).0), &want);
+
+        // The router, over four shards: a batch, then `knn` behind its cache
+        // — filled, then absorbing inserts that tie with lattice sites and
+        // with each other, then answering every query from the cache.
+        let mut router = ShardRouter::build(&data, &ServeConfig::new(4), &cfg, |ps| {
+            build(ps, 8, &BuildMethod::Hilbert)
+        });
+        let served = router.serve_batch(&queries, k, &opts).expect("serve");
+        check("router/serve_batch", k, &served.neighbors, &want);
+        router.attach_cache(64);
+        check("router/knn", k, &each(&|q| router.knn(q, k)), &want);
+        let mut grown = data.clone();
+        for p in [[3.0, 4.0], [7.5, 7.5], [7.5, 7.5], [0.0, 15.0]] {
+            assert_eq!(router.insert(&p) as usize, grown.len());
+            grown.push(&p);
+        }
+        let want_grown: Vec<Vec<Neighbor>> =
+            queries.iter().map(|q| linear_knn(&grown, q, k)).collect();
+        let hits = router.cache_stats().0;
+        check("router/knn after absorb", k, &each(&|q| router.knn(q, k)), &want_grown);
+        assert_eq!(router.cache_stats().0 - hits, queries.len() as u64, "every query a hit");
+
+        // The mutable index with pending inserts and tombstones.
+        let mut dynamic = DynamicSsTree::new(&data, 8, BuildMethod::Hilbert);
+        let mut live: Vec<(u32, Vec<f32>)> =
+            data.iter().enumerate().map(|(i, p)| (i as u32, p.to_vec())).collect();
+        for p in [[5.0, 5.0], [8.5, 2.0], [12.0, 12.5]] {
+            live.push((dynamic.insert(&p), p.to_vec()));
+        }
+        for id in [17u32, 85, 86, 120, 200, 257] {
+            assert!(dynamic.remove(id));
+            live.retain(|(i, _)| *i != id);
+        }
+        assert!(dynamic.pending() > 0, "inserts still in the delta buffer");
+        // The first k live rows by `(dist, id)`: the one answer every search owes.
+        let oracle = |q: &[f32]| {
+            let mut rows: Vec<Neighbor> =
+                live.iter().map(|(id, p)| Neighbor { dist: dist(q, p), id: *id }).collect();
+            rows.sort_by(Neighbor::by_rank);
+            rows.truncate(k);
+            rows
+        };
+        let want_live = each(&oracle);
+        check("dynamic/knn", k, &each(&|q| dynamic.knn(q, k)), &want_live);
+        check("dynamic/knn_gpu", k, &each(&|q| dynamic.knn_gpu(q, k, &cfg, &opts).0), &want_live);
+    }
+    assert!(
+        wrong.is_empty(),
+        "answers that name other ids than the oracle's:\n{}",
+        wrong.join("\n")
+    );
 }

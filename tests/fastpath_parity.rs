@@ -51,8 +51,8 @@ fn assert_batches_bit_identical(a: &QueryBatchResult, b: &QueryBatchResult, what
 
 /// The unmetered block must report *no* simulated work: if any cycle or byte
 /// leaks into the stats, some accounting survived the monomorphization.
-fn assert_accounting_compiled_out(r: &QueryBatchResult, what: &str) {
-    for (qi, s) in r.per_block.iter().enumerate() {
+fn assert_accounting_compiled_out(per_block: &[KernelStats], what: &str) {
+    for (qi, s) in per_block.iter().enumerate() {
         assert_eq!(s.global_bytes, 0, "{what}: query {qi} leaked bytes into an unmetered block");
         assert_eq!(s.nodes_visited, 0, "{what}: query {qi} counted nodes on an unmetered block");
         assert_eq!(s.compute_issues, 0, "{what}: query {qi} issued ops on an unmetered block");
@@ -79,7 +79,7 @@ fn check_metering_off<V: Volumes>(
     let a = psb_batch(tree, queries, k, &cfg, &sim).expect("psb metered");
     let b = psb_batch(tree, queries, k, &cfg, &fast).expect("psb unmetered");
     assert_results_identical(&a, &b, &format!("{label}/psb"));
-    assert_accounting_compiled_out(&b, &format!("{label}/psb"));
+    assert_accounting_compiled_out(&b.per_block, &format!("{label}/psb"));
 
     let a = bnb_batch(tree, queries, k, &cfg, &sim).expect("bnb metered");
     let b = bnb_batch(tree, queries, k, &cfg, &fast).expect("bnb unmetered");
@@ -136,7 +136,7 @@ fn metering_off_is_result_identical_under_schedule_fuse_and_wave() {
     let (a, _) = wave_knn_batch(&tree, &queries, 8, &cfg, &sim).expect("wave metered");
     let (b, _) = wave_knn_batch(&tree, &queries, 8, &cfg, &off(&sim)).expect("wave unmetered");
     assert_results_identical(&a, &b, "wave/knn");
-    assert_accounting_compiled_out(&b, "wave/knn");
+    assert_accounting_compiled_out(&b.per_block, "wave/knn");
     let (a, _) = wave_range_batch(&tree, &queries, 250.0, &cfg, &sim).expect("wave metered");
     let (b, _) =
         wave_range_batch(&tree, &queries, 250.0, &cfg, &off(&sim)).expect("wave unmetered");
@@ -209,6 +209,26 @@ fn cycle_deadlines_force_metering_back_on() {
     assert_eq!(a.outcomes, b.outcomes, "deadline/cycles: outcomes differ");
 }
 
+#[test]
+fn an_unmetered_serve_batch_counts_nothing() {
+    // The router block is dispatched on the caller's metering like every
+    // kernel: unmetered, its per-query counters stay at launch values, and
+    // neighbours, outcomes and failovers are the metered run's.
+    let (ps, queries) = workload(4, 9701);
+    let cfg = DeviceConfig::k40();
+    let serve = |opts: &KernelOptions| {
+        let build_index = |ps: &PointSet| build(ps, 16, &BuildMethod::Hilbert);
+        let mut router = ShardRouter::build(&ps, &ServeConfig::new(4), &cfg, build_index);
+        router.serve_batch(&queries, 8, opts).expect("serve")
+    };
+    let sim = KernelOptions::default();
+    let (a, b) = (serve(&sim), serve(&off(&sim)));
+    assert_neighbors_bit_identical(&a.neighbors, &b.neighbors, "serve");
+    assert_eq!(a.outcomes, b.outcomes, "serve: outcomes differ");
+    assert_eq!(a.report.failovers, b.report.failovers, "serve: failovers differ");
+    assert_accounting_compiled_out(&b.per_query, "serve");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -230,6 +250,6 @@ proptest! {
         let a = psb_batch(&tree, &queries, k, &cfg, &sim).expect("metered");
         let b = psb_batch(&tree, &queries, k, &cfg, &off(&sim)).expect("unmetered");
         assert_results_identical(&a, &b, "proptest/psb");
-        assert_accounting_compiled_out(&b, "proptest/psb");
+        assert_accounting_compiled_out(&b.per_block, "proptest/psb");
     }
 }
