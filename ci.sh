@@ -130,8 +130,9 @@ run_kdtree() {
 # pool-run rows: every kernel's wave form and the degraded rung must hash to
 # the golden table at either count. `dynamic_sstree` is here for the rebuild
 # protocol (every snapshot → build → install runs its build on the pool) and
-# for the router's maintained `knn` cache: cached = uncached = linear
-# oracle through random inserts, removes and shard rebuilds; `admission` walks
+# for the router's one result cache (`knn`'s and the resilient batches'),
+# maintained under writes: cached = uncached = linear oracle through random
+# inserts, removes and shard rebuilds; `admission` walks
 # the same rule case by case and `threads`' soak counts it from the registry.
 # `observability` is here because its silent-versus-traced assertions are where
 # an untraced batch (`sink: None`) runs its ladder on the pool. `exactness` and

@@ -33,15 +33,17 @@
 //!
 //! ## Exactness
 //!
-//! A query's bound only tightens, every prune requires `MINDIST >= bound`
-//! (kNN; `> radius` for range), and the true k-th distance is a lower bound
-//! on every intermediate bound — so a subtree containing a true neighbor can
-//! never be pruned, every leaf that can matter is swept, and the k-best list
-//! converges to exactly the per-query kernel's result. Neighbors and
-//! outcomes are bit-identical to the per-query engines (golden tests across
-//! all kernels, both index families, and batch sizes by property test in
-//! `tests/wave_parity.rs`); `KernelStats` are *not* comparable — the whole
-//! point is that the wave engine does strictly less memory work.
+//! A query's bound only tightens, every prune requires `MINDIST > bound`
+//! (kNN admits a subtree at the bound, where a tied row can still displace
+//! the k-th by id; `> radius` for range), and the true k-th distance is a
+//! lower bound on every intermediate bound — so a subtree containing a true
+//! neighbor can never be pruned, every leaf that can matter is swept, and
+//! the k-best list converges to exactly the per-query kernel's result.
+//! Neighbors and outcomes are bit-identical to the per-query engines (golden
+//! tests across all kernels, both index families, and batch sizes by
+//! property test in `tests/wave_parity.rs`); `KernelStats` are *not*
+//! comparable — the whole point is that the wave engine does strictly less
+//! memory work.
 //!
 //! ## Metering model
 //!

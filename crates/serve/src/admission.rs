@@ -6,9 +6,8 @@
 //! Token buckets refill per tick and breaker backoffs are measured in ticks,
 //! so every admission decision, breaker transition, and shed is a pure
 //! function of the submission sequence — reproducible in tests and in the
-//! chaos soak, with no wall-clock in the control path. (Deadlines are the one
-//! place wall-clock is allowed, and only opt-in; see
-//! [`crate::deadline`].)
+//! chaos soak, with no wall-clock in the control path. Deadlines are priced
+//! in simulated device cycles and read no clock either ([`crate::deadline`]).
 //!
 //! The load-shedding contract: an overloaded front-end rejects with a typed
 //! [`RejectReason`] instead of queueing unboundedly, and a rejected query is
@@ -112,6 +111,9 @@ impl TokenBucket {
 pub struct AdmissionConfig {
     /// Most queries the submission queue holds at once; arrivals beyond it
     /// are shed with [`RejectReason::QueueFull`]. `usize::MAX` = unbounded.
+    /// The serve runner frees each admitted query's slot before the next one
+    /// arrives, so behind it the depth at arrival is always 0 and only a
+    /// bound of 0 sheds.
     pub queue_capacity: usize,
     /// Quota applied to tenants without an explicit
     /// [`AdmissionControl::set_quota`] entry. `None` = unmetered.
@@ -185,7 +187,7 @@ impl AdmissionControl {
         self.depth
     }
 
-    /// Deepest the queue has been.
+    /// Deepest the queue has been since the controller was built.
     pub(crate) fn peak_depth(&self) -> usize {
         self.peak_depth
     }

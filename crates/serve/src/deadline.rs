@@ -7,19 +7,13 @@
 //! [`QueryOutcome::DeadlineDegraded`](psb_core::QueryOutcome::DeadlineDegraded)
 //! rung — never a silent partial answer.
 //!
-//! Two currencies:
-//!
-//! * **Simulated device cycles** ([`DeadlineBudget::Cycles`]) — each visited
-//!   shard's [`KernelStats`] is priced with the same
-//!   [`block_cycles`](KernelStats::block_cycles) cost model the launch reports
-//!   use. Fully deterministic: the same batch under the same budget degrades
-//!   identically on every run and every host, which is what the property tests
-//!   in `tests/admission.rs` pin.
-//! * **Host wall-clock microseconds** ([`DeadlineBudget::Micros`]) — the
-//!   production currency; inherently machine-dependent, so tests that assert
-//!   exact degrade points use cycles instead.
-
-use std::time::Instant;
+//! The currency is simulated device cycles ([`DeadlineBudget::Cycles`]): each
+//! visited shard's [`KernelStats`] is priced with the same
+//! [`block_cycles`](KernelStats::block_cycles) cost model the launch reports
+//! use. No clock is read, so the same batch under the same budget degrades
+//! identically on every run, every host and every thread count — also when
+//! the serve runner executes a query ahead of its turn — which is what the
+//! property tests in `tests/admission.rs` pin.
 
 use psb_gpu::{DeviceConfig, KernelStats};
 
@@ -33,8 +27,6 @@ pub enum DeadlineBudget {
     /// Budget in simulated device cycles under the launch cost model.
     /// Deterministic — the unit the tests and the chaos soak use.
     Cycles(u64),
-    /// Budget in host wall-clock microseconds.
-    Micros(u64),
 }
 
 /// The running clock for one query's deadline: starts full, is charged after
@@ -43,24 +35,20 @@ pub enum DeadlineBudget {
 #[derive(Debug)]
 pub(crate) struct DeadlineClock {
     budget: DeadlineBudget,
-    /// Simulated cycles spent so far (cycles mode).
+    /// Simulated cycles spent so far.
     spent_cycles: f64,
-    /// Query start (wall-clock mode only; cycles mode never reads a clock).
-    started: Option<Instant>,
 }
 
 impl DeadlineClock {
-    /// Starts the clock. A wall-clock budget reads `Instant::now()` once here;
-    /// a cycle budget reads no clock at all.
+    /// Starts the clock with nothing spent.
     pub(crate) fn start(budget: DeadlineBudget) -> Self {
-        let started = matches!(budget, DeadlineBudget::Micros(_)).then(Instant::now);
-        Self { budget, spent_cycles: 0.0, started }
+        Self { budget, spent_cycles: 0.0 }
     }
 
     /// Charges one visited shard's launch against a cycle budget, priced by
     /// the same cost model as the launch reports (`warps_per_block` from the
-    /// kernel options, the shard device's config). No-op for wall-clock and
-    /// unlimited budgets — wall time accrues on its own.
+    /// kernel options, the shard device's config). No-op for an unlimited
+    /// budget.
     pub(crate) fn charge(&mut self, stats: &KernelStats, cfg: &DeviceConfig, warps_per_block: u32) {
         if matches!(self.budget, DeadlineBudget::Cycles(_)) {
             self.spent_cycles += stats.block_cycles(cfg, warps_per_block);
@@ -76,10 +64,6 @@ impl DeadlineClock {
             DeadlineBudget::Cycles(0) => true,
             DeadlineBudget::None => false,
             DeadlineBudget::Cycles(limit) => self.spent_cycles > limit as f64,
-            DeadlineBudget::Micros(limit) => match &self.started {
-                Some(t0) => t0.elapsed().as_micros() > u128::from(limit),
-                None => false,
-            },
         }
     }
 }
@@ -116,14 +100,6 @@ mod tests {
         // first visit, which makes the router answer with the exact brute scan
         // over the nearest shard only, marked as deadline-degraded.
         let clock = DeadlineClock::start(DeadlineBudget::Cycles(0));
-        assert!(clock.blown());
-    }
-
-    #[test]
-    fn wall_clock_budget_blows_after_elapsed() {
-        let clock = DeadlineClock::start(DeadlineBudget::Micros(0));
-        // Any measurable work exceeds a zero-microsecond budget.
-        std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(clock.blown());
     }
 }

@@ -22,9 +22,9 @@
 //!
 //! [`ResilientRouter`] is the production front-end: admission control with
 //! per-tenant token-bucket quotas and typed load shedding, deadline budgets
-//! checked between shard visits, per-shard circuit breakers that route around
-//! sick shards, and an exact-result query cache (see DESIGN.md "The
-//! resilience front-end"). With [`ResilienceConfig::default`] it is
+//! checked between shard visits, and per-shard circuit breakers that route
+//! around sick shards; its batches probe and fill the router's one
+//! exact-result cache (see DESIGN.md "The resilience front-end"). With [`ResilienceConfig::default`] it is
 //! bit-identical to the bare router, and even with features on every degrade
 //! is a *marked* outcome. [`DynamicShardRouter`] is only a constructor's name.
 

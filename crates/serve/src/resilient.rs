@@ -1,6 +1,6 @@
-//! The resilience front-end: admission control, deadline-aware execution,
-//! per-shard circuit breakers, and the exact-result cache, wrapped around a
-//! [`ShardRouter`].
+//! The resilience front-end: admission control, deadline-aware execution
+//! and per-shard circuit breakers, wrapped around a [`ShardRouter`] whose
+//! exact-result cache its batches probe and fill.
 //!
 //! [`ResilientRouter`] decides *which* queries run (admission + quotas),
 //! *how long* they may run (deadline budgets, checked between shard visits),
@@ -21,20 +21,17 @@
 //! deadline — and under it every batch is **bit-identical** to the bare
 //! [`ShardRouter`], faults or not. Pressure is always opt-in.
 
-use std::collections::BTreeMap;
-
 use psb_core::{EngineError, KernelOptions, QueryOutcome};
 use psb_geom::PointSet;
 use psb_gpu::KernelStats;
-use psb_metrics::MetricsHandle;
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::admission::{
-    AdmissionConfig, BreakerConfig, BreakerState, QuotaConfig, RejectReason, TenantId,
+    AdmissionConfig, BreakerConfig, BreakerState, QueryCache, QuotaConfig, RejectReason, TenantId,
 };
 use crate::deadline::DeadlineBudget;
 use crate::router::{ServeReport, ShardIndex, ShardRouter};
-use crate::runner::{run_batch, Batch, FrontEnd};
+use crate::runner::{serve, Batch, FrontEnd};
 
 /// Tuning for the whole resilience layer. The default is transparent: the
 /// front-end admits everything, runs everything to exact completion, and
@@ -46,7 +43,9 @@ pub struct ResilienceConfig {
     /// Circuit-breaker tuning applied to every shard
     /// ([`BreakerConfig::disabled`] by default).
     pub breaker: BreakerConfig,
-    /// Exact-result cache capacity; 0 disables the cache.
+    /// Capacity of the router's exact-result cache, evicted by SIEVE; 0
+    /// leaves the router's cache as it is (disabled unless
+    /// [`ShardRouter::attach_cache`] sized it).
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: DeadlineBudget,
@@ -164,7 +163,9 @@ pub struct ResilienceReport {
     pub deadline_skips: u64,
     /// Breaker open transitions during this batch.
     pub breaker_opened: u64,
-    /// Deepest the submission queue got during this batch.
+    /// Deepest the submission queue has been since the front end was built.
+    /// Each admitted query's slot is free again before the next arrives, so
+    /// this is 1 once any query was admitted, 0 before.
     pub peak_queue_depth: usize,
 }
 
@@ -190,19 +191,24 @@ impl ResilientBatchResult {
     }
 }
 
-/// The resilience front-end around a [`ShardRouter`].
+/// The resilience front-end around a [`ShardRouter`]. It keeps admission,
+/// breakers and the tick; the result cache and the telemetry handle are the
+/// router's.
 pub struct ResilientRouter<T: ShardIndex> {
     router: ShardRouter<T>,
     front: FrontEnd,
-    metrics: MetricsHandle,
 }
 
 impl<V: Volumes> ResilientRouter<FlatTree<V>> {
     /// Wraps `router` under `cfg`. The wrapped router's shards each get one
-    /// breaker.
-    pub fn new(router: ShardRouter<FlatTree<V>>, cfg: ResilienceConfig) -> Self {
+    /// breaker, and a `cfg.cache_capacity` above 0 replaces the router's
+    /// result cache with a SIEVE cache of that capacity.
+    pub fn new(mut router: ShardRouter<FlatTree<V>>, cfg: ResilienceConfig) -> Self {
+        if cfg.cache_capacity > 0 {
+            *router.cache_mut() = QueryCache::new(cfg.cache_capacity);
+        }
         let front = FrontEnd::new(router.num_shards(), &cfg);
-        Self { router, front, metrics: MetricsHandle::noop() }
+        Self { router, front }
     }
 
     /// The wrapped router.
@@ -210,17 +216,12 @@ impl<V: Volumes> ResilientRouter<FlatTree<V>> {
         &self.router
     }
 
-    /// The wrapped router, mutably — fault plans, replica restores and
-    /// writes go through here.
+    /// The wrapped router, mutably — fault plans, replica restores, writes
+    /// and telemetry ([`ShardRouter::attach_metrics`]) go through here.
+    /// Writes keep the cached answers exact by the router's rule: an insert
+    /// is folded into them, a remove drops them.
     pub fn inner_mut(&mut self) -> &mut ShardRouter<FlatTree<V>> {
         &mut self.router
-    }
-
-    /// Attaches a metrics registry: queue depth gauges, shed/deadline-miss
-    /// counters, per-tenant latency histograms, plus everything the wrapped
-    /// report records.
-    pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = metrics;
     }
 
     /// Sets (or replaces) one tenant's token-bucket quota.
@@ -238,16 +239,17 @@ impl<V: Volumes> ResilientRouter<FlatTree<V>> {
         self.front.tick
     }
 
-    /// `(hits, misses, evictions, invalidations)` of the exact-result cache.
+    /// `(hits, misses, evictions, invalidations)` of the router's result
+    /// cache ([`ShardRouter::cache_stats`]).
     pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
-        self.front.cache.stats()
+        self.router.cache_stats()
     }
 
     /// Drops every cached result. A write through
-    /// [`ResilientRouter::inner_mut`] needs no call: the next batch sees the
-    /// router's version move and drops them itself.
+    /// [`ResilientRouter::inner_mut`] needs no call: the router keeps its
+    /// cache exact under writes itself.
     pub fn invalidate_cache(&mut self) {
-        self.front.cache.flush();
+        self.router.cache_mut().flush();
     }
 
     /// Serves one batch through admission → cache → constrained router.
@@ -263,6 +265,11 @@ impl<V: Volumes> ResilientRouter<FlatTree<V>> {
     /// comes, and runs again if not. Results, both reports and all front-end
     /// state are those of the one-query-at-a-time loop at any thread count;
     /// with a breaker away from `Closed` the batch *is* that loop.
+    ///
+    /// `opts.metrics` is not read: the shard launches record nothing, and
+    /// the batch records into the router's own handle
+    /// ([`ShardRouter::attach_metrics`], through
+    /// [`ResilientRouter::inner_mut`]).
     pub fn serve_batch(
         &mut self,
         queries: &PointSet,
@@ -270,58 +277,141 @@ impl<V: Volumes> ResilientRouter<FlatTree<V>> {
         opts: &KernelOptions,
         requests: &[RequestMeta],
     ) -> Result<ResilientBatchResult, EngineError> {
-        self.serve_windowed(queries, k, opts, requests, usize::MAX)
+        let batch = Batch { queries, k, opts, requests, cached: true };
+        serve(&mut self.router, &mut self.front, &batch, None, usize::MAX)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::ServeConfig;
+    use psb_data::UniformSpec;
+    use psb_gpu::{DeviceConfig, FaultPlan};
+    use psb_metrics::{MetricsHandle, Registry};
+    use psb_sstree::{BuildMethod, SsTree};
+
+    const K: usize = 4;
+
+    /// 600 uniform 4-d points over four shards of two replicas, behind a
+    /// front end with a cache of `capacity`.
+    fn fronted(capacity: usize) -> (PointSet, ResilientRouter<SsTree>) {
+        let ps = UniformSpec { len: 600, dims: 4, seed: 42 }.generate();
+        let cfg = ServeConfig::new(4).with_replicas(2);
+        let router = ShardRouter::build(&ps, &cfg, &DeviceConfig::k40(), |ps| {
+            psb_sstree::build(ps, 8, &BuildMethod::Hilbert)
+        });
+        let cfg = ResilienceConfig { cache_capacity: capacity, ..ResilienceConfig::default() };
+        (ps, ResilientRouter::new(router, cfg))
     }
 
-    /// [`ResilientRouter::serve_batch`] looking at most `window` queries
-    /// ahead of the one it is committing (`1` = strictly one at a time).
-    pub(crate) fn serve_windowed(
-        &mut self,
-        queries: &PointSet,
-        k: usize,
-        opts: &KernelOptions,
-        requests: &[RequestMeta],
-        window: usize,
-    ) -> Result<ResilientBatchResult, EngineError> {
-        let m = &self.metrics;
-        let _span = m.span("resilient_serve");
-        let batch = Batch { queries, k, opts, requests };
-        let run =
-            run_batch(&mut self.router, &mut self.front, &batch, None, m.is_attached(), window)?;
-        let res = run.resilience;
-        let report = run.acc.into_report(self.router.device(), opts);
+    fn one(q: &[f32]) -> PointSet {
+        let mut queries = PointSet::new(q.len());
+        queries.push(q);
+        queries
+    }
 
-        if m.is_attached() {
-            // One label per tenant per batch, not one per query.
-            let mut labels: BTreeMap<TenantId, String> = BTreeMap::new();
-            for &(qi, us) in &run.latencies_us {
-                let tenant = batch.meta(qi).tenant;
-                let label = labels
-                    .entry(tenant)
-                    .or_insert_with(|| format!("serve.tenant_us{{tenant=\"{tenant}\"}}"));
-                m.observe(label, us);
-            }
-            report.record_into(m);
-            m.counter("serve.submitted", res.submitted);
-            m.counter("serve.admitted", res.admitted);
-            m.counter("serve.shed_queue", res.rejected_queue);
-            m.counter("serve.shed_quota", res.rejected_quota);
-            m.counter("serve.cache_hits", res.cache_hits);
-            m.counter("serve.deadline_miss", res.deadline_degraded);
-            m.counter("serve.breaker_skips", res.breaker_skips);
-            m.counter("serve.deadline_skips", res.deadline_skips);
-            m.counter("serve.breaker_opened", res.breaker_opened);
-            m.counter("serve.discarded_executions", run.discarded as u64);
-            m.gauge("serve.queue_depth", self.front.admission.depth() as f64);
-            m.gauge("serve.queue_peak_depth", res.peak_queue_depth as f64);
+    /// The front end records through the router's handle, from the report
+    /// it returns: every counter equals its `ResilienceReport` field, and
+    /// every admitted query — hit or miss — is one latency, once overall and
+    /// once under its tenant.
+    #[test]
+    fn attached_registry_matches_the_resilience_report_exactly() {
+        let (ps, mut front) = fronted(8);
+        front.inner_mut().set_fault_plan(0, 0, FaultPlan::truncation(1));
+        front.set_quota(7, QuotaConfig { burst: 2, refill_per_tick: 0 });
+        let reg = Registry::new();
+        front.inner_mut().attach_metrics(MetricsHandle::attached(&reg));
+        let mut queries = PointSet::new(ps.dims());
+        let mut requests = Vec::new();
+        for (i, p) in [0, 150, 300, 0, 150, 450, 0, 599, 300, 450, 0, 150].into_iter().enumerate() {
+            queries.push(ps.point(p));
+            let meta = RequestMeta::tenant(if i % 3 == 1 { 7 } else { 0 });
+            requests.push(if i == 5 {
+                meta.with_deadline(DeadlineBudget::Cycles(0))
+            } else {
+                meta
+            });
         }
+        let out = front
+            .serve_batch(&queries, K, &KernelOptions::default(), &requests)
+            .expect("a non-empty batch over four shards");
+        let res = out.resilience;
+        assert!(res.cache_hits > 0, "{res:?}");
+        assert!(res.rejected_quota > 0, "{res:?}");
+        assert!(res.deadline_degraded > 0, "{res:?}");
+        assert!(!out.report.failovers.is_empty(), "the primary of shard 0 must die");
 
-        Ok(ResilientBatchResult {
-            neighbors: run.neighbors,
-            per_query: run.per_query,
-            outcomes: run.outcomes,
-            report,
-            resilience: res,
-        })
+        let snap = reg.snapshot();
+        let counter =
+            |name: &str| snap.counters.iter().find(|(key, _)| key == name).map_or(0, |(_, v)| *v);
+        let fields = [
+            ("serve.submitted", res.submitted),
+            ("serve.admitted", res.admitted),
+            ("serve.shed_queue", res.rejected_queue),
+            ("serve.shed_quota", res.rejected_quota),
+            ("serve.cache_hits", res.cache_hits),
+            ("serve.deadline_miss", res.deadline_degraded),
+            ("serve.breaker_skips", res.breaker_skips),
+            ("serve.deadline_skips", res.deadline_skips),
+            ("serve.breaker_opened", res.breaker_opened),
+            ("serve.failovers", out.report.failovers.len() as u64),
+            ("serve.queries", out.report.launch.merged.blocks),
+            ("serve.batches", 1),
+        ];
+        for (name, want) in fields {
+            assert_eq!(counter(name), want, "{name}");
+        }
+        let gauge = |name: &str| snap.gauges.iter().find(|(key, _)| key == name).map(|(_, v)| *v);
+        assert_eq!(gauge("serve.queue_peak_depth"), Some(res.peak_queue_depth as f64));
+        assert_eq!(gauge("serve.queue_depth"), None, "the depth between batches is always 0");
+        let count = |name: &str| {
+            snap.histograms.iter().find(|(key, _)| key == name).map_or(0, |(_, h)| h.count)
+        };
+        assert_eq!(count("serve.query_us"), res.admitted);
+        let per_tenant: u64 = snap
+            .histograms
+            .iter()
+            .filter(|(key, _)| key.starts_with("serve.tenant_us{"))
+            .map(|(_, h)| h.count)
+            .sum();
+        assert_eq!(per_tenant, res.admitted);
+        assert_eq!(count("serve.batch_us"), 1);
+        assert!(snap.spans.iter().any(|(path, _)| path == "serve"), "missing serve span");
+
+        // A batch without request metadata has no tenants to file under.
+        front.serve_batch(&queries, K, &KernelOptions::default(), &[]).expect("serve");
+        let again = reg.snapshot();
+        let per_tenant_now: u64 = again
+            .histograms
+            .iter()
+            .filter(|(key, _)| key.starts_with("serve.tenant_us{"))
+            .map(|(_, h)| h.count)
+            .sum();
+        assert_eq!(per_tenant_now, per_tenant);
+    }
+
+    /// One cache: an answer a resilient batch files is a hit for the
+    /// router's `knn`, and the reverse; a bare batch passes it by.
+    #[test]
+    fn a_resilient_batch_and_knn_share_one_cache() {
+        let (ps, mut front) = fronted(8);
+        let opts = KernelOptions::default();
+        let filed = front.serve_batch(&one(ps.point(3)), K, &opts, &[]).expect("serve");
+        assert_eq!(front.cache_stats(), (0, 1, 0, 0), "the batch missed and filed");
+        assert_eq!(front.inner().knn(ps.point(3), K), filed.neighbors[0]);
+        assert_eq!(front.cache_stats(), (1, 1, 0, 0), "knn hit the batch's answer");
+
+        let want = front.inner().knn(ps.point(9), K);
+        assert_eq!(front.cache_stats(), (1, 2, 0, 0), "knn missed and filed");
+        let hit = front.serve_batch(&one(ps.point(9)), K, &opts, &[]).expect("serve");
+        assert_eq!(hit.resilience.cache_hits, 1, "the batch hit knn's answer");
+        assert_eq!(hit.neighbors[0], want);
+        assert_eq!(front.cache_stats(), (2, 2, 0, 0));
+
+        let bare = front.inner_mut().serve_batch(&one(ps.point(9)), K, &opts).expect("serve");
+        assert_eq!(bare.neighbors[0], want);
+        assert_eq!(bare.report.launch.merged.blocks, 1, "the bare batch executed");
+        assert_eq!(front.cache_stats(), (2, 2, 0, 0), "and consulted no cache");
     }
 }

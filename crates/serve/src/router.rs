@@ -8,7 +8,7 @@ use crate::admission::{CacheKey, QueryCache};
 use crate::deadline::{DeadlineBudget, DeadlineClock};
 use crate::plan::{Visit, VisitPlan};
 use crate::resilient::{ResilienceConfig, ServeOutcome};
-use crate::runner::{run_batch, Batch, FrontEnd};
+use crate::runner::{serve, Batch, FrontEnd};
 use psb_core::dynamic::{InsertError, Rebuilt, Snapshot};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
@@ -122,11 +122,11 @@ impl<V: Volumes> ShardIndex for FlatTree<V> {
     type Family = V;
 }
 
-/// [`ShardRouter::knn`]'s cache (disabled until
-/// [`ShardRouter::attach_cache`]) and the count of inserts and removes, under
-/// one lock. A miss files its answer only if the count has not moved since
-/// it started: an answer computed while a point came or went may or may not
-/// have seen it.
+/// The router's one result cache (disabled until sized) and the count of
+/// inserts and removes, under one lock: [`ShardRouter::knn`] takes it, a
+/// resilient batch has `&mut` access. A `knn` miss files its answer only if
+/// the count has not moved since it started: an answer computed while a
+/// point came or went may or may not have seen it.
 #[derive(Default)]
 struct ResultCache {
     results: QueryCache,
@@ -244,12 +244,11 @@ pub struct ShardRouter<T: ShardIndex> {
     dims: usize,
     /// The id the next insert gets.
     next_id: u32,
-    /// The result cache [`ShardRouter::knn`] keeps (batches go through their
-    /// front end's instead).
+    /// The result cache [`ShardRouter::knn`] and resilient batches share.
     cache: Mutex<ResultCache>,
-    /// Telemetry sink; the detached default records nothing and costs one
-    /// branch per batch.
-    metrics: MetricsHandle,
+    /// The one telemetry handle; the detached default records nothing and
+    /// costs one branch per batch.
+    pub(crate) metrics: MetricsHandle,
 }
 
 impl<V: Volumes> ShardRouter<FlatTree<V>> {
@@ -330,10 +329,10 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         self.dims
     }
 
-    /// Attaches a metrics registry: batches record their reports and
-    /// latencies, [`ShardRouter::knn`] its latency and cache traffic
-    /// (`serve.dyn_*`), writes what they do to cached answers, and rebuilds
-    /// their durations.
+    /// Attaches a metrics registry: batches, bare or resilient, record their
+    /// reports, front-end counters and latencies, [`ShardRouter::knn`] its
+    /// latency and cache traffic (`serve.dyn_*`), writes what they do to
+    /// cached answers, and rebuilds their durations.
     pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
         self.metrics = metrics;
     }
@@ -382,10 +381,15 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
     /// off) to [`ShardRouter::knn`]. Inserts fold their point into every
     /// resident answer, rebuilds change none, removes drop them all
     /// (DESIGN.md "Mutable shards"). It evicts in insertion order: a hit does
-    /// not mark its entry as [`ResilientRouter`](crate::ResilientRouter)'s
-    /// does.
+    /// not mark its entry as in the SIEVE cache a
+    /// [`ResilientRouter`](crate::ResilientRouter) sizes.
     pub fn attach_cache(&mut self, capacity: usize) {
-        lock(&self.cache).results = QueryCache::insertion_order(capacity);
+        *self.cache_mut() = QueryCache::insertion_order(capacity);
+    }
+
+    /// The result cache, reached through `&mut self` without the lock.
+    pub(crate) fn cache_mut(&mut self) -> &mut QueryCache {
+        &mut self.cache.get_mut().unwrap_or_else(PoisonError::into_inner).results
     }
 
     /// How many inserts and removes the live set has seen.
@@ -393,9 +397,9 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         lock(&self.cache).version
     }
 
-    /// `(hits, misses, evictions, flushes)` of the attached cache. A flush
-    /// is a [`ShardRouter::remove`] that found entries to drop; nothing else
-    /// drops them.
+    /// `(hits, misses, evictions, flushes)` of the result cache. A flush is a
+    /// [`ShardRouter::remove`] or an `invalidate_cache` that found entries to
+    /// drop; nothing else drops them.
     pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
         lock(&self.cache).results.stats()
     }
@@ -544,7 +548,8 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         found
     }
 
-    /// Serves a batch; see [`ShardRouter::serve_batch_traced`].
+    /// Serves a batch; see [`ShardRouter::serve_batch_traced`]. It consults
+    /// no result cache.
     pub fn serve_batch(
         &mut self,
         queries: &PointSet,
@@ -564,6 +569,10 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
     /// already out of rotation for query `i + 1` — whatever had been executed
     /// ahead of the demotion is dropped and run again. Results, reports and
     /// the event sequence do not depend on the thread count.
+    ///
+    /// The batch neither probes nor fills the result cache. `opts.metrics` is
+    /// not read: the shard launches record nothing, and the batch records
+    /// into the router's own handle ([`ShardRouter::attach_metrics`]).
     pub fn serve_batch_traced(
         &mut self,
         queries: &PointSet,
@@ -584,31 +593,16 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         sink: Option<&mut dyn TraceSink>,
         window: usize,
     ) -> Result<ServeBatchResult, EngineError> {
-        // The runner borrows `self` mutably, so work through a clone of the
-        // handle (an `Option<Arc>` — the clone is two words).
-        let m = self.metrics.clone();
-        let batch_started = m.is_attached().then(std::time::Instant::now);
-        let _span = m.span("serve");
         let mut front = FrontEnd::new(self.shards.len(), &ResilienceConfig::default());
-        let batch = Batch { queries, k, opts, requests: &[] };
-        let run = run_batch(self, &mut front, &batch, sink, m.is_attached(), window)?;
-        for &(_, us) in &run.latencies_us {
-            m.observe("serve.query_us", us);
-        }
-        let report = m.time("aggregate", || run.acc.into_report(&self.device, opts));
-        if let Some(t0) = batch_started {
-            m.observe("serve.batch_us", t0.elapsed().as_secs_f64() * 1e6);
-            m.counter("serve.batches", 1);
-            m.counter("serve.discarded_executions", run.discarded as u64);
-        }
-        report.record_into(&m);
+        let batch = Batch { queries, k, opts, requests: &[], cached: false };
+        let served = serve(self, &mut front, &batch, sink, window)?;
         // A transparent front-end rejects nothing.
-        let outcomes = run.outcomes.iter().filter_map(ServeOutcome::executed).collect();
+        let outcomes = served.outcomes.iter().filter_map(ServeOutcome::executed).collect();
         Ok(ServeBatchResult {
-            neighbors: run.neighbors,
-            per_query: run.per_query,
+            neighbors: served.neighbors,
+            per_query: served.per_query,
             outcomes,
-            report,
+            report: served.report,
         })
     }
 

@@ -1,11 +1,13 @@
-//! The one serve runner: plan → execute → commit.
+//! The one serve runner: plan → execute → commit, then one epilogue.
 //!
 //! Both batch entry points — [`ShardRouter::serve_batch_traced`] behind a
 //! transparent front-end, [`ResilientRouter::serve_batch`](crate::ResilientRouter::serve_batch)
-//! behind a configured one — are this loop. It walks the batch in submission
-//! order and, per query, does exactly what a one-at-a-time server does: tick,
-//! admission, cache probe, breaker mask, execution, breaker feed, cache fill.
-//! The only liberty it takes is *when* the execution happens:
+//! behind a configured one — are [`serve`]: this loop, then one record of the
+//! batch. The loop walks the batch in submission order and, per query, does
+//! exactly what a one-at-a-time server does: tick, admission, probe of the
+//! router's cache, breaker mask, execution, breaker feed, cache fill (a bare
+//! batch passes the cache by). The only liberty it takes is *when* the
+//! execution happens:
 //!
 //! * **Plan.** Ticks, admission and quotas depend on the submission order
 //!   alone, never on an answer, so they are settled for the whole batch up
@@ -34,7 +36,7 @@
 //! window of one — at any thread count. Nothing is executed ahead while any
 //! breaker is away from `Closed`: the masks ahead are then not predictable.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 use psb_core::{EngineError, KernelOptions, QueryOutcome};
@@ -44,20 +46,20 @@ use psb_sstree::{FlatTree, Neighbor, Volumes};
 use rayon::prelude::*;
 
 use crate::admission::{
-    AdmissionControl, BreakerState, CacheKey, CircuitBreaker, QueryCache, RejectReason,
+    AdmissionControl, BreakerState, CacheKey, CircuitBreaker, QueryCache, RejectReason, TenantId,
 };
 use crate::deadline::DeadlineBudget;
-use crate::resilient::{RequestMeta, ResilienceConfig, ResilienceReport, ServeOutcome};
+use crate::resilient::{
+    RequestMeta, ResilienceConfig, ResilienceReport, ResilientBatchResult, ServeOutcome,
+};
 use crate::router::{BatchAcc, QueryEffect, ShardRouter, ShardSignal};
 
-/// The state in front of a router: admission, breakers, cache and the two
-/// logical clocks. [`ResilienceConfig::default`] makes it transparent.
+/// The state in front of a router: admission, breakers and the logical
+/// clock; the result cache and the telemetry handle are the router's.
+/// [`ResilienceConfig::default`] makes it transparent.
 pub(crate) struct FrontEnd {
     pub(crate) admission: AdmissionControl,
     pub(crate) breakers: Vec<CircuitBreaker>,
-    pub(crate) cache: QueryCache,
-    /// The router's [`ShardRouter::version`] the cache's entries answer for.
-    version: u64,
     default_deadline: DeadlineBudget,
     /// Logical clock: one tick per submitted query, across batches.
     pub(crate) tick: u64,
@@ -69,8 +71,6 @@ impl FrontEnd {
         Self {
             admission: AdmissionControl::new(cfg.admission.clone()),
             breakers: (0..shards).map(|_| CircuitBreaker::new(cfg.breaker)).collect(),
-            cache: QueryCache::new(cfg.cache_capacity),
-            version: 0,
             default_deadline: cfg.default_deadline,
             tick: 0,
         }
@@ -88,6 +88,8 @@ pub(crate) struct Batch<'a> {
     pub(crate) opts: &'a KernelOptions,
     /// Per-query tenant and deadline: empty (all default) or one per query.
     pub(crate) requests: &'a [RequestMeta],
+    /// Whether the batch probes and fills the router's result cache.
+    pub(crate) cached: bool,
 }
 
 impl Batch<'_> {
@@ -97,7 +99,7 @@ impl Batch<'_> {
 }
 
 /// What [`run_batch`] hands back: per-query results plus both accounting
-/// layers, for the entry points to dress up as their own result types.
+/// layers, for [`serve`] to record and return.
 pub(crate) struct BatchRun {
     pub(crate) neighbors: Vec<Vec<Neighbor>>,
     pub(crate) per_query: Vec<KernelStats>,
@@ -114,6 +116,64 @@ pub(crate) struct BatchRun {
 
 /// A query executed ahead of its commit: index, effect, execution µs.
 type Ahead = (usize, QueryEffect, f64);
+
+/// Serves one batch through `front` and `router` — [`run_batch`] under the
+/// span `serve` — and records it into the router's telemetry handle, the one
+/// record both entry points make: `serve.query_us` per admitted query (and
+/// `serve.tenant_us{tenant}` when the batch carries [`RequestMeta`]),
+/// `serve.batch_us`, `serve.batches`, `serve.discarded_executions`, the
+/// report ([`ServeReport::record_into`](crate::ServeReport::record_into)) and
+/// the front end's counters. A detached handle reads no clock.
+pub(crate) fn serve<V: Volumes>(
+    router: &mut ShardRouter<FlatTree<V>>,
+    front: &mut FrontEnd,
+    batch: &Batch<'_>,
+    sink: Option<&mut dyn TraceSink>,
+    window: usize,
+) -> Result<ResilientBatchResult, EngineError> {
+    // The runner borrows the router mutably: a clone of the handle is two words.
+    let m = router.metrics.clone();
+    let started = m.is_attached().then(Instant::now);
+    let _span = m.span("serve");
+    let run = run_batch(router, front, batch, sink, started.is_some(), window)?;
+    let report = m.time("aggregate", || run.acc.into_report(router.device(), batch.opts));
+    let res = run.resilience;
+    if let Some(t0) = started {
+        // One label per tenant per batch, not one per query.
+        let mut tenants: BTreeMap<TenantId, String> = BTreeMap::new();
+        for &(qi, us) in &run.latencies_us {
+            m.observe("serve.query_us", us);
+            if !batch.requests.is_empty() {
+                let tenant = batch.meta(qi).tenant;
+                let label = tenants
+                    .entry(tenant)
+                    .or_insert_with(|| format!("serve.tenant_us{{tenant=\"{tenant}\"}}"));
+                m.observe(label, us);
+            }
+        }
+        m.observe("serve.batch_us", t0.elapsed().as_secs_f64() * 1e6);
+        m.counter("serve.batches", 1);
+        m.counter("serve.discarded_executions", run.discarded as u64);
+        report.record_into(&m);
+        m.counter("serve.submitted", res.submitted);
+        m.counter("serve.admitted", res.admitted);
+        m.counter("serve.shed_queue", res.rejected_queue);
+        m.counter("serve.shed_quota", res.rejected_quota);
+        m.counter("serve.cache_hits", res.cache_hits);
+        m.counter("serve.deadline_miss", res.deadline_degraded);
+        m.counter("serve.breaker_skips", res.breaker_skips);
+        m.counter("serve.deadline_skips", res.deadline_skips);
+        m.counter("serve.breaker_opened", res.breaker_opened);
+        m.gauge("serve.queue_peak_depth", res.peak_queue_depth as f64);
+    }
+    Ok(ResilientBatchResult {
+        neighbors: run.neighbors,
+        per_query: run.per_query,
+        outcomes: run.outcomes,
+        report,
+        resilience: res,
+    })
+}
 
 /// Runs one batch through `front` and `router`, looking at most `window`
 /// queries ahead of the one being committed (`1` is the strictly sequential
@@ -140,13 +200,7 @@ pub(crate) fn run_batch<V: Volumes>(
         "requests must be empty or one per query"
     );
     assert_eq!(queries.dims(), router.dims(), "query dimensionality mismatch");
-    // A write to the router since the last batch (through
-    // `ResilientRouter::inner_mut`) may have changed any answer: drop them.
-    let version = router.version();
-    if front.version != version {
-        front.cache.flush();
-        front.version = version;
-    }
+    let cached = batch.cached && router.cache_mut().is_enabled();
     let n = queries.len();
     let traced = sink.is_some();
     let mut res = ResilienceReport { submitted: n as u64, ..Default::default() };
@@ -167,10 +221,7 @@ pub(crate) fn run_batch<V: Volumes>(
         .collect();
     front.tick += n as u64;
     let mut keys: Vec<Option<CacheKey>> = (0..n)
-        .map(|qi| {
-            (front.cache.is_enabled() && admitted[qi].is_ok())
-                .then(|| CacheKey::new(queries.point(qi), k))
-        })
+        .map(|qi| (cached && admitted[qi].is_ok()).then(|| CacheKey::new(queries.point(qi), k)))
         .collect();
 
     let mut neighbors = Vec::with_capacity(n);
@@ -201,7 +252,7 @@ pub(crate) fn run_batch<V: Volumes>(
         let probe_started = timed.then(Instant::now);
 
         // Exact-result cache.
-        if let Some(hit) = keys[qi].as_ref().and_then(|key| front.cache.get(key)) {
+        if let Some(hit) = keys[qi].as_ref().and_then(|key| router.cache_mut().get(key)) {
             neighbors.push(hit);
             per_query.push(KernelStats::default());
             outcomes.push(ServeOutcome::Executed(QueryOutcome::Clean));
@@ -233,7 +284,8 @@ pub(crate) fn run_batch<V: Volumes>(
                     && front.breakers.iter().all(|b| b.state() == BreakerState::Closed);
                 let end = if speculate { n.min(qi.saturating_add(window)) } else { qi + 1 };
                 planned_to = planned_to.max(end);
-                let todo = plan(&front.cache, &admitted, &keys, qi, end);
+                let cache = cached.then_some(&*router.cache_mut());
+                let todo = plan(cache, &admitted, &keys, qi, end);
                 let deadline = front.default_deadline;
                 let mut done =
                     execute(router, batch, deadline, &skip, &todo, traced, timed).into_iter();
@@ -272,7 +324,7 @@ pub(crate) fn run_batch<V: Volumes>(
             res.deadline_degraded += 1;
         } else if let Some(key) = keys[qi].take() {
             // Only exact answers are cacheable.
-            front.cache.insert(key, &effect.neighbors);
+            router.cache_mut().insert(key, &effect.neighbors);
         }
         neighbors.push(effect.neighbors);
         per_query.push(effect.stats);
@@ -290,18 +342,19 @@ pub(crate) fn run_batch<V: Volumes>(
 
 /// The queries of `from..end` worth executing now: `from` itself (its probe
 /// just missed) and every admitted query after it whose probe will miss if
-/// each execution comes back exact and is cached.
+/// each execution comes back exact and is cached — every admitted one when
+/// the batch probes no `cache`.
 fn plan(
-    cache: &QueryCache,
+    cache: Option<&QueryCache>,
     admitted: &[Result<(), RejectReason>],
     keys: &[Option<CacheKey>],
     from: usize,
     end: usize,
 ) -> Vec<usize> {
     let candidates = (from..end).filter(|&qi| admitted[qi].is_ok());
-    if !cache.is_enabled() {
+    let Some(cache) = cache else {
         return candidates.collect();
-    }
+    };
     let (at, probes): (Vec<usize>, Vec<&CacheKey>) =
         candidates.filter_map(|qi| keys[qi].as_ref().map(|key| (qi, key))).unzip();
     cache.predict_misses(probes).into_iter().map(|miss| at[miss]).collect()
@@ -410,13 +463,19 @@ mod tests {
         /// plus how many executions were thrown away.
         fn observe(&self, window: usize) -> (String, usize) {
             let mut router = self.router();
+            *router.cache_mut() = QueryCache::new(self.cfg.cache_capacity);
             let mut front = FrontEnd::new(SHARDS, &self.cfg);
             if let Some((tenant, quota)) = self.quota {
                 front.admission.set_quota(tenant, quota);
             }
             let opts = KernelOptions::default();
-            let batch =
-                Batch { queries: &self.queries, k: K, opts: &opts, requests: &self.requests };
+            let batch = Batch {
+                queries: &self.queries,
+                k: K,
+                opts: &opts,
+                requests: &self.requests,
+                cached: true,
+            };
             let mut seen = String::new();
             let mut discarded = 0;
             for _ in 0..2 {
@@ -436,8 +495,8 @@ mod tests {
                 replicas,
                 front.admission,
                 front.breakers,
-                front.cache.stats(),
-                front.cache.residency(),
+                router.cache_mut().stats(),
+                router.cache_mut().residency(),
                 front.tick
             );
             (seen, discarded)
