@@ -13,6 +13,11 @@
 //! that *means* to move the metering regenerates the table and says so: on a
 //! mismatch the fresh table is written to the path the failure names.
 //!
+//! Every answer a row returns is also held to the linear oracle
+//! (`linear_knn`, or `linear_range` for the range kernels) by ids and
+//! distance bits, so a regenerated table pins answers that are right, not
+//! only answers that are the same as before.
+//!
 //! Traced launches run query by query on the calling thread; each per-query
 //! row's untraced twin, the wave rows and the degraded rows run on the rayon
 //! pool, so `./ci.sh threads` holds them to the same hashes at 1 and 4 threads.
@@ -55,6 +60,7 @@ impl Fnv {
 /// One dataset with its queries, the range radius that gives it hits, and a
 /// tree of each family (degree 8: four levels, so every traversal backtracks).
 struct Fixture {
+    data: PointSet,
     queries: PointSet,
     radius: f32,
     ss: SsTree,
@@ -77,6 +83,7 @@ fn fixtures() -> [Fixture; 2] {
         Fixture {
             ss: build(&ps, 8, &BuildMethod::Hilbert),
             rt: build_rtree(&ps, 8, &RtreeBuildMethod::Hilbert),
+            data: ps,
             queries,
             radius,
         }
@@ -95,6 +102,26 @@ fn kernel(name: &str, f: &Fixture) -> Kernel {
         "restart" => Kernel::Restart { k: K },
         "range" => Kernel::Range { radius: f.radius },
         _ => Kernel::Range { radius: 0.0 },
+    }
+}
+
+/// `(id, distance bits)` of each row: equality is bit for bit.
+fn bits(ns: &[Neighbor]) -> Vec<(u32, u32)> {
+    ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
+/// Hold every answer of `r` — a launch of `kernel` over `f`'s queries — to the
+/// linear oracle, by ids and distance bits.
+fn assert_oracle(row: &str, kernel: Kernel, f: &Fixture, r: &QueryBatchResult) {
+    assert_eq!(r.neighbors.len(), f.queries.len(), "{row}: one answer per query");
+    for (qi, (q, got)) in f.queries.iter().zip(&r.neighbors).enumerate() {
+        let want = match kernel {
+            Kernel::Psb { k } | Kernel::Bnb { k } | Kernel::Restart { k } => {
+                linear_knn(&f.data, q, k)
+            }
+            Kernel::Range { radius } => linear_range(&f.data, q, radius),
+        };
+        assert_eq!(bits(got), bits(&want), "{row}: query {qi} differs from the oracle");
     }
 }
 
@@ -154,6 +181,7 @@ fn per_query_rows<V: Volumes>(
                         traced_h.feed_batch(&r);
                         silent_h.feed_batch(&silent);
                         assert_eq!(silent_h.0, traced_h.0, "{row}: the untraced twin differs");
+                        assert_oracle(&row, kernel, f, &r);
                         h.feed_batch(&r);
                         h.feed(&sink.events);
                     }
@@ -199,6 +227,7 @@ fn wave_and_degraded_rows<V: Volumes + Clone>(
                                 .map(|r| (r, WaveReport::default())),
                         }
                         .expect("wave launch");
+                        assert_oracle(&format!("wave {name} {family}"), kernel(name, f), f, &r);
                         h.feed_batch(&r);
                         h.feed(&wr);
                     }
@@ -227,6 +256,7 @@ fn wave_and_degraded_rows<V: Volumes + Clone>(
                     r.outcomes.iter().all(|o| matches!(o, QueryOutcome::Degraded { .. })),
                     "{name} {family}: a corrupt root must degrade every query"
                 );
+                assert_oracle(&format!("degraded {name} {family}"), kernel(name, f), f, &r);
                 h.feed_batch(&r);
             }
             rows.push((format!("degraded {name} {family} {mname}"), h.0));
