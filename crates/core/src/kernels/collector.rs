@@ -134,6 +134,12 @@ impl<'r> KnnCollector<'r> {
         Self { list, pruning: f32::INFINITY, k, minmax: opts.use_minmax_prune, removed }
     }
 
+    /// The pruning distance a subtree's MINDIST is admitted against.
+    #[cfg(test)]
+    pub(crate) fn bound(&self) -> f32 {
+        self.pruning
+    }
+
     /// The rank of the k-th MAXDIST bound: the `k + r`-th with `r` rows
     /// removed. Each of the `k + r` nearest child subtrees holds all its
     /// points within its MAXDIST, and at most `r` of them hold no live point,

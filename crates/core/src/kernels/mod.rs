@@ -414,6 +414,8 @@ pub(crate) struct Scratch {
     /// PSB's sweep-replay arena (see [`SweepMemo`]). Only fault-free PSB
     /// launches touch it, and its capacity persists across the whole batch.
     pub memo: SweepMemo,
+    /// The initial descent's frontier (see [`psb::initial_descent`]).
+    pub frontier: Vec<psb::Open>,
     /// The wave engine: one query's current and next wave front, and the log
     /// of nodes it was buffered at. They live here so a worker grows them once
     /// per region instead of once per query.

@@ -26,6 +26,7 @@ use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::error::KernelError;
+use crate::index::SweepScratch;
 
 use super::collector::{Collector, KnnCollector, Removed};
 use super::{
@@ -51,11 +52,40 @@ pub fn psb_query<V: Volumes>(
     Kernel::Psb { k }.trusted(tree, q, cfg, opts)
 }
 
+/// An internal node waiting on the initial descent's frontier: its key
+/// (MINDIST, anchor distance), its id and its depth below the root.
+#[derive(Clone, Copy)]
+pub(crate) struct Open {
+    key: (f32, f32),
+    node: u32,
+    depth: u32,
+}
+
+impl Open {
+    /// Whether `self` pops before `other`: by key in `total_cmp` order, then
+    /// by id.
+    fn before(&self, other: &Open) -> bool {
+        let key = |o: &Open| (o.key.0.total_cmp(&other.key.0), o.key.1.total_cmp(&other.key.1));
+        let (lo, anchor) = key(self);
+        lo.then(anchor).then(self.node.cmp(&other.node)).is_lt()
+    }
+}
+
+/// The most node expansions the initial descent makes: twice the h − 1 of
+/// the greedy root-to-leaf path (DESIGN.md "PSB as implemented", initial
+/// descent).
+fn descent_budget<V: Volumes>(tree: &FlatTree<V>) -> usize {
+    2 * (tree.height() - 1)
+}
+
 /// Phase 1 of Algorithm 1 (`getInitialPruningDistance`), shared with the
 /// restart kernel and the wave engine's priming so all start from the same
-/// bound at the same metered cost: reserve the static shared memory, descend
-/// greedily to the leaf nearest the query, and fold it into a fresh k-best
-/// list that turns `removed`'s rows away.
+/// bound at the same metered cost: reserve the static shared memory, find the
+/// leaf whose MAXDIST is smallest by a bounded best-first search, and fold it
+/// into a fresh k-best list that turns `removed`'s rows away. With `memo`
+/// (PSB's fault-free launches) every node the search expands is filed in the
+/// query's [`SweepMemo`](super::SweepMemo), so the sweep's first visit to it
+/// is a replay.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn initial_descent<'r, V: Volumes, const M: bool>(
     block: &mut Block<'_, M>,
@@ -67,43 +97,163 @@ pub(crate) fn initial_descent<'r, V: Volumes, const M: bool>(
     opts: &KernelOptions,
     scratch: &mut Scratch,
     budget: &mut Budget,
+    memo: bool,
 ) -> Result<KnnCollector<'r>, KernelError> {
-    // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
-    // plus a warp-reduction scratch line.
-    reserve_static(block, 2 * tree.degree as u64 * 4 + block.threads() as u64 * 4, cfg)?;
+    let root = checked_root(tree)?;
+    // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1,
+    // a warp-reduction scratch line, and the frontier (a node id and a key, 8 B
+    // each), which can hold no more than every internal node but the root.
+    let internal = tree.num_nodes().saturating_sub(tree.num_leaves());
+    let frontier = internal.saturating_sub(1).min(descent_budget(tree) * tree.degree) as u64;
+    let arrays = 2 * tree.degree as u64 * 4 + block.threads() as u64 * 4;
+    reserve_static(block, arrays + frontier * 8, cfg)?;
     let mut list = KnnCollector::excluding(block, k, removed, cfg, opts);
     block.set_phase(Phase::Descend);
-    let mut n = checked_root(tree)?;
-    let mut level = 0u32;
-    while !tree.is_leaf(n) {
-        budget.tick(block)?;
-        let kids = checked_children(tree, n)?;
-        fetch_internal(block, tree, n, opts.layout, level);
-        // The anchor distances ride along in the same sweep (on a packed
-        // arena they reuse the very center distance the bounds came from).
-        child_distances(block, tree, n, q, false, true, scratch);
-        block.par_reduce(scratch.sweep.min_d.len(), 2);
-        // Pick the child nearest the query. MINDIST alone ties at 0 whenever
-        // several child spheres overlap the query (common for the oversized
-        // boundary spheres Hilbert packing creates), and a bad tie-break lands
-        // the initial descent in a garbage leaf whose k-th distance is huge —
-        // so break ties by centroid distance, matching the paper's "leaf node
-        // which is closest to the query point".
-        let mut best = (f32::INFINITY, f32::INFINITY);
-        let mut best_c = kids.start;
-        for (i, c) in kids.enumerate() {
-            let key = (scratch.sweep.min_d[i], scratch.sweep.anchor_d[i]);
-            if key < best {
-                best = key;
-                best_c = c;
+    let mut open = std::mem::take(&mut scratch.frontier);
+    let found = descend(block, budget, tree, root, q, &mut list, opts, scratch, memo, &mut open);
+    scratch.frontier = open;
+    let (leaf, depth) = found?;
+    budget.tick(block)?;
+    process_leaf(block, tree, leaf, q, &mut list, scratch, opts, false, depth)?;
+    Ok(list)
+}
+
+/// The initial descent's search; returns the leaf to prime from and its
+/// depth. Best-first over internal nodes by (MINDIST, anchor distance): each
+/// expansion is a sweep visit, a leaf child is the candidate while its
+/// MAXDIST is the smallest seen, and an internal child joins the frontier
+/// only while the collector admits its MINDIST and that MINDIST is below the
+/// candidate's MAXDIST. It stops when the frontier is empty, when the nearest
+/// frontier node cannot hold a leaf with a smaller MAXDIST, or at
+/// [`descent_budget`] expansions. With no candidate by then (NaN or +inf
+/// distances turned every child away) it follows the child nearest the
+/// query down to a leaf — the greedy descent — and the budget is kept for
+/// that: without a candidate a node is expanded only when the greedy path
+/// below it still fits.
+#[allow(clippy::too_many_arguments)]
+fn descend<V: Volumes, const M: bool>(
+    block: &mut Block<'_, M>,
+    budget: &mut Budget,
+    tree: &FlatTree<V>,
+    root: u32,
+    q: &[f32],
+    list: &mut KnnCollector<'_>,
+    opts: &KernelOptions,
+    scratch: &mut Scratch,
+    memo: bool,
+    open: &mut Vec<Open>,
+) -> Result<(u32, u32), KernelError> {
+    if tree.is_leaf(root) {
+        return Ok((root, 0));
+    }
+    let limit = descent_budget(tree);
+    // Expansions from a node at `depth` down to a leaf along one path.
+    let to_leaf = |depth: u32| (tree.height() - 1).saturating_sub(depth as usize);
+    open.clear();
+    open.push(Open { key: (0.0, 0.0), node: root, depth: 0 });
+    let mut candidate: Option<(f32, u32, u32)> = None; // (MAXDIST, leaf, depth)
+    let mut last = None; // the last expanded node's children and depth
+    let mut expanded = 0;
+    while !open.is_empty() && expanded < limit {
+        // One block-wide argmin over the frontier, in `total_cmp` order (a
+        // NaN query's anchor distances are NaN), ties to the lower id.
+        block.par_reduce(open.len(), 1);
+        let mut at = 0;
+        for (i, o) in open.iter().enumerate().skip(1) {
+            if o.before(&open[at]) {
+                at = i;
             }
         }
-        n = best_c;
-        level += 1;
+        let top = open[at];
+        match candidate {
+            Some((best, ..)) if !(top.key.0 < best) => break,
+            None if expanded + to_leaf(top.depth) > limit => break,
+            _ => {}
+        }
+        open.swap_remove(at);
+        if !list.admits(top.key.0) {
+            continue; // the bound fell past it since it was filed
+        }
+        let kids = expand(block, budget, tree, top.node, top.depth, q, list, opts, scratch, memo)?;
+        expanded += 1;
+        // File the children: one lane each.
+        block.par_for(kids.len(), 1, |_| {});
+        let sweep = &scratch.sweep;
+        for (i, c) in kids.clone().enumerate() {
+            let (lo, hi) = (sweep.min_d[i], sweep.max_d[i]);
+            if tree.is_leaf(c) {
+                if candidate.is_none_or(|(best, ..)| hi < best) {
+                    candidate = Some((hi, c, top.depth + 1));
+                }
+            } else if list.admits(lo) && lo < candidate.map_or(f32::INFINITY, |(best, ..)| best) {
+                open.push(Open { key: (lo, sweep.anchor_d[i]), node: c, depth: top.depth + 1 });
+            }
+        }
+        last = Some((kids, top.depth));
     }
+    if let Some((_, leaf, depth)) = candidate {
+        return Ok((leaf, depth));
+    }
+    let Some((mut kids, mut depth)) = last else {
+        return Err(KernelError::CorruptNode { node: root, detail: "initial descent found no leaf" });
+    };
+    loop {
+        block.par_reduce(kids.len(), 2);
+        let n = nearest_child(kids, &scratch.sweep);
+        depth += 1;
+        if tree.is_leaf(n) {
+            return Ok((n, depth));
+        }
+        kids = expand(block, budget, tree, n, depth, q, list, opts, scratch, memo)?;
+    }
+}
+
+/// One expansion of the initial descent: the sweep's own node step (count
+/// the step, fetch the node, sweep its children's MINDISTs with their
+/// MAXDISTs and anchor distances, tighten the bound on the k-th MAXDIST),
+/// filed in the memo when asked. Returns the node's children.
+#[allow(clippy::too_many_arguments)]
+fn expand<V: Volumes, const M: bool>(
+    block: &mut Block<'_, M>,
+    budget: &mut Budget,
+    tree: &FlatTree<V>,
+    n: u32,
+    depth: u32,
+    q: &[f32],
+    list: &mut KnnCollector<'_>,
+    opts: &KernelOptions,
+    scratch: &mut Scratch,
+    memo: bool,
+) -> Result<std::ops::Range<u32>, KernelError> {
     budget.tick(block)?;
-    process_leaf(block, tree, n, q, &mut list, scratch, opts, false, level)?;
-    Ok(list)
+    let kids = checked_children(tree, n)?;
+    fetch_internal(block, tree, n, opts.layout, depth);
+    // The anchor distances ride along in the same sweep (on a packed arena
+    // they reuse the very center distance the bounds came from).
+    child_distances(block, tree, n, q, true, true, scratch);
+    let bound = list.tighten(block, &scratch.sweep.max_d, &mut scratch.kth);
+    if memo {
+        let Scratch { memo, sweep, .. } = &mut *scratch;
+        memo.store(n, &sweep.min_d, bound);
+    }
+    Ok(kids)
+}
+
+/// The greedy descent's pick among `kids`, whose sweep values are in
+/// `sweep`: the smallest MINDIST, ties broken by the anchor distance — the
+/// paper's "leaf node which is closest to the query point" where overlapping
+/// spheres all report MINDIST 0 — and the first child when every key is NaN.
+fn nearest_child(kids: std::ops::Range<u32>, sweep: &SweepScratch) -> u32 {
+    let mut best = (f32::INFINITY, f32::INFINITY);
+    let mut best_c = kids.start;
+    for (i, c) in kids.enumerate() {
+        let key = (sweep.min_d[i], sweep.anchor_d[i]);
+        if key < best {
+            best = key;
+            best_c = c;
+        }
+    }
+    best_c
 }
 
 /// Phase 2 of Algorithm 1, the left-to-right sweep, over whatever the query
@@ -239,7 +389,8 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     if replay {
         scratch.memo.begin_query(tree.num_nodes());
     }
-    let mut list = initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget)?;
+    let mut list =
+        initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget, replay)?;
     sweep(block, budget, tree, q, &mut list, opts, scratch, replay)?;
     Ok(list.finish())
 }
@@ -388,6 +539,117 @@ mod tests {
             let (got, _) = psb_query(&tree, &q, 1, &DeviceConfig::k40(), &opts);
             assert_eq!(got, linear_knn(&ps, &q, 1), "{metering:?}");
         }
+    }
+
+    /// [`initial_descent`] alone on a fault-free metered block: the primed
+    /// collector's bound and the block's counters.
+    fn prime(tree: &SsTree, q: &[f32], k: usize) -> (f32, KernelStats) {
+        let (cfg, opts) = (DeviceConfig::k40(), KernelOptions::default());
+        crate::kernels::with_scratch(tree.dims, opts.lanes, |s| {
+            let mut block = Block::<true>::new(opts.threads_per_block, &cfg);
+            let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
+            let none = Removed::NONE;
+            let list = initial_descent(&mut block, tree, q, k, none, &cfg, &opts, s, &mut budget, false)
+                .expect("valid tree");
+            (list.bound(), block.finish())
+        })
+    }
+
+    /// On the paper's shape (16-d clustered, degree 128, k = 32) the descent
+    /// primes from a leaf near the query: fewer than one query in ten starts
+    /// the sweep from a bound above twice its final k-th distance. The greedy
+    /// descent by (MINDIST, centroid distance) it replaced primed from another
+    /// cluster's leaf for about half of them.
+    #[test]
+    fn the_primed_bound_is_near_the_final_kth_distance() {
+        let ps = ClusteredSpec {
+            clusters: 40,
+            points_per_cluster: 500,
+            dims: 16,
+            sigma: 160.0,
+            seed: 41,
+        }
+        .generate();
+        let tree = build(&ps, 128, &BuildMethod::Hilbert);
+        let queries = sample_queries(&ps, 200, 0.01, 42);
+        let loose = queries
+            .iter()
+            .filter(|q| prime(&tree, q, 32).0 > 2.0 * linear_knn(&ps, q, 32)[31].dist)
+            .count();
+        assert!(
+            loose * 10 < queries.len(),
+            "{loose} of {} primed bounds above twice the final k-th distance",
+            queries.len()
+        );
+    }
+
+    /// The descent expands at most 2 · (height − 1) internal nodes, then
+    /// processes exactly one leaf — on a deep tree (3 000 uniform 16-d
+    /// points at degree 4), a clustered one and the paper's shape. On the deep
+    /// tree some query must run into the budget, or it was never tested.
+    #[test]
+    fn the_descent_expands_at_most_twice_the_greedy_path() {
+        let uniform = psb_data::UniformSpec { len: 3000, dims: 16, seed: 51 }.generate();
+        let clustered =
+            ClusteredSpec { clusters: 8, points_per_cluster: 500, dims: 4, sigma: 90.0, seed: 52 }
+                .generate();
+        let paper = ClusteredSpec {
+            clusters: 12,
+            points_per_cluster: 800,
+            dims: 16,
+            sigma: 160.0,
+            seed: 53,
+        }
+        .generate();
+        for (ps, degree, k) in [(&uniform, 4, 8), (&clustered, 16, 8), (&paper, 128, 32)] {
+            let tree = build(ps, degree, &BuildMethod::Hilbert);
+            let h = tree.height();
+            let mut most = 0;
+            for q in sample_queries(ps, 40, 0.01, 54).iter() {
+                let (_, stats) = prime(&tree, q, k);
+                let expanded = stats.nodes_visited - 1;
+                assert!(expanded as usize <= 2 * (h - 1), "degree {degree}: {expanded} expansions");
+                assert_eq!(stats.level_visits[h - 1], 1, "degree {degree}: one leaf");
+                most = most.max(expanded as usize);
+            }
+            if degree == 4 {
+                assert_eq!(most, 2 * (h - 1), "the budget never bound");
+            }
+        }
+    }
+
+    /// A NaN query (its MINDISTs clamp to 0, its MAXDISTs are NaN) still
+    /// primes from one leaf within the budget. Where every MINDIST overflows
+    /// to +inf no child can be filed, and the descent follows the greedy path
+    /// to a leaf (h − 1 expansions). A single-leaf root is that leaf.
+    #[test]
+    fn nan_and_infinite_distances_and_a_single_leaf_root_still_reach_a_leaf() {
+        let (_, tree) = setup(4, 150.0, 8);
+        let h = tree.height();
+        assert!(h >= 3);
+        let (bound, stats) = prime(&tree, &[f32::NAN; 4], 8);
+        assert!(stats.nodes_visited as usize <= 2 * (h - 1) + 1, "NaN");
+        assert_eq!(stats.level_visits[h - 1], 1, "NaN");
+        assert_eq!(bound, f32::INFINITY, "a NaN row is refused");
+
+        let mut far = PointSet::new(2);
+        for i in 0..64 {
+            let t = i as f32 / 64.0;
+            far.push(&[3e19 * (1.0 + t), 3e19 * (2.0 - t)]);
+        }
+        let tree = build(&far, 4, &BuildMethod::Hilbert);
+        let h = tree.height();
+        let (_, stats) = prime(&tree, &[0.0, 0.0], 4);
+        assert_eq!((stats.nodes_visited, stats.level_visits[h - 1]), (h as u64, 1), "+inf");
+
+        let mut line = PointSet::new(2);
+        for i in 0..10 {
+            line.push(&[i as f32, 0.0]);
+        }
+        let tree = build(&line, 128, &BuildMethod::Hilbert);
+        let (bound, stats) = prime(&tree, &[3.2, 0.0], 3);
+        assert_eq!(stats.nodes_visited, 1, "single leaf");
+        assert_eq!(bound, linear_knn(&line, &[3.2, 0.0], 3)[2].dist);
     }
 
     /// [`traverse`] at k = 8 on a fault-free block of its own, memo as asked.

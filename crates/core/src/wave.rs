@@ -339,8 +339,18 @@ impl<V: Volumes> Wave<'_, V> {
             let mut block = Block::new(opts.threads_per_block, cfg);
             let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
             let none = Removed::NONE;
-            let list =
-                initial_descent(&mut block, tree, q, k, none, cfg, opts, scratch, &mut budget)?;
+            let list = initial_descent(
+                &mut block,
+                tree,
+                q,
+                k,
+                none,
+                cfg,
+                opts,
+                scratch,
+                &mut budget,
+                false,
+            )?;
             Ok((block, list))
         }
     }
@@ -596,19 +606,21 @@ mod tests {
         // every wave sweep adds exactly one more.
         let primed: u64 = wave.per_block.iter().map(|s| s.nodes_visited).sum::<u64>();
         assert!(primed >= wr.coalesced_sweeps);
-        let sweeps_share = primed - queries.len() as u64 * depth_visits(&tree);
-        assert_eq!(sweeps_share, wr.coalesced_sweeps);
+        let priming: u64 = queries.iter().map(|q| priming_visits(&tree, q, &cfg, &opts)).sum();
+        assert_eq!(primed - priming, wr.coalesced_sweeps);
     }
 
-    /// Nodes one priming descent visits: one per level plus the primed leaf.
-    fn depth_visits(tree: &SsTree) -> u64 {
-        let mut n = tree.root;
-        let mut visits = 1u64;
-        while !tree.is_leaf(n) {
-            n = tree.children(n).start;
-            visits += 1;
-        }
-        visits
+    /// Nodes one query's priming descent visits: what the wave engine's
+    /// priming runs, on a block of its own.
+    fn priming_visits(tree: &SsTree, q: &[f32], cfg: &DeviceConfig, opts: &KernelOptions) -> u64 {
+        crate::kernels::with_scratch(tree.dims, opts.lanes, |scratch| {
+            let mut block = Block::<true>::new(opts.threads_per_block, cfg);
+            let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
+            let none = Removed::NONE;
+            initial_descent(&mut block, tree, q, 8, none, cfg, opts, scratch, &mut budget, false)
+                .unwrap();
+            block.finish().nodes_visited
+        })
     }
 
     #[test]
@@ -728,7 +740,7 @@ mod tests {
         // Nothing bounds a buffer: the root's holds the whole batch, and no
         // level is swept twice.
         assert_eq!(wr.max_fill as usize, queries.len());
-        assert!(u64::from(wr.waves) <= depth_visits(&tree));
+        assert!(wr.waves as usize <= tree.height());
     }
 
     #[test]
