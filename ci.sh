@@ -65,9 +65,14 @@ run_metrics() {
 # every batch size 1..48, under Hilbert scheduling, `QueryStream` and an
 # attached registry — which also pins that queries actually share sweeps
 # (mean fill > 1). kNN and range are one per-node step over two collectors;
-# `kernel_fingerprint` pins each one's counters. Wave vs per-query wall-clock
-# is the repo benchmark's `wave.us_per_query` layer.
-run_wave() { cargo test -p psb --test wave_parity -q; }
+# `kernel_fingerprint` pins each one's counters. The engine's own unit tests
+# state the metering contract: every coalesced sweep adds exactly one node
+# visit to what priming visits, and each fetch is split to the byte. Wave vs
+# per-query wall-clock is the repo benchmark's `wave.us_per_query` layer.
+run_wave() {
+    cargo test -p psb --test wave_parity -q
+    cargo test -p psb-core -q wave::
+}
 # Fast path (DESIGN.md "Distance evaluators", "Metering::Off"): the parity suite
 # pinning that the SIMD lanes and Metering::Off change nothing observable, and
 # the geom crate's own evaluator identity tests. Every other stage builds the

@@ -2,9 +2,16 @@
 //!
 //! One thread block processes one query:
 //!
-//! 1. **Initial descent** (`getInitialPruningDistance`): greedily follow the
-//!    child with the smallest MINDIST to a leaf and prime the k-best list —
-//!    this makes the pruning distance finite before the sweep starts.
+//! 1. **Initial descent** (`getInitialPruningDistance`): find "the leaf node
+//!    which is closest to the query point" and prime the k-best list from it
+//!    — this makes the pruning distance finite before the sweep starts. The
+//!    leaf is found best-first: internal nodes are expanded in (MINDIST,
+//!    anchor distance) order, each expansion a sweep visit that also tightens
+//!    the bound on the k-th MAXDIST, and the leaf child with the smallest
+//!    MAXDIST wins. The search stops once no unexpanded subtree can hold a
+//!    leaf with a smaller MAXDIST, or after twice the greedy path's h − 1
+//!    expansions. Every node it expands is filed in the sweep memo, so the
+//!    sweep's first visit there is a replay.
 //! 2. **Sweep**: restart from the root and descend to the *leftmost* child
 //!    whose MINDIST is inside the pruning distance and whose subtree still
 //!    contains unvisited leaves (`subtreeMaxLeafId > visitedLeafId`). At every
@@ -21,6 +28,8 @@
 //! twice, and a leaf is only ever skipped when its subtree MINDIST is outside
 //! the pruning distance at skip time — which can only shrink afterwards, so the
 //! skip stays justified and the result is exact.
+
+use std::cmp::Ordering;
 
 use psb_gpu::{Block, DeviceConfig, KernelStats, Phase};
 use psb_sstree::{FlatTree, Neighbor, Volumes};
@@ -166,7 +175,7 @@ fn descend<V: Volumes, const M: bool>(
         }
         let top = open[at];
         match candidate {
-            Some((best, ..)) if !(top.key.0 < best) => break,
+            Some((best, ..)) if top.key.0.partial_cmp(&best) != Some(Ordering::Less) => break,
             None if expanded + to_leaf(top.depth) > limit => break,
             _ => {}
         }
@@ -195,7 +204,10 @@ fn descend<V: Volumes, const M: bool>(
         return Ok((leaf, depth));
     }
     let Some((mut kids, mut depth)) = last else {
-        return Err(KernelError::CorruptNode { node: root, detail: "initial descent found no leaf" });
+        return Err(KernelError::CorruptNode {
+            node: root,
+            detail: "initial descent found no leaf",
+        });
     };
     loop {
         block.par_reduce(kids.len(), 2);
@@ -389,8 +401,7 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     if replay {
         scratch.memo.begin_query(tree.num_nodes());
     }
-    let mut list =
-        initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget, replay)?;
+    let mut list = initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget, replay)?;
     sweep(block, budget, tree, q, &mut list, opts, scratch, replay)?;
     Ok(list.finish())
 }
@@ -549,8 +560,9 @@ mod tests {
             let mut block = Block::<true>::new(opts.threads_per_block, &cfg);
             let mut budget = Budget::for_nodes(tree.num_nodes(), tree.degree);
             let none = Removed::NONE;
-            let list = initial_descent(&mut block, tree, q, k, none, &cfg, &opts, s, &mut budget, false)
-                .expect("valid tree");
+            let list =
+                initial_descent(&mut block, tree, q, k, none, &cfg, &opts, s, &mut budget, false)
+                    .expect("valid tree");
             (list.bound(), block.finish())
         })
     }

@@ -52,8 +52,7 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     scratch: &mut Scratch,
 ) -> Result<Vec<Neighbor>, KernelError> {
     // The initial descent primes the pruning distance (same as PSB).
-    let mut list =
-        initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget, false)?;
+    let mut list = initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget, false)?;
 
     // Rope mode: instead of restarting from the root, follow the escape links
     // — one preorder pass with no re-descents and no `visitedLeafId` cursor.
