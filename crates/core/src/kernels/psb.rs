@@ -74,8 +74,8 @@ impl Open {
     /// Whether `self` pops before `other`: by key in `total_cmp` order, then
     /// by id.
     fn before(&self, other: &Open) -> bool {
-        let key = |o: &Open| (o.key.0.total_cmp(&other.key.0), o.key.1.total_cmp(&other.key.1));
-        let (lo, anchor) = key(self);
+        let lo = self.key.0.total_cmp(&other.key.0);
+        let anchor = self.key.1.total_cmp(&other.key.1);
         lo.then(anchor).then(self.node.cmp(&other.node)).is_lt()
     }
 }

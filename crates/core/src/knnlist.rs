@@ -209,8 +209,8 @@ impl GpuKnnList {
     fn admit<const M: bool>(&mut self, block: &mut Block<'_, M>, dist: f32, id: u32) -> bool {
         let phase = block.phase();
         let pos = self.rank(dist, id);
-        // PSB's sweep can re-scan the leaf already processed during the initial
-        // greedy descent; the same (point, distance) pair must not enter twice.
+        // PSB's sweep can re-scan the leaf the initial descent primed from;
+        // the same (point, distance) pair must not enter twice.
         if self.entries.get(pos).is_some_and(|n| n.id == id && n.dist == dist) {
             block.emit(|| TraceEvent::KnnUpdate { pruned: true, phase });
             return false;

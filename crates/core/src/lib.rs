@@ -3,8 +3,8 @@
 //! This crate implements exact kNN query processing on the simulated GPU
 //! ([`psb_gpu`]) over SS-trees ([`psb_sstree`]):
 //!
-//! * [`kernels::psb`] — the PSB traversal (Algorithm 1): an initial greedy
-//!   descent establishes a pruning distance, then a stackless left-to-right
+//! * [`kernels::psb`] — the PSB traversal (Algorithm 1): a bounded best-first
+//!   initial descent establishes a pruning distance, then a stackless left-to-right
 //!   sweep visits the leftmost unvisited leaf within the pruning distance,
 //!   linearly scans sibling leaves while they keep improving the result, and
 //!   backtracks through parent links guarded by `subtreeMaxLeafId`.

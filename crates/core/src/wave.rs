@@ -9,9 +9,10 @@
 //! *Bigger Buffer k-d Trees* (PAPERS.md): **nodes own query buffers**, and the
 //! batch moves down the tree in level-synchronous *waves*:
 //!
-//! 1. **Priming** — every query runs PSB's phase-1 greedy descent (identical
-//!    code path and metering) so its pruning bound is finite before the wave
-//!    sweep starts. Range queries skip this: their bound is the fixed radius.
+//! 1. **Priming** — every query runs PSB's phase-1 descent (identical code
+//!    path and metering, no memo to seed) so its pruning bound is finite
+//!    before the wave sweep starts. Range queries skip this: their bound is
+//!    the fixed radius.
 //! 2. **Seeding** — every query enters the root node's buffer, in scheduled
 //!    order ([`QuerySchedule::Hilbert`](crate::QuerySchedule::Hilbert) decides
 //!    which query holds which rank of the root's one fetch, nothing else).

@@ -209,7 +209,7 @@ impl<V: Volumes> FlatTree<V> {
 
     /// Distance from `q` to child `c`'s representative point (sphere center /
     /// rectangle center). Used as the tie-break when several overlapping
-    /// volumes report `MINDIST = 0` during the initial greedy descent.
+    /// volumes report `MINDIST = 0` during the initial descent.
     pub fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
         self.volumes.anchor(self.dims, c as usize, q)
     }
