@@ -33,13 +33,17 @@ run_faults() { cargo test -p psb --test fault_injection -q; }
 # then the mutable shards underneath the router: `dynamic_sstree`
 # (insert/remove/rebuild sequences and the cached router against a linear
 # oracle) and psb-core's `dynamic` unit tests (the
-# ascending id lists and base-position tombstones, the rebuild protocol,
-# typed refusals at the door).
+# ascending id lists and base-position tombstones, the rebuild protocol and
+# its rebase of raced writes, typed refusals at the door). Shard builds run
+# on their own threads, so the router's tests and `dynamic_sstree` run once
+# more in release, where the builds race the writes on a different schedule.
 run_shard() {
     cargo test -p psb-serve -q
     cargo test -p psb --test shard_parity -q
     cargo test -p psb --test dynamic_sstree -q
     cargo test -p psb-core -q dynamic
+    cargo test --release -p psb-serve -q
+    cargo test --release -p psb --test dynamic_sstree -q
 }
 # Resilience layer: the chaos soak (fault injection + deadline pressure +
 # quota shedding + breaker trips at once; zero panics, every query resolving

@@ -119,14 +119,20 @@ fn bench_dynamic(c: &mut Criterion) {
         });
     }
 
-    // One shard of `ingest-clustered4` after 500 inserts: snapshot, build
-    // aside, swap.
+    // One shard of `ingest-clustered4` after 500 inserts: the hand-off to
+    // the build thread and `settle`, so the whole of snapshot, build and
+    // install.
     let ps = dataset(10_000, 4);
     let mut router = DynamicShardRouter::build(&ps, 1, &ShardPolicy::HilbertRange, 16);
     for p in sample_queries(&ps, 500, 0.002, 19).iter() {
         router.insert(p);
     }
-    g.bench_function("rebuild_shard/n10500_d4_deg16", |b| b.iter(|| router.rebuild_shard(0)));
+    g.bench_function("rebuild_shard/n10500_d4_deg16", |b| {
+        b.iter(|| {
+            router.rebuild_shard(0);
+            router.settle();
+        })
+    });
 
     g.finish();
 }

@@ -6,15 +6,21 @@
 //! packages that pattern over either bounding-volume family: inserts land in
 //! a host-side **delta buffer** that queries scan exactly, deletions are
 //! **tombstones** that PSB's k-best list turns away before admitting a row,
-//! and when the two cross a threshold the whole index is rebuilt bottom-up by
-//! Hilbert key. Every query, timed, metered or faulted, is one PSB launch over
-//! the base plus one scan of the delta ([`DynamicTree::attempt`]), and exact.
+//! and when the writes since the last rebuild cross a threshold the whole
+//! index is rebuilt bottom-up by Hilbert key. Every query, timed, metered or
+//! faulted, is one PSB launch over the base plus one scan of the delta
+//! ([`DynamicTree::attempt`]), and exact.
 //!
 //! A rebuild is three steps — [`DynamicTree::snapshot`] copies the live set,
 //! [`Snapshot::build`] packs a tree from the copy without touching the
 //! structure it came from, [`DynamicTree::install`] swaps the tree in — so
 //! a caller that shares the structure behind a lock holds it exclusively for
-//! the swap only. [`DynamicTree::rebuild`] is the three in a row.
+//! the swap only, and may keep writing while the build runs. The install
+//! **rebases** those writes onto the new tree in O(writes since the
+//! snapshot): a point inserted since has an id above every id the snapshot
+//! holds and stays in the delta; an id removed since becomes a tombstone on
+//! the new base, found by binary search over its ascending ids.
+//! [`DynamicTree::rebuild`] is the three in a row.
 
 use std::convert::Infallible;
 use std::marker::PhantomData;
@@ -28,11 +34,13 @@ use crate::error::KernelError;
 use crate::kernels::{Found, Kernel, Removed};
 use crate::options::{KernelOptions, Metering};
 
-/// Rebuild when `delta + tombstones > REBUILD_FRACTION × live points`.
+/// Rebuild when `delta + removes since the base's snapshot > REBUILD_FRACTION
+/// × live points`.
 const REBUILD_FRACTION: f64 = 0.2;
 
-/// Numbers the [`DynamicTree`]s of this process, so [`DynamicTree::install`]
-/// can tell its own tree's [`Rebuilt`] from another's at the same stamp.
+/// Numbers the bases of this process's [`DynamicTree`]s, so
+/// [`DynamicTree::install`] can tell a [`Rebuilt`] of its own base from one
+/// of another tree's, or of a base an install has since replaced.
 static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
 
 /// A packed tree of family `V` with batched inserts, tombstoned deletes, and
@@ -53,11 +61,15 @@ pub struct DynamicTree<V: Volumes> {
     delta_ids: Vec<u32>,
     /// The highest id ever given: the next must be above it, so no id repeats.
     last_id: Option<u32>,
-    /// This tree's number in [`NEXT_TREE`]'s sequence.
+    /// The base's number in [`NEXT_TREE`]'s sequence; every install draws a
+    /// new one.
     tree: u64,
     /// Counts inserts and removes: the version of the live set a
     /// [`Snapshot`] copied.
     stamp: u64,
+    /// `(stamp, id)` of every remove since the snapshot the base was built
+    /// from, oldest first: what an install rebases onto its build.
+    log: Vec<(u64, u32)>,
 }
 
 /// The mutable SS-tree.
@@ -79,13 +91,16 @@ pub struct Snapshot<V> {
 pub struct Rebuilt<V: Volumes> {
     base: FlatTree<V>,
     ids: Vec<u32>,
+    /// One clear tombstone mark per id, allocated with the build so the
+    /// install only sets the marks of the removes it rebases.
+    removed: Vec<bool>,
     tree: u64,
     stamp: u64,
 }
 
-/// [`DynamicTree::install`] refused a [`Rebuilt`]: a point was inserted or
-/// removed after its snapshot was taken, or the snapshot was another tree's,
-/// so it does not index the live set.
+/// [`DynamicTree::install`] refused a [`Rebuilt`]: its snapshot was of
+/// another tree's base — another [`DynamicTree`]'s, or this one's before a
+/// later install replaced it — so the writes since cannot be rebased onto it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stale;
 
@@ -155,6 +170,7 @@ impl<V: Volumes> Snapshot<V> {
     pub fn build(self) -> Rebuilt<V> {
         Rebuilt {
             base: V::build_hilbert(&self.points, self.degree),
+            removed: vec![false; self.ids.len()],
             ids: self.ids,
             tree: self.tree,
             stamp: self.stamp,
@@ -188,6 +204,7 @@ impl<V: Volumes> DynamicTree<V> {
             base,
             tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed),
             stamp: 0,
+            log: Vec::new(),
         }
     }
 
@@ -260,12 +277,15 @@ impl<V: Volumes> DynamicTree<V> {
             return false;
         }
         self.stamp += 1;
+        self.log.push((self.stamp, id));
         self.maybe_rebuild();
         true
     }
 
+    /// Rebuilds once the pending inserts and the logged removes pass
+    /// [`REBUILD_FRACTION`] of the live points, which bounds the log too.
     fn maybe_rebuild(&mut self) {
-        let churn = self.delta.len() + self.tombstones;
+        let churn = self.delta.len() + self.log.len();
         if churn as f64 > REBUILD_FRACTION * self.len().max(1) as f64 {
             self.rebuild();
         }
@@ -301,20 +321,38 @@ impl<V: Volumes> DynamicTree<V> {
         })
     }
 
-    /// Makes `rebuilt` the packed index and clears delta and tombstones —
-    /// unless the live set has changed since the snapshot it was built from
-    /// (or the snapshot was not this tree's), in which case nothing changes
-    /// and the caller snapshots again.
+    /// Makes `rebuilt` the packed index and rebases onto it the writes made
+    /// since its snapshot, in O(those writes): a point inserted since has an
+    /// id above every id the snapshot holds, so the delta keeps exactly the
+    /// ids above its newest; an id removed since is marked on the new base,
+    /// found by binary search over the build's ascending ids (a removed
+    /// post-snapshot insert is found in none). Refuses, changing nothing, a
+    /// build of another tree's base.
     pub fn install(&mut self, rebuilt: Rebuilt<V>) -> Result<(), Stale> {
-        if (rebuilt.tree, rebuilt.stamp) != (self.tree, self.stamp) {
+        if rebuilt.tree != self.tree {
             return Err(Stale);
         }
-        self.base = rebuilt.base;
-        self.removed = vec![false; rebuilt.ids.len()];
-        self.tombstones = 0;
-        self.base_ids = rebuilt.ids;
-        self.delta = PointSet::new(self.base.dims);
-        self.delta_ids.clear();
+        let Rebuilt { base, ids, mut removed, stamp, .. } = rebuilt;
+        let raced = self.log.partition_point(|&(at, _)| at <= stamp);
+        let log = self.log.split_off(raced);
+        let mut tombstones = 0;
+        for &(_, id) in &log {
+            if let Ok(pos) = ids.binary_search(&id) {
+                removed[pos] = true;
+                tombstones += 1;
+            }
+        }
+        let newest = ids.last().copied();
+        let kept = self.delta_ids.partition_point(|&id| Some(id) <= newest);
+        let dims = self.base.dims;
+        self.delta = PointSet::from_flat(dims, self.delta.as_flat()[kept * dims..].to_vec());
+        self.delta_ids = self.delta_ids.split_off(kept);
+        self.base = base;
+        self.base_ids = ids;
+        self.removed = removed;
+        self.tombstones = tombstones;
+        self.log = log;
+        self.tree = NEXT_TREE.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -324,7 +362,7 @@ impl<V: Volumes> DynamicTree<V> {
     pub fn rebuild(&mut self) {
         if let Some(snapshot) = self.snapshot() {
             let installed = self.install(snapshot.build());
-            debug_assert_eq!(installed, Ok(()), "nothing can mutate between snapshot and install");
+            debug_assert_eq!(installed, Ok(()), "the snapshot is of this base");
         }
     }
 
@@ -612,8 +650,29 @@ mod tests {
         assert_matches(&steps, &PROBE, 9);
     }
 
+    /// What a tree holds, bit for bit: the base's live rows in packed order,
+    /// the live, pending and tombstone counts, and the answers at two probes.
+    #[derive(PartialEq)]
+    struct State {
+        rows: Vec<(u32, Vec<u32>)>,
+        counts: (usize, usize, usize),
+        answers: Vec<(u32, u32)>,
+    }
+
+    fn state(t: &DynamicSsTree) -> State {
+        let rows = t.base_rows().map(|(id, p)| (id, p.iter().map(|x| x.to_bits()).collect()));
+        let answers = [PROBE, [30.0, 40.0, -20.0]].iter().flat_map(|q| bits(&t.knn(q, 9)));
+        State {
+            rows: rows.collect(),
+            counts: (t.len(), t.pending(), t.tombstones),
+            answers: answers.collect(),
+        }
+    }
+
+    /// A write after the snapshot is rebased onto the build: the tree ends as
+    /// one that rebuilt at the snapshot and then wrote.
     #[test]
-    fn a_mutation_after_the_snapshot_makes_install_stale_and_changes_nothing() {
+    fn a_write_after_the_snapshot_is_rebased_onto_the_build() {
         type Mutation = fn(&mut DynamicSsTree);
         let mutations: [(&str, Mutation); 3] = [
             ("insert", |t| {
@@ -623,18 +682,143 @@ mod tests {
             ("remove of a delta point", |t| assert!(t.remove(1010))),
         ];
         for (what, mutate) in mutations {
-            let mut t = churned();
+            let (mut t, mut never_raced) = (churned(), churned());
             let rebuilt = t.snapshot().expect("live points").build();
             mutate(&mut t);
-            let before = (base_image(&t, "before"), t.pending(), t.tombstones, t.knn(&PROBE, 9));
-            assert_eq!(t.install(rebuilt), Err(Stale), "{what}");
-            let after = (base_image(&t, "after"), t.pending(), t.tombstones, t.knn(&PROBE, 9));
-            assert!(before == after, "{what}: a refused install changed the tree");
+            assert_eq!(t.install(rebuilt), Ok(()), "{what}");
+            never_raced.rebuild();
+            mutate(&mut never_raced);
+            assert!(state(&t) == state(&never_raced), "{what}: the rebase is not a rebuild");
+            assert!(base_image(&t, "raced") == base_image(&never_raced, "never"), "{what}");
             assert_matches(&t, &PROBE, 9);
             t.rebuild();
             assert_eq!(t.pending(), 0, "{what}");
             assert_matches(&t, &PROBE, 9);
         }
+    }
+
+    /// A build whose base a later install replaced is another tree's: it is
+    /// refused and changes nothing.
+    #[test]
+    fn a_build_of_a_replaced_base_is_stale() {
+        let mut t = churned();
+        let old = t.snapshot().expect("live points").build();
+        t.insert(&PROBE);
+        t.rebuild();
+        assert!(t.remove(5));
+        let before = (base_image(&t, "before"), state(&t));
+        assert_eq!(t.install(old), Err(Stale));
+        assert!(
+            before == (base_image(&t, "after"), state(&t)),
+            "a refused install changed the tree"
+        );
+        assert_matches(&t, &PROBE, 9);
+    }
+
+    /// One write of the exhaustive rebase check.
+    #[derive(Clone, Copy, Debug)]
+    enum Write {
+        Insert,
+        RemoveBase,
+        RemovePending,
+        RemoveRaced,
+        RemoveDead,
+    }
+
+    /// Every sequence of up to three writes between `snapshot` and
+    /// `install`, then one write after the install, against a sequential
+    /// mirror: a tree that rebuilt at the snapshot and made the same writes.
+    /// The two must hold the same base rows, live count, pending inserts and
+    /// tombstones, and answer with the same ids and distance bits, which are
+    /// a linear scan's. A base remove and a pre-snapshot pending remove take
+    /// a different id at each step, near the probes; a raced remove takes the
+    /// newest live post-snapshot insert (a sequence with none is skipped); a
+    /// dead remove names an id removed before the snapshot.
+    #[test]
+    fn every_write_sequence_around_a_build_lands_as_a_sequential_mirror() {
+        const WRITES: [Write; 5] = [
+            Write::Insert,
+            Write::RemoveBase,
+            Write::RemovePending,
+            Write::RemoveRaced,
+            Write::RemoveDead,
+        ];
+        // 120 base points, eight pending inserts along a line through the
+        // probe, a base and a pending point removed: a small `churned()`.
+        let tree = || {
+            let ps = ClusteredSpec {
+                clusters: 2,
+                points_per_cluster: 60,
+                dims: 3,
+                sigma: 60.0,
+                seed: 159,
+            }
+            .generate();
+            let mut t = DynamicSsTree::new(&ps, 8, BuildMethod::Hilbert);
+            for i in 0..8 {
+                t.insert(&[108.0 + 3.0 * i as f32, 40.0, -20.0]);
+            }
+            assert!(t.remove(3) && t.remove(121));
+            t
+        };
+        let near: Vec<u32> = oracle(&tree(), &PROBE, 60).iter().map(|n| n.id).collect();
+        let base_near: Vec<u32> = near.iter().copied().filter(|&id| id < 120).collect();
+        let pending_near: Vec<u32> = near.iter().copied().filter(|&id| id >= 120).collect();
+        assert!(base_near.len() >= 4 && pending_near.len() >= 4, "{near:?}");
+        let mut sequences: Vec<Vec<Write>> = vec![Vec::new()];
+        for len in 1..=3 {
+            let shorter: Vec<Vec<Write>> =
+                sequences.iter().filter(|s| s.len() == len - 1).cloned().collect();
+            for s in shorter {
+                sequences.extend(WRITES.iter().map(|&w| [&s[..], &[w]].concat()));
+            }
+        }
+        assert_eq!(sequences.len(), 1 + 5 + 25 + 125);
+        let mut checked = 0;
+        for raced_writes in &sequences {
+            'after: for after in WRITES {
+                // The writes as inserts and removes by id, the same for both.
+                let (mut next, mut raced) = (128u32, Vec::new());
+                let mut ops = Vec::new();
+                for (step, &w) in raced_writes.iter().chain([&after]).enumerate() {
+                    ops.push(match w {
+                        Write::Insert => {
+                            raced.push(next);
+                            next += 1;
+                            Err([110.0 + step as f32, 40.0, -20.0])
+                        }
+                        Write::RemoveBase => Ok(base_near[step]),
+                        Write::RemovePending => Ok(pending_near[step]),
+                        Write::RemoveRaced => match raced.pop() {
+                            Some(id) => Ok(id),
+                            None => continue 'after,
+                        },
+                        Write::RemoveDead => Ok(3),
+                    });
+                }
+                let apply = |t: &mut DynamicSsTree, op: &Result<u32, [f32; 3]>| match op {
+                    Ok(id) => u32::from(t.remove(*id)),
+                    Err(p) => t.insert(p),
+                };
+                let (mut t, mut mirror) = (tree(), tree());
+                let rebuilt = t.snapshot().expect("live points").build();
+                mirror.rebuild();
+                let (before, later) = ops.split_at(raced_writes.len());
+                for op in before {
+                    assert_eq!(apply(&mut t, op), apply(&mut mirror, op));
+                }
+                assert_eq!(t.install(rebuilt), Ok(()), "{raced_writes:?}");
+                assert_eq!(apply(&mut t, &later[0]), apply(&mut mirror, &later[0]));
+                let what = format!("{raced_writes:?} then {after:?}");
+                let (got, want) = (state(&t), state(&mirror));
+                assert_eq!(got.counts, want.counts, "{what}: live, pending, tombstones");
+                assert_eq!(got.answers, want.answers, "{what}: answers");
+                assert!(got.rows == want.rows, "{what}: base rows");
+                assert_matches(&t, &PROBE, 9);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 400, "only {checked} sequences checked");
     }
 
     #[test]
@@ -726,6 +910,8 @@ mod tests {
             assert!(t.delta_ids.first() > t.base_ids.last() || t.delta_ids.is_empty());
             assert_eq!(t.removed.len(), t.base_ids.len());
             assert_eq!(t.removed.iter().filter(|&&r| r).count(), t.tombstones);
+            assert!(t.log.windows(2).all(|w| w[0].0 < w[1].0), "step {step}: log out of order");
+            assert!(t.tombstones <= t.log.len(), "step {step}: a tombstone is not logged");
             let listed: Vec<u32> = t
                 .base_ids
                 .iter()
@@ -738,6 +924,7 @@ mod tests {
             assert_eq!(t.len(), mirror.len());
             // Nothing beyond the live set and the churn a rebuild is due at.
             assert!(t.pending() + t.tombstones <= t.len() / 5 + 1, "step {step}");
+            assert!(t.pending() + t.log.len() <= t.len() / 5 + 1, "step {step}: the log");
             let live = t.snapshot().expect("live points");
             assert!(live.ids.iter().eq(mirror.keys()), "step {step}: snapshot out of id order");
             assert!(live.points.iter().zip(mirror.values()).all(|(a, b)| a == &b[..]));

@@ -1,7 +1,10 @@
 //! The shard router: MINDIST-ordered shard visits, shard-level pruning,
 //! scatter-gather exact top-k merge, and the replica failover ladder.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::any::Any;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use crate::admission::{CacheKey, QueryCache};
@@ -9,7 +12,7 @@ use crate::deadline::{DeadlineBudget, DeadlineClock};
 use crate::plan::{Visit, VisitPlan};
 use crate::resilient::{ResilienceConfig, ServeOutcome};
 use crate::runner::{serve, Batch, FrontEnd};
-use psb_core::dynamic::{InsertError, Rebuilt, Snapshot};
+use psb_core::dynamic::{InsertError, Snapshot};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
 use psb_core::{
@@ -76,12 +79,15 @@ struct Replica {
     state: ReplicaState,
 }
 
-/// One shard: its tree under global ids (read-locked by the queries that
-/// visit it, write-locked by a rebuild's swap), its directory entry — an
-/// enclosing sphere and the live count, read without the tree lock — and its
-/// replicas, each a device over the one tree.
+/// One shard: its tree under global ids, shared with the shard's build
+/// thread (read-locked by the queries that visit it and by a build's
+/// snapshot, write-locked by writes and by a build's install), the build in
+/// flight if there is one, its directory entry — an enclosing sphere and the
+/// live count, read without the tree lock — and its replicas, each a device
+/// over the one tree.
 struct Shard<V: Volumes> {
-    tree: RwLock<DynamicTree<V>>,
+    tree: Arc<RwLock<DynamicTree<V>>>,
+    build: Mutex<Option<JoinHandle<()>>>,
     sphere: Sphere,
     len: usize,
     replicas: Vec<Replica>,
@@ -104,7 +110,8 @@ impl<V: Volumes> Shard<V> {
         let base = build_index(&points.gather(&sorted));
         let replica = Replica { plan: FaultPlan::none(), state: ReplicaState::Healthy };
         Self {
-            tree: RwLock::new(DynamicTree::from_tree(base, sorted)),
+            tree: Arc::new(RwLock::new(DynamicTree::from_tree(base, sorted))),
+            build: Mutex::default(),
             sphere,
             len: ids.len(),
             replicas: vec![replica; replicas],
@@ -139,6 +146,34 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A shard's whole rebuild, as its build thread runs it: the live set
+/// copied under the read lock, the tree built with no lock held, the build
+/// installed under the write lock with the writes that raced it rebased. An
+/// install is refused only when the tree rebuilt itself at its churn
+/// threshold since the snapshot; its base is then newer than this build.
+/// With a registry attached it records `serve.rebuild_us` (snapshot to
+/// install), `serve.rebuild_swap_us` (the write lock's hold) and
+/// `serve.rebuilds{shard}`.
+fn rebuild<V: Volumes>(tree: &RwLock<DynamicTree<V>>, s: usize, metrics: &MetricsHandle) {
+    let started = metrics.is_attached().then(Instant::now);
+    let rebuilt = read(tree).snapshot().map(Snapshot::build);
+    let mut held = write(tree);
+    let acquired = metrics.is_attached().then(Instant::now);
+    if let Some(rebuilt) = rebuilt {
+        held.install(rebuilt).ok();
+    }
+    drop(held);
+    if let (Some(t0), Some(t1)) = (started, acquired) {
+        metrics.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
+        metrics.observe("serve.rebuild_swap_us", t1.elapsed().as_secs_f64() * 1e6);
+        metrics.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
+    }
 }
 
 /// One failover decision: while serving `query`, `replica` of `shard` died
@@ -425,7 +460,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         let target = nearest.min_by(|a, b| a.0.total_cmp(&b.0)).map_or(0, |(_, s)| s);
         let g = self.next_id;
         let shard = &mut self.shards[target];
-        shard.tree.get_mut().unwrap_or_else(PoisonError::into_inner).try_insert_as(p, g)?;
+        write(&shard.tree).try_insert_as(p, g)?;
         self.next_id += 1;
         shard.len += 1;
         shard.sphere.radius = shard.sphere.radius.max(dist(p, &shard.sphere.center));
@@ -442,10 +477,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
     /// the point that moves up into an answer's k-th place is not in the
     /// entry.
     pub fn remove(&mut self, id: u32) -> bool {
-        let owner = self.shards.iter_mut().find_map(|shard| {
-            let tree = shard.tree.get_mut().unwrap_or_else(PoisonError::into_inner);
-            tree.remove(id).then_some(shard)
-        });
+        let owner = self.shards.iter_mut().find(|shard| write(&shard.tree).remove(id));
         let Some(shard) = owner else {
             return false;
         };
@@ -465,46 +497,43 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         keep(&mut cache.results)
     }
 
-    /// Rebuilds shard `s`'s packed index aside: the live set is copied under
-    /// the shard's *read* lock, the tree is built with no lock held, and the
-    /// write lock is taken for the swap only. Should the shard have changed
-    /// under the build (it cannot while writes take `&mut self`;
-    /// [`DynamicTree::install`] checks rather than assumes), it is rebuilt in
-    /// place under the write lock instead. The live set is the same before
-    /// and after, so cached answers stay. With a registry attached it records
-    /// `serve.rebuild_us` (the whole call), `serve.rebuild_swap_us` (the write
-    /// lock's hold) and `serve.rebuilds_in_place`.
+    /// Rebuilds shard `s`'s packed index off the caller's thread: hands the
+    /// shard to a build thread and returns. The thread copies the live set
+    /// under the shard's read lock, builds with no lock held and installs
+    /// under the write lock, rebasing the writes that raced the build
+    /// ([`DynamicTree::install`]); until then the old base and the delta
+    /// still index the live set, so every answer stays exact. A build of `s`
+    /// still running is joined first; a spawn that fails builds inline. The
+    /// live set is the same before and after, so cached answers stay. With a
+    /// registry attached the build records `serve.rebuild_us` (snapshot to
+    /// install), `serve.rebuild_swap_us` (the write lock's hold) and
+    /// `serve.rebuilds{shard}`. A build that panicked panics in the next
+    /// `rebuild_shard` of its shard, [`ShardRouter::settle`] or drop.
     pub fn rebuild_shard(&self, s: usize) {
-        let started = self.clock();
-        let snapshot = read(&self.shards[s].tree).snapshot();
-        let (swap_started, in_place) = self.swap_in(s, snapshot.map(Snapshot::build));
-        let swap_us = swap_started.map(|t0| t0.elapsed().as_secs_f64() * 1e6);
-        if let (Some(t0), Some(swap_us)) = (started, swap_us) {
-            let m = &self.metrics;
-            m.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
-            m.observe("serve.rebuild_swap_us", swap_us);
-            m.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
-            if in_place {
-                m.counter("serve.rebuilds_in_place", 1);
-            }
+        let shard = &self.shards[s];
+        let mut slot = lock(&shard.build);
+        if let Some(Err(panic)) = slot.take().map(JoinHandle::join) {
+            resume_unwind(panic);
+        }
+        let (tree, metrics) = (Arc::clone(&shard.tree), self.metrics.clone());
+        let build = move || rebuild(&tree, s, &metrics);
+        match thread::Builder::new().name(format!("psb-rebuild-{s}")).spawn(build) {
+            Ok(build) => *slot = Some(build),
+            Err(_) => rebuild(&shard.tree, s, &self.metrics),
+        }
+    }
+
+    /// Blocks until every build [`ShardRouter::rebuild_shard`] started has
+    /// been installed; a build that panicked panics here.
+    pub fn settle(&self) {
+        if let Some(panic) = self.join_builds() {
+            resume_unwind(panic);
         }
     }
 
     /// `Some(now)` with a registry attached; a detached handle reads no clock.
     fn clock(&self) -> Option<Instant> {
         self.metrics.is_attached().then(Instant::now)
-    }
-
-    /// A rebuild's write-locked step: installs `rebuilt`, or rebuilds in place
-    /// if that is stale. Returns when the lock was taken and whether it was.
-    fn swap_in(&self, s: usize, rebuilt: Option<Rebuilt<V>>) -> (Option<Instant>, bool) {
-        let mut tree = self.shards[s].tree.write().unwrap_or_else(PoisonError::into_inner);
-        let acquired = self.clock();
-        let in_place = rebuilt.is_some_and(|rebuilt| tree.install(rebuilt).is_err());
-        if in_place {
-            tree.rebuild();
-        }
-        (acquired, in_place)
     }
 
     /// Exact kNN over the live set: the version-checked result cache around
@@ -876,6 +905,27 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
     }
 }
 
+impl<T: ShardIndex> ShardRouter<T> {
+    /// Joins every build in flight; returns the first that panicked.
+    fn join_builds(&self) -> Option<Box<dyn Any + Send>> {
+        let builds = self.shards.iter().filter_map(|shard| lock(&shard.build).take());
+        builds.map(JoinHandle::join).fold(None, |first, joined| first.or(joined.err()))
+    }
+}
+
+impl<T: ShardIndex> Drop for ShardRouter<T> {
+    /// Joins every build still running, so no build thread outlives its
+    /// router. A build that panicked panics here, unless a panic is already
+    /// unwinding.
+    fn drop(&mut self) {
+        if let Some(panic) = self.join_builds() {
+            if !thread::panicking() {
+                resume_unwind(panic);
+            }
+        }
+    }
+}
+
 /// The shard plan `cfg` makes of `points`, or why it cannot make one.
 fn layout(points: &PointSet, cfg: &ServeConfig) -> Result<ShardPlan, EngineError> {
     if cfg.shards == 0 {
@@ -1222,37 +1272,168 @@ mod tests {
             assert_eq!(r.knn(&q, 9), before, "rebuild changed answers");
         }
 
+        /// A shard's build raced by inserts and removes through the router —
+        /// its build taken aside as the build thread takes it, the writes
+        /// made, then the install: the shard keeps exactly its live
+        /// post-snapshot inserts pending, and every answer is the oracle's.
         #[test]
-        fn a_stale_build_is_not_installed_and_the_shard_is_rebuilt_in_place() {
+        fn a_build_raced_by_inserts_and_removes_lands_exactly() {
             let ps = UniformSpec { len: 300, dims: 3, seed: 61 }.generate();
             let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
             let mut mirror: Vec<(u32, Vec<f32>)> =
                 (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
-            let built_aside = |r: &DynamicShardRouter, s: usize| {
-                read(&r.shards[s].tree).snapshot().map(Snapshot::build)
-            };
-            let pending = |r: &DynamicShardRouter, s: usize| read(&r.shards[s].tree).pending();
-            // What `rebuild_shard` cannot meet while `insert` is `&mut self`: both
-            // shards change between their snapshot and the swap.
-            let stale = [built_aside(&r, 0), built_aside(&r, 1)];
-            let extra = UniformSpec { len: 20, dims: 3, seed: 62 }.generate();
-            for p in extra.iter() {
+            let early = UniformSpec { len: 10, dims: 3, seed: 62 }.generate();
+            for p in early.iter() {
                 mirror.push((r.insert(p), p.to_vec()));
             }
-            for (s, rebuilt) in stale.into_iter().enumerate() {
-                assert!(pending(&r, s) > 0, "shard {s} took no insert");
-                assert_eq!(r.swap_in(s, rebuilt), (None, true), "shard {s}");
-                assert_eq!(pending(&r, s), 0, "shard {s} was not rebuilt");
+            let built_aside = |r: &DynamicShardRouter, s: usize| {
+                read(&r.shards[s].tree).snapshot().map(Snapshot::build).expect("live points")
+            };
+            let builds = [built_aside(&r, 0), built_aside(&r, 1)];
+            let late = UniformSpec { len: 20, dims: 3, seed: 63 }.generate();
+            let mut raced = Vec::new();
+            for p in late.iter() {
+                let g = r.insert(p);
+                raced.push(g);
+                mirror.push((g, p.to_vec()));
             }
-            // A build of the shard as it is goes in.
-            mirror.push((r.insert(&[0.5, 0.5, 0.5]), vec![0.5, 0.5, 0.5]));
+            // Two base points, a pre-snapshot insert and a raced one.
+            for id in [7, 150, 300, raced[0]] {
+                assert!(r.remove(id), "id {id}");
+                mirror.retain(|(i, _)| *i != id);
+            }
+            for (s, rebuilt) in builds.into_iter().enumerate() {
+                assert_eq!(write(&r.shards[s].tree).install(rebuilt), Ok(()), "shard {s}");
+                let tree = read(&r.shards[s].tree);
+                let pending = raced.iter().filter(|&&g| tree.contains(g)).count();
+                assert_eq!(tree.pending(), pending, "shard {s}");
+            }
+            let check = |r: &DynamicShardRouter, mirror: &[(u32, Vec<f32>)]| {
+                for q in ps.iter().take(20).chain(late.iter()) {
+                    assert_eq!(r.knn(q, 6), oracle(mirror, q, 6));
+                }
+            };
+            check(&r, &mirror);
             for s in 0..2 {
-                assert_eq!(r.swap_in(s, built_aside(&r, s)), (None, false), "shard {s}");
-                assert_eq!(pending(&r, s), 0);
+                r.rebuild_shard(s);
             }
-            for q in ps.iter().take(20) {
-                assert_eq!(r.knn(q, 6), oracle(&mirror, q, 6));
+            r.settle();
+            assert!((0..2).all(|s| read(&r.shards[s].tree).pending() == 0));
+            check(&r, &mirror);
+        }
+
+        /// Builds in flight on every shard while inserts, removes and queries,
+        /// cached and uncached, go on against the mirror without settling;
+        /// then settled, and checked again. A shard of 2 000 points builds
+        /// for milliseconds, so the writes race the builds.
+        #[test]
+        fn answers_stay_exact_while_builds_are_in_flight() {
+            use psb_data::{sample_queries, ClusteredSpec};
+            let ps = ClusteredSpec {
+                clusters: 4,
+                points_per_cluster: 1500,
+                dims: 4,
+                sigma: 60.0,
+                seed: 95,
             }
+            .generate();
+            let mut cached = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            cached.attach_cache(16);
+            let mut plain = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            let mut mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            let extra = sample_queries(&ps, 90, 0.01, 96);
+            let queries = sample_queries(&ps, 6, 0.01, 97);
+            let check = |cached: &DynamicShardRouter,
+                         plain: &DynamicShardRouter,
+                         mirror: &[(u32, Vec<f32>)],
+                         when: &str| {
+                for (qi, q) in queries.iter().enumerate() {
+                    let want = oracle(mirror, q, 7);
+                    assert_eq!(cached.knn(q, 7), want, "{when}: cached, query {qi}");
+                    assert_eq!(plain.knn(q, 7), want, "{when}: plain, query {qi}");
+                }
+            };
+            for round in 0..3 {
+                for s in 0..3 {
+                    cached.rebuild_shard(s);
+                    plain.rebuild_shard(s);
+                }
+                for i in 0..30 {
+                    let p = extra.point(round * 30 + i);
+                    let g = cached.insert(p);
+                    assert_eq!(plain.insert(p), g);
+                    mirror.push((g, p.to_vec()));
+                    if i % 3 == 2 {
+                        let id = mirror.swap_remove((i * 7919 + round) % mirror.len()).0;
+                        assert!(cached.remove(id) && plain.remove(id), "id {id}");
+                    }
+                    check(&cached, &plain, &mirror, &format!("round {round} write {i}"));
+                }
+            }
+            cached.settle();
+            plain.settle();
+            check(&cached, &plain, &mirror, "settled");
+            assert_eq!((cached.len(), plain.len()), (mirror.len(), mirror.len()));
+        }
+
+        /// Dropping a router with builds in flight joins them: no build thread
+        /// holds its shard afterwards, and each ran to its install.
+        #[test]
+        fn dropping_the_router_joins_its_builds() {
+            let ps = psb_data::ClusteredSpec {
+                clusters: 3,
+                points_per_cluster: 2000,
+                dims: 4,
+                sigma: 60.0,
+                seed: 98,
+            }
+            .generate();
+            let mut r = DynamicShardRouter::build(&ps, 3, &ShardPolicy::HilbertRange, 8);
+            let reg = psb_metrics::Registry::new();
+            r.attach_metrics(MetricsHandle::attached(&reg));
+            let extra = UniformSpec { len: 30, dims: 4, seed: 99 }.generate();
+            for p in extra.iter() {
+                r.insert(p);
+            }
+            let trees: Vec<_> = r.shards.iter().map(|shard| Arc::clone(&shard.tree)).collect();
+            for s in 0..3 {
+                r.rebuild_shard(s);
+            }
+            drop(r);
+            for (s, tree) in trees.iter().enumerate() {
+                assert_eq!(Arc::strong_count(tree), 1, "shard {s}'s build outlived the router");
+                assert_eq!(read(tree).pending(), 0, "shard {s} was not installed");
+            }
+            let snap = reg.snapshot();
+            let rebuilds = snap.counters.iter().filter(|(k, _)| k.starts_with("serve.rebuilds{"));
+            assert_eq!(rebuilds.map(|(_, v)| *v).sum::<u64>(), 3);
+        }
+
+        /// A router whose shard 1 has a build in flight that panics.
+        fn with_a_failed_build() -> DynamicShardRouter {
+            let ps = UniformSpec { len: 100, dims: 3, seed: 64 }.generate();
+            let r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+            *lock(&r.shards[1].build) = Some(thread::spawn(|| panic!("a failed build")));
+            r
+        }
+
+        #[test]
+        #[should_panic(expected = "a failed build")]
+        fn a_build_that_panicked_panics_in_settle() {
+            with_a_failed_build().settle();
+        }
+
+        #[test]
+        #[should_panic(expected = "a failed build")]
+        fn a_build_that_panicked_panics_in_the_next_rebuild_of_its_shard() {
+            with_a_failed_build().rebuild_shard(1);
+        }
+
+        #[test]
+        #[should_panic(expected = "a failed build")]
+        fn a_build_that_panicked_panics_in_drop() {
+            drop(with_a_failed_build());
         }
 
         #[test]
@@ -1281,6 +1462,7 @@ mod tests {
             assert!(r.remove(twin));
             assert_eq!(r.knn(&q, 5), before, "recomputed");
             assert_eq!(r.cache_stats(), (2, 2, 0, 1));
+            r.settle();
             let snap = reg.snapshot();
             let counter = |name: &str| {
                 snap.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap_or(0)
@@ -1301,8 +1483,8 @@ mod tests {
                 snap.histograms.iter().find(|(k, _)| k == name).map(|(_, h)| *h).expect(name)
             };
             assert_eq!(hist("serve.rebuild_us").count, 4);
-            // The swap is a part of the rebuild, and no rebuild fell back to
-            // holding the write lock for all of it.
+            // The swap is a part of the rebuild, and no rebuild held the write
+            // lock for all of it.
             assert_eq!(hist("serve.rebuild_swap_us").count, 4);
             assert!(hist("serve.rebuild_swap_us").max <= hist("serve.rebuild_us").max);
             assert_eq!(counter("serve.rebuilds_in_place"), 0);
@@ -1506,6 +1688,7 @@ mod tests {
                 for s in 0..r.num_shards() {
                     r.rebuild_shard(s);
                 }
+                r.settle();
                 check(&r, &members, "after rebuild_shard");
             }
         }
@@ -1555,6 +1738,7 @@ mod tests {
             }
             for s in 0..r.num_shards() {
                 r.rebuild_shard(s);
+                r.settle();
                 assert_eq!(read(&r.shards[s].tree).pending(), 0);
             }
             assert_eq!(r.knn(&q, 5), oracle(&mirror, &q, 5));

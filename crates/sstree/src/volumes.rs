@@ -49,8 +49,9 @@ impl SweepScratch {
 /// The bounding volumes of a [`FlatTree`](crate::FlatTree)'s nodes, stored
 /// node-major. Every method that names a node trusts the id: callers index
 /// only after [`FlatTree::validate`](crate::FlatTree::validate)'s length
-/// check, or behind the kernels' bounds-checked links.
-pub trait Volumes: Send + Sync {
+/// check, or behind the kernels' bounds-checked links. A family owns its data
+/// (`'static`), so a tree of it can move to a build thread.
+pub trait Volumes: Send + Sync + 'static {
     /// f32 lanes one child's volume takes in a packed internal block (and in
     /// the modelled device block: a child entry is `4 * lanes + 12` bytes).
     fn lanes(dims: usize) -> usize;
