@@ -47,13 +47,16 @@ run_shard() {
 }
 # Resilience layer: the chaos soak (fault injection + deadline pressure +
 # quota shedding + breaker trips at once; zero panics, every query resolving
-# to exactly one typed outcome, bit-deterministic replay), the admission
-# property tests, and the golden-parity suite pinning that the transparent
-# front-end is bit-identical to the bare router. The admission/deadline
-# modules themselves sit inside psb-serve, so hardlint's no-unwrap wall
-# already covers them.
+# to exactly one typed outcome, bit-deterministic replay), once unbounded and
+# once under a per-batch admission bound below the batch size, psb-serve's
+# own `admission::` unit tests (token buckets, the batch bound checked before
+# the bucket, breaker transitions), the admission property tests, and the
+# golden-parity suite pinning that the transparent front-end is bit-identical
+# to the bare router. The admission/deadline modules themselves sit inside
+# psb-serve, so hardlint's no-unwrap wall already covers them.
 run_chaos() {
     cargo test -p psb --test chaos -q
+    cargo test -p psb-serve -q admission::
     cargo test -p psb --test admission -q
     cargo test -p psb --test resilience_parity -q
 }

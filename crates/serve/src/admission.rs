@@ -1,5 +1,5 @@
-//! Admission control for the serving front-end: bounded submission queue,
-//! per-tenant token-bucket quotas, per-shard circuit breakers, and the
+//! Admission control for the serving front-end: a per-batch admission
+//! bound, per-tenant token-bucket quotas, per-shard circuit breakers, and the
 //! exact-result query cache.
 //!
 //! Everything here runs on a **logical clock**: one tick per submitted query.
@@ -10,8 +10,8 @@
 //! in simulated device cycles and read no clock either ([`crate::deadline`]).
 //!
 //! The load-shedding contract: an overloaded front-end rejects with a typed
-//! [`RejectReason`] instead of queueing unboundedly, and a rejected query is
-//! never silently dropped — it resolves to
+//! [`RejectReason`] instead of running more than it was sized for, and a
+//! rejected query is never silently dropped — it resolves to
 //! [`ServeOutcome::Rejected`](crate::ServeOutcome::Rejected) with empty
 //! results.
 
@@ -30,11 +30,9 @@ pub type TenantId = u32;
 /// Why a query was rejected at admission instead of executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The bounded submission queue was full when the query arrived; the
-    /// query was shed rather than queued unboundedly.
+    /// Its batch had already admitted as many queries as the bound allows;
+    /// the query was shed before its tenant's bucket was asked.
     QueueFull {
-        /// Queue depth at arrival.
-        depth: usize,
         /// The configured bound it hit.
         capacity: usize,
     },
@@ -48,8 +46,8 @@ pub enum RejectReason {
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RejectReason::QueueFull { depth, capacity } => {
-                write!(f, "submission queue full ({depth}/{capacity})")
+            RejectReason::QueueFull { capacity } => {
+                write!(f, "batch admission bound reached ({capacity} admitted)")
             }
             RejectReason::QuotaExhausted { tenant } => {
                 write!(f, "tenant {tenant} quota exhausted")
@@ -104,44 +102,21 @@ impl TokenBucket {
     }
 }
 
-/// Admission-control configuration. The default is fully transparent — an
-/// unbounded queue and no quotas — which is what the golden-parity tests pin:
-/// an unconstrained front-end admits everything.
-#[derive(Clone, Debug)]
-pub struct AdmissionConfig {
-    /// Most queries the submission queue holds at once; arrivals beyond it
-    /// are shed with [`RejectReason::QueueFull`]. `usize::MAX` = unbounded.
-    /// The serve runner frees each admitted query's slot before the next one
-    /// arrives, so behind it the depth at arrival is always 0 and only a
-    /// bound of 0 sheds.
-    pub queue_capacity: usize,
-    /// Quota applied to tenants without an explicit
-    /// [`AdmissionControl::set_quota`] entry. `None` = unmetered.
-    pub default_quota: Option<QuotaConfig>,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self { queue_capacity: usize::MAX, default_quota: None }
-    }
-}
-
-/// The admission controller: a bounded submission queue plus per-tenant
-/// token buckets, all on the logical tick clock.
-#[derive(Debug, Default)]
+/// The admission controller: the per-batch bound plus per-tenant token
+/// buckets, all on the logical tick clock. A tenant without a
+/// [`AdmissionControl::set_quota`] entry is unmetered.
+#[derive(Debug)]
 pub struct AdmissionControl {
-    cfg: AdmissionConfig,
+    capacity: usize,
     quotas: BTreeMap<TenantId, QuotaConfig>,
     buckets: BTreeMap<TenantId, TokenBucket>,
-    depth: usize,
-    peak_depth: usize,
-    admitted: u64,
 }
 
 impl AdmissionControl {
-    /// A controller with the given config and no per-tenant overrides.
-    pub fn new(cfg: AdmissionConfig) -> Self {
-        Self { cfg, ..Default::default() }
+    /// A controller that admits at most `capacity` queries of a batch
+    /// (`usize::MAX` = unbounded), with no quotas.
+    pub fn new(capacity: usize) -> Self {
+        Self { capacity, quotas: BTreeMap::new(), buckets: BTreeMap::new() }
     }
 
     /// Sets (or replaces) one tenant's quota. Replacing resets the tenant's
@@ -151,50 +126,36 @@ impl AdmissionControl {
         self.buckets.remove(&tenant);
     }
 
-    fn quota_for(&self, tenant: TenantId) -> Option<QuotaConfig> {
-        self.quotas.get(&tenant).copied().or(self.cfg.default_quota)
-    }
-
-    /// One query arrives at tick `now`: first the queue bound, then the
-    /// tenant's bucket. On `Ok` the query occupies a queue slot until
-    /// [`AdmissionControl::complete`].
-    pub fn try_admit(&mut self, tenant: TenantId, now: u64) -> Result<(), RejectReason> {
-        if self.depth >= self.cfg.queue_capacity {
-            return Err(RejectReason::QueueFull {
-                depth: self.depth,
-                capacity: self.cfg.queue_capacity,
-            });
-        }
-        if let Some(quota) = self.quota_for(tenant) {
-            let bucket = self.buckets.entry(tenant).or_insert_with(|| TokenBucket::new(quota, now));
-            if !bucket.try_take(now) {
-                return Err(RejectReason::QuotaExhausted { tenant });
-            }
-        }
-        self.depth += 1;
-        self.peak_depth = self.peak_depth.max(self.depth);
-        self.admitted += 1;
-        Ok(())
-    }
-
-    /// One admitted query finished executing; its queue slot frees up.
-    pub fn complete(&mut self) {
-        self.depth = self.depth.saturating_sub(1);
-    }
-
-    /// Queries currently occupying queue slots.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Deepest the queue has been since the controller was built.
-    pub(crate) fn peak_depth(&self) -> usize {
-        self.peak_depth
-    }
-
-    /// Total queries admitted.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
+    /// Admits one batch whose query `i` comes from the `i`-th of `tenants`
+    /// and arrives at tick `first_tick + i`, one verdict per query in order.
+    /// Once the batch has admitted the bound's worth, every later query is
+    /// shed with [`RejectReason::QueueFull`] before its tenant's bucket is
+    /// asked, so it spends no token; otherwise a metered tenant's query takes
+    /// a token or is shed with [`RejectReason::QuotaExhausted`].
+    pub fn admit_batch(
+        &mut self,
+        tenants: impl IntoIterator<Item = TenantId>,
+        first_tick: u64,
+    ) -> Vec<Result<(), RejectReason>> {
+        let mut admitted = 0;
+        tenants
+            .into_iter()
+            .zip(first_tick..)
+            .map(|(tenant, now)| {
+                if admitted >= self.capacity {
+                    return Err(RejectReason::QueueFull { capacity: self.capacity });
+                }
+                if let Some(&quota) = self.quotas.get(&tenant) {
+                    let bucket =
+                        self.buckets.entry(tenant).or_insert_with(|| TokenBucket::new(quota, now));
+                    if !bucket.try_take(now) {
+                        return Err(RejectReason::QuotaExhausted { tenant });
+                    }
+                }
+                admitted += 1;
+                Ok(())
+            })
+            .collect()
     }
 }
 
@@ -207,8 +168,6 @@ pub struct BreakerConfig {
     pub backoff_base: u64,
     /// Backoff ceiling in ticks.
     pub backoff_max: u64,
-    /// Consecutive half-open probe successes required to close.
-    pub half_open_probes: u32,
 }
 
 impl BreakerConfig {
@@ -216,13 +175,7 @@ impl BreakerConfig {
     /// effectively closed forever, the front-end routes exactly like the bare
     /// router even under faults.
     pub fn disabled() -> Self {
-        Self { failure_threshold: u32::MAX, backoff_base: 1, backoff_max: 1, half_open_probes: 1 }
-    }
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self::disabled()
+        Self { failure_threshold: u32::MAX, backoff_base: 1, backoff_max: 1 }
     }
 }
 
@@ -233,8 +186,9 @@ pub enum BreakerState {
     Closed,
     /// The shard is being routed around until the backoff elapses.
     Open,
-    /// Backoff elapsed; probe traffic is allowed through. Probe successes
-    /// close the breaker, a probe failure reopens it with doubled backoff.
+    /// Backoff elapsed; probe traffic is allowed through. The first probe
+    /// success closes the breaker, a probe failure reopens it with doubled
+    /// backoff.
     HalfOpen,
 }
 
@@ -248,7 +202,6 @@ pub(crate) struct CircuitBreaker {
     consecutive_failures: u32,
     open_until: u64,
     backoff: u64,
-    probe_successes: u32,
     opened_total: u64,
 }
 
@@ -261,7 +214,6 @@ impl CircuitBreaker {
             consecutive_failures: 0,
             open_until: 0,
             backoff: cfg.backoff_base.max(1),
-            probe_successes: 0,
             opened_total: 0,
         }
     }
@@ -285,7 +237,6 @@ impl CircuitBreaker {
             BreakerState::Open => {
                 if now >= self.open_until {
                     self.state = BreakerState::HalfOpen;
-                    self.probe_successes = 0;
                     true
                 } else {
                     false
@@ -299,12 +250,9 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed => self.consecutive_failures = 0,
             BreakerState::HalfOpen => {
-                self.probe_successes += 1;
-                if self.probe_successes >= self.cfg.half_open_probes.max(1) {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_failures = 0;
-                    self.backoff = self.cfg.backoff_base.max(1);
-                }
+                self.state = BreakerState::Closed;
+                self.consecutive_failures = 0;
+                self.backoff = self.cfg.backoff_base.max(1);
             }
             BreakerState::Open => {}
         }
@@ -633,36 +581,30 @@ mod tests {
 
     #[test]
     fn queue_bound_sheds_with_typed_reason() {
-        let mut ac =
-            AdmissionControl::new(AdmissionConfig { queue_capacity: 2, default_quota: None });
-        assert!(ac.try_admit(0, 0).is_ok());
-        assert!(ac.try_admit(0, 0).is_ok());
-        assert_eq!(ac.try_admit(0, 0), Err(RejectReason::QueueFull { depth: 2, capacity: 2 }),);
-        ac.complete();
-        assert!(ac.try_admit(0, 1).is_ok(), "a completed query frees its slot");
-        assert_eq!(ac.peak_depth(), 2);
+        let mut ac = AdmissionControl::new(2);
+        ac.set_quota(1, QuotaConfig { burst: 1, refill_per_tick: 0 });
+        let full = Err(RejectReason::QueueFull { capacity: 2 });
+        let dry = Err(RejectReason::QuotaExhausted { tenant: 1 });
+        // Tenant 1's second query is shed by its bucket and takes no slot;
+        // once two are admitted the bound sheds the rest before any bucket.
+        assert_eq!(ac.admit_batch([1, 1, 0, 0, 1], 1), vec![Ok(()), dry, Ok(()), full, full]);
+        // The bound is per batch: the next one admits two again.
+        assert_eq!(ac.admit_batch([0, 0, 0], 6), vec![Ok(()), Ok(()), full]);
     }
 
     #[test]
     fn per_tenant_quota_is_isolated() {
-        let mut ac = AdmissionControl::new(AdmissionConfig::default());
+        let mut ac = AdmissionControl::new(usize::MAX);
         ac.set_quota(1, QuotaConfig { burst: 1, refill_per_tick: 0 });
-        assert!(ac.try_admit(1, 0).is_ok());
-        assert_eq!(ac.try_admit(1, 0), Err(RejectReason::QuotaExhausted { tenant: 1 }));
+        let dry = Err(RejectReason::QuotaExhausted { tenant: 1 });
+        assert_eq!(ac.admit_batch([1, 1], 0), vec![Ok(()), dry]);
         // Tenant 2 has no quota and is unmetered.
-        for _ in 0..10 {
-            assert!(ac.try_admit(2, 0).is_ok());
-        }
+        assert!(ac.admit_batch([2; 10], 2).iter().all(Result::is_ok));
     }
 
     #[test]
     fn breaker_opens_after_threshold_and_backs_off_exponentially() {
-        let cfg = BreakerConfig {
-            failure_threshold: 2,
-            backoff_base: 4,
-            backoff_max: 16,
-            half_open_probes: 1,
-        };
+        let cfg = BreakerConfig { failure_threshold: 2, backoff_base: 4, backoff_max: 16 };
         let mut b = CircuitBreaker::new(cfg);
         b.on_failure(0);
         assert_eq!(b.state(), BreakerState::Closed, "one failure below threshold");
@@ -692,7 +634,6 @@ mod tests {
             failure_threshold: 2,
             backoff_base: 1,
             backoff_max: 1,
-            half_open_probes: 1,
         });
         b.on_failure(0);
         b.on_success();

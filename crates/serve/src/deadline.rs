@@ -18,11 +18,10 @@
 use psb_gpu::{DeviceConfig, KernelStats};
 
 /// How long one query may run before the router degrades it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeadlineBudget {
     /// No deadline: the query runs to exact completion (the golden-parity
     /// default).
-    #[default]
     None,
     /// Budget in simulated device cycles under the launch cost model.
     /// Deterministic — the unit the tests and the chaos soak use.

@@ -20,13 +20,14 @@
 //! shard with no healthy replica degrades to the exact brute scan of its live
 //! rows. Either way every answer stays exact.
 //!
-//! [`ResilientRouter`] is the production front-end: admission control with
-//! per-tenant token-bucket quotas and typed load shedding, deadline budgets
-//! checked between shard visits, and per-shard circuit breakers that route
-//! around sick shards; its batches probe and fill the router's one
-//! exact-result cache (see DESIGN.md "The resilience front-end"). With [`ResilienceConfig::default`] it is
-//! bit-identical to the bare router, and even with features on every degrade
-//! is a *marked* outcome. [`DynamicShardRouter`] is only a constructor's name.
+//! [`ResilientRouter`] is the production front-end: admission control with a
+//! per-batch bound, per-tenant token-bucket quotas and typed load shedding,
+//! deadline budgets checked between shard visits, and per-shard circuit
+//! breakers that route around sick shards; its batches probe and fill the
+//! router's one exact-result cache
+//! (see DESIGN.md "The resilience front-end"). With
+//! [`ResilienceConfig::default`] it is bit-identical to the bare router, and
+//! even with features on every degrade is a *marked* outcome. [`DynamicShardRouter`] is only a constructor's name.
 
 pub mod admission;
 pub mod deadline;
@@ -37,8 +38,8 @@ mod router;
 mod runner;
 
 pub use admission::{
-    AdmissionConfig, AdmissionControl, BreakerConfig, BreakerState, CacheKey, QueryCache,
-    QuotaConfig, RejectReason, TenantId,
+    AdmissionControl, BreakerConfig, BreakerState, CacheKey, QueryCache, QuotaConfig, RejectReason,
+    TenantId,
 };
 pub use deadline::DeadlineBudget;
 pub use dynamic::DynamicShardRouter;

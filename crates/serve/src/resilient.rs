@@ -2,11 +2,11 @@
 //! and per-shard circuit breakers, wrapped around a [`ShardRouter`] whose
 //! exact-result cache its batches probe and fill.
 //!
-//! [`ResilientRouter`] decides *which* queries run (admission + quotas),
-//! *how long* they may run (deadline budgets, checked between shard visits),
-//! and *what happens* when a shard is sick (circuit breakers that route
-//! around it via the MINDIST skip bound). Every submitted query resolves to
-//! exactly one typed [`ServeOutcome`]:
+//! [`ResilientRouter`] decides *which* queries run (a per-batch admission
+//! bound + quotas), *how long* they may run (deadline budgets, checked
+//! between shard visits), and *what happens* when a shard is sick (circuit
+//! breakers that route around it via the MINDIST skip bound). Every submitted
+//! query resolves to exactly one typed [`ServeOutcome`]:
 //!
 //! | outcome                          | exact? | meaning |
 //! |----------------------------------|--------|---------|
@@ -17,8 +17,8 @@
 //! | `Rejected(reason)`               | —      | shed at admission, never ran |
 //!
 //! The golden-parity discipline: [`ResilienceConfig::default`] is fully
-//! transparent — unbounded queue, no quotas, breakers disabled, cache off, no
-//! deadline — and under it every batch is **bit-identical** to the bare
+//! transparent — unbounded batches, no quotas, breakers disabled, cache off,
+//! no deadline — and under it every batch is **bit-identical** to the bare
 //! [`ShardRouter`], faults or not. Pressure is always opt-in.
 
 use psb_core::{EngineError, KernelOptions, QueryOutcome};
@@ -27,7 +27,7 @@ use psb_gpu::KernelStats;
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 
 use crate::admission::{
-    AdmissionConfig, BreakerConfig, BreakerState, QueryCache, QuotaConfig, RejectReason, TenantId,
+    BreakerConfig, BreakerState, QueryCache, QuotaConfig, RejectReason, TenantId,
 };
 use crate::deadline::DeadlineBudget;
 use crate::router::{ServeReport, ShardIndex, ShardRouter};
@@ -36,10 +36,13 @@ use crate::runner::{serve, Batch, FrontEnd};
 /// Tuning for the whole resilience layer. The default is transparent: the
 /// front-end admits everything, runs everything to exact completion, and
 /// caches nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ResilienceConfig {
-    /// Submission queue bound and default tenant quota.
-    pub admission: AdmissionConfig,
+    /// Most queries one batch admits; the rest of the batch is shed with
+    /// [`RejectReason::QueueFull`] before its tenants' buckets are asked.
+    /// `usize::MAX` = unbounded. Quotas are per tenant
+    /// ([`ResilientRouter::set_quota`]).
+    pub queue_capacity: usize,
     /// Circuit-breaker tuning applied to every shard
     /// ([`BreakerConfig::disabled`] by default).
     pub breaker: BreakerConfig,
@@ -49,6 +52,17 @@ pub struct ResilienceConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: DeadlineBudget,
+}
+
+impl Default for ResilienceConfig {
+    fn default() -> Self {
+        Self {
+            queue_capacity: usize::MAX,
+            breaker: BreakerConfig::disabled(),
+            cache_capacity: 0,
+            default_deadline: DeadlineBudget::None,
+        }
+    }
 }
 
 /// Per-request metadata a caller submits alongside each query.
@@ -149,7 +163,7 @@ pub struct ResilienceReport {
     pub submitted: u64,
     /// Queries past admission (executed or cache-served).
     pub admitted: u64,
-    /// Shed by the queue bound.
+    /// Shed by the batch's admission bound.
     pub rejected_queue: u64,
     /// Shed by a tenant quota.
     pub rejected_quota: u64,
@@ -163,10 +177,6 @@ pub struct ResilienceReport {
     pub deadline_skips: u64,
     /// Breaker open transitions during this batch.
     pub breaker_opened: u64,
-    /// Deepest the submission queue has been since the front end was built.
-    /// Each admitted query's slot is free again before the next arrives, so
-    /// this is 1 once any query was admitted, 0 before.
-    pub peak_queue_depth: usize,
 }
 
 /// Results plus both accounting layers for one batch through the front-end.
@@ -294,15 +304,18 @@ mod tests {
     const K: usize = 4;
 
     /// 600 uniform 4-d points over four shards of two replicas, behind a
-    /// front end with a cache of `capacity`.
-    fn fronted(capacity: usize) -> (PointSet, ResilientRouter<SsTree>) {
+    /// front end under `cfg`.
+    fn fronted(cfg: ResilienceConfig) -> (PointSet, ResilientRouter<SsTree>) {
         let ps = UniformSpec { len: 600, dims: 4, seed: 42 }.generate();
-        let cfg = ServeConfig::new(4).with_replicas(2);
-        let router = ShardRouter::build(&ps, &cfg, &DeviceConfig::k40(), |ps| {
+        let serve = ServeConfig::new(4).with_replicas(2);
+        let router = ShardRouter::build(&ps, &serve, &DeviceConfig::k40(), |ps| {
             psb_sstree::build(ps, 8, &BuildMethod::Hilbert)
         });
-        let cfg = ResilienceConfig { cache_capacity: capacity, ..ResilienceConfig::default() };
         (ps, ResilientRouter::new(router, cfg))
+    }
+
+    fn cached(capacity: usize) -> ResilienceConfig {
+        ResilienceConfig { cache_capacity: capacity, ..ResilienceConfig::default() }
     }
 
     fn one(q: &[f32]) -> PointSet {
@@ -317,7 +330,7 @@ mod tests {
     /// once under its tenant.
     #[test]
     fn attached_registry_matches_the_resilience_report_exactly() {
-        let (ps, mut front) = fronted(8);
+        let (ps, mut front) = fronted(cached(8));
         front.inner_mut().set_fault_plan(0, 0, FaultPlan::truncation(1));
         front.set_quota(7, QuotaConfig { burst: 2, refill_per_tick: 0 });
         let reg = Registry::new();
@@ -362,9 +375,12 @@ mod tests {
         for (name, want) in fields {
             assert_eq!(counter(name), want, "{name}");
         }
-        let gauge = |name: &str| snap.gauges.iter().find(|(key, _)| key == name).map(|(_, v)| *v);
-        assert_eq!(gauge("serve.queue_peak_depth"), Some(res.peak_queue_depth as f64));
-        assert_eq!(gauge("serve.queue_depth"), None, "the depth between batches is always 0");
+        // Neither the depth nor the peak depth of a queue: admission models none.
+        assert!(
+            !snap.gauges.iter().any(|(key, _)| key.starts_with("serve.queue")),
+            "{:?}",
+            snap.gauges
+        );
         let count = |name: &str| {
             snap.histograms.iter().find(|(key, _)| key == name).map_or(0, |(_, h)| h.count)
         };
@@ -391,11 +407,37 @@ mod tests {
         assert_eq!(per_tenant_now, per_tenant);
     }
 
+    /// A batch the bound cuts files what it shed under `serve.shed_queue`,
+    /// and only what it admitted under `serve.admitted` and `serve.query_us`.
+    #[test]
+    fn a_batch_cut_by_the_bound_records_its_sheds() {
+        let (ps, mut front) = fronted(ResilienceConfig { queue_capacity: 5, ..cached(8) });
+        let reg = Registry::new();
+        front.inner_mut().attach_metrics(MetricsHandle::attached(&reg));
+        let mut queries = PointSet::new(ps.dims());
+        for p in 0..12 {
+            queries.push(ps.point(p * 50));
+        }
+        let out = front
+            .serve_batch(&queries, K, &KernelOptions::default(), &[])
+            .expect("a non-empty batch over four shards");
+        let res = out.resilience;
+        assert_eq!((res.admitted, res.rejected_queue), (5, 7), "{res:?}");
+
+        let snap = reg.snapshot();
+        let counter =
+            |name: &str| snap.counters.iter().find(|(key, _)| key == name).map_or(0, |(_, v)| *v);
+        assert_eq!(counter("serve.shed_queue"), res.rejected_queue);
+        assert_eq!(counter("serve.admitted"), res.admitted);
+        let latencies = snap.histograms.iter().find(|(key, _)| key == "serve.query_us");
+        assert_eq!(latencies.map(|(_, h)| h.count), Some(res.admitted));
+    }
+
     /// One cache: an answer a resilient batch files is a hit for the
     /// router's `knn`, and the reverse; a bare batch passes it by.
     #[test]
     fn a_resilient_batch_and_knn_share_one_cache() {
-        let (ps, mut front) = fronted(8);
+        let (ps, mut front) = fronted(cached(8));
         let opts = KernelOptions::default();
         let filed = front.serve_batch(&one(ps.point(3)), K, &opts, &[]).expect("serve");
         assert_eq!(front.cache_stats(), (0, 1, 0, 0), "the batch missed and filed");

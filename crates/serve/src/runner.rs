@@ -69,7 +69,7 @@ impl FrontEnd {
     /// A front-end for `shards` shards (one breaker each) under `cfg`.
     pub(crate) fn new(shards: usize, cfg: &ResilienceConfig) -> Self {
         Self {
-            admission: AdmissionControl::new(cfg.admission.clone()),
+            admission: AdmissionControl::new(cfg.queue_capacity),
             breakers: (0..shards).map(|_| CircuitBreaker::new(cfg.breaker)).collect(),
             default_deadline: cfg.default_deadline,
             tick: 0,
@@ -164,7 +164,6 @@ pub(crate) fn serve<V: Volumes>(
         m.counter("serve.breaker_skips", res.breaker_skips);
         m.counter("serve.deadline_skips", res.deadline_skips);
         m.counter("serve.breaker_opened", res.breaker_opened);
-        m.gauge("serve.queue_peak_depth", res.peak_queue_depth as f64);
     }
     Ok(ResilientBatchResult {
         neighbors: run.neighbors,
@@ -206,19 +205,10 @@ pub(crate) fn run_batch<V: Volumes>(
     let mut res = ResilienceReport { submitted: n as u64, ..Default::default() };
     let opened_before = front.opened_total();
 
-    // Plan, the part that needs no answers: one tick per query, the queue
-    // bound, the tenant's bucket. Within a batch a query's slot is free again
-    // before the next one arrives.
+    // Plan, the part that needs no answers: one tick per query, the batch
+    // bound, the tenant's bucket.
     let first_tick = front.tick + 1;
-    let admitted: Vec<Result<(), RejectReason>> = (0..n)
-        .map(|qi| {
-            let verdict = front.admission.try_admit(batch.meta(qi).tenant, first_tick + qi as u64);
-            if verdict.is_ok() {
-                front.admission.complete();
-            }
-            verdict
-        })
-        .collect();
+    let admitted = front.admission.admit_batch((0..n).map(|qi| batch.meta(qi).tenant), first_tick);
     front.tick += n as u64;
     let mut keys: Vec<Option<CacheKey>> = (0..n)
         .map(|qi| (cached && admitted[qi].is_ok()).then(|| CacheKey::new(queries.point(qi), k)))
@@ -334,7 +324,6 @@ pub(crate) fn run_batch<V: Volumes>(
         }
     }
 
-    res.peak_queue_depth = front.admission.peak_depth();
     res.breaker_opened = front.opened_total() - opened_before;
     discarded += ahead.len();
     Ok(BatchRun { neighbors, per_query, outcomes, acc, resilience: res, latencies_us, discarded })
@@ -583,12 +572,7 @@ mod tests {
     #[test]
     fn a_breaker_trip_ends_execution_ahead() {
         let mut case = Case::new(ResilienceConfig {
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                backoff_base: 3,
-                backoff_max: 6,
-                half_open_probes: 1,
-            },
+            breaker: BreakerConfig { failure_threshold: 2, backoff_base: 3, backoff_max: 6 },
             ..cached(4)
         });
         // Both of shard 2's devices die on first contact, mid-batch: two

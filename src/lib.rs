@@ -95,9 +95,9 @@ pub mod prelude {
     };
     pub use psb_rtree::{build_rtree, RsTree, RtreeBuildMethod};
     pub use psb_serve::{
-        AdmissionConfig, BreakerConfig, BreakerState, DeadlineBudget, DynamicShardRouter,
-        FailoverEvent, OutcomeTally, QueryCache, QuotaConfig, RejectReason, ReplicaState,
-        RequestMeta, ResilienceConfig, ResilienceReport, ResilientBatchResult, ResilientRouter,
+        BreakerConfig, BreakerState, DeadlineBudget, DynamicShardRouter, FailoverEvent,
+        OutcomeTally, QueryCache, QuotaConfig, RejectReason, ReplicaState, RequestMeta,
+        ResilienceConfig, ResilienceReport, ResilientBatchResult, ResilientRouter,
         ServeBatchResult, ServeConfig, ServeOutcome, ServeReport, ShardRouter, TenantId,
     };
     pub use psb_srtree::SrTree;

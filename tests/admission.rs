@@ -28,17 +28,17 @@ proptest! {
         refill in 0u64..4,
         submissions in prop::collection::vec(0u32..3, 1..120),
     ) {
-        let mut ac = AdmissionControl::new(AdmissionConfig::default());
+        let mut ac = AdmissionControl::new(usize::MAX);
         for t in 0..3 {
             ac.set_quota(t, QuotaConfig { burst, refill_per_tick: refill });
         }
-        // One logical tick per submission; record each tenant's admit ticks.
+        // One batch, one logical tick per submission; record each tenant's
+        // admit ticks.
         let mut admits: Vec<Vec<u64>> = vec![Vec::new(); 3];
-        for (i, &tenant) in submissions.iter().enumerate() {
-            let tick = i as u64 + 1;
-            if ac.try_admit(tenant, tick).is_ok() {
+        let verdicts = ac.admit_batch(submissions.iter().copied(), 1);
+        for ((tick, &tenant), verdict) in (1u64..).zip(&submissions).zip(verdicts) {
+            if verdict.is_ok() {
                 admits[tenant as usize].push(tick);
-                ac.complete();
             }
         }
         for ticks in &admits {
@@ -132,7 +132,6 @@ proptest! {
                 failure_threshold: threshold,
                 backoff_base: backoff,
                 backoff_max: backoff * 8,
-                half_open_probes: 1,
             },
             ..ResilienceConfig::default()
         };
@@ -174,10 +173,7 @@ fn queue_pressure_sheds_with_typed_outcomes() {
     let router = ShardRouter::build(&ps, &ServeConfig::new(2), &cfg, build_ss);
     let mut front = ResilientRouter::new(
         router,
-        ResilienceConfig {
-            admission: AdmissionConfig { queue_capacity: 0, default_quota: None },
-            ..ResilienceConfig::default()
-        },
+        ResilienceConfig { queue_capacity: 0, ..ResilienceConfig::default() },
     );
     let out = front.serve_batch(&queries, 4, &opts, &[]).expect("serve");
     let tally = out.tally();
@@ -189,6 +185,51 @@ fn queue_pressure_sheds_with_typed_outcomes() {
         .iter()
         .all(|o| matches!(o, ServeOutcome::Rejected(RejectReason::QueueFull { .. }))));
     assert_eq!(out.resilience.rejected_queue, 10);
+}
+
+/// A batch admits at most `queue_capacity` queries and sheds the rest as
+/// `QueueFull` before any tenant's bucket is asked: the admitted head answers
+/// as the bare router does, batch after batch, and a metered tenant whose
+/// queries fall only in the shed tail keeps its tokens for a later batch.
+#[test]
+fn a_batch_admits_at_most_queue_capacity() {
+    const CAPACITY: usize = 3;
+    let ps = UniformSpec { len: 300, dims: 3, seed: 27 }.generate();
+    let queries = UniformSpec { len: 10, dims: 3, seed: 28 }.generate();
+    let cfg = DeviceConfig::k40();
+    let opts = KernelOptions::default();
+    let router = || ShardRouter::build(&ps, &ServeConfig::new(3), &cfg, build_ss);
+    let bare = router().serve_batch(&queries, 4, &opts).expect("serve");
+    let mut front = ResilientRouter::new(
+        router(),
+        ResilienceConfig { queue_capacity: CAPACITY, ..ResilienceConfig::default() },
+    );
+    // Tenant 7 has two tokens that never refill, and asks only past the bound.
+    front.set_quota(7, QuotaConfig { burst: 2, refill_per_tick: 0 });
+    let requests: Vec<RequestMeta> = (0..queries.len())
+        .map(|i| RequestMeta::tenant(if i >= CAPACITY && i % 2 == 1 { 7 } else { 0 }))
+        .collect();
+    let bits = |nb: &[Neighbor]| nb.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>();
+    for batch in 0..2 {
+        let out = front.serve_batch(&queries, 4, &opts, &requests).expect("serve");
+        for qi in 0..queries.len() {
+            if qi < CAPACITY {
+                assert_eq!(out.outcomes[qi], ServeOutcome::Executed(bare.outcomes[qi]));
+                assert_eq!(bits(&out.neighbors[qi]), bits(&bare.neighbors[qi]), "query {qi}");
+            } else {
+                let full = ServeOutcome::Rejected(RejectReason::QueueFull { capacity: CAPACITY });
+                assert_eq!(out.outcomes[qi], full, "batch {batch} query {qi}");
+                assert!(out.neighbors[qi].is_empty(), "batch {batch} query {qi}");
+            }
+        }
+        assert_eq!(out.resilience.rejected_queue, 7, "batch {batch}");
+        assert_eq!(out.resilience.rejected_quota, 0, "batch {batch}");
+    }
+    // Tenant 7 spent nothing: two of its queries run, then its bucket is dry.
+    let out = front.serve_batch(&queries, 4, &opts, &[RequestMeta::tenant(7); 10]).expect("serve");
+    assert!(out.outcomes[..2].iter().all(ServeOutcome::is_exact), "{:?}", out.outcomes);
+    assert_eq!(out.outcomes[2], ServeOutcome::Rejected(RejectReason::QuotaExhausted { tenant: 7 }));
+    assert_eq!((out.resilience.rejected_quota, out.resilience.rejected_queue), (8, 0));
 }
 
 #[test]

@@ -24,6 +24,7 @@ fn build_ss(ps: &PointSet) -> SsTree {
 
 struct SoakSummary {
     tally: OutcomeTally,
+    rejected_queue: u64,
     breaker_opened: u64,
     cache_hits: u64,
     exact_checked: u64,
@@ -31,9 +32,15 @@ struct SoakSummary {
 }
 
 /// Runs the full soak: 4 shards (two of them permanently faulted), breakers
-/// armed, bounded queue, one metered tenant, tight cycle deadlines on every
-/// third request, Zipf-repeated queries. Returns the aggregate accounting.
-fn run_soak(ps: &PointSet, oracle: &[Vec<Neighbor>], queries: &PointSet) -> SoakSummary {
+/// armed, at most `queue_capacity` queries admitted per batch, one metered
+/// tenant, tight cycle deadlines on every third request, Zipf-repeated
+/// queries. Returns the aggregate accounting.
+fn run_soak(
+    ps: &PointSet,
+    oracle: &[Vec<Neighbor>],
+    queries: &PointSet,
+    queue_capacity: usize,
+) -> SoakSummary {
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
     let mut router = ShardRouter::build(ps, &ServeConfig::new(4), &cfg, build_ss);
@@ -45,13 +52,8 @@ fn run_soak(ps: &PointSet, oracle: &[Vec<Neighbor>], queries: &PointSet) -> Soak
     let mut front = ResilientRouter::new(
         router,
         ResilienceConfig {
-            admission: AdmissionConfig { queue_capacity: usize::MAX, default_quota: None },
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                backoff_base: 8,
-                backoff_max: 64,
-                half_open_probes: 1,
-            },
+            queue_capacity,
+            breaker: BreakerConfig { failure_threshold: 3, backoff_base: 8, backoff_max: 64 },
             cache_capacity: 32,
             default_deadline: DeadlineBudget::None,
         },
@@ -60,6 +62,7 @@ fn run_soak(ps: &PointSet, oracle: &[Vec<Neighbor>], queries: &PointSet) -> Soak
     front.set_quota(9, QuotaConfig { burst: 2, refill_per_tick: 0 });
 
     let mut tally = OutcomeTally::default();
+    let mut rejected_queue = 0u64;
     let mut cache_hits = 0u64;
     let mut breaker_opened = 0u64;
     let mut exact_checked = 0u64;
@@ -127,15 +130,16 @@ fn run_soak(ps: &PointSet, oracle: &[Vec<Neighbor>], queries: &PointSet) -> Soak
         tally.degraded += t.degraded;
         tally.deadline_degraded += t.deadline_degraded;
         tally.rejected += t.rejected;
+        rejected_queue += out.resilience.rejected_queue;
         breaker_opened += out.resilience.breaker_opened;
         cache_hits += out.resilience.cache_hits;
     }
     let final_states = (0..4).map(|s| front.breaker_state(s)).collect();
-    SoakSummary { tally, breaker_opened, cache_hits, exact_checked, final_states }
+    SoakSummary { tally, rejected_queue, breaker_opened, cache_hits, exact_checked, final_states }
 }
 
-#[test]
-fn chaos_soak_every_query_resolves_to_exactly_one_typed_outcome() {
+/// The soak's data, its Zipf query stream and the oracle's answers.
+fn soak_inputs() -> (PointSet, PointSet, Vec<Vec<Neighbor>>) {
     let ps = UniformSpec { len: 1_200, dims: 4, seed: 9001 }.generate();
     // A wider pool than `bursty` (12 distinct over 48) so the cache hits on
     // repeats without absorbing the whole stream — deadline-degraded answers
@@ -150,12 +154,17 @@ fn chaos_soak_every_query_resolves_to_exactly_one_typed_outcome() {
         seed: 9002,
     }
     .generate(&ps);
-    let cfg = DeviceConfig::k40();
-    let opts = KernelOptions::default();
     let full = build_ss(&ps);
-    let oracle = psb_batch(&full, &queries, K, &cfg, &opts).expect("oracle").neighbors;
+    let opts = KernelOptions::default();
+    let oracle = psb_batch(&full, &queries, K, &DeviceConfig::k40(), &opts).expect("oracle");
+    (ps, queries, oracle.neighbors)
+}
 
-    let s = run_soak(&ps, &oracle, &queries);
+#[test]
+fn chaos_soak_every_query_resolves_to_exactly_one_typed_outcome() {
+    let (ps, queries, oracle) = soak_inputs();
+
+    let s = run_soak(&ps, &oracle, &queries, usize::MAX);
 
     // The soak must actually exercise every mechanism it claims to cover.
     let n = (BATCHES * queries.len()) as u64;
@@ -172,8 +181,37 @@ fn chaos_soak_every_query_resolves_to_exactly_one_typed_outcome() {
     assert!(s.exact_checked > 0, "exactness must actually get verified");
 
     // Determinism: the identical soak replays the identical trajectory.
-    let again = run_soak(&ps, &oracle, &queries);
+    let again = run_soak(&ps, &oracle, &queries, usize::MAX);
     assert_eq!(again.tally, s.tally, "soak tallies must replay identically");
+    assert_eq!(again.breaker_opened, s.breaker_opened);
+    assert_eq!(again.cache_hits, s.cache_hits);
+    assert_eq!(again.final_states, s.final_states);
+}
+
+/// The same soak with every batch cut by the admission bound: each batch
+/// admits exactly `CAPACITY` of its 48 queries (the metered tenant sheds at
+/// most 12, so the bound is always reached) and every invariant still holds.
+#[test]
+fn chaos_soak_under_a_batch_bound_keeps_every_invariant() {
+    const CAPACITY: usize = 30;
+    let (ps, queries, oracle) = soak_inputs();
+
+    let s = run_soak(&ps, &oracle, &queries, CAPACITY);
+
+    let n = (BATCHES * queries.len()) as u64;
+    assert_eq!(s.tally.total(), n, "all submitted queries accounted for");
+    assert_eq!(
+        n - s.tally.rejected,
+        (BATCHES * CAPACITY) as u64,
+        "every batch admits exactly the bound's worth"
+    );
+    assert!(s.rejected_queue > 0, "the bound must shed");
+    assert!(s.tally.rejected > s.rejected_queue, "the metered tenant must shed too");
+    assert!(s.exact_checked > 0, "exactness must actually get verified");
+
+    let again = run_soak(&ps, &oracle, &queries, CAPACITY);
+    assert_eq!(again.tally, s.tally, "soak tallies must replay identically");
+    assert_eq!(again.rejected_queue, s.rejected_queue);
     assert_eq!(again.breaker_opened, s.breaker_opened);
     assert_eq!(again.cache_hits, s.cache_hits);
     assert_eq!(again.final_states, s.final_states);
@@ -193,12 +231,7 @@ fn operator_recovery_closes_breakers_and_restores_clean_serving() {
     let mut front = ResilientRouter::new(
         router,
         ResilienceConfig {
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                backoff_base: 4,
-                backoff_max: 32,
-                half_open_probes: 1,
-            },
+            breaker: BreakerConfig { failure_threshold: 2, backoff_base: 4, backoff_max: 32 },
             ..ResilienceConfig::default()
         },
     );

@@ -357,12 +357,7 @@ impl ServeCase {
         let mut front = ResilientRouter::new(
             self.router(),
             ResilienceConfig {
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    backoff_base: 3,
-                    backoff_max: 12,
-                    half_open_probes: 1,
-                },
+                breaker: BreakerConfig { failure_threshold: 2, backoff_base: 3, backoff_max: 12 },
                 cache_capacity: 6,
                 ..ResilienceConfig::default()
             },
