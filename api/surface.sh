@@ -9,11 +9,12 @@
 #                               a line in the diff), up to each file's
 #                               `#[cfg(test)]` module, sorted
 #   api/surface.sh unnamed      `pub` items (fields aside) that nothing outside
-#                               their own crate names (grep -w over every other crate,
-#                               crates/*/tests, crates/*/benches, benchmark/,
-#                               examples/, tests/ and src/; a name that only
-#                               the facade prelude's `pub use` lists does not
-#                               count as named)
+#                               their own crate names (grep -w over the code of
+#                               every other crate, crates/*/tests,
+#                               crates/*/benches, benchmark/, examples/, tests/
+#                               and src/, `//` comments and doc comments cut;
+#                               a name that only prose or the facade prelude's
+#                               `pub use` mentions does not count as named)
 #
 # grep/awk only: `pub(crate)` items never match, methods are qualified by
 # their impl's type, and a multi-line `pub use` is joined up to its `;`.
@@ -89,18 +90,28 @@ list() {
 }
 
 unnamed() {
-    local c kind name outside
+    local c kind name code f outside
+    code="$(mktemp -d)"
+    # shellcheck disable=SC2064
+    trap "rm -rf '$code'" RETURN
+    # A copy of every file's code: each line cut at its first `//`, and
+    # src/lib.rs without its prelude block.
+    find crates shims benchmark examples tests src -name '*.rs' | while read -r f; do
+        mkdir -p "$code/$(dirname "$f")"
+        if [ "$f" = src/lib.rs ]; then
+            awk '/^pub mod prelude/ { skip = 1 } !skip; /^}/ { skip = 0 }' "$f"
+        else
+            cat "$f"
+        fi | sed 's|//.*||' >"$code/$f"
+    done
     for c in $CRATES; do
         find "crates/$c/src" -name '*.rs' | sort | while read -r f; do items "$f"; done |
             sed -n 's/^\([a-z]*\) \(.*::\)\{0,1\}\([A-Za-z0-9_]*\)$/\1 \3/p' | grep -v '^use \|^field ' | sort -u |
             while read -r kind name; do
-                # Everything outside the crate, minus the prelude block of src/lib.rs.
+                # Everything outside the crate.
                 outside=$(
-                    find crates shims benchmark examples tests src -name '*.rs' \
-                        -not -path "crates/$c/src/*" -not -path src/lib.rs -print0 |
+                    cd "$code" && find . -name '*.rs' -not -path "./crates/$c/src/*" -print0 |
                         xargs -0 grep -lw -- "$name" || true
-                    awk '/^pub mod prelude/ { skip = 1 } !skip; /^}/ { skip = 0 }' src/lib.rs |
-                        grep -w -- "$name" || true
                 )
                 [ -n "$outside" ] || echo "psb-$c $kind $name"
             done

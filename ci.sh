@@ -35,8 +35,11 @@ run_faults() { cargo test -p psb --test fault_injection -q; }
 # oracle) and psb-core's `dynamic` unit tests (the
 # ascending id lists and base-position tombstones, the rebuild protocol and
 # its rebase of raced writes, typed refusals at the door). Shard builds run
-# on their own threads, so the router's tests and `dynamic_sstree` run once
-# more in release, where the builds race the writes on a different schedule.
+# on their own threads, so the router's tests, `dynamic_sstree` and
+# `admission` run once more in release, where the builds race the writes on
+# a different schedule: `admission`'s router-cache tests (the cache under
+# writes, the hot query, writes through `inner_mut`) rebuild shards on build
+# threads too, and only the debug `chaos` stage runs them otherwise.
 run_shard() {
     cargo test -p psb-serve -q
     cargo test -p psb --test shard_parity -q
@@ -44,6 +47,7 @@ run_shard() {
     cargo test -p psb-core -q dynamic
     cargo test --release -p psb-serve -q
     cargo test --release -p psb --test dynamic_sstree -q
+    cargo test --release -p psb --test admission -q
 }
 # Resilience layer: the chaos soak (fault injection + deadline pressure +
 # quota shedding + breaker trips at once; zero panics, every query resolving

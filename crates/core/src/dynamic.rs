@@ -64,12 +64,12 @@ pub struct DynamicTree<V: Volumes> {
     /// The base's number in [`NEXT_TREE`]'s sequence; every install draws a
     /// new one.
     tree: u64,
-    /// Counts inserts and removes: the version of the live set a
-    /// [`Snapshot`] copied.
-    stamp: u64,
-    /// `(stamp, id)` of every remove since the snapshot the base was built
-    /// from, oldest first: what an install rebases onto its build.
-    log: Vec<(u64, u32)>,
+    /// The id of every remove since the snapshot the base was built from,
+    /// oldest first: what an install rebases onto its build. Only an install
+    /// shortens it, and none can land between a snapshot and the install of
+    /// its build (the base number would differ), so the removes that raced a
+    /// build are the ones past the length its snapshot saw.
+    log: Vec<u32>,
 }
 
 /// The mutable SS-tree.
@@ -82,7 +82,8 @@ pub struct Snapshot<V> {
     ids: Vec<u32>,
     degree: usize,
     tree: u64,
-    stamp: u64,
+    /// The log's length at the snapshot.
+    logged: usize,
     family: PhantomData<fn() -> V>,
 }
 
@@ -95,7 +96,7 @@ pub struct Rebuilt<V: Volumes> {
     /// install only sets the marks of the removes it rebases.
     removed: Vec<bool>,
     tree: u64,
-    stamp: u64,
+    logged: usize,
 }
 
 /// [`DynamicTree::install`] refused a [`Rebuilt`]: its snapshot was of
@@ -173,7 +174,7 @@ impl<V: Volumes> Snapshot<V> {
             removed: vec![false; self.ids.len()],
             ids: self.ids,
             tree: self.tree,
-            stamp: self.stamp,
+            logged: self.logged,
         }
     }
 }
@@ -203,7 +204,6 @@ impl<V: Volumes> DynamicTree<V> {
             base_ids: ids,
             base,
             tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed),
-            stamp: 0,
             log: Vec::new(),
         }
     }
@@ -249,7 +249,6 @@ impl<V: Volumes> DynamicTree<V> {
         self.last_id = Some(id);
         self.delta.push(p);
         self.delta_ids.push(id);
-        self.stamp += 1;
         self.maybe_rebuild();
         Ok(())
     }
@@ -276,8 +275,7 @@ impl<V: Volumes> DynamicTree<V> {
         } else {
             return false;
         }
-        self.stamp += 1;
-        self.log.push((self.stamp, id));
+        self.log.push(id);
         self.maybe_rebuild();
         true
     }
@@ -316,7 +314,7 @@ impl<V: Volumes> DynamicTree<V> {
             ids: ids.chain(self.delta_ids.iter().copied()).collect(),
             degree: self.base.degree,
             tree: self.tree,
-            stamp: self.stamp,
+            logged: self.log.len(),
             family: PhantomData,
         })
     }
@@ -332,11 +330,10 @@ impl<V: Volumes> DynamicTree<V> {
         if rebuilt.tree != self.tree {
             return Err(Stale);
         }
-        let Rebuilt { base, ids, mut removed, stamp, .. } = rebuilt;
-        let raced = self.log.partition_point(|&(at, _)| at <= stamp);
-        let log = self.log.split_off(raced);
+        let Rebuilt { base, ids, mut removed, logged, .. } = rebuilt;
+        let log = self.log.split_off(logged);
         let mut tombstones = 0;
-        for &(_, id) in &log {
+        for &id in &log {
             if let Ok(pos) = ids.binary_search(&id) {
                 removed[pos] = true;
                 tombstones += 1;
@@ -530,7 +527,7 @@ mod tests {
     fn non_finite_points_are_refused_at_the_door() {
         let mut t = DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert);
         let probe = [100.0f32, 100.0, 100.0];
-        let before = (t.len(), t.pending(), t.stamp, t.knn(&probe, 5));
+        let before = (t.len(), t.pending(), t.log.len(), t.knn(&probe, 5));
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             for dim in 0..3 {
                 let mut p = probe;
@@ -547,7 +544,7 @@ mod tests {
             Err(InsertError::NonFinite { dim: 0 })
         );
         assert!(
-            before == (t.len(), t.pending(), t.stamp, t.knn(&probe, 5)),
+            before == (t.len(), t.pending(), t.log.len(), t.knn(&probe, 5)),
             "a refusal left a mark"
         );
         // What used to fail here, inside Ritter, long after the insert.
@@ -824,7 +821,7 @@ mod tests {
     #[test]
     fn another_trees_build_at_the_same_stamp_is_stale() {
         let (mut ours, theirs) = (churned(), churned());
-        assert_eq!(ours.stamp, theirs.stamp);
+        assert_eq!(ours.log.len(), theirs.log.len());
         let foreign = theirs.snapshot().expect("live points").build();
         let before = (base_image(&ours, "ours"), ours.pending(), ours.knn(&PROBE, 9));
         assert_eq!(ours.install(foreign), Err(Stale));
@@ -857,7 +854,7 @@ mod tests {
     #[test]
     fn a_wrong_length_point_is_a_typed_error_and_changes_nothing() {
         let mut t = churned();
-        let state = |t: &DynamicSsTree| (t.len(), t.pending(), t.stamp, t.knn(&PROBE, 9));
+        let state = |t: &DynamicSsTree| (t.len(), t.pending(), t.log.len(), t.knn(&PROBE, 9));
         let before = state(&t);
         for p in [&[][..], &[1.0], &[1.0, 2.0], &[1.0, 2.0, 3.0, 4.0], &[f32::NAN; 2]] {
             let want = InsertError::Dims { expected: 3, got: p.len() };
@@ -910,7 +907,6 @@ mod tests {
             assert!(t.delta_ids.first() > t.base_ids.last() || t.delta_ids.is_empty());
             assert_eq!(t.removed.len(), t.base_ids.len());
             assert_eq!(t.removed.iter().filter(|&&r| r).count(), t.tombstones);
-            assert!(t.log.windows(2).all(|w| w[0].0 < w[1].0), "step {step}: log out of order");
             assert!(t.tombstones <= t.log.len(), "step {step}: a tombstone is not logged");
             let listed: Vec<u32> = t
                 .base_ids
@@ -1113,7 +1109,8 @@ mod tests {
         }
         let mut t = DynamicSsTree::new(&line, 4, BuildMethod::Hilbert);
         let probe = [1.5f32, 1.5];
-        let state = |t: &DynamicSsTree| (t.len(), t.pending(), t.stamp, bits(&t.knn(&probe, 5)));
+        let state =
+            |t: &DynamicSsTree| (t.len(), t.pending(), t.log.len(), bits(&t.knn(&probe, 5)));
         let before = state(&t);
         for i in 0..20 {
             let far = [1e20 + i as f32 * 1e14, 1e20];

@@ -116,11 +116,6 @@ impl<'t, V: Volumes> QueryStream<'t, V> {
         self.submitted
     }
 
-    /// Queries accepted but not yet executed (the filling chunk).
-    pub fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Submit one query. When this fills the current chunk, the chunk
     /// executes and its result becomes available through
     /// [`poll`](Self::poll).
@@ -259,9 +254,7 @@ mod tests {
                 stream.push(queries.point(i as usize));
                 assert!(stream.poll().is_none(), "chunk {chunk_no} is still filling");
             }
-            assert_eq!(stream.queued(), 7);
             stream.push(queries.point(lo as usize + 7));
-            assert_eq!(stream.queued(), 0);
             let chunk = stream.poll().expect("the chunk executed when it filled");
             assert!(stream.poll().is_none());
             let sub = queries.gather(&(lo..lo + 8).collect::<Vec<_>>());

@@ -120,11 +120,6 @@ impl<'a> SphereRef<'a> {
     pub fn contains_point(&self, p: &[f32], eps: f32) -> bool {
         dist(p, self.center) <= self.radius * (1.0 + eps) + eps
     }
-
-    /// Copy into an owned [`Sphere`].
-    pub fn to_sphere(&self) -> Sphere {
-        Sphere::new(self.center.to_vec(), self.radius)
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +183,6 @@ mod tests {
         assert_eq!(r.min_max_dist(&q), s.min_max_dist(&q));
         assert_eq!(r.dims(), 3);
         assert!(r.contains_point(&[1.1, 2.0, 3.0], 0.0));
-        assert_eq!(r.to_sphere(), s);
     }
 
     #[test]

@@ -327,8 +327,8 @@ impl Hash for CacheKey {
 /// One resident result and its SIEVE mark.
 #[derive(Debug)]
 struct CacheEntry {
-    /// Set by a hit (in a cache that marks hits), cleared when the eviction
-    /// hand passes over the entry: a marked entry outlives one pass.
+    /// Set by a hit, cleared when the eviction hand passes over the entry: a
+    /// marked entry outlives one pass.
     visited: bool,
     neighbors: Vec<Neighbor>,
 }
@@ -378,16 +378,13 @@ fn evict<K>(
 /// each, a hit marks its entry, and an insert into a full cache walks the
 /// hand from where it rests toward newer entries, clearing marks, and evicts
 /// the first unmarked one — so a query asked again and again stays resident
-/// while one-off queries pass through. A cache built with hits that do not
-/// mark evicts in insertion order. Either way residency is a function of the
-/// probe sequence alone, never of the answers — hits mark, misses insert —
-/// which is what [`QueryCache::predict_misses`] rests on (`absorb` changes
-/// answers, never residency).
+/// while one-off queries pass through. Residency is a function of the probe
+/// sequence alone, never of the answers — hits mark, misses insert — which
+/// is what [`QueryCache::predict_misses`] rests on (`absorb` changes answers,
+/// never residency).
 #[derive(Debug, Default)]
 pub struct QueryCache {
     capacity: usize,
-    /// Whether a hit marks its entry: SIEVE if set, insertion order if not.
-    marks_hits: bool,
     map: HashMap<CacheKey, CacheEntry>,
     /// The resident keys, oldest first.
     order: VecDeque<CacheKey>,
@@ -403,13 +400,6 @@ impl QueryCache {
     /// A SIEVE-evicted cache holding at most `capacity` results. Capacity 0
     /// disables it.
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, marks_hits: true, ..Default::default() }
-    }
-
-    /// A cache of `capacity` results whose hits do not mark, so it evicts in
-    /// insertion order: the dynamic router's, for the reason given in
-    /// DESIGN.md "The resilience front-end".
-    pub(crate) fn insertion_order(capacity: usize) -> Self {
         Self { capacity, ..Default::default() }
     }
 
@@ -438,7 +428,7 @@ impl QueryCache {
         match self.map.get_mut(key) {
             Some(hit) => {
                 self.hits += 1;
-                hit.visited |= self.marks_hits;
+                hit.visited = true;
                 Some(hit.neighbors.clone())
             }
             None => {
@@ -500,9 +490,8 @@ impl QueryCache {
     /// assumed exact). Reads the cache and changes nothing: residency depends
     /// on which keys were probed in which order, so it can be played forward
     /// without a single answer — over a shadow of the resident order, the
-    /// marks and the hand, where a hit marks (if this cache's hits do) and a
-    /// miss evicts through the same `evict` as [`QueryCache::insert`] and
-    /// goes in unmarked.
+    /// marks and the hand, where a hit marks and a miss evicts through the
+    /// same `evict` as [`QueryCache::insert`] and goes in unmarked.
     pub fn predict_misses<'a>(
         &'a self,
         probes: impl IntoIterator<Item = &'a CacheKey>,
@@ -517,7 +506,7 @@ impl QueryCache {
         let mut misses = Vec::new();
         for (at, key) in probes.into_iter().enumerate() {
             if let Some(mark) = marks.get_mut(key) {
-                *mark |= self.marks_hits;
+                *mark = true;
                 continue;
             }
             misses.push(at);
@@ -744,14 +733,6 @@ mod tests {
         assert_eq!(shown(&c), (vec![], 0));
         put(&mut c, 8.0);
         assert_eq!(shown(&c), (vec![(8.0, false)], 0));
-
-        // Hits that do not mark leave insertion order.
-        let mut c = QueryCache::insertion_order(2);
-        put(&mut c, 1.0);
-        put(&mut c, 2.0);
-        assert!(ask(&mut c, 1.0));
-        put(&mut c, 3.0);
-        assert_eq!(shown(&c), (vec![(2.0, false), (3.0, false)], 0), "the oldest went");
     }
 
     #[test]
@@ -778,10 +759,9 @@ mod tests {
 
     // The plan against the sequence it predicts, from warm and cold caches,
     // with repeats inside the stream and more distinct keys than the cache
-    // holds, for a cache whose hits mark and one whose hits do not: same
-    // misses; and a second cache driven by the plan alone — a probe
-    // everywhere, an insert exactly where a miss was planned — ends with the
-    // same counters and the same residents, marks and hand. A hot stream asks
+    // holds: same misses; and a second cache driven by the plan alone — a
+    // probe everywhere, an insert exactly where a miss was planned — ends with
+    // the same counters and the same residents, marks and hand. A hot stream asks
     // three keys two times in three, so marks pile up and the hand wraps.
     proptest! {
         #[test]
@@ -796,27 +776,24 @@ mod tests {
                 ids.iter().map(|&i| key(&[id(i) as f32], 3)).collect::<Vec<_>>()
             };
             let (warmup, stream) = (keys(&warmup), keys(&stream));
-            let caches: [fn(usize) -> QueryCache; 2] = [QueryCache::new, QueryCache::insertion_order];
             for capacity in 1..=8 {
-                for cache in caches {
-                    let mut plain = cache(capacity);
-                    let mut planned = cache(capacity);
-                    replay(&mut plain, &warmup);
-                    replay(&mut planned, &warmup);
+                let mut plain = QueryCache::new(capacity);
+                let mut planned = QueryCache::new(capacity);
+                replay(&mut plain, &warmup);
+                replay(&mut planned, &warmup);
 
-                    let plan = planned.predict_misses(&stream);
-                    prop_assert_eq!(&plan, &replay(&mut plain, &stream), "capacity {}", capacity);
+                let plan = planned.predict_misses(&stream);
+                prop_assert_eq!(&plan, &replay(&mut plain, &stream), "capacity {}", capacity);
 
-                    for (at, key) in stream.iter().enumerate() {
-                        let missed = planned.get(key).is_none();
-                        prop_assert_eq!(missed, plan.contains(&at));
-                        if missed {
-                            planned.insert(key.clone(), &[]);
-                        }
+                for (at, key) in stream.iter().enumerate() {
+                    let missed = planned.get(key).is_none();
+                    prop_assert_eq!(missed, plan.contains(&at));
+                    if missed {
+                        planned.insert(key.clone(), &[]);
                     }
-                    prop_assert_eq!(planned.stats(), plain.stats());
-                    prop_assert_eq!(planned.residency(), plain.residency());
                 }
+                prop_assert_eq!(planned.stats(), plain.stats());
+                prop_assert_eq!(planned.residency(), plain.residency());
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The shard visiting rule both routers follow: MINDIST order, an initial
+//! The shard visiting rule of the one router: MINDIST order, an initial
 //! bound from the MAXDIST of the nearest shards that together hold `k`
 //! points, and the kernels' strict-`>` prune one level up.
 

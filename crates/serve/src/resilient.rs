@@ -26,9 +26,7 @@ use psb_geom::PointSet;
 use psb_gpu::KernelStats;
 use psb_sstree::{FlatTree, Neighbor, Volumes};
 
-use crate::admission::{
-    BreakerConfig, BreakerState, QueryCache, QuotaConfig, RejectReason, TenantId,
-};
+use crate::admission::{BreakerConfig, BreakerState, QuotaConfig, RejectReason, TenantId};
 use crate::deadline::DeadlineBudget;
 use crate::router::{ServeReport, ShardIndex, ShardRouter};
 use crate::runner::{serve, Batch, FrontEnd};
@@ -46,9 +44,10 @@ pub struct ResilienceConfig {
     /// Circuit-breaker tuning applied to every shard
     /// ([`BreakerConfig::disabled`] by default).
     pub breaker: BreakerConfig,
-    /// Capacity of the router's exact-result cache, evicted by SIEVE; 0
-    /// leaves the router's cache as it is (disabled unless
-    /// [`ShardRouter::attach_cache`] sized it).
+    /// Capacity of the router's exact-result cache; above 0,
+    /// [`ResilientRouter::new`] sizes it through
+    /// [`ShardRouter::attach_cache`], and 0 leaves it as the router had it
+    /// (disabled unless the caller attached one).
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: DeadlineBudget,
@@ -211,11 +210,11 @@ pub struct ResilientRouter<T: ShardIndex> {
 
 impl<V: Volumes> ResilientRouter<FlatTree<V>> {
     /// Wraps `router` under `cfg`. The wrapped router's shards each get one
-    /// breaker, and a `cfg.cache_capacity` above 0 replaces the router's
-    /// result cache with a SIEVE cache of that capacity.
+    /// breaker, and a `cfg.cache_capacity` above 0 sizes the router's result
+    /// cache ([`ShardRouter::attach_cache`]).
     pub fn new(mut router: ShardRouter<FlatTree<V>>, cfg: ResilienceConfig) -> Self {
         if cfg.cache_capacity > 0 {
-            *router.cache_mut() = QueryCache::new(cfg.cache_capacity);
+            router.attach_cache(cfg.cache_capacity);
         }
         let front = FrontEnd::new(router.num_shards(), &cfg);
         Self { router, front }

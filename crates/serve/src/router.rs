@@ -412,14 +412,13 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         self.len() == 0
     }
 
-    /// Attaches an exact-result cache of `capacity` entries (0 turns it back
-    /// off) to [`ShardRouter::knn`]. Inserts fold their point into every
-    /// resident answer, rebuilds change none, removes drop them all
-    /// (DESIGN.md "Mutable shards"). It evicts in insertion order: a hit does
-    /// not mark its entry as in the SIEVE cache a
-    /// [`ResilientRouter`](crate::ResilientRouter) sizes.
+    /// Attaches a SIEVE-evicted exact-result cache of `capacity` entries (0
+    /// turns it back off): the one cache [`ShardRouter::knn`] and a
+    /// [`ResilientRouter`](crate::ResilientRouter)'s batches probe and fill.
+    /// Inserts fold their point into every resident answer, rebuilds change
+    /// none, removes drop them all (DESIGN.md "Mutable shards").
     pub fn attach_cache(&mut self, capacity: usize) {
-        *self.cache_mut() = QueryCache::insertion_order(capacity);
+        *self.cache_mut() = QueryCache::new(capacity);
     }
 
     /// The result cache, reached through `&mut self` without the lock.

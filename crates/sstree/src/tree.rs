@@ -84,8 +84,7 @@ pub type SsTree = FlatTree<Spheres>;
 
 impl SsTree {
     /// The bounding sphere of node `n`, borrowed straight from node-major
-    /// storage — no allocation (use [`SphereRef::to_sphere`] if you need an
-    /// owned copy).
+    /// storage — no allocation.
     #[inline]
     pub fn sphere(&self, n: u32) -> SphereRef<'_> {
         SphereRef::new(self.volumes.center(self.dims, n as usize), self.volumes.radii[n as usize])
