@@ -33,13 +33,17 @@ run_faults() { cargo test -p psb --test fault_injection -q; }
 # then the mutable shards underneath the router: `dynamic_sstree`
 # (insert/remove/rebuild sequences and the cached router against a linear
 # oracle) and psb-core's `dynamic` unit tests (the
-# ascending id lists and base-position tombstones, the rebuild protocol and
-# its rebase of raced writes, typed refusals at the door). Shard builds run
-# on their own threads, so the router's tests, `dynamic_sstree` and
-# `admission` run once more in release, where the builds race the writes on
-# a different schedule: `admission`'s router-cache tests (the cache under
-# writes, the hot query, writes through `inner_mut`) rebuild shards on build
-# threads too, and only the debug `chaos` stage runs them otherwise.
+# ascending id lists and base-position tombstones, `rebuild_due`, the
+# snapshot / build / install protocol with its rebase of raced writes and its
+# panic on another tree's build, inserts refused at the door with a typed
+# error). Shard builds run on their own threads, started by `rebuild_shard`
+# and by a write that leaves its shard due, so the router's tests,
+# `dynamic_sstree`, `admission` and the `threads` soak run once more in
+# release, where the builds race the writes on a different schedule:
+# `admission`'s router-cache tests (the cache under writes, the hot query,
+# writes through `inner_mut`) rebuild shards on build threads too, and only
+# the debug `chaos` stage runs them otherwise; the soak's writer starts
+# churn rebuilds beside the rebuilder's.
 run_shard() {
     cargo test -p psb-serve -q
     cargo test -p psb --test shard_parity -q
@@ -48,6 +52,7 @@ run_shard() {
     cargo test --release -p psb-serve -q
     cargo test --release -p psb --test dynamic_sstree -q
     cargo test --release -p psb --test admission -q
+    cargo test --release -p psb --test threads -q
 }
 # Resilience layer: the chaos soak (fault injection + deadline pressure +
 # quota shedding + breaker trips at once; zero panics, every query resolving

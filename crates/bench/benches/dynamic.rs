@@ -99,7 +99,7 @@ fn bench_dynamic(c: &mut Criterion) {
     // One shard's tree alone: the query each visited shard of
     // `ingest-clustered4` runs, 240 `knn` at k = 8 on 10 000 4-d points at
     // degree 16 — with an empty delta, with 240 and 960 pending inserts
-    // (under the 2 000 a rebuild fires at), and with 24 tombstones, which
+    // (under the 2 000 a rebuild turns due at), and with 24 tombstones, which
     // the k-best list turns away instead of growing k by them.
     let ps = dataset(10_000, 4);
     let queries = sample_queries(&ps, OPS, 0.01, 20);

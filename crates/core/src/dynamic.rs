@@ -6,10 +6,11 @@
 //! packages that pattern over either bounding-volume family: inserts land in
 //! a host-side **delta buffer** that queries scan exactly, deletions are
 //! **tombstones** that PSB's k-best list turns away before admitting a row,
-//! and when the writes since the last rebuild cross a threshold the whole
-//! index is rebuilt bottom-up by Hilbert key. Every query, timed, metered or
-//! faulted, is one PSB launch over the base plus one scan of the delta
-//! ([`DynamicTree::attempt`]), and exact.
+//! and once the writes since the last rebuild cross a threshold
+//! ([`DynamicTree::rebuild_due`]) the tree's owner rebuilds the whole index
+//! bottom-up by Hilbert key; no write rebuilds by itself. Every query, timed,
+//! metered or faulted, is one PSB launch over the base plus one scan of the
+//! delta ([`DynamicTree::attempt`]), and exact.
 //!
 //! A rebuild is three steps — [`DynamicTree::snapshot`] copies the live set,
 //! [`Snapshot::build`] packs a tree from the copy without touching the
@@ -34,17 +35,17 @@ use crate::error::KernelError;
 use crate::kernels::{Found, Kernel, Removed};
 use crate::options::{KernelOptions, Metering};
 
-/// Rebuild when `delta + removes since the base's snapshot > REBUILD_FRACTION
-/// × live points`.
+/// A rebuild is due when `delta + removes since the base's snapshot >
+/// REBUILD_FRACTION × live points`.
 const REBUILD_FRACTION: f64 = 0.2;
 
 /// Numbers the bases of this process's [`DynamicTree`]s, so
-/// [`DynamicTree::install`] can tell a [`Rebuilt`] of its own base from one
-/// of another tree's, or of a base an install has since replaced.
+/// [`DynamicTree::install`] can assert that a [`Rebuilt`] is of its own
+/// current base, not another tree's or one an install has since replaced.
 static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
 
 /// A packed tree of family `V` with batched inserts, tombstoned deletes, and
-/// rebuild-on-demand. Callers give ids in strictly ascending order (asserted),
+/// rebuilds its owner starts. Callers give ids in strictly ascending order (asserted),
 /// so two ascending id lists and a mark per base position are all the id
 /// state there is.
 pub struct DynamicTree<V: Volumes> {
@@ -98,12 +99,6 @@ pub struct Rebuilt<V: Volumes> {
     tree: u64,
     logged: usize,
 }
-
-/// [`DynamicTree::install`] refused a [`Rebuilt`]: its snapshot was of
-/// another tree's base — another [`DynamicTree`]'s, or this one's before a
-/// later install replaced it — so the writes since cannot be rebased onto it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Stale;
 
 /// Why [`DynamicTree::try_insert`] refused a point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,9 +218,9 @@ impl<V: Volumes> DynamicTree<V> {
         self.delta.len()
     }
 
-    /// Inserts a point; returns its id, one above the last id given. May
-    /// trigger a rebuild. Panics, before changing anything, on a point
-    /// [`Self::try_insert`] refuses.
+    /// Inserts a point; returns its id, one above the last id given.
+    /// Panics, before changing anything, on a point [`Self::try_insert`]
+    /// refuses.
     pub fn insert(&mut self, p: &[f32]) -> u32 {
         match self.try_insert(p) {
             Ok(id) => id,
@@ -249,7 +244,6 @@ impl<V: Volumes> DynamicTree<V> {
         self.last_id = Some(id);
         self.delta.push(p);
         self.delta_ids.push(id);
-        self.maybe_rebuild();
         Ok(())
     }
 
@@ -276,17 +270,16 @@ impl<V: Volumes> DynamicTree<V> {
             return false;
         }
         self.log.push(id);
-        self.maybe_rebuild();
         true
     }
 
-    /// Rebuilds once the pending inserts and the logged removes pass
-    /// [`REBUILD_FRACTION`] of the live points, which bounds the log too.
-    fn maybe_rebuild(&mut self) {
+    /// Whether a rebuild is due: the pending inserts plus the removes logged
+    /// since the base's snapshot pass a fifth of the live points, at least
+    /// one of which is left to build over. No write rebuilds; the tree's
+    /// owner rebuilds once this holds, which bounds the log too.
+    pub fn rebuild_due(&self) -> bool {
         let churn = self.delta.len() + self.log.len();
-        if churn as f64 > REBUILD_FRACTION * self.len().max(1) as f64 {
-            self.rebuild();
-        }
+        !self.is_empty() && churn as f64 > REBUILD_FRACTION * self.len() as f64
     }
 
     /// The base's live rows in its packed order, each with its id.
@@ -324,12 +317,12 @@ impl<V: Volumes> DynamicTree<V> {
     /// id above every id the snapshot holds, so the delta keeps exactly the
     /// ids above its newest; an id removed since is marked on the new base,
     /// found by binary search over the build's ascending ids (a removed
-    /// post-snapshot insert is found in none). Refuses, changing nothing, a
-    /// build of another tree's base.
-    pub fn install(&mut self, rebuilt: Rebuilt<V>) -> Result<(), Stale> {
-        if rebuilt.tree != self.tree {
-            return Err(Stale);
-        }
+    /// post-snapshot insert is found in none). Panics, before changing
+    /// anything, on a build of another tree's base: the writes since its
+    /// snapshot cannot be rebased, and an owner that runs one build at a
+    /// time never hands one over.
+    pub fn install(&mut self, rebuilt: Rebuilt<V>) {
+        assert_eq!(rebuilt.tree, self.tree, "a build of another tree's base");
         let Rebuilt { base, ids, mut removed, logged, .. } = rebuilt;
         let log = self.log.split_off(logged);
         let mut tombstones = 0;
@@ -350,7 +343,6 @@ impl<V: Volumes> DynamicTree<V> {
         self.tombstones = tombstones;
         self.log = log;
         self.tree = NEXT_TREE.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Rebuilds the packed index from the live set and clears
@@ -358,8 +350,7 @@ impl<V: Volumes> DynamicTree<V> {
     /// return nothing via filters.
     pub fn rebuild(&mut self) {
         if let Some(snapshot) = self.snapshot() {
-            let installed = self.install(snapshot.build());
-            debug_assert_eq!(installed, Ok(()), "the snapshot is of this base");
+            self.install(snapshot.build());
         }
     }
 
@@ -578,11 +569,14 @@ mod tests {
         let ps = dataset();
         let mut t = DynamicSsTree::new(&ps, 16, BuildMethod::Hilbert);
         let initial_len = t.len();
-        // Heavy churn: insert 30% new points, remove some old, some new.
+        // Heavy churn: insert 30% new points, remove some old, some new. A
+        // rebuild turns due past a fifth of the live points; no write builds.
         let mut new_ids = Vec::new();
         for i in 0..300 {
             let p = vec![i as f32 * 7.0, 100.0, -50.0];
             new_ids.push(t.insert(&p));
+            // 250 pending of 1 250 live is a fifth; the next insert passes it.
+            assert_eq!(t.rebuild_due(), i >= 250, "insert {i}");
         }
         for id in 0..50u32 {
             t.remove(id);
@@ -591,9 +585,13 @@ mod tests {
             t.remove(id);
         }
         assert_eq!(t.len(), initial_len + 300 - 75);
-        // After this much churn a rebuild must have fired (threshold 20%).
-        assert!(t.pending() < 300, "delta was never flushed");
+        assert!(t.rebuild_due());
+        assert_eq!(t.pending(), 275, "a write rebuilt");
         let q = vec![700.0f32, 100.0, -50.0];
+        assert_matches(&t, &q, 12);
+        t.rebuild();
+        assert!(!t.rebuild_due());
+        assert_eq!(t.pending(), 0, "the rebuild left the delta");
         assert_matches(&t, &q, 12);
     }
 
@@ -611,7 +609,7 @@ mod tests {
     }
 
     /// A tree with a base removal, pending inserts and a delta removal behind
-    /// it, short of the automatic rebuild threshold.
+    /// it, short of a due rebuild.
     fn churned() -> DynamicSsTree {
         let mut t = DynamicSsTree::new(&dataset(), 16, BuildMethod::Hilbert);
         let ids: Vec<u32> = (0..40).map(|i| t.insert(&[i as f32 * 9.0, 40.0, -20.0])).collect();
@@ -639,7 +637,7 @@ mod tests {
         let rebuilt = steps.snapshot().expect("live points").build();
         // A remove that finds nothing is not a mutation.
         assert!(!steps.remove(17));
-        assert_eq!(steps.install(rebuilt), Ok(()));
+        steps.install(rebuilt);
         assert_eq!(steps.pending(), 0);
         assert_eq!(steps.tombstones, 0);
         assert!(base_image(&steps, "steps") == base_image(&whole, "whole"), "base images differ");
@@ -682,7 +680,7 @@ mod tests {
             let (mut t, mut never_raced) = (churned(), churned());
             let rebuilt = t.snapshot().expect("live points").build();
             mutate(&mut t);
-            assert_eq!(t.install(rebuilt), Ok(()), "{what}");
+            t.install(rebuilt);
             never_raced.rebuild();
             mutate(&mut never_raced);
             assert!(state(&t) == state(&never_raced), "{what}: the rebase is not a rebuild");
@@ -694,22 +692,17 @@ mod tests {
         }
     }
 
-    /// A build whose base a later install replaced is another tree's: it is
-    /// refused and changes nothing.
+    /// A build whose base a later install replaced is another tree's: its
+    /// install panics.
     #[test]
+    #[should_panic(expected = "a build of another tree's base")]
     fn a_build_of_a_replaced_base_is_stale() {
         let mut t = churned();
         let old = t.snapshot().expect("live points").build();
         t.insert(&PROBE);
         t.rebuild();
         assert!(t.remove(5));
-        let before = (base_image(&t, "before"), state(&t));
-        assert_eq!(t.install(old), Err(Stale));
-        assert!(
-            before == (base_image(&t, "after"), state(&t)),
-            "a refused install changed the tree"
-        );
-        assert_matches(&t, &PROBE, 9);
+        t.install(old);
     }
 
     /// One write of the exhaustive rebase check.
@@ -804,7 +797,7 @@ mod tests {
                 for op in before {
                     assert_eq!(apply(&mut t, op), apply(&mut mirror, op));
                 }
-                assert_eq!(t.install(rebuilt), Ok(()), "{raced_writes:?}");
+                t.install(rebuilt);
                 assert_eq!(apply(&mut t, &later[0]), apply(&mut mirror, &later[0]));
                 let what = format!("{raced_writes:?} then {after:?}");
                 let (got, want) = (state(&t), state(&mirror));
@@ -818,16 +811,14 @@ mod tests {
         assert!(checked >= 400, "only {checked} sequences checked");
     }
 
+    /// Another tree's build, snapshotted at the same log length, is not of
+    /// this tree's base: its install panics.
     #[test]
+    #[should_panic(expected = "a build of another tree's base")]
     fn another_trees_build_at_the_same_stamp_is_stale() {
         let (mut ours, theirs) = (churned(), churned());
         assert_eq!(ours.log.len(), theirs.log.len());
-        let foreign = theirs.snapshot().expect("live points").build();
-        let before = (base_image(&ours, "ours"), ours.pending(), ours.knn(&PROBE, 9));
-        assert_eq!(ours.install(foreign), Err(Stale));
-        assert!(before == (base_image(&ours, "ours"), ours.pending(), ours.knn(&PROBE, 9)));
-        let own = ours.snapshot().expect("live points").build();
-        assert_eq!(ours.install(own), Ok(()));
+        ours.install(theirs.snapshot().expect("live points").build());
     }
 
     #[test]
@@ -872,8 +863,8 @@ mod tests {
     }
 
     /// Churns a tree through ten times its live count in inserts and removes,
-    /// across many rebuilds, checking the id lists and the snapshot against a
-    /// mirror after every step.
+    /// rebuilding whenever one is due as an owner does, checking the id lists
+    /// and the snapshot against a mirror after every step.
     #[test]
     fn the_state_is_sized_by_live_points() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -898,6 +889,9 @@ mod tests {
             } else {
                 let id = rng.gen_range(0..t.last_id.map_or(0, |last| last + 10));
                 assert_eq!(t.remove(id), mirror.remove(&id).is_some(), "step {step}: id {id}");
+            }
+            if t.rebuild_due() {
+                t.rebuild();
             }
             if churn_before > 0 && t.pending() + t.tombstones == 0 {
                 rebuilds += 1;
@@ -1098,7 +1092,7 @@ mod tests {
     /// The insert side of a finite point the next rebuild cannot verify: 64
     /// points along (1 + t, 2 − t) at degree 4, then inserts near (1e20,
     /// 1e20). Each is refused at the door and leaves no mark; points at the
-    /// limit, in every corner, are taken, and the rebuild they force packs a
+    /// limit, in every corner, are taken, and a rebuild over them packs a
     /// tree that answers exactly.
     #[test]
     fn an_out_of_range_insert_is_refused_and_a_point_at_the_limit_rebuilds() {

@@ -35,36 +35,31 @@ impl Sphere {
     /// Dimensionality of the center.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.center.len()
+        self.as_ref().dims()
     }
 
-    /// `MINDIST(q, S)`: distance from `q` to the nearest face of the sphere
-    /// (0 when `q` is inside). A lower bound on the distance from `q` to any
-    /// point enclosed by the sphere.
+    /// `MINDIST(q, S)` — see [`SphereRef::min_dist`].
     #[inline]
     pub fn min_dist(&self, q: &[f32]) -> f32 {
-        (dist(q, &self.center) - self.radius).max(0.0)
+        self.as_ref().min_dist(q)
     }
 
-    /// `MAXDIST(q, S)`: distance from `q` to the farthest face of the sphere.
-    /// An upper bound on the distance from `q` to any point enclosed by it.
+    /// `MAXDIST(q, S)` — see [`SphereRef::max_dist`].
     #[inline]
     pub fn max_dist(&self, q: &[f32]) -> f32 {
-        dist(q, &self.center) + self.radius
+        self.as_ref().max_dist(q)
     }
 
-    /// Both bounds from one center-distance evaluation — the single-computation
-    /// advantage of spheres the paper leans on.
+    /// Both bounds from one center-distance evaluation — see
+    /// [`SphereRef::min_max_dist`].
     #[inline]
     pub fn min_max_dist(&self, q: &[f32]) -> (f32, f32) {
-        let c = dist(q, &self.center);
-        ((c - self.radius).max(0.0), c + self.radius)
+        self.as_ref().min_max_dist(q)
     }
 
-    /// Whether `p` lies inside the sphere, with a relative tolerance `eps` on the
-    /// radius (Ritter spheres are built in `f32`; exact containment is too strict).
+    /// Whether `p` lies inside the sphere — see [`SphereRef::contains_point`].
     pub fn contains_point(&self, p: &[f32], eps: f32) -> bool {
-        dist(p, &self.center) <= self.radius * (1.0 + eps) + eps
+        self.as_ref().contains_point(p, eps)
     }
 
     /// Whether the `other` sphere lies entirely inside `self`, with tolerance `eps`.
@@ -97,26 +92,31 @@ impl<'a> SphereRef<'a> {
         self.center.len()
     }
 
-    /// `MINDIST(q, S)` — see [`Sphere::min_dist`].
+    /// `MINDIST(q, S)`: distance from `q` to the nearest face of the sphere
+    /// (0 when `q` is inside). A lower bound on the distance from `q` to any
+    /// point enclosed by the sphere.
     #[inline]
     pub fn min_dist(&self, q: &[f32]) -> f32 {
         (dist(q, self.center) - self.radius).max(0.0)
     }
 
-    /// `MAXDIST(q, S)` — see [`Sphere::max_dist`].
+    /// `MAXDIST(q, S)`: distance from `q` to the farthest face of the sphere.
+    /// An upper bound on the distance from `q` to any point enclosed by it.
     #[inline]
     pub fn max_dist(&self, q: &[f32]) -> f32 {
         dist(q, self.center) + self.radius
     }
 
-    /// Both bounds from one center-distance evaluation.
+    /// Both bounds from one center-distance evaluation — the single-computation
+    /// advantage of spheres the paper leans on.
     #[inline]
     pub fn min_max_dist(&self, q: &[f32]) -> (f32, f32) {
         let c = dist(q, self.center);
         ((c - self.radius).max(0.0), c + self.radius)
     }
 
-    /// Whether `p` lies inside the sphere, with relative tolerance `eps`.
+    /// Whether `p` lies inside the sphere, with a relative tolerance `eps` on the
+    /// radius (Ritter spheres are built in `f32`; exact containment is too strict).
     pub fn contains_point(&self, p: &[f32], eps: f32) -> bool {
         dist(p, self.center) <= self.radius * (1.0 + eps) + eps
     }

@@ -154,25 +154,27 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 /// A shard's whole rebuild, as its build thread runs it: the live set
 /// copied under the read lock, the tree built with no lock held, the build
-/// installed under the write lock with the writes that raced it rebased. An
-/// install is refused only when the tree rebuilt itself at its churn
-/// threshold since the snapshot; its base is then newer than this build.
-/// With a registry attached it records `serve.rebuild_us` (snapshot to
-/// install), `serve.rebuild_swap_us` (the write lock's hold) and
-/// `serve.rebuilds{shard}`.
+/// installed under the write lock with the writes that raced it rebased,
+/// and round again while those writes leave the shard due. With a registry
+/// attached each round records `serve.rebuild_us` (snapshot to install),
+/// `serve.rebuild_swap_us` (the write lock's hold) and `serve.rebuilds{shard}`.
 fn rebuild<V: Volumes>(tree: &RwLock<DynamicTree<V>>, s: usize, metrics: &MetricsHandle) {
-    let started = metrics.is_attached().then(Instant::now);
-    let rebuilt = read(tree).snapshot().map(Snapshot::build);
-    let mut held = write(tree);
-    let acquired = metrics.is_attached().then(Instant::now);
-    if let Some(rebuilt) = rebuilt {
-        held.install(rebuilt).ok();
-    }
-    drop(held);
-    if let (Some(t0), Some(t1)) = (started, acquired) {
-        metrics.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
-        metrics.observe("serve.rebuild_swap_us", t1.elapsed().as_secs_f64() * 1e6);
-        metrics.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
+    let mut again = true;
+    while again {
+        let started = metrics.is_attached().then(Instant::now);
+        let rebuilt = read(tree).snapshot().map(Snapshot::build);
+        let mut held = write(tree);
+        let acquired = metrics.is_attached().then(Instant::now);
+        again = rebuilt.is_some_and(|rebuilt| {
+            held.install(rebuilt);
+            held.rebuild_due()
+        });
+        drop(held);
+        if let (Some(t0), Some(t1)) = (started, acquired) {
+            metrics.observe("serve.rebuild_us", t0.elapsed().as_secs_f64() * 1e6);
+            metrics.observe("serve.rebuild_swap_us", t1.elapsed().as_secs_f64() * 1e6);
+            metrics.counter(&format!("serve.rebuilds{{shard=\"{s}\"}}"), 1);
+        }
     }
 }
 
@@ -467,6 +469,7 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         if absorbed > 0 {
             self.metrics.counter("serve.dyn_cache_absorbed", absorbed as u64);
         }
+        self.rebuild_if_due(target);
         Ok(g)
     }
 
@@ -476,14 +479,14 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
     /// the point that moves up into an answer's k-th place is not in the
     /// entry.
     pub fn remove(&mut self, id: u32) -> bool {
-        let owner = self.shards.iter_mut().find(|shard| write(&shard.tree).remove(id));
-        let Some(shard) = owner else {
+        let Some(s) = self.shards.iter().position(|shard| write(&shard.tree).remove(id)) else {
             return false;
         };
-        shard.len -= 1;
+        self.shards[s].len -= 1;
         if self.wrote(QueryCache::flush) {
             self.metrics.counter("serve.dyn_cache_flushes", 1);
         }
+        self.rebuild_if_due(s);
         true
     }
 
@@ -496,18 +499,29 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         keep(&mut cache.results)
     }
 
+    /// Rebuilds shard `s` if it is due ([`DynamicTree::rebuild_due`]) and no
+    /// build of it is running; a running one goes round again while it is.
+    fn rebuild_if_due(&self, s: usize) {
+        let shard = &self.shards[s];
+        let idle = lock(&shard.build).as_ref().is_none_or(JoinHandle::is_finished);
+        if idle && read(&shard.tree).rebuild_due() {
+            self.rebuild_shard(s);
+        }
+    }
+
     /// Rebuilds shard `s`'s packed index off the caller's thread: hands the
     /// shard to a build thread and returns. The thread copies the live set
-    /// under the shard's read lock, builds with no lock held and installs
-    /// under the write lock, rebasing the writes that raced the build
-    /// ([`DynamicTree::install`]); until then the old base and the delta
-    /// still index the live set, so every answer stays exact. A build of `s`
-    /// still running is joined first; a spawn that fails builds inline. The
-    /// live set is the same before and after, so cached answers stay. With a
-    /// registry attached the build records `serve.rebuild_us` (snapshot to
-    /// install), `serve.rebuild_swap_us` (the write lock's hold) and
-    /// `serve.rebuilds{shard}`. A build that panicked panics in the next
-    /// `rebuild_shard` of its shard, [`ShardRouter::settle`] or drop.
+    /// under the shard's read lock, builds with no lock held, installs under
+    /// the write lock, rebasing the writes that raced the build
+    /// ([`DynamicTree::install`]), and goes round while they leave it due.
+    /// Until then the old base and the delta index the live set, so every
+    /// answer stays exact, and cached answers stay. The one rebuild path: a
+    /// write that leaves an idle shard due calls it too. A build of `s` still
+    /// running is joined first; a spawn that fails builds inline. With a
+    /// registry attached each round records `serve.rebuild_us`,
+    /// `serve.rebuild_swap_us` and `serve.rebuilds{shard}`.
+    /// A build that panicked panics in the next `rebuild_shard` of its shard
+    /// (a write's too), [`ShardRouter::settle`] or drop.
     pub fn rebuild_shard(&self, s: usize) {
         let shard = &self.shards[s];
         let mut slot = lock(&shard.build);
@@ -522,10 +536,15 @@ impl<V: Volumes> ShardRouter<FlatTree<V>> {
         }
     }
 
-    /// Blocks until every build [`ShardRouter::rebuild_shard`] started has
-    /// been installed; a build that panicked panics here.
+    /// Blocks until every started build is installed and no shard is due (a
+    /// write after a build's last look, before its thread ends, leaves one
+    /// due with no build to come); a build that panicked panics here.
     pub fn settle(&self) {
-        if let Some(panic) = self.join_builds() {
+        let panicked = self.join_builds().or_else(|| {
+            (0..self.shards.len()).for_each(|s| self.rebuild_if_due(s));
+            self.join_builds()
+        });
+        if let Some(panic) = panicked {
             resume_unwind(panic);
         }
     }
@@ -1302,7 +1321,7 @@ mod tests {
                 mirror.retain(|(i, _)| *i != id);
             }
             for (s, rebuilt) in builds.into_iter().enumerate() {
-                assert_eq!(write(&r.shards[s].tree).install(rebuilt), Ok(()), "shard {s}");
+                write(&r.shards[s].tree).install(rebuilt);
                 let tree = read(&r.shards[s].tree);
                 let pending = raced.iter().filter(|&&g| tree.contains(g)).count();
                 assert_eq!(tree.pending(), pending, "shard {s}");
@@ -1319,6 +1338,39 @@ mod tests {
             r.settle();
             assert!((0..2).all(|s| read(&r.shards[s].tree).pending() == 0));
             check(&r, &mirror);
+        }
+
+        /// Churn past a fifth of each shard with no explicit rebuild: the
+        /// writes hand the shards to their build threads, the registry counts
+        /// every rebuild, and once settled no shard is due and every answer is
+        /// the oracle's.
+        #[test]
+        fn churn_past_the_threshold_rebuilds_on_the_build_thread() {
+            let ps = UniformSpec { len: 200, dims: 3, seed: 65 }.generate();
+            let mut r = DynamicShardRouter::build(&ps, 2, &ShardPolicy::HilbertRange, 8);
+            let reg = psb_metrics::Registry::new();
+            r.attach_metrics(MetricsHandle::attached(&reg));
+            let mut mirror: Vec<(u32, Vec<f32>)> =
+                (0..ps.len()).map(|i| (i as u32, ps.point(i).to_vec())).collect();
+            let extra = UniformSpec { len: 120, dims: 3, seed: 66 }.generate();
+            for p in extra.iter() {
+                mirror.push((r.insert(p), p.to_vec()));
+            }
+            for id in (0..ps.len() as u32).step_by(3) {
+                assert!(r.remove(id), "id {id}");
+                mirror.retain(|(i, _)| *i != id);
+            }
+            r.settle();
+            let snap = reg.snapshot();
+            let rebuilds = snap.counters.iter().filter(|(k, _)| k.starts_with("serve.rebuilds{"));
+            let rebuilds: u64 = rebuilds.map(|(_, v)| *v).sum();
+            assert!(rebuilds >= 2, "{rebuilds} churn rebuilds were recorded");
+            for s in 0..r.num_shards() {
+                assert!(!read(&r.shards[s].tree).rebuild_due(), "shard {s} is still due");
+            }
+            for q in ps.iter().take(20).chain(extra.iter().take(10)) {
+                assert_eq!(r.knn(q, 6), oracle(&mirror, q, 6));
+            }
         }
 
         /// Builds in flight on every shard while inserts, removes and queries,

@@ -723,7 +723,7 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     };
     let calls = soak.knn_calls.load(Ordering::Relaxed) + soak.queries.len() as u64;
     assert_eq!(counter("serve.dyn_cache_hits") + counter("serve.dyn_queries"), calls);
-    // The cache was kept, not refilled, across 192 inserts and 24 rebuilds:
+    // The cache was kept, not refilled, across 192 inserts and every rebuild:
     // a query missed when it was first asked and once after each remove's
     // flush, and was a hit every other time — between writes and after them.
     assert_eq!(counter("serve.dyn_cache_flushes"), WRITE_PHASES as u64);
@@ -750,12 +750,14 @@ fn concurrent_soak_serve_insert_rebuild_scrape_and_batch() {
     }
     assert!(absorbed > 0, "no insert was near any query");
     assert_eq!(counter("serve.dyn_cache_absorbed"), absorbed);
-    assert_eq!(counter("serve.rebuilds{"), REBUILDS as u64);
-    // Every one of them built on its own thread and took the write lock for
-    // the install only, rebasing whatever writes raced it.
-    assert_eq!(counter("serve.rebuilds_in_place"), 0);
-    let swaps = snap.histograms.iter().find(|(k, _)| k == "serve.rebuild_swap_us");
-    assert_eq!(swaps.map(|(_, h)| h.count), Some(REBUILDS as u64));
+    // Every rebuild, the rebuilder's and any a write's churn started, built
+    // on a build thread and took the write lock for the install only,
+    // rebasing whatever writes raced it: each was counted, timed and swapped.
+    let rebuilds = counter("serve.rebuilds{");
+    assert!(rebuilds >= REBUILDS as u64, "only {rebuilds} rebuilds");
+    let count = |name: &str| snap.histograms.iter().find(|(k, _)| k == name).map(|(_, h)| h.count);
+    assert_eq!(count("serve.rebuild_swap_us"), Some(rebuilds));
+    assert_eq!(count("serve.rebuild_us"), Some(rebuilds));
     assert_eq!(counter("engine.batches{"), BATCHES as u64);
     assert_eq!(counter("engine.queries{"), (BATCHES * soak.queries.len()) as u64);
 }
