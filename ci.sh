@@ -94,7 +94,7 @@ run_wave() {
 # the geom crate's own evaluator identity tests. Every other stage builds the
 # test profile; the benchmark and users run `--release`, where LLVM unrolls
 # and schedules the four-row kernel differently, so the geom identity tests
-# and the 580-row kernel fingerprint run here a second time, optimised, and so
+# and the 340-row kernel fingerprint run here a second time, optimised, and so
 # do psb-core's collector tests: the k-best list's four-row gate compiles to
 # different compares and branches when optimised. So do the PSB sweep memo's
 # parity tests: the memo's resume point and the collector's k-th-MAXDIST
@@ -120,22 +120,17 @@ run_fastpath() {
     cargo test --release -p psb-core -q knnlist
     cargo test --release -p psb --test exactness -q
 }
-# Implicit kd-tree family + rope traversal
-# (DESIGN.md "The implicit kd-tree", "Rope links"): the kdtree crate's
-# construction/search/validation tests, psb-core's doctests (an `LbKdTree`
-# launches the stack-free kernel, which reads it directly, and a
+# Implicit kd-tree family (DESIGN.md "The implicit kd-tree"): the kdtree
+# crate's construction/search/validation tests, psb-core's doctests (an
+# `LbKdTree` launches the stack-free kernel, which reads it directly, and a
 # bounding-volume kernel, which takes a `FlatTree`, does *not* type-check over
-# it: a `compile_fail` doctest on `stackfree_batch`), the stack-free golden parity suite
-# (bit-identity against the brute oracle and SS-tree PSB, ± faults,
-# ± Metering::Off), and the rope-link suite (escape links = preorder
-# successors on both bounding-volume arenas; the one rope walk, under the
-# restart kernel's k-best list and the range kernel's radius, bit-identical to
-# the stacked traversals).
+# it: a `compile_fail` doctest on `stackfree_batch`), and the stack-free
+# golden parity suite (bit-identity against the brute oracle and SS-tree PSB,
+# ± faults, ± Metering::Off).
 run_kdtree() {
     cargo test -p psb-kdtree -q
     cargo test -p psb-core --doc -q
     cargo test -p psb --test kdtree_parity -q
-    cargo test -p psb --test ropes -q
 }
 # Real host threads (DESIGN.md "The executor under every par_iter"): the
 # thread-count parity suite and the concurrent soak, then every

@@ -9,7 +9,7 @@
 use psb_core::{EngineError, KernelOptions, QueryBatchResult};
 use psb_data::{sample_queries, ClusteredSpec, NoaaSpec};
 use psb_geom::PointSet;
-use psb_gpu::{launch_blocks, DeviceConfig, KernelStats};
+use psb_gpu::{launch_blocks, DeviceConfig};
 use psb_kdtree::{gpu::knn_task_parallel, KdTree};
 use psb_rtree::{build_rtree, RtreeBuildMethod};
 use psb_srtree::SrTree;
@@ -523,13 +523,4 @@ pub fn sensitivity(scale: &Scale) -> Table {
         );
     }
     t
-}
-
-/// Collect one block-merged stat set for tests.
-pub fn merged(blocks: &[KernelStats]) -> KernelStats {
-    let mut m = KernelStats::default();
-    for b in blocks {
-        m.merge(b);
-    }
-    m
 }

@@ -5,7 +5,7 @@
 //! range) is independent of the node *shape*. Both bounding-volume families
 //! are one struct, [`FlatTree<V>`](FlatTree) for any `V: Volumes`, and the
 //! kernels read it directly: the flattened structure (contiguous children,
-//! dense left-to-right leaf ids, parent links, subtree leaf ranges, ropes) and
+//! dense left-to-right leaf ids, parent links, subtree leaf ranges) and
 //! the per-node sweeps with their instruction cost are its inherent methods in
 //! `psb-sstree`. The SS-tree is `FlatTree<Spheres>` (one distance plus a
 //! radius add/subtract yields MINDIST *and* MAXDIST), the packed R-tree in
@@ -22,7 +22,6 @@
 
 use psb_sstree::{FlatTree, Volumes};
 
-pub use psb_sstree::tree::NO_ROPE;
 pub use psb_sstree::SweepScratch;
 
 /// The n-ary bounding-volume trees, as a name: [`FlatTree<V>`](FlatTree) is

@@ -3,9 +3,9 @@
 //! The paper's traversal is one algorithm (Algorithm 1's left-to-right sweep),
 //! and its own §VI notes that the machinery carries over to range queries when
 //! the bound stops moving. Every traversal in this crate — the stacked sweep,
-//! the rope walk, the restart and branch-and-bound kernels, the wave engine's
-//! per-node step and the fallback scan — is therefore written once over a
-//! [`Collector`], with two static-dispatch implementations:
+//! the restart and branch-and-bound kernels, the wave engine's per-node step
+//! and the fallback scan — is therefore written once over a [`Collector`],
+//! with two static-dispatch implementations:
 //!
 //! * [`KnnCollector`]: a [`GpuKnnList`] plus the pruning distance. A subtree
 //!   is admitted while its MINDIST is at or inside the bound (PSB line 17,

@@ -28,7 +28,7 @@ pub(crate) use self::collector::Removed;
 use self::collector::{Collector, KnnCollector, RangeCollector};
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::{SweepScratch, NO_ROPE};
+use crate::index::SweepScratch;
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
 /// What one query returns: its exact neighbors and the block's counters.
@@ -712,91 +712,6 @@ pub(crate) fn evaluate_children<V: Volumes, C: Collector, const M: bool>(
 ) -> Option<f32> {
     child_distances(block, tree, n, q, collector.wants_maxdist(), false, scratch);
     collector.tighten(block, &scratch.sweep.max_d, &mut scratch.kth)
-}
-
-/// Follow node `n`'s rope (escape) link, metered as one pointer-sized load
-/// plus the branch. Returns [`NO_ROPE`] at the end of
-/// the preorder sweep; any other target is bounds-checked like every
-/// structural link.
-fn checked_rope<V: Volumes, const M: bool>(
-    block: &mut Block<'_, M>,
-    tree: &FlatTree<V>,
-    n: u32,
-) -> Result<u32, KernelError> {
-    block.scalar(1);
-    block.load_global(4);
-    let r = tree.rope(n);
-    if r == NO_ROPE {
-        Ok(NO_ROPE)
-    } else {
-        checked_node(tree, "rope", n, r)
-    }
-}
-
-/// Evaluate one node's **own** bounding volume against the query — the
-/// node-centric arrival test of the rope traversals, where each node fetches
-/// its own entry instead of the parent sweeping all children at once. Metered
-/// as a one-item sweep at the index's node-shape cost; the bound passes
-/// through the fault injector exactly like the batched sweep's.
-fn node_min_dist<V: Volumes, const M: bool>(
-    block: &mut Block<'_, M>,
-    tree: &FlatTree<V>,
-    n: u32,
-    q: &[f32],
-) -> f32 {
-    block.load_global(tree.child_entry_bytes());
-    block.par_for(1, tree.child_eval_cost(false), |_| {});
-    let mut d = tree.child_min_max(n, q, false).0;
-    if block.has_faults() {
-        d = block.fault_f32(d);
-    }
-    d
-}
-
-/// The rope traversal (DESIGN.md "Stack-free kd kernel and rope modes"): one
-/// preorder pass with **no** per-level state — no level counter, no parent
-/// backtracking, no re-descent from the root, no `visitedLeafId` cursor. Every
-/// arriving node evaluates its own volume; qualifying internal nodes fall
-/// through to their first child, everything else follows the escape link
-/// until it runs off the rightmost spine. Exactness: a subtree is skipped only
-/// when the collector no longer admits its MINDIST — a bound that never grows
-/// — so the node set *entered* is exactly the stacked sweep's (a node is
-/// entered iff its volume qualifies and its ancestors' do; `tests/ropes.rs`
-/// pins the equivalence) and the same leaves produce the same rows. A leaf a
-/// priming descent already scanned is revisited once, which is harmless: the
-/// k-best list rejects exact duplicates.
-pub(crate) fn rope_walk<V: Volumes, C: Collector, const M: bool>(
-    block: &mut Block<'_, M>,
-    budget: &mut Budget,
-    tree: &FlatTree<V>,
-    q: &[f32],
-    collector: &mut C,
-    opts: &KernelOptions,
-    scratch: &mut Scratch,
-) -> Result<(), KernelError> {
-    let mut n = checked_root(tree)?;
-    loop {
-        budget.tick(block)?;
-        block.set_phase(Phase::Descend);
-        // The root carries no volume worth testing (it always qualifies);
-        // every other arrival fetches and evaluates its own entry.
-        let qualifies = n == tree.root || collector.admits(node_min_dist(block, tree, n, q));
-        let next = if !qualifies {
-            block.set_phase(Phase::Backtrack);
-            checked_rope(block, tree, n)?
-        } else if tree.is_leaf(n) {
-            process_leaf(block, tree, n, q, collector, scratch, opts, false, tree.node_depth(n))?;
-            block.set_phase(Phase::Backtrack);
-            checked_rope(block, tree, n)?
-        } else {
-            block.visit_node(tree.node_depth(n), NodeKind::Internal);
-            checked_children(tree, n)?.start
-        };
-        if next == NO_ROPE {
-            return Ok(());
-        }
-        n = next;
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@
 //! sweep over the in-range leaves with no re-tightening, which is exactly why
 //! the paper's design generalizes beyond kNN.
 //!
-//! So this module holds no traversal of its own: the stacked form is PSB's
-//! `sweep` and the rope form the shared `rope_walk`, both over a
+//! So this module holds no traversal of its own: it runs PSB's `sweep` over a
 //! `RangeCollector` — the inclusive radius test and the output rows (written to
 //! global memory, metered as streaming writes) live there.
 
@@ -20,7 +19,7 @@ use psb_sstree::{FlatTree, Neighbor, Volumes};
 use crate::error::KernelError;
 
 use super::collector::{Collector, RangeCollector};
-use super::{psb, reserve_static, rope_walk, Budget, Kernel, Scratch};
+use super::{psb, reserve_static, Budget, Kernel, Scratch};
 use crate::options::KernelOptions;
 
 /// Runs one range query on a simulated block; returns the points within
@@ -64,11 +63,7 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
     scratch: &mut Scratch,
 ) -> Result<Vec<Neighbor>, KernelError> {
     let mut hits = prime(block, tree, radius, cfg)?;
-    if opts.rope {
-        rope_walk(block, budget, tree, q, &mut hits, opts, scratch)?;
-    } else {
-        psb::sweep(block, budget, tree, q, &mut hits, opts, scratch, false)?;
-    }
+    psb::sweep(block, budget, tree, q, &mut hits, opts, scratch, false)?;
     Ok(hits.finish())
 }
 
@@ -127,26 +122,6 @@ mod tests {
         let q = ps.point(0).to_vec();
         let (got, _) = range_query_gpu(&tree, &q, 1e9, &cfg, &KernelOptions::default());
         assert_eq!(got.len(), ps.len());
-    }
-
-    #[test]
-    fn rope_mode_is_bit_identical_to_stacked() {
-        let (ps, tree) = setup();
-        let cfg = DeviceConfig::k40();
-        let stacked = KernelOptions::default();
-        let rope = KernelOptions { rope: true, ..Default::default() };
-        for q in sample_queries(&ps, 10, 0.01, 144).iter() {
-            for radius in [10.0f32, 200.0, 2000.0] {
-                let (a, _) = range_query_gpu(&tree, q, radius, &cfg, &stacked);
-                let (b, sb) = range_query_gpu(&tree, q, radius, &cfg, &rope);
-                assert_eq!(a.len(), b.len(), "radius {radius}");
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                    assert_eq!(x.id, y.id);
-                }
-                assert_eq!(sb.backtracks, 0, "rope mode carries no parent state");
-            }
-        }
     }
 
     #[test]

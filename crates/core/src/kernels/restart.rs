@@ -21,7 +21,7 @@ use super::collector::{Collector, Removed};
 use super::psb::initial_descent;
 use super::{
     checked_children, checked_leaf_id, checked_node, evaluate_children, fetch_internal,
-    leftmost_qualifying, process_leaf, rope_walk, Budget, Kernel, Scratch,
+    leftmost_qualifying, process_leaf, Budget, Kernel, Scratch,
 };
 use crate::options::KernelOptions;
 
@@ -53,13 +53,6 @@ pub(super) fn traverse<V: Volumes, const M: bool>(
 ) -> Result<Vec<Neighbor>, KernelError> {
     // The initial descent primes the pruning distance (same as PSB).
     let mut list = initial_descent(block, tree, q, k, removed, cfg, opts, scratch, budget, false)?;
-
-    // Rope mode: instead of restarting from the root, follow the escape links
-    // — one preorder pass with no re-descents and no `visitedLeafId` cursor.
-    if opts.rope {
-        rope_walk(block, budget, tree, q, &mut list, opts, scratch)?;
-        return Ok(list.finish());
-    }
 
     let last_leaf = (tree.num_leaves() - 1) as u32;
     let mut visited: i64 = -1;
@@ -156,26 +149,6 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert!((x.dist - y.dist).abs() <= y.dist.max(1.0) * 1e-4);
             }
-        }
-    }
-
-    #[test]
-    fn rope_mode_matches_stacked_bitwise() {
-        let (ps, tree) = setup();
-        let cfg = DeviceConfig::k40();
-        let stacked = KernelOptions::default();
-        let rope = KernelOptions { rope: true, ..Default::default() };
-        for q in sample_queries(&ps, 12, 0.01, 96).iter() {
-            let (a, _) = restart_query(&tree, q, 8, &cfg, &stacked);
-            let (b, sb) = restart_query(&tree, q, 8, &cfg, &rope);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                assert_eq!(x.id, y.id);
-            }
-            // The only backtracks left are the rope hops' phase tags; the
-            // re-descent machinery is gone.
-            assert!(sb.nodes_visited > 0);
         }
     }
 

@@ -40,7 +40,7 @@ pub use engine::{
     restart_batch, stackfree_batch, Override, QueryBatchResult, Resolved,
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
-pub use index::{GpuIndex, SweepScratch, NO_ROPE};
+pub use index::{GpuIndex, SweepScratch};
 pub use kernels::brute::brute_try_query;
 pub use kernels::stackfree::stackfree_query;
 pub use kernels::tpss::{tpss_batch, tpss_try_batch};

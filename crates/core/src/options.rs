@@ -81,16 +81,6 @@ pub struct KernelOptions {
     /// compiles the `Block` accounting out of the hot loop; results are
     /// bit-identical, `KernelStats` stay at launch values.
     pub metering: Metering,
-    /// Follow rope (escape) links instead of per-level traversal state in the
-    /// kernels that keep any — the *restart* kNN kernel's re-descents and the
-    /// *range* kernel's parent backtracking
-    /// (DESIGN.md "Stack-free kd kernel and rope modes"). Every arriving
-    /// node is evaluated once against the query; qualifying internal nodes
-    /// fall through to their first child, everything else follows
-    /// `FlatTree::rope`. Results are bit-identical to the stacked traversal
-    /// (`tests/ropes.rs`); counters reflect the rope fetches. Off by default:
-    /// the paper's PSB figures use the leaf-sequential traversal.
-    pub rope: bool,
     /// Distance-kernel lane selection: the explicit-SIMD same-op-order
     /// evaluators (the default) or the reference scalar loops. Both produce
     /// bit-identical f32 results (`psb-geom`'s identity suites); the switch
@@ -110,7 +100,6 @@ impl Default for KernelOptions {
             metrics: MetricsHandle::noop(),
             wave: None,
             metering: Metering::Simulated,
-            rope: false,
             lanes: DistLanes::Simd,
         }
     }
@@ -131,7 +120,6 @@ mod tests {
         assert!(!o.metrics.is_attached(), "telemetry is opt-in");
         assert!(o.wave.is_none(), "the wave engine is opt-in");
         assert_eq!(o.metering, Metering::Simulated, "figures need the cost model");
-        assert!(!o.rope, "rope traversal is opt-in; the paper's traversal is stacked");
         assert_eq!(o.lanes, DistLanes::Simd, "SIMD lanes are bit-identical, so default-on");
     }
 }

@@ -78,7 +78,7 @@ impl LaunchReport {
     }
 
     /// Records this report into a metrics registry under the kernel `label`
-    /// (e.g. `"psb"`, `"autoropes"`). The *simulated* figures land as `sim.*`
+    /// (e.g. `"psb"`, `"stackfree"`). The *simulated* figures land as `sim.*`
     /// gauges and counters so they sit next to the host-side wall-clock data
     /// in one snapshot; a no-op handle makes this a single branch.
     pub fn record_into(&self, m: &MetricsHandle, label: &str) {

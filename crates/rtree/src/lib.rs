@@ -5,7 +5,7 @@
 //! and adds or subtracts the radius", whereas "rectangular bounding boxes ...
 //! require the calculation of distances to each facet". An [`RsTree`] is the
 //! *same* flattened tree as the SS-tree — `psb_sstree::FlatTree`, with its
-//! accessors, rope links, packed arena, sweeps and verifier — over a
+//! accessors, packed arena, sweeps and verifier — over a
 //! different node shape, so every GPU kernel in `psb-core` runs over it
 //! unchanged and comparing the two under identical traversals isolates the
 //! node-shape effect the paper asserts. This crate
@@ -165,13 +165,10 @@ mod tests {
         assert_eq!(tree.degree, 16);
         let root = tree.root;
         assert!(!tree.is_leaf(root));
-        assert_eq!(tree.node_depth(root), 0);
-        assert_eq!(tree.rope(root), psb_sstree::tree::NO_ROPE);
         let kids = tree.children(root);
         assert!(!kids.is_empty());
         for c in kids {
             assert_eq!(tree.parent(c), root);
-            assert_eq!(tree.node_depth(c), 1);
         }
         // Leaf chain is dense and consistent.
         for l in 0..tree.num_leaves() as u32 {

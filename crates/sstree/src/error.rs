@@ -58,8 +58,6 @@ pub enum StructuralError {
     /// A volume has a NaN/infinite coordinate or is inside out (a negative
     /// radius, a low corner above the high one).
     NonFiniteGeometry { node: u32 },
-    /// A rope (escape) link does not land on the correct next-subtree node.
-    RopeBroken { node: u32 },
     /// Some arena nodes are unreachable from the root.
     UnreachableNodes { nodes: usize, visited: usize },
     /// The traversal visited more nodes than the arena holds — the links form
@@ -124,9 +122,6 @@ impl fmt::Display for StructuralError {
             }
             NonFiniteGeometry { node } => {
                 write!(f, "node {node} has a non-finite or inside-out bounding volume")
-            }
-            RopeBroken { node } => {
-                write!(f, "node {node}: rope link does not land on the next-subtree node")
             }
             UnreachableNodes { nodes, visited } => {
                 write!(f, "arena holds {nodes} nodes but only {visited} are reachable from root")

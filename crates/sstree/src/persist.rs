@@ -226,7 +226,6 @@ pub fn load(path: &Path) -> Result<SsTree, LoadError> {
         subtree_max_leaf,
         leaf_node_of,
         root,
-        rope: Vec::new(),
         arena: None,
     };
     tree.validate()?;

@@ -14,8 +14,8 @@
 //!   skip already-visited subtrees without a stack.
 //!
 //! None of that depends on what a node's region *is*: the shape lives in the
-//! [`Volumes`] parameter and nowhere else, so the accessors, the rope links,
-//! the packed arena, the verifier and the materializer below exist once.
+//! [`Volumes`] parameter and nowhere else, so the accessors, the packed arena,
+//! the verifier and the materializer below exist once.
 
 use psb_geom::{PointSet, SphereRef};
 
@@ -27,9 +27,6 @@ use crate::volumes::{Spheres, Volumes};
 pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// Sentinel leaf id for internal nodes.
 pub(crate) const NOT_A_LEAF: u32 = u32::MAX;
-/// Sentinel rope link: "no next subtree" (the root and every node on the
-/// rightmost root-to-leaf spine).
-pub const NO_ROPE: u32 = u32::MAX;
 
 /// A flattened n-ary tree over bounding volumes `V`. Builders hand their
 /// level plan to [`FlatTree::materialize`]; the only other producer is
@@ -65,13 +62,6 @@ pub struct FlatTree<V> {
     pub leaf_node_of: Vec<u32>,
     /// Root node id.
     pub root: u32,
-    /// Rope (escape) link per node: the next node in depth-first preorder
-    /// *after skipping this node's entire subtree* — the right sibling when
-    /// one exists, else the nearest ancestor's right sibling, else
-    /// [`NO_ROPE`]. Stack-free traversals follow it instead of backtracking
-    /// through parent links. Derived alongside the arena by
-    /// [`FlatTree::rebuild_arena`]; empty until then.
-    pub rope: Vec<u32>,
     /// Packed per-node device arena (see [`crate::arena`]): a derived cache of
     /// the node geometry above, rebuilt after construction/load. `None` puts
     /// sweeps on the bounds-checked gather fallback (see [`FlatTree::strip_arena`]).
@@ -161,61 +151,17 @@ impl<V: Volumes> FlatTree<V> {
         self.subtree_max_leaf[n as usize]
     }
 
-    /// Rope (escape) link of node `n`, as the `rope` field defines it:
-    /// [`NO_ROPE`] for the root and the rightmost spine.
-    pub fn rope(&self, n: u32) -> u32 {
-        // Every construction/load path derives ropes in `rebuild_arena`; an
-        // empty array means a hand-assembled tree that skipped it — an API
-        // misuse, not device corruption, so it asserts rather than erroring.
-        assert!(!self.rope.is_empty(), "rope links missing: call rebuild_arena() first");
-        self.rope[n as usize]
-    }
-
-    /// Depth of node `n` below the root (root = 0): the per-level visit
-    /// histogram's key when a stack-free traversal arrives at a node without
-    /// having tracked a descent counter.
-    pub fn node_depth(&self, n: u32) -> u32 {
-        (self.level[self.root as usize] - self.level[n as usize]) as u32
-    }
-
     /// Rebuild the packed device arena from the current node arrays. Call
     /// after any structural mutation (construction and load do it for you).
-    /// Also rederives the rope links: every path that yields a queryable tree
-    /// funnels through here, so the links can never go stale separately from
-    /// the arena.
     pub fn rebuild_arena(&mut self) {
+        // Drop the old arena first, so a rebuild never holds two.
         self.arena = None;
-        self.rebuild_ropes();
         self.arena = Some(NodeArena::build(self));
-    }
-
-    /// Recompute the `rope` escape links from the parent/child
-    /// structure: `rope(c)` is `c + 1` for every non-last child (children are
-    /// contiguous), the parent's rope for each last child, and [`NO_ROPE`] at
-    /// the root. Top-down from the root so each parent's rope exists before
-    /// its children consult it.
-    pub(crate) fn rebuild_ropes(&mut self) {
-        let nn = self.num_nodes();
-        self.rope.clear();
-        self.rope.resize(nn, NO_ROPE);
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            if self.is_leaf(n) {
-                continue;
-            }
-            let kids = self.children(n);
-            for c in kids.clone() {
-                self.rope[c as usize] =
-                    if c + 1 < kids.end { c + 1 } else { self.rope[n as usize] };
-                stack.push(c);
-            }
-        }
     }
 
     /// Drop the packed arena, forcing sweeps onto the bounds-checked gather
     /// fallback — the hook `tests/layout_parity.rs` uses to hold that fallback
-    /// bit-identical to the arena path. Rope links stay: they are structure,
-    /// not a geometry cache.
+    /// bit-identical to the arena path.
     pub fn strip_arena(&mut self) {
         self.arena = None;
     }
@@ -279,9 +225,9 @@ impl<V: Volumes> FlatTree<V> {
     /// last, each level in its own order — which is what makes every parent's
     /// children contiguous.
     ///
-    /// Runs the structural verifier before deriving ropes and packing the
-    /// arena, so a construction bug can never hand an invalid tree to the
-    /// query engines: it panics instead.
+    /// Runs the structural verifier before packing the arena, so a
+    /// construction bug can never hand an invalid tree to the query engines:
+    /// it panics instead.
     pub fn materialize(
         points: &PointSet,
         degree: usize,
@@ -351,7 +297,6 @@ impl<V: Volumes> FlatTree<V> {
             subtree_max_leaf,
             leaf_node_of,
             root: 0,
-            rope: Vec::new(),
             arena: None,
         };
         if let Err(e) = tree.validate() {
@@ -511,36 +456,6 @@ impl<V: Volumes> FlatTree<V> {
         }
         if let Some(p) = seen_points.iter().position(|&s| !s) {
             return Err(StructuralError::OrphanPoint { point: p });
-        }
-        // Rope links are derived state (empty until `rebuild_arena`); when
-        // present they must match the escape rule exactly — a wrong link sends
-        // a stack-free traversal into a subtree it already covered or past one
-        // it never visited.
-        if !self.rope.is_empty() {
-            if self.rope.len() != nn {
-                return Err(StructuralError::ArrayLength {
-                    array: "rope",
-                    len: self.rope.len(),
-                    nodes: nn,
-                });
-            }
-            if self.rope[self.root as usize] != NO_ROPE {
-                return Err(StructuralError::RopeBroken { node: self.root });
-            }
-            let mut stack = vec![self.root];
-            while let Some(n) = stack.pop() {
-                if self.is_leaf(n) {
-                    continue;
-                }
-                let kids = self.children(n);
-                for c in kids.clone() {
-                    let want = if c + 1 < kids.end { c + 1 } else { self.rope[n as usize] };
-                    if self.rope[c as usize] != want {
-                        return Err(StructuralError::RopeBroken { node: c });
-                    }
-                    stack.push(c);
-                }
-            }
         }
         Ok(())
     }

@@ -76,7 +76,7 @@ pub mod prelude {
         stackfree_batch, tpss_batch, tpss_try_batch, wave_knn_batch, wave_range_batch,
         DynamicSsTree, EngineError, Kernel, KernelError, KernelOptions, Metering, NodeLayout,
         Override, QueryBatchResult, QueryOutcome, QuerySchedule, QueryStream, Resolved,
-        ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig, WaveReport, NO_ROPE,
+        ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig, WaveReport,
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{

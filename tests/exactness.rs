@@ -144,7 +144,6 @@ fn distances_that_overflow_to_infinity_are_still_neighbours() {
     // must be admitted: the k nearest are all out there.
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
-    let roped = KernelOptions { rope: true, ..Default::default() };
     let mut origin = PointSet::new(2);
     origin.push(&[0.0, 0.0]);
     for s in [1e18f32, 1e19, 3e19] {
@@ -161,7 +160,6 @@ fn distances_that_overflow_to_infinity_are_still_neighbours() {
                 ("psb", psb_batch(&tree, &origin, k, &cfg, &opts)),
                 ("bnb", bnb_batch(&tree, &origin, k, &cfg, &opts)),
                 ("restart", restart_batch(&tree, &origin, k, &cfg, &opts)),
-                ("rope", restart_batch(&tree, &origin, k, &cfg, &roped)),
                 ("wave", wave_knn_batch(&tree, &origin, k, &cfg, &opts).map(|(r, _)| r)),
             ];
             for (name, got) in runs {

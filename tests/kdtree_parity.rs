@@ -1,7 +1,7 @@
 //! Golden parity suite for the implicit left-balanced kd-tree family.
 //!
-//! The stack-free kernel (DESIGN.md "Stack-free kd kernel and rope modes") is
-//! an *exact* kNN search: it visits a superset of the nodes a stacked
+//! The stack-free kernel (DESIGN.md "Stack-free kd kernel") is an *exact*
+//! kNN search: it visits a superset of the nodes a stacked
 //! kd-traversal would prune into, offers every visited point through the same
 //! `GpuKnnList` the other kernels use, and computes distances with the same
 //! `DistKernel` operation order. Parity is therefore demanded to the **bit**,

@@ -1,17 +1,17 @@
 //! Kernel fingerprint: every table kernel's whole observable output, pinned.
 //!
-//! One row per (kernel × family × rope × `leaf_scan` × `use_minmax_prune` ×
-//! metering × fault plan), plus each kernel's wave form and a corrupt tree's
-//! degraded rung. A row launches its configuration over two small fixtures
+//! One row per (kernel × family × `leaf_scan` × `use_minmax_prune` × metering ×
+//! fault plan), plus each kernel's wave form and a corrupt tree's degraded
+//! rung. A row launches its configuration over two small fixtures
 //! (4-d clustered, where the tree prunes; 16-d uniform, where PSB backtracks
 //! and its memo replays) and hashes — 64-bit FNV-1a over the `{:?}` text, which
 //! prints floats shortest-round-trip, so equal text is equal bits — the
 //! neighbours, `per_block`, outcomes, `LaunchReport` **and the recorded event
 //! stream**. The golden table (`kernel_fingerprint.golden`, beside this file)
-//! was generated at commit 8a6f0be, before the kernels were rewritten over one
-//! collector; a refactor of the kernel layer must not change a row. A change
-//! that *means* to move the metering regenerates the table and says so: on a
-//! mismatch the fresh table is written to the path the failure names.
+//! was first generated at commit 8a6f0be, before the kernels were rewritten
+//! over one collector; a refactor of the kernel layer must not change a row.
+//! A change that *means* to move the metering regenerates the table and says
+//! so: on a mismatch the fresh table is written to the path the failure names.
 //!
 //! Every answer a row returns is also held to the linear oracle
 //! (`linear_knn`, or `linear_range` for the range kernels) by ids and
@@ -152,20 +152,18 @@ fn per_query_rows<V: Volumes>(
         ("trunc", FaultPlan::truncation(3)),
     ];
     for name in KERNELS {
-        for bits in 0..8u32 {
-            let (rope, leaf_scan, minmax) = (bits & 4 != 0, bits & 2 != 0, bits & 1 != 0);
+        for bits in 0..4u32 {
+            let (leaf_scan, minmax) = (bits & 2 != 0, bits & 1 != 0);
             for (mname, metering) in METERINGS {
                 for (pname, plan) in &plans {
                     let opts = KernelOptions {
-                        rope,
                         leaf_scan,
                         use_minmax_prune: minmax,
                         metering,
                         ..Default::default()
                     };
                     let row = format!(
-                        "{name} {family} rope={} scan={} minmax={} {mname} {pname}",
-                        on(rope),
+                        "{name} {family} scan={} minmax={} {mname} {pname}",
                         on(leaf_scan),
                         on(minmax)
                     );
